@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test unit bench doctest docs-check batch-bench serve-bench serve-latency-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile profile-server lint coverage all
+.PHONY: test unit bench doctest docs-check batch-bench serve-bench serve-latency-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile profile-server layerbench layerbench-compare loc lint coverage all
 
 # Tier-1: the full unit + benchmark suite.
 test:
@@ -115,6 +115,24 @@ profile:
 # over 8 matrices, bulk ingress) and print the top-25 hot spots.
 profile-server:
 	$(PY) benchmarks/profile_server_tick.py
+
+# The repo's benchmark (BENCHMARK.json): every layerbench workload, untraced
+# then traced, each pass in a fresh subprocess (~2 min).  Writes
+# layerbench/results/latest.json (ignored by git; the CI layerbench job
+# uploads it).
+layerbench:
+	python3 -m layerbench --out layerbench/results/latest.json
+
+# Judge result file B against baseline A with the bounds in BENCHMARK.json:
+#   make layerbench-compare A=base.json B=layerbench/results/latest.json
+layerbench-compare:
+	python3 -m layerbench compare $(A) $(B)
+
+# Size baseline for simplicity PRs: src/ total and code lines, the largest
+# files, and the constructor parameter counts of ClusterGateway, PumServer
+# and DevicePool (from inspect.signature).
+loc:
+	$(PY) benchmarks/loc.py
 
 # Lint/format gate (needs ruff: pip install -r requirements-dev.txt).
 lint:

@@ -147,7 +147,7 @@ class InstructionInjectionUnit:
         num_partials: int,
         batch: int,
         width: int,
-    ) -> Tuple[List[WordOpCost], int]:
+    ) -> Tuple[int, float, int]:
         """Analytically account one batched write+ADD reduction stream.
 
         The single source of truth for the cost side of a batched reduction:
@@ -158,17 +158,15 @@ class InstructionInjectionUnit:
         the ``dce.write`` / ``dce.boolean`` energy the gate-level path would
         accumulate (every staged write touches one device per bit per
         transferred element; every ADD executes its NOR network on all rows
-        of all bit arrays), extends the pipeline op log, and updates the
-        IIU's injection statistics.
+        of all bit arrays) and updates the IIU's injection statistics.
 
-        Returns ``(costs, slots_saved)``.
+        Returns ``(n_adds, add_uops_per_bit, slots_saved)``.
         """
         add_uops = float(pipeline.add_uops_per_bit)
         depth, rows = pipeline.depth, pipeline.rows
         write = WordOpCost("write_vr", WordOpKind.WRITE, 1.0, depth, rows)
         add = WordOpCost("add", WordOpKind.CARRY, add_uops, depth, rows)
         num_ops = batch * num_partials
-        costs: List[WordOpCost] = [write, add] * num_ops
         nor_energy = pipeline.family.primitive("NOR").energy_per_row_pj
         pipeline.ledger.charge(
             "dce.write", energy_pj=num_ops * pipeline.WRITE_ENERGY_PJ * width * depth
@@ -176,14 +174,13 @@ class InstructionInjectionUnit:
         pipeline.ledger.charge(
             "dce.boolean", energy_pj=num_ops * add_uops * depth * nor_energy * rows
         )
-        pipeline.op_log.extend(costs)
 
         self.injections += 1
-        # Equal to ``sum(c.total_uops for c in costs)``: the per-op uop
-        # counts are integral, so the product is exact.
+        # Equal to summing ``total_uops`` over the ``num_ops`` write+ADD
+        # pairs: the per-op uop counts are integral, so the product is exact.
         saved = int(num_ops * (write.total_uops + add.total_uops))
         self.front_end_slots_saved += saved
-        return costs, saved
+        return num_ops, add_uops, saved
 
     def inject_reduction_batch(
         self,
@@ -192,7 +189,7 @@ class InstructionInjectionUnit:
         accumulator_vr: int,
         staging_vrs: Sequence[int],
         shifts: Sequence[int],
-    ) -> Tuple[np.ndarray, List[WordOpCost], int]:
+    ) -> Tuple[np.ndarray, int, float, int]:
         """Reduce a whole batch of partial-product streams in one pass.
 
         ``partial_values`` holds one already-shifted ``(batch, width)`` matrix
@@ -203,8 +200,9 @@ class InstructionInjectionUnit:
         (:meth:`account_reduction_batch`) so cycle, energy, and
         front-end-slot accounting match the gate path.
 
-        Returns ``(reduced, costs, slots_saved)`` where ``reduced`` is the
-        ``(batch, width)`` accumulator contents after the stream.
+        Returns ``(reduced, n_adds, add_uops_per_bit, slots_saved)`` where
+        ``reduced`` is the ``(batch, width)`` accumulator contents after the
+        stream.
 
         Like :meth:`inject_reduction`, requires the target pipeline to be
         reserved for analog output (:class:`~repro.errors.RegisterLiveError`
@@ -215,11 +213,11 @@ class InstructionInjectionUnit:
         batch, width = stacked.shape[1], stacked.shape[2]
         reduced = self.wrap_accumulator(stacked.sum(axis=0), pipeline.depth)
 
-        costs, saved = self.account_reduction_batch(
+        n_adds, add_uops, saved = self.account_reduction_batch(
             pipeline, len(partial_values), batch, width
         )
         # Leave the accumulator VR holding the last vector's reduction so the
         # pipeline state matches the end of the hardware stream (the bulk
         # charges above already cover this write).
         pipeline.set_vr_bits(accumulator_vr, reduced[-1])
-        return reduced, costs, saved
+        return reduced, n_adds, add_uops, saved

@@ -190,7 +190,7 @@ class DigitalComputeElement:
         updated[:count] = values
         self._write_vr_raw(dst, dst_vr, updated)
         cost = WordOpCost("element_load", WordOpKind.ELEMENT, 1.0, dst.depth, count)
-        self._charge(cost, dst)
+        self._charge(cost)
         return cost
 
     def element_store(
@@ -227,7 +227,7 @@ class DigitalComputeElement:
             updated[table_rows[selected]] = values[selected]
             self._write_vr_raw(table, int(vr), updated)
         cost = WordOpCost("element_store", WordOpKind.ELEMENT, 1.0, src.depth, count)
-        self._charge(cost, src)
+        self._charge(cost)
         return cost
 
     def copy_vr_between_pipelines(
@@ -241,7 +241,7 @@ class DigitalComputeElement:
         values = src.read_vr(src_vr)
         dst.write_vr(dst_vr, values, charge=False)
         cost = WordOpCost("copy_vr", WordOpKind.WRITE, 1.0, dst.depth, dst.rows)
-        self._charge(cost, dst)
+        self._charge(cost)
         return cost
 
     @staticmethod
@@ -256,8 +256,7 @@ class DigitalComputeElement:
     # ------------------------------------------------------------------ #
     # Accounting                                                           #
     # ------------------------------------------------------------------ #
-    def _charge(self, cost: WordOpCost, pipeline: BitPipeline) -> None:
-        pipeline.op_log.append(cost)
+    def _charge(self, cost: WordOpCost) -> None:
         if self.auto_cycles:
             self.ledger.charge(f"dce.{cost.name}", cycles=cost.unpipelined_cycles)
         self.ledger.charge(

@@ -87,8 +87,6 @@ class BitPipeline:
             for _ in range(self.depth)
         ]
         self._synth = BooleanSynthesizer(self.family)
-        #: Chronological record of every word-level operation's cost.
-        self.op_log: List[WordOpCost] = []
         #: Shift/rotate propagation direction; reversing it costs a drain.
         self.direction = "right"
         #: Registers marked dead by a pipeline-reserve instruction.
@@ -442,7 +440,6 @@ class BitPipeline:
     # Accounting                                                           #
     # ------------------------------------------------------------------ #
     def _account(self, cost: WordOpCost, energy_rows: Optional[int] = None, charge: bool = True) -> None:
-        self.op_log.append(cost)
         if cost.kind in (WordOpKind.WRITE, WordOpKind.SHIFT, WordOpKind.ELEMENT):
             rows = energy_rows if energy_rows is not None else self.rows
             # Writes/moves touch one device per bit per row.

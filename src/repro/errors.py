@@ -217,7 +217,7 @@ class WorkerFailedError(ClusterError):
 class BatchTimeoutError(ClusterError):
     """A dispatched batch exceeded its per-batch execution timeout.
 
-    Distinct from the worker-level ``liveness_timeout``: the worker may
+    Distinct from the worker-level ``LIVENESS_TIMEOUT``: the worker may
     still be heartbeating (a *gray* failure -- slow, not dead).  The
     gateway's watchdog raises this internally to trigger hedged
     re-dispatch onto another replica; it only surfaces to callers when

@@ -140,13 +140,12 @@ class ReferenceExecutor(ExecutionBackend):
                 num_partial_products=len(execution.partials),
             )
 
-        values, reduce_costs, slots_saved = self._reduce_in_dce(tile, plan, execution)
+        values, (n_adds, add_uops), slots_saved = self._reduce_in_dce(
+            tile, plan, execution
+        )
         if compensation is not None:
             values = compensation.recover_batch(values, vectors)
 
-        add_costs = [c for c in reduce_costs if c.name == "add"]
-        n_adds = len(add_costs)
-        add_uops = add_costs[0].uops_per_bit if add_costs else 12.0
         optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
         unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
         charged = optimized_cycles if optimized else unoptimized_cycles
@@ -208,7 +207,8 @@ class ReferenceExecutor(ExecutionBackend):
         """
         handle = plan.handle
         staging = list(plan.staging_vrs)
-        all_costs = []
+        n_adds = 0
+        add_uops = 12.0
         slots_saved = 0
         result = np.zeros((execution.batch, handle.shape[1]), dtype=np.int64)
 
@@ -228,13 +228,13 @@ class ReferenceExecutor(ExecutionBackend):
                 tile.transpose_unit.batch_to_registers(transfer.values)
                 shifted_values.append(transfer.values)
                 shifts.append(transfer.shift)
-            reduced, costs, saved = tile.iiu.inject_reduction_batch(
+            reduced, adds, add_uops, saved = tile.iiu.inject_reduction_batch(
                 pipeline, shifted_values, plan.accumulator_vr, staging, shifts
             )
-            all_costs.extend(costs)
+            n_adds += adds
             slots_saved += saved
             result[:, red.col_offset: red.col_offset + red.width] = reduced[:, : red.width]
-        return result, all_costs, slots_saved
+        return result, (n_adds, add_uops), slots_saved
 
 
 class VectorizedExecutor(ExecutionBackend):
@@ -302,8 +302,8 @@ class VectorizedExecutor(ExecutionBackend):
         Computes the shift-and-add sum of every column tile as one integer
         tensor reduction, then re-issues the exact accounting the reference
         interpreter's ``inject_reduction_batch`` performs: the same
-        ``dce.write`` / ``dce.boolean`` ledger charges, op-log entries, IIU
-        statistics, and accumulator-register state.  Returns ``(values,
+        ``dce.write`` / ``dce.boolean`` ledger charges, IIU statistics, and
+        accumulator-register state.  Returns ``(values,
         (n_adds, add_uops_per_bit), slots_saved)``.
         """
         handle = plan.handle
@@ -324,14 +324,13 @@ class VectorizedExecutor(ExecutionBackend):
             reduced = tile.iiu.wrap_accumulator(reduced, pipeline.depth)
 
             width = reduced.shape[1]
-            add_uops = float(pipeline.add_uops_per_bit)
-            _, saved = tile.iiu.account_reduction_batch(
+            adds, add_uops, saved = tile.iiu.account_reduction_batch(
                 pipeline, red.partials_per_vector, batch, width
             )
             pipeline.set_vr_bits(plan.accumulator_vr, reduced[-1])
             slots_saved += saved
-            tile.transpose_unit.vector_count += batch * red.partials_per_vector
-            n_adds += batch * red.partials_per_vector
+            tile.transpose_unit.vector_count += adds
+            n_adds += adds
 
             result[:, red.col_offset: red.col_offset + width] = reduced[:, :width]
         return result, (n_adds, add_uops), slots_saved
@@ -394,13 +393,12 @@ class CostModelExecutor(ExecutionBackend):
         add_uops = 12.0
         for red in plan.reduction:
             pipeline = tile.dce.pipeline(plan.output_base + red.col_tile)
-            add_uops = float(pipeline.add_uops_per_bit)
-            _, saved = tile.iiu.account_reduction_batch(
+            adds, add_uops, saved = tile.iiu.account_reduction_batch(
                 pipeline, red.partials_per_vector, batch, red.width
             )
             slots_saved += saved
-            tile.transpose_unit.vector_count += batch * red.partials_per_vector
-            n_adds += batch * red.partials_per_vector
+            tile.transpose_unit.vector_count += adds
+            n_adds += adds
 
         optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
         unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)

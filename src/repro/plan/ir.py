@@ -557,7 +557,7 @@ class PlanHandle:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One row band of a pooled allocation, compiled to its device."""
+    """One copy of one row band of a pooled matrix, pinned to one device."""
 
     #: Position in the allocation's shard order (partial-sum merge order).
     position: int
@@ -566,122 +566,84 @@ class ShardTask:
     row_end: int
     #: The device-level allocation holding this band.
     device_allocation: object
-    #: Replica index of this copy of the band (0 = primary).
+    #: Copy index within the band: 0 is the primary (the copy dispatch
+    #: prefers), 1..R-1 are failover replicas holding identical blocks on
+    #: distinct devices.
     replica: int = 0
+
+    @property
+    def rows(self) -> int:
+        """Number of matrix rows held by this copy."""
+        return self.row_end - self.row_start
 
 
 @dataclass
 class ShardedPlan:
-    """The pool-level compiled plan of one pooled allocation.
+    """The shard table of one pooled matrix: row band -> copies -> device.
 
-    Captures the row-band-to-device topology once, so
-    ``DevicePool.exec_mvm_batch`` / ``exec_requests`` fan out over a cached
-    task table instead of re-deriving the grouping per request.  The
-    device-level :class:`MvmPlan` caches are warmed per ``input_bits``
-    through :meth:`DevicePool.compile` (``prepared_input_bits`` records
-    which precisions are hot).
-
-    Under replication every row band exists on ``replication`` distinct
-    devices; ``tasks`` holds the primary (replica-0) copy of each band and
-    ``replicas`` maps a band's position to *all* its copies in replica
-    order, which is what the fan-out's retry path walks when a device
-    fails mid-batch.
+    ``bands[position]`` holds every copy of one contiguous row band in
+    replica order (``bands[position][0]`` is the primary), each copy one
+    :class:`ShardTask` carrying the device-level allocation that stores the
+    block.  This is the *only* description of the topology:
+    ``DevicePool.set_matrix`` fills it, the fan-out selects from it and
+    reduces partials in band order, ``DevicePool.rebuild`` swaps a band's
+    tuple in place, and :class:`~repro.runtime.pool.PooledAllocation` is
+    this table plus the retained source matrix.  The device-level
+    :class:`MvmPlan` caches are warmed per ``input_bits`` through
+    ``DevicePool.compile`` (``prepared_input_bits`` records which
+    precisions are hot).
     """
 
     allocation_id: int
     shape: Tuple[int, int]
-    #: Primary shard tasks, in shard (merge) order.
-    tasks: Tuple[ShardTask, ...]
-    #: Primary tasks grouped by executing device (fan-out order).
-    tasks_by_device: Dict[int, Tuple[ShardTask, ...]]
-    #: Every copy of every band: position -> tasks in replica order
-    #: (``replicas[p][0] is tasks[p]``).  Bands with a single copy map to a
-    #: one-element tuple.
-    replicas: Dict[int, Tuple[ShardTask, ...]] = field(default_factory=dict)
+    #: Band position -> copies of that band in replica order.
+    bands: List[Tuple[ShardTask, ...]] = field(default_factory=list)
     #: Input precisions whose tile-level plans have been precompiled.
     prepared_input_bits: Set[int] = field(default_factory=set)
 
     @property
     def num_shards(self) -> int:
-        """Row bands the allocation is split into."""
-        return len(self.tasks)
+        """Row bands the matrix is split into (replicas excluded)."""
+        return len(self.bands)
 
     @property
     def replication(self) -> int:
         """Copies kept of each row band (1 = unreplicated)."""
-        if not self.replicas:
-            return 1
-        return max(len(tasks) for tasks in self.replicas.values())
+        return max((len(copies) for copies in self.bands), default=1)
 
-    def replica_tasks(self, position: int) -> Tuple[ShardTask, ...]:
-        """All copies of band ``position`` in replica order."""
-        tasks = self.replicas.get(position)
-        if tasks:
-            return tasks
-        return (self.tasks[position],)
+    @property
+    def tasks(self) -> Tuple[ShardTask, ...]:
+        """The primary copy of every band, in shard (merge) order."""
+        return tuple(copies[0] for copies in self.bands)
 
     @property
     def all_tasks(self) -> Tuple[ShardTask, ...]:
-        """Every task including replicas, band-major then replica order."""
-        if not self.replicas:
-            return self.tasks
-        return tuple(
-            task
-            for position in range(self.num_shards)
-            for task in self.replica_tasks(position)
-        )
-
-    def splice_band(self, position: int, tasks: Tuple[ShardTask, ...]) -> None:
-        """Replace every copy of band ``position`` in place (live rebuild).
-
-        ``tasks[0]`` becomes the new primary; the remaining entries are its
-        failover replicas in replica order.  The plan object itself is kept
-        alive -- the pool's rebuild path splices reprogrammed copies into
-        the *cached* plan so in-flight dispatch state (``prepared_input_bits``,
-        any server-side references) survives the repair.
-        """
-        if not 0 <= position < self.num_shards:
-            raise IndexError(
-                f"band {position} out of range for a {self.num_shards}-shard plan"
-            )
-        if not tasks:
-            raise ValueError("splice_band needs at least one replacement copy")
-        primaries = list(self.tasks)
-        primaries[position] = tasks[0]
-        self.tasks = tuple(primaries)
-        if len(tasks) > 1 or self.replicas:
-            self.replicas[position] = tuple(tasks)
-        by_device: Dict[int, List[ShardTask]] = {}
-        for task in self.tasks:
-            by_device.setdefault(task.device_index, []).append(task)
-        self.tasks_by_device = {
-            index: tuple(group) for index, group in by_device.items()
-        }
+        """Every copy of every band, band-major then replica order."""
+        return tuple(task for copies in self.bands for task in copies)
 
     @property
     def devices_used(self) -> List[int]:
-        """Indices of the devices holding at least one primary shard."""
-        return sorted(self.tasks_by_device)
+        """Indices of the devices holding at least one copy (replicas too)."""
+        return sorted({task.device_index for task in self.all_tasks})
 
     def describe(self) -> str:
         """Human-readable rendering of the sharded topology."""
+        primaries = sorted({copies[0].device_index for copies in self.bands})
         lines = [
             f"ShardedPlan: allocation {self.allocation_id}, "
             f"{self.shape[0]}x{self.shape[1]} over {self.num_shards} shard(s) "
-            f"on devices {self.devices_used}"
+            f"on devices {primaries}"
             + (f", replication {self.replication}" if self.replication > 1 else ""),
         ]
-        for task in self.tasks:
+        for primary, *fallbacks in self.bands:
             suffix = ""
-            fallbacks = [
-                str(replica.device_index)
-                for replica in self.replica_tasks(task.position)[1:]
-            ]
             if fallbacks:
-                suffix = f" (replicas on {', '.join(fallbacks)})"
+                devices = ", ".join(str(task.device_index) for task in fallbacks)
+                suffix = f" (replicas on {devices})"
             lines.append(
-                f"  shard {task.position}: rows {task.row_start}:{task.row_end} "
-                f"-> device {task.device_index}{suffix}"
+                f"  shard {primary.position}: rows "
+                f"{primary.row_start}:{primary.row_end} "
+                f"-> device {primary.device_index}{suffix}"
             )
         if self.prepared_input_bits:
             lines.append(

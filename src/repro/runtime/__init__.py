@@ -20,7 +20,6 @@ from .pool import (
     PredictedFinishTimePolicy,
     RebuildReport,
     RoundRobinPolicy,
-    Shard,
     make_placement_policy,
 )
 from .queueing import (
@@ -83,7 +82,6 @@ __all__ = [
     "SchedulingPolicy",
     "ServerFuture",
     "ServingStats",
-    "Shard",
     "SloClass",
     "StaticBatchingPolicy",
     "ThreadedServerDriver",

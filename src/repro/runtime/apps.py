@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.config import HctConfig
 from ..core.hct import HybridComputeTile
-from ..errors import AdmissionError, MappingError, SchedulerError
+from ..errors import AdmissionError, MappingError
 from ..workloads.aes.mapping import (
     DarthPumAes,
     bits_to_columns,
@@ -41,7 +41,7 @@ from ..workloads.cnn.resnet import ResNet20
 from ..workloads.cnn.tensors import im2col
 from ..workloads.llm.encoder import EncoderConfig, TransformerEncoder
 from ..workloads.llm.mapping import LlmMapping
-from .scheduling import SchedulingPolicy, SloClass
+from .scheduling import SloClass
 from .server import PumServer
 
 __all__ = [
@@ -185,48 +185,9 @@ class LlmSession:
 # ---------------------------------------------------------------------- #
 # Serving entry points: the three paper workloads through the PumServer   #
 # ---------------------------------------------------------------------- #
-# Every ``serve_*`` helper shares one keyword surface (defined once here,
-# applied by ``_serving_context``):
-#
-# ``server``       -- an existing :class:`PumServer`, or ``None`` to have the
-#                     helper construct one from the keywords below.
-# ``slo``          -- SLO class (name or :class:`SloClass`) every submitted
-#                     request carries (deadline + shed priority).
-# ``scheduling``   -- scheduling policy (name or
-#                     :class:`~repro.runtime.scheduling.SchedulingPolicy`)
-#                     of the constructed server.
-# ``backend``      -- execution backend of the constructed server.
-# ``replication``  -- row-band replication factor of the constructed pool.
-# ``num_devices``  -- devices in the constructed pool (default 2).
-#
-# The construction keywords configure the server the helper builds; passing
-# any of them *alongside* an existing ``server`` is ambiguous and raises
-# :class:`~repro.errors.SchedulerError` (configure the server yourself
-# instead).  ``slo`` applies either way.
-def _serving_context(
-    server: Optional[PumServer],
-    *,
-    scheduling: Union[None, str, SchedulingPolicy] = None,
-    backend=None,
-    replication: int = 1,
-    num_devices: int = 2,
-) -> PumServer:
-    """Resolve the shared ``serve_*`` keywords into the server to use."""
-    if server is None:
-        return PumServer(
-            num_devices=num_devices, backend=backend,
-            replication=replication, scheduling=scheduling,
-        )
-    if scheduling is not None or backend is not None \
-            or replication != 1 or num_devices != 2:
-        raise SchedulerError(
-            "scheduling/backend/replication/num_devices configure the server "
-            "a serve_* helper constructs; pass server=None to use them, or "
-            "configure your own PumServer and pass that instead"
-        )
-    return server
-
-
+# Every ``serve_*`` helper takes the :class:`PumServer` to serve through
+# and one keyword, ``slo``: the SLO class (name or :class:`SloClass`) every
+# submitted request carries (deadline + shed priority).
 def _serve_all(
     server: PumServer,
     name: str,
@@ -291,15 +252,11 @@ def _submit_shifted(
 
 
 def serve_aes_mixcolumns(
-    server: Optional[PumServer],
+    server: PumServer,
     columns: np.ndarray,
     matrix_name: str = "aes.mixcolumns",
     *,
     slo: Union[None, str, SloClass] = None,
-    scheduling: Union[None, str, SchedulingPolicy] = None,
-    backend=None,
-    replication: int = 1,
-    num_devices: int = 2,
 ) -> np.ndarray:
     """AES MixColumns for ``(n, 4)`` state columns through the server.
 
@@ -307,13 +264,8 @@ def serve_aes_mixcolumns(
     the runtime computes ``x @ M``), submits one 32-bit request per column,
     and extracts the output parity bits -- the same mapping
     :class:`~repro.workloads.aes.mapping.DarthPumAes` uses on a single
-    tile, but scheduled across the pool by dynamic batching.  Accepts the
-    shared serving keywords documented at the section header above.
+    tile, but scheduled across the pool by dynamic batching.
     """
-    server = _serving_context(
-        server, scheduling=scheduling, backend=backend,
-        replication=replication, num_devices=num_devices,
-    )
     if matrix_name not in server.matrix_names:
         server.register_matrix(
             matrix_name, mixcolumns_bit_matrix().T.copy(), element_size=1,
@@ -325,7 +277,7 @@ def serve_aes_mixcolumns(
 
 
 def serve_cnn_conv(
-    server: Optional[PumServer],
+    server: PumServer,
     conv: Conv2d,
     image: np.ndarray,
     positions: int = 8,
@@ -334,23 +286,14 @@ def serve_cnn_conv(
     matrix_name: str = "cnn.conv",
     *,
     slo: Union[None, str, SloClass] = None,
-    scheduling: Union[None, str, SchedulingPolicy] = None,
-    backend=None,
-    replication: int = 1,
-    num_devices: int = 2,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Serve ``positions`` output positions of a convolution.
 
     The quantised Toeplitz weight matrix is registered once; every im2col
     patch becomes one single-vector request.  Returns
     ``(device_result, reference_result)`` as dequantised floats, mirroring
-    :func:`~repro.workloads.cnn.mapping.run_conv_on_tile`.  Accepts the
-    shared serving keywords documented at the section header above.
+    :func:`~repro.workloads.cnn.mapping.run_conv_on_tile`.
     """
-    server = _serving_context(
-        server, scheduling=scheduling, backend=backend,
-        replication=replication, num_devices=num_devices,
-    )
     image = np.asarray(image)
     if image.ndim != 4:
         raise MappingError("serve_cnn_conv expects an NCHW image batch")
@@ -372,7 +315,7 @@ def serve_cnn_conv(
 
 
 def serve_llm_projection(
-    server: Optional[PumServer],
+    server: PumServer,
     weight: np.ndarray,
     activations: np.ndarray,
     weight_bits: int = 6,
@@ -380,23 +323,13 @@ def serve_llm_projection(
     matrix_name: str = "llm.projection",
     *,
     slo: Union[None, str, SloClass] = None,
-    scheduling: Union[None, str, SchedulingPolicy] = None,
-    backend=None,
-    replication: int = 1,
-    num_devices: int = 2,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Serve a ``(token, hidden)`` projection, one request per token.
 
     Mirrors :func:`~repro.workloads.llm.mapping.run_projection_on_tile`
     but lets the server's scheduler coalesce the token stream into batches.
     Returns ``(device_result, reference_result)`` as dequantised floats.
-    Accepts the shared serving keywords documented at the section header
-    above.
     """
-    server = _serving_context(
-        server, scheduling=scheduling, backend=backend,
-        replication=replication, num_devices=num_devices,
-    )
     weight = np.asarray(weight, dtype=float)
     activations = np.asarray(activations, dtype=float)
     if activations.ndim != 2 or weight.ndim != 2:

@@ -52,7 +52,7 @@ import asyncio
 import hashlib
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +67,7 @@ from ...errors import (
 )
 from ...plan.ir import PlanHandle
 from ..integrity import DeviceHealth
+from ..server import matrix_fingerprint
 from .faults import CircuitBreaker, TransportFaultSpec
 from .messages import (
     K_ACK,
@@ -87,6 +88,25 @@ from .transport import HeartbeatBoard, ShmRing
 from .worker import worker_main
 
 __all__ = ["ClusterGateway", "ClusterResponse", "GatewayStats"]
+
+#: Fixed transport and timing constants of the gateway (the worker loop's
+#: counterpart is :data:`repro.runtime.cluster.worker.POLL_INTERVAL`).
+#: Byte capacity of every request/reply ring.
+RING_CAPACITY = 1 << 22
+#: Sleep of the response pump and the drain wait when nothing is pending.
+POLL_INTERVAL = 5e-4
+#: A worker whose heartbeat slot stays frozen this long is treated as dead.
+LIVENESS_TIMEOUT = 5.0
+#: Bound on every control round trip (ready, registered, drain, stop).
+CONTROL_TIMEOUT = 60.0
+#: Relative spread of the deterministic jitter on hedge deadlines.
+HEDGE_JITTER = 0.1
+#: Cap on a circuit breaker's doubling cooldown, in seconds.
+BREAKER_MAX_COOLDOWN = 30.0
+#: How worker processes are started: fork where the platform has it.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 @dataclass(frozen=True)
@@ -130,23 +150,7 @@ class GatewayStats:
 
     def snapshot(self) -> Dict[str, int]:
         """Point-in-time copy as a plain dict."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "batches": self.batches,
-            "retried_batches": self.retried_batches,
-            "worker_failures": self.worker_failures,
-            "restarts": self.restarts,
-            "registration_reuses": self.registration_reuses,
-            "transport_errors": self.transport_errors,
-            "batch_timeouts": self.batch_timeouts,
-            "hedged_batches": self.hedged_batches,
-            "duplicate_replies": self.duplicate_replies,
-            "circuit_opens": self.circuit_opens,
-            "supervised_restarts": self.supervised_restarts,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -225,6 +229,17 @@ class ClusterGateway:
     Construction only records configuration; :meth:`start` (or entering
     the context) creates the shared-memory transport, spawns the worker
     processes, and launches the response-pump and health-monitor tasks.
+
+    The keywords configure, in order: the worker fleet and the server each
+    worker builds (``num_workers`` .. ``verify``), admission
+    (``inflight_window``), liveness (``heartbeat_interval``,
+    ``stop_timeout``), hedging (``batch_timeout``, ``hedge_backoff``,
+    ``max_attempts``), circuit breakers (``breaker_threshold``,
+    ``breaker_cooldown``), supervised restart (``auto_restart``,
+    ``restart_budget``, ``restart_window``) and fault injection
+    (``transport_faults``).  Ring size, poll sleep, liveness and control
+    timeouts, hedge jitter, the breaker cooldown cap and the process start
+    method are the module constants above, not options.
     """
 
     def __init__(
@@ -242,24 +257,17 @@ class ClusterGateway:
         queue_capacity: int = 4096,
         verify: str = "off",
         inflight_window: int = 1024,
-        ring_capacity: int = 1 << 22,
-        poll_interval: float = 5e-4,
         heartbeat_interval: float = 0.05,
-        liveness_timeout: float = 5.0,
-        control_timeout: float = 60.0,
         stop_timeout: float = 5.0,
         batch_timeout: Optional[float] = None,
         hedge_backoff: float = 2.0,
-        hedge_jitter: float = 0.1,
         max_attempts: int = 4,
         breaker_threshold: int = 2,
         breaker_cooldown: float = 0.5,
-        breaker_max_cooldown: float = 30.0,
         auto_restart: bool = False,
         restart_budget: int = 3,
         restart_window: float = 30.0,
         transport_faults: Optional[TransportFaultSpec] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise ClusterError(
@@ -287,20 +295,15 @@ class ClusterGateway:
         self.num_workers = num_workers
         self.replication = replication
         self.inflight_window = inflight_window
-        self.ring_capacity = ring_capacity
-        self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
-        self.liveness_timeout = liveness_timeout
-        self.control_timeout = control_timeout
         self.stop_timeout = stop_timeout
         self.batch_timeout = batch_timeout
         self.hedge_backoff = hedge_backoff
-        self.hedge_jitter = hedge_jitter
         self.max_attempts = max_attempts
         self._breaker_args = dict(
             threshold=breaker_threshold,
             cooldown=breaker_cooldown,
-            max_cooldown=breaker_max_cooldown,
+            max_cooldown=BREAKER_MAX_COOLDOWN,
         )
         self.auto_restart = auto_restart
         self.restart_budget = restart_budget
@@ -318,13 +321,7 @@ class ClusterGateway:
             "queue_capacity": queue_capacity,
             "verify": verify,
         }
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self.stats = GatewayStats()
         self._workers = [
             _Worker(index, CircuitBreaker(**self._breaker_args))
@@ -366,13 +363,13 @@ class ClusterGateway:
             self._supervisor_task = asyncio.create_task(self._supervise())
         try:
             await asyncio.wait_for(
-                asyncio.gather(*ready), timeout=self.control_timeout
+                asyncio.gather(*ready), timeout=CONTROL_TIMEOUT
             )
         except asyncio.TimeoutError:
             await self.close()
             raise ClusterError(
                 f"cluster workers failed to come up within "
-                f"{self.control_timeout}s"
+                f"{CONTROL_TIMEOUT}s"
             ) from None
         now = time.monotonic()
         for worker in self._workers:
@@ -382,8 +379,8 @@ class ClusterGateway:
 
     def _spawn(self, worker: _Worker) -> None:
         """Create fresh rings for ``worker`` and launch its process."""
-        worker.requests = ShmRing(capacity=self.ring_capacity, create=True)
-        worker.replies = ShmRing(capacity=self.ring_capacity, create=True)
+        worker.requests = ShmRing(capacity=RING_CAPACITY, create=True)
+        worker.replies = ShmRing(capacity=RING_CAPACITY, create=True)
         spec = dict(self._spec_base)
         spec.update(
             worker_id=worker.worker_id,
@@ -477,14 +474,6 @@ class ClusterGateway:
     # ------------------------------------------------------------------ #
     # Placement and registration                                           #
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fingerprint(matrix: np.ndarray, element_size: int,
-                     precision: int) -> Tuple[str, Tuple[int, ...], int, int]:
-        """Content fingerprint; identical to the server's registration memo."""
-        canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
-        digest = hashlib.sha256(canonical.tobytes()).hexdigest()
-        return (digest, canonical.shape, element_size, precision)
-
     def _rendezvous(self, digest: str) -> List[int]:
         """Highest-random-weight placement of a digest over all workers."""
         scored = sorted(
@@ -511,7 +500,7 @@ class ClusterGateway:
         the workers' programmed shards and plan caches stay untouched.
         """
         self._require_running()
-        fingerprint = self._fingerprint(matrix, element_size, precision)
+        fingerprint = matrix_fingerprint(matrix, element_size, precision)
         record = self._matrices.get(name)
         if record is not None and record.fingerprint == fingerprint \
                 and record.input_bits == input_bits:
@@ -549,12 +538,12 @@ class ClusterGateway:
             )
         try:
             handle = await asyncio.wait_for(
-                pending, timeout=self.control_timeout
+                pending, timeout=CONTROL_TIMEOUT
             )
         except asyncio.TimeoutError:
             raise ClusterError(
                 f"worker {worker.worker_id} did not acknowledge registration "
-                f"of {name!r} within {self.control_timeout}s"
+                f"of {name!r} within {CONTROL_TIMEOUT}s"
             ) from None
         worker.plan_handles[name] = handle
 
@@ -708,7 +697,7 @@ class ClusterGateway:
         spread = float(np.random.default_rng(np.random.SeedSequence(
             [batch.batch_id, batch.attempts]
         )).random())
-        return time.monotonic() + timeout * (1.0 + self.hedge_jitter * spread)
+        return time.monotonic() + timeout * (1.0 + HEDGE_JITTER * spread)
 
     # ------------------------------------------------------------------ #
     # Response pump                                                        #
@@ -741,7 +730,7 @@ class ClusterGateway:
             if progressed:
                 await asyncio.sleep(0)
             else:
-                await asyncio.sleep(self.poll_interval)
+                await asyncio.sleep(POLL_INTERVAL)
 
     def _on_reply(self, worker: _Worker, kind: int, header: Dict[str, Any],
                   arrays: Sequence[np.ndarray]) -> None:
@@ -866,7 +855,7 @@ class ClusterGateway:
                     continue
                 if worker.process is not None and not worker.process.is_alive():
                     self._fail_worker(worker, "dead")
-                elif now - worker.last_progress > self.liveness_timeout:
+                elif now - worker.last_progress > LIVENESS_TIMEOUT:
                     self._fail_worker(worker, "stale")
 
     async def _supervise(self) -> None:
@@ -1053,14 +1042,14 @@ class ClusterGateway:
         self._require_running()
         worker = self._workers[worker_id]
         worker.draining = True
-        deadline = time.monotonic() + self.control_timeout
+        deadline = time.monotonic() + CONTROL_TIMEOUT
         while worker.inflight and worker.alive:
             if time.monotonic() > deadline:
                 raise ClusterError(
                     f"worker {worker_id} failed to drain within "
-                    f"{self.control_timeout}s ({worker.inflight} inflight)"
+                    f"{CONTROL_TIMEOUT}s ({worker.inflight} inflight)"
                 )
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
         if not worker.alive:
             return {}
         pending = self._expect(("drain", worker_id))
@@ -1068,7 +1057,7 @@ class ClusterGateway:
                 not worker.requests.push(encode_message(K_DRAIN, {})):
             pending.cancel()
             raise ClusterError(f"worker {worker_id} request ring is full")
-        return await asyncio.wait_for(pending, timeout=self.control_timeout)
+        return await asyncio.wait_for(pending, timeout=CONTROL_TIMEOUT)
 
     async def induce_straggler(self, worker_id: int, batches: int = 1,
                                seconds: float = 0.5) -> Dict[str, Any]:
@@ -1089,7 +1078,7 @@ class ClusterGateway:
         if worker.requests is None or not worker.requests.push(frame):
             pending.cancel()
             raise ClusterError(f"worker {worker_id} request ring is full")
-        return await asyncio.wait_for(pending, timeout=self.control_timeout)
+        return await asyncio.wait_for(pending, timeout=CONTROL_TIMEOUT)
 
     async def restart_worker(self, worker_id: int,
                              graceful: bool = True) -> None:
@@ -1111,7 +1100,7 @@ class ClusterGateway:
                         worker.requests.push(encode_message(K_STOP, {})):
                     try:
                         await asyncio.wait_for(
-                            stop, timeout=self.control_timeout
+                            stop, timeout=CONTROL_TIMEOUT
                         )
                     except asyncio.TimeoutError:
                         pass
@@ -1137,11 +1126,11 @@ class ClusterGateway:
             ready = self._expect(("ready", worker_id))
             self._spawn(worker)
             try:
-                await asyncio.wait_for(ready, timeout=self.control_timeout)
+                await asyncio.wait_for(ready, timeout=CONTROL_TIMEOUT)
             except asyncio.TimeoutError:
                 raise ClusterError(
                     f"restarted worker {worker_id} failed to come up within "
-                    f"{self.control_timeout}s"
+                    f"{CONTROL_TIMEOUT}s"
                 ) from None
             worker.health.reset()
             worker.health.quarantined = False

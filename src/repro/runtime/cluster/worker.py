@@ -200,8 +200,8 @@ def _drain_batch(server: PumServer, beat: Callable[[], None],
 
     Beating from *inside* the dispatch loop is what distinguishes a long
     batch from a hang: the board advances while the scheduler makes
-    progress, so ``liveness_timeout`` measures wedged-ness, not batch
-    length.
+    progress, so the gateway's ``LIVENESS_TIMEOUT`` measures wedged-ness,
+    not batch length.
     """
     for _ in range(max_ticks):
         if not server.pending:

@@ -43,7 +43,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,7 +148,8 @@ class IntegrityChecker:
             raise ValueError("integrity tolerance must be >= 0")
         self.tolerance = tolerance
         self.noisy = bool(noisy)
-        self._bands: Dict[Tuple[int, int], BandChecksum] = {}
+        #: allocation id -> that allocation's checksums in band order.
+        self._bands: Dict[int, List[BandChecksum]] = {}
 
     def register(
         self,
@@ -158,23 +159,23 @@ class IntegrityChecker:
     ) -> None:
         """Precompute check vectors for every ``(row_start, row_end)`` band."""
         matrix = np.asarray(matrix, dtype=np.int64)
-        for position, (row_start, row_end) in enumerate(bands):
-            block = matrix[row_start:row_end, :]
-            self._bands[(allocation_id, position)] = BandChecksum(
+        self._bands[allocation_id] = [
+            BandChecksum(
                 row_start=row_start,
                 row_end=row_end,
-                check=block.sum(axis=1),
-                abs_check=np.abs(block).sum(axis=1),
+                check=matrix[row_start:row_end, :].sum(axis=1),
+                abs_check=np.abs(matrix[row_start:row_end, :]).sum(axis=1),
             )
+            for row_start, row_end in bands
+        ]
 
     def forget(self, allocation_id: int) -> None:
         """Drop every checksum of one allocation (on release)."""
-        for key in [k for k in self._bands if k[0] == allocation_id]:
-            del self._bands[key]
+        self._bands.pop(allocation_id, None)
 
     def covers(self, allocation_id: int) -> bool:
-        """Whether any band of ``allocation_id`` has a registered checksum."""
-        return any(key[0] == allocation_id for key in self._bands)
+        """Whether ``allocation_id`` has registered checksums."""
+        return allocation_id in self._bands
 
     def _effective_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -196,9 +197,10 @@ class IntegrityChecker:
         registered band, ``None`` when the band has no checksum (nothing
         to verify -- e.g. an allocation created before the checker).
         """
-        band = self._bands.get((allocation_id, position))
-        if band is None:
+        checksums = self._bands.get(allocation_id)
+        if checksums is None or position >= len(checksums):
             return None
+        band = checksums[position]
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
         partial = np.atleast_2d(np.asarray(partial, dtype=np.int64))
         expected = vectors @ band.check
@@ -213,6 +215,6 @@ class IntegrityChecker:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"IntegrityChecker(bands={len(self._bands)}, "
+            f"IntegrityChecker(allocations={len(self._bands)}, "
             f"tolerance={self._effective_tolerance()})"
         )

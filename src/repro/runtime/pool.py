@@ -15,10 +15,11 @@ sharding work across identical compute tiles:
   shard boundaries, run every shard on its own device (each shard's partial
   result is a full-width ``(batch, cols)`` contribution), and sum the
   partials -- the same map-reduce a multi-chip interconnect performs.
-* the row-band topology of every allocation is compiled once into a cached
-  :class:`~repro.plan.ir.ShardedPlan` (``compile`` additionally warms the
-  tile-level :class:`~repro.plan.ir.MvmPlan` caches), so the per-request
-  fan-out does zero planning.
+* every :class:`PooledAllocation` *is* its shard table -- a
+  :class:`~repro.plan.ir.ShardedPlan` mapping band position to that band's
+  copies in replica order -- filled once by ``set_matrix`` (``compile``
+  additionally warms the tile-level :class:`~repro.plan.ir.MvmPlan`
+  caches), so the per-request fan-out does zero planning.
 * with ``replication=R`` every row band is programmed on ``R`` *distinct*
   devices; dispatch prefers the primary copy, and a shard whose device
   fails mid-call (:class:`~repro.errors.DeviceFailedError`, typically from
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,7 +50,6 @@ from ..errors import (
     QuantizationError,
     RebuildError,
     ReplicationError,
-    ReproError,
 )
 from ..metrics import CostLedger, merge_ledgers
 from ..plan.backends import ExecutionBackend
@@ -57,7 +57,7 @@ from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
 from ..reram import NoiseConfig
 from .allocator import plan_matrix
 from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, IntegrityChecker
-from .session import DarthPumDevice, MatrixAllocation
+from .session import DarthPumDevice
 
 __all__ = [
     "CacheAffinityPolicy",
@@ -68,7 +68,6 @@ __all__ = [
     "PredictedFinishTimePolicy",
     "RebuildReport",
     "RoundRobinPolicy",
-    "Shard",
     "make_placement_policy",
 ]
 
@@ -94,61 +93,23 @@ class _ShardFailure:
         self.error = error
 
 
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous row band of a pooled matrix, pinned to one device.
-
-    ``replica`` is the copy index within the band: 0 is the primary (the
-    copy dispatch prefers), 1..R-1 are failover replicas holding identical
-    blocks on distinct devices.
-    """
-
-    device_index: int
-    row_start: int
-    row_end: int
-    replica: int = 0
-
-    @property
-    def rows(self) -> int:
-        """Number of matrix rows held by this shard."""
-        return self.row_end - self.row_start
-
-
 @dataclass
-class PooledAllocation:
+class PooledAllocation(ShardedPlan):
     """A matrix stored across one or more devices of a :class:`DevicePool`.
 
-    Mirrors :class:`~repro.runtime.session.MatrixAllocation` one level up:
-    each shard pairs a :class:`Shard` (which device, which rows) with the
-    device-level allocation that actually holds the block.
+    Mirrors :class:`~repro.runtime.session.MatrixAllocation` one level up.
+    It is the pool's one record per matrix: the inherited shard table
+    (``bands[position]`` = that row band's :class:`~repro.plan.ir.ShardTask`
+    copies in replica order, each carrying its device-level allocation)
+    plus what :meth:`DevicePool.rebuild` needs to reprogram a lost band.
     """
 
-    allocation_id: int
-    shape: Tuple[int, int]
-    shards: List[Tuple[Shard, MatrixAllocation]] = field(default_factory=list)
     #: Canonical int64 copy of the source matrix, retained so
     #: :meth:`DevicePool.rebuild` can reprogram lost row bands.
     matrix: Optional[np.ndarray] = None
     #: Quantisation config the matrix was stored with (rebuild reuses it).
     element_size: int = 8
     precision: int = 0
-
-    @property
-    def num_shards(self) -> int:
-        """Number of row bands the matrix was split into (replicas excluded)."""
-        return sum(1 for shard, _ in self.shards if shard.replica == 0)
-
-    @property
-    def replication(self) -> int:
-        """Copies stored of each row band (1 = unreplicated)."""
-        if not self.shards:
-            return 1
-        return max(shard.replica for shard, _ in self.shards) + 1
-
-    @property
-    def devices_used(self) -> List[int]:
-        """Indices of the devices holding at least one shard (replicas too)."""
-        return sorted({shard.device_index for shard, _ in self.shards})
 
 
 @dataclass(frozen=True)
@@ -159,9 +120,9 @@ class RebuildReport:
     #: Band positions that received at least one reprogrammed copy.
     bands_rebuilt: Tuple[int, ...]
     #: New copies programmed onto healthy devices, in placement order.
-    copies_programmed: Tuple[Shard, ...]
+    copies_programmed: Tuple[ShardTask, ...]
     #: Copies on failed devices that were dropped from the allocation.
-    copies_dropped: Tuple[Shard, ...]
+    copies_dropped: Tuple[ShardTask, ...]
     #: Minimum live copies per band after the rebuild (the restored R,
     #: possibly lower than the pool's target when capacity ran short).
     replication: int
@@ -212,8 +173,12 @@ class PlacementPolicy:
         """Pick a device index with ``free[index] >= needed``, or ``None``."""
         raise NotImplementedError
 
-    def committed(self, plan: Sequence["Shard"], num_devices: int) -> None:
-        """Observe a successfully committed placement (no-op by default)."""
+    def committed(self, placed_devices: Sequence[int], num_devices: int) -> None:
+        """Observe a committed placement (no-op by default).
+
+        ``placed_devices`` is the device of every copy placed, in
+        placement order (band-major, then replica).
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -240,8 +205,8 @@ class RoundRobinPolicy(PlacementPolicy):
                 return index
         return None
 
-    def committed(self, plan: Sequence[Shard], num_devices: int) -> None:
-        self._cursor = (self._cursor + len(plan)) % num_devices
+    def committed(self, placed_devices: Sequence[int], num_devices: int) -> None:
+        self._cursor = (self._cursor + len(placed_devices)) % num_devices
 
 
 class LeastLoadedPolicy(PlacementPolicy):
@@ -394,8 +359,6 @@ class DevicePool:
         concurrently.  Results are merged deterministically in shard order
         and each device is only ever driven by one worker at a time, so
         parallel and serial execution are bit-identical.
-    max_workers:
-        Cap on fan-out worker threads (defaults to the device count).
     replication:
         Copies stored of each row band (default 1 = no replication).  With
         ``replication=R`` every band of every matrix is programmed on ``R``
@@ -415,10 +378,6 @@ class DevicePool:
         noise presets.  Verification assumes value-producing backends; a
         cost-only backend (``backend="estimate"``) returns placeholder
         values that cannot pass a checksum.
-    verify_tolerance:
-        Optional relative tolerance override for the checksum comparison
-        (``None`` = exact when ``noise`` is unset, a small default band
-        otherwise; ``0.0`` forces exact comparison even under noise).
     """
 
     POLICIES = (
@@ -433,12 +392,8 @@ class DevicePool:
         policy: Union[str, PlacementPolicy] = "least_loaded",
         backend: Union[None, str, ExecutionBackend] = None,
         parallel: bool = True,
-        max_workers: Optional[int] = None,
         replication: int = 1,
         verify: str = "off",
-        verify_tolerance: Optional[float] = None,
-        health_alpha: float = 0.25,
-        health_threshold: float = 0.5,
     ) -> None:
         if num_devices < 1:
             raise NoDevicesError(
@@ -459,10 +414,8 @@ class DevicePool:
         ]
         self.backend = backend
         self.parallel = bool(parallel)
-        self._max_workers = max_workers
         self._executor: Optional[ThreadPoolExecutor] = None
         self._allocations: Dict[int, PooledAllocation] = {}
-        self._sharded_plans: Dict[int, ShardedPlan] = {}
         self._next_allocation = 0
         # Health tracking and degraded-mode telemetry.  A device lands in
         # ``_failed_devices`` when a call on it raises DeviceFailedError;
@@ -482,10 +435,9 @@ class DevicePool:
             noise.programming_noise, noise.read_noise, noise.ir_drop,
             noise.drift, noise.stuck_at_faults,
         ))
-        self.integrity = IntegrityChecker(tolerance=verify_tolerance, noisy=noisy)
+        self.integrity = IntegrityChecker(noisy=noisy)
         self._health: List[DeviceHealth] = [
-            DeviceHealth(alpha=health_alpha, threshold=health_threshold)
-            for _ in range(num_devices)
+            DeviceHealth() for _ in range(num_devices)
         ]
         # Health/counter updates can run on fan-out worker threads; the
         # lock keeps the counters exact (tests assert equalities on them).
@@ -573,7 +525,7 @@ class DevicePool:
         # of O(rows^2)).
         total_free = sum(self.free_hcts(index) for index in range(self.num_devices))
         max_shards = min(rows, total_free // self.replication)
-        plan: Optional[List[Shard]] = None
+        plan: Optional[List[Tuple[int, int, List[int]]]] = None
         for num_shards in range(1, max_shards + 1):
             plan = self._plan_shards(
                 matrix.shape, element_size, precision, num_shards, affinity
@@ -585,24 +537,31 @@ class DevicePool:
                 f"matrix of shape {matrix.shape} does not fit this pool even "
                 "when sharded one row band per device"
             )
-        self.placement_policy.committed(plan, self.num_devices)
+        self.placement_policy.committed(
+            [index for _, _, devices in plan for index in devices],
+            self.num_devices,
+        )
 
         source = np.ascontiguousarray(matrix, dtype=np.int64)
         allocation = PooledAllocation(
             allocation_id=self._next_allocation, shape=(rows, cols),
             matrix=source, element_size=element_size, precision=precision,
         )
-        for shard in plan:
-            device = self.devices[shard.device_index]
-            block = matrix[shard.row_start: shard.row_end, :]
-            allocation.shards.append(
-                (shard, device.set_matrix(block, element_size=element_size,
-                                          precision=precision))
-            )
+        for position, (row_start, row_end, devices) in enumerate(plan):
+            block = matrix[row_start:row_end, :]
+            allocation.bands.append(tuple(
+                ShardTask(
+                    position, device_index, row_start, row_end,
+                    self.devices[device_index].set_matrix(
+                        block, element_size=element_size, precision=precision
+                    ),
+                    replica,
+                )
+                for replica, device_index in enumerate(devices)
+            ))
         self.integrity.register(
             allocation.allocation_id, source,
-            [(shard.row_start, shard.row_end)
-             for shard in plan if shard.replica == 0],
+            [(row_start, row_end) for row_start, row_end, _ in plan],
         )
         self._allocations[allocation.allocation_id] = allocation
         self._next_allocation += 1
@@ -615,30 +574,30 @@ class DevicePool:
         precision: int,
         num_shards: int,
         affinity: Sequence[int] = (),
-    ) -> Optional[List[Shard]]:
+    ) -> Optional[List[Tuple[int, int, List[int]]]]:
         """Try to place ``num_shards`` even row bands; None when infeasible.
 
-        With ``replication=R`` each band is placed ``R`` times.  Replicas of
-        one band must land on distinct devices (that is the whole point of
-        a replica), which is enforced here rather than in the policies: the
-        trial free list handed to ``choose`` has the band's existing devices
-        masked out, so any policy spreads copies correctly.
+        Returns one ``(row_start, row_end, devices)`` entry per band, with
+        ``devices`` in replica order.  With ``replication=R`` each band is
+        placed ``R`` times.  Replicas of one band must land on distinct
+        devices (that is the whole point of a replica), which is enforced
+        here rather than in the policies: the trial free list handed to
+        ``choose`` has the band's existing devices masked out, so any
+        policy spreads copies correctly.
         """
         rows, cols = shape
         if num_shards > rows:
             return None
         band = -(-rows // num_shards)
         free = [self.free_hcts(index) for index in range(self.num_devices)]
-        shards: List[Shard] = []
+        placed_devices = list(affinity)
+        bands: List[Tuple[int, int, List[int]]] = []
         start = 0
         while start < rows:
             end = min(rows, start + band)
             needed = self._hcts_for((end - start, cols), element_size, precision)
             band_devices: List[int] = []
-            for replica in range(self.replication):
-                placed_devices = (
-                    list(affinity) + [shard.device_index for shard in shards]
-                )
+            for _ in range(self.replication):
                 if band_devices:
                     trial = list(free)
                     for index in band_devices:
@@ -650,77 +609,33 @@ class DevicePool:
                     return None
                 free[chosen] -= needed
                 band_devices.append(chosen)
-                shards.append(
-                    Shard(device_index=chosen, row_start=start, row_end=end,
-                          replica=replica)
-                )
+                placed_devices.append(chosen)
+            bands.append((start, end, band_devices))
             start = end
-        return shards
+        return bands
 
     # ------------------------------------------------------------------ #
     # Plan compilation                                                     #
     # ------------------------------------------------------------------ #
-    def sharded_plan(self, allocation: PooledAllocation) -> ShardedPlan:
-        """The cached row-band-to-device plan of ``allocation``.
-
-        Built once per allocation (topology only -- no device work) and
-        reused by every subsequent call; ``release`` invalidates it.
-        """
-        plan = self._sharded_plans.get(allocation.allocation_id)
-        if plan is None:
-            primaries: List[ShardTask] = []
-            copies: Dict[int, List[ShardTask]] = {}
-            for shard, device_allocation in allocation.shards:
-                position = len(primaries) if shard.replica == 0 else len(primaries) - 1
-                task = ShardTask(
-                    position=position,
-                    device_index=shard.device_index,
-                    row_start=shard.row_start,
-                    row_end=shard.row_end,
-                    device_allocation=device_allocation,
-                    replica=shard.replica,
-                )
-                if shard.replica == 0:
-                    primaries.append(task)
-                copies.setdefault(position, []).append(task)
-            tasks = tuple(primaries)
-            by_device: Dict[int, List[ShardTask]] = {}
-            for task in tasks:
-                by_device.setdefault(task.device_index, []).append(task)
-            replicated = any(len(group) > 1 for group in copies.values())
-            plan = ShardedPlan(
-                allocation_id=allocation.allocation_id,
-                shape=allocation.shape,
-                tasks=tasks,
-                tasks_by_device={k: tuple(v) for k, v in by_device.items()},
-                replicas=(
-                    {position: tuple(group) for position, group in copies.items()}
-                    if replicated else {}
-                ),
-            )
-            self._sharded_plans[allocation.allocation_id] = plan
-        return plan
-
     def compile(
         self, allocation: PooledAllocation, input_bits: int = 8
     ) -> ShardedPlan:
         """Compile the full execution plan of ``allocation`` ahead of time.
 
-        Builds (or fetches) the pool-level :class:`ShardedPlan` and warms
-        every tile-level :class:`~repro.plan.ir.MvmPlan` cache at
+        Warms every tile-level :class:`~repro.plan.ir.MvmPlan` cache at
         ``input_bits``, so the serving hot path performs zero planning --
         ``PumServer.register_matrix`` calls this once per registration.
+        Returns the allocation's shard table.
         """
-        plan = self.sharded_plan(allocation)
-        if input_bits not in plan.prepared_input_bits:
+        if input_bits not in allocation.prepared_input_bits:
             # Warm replicas too: a failover must not pay a planning stall in
             # the middle of a degraded batch.
-            for task in plan.all_tasks:
+            for task in allocation.all_tasks:
                 self.devices[task.device_index].compile(
                     task.device_allocation, input_bits=input_bits
                 )
-            plan.prepared_input_bits.add(input_bits)
-        return plan
+            allocation.prepared_input_bits.add(input_bits)
+        return allocation
 
     def planner_builds(self) -> int:
         """Execution plans compiled across every device in the pool."""
@@ -740,9 +655,8 @@ class DevicePool:
         device's summed shard cost -- the critical path of the fan-out.
         No device work, no planning (plans were compiled at registration).
         """
-        plan = self.sharded_plan(allocation)
         per_device: Dict[int, float] = {}
-        for task in plan.tasks:
+        for task in allocation.tasks:
             per_device[task.device_index] = per_device.get(
                 task.device_index, 0.0
             ) + self.devices[task.device_index].predicted_mvm_cycles(
@@ -758,12 +672,11 @@ class DevicePool:
         Energy adds across devices (unlike the cycle critical path), so
         this is the plain sum over the allocation's primary shards.
         """
-        plan = self.sharded_plan(allocation)
         return sum(
             self.devices[task.device_index].predicted_mvm_energy_pj(
                 task.device_allocation, batch, input_bits=input_bits
             )
-            for task in plan.tasks
+            for task in allocation.tasks
         )
 
     def plan_handle(
@@ -800,16 +713,11 @@ class DevicePool:
         total = 0.0
         device = self.devices[device_index]
         for allocation in self._allocations.values():
-            plan = self._sharded_plans.get(allocation.allocation_id)
-            input_bits = (
-                min(plan.prepared_input_bits)
-                if plan is not None and plan.prepared_input_bits
-                else 8
-            )
-            for shard, device_allocation in allocation.shards:
-                if shard.device_index == device_index and shard.replica == 0:
+            input_bits = min(allocation.prepared_input_bits, default=8)
+            for task in allocation.tasks:
+                if task.device_index == device_index:
                     total += device.predicted_mvm_cycles(
-                        device_allocation, batch, input_bits=input_bits
+                        task.device_allocation, batch, input_bits=input_bits
                     )
         return total
 
@@ -891,21 +799,20 @@ class DevicePool:
                 self.quarantines += 1
                 self.mark_device_failed(device_index)
 
-    def _finish_call(self, plan: ShardedPlan, task: ShardTask,
+    def _finish_call(self, allocation: PooledAllocation, task: ShardTask,
                      vectors, partial):
         """Post-process one successful device call: health decay + ABFT check.
 
-        ``vectors`` is the input slice the shard consumed (None when the
-        caller has nothing to verify against).  In ``"full"`` mode a failed
-        check raises :class:`~repro.errors.IntegrityError` so the retry
-        machinery re-executes the band on a replica; ``"audit"`` counts the
-        detection but serves the result as-is.
+        ``vectors`` is the input slice the shard consumed.  In ``"full"``
+        mode a failed check raises :class:`~repro.errors.IntegrityError` so
+        the failover loop re-executes the band on a replica; ``"audit"``
+        counts the detection but serves the result as-is.
         """
-        if self._verify == VERIFY_OFF or vectors is None:
+        if self._verify == VERIFY_OFF:
             self._health_ok(task.device_index)
             return partial
         ok = self.integrity.verify(
-            plan.allocation_id, task.position, vectors, partial
+            allocation.allocation_id, task.position, vectors, partial
         )
         if ok is None:
             self._health_ok(task.device_index)
@@ -933,7 +840,7 @@ class DevicePool:
         return result
 
     def _select_task(
-        self, plan: ShardedPlan, position: int, tried
+        self, allocation: PooledAllocation, position: int, tried
     ) -> Optional[ShardTask]:
         """Pick the copy of band ``position`` to dispatch.
 
@@ -944,7 +851,7 @@ class DevicePool:
         every copy has already been tried this call (truly exhausted).
         """
         fallback: Optional[ShardTask] = None
-        for task in plan.replica_tasks(position):
+        for task in allocation.bands[position]:
             if task.device_index in tried:
                 continue
             if fallback is None:
@@ -953,126 +860,100 @@ class DevicePool:
                 return task
         return fallback
 
-    def _exhausted(
-        self, plan: ShardedPlan, position: int, device_index: int, tried,
-        cause: Optional[Exception] = None,
-    ) -> Union[DeviceFailedError, IntegrityError]:
-        detail = (
-            f"every replica of band {position} of allocation "
-            f"{plan.allocation_id} has failed (tried devices {sorted(tried)})"
-        )
-        if isinstance(cause, IntegrityError):
-            return IntegrityError(device_index, position, "exhausted", detail)
-        return DeviceFailedError(device_index, "exhausted", detail)
+    def _dispatch_with_retry(
+        self, requests: Sequence[Tuple[PooledAllocation, np.ndarray]], call
+    ) -> List[np.ndarray]:
+        """The pool's one fan-out/failover loop: one result per request.
 
-    def _note_shard_failure(self, task: ShardTask, error: Exception) -> None:
-        """Health/counter bookkeeping for one failed shard execution.
-
-        A dead device (:class:`~repro.errors.DeviceFailedError`) is marked
-        failed immediately -- it did not answer at all.  A corrupted result
-        (:class:`~repro.errors.IntegrityError`) is *not*: the device is
-        alive and may serve other bands correctly, so only the EWMA health
-        score moves (the quarantine pulls it from dispatch once corruption
-        proves persistent).  The :class:`IntegrityError` path's score bump
-        already happened in ``_finish_call`` when the check failed.
+        Every band of every ``(allocation, inputs)`` request selects a copy
+        (first healthy one in replica order) and the selected copies fan
+        out, one worker per device.  ``call(device, device_allocation,
+        sub)`` performs the device work of one copy on ``sub``, the slice
+        of ``inputs`` its rows consume.  A copy whose device raises
+        :class:`~repro.errors.DeviceFailedError`, or whose partial fails
+        the ABFT check under ``verify="full"``, is noted against its
+        device's health and re-dispatched on the band's next untried copy
+        in a further wave (rarely more than one), so sibling bands are
+        unaffected; a band with no copy left raises the same error with
+        ``kind="exhausted"``.  Partials are summed in band order whichever
+        copies served them, so degraded results are bit-identical to
+        fault-free ones; a single-band result is the device's own array.
         """
-        if not isinstance(error, IntegrityError):
-            self.mark_device_failed(task.device_index)
-            self._health_event(task.device_index, corruption=False)
-
-    def _note_shard_retry(self, error: Exception) -> None:
-        if isinstance(error, IntegrityError):
-            with self._integrity_lock:
-                self.integrity_reexecutions += 1
-        else:
-            self.replica_retries += 1
-
-    def _run_shard_with_retry(self, plan: ShardedPlan, position: int, call,
-                              verify_input=None):
-        """Serially execute one band, failing over across its replicas.
-
-        ``call(task)`` performs the device work for one copy;
-        ``verify_input(task)`` (optional) returns the input slice the copy
-        consumed, enabling the ABFT check on its result.  A copy whose
-        device raises :class:`~repro.errors.DeviceFailedError` is marked
-        failed and the next replica is tried; a copy whose result fails
-        verification (``verify="full"``) re-executes on a replica the same
-        way.  When no copy is left the band raises the appropriate error
-        with ``kind="exhausted"``.
-        """
-        tried: set = set()
-        task = self._select_task(plan, position, tried)
-        if task.replica != 0:
-            self.replica_hits += 1
-        while True:
+        def run(device_index: int, item):
+            key, task = item
+            allocation, inputs = requests[key[0]]
+            sub = inputs[..., task.row_start: task.row_end]
             try:
-                result = self._device_call(task.device_index, call, task)
-                return self._finish_call(
-                    plan, task,
-                    verify_input(task) if verify_input is not None else None,
-                    result,
+                partial = self._device_call(
+                    device_index, call, self.devices[device_index],
+                    task.device_allocation, sub,
                 )
+                return key, self._finish_call(allocation, task, sub, partial)
             except (DeviceFailedError, IntegrityError) as exc:
-                self._note_shard_failure(task, exc)
-                tried.add(task.device_index)
-                retry = self._select_task(plan, position, tried)
-                if retry is None:
-                    raise self._exhausted(
-                        plan, position, task.device_index, tried, exc
-                    ) from exc
-                self._note_shard_retry(exc)
-                task = retry
+                return key, _ShardFailure(task, exc)
 
-    def _dispatch_with_retry(self, selected: Dict, run) -> Dict:
-        """Fan out selected shard copies; re-dispatch failed ones on replicas.
-
-        ``selected`` maps an opaque key to ``(plan, task)``;
-        ``run(device_index, (key, task))`` returns ``(key, value)`` where
-        ``value`` is either a partial result or a :class:`_ShardFailure`
-        (the tolerant wrapper converts an in-call ``DeviceFailedError`` or
-        a failed ABFT check into the latter so sibling shards are
-        unaffected).  The initial wave runs in parallel; retries go out in
-        further waves (rarely more than one) until every key has a result
-        or some band exhausts its replicas.
-        """
-        tasks_by_device: Dict[int, List] = {}
-        for key, (plan, task) in selected.items():
-            tasks_by_device.setdefault(task.device_index, []).append((key, task))
+        wave: Dict[int, List] = {}
+        for index, (allocation, _) in enumerate(requests):
+            for position in range(allocation.num_shards):
+                task = self._select_task(allocation, position, _NOTHING_TRIED)
+                if task.replica != 0:
+                    self.replica_hits += 1
+                wave.setdefault(task.device_index, []).append(
+                    ((index, position), task)
+                )
         tried: Dict = {}
-        results: Dict = {}
-        while tasks_by_device:
-            outcomes = self._run_device_tasks(tasks_by_device, run)
-            tasks_by_device = {}
+        partials: Dict = {}
+        while wave:
+            outcomes = self._run_device_tasks(wave, run)
+            wave = {}
             for key, value in outcomes.items():
                 if not isinstance(value, _ShardFailure):
-                    results[key] = value
+                    partials[key] = value
                     continue
-                plan, _ = selected[key]
-                failed = value.task
-                self._note_shard_failure(failed, value.error)
+                failed, error = value.task, value.error
+                corrupted = isinstance(error, IntegrityError)
+                if not corrupted:
+                    # A dead device did not answer at all: mark it failed
+                    # now.  A corrupting one is alive and may serve other
+                    # bands correctly, so only its EWMA score moved (in
+                    # ``_finish_call``); the quarantine pulls it from
+                    # dispatch once corruption proves persistent.
+                    self.mark_device_failed(failed.device_index)
+                    self._health_event(failed.device_index, corruption=False)
                 attempted = tried.setdefault(key, set())
                 attempted.add(failed.device_index)
-                retry = self._select_task(plan, failed.position, attempted)
+                allocation = requests[key[0]][0]
+                retry = self._select_task(allocation, failed.position, attempted)
                 if retry is None:
-                    raise self._exhausted(
-                        plan, failed.position, failed.device_index, attempted,
-                        value.error,
-                    ) from value.error
-                self._note_shard_retry(value.error)
-                tasks_by_device.setdefault(retry.device_index, []).append(
-                    (key, retry)
-                )
-        return results
+                    detail = (
+                        f"every replica of band {failed.position} of "
+                        f"allocation {allocation.allocation_id} has failed "
+                        f"(tried devices {sorted(attempted)})"
+                    )
+                    if corrupted:
+                        raise IntegrityError(
+                            failed.device_index, failed.position,
+                            "exhausted", detail,
+                        ) from error
+                    raise DeviceFailedError(
+                        failed.device_index, "exhausted", detail
+                    ) from error
+                if corrupted:
+                    with self._integrity_lock:
+                        self.integrity_reexecutions += 1
+                else:
+                    self.replica_retries += 1
+                wave.setdefault(retry.device_index, []).append((key, retry))
 
-    def _select_all(self, plans_by_key: Dict) -> Dict:
-        """Health-aware initial selection for a fan-out: key -> (plan, task)."""
-        selected: Dict = {}
-        for key, (plan, position) in plans_by_key.items():
-            task = self._select_task(plan, position, _NOTHING_TRIED)
-            if task.replica != 0:
-                self.replica_hits += 1
-            selected[key] = (plan, task)
-        return selected
+        results: List[np.ndarray] = []
+        for index, (allocation, _) in enumerate(requests):
+            total = partials[(index, 0)]
+            if allocation.num_shards > 1:
+                total = total.copy()
+                for position in range(1, allocation.num_shards):
+                    total += partials[(index, position)]
+            results.append(total)
+        return results
 
     def exec_mvm(
         self,
@@ -1082,35 +963,23 @@ class DevicePool:
     ) -> np.ndarray:
         """Map-reduce a single MVM over the allocation's shards."""
         vector = np.asarray(vector, dtype=np.int64)
-        rows, cols = allocation.shape
+        rows, _ = allocation.shape
         if vector.shape != (rows,):
             raise QuantizationError(
                 f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
             )
-        plan = self.sharded_plan(allocation)
-
-        def call(task: ShardTask) -> np.ndarray:
-            return self.devices[task.device_index].exec_mvm(
-                task.device_allocation, vector[task.row_start: task.row_end],
-                input_bits=input_bits,
-            )
-
-        def verify_input(task: ShardTask) -> np.ndarray:
-            return vector[task.row_start: task.row_end]
-
-        result = np.zeros(cols, dtype=np.int64)
-        for position in range(plan.num_shards):
-            result += self._run_shard_with_retry(
-                plan, position, call, verify_input=verify_input
-            )
-        return result
+        return self._dispatch_with_retry(
+            [(allocation, vector)],
+            lambda device, device_allocation, sub: device.exec_mvm(
+                device_allocation, sub, input_bits=input_bits
+            ),
+        )[0]
 
     def _fanout_executor(self) -> ThreadPoolExecutor:
         """The shared worker pool for multi-device fan-out (built lazily)."""
         if self._executor is None:
-            workers = self._max_workers if self._max_workers else self.num_devices
             self._executor = ThreadPoolExecutor(
-                max_workers=max(1, workers), thread_name_prefix="pum-pool"
+                max_workers=self.num_devices, thread_name_prefix="pum-pool"
             )
         return self._executor
 
@@ -1186,59 +1055,17 @@ class DevicePool:
 
         Every shard's device executes its row band for the whole batch in
         one :meth:`~repro.runtime.session.DarthPumDevice.exec_mvm_batch`
-        pass, fanning out over the cached :class:`ShardedPlan` (zero
+        pass, fanning out over the allocation's shard table (zero
         per-request planning).  Shards living on different devices run
         concurrently on the fan-out thread pool (NumPy releases the GIL);
         the full-width partial results are summed in shard order, so the
-        output is identical to the serial schedule.
+        output is identical to the serial schedule.  In the common
+        single-shard serving case the device result *is* the pool result:
+        no zero tensor, no partial-sum add.
         """
-        backend = backend if backend is not None else self.backend
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        rows, cols = allocation.shape
-        if vectors.shape[1] != rows:
-            raise QuantizationError(
-                f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
-            )
-        plan = self.sharded_plan(allocation)
-        if plan.num_shards == 1:
-            # Single-shard fast path (the common serving case): the device
-            # result *is* the pool result -- no zero tensor, no partial-sum
-            # add, and ``vectors`` (often an arena view handed down by the
-            # server) flows through unsliced.  Failover still applies: the
-            # retry helper is a straight call when the pool is healthy.
-            def single(task: ShardTask) -> np.ndarray:
-                return self.devices[task.device_index].exec_mvm_batch(
-                    task.device_allocation, vectors, input_bits=input_bits,
-                    backend=backend,
-                )
-
-            return self._run_shard_with_retry(
-                plan, 0, single, verify_input=lambda task: vectors
-            )
-        result = np.zeros((vectors.shape[0], cols), dtype=np.int64)
-
-        def run(device_index: int, item):
-            position, task = item
-            sub = vectors[:, task.row_start: task.row_end]
-            try:
-                partial = self._device_call(
-                    device_index,
-                    self.devices[device_index].exec_mvm_batch,
-                    task.device_allocation, sub,
-                    input_bits=input_bits, backend=backend,
-                )
-                partial = self._finish_call(plan, task, sub, partial)
-            except (DeviceFailedError, IntegrityError) as exc:
-                return position, _ShardFailure(task, exc)
-            return position, partial
-
-        selected = self._select_all(
-            {position: (plan, position) for position in range(plan.num_shards)}
-        )
-        partials = self._dispatch_with_retry(selected, run)
-        for position in range(plan.num_shards):
-            result += partials[position]
-        return result
+        return self.exec_requests(
+            [(allocation, vectors)], input_bits=input_bits, backend=backend
+        )[0]
 
     def exec_requests(
         self,
@@ -1251,63 +1078,33 @@ class DevicePool:
         Requests against matrices placed on different devices by the
         scheduler run on independent chips concurrently (one fan-out worker
         per device, each draining its share of the request list in order);
-        each request's vectors go through the batched path over its cached
-        :class:`ShardedPlan`.  Returns one result array per request, in
+        each request's vectors go through the batched path over its
+        allocation's shard table.  Returns one result array per request, in
         request order, bit-identical to the serial schedule.
         """
         backend = backend if backend is not None else self.backend
-        batches: List[np.ndarray] = []
-        shapes: List[Tuple[int, int]] = []
-        plans: List[ShardedPlan] = []
-        for index, (allocation, vectors) in enumerate(requests):
+        batches: List[Tuple[PooledAllocation, np.ndarray]] = []
+        for allocation, vectors in requests:
             vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-            rows, cols = allocation.shape
+            rows, _ = allocation.shape
             if vectors.shape[1] != rows:
                 raise QuantizationError(
                     f"input batch of shape {vectors.shape} does not match "
                     f"matrix rows ({rows})"
                 )
-            batches.append(vectors)
-            shapes.append((vectors.shape[0], cols))
-            plan = self.sharded_plan(allocation)
-            plans.append(plan)
-
-        def run(device_index: int, item):
-            key, task = item
-            index, _position = key
-            sub = batches[index][:, task.row_start: task.row_end]
-            try:
-                partial = self._device_call(
-                    device_index,
-                    self.devices[device_index].exec_mvm_batch,
-                    task.device_allocation, sub,
-                    input_bits=input_bits, backend=backend,
-                )
-                partial = self._finish_call(plans[index], task, sub, partial)
-            except (DeviceFailedError, IntegrityError) as exc:
-                return key, _ShardFailure(task, exc)
-            return key, partial
-
-        selected = self._select_all({
-            (index, position): (plan, position)
-            for index, plan in enumerate(plans)
-            for position in range(plan.num_shards)
-        })
-        partials = self._dispatch_with_retry(selected, run)
-        results: List[np.ndarray] = []
-        for index, plan in enumerate(plans):
-            total = np.zeros(shapes[index], dtype=np.int64)
-            for position in range(plan.num_shards):
-                total += partials[(index, position)]
-            results.append(total)
-        return results
+            batches.append((allocation, vectors))
+        return self._dispatch_with_retry(
+            batches,
+            lambda device, device_allocation, sub: device.exec_mvm_batch(
+                device_allocation, sub, input_bits=input_bits, backend=backend
+            ),
+        )
 
     def release(self, allocation: PooledAllocation) -> None:
         """Free every shard (and the compiled plans) of a pooled allocation."""
-        for shard, device_allocation in allocation.shards:
-            self.devices[shard.device_index].release(device_allocation)
+        for task in allocation.all_tasks:
+            self.devices[task.device_index].release(task.device_allocation)
         self._allocations.pop(allocation.allocation_id, None)
-        self._sharded_plans.pop(allocation.allocation_id, None)
         self.integrity.forget(allocation.allocation_id)
 
     # ------------------------------------------------------------------ #
@@ -1320,10 +1117,10 @@ class DevicePool:
         replaced (up to the pool's replication target) by fresh copies
         programmed from the retained source matrix onto healthy devices
         with free HCTs -- the analog-fabric equivalent of re-replicating a
-        lost storage shard.  The new copies are spliced into the *cached*
-        :class:`~repro.plan.ir.ShardedPlan` and their tile-level plans are
-        compiled at every precision the allocation was already prepared
-        for, so post-rebuild dispatch pays no planning stall.
+        lost storage shard.  The new copies replace the band's entry in
+        the allocation's shard table in place, and their tile-level plans
+        are compiled at every precision the allocation was already
+        prepared for, so post-rebuild dispatch pays no planning stall.
 
         A band that cannot reach the replication target but keeps at least
         one live copy is left degraded (requests still succeed); a band
@@ -1338,45 +1135,30 @@ class DevicePool:
                 f"allocation {allocation.allocation_id} retained no source "
                 f"matrix; it cannot be rebuilt",
             )
-        source = allocation.matrix
-        bands: Dict[Tuple[int, int], List[Tuple[Shard, MatrixAllocation]]] = {}
-        for shard, device_allocation in allocation.shards:
-            bands.setdefault((shard.row_start, shard.row_end), []).append(
-                (shard, device_allocation)
-            )
-        ordered = sorted(bands)
-        programmed: List[Tuple[int, MatrixAllocation]] = []
-        programmed_shards: List[Shard] = []
-        dropped: List[Tuple[Shard, MatrixAllocation]] = []
+        programmed: List[ShardTask] = []
+        dropped: List[ShardTask] = []
         rebuilt_positions: List[int] = []
-        new_shards: List[Tuple[Shard, MatrixAllocation]] = []
-        new_plan_tasks: Dict[int, Tuple[ShardTask, ...]] = {}
+        new_bands: Dict[int, Tuple[ShardTask, ...]] = {}
         free = [self.free_hcts(index) for index in range(self.num_devices)]
         min_copies = self.replication
-
-        def rollback() -> None:
-            for device_index, device_allocation in programmed:
-                self.devices[device_index].release(device_allocation)
-
         try:
-            for position, key in enumerate(ordered):
-                row_start, row_end = key
-                copies = bands[key]
+            for position, copies in enumerate(allocation.bands):
                 healthy = [
-                    pair for pair in copies
-                    if pair[0].device_index not in self._failed_devices
+                    task for task in copies
+                    if task.device_index not in self._failed_devices
                 ]
                 lost = [
-                    pair for pair in copies
-                    if pair[0].device_index in self._failed_devices
+                    task for task in copies
+                    if task.device_index in self._failed_devices
                 ]
-                holders = [shard.device_index for shard, _ in healthy]
+                row_start, row_end = copies[0].row_start, copies[0].row_end
+                holders = [task.device_index for task in healthy]
                 needed = self._hcts_for(
                     (row_end - row_start, allocation.shape[1]),
                     allocation.element_size, allocation.precision,
                 )
-                fresh: List[Tuple[Shard, MatrixAllocation]] = []
-                for _ in range(self.replication - len(healthy)):
+                fresh: List[ShardTask] = []
+                for replica in range(len(healthy), self.replication):
                     trial = list(free)
                     for index in set(holders) | self._failed_devices:
                         if 0 <= index < len(trial):
@@ -1384,91 +1166,67 @@ class DevicePool:
                     chosen = self.placement_policy.choose(trial, needed, holders)
                     if chosen is None:
                         break
-                    block = source[row_start:row_end, :]
-                    device_allocation = self.devices[chosen].set_matrix(
-                        block, element_size=allocation.element_size,
-                        precision=allocation.precision,
-                    )
+                    fresh.append(ShardTask(
+                        position, chosen, row_start, row_end,
+                        self.devices[chosen].set_matrix(
+                            allocation.matrix[row_start:row_end, :],
+                            element_size=allocation.element_size,
+                            precision=allocation.precision,
+                        ),
+                        replica,
+                    ))
+                    programmed.append(fresh[-1])
                     free[chosen] -= needed
                     holders.append(chosen)
-                    programmed.append((chosen, device_allocation))
-                    fresh.append((
-                        Shard(device_index=chosen, row_start=row_start,
-                              row_end=row_end),
-                        device_allocation,
-                    ))
                 if not healthy and not fresh:
                     raise RebuildError(allocation.allocation_id, position)
                 if fresh:
                     rebuilt_positions.append(position)
-                if lost:
+                if fresh or lost:
                     dropped.extend(lost)
-                band_pairs = [
-                    (Shard(device_index=shard.device_index,
-                           row_start=row_start, row_end=row_end,
-                           replica=replica), device_allocation)
-                    for replica, (shard, device_allocation)
-                    in enumerate(healthy + fresh)
-                ]
-                new_shards.extend(band_pairs)
-                programmed_shards.extend(
-                    shard for shard, _ in band_pairs[len(healthy):]
-                )
-                new_plan_tasks[position] = tuple(
-                    ShardTask(
-                        position=position,
-                        device_index=shard.device_index,
-                        row_start=shard.row_start,
-                        row_end=shard.row_end,
-                        device_allocation=device_allocation,
-                        replica=shard.replica,
-                    )
-                    for shard, device_allocation in band_pairs
-                )
-                min_copies = min(min_copies, len(band_pairs))
-        except ReproError:
-            rollback()
-            raise
-        except (KeyError, IndexError) as exc:
-            # Normalize: a placement policy or bookkeeping bug during the
-            # no-capacity walk must surface as the documented RebuildError,
-            # not leak a bare KeyError/IndexError to the caller (who is
-            # often the auto-rebuild retry path matching on ReproError).
-            rollback()
-            raise RebuildError(
-                allocation.allocation_id, -1,
-                f"rebuild of allocation {allocation.allocation_id} failed "
-                f"while placing replacement copies: {type(exc).__name__}: {exc}",
-            ) from exc
-        except Exception:
-            rollback()
+                    new_bands[position] = tuple(
+                        replace(task, replica=replica)
+                        for replica, task in enumerate(healthy)
+                    ) + tuple(fresh)
+                min_copies = min(min_copies, len(healthy) + len(fresh))
+        except Exception as exc:
+            for task in programmed:
+                self.devices[task.device_index].release(task.device_allocation)
+            if isinstance(exc, (KeyError, IndexError)):
+                # Normalize: a placement policy or bookkeeping bug during
+                # the no-capacity walk must surface as the documented
+                # RebuildError, not leak a bare KeyError/IndexError to the
+                # caller (who is often the auto-rebuild retry path matching
+                # on ReproError).
+                raise RebuildError(
+                    allocation.allocation_id, -1,
+                    f"rebuild of allocation {allocation.allocation_id} failed "
+                    f"while placing replacement copies: {type(exc).__name__}: {exc}",
+                ) from exc
             raise
 
         report = RebuildReport(
             allocation_id=allocation.allocation_id,
             bands_rebuilt=tuple(rebuilt_positions),
-            copies_programmed=tuple(programmed_shards),
-            copies_dropped=tuple(shard for shard, _ in dropped),
+            copies_programmed=tuple(programmed),
+            copies_dropped=tuple(dropped),
             replication=min_copies,
         )
         if not report.changed:
             return report
 
-        # Commit: swap the shard table, release the lost device-side
-        # allocations, splice the cached plan, and warm the new copies'
-        # tile plans at every already-prepared precision.
-        allocation.shards = new_shards
-        for shard, device_allocation in dropped:
-            self.devices[shard.device_index].release(device_allocation)
-        plan = self._sharded_plans.get(allocation.allocation_id)
-        if plan is not None:
-            for input_bits in sorted(plan.prepared_input_bits):
-                for device_index, device_allocation in programmed:
-                    self.devices[device_index].compile(
-                        device_allocation, input_bits=input_bits
-                    )
-            for position, tasks in new_plan_tasks.items():
-                plan.splice_band(position, tasks)
+        # Commit: swap the changed bands, release the lost device-side
+        # allocations, and warm the new copies' tile plans at every
+        # already-prepared precision.
+        for position, band in new_bands.items():
+            allocation.bands[position] = band
+        for task in dropped:
+            self.devices[task.device_index].release(task.device_allocation)
+        for input_bits in sorted(allocation.prepared_input_bits):
+            for task in programmed:
+                self.devices[task.device_index].compile(
+                    task.device_allocation, input_bits=input_bits
+                )
         if rebuilt_positions:
             self.rebuilds += 1
             self.bands_rebuilt += len(rebuilt_positions)
@@ -1512,14 +1270,9 @@ class DevicePool:
     def expected_mvm(self, allocation: PooledAllocation, vectors: np.ndarray) -> np.ndarray:
         """Reference result reassembled from the shards' stored matrices."""
         vectors = np.asarray(vectors, dtype=np.int64)
-        parts = []
-        for shard, device_allocation in sorted(
-            (pair for pair in allocation.shards if pair[0].replica == 0),
-            key=lambda pair: pair[0].row_start,
-        ):
-            assert device_allocation.matrix is not None
-            parts.append(device_allocation.matrix)
-        matrix = np.concatenate(parts, axis=0)
+        matrix = np.concatenate(
+            [task.device_allocation.matrix for task in allocation.tasks], axis=0
+        )
         return vectors @ matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -78,6 +78,7 @@ __all__ = [
     "ServerFuture",
     "ServingStats",
     "ThreadedServerDriver",
+    "matrix_fingerprint",
 ]
 
 #: Response status values.
@@ -88,6 +89,15 @@ STATUS_FAILED = "failed"
 
 #: Entries retained by each sliding telemetry window (see ServingStats).
 TELEMETRY_WINDOW = 4096
+
+
+def matrix_fingerprint(
+    matrix: np.ndarray, element_size: int, precision: int
+) -> Tuple[str, Tuple[int, ...], int, int]:
+    """Content fingerprint deciding whether a re-registration is a no-op."""
+    canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
+    digest = hashlib.sha256(canonical.tobytes()).hexdigest()
+    return (digest, canonical.shape, element_size, precision)
 
 
 @dataclass(eq=False, slots=True)
@@ -194,6 +204,24 @@ class ServerFuture:
         event = self._event
         if event is not None:
             event.set()
+
+
+@dataclass(eq=False, slots=True)
+class _Registration:
+    """Everything the server keeps about one registered name.
+
+    Replacing or releasing the name drops the record, and with it every
+    buffer and memo that described the old allocation.
+    """
+
+    allocation: PooledAllocation
+    fingerprint: Tuple[str, Tuple[int, ...], int, int]
+    #: Reusable batch-assembly buffers, keyed by input_bits.
+    arenas: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: Predicted batch cost memos, keyed (input_bits, batch); cleared when
+    #: a rebuild changes the placement.
+    cycles: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    energy_pj: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -424,20 +452,16 @@ class PumServer:
         replication: int = 1,
         scheduling: Union[None, str, SchedulingPolicy] = None,
         verify: Optional[str] = None,
-        verify_tolerance: Optional[float] = None,
         auto_rebuild: bool = False,
     ) -> None:
         self.pool = pool if pool is not None else DevicePool(
             num_devices=num_devices, policy=policy, backend=backend,
             replication=replication,
             verify=verify if verify is not None else "off",
-            verify_tolerance=verify_tolerance,
         )
         if pool is not None and verify is not None:
             # An explicit server-level verify mode wins over the pool's.
             self.pool.verify = verify
-            if verify_tolerance is not None:
-                self.pool.integrity.tolerance = verify_tolerance
         #: When True, a batch that exhausts every replica of a band
         #: triggers :meth:`DevicePool.rebuild` on the affected allocation
         #: and retries once before failing its riders.
@@ -471,28 +495,12 @@ class PumServer:
         self.registration_reuses = 0
         self._lock = threading.RLock()
         self._futures: Dict[int, ServerFuture] = {}
-        self._matrices: Dict[str, PooledAllocation] = {}
-        self._fingerprints: Dict[str, Tuple[str, Tuple[int, ...], int, int]] = {}
-        #: Reusable batch-assembly buffers, keyed (allocation_id, input_bits).
-        self._arenas: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Predicted batch cost memos, keyed (allocation_id, input_bits,
-        #: batch); invalidated with the arenas when a matrix is replaced.
-        self._cost_cache: Dict[Tuple[int, int, int], float] = {}
-        self._energy_cache: Dict[Tuple[int, int, int], float] = {}
+        self._registrations: Dict[str, _Registration] = {}
         self._next_request = 0
 
     # ------------------------------------------------------------------ #
     # Matrix registry                                                      #
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fingerprint(
-        matrix: np.ndarray, element_size: int, precision: int
-    ) -> Tuple[str, Tuple[int, ...], int, int]:
-        """Content fingerprint deciding whether a re-registration is a no-op."""
-        canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
-        digest = hashlib.sha256(canonical.tobytes()).hexdigest()
-        return (digest, canonical.shape, element_size, precision)
-
     def register_matrix(
         self,
         name: str,
@@ -519,31 +527,23 @@ class PumServer:
         caches -- ``planner_builds()`` stays flat while serving.
         """
         with self._lock:
-            fingerprint = self._fingerprint(matrix, element_size, precision)
-            previous = self._matrices.get(name)
-            if previous is not None and self._fingerprints.get(name) == fingerprint:
+            fingerprint = matrix_fingerprint(matrix, element_size, precision)
+            previous = self._registrations.get(name)
+            if previous is not None and previous.fingerprint == fingerprint:
                 self.registration_reuses += 1
-                self.pool.compile(previous, input_bits=input_bits)
-                return previous
+                self.pool.compile(previous.allocation, input_bits=input_bits)
+                return previous.allocation
             affinity: Tuple[int, ...] = ()
             if previous is not None:
-                self._matrices.pop(name)
-                affinity = tuple(previous.devices_used)
-                self.pool.release(previous)
-                for key in [k for k in self._arenas
-                            if k[0] == previous.allocation_id]:
-                    del self._arenas[key]
-                for cache in (self._cost_cache, self._energy_cache):
-                    for key in [k for k in cache
-                                if k[0] == previous.allocation_id]:
-                        del cache[key]
+                del self._registrations[name]
+                affinity = tuple(previous.allocation.devices_used)
+                self.pool.release(previous.allocation)
             allocation = self.pool.set_matrix(
                 matrix, element_size=element_size, precision=precision,
                 affinity=affinity,
             )
             self.pool.compile(allocation, input_bits=input_bits)
-            self._matrices[name] = allocation
-            self._fingerprints[name] = fingerprint
+            self._registrations[name] = _Registration(allocation, fingerprint)
             return allocation
 
     def planner_builds(self) -> int:
@@ -563,14 +563,18 @@ class PumServer:
     def matrix_names(self) -> Tuple[str, ...]:
         """Names of the matrices currently registered."""
         with self._lock:
-            return tuple(self._matrices)
+            return tuple(self._registrations)
+
+    def _registration(self, name: str) -> _Registration:
+        with self._lock:
+            record = self._registrations.get(name)
+            if record is None:
+                raise AdmissionError(f"no matrix registered under {name!r}")
+            return record
 
     def allocation_for(self, name: str) -> PooledAllocation:
         """The live pooled allocation registered under ``name``."""
-        with self._lock:
-            if name not in self._matrices:
-                raise AdmissionError(f"no matrix registered under {name!r}")
-            return self._matrices[name]
+        return self._registration(name).allocation
 
     # ------------------------------------------------------------------ #
     # Predicted-cost oracle                                                #
@@ -586,28 +590,28 @@ class PumServer:
         ``(matrix, input_bits, batch)`` triple is memoised so the
         scheduling hot path costs one dict probe.
         """
-        allocation = self.allocation_for(name)
-        key = (allocation.allocation_id, int(input_bits), int(batch))
-        cached = self._cost_cache.get(key)
+        record = self._registration(name)
+        key = (int(input_bits), int(batch))
+        cached = record.cycles.get(key)
         if cached is None:
             cached = self.pool.predicted_batch_cycles(
-                allocation, batch, input_bits=input_bits
+                record.allocation, batch, input_bits=input_bits
             )
-            self._cost_cache[key] = cached
+            record.cycles[key] = cached
         return cached
 
     def predicted_batch_energy_pj(
         self, name: str, input_bits: int, batch: int
     ) -> float:
         """Predicted analog-phase energy (pJ) of one ``batch`` dispatch."""
-        allocation = self.allocation_for(name)
-        key = (allocation.allocation_id, int(input_bits), int(batch))
-        cached = self._energy_cache.get(key)
+        record = self._registration(name)
+        key = (int(input_bits), int(batch))
+        cached = record.energy_pj.get(key)
         if cached is None:
             cached = self.pool.predicted_batch_energy_pj(
-                allocation, batch, input_bits=input_bits
+                record.allocation, batch, input_bits=input_bits
             )
-            self._energy_cache[key] = cached
+            record.energy_pj[key] = cached
         return cached
 
     def plan_handle(self, name: str, input_bits: int = 8) -> PlanHandle:
@@ -890,7 +894,7 @@ class PumServer:
 
     def _assemble_batch(
         self,
-        allocation: PooledAllocation,
+        record: _Registration,
         input_bits: int,
         batch: List[Request],
     ) -> np.ndarray:
@@ -900,7 +904,7 @@ class PumServer:
         array (the steady state of ``submit_batch`` traffic: same priority,
         arrival order), the block is a direct slice of that array -- zero
         copies, zero allocations.  Otherwise rows are gathered into a
-        reusable per-``(allocation, input_bits)`` arena, so mixed traffic
+        reusable per-``(name, input_bits)`` arena, so mixed traffic
         costs row copies but still no per-batch allocation of the block.
         """
         # O(1) zero-copy detection: the batch is in arrival (= id) order and
@@ -919,14 +923,13 @@ class PumServer:
         ):
             self.stats.zero_copy_batches += 1
             return source[first.source_row: last.source_row + 1]
-        key = (allocation.allocation_id, input_bits)
         max_batch = self.scheduling.max_batch
-        arena = self._arenas.get(key)
+        arena = record.arenas.get(input_bits)
         if arena is None or arena.shape[0] < max_batch:
             arena = np.empty(
-                (max_batch, allocation.shape[0]), dtype=np.int64
+                (max_batch, record.allocation.shape[0]), dtype=np.int64
             )
-            self._arenas[key] = arena
+            record.arenas[input_bits] = arena
         for row, request in enumerate(batch):
             arena[row] = request.vector
         self.stats.gathered_batches += 1
@@ -983,18 +986,15 @@ class PumServer:
         stales.  Returns the pool's :class:`~repro.runtime.pool.RebuildReport`.
         """
         with self._lock:
-            allocation = self.allocation_for(name)
-            report = self.pool.rebuild(allocation)
-            if report.changed:
-                self.stats.rebuilds += 1
-                self._invalidate_cost_caches(allocation)
-            return report
+            return self._rebuild(self._registration(name))
 
-    def _invalidate_cost_caches(self, allocation: PooledAllocation) -> None:
-        """Drop predicted-cost memos of ``allocation`` (placement changed)."""
-        for cache in (self._cost_cache, self._energy_cache):
-            for key in [k for k in cache if k[0] == allocation.allocation_id]:
-                del cache[key]
+    def _rebuild(self, record: _Registration) -> RebuildReport:
+        report = self.pool.rebuild(record.allocation)
+        if report.changed:
+            self.stats.rebuilds += 1
+            record.cycles.clear()
+            record.energy_pj.clear()
+        return report
 
     @staticmethod
     def _band_exhausted(exc: ReproError) -> bool:
@@ -1007,8 +1007,9 @@ class PumServer:
     def _execute_batch(
         self, name: str, input_bits: int, batch: List[Request]
     ) -> List[Response]:
-        allocation = self._matrices[name]
-        vectors = self._assemble_batch(allocation, input_bits, batch)
+        record = self._registrations[name]
+        allocation = record.allocation
+        vectors = self._assemble_batch(record, input_bits, batch)
         energy_before = self._energy_total()
         before = self.pool.resilience_snapshot()
         try:
@@ -1018,9 +1019,7 @@ class PumServer:
         except ReproError as exc:
             results = None
             if self.auto_rebuild and self._band_exhausted(exc):
-                results = self._rebuild_and_retry(
-                    allocation, vectors, input_bits
-                )
+                results = self._rebuild_and_retry(record, vectors, input_bits)
             if results is None:
                 # A failing batch must never wedge the scheduler: resolve
                 # every rider as failed and keep the loop (and any driver
@@ -1052,7 +1051,7 @@ class PumServer:
 
     def _rebuild_and_retry(
         self,
-        allocation: PooledAllocation,
+        record: _Registration,
         vectors: np.ndarray,
         input_bits: int,
     ) -> Optional[np.ndarray]:
@@ -1063,16 +1062,11 @@ class PumServer:
         the caller then fails the batch with the *original* error.
         """
         try:
-            report = self.pool.rebuild(allocation)
-        except ReproError:
-            return None
-        if not report.changed:
-            return None
-        self.stats.rebuilds += 1
-        self._invalidate_cost_caches(allocation)
-        try:
+            if not self._rebuild(record).changed:
+                return None
             return self.pool.exec_mvm_batch(
-                allocation, vectors, input_bits=input_bits, backend=self.backend
+                record.allocation, vectors, input_bits=input_bits,
+                backend=self.backend,
             )
         except ReproError:
             return None
@@ -1097,7 +1091,7 @@ class PumServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PumServer(matrices={len(self._matrices)}, pending={self.pending}, "
+            f"PumServer(matrices={len(self._registrations)}, pending={self.pending}, "
             f"tick={self.now}, pool={self.pool!r})"
         )
 

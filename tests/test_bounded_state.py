@@ -1,0 +1,222 @@
+"""Bounded state: steady traffic and registration churn leave no residue.
+
+Two properties of the one-record-per-matrix design, checked from outside
+by walking the live object graph rather than by naming private dicts:
+
+* a long run of identical work (pool dispatches, server re-registrations)
+  leaves heap bytes and container sizes flat after a warm-up -- nothing
+  appends per call;
+* once a matrix is released or its name re-registered with new bytes,
+  nothing reachable from the pool or the server still refers to the old
+  allocation.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+from collections import deque
+
+import numpy as np
+
+from repro import ChipConfig, DevicePool, HctConfig, PumServer
+from repro.testing import derive_rng
+
+ROUNDS = 300
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through attributes and containers.
+
+    Descends into instance ``__dict__``/``__slots__``, dicts (keys and
+    values) and sequences/sets; NumPy arrays are yielded but not entered.
+    """
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, np.ndarray) or callable(obj):
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for klass in type(obj).__mro__:
+                for slot in getattr(klass, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return list(seen.values())
+
+
+def container_entries(root) -> int:
+    """Entries held by every growable container reachable from ``root``.
+
+    Sliding telemetry windows (deques with a ``maxlen``) are bounded by
+    construction and still filling during a short test, so they are left
+    out.
+    """
+    return sum(
+        len(obj) for obj in reachable(root)
+        if isinstance(obj, (dict, list, set))
+        or (isinstance(obj, deque) and obj.maxlen is None)
+    )
+
+
+def heap_growth(step, rounds: int = ROUNDS, settle: int = 4) -> int:
+    """Bytes of traced heap gained by ``rounds`` further calls of ``step``.
+
+    Tracing starts ``settle`` calls early so the working set a call
+    reallocates (a re-registration's fresh arrays) is already traced when
+    the baseline is read; only what *accumulates* counts as growth.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for index in range(settle):
+            step(index)
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for index in range(settle, settle + rounds):
+            step(index)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
+def small_chip(num_hcts: int) -> ChipConfig:
+    return ChipConfig(hct=HctConfig.small(), num_hcts=num_hcts)
+
+
+class TestSteadyStateIsFlat:
+    def test_pool_dispatch_appends_nothing_per_call(self):
+        # The layerbench ``pool_sharded`` shape: 2 bands x 2 replicas over
+        # 4 chips, ABFT on, batch 32.
+        rng = derive_rng("bounded-pool")
+        with DevicePool(num_devices=4, config=small_chip(8), replication=2,
+                        verify="full") as pool:
+            matrix = rng.integers(-8, 8, size=(256, 16))
+            allocation = pool.set_matrix(matrix, element_size=4)
+            assert (allocation.num_shards, allocation.replication) == (2, 2)
+            vectors = rng.integers(0, 16, size=(32, 256))
+
+            def step(_index):
+                out = pool.exec_mvm_batch(allocation, vectors, input_bits=4)
+                assert out.shape == (32, 16)
+
+            for index in range(20):
+                step(index)
+            entries = container_entries(pool)
+            # The op log this guards against grew 130 KB *per call*.
+            assert heap_growth(step) < 256 * 1024
+            assert container_entries(pool) == entries
+            assert np.array_equal(
+                pool.exec_mvm_batch(allocation, vectors, input_bits=4),
+                vectors @ matrix,
+            )
+
+    def test_server_reregistration_churn_appends_nothing_per_round(self):
+        rng = derive_rng("bounded-server")
+        server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(8)),
+                           queue_capacity=256)
+        versions = [rng.integers(-8, 8, size=(32, 32)) for _ in range(2)]
+        vectors = rng.integers(0, 16, size=(16, 32))
+
+        def step(index):
+            # Rounds alternate new bytes (release + reprogram + compile)
+            # and identical bytes (memo reuse), like ``tenant_churn``.
+            matrix = versions[(index // 2) % 2]
+            server.register_matrix("tenant", matrix, element_size=4,
+                                   input_bits=4)
+            futures = server.submit_batch("tenant", vectors, input_bits=4)
+            server.run_until_idle()
+            assert np.array_equal(futures[-1].result().result,
+                                  vectors[-1] @ matrix)
+
+        for index in range(8):
+            step(index)
+        entries = container_entries(server)
+        reuses = server.registration_reuses
+        # The only thing still filling is the stats' three bounded
+        # 4096-entry telemetry windows (~100 KB in all).
+        assert heap_growth(step) < 256 * 1024
+        assert server.registration_reuses == reuses + (4 + ROUNDS) // 2
+        assert container_entries(server) == entries
+        assert server.matrix_names == ("tenant",)
+        assert len(server.pool.allocations) == 1
+
+
+class TestNoStaleAllocationReferences:
+    @staticmethod
+    def _parts(allocation):
+        """The allocation plus every object that only exists on its behalf."""
+        tasks = allocation.all_tasks
+        return {
+            id(part): part for part in
+            [allocation, *tasks, *(task.device_allocation for task in tasks)]
+        }
+
+    def _assert_forgotten(self, root, pool, allocation, parts):
+        stale = [obj for obj in reachable(root) if id(obj) in parts]
+        assert stale == []
+        assert allocation not in pool.allocations
+        assert not pool.integrity.covers(allocation.allocation_id)
+
+    def test_release_forgets_the_allocation(self):
+        rng = derive_rng("stale-pool")
+        pool = DevicePool(num_devices=3, config=small_chip(2), replication=2,
+                          policy="round_robin", verify="full")
+        matrix = rng.integers(-8, 8, size=(48, 8))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        pool.compile(allocation, input_bits=3)
+        vectors = rng.integers(0, 8, size=(4, 48))
+        assert np.array_equal(
+            pool.exec_mvm_batch(allocation, vectors, input_bits=3),
+            vectors @ matrix,
+        )
+        parts = self._parts(allocation)
+        assert any(id(obj) in parts for obj in reachable(pool))
+        pool.release(allocation)
+        self._assert_forgotten(pool, pool, allocation, parts)
+        assert pool.utilization() == [0.0, 0.0, 0.0]
+        pool.close()
+
+    def test_replacing_a_name_forgets_the_old_allocation(self):
+        rng = derive_rng("stale-server")
+        server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(4)),
+                           max_batch=4, max_wait_ticks=1)
+        old_matrix = rng.integers(-8, 8, size=(8, 8))
+        old = server.register_matrix("proj", old_matrix, element_size=4,
+                                     input_bits=3)
+        # Touch every per-name structure: cost memos, and the gather arena
+        # (single submits of mixed priority cannot be sliced zero-copy).
+        server.predicted_batch_cycles("proj", 3, 4)
+        server.predicted_batch_energy_pj("proj", 3, 4)
+        for priority in (0, 1, 0):
+            server.submit("proj", np.ones(8, dtype=np.int64), input_bits=3,
+                          priority=priority)
+        server.run_until_idle()
+        assert server.stats.gathered_batches >= 1
+        parts = self._parts(old)
+        entries = container_entries(server)
+
+        new_matrix = old_matrix + 1
+        new = server.register_matrix("proj", new_matrix, element_size=4,
+                                     input_bits=3)
+        assert new.allocation_id != old.allocation_id
+        self._assert_forgotten(server, server.pool, old, parts)
+        # The fresh record starts empty: the old name's arena and memos
+        # went with it instead of being swept key by key.
+        assert container_entries(server) < entries
+        assert server.allocation_for("proj") is new
+        future = server.submit("proj", np.ones(8, dtype=np.int64), input_bits=3)
+        server.run_until_idle()
+        assert np.array_equal(future.result().result,
+                              np.ones(8, dtype=np.int64) @ new_matrix)

@@ -69,7 +69,7 @@ class TestFaultInjector:
         pool = tiny_pool(num_devices=2, replication=2)
         injector = FaultInjector().attach(pool)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        primary = allocation.shards[0][0].device_index
+        primary = allocation.bands[0][0].device_index
         injector.hang(primary, calls=1)
         vectors = np.ones((2, 8), dtype=np.int64)
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=1)
@@ -109,7 +109,7 @@ class TestFaultInjector:
         )
         injector = FaultInjector(schedule=schedule).attach(pool)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        assert allocation.shards[0][0].device_index == 0
+        assert allocation.bands[0][0].device_index == 0
         vectors = np.ones((1, 8), dtype=np.int64)
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=1)  # call 0
         assert np.array_equal(out, vectors)
@@ -197,12 +197,8 @@ class TestReplicatedPlacement:
             matrix = rng.integers(-8, 8, size=(40, 12))
             allocation = pool.set_matrix(matrix, element_size=4, precision=0)
             assert allocation.replication == 2
-            bands = {}
-            for shard, _ in allocation.shards:
-                bands.setdefault((shard.row_start, shard.row_end), []).append(
-                    shard.device_index
-                )
-            for devices in bands.values():
+            for copies in allocation.bands:
+                devices = [task.device_index for task in copies]
                 assert len(devices) == 2
                 assert len(set(devices)) == 2, \
                     f"{policy} stacked replicas on one device"
@@ -253,7 +249,7 @@ class TestReplicatedPlacement:
         assert allocation.num_shards > 1
         injector = FaultInjector().attach(pool)
         vectors = rng.integers(0, 8, size=(4, 100))
-        injector.kill(allocation.shards[0][0].device_index)
+        injector.kill(allocation.bands[0][0].device_index)
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
         assert np.array_equal(out, vectors @ matrix)
         assert pool.replica_retries >= 1
@@ -277,7 +273,7 @@ class TestChaosGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(server.pool)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         futures = []
         for wave in range(self.WAVES):
             if wave == kill_at_wave:
@@ -335,7 +331,7 @@ class TestChaosGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(server.pool)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         injector.kill(victim)
         server.submit_batch(
             "model", rng.integers(0, 8, size=(4, self.ROWS)), input_bits=3
@@ -366,7 +362,7 @@ class TestChaosGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(server.pool)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         futures = []
         for wave in range(self.WAVES):
             if wave == self.WAVES // 2:
@@ -406,7 +402,7 @@ class TestChaosGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(server.pool)
-        injector.kill(allocation.shards[0][0].device_index)
+        injector.kill(allocation.bands[0][0].device_index)
         futures = server.submit_batch(
             "model", rng.integers(0, 8, size=(5, self.ROWS)), input_bits=3
         )
@@ -426,7 +422,7 @@ class TestQuarantine:
         pool = tiny_pool(num_devices=2, replication=2, verify="full")
         injector = FaultInjector(seed=5).attach(pool)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         return pool, injector, allocation, victim
 
     def test_repeat_offender_is_quarantined(self):
@@ -504,7 +500,7 @@ class TestIntegrityGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector(seed=11).attach(server.pool)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         futures = []
         for wave in range(self.WAVES):
             if wave == corrupt_at_wave:
@@ -615,7 +611,7 @@ class TestRebuildGate:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(server.pool)
-        holders = sorted({s.device_index for s, _ in allocation.shards})
+        holders = allocation.devices_used
         futures = []
         for wave in range(self.WAVES):
             if wave == self.WAVES // 2:
@@ -640,8 +636,8 @@ class TestRebuildGate:
 
         # Replication factor is back to R=2 on devices disjoint from the
         # killed holders, and every band is sourced from the retained matrix.
-        survivors = sorted({s.device_index for s, _ in allocation.shards})
-        assert len(allocation.shards) == 2
+        survivors = allocation.devices_used
+        assert len(allocation.all_tasks) == 2
         assert not set(survivors) & set(holders)
         assert set(server.pool.failed_devices) == set(holders)
 

@@ -9,7 +9,7 @@ Three pieces, tested bottom-up:
   registration lifecycle, and counters on clean traffic;
 * :meth:`DevicePool.rebuild` / :meth:`PumServer.rebuild` -- live shard
   reconstruction: replication restored from the retained source matrix,
-  the cached :class:`ShardedPlan` spliced in place (no planning stall),
+  the shard table updated in place (no planning stall),
   and the no-op / failure edges.
 
 The end-to-end corruption and rebuild gates live in ``tests/test_chaos.py``.
@@ -240,17 +240,17 @@ class TestRebuild:
 
     def test_healthy_allocation_is_a_noop(self):
         pool, allocation, _ = self._pool()
-        shards_before = list(allocation.shards)
+        bands_before = list(allocation.bands)
         report = pool.rebuild(allocation)
         assert report.changed is False
         assert report.bands_rebuilt == ()
         assert report.copies_programmed == ()
-        assert allocation.shards == shards_before
+        assert allocation.bands == bands_before
         assert pool.rebuilds == 0
 
     def test_lost_replica_is_reprogrammed_on_a_healthy_device(self):
         pool, allocation, matrix = self._pool()
-        holders = sorted({s.device_index for s, _ in allocation.shards})
+        holders = allocation.devices_used
         pool.mark_device_failed(holders[0])
         report = pool.rebuild(allocation)
         assert report.changed is True
@@ -271,21 +271,26 @@ class TestRebuild:
 
     def test_rebuild_splices_the_cached_plan_without_replanning(self):
         pool, allocation, matrix = self._pool()
-        plan_before = pool.sharded_plan(allocation)
-        holders = sorted({s.device_index for s, _ in allocation.shards})
+        assert pool.compile(allocation, input_bits=1) is allocation
+        builds = pool.planner_builds()
+        holders = allocation.devices_used
         pool.mark_device_failed(holders[0])
         pool.mark_device_failed(holders[1])  # lose *every* copy of the band
         report = pool.rebuild(allocation)
         assert report.changed is True
         assert report.replication == 2
-        plan_after = pool.sharded_plan(allocation)
-        assert plan_after is plan_before  # spliced in place, not rebuilt
-        devices = {task.device_index for task in plan_after.tasks}
-        assert not devices & {holders[0], holders[1]}
+        # Same table, band swapped in place.
+        assert allocation.prepared_input_bits == {1}
+        assert not set(allocation.devices_used) & {holders[0], holders[1]}
+        assert [task.replica for task in allocation.bands[0]] == [0, 1]
+        # The fresh copies were compiled at the prepared precision during
+        # the rebuild, so the next dispatch plans nothing.
+        assert pool.planner_builds() == builds + 2
         vector = np.ones(16, dtype=np.int64)
         assert np.array_equal(
             pool.exec_mvm(allocation, vector, input_bits=1), vector @ matrix
         )
+        assert pool.planner_builds() == builds + 2
 
     def test_degraded_band_is_left_serving_when_capacity_is_short(self):
         # 2 devices, R=2: once one device fails there is nowhere to put a
@@ -293,7 +298,7 @@ class TestRebuild:
         pool = small_pool(num_devices=2, replication=2)
         matrix = np.eye(8, dtype=np.int64)
         allocation = pool.set_matrix(matrix, element_size=4)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         pool.mark_device_failed(victim)
         report = pool.rebuild(allocation)
         assert report.changed is True  # the dead copy was dropped
@@ -328,7 +333,7 @@ class TestRebuild:
             "model", matrix, element_size=4, input_bits=3
         )
         injector = FaultInjector().attach(pool)
-        holders = sorted({s.device_index for s, _ in allocation.shards})
+        holders = allocation.devices_used
         for device_index in holders:
             injector.kill(device_index)
             pool.mark_device_failed(device_index)
@@ -352,7 +357,7 @@ class TestRebuildErrorNormalization:
         rng = derive_rng("rebuild-normalize")
         matrix = rng.integers(-8, 8, size=(16, 8))
         allocation = pool.set_matrix(matrix, element_size=4, precision=0)
-        victim = allocation.shards[0][0].device_index
+        victim = allocation.bands[0][0].device_index
         pool.mark_device_failed(victim)
         free_before = [pool.free_hcts(i) for i in range(pool.num_devices)]
 
@@ -380,7 +385,7 @@ class TestRebuildErrorNormalization:
     def test_index_error_is_normalized(self):
         pool = small_pool(num_devices=2, replication=2)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        pool.mark_device_failed(allocation.shards[0][0].device_index)
+        pool.mark_device_failed(allocation.bands[0][0].device_index)
 
         class BuggyPolicy:
             def choose(self, free, needed, holders):

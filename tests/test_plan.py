@@ -148,7 +148,7 @@ class TestServingHotPathDoesNotPlan:
         assert server.registration_reuses == 1
         assert server.planner_builds() == builds  # sha256 memo hit: no rebuild
 
-    def test_sharded_plan_cached_and_invalidated(self):
+    def test_sharded_plan_is_the_allocations_own_table(self):
         rng = derive_rng("plan-17")
         config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
         pool = DevicePool(num_devices=3, config=config, policy="round_robin")
@@ -156,15 +156,15 @@ class TestServingHotPathDoesNotPlan:
         allocation = pool.set_matrix(matrix, element_size=8, precision=0)
         assert len(allocation.devices_used) > 1
         plan = pool.compile(allocation, input_bits=8)
-        assert plan.num_shards == len(allocation.shards)
-        assert pool.sharded_plan(allocation) is plan  # cached topology
+        assert plan.num_shards == len(allocation.bands)
+        assert plan is allocation  # one table
         builds = pool.planner_builds()
         vectors = rng.integers(0, 256, size=(2, 96))
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=8)
         assert np.array_equal(out, vectors @ matrix)
         assert pool.planner_builds() == builds  # compiled ahead of the call
         pool.release(allocation)
-        assert allocation.allocation_id not in pool._sharded_plans
+        assert allocation not in pool.allocations
 
 
 class TestCostModelBackend:

@@ -183,7 +183,7 @@ class TestCacheAffinityCycles:
         big = rng.integers(-8, 8, size=(100, 30))
         allocation = pool.set_matrix(big, element_size=4, precision=0)
         assert allocation.num_shards > 1
-        ordered = [shard.device_index for shard, _ in allocation.shards]
+        ordered = [task.device_index for task in allocation.all_tasks]
         # Consecutive bands stay on one device until it fills (affinity
         # pull), so the device sequence is sorted runs, not alternation.
         runs = sum(
@@ -200,7 +200,7 @@ class TestReplication:
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert pool.replication == 1
         assert allocation.replication == 1
-        assert len(allocation.shards) == allocation.num_shards
+        assert len(allocation.all_tasks) == allocation.num_shards
 
     def test_replicated_allocation_doubles_storage_not_bands(self, rng):
         pool = tiny_pool(num_devices=3)
@@ -213,7 +213,7 @@ class TestReplication:
         plain_alloc = pool.set_matrix(matrix, element_size=4)
         repl_alloc = replicated.set_matrix(matrix, element_size=4)
         assert repl_alloc.num_shards == plain_alloc.num_shards
-        assert len(repl_alloc.shards) == 2 * len(plain_alloc.shards)
+        assert len(repl_alloc.all_tasks) == 2 * len(plain_alloc.all_tasks)
         assert len(repl_alloc.devices_used) == 2
 
     def test_release_frees_replicas_too(self, rng):
@@ -252,7 +252,7 @@ class TestSharding:
         assert allocation.num_shards > 1
         assert len(allocation.devices_used) > 1
         # Shards tile the row range contiguously and without overlap.
-        bands = sorted((s.row_start, s.row_end) for s, _ in allocation.shards)
+        bands = sorted((t.row_start, t.row_end) for t in allocation.tasks)
         assert bands[0][0] == 0 and bands[-1][1] == 100
         for (_, end), (start, _) in zip(bands, bands[1:]):
             assert end == start
@@ -261,7 +261,7 @@ class TestSharding:
         pool = tiny_pool()
         matrix = rng.integers(-8, 8, size=(100, 30))  # 100 % 3 != 0
         allocation = pool.set_matrix(matrix, element_size=4, precision=0)
-        sizes = {shard.rows for shard, _ in allocation.shards}
+        sizes = {task.rows for task in allocation.tasks}
         assert len(sizes) > 1  # genuinely uneven bands
         vectors = rng.integers(0, 8, size=(6, 100))
         result = pool.exec_mvm_batch(allocation, vectors, input_bits=3)

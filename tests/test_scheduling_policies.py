@@ -152,16 +152,23 @@ class TestCostOracle:
         charged = max(now - then for now, then in zip(after, before))
         assert charged == predicted
 
-    def test_prediction_is_memoised_and_invalidated(self):
+    def test_prediction_is_memoised_and_invalidated(self, monkeypatch):
         server = make_server()
+        evaluated = []
+        evaluate = server.pool.predicted_batch_cycles
+
+        def counting(allocation, batch, input_bits=8):
+            evaluated.append(allocation.allocation_id)
+            return evaluate(allocation, batch, input_bits=input_bits)
+
+        monkeypatch.setattr(server.pool, "predicted_batch_cycles", counting)
         first = server.predicted_batch_cycles("proj", 3, 4)
         assert server.predicted_batch_cycles("proj", 3, 4) == first
-        assert (server.allocation_for("proj").allocation_id, 3, 4) \
-            in server._cost_cache
-        server.register_matrix("proj", np.ones((8, 8), dtype=np.int64))
-        assert not server._cost_cache
+        assert evaluated == [server.allocation_for("proj").allocation_id]
+        replaced = server.register_matrix("proj", np.ones((8, 8), dtype=np.int64))
         again = server.predicted_batch_cycles("proj", 3, 4)
         assert again > 0
+        assert evaluated[1:] == [replaced.allocation_id]
 
     def test_energy_prediction_positive_and_monotonic(self):
         server = make_server()
