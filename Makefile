@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test unit bench doctest docs-check batch-bench serve-bench serve-latency-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile profile-server layerbench layerbench-compare loc lint coverage all
+.PHONY: test unit bench doctest docs-check batch-bench serve-bench serve-latency-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile hotpath profile-server layerbench layerbench-compare loc lint coverage all
 
 # Tier-1: the full unit + benchmark suite.
 test:
@@ -110,6 +110,13 @@ plan-dump:
 # cProfile the serving benchmark and print the top-20 cumulative hot spots.
 profile:
 	$(PY) benchmarks/profile_serving.py
+
+# The device-call mode of the same script: one steady-state exact-path
+# DarthPumDevice.exec_mvm_batch at the three paper shapes -- untraced us per
+# call, function calls per call, and the time spent in the accumulator sync,
+# input validation, the cost ledger and the matmul itself.
+hotpath:
+	$(PY) benchmarks/profile_serving.py device-call
 
 # cProfile the scheduler tick loop at serving depth (256 queued requests
 # over 8 matrices, bulk ingress) and print the top-25 hot spots.

@@ -6,11 +6,19 @@ under :mod:`cProfile` and prints the top-20 functions by cumulative time.
 This is the profile-guided loop behind the vectorized execution engine:
 whatever tops this list is the next optimisation target.
 
+The ``device-call`` mode zooms into the bottom of that stack: one
+steady-state ``DarthPumDevice.exec_mvm_batch`` on the proven-exact path at
+the three paper shapes, as untraced wall time, function calls per call, and
+the share that goes to the accumulator sync, input validation, the cost
+ledger and the arithmetic itself.
+
 Usage::
 
     make profile
+    make hotpath
     # or directly:
     PYTHONPATH=src python benchmarks/profile_serving.py [num_requests]
+    PYTHONPATH=src python benchmarks/profile_serving.py device-call
 """
 
 from __future__ import annotations
@@ -18,13 +26,26 @@ from __future__ import annotations
 import cProfile
 import pstats
 import sys
+import time
 
 import numpy as np
 
-from repro import PumServer
+from repro import DarthPumDevice, PumServer
+from repro.testing import PAPER_SHAPES, profiled_calls
 
 MATRIX_SHAPE = (64, 64)
 INPUT_BITS = 8
+
+DEVICE_CALL_BATCH = 32
+#: Where a device call's non-arithmetic time goes: part -> (functions
+#: counted with everything they call, functions counted by self time only).
+#: ``issue_mvm_charges`` only loops over ``charge``/``charge_run``, which
+#: are already counted inclusively.
+DEVICE_CALL_PARTS = {
+    "sync_us": (("set_vr_bits",), ()),
+    "validate_us": (("validate_input_range",), ()),
+    "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
+}
 
 
 def run_serving_workload(num_requests: int = 512) -> None:
@@ -47,7 +68,98 @@ def run_serving_workload(num_requests: int = 512) -> None:
             assert future.result().ok
 
 
+def steady_device_call(label: str, backend: str = "vectorized"):
+    """A zero-argument steady-state ``exec_mvm_batch`` at one paper shape.
+
+    Ideal chip, plan compiled, three warm-up calls made: what is left is
+    the per-batch cost every serving tier pays.  Also returns the device
+    and allocation behind the call.
+    """
+    shape, element_size, input_bits = PAPER_SHAPES[label]
+    rng = np.random.default_rng(11)
+    low = -(1 << (element_size - 1)) if element_size > 1 else -1
+    matrix = rng.integers(low, max(1, -low), size=shape)
+    vectors = rng.integers(0, 1 << input_bits, size=(DEVICE_CALL_BATCH, shape[0]),
+                           dtype=np.int64)
+    device = DarthPumDevice()
+    allocation = device.set_matrix(matrix, element_size=element_size, precision=0)
+    device.compile(allocation, input_bits=input_bits)
+
+    def call():
+        return device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                     backend=backend)
+
+    for _ in range(3):
+        assert np.array_equal(call(), vectors @ matrix) or backend == "estimate"
+    return call, device, allocation
+
+
+def best_call_us(call, repeats: int = 9, loops: int = 300) -> float:
+    """Best-of-``repeats`` untraced wall microseconds per ``call()``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(loops):
+            call()
+        best = min(best, (time.perf_counter() - start) / loops)
+    return best * 1e6
+
+
+def count_calls(call) -> tuple:
+    """``(python_calls, c_calls)`` one ``call()`` makes, by ``sys.setprofile``."""
+    events = [event for event, _ in profiled_calls(call)]
+    # The closing ``sys.setprofile(None)`` is itself reported as a C call.
+    return events.count("call"), events.count("c_call") - 1
+
+
+def device_call_breakdown(loops: int = 2000) -> None:
+    """Print the per-call breakdown of the exact path at the paper shapes."""
+    print(f"# steady-state DarthPumDevice.exec_mvm_batch, exact path, batch "
+          f"{DEVICE_CALL_BATCH}: us per call.  total/estimate/matmul are untraced "
+          "best-of-9;\n# sync/validate/ledger are cProfile times of the same call "
+          "(inflated by the probe, compare them with each other)")
+    header = ["shape", "total_us", "estimate_us", "matmul_us", "py_calls", "c_calls"]
+    header += list(DEVICE_CALL_PARTS)
+    print("  ".join(f"{column:>18}" for column in header))
+    for label in PAPER_SHAPES:
+        call, device, allocation = steady_device_call(label)
+        total_us = best_call_us(call)
+        estimate_us = best_call_us(steady_device_call(label, "estimate")[0])
+        python_calls, c_calls = count_calls(call)
+
+        # The arithmetic alone: the exact path's one matmul per shard.
+        plans = device.compile(allocation, PAPER_SHAPES[label][2])
+        blocks = [
+            (np.ones((DEVICE_CALL_BATCH, tile.used_rows)), tile.recombined)
+            for plan in plans for tile in plan.kernel.tiles
+        ]
+        matmul_us = best_call_us(
+            lambda: [(x @ w).astype(np.int64) for x, w in blocks]
+        )
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for _ in range(loops):
+            call()
+        profiler.disable()
+        stats = pstats.Stats(profiler).stats
+        parts = [
+            sum(
+                entry[3] if name in inclusive else entry[2] if name in own else 0.0
+                for (_, _, name), entry in stats.items()
+            ) / loops * 1e6
+            for inclusive, own in DEVICE_CALL_PARTS.values()
+        ]
+        row = [label, f"{total_us:.1f}", f"{estimate_us:.1f}", f"{matmul_us:.1f}",
+               str(python_calls), str(c_calls)]
+        row += [f"{part:.1f}" for part in parts]
+        print("  ".join(f"{column:>18}" for column in row))
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["device-call"]:
+        device_call_breakdown()
+        return
     num_requests = int(sys.argv[1]) if len(sys.argv) > 1 else 512
     profiler = cProfile.Profile()
     profiler.enable()

@@ -11,17 +11,25 @@ The measured numbers are written to
 ``REPRO_BENCH_RECORD=1`` environment variable is set (the CI benchmarks
 job does), the headline numbers are also appended to the
 ``BENCH_kernels.json`` trajectory file at the repo root so they accumulate
-across PRs; plain tier-1 runs leave the trajectory untouched.
+across PRs; plain tier-1 runs leave the trajectory untouched.  A recorded
+row names its host (``cpus``, ``python``, ``numpy``, ``commit``) and carries
+the cost of one steady-state exact-path device call at the encoder shape
+(``exact_call_us`` and ``calls_per_exec``, both measured by the
+``device-call`` mode of ``benchmarks/profile_serving.py``); neither number
+is asserted here -- ``tests/test_hot_path.py`` gates the call count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
+from profile_serving import best_call_us, count_calls, steady_device_call
 
 from repro import DarthPumDevice
 
@@ -33,6 +41,34 @@ REQUIRED_SPEEDUP = 10.0
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
 TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_kernels.json"
+
+
+def _host() -> dict:
+    """The ROADMAP's host block: what a timing in the trajectory ran on.
+
+    ``commit`` names the measured code: ``+dirty`` means ``src/`` differs
+    from that commit (a change recorded before it was committed).
+    """
+    repo = Path(__file__).parent.parent
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ("git", "-C", str(repo)) + args,
+                capture_output=True, text=True, timeout=10, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return ""
+
+    commit = git("rev-parse", "--short", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--", "src"):
+        commit += "+dirty"
+    return {
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "commit": commit,
+    }
 
 
 def _bench(device, allocation, vectors, backend, repeats=7, loops=5):
@@ -80,6 +116,11 @@ def test_vectorized_kernel_speedup_gate():
     assert reference_ledger.cycles == vectorized_ledger.cycles
     assert reference_ledger.energy_pj == vectorized_ledger.energy_pj
 
+    exact_call, _, _ = steady_device_call("encoder_projection")
+    exact_call_us = best_call_us(exact_call)
+    calls_per_exec = sum(count_calls(exact_call))
+    host = _host()
+
     payload = {
         "benchmark": "kernel_speedup",
         "matrix_shape": list(MATRIX_SHAPE),
@@ -91,6 +132,9 @@ def test_vectorized_kernel_speedup_gate():
         "speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
         "bit_identical": True,
+        "exact_call_us": exact_call_us,
+        "calls_per_exec": calls_per_exec,
+        **host,
     }
     ARTIFACTS_DIR.mkdir(exist_ok=True)
     (ARTIFACTS_DIR / "kernel_speedup.json").write_text(json.dumps(payload, indent=2))
@@ -108,6 +152,9 @@ def test_vectorized_kernel_speedup_gate():
                 "reference_ms": round(reference_seconds * 1e3, 3),
                 "vectorized_ms": round(vectorized_seconds * 1e3, 3),
                 "speedup": round(speedup, 1),
+                "exact_call_us": round(exact_call_us, 1),
+                "calls_per_exec": calls_per_exec,
+                **host,
             }
         )
         TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")

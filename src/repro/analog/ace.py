@@ -469,7 +469,7 @@ class AnalogComputeElement:
                 handle, input_bits, self.config.array_rows, self.config.array_cols
             )
 
-        start = self.ledger.snapshot()
+        start_cycles, start_energy = self.ledger.cycles, self.ledger.energy_pj
         for step in steps:
             output = self._crossbars[step.array_id].mvm_1bit(
                 bit_vectors[step.input_bit][step.row_start: step.row_end],
@@ -486,9 +486,8 @@ class AnalogComputeElement:
                     col_offset=step.col_offset,
                 )
             )
-        end = self.ledger.snapshot()
-        execution.analog_cycles = end.cycles - start.cycles
-        execution.analog_energy_pj = end.energy_pj - start.energy_pj
+        execution.analog_cycles = self.ledger.cycles - start_cycles
+        execution.analog_energy_pj = self.ledger.energy_pj - start_energy
         return execution
 
     def expected_mvm(self, handle: MatrixHandle, vector: np.ndarray) -> np.ndarray:

@@ -23,26 +23,25 @@ an aspiration: the stacked matmuls hand BLAS the *same* ``(batch, rows) @
 (rows, cols)`` operands per step (broadcasting only moves the loop out of
 Python), stochastic read noise is drawn in bulk from each crossbar's own
 generator in exactly the per-step order the reference engine consumes it,
-and latency/energy ledger charges are re-issued value-for-value in the
-reference charge order so even the floating-point accumulation of the
+and latency/energy ledger charges are replayed value-for-value in the
+reference charge order (:func:`issue_mvm_charges`, run-length but never
+multiplied out) so even the floating-point accumulation of the
 :class:`~repro.metrics.CostLedger` matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import AllocationError, QuantizationError
-from .bitslicing import ShiftAddPlan, slice_inputs_tensor
+from ..errors import QuantizationError
+from .bitslicing import slice_inputs_tensor
 from .crossbar import normalised_column_sums, parasitic_signed_sums
 
 __all__ = [
-    "AceForward",
     "ShardKernel",
-    "TileForward",
     "TileKernel",
     "ace_forward_vectorized",
     "analog_step_costs",
@@ -203,82 +202,22 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
     )
 
 
-@dataclass(frozen=True)
-class TileForward:
-    """Post-ADC partial products of one shard for a whole batched MVM.
-
-    Exactly one of ``codes`` / ``totals`` is set: the general engine carries
-    the full post-ADC tensor, while the proven-exact integer path collapses
-    the shift-and-add over input bits and weight slices up front.
-    """
-
-    kernel: TileKernel
-    #: ADC output values, shape ``(num_slices, input_bits, batch, used_cols)``.
-    codes: Optional[np.ndarray] = None
-    #: Pre-summed shifted partial products, shape ``(batch, used_cols)``.
-    totals: Optional[np.ndarray] = None
-
-
-@dataclass
-class AceForward:
-    """Everything the digital side needs after a vectorized analog pass."""
-
-    handle: object
-    batch: int
-    input_bits: int
-    plan: ShiftAddPlan
-    tiles: List[TileForward]
-    analog_cycles: float = 0.0
-    analog_energy_pj: float = 0.0
-
-    @property
-    def num_partials(self) -> int:
-        """Partial products the reference engine would have produced."""
-        return self.plan.num_partial_products * self.handle.row_tiles * self.handle.col_tiles
-
-    def tile_totals(self, tile: TileForward) -> np.ndarray:
-        """Shift-and-add sum of one shard's partial products, pre-truncation.
-
-        For the general engine this applies the same ``rint -> int64 ->
-        << shift -> accumulate`` sequence the shift units and DCE perform,
-        vectorized over the whole ``(num_slices, input_bits)`` plane; the
-        exact path already carries the sum.
-        """
-        if tile.totals is not None:
-            return tile.totals
-        shifts = (
-            np.arange(self.input_bits, dtype=np.int64)[None, :]
-            + np.arange(self.plan.weight_slices, dtype=np.int64)[:, None]
-            * self.plan.bits_per_cell
-        )
-        codes = np.rint(tile.codes).astype(np.int64)
-        return (codes << shifts[:, :, None, None]).sum(axis=(0, 1))
-
-    def raw_reduce(self) -> np.ndarray:
-        """Shift-and-add reduction without DCE truncation (``reduce()`` parity)."""
-        rows, cols = self.handle.shape
-        result = np.zeros((self.batch, cols), dtype=np.int64)
-        for tile in self.tiles:
-            kernel = tile.kernel
-            result[:, kernel.col_offset: kernel.col_offset + kernel.used_cols] += (
-                self.tile_totals(tile)
-            )
-        return result
-
-
 def validate_input_range(vectors: np.ndarray, input_bits: int) -> None:
     """Range checks of ``slice_inputs_tensor`` without building bit planes.
 
     The exact integer path (and the cost-only backend) never materialise
     the bit-plane tensor, but they must reject invalid inputs with the same
-    errors the general path (and the reference interpreter's
-    ``slice_inputs``) raises.
+    errors, in the same order, as the general path (and the reference
+    interpreter's ``slice_inputs``) -- from one ``min`` and one ``max``
+    instead of two boolean temporaries.
     """
-    if not np.issubdtype(vectors.dtype, np.integer):
+    if vectors.dtype.kind not in "iu":
         raise QuantizationError("input bit-slicing expects an integer vector")
-    if np.any(vectors < 0):
+    if not vectors.size:
+        return
+    if np.minimum.reduce(vectors, axis=None) < 0:
         raise QuantizationError("input bit-slicing expects non-negative inputs")
-    if np.any(vectors >= (1 << input_bits)):
+    if np.maximum.reduce(vectors, axis=None) >= (1 << input_bits):
         raise QuantizationError(f"input values exceed {input_bits} bits")
 
 
@@ -339,19 +278,15 @@ def _tile_codes(
 
 
 def analog_step_costs(
-    kernel: ShardKernel,
-    batch: int,
-    input_bits: int,
-    active_adc_bits: Optional[int] = None,
-) -> List[Tuple[float, float]]:
+    kernel: ShardKernel, batch: int, active_adc_bits: Optional[int] = None
+) -> Tuple[Tuple[float, float], ...]:
     """Per-shard ``(cycles, energy_pj)`` of one analog macro-step of a batch.
 
     The analytic counterpart of the reference interpreter's per-step
-    crossbar charges, shared by the vectorized and cost-only backends.
-    Also advances each crossbar's ``mvm_count`` statistic exactly as the
-    per-step path would.
+    crossbar charges: a pure function of the shard geometry and periphery,
+    computed once per :class:`~repro.plan.ir.BatchReceipt`.
     """
-    step_costs: List[Tuple[float, float]] = []
+    step_costs = []
     for tile in kernel.tiles:
         sample = tile.crossbars[0]
         adc_latency, adc_energy = sample.adc.conversion_costs(
@@ -365,99 +300,86 @@ def analog_step_costs(
             + adc_energy
         )
         step_costs.append((batch * latency, batch * energy))
-        for crossbar in tile.crossbars:
-            crossbar.mvm_count += input_bits * batch
-    return step_costs
+    return tuple(step_costs)
 
 
 def issue_mvm_charges(
     ledger,
     input_bits: int,
     num_slices: int,
-    step_costs: List[Tuple[float, float]],
+    step_costs: Sequence[Tuple[float, float]],
 ) -> None:
-    """Re-issue the reference interpreter's ``ace.mvm`` charge stream.
+    """Replay the reference interpreter's ``ace.mvm`` charge stream.
 
-    One charge per (input bit, shard, slice) step, input bits outermost, so
-    the floating-point accumulation inside the ledger is reproduced exactly
-    value for value.
+    The reference issues one charge per (input bit, shard, slice) step,
+    input bits outermost.  The replay is run-length
+    (:meth:`~repro.metrics.CostLedger.charge_run`): one run of the whole
+    stream when every shard costs the same, otherwise one run of
+    ``num_slices`` per (input bit, shard) in the reference issue order.
+    Either way the ledger performs the same additions in the same order, so
+    its floating-point totals and breakdowns match value for value.
     """
-    charge = ledger.charge
+    if len(set(step_costs)) == 1:
+        cycles, energy_pj = step_costs[0]
+        ledger.charge_run(
+            "ace.mvm", input_bits * len(step_costs) * num_slices,
+            cycles=cycles, energy_pj=energy_pj,
+        )
+        return
     for _ in range(input_bits):
         for cycles, energy_pj in step_costs:
-            for _ in range(num_slices):
-                charge("ace.mvm", cycles=cycles, energy_pj=energy_pj)
+            ledger.charge_run("ace.mvm", num_slices, cycles=cycles, energy_pj=energy_pj)
 
 
-def ace_forward_vectorized(
-    ace,
-    plan,
-    vectors: np.ndarray,
-    active_adc_bits: Optional[int] = None,
-) -> AceForward:
-    """Vectorized interpretation of one :class:`~repro.plan.ir.MvmPlan`.
+def ace_forward_vectorized(ace, plan, vectors: np.ndarray) -> List[np.ndarray]:
+    """The arithmetic of one :class:`~repro.plan.ir.MvmPlan` batch, vectorized.
 
-    Computes every post-ADC partial product of the batch with stacked tensor
-    ops over the plan's shard kernel and re-issues the reference
-    interpreter's ``ace.mvm`` ledger charges analytically (same values, same
-    order), so results, cycle totals, and energy totals are bit-identical to
-    the per-step schedule walk.
+    ``vectors`` is the ``(batch, rows)`` int64 block the backend admitted.
+    Returns one ``(batch, used_cols)`` int64 array per shard, in
+    ``plan.kernel.tiles`` order: the shift-and-add sum of that shard's
+    post-ADC partial products (the ``rint -> int64 -> << shift ->
+    accumulate`` sequence the shift units and DCE perform), before DCE
+    truncation.  Input range errors are raised before anything is computed;
+    no ledger, counter or register is touched -- the batch's
+    :class:`~repro.plan.ir.BatchReceipt` charges the cost side.
     """
-    if not ace.enabled:
-        raise AllocationError("the ACE of this tile has been disabled")
-    handle = plan.handle
     input_bits = plan.input_bits
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-    rows, cols = handle.shape
-    if vectors.shape[1] != rows:
-        raise QuantizationError(
-            f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
-        )
-    batch = vectors.shape[0]
+    batch, rows = vectors.shape
     kernel = plan.kernel
-    exact = (
+    if (
         kernel.exact
         and ace.parasitics is None
         and not kernel.tiles[0].crossbars[0].noise.read_noise_active
-    )
-    if exact:
+    ):
         validate_input_range(vectors, input_bits)
-        # int64 -> float64 is exact for every representable input; writing
-        # into the ACE's per-shape scratch block instead of astype() keeps
-        # the steady-state serving path allocation-free.
+        # Proven-exact fast path: with ideal conductances and a
+        # verified-lossless ADC, every (input bit, slice) partial product
+        # survives the quantise/recover chain exactly, so the whole
+        # bit-plane schedule collapses into one exact-integer matmul per
+        # shard against the recombined weight slices (all values stay far
+        # below 2**53, so float64 arithmetic is exact).  int64 -> float64
+        # is exact for every representable input; storing into the ACE's
+        # per-shape scratch block instead of astype() keeps the steady-state
+        # serving path allocation-free.
         vectors_float = ace.float_scratch(batch, rows)
-        np.copyto(vectors_float, vectors)
-    else:
-        bit_planes = slice_inputs_tensor(
-            vectors, input_bits, out=ace.bitplane_scratch(input_bits, batch, rows)
-        )
+        vectors_float[...] = vectors
+        shard_totals = []
+        for tile in kernel.tiles:
+            block = vectors_float[:, tile.row_start: tile.row_end]
+            shard_totals.append((block @ tile.recombined).astype(np.int64))
+        return shard_totals
 
-    start = ace.ledger.snapshot()
-    forward = AceForward(
-        handle=handle, batch=batch, input_bits=input_bits, plan=plan.shift_add, tiles=[]
+    bit_planes = slice_inputs_tensor(
+        vectors, input_bits, out=ace.bitplane_scratch(input_bits, batch, rows)
     )
-    for tile in kernel.tiles:
-        if exact:
-            # Proven-exact fast path: with ideal conductances and a
-            # verified-lossless ADC, every (input bit, slice) partial
-            # product survives the quantise/recover chain exactly, so the
-            # whole bit-plane schedule collapses into one exact-integer
-            # matmul against the recombined weight slices (all values stay
-            # far below 2**53, so float64 arithmetic is exact).
-            totals = (
-                vectors_float[:, tile.row_start: tile.row_end] @ tile.recombined
-            ).astype(np.int64)
-            forward.tiles.append(TileForward(kernel=tile, totals=totals))
-        else:
-            forward.tiles.append(
-                TileForward(
-                    kernel=tile,
-                    codes=_tile_codes(ace, kernel, tile, bit_planes, input_bits),
-                )
-            )
-    step_costs = analog_step_costs(kernel, batch, input_bits, active_adc_bits)
-    issue_mvm_charges(ace.ledger, input_bits, kernel.num_slices, step_costs)
-    end = ace.ledger.snapshot()
-    forward.analog_cycles = end.cycles - start.cycles
-    forward.analog_energy_pj = end.energy_pj - start.energy_pj
-    return forward
+    shifts = (
+        np.arange(input_bits, dtype=np.int64)[None, :]
+        + np.arange(kernel.num_slices, dtype=np.int64)[:, None] * kernel.bits_per_cell
+    )[:, :, None, None]
+    return [
+        (
+            np.rint(_tile_codes(ace, kernel, tile, bit_planes, input_bits)).astype(np.int64)
+            << shifts
+        ).sum(axis=(0, 1))
+        for tile in kernel.tiles
+    ]

@@ -8,7 +8,10 @@ throughput modelling can still reason about the full tile count.
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import AllocationError, CapacityError
@@ -47,11 +50,18 @@ class DarthPumChip:
         self.parasitics = parasitics
         self.ledger = CostLedger()
         self._slots: Dict[int, _TileSlot] = {i: _TileSlot() for i in range(self.config.num_hcts)}
-        #: Materialised tiles keyed by HCT index.  The chip has ~1860 slots
-        #: but functional runs touch a handful; accounting sweeps iterate
-        #: this registry instead of scanning every slot (the serving
-        #: scheduler reads the energy total twice per dispatched batch).
-        self._materialized_tiles: Dict[int, HybridComputeTile] = {}
+        #: The free HCTs, without scanning the ~1860 slots: every index from
+        #: ``_next_unused`` up has never been reserved, and ``_released`` is
+        #: a min-heap of the lower ones handed back since.  The lowest free
+        #: index is therefore the heap's top, or ``_next_unused``.
+        self._next_unused = 0
+        self._released: List[int] = []
+        #: Materialised tiles in HCT-index order (the slot-scan order).  The
+        #: chip has ~1860 slots but functional runs touch a handful;
+        #: accounting sweeps iterate this list instead of scanning every
+        #: slot (the serving scheduler reads the energy total several times
+        #: per dispatched batch).
+        self._tiles: List[HybridComputeTile] = []
         self.front_ends: List[FrontEnd] = [
             FrontEnd(front_end_id=i, hcts_served=self.config.hcts_per_front_end)
             for i in range(self.config.num_front_ends)
@@ -79,15 +89,8 @@ class DarthPumChip:
                 parasitics=self.parasitics,
                 tile_id=index,
             )
-            self._materialized_tiles[index] = slot.tile
+            insort(self._tiles, slot.tile, key=attrgetter("tile_id"))
         return slot.tile
-
-    def _tiles_in_index_order(self) -> List[HybridComputeTile]:
-        """Materialised tiles in HCT-index order (the slot-scan order)."""
-        return [
-            self._materialized_tiles[index]
-            for index in sorted(self._materialized_tiles)
-        ]
 
     def front_end_for(self, hct_index: int) -> FrontEnd:
         """The front-end unit serving ``hct_index``."""
@@ -95,34 +98,41 @@ class DarthPumChip:
 
     def allocate_hcts(self, count: int, owner: str = "anonymous") -> List[int]:
         """Reserve ``count`` free HCTs for a workload; returns their indices."""
-        free = [i for i, slot in self._slots.items() if not slot.allocated]
-        if len(free) < count:
+        free = self.config.num_hcts - self.allocated_hcts
+        if free < count:
             raise AllocationError(
-                f"requested {count} HCTs but only {len(free)} are free on this chip"
+                f"requested {count} HCTs but only {free} are free on this chip"
             )
-        chosen = free[:count]
-        for index in chosen:
+        chosen = []
+        for _ in range(count):
+            if self._released:
+                index = heapq.heappop(self._released)
+            else:
+                index = self._next_unused
+                self._next_unused += 1
             self._slots[index].allocated = True
             self._slots[index].owner = owner
+            chosen.append(index)
         return chosen
 
     def release_hcts(self, indices: Iterable[int]) -> None:
         """Return HCTs to the free pool."""
         for index in indices:
             slot = self._slots.get(index)
-            if slot is not None:
+            if slot is not None and slot.allocated:
                 slot.allocated = False
                 slot.owner = None
+                heapq.heappush(self._released, index)
 
     @property
     def allocated_hcts(self) -> int:
         """Number of HCTs currently reserved by workloads."""
-        return sum(1 for slot in self._slots.values() if slot.allocated)
+        return self._next_unused - len(self._released)
 
     @property
     def materialized_hcts(self) -> int:
         """Number of HCTs that have actually been instantiated."""
-        return len(self._materialized_tiles)
+        return len(self._tiles)
 
     # ------------------------------------------------------------------ #
     # Chip-level accounting                                                #
@@ -130,7 +140,7 @@ class DarthPumChip:
     def total_ledger(self) -> CostLedger:
         """Merged ledger across all materialised tiles plus the chip ledger."""
         ledgers = [self.ledger]
-        ledgers.extend(tile.ledger for tile in self._tiles_in_index_order())
+        ledgers.extend(tile.ledger for tile in self._tiles)
         return merge_ledgers(ledgers)
 
     def total_energy_pj(self) -> float:
@@ -143,7 +153,7 @@ class DarthPumChip:
         serving scheduler's per-batch energy deltas.
         """
         total = 0.0 + self.ledger.energy_pj
-        for tile in self._tiles_in_index_order():
+        for tile in self._tiles:
             total += tile.ledger.energy_pj
         return total
 
@@ -153,7 +163,7 @@ class DarthPumChip:
         Serving tests assert this stays flat on the request hot path: all
         planning happens at registration time.
         """
-        return sum(tile.planner.builds for tile in self._materialized_tiles.values())
+        return sum(tile.planner.builds for tile in self._tiles)
 
     def front_end_energy_pj(self, cycles: float) -> float:
         """Energy of the active front ends over ``cycles`` cycles."""

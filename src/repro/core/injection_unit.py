@@ -141,26 +141,24 @@ class InstructionInjectionUnit:
         sign = np.int64(1) << (depth - 1)
         return ((values & mask) ^ sign) - sign
 
-    def account_reduction_batch(
-        self,
-        pipeline: BitPipeline,
-        num_partials: int,
-        batch: int,
-        width: int,
-    ) -> Tuple[int, float, int]:
-        """Analytically account one batched write+ADD reduction stream.
+    @staticmethod
+    def reduction_batch_costs(
+        pipeline: BitPipeline, num_partials: int, batch: int, width: int
+    ) -> Tuple[int, float, int, float, float]:
+        """What one batched write+ADD reduction stream costs, charging nothing.
 
-        The single source of truth for the cost side of a batched reduction:
-        :meth:`inject_reduction_batch` (the reference interpreter) and the
-        analytic reductions of the vectorized and cost-only backends
-        (:mod:`repro.plan.backends`) all charge through here, so the
-        engines cannot drift apart.  Charges
-        the ``dce.write`` / ``dce.boolean`` energy the gate-level path would
-        accumulate (every staged write touches one device per bit per
-        transferred element; every ADD executes its NOR network on all rows
-        of all bit arrays) and updates the IIU's injection statistics.
+        The single source of truth for the cost side of a batched reduction,
+        and a pure function of its arguments: the reference interpreter
+        computes it per call (:meth:`account_reduction_batch`), the
+        vectorized and cost-only backends once per
+        :class:`~repro.plan.ir.BatchReceipt`; both charge it through
+        :meth:`apply_reduction`.  Every staged write touches
+        one device per bit per transferred element (``dce.write``); every
+        ADD executes its NOR network on all rows of all bit arrays
+        (``dce.boolean``).
 
-        Returns ``(n_adds, add_uops_per_bit, slots_saved)``.
+        Returns ``(n_adds, add_uops_per_bit, slots_saved, write_pj,
+        boolean_pj)``.
         """
         add_uops = float(pipeline.add_uops_per_bit)
         depth, rows = pipeline.depth, pipeline.rows
@@ -168,19 +166,48 @@ class InstructionInjectionUnit:
         add = WordOpCost("add", WordOpKind.CARRY, add_uops, depth, rows)
         num_ops = batch * num_partials
         nor_energy = pipeline.family.primitive("NOR").energy_per_row_pj
-        pipeline.ledger.charge(
-            "dce.write", energy_pj=num_ops * pipeline.WRITE_ENERGY_PJ * width * depth
-        )
-        pipeline.ledger.charge(
-            "dce.boolean", energy_pj=num_ops * add_uops * depth * nor_energy * rows
-        )
-
-        self.injections += 1
         # Equal to summing ``total_uops`` over the ``num_ops`` write+ADD
         # pairs: the per-op uop counts are integral, so the product is exact.
         saved = int(num_ops * (write.total_uops + add.total_uops))
-        self.front_end_slots_saved += saved
+        return (
+            num_ops,
+            add_uops,
+            saved,
+            num_ops * pipeline.WRITE_ENERGY_PJ * width * depth,
+            num_ops * add_uops * depth * nor_energy * rows,
+        )
+
+    def account_reduction_batch(
+        self,
+        pipeline: BitPipeline,
+        num_partials: int,
+        batch: int,
+        width: int,
+    ) -> Tuple[int, float, int]:
+        """Charge one batched reduction stream and update the IIU statistics.
+
+        Returns ``(n_adds, add_uops_per_bit, slots_saved)``.
+        """
+        num_ops, add_uops, saved, write_pj, boolean_pj = self.reduction_batch_costs(
+            pipeline, num_partials, batch, width
+        )
+        self.apply_reduction(pipeline.ledger, write_pj, boolean_pj, saved)
         return num_ops, add_uops, saved
+
+    def apply_reduction(
+        self, ledger, write_pj: float, boolean_pj: float, saved: int
+    ) -> None:
+        """Charge one batched reduction stream of known cost and count it.
+
+        The one place a batched reduction touches the ledger and the IIU
+        statistics: :meth:`account_reduction_batch` calls it with costs it
+        has just computed, the receipt replay of the vectorized and
+        cost-only backends with the ones memoised per column tile.
+        """
+        ledger.charge("dce.write", energy_pj=write_pj)
+        ledger.charge("dce.boolean", energy_pj=boolean_pj)
+        self.injections += 1
+        self.front_end_slots_saved += saved
 
     def inject_reduction_batch(
         self,

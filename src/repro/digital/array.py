@@ -36,6 +36,11 @@ class DigitalArray:
         Optional ledger that receives the energy of every executed µop.
         Cycle accounting is performed at the pipeline level because it
         depends on how operations overlap across arrays.
+    bits:
+        Optional ``(rows, cols)`` boolean storage to compute in.  A
+        :class:`~repro.digital.pipeline.BitPipeline` hands each of its
+        arrays a view of one bit plane of its own tensor; a standalone
+        array allocates its own.
     """
 
     def __init__(
@@ -44,6 +49,7 @@ class DigitalArray:
         cols: int,
         family: LogicFamily,
         ledger: Optional[CostLedger] = None,
+        bits: Optional[np.ndarray] = None,
     ) -> None:
         if rows < 1 or cols < 1:
             raise ConfigurationError("array dimensions must be positive")
@@ -51,7 +57,14 @@ class DigitalArray:
         self.cols = int(cols)
         self.family = family
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._bits = np.zeros((self.rows, self.cols), dtype=bool)
+        if bits is None:
+            bits = np.zeros((self.rows, self.cols), dtype=bool)
+        elif bits.shape != (self.rows, self.cols) or bits.dtype != np.bool_:
+            raise ConfigurationError(
+                f"array storage must be a ({self.rows}, {self.cols}) boolean "
+                f"buffer, got {bits.shape} {bits.dtype}"
+            )
+        self._bits = bits
         #: Number of µops executed on this array (for utilisation stats).
         self.uop_count = 0
 
@@ -77,21 +90,6 @@ class DigitalArray:
                 f"column write expects shape ({self.rows},), got {values.shape}"
             )
         self._bits[:, col] = values
-
-    def read_row(self, row: int) -> np.ndarray:
-        """Return a copy of row ``row`` (all columns)."""
-        self._check_row(row)
-        return self._bits[row, :].copy()
-
-    def write_row(self, row: int, values: np.ndarray) -> None:
-        """Overwrite row ``row`` with ``values`` (boolean, length cols)."""
-        self._check_row(row)
-        values = np.asarray(values, dtype=bool)
-        if values.shape != (self.cols,):
-            raise ExecutionError(
-                f"row write expects shape ({self.cols},), got {values.shape}"
-            )
-        self._bits[row, :] = values
 
     def clear_column(self, col: int) -> None:
         """Reset a column to all zeros (bulk erase of one bitline)."""
@@ -131,10 +129,6 @@ class DigitalArray:
     def _check_col(self, col: int) -> None:
         if not 0 <= col < self.cols:
             raise ExecutionError(f"column index {col} out of range [0, {self.cols})")
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise ExecutionError(f"row index {row} out of range [0, {self.rows})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DigitalArray(rows={self.rows}, cols={self.cols}, family={self.family.name})"

@@ -91,20 +91,22 @@ class DigitalComputeElement:
         self._pipelines: Dict[int, BitPipeline] = {}
         if not lazy:
             for index in range(self.config.num_pipelines):
-                self._materialise(index)
+                self.pipeline(index)
         #: Pipelines reserved (marked dead) by a pipeline-reserve instruction.
         self._reserved: set = set()
 
     # ------------------------------------------------------------------ #
     # Pipeline management                                                  #
     # ------------------------------------------------------------------ #
-    def _materialise(self, index: int) -> BitPipeline:
-        if not 0 <= index < self.config.num_pipelines:
-            raise CapacityError(
-                f"pipeline index {index} out of range [0, {self.config.num_pipelines})"
-            )
-        if index not in self._pipelines:
-            self._pipelines[index] = BitPipeline(
+    def pipeline(self, index: int) -> BitPipeline:
+        """Return pipeline ``index``, creating it on first use."""
+        pipeline = self._pipelines.get(index)
+        if pipeline is None:
+            if not 0 <= index < self.config.num_pipelines:
+                raise CapacityError(
+                    f"pipeline index {index} out of range [0, {self.config.num_pipelines})"
+                )
+            pipeline = self._pipelines[index] = BitPipeline(
                 depth=self.config.pipeline_depth,
                 rows=self.config.rows,
                 cols=self.config.cols,
@@ -112,11 +114,7 @@ class DigitalComputeElement:
                 ledger=self.ledger,
                 auto_cycles=self.auto_cycles,
             )
-        return self._pipelines[index]
-
-    def pipeline(self, index: int) -> BitPipeline:
-        """Return pipeline ``index``, creating it on first use."""
-        return self._materialise(index)
+        return pipeline
 
     @property
     def active_pipelines(self) -> Tuple[int, ...]:
@@ -131,9 +129,8 @@ class DigitalComputeElement:
         stream partial products into it without corrupting live values
         (Section 4.2).
         """
-        self._materialise(index)
-        self._reserved.add(index)
         self.pipeline(index).reserved = True
+        self._reserved.add(index)
 
     def release_pipeline(self, index: int) -> None:
         """Release a previously reserved pipeline."""

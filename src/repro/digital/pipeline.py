@@ -8,6 +8,12 @@ bit ``b`` of every value (Section 2.2.2, Figure 5).  Columns play the role of
 a stream of word-level operations achieves up to ``B`` times the throughput
 of a single array (bit-pipelining).
 
+All bits of a pipeline live in one VR-major tensor of shape ``(cols, depth,
+rows)``; ``arrays[b].bits`` is the ``(rows, cols)`` view of bit plane ``b``.
+A whole register is therefore one contiguous ``(depth, rows)`` block that
+word-level accesses load and store in a single pass, and the column slices
+``bits[:, v]`` the gate networks compute on are contiguous too.
+
 The pipeline is a *functional* model: word-level operations really execute
 the underlying NOR-sequence gate networks on the stored bits, so results are
 bit-exact, while the :class:`~repro.digital.microops.WordOpCost` records
@@ -32,6 +38,11 @@ __all__ = ["BitPipeline"]
 
 class BitPipeline:
     """A bit-pipelined stack of digital PUM arrays with vector registers.
+
+    The pipeline owns its bits as one ``(cols, depth, rows)`` tensor and
+    hands array ``b`` the view ``tensor[:, b, :].T``, so a write through
+    ``arrays[b].bits`` and a word-level access of the same register see the
+    same storage.
 
     Class attributes
     ----------------
@@ -82,10 +93,19 @@ class BitPipeline:
         self.auto_cycles = bool(auto_cycles)
         self.scratch = ScratchColumns.at_top_of(self.cols)
         self.num_vrs = self.cols - ScratchColumns.COUNT
+        self._store = np.zeros((self.cols, self.depth, self.rows), dtype=bool)
         self.arrays: List[DigitalArray] = [
-            DigitalArray(self.rows, self.cols, self.family, self.ledger)
-            for _ in range(self.depth)
+            DigitalArray(
+                self.rows, self.cols, self.family, self.ledger,
+                bits=self._store[:, plane, :].T,
+            )
+            for plane in range(self.depth)
         ]
+        #: Weight of each bit plane as a ``(depth, 1)`` int64 column (bit 63
+        #: is the sign bit, which is what two's complement wants).
+        self._bit_weights = np.left_shift(
+            np.int64(1), np.arange(self.depth, dtype=np.int64)
+        )[:, None]
         self._synth = BooleanSynthesizer(self.family)
         #: Shift/rotate propagation direction; reversing it costs a drain.
         self.direction = "right"
@@ -125,25 +145,17 @@ class BitPipeline:
             raise CapacityError(
                 f"vector of {values.shape[0]} elements exceeds {self.rows} rows"
             )
-        mask = np.int64((1 << self.depth) - 1) if self.depth < 64 else np.int64(-1)
-        unsigned = values & mask
-        columns = np.zeros((self.depth, self.rows), dtype=bool)
-        columns[:, : values.shape[0]] = (
-            (unsigned[None, :] >> np.arange(self.depth, dtype=np.int64)[:, None]) & 1
-        ).astype(bool)
-        # Direct bit-plane stores: the cost-free state update runs once per
-        # dispatched serving batch, so it skips write_column's per-call
-        # validation (vr is already checked, columns is the right shape by
-        # construction).
-        for bit in range(self.depth):
-            self.arrays[bit].bits[:, vr] = columns[bit]
+        count = values.shape[0]
+        register = self._store[vr]
+        np.not_equal(values & self._bit_weights, 0, out=register[:, :count])
+        register[:, count:] = False
 
     def read_vr(self, vr: int, signed: bool = False) -> np.ndarray:
         """Read VR ``vr`` back as integers (two's complement if ``signed``)."""
         self._check_vr(vr)
-        values = np.zeros(self.rows, dtype=np.int64)
-        for bit in range(self.depth):
-            values |= self.arrays[bit].read_column(vr).astype(np.int64) << bit
+        values = np.bitwise_or.reduce(
+            np.where(self._store[vr], self._bit_weights, 0), axis=0
+        )
         if signed and self.depth < 64:
             sign = np.int64(1) << (self.depth - 1)
             values = (values ^ sign) - sign
@@ -152,22 +164,21 @@ class BitPipeline:
     def read_element(self, vr: int, row: int) -> int:
         """Read a single element (used by element-wise load/store)."""
         self._check_vr(vr)
-        value = 0
-        for bit in range(self.depth):
-            value |= int(self.arrays[bit].bits[row, vr]) << bit
-        return value
+        packed = np.packbits(self._store[vr, :, row], bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def write_element(self, vr: int, row: int, value: int) -> None:
         """Write a single element (used by element-wise load/store)."""
         self._check_vr(vr)
-        for bit in range(self.depth):
-            self.arrays[bit].bits[row, vr] = bool((value >> bit) & 1)
+        raw = (int(value) & ((1 << self.depth) - 1)).to_bytes(-(-self.depth // 8), "little")
+        self._store[vr, :, row] = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=self.depth, bitorder="little"
+        )
 
     def clear_vr(self, vr: int) -> WordOpCost:
         """Zero a vector register (bulk bitline reset, one cycle per array)."""
         self._check_vr(vr)
-        for array in self.arrays:
-            array.clear_column(vr)
+        self._store[vr] = False
         cost = WordOpCost("clear_vr", WordOpKind.BITWISE, 1.0, self.depth, self.rows)
         self._account(cost)
         return cost
@@ -394,22 +405,19 @@ class BitPipeline:
         if amount < 0:
             raise ExecutionError("shift amount must be non-negative")
         amount = amount % self.depth if rotate else min(amount, self.depth)
-        columns = [array.read_column(src) for array in self.arrays]
-        zero = np.zeros(self.rows, dtype=bool)
-        new_columns: List[np.ndarray] = []
-        for bit in range(self.depth):
+        # Bits move toward higher-index arrays on a left shift.
+        step = amount if left else -amount
+        planes = self._store[src]
+        if rotate:
+            moved = np.roll(planes, step, axis=0)
+        else:
+            moved = np.zeros_like(planes)
+            keep = self.depth - amount
             if left:
-                source_bit = bit - amount
+                moved[amount:] = planes[:keep]
             else:
-                source_bit = bit + amount
-            if rotate:
-                new_columns.append(columns[source_bit % self.depth])
-            elif 0 <= source_bit < self.depth:
-                new_columns.append(columns[source_bit])
-            else:
-                new_columns.append(zero)
-        for bit, column in enumerate(new_columns):
-            self.arrays[bit].write_column(dst, column)
+                moved[:keep] = planes[amount:]
+        self._store[dst] = moved
 
         # Shifting against the pipeline's propagation direction requires the
         # pipeline-reversal macro: drain, reverse, propagate (Section 5.3).

@@ -83,6 +83,37 @@ class CostLedger:
                 self.energy_breakdown.get(category, 0.0) + energy_pj
             )
 
+    def charge_run(
+        self, category: str, count: int, *, cycles: float = 0.0, energy_pj: float = 0.0
+    ) -> None:
+        """Replay ``count`` successive identical :meth:`charge` calls.
+
+        Run-length form of a charge stream: the additions happen one by one
+        on local variables, so every intermediate float sum -- totals and
+        breakdowns -- is the one ``count`` separate calls produce.  Repeated
+        addition is not ``count * value`` in floating point, so the run is
+        never multiplied out.
+        """
+        if cycles < 0 or energy_pj < 0:
+            raise ValueError("cycles and energy must be non-negative")
+        if count < 1:
+            return
+        cycle_total = self.cycles
+        cycle_part = self.cycle_breakdown.get(category, 0.0)
+        energy_total = self.energy_pj
+        energy_part = self.energy_breakdown.get(category, 0.0)
+        for _ in range(count):  # adding a zero is exact, so one loop serves both
+            cycle_total += cycles
+            cycle_part += cycles
+            energy_total += energy_pj
+            energy_part += energy_pj
+        if cycles:
+            self.cycles = cycle_total
+            self.cycle_breakdown[category] = cycle_part
+        if energy_pj:
+            self.energy_pj = energy_total
+            self.energy_breakdown[category] = energy_part
+
     def charge_power(self, category: str, *, cycles: float, power_mw: float) -> None:
         """Charge ``cycles`` of activity at ``power_mw``; energy follows at 1 GHz."""
         self.charge(category, cycles=cycles, energy_pj=cycles * power_mw)

@@ -8,14 +8,14 @@ both consume the *same compiled plan object*:
 * :class:`ReferenceExecutor` walks ``plan.steps`` one crossbar call at a
   time -- the hardware-faithful schedule and the ground truth.
 * :class:`VectorizedExecutor` contracts the same steps as stacked tensor
-  ops over ``plan.kernel`` and re-issues the reference charge stream
-  analytically.  Bit-identity (results, ledger totals *and* breakdowns,
-  timelines, IIU statistics) is a hard invariant pinned by
-  ``tests/test_kernels.py``.
-* :class:`CostModelExecutor` ("estimate") charges the full analytic cost
-  of a batch -- identical ledger totals and timelines -- without computing
-  any values: capacity planning at zero arithmetic cost, and proof that
-  new backends drop in without touching the tile.
+  ops over ``plan.kernel`` and replays the reference charge stream from
+  the plan's :class:`~repro.plan.ir.BatchReceipt`.  Bit-identity (results,
+  ledger totals *and* breakdowns, timelines, IIU statistics) is a hard
+  invariant pinned by ``tests/test_kernels.py``.
+* :class:`CostModelExecutor` ("estimate") replays the same receipt --
+  identical ledger totals and timelines -- without computing any values:
+  capacity planning at zero arithmetic cost, and proof that new backends
+  drop in without touching the tile.
 
 Backends are resolved by name (or passed as instances) anywhere a
 ``backend=`` knob exists; ``None`` defers to :func:`default_backend`,
@@ -34,7 +34,6 @@ from ..analog.ace import BatchMvmExecution, BatchPartialProduct
 from ..analog.bitslicing import slice_inputs
 from ..analog.kernels import (
     ace_forward_vectorized,
-    analog_step_costs,
     issue_mvm_charges,
     validate_input_range,
 )
@@ -92,10 +91,17 @@ class ExecutionBackend:
 
 
 def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
-    """Shared entry validation of every backend (same errors, same order)."""
-    if not tile.analog_enabled:
+    """Shared entry validation of every backend (same errors, same order).
+
+    The one place a tile-level batch is normalised to a ``(batch, rows)``
+    int64 block and checked against the tile and the plan; everything a
+    backend calls below this trusts the block it returns.
+    """
+    if not (tile.analog_enabled and tile.ace.enabled):
         raise AllocationError("the ACE of this tile has been disabled")
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
+    vectors = np.asarray(vectors, dtype=np.int64)
+    if vectors.ndim < 2:
+        vectors = np.atleast_2d(vectors)
     if vectors.shape[0] == 0:
         raise ExecutionError("execute_mvm_batch needs at least one input vector")
     rows, _ = plan.handle.shape
@@ -104,6 +110,81 @@ def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
             f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
         )
     return vectors
+
+
+def _account_batch(
+    tile,
+    plan: MvmPlan,
+    vectors: np.ndarray,
+    shard_totals,
+    optimized: bool,
+    compensation,
+    active_adc_bits: Optional[int],
+) -> HctBatchMvmResult:
+    """Everything of a batch besides its arithmetic, from the plan's receipt.
+
+    ``shard_totals`` holds one shift-and-added ``(batch, used_cols)`` block
+    per shard in ``plan.kernel.tiles`` order, or is ``None`` for a cost-only
+    run (``values`` stays an all-zero placeholder and no register moves).
+    Replays the reference interpreter's accounting exactly: the ``ace.mvm``
+    stream, then per column tile the ``dce.write`` / ``dce.boolean``
+    charges, IIU statistics and accumulator-register state, then the
+    ``hct.mvm_batch`` schedule commit.
+    """
+    batch = vectors.shape[0]
+    handle = plan.handle
+    ledger = tile.ledger
+    start_cycles, start_energy = ledger.cycles, ledger.energy_pj
+    receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
+    issue_mvm_charges(ledger, plan.input_bits, handle.num_slices, receipt.step_costs)
+    for shard in plan.kernel.tiles:
+        for crossbar in shard.crossbars:
+            crossbar.mvm_count += receipt.mvm_steps
+    estimated = shard_totals is None
+    values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
+
+    if not tile.digital_post_processing:
+        # Expert mode: the raw shift-and-add reduction, no DCE truncation.
+        if not estimated:
+            for shard, totals in zip(plan.kernel.tiles, shard_totals):
+                values[:, shard.col_offset: shard.col_offset + shard.used_cols] += totals
+        optimized_cycles = unoptimized_cycles = ledger.cycles - start_cycles
+        breakdown, slots_saved = {"analog": optimized_cycles}, 0
+    else:
+        if not estimated:
+            for red in plan.reduction:
+                pipeline = tile.dce.pipeline(plan.output_base + red.col_tile)
+                shards = shard_totals[red.col_tile:: handle.col_tiles]
+                reduced = shards[0]
+                for totals in shards[1:]:
+                    reduced = reduced + totals
+                reduced = tile.iiu.wrap_accumulator(reduced, pipeline.depth)
+                # Leave the accumulator VR as the hardware stream would.
+                pipeline.set_vr_bits(plan.accumulator_vr, reduced[-1])
+                values[:, red.col_offset: red.col_offset + red.width] = reduced
+        for write_pj, boolean_pj, saved in receipt.reductions:
+            tile.iiu.apply_reduction(ledger, write_pj, boolean_pj, saved)
+        tile.transpose_unit.vector_count += receipt.n_adds
+        optimized_cycles = receipt.optimized_cycles
+        unoptimized_cycles = receipt.unoptimized_cycles
+        tile._commit_schedule(
+            plan, optimized_cycles, optimized_cycles if optimized else unoptimized_cycles
+        )
+        breakdown, slots_saved = dict(receipt.breakdown), receipt.slots_saved
+
+    if compensation is not None and not estimated:
+        values = compensation.recover_batch(values, vectors)
+    return HctBatchMvmResult(
+        values=values,
+        batch=batch,
+        optimized_cycles=optimized_cycles,
+        unoptimized_cycles=unoptimized_cycles,
+        energy_pj=ledger.energy_pj - start_energy,
+        breakdown=breakdown,
+        num_partial_products=len(plan.steps),
+        iiu_slots_saved=slots_saved,
+        estimated=estimated,
+    )
 
 
 class ReferenceExecutor(ExecutionBackend):
@@ -168,13 +249,11 @@ class ReferenceExecutor(ExecutionBackend):
     ) -> BatchMvmExecution:
         """Walk ``plan.steps`` in issue order, one crossbar call per step."""
         ace = tile.ace
-        if not ace.enabled:
-            raise AllocationError("the ACE of this tile has been disabled")
         bit_matrices = slice_inputs(vectors, plan.input_bits)
         execution = BatchMvmExecution(
             handle=plan.handle, batch=vectors.shape[0], plan=plan.shift_add
         )
-        start = ace.ledger.snapshot()
+        start_cycles, start_energy = ace.ledger.cycles, ace.ledger.energy_pj
         for step in plan.steps:
             tile_bits = bit_matrices[step.input_bit][:, step.row_start: step.row_end]
             output = ace.crossbar(step.array_id).mvm_batch(
@@ -191,9 +270,8 @@ class ReferenceExecutor(ExecutionBackend):
                     col_offset=step.col_offset,
                 )
             )
-        end = ace.ledger.snapshot()
-        execution.analog_cycles = end.cycles - start.cycles
-        execution.analog_energy_pj = end.energy_pj - start.energy_pj
+        execution.analog_cycles = ace.ledger.cycles - start_cycles
+        execution.analog_energy_pj = ace.ledger.energy_pj - start_energy
         return execution
 
     @staticmethod
@@ -252,101 +330,24 @@ class VectorizedExecutor(ExecutionBackend):
         active_adc_bits: Optional[int] = None,
     ) -> HctBatchMvmResult:
         vectors = _admit_batch(tile, plan, vectors)
-        batch = vectors.shape[0]
-        start_energy = tile.ledger.energy_pj
-        forward = ace_forward_vectorized(
-            tile.ace, plan, vectors, active_adc_bits=active_adc_bits
+        shard_totals = ace_forward_vectorized(tile.ace, plan, vectors)
+        return _account_batch(
+            tile, plan, vectors, shard_totals, optimized, compensation, active_adc_bits
         )
-
-        if not tile.digital_post_processing:
-            values = forward.raw_reduce()
-            if compensation is not None:
-                values = compensation.recover_batch(values, vectors)
-            cycles = forward.analog_cycles
-            return HctBatchMvmResult(
-                values=values,
-                batch=batch,
-                optimized_cycles=cycles,
-                unoptimized_cycles=cycles,
-                energy_pj=tile.ledger.energy_pj - start_energy,
-                breakdown={"analog": cycles},
-                num_partial_products=forward.num_partials,
-            )
-
-        values, (n_adds, add_uops), slots_saved = self._reduce_analytic(
-            tile, plan, forward
-        )
-        if compensation is not None:
-            values = compensation.recover_batch(values, vectors)
-
-        optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
-        unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
-        charged = optimized_cycles if optimized else unoptimized_cycles
-        tile._commit_schedule(plan, optimized_cycles, charged)
-
-        return HctBatchMvmResult(
-            values=values,
-            batch=batch,
-            optimized_cycles=optimized_cycles,
-            unoptimized_cycles=unoptimized_cycles,
-            energy_pj=tile.ledger.energy_pj - start_energy,
-            breakdown=breakdown,
-            num_partial_products=forward.num_partials,
-            iiu_slots_saved=slots_saved,
-        )
-
-    @staticmethod
-    def _reduce_analytic(tile, plan: MvmPlan, forward):
-        """DCE reduction with analytic µop reconstruction.
-
-        Computes the shift-and-add sum of every column tile as one integer
-        tensor reduction, then re-issues the exact accounting the reference
-        interpreter's ``inject_reduction_batch`` performs: the same
-        ``dce.write`` / ``dce.boolean`` ledger charges, IIU statistics, and
-        accumulator-register state.  Returns ``(values,
-        (n_adds, add_uops_per_bit), slots_saved)``.
-        """
-        handle = plan.handle
-        batch = forward.batch
-        result = np.zeros((batch, handle.shape[1]), dtype=np.int64)
-        slots_saved = 0
-        n_adds = 0
-        add_uops = 12.0
-
-        for red in plan.reduction:
-            pipeline = tile.dce.pipeline(plan.output_base + red.col_tile)
-            tiles = [t for t in forward.tiles if t.kernel.col_tile == red.col_tile]
-            if not tiles:
-                continue
-            reduced = forward.tile_totals(tiles[0]).copy()
-            for shard in tiles[1:]:
-                reduced += forward.tile_totals(shard)
-            reduced = tile.iiu.wrap_accumulator(reduced, pipeline.depth)
-
-            width = reduced.shape[1]
-            adds, add_uops, saved = tile.iiu.account_reduction_batch(
-                pipeline, red.partials_per_vector, batch, width
-            )
-            pipeline.set_vr_bits(plan.accumulator_vr, reduced[-1])
-            slots_saved += saved
-            tile.transpose_unit.vector_count += adds
-            n_adds += adds
-
-            result[:, red.col_offset: red.col_offset + width] = reduced[:, :width]
-        return result, (n_adds, add_uops), slots_saved
 
 
 class CostModelExecutor(ExecutionBackend):
     """Cost-only interpreter: real ledgers and timelines, no arithmetic.
 
-    Re-issues the exact analytic charge stream of the real engines -- the
-    per-step ``ace.mvm`` charges, the IIU's batched write+ADD accounting,
-    and the ``hct.mvm_batch`` timeline charge -- so ``CostLedger`` totals,
-    breakdowns, and the returned timelines are bit-identical to an actual
-    execution, while ``values`` is an all-zero placeholder flagged with
-    ``estimated=True``.  Useful for capacity planning and admission-control
-    what-ifs where only the ledger matters.  ``compensation`` is ignored
-    (there are no values to recover) and no noise RNG is consumed.
+    Replays the same :class:`~repro.plan.ir.BatchReceipt` as the vectorized
+    engine -- the per-step ``ace.mvm`` charges, the IIU's batched write+ADD
+    accounting, and the ``hct.mvm_batch`` timeline charge -- so
+    ``CostLedger`` totals, breakdowns, and the returned timelines are
+    bit-identical to an actual execution, while ``values`` is an all-zero
+    placeholder flagged with ``estimated=True``.  Useful for capacity
+    planning and admission-control what-ifs where only the ledger matters.
+    ``compensation`` is ignored (there are no values to recover), no noise
+    RNG is consumed and no DCE register is written.
     """
 
     name = "estimate"
@@ -362,59 +363,8 @@ class CostModelExecutor(ExecutionBackend):
     ) -> HctBatchMvmResult:
         vectors = _admit_batch(tile, plan, vectors)
         validate_input_range(vectors, plan.input_bits)
-        batch = vectors.shape[0]
-        handle = plan.handle
-        start_energy = tile.ledger.energy_pj
-
-        ace = tile.ace
-        if not ace.enabled:
-            raise AllocationError("the ACE of this tile has been disabled")
-        start = ace.ledger.snapshot()
-        step_costs = analog_step_costs(plan.kernel, batch, plan.input_bits, active_adc_bits)
-        issue_mvm_charges(ace.ledger, plan.input_bits, plan.kernel.num_slices, step_costs)
-        end = ace.ledger.snapshot()
-        analog_cycles = end.cycles - start.cycles
-
-        values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
-        if not tile.digital_post_processing:
-            return HctBatchMvmResult(
-                values=values,
-                batch=batch,
-                optimized_cycles=analog_cycles,
-                unoptimized_cycles=analog_cycles,
-                energy_pj=tile.ledger.energy_pj - start_energy,
-                breakdown={"analog": analog_cycles},
-                num_partial_products=plan.num_partial_products,
-                estimated=True,
-            )
-
-        slots_saved = 0
-        n_adds = 0
-        add_uops = 12.0
-        for red in plan.reduction:
-            pipeline = tile.dce.pipeline(plan.output_base + red.col_tile)
-            adds, add_uops, saved = tile.iiu.account_reduction_batch(
-                pipeline, red.partials_per_vector, batch, red.width
-            )
-            slots_saved += saved
-            tile.transpose_unit.vector_count += adds
-            n_adds += adds
-
-        optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
-        unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
-        charged = optimized_cycles if optimized else unoptimized_cycles
-        tile._commit_schedule(plan, optimized_cycles, charged)
-
-        return HctBatchMvmResult(
-            values=values,
-            batch=batch,
-            optimized_cycles=optimized_cycles,
-            unoptimized_cycles=unoptimized_cycles,
-            energy_pj=tile.ledger.energy_pj - start_energy,
-            breakdown=breakdown,
-            num_partial_products=plan.num_partial_products,
-            iiu_slots_saved=slots_saved,
-            estimated=True,
+        return _account_batch(
+            tile, plan, vectors, None, optimized, None, active_adc_bits
         )
 
 

@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
+from ..analog.kernels import analog_step_costs
 
 __all__ = [
+    "BatchReceipt",
     "HctBatchMvmResult",
     "HctMvmResult",
     "MvmPlan",
@@ -301,6 +304,39 @@ class PlanCostModel:
         return total, breakdown
 
 
+@dataclass(frozen=True)
+class BatchReceipt:
+    """Everything one batch of one plan charges besides its arithmetic.
+
+    What the vectorized and cost-only backends account per call -- the
+    ``ace.mvm`` charge stream, the crossbars' ``mvm_count`` increments, the
+    ``dce.write`` / ``dce.boolean`` reduction energies with the IIU and
+    transpose-unit statistics, and both Figure 10 timelines -- is a pure
+    function of ``(plan, batch, active_adc_bits)``.  The
+    :class:`~repro.plan.planner.Planner` computes it once
+    (:meth:`~repro.plan.planner.Planner.receipt_for`), memoises it on the
+    plan, and the backends replay it against the tile's live ledger and
+    counters (``repro.plan.backends._account_batch``); the step-walking
+    reference backend never builds one and is the oracle the replay is
+    tested against.
+    """
+
+    #: Per-shard ``(cycles, energy_pj)`` of one analog macro-step.
+    step_costs: Tuple[Tuple[float, float], ...]
+    #: Analog steps every crossbar of the allocation runs (``mvm_count``).
+    mvm_steps: int
+    #: Per column tile ``(dce.write pJ, dce.boolean pJ, front-end slots
+    #: saved)`` of its reduction.
+    reductions: Tuple[Tuple[float, float, int], ...]
+    #: Pipelined ADDs and front-end slots saved, over all column tiles.
+    n_adds: int
+    slots_saved: int
+    #: Figure 10b / 10a wall-clock cycles and the 10b breakdown.
+    optimized_cycles: float
+    unoptimized_cycles: float
+    breakdown: Mapping[str, float]
+
+
 @dataclass
 class MvmPlan:
     """The compiled execution plan for one HCT-resident matrix allocation.
@@ -311,6 +347,11 @@ class MvmPlan:
     :class:`~repro.plan.backends.BackendRegistry` executes this object --
     two interpreters of one IR -- so results, ledgers, and timelines agree
     bit for bit by construction of their shared operands.
+
+    The plan also carries its :class:`BatchReceipt` memo (``receipts``,
+    keyed ``(batch, active_adc_bits)``, filled and bounded by the planner),
+    so the per-batch accounting dies with the plan on release/reprogram
+    exactly like the schedule it was derived from.
     """
 
     #: The analog allocation this plan executes against.
@@ -333,21 +374,26 @@ class MvmPlan:
     accumulator_vr: int
     #: Staging vector registers the shift unit writes into (round-robin).
     staging_vrs: Tuple[int, ...]
+    #: Batch receipts by ``(batch, active_adc_bits)``, oldest first.
+    receipts: Dict[Tuple[int, Optional[int]], BatchReceipt] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def shape(self) -> Tuple[int, int]:
         """Logical matrix shape of the planned allocation."""
         return self.handle.shape
 
-    @property
+    @cached_property
     def kernel(self):
         """Stacked per-shard conductance tensors (vectorized operand).
 
-        Delegates to the ACE's shard-kernel cache, so the tensors are built
-        lazily on first use: interpreters that never touch them (the
-        step-walking reference backend, the single-vector path) pay
-        nothing, while the vectorized and cost-only backends share one
-        snapshot per allocation.
+        Fetched from the ACE's shard-kernel cache on first use and then
+        held by the plan (the two are invalidated together, by
+        ``release``), so the tensors are built lazily: interpreters that
+        never touch them (the step-walking reference backend, the
+        single-vector path) pay nothing, while the vectorized and cost-only
+        backends share one snapshot per allocation.
         """
         return self.ace.kernel_for(self.handle)
 
@@ -389,27 +435,17 @@ class MvmPlan:
     def predicted_energy_pj(self, batch: int) -> float:
         """Predicted analog-phase energy of a ``batch``-vector MVM, in pJ.
 
-        Walks the shard kernel's per-tile periphery exactly the way the
-        analytic backends charge the analog phase (DAC drive, row periphery,
-        sample-and-hold, ADC conversion, once per input bit and weight
-        slice) -- but *without* executing or charging anything.  Digital
+        Sums the per-shard step energy the analytic backends charge for the
+        analog phase (:func:`~repro.analog.kernels.analog_step_costs`: DAC
+        drive, row periphery, sample-and-hold, ADC conversion, once per
+        input bit and weight slice) -- but *without* executing or charging
+        anything.  Digital
         reduction energy is excluded; the analog phase dominates, which is
         all a dispatch-now-vs-wait comparison needs.  First use builds the
         allocation's shard kernel lazily (shared with the vectorized
         backend's cache).
         """
-        per_tile = 0.0
-        for tile in self.kernel.tiles:
-            sample = tile.crossbars[0]
-            _, adc_energy = sample.adc.conversion_costs(
-                tile.used_cols, sample.num_adcs, None
-            )
-            per_tile += (
-                sample.dac.drive_energy_pj(tile.used_rows)
-                + sample.row_periphery_power_mw * 1.0
-                + tile.used_cols * sample.sample_hold_energy_pj
-                + adc_energy
-            )
+        per_tile = sum(energy_pj for _, energy_pj in analog_step_costs(self.kernel, 1))
         return self.input_bits * self.handle.num_slices * batch * per_tile
 
     def describe(self, max_steps: int = 12) -> str:

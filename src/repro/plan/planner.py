@@ -11,12 +11,20 @@ release + ``set_matrix``) can never serve a stale schedule.
 ``builds`` counts actual compilations; the serving layers aggregate it
 (`DevicePool.planner_builds`, `PumServer.planner_builds`) so tests can
 assert the hot path performs zero planning.
+
+``receipt_for`` is the second, smaller memo: the
+:class:`~repro.plan.ir.BatchReceipt` of a plan at one batch size, kept on
+the plan itself and counted by ``receipt_hits`` / ``receipt_misses``.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Optional
+
 from ..analog.bitslicing import ShiftAddPlan
-from .ir import MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
+from ..analog.kernels import analog_step_costs
+from .ir import BatchReceipt, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
 
 __all__ = ["Planner"]
 
@@ -24,12 +32,22 @@ __all__ = ["Planner"]
 class Planner:
     """Builds and caches execution plans for one hybrid compute tile."""
 
+    #: Batch receipts kept per plan before the oldest is dropped.  A server
+    #: dispatches batches of 1..``max_batch`` vectors, so that is how many
+    #: sizes one plan can see: 16 by default, and 64 is as far as the
+    #: autotuner may raise it (4x).  A caller cycling through more sizes
+    #: than that recompiles the evicted ones instead of growing the plan.
+    RECEIPT_BATCH_SIZES = 64
+
     def __init__(self, tile) -> None:
         self.tile = tile
         #: Plans actually compiled (cache misses) over the tile's lifetime.
         self.builds = 0
         #: Cache hits served without compiling.
         self.hits = 0
+        #: Batch receipts compiled / served from a plan's memo.
+        self.receipt_misses = 0
+        self.receipt_hits = 0
 
     def plan_for(self, handle, input_bits: int) -> MvmPlan:
         """The compiled plan for ``handle`` at ``input_bits`` (cached).
@@ -48,9 +66,59 @@ class Planner:
         self.builds += 1
         return plan
 
+    def receipt_for(
+        self, plan: MvmPlan, batch: int, active_adc_bits: Optional[int] = None
+    ) -> BatchReceipt:
+        """The accounting of one ``batch``-vector MVM of ``plan`` (memoised).
+
+        Kept in ``plan.receipts``, so it is dropped with the plan on
+        release/reprogram; at most :attr:`RECEIPT_BATCH_SIZES` entries per
+        plan, oldest evicted first.
+        """
+        receipts = plan.receipts
+        key = (batch, active_adc_bits)
+        receipt = receipts.get(key)
+        if receipt is not None:
+            self.receipt_hits += 1
+            return receipt
+        self.receipt_misses += 1
+        receipt = self._compile_receipt(plan, batch, active_adc_bits)
+        if len(receipts) >= self.RECEIPT_BATCH_SIZES:
+            del receipts[next(iter(receipts))]
+        receipts[key] = receipt
+        return receipt
+
     # ------------------------------------------------------------------ #
     # Compilation                                                          #
     # ------------------------------------------------------------------ #
+    def _compile_receipt(
+        self, plan: MvmPlan, batch: int, active_adc_bits: Optional[int]
+    ) -> BatchReceipt:
+        tile = self.tile
+        reductions = []
+        n_adds = slots_saved = 0
+        add_uops = 12.0
+        for red in plan.reduction:
+            adds, add_uops, saved, write_pj, boolean_pj = tile.iiu.reduction_batch_costs(
+                tile.dce.pipeline(plan.output_base + red.col_tile),
+                red.partials_per_vector, batch, red.width,
+            )
+            reductions.append((write_pj, boolean_pj, saved))
+            n_adds += adds
+            slots_saved += saved
+        optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
+        unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
+        return BatchReceipt(
+            step_costs=analog_step_costs(plan.kernel, batch, active_adc_bits),
+            mvm_steps=plan.input_bits * batch,
+            reductions=tuple(reductions),
+            n_adds=n_adds,
+            slots_saved=slots_saved,
+            optimized_cycles=optimized_cycles,
+            unoptimized_cycles=unoptimized_cycles,
+            breakdown=MappingProxyType(breakdown),
+        )
+
     def _build(self, handle, input_bits: int) -> MvmPlan:
         tile = self.tile
         ace = tile.ace

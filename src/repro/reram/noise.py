@@ -119,11 +119,12 @@ class ReadNoiseModel:
         the stream ``count`` alternating ``apply(positive)`` /
         ``apply(negative)`` calls would consume (NumPy generators fill
         arrays in C order), so batched and per-step execution see
-        bit-identical conductances.  Keep the perturbation formula in sync
-        with :meth:`apply` -- it is the same
-        ``clip(g + normal * g, 0, None)`` model, drawn ``count`` planes at a
-        time.  Returns ``(positive_stack, negative_stack)`` of shape
-        ``(count,) + plane_shape``.
+        bit-identical conductances.  The perturbation is :meth:`apply`'s
+        ``clip(g + normal * g, 0, None)``, computed in place on the drawn
+        block (scale by ``g``, add ``g``, clamp at zero) so a call allocates
+        the draw and nothing else.  Returns ``(positive_stack,
+        negative_stack)``, two ``(count,) + plane_shape`` views of that
+        block.
         """
         positive = np.asarray(positive, dtype=float)
         negative = np.asarray(negative, dtype=float)
@@ -133,9 +134,11 @@ class ReadNoiseModel:
                 np.broadcast_to(negative, (count,) + negative.shape),
             )
         draw = rng.normal(0.0, self.sigma, size=(count, 2) + positive.shape)
-        positive_stack = np.clip(positive[None] + draw[:, 0] * positive[None], 0.0, None)
-        negative_stack = np.clip(negative[None] + draw[:, 1] * negative[None], 0.0, None)
-        return positive_stack, negative_stack
+        pair = np.stack([positive, negative])
+        draw *= pair
+        draw += pair
+        np.maximum(draw, 0.0, out=draw)
+        return draw[:, 0], draw[:, 1]
 
 
 class DriftModel:

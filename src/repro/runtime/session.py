@@ -206,8 +206,11 @@ class DarthPumDevice:
         >>> np.array_equal(out, vectors @ matrix)
         True
         """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        rows, cols = allocation.shape
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if vectors.ndim < 2:
+            vectors = np.atleast_2d(vectors)
+        placement, hct_indices = allocation.placement, allocation.hct_indices
+        rows, cols = placement.shape
         if vectors.shape[1] != rows:
             raise QuantizationError(
                 f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
@@ -217,9 +220,8 @@ class DarthPumDevice:
         if batch == 0:
             return result
         executor = resolve_backend(backend)
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
+        for tile in placement.tiles:
+            hct = self.chip.hct(hct_indices[tile.hct_slot % len(hct_indices)])
             handle = allocation.handles[tile.hct_slot]
             sub_vectors = vectors[:, tile.row_start: tile.row_end]
             sub_result = hct.execute_mvm_batch(

@@ -16,11 +16,21 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 
 import numpy as np
 
 #: Master seed for every random stream in the test suite.
 REPRO_TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "12345"))
+
+#: The layerbench ``kernel_paper_shapes`` cells: shape, element size, input
+#: bits.  The hot-path guard (``tests/test_hot_path.py``) and ``make hotpath``
+#: measure the same three device calls.
+PAPER_SHAPES = {
+    "resnet_conv": ((144, 16), 6, 7),
+    "aes_mixcolumns": ((32, 32), 1, 1),
+    "encoder_projection": ((64, 64), 6, 7),
+}
 
 
 def derive_rng(*labels) -> np.random.Generator:
@@ -36,3 +46,24 @@ def derive_rng(*labels) -> np.random.Generator:
         for label in labels
     ]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def profiled_calls(function) -> list:
+    """Every ``sys.setprofile`` event of ``function()``, as ``(event, name)``.
+
+    ``"call"`` events are the Python-level calls, named after the function
+    entered; ``"c_call"`` events are builtins, named after the *calling*
+    function.  The closing ``sys.setprofile(None)`` is itself the last
+    ``c_call``.
+    """
+    events = []
+
+    def on_event(frame, event, _arg):
+        events.append((event, frame.f_code.co_name))
+
+    sys.setprofile(on_event)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return events

@@ -20,6 +20,8 @@ from collections import deque
 import numpy as np
 
 from repro import ChipConfig, DevicePool, HctConfig, PumServer
+from repro.plan.backends import default_backend
+from repro.plan.planner import Planner
 from repro.testing import derive_rng
 
 ROUNDS = 300
@@ -95,6 +97,17 @@ def small_chip(num_hcts: int) -> ChipConfig:
     return ChipConfig(hct=HctConfig.small(), num_hcts=num_hcts)
 
 
+def tile_plans(pool, allocation, input_bits: int):
+    """The compiled tile-level plans behind every copy of every band."""
+    return [
+        plan
+        for task in allocation.all_tasks
+        for plan in pool.devices[task.device_index].compile(
+            task.device_allocation, input_bits=input_bits
+        )
+    ]
+
+
 class TestSteadyStateIsFlat:
     def test_pool_dispatch_appends_nothing_per_call(self):
         # The layerbench ``pool_sharded`` shape: 2 bands x 2 replicas over
@@ -152,6 +165,35 @@ class TestSteadyStateIsFlat:
         assert server.matrix_names == ("tenant",)
         assert len(server.pool.allocations) == 1
 
+    def test_distinct_batch_sizes_fill_the_receipt_memo_then_stop(self):
+        # Every tile plan memoises one batch receipt per batch size, and
+        # every ACE one float scratch block per shape, both up to a bound:
+        # a caller cycling through more sizes than either bound must find
+        # the containers full, not growing.
+        rng = derive_rng("bounded-receipts")
+        with DevicePool(num_devices=2, config=small_chip(4), replication=2,
+                        backend="vectorized") as pool:
+            matrix = rng.integers(-8, 8, size=(32, 16))
+            allocation = pool.set_matrix(matrix, element_size=4)
+            plans = tile_plans(pool, allocation, 4)
+            bound = Planner.RECEIPT_BATCH_SIZES
+
+            def step(index):
+                batch = 1 + index % (bound + 40)
+                vectors = np.ones((batch, 32), dtype=np.int64)
+                out = pool.exec_mvm_batch(allocation, vectors, input_bits=4)
+                assert np.array_equal(out, vectors @ matrix)
+
+            for index in range(2 * (bound + 40)):
+                step(index)
+            entries = container_entries(pool)
+            receipts = [len(plan.receipts) for plan in plans]
+            assert max(receipts) == bound
+            for index in range(bound + 40):
+                step(index)
+            assert container_entries(pool) == entries
+            assert [len(plan.receipts) for plan in plans] == receipts
+
 
 class TestNoStaleAllocationReferences:
     @staticmethod
@@ -183,6 +225,16 @@ class TestNoStaleAllocationReferences:
         )
         parts = self._parts(allocation)
         assert any(id(obj) in parts for obj in reachable(pool))
+        # The compiled plans and the batch receipts memoised on them exist
+        # only on the allocation's behalf too, and the walk reaches them.
+        # (The step-walking reference backend never builds a receipt.)
+        plans = tile_plans(pool, allocation, 3)
+        receipts = [receipt for plan in plans for receipt in plan.receipts.values()]
+        assert plans
+        assert receipts or default_backend() == "reference"
+        live = {id(obj) for obj in reachable(pool)}
+        assert all(id(part) in live for part in [*plans, *receipts])
+        parts.update((id(part), part) for part in [*plans, *receipts])
         pool.release(allocation)
         self._assert_forgotten(pool, pool, allocation, parts)
         assert pool.utilization() == [0.0, 0.0, 0.0]

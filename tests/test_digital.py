@@ -172,6 +172,67 @@ def test_property_add_xor_match_reference(a, b):
     assert np.array_equal(pipeline.read_vr(3), a ^ b)
 
 
+class TestPipelineStorage:
+    """The VR-major tensor behind ``set_vr_bits`` / ``read_vr`` and the arrays."""
+
+    @pytest.mark.parametrize("depth", [8, 16, 64])
+    @pytest.mark.parametrize("count", [8, 5, 1])
+    def test_set_vr_bits_roundtrips_signed_and_unsigned(self, depth, count, rng):
+        pipeline = BitPipeline(depth=depth, rows=8, cols=16)
+        pipeline.set_vr_bits(3, np.full(8, -1))  # stale bits in every row
+        half = 1 << (depth - 1) if depth < 64 else 1 << 62
+        values = rng.integers(-half, half, size=count)
+        pipeline.set_vr_bits(3, values)
+        expected = np.zeros(8, dtype=np.int64)  # the tail is cleared
+        expected[:count] = values
+        assert np.array_equal(pipeline.read_vr(3, signed=True), expected)
+        unsigned = expected & ((1 << depth) - 1) if depth < 64 else expected
+        assert np.array_equal(pipeline.read_vr(3), unsigned)
+        for row in range(8):
+            assert pipeline.read_element(3, row) == int(expected[row]) % (1 << depth)
+        assert not pipeline.read_vr(2).any() and not pipeline.read_vr(4).any()
+
+    def test_write_element_matches_set_vr_bits(self, small_pipeline):
+        values = np.array([-5, 7, -1, 0, 3, -128, 127, 2])
+        for row, value in enumerate(values):
+            small_pipeline.write_element(1, row, int(value))
+        small_pipeline.set_vr_bits(2, values)
+        assert np.array_equal(small_pipeline.read_vr(1), small_pipeline.read_vr(2))
+
+    @pytest.mark.parametrize("depth", [8, 64])
+    def test_write_element_accepts_numpy_integers(self, depth):
+        pipeline = BitPipeline(depth=depth, rows=4, cols=16)
+        values = np.array([-3, 5, np.iinfo(np.int64).min >> (64 - depth), -1])
+        for row, value in enumerate(values):  # np.int64 scalars, not int
+            pipeline.write_element(1, row, value)
+        assert np.array_equal(pipeline.read_vr(1, signed=True), values)
+
+    def test_arrays_alias_pipeline_storage(self, small_pipeline):
+        small_pipeline.arrays[3].bits[5, 2] = True  # through the array ...
+        assert small_pipeline.read_element(2, 5) == 1 << 3  # ... seen by the VR
+        small_pipeline.set_vr_bits(2, np.array([1 << 9]))  # and the other way
+        assert small_pipeline.arrays[9].bits[0, 2]
+        assert not small_pipeline.arrays[3].bits[5, 2]
+        assert small_pipeline.arrays[9].read_column(2)[0]
+
+    def test_gate_level_add_after_set_vr_bits(self, small_pipeline, rng):
+        a = rng.integers(0, 2 ** 15, size=8)
+        b = rng.integers(0, 2 ** 15, size=8)
+        small_pipeline.set_vr_bits(0, a)
+        small_pipeline.set_vr_bits(1, b)
+        small_pipeline.add(2, 0, 1)
+        assert np.array_equal(small_pipeline.read_vr(2), a + b)
+
+    def test_standalone_array_owns_its_bits(self):
+        array = DigitalArray(4, 8, oscar_family())
+        assert array.bits.shape == (4, 8) and array.bits.base is None
+        shared = np.zeros((4, 8), dtype=bool)
+        assert DigitalArray(4, 8, oscar_family(), bits=shared).bits is shared
+        for wrong in (np.zeros((8, 4), dtype=bool), np.zeros((4, 8), dtype=np.uint8)):
+            with pytest.raises(ConfigurationError):
+                DigitalArray(4, 8, oscar_family(), bits=wrong)
+
+
 class TestWordOpCosts:
     def test_bitwise_cost_is_uops_per_bit(self):
         cost = WordOpCost("xor", WordOpKind.BITWISE, 5, 16, 64)

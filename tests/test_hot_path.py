@@ -1,0 +1,252 @@
+"""The execution hot path, guarded without a wall clock.
+
+A steady-state ``exec_mvm_batch`` on the proven-exact path should cost about
+one matmul.  Wall time cannot be asserted in tier-1, so this file pins the
+deterministic proxies instead: how many Python-level calls and ledger
+charges one call makes, that the per-plan batch-receipt memo is counted,
+bounded and released with its plan, and that every rejected input is
+rejected before any simulated state moves.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import DarthPumDevice
+from repro.core.config import HctConfig
+from repro.core.hct import HybridComputeTile
+from repro.errors import AllocationError, ExecutionError, QuantizationError
+from repro.metrics import CostLedger
+from repro.plan.planner import Planner
+from repro.reram import NoiseConfig
+from repro.testing import PAPER_SHAPES, derive_rng, profiled_calls
+
+BATCH = 32
+MAX_CALLS = 90
+MAX_CHARGES_PER_TILE = 6
+
+
+def programmed_device(shape, element_size, input_bits, noise=None):
+    rng = derive_rng("hot-path", shape)
+    low = -(1 << (element_size - 1)) if element_size > 1 else -1
+    matrix = rng.integers(low, max(1, -low), size=shape)
+    vectors = rng.integers(0, 1 << input_bits, size=(BATCH, shape[0]), dtype=np.int64)
+    device = DarthPumDevice(noise=noise)
+    allocation = device.set_matrix(matrix, element_size=element_size, precision=0)
+    device.compile(allocation, input_bits=input_bits)
+    return device, allocation, matrix, vectors
+
+
+class TestCallBudget:
+    @pytest.mark.parametrize("label", sorted(PAPER_SHAPES))
+    def test_steady_state_exact_call_stays_within_budget(self, label, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        shape, element_size, input_bits = PAPER_SHAPES[label]
+        device, allocation, matrix, vectors = programmed_device(
+            shape, element_size, input_bits
+        )
+        for _ in range(2):  # first call compiles the kernel and the receipt
+            device.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+        planners = [device.chip.hct(i).planner for i in allocation.hct_indices]
+        assert all(plan.kernel.exact for plan in device.compile(allocation, input_bits))
+        hits = sum(planner.receipt_hits for planner in planners)
+
+        out = []
+        events = profiled_calls(lambda: out.append(
+            device.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+        ))
+        names = [name for event, name in events if event == "call"]
+        assert np.array_equal(out[0], vectors @ matrix)
+        assert len(names) <= MAX_CALLS, (len(names), sorted(set(names)))
+        tiles = len(allocation.placement.tiles)
+        charges = [name for name in names if name in ("charge", "charge_run")]
+        assert len(charges) <= MAX_CHARGES_PER_TILE * tiles
+        # Steady state: nothing was planned or compiled inside the call.
+        assert sum(planner.receipt_hits for planner in planners) == hits + tiles
+        assert sum(planner.receipt_misses for planner in planners) == tiles
+        assert device.planner_builds() == tiles
+
+
+class TestReceiptMemo:
+    @staticmethod
+    def _tile():
+        tile = HybridComputeTile(HctConfig.small())
+        matrix = derive_rng("hot-path-memo").integers(-8, 8, size=(16, 12))
+        handle = tile.set_matrix(matrix, value_bits=4)
+        return tile, handle, matrix
+
+    def test_one_miss_then_hits(self):
+        tile, handle, matrix = self._tile()
+        vectors = np.ones((5, 16), dtype=np.int64)
+        for calls in range(1, 5):
+            out = tile.execute_mvm_batch(handle, vectors, input_bits=2,
+                                         backend="vectorized")
+            assert np.array_equal(out.values, vectors @ matrix)
+            assert tile.planner.receipt_misses == 1
+            assert tile.planner.receipt_hits == calls - 1
+        # The cost-only backend replays the very same receipt.
+        tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="estimate")
+        assert (tile.planner.receipt_misses, tile.planner.receipt_hits) == (1, 4)
+        # A different ADC window or input precision is a different receipt.
+        tile.execute_mvm_batch(handle, vectors, input_bits=2, active_adc_bits=3,
+                               backend="vectorized")
+        tile.execute_mvm_batch(handle, vectors, input_bits=3, backend="vectorized")
+        assert tile.planner.receipt_misses == 3
+
+    def test_memo_is_bounded_under_distinct_batch_sizes(self):
+        tile, handle, matrix = self._tile()
+        plan = tile.planner.plan_for(handle, 2)
+        bound = Planner.RECEIPT_BATCH_SIZES
+        reference = HybridComputeTile(HctConfig.small())
+        reference_handle = reference.set_matrix(matrix, value_bits=4)
+        for batch in range(1, 201):
+            vectors = np.ones((batch, 16), dtype=np.int64)
+            tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
+            reference.execute_mvm_batch(reference_handle, vectors, input_bits=2,
+                                        backend="reference")
+            assert len(plan.receipts) <= bound
+        assert len(plan.receipts) == bound
+        assert tile.planner.receipt_misses == 200
+        # FIFO: the newest sizes are resident, the oldest were evicted and
+        # recompile to the same numbers.
+        assert [key[0] for key in plan.receipts] == list(range(201 - bound, 201))
+        single = np.ones((1, 16), dtype=np.int64)
+        tile.execute_mvm_batch(handle, single, input_bits=2, backend="vectorized")
+        reference.execute_mvm_batch(reference_handle, single, input_bits=2,
+                                    backend="reference")
+        assert tile.planner.receipt_misses == 201
+        assert tile.ledger.snapshot() == reference.ledger.snapshot()
+
+    def test_receipts_die_with_the_plan(self):
+        tile, handle, matrix = self._tile()
+        vectors = np.ones((3, 16), dtype=np.int64)
+        tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
+        plan = tile.planner.plan_for(handle, 2)
+        assert len(plan.receipts) == 1
+        new_handle = tile.ace.update_row(handle, 0, np.zeros(12, dtype=np.int64))
+        assert tile.ace.cached_plans == 0  # the memo went with its plan
+        out = tile.execute_mvm_batch(new_handle, vectors, input_bits=2,
+                                     backend="vectorized")
+        updated = matrix.copy()
+        updated[0] = 0
+        assert np.array_equal(out.values, vectors @ updated)
+        fresh = tile.planner.plan_for(new_handle, 2)
+        assert fresh is not plan and len(fresh.receipts) == 1
+        tile.release_matrix(new_handle)
+        assert tile.ace.cached_plans == 0
+
+
+def _moving_state(tile, handle):
+    return (
+        tile.ledger.snapshot(),
+        [tile.ace.crossbar(i).mvm_count for i in handle.array_ids],
+        (tile.iiu.injections, tile.iiu.front_end_slots_saved),
+        tile.transpose_unit.vector_count,
+        tile._clock,
+    )
+
+
+class TestSameErrorsSameOrder:
+    """Exact path, general path and ``estimate`` reject alike, before any
+    ledger, ``mvm_count`` or IIU counter moves."""
+
+    PATHS = {
+        "exact": (None, "vectorized"),
+        "general": (NoiseConfig(programming_noise=False, read_noise=True,
+                                ir_drop=False, seed=3), "vectorized"),
+        "estimate": (None, "estimate"),
+        "reference": (None, "reference"),
+    }
+
+    @staticmethod
+    def _tile(noise):
+        tile = HybridComputeTile(HctConfig.small(), noise=noise)
+        handle = tile.set_matrix(np.eye(8, dtype=np.int64), value_bits=4)
+        # One good batch first, so caches are warm and every counter is live.
+        tile.execute_mvm_batch(handle, np.ones((2, 8), dtype=np.int64), input_bits=3)
+        return tile, handle
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_range_errors_in_precedence_before_any_charge(self, path):
+        noise, backend = self.PATHS[path]
+        tile, handle = self._tile(noise)
+        before = _moving_state(tile, handle)
+        negative_and_wide = np.array([[1, -2, 0, 0, 0, 0, 0, 99]])
+        wide = np.array([[1, 2, 0, 0, 0, 0, 0, 8]])
+        for vectors, message in (
+            (negative_and_wide, "input bit-slicing expects non-negative inputs"),
+            (wide, "input values exceed 3 bits"),
+        ):
+            with pytest.raises(QuantizationError) as raised:
+                tile.execute_mvm_batch(handle, vectors, input_bits=3, backend=backend)
+            assert str(raised.value) == message
+            assert _moving_state(tile, handle) == before
+        with pytest.raises(QuantizationError, match="does not match matrix rows"):
+            tile.execute_mvm_batch(handle, np.ones((2, 7), dtype=np.int64),
+                                   input_bits=3, backend=backend)
+        with pytest.raises(ExecutionError, match="at least one input vector"):
+            tile.execute_mvm_batch(handle, np.empty((0, 8), dtype=np.int64),
+                                   input_bits=3, backend=backend)
+        assert _moving_state(tile, handle) == before
+
+    def test_validators_agree_on_dtype_sign_and_width(self):
+        """The exact path's min/max check and the general path's bit-slicer
+        raise the same three messages in the same precedence."""
+        from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
+        from repro.analog.kernels import validate_input_range
+
+        cases = (
+            (np.array([[0.5, -1.0, 99.0]]), "input bit-slicing expects an integer vector"),
+            (np.array([[1, -1, 99]]), "input bit-slicing expects non-negative inputs"),
+            (np.array([[1, 0, 8]]), "input values exceed 3 bits"),
+        )
+        for vectors, message in cases:
+            for validate in (validate_input_range, slice_inputs_tensor, slice_inputs):
+                with pytest.raises(QuantizationError) as raised:
+                    validate(vectors, 3)
+                assert str(raised.value) == message
+        validate_input_range(np.array([[0, 7]], dtype=np.uint8), 3)
+        validate_input_range(np.empty((0, 4), dtype=np.int64), 3)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_disabled_ace_raises_allocation_error_first(self, path):
+        noise, backend = self.PATHS[path]
+        tile, handle = self._tile(noise)
+        plan = tile.planner.plan_for(handle, 3)
+        before = _moving_state(tile, handle)
+        tile.ace.enabled = False
+        bad = np.full((2, 8), -1)
+        with pytest.raises(AllocationError, match="has been disabled"):
+            tile.execute_mvm_batch(handle, bad, input_bits=3, backend=backend)
+        tile.ace.enabled, tile.analog_enabled = True, False
+        with pytest.raises(AllocationError, match="has been disabled"):
+            tile.execute_mvm_batch(handle, bad, input_bits=3, backend=backend)
+        from repro.plan import resolve_backend
+
+        with pytest.raises(AllocationError, match="has been disabled"):
+            resolve_backend(backend).execute_batch(tile, plan, bad)
+        assert _moving_state(tile, handle) == before
+
+    def test_device_level_checks_come_before_the_tiles(self):
+        device, allocation, _, vectors = programmed_device((64, 64), 6, 7)
+        before = device.chip.total_ledger().snapshot(), device.ledger.snapshot()
+        with pytest.raises(QuantizationError, match="does not match matrix rows"):
+            device.exec_mvm_batch(allocation, vectors[:, :63], input_bits=7)
+        with pytest.raises(QuantizationError, match="exceed 7 bits"):
+            device.exec_mvm_batch(allocation, vectors + 128, input_bits=7)
+        assert device.exec_mvm_batch(allocation, vectors[:0], input_bits=7).shape == (0, 64)
+        assert (device.chip.total_ledger().snapshot(), device.ledger.snapshot()) == before
+
+
+def test_ledger_scalars_replace_snapshots_on_the_hot_path(monkeypatch):
+    """``execute_batch`` brackets its charges with scalar reads, not copies."""
+    device, allocation, _, vectors = programmed_device((64, 64), 6, 7)
+    device.exec_mvm_batch(allocation, vectors, input_bits=7)
+
+    def no_snapshot(self):
+        raise AssertionError("CostLedger.snapshot() on the execution hot path")
+
+    monkeypatch.setattr(CostLedger, "snapshot", no_snapshot)
+    for backend in ("vectorized", "estimate", "reference"):
+        device.exec_mvm_batch(allocation, vectors, input_bits=7, backend=backend)

@@ -162,6 +162,103 @@ class TestEngineEquivalence:
             assert np.array_equal(planes[bit], plane)
 
 
+def run_tile(backend, preset, shape_case, config=None, **kwargs):
+    """Like ``run_engine`` but hands back the tile, and runs the batch twice
+    (the second call replays the memoised receipt)."""
+    shape, value_bits, bits_per_cell, input_bits, batch = shape_case
+    rng = derive_rng("kernels-receipt")
+    magnitude = 2 ** (value_bits - 1)
+    matrix = rng.integers(-magnitude, magnitude, size=shape)
+    vectors = rng.integers(0, 2 ** input_bits, size=(batch, shape[0]))
+    tile = HybridComputeTile(config or HctConfig.small(), **preset)
+    handle = tile.set_matrix(matrix, value_bits=value_bits, bits_per_cell=bits_per_cell)
+    for _ in range(2):
+        result = tile.execute_mvm_batch(
+            handle, vectors, input_bits=input_bits, backend=backend, **kwargs
+        )
+    return result, tile, handle
+
+
+def assert_same_accounting(reference, other):
+    """Everything but the values: ledgers, timelines and unit statistics."""
+    (ref_result, ref_tile, ref_handle), (result, tile, handle) = reference, other
+    for field in ("batch", "optimized_cycles", "unoptimized_cycles", "energy_pj",
+                  "breakdown", "num_partial_products", "iiu_slots_saved"):
+        assert getattr(result, field) == getattr(ref_result, field), field
+    assert tile.ledger.snapshot() == ref_tile.ledger.snapshot()
+    assert tile.iiu.injections == ref_tile.iiu.injections
+    assert tile.iiu.front_end_slots_saved == ref_tile.iiu.front_end_slots_saved
+    assert tile.transpose_unit.vector_count == ref_tile.transpose_unit.vector_count
+    assert tile._clock == ref_tile._clock
+    assert [tile.ace.crossbar(i).mvm_count for i in handle.array_ids] == [
+        ref_tile.ace.crossbar(i).mvm_count for i in ref_handle.array_ids
+    ]
+
+
+class TestReceiptEquivalence:
+    """The memoised batch receipt replays the reference interpreter's
+    accounting exactly -- on the vectorized and the cost-only backend."""
+
+    @pytest.mark.parametrize("preset_name", sorted(NOISE_PRESETS))
+    @pytest.mark.parametrize("case_name", sorted(SHAPE_CASES))
+    def test_receipt_replays_reference_accounting(self, preset_name, case_name):
+        preset, case = NOISE_PRESETS[preset_name], SHAPE_CASES[case_name]
+        reference = run_tile("reference", preset, case)
+        vectorized = run_tile("vectorized", preset, case)
+        assert_same_accounting(reference, vectorized)
+        assert np.array_equal(vectorized[0].values, reference[0].values)
+        # Same accumulator-register contents at the end of the stream.
+        for red in vectorized[1].planner.plan_for(vectorized[2], case[3]).reduction:
+            assert np.array_equal(
+                vectorized[1].dce.pipeline(red.col_tile).read_vr(0),
+                reference[1].dce.pipeline(red.col_tile).read_vr(0),
+            )
+        estimate = run_tile("estimate", preset, case)
+        assert_same_accounting(reference, estimate)
+        assert estimate[0].estimated and not estimate[0].values.any()
+        assert reference[1].planner.receipt_misses == 0  # the oracle has none
+        for _, tile, _ in (vectorized, estimate):
+            assert (tile.planner.receipt_misses, tile.planner.receipt_hits) == (1, 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(optimized=False),
+        dict(active_adc_bits=3),
+        dict(active_adc_bits=2, optimized=False),
+    ], ids=["unoptimized", "adc_bits", "adc_bits_unoptimized"])
+    @pytest.mark.parametrize("case_name", ["multi_tile", "multi_bit_cells"])
+    def test_schedule_and_adc_options(self, kwargs, case_name):
+        # Early ADC termination only changes a ramp ADC's cost.
+        config = HctConfig.small(adc_kind="ramp")
+        runs = {
+            backend: run_tile(backend, NOISE_PRESETS["ideal"], SHAPE_CASES[case_name],
+                              config=config, **kwargs)
+            for backend in ("reference", "vectorized", "estimate")
+        }
+        assert_same_accounting(runs["reference"], runs["vectorized"])
+        assert_same_accounting(runs["reference"], runs["estimate"])
+        plain = run_tile("vectorized", NOISE_PRESETS["ideal"], SHAPE_CASES[case_name],
+                         config=config)
+        assert plain[1].ledger.cycles != runs["vectorized"][1].ledger.cycles
+
+    def test_raw_analog_mode_replays_the_analog_phase_only(self):
+        runs = {}
+        for backend in ("reference", "vectorized", "estimate"):
+            shape, value_bits, bits_per_cell, input_bits, batch = SHAPE_CASES["multi_tile"]
+            rng = derive_rng("kernels-receipt-raw")
+            matrix = rng.integers(-4, 4, size=shape)
+            vectors = rng.integers(0, 2 ** input_bits, size=(batch, shape[0]))
+            tile = HybridComputeTile(HctConfig.small())
+            handle = tile.set_matrix(matrix, value_bits=value_bits)
+            tile.disable_digital_mode()
+            result = tile.execute_mvm_batch(handle, vectors, input_bits=input_bits,
+                                            backend=backend)
+            runs[backend] = (result, tile, handle)
+        assert_same_accounting(runs["reference"], runs["vectorized"])
+        assert_same_accounting(runs["reference"], runs["estimate"])
+        assert np.array_equal(runs["vectorized"][0].values, runs["reference"][0].values)
+        assert runs["vectorized"][1].iiu.injections == 0
+
+
 class TestShardKernelCache:
     def test_cache_built_lazily_and_reused(self):
         tile = HybridComputeTile(HctConfig.small())

@@ -103,6 +103,51 @@ def test_ledger_totals_match_breakdown_sum(charges):
     assert ledger.energy_pj == pytest.approx(sum(ledger.energy_breakdown.values()))
 
 
+_charge = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    st.floats(min_value=0, max_value=1e9, allow_nan=False),
+)
+
+
+@given(st.lists(_charge, max_size=12))
+def test_charge_run_equals_looped_charges_bit_for_bit(runs):
+    """Property: a run leaves the ledger ``==`` to ``count`` separate charges.
+
+    Totals *and* breakdowns, compared with ``==``: the run adds one by one,
+    it never multiplies (``count * energy`` rounds differently).
+    """
+    looped, replayed = CostLedger(), CostLedger()
+    for category, count, cycles, energy in runs:
+        for _ in range(count):
+            looped.charge(f"cat{category}", cycles=cycles, energy_pj=energy)
+        replayed.charge_run(f"cat{category}", count, cycles=cycles, energy_pj=energy)
+    assert replayed.cycles == looped.cycles
+    assert replayed.energy_pj == looped.energy_pj
+    assert replayed.cycle_breakdown == looped.cycle_breakdown
+    assert replayed.energy_breakdown == looped.energy_breakdown
+
+
+def test_charge_run_is_not_a_multiplication():
+    looped, replayed = CostLedger(), CostLedger()
+    for _ in range(10):
+        looped.charge("x", energy_pj=0.1)
+    replayed.charge_run("x", 10, energy_pj=0.1)
+    assert replayed.energy_pj == looped.energy_pj != 10 * 0.1
+
+
+@pytest.mark.parametrize("kwargs", [{"cycles": -1.0}, {"energy_pj": -0.5}])
+def test_charge_run_rejects_negatives_like_charge(kwargs):
+    ledger = CostLedger()
+    with pytest.raises(ValueError) as looped:
+        ledger.charge("x", **kwargs)
+    with pytest.raises(ValueError) as replayed:
+        ledger.charge_run("x", 3, **kwargs)
+    assert str(replayed.value) == str(looped.value)
+    assert ledger.snapshot() == CostLedger().snapshot()
+
+
 class TestPercentileSorted:
     def test_matches_percentile_on_sorted_input(self):
         import random

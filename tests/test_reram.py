@@ -81,6 +81,40 @@ class TestNoiseStack:
         assert np.array_equal(a, b)
 
 
+class TestBulkReadNoise:
+    """``apply_pair_bulk`` replays alternating ``apply`` calls exactly."""
+
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_bulk_equals_alternating_apply(self, count):
+        rng = derive_rng("bulk-read-noise")
+        model = NoiseStack(DeviceParameters(), NoiseConfig(read_sigma=0.3)).read_noise
+        # A wide sigma and zero-conductance cells exercise the clamp at 0.
+        positive = rng.uniform(0.0, 1e-4, size=(6, 5))
+        negative = rng.uniform(0.0, 1e-4, size=(6, 5))
+        positive[0, 0] = negative[1, 1] = 0.0
+        looped_rng, bulk_rng = (np.random.default_rng(9) for _ in range(2))
+        looped = [
+            (model.apply(positive, looped_rng), model.apply(negative, looped_rng))
+            for _ in range(count)
+        ]
+        pos_stack, neg_stack = model.apply_pair_bulk(positive, negative, count, bulk_rng)
+        assert pos_stack.shape == neg_stack.shape == (count, 6, 5)
+        for index, (pos, neg) in enumerate(looped):
+            assert np.array_equal(pos_stack[index], pos)
+            assert np.array_equal(neg_stack[index], neg)
+        assert (pos_stack >= 0).all() and (pos_stack == 0).any()
+        # Same draws consumed: the two generators continue in lockstep.
+        assert bulk_rng.bit_generator.state == looped_rng.bit_generator.state
+
+    def test_inactive_read_noise_consumes_nothing(self):
+        stack = NoiseStack(DeviceParameters(), NoiseConfig.ideal())
+        before = stack.rng.bit_generator.state
+        plane = np.full((3, 3), 5e-5)
+        pos_stack, neg_stack = stack.read_pair_bulk(plane, plane, 4)
+        assert pos_stack.shape == (4, 3, 3) and np.array_equal(pos_stack[2], plane)
+        assert stack.rng.bit_generator.state == before
+
+
 class TestDriftAndStuckAt:
     def test_drift_decays_toward_gmin(self):
         params = DeviceParameters()
