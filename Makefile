@@ -112,9 +112,10 @@ profile:
 	$(PY) benchmarks/profile_serving.py
 
 # The device-call mode of the same script: one steady-state exact-path
-# DarthPumDevice.exec_mvm_batch at the three paper shapes -- untraced us per
-# call, function calls per call, and the time spent in the accumulator sync,
-# input validation, the cost ledger and the matmul itself.
+# DarthPumDevice.exec_mvm_batch at the three paper shapes and an 8-tile row
+# band (128x16 on HctConfig.small()) -- untraced us and function calls per
+# call and per tile, and the time spent in the accumulator sync, input
+# validation, the cost ledger and the matmul itself.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 

@@ -8,9 +8,10 @@ whatever tops this list is the next optimisation target.
 
 The ``device-call`` mode zooms into the bottom of that stack: one
 steady-state ``DarthPumDevice.exec_mvm_batch`` on the proven-exact path at
-the three paper shapes, as untraced wall time, function calls per call, and
-the share that goes to the accumulator sync, input validation, the cost
-ledger and the arithmetic itself.
+the three paper shapes and at an 8-tile row band, as untraced wall time and
+function calls per call *and per tile*, and the share that goes to the
+accumulator sync, input validation, the cost ledger and the arithmetic
+itself.
 
 Usage::
 
@@ -31,7 +32,7 @@ import time
 import numpy as np
 
 from repro import DarthPumDevice, PumServer
-from repro.testing import PAPER_SHAPES, profiled_calls
+from repro.testing import DEVICE_CALL_SHAPES, profiled_calls
 
 MATRIX_SHAPE = (64, 64)
 INPUT_BITS = 8
@@ -69,19 +70,19 @@ def run_serving_workload(num_requests: int = 512) -> None:
 
 
 def steady_device_call(label: str, backend: str = "vectorized"):
-    """A zero-argument steady-state ``exec_mvm_batch`` at one paper shape.
+    """A zero-argument steady-state ``exec_mvm_batch`` at one device-call shape.
 
     Ideal chip, plan compiled, three warm-up calls made: what is left is
     the per-batch cost every serving tier pays.  Also returns the device
     and allocation behind the call.
     """
-    shape, element_size, input_bits = PAPER_SHAPES[label]
+    shape, element_size, input_bits, config = DEVICE_CALL_SHAPES[label]
     rng = np.random.default_rng(11)
     low = -(1 << (element_size - 1)) if element_size > 1 else -1
     matrix = rng.integers(low, max(1, -low), size=shape)
     vectors = rng.integers(0, 1 << input_bits, size=(DEVICE_CALL_BATCH, shape[0]),
                            dtype=np.int64)
-    device = DarthPumDevice()
+    device = DarthPumDevice(config=config)
     allocation = device.set_matrix(matrix, element_size=element_size, precision=0)
     device.compile(allocation, input_bits=input_bits)
 
@@ -113,28 +114,27 @@ def count_calls(call) -> tuple:
 
 
 def device_call_breakdown(loops: int = 2000) -> None:
-    """Print the per-call breakdown of the exact path at the paper shapes."""
+    """Print the per-call breakdown of the exact path at the device-call shapes."""
     print(f"# steady-state DarthPumDevice.exec_mvm_batch, exact path, batch "
           f"{DEVICE_CALL_BATCH}: us per call.  total/estimate/matmul are untraced "
           "best-of-9;\n# sync/validate/ledger are cProfile times of the same call "
           "(inflated by the probe, compare them with each other)")
-    header = ["shape", "total_us", "estimate_us", "matmul_us", "py_calls", "c_calls"]
+    header = ["shape", "tiles", "total_us", "us_per_tile", "estimate_us",
+              "matmul_us", "py_calls", "calls_per_tile", "c_calls"]
     header += list(DEVICE_CALL_PARTS)
     print("  ".join(f"{column:>18}" for column in header))
-    for label in PAPER_SHAPES:
+    for label in DEVICE_CALL_SHAPES:
         call, device, allocation = steady_device_call(label)
+        tiles = len(allocation.placement.tiles)
         total_us = best_call_us(call)
         estimate_us = best_call_us(steady_device_call(label, "estimate")[0])
         python_calls, c_calls = count_calls(call)
 
-        # The arithmetic alone: the exact path's one matmul per shard.
-        plans = device.compile(allocation, PAPER_SHAPES[label][2])
-        blocks = [
-            (np.ones((DEVICE_CALL_BATCH, tile.used_rows)), tile.recombined)
-            for plan in plans for tile in plan.kernel.tiles
-        ]
+        # The arithmetic alone: the device plan's one banded contraction.
+        plan = device.device_plan(allocation, DEVICE_CALL_SHAPES[label][2])
+        _, banded = plan.operands(DEVICE_CALL_BATCH)
         matmul_us = best_call_us(
-            lambda: [(x @ w).astype(np.int64) for x, w in blocks]
+            lambda: np.matmul(banded, plan.weights).astype(np.int64)
         )
 
         profiler = cProfile.Profile()
@@ -150,8 +150,9 @@ def device_call_breakdown(loops: int = 2000) -> None:
             ) / loops * 1e6
             for inclusive, own in DEVICE_CALL_PARTS.values()
         ]
-        row = [label, f"{total_us:.1f}", f"{estimate_us:.1f}", f"{matmul_us:.1f}",
-               str(python_calls), str(c_calls)]
+        row = [label, str(tiles), f"{total_us:.1f}", f"{total_us / tiles:.1f}",
+               f"{estimate_us:.1f}", f"{matmul_us:.1f}", str(python_calls),
+               f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
         print("  ".join(f"{column:>18}" for column in row))
 

@@ -7,7 +7,7 @@ queueing) through the cluster gateway and records:
 * **throughput scaling** -- aggregate drain throughput of 1 worker vs
   :data:`SCALE_WORKERS` workers on the *noisy* chip preset.  Noise
   modelling is pure-Python per batch, so a single process serializes on
-  the GIL no matter how many device threads the pool fans out to;
+  the GIL however many devices its pool drives;
   worker processes are the only way that workload scales.  The >= 2x
   gate (:data:`SCALE_GATE`) applies on runners with at least
   :data:`SCALE_WORKERS` usable cores; on smaller machines (the 2x is

@@ -13,10 +13,12 @@ job does), the headline numbers are also appended to the
 ``BENCH_kernels.json`` trajectory file at the repo root so they accumulate
 across PRs; plain tier-1 runs leave the trajectory untouched.  A recorded
 row names its host (``cpus``, ``python``, ``numpy``, ``commit``) and carries
-the cost of one steady-state exact-path device call at the encoder shape
-(``exact_call_us`` and ``calls_per_exec``, both measured by the
-``device-call`` mode of ``benchmarks/profile_serving.py``); neither number
-is asserted here -- ``tests/test_hot_path.py`` gates the call count.
+the cost of one steady-state exact-path device call (``exact_call_us`` and
+``calls_per_exec``, both measured by the ``device-call`` mode of
+``benchmarks/profile_serving.py``) over ``tiles`` tiles: the 8-tile row band
+since PR 15, the single-tile encoder shape in the rows without ``tiles``.
+Neither number is asserted here -- ``tests/test_hot_path.py`` gates the call
+count.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def test_vectorized_kernel_speedup_gate():
     assert reference_ledger.cycles == vectorized_ledger.cycles
     assert reference_ledger.energy_pj == vectorized_ledger.energy_pj
 
-    exact_call, _, _ = steady_device_call("encoder_projection")
+    exact_call, _, exact_allocation = steady_device_call("row_band_8_tiles")
+    tiles = len(exact_allocation.placement.tiles)
     exact_call_us = best_call_us(exact_call)
     calls_per_exec = sum(count_calls(exact_call))
     host = _host()
@@ -132,6 +135,7 @@ def test_vectorized_kernel_speedup_gate():
         "speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
         "bit_identical": True,
+        "tiles": tiles,
         "exact_call_us": exact_call_us,
         "calls_per_exec": calls_per_exec,
         **host,
@@ -152,6 +156,7 @@ def test_vectorized_kernel_speedup_gate():
                 "reference_ms": round(reference_seconds * 1e3, 3),
                 "vectorized_ms": round(vectorized_seconds * 1e3, 3),
                 "speedup": round(speedup, 1),
+                "tiles": tiles,
                 "exact_call_us": round(exact_call_us, 1),
                 "calls_per_exec": calls_per_exec,
                 **host,

@@ -8,8 +8,10 @@ costs) from *execution* (interpreting that schedule).  The
 interpreters (:class:`ReferenceExecutor`, :class:`VectorizedExecutor`,
 and the cost-only :class:`CostModelExecutor`), selected with ``backend=``
 at every layer from :class:`~repro.core.hct.HybridComputeTile` up through
-:class:`~repro.runtime.server.PumServer`.  :class:`ShardedPlan` extends
-the compiled form across a device pool so serving does zero per-request
+:class:`~repro.runtime.server.PumServer`.  :class:`DevicePlan` stacks the
+tile plans of one device-level matrix so the proven-exact path is one
+contraction whatever the tile count, and :class:`ShardedPlan` extends the
+compiled form across a device pool so serving does zero per-request
 planning.
 
 ``python -m repro.plan`` (or ``make plan-dump``) pretty-prints a sample
@@ -28,6 +30,7 @@ from .backends import (
     resolve_backend,
 )
 from .ir import (
+    DevicePlan,
     HctBatchMvmResult,
     HctMvmResult,
     MvmPlan,
@@ -45,6 +48,7 @@ __all__ = [
     "BackendRegistry",
     "CostModelExecutor",
     "DEFAULT_BACKEND",
+    "DevicePlan",
     "ExecutionBackend",
     "HctBatchMvmResult",
     "HctMvmResult",

@@ -17,6 +17,12 @@ both consume the *same compiled plan object*:
   capacity planning at zero arithmetic cost, and proof that new backends
   drop in without touching the tile.
 
+One level up, :func:`execute_device_plan` interprets a
+:class:`~repro.plan.ir.DevicePlan`: all tiles of one device-level matrix
+on the proven-exact path in one contraction, with the same receipt replay
+per tile.  Devices use it when the call's backend is the stock
+:class:`VectorizedExecutor`.
+
 Backends are resolved by name (or passed as instances) anywhere a
 ``backend=`` knob exists; ``None`` defers to :func:`default_backend`,
 which honours the ``REPRO_BACKEND`` environment variable (the CI
@@ -38,7 +44,7 @@ from ..analog.kernels import (
     validate_input_range,
 )
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
-from .ir import HctBatchMvmResult, MvmPlan
+from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
 __all__ = [
     "BACKENDS",
@@ -49,6 +55,7 @@ __all__ = [
     "ReferenceExecutor",
     "VectorizedExecutor",
     "default_backend",
+    "execute_device_plan",
     "resolve_backend",
 ]
 
@@ -112,6 +119,31 @@ def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _replay_receipt(tile, plan: MvmPlan, receipt, optimized: bool) -> None:
+    """Charge and count one batch on ``tile`` from its receipt.
+
+    Replays the reference interpreter's accounting exactly: the ``ace.mvm``
+    stream and the crossbars' ``mvm_count``, then -- with digital
+    post-processing on -- per column tile the ``dce.write`` /
+    ``dce.boolean`` charges and IIU statistics, the transpose count and the
+    ``hct.mvm_batch`` schedule commit.  Shared by the per-tile backends
+    (:func:`_account_batch`) and the whole-allocation contraction
+    (:func:`execute_device_plan`), so the two cannot drift.
+    """
+    ledger = tile.ledger
+    issue_mvm_charges(ledger, plan.input_bits, plan.handle.num_slices, receipt.step_costs)
+    for shard in plan.kernel.tiles:
+        for crossbar in shard.crossbars:
+            crossbar.mvm_count += receipt.mvm_steps
+    if not tile.digital_post_processing:
+        return
+    for write_pj, boolean_pj, saved in receipt.reductions:
+        tile.iiu.apply_reduction(ledger, write_pj, boolean_pj, saved)
+    tile.transpose_unit.vector_count += receipt.n_adds
+    charged = receipt.optimized_cycles if optimized else receipt.unoptimized_cycles
+    tile._commit_schedule(plan, receipt.optimized_cycles, charged)
+
+
 def _account_batch(
     tile,
     plan: MvmPlan,
@@ -126,20 +158,16 @@ def _account_batch(
     ``shard_totals`` holds one shift-and-added ``(batch, used_cols)`` block
     per shard in ``plan.kernel.tiles`` order, or is ``None`` for a cost-only
     run (``values`` stays an all-zero placeholder and no register moves).
-    Replays the reference interpreter's accounting exactly: the ``ace.mvm``
-    stream, then per column tile the ``dce.write`` / ``dce.boolean``
-    charges, IIU statistics and accumulator-register state, then the
-    ``hct.mvm_batch`` schedule commit.
+    The cost side is :func:`_replay_receipt`; the value side reduces the
+    shard totals per column tile and leaves the accumulator registers as
+    the hardware stream would.
     """
     batch = vectors.shape[0]
     handle = plan.handle
     ledger = tile.ledger
     start_cycles, start_energy = ledger.cycles, ledger.energy_pj
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
-    issue_mvm_charges(ledger, plan.input_bits, handle.num_slices, receipt.step_costs)
-    for shard in plan.kernel.tiles:
-        for crossbar in shard.crossbars:
-            crossbar.mvm_count += receipt.mvm_steps
+    _replay_receipt(tile, plan, receipt, optimized)
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
@@ -162,14 +190,8 @@ def _account_batch(
                 # Leave the accumulator VR as the hardware stream would.
                 pipeline.set_vr_bits(plan.accumulator_vr, reduced[-1])
                 values[:, red.col_offset: red.col_offset + red.width] = reduced
-        for write_pj, boolean_pj, saved in receipt.reductions:
-            tile.iiu.apply_reduction(ledger, write_pj, boolean_pj, saved)
-        tile.transpose_unit.vector_count += receipt.n_adds
         optimized_cycles = receipt.optimized_cycles
         unoptimized_cycles = receipt.unoptimized_cycles
-        tile._commit_schedule(
-            plan, optimized_cycles, optimized_cycles if optimized else unoptimized_cycles
-        )
         breakdown, slots_saved = dict(receipt.breakdown), receipt.slots_saved
 
     if compensation is not None and not estimated:
@@ -185,6 +207,47 @@ def _account_batch(
         iiu_slots_saved=slots_saved,
         estimated=estimated,
     )
+
+
+def execute_device_plan(
+    plan: DevicePlan, vectors: np.ndarray, runtime_ledger
+) -> Optional[np.ndarray]:
+    """One batch against a whole device-level matrix, as one contraction.
+
+    ``vectors`` is the ``(batch, rows)`` int64 block the device admitted.
+    The input range is validated once, before anything is charged; the
+    banded matmul, the accumulator wrap and the sum over row bands produce
+    the integers the per-tile loop would add up block by block (everything
+    stays far below 2**53).  Each block then gets its side effects in
+    placement order -- receipt replay against its own ledger, accumulator
+    VRs from the last batch row, the ``runtime.mvm_batch`` charge -- so
+    every ledger sees the additions of the loop in the order of the loop.
+
+    Returns ``None``, having touched nothing, when a block has left the
+    exact path since the plan was compiled (digital or analog mode
+    switched off): the caller walks the tiles instead.
+    """
+    for hct, _, _, _ in plan.tiles:
+        if not (hct.digital_post_processing and hct.analog_enabled and hct.ace.enabled):
+            return None
+    validate_input_range(vectors, plan.input_bits)
+    batch = vectors.shape[0]
+    block, banded = plan.operands(batch)
+    block[...] = vectors
+    partials = plan.tiles[0][0].iiu.wrap_accumulator(
+        np.matmul(banded, plan.weights).astype(np.int64), plan.depth
+    )
+    for hct, tile_plan, band, outputs in plan.tiles:
+        ledger = hct.ledger
+        start_energy = ledger.energy_pj
+        receipt = hct.planner.receipt_for(tile_plan, batch)
+        _replay_receipt(hct, tile_plan, receipt, True)
+        last = partials[band, -1]
+        for pipeline, col_offset, width in outputs:
+            pipeline.set_vr_bits(tile_plan.accumulator_vr, last[col_offset: col_offset + width])
+        runtime_ledger.charge("runtime.mvm_batch", cycles=receipt.optimized_cycles,
+                              energy_pj=ledger.energy_pj - start_energy)
+    return np.add.reduce(partials, axis=0)
 
 
 class ReferenceExecutor(ExecutionBackend):

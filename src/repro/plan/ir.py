@@ -17,6 +17,9 @@ optimisers use to make repeated executions cheap and retargetable:
   cache; every execution backend in
   :mod:`~repro.plan.backends` is an *interpreter* of the same plan, so
   bit-identity between engines is structural rather than hand-synchronised.
+* :class:`DevicePlan` is the whole-allocation form of the proven-exact
+  path: every HCT block of one device-level matrix stacked into one
+  tensor, so a device call is one contraction whatever the tile count.
 * :class:`ShardedPlan` lifts the same idea to the device pool: the
   row-band-to-device topology of a pooled allocation is compiled once at
   registration time so the per-request hot path does zero planning.
@@ -39,6 +42,7 @@ from ..analog.kernels import analog_step_costs
 
 __all__ = [
     "BatchReceipt",
+    "DevicePlan",
     "HctBatchMvmResult",
     "HctMvmResult",
     "MvmPlan",
@@ -364,7 +368,9 @@ class MvmPlan:
     steps: Tuple[PlanStep, ...]
     #: Digital reduction layout, one entry per column tile.
     reduction: Tuple[ReductionStep, ...]
-    #: The ACE holding the allocation (and the shard-kernel cache).
+    #: The ACE holding the allocation (and the shard-kernel cache); a weak
+    #: proxy, because the ACE's plan cache holds this plan.  A plan kept
+    #: past its tile raises :class:`ReferenceError` on first ``kernel``.
     ace: object
     #: Analytic timeline model (Figure 10a/10b).
     cost: PlanCostModel
@@ -496,6 +502,68 @@ class MvmPlan:
             f"{cost.steps_per_vector} steps/vector"
         )
         return "\n".join(lines)
+
+
+@dataclass
+class DevicePlan:
+    """One device-level matrix on the proven-exact path, as one contraction.
+
+    A matrix larger than one HCT is placed as a grid of blocks, each with
+    its own :class:`MvmPlan`.  When every block is on the proven-exact path
+    their arithmetic is the same small exact-integer matmul, so the device
+    stacks the blocks' recombined weights once
+    (:func:`~repro.plan.planner.compile_device_plan`) and a call contracts
+    all of them at once (``repro.plan.backends.execute_device_plan``).  What
+    stays per block is what belongs to the block's hardware: its
+    :class:`BatchReceipt` replay against its own ledger and counters, and
+    its accumulator registers.
+
+    Kept per ``(allocation, input_bits)`` on the
+    :class:`~repro.runtime.session.MatrixAllocation` and dropped on
+    ``release`` / ``update_row`` / ``update_col`` like the tile plans it
+    refers to.
+    """
+
+    #: Scratch blocks kept per plan before the oldest is dropped (a server
+    #: dispatches a handful of batch sizes per matrix).
+    SCRATCH_BATCH_SIZES = 8
+
+    #: Input precision the tile plans were compiled for.
+    input_bits: int
+    #: ``(row_bands, band_rows, cols)`` float64: band ``b`` holds the
+    #: recombined weights of every block whose rows start at ``b *
+    #: band_rows``, side by side; a ragged last band is zero-padded.
+    weights: np.ndarray
+    #: Matrix rows (``<= row_bands * band_rows``).
+    rows: int
+    #: Accumulator width every output pipeline shares (one wrap serves all).
+    depth: int
+    #: Per block, in placement order: ``(hct, MvmPlan, band, ((pipeline,
+    #: col_offset, width), ...))`` -- the output pipelines with the matrix
+    #: columns each accumulates.
+    tiles: Tuple[Tuple, ...]
+    #: Per batch size ``(input block, banded operand)``: two views of one
+    #: zeroed float64 buffer, oldest first.
+    scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+
+    def operands(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(batch, rows)`` input block and its banded matmul operand.
+
+        Both are views of one buffer: storing a batch into the first fills
+        the ``(row_bands, batch, band_rows)`` second; the padding rows of a
+        ragged last band are never written and stay zero.
+        """
+        entry = self.scratch.get(batch)
+        if entry is None:
+            if len(self.scratch) >= self.SCRATCH_BATCH_SIZES:
+                del self.scratch[next(iter(self.scratch))]
+            row_bands, band_rows, _ = self.weights.shape
+            block = np.zeros((batch, row_bands * band_rows))
+            entry = self.scratch[batch] = (
+                block[:, : self.rows],
+                block.reshape(batch, row_bands, band_rows).transpose(1, 0, 2),
+            )
+        return entry
 
 
 @dataclass(frozen=True)

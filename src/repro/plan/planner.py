@@ -15,18 +15,28 @@ assert the hot path performs zero planning.
 ``receipt_for`` is the second, smaller memo: the
 :class:`~repro.plan.ir.BatchReceipt` of a plan at one batch size, kept on
 the plan itself and counted by ``receipt_hits`` / ``receipt_misses``.
+
+:func:`compile_device_plan` works one level up: it stacks the tile plans
+of one device-level matrix into a :class:`~repro.plan.ir.DevicePlan`.
+
+The planner refers to its tile, and every plan to its ACE, through weak
+proxies: tile -> planner and ACE -> plan cache are the owning directions,
+so a dropped chip is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
+import weakref
 from types import MappingProxyType
-from typing import Optional
+from typing import Iterable, Optional, Tuple
+
+import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_step_costs
-from .ir import BatchReceipt, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
+from .ir import BatchReceipt, DevicePlan, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
 
-__all__ = ["Planner"]
+__all__ = ["Planner", "compile_device_plan"]
 
 
 class Planner:
@@ -40,7 +50,7 @@ class Planner:
     RECEIPT_BATCH_SIZES = 64
 
     def __init__(self, tile) -> None:
-        self.tile = tile
+        self.tile = weakref.proxy(tile)
         #: Plans actually compiled (cache misses) over the tile's lifetime.
         self.builds = 0
         #: Cache hits served without compiling.
@@ -169,9 +179,60 @@ class Planner:
             shift_add=shift_add,
             steps=steps,
             reduction=reduction,
-            ace=ace,
+            ace=weakref.proxy(ace),
             cost=cost,
             output_base=output_base,
             accumulator_vr=0,
             staging_vrs=tuple(tile._staging_vrs()),
         )
+
+
+def compile_device_plan(
+    shape: Tuple[int, int],
+    input_bits: int,
+    blocks: Iterable[Tuple],
+    weights: Optional[np.ndarray] = None,
+) -> Optional[DevicePlan]:
+    """Stack one device-level matrix into a :class:`~repro.plan.ir.DevicePlan`.
+
+    ``blocks`` yields ``(placement tile, hct, handle)`` in placement order
+    (the device's tile walk; placement is a regular grid starting at row
+    0).  Returns ``None`` unless every block is on the proven-exact path --
+    exact shard kernel, no parasitics, read noise inactive, the ACE still
+    enabled -- and all output pipelines share one accumulator width.
+    Digital post-processing can be switched per tile at any time, so it is
+    checked per call instead.  Costs one array store per (row tile, column
+    tile) shard on top of the tile plans it compiles or finds cached --
+    unless ``weights`` hands in the tensor a plan of the same allocation at
+    another ``input_bits`` already stacked, which is then shared.
+    """
+    rows, cols = shape
+    blocks = list(blocks)
+    band_rows = blocks[0][0].row_end
+    stack = weights is None
+    if stack:
+        weights = np.zeros((-(-rows // band_rows), band_rows, cols))
+    tiles, depths = [], set()
+    for tile, hct, handle in blocks:
+        if not (hct.analog_enabled and hct.ace.enabled) or hct.ace.parasitics is not None:
+            return None
+        plan = hct.planner.plan_for(handle, input_bits)
+        kernel = plan.kernel
+        if not kernel.exact or kernel.tiles[0].crossbars[0].noise.read_noise_active:
+            return None
+        band = tile.row_start // band_rows
+        for shard in kernel.tiles if stack else ():
+            first = tile.col_start + shard.col_offset
+            weights[
+                band, shard.row_start: shard.row_end, first: first + shard.used_cols
+            ] = shard.recombined
+        outputs = tuple(
+            (hct.dce.pipeline(plan.output_base + red.col_tile),
+             tile.col_start + red.col_offset, red.width)
+            for red in plan.reduction
+        )
+        depths.update(pipeline.depth for pipeline, _, _ in outputs)
+        tiles.append((hct, plan, band, outputs))
+    if len(depths) != 1:
+        return None
+    return DevicePlan(input_bits, weights, rows, depths.pop(), tuple(tiles))

@@ -1,9 +1,9 @@
 """Scale-out cluster tier: multi-process workers behind an asyncio gateway.
 
 The single-server stack (:class:`~repro.runtime.server.PumServer` over a
-:class:`~repro.runtime.pool.DevicePool`) parallelizes device execution
-with threads, which leaves every Python slice of the pipeline --
-planning glue, noise modelling, batch assembly -- serialized on one GIL.
+:class:`~repro.runtime.pool.DevicePool`) drives its devices from one
+thread: every Python slice of the pipeline -- planning glue, noise
+modelling, batch assembly -- is serialized on one GIL.
 This package scales past that by running each server shard in its own
 OS process:
 

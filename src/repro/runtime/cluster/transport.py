@@ -38,9 +38,11 @@ which is what lets ``peek`` hand out one contiguous view per frame.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import zlib
+from functools import lru_cache
 from multiprocessing import shared_memory
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,9 +69,9 @@ _FRAME = struct.Struct("<III")
 #: ``length`` sentinel marking "frame starts at offset 0" (wrap marker).
 _WRAP = 0xFFFFFFFF
 
-#: Array codec prefix: dtype-string length, ndim.
+#: Array codec prefix: dtype-string length, ndim; then the dtype string and
+#: one little-endian uint64 per dimension.
 _ARRAY = struct.Struct("<BB")
-_DIM = struct.Struct("<Q")
 
 
 # --------------------------------------------------------------------- #
@@ -105,10 +107,18 @@ def encode_array(array: np.ndarray) -> List[bytes]:
             f"array header out of range (dtype {array.dtype}, "
             f"ndim {array.ndim})"
         )
-    header = _ARRAY.pack(len(dtype_str), array.ndim) + dtype_str + b"".join(
-        _DIM.pack(dim) for dim in array.shape
+    header = struct.pack(
+        f"<BB{len(dtype_str)}s{array.ndim}Q",
+        len(dtype_str), array.ndim, dtype_str, *array.shape,
     )
     return [header, memoryview(array).cast("B")]
+
+
+@lru_cache(maxsize=64)
+def _wire_dtype(name: bytes) -> np.dtype:
+    """The dtype a header's dtype string names (a serving cluster sees a
+    handful; parsing one costs more than the rest of the header)."""
+    return np.dtype(name.decode("ascii"))
 
 
 def decode_array(payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
@@ -121,14 +131,18 @@ def decode_array(payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
     try:
         dtype_len, ndim = _ARRAY.unpack_from(payload, offset)
         offset += _ARRAY.size
-        dtype = np.dtype(bytes(payload[offset: offset + dtype_len]).decode("ascii"))
+        dtype = _wire_dtype(bytes(payload[offset: offset + dtype_len]))
         offset += dtype_len
-        shape = []
-        for _ in range(ndim):
-            shape.append(_DIM.unpack_from(payload, offset)[0])
-            offset += _DIM.size
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
+        shape = struct.unpack_from(f"<{ndim}Q", payload, offset)
+        offset += 8 * ndim
+        # Exact Python integers: a forged dimension cannot wrap the product
+        # back into the frame.
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > len(payload) - offset:
+            raise ValueError(
+                f"shape {shape} of {dtype} needs {nbytes} bytes, "
+                f"{len(payload) - offset} left in the frame"
+            )
         array = np.frombuffer(
             payload[offset: offset + nbytes], dtype=dtype
         ).reshape(shape)

@@ -3,10 +3,10 @@
 Each worker is a separate interpreter running its own
 :class:`~repro.runtime.server.PumServer` over its own
 :class:`~repro.runtime.pool.DevicePool` -- its own chips, plan caches,
-batch arenas, and (crucially) its own GIL.  The single-server stack is
-thread-parallel across devices, but the Python slices of the pipeline
-(planning glue, noise modelling, batch assembly) serialize on one GIL;
-moving each shard into a process is what makes those slices scale.
+batch arenas, and (crucially) its own GIL.  Within one server the Python
+slices of the pipeline (planning glue, noise modelling, batch assembly)
+serialize on one GIL; moving each shard into a process is what makes
+those slices scale.
 
 ``worker_main`` is the process entry point: it attaches to the two
 :class:`~repro.runtime.cluster.transport.ShmRing` segments the gateway

@@ -22,7 +22,7 @@ fail on demand -- or on a *seeded schedule* -- in three ways:
 
 All three are deterministic: triggers count per-device calls (not wall
 clock), and the corruption mask is derived from ``(seed, device, call)`` so
-results do not depend on fan-out thread interleaving.  The pool consults
+results do not depend on the order devices are driven in.  The pool consults
 the injector via :meth:`before_call` / :meth:`after_call` around every
 device execution; attaching an injector to a pool is one call::
 

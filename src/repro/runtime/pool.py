@@ -33,8 +33,6 @@ sharding work across identical compute tiles:
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,7 +75,7 @@ _NOTHING_TRIED: frozenset = frozenset()
 
 
 class _ShardFailure:
-    """Sentinel carried back from a tolerant fan-out worker: shard failed.
+    """Sentinel carried back from a tolerant device call: shard failed.
 
     ``error`` is either a :class:`~repro.errors.DeviceFailedError` (the
     device died mid-call) or an :class:`~repro.errors.IntegrityError` (the
@@ -352,13 +350,10 @@ class DevicePool:
         ``None`` defers to the library default, which is vectorized).
         Individual calls may override it.
     parallel:
-        When True (the default) and a call fans out to more than one
-        device, the per-device work runs on a shared
-        :class:`~concurrent.futures.ThreadPoolExecutor` -- NumPy releases
-        the GIL inside the kernels, so independent chips really execute
-        concurrently.  Results are merged deterministically in shard order
-        and each device is only ever driven by one worker at a time, so
-        parallel and serial execution are bit-identical.
+        Accepted and ignored.  A call that fans out to several devices
+        drives them one after the other on the calling thread: a device
+        call is mostly interpreter time, which threads cannot overlap under
+        the GIL (measurements in ``docs/architecture.md``, "Scaling out").
     replication:
         Copies stored of each row band (default 1 = no replication).  With
         ``replication=R`` every band of every matrix is programmed on ``R``
@@ -413,8 +408,6 @@ class DevicePool:
             DarthPumDevice(config=config, noise=noise) for _ in range(num_devices)
         ]
         self.backend = backend
-        self.parallel = bool(parallel)
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._allocations: Dict[int, PooledAllocation] = {}
         self._next_allocation = 0
         # Health tracking and degraded-mode telemetry.  A device lands in
@@ -439,9 +432,6 @@ class DevicePool:
         self._health: List[DeviceHealth] = [
             DeviceHealth() for _ in range(num_devices)
         ]
-        # Health/counter updates can run on fan-out worker threads; the
-        # lock keeps the counters exact (tests assert equalities on them).
-        self._integrity_lock = threading.Lock()
         self.integrity_checks = 0
         self.corruptions_detected = 0
         self.integrity_reexecutions = 0
@@ -783,21 +773,19 @@ class DevicePool:
         """Decay one device's health score after an uneventful call."""
         health = self._health[device_index]
         if health.score:
-            with self._integrity_lock:
-                health.record_ok()
+            health.record_ok()
 
     def _health_event(self, device_index: int, corruption: bool) -> None:
         """Account one bad event; quarantine the device past the threshold."""
-        with self._integrity_lock:
-            health = self._health[device_index]
-            crossed = (
-                health.record_corruption() if corruption
-                else health.record_failure()
-            )
-            if crossed and not health.quarantined:
-                health.quarantined = True
-                self.quarantines += 1
-                self.mark_device_failed(device_index)
+        health = self._health[device_index]
+        crossed = (
+            health.record_corruption() if corruption
+            else health.record_failure()
+        )
+        if crossed and not health.quarantined:
+            health.quarantined = True
+            self.quarantines += 1
+            self.mark_device_failed(device_index)
 
     def _finish_call(self, allocation: PooledAllocation, task: ShardTask,
                      vectors, partial):
@@ -817,13 +805,11 @@ class DevicePool:
         if ok is None:
             self._health_ok(task.device_index)
             return partial
-        with self._integrity_lock:
-            self.integrity_checks += 1
+        self.integrity_checks += 1
         if ok:
             self._health_ok(task.device_index)
             return partial
-        with self._integrity_lock:
-            self.corruptions_detected += 1
+        self.corruptions_detected += 1
         self._health_event(task.device_index, corruption=True)
         if self._verify == VERIFY_FULL:
             raise IntegrityError(task.device_index, task.position)
@@ -866,10 +852,11 @@ class DevicePool:
         """The pool's one fan-out/failover loop: one result per request.
 
         Every band of every ``(allocation, inputs)`` request selects a copy
-        (first healthy one in replica order) and the selected copies fan
-        out, one worker per device.  ``call(device, device_allocation,
-        sub)`` performs the device work of one copy on ``sub``, the slice
-        of ``inputs`` its rows consume.  A copy whose device raises
+        (first healthy one in replica order) and the selected copies run
+        device by device on the calling thread.  ``call(device,
+        device_allocation, sub)`` performs the device work of one copy on
+        ``sub``, the slice of ``inputs`` its rows consume.  A copy whose
+        device raises
         :class:`~repro.errors.DeviceFailedError`, or whose partial fails
         the ABFT check under ``verify="full"``, is noted against its
         device's health and re-dispatched on the band's next untried copy
@@ -904,9 +891,14 @@ class DevicePool:
         tried: Dict = {}
         partials: Dict = {}
         while wave:
-            outcomes = self._run_device_tasks(wave, run)
+            # On the calling thread: device calls are interpreter-bound, so
+            # worker threads would only add their wake-ups under the GIL.
+            outcomes = [
+                run(device_index, item)
+                for device_index in sorted(wave) for item in wave[device_index]
+            ]
             wave = {}
-            for key, value in outcomes.items():
+            for key, value in outcomes:
                 if not isinstance(value, _ShardFailure):
                     partials[key] = value
                     continue
@@ -939,8 +931,7 @@ class DevicePool:
                         failed.device_index, "exhausted", detail
                     ) from error
                 if corrupted:
-                    with self._integrity_lock:
-                        self.integrity_reexecutions += 1
+                    self.integrity_reexecutions += 1
                 else:
                     self.replica_retries += 1
                 wave.setdefault(retry.device_index, []).append((key, retry))
@@ -975,74 +966,18 @@ class DevicePool:
             ),
         )[0]
 
-    def _fanout_executor(self) -> ThreadPoolExecutor:
-        """The shared worker pool for multi-device fan-out (built lazily)."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.num_devices, thread_name_prefix="pum-pool"
-            )
-        return self._executor
-
     def close(self) -> None:
-        """Release the fan-out worker threads (idempotent).
+        """Nothing to release: the pool owns no threads or handles.
 
-        The pool stays usable afterwards -- the executor is rebuilt lazily
-        on the next multi-device call -- but long-lived processes that churn
-        through many pools should close each one (or use the pool as a
-        context manager) so idle worker threads do not accumulate until
-        interpreter shutdown.  Safe to call repeatedly and after a failed
-        fan-out: the executor reference is detached before shutdown, so even
-        a shutdown that raises leaves the pool consistent, and a fan-out
-        failure (which joins every sibling worker before re-raising) never
-        leaves orphaned work behind for ``close`` to trip over.
+        Part of the serving API (servers, benchmarks and ``with`` blocks
+        close their pool); safe to call repeatedly, the pool stays usable.
         """
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def __enter__(self) -> "DevicePool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _run_device_tasks(self, tasks_by_device: Dict[int, List], run) -> Dict:
-        """Execute per-device task lists, one worker per device, and collect.
-
-        ``run(device_index, task)`` performs one task on one device; a
-        device's tasks always run sequentially on a single worker (devices
-        are not thread-safe), while distinct devices proceed concurrently.
-        Returns ``{key: value}`` merged from every ``run`` result.
-        """
-        def drain(device_index: int):
-            return [run(device_index, task) for task in tasks_by_device[device_index]]
-
-        results: Dict = {}
-        if self.parallel and len(tasks_by_device) > 1:
-            executor = self._fanout_executor()
-            futures = [
-                executor.submit(drain, device_index)
-                for device_index in sorted(tasks_by_device)
-            ]
-            # Join every worker before propagating a failure: re-raising
-            # while a sibling is still running would let the next call's
-            # worker share its device with this one, breaking the
-            # one-worker-per-device invariant the fan-out relies on.
-            first_error: Optional[BaseException] = None
-            for future in futures:
-                try:
-                    for key, value in future.result():
-                        results[key] = value
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-        else:
-            for device_index in sorted(tasks_by_device):
-                for key, value in drain(device_index):
-                    results[key] = value
-        return results
 
     def exec_mvm_batch(
         self,
@@ -1056,12 +991,9 @@ class DevicePool:
         Every shard's device executes its row band for the whole batch in
         one :meth:`~repro.runtime.session.DarthPumDevice.exec_mvm_batch`
         pass, fanning out over the allocation's shard table (zero
-        per-request planning).  Shards living on different devices run
-        concurrently on the fan-out thread pool (NumPy releases the GIL);
-        the full-width partial results are summed in shard order, so the
-        output is identical to the serial schedule.  In the common
-        single-shard serving case the device result *is* the pool result:
-        no zero tensor, no partial-sum add.
+        per-request planning).  The full-width partial results are summed in
+        shard order.  In the common single-shard serving case the device
+        result *is* the pool result: no zero tensor, no partial-sum add.
         """
         return self.exec_requests(
             [(allocation, vectors)], input_bits=input_bits, backend=backend
@@ -1075,12 +1007,10 @@ class DevicePool:
     ) -> List[np.ndarray]:
         """Serve a list of ``(allocation, vectors)`` requests.
 
-        Requests against matrices placed on different devices by the
-        scheduler run on independent chips concurrently (one fan-out worker
-        per device, each draining its share of the request list in order);
-        each request's vectors go through the batched path over its
-        allocation's shard table.  Returns one result array per request, in
-        request order, bit-identical to the serial schedule.
+        Each request's vectors go through the batched path over its
+        allocation's shard table; every device drains its share of the
+        request list in order.  Returns one result array per request, in
+        request order.
         """
         backend = backend if backend is not None else self.backend
         batches: List[Tuple[PooledAllocation, np.ndarray]] = []

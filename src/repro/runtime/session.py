@@ -19,7 +19,7 @@ precision scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +28,14 @@ from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
 from ..errors import QuantizationError
 from ..metrics import CostLedger
-from ..plan.backends import ExecutionBackend, resolve_backend
-from ..plan.ir import MvmPlan, PlanHandle
+from ..plan.backends import (
+    ExecutionBackend,
+    VectorizedExecutor,
+    execute_device_plan,
+    resolve_backend,
+)
+from ..plan.ir import DevicePlan, MvmPlan, PlanHandle
+from ..plan.planner import compile_device_plan
 from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
 
@@ -62,6 +68,10 @@ class MatrixAllocation:
     hct_indices: List[int]
     handles: Dict[int, MatrixHandle] = field(default_factory=dict)
     matrix: Optional[np.ndarray] = None
+    #: Compiled :class:`~repro.plan.ir.DevicePlan` per ``input_bits``
+    #: (``None``: compiled and found off the proven-exact path).  Emptied
+    #: whenever ``handles`` changes.
+    device_plans: Dict[int, Optional[DevicePlan]] = field(default_factory=dict, repr=False)
 
     @property
     def shape(self):
@@ -111,6 +121,14 @@ class DarthPumDevice:
         self._next_allocation = 0
         self.ledger = CostLedger()
 
+    def _tiles(self, allocation: MatrixAllocation) -> Iterator[Tuple]:
+        """``(placement tile, HCT, analog handle)`` of every placed block;
+        the handle is ``None`` while ``set_matrix`` is still programming it."""
+        hct_indices = allocation.hct_indices
+        for tile in allocation.placement.tiles:
+            hct = self.chip.hct(hct_indices[tile.hct_slot % len(hct_indices)])
+            yield tile, hct, allocation.handles.get(tile.hct_slot)
+
     # ------------------------------------------------------------------ #
     # Application-agnostic calls (Table 1)                                 #
     # ------------------------------------------------------------------ #
@@ -141,9 +159,7 @@ class DarthPumDevice:
             hct_indices=hct_indices,
             matrix=matrix.astype(np.int64),
         )
-        for tile in placement.tiles:
-            hct_index = hct_indices[tile.hct_slot % len(hct_indices)]
-            hct = self.chip.hct(hct_index)
+        for tile, hct, _ in self._tiles(allocation):
             block = matrix[tile.row_start: tile.row_end, tile.col_start: tile.col_end]
             handle = hct.set_matrix(
                 block.astype(np.int64),
@@ -165,10 +181,7 @@ class DarthPumDevice:
                 f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
             )
         result = np.zeros(cols, dtype=np.int64)
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
-            handle = allocation.handles[tile.hct_slot]
+        for tile, hct, handle in self._tiles(allocation):
             sub_vector = vector[tile.row_start: tile.row_end]
             sub_result = hct.execute_mvm(handle, sub_vector, input_bits=input_bits)
             result[tile.col_start: tile.col_end] += sub_result.values
@@ -209,20 +222,25 @@ class DarthPumDevice:
         vectors = np.asarray(vectors, dtype=np.int64)
         if vectors.ndim < 2:
             vectors = np.atleast_2d(vectors)
-        placement, hct_indices = allocation.placement, allocation.hct_indices
-        rows, cols = placement.shape
+        rows, cols = allocation.placement.shape
         if vectors.shape[1] != rows:
             raise QuantizationError(
                 f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
             )
         batch = vectors.shape[0]
-        result = np.zeros((batch, cols), dtype=np.int64)
         if batch == 0:
-            return result
+            return np.zeros((0, cols), dtype=np.int64)
         executor = resolve_backend(backend)
-        for tile in placement.tiles:
-            hct = self.chip.hct(hct_indices[tile.hct_slot % len(hct_indices)])
-            handle = allocation.handles[tile.hct_slot]
+        # Exactly the stock backend: a subclass may have changed what a tile
+        # call does, and keeps getting one call per tile.
+        if type(executor) is VectorizedExecutor:
+            plan = self.device_plan(allocation, input_bits)
+            if plan is not None:
+                result = execute_device_plan(plan, vectors, self.ledger)
+                if result is not None:
+                    return result
+        result = np.zeros((batch, cols), dtype=np.int64)
+        for tile, hct, handle in self._tiles(allocation):
             sub_vectors = vectors[:, tile.row_start: tile.row_end]
             sub_result = hct.execute_mvm_batch(
                 handle, sub_vectors, input_bits=input_bits, backend=executor
@@ -239,14 +257,40 @@ class DarthPumDevice:
         hot path never plans: every subsequent ``exec_mvm`` /
         ``exec_mvm_batch`` against ``allocation`` at ``input_bits`` hits the
         tile-level plan caches.  Idempotent -- recompiling is a cache hit.
+
+        The plans are for use while the device is alive: they refer to their
+        ACE weakly (``MvmPlan.ace`` is a ``weakref.proxy``, so that a dropped
+        chip is freed by reference counting).  Once the device is gone, what
+        a plan already holds -- steps, cost model, a kernel fetched earlier
+        -- stays readable, but a first ``plan.kernel``, like ``plan_for`` on
+        a kept :class:`~repro.plan.planner.Planner`, raises
+        :class:`ReferenceError`.
         """
-        plans: List[MvmPlan] = []
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
-            handle = allocation.handles[tile.hct_slot]
-            plans.append(hct.planner.plan_for(handle, input_bits))
-        return plans
+        return [
+            hct.planner.plan_for(handle, input_bits)
+            for _, hct, handle in self._tiles(allocation)
+        ]
+
+    def device_plan(
+        self, allocation: MatrixAllocation, input_bits: int = 8
+    ) -> Optional[DevicePlan]:
+        """The allocation's compiled :class:`~repro.plan.ir.DevicePlan`.
+
+        ``None`` when some tile is off the proven-exact path (noise,
+        parasitics, a lossy ADC, analog mode disabled).  Compiled on first
+        use -- the first vectorized call, like the shard kernels it stacks,
+        not :meth:`compile`, so registration stays as cheap as it was -- and
+        kept on the allocation until ``release`` / ``update_row`` /
+        ``update_col``.  The stacked weights do not depend on ``input_bits``:
+        the plans of one allocation share one tensor.
+        """
+        plans = allocation.device_plans
+        if input_bits not in plans:
+            stacked = next((plan.weights for plan in plans.values() if plan), None)
+            plans[input_bits] = compile_device_plan(
+                allocation.shape, input_bits, self._tiles(allocation), stacked
+            )
+        return plans[input_bits]
 
     def planner_builds(self) -> int:
         """Execution plans compiled on this device (see ``DarthPumChip``)."""
@@ -265,10 +309,7 @@ class DarthPumDevice:
         sum.
         """
         total = 0.0
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
-            handle = allocation.handles[tile.hct_slot]
+        for _, hct, handle in self._tiles(allocation):
             total += hct.planner.plan_for(handle, input_bits).predicted_cycles(batch)
         return total
 
@@ -277,10 +318,7 @@ class DarthPumDevice:
     ) -> float:
         """Predicted analog-phase energy (pJ) of one ``batch`` MVM."""
         total = 0.0
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
-            handle = allocation.handles[tile.hct_slot]
+        for _, hct, handle in self._tiles(allocation):
             total += hct.planner.plan_for(handle, input_bits).predicted_energy_pj(batch)
         return total
 
@@ -318,16 +356,16 @@ class DarthPumDevice:
             allocation.matrix[row, :] = values
         if col is not None:
             allocation.matrix[:, col] = values
-        for tile in allocation.placement.tiles:
+        # The handles below change: the stacked weights and tile plans of
+        # every compiled device plan are stale.
+        allocation.device_plans.clear()
+        for tile, hct, handle in self._tiles(allocation):
             affected = (
                 (row is not None and tile.row_start <= row < tile.row_end)
                 or (col is not None and tile.col_start <= col < tile.col_end)
             )
             if not affected:
                 continue
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            hct = self.chip.hct(hct_index)
-            handle = allocation.handles[tile.hct_slot]
             if row is not None:
                 new_handle = hct.ace.update_row(
                     handle, row - tile.row_start, values[tile.col_start: tile.col_end]
@@ -340,21 +378,19 @@ class DarthPumDevice:
 
     def release(self, allocation: MatrixAllocation) -> None:
         """Free the HCTs and analog arrays used by an allocation."""
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            handle = allocation.handles.get(tile.hct_slot)
+        allocation.device_plans.clear()
+        for _, hct, handle in self._tiles(allocation):
             if handle is not None:
-                self.chip.hct(hct_index).release_matrix(handle)
+                hct.release_matrix(handle)
         self.chip.release_hcts(allocation.hct_indices)
         self._allocations.pop(allocation.allocation_id, None)
 
     def disable_analog_mode(self, allocation: MatrixAllocation) -> None:
         """disableAnalogMode(): move the matrix into digital arrays."""
-        for tile in allocation.placement.tiles:
-            hct_index = allocation.hct_indices[tile.hct_slot % len(allocation.hct_indices)]
-            handle = allocation.handles.get(tile.hct_slot)
+        allocation.device_plans.clear()
+        for _, hct, handle in self._tiles(allocation):
             if handle is not None:
-                self.chip.hct(hct_index).disable_analog_mode(handle)
+                hct.disable_analog_mode(handle)
 
     def disable_digital_mode(self, hct_index: int = 0) -> None:
         """disableDigitalMode(): bypass DCE post-processing on one HCT."""

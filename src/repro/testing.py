@@ -20,16 +20,22 @@ import sys
 
 import numpy as np
 
+from .core.config import ChipConfig, HctConfig
+
 #: Master seed for every random stream in the test suite.
 REPRO_TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "12345"))
 
-#: The layerbench ``kernel_paper_shapes`` cells: shape, element size, input
-#: bits.  The hot-path guard (``tests/test_hot_path.py``) and ``make hotpath``
-#: measure the same three device calls.
-PAPER_SHAPES = {
-    "resnet_conv": ((144, 16), 6, 7),
-    "aes_mixcolumns": ((32, 32), 1, 1),
-    "encoder_projection": ((64, 64), 6, 7),
+#: Every steady-state device call the hot-path guard
+#: (``tests/test_hot_path.py``) and ``make hotpath`` measure: label ->
+#: (shape, element size, input bits, chip config).  The first three are the
+#: layerbench ``kernel_paper_shapes`` cells on the default chip (3, 1 and 1
+#: tiles); the row band is one device's share of the ``pool_sharded`` matrix,
+#: eight ``HctConfig.small()`` tiles, where the per-tile cost of a call shows.
+DEVICE_CALL_SHAPES = {
+    "resnet_conv": ((144, 16), 6, 7, None),
+    "aes_mixcolumns": ((32, 32), 1, 1, None),
+    "encoder_projection": ((64, 64), 6, 7, None),
+    "row_band_8_tiles": ((128, 16), 4, 4, ChipConfig(hct=HctConfig.small(), num_hcts=8)),
 }
 
 

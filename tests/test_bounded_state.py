@@ -8,18 +8,23 @@ by walking the live object graph rather than by naming private dicts:
   appends per call;
 * once a matrix is released or its name re-registered with new bytes,
   nothing reachable from the pool or the server still refers to the old
-  allocation.
+  allocation;
+* nothing in a chip's object graph is a reference cycle, so dropping the
+  last reference frees it at once, without the cycle collector.
 """
 
 from __future__ import annotations
 
 import gc
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
+import pytest
 
-from repro import ChipConfig, DevicePool, HctConfig, PumServer
+from repro import ChipConfig, DarthPumDevice, DevicePool, HctConfig, PumServer
+from repro.plan import DevicePlan
 from repro.plan.backends import default_backend
 from repro.plan.planner import Planner
 from repro.testing import derive_rng
@@ -108,6 +113,14 @@ def tile_plans(pool, allocation, input_bits: int):
     ]
 
 
+def device_plans(pool, allocation, input_bits: int):
+    """The device plan of every copy of every band (compiled if need be)."""
+    return [
+        pool.devices[task.device_index].device_plan(task.device_allocation, input_bits)
+        for task in allocation.all_tasks
+    ]
+
+
 class TestSteadyStateIsFlat:
     def test_pool_dispatch_appends_nothing_per_call(self):
         # The layerbench ``pool_sharded`` shape: 2 bands x 2 replicas over
@@ -130,6 +143,13 @@ class TestSteadyStateIsFlat:
             # The op log this guards against grew 130 KB *per call*.
             assert heap_growth(step) < 256 * 1024
             assert container_entries(pool) == entries
+            # The walk covers the device plans and their scratch: one
+            # block on each primary, none on the idle replicas.
+            plans = device_plans(pool, allocation, 4)
+            live = {id(obj) for obj in reachable(pool)}
+            assert all(id(plan) in live for plan in plans)
+            if default_backend() == "vectorized":
+                assert [len(plan.scratch) for plan in plans] == [1, 0, 1, 0]
             assert np.array_equal(
                 pool.exec_mvm_batch(allocation, vectors, input_bits=4),
                 vectors @ matrix,
@@ -176,6 +196,7 @@ class TestSteadyStateIsFlat:
             matrix = rng.integers(-8, 8, size=(32, 16))
             allocation = pool.set_matrix(matrix, element_size=4)
             plans = tile_plans(pool, allocation, 4)
+            stacked = device_plans(pool, allocation, 4)
             bound = Planner.RECEIPT_BATCH_SIZES
 
             def step(index):
@@ -193,6 +214,9 @@ class TestSteadyStateIsFlat:
                 step(index)
             assert container_entries(pool) == entries
             assert [len(plan.receipts) for plan in plans] == receipts
+            # The primaries served every call: their scratch is full, too.
+            assert max(len(plan.scratch) for plan in stacked) == \
+                DevicePlan.SCRATCH_BATCH_SIZES
 
 
 class TestNoStaleAllocationReferences:
@@ -232,9 +256,11 @@ class TestNoStaleAllocationReferences:
         receipts = [receipt for plan in plans for receipt in plan.receipts.values()]
         assert plans
         assert receipts or default_backend() == "reference"
+        stacked = device_plans(pool, allocation, 3)
+        assert all(plan is not None for plan in stacked)
         live = {id(obj) for obj in reachable(pool)}
-        assert all(id(part) in live for part in [*plans, *receipts])
-        parts.update((id(part), part) for part in [*plans, *receipts])
+        assert all(id(part) in live for part in [*plans, *receipts, *stacked])
+        parts.update((id(part), part) for part in [*plans, *receipts, *stacked])
         pool.release(allocation)
         self._assert_forgotten(pool, pool, allocation, parts)
         assert pool.utilization() == [0.0, 0.0, 0.0]
@@ -272,3 +298,92 @@ class TestNoStaleAllocationReferences:
         server.run_until_idle()
         assert np.array_equal(future.result().result,
                               np.ones(8, dtype=np.int64) @ new_matrix)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestDroppedChipIsFreedByReferenceCounting:
+    """tile <-> planner and ACE plan cache <-> plan were the graph's only
+    cycles; with both back-references weak, and none added by the device
+    plan, the last ``del`` frees a chip and everything compiled for it."""
+
+    @staticmethod
+    def _program(owner, shape=(128, 16)):
+        rng = derive_rng("refcount", shape)
+        matrix = rng.integers(-8, 8, size=shape)
+        allocation = owner.set_matrix(matrix, element_size=4)
+        owner.compile(allocation, input_bits=4)
+        vectors = rng.integers(0, 16, size=(8, shape[0]))
+        assert np.array_equal(
+            owner.exec_mvm_batch(allocation, vectors, input_bits=4),
+            vectors @ matrix,
+        )
+        return allocation
+
+    def test_del_device_frees_chip_tile_plans_and_device_plan(self, no_cycle_collector):
+        device = DarthPumDevice(config=small_chip(8))
+        allocation = self._program(device)
+        refs = [weakref.ref(device.chip), weakref.ref(device.chip.hct(0)),
+                weakref.ref(device.device_plan(allocation, 4))]
+        refs += [weakref.ref(plan) for plan in device.compile(allocation, 4)]
+        assert len(refs) == 3 + 8
+        del device, allocation
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_a_plan_kept_past_its_device_fails_with_reference_error(self):
+        device = DarthPumDevice(config=small_chip(8))
+        matrix = derive_rng("refcount-kept").integers(-8, 8, size=(32, 16))
+        allocation = device.set_matrix(matrix, element_size=4)
+        used, unused = device.compile(allocation, 4)
+        planner = device.chip.hct(allocation.hct_indices[0]).planner
+        kernel = used.kernel
+        del device, allocation
+        # What the plan holds stays readable; what it would fetch is gone.
+        assert used.kernel is kernel and used.num_steps == unused.num_steps
+        with pytest.raises(ReferenceError):
+            unused.kernel
+        with pytest.raises(ReferenceError):
+            planner.plan_for(used.handle, 4)
+
+    def test_del_pool_after_close_frees_every_chip(self, no_cycle_collector):
+        pool = DevicePool(num_devices=4, config=small_chip(8), replication=2,
+                          verify="full")
+        allocation = self._program(pool, (256, 16))
+        refs = [weakref.ref(device.chip) for device in pool.devices]
+        refs += [weakref.ref(plan) for plan in device_plans(pool, allocation, 4)]
+        refs += [weakref.ref(plan) for plan in tile_plans(pool, allocation, 4)]
+        assert len(refs) == 4 + 4 + 32
+        pool.close()
+        del pool, allocation
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_replacing_a_tenant_frees_its_plans(self, no_cycle_collector):
+        server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(8)),
+                           queue_capacity=64)
+        rng = derive_rng("refcount-tenant")
+        matrix = rng.integers(-8, 8, size=(32, 32))
+        old = server.register_matrix("tenant", matrix, element_size=4, input_bits=4)
+        future = server.submit("tenant", np.ones(32, dtype=np.int64), input_bits=4)
+        server.run_until_idle()
+        assert np.array_equal(future.result().result, matrix.sum(axis=0))
+        refs = [weakref.ref(plan) for plan in device_plans(server.pool, old, 4)]
+        refs += [weakref.ref(plan) for plan in tile_plans(server.pool, old, 4)]
+        refs.append(weakref.ref(old))
+        assert all(ref() is not None for ref in refs)
+        chips = [weakref.ref(device.chip) for device in server.pool.devices]
+        del old, future
+        server.register_matrix("tenant", matrix + 1, element_size=4, input_bits=4)
+        assert [ref() for ref in refs] == [None] * len(refs)
+        # The chips are the server's and stay; they go with it.
+        assert all(chip() is not None for chip in chips)
+        server.pool.close()
+        del server
+        assert [chip() for chip in chips] == [None, None]

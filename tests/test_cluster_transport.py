@@ -6,6 +6,8 @@ one consumer; they just happen to share a thread here).  Process-level
 behaviour lives in ``test_cluster.py``.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,32 @@ def ring():
 
 def push_bytes(ring, payload):
     return ring.push([payload])
+
+
+def _forged_array_frame(dtype: bytes, shape, data: bytes = b"") -> memoryview:
+    return memoryview(struct.pack(
+        f"<BB{len(dtype)}s{len(shape)}Q", len(dtype), len(shape), dtype, *shape
+    ) + data)
+
+
+@pytest.mark.parametrize("shape", [
+    (1 << 32, 1 << 32),   # the product wraps a 64-bit count to zero
+    (1 << 63, 2),
+    (3, 1 << 40),
+])
+def test_array_codec_rejects_a_shape_that_overflows_the_frame(shape):
+    frame = _forged_array_frame(b"<i8", shape, bytes(48))
+    with pytest.raises(TransportError, match="malformed array frame.*left in the frame"):
+        decode_array(frame, 0)
+
+
+def test_array_codec_rejects_an_unknown_dtype_string():
+    for dtype in (b"<zz9", b"\xff\xfe"):
+        with pytest.raises(TransportError, match="malformed array frame"):
+            decode_array(_forged_array_frame(dtype, (2,), bytes(16)), 0)
+    # The failure is not remembered: a good frame still decodes.
+    array, _ = decode_array(_forged_array_frame(b"<i8", (2,), bytes(16)), 0)
+    assert array.tolist() == [0, 0]
 
 
 # --------------------------------------------------------------------- #

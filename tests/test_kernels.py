@@ -19,11 +19,11 @@ import pytest
 
 from repro.testing import derive_rng
 
-from repro import ChipConfig, DevicePool, HctConfig, PumServer
+from repro import ChipConfig, DarthPumDevice, DevicePool, HctConfig, PumServer
 from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
 from repro.analog.compensation import ParasiticCompensation
 from repro.core.hct import HybridComputeTile
-from repro.errors import ConfigurationError, QuantizationError
+from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
 from repro.reram import NoiseConfig, ParasiticModel
 from repro.runtime.apps import (
@@ -257,6 +257,228 @@ class TestReceiptEquivalence:
         assert_same_accounting(runs["reference"], runs["estimate"])
         assert np.array_equal(runs["vectorized"][0].values, runs["reference"][0].values)
         assert runs["vectorized"][1].iiu.injections == 0
+
+
+def force_per_tile_loop(allocation, input_bits):
+    """Drive the vectorized backend tile by tile -- the loop the device plan
+    replaced, kept as its oracle -- by recording the allocation as compiled
+    and off the exact path."""
+    allocation.device_plans[input_bits] = None
+
+
+#: label -> (shape, element size, input bits, small tiles?).  144x16 and
+#: 128x16 are row bands, 200x150 is ragged in both directions (13 x 3
+#: blocks), 40x40 has a ragged last band, the last two are single blocks.
+DEVICE_PLAN_CASES = {
+    "row_band_ragged": ((144, 16), 4, 4, True),
+    "grid_ragged": ((200, 150), 4, 3, True),
+    "square_ragged": ((40, 40), 4, 4, True),
+    "row_band_8_tiles": ((128, 16), 4, 4, True),
+    "paper_tile_64": ((64, 64), 6, 7, False),
+    "paper_tile_16": ((16, 16), 6, 7, False),
+}
+
+
+def programmed_device(case, noise=None, label="kernels-device-plan"):
+    shape, element_size, input_bits, small = DEVICE_PLAN_CASES[case]
+    rng = derive_rng(label, case)
+    magnitude = 1 << (element_size - 1)
+    matrix = rng.integers(-magnitude, magnitude, size=shape)
+    config = ChipConfig(hct=HctConfig.small(), num_hcts=64) if small else None
+    device = DarthPumDevice(config=config, noise=noise)
+    allocation = device.set_matrix(matrix, element_size=element_size)
+    return device, allocation, matrix
+
+
+def device_state(device, allocation):
+    """Everything a device call moves besides its result."""
+    tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+    return {
+        "runtime_ledger": device.ledger.snapshot(),
+        "tile_ledgers": [tile.ledger.snapshot() for tile in tiles],
+        "iiu": [(tile.iiu.injections, tile.iiu.front_end_slots_saved)
+                for tile in tiles],
+        "transposes": [tile.transpose_unit.vector_count for tile in tiles],
+        "clocks": [tile._clock for tile in tiles],
+        "arbiters": [dict(tile.arbiter._owners) for tile in tiles],
+        "mvm_counts": [
+            [tile.ace.crossbar(i).mvm_count for i in handle.array_ids]
+            for tile, handle in zip(tiles, allocation.handles.values())
+        ],
+        "accumulators": [
+            [tile.dce.pipeline(p).read_vr(0).tolist() for p in range(handle.col_tiles)]
+            for tile, handle in zip(tiles, allocation.handles.values())
+        ],
+    }
+
+
+class TestDevicePlanEquivalence:
+    """One contraction for all tiles == the per-tile loop == ``reference``,
+    on every result and every piece of simulated state."""
+
+    @pytest.mark.parametrize("case", sorted(DEVICE_PLAN_CASES))
+    def test_plan_path_matches_the_per_tile_loop_and_reference(self, case):
+        input_bits = DEVICE_PLAN_CASES[case][2]
+        backends = {"plan": "vectorized", "loop": "vectorized",
+                    "reference": "reference"}
+        twins = {name: programmed_device(case) for name in backends}
+        force_per_tile_loop(twins["loop"][1], input_bits)
+        rng = derive_rng("kernels-device-plan-vectors", case)
+        for batch in (1, 5, 32, 5):
+            matrix = twins["plan"][2]
+            vectors = rng.integers(0, 1 << input_bits, size=(batch, matrix.shape[0]))
+            outs, states = {}, {}
+            for name, (device, allocation, _) in twins.items():
+                outs[name] = device.exec_mvm_batch(
+                    allocation, vectors, input_bits=input_bits, backend=backends[name]
+                )
+                states[name] = device_state(device, allocation)
+            assert np.array_equal(outs["plan"], vectors @ matrix)
+            for name in ("loop", "reference"):
+                assert np.array_equal(outs["plan"], outs[name]), name
+                assert states["plan"] == states[name], name
+        device, allocation, _ = twins["plan"]
+        plan = device.device_plan(allocation, input_bits)
+        assert len(plan.tiles) == len(allocation.placement.tiles)
+        assert sorted(plan.scratch) == [1, 5, 32]
+        assert twins["loop"][1].device_plans == {input_bits: None}
+        assert not twins["reference"][1].device_plans  # never asked for one
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False, seed=3),
+        NoiseConfig(programming_noise=True, read_noise=False, ir_drop=False,
+                    stuck_at_faults=True, seed=11),
+    ], ids=["read_noise", "frozen_program_noise"])
+    def test_noisy_device_keeps_the_loop_and_matches_reference(self, noise):
+        case = "row_band_ragged"
+        input_bits = DEVICE_PLAN_CASES[case][2]
+        vectors = derive_rng("kernels-device-plan-noisy").integers(
+            0, 1 << input_bits, size=(5, 144)
+        )
+        outs, states = {}, {}
+        for backend in ("vectorized", "reference"):
+            device, allocation, _ = programmed_device(case, noise=noise)
+            device.compile(allocation, input_bits)
+            assert device.device_plan(allocation, input_bits) is None
+            outs[backend] = device.exec_mvm_batch(
+                allocation, vectors, input_bits=input_bits, backend=backend
+            )
+            states[backend] = device_state(device, allocation)
+        assert np.array_equal(outs["vectorized"], outs["reference"])
+        assert states["vectorized"] == states["reference"]
+
+    def test_mode_flips_after_compile_are_honoured_on_the_next_call(self):
+        case = "row_band_8_tiles"
+        input_bits = DEVICE_PLAN_CASES[case][2]
+        twins = {name: programmed_device(case) for name in ("plan", "reference")}
+        backends = {"plan": "vectorized", "reference": "reference"}
+        rng = derive_rng("kernels-device-plan-flips")
+        matrix = twins["plan"][2].copy()
+
+        def step(expected_matrix):
+            vectors = rng.integers(0, 1 << input_bits, size=(5, 128))
+            outs = {
+                name: device.exec_mvm_batch(allocation, vectors,
+                                            input_bits=input_bits,
+                                            backend=backends[name])
+                for name, (device, allocation, _) in twins.items()
+            }
+            assert np.array_equal(outs["plan"], outs["reference"])
+            if expected_matrix is not None:
+                assert np.array_equal(outs["plan"], vectors @ expected_matrix)
+            states = [device_state(device, allocation)
+                      for device, allocation, _ in twins.values()]
+            assert states[0] == states[1]
+
+        for device, allocation, _ in twins.values():
+            device.compile(allocation, input_bits)
+        step(matrix)
+        plan_device, plan_allocation, _ = twins["plan"]
+        compiled = plan_device.device_plan(plan_allocation, input_bits)
+        assert compiled is not None
+
+        # Raw analog output on one of the eight tiles: the whole call takes
+        # the loop (that tile skips the DCE wrap), then the plan again.
+        third = plan_allocation.hct_indices[2]
+        for device, _, _ in twins.values():
+            device.disable_digital_mode(third)
+        injections = plan_device.chip.hct(third).iiu.injections
+        step(None)
+        assert plan_device.chip.hct(third).iiu.injections == injections
+        for device, _, _ in twins.values():
+            device.chip.hct(third).enable_digital_mode()
+        step(matrix)
+        assert plan_device.device_plan(plan_allocation, input_bits) is compiled
+
+        # update_row reprograms one tile: stale plans go, fresh ones follow.
+        new_row = rng.integers(-8, 8, size=16)
+        matrix[37] = new_row
+        for device, allocation, _ in twins.values():
+            device.update_row(allocation, 37, new_row)
+        assert not plan_allocation.device_plans
+        step(matrix)
+        assert plan_device.device_plan(plan_allocation, input_bits) is not compiled
+        new_col = rng.integers(-8, 8, size=128)
+        matrix[:, 3] = new_col
+        for device, allocation, _ in twins.values():
+            device.update_col(allocation, 3, new_col)
+        step(matrix)
+
+        # disable_analog_mode: same error as the loop, and no plan is left.
+        for name, (device, allocation, _) in twins.items():
+            device.disable_analog_mode(allocation)
+            with pytest.raises(AllocationError, match="has been disabled"):
+                device.exec_mvm_batch(allocation, np.ones((2, 128), dtype=np.int64),
+                                      input_bits=input_bits, backend=backends[name])
+        assert plan_allocation.device_plans == {input_bits: None}
+
+    def test_release_drops_the_plan_with_its_tile_plans(self):
+        device, allocation, _ = programmed_device("row_band_ragged")
+        assert device.device_plan(allocation, 4) is not None
+        device.release(allocation)
+        assert not allocation.device_plans
+        assert all(device.chip.hct(i).ace.cached_plans == 0
+                   for i in allocation.hct_indices)
+
+    def test_plans_of_one_allocation_share_the_stacked_weights(self):
+        device, allocation, matrix = programmed_device("grid_ragged")
+        rng = derive_rng("kernels-device-plan-shared")
+        for input_bits in (3, 2):
+            vectors = rng.integers(0, 1 << input_bits, size=(5, 200))
+            out = device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                        backend="vectorized")
+            assert np.array_equal(out, vectors @ matrix)
+        first, second = (allocation.device_plans[bits] for bits in (3, 2))
+        assert second is not first and second.weights is first.weights
+        assert [plan.input_bits for _, plan, _, _ in second.tiles] == [2] * 39
+
+    def test_out_of_range_input_raises_before_any_tile_is_charged(self):
+        """The one intended difference: the loop validated tile by tile, so
+        it had charged the tiles ahead of the offending rows."""
+        case = "row_band_8_tiles"
+        vectors = np.ones((3, 128), dtype=np.int64)
+        vectors[1, 70] = 16  # rows 64..79 are the fifth tile
+        messages = {}
+        moved = {}
+        for name in ("plan", "loop"):
+            device, allocation, _ = programmed_device(case)
+            if name == "loop":
+                force_per_tile_loop(allocation, 4)
+            device.exec_mvm_batch(allocation, np.ones((3, 128), dtype=np.int64),
+                                  input_bits=4, backend="vectorized")
+            before = device_state(device, allocation)
+            with pytest.raises(QuantizationError) as raised:
+                device.exec_mvm_batch(allocation, vectors, input_bits=4,
+                                      backend="vectorized")
+            messages[name] = str(raised.value)
+            after = device_state(device, allocation)
+            moved[name] = [b != a for b, a in
+                           zip(before["tile_ledgers"], after["tile_ledgers"])]
+            if name == "plan":
+                assert after == before
+        assert messages["plan"] == messages["loop"] == "input values exceed 4 bits"
+        assert moved["plan"] == [False] * 8
+        assert moved["loop"] == [True] * 4 + [False] * 4
 
 
 class TestShardKernelCache:

@@ -9,6 +9,7 @@ from repro.testing import derive_rng
 
 from repro.core import ChipConfig, HctConfig
 from repro.errors import AllocationError, NoDevicesError, QuantizationError
+from repro.reram import NoiseConfig
 from repro.runtime import (
     CacheAffinityPolicy,
     DevicePool,
@@ -330,19 +331,18 @@ class TestServing:
 
 
 class TestClose:
-    """`close()` is idempotent and safe after a failed fan-out."""
+    """`close()` is a harmless no-op: the pool owns no threads."""
 
     def test_close_is_idempotent(self, rng):
         pool = tiny_pool()
         matrix = rng.integers(-8, 8, size=(100, 30))
         allocation = pool.set_matrix(matrix, element_size=4)
         vectors = rng.integers(0, 8, size=(2, 100))
-        pool.exec_mvm_batch(allocation, vectors, input_bits=3)  # spins workers up
+        pool.exec_mvm_batch(allocation, vectors, input_bits=3)
         pool.close()
-        assert pool._executor is None
         pool.close()  # second close must be a no-op, not an error
         pool.close()
-        # The pool stays usable: the executor is rebuilt lazily.
+        # The pool stays usable.
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
         assert np.array_equal(out, vectors @ matrix)
         pool.close()
@@ -362,8 +362,6 @@ class TestClose:
         vectors = rng.integers(0, 8, size=(2, 120))
         with pytest.raises(RuntimeError, match="injected device fault"):
             pool.exec_mvm_batch(allocation, vectors, input_bits=3)
-        # Every sibling worker was joined before the raise; shutdown must
-        # neither hang nor leave the pool in a half-closed state.
         pool.close()
         pool.close()
         pool.devices[failing].exec_mvm_batch = original
@@ -379,7 +377,40 @@ class TestClose:
                 allocation = pool.set_matrix(matrix, element_size=4)
                 pool.exec_mvm_batch(allocation, vectors, input_bits=3)
                 raise RuntimeError("sentinel")
-        assert pool._executor is None
+        out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(out, vectors @ matrix)
+
+
+class TestFanout:
+    """A multi-device call walks its devices on the calling thread."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseConfig.paper_default()],
+                             ids=["exact_path", "general_path"])
+    def test_multi_device_call_starts_no_thread(self, noise):
+        import threading
+
+        threads = threading.active_count()
+        outs, ledgers = {}, {}
+        for parallel in (True, False):  # accepted, and changes nothing
+            config = ChipConfig(hct=HctConfig.small(), num_hcts=3)
+            with DevicePool(num_devices=3, config=config, noise=noise,
+                            parallel=parallel) as pool:
+                rng = derive_rng("pool-fanout")
+                matrix = rng.integers(-8, 8, size=(120, 30))
+                allocation = pool.set_matrix(matrix, element_size=4)
+                assert len(allocation.devices_used) > 1
+                vectors = rng.integers(0, 8, size=(4, 120))
+                outs[parallel] = [
+                    pool.exec_mvm_batch(allocation, vectors, input_bits=3),
+                    pool.exec_mvm(allocation, vectors[0], input_bits=3),
+                ]
+                ledgers[parallel] = pool.total_ledger().snapshot()
+                assert threading.active_count() == threads
+                if noise is None:
+                    assert np.array_equal(outs[parallel][0], vectors @ matrix)
+        for first, second in zip(outs[True], outs[False]):
+            assert np.array_equal(first, second)
+        assert ledgers[True] == ledgers[False]
 
 
 class TestEnergyTotals:
