@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test unit bench doctest docs-check batch-bench serve-bench serve-latency-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile hotpath profile-server layerbench layerbench-compare loc lint coverage all
+.PHONY: test unit bench doctest docs-check batch-bench serve-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile hotpath profile-server layerbench layerbench-compare loc lint coverage all
 
 # Tier-1: the full unit + benchmark suite.
 test:
@@ -30,17 +30,12 @@ batch-bench:
 	$(PY) -m pytest benchmarks/test_batch_throughput.py -q
 
 # The serving acceptance gate (>=3x over request-at-a-time at 16+ concurrent).
-# Writes benchmarks/artifacts/serving_throughput.json (the CI artifact).
+# Writes benchmarks/artifacts/serving_throughput.json (the CI artifact) and
+# the server-round rows (us and calls per steady-state request; recorded,
+# never asserted); set REPRO_BENCH_RECORD=1 (as the CI benchmarks job does)
+# to also append those rows to BENCH_serving.json.
 serve-bench:
 	$(PY) -m pytest benchmarks/test_serving_throughput.py -q
-
-# The serving fast-path acceptance gate (>=3x p50 tick-loop speedup over the
-# pre-rework scheduler at 256 queued requests, bit-identical responses and
-# ledgers).  Writes benchmarks/artifacts/serving_latency.json; set
-# REPRO_BENCH_RECORD=1 (as the CI benchmarks job does) to also append the
-# headline numbers to BENCH_serving.json.
-serve-latency-bench:
-	$(PY) -m pytest benchmarks/test_serving_latency.py -q
 
 # The vectorized-backend acceptance gate (>=10x over backend="reference" on
 # a 64x64 batch-32 MVM).  Writes benchmarks/artifacts/kernel_speedup.json;
@@ -72,8 +67,7 @@ integrity-bench:
 	$(PY) -m pytest benchmarks/test_recovery.py::test_integrity_benchmark -q
 
 # Cost-aware scheduling gate (CostAwarePolicy beats StaticBatchingPolicy on
-# p99 latency AND deadline sheds at equal open-loop load; static-via-policy
-# bit-identical to legacy max_batch/max_wait_ticks kwargs).  Writes
+# p99 latency AND deadline sheds at equal open-loop load).  Writes
 # benchmarks/artifacts/scheduling.json; set REPRO_BENCH_RECORD=1 (as the CI
 # benchmarks job does) to also append to BENCH_scheduling.json.
 sched-bench:
@@ -111,18 +105,22 @@ plan-dump:
 profile:
 	$(PY) benchmarks/profile_serving.py
 
-# The device-call mode of the same script: one steady-state exact-path
-# DarthPumDevice.exec_mvm_batch at the three paper shapes and an 8-tile row
-# band (128x16 on HctConfig.small()) -- untraced us and function calls per
-# call and per tile, and the time spent in the accumulator sync, input
-# validation, the cost ledger and the matmul itself.
+# Two more modes of the same script.  device-call: one steady-state
+# exact-path DarthPumDevice.exec_mvm_batch at the three paper shapes and an
+# 8-tile row band (128x16 on HctConfig.small()) -- untraced us and function
+# calls per call and per tile, and the time spent in the accumulator sync,
+# input validation, the cost ledger and the matmul itself.  server-round: one
+# steady-state submit_batch(64) per tenant + run_until_idle() at 1 and 32
+# tenants -- us and calls per request, the same batches through the pool
+# alone, the server's share, and what an idle and a waiting tick cost.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
+	$(PY) benchmarks/profile_serving.py server-round
 
-# cProfile the scheduler tick loop at serving depth (256 queued requests
-# over 8 matrices, bulk ingress) and print the top-25 hot spots.
+# The server-round rows followed by the cProfile listing (top-25 cumulative)
+# of the tick loop at 32 tenants x 64 bulk-admitted requests.
 profile-server:
-	$(PY) benchmarks/profile_server_tick.py
+	$(PY) benchmarks/profile_serving.py server-round --profile
 
 # The repo's benchmark (BENCHMARK.json): every layerbench workload, untraced
 # then traced, each pass in a fresh subprocess (~2 min).  Writes

@@ -13,6 +13,14 @@ function calls per call *and per tile*, and the share that goes to the
 accumulator sync, input validation, the cost ledger and the arithmetic
 itself.
 
+The ``server-round`` mode prices the tier above it: one steady-state
+``submit_batch(64)`` per tenant plus ``run_until_idle()`` at 1 and 32
+tenants (:func:`repro.testing.server_round`) -- untraced microseconds per
+request, the same batches through ``pool.exec_mvm_batch`` alone, the
+server's share of the round, and function calls per request split into
+submit and drain -- plus what a tick costs when nothing is due.  With
+``--profile`` it ends with the cProfile listing of the 32-tenant tick loop.
+
 Usage::
 
     make profile
@@ -20,6 +28,7 @@ Usage::
     # or directly:
     PYTHONPATH=src python benchmarks/profile_serving.py [num_requests]
     PYTHONPATH=src python benchmarks/profile_serving.py device-call
+    PYTHONPATH=src python benchmarks/profile_serving.py server-round [--profile]
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ import time
 
 import numpy as np
 
-from repro import DarthPumDevice, PumServer
-from repro.testing import DEVICE_CALL_SHAPES, profiled_calls
+from repro import DarthPumDevice, PumServer, StaticBatchingPolicy
+from repro.testing import DEVICE_CALL_SHAPES, profiled_calls, server_round
 
 MATRIX_SHAPE = (64, 64)
 INPUT_BITS = 8
@@ -48,6 +57,8 @@ DEVICE_CALL_PARTS = {
     "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
 }
 
+SERVER_ROUND_TENANTS = (1, 32)
+
 
 def run_serving_workload(num_requests: int = 512) -> None:
     """Serve ``num_requests`` single-vector MVMs through the PumServer."""
@@ -55,10 +66,10 @@ def run_serving_workload(num_requests: int = 512) -> None:
     matrix = rng.integers(-100, 100, size=MATRIX_SHAPE)
     vectors = rng.integers(0, 2 ** INPUT_BITS, size=(num_requests, MATRIX_SHAPE[0]))
 
-    server = PumServer(num_devices=2, max_batch=16, max_wait_ticks=2)
+    server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(16, 2))
     server.register_matrix("proj", matrix, element_size=8)
 
-    wave = server.batching.queue_capacity
+    wave = server.queue_capacity
     for start in range(0, num_requests, wave):
         futures = [
             server.submit("proj", vector, input_bits=INPUT_BITS)
@@ -157,9 +168,84 @@ def device_call_breakdown(loops: int = 2000) -> None:
         print("  ".join(f"{column:>18}" for column in row))
 
 
+def server_round_row(tenants: int) -> dict:
+    """What one steady-state server round costs at ``tenants`` tenants."""
+    server, vectors, submit, drain = server_round(tenants)
+    _, rows, _ = vectors.shape
+    requests = tenants * rows
+    input_bits = DEVICE_CALL_SHAPES["encoder_projection"][2]
+    max_batch = server.scheduling.max_batch
+    allocations = [server.allocation_for(f"t{tenant}") for tenant in range(tenants)]
+
+    def whole_round():
+        futures = submit()
+        drain()
+        return futures
+
+    def pool_alone():
+        # The batches the round dispatches, without the server around them.
+        for allocation, block in zip(allocations, vectors):
+            for start in range(0, rows, max_batch):
+                server.pool.exec_mvm_batch(
+                    allocation, block[start: start + max_batch], input_bits=input_bits
+                )
+
+    loops = max(1, 4096 // requests)
+    round_us = best_call_us(whole_round, loops=loops)
+    pool_us = best_call_us(pool_alone, loops=loops)
+    submit_calls = count_calls(submit)
+    drain_calls = count_calls(drain)
+    idle_tick_calls = count_calls(server.tick)
+    # One request per tenant, too few and too young to dispatch.
+    for tenant in range(tenants):
+        server.submit_batch(f"t{tenant}", vectors[tenant, :1], input_bits=input_bits)
+    waiting_tick_calls = count_calls(server.tick)
+    drain()
+    assert server.queue_scans() == 0  # the tick loop never scans the queue
+    return {
+        "tenants": tenants,
+        "requests": requests,
+        "us_per_request": round(round_us / requests, 2),
+        "pool_us_per_request": round(pool_us / requests, 2),
+        "server_share": round(1.0 - pool_us / round_us, 3),
+        "submit_py_calls_per_request": round(submit_calls[0] / requests, 2),
+        "drain_py_calls_per_request": round(drain_calls[0] / requests, 2),
+        "submit_c_calls_per_request": round(submit_calls[1] / requests, 2),
+        "drain_c_calls_per_request": round(drain_calls[1] / requests, 2),
+        "idle_tick_py_calls": idle_tick_calls[0],
+        "waiting_tick_py_calls": waiting_tick_calls[0],
+    }
+
+
+def server_round_breakdown(profile: bool) -> None:
+    """Print the per-request cost of a steady-state server round."""
+    print("# steady-state PumServer round: submit_batch(64) per tenant + "
+          "run_until_idle(), 64x64 6-bit tenants, default scheduling.\n"
+          "# us are untraced best-of-9; calls are sys.setprofile counts; a "
+          "waiting tick has one undispatchable request per tenant queued")
+    rows = [server_round_row(tenants) for tenants in SERVER_ROUND_TENANTS]
+    print("  ".join(f"{column:>27}" for column in rows[0]))
+    for row in rows:
+        print("  ".join(f"{value:>27}" for value in row.values()))
+    if not profile:
+        return
+    _, _, submit, drain = server_round(SERVER_ROUND_TENANTS[-1])
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(20):
+        submit()
+        drain()
+    profiler.disable()
+    print(f"# top-25 cumulative hot spots (20 rounds x {SERVER_ROUND_TENANTS[-1]} tenants)")
+    pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+
+
 def main() -> None:
     if sys.argv[1:2] == ["device-call"]:
         device_call_breakdown()
+        return
+    if sys.argv[1:2] == ["server-round"]:
+        server_round_breakdown(profile="--profile" in sys.argv[2:])
         return
     num_requests = int(sys.argv[1]) if len(sys.argv) > 1 else 512
     profiler = cProfile.Profile()

@@ -31,7 +31,6 @@ import asyncio
 import json
 import os
 import signal
-import time
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,6 @@ BATCH_TIMEOUT = 0.35
 P99_CEILING_MS = 8_000.0
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
-TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_cluster.json"
 
 RNG = np.random.default_rng(41)
 MATRIX = RNG.integers(-8, 8, size=MATRIX_SHAPE, dtype=np.int64)
@@ -181,7 +179,7 @@ def single_server_answers(trace):
 # --------------------------------------------------------------------- #
 # The gate                                                                #
 # --------------------------------------------------------------------- #
-def test_cluster_chaos_gate():
+def test_cluster_chaos_gate(record_row):
     clean_responses, clean_latencies, clean_sheds, clean_stats, _ = \
         asyncio.run(poisson_run(chaos=False))
     chaos_responses, chaos_latencies, chaos_sheds, chaos_stats, faults = \
@@ -274,22 +272,13 @@ def test_cluster_chaos_gate():
         json.dumps(payload, indent=2, sort_keys=True)
     )
 
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        trajectory = []
-        if TRAJECTORY_PATH.exists():
-            trajectory = json.loads(TRAJECTORY_PATH.read_text())
-        trajectory.append(
-            {
-                "benchmark": "cluster_chaos",
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "cpus": CPUS,
-                "seed": REPRO_TEST_SEED,
-                "transport_faults_injected": faults,
-                "batch_timeouts": chaos_stats["batch_timeouts"],
-                "hedged_batches": chaos_stats["hedged_batches"],
-                "supervised_restarts": chaos_stats["supervised_restarts"],
-                "p99_blip": round(blip, 2),
-                "post_fault_p99_latency_ms": round(chaos_p99, 3),
-            }
-        )
-        TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_row("BENCH_cluster.json", {
+        "benchmark": "cluster_chaos",
+        "seed": REPRO_TEST_SEED,
+        "transport_faults_injected": faults,
+        "batch_timeouts": chaos_stats["batch_timeouts"],
+        "hedged_batches": chaos_stats["hedged_batches"],
+        "supervised_restarts": chaos_stats["supervised_restarts"],
+        "p99_blip": round(blip, 2),
+        "post_fault_p99_latency_ms": round(chaos_p99, 3),
+    })

@@ -70,7 +70,6 @@ POISSON_RATE = 1200.0  # offered load, requests/second
 KILL_WAVE = 4
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
-TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_cluster.json"
 
 RNG = np.random.default_rng(41)
 MATRIX = RNG.integers(-8, 8, size=MATRIX_SHAPE, dtype=np.int64)
@@ -205,7 +204,7 @@ def single_server_answers(trace):
 # --------------------------------------------------------------------- #
 # The benchmark                                                           #
 # --------------------------------------------------------------------- #
-def test_cluster_scaling_benchmark():
+def test_cluster_scaling_benchmark(record_row):
     trace = load(WAVE_SIZE, seed=45)[0]
     identical = np.array_equal(
         asyncio.run(cluster_answers(trace)), single_server_answers(trace)
@@ -275,24 +274,15 @@ def test_cluster_scaling_benchmark():
         json.dumps(payload, indent=2, sort_keys=True)
     )
 
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        trajectory = []
-        if TRAJECTORY_PATH.exists():
-            trajectory = json.loads(TRAJECTORY_PATH.read_text())
-        trajectory.append(
-            {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "cpus": CPUS,
-                "throughput_1_worker_rps": round(single, 1),
-                f"throughput_{SCALE_WORKERS}_workers_rps": round(scaled, 1),
-                "throughput_scaling": round(scaling, 3),
-                "p50_latency_ms": round(clean_p50, 3),
-                "p99_latency_ms": round(clean_p99, 3),
-                "chaos_recovery_blip": round(blip, 2),
-                "chaos_retried_batches": chaos_stats["retried_batches"],
-            }
-        )
-        TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_row("BENCH_cluster.json", {
+        "throughput_1_worker_rps": round(single, 1),
+        f"throughput_{SCALE_WORKERS}_workers_rps": round(scaled, 1),
+        "throughput_scaling": round(scaling, 3),
+        "p50_latency_ms": round(clean_p50, 3),
+        "p99_latency_ms": round(clean_p99, 3),
+        "chaos_recovery_blip": round(blip, 2),
+        "chaos_retried_batches": chaos_stats["retried_batches"],
+    })
 
     assert scaling >= SCALE_GATE, (
         f"1 -> {SCALE_WORKERS} workers scaled {scaling:.2f}x on {CPUS} "

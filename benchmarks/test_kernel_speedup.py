@@ -24,9 +24,6 @@ count.
 from __future__ import annotations
 
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -42,35 +39,6 @@ ELEMENT_SIZE = 8
 REQUIRED_SPEEDUP = 10.0
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
-TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_kernels.json"
-
-
-def _host() -> dict:
-    """The ROADMAP's host block: what a timing in the trajectory ran on.
-
-    ``commit`` names the measured code: ``+dirty`` means ``src/`` differs
-    from that commit (a change recorded before it was committed).
-    """
-    repo = Path(__file__).parent.parent
-
-    def git(*args: str) -> str:
-        try:
-            return subprocess.run(
-                ("git", "-C", str(repo)) + args,
-                capture_output=True, text=True, timeout=10, check=True,
-            ).stdout.strip()
-        except (OSError, subprocess.SubprocessError):
-            return ""
-
-    commit = git("rev-parse", "--short", "HEAD") or "unknown"
-    if git("status", "--porcelain", "--", "src"):
-        commit += "+dirty"
-    return {
-        "cpus": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "commit": commit,
-    }
 
 
 def _bench(device, allocation, vectors, backend, repeats=7, loops=5):
@@ -88,7 +56,7 @@ def _bench(device, allocation, vectors, backend, repeats=7, loops=5):
     return best, result
 
 
-def test_vectorized_kernel_speedup_gate():
+def test_vectorized_kernel_speedup_gate(host, record_row):
     rng = np.random.default_rng(7)
     matrix = rng.integers(-100, 100, size=MATRIX_SHAPE)
     vectors = rng.integers(0, 2 ** INPUT_BITS, size=(BATCH, MATRIX_SHAPE[0]))
@@ -122,7 +90,6 @@ def test_vectorized_kernel_speedup_gate():
     tiles = len(exact_allocation.placement.tiles)
     exact_call_us = best_call_us(exact_call)
     calls_per_exec = sum(count_calls(exact_call))
-    host = _host()
 
     payload = {
         "benchmark": "kernel_speedup",
@@ -143,26 +110,14 @@ def test_vectorized_kernel_speedup_gate():
     ARTIFACTS_DIR.mkdir(exist_ok=True)
     (ARTIFACTS_DIR / "kernel_speedup.json").write_text(json.dumps(payload, indent=2))
 
-    # Append the headline numbers to the repo-root trajectory file -- but
-    # only when explicitly recording (CI's benchmarks job): otherwise every
-    # plain tier-1 run would grow the file without bound.
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        trajectory = []
-        if TRAJECTORY_PATH.exists():
-            trajectory = json.loads(TRAJECTORY_PATH.read_text())
-        trajectory.append(
-            {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "reference_ms": round(reference_seconds * 1e3, 3),
-                "vectorized_ms": round(vectorized_seconds * 1e3, 3),
-                "speedup": round(speedup, 1),
-                "tiles": tiles,
-                "exact_call_us": round(exact_call_us, 1),
-                "calls_per_exec": calls_per_exec,
-                **host,
-            }
-        )
-        TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_row("BENCH_kernels.json", {
+        "reference_ms": round(reference_seconds * 1e3, 3),
+        "vectorized_ms": round(vectorized_seconds * 1e3, 3),
+        "speedup": round(speedup, 1),
+        "tiles": tiles,
+        "exact_call_us": round(exact_call_us, 1),
+        "calls_per_exec": calls_per_exec,
+    })
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"vectorized engine is only {speedup:.1f}x faster than the reference "

@@ -35,14 +35,13 @@ does not flake on a noisy runner.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import PumServer
+from repro import PumServer, StaticBatchingPolicy
 from repro.runtime import FaultInjector
 
 NUM_DEVICES = 3
@@ -73,14 +72,13 @@ MAX_VERIFY_OVERHEAD = 1.15
 INTEGRITY_MATRIX_SHAPE = (64, 64)
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
-TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_recovery.json"
 
 
 def build_server(verify: str = "off", num_devices: int = NUM_DEVICES,
                  shape: tuple = MATRIX_SHAPE) -> PumServer:
     server = PumServer(
         num_devices=num_devices, replication=REPLICATION,
-        max_batch=MAX_BATCH, max_wait_ticks=1,
+        scheduling=StaticBatchingPolicy(MAX_BATCH, 1),
         queue_capacity=WAVES * WAVE_SIZE, verify=verify,
     )
     rng = np.random.default_rng(37)
@@ -139,7 +137,7 @@ def measure(faulted: bool):
     return statistics.median(times[1:]), results, final_server, heal_stats
 
 
-def test_recovery_benchmark():
+def test_recovery_benchmark(record_row):
     clean_p50, clean_results, clean_server, _ = measure(faulted=False)
     chaos_p50, chaos_results, chaos_server, heal_stats = measure(faulted=True)
     overhead = chaos_p50 / max(clean_p50, 1e-12)
@@ -197,21 +195,13 @@ def test_recovery_benchmark():
         json.dumps(payload, indent=2, sort_keys=True)
     )
 
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        trajectory = []
-        if TRAJECTORY_PATH.exists():
-            trajectory = json.loads(TRAJECTORY_PATH.read_text())
-        trajectory.append(
-            {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "fault_free_drain_p50_ms": round(clean_p50 * 1e3, 3),
-                "degraded_drain_p50_ms": round(chaos_p50 * 1e3, 3),
-                "degraded_overhead": round(overhead, 2),
-                "degraded_batches": stats.degraded_batches,
-                "replica_hits_after_heal": stats.replica_hits - hits_at_heal,
-            }
-        )
-        TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_row("BENCH_recovery.json", {
+        "fault_free_drain_p50_ms": round(clean_p50 * 1e3, 3),
+        "degraded_drain_p50_ms": round(chaos_p50 * 1e3, 3),
+        "degraded_overhead": round(overhead, 2),
+        "degraded_batches": stats.degraded_batches,
+        "replica_hits_after_heal": stats.replica_hits - hits_at_heal,
+    })
 
     assert overhead <= MAX_DEGRADED_OVERHEAD, (
         f"degraded drain is {overhead:.1f}x the fault-free drain "
@@ -262,7 +252,7 @@ def measure_rebuild():
     return statistics.median(times[1:]), report
 
 
-def test_integrity_benchmark():
+def test_integrity_benchmark(record_row):
     measured = measure_verify()
     off_p50, off_results, off_server = measured["off"]
     full_p50, full_results, full_server = measured["full"]
@@ -308,19 +298,11 @@ def test_integrity_benchmark():
         json.dumps(payload, indent=2, sort_keys=True)
     )
 
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        trajectory = []
-        if TRAJECTORY_PATH.exists():
-            trajectory = json.loads(TRAJECTORY_PATH.read_text())
-        trajectory.append(
-            {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "verify_overhead": round(verify_overhead, 3),
-                "verify_full_drain_ms": round(full_p50 * 1e3, 3),
-                "rebuild_ms": round(rebuild_p50 * 1e3, 3),
-            }
-        )
-        TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_row("BENCH_recovery.json", {
+        "verify_overhead": round(verify_overhead, 3),
+        "verify_full_drain_ms": round(full_p50 * 1e3, 3),
+        "rebuild_ms": round(rebuild_p50 * 1e3, 3),
+    })
 
     assert verify_overhead <= MAX_VERIFY_OVERHEAD, (
         f"verify='full' drain is {verify_overhead:.2f}x the unverified "

@@ -10,6 +10,13 @@ configuration.
 The measured numbers are also written to
 ``benchmarks/artifacts/serving_throughput.json`` so CI can upload the perf
 trajectory as a workflow artifact.
+
+The file also records what a served request costs in steady state -- the
+``server-round`` rows of ``benchmarks/profile_serving.py`` (microseconds and
+function calls per request at 1 and 32 tenants, and the share of a round
+that is the server's own Python) -- into ``benchmarks/artifacts/`` and, with
+``REPRO_BENCH_RECORD=1``, the ``BENCH_serving.json`` trajectory.  Nothing is
+asserted on those times; ``tests/test_hot_path.py`` budgets the call counts.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from profile_serving import SERVER_ROUND_TENANTS, server_round_row
 
-from repro import DevicePool, PumServer
+from repro import DevicePool, PumServer, StaticBatchingPolicy
 
 CONCURRENT_REQUESTS = 32  # offered load; the gate requires >= 16
 MATRIX_SHAPE = (64, 64)
@@ -55,7 +63,7 @@ def run_sequential(matrix, vectors):
 
 def run_served(matrix, vectors):
     """The same offered load through the dynamic-batching server."""
-    server = PumServer(num_devices=2, max_batch=MAX_BATCH, max_wait_ticks=2)
+    server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(MAX_BATCH, 2))
     server.register_matrix("m", matrix, element_size=8)
     warm = server.submit("m", vectors[0], input_bits=INPUT_BITS)
     server.run_until_idle()
@@ -109,7 +117,7 @@ def test_serving_beats_request_at_a_time_by_3x(offered_load):
 def test_serving_throughput_benchmark(offered_load, benchmark):
     """Report served requests/second for the throughput dashboards."""
     matrix, vectors = offered_load
-    server = PumServer(num_devices=2, max_batch=MAX_BATCH, max_wait_ticks=2)
+    server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(MAX_BATCH, 2))
     server.register_matrix("m", matrix, element_size=8)
 
     def serve_wave():
@@ -122,3 +130,15 @@ def test_serving_throughput_benchmark(offered_load, benchmark):
     responses = benchmark(serve_wave)
     assert len(responses) == CONCURRENT_REQUESTS
     assert all(response.ok for response in responses)
+
+
+def test_server_round_cost_is_recorded(record_row):
+    """One steady-state request through the server, priced; nothing gated."""
+    rows = [server_round_row(tenants) for tenants in SERVER_ROUND_TENANTS]
+    ARTIFACTS_DIR.mkdir(exist_ok=True)
+    (ARTIFACTS_DIR / "server_round.json").write_text(json.dumps(rows, indent=2))
+    for row in rows:
+        print(f"\nserver round, {row['tenants']} tenants: {row['us_per_request']} "
+              f"us/request (pool alone {row['pool_us_per_request']}), server "
+              f"share {row['server_share']}")
+        record_row("BENCH_serving.json", {"benchmark": "server_round", **row})

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PumServer, ThreadedServerDriver
+from repro import PumServer, StaticBatchingPolicy, ThreadedServerDriver
 from repro.runtime import (
     serve_aes_mixcolumns,
     serve_cnn_conv,
@@ -31,7 +31,7 @@ def main() -> None:
     # 1. Register matrices, submit requests, drive the simulated clock.   #
     # ------------------------------------------------------------------ #
     server = PumServer(num_devices=2, policy="cache_affinity",
-                       max_batch=8, max_wait_ticks=3, queue_capacity=32)
+                       scheduling=StaticBatchingPolicy(8, 3), queue_capacity=32)
     matrix = rng.integers(-50, 50, size=(32, 24))
     server.register_matrix("ranker", matrix, element_size=8)
 

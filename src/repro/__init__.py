@@ -31,7 +31,7 @@ from .plan import (
 from .runtime.faults import FaultInjector, FaultSchedule
 from .runtime.integrity import DeviceHealth, IntegrityChecker
 from .runtime.pool import DevicePool, PredictedFinishTimePolicy, RebuildReport
-from .runtime.queueing import IndexedRequestQueue, RequestQueue
+from .runtime.queueing import IndexedRequestQueue
 from .runtime.scheduling import (
     Autotuner,
     CostAwarePolicy,
@@ -67,7 +67,6 @@ __all__ = [
     "PredictedFinishTimePolicy",
     "PumServer",
     "RebuildReport",
-    "RequestQueue",
     "SchedulingPolicy",
     "ShardedPlan",
     "SloClass",

@@ -22,12 +22,7 @@ from .pool import (
     RoundRobinPolicy,
     make_placement_policy,
 )
-from .queueing import (
-    FlatRequestQueue,
-    IndexedRequestQueue,
-    RequestQueue,
-    make_request_queue,
-)
+from .queueing import IndexedRequestQueue
 from .scheduling import (
     SLO_CLASSES,
     Autotuner,
@@ -35,11 +30,9 @@ from .scheduling import (
     SchedulingPolicy,
     SloClass,
     StaticBatchingPolicy,
-    make_scheduling_policy,
     resolve_slo,
 )
 from .server import (
-    BatchingConfig,
     PumServer,
     Request,
     Response,
@@ -52,7 +45,6 @@ from .session import DarthPumDevice, MatrixAllocation
 __all__ = [
     "AesSession",
     "Autotuner",
-    "BatchingConfig",
     "CacheAffinityPolicy",
     "CnnSession",
     "CostAwarePolicy",
@@ -63,7 +55,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "FlatRequestQueue",
     "IndexedRequestQueue",
     "LeastLoadedPolicy",
     "LlmSession",
@@ -75,7 +66,6 @@ __all__ = [
     "PumServer",
     "RebuildReport",
     "Request",
-    "RequestQueue",
     "Response",
     "RoundRobinPolicy",
     "SLO_CLASSES",
@@ -88,8 +78,6 @@ __all__ = [
     "TilePlan",
     "band_check_vector",
     "make_placement_policy",
-    "make_request_queue",
-    "make_scheduling_policy",
     "plan_matrix",
     "precision_to_bits_per_cell",
     "resolve_slo",

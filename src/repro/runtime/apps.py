@@ -209,7 +209,7 @@ def _serve_all(
     inside a stack operation.
     """
     results = []
-    wave = server.batching.queue_capacity
+    wave = server.queue_capacity
     for start in range(0, len(vectors), wave):
         futures = server.submit_batch(
             name, vectors[start: start + wave], input_bits=input_bits, slo=slo

@@ -67,7 +67,7 @@ from ...errors import (
 )
 from ...plan.ir import PlanHandle
 from ..integrity import DeviceHealth
-from ..server import matrix_fingerprint
+from ..server import integer_vectors, matrix_fingerprint
 from .faults import CircuitBreaker, TransportFaultSpec
 from .messages import (
     K_ACK,
@@ -589,7 +589,9 @@ class ClusterGateway:
         """
         self._require_running()
         record = self._record(name)
-        vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.int64))
+        # Checked here: the cast would truncate floats before the worker's
+        # server (which refuses them) could see the dtype.
+        vectors = np.ascontiguousarray(integer_vectors(vectors), dtype=np.int64)
         if vectors.ndim != 2:
             raise AdmissionError(
                 f"submit_batch expects a 2-D (n, rows) array, got shape "

@@ -39,6 +39,7 @@ import numpy as np
 from ...core.config import ChipConfig, HctConfig
 from ...errors import ReproError, SchedulerError, TransportError
 from ...reram import NoiseConfig
+from ..scheduling import StaticBatchingPolicy
 from ..server import PumServer
 from .faults import TransportFaultSpec
 from .messages import (
@@ -83,9 +84,10 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
     """Construct the :class:`PumServer` a worker spec describes.
 
     The spec is a plain dict of scalars/strings (it crosses the process
-    boundary at spawn time), mirroring the ``PumServer`` constructor:
-    ``num_devices``, ``policy``, ``max_batch``, ``max_wait_ticks``,
-    ``queue_capacity``, ``backend``, ``replication``, ``verify``, plus
+    boundary at spawn time): the pool's ``num_devices``, ``policy``,
+    ``backend``, ``replication``, ``verify``; the server's
+    ``queue_capacity``; the ``max_batch`` / ``max_wait_ticks`` of its
+    :class:`~repro.runtime.scheduling.StaticBatchingPolicy`; plus
     ``chip`` (``None`` for paper-default chips, ``"small"`` for the fast
     functional configuration) and ``noise`` (``None`` / ``"ideal"`` /
     ``"paper_default"``).
@@ -115,10 +117,14 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
         replication=int(spec.get("replication", 1)),
         verify=spec.get("verify", "off"),
     )
+    knobs = {
+        knob: spec[knob]
+        for knob in ("max_batch", "max_wait_ticks")
+        if spec.get(knob) is not None
+    }
     return PumServer(
         pool=pool,
-        max_batch=spec.get("max_batch"),
-        max_wait_ticks=spec.get("max_wait_ticks"),
+        scheduling=StaticBatchingPolicy(**knobs),
         queue_capacity=int(spec.get("queue_capacity", 4096)),
         admission="reject",
     )

@@ -349,11 +349,6 @@ class DevicePool:
         an :class:`~repro.plan.backends.ExecutionBackend` instance;
         ``None`` defers to the library default, which is vectorized).
         Individual calls may override it.
-    parallel:
-        Accepted and ignored.  A call that fans out to several devices
-        drives them one after the other on the calling thread: a device
-        call is mostly interpreter time, which threads cannot overlap under
-        the GIL (measurements in ``docs/architecture.md``, "Scaling out").
     replication:
         Copies stored of each row band (default 1 = no replication).  With
         ``replication=R`` every band of every matrix is programmed on ``R``
@@ -386,7 +381,6 @@ class DevicePool:
         noise: Optional[NoiseConfig] = None,
         policy: Union[str, PlacementPolicy] = "least_loaded",
         backend: Union[None, str, ExecutionBackend] = None,
-        parallel: bool = True,
         replication: int = 1,
         verify: str = "off",
     ) -> None:

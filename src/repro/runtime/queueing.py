@@ -1,40 +1,33 @@
-"""Request queue structures behind the :class:`~repro.runtime.server.PumServer`.
+"""The request queue behind the :class:`~repro.runtime.server.PumServer`.
 
-The scheduler's original queue was a flat list: every tick re-scanned all
-queued requests to find compatible groups, re-scanned them again to find the
-oldest member of each group, and removed dispatched requests one ``O(queue)``
-``list.remove`` at a time.  At serving depth that makes the tick loop
-``O(queue^2)`` even when no work is ready.  This module makes the queue a
-pluggable strategy so the fast path and the pre-rework baseline stay
-side by side:
+A flat list of pending requests makes the tick loop ``O(queue^2)`` even when
+no work is ready: every tick re-scans all queued requests to find compatible
+groups, re-scans them to find each group's oldest member, and removes
+dispatched requests one ``O(queue)`` ``list.remove`` at a time.
+:class:`IndexedRequestQueue` keeps one arrival-ordered deque of request ids
+per ``(name, input_bits)`` group, a live count per group, and a lazy min-heap
+of absolute deadlines instead.  ``ready_groups`` touches only the group
+index (O(groups), not O(queue)), deadline shedding pops only expired heap
+entries, and ``take`` removes a batch without ever scanning requests that
+are not part of it -- the tick loop is O(ready work).
 
-* :class:`IndexedRequestQueue` (the default) keeps one arrival-ordered deque
-  of request ids per ``(name, input_bits)`` group, a live count per group, and
-  a lazy min-heap of absolute deadlines.  ``ready_groups`` touches only the
-  group index (O(groups), not O(queue)), deadline shedding pops only expired
-  heap entries, and ``take`` removes a batch without ever scanning requests
-  that are not part of it -- the tick loop is O(ready work).
-* :class:`FlatRequestQueue` reproduces the original flat-list behaviour --
-  including its full-queue scans and the duplicated oldest-arrival
-  computation -- and exists as the executable baseline the serving-latency
-  regression gate (``benchmarks/test_serving_latency.py``) measures against.
-
-Both implementations resolve scheduling ties through the same total orders
-(batch order ``(-priority, arrival_tick, request_id)``, victim order
-``(priority, arrival_tick, request_id)``), so they dispatch bit-identical
-batches in bit-identical order; only the asymptotics differ.  (A
+Scheduling ties resolve through two total orders (batch order
+``(-priority, arrival_tick, request_id)``, victim order ``(priority,
+arrival_tick, request_id)``).  The flat list survives in
+``tests/flat_queue.py`` as the differential oracle: the test suite replays
+identical operation sequences and whole serving schedules through both and
+requires bit-identical batches in bit-identical order.  (A
 :class:`~repro.runtime.scheduling.SchedulingPolicy` may hand ``victim`` an
-*explicit* order -- cost-priced shedding -- but the default stays the
-shared total order above.)  The ``scans`` counter records every full-queue
-pass a queue performs, which is how tests prove the indexed tick loop
-stays flat in queue depth.
+*explicit* order -- cost-priced shedding -- but the default stays the total
+order above.)  The ``scans`` counter records every pass whose cost is
+proportional to the *whole* queue rather than to the work returned, which is
+how tests prove the tick loop stays flat in queue depth.
 
 Cost-aware scheduling additionally needs a *group-level* deadline view:
 ``group_keys()`` enumerates the live groups and ``min_deadline(key)``
-returns the tightest absolute deadline among a group's members.  The
-indexed queue answers both without scanning requests (per-group lazy
-deadline heaps, maintained alongside the global shedding heap); the flat
-baseline scans, as it does for everything else.
+returns the tightest absolute deadline among a group's members, both
+without scanning requests (per-group lazy deadline heaps, maintained
+alongside the global shedding heap).
 
 >>> import numpy as np
 >>> from repro.runtime.queueing import IndexedRequestQueue
@@ -56,19 +49,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
-
-from ..errors import SchedulerError
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import Request
 
-__all__ = [
-    "FlatRequestQueue",
-    "IndexedRequestQueue",
-    "RequestQueue",
-    "make_request_queue",
-]
+__all__ = ["IndexedRequestQueue"]
 
 #: A compatible-request group: requests against one matrix at one precision.
 GroupKey = Tuple[str, int]
@@ -84,95 +70,8 @@ def victim_order(request: "Request") -> Tuple[int, int, int]:
     return (request.priority, request.arrival_tick, request.request_id)
 
 
-class RequestQueue:
-    """Strategy interface of the scheduler's pending-request store.
-
-    All mutating calls happen under the server's lock; implementations do
-    not need their own synchronisation.  ``scans`` counts every pass whose
-    cost is proportional to the *whole* queue rather than to the work
-    returned -- the serving-latency gate asserts it stays flat in queue
-    depth for the indexed implementation.
-    """
-
-    name = "base"
-
-    def __init__(self) -> None:
-        #: Full-queue scans performed so far (O(pending) passes).
-        self.scans = 0
-
-    def __len__(self) -> int:
-        """Live queued requests."""
-        raise NotImplementedError
-
-    def push(self, request: "Request") -> None:
-        """Admit one request (called in arrival order, ids monotonic)."""
-        raise NotImplementedError
-
-    def push_wave(self, requests: List["Request"]) -> None:
-        """Admit a homogeneous wave in one pass.
-
-        Every request must share the same ``(name, input_bits)`` group,
-        priority, and deadline (the :meth:`PumServer.submit_batch`
-        contract); ids are in arrival order.  The default simply loops
-        ``push``; the indexed queue batches its bookkeeping.
-        """
-        for request in requests:
-            self.push(request)
-
-    def discard(self, request_id: int) -> Optional["Request"]:
-        """Remove one queued request by id; returns it, or None if absent."""
-        raise NotImplementedError
-
-    def pop_expired(self, now: int) -> List["Request"]:
-        """Remove and return every request whose deadline passed, id order."""
-        raise NotImplementedError
-
-    def ready_groups(
-        self, now: int, max_batch: int, max_wait_ticks: int
-    ) -> List[GroupKey]:
-        """Groups due for dispatch (full batch or aged), oldest-arrival first."""
-        raise NotImplementedError
-
-    def group_pending(self, key: GroupKey) -> int:
-        """Live requests queued under ``key``."""
-        raise NotImplementedError
-
-    def oldest_wait(self, key: GroupKey, now: int) -> int:
-        """Ticks the oldest live request of ``key`` has waited (-1 if empty)."""
-        raise NotImplementedError
-
-    def group_keys(self) -> List[GroupKey]:
-        """Every group with at least one live request (stable order)."""
-        raise NotImplementedError
-
-    def min_deadline(self, key: GroupKey) -> Optional[int]:
-        """Tightest absolute deadline among ``key``'s live requests.
-
-        ``None`` when the group is empty or none of its members carry a
-        deadline.
-        """
-        raise NotImplementedError
-
-    def take(self, key: GroupKey, max_batch: int) -> List["Request"]:
-        """Remove and return up to ``max_batch`` requests of ``key`` in
-        dispatch order (:func:`batch_order`)."""
-        raise NotImplementedError
-
-    def victim(self, order=None) -> Optional["Request"]:
-        """The queued request first in victim order (not removed).
-
-        ``order`` defaults to the shared :func:`victim_order` total order;
-        a scheduling policy may supply its own key function (cost-priced
-        shedding) without the queue knowing anything about costs.
-        """
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(pending={len(self)}, scans={self.scans})"
-
-
-class IndexedRequestQueue(RequestQueue):
-    """Per-group deques plus a deadline heap: the serving fast path.
+class IndexedRequestQueue:
+    """Per-group deques plus a deadline heap: the scheduler's pending store.
 
     Requests live in ``_requests`` (id -> request); each group keeps an
     arrival-ordered deque of ids and an exact live count.  Removal from the
@@ -182,12 +81,14 @@ class IndexedRequestQueue(RequestQueue):
     ever scans requests outside the group it is working on.  The deadline
     heap is likewise lazy: entries whose request already resolved are
     discarded as they surface.
+
+    All mutating calls happen under the server's lock; the queue needs no
+    synchronisation of its own.
     """
 
-    name = "indexed"
-
     def __init__(self) -> None:
-        super().__init__()
+        #: Full-queue scans performed so far (O(pending) passes).
+        self.scans = 0
         self._requests: Dict[int, "Request"] = {}
         self._groups: Dict[GroupKey, Deque[int]] = {}
         self._live: Dict[GroupKey, int] = {}
@@ -204,9 +105,11 @@ class IndexedRequestQueue(RequestQueue):
         self._group_deadlines: Dict[GroupKey, List[Tuple[int, int]]] = {}
 
     def __len__(self) -> int:
+        """Live queued requests."""
         return len(self._requests)
 
     def push(self, request: "Request") -> None:
+        """Admit one request (called in arrival order, ids monotonic)."""
         key = (request.name, request.input_bits)
         self._requests[request.request_id] = request
         self._groups.setdefault(key, deque()).append(request.request_id)
@@ -219,6 +122,12 @@ class IndexedRequestQueue(RequestQueue):
             heapq.heappush(self._group_deadlines.setdefault(key, []), entry)
 
     def push_wave(self, requests: List["Request"]) -> None:
+        """Admit a homogeneous wave in one bookkeeping pass.
+
+        Every request must share the same ``(name, input_bits)`` group,
+        priority, and deadline (the :meth:`PumServer.submit_batch`
+        contract); ids are in arrival order.
+        """
         if not requests:
             return
         first = requests[0]
@@ -260,19 +169,21 @@ class IndexedRequestQueue(RequestQueue):
             self._group_deadlines.pop(key, None)
 
     def discard(self, request_id: int) -> Optional["Request"]:
+        """Remove one queued request by id; returns it, or None if absent."""
         request = self._requests.pop(request_id, None)
         if request is not None:
             self._forget((request.name, request.input_bits), request)
         return request
 
     def pop_expired(self, now: int) -> List["Request"]:
+        """Remove and return every request whose deadline passed, id order."""
         expired: List["Request"] = []
         while self._deadlines and self._deadlines[0][0] < now:
             _, request_id = heapq.heappop(self._deadlines)
             request = self.discard(request_id)
             if request is not None:
                 expired.append(request)
-        # Submission (= id) order, matching the flat queue's shed order.
+        # Submission (= id) order, not heap (= deadline) order.
         expired.sort(key=lambda r: r.request_id)
         return expired
 
@@ -291,6 +202,7 @@ class IndexedRequestQueue(RequestQueue):
     def ready_groups(
         self, now: int, max_batch: int, max_wait_ticks: int
     ) -> List[GroupKey]:
+        """Groups due for dispatch (full batch or aged), oldest-arrival first."""
         ready: List[Tuple[int, GroupKey]] = []
         for key in list(self._groups):
             pending = self._live.get(key, 0)
@@ -307,20 +219,28 @@ class IndexedRequestQueue(RequestQueue):
         return [key for _, key in ready]
 
     def group_pending(self, key: GroupKey) -> int:
+        """Live requests queued under ``key``."""
         return self._live.get(key, 0)
 
     def oldest_wait(self, key: GroupKey, now: int) -> int:
+        """Ticks the oldest live request of ``key`` has waited (-1 if empty)."""
         front = self._front(key)
         if front is None:
             return -1
         return now - front.arrival_tick
 
     def group_keys(self) -> List[GroupKey]:
+        """Every group with at least one live request (stable order)."""
         # The live-count index is maintained exactly, so this is O(groups)
         # and never increments ``scans``.
         return [key for key, live in self._live.items() if live > 0]
 
     def min_deadline(self, key: GroupKey) -> Optional[int]:
+        """Tightest absolute deadline among ``key``'s live requests.
+
+        ``None`` when the group is empty or none of its members carry a
+        deadline.
+        """
         heap = self._group_deadlines.get(key)
         if not heap:
             return None
@@ -334,6 +254,8 @@ class IndexedRequestQueue(RequestQueue):
         return None
 
     def take(self, key: GroupKey, max_batch: int) -> List["Request"]:
+        """Remove and return up to ``max_batch`` requests of ``key`` in
+        dispatch order (:func:`batch_order`)."""
         ids = self._groups.get(key)
         if not ids:
             return []
@@ -362,7 +284,7 @@ class IndexedRequestQueue(RequestQueue):
                     self._priorities.pop(key, None)
                     self._group_deadlines.pop(key, None)
             return chosen
-        # Mixed priorities: fall back to the shared dispatch sort over the
+        # Mixed priorities: fall back to the dispatch sort over the
         # group's live members (still touches only this group).
         arrivals = [r for r in (self._requests.get(i) for i in ids) if r is not None]
         chosen = sorted(arrivals, key=batch_order)[:max_batch]
@@ -377,6 +299,12 @@ class IndexedRequestQueue(RequestQueue):
         return chosen
 
     def victim(self, order=None) -> Optional["Request"]:
+        """The queued request first in victim order (not removed).
+
+        ``order`` defaults to the :func:`victim_order` total order; a
+        scheduling policy may supply its own key function (cost-priced
+        shedding) without the queue knowing anything about costs.
+        """
         if not self._requests:
             return None
         # Admission control only engages when the queue is at capacity, so
@@ -385,117 +313,5 @@ class IndexedRequestQueue(RequestQueue):
         self.scans += 1
         return min(self._requests.values(), key=order or victim_order)
 
-
-class FlatRequestQueue(RequestQueue):
-    """The pre-rework flat-list queue, kept as the measured baseline.
-
-    Faithfully reproduces the original scheduler's cost profile -- every
-    readiness check, deadline sweep, and dispatch re-scans the whole list,
-    the oldest-arrival of a group is computed twice per readiness pass (the
-    duplication the indexed queue removed), and each dispatched request pays
-    an ``O(queue)`` ``list.remove``.  ``benchmarks/test_serving_latency.py``
-    drives identical traffic through both implementations and gates on the
-    indexed queue's speedup, with bit-identical responses as the invariant.
-    """
-
-    name = "flat"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._queue: List["Request"] = []
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def push(self, request: "Request") -> None:
-        self._queue.append(request)
-
-    def discard(self, request_id: int) -> Optional["Request"]:
-        self.scans += 1
-        for request in self._queue:
-            if request.request_id == request_id:
-                self._queue.remove(request)
-                return request
-        return None
-
-    def pop_expired(self, now: int) -> List["Request"]:
-        self.scans += 1
-        expired = [
-            r for r in self._queue if r.deadline is not None and r.deadline < now
-        ]
-        for request in expired:
-            self._queue.remove(request)
-        return expired
-
-    def ready_groups(
-        self, now: int, max_batch: int, max_wait_ticks: int
-    ) -> List[GroupKey]:
-        self.scans += 1
-        groups: Dict[GroupKey, List["Request"]] = {}
-        for request in self._queue:
-            groups.setdefault((request.name, request.input_bits), []).append(request)
-        ready: List[Tuple[int, GroupKey]] = []
-        for key, members in groups.items():
-            oldest_wait = now - min(r.arrival_tick for r in members)
-            if len(members) >= max_batch or oldest_wait >= max_wait_ticks:
-                # The duplicated min() is deliberate: it preserves the
-                # original scheduler's measured cost (the indexed queue is
-                # the fix).
-                ready.append((min(r.arrival_tick for r in members), key))
-        return [key for _, key in sorted(ready)]
-
-    def _members(self, key: GroupKey) -> List["Request"]:
-        self.scans += 1
-        return [r for r in self._queue if (r.name, r.input_bits) == key]
-
-    def group_pending(self, key: GroupKey) -> int:
-        return len(self._members(key))
-
-    def oldest_wait(self, key: GroupKey, now: int) -> int:
-        members = self._members(key)
-        if not members:
-            return -1
-        return now - min(r.arrival_tick for r in members)
-
-    def group_keys(self) -> List[GroupKey]:
-        self.scans += 1
-        seen: Dict[GroupKey, None] = {}
-        for request in self._queue:
-            seen.setdefault((request.name, request.input_bits), None)
-        return list(seen)
-
-    def min_deadline(self, key: GroupKey) -> Optional[int]:
-        deadlines = [
-            r.deadline for r in self._members(key) if r.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def take(self, key: GroupKey, max_batch: int) -> List["Request"]:
-        members = self._members(key)
-        members.sort(key=batch_order)
-        batch = members[:max_batch]
-        for request in batch:
-            self._queue.remove(request)
-        return batch
-
-    def victim(self, order=None) -> Optional["Request"]:
-        if not self._queue:
-            return None
-        self.scans += 1
-        return min(self._queue, key=order or victim_order)
-
-
-def make_request_queue(queue: Union[str, RequestQueue]) -> RequestQueue:
-    """Resolve a queue name (or pass through a queue instance)."""
-    if isinstance(queue, RequestQueue):
-        return queue
-    factories = {
-        "indexed": IndexedRequestQueue,
-        "flat": FlatRequestQueue,
-    }
-    if queue not in factories:
-        raise SchedulerError(
-            f"unknown request queue {queue!r}; expected one of "
-            f"{tuple(factories)} or a RequestQueue instance"
-        )
-    return factories[queue]()
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"IndexedRequestQueue(pending={len(self)}, scans={self.scans})"

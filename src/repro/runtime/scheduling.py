@@ -4,13 +4,13 @@ The scheduler's dispatch decision used to be a hard-wired knob pair: a
 group dispatched when it held ``max_batch`` requests or its oldest member
 had waited ``max_wait_ticks``.  This module makes that decision a pluggable
 strategy -- the same pattern the pool uses for placement
-(:class:`~repro.runtime.pool.PlacementPolicy`) and the server for its queue
-(:class:`~repro.runtime.queueing.RequestQueue`):
+(:class:`~repro.runtime.pool.PlacementPolicy`) -- and a policy instance
+handed to ``PumServer(scheduling=...)`` is the one way to say when a batch
+dispatches:
 
-* :class:`StaticBatchingPolicy` reproduces the knob-pair behaviour
-  bit-identically (same readiness checks, same dispatch order, same
-  ledgers) -- it is what legacy ``max_batch=`` / ``max_wait_ticks=``
-  constructor arguments build.
+* :class:`StaticBatchingPolicy` is the knob pair itself (same readiness
+  checks, same dispatch order, same ledgers) and what a server built
+  without a policy uses.
 * :class:`CostAwarePolicy` uses each group's cached
   :class:`~repro.plan.ir.PlanCostModel` as an online oracle: it predicts
   the batch's latency (and optionally energy) *before dispatching anything*
@@ -31,10 +31,10 @@ Every decision is a pure function of the queue state, the tick counter,
 and closed-form plan costs -- replaying one tick trace twice produces
 identical dispatch batches, responses, and shed sets.
 
->>> from repro.runtime.scheduling import make_scheduling_policy
->>> make_scheduling_policy("static", max_batch=8, max_wait_ticks=2)
+>>> from repro.runtime.scheduling import CostAwarePolicy, StaticBatchingPolicy
+>>> StaticBatchingPolicy(max_batch=8, max_wait_ticks=2)
 StaticBatchingPolicy(max_batch=8, max_wait_ticks=2)
->>> make_scheduling_policy("cost_aware").name
+>>> CostAwarePolicy().name
 'cost_aware'
 """
 
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import SchedulerError, SloError
 from ..metrics import ema
-from .queueing import GroupKey, RequestQueue
+from .queueing import GroupKey, IndexedRequestQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import PumServer, Request
@@ -57,7 +57,6 @@ __all__ = [
     "SchedulingPolicy",
     "SloClass",
     "StaticBatchingPolicy",
-    "make_scheduling_policy",
     "resolve_slo",
 ]
 
@@ -143,13 +142,13 @@ class SchedulingPolicy:
         """Observe the start of one scheduler tick (no-op by default)."""
 
     def ready_groups(
-        self, server: "PumServer", queue: RequestQueue, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, now: int
     ) -> List[GroupKey]:
         """The groups to visit this tick, in dispatch-priority order."""
         raise NotImplementedError
 
     def dispatch_now(
-        self, server: "PumServer", queue: RequestQueue, key: GroupKey, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, key: GroupKey, now: int
     ) -> bool:
         """Whether ``key`` should dispatch a batch now rather than wait."""
         raise NotImplementedError
@@ -165,12 +164,11 @@ class SchedulingPolicy:
 
 
 class StaticBatchingPolicy(SchedulingPolicy):
-    """The classic knob pair, bit-identical to the pre-policy scheduler.
+    """The classic knob pair, and the server's default policy.
 
     A group dispatches when it holds ``max_batch`` requests or its oldest
     member has waited ``max_wait_ticks`` -- evaluated through the queue's
-    own ``ready_groups`` exactly as the hard-wired loop did, so responses,
-    ledgers, and even the queue's ``scans`` counter are unchanged.
+    own ``ready_groups``.
     """
 
     name = "static"
@@ -184,15 +182,15 @@ class StaticBatchingPolicy(SchedulingPolicy):
         self.max_wait_ticks = int(max_wait_ticks)
 
     def ready_groups(
-        self, server: "PumServer", queue: RequestQueue, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, now: int
     ) -> List[GroupKey]:
         return queue.ready_groups(now, self.max_batch, self.max_wait_ticks)
 
     def dispatch_now(
-        self, server: "PumServer", queue: RequestQueue, key: GroupKey, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, key: GroupKey, now: int
     ) -> bool:
-        # Same short-circuit shape as the pre-policy loop: the oldest
-        # member's wait is only read when the batch is not already full.
+        # The oldest member's wait is only read when the batch is not
+        # already full.
         if queue.group_pending(key) >= self.max_batch:
             return True
         return queue.oldest_wait(key, now) >= self.max_wait_ticks
@@ -287,7 +285,7 @@ class CostAwarePolicy(SchedulingPolicy):
     # The dispatch decision                                            #
     # -------------------------------------------------------------- #
     def ready_groups(
-        self, server: "PumServer", queue: RequestQueue, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, now: int
     ) -> List[GroupKey]:
         ready: List[Tuple[float, int, GroupKey]] = []
         for key in queue.group_keys():
@@ -302,7 +300,7 @@ class CostAwarePolicy(SchedulingPolicy):
         return [key for _, _, key in ready]
 
     def dispatch_now(
-        self, server: "PumServer", queue: RequestQueue, key: GroupKey, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, key: GroupKey, now: int
     ) -> bool:
         pending = queue.group_pending(key)
         if pending >= self.max_batch:
@@ -482,12 +480,12 @@ class Autotuner(SchedulingPolicy):
             self.static.max_batch = value
 
     def ready_groups(
-        self, server: "PumServer", queue: RequestQueue, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, now: int
     ) -> List[GroupKey]:
         return self.static.ready_groups(server, queue, now)
 
     def dispatch_now(
-        self, server: "PumServer", queue: RequestQueue, key: GroupKey, now: int
+        self, server: "PumServer", queue: IndexedRequestQueue, key: GroupKey, now: int
     ) -> bool:
         return self.static.dispatch_now(server, queue, key, now)
 
@@ -498,44 +496,3 @@ class Autotuner(SchedulingPolicy):
             f"interval_ticks={self.interval_ticks}, "
             f"adjustments={len(self.history)})"
         )
-
-
-def make_scheduling_policy(
-    scheduling: Union[None, str, SchedulingPolicy],
-    max_batch: Optional[int] = None,
-    max_wait_ticks: Optional[int] = None,
-) -> SchedulingPolicy:
-    """Resolve a policy name (or pass through an instance).
-
-    ``max_batch`` / ``max_wait_ticks`` are the legacy knob pair: with
-    ``scheduling=None`` (or a policy *name*) they parameterise the
-    constructed policy, preserving the original ``PumServer(max_batch=...,
-    max_wait_ticks=...)`` surface; combining them with an already-built
-    policy instance is ambiguous and raises.
-    """
-    if isinstance(scheduling, SchedulingPolicy):
-        if max_batch is not None or max_wait_ticks is not None:
-            raise SchedulerError(
-                "pass max_batch/max_wait_ticks either to the policy or to the "
-                "server, not both: the scheduling policy instance already "
-                "carries its knobs"
-            )
-        return scheduling
-    knobs = {}
-    if max_batch is not None:
-        knobs["max_batch"] = max_batch
-    if max_wait_ticks is not None:
-        knobs["max_wait_ticks"] = max_wait_ticks
-    if scheduling is None:
-        return StaticBatchingPolicy(**knobs)
-    factories = {
-        "static": StaticBatchingPolicy,
-        "cost_aware": CostAwarePolicy,
-        "autotuned": Autotuner,
-    }
-    if scheduling not in factories:
-        raise SchedulerError(
-            f"unknown scheduling policy {scheduling!r}; expected one of "
-            f"{tuple(factories)} or a SchedulingPolicy instance"
-        )
-    return factories[scheduling](**knobs)

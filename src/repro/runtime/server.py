@@ -14,12 +14,12 @@ before they reach the chips.  :class:`PumServer` is that layer:
 * an indexed queue (:mod:`~repro.runtime.queueing`) feeds a deterministic
   simulated-clock scheduler loop: every :meth:`PumServer.tick` coalesces
   compatible requests (same matrix, same input precision) into
-  ``exec_mvm_batch`` calls.  *When* a group dispatches is decided by a
-  pluggable :class:`~repro.runtime.scheduling.SchedulingPolicy` -- the
-  default :class:`~repro.runtime.scheduling.StaticBatchingPolicy`
-  reproduces the classic knob pair (dispatch once a batch fills
-  (``max_batch``) or the oldest request has waited ``max_wait_ticks``)
-  bit-identically, while
+  ``exec_mvm_batch`` calls.  *When* a group dispatches is decided by the
+  :class:`~repro.runtime.scheduling.SchedulingPolicy` handed to
+  ``PumServer(scheduling=...)`` -- the default
+  :class:`~repro.runtime.scheduling.StaticBatchingPolicy` is the classic
+  knob pair (dispatch once a batch fills (``max_batch``) or the oldest
+  request has waited ``max_wait_ticks``), while
   :class:`~repro.runtime.scheduling.CostAwarePolicy` consults the cached
   plan cost models (:meth:`PumServer.predicted_batch_cycles`) and each
   group's tightest deadline slack.  Requests may carry an SLO class
@@ -67,17 +67,17 @@ from ..metrics import percentile_sorted
 from ..plan.backends import ExecutionBackend
 from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
-from .queueing import GroupKey, RequestQueue, make_request_queue
-from .scheduling import SchedulingPolicy, SloClass, make_scheduling_policy, resolve_slo
+from .queueing import GroupKey, IndexedRequestQueue
+from .scheduling import SchedulingPolicy, SloClass, StaticBatchingPolicy, resolve_slo
 
 __all__ = [
-    "BatchingConfig",
     "PumServer",
     "Request",
     "Response",
     "ServerFuture",
     "ServingStats",
     "ThreadedServerDriver",
+    "integer_vectors",
     "matrix_fingerprint",
 ]
 
@@ -90,6 +90,11 @@ STATUS_FAILED = "failed"
 #: Entries retained by each sliding telemetry window (see ServingStats).
 TELEMETRY_WINDOW = 4096
 
+#: What happens to a newcomer when the queue is at capacity: ``"reject"``
+#: turns it away; ``"shed_lowest"`` evicts the lowest-priority queued
+#: request instead when the newcomer outranks it.
+ADMISSION_MODES = ("reject", "shed_lowest")
+
 
 def matrix_fingerprint(
     matrix: np.ndarray, element_size: int, precision: int
@@ -98,6 +103,22 @@ def matrix_fingerprint(
     canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
     digest = hashlib.sha256(canonical.tobytes()).hexdigest()
     return (digest, canonical.shape, element_size, precision)
+
+
+def integer_vectors(vectors: np.ndarray) -> np.ndarray:
+    """``np.asarray(vectors)``, refusing what an int64 cast would truncate.
+
+    Request vectors must arrive with an integer (or bool) dtype: a float,
+    NaN or string array raises :class:`~repro.errors.QuantizationError`, as
+    ``set_matrix`` refuses a float matrix.
+    """
+    source = np.asarray(vectors)
+    if source.dtype.kind not in "iub":
+        raise QuantizationError(
+            f"request vectors must be integers (got dtype {source.dtype}); "
+            "quantise floats first"
+        )
+    return source
 
 
 @dataclass(eq=False, slots=True)
@@ -222,46 +243,6 @@ class _Registration:
     #: a rebuild changes the placement.
     cycles: Dict[Tuple[int, int], float] = field(default_factory=dict)
     energy_pj: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Dynamic-batching and admission-control knobs.
-
-    ``max_batch``: largest coalesced batch handed to ``exec_mvm_batch``.
-    ``max_wait_ticks``: a non-full batch dispatches once its oldest request
-    has waited this many ticks (bounds tail latency under light load).
-    ``queue_capacity``: bound on queued requests; admission control engages
-    beyond it.  ``admission``: ``"reject"`` turns the newcomer away;
-    ``"shed_lowest"`` evicts the lowest-priority queued request instead when
-    the newcomer outranks it.
-
-    Since scheduling became a pluggable policy the *live* batching knobs
-    are ``server.scheduling.max_batch`` / ``.max_wait_ticks`` (an
-    :class:`~repro.runtime.scheduling.Autotuner` nudges them at runtime);
-    this frozen config records the values the server was constructed with,
-    plus the admission knobs the server itself still owns.
-    """
-
-    max_batch: int = 16
-    max_wait_ticks: int = 4
-    queue_capacity: int = 64
-    admission: str = "reject"
-
-    ADMISSION_MODES = ("reject", "shed_lowest")
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise SchedulerError("max_batch must be >= 1")
-        if self.max_wait_ticks < 0:
-            raise SchedulerError("max_wait_ticks must be >= 0")
-        if self.queue_capacity < 1:
-            raise SchedulerError("queue_capacity must be >= 1")
-        if self.admission not in self.ADMISSION_MODES:
-            raise SchedulerError(
-                f"unknown admission mode {self.admission!r}; "
-                f"expected one of {self.ADMISSION_MODES}"
-            )
 
 
 @dataclass
@@ -419,8 +400,9 @@ class PumServer:
     """Serving front-end: single-vector requests in, coalesced batches out.
 
     >>> import numpy as np
+    >>> from repro.runtime.scheduling import StaticBatchingPolicy
     >>> from repro.runtime.server import PumServer
-    >>> server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=2)
+    >>> server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 2))
     >>> _ = server.register_matrix("proj", np.eye(8, dtype=np.int64))
     >>> futures = [server.submit("proj", np.full(8, i, dtype=np.int64),
     ...                          input_bits=3) for i in range(4)]
@@ -433,27 +415,31 @@ class PumServer:
     {4: 1}
     """
 
-    #: Factory for response futures (a hot-path hook: one is created per
-    #: admitted request; the serving-latency baseline swaps in the
-    #: pre-rework eager-event future).
-    future_factory = ServerFuture
-
     def __init__(
         self,
         pool: Optional[DevicePool] = None,
         num_devices: int = 2,
         policy: str = "cache_affinity",
-        max_batch: Optional[int] = None,
-        max_wait_ticks: Optional[int] = None,
         queue_capacity: int = 64,
         admission: str = "reject",
         backend: Union[None, str, ExecutionBackend] = None,
-        queue: Union[str, RequestQueue] = "indexed",
         replication: int = 1,
-        scheduling: Union[None, str, SchedulingPolicy] = None,
+        scheduling: Optional[SchedulingPolicy] = None,
         verify: Optional[str] = None,
         auto_rebuild: bool = False,
     ) -> None:
+        if queue_capacity < 1:
+            raise SchedulerError("queue_capacity must be >= 1")
+        if admission not in ADMISSION_MODES:
+            raise SchedulerError(
+                f"unknown admission mode {admission!r}; "
+                f"expected one of {ADMISSION_MODES}"
+            )
+        if scheduling is not None and not isinstance(scheduling, SchedulingPolicy):
+            raise SchedulerError(
+                f"scheduling must be a SchedulingPolicy instance or None "
+                f"(got {scheduling!r})"
+            )
         self.pool = pool if pool is not None else DevicePool(
             num_devices=num_devices, policy=policy, backend=backend,
             replication=replication,
@@ -471,24 +457,18 @@ class PumServer:
         #: sharing one pool can run different backends without mutating the
         #: shared pool.
         self.backend = backend
-        #: When each group dispatches: a pluggable
-        #: :class:`~repro.runtime.scheduling.SchedulingPolicy`.  The legacy
-        #: ``max_batch=`` / ``max_wait_ticks=`` kwargs construct the
-        #: bit-identical :class:`StaticBatchingPolicy` when no policy (or a
-        #: policy *name*) is given.
-        self.scheduling = make_scheduling_policy(
-            scheduling, max_batch=max_batch, max_wait_ticks=max_wait_ticks
+        #: When each group dispatches, and how large a batch may grow: the
+        #: live knobs are ``scheduling.max_batch`` / ``.max_wait_ticks``
+        #: (an :class:`~repro.runtime.scheduling.Autotuner` moves them).
+        self.scheduling = (
+            scheduling if scheduling is not None else StaticBatchingPolicy()
         )
-        self.batching = BatchingConfig(
-            max_batch=self.scheduling.max_batch,
-            max_wait_ticks=getattr(self.scheduling, "max_wait_ticks", 4),
-            queue_capacity=queue_capacity,
-            admission=admission,
-        )
-        #: Pending-request store (``"indexed"`` is the O(ready work) fast
-        #: path; ``"flat"`` is the pre-rework baseline kept for the
-        #: serving-latency regression gate).
-        self.request_queue = make_request_queue(queue)
+        #: Bound on queued requests; admission control engages beyond it.
+        self.queue_capacity = queue_capacity
+        #: Admission mode at capacity (one of :data:`ADMISSION_MODES`).
+        self.admission = admission
+        #: Pending-request store, O(ready work) per tick.
+        self.request_queue = IndexedRequestQueue()
         self.now = 0
         self.stats = ServingStats()
         #: Re-registrations skipped because the matrix was byte-identical.
@@ -553,9 +533,8 @@ class PumServer:
     def queue_scans(self) -> int:
         """Full-queue scans the scheduler has performed.
 
-        With the indexed queue this stays flat (zero on the tick loop) no
-        matter how deep the queue gets -- the serving-latency gate asserts
-        it; the flat baseline grows with every readiness check.
+        Stays flat (zero on the tick loop) no matter how deep the queue
+        gets; only admission shedding at capacity scans.
         """
         return self.request_queue.scans
 
@@ -647,6 +626,39 @@ class PumServer:
             priority = resolved.shed_priority
         return priority, deadline
 
+    def _admissible(
+        self, name: str, vectors: np.ndarray, input_bits: int, ndim: int
+    ) -> np.ndarray:
+        """The request front door shared by ``submit`` and ``submit_batch``.
+
+        Shape, then dtype, then value range, each failing the caller
+        synchronously with :class:`~repro.errors.QuantizationError` before
+        a request id is consumed -- so a bad vector never poisons the batch
+        it would later ride in, and a float is refused (as ``set_matrix``
+        refuses a float matrix) instead of being truncated.  Returns the
+        vectors as one contiguous int64 array: the caller's own when it
+        already is one.
+        """
+        rows = self.allocation_for(name).shape[0]
+        source = np.asarray(vectors)
+        if source.ndim != ndim or source.shape[-1] != rows:
+            expected = (
+                f"submit expects a ({rows},) vector" if ndim == 1
+                else f"submit_batch expects an (n, {rows}) array"
+            )
+            raise QuantizationError(
+                f"{expected} for matrix {name!r} (got shape {source.shape})"
+            )
+        source = integer_vectors(source)
+        if source.size:
+            lo, hi = int(source.min()), int(source.max())
+            if lo < 0 or hi >= 1 << input_bits:
+                raise QuantizationError(
+                    f"request vector values must be in [0, 2**{input_bits}) "
+                    f"(got range [{lo}, {hi}])"
+                )
+        return np.ascontiguousarray(source, dtype=np.int64)
+
     def submit(
         self,
         name: str,
@@ -669,22 +681,7 @@ class PumServer:
         """
         with self._lock:
             priority, deadline = self._apply_slo(slo, priority, deadline)
-            allocation = self.allocation_for(name)
-            vector = np.asarray(vector, dtype=np.int64)
-            rows, _ = allocation.shape
-            if vector.shape != (rows,):
-                raise QuantizationError(
-                    f"request vector of shape {vector.shape} does not match "
-                    f"matrix {name!r} rows ({rows})"
-                )
-            # Reject values the bit-slicer cannot represent *now*, so a bad
-            # vector fails its caller synchronously instead of poisoning the
-            # batch it would later ride in.
-            if vector.size and (vector.min() < 0 or vector.max() >= 1 << input_bits):
-                raise QuantizationError(
-                    f"request vector values must be in [0, 2**{input_bits}) "
-                    f"(got range [{vector.min()}, {vector.max()}])"
-                )
+            vector = self._admissible(name, vector, input_bits, ndim=1)
             request = Request(
                 request_id=self._next_request,
                 name=name,
@@ -712,7 +709,8 @@ class PumServer:
         The bulk-ingress fast path: one shape/dtype/range validation pass
         over the entire array (instead of one per vector), request ids and
         futures allocated in bulk, and every admitted request's vector kept
-        as a *view* of the (single, contiguous) copy of the caller's array
+        as a *view* of the (single, contiguous) int64 copy of the caller's
+        array (the caller's own array when it already is one)
         -- which is what lets the dispatcher later slice whole batches out
         of it without copying.  Admission control is applied per request in
         row order, exactly as ``n`` individual ``submit()`` calls would:
@@ -720,14 +718,14 @@ class PumServer:
         shed a lower-priority victim) while the rest of the batch proceeds.
         Returns one future per row, in row order.
 
-        An empty batch returns ``[]``; an array containing any value outside
-        ``[0, 2**input_bits)`` is rejected as a whole with
-        :class:`~repro.errors.QuantizationError` before any request is
-        created, mirroring the synchronous validation of ``submit()``.
+        An empty batch returns ``[]``; a non-integer array, or one
+        containing any value outside ``[0, 2**input_bits)``, is rejected as
+        a whole with :class:`~repro.errors.QuantizationError` before any
+        request is created -- the same check ``submit()`` applies.
 
         >>> import numpy as np
         >>> from repro.runtime.server import PumServer
-        >>> server = PumServer(num_devices=1, max_batch=4, max_wait_ticks=2)
+        >>> server = PumServer(num_devices=1)
         >>> _ = server.register_matrix("proj", np.eye(4, dtype=np.int64))
         >>> rows = np.arange(8, dtype=np.int64).reshape(4, 2).repeat(2, axis=1) % 4
         >>> futures = server.submit_batch("proj", rows, input_bits=2)
@@ -737,28 +735,11 @@ class PumServer:
         """
         with self._lock:
             priority, deadline = self._apply_slo(slo, priority, deadline)
-            allocation = self.allocation_for(name)
-            rows, _ = allocation.shape
-            source = np.asarray(vectors)
-            if source.ndim != 2 or source.shape[1] != rows:
-                raise QuantizationError(
-                    f"submit_batch expects an (n, {rows}) array for matrix "
-                    f"{name!r} (got shape {source.shape})"
-                )
-            if source.shape[0] == 0:
-                return []
-            # One contiguous int64 copy at most; if the caller already hands
-            # int64 C-contiguous data this is the caller's own array and the
-            # admitted vectors alias its rows directly.
-            source = np.ascontiguousarray(source, dtype=np.int64)
-            lo, hi = int(source.min()), int(source.max())
-            if lo < 0 or hi >= 1 << input_bits:
-                raise QuantizationError(
-                    f"request vector values must be in [0, 2**{input_bits}) "
-                    f"(got range [{lo}, {hi}])"
-                )
-            base_id = self._next_request
+            source = self._admissible(name, vectors, input_bits, ndim=2)
             count = source.shape[0]
+            if count == 0:
+                return []
+            base_id = self._next_request
             self._next_request += count
             self.stats.submitted += count
             arrival = self.now
@@ -776,11 +757,10 @@ class PumServer:
                 )
                 for row in range(count)
             ]
-            if len(self.request_queue) + count <= self.batching.queue_capacity:
+            if len(self.request_queue) + count <= self.queue_capacity:
                 # The whole wave fits: skip the per-request admission checks
                 # and let the queue ingest it in one bookkeeping pass.
-                factory = self.future_factory
-                futures = [factory(request.request_id) for request in requests]
+                futures = [ServerFuture(request.request_id) for request in requests]
                 self.request_queue.push_wave(requests)
                 self._futures.update(
                     (request.request_id, future)
@@ -791,8 +771,8 @@ class PumServer:
 
     def _admit(self, request: Request) -> ServerFuture:
         """Queue ``request`` (applying admission control) and return its future."""
-        future = self.future_factory(request.request_id)
-        if len(self.request_queue) >= self.batching.queue_capacity:
+        future = ServerFuture(request.request_id)
+        if len(self.request_queue) >= self.queue_capacity:
             victim = self._admission_victim(request)
             if victim is None:
                 self.stats.rejected += 1
@@ -809,7 +789,7 @@ class PumServer:
 
     def _admission_victim(self, newcomer: Request) -> Optional[Request]:
         """The queued request to shed for ``newcomer``, or None to reject it."""
-        if self.batching.admission != "shed_lowest":
+        if self.admission != "shed_lowest":
             return None
         victim = self.request_queue.victim(self.scheduling.victim_order(self))
         if victim is not None and victim.priority < newcomer.priority:
@@ -885,8 +865,7 @@ class PumServer:
             if not self.request_queue.group_pending(key):
                 return responses
             # One policy decision per candidate batch (for the static
-            # policy this is the exact pre-policy readiness check, with
-            # the oldest member's wait read once per pass).
+            # policy the oldest member's wait is read once per pass).
             if not scheduling.dispatch_now(self, self.request_queue, key, self.now):
                 return responses
             batch = self.request_queue.take(key, scheduling.max_batch)
@@ -934,15 +913,6 @@ class PumServer:
             arena[row] = request.vector
         self.stats.gathered_batches += 1
         return arena[: len(batch)]
-
-    def _energy_total(self) -> float:
-        """Pool energy reading bracketing every dispatch (hot-path hook).
-
-        Reads the breakdown-free :meth:`DevicePool.total_energy_pj` (equal
-        bit for bit to ``total_ledger().energy_pj``); the serving-latency
-        baseline overrides this with the pre-rework full ledger merge.
-        """
-        return self.pool.total_energy_pj()
 
     def _note_degraded(self, before: Tuple[int, ...]) -> None:
         """Fold the pool's resilience counter deltas into the serving stats.
@@ -1010,7 +980,9 @@ class PumServer:
         record = self._registrations[name]
         allocation = record.allocation
         vectors = self._assemble_batch(record, input_bits, batch)
-        energy_before = self._energy_total()
+        # Breakdown-free reading, equal bit for bit to
+        # ``total_ledger().energy_pj``.
+        energy_before = self.pool.total_energy_pj()
         before = self.pool.resilience_snapshot()
         try:
             results = self.pool.exec_mvm_batch(
@@ -1027,7 +999,7 @@ class PumServer:
                 self._note_degraded(before)
                 return self._fail_batch(batch, exc)
         self._note_degraded(before)
-        energy_pj = self._energy_total() - energy_before
+        energy_pj = self.pool.total_energy_pj() - energy_before
         per_request = energy_pj / len(batch)
 
         responses = []

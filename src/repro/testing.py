@@ -73,3 +73,36 @@ def profiled_calls(function) -> list:
     finally:
         sys.setprofile(None)
     return events
+
+
+def server_round(tenants: int, rows: int = 64):
+    """The steady-state server round ``make hotpath`` prices and
+    ``tests/test_hot_path.py`` budgets, as ``(server, vectors, submit, drain)``.
+
+    ``tenants`` matrices of the ``encoder_projection`` shape on a default
+    :class:`~repro.runtime.server.PumServer`; ``submit()`` admits one
+    ``submit_batch`` of ``vectors[tenant]`` (``rows`` requests) per tenant
+    and returns the futures, ``drain()`` is ``run_until_idle()``.  Two rounds
+    have already run, so plans, receipts and batch arenas are warm.
+    """
+    from .runtime.server import PumServer
+
+    shape, element_size, input_bits, _ = DEVICE_CALL_SHAPES["encoder_projection"]
+    rng = np.random.default_rng(11)
+    half = 1 << (element_size - 1)
+    server = PumServer(num_devices=2, queue_capacity=tenants * rows)
+    names = [f"t{tenant}" for tenant in range(tenants)]
+    for name in names:
+        server.register_matrix(name, rng.integers(-half, half, size=shape),
+                               element_size=element_size, input_bits=input_bits)
+    vectors = rng.integers(0, 1 << input_bits, size=(tenants, rows, shape[0]),
+                           dtype=np.int64)
+
+    def submit():
+        return [server.submit_batch(name, block, input_bits=input_bits)
+                for name, block in zip(names, vectors)]
+
+    for _ in range(2):
+        submit()
+        server.run_until_idle()
+    return server, vectors, submit, server.run_until_idle

@@ -23,7 +23,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro import ChipConfig, DarthPumDevice, DevicePool, HctConfig, PumServer
+from repro import (
+    ChipConfig,
+    DarthPumDevice,
+    DevicePool,
+    HctConfig,
+    PumServer,
+    StaticBatchingPolicy,
+)
 from repro.plan import DevicePlan
 from repro.plan.backends import default_backend
 from repro.plan.planner import Planner
@@ -269,7 +276,7 @@ class TestNoStaleAllocationReferences:
     def test_replacing_a_name_forgets_the_old_allocation(self):
         rng = derive_rng("stale-server")
         server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(4)),
-                           max_batch=4, max_wait_ticks=1)
+                           scheduling=StaticBatchingPolicy(4, 1))
         old_matrix = rng.integers(-8, 8, size=(8, 8))
         old = server.register_matrix("proj", old_matrix, element_size=4,
                                      input_bits=3)

@@ -29,7 +29,14 @@ from repro.errors import (
     ReplicationError,
     SchedulerError,
 )
-from repro.runtime import DevicePool, FaultEvent, FaultInjector, FaultSchedule, PumServer
+from repro.runtime import (
+    DevicePool,
+    FaultEvent,
+    FaultInjector,
+    FaultSchedule,
+    PumServer,
+    StaticBatchingPolicy,
+)
 
 
 def tiny_pool(num_devices=3, num_hcts=3, replication=1, policy="least_loaded",
@@ -41,11 +48,14 @@ def tiny_pool(num_devices=3, num_hcts=3, replication=1, policy="least_loaded",
     )
 
 
-def make_server(replication=2, num_devices=3, **kwargs):
+def make_server(replication=2, num_devices=3, max_batch=4, max_wait_ticks=2,
+                **kwargs):
     pool = tiny_pool(num_devices=num_devices, replication=replication)
-    defaults = dict(max_batch=4, max_wait_ticks=2, queue_capacity=256)
-    defaults.update(kwargs)
-    return PumServer(pool=pool, **defaults)
+    kwargs.setdefault("queue_capacity", 256)
+    return PumServer(
+        pool=pool, scheduling=StaticBatchingPolicy(max_batch, max_wait_ticks),
+        **kwargs,
+    )
 
 
 class TestFaultInjector:

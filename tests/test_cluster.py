@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ChipConfig, HctConfig
-from repro.errors import AdmissionError, ClusterError
+from repro.errors import AdmissionError, ClusterError, QuantizationError
 from repro.runtime.cluster import ClusterGateway
 from repro.runtime.pool import DevicePool
 from repro.runtime.server import PumServer
@@ -165,6 +165,12 @@ def test_bad_vectors_fail_their_batch_not_the_worker():
             responses = await asyncio.gather(*futures)
             assert [r.status for r in responses] == ["failed"] * 3
             assert all("QuantizationError" in r.error for r in responses)
+            # Floats are refused at the gateway, which would otherwise cast
+            # (truncate) them before the worker's server saw the dtype.
+            with pytest.raises(QuantizationError, match="must be integers"):
+                await gw.submit_batch("w", TRACE[:2] + 0.5)
+            with pytest.raises(QuantizationError, match="must be integers"):
+                await gw.submit("w", TRACE[0].astype(np.float64))
             # The worker survived and still serves good traffic.
             futures = await gw.submit_batch("w", TRACE[:4])
             responses = await asyncio.gather(*futures)

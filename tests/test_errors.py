@@ -84,8 +84,8 @@ class TestRaisableViaPublicApi:
             DevicePool(num_devices=0, config=ChipConfig(hct=HctConfig.small()))
 
     def test_scheduler_error(self):
-        with pytest.raises(SchedulerError, match="max_batch"):
-            PumServer(pool=small_pool(), max_batch=0)
+        with pytest.raises(SchedulerError, match="queue_capacity"):
+            PumServer(pool=small_pool(), queue_capacity=0)
 
     def test_admission_error(self):
         server = PumServer(pool=small_pool())

@@ -6,7 +6,10 @@ tier-1, so this file pins the deterministic proxies instead: how many
 Python-level calls and ledger charges one call makes per tile, that the
 per-plan batch-receipt memo is counted,
 bounded and released with its plan, and that every rejected input is
-rejected before any simulated state moves.
+rejected before any simulated state moves.  One tier up, a served request
+should cost the pool call plus a constant: ``TestServerRound`` budgets the
+Python-level calls per request of a steady-state ``PumServer`` round and of
+a tick with nothing due.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.errors import AllocationError, ExecutionError, QuantizationError
 from repro.metrics import CostLedger
 from repro.plan.planner import Planner
 from repro.reram import NoiseConfig
-from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls
+from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls, server_round
 
 BATCH = 32
 #: Python-level calls of one steady-state call: a fixed part plus the
@@ -29,6 +32,11 @@ BATCH = 32
 #: per-tile loop this replaced took 35 / 89 / 224).
 MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 14
 MAX_CHARGES_PER_TILE = 6
+#: Python-level calls per request of one server round, submit + drain
+#: (measured 5.3 + 7.1 = 12.4 at one tenant; 12.5 before ``_energy_total``
+#: was inlined), and of one tick with an empty queue (measured 9).
+MAX_SERVER_CALLS_PER_REQUEST = 14
+MAX_IDLE_TICK_CALLS = 12
 
 
 def programmed_device(shape, element_size, input_bits, noise=None, config=None):
@@ -73,6 +81,37 @@ class TestCallBudget:
         assert sum(planner.receipt_hits for planner in planners) == hits + tiles
         assert sum(planner.receipt_misses for planner in planners) == tiles
         assert device.planner_builds() == tiles
+
+
+class TestServerRound:
+    """``submit_batch(64)`` + ``run_until_idle()`` on a 64x64 6-bit tenant."""
+
+    @staticmethod
+    def _python_calls(function) -> int:
+        return sum(event == "call" for event, _ in profiled_calls(function))
+
+    def test_steady_state_round_stays_within_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        server, vectors, submit, drain = server_round(tenants=1)
+        builds, batches = server.planner_builds(), server.stats.batches
+        futures = []
+        calls = self._python_calls(lambda: futures.extend(submit()))
+        calls += self._python_calls(drain)
+        requests = vectors.shape[1]
+        assert calls <= MAX_SERVER_CALLS_PER_REQUEST * requests, calls / requests
+        matrix = server.allocation_for("t0").matrix
+        served = np.stack([future.result().result for future in futures[0]])
+        assert np.array_equal(served, vectors[0] @ matrix)
+        # Steady state: nothing scanned, copied or planned inside the round.
+        assert server.queue_scans() == 0
+        assert server.stats.batches > batches
+        assert server.stats.zero_copy_batches == server.stats.batches
+        assert server.planner_builds() == builds
+
+    def test_idle_tick_stays_within_budget(self):
+        server, _, _, _ = server_round(tenants=1)
+        assert server.pending == 0
+        assert self._python_calls(server.tick) <= MAX_IDLE_TICK_CALLS
 
 
 class TestReceiptMemo:

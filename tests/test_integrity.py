@@ -30,6 +30,7 @@ from repro.runtime import (
     FaultInjector,
     IntegrityChecker,
     PumServer,
+    StaticBatchingPolicy,
     band_check_vector,
 )
 from repro.runtime.integrity import DEFAULT_NOISE_TOLERANCE, VERIFY_MODES
@@ -326,7 +327,7 @@ class TestRebuild:
 
     def test_server_rebuild_api_counts_and_recovers(self):
         pool = small_pool(num_devices=4, replication=2)
-        server = PumServer(pool=pool, max_batch=4, max_wait_ticks=1)
+        server = PumServer(pool=pool, scheduling=StaticBatchingPolicy(4, 1))
         rng = derive_rng("server-rebuild")
         matrix = rng.integers(-8, 8, size=(16, 8))
         allocation = server.register_matrix(

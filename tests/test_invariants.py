@@ -3,9 +3,10 @@
 The library cannot depend on hypothesis, so this is a hand-rolled property
 harness: each case derives an independent RNG stream from the suite's
 master seed (``REPRO_TEST_SEED``), generates a random server configuration
-(queue strategy, replication, admission mode, batching knobs) and a random
-operation schedule (single submits, bulk waves, ticks, device kills, hangs
-and heals), runs it, and checks the *conservation invariant*:
+(indexed queue or its flat-list oracle, replication, admission mode,
+batching knobs) and a random operation schedule (single submits, bulk
+waves, ticks, device kills, hangs and heals), runs it, and checks the
+*conservation invariant*:
 
     every submitted request id reaches exactly one terminal state
     (completed, rejected, shed, or failed), the stats counters agree
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from flat_queue import install as install_flat_queue
 
 from repro.testing import derive_rng
 from repro.core import ChipConfig, HctConfig
-from repro.runtime import DevicePool, FaultInjector, PumServer
+from repro.runtime import DevicePool, FaultInjector, PumServer, StaticBatchingPolicy
 
 #: Randomized schedules checked per master seed (the acceptance criterion
 #: asks for 200+).
@@ -47,12 +49,16 @@ def build_server(rng):
     )
     server = PumServer(
         pool=pool,
-        max_batch=int(rng.integers(1, 5)),
-        max_wait_ticks=int(rng.integers(0, 4)),
+        scheduling=StaticBatchingPolicy(
+            max_batch=int(rng.integers(1, 5)),
+            max_wait_ticks=int(rng.integers(0, 4)),
+        ),
         queue_capacity=int(rng.integers(2, 10)),
         admission=str(rng.choice(["reject", "shed_lowest"])),
-        queue=str(rng.choice(["flat", "indexed"])),
     )
+    # Always drawn, so the rest of the seeded schedule does not shift.
+    if rng.choice(["flat", "indexed"]) == "flat":
+        install_flat_queue(server)
     matrix = rng.integers(-4, 4, size=(ROWS, ROWS))
     server.register_matrix("m", matrix, element_size=4, input_bits=2)
     return server

@@ -19,7 +19,14 @@ import pytest
 
 from repro.testing import derive_rng
 
-from repro import ChipConfig, DarthPumDevice, DevicePool, HctConfig, PumServer
+from repro import (
+    ChipConfig,
+    DarthPumDevice,
+    DevicePool,
+    HctConfig,
+    PumServer,
+    StaticBatchingPolicy,
+)
 from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
 from repro.analog.compensation import ParasiticCompensation
 from repro.core.hct import HybridComputeTile
@@ -563,54 +570,40 @@ class TestRegisterMatrixMemoisation:
 
 class TestParallelFanout:
     @staticmethod
-    def _sharded_pool(parallel):
+    def _sharded_pool():
         # One tiny HCT per device forces a multi-row-band placement, so the
         # fan-out really spans devices.
         config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
-        return DevicePool(
-            num_devices=3, config=config, policy="round_robin", parallel=parallel
-        )
+        return DevicePool(num_devices=3, config=config, policy="round_robin")
 
     def test_parallel_exec_mvm_batch_matches_serial(self):
         rng = derive_rng("kernels-6")
         matrix = rng.integers(-100, 100, size=(96, 16))
         vectors = rng.integers(0, 256, size=(4, 96))
-        results = {}
-        ledgers = {}
-        for parallel in (False, True):
-            pool = self._sharded_pool(parallel)
-            allocation = pool.set_matrix(matrix, element_size=8, precision=0)
-            assert allocation.num_shards > 1
-            assert len(allocation.devices_used) > 1
-            results[parallel] = pool.exec_mvm_batch(allocation, vectors, input_bits=8)
-            ledgers[parallel] = pool.total_ledger()
-        assert np.array_equal(results[True], results[False])
-        assert np.array_equal(results[True], vectors @ matrix)
-        assert ledgers[True].cycles == ledgers[False].cycles
-        assert ledgers[True].energy_pj == ledgers[False].energy_pj
+        pool = self._sharded_pool()
+        allocation = pool.set_matrix(matrix, element_size=8, precision=0)
+        assert allocation.num_shards > 1
+        assert len(allocation.devices_used) > 1
+        result = pool.exec_mvm_batch(allocation, vectors, input_bits=8)
+        assert np.array_equal(result, vectors @ matrix)
 
     def test_parallel_exec_requests_matches_serial(self):
         rng = derive_rng("kernels-7")
         matrices = [rng.integers(-8, 8, size=(12, 10)) for _ in range(3)]
         request_vectors = [rng.integers(0, 16, size=(3, 12)) for _ in range(3)]
-        outputs = {}
-        for parallel in (False, True):
-            pool = DevicePool(num_devices=3, policy="round_robin", parallel=parallel)
-            allocations = [pool.set_matrix(m, element_size=4) for m in matrices]
-            assert len({a.devices_used[0] for a in allocations}) > 1
-            outputs[parallel] = pool.exec_requests(
-                list(zip(allocations, request_vectors)), input_bits=4
-            )
-        for serial_out, parallel_out, matrix, vectors in zip(
-            outputs[False], outputs[True], matrices, request_vectors
-        ):
-            assert np.array_equal(serial_out, parallel_out)
-            assert np.array_equal(parallel_out, vectors @ matrix)
+        pool = DevicePool(num_devices=3, policy="round_robin")
+        allocations = [pool.set_matrix(m, element_size=4) for m in matrices]
+        assert len({a.devices_used[0] for a in allocations}) > 1
+        outputs = pool.exec_requests(
+            list(zip(allocations, request_vectors)), input_bits=4
+        )
+        for output, matrix, vectors in zip(outputs, matrices, request_vectors):
+            assert np.array_equal(output, vectors @ matrix)
 
     def test_failing_device_propagates_after_joining_siblings(self):
         rng = derive_rng("kernels-8")
         matrix = rng.integers(-100, 100, size=(96, 16))
-        pool = self._sharded_pool(parallel=True)
+        pool = self._sharded_pool()
         allocation = pool.set_matrix(matrix, element_size=8, precision=0)
         assert len(allocation.devices_used) > 1
         failing = allocation.devices_used[0]
@@ -649,7 +642,7 @@ class TestWorkloadEquivalence:
     @staticmethod
     def _servers():
         return {
-            backend: PumServer(num_devices=2, max_batch=8, max_wait_ticks=2,
+            backend: PumServer(num_devices=2, scheduling=StaticBatchingPolicy(8, 2),
                                backend=backend)
             for backend in ("reference", "vectorized")
         }

@@ -20,7 +20,7 @@ import pytest
 
 from repro.testing import derive_rng
 
-from repro import ChipConfig, DevicePool, HctConfig, PumServer
+from repro import ChipConfig, DevicePool, HctConfig, PumServer, StaticBatchingPolicy
 from repro.core.hct import HybridComputeTile
 from repro.errors import ConfigurationError
 from repro.plan import (
@@ -119,7 +119,7 @@ class TestServingHotPathDoesNotPlan:
     def test_planner_runs_at_registration_only(self):
         rng = derive_rng("plan-3")
         matrix = rng.integers(-8, 8, size=(16, 16))
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=1)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1))
         assert server.planner_builds() == 0
         server.register_matrix("m", matrix, element_size=4, input_bits=4)
         builds_after_registration = server.planner_builds()

@@ -1,13 +1,12 @@
-"""Shared conformance suite for every RequestQueue implementation.
+"""Conformance suite shared by the indexed queue and its flat-list oracle.
 
-Until now the flat baseline and the indexed fast path were pinned together
-in only one direction (the serving-latency gate compares their *responses*
-under one traffic shape).  This suite drives both implementations through
-the same parametrized scenarios -- push/discard/expire/ready/take/victim,
-tombstone churn, mixed priorities -- and additionally replays identical
-randomized operation sequences through both, asserting step-for-step
-equality, so a future queue change cannot silently diverge from the
-contract in either direction.
+``IndexedRequestQueue`` is the scheduler's queue; ``tests/flat_queue.py``
+is the flat list it replaced, kept as the differential oracle.  This suite
+drives both through the same parametrized scenarios --
+push/discard/expire/ready/take/victim, tombstone churn, mixed priorities --
+and additionally replays identical randomized operation sequences through
+both, asserting step-for-step equality, so a queue change cannot silently
+diverge from the contract in either direction.
 """
 
 from __future__ import annotations
@@ -15,18 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.testing import derive_rng
-from repro.errors import SchedulerError
-from repro.runtime.queueing import (
-    FlatRequestQueue,
-    IndexedRequestQueue,
-    batch_order,
-    make_request_queue,
-    victim_order,
-)
-from repro.runtime.server import Request
+from flat_queue import FlatRequestQueue
 
-QUEUE_NAMES = ["flat", "indexed"]
+from repro.runtime.queueing import IndexedRequestQueue, batch_order, victim_order
+from repro.runtime.server import Request
+from repro.testing import derive_rng
+
+QUEUES = {"flat": FlatRequestQueue, "indexed": IndexedRequestQueue}
 
 
 def make_request(
@@ -48,13 +42,13 @@ def make_request(
     )
 
 
-@pytest.fixture(params=QUEUE_NAMES)
+@pytest.fixture(params=sorted(QUEUES))
 def queue(request):
-    return make_request_queue(request.param)
+    return QUEUES[request.param]()
 
 
 class TestConformance:
-    """Every implementation must satisfy the RequestQueue contract."""
+    """The queue contract, held by the indexed queue and the oracle alike."""
 
     def test_len_push_take_roundtrip(self, queue):
         for i in range(5):
@@ -187,12 +181,6 @@ class TestSharedTieBreaks:
         b = make_request(1, priority=0, arrival_tick=2)
         assert batch_order(a) < batch_order(b)
         assert victim_order(b) < victim_order(a)
-
-    def test_factory_rejects_unknown_name(self):
-        with pytest.raises(SchedulerError):
-            make_request_queue("priority_heap")
-        instance = IndexedRequestQueue()
-        assert make_request_queue(instance) is instance
 
 
 class TestDualDriveEquivalence:

@@ -3,9 +3,6 @@
 Covers the pluggable :class:`~repro.runtime.scheduling.SchedulingPolicy`
 surface end to end:
 
-* dual construction -- legacy ``max_batch=``/``max_wait_ticks=`` kwargs and
-  ``scheduling=StaticBatchingPolicy(...)`` produce bit-identical responses
-  *and* ledgers over identical traffic;
 * the cost oracle -- ``predicted_batch_cycles`` exactly matches the
   optimized cycles execution charges, and is memoised (and invalidated on
   re-registration);
@@ -16,15 +13,16 @@ surface end to end:
 * the :class:`Autotuner` nudging the static knobs from live telemetry;
 * :class:`PredictedFinishTimePolicy` placement on the pool;
 * the queue-level ``group_keys`` / ``min_deadline`` / ``victim(order=)``
-  extensions on both queue implementations.
+  extensions, on the indexed queue and its flat-list oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from flat_queue import FlatRequestQueue
 
-from repro.errors import SchedulerError, SloError
+from repro.errors import SloError
 from repro.runtime import (
     Autotuner,
     CostAwarePolicy,
@@ -32,16 +30,18 @@ from repro.runtime import (
     PumServer,
     SloClass,
     StaticBatchingPolicy,
-    make_scheduling_policy,
     resolve_slo,
 )
-from repro.runtime.queueing import FlatRequestQueue, IndexedRequestQueue
+from repro.runtime.queueing import IndexedRequestQueue
 from repro.runtime.server import Request
 from repro.testing import derive_rng
 
 
-def make_server(**kwargs):
+def make_server(max_batch=None, max_wait_ticks=None, **kwargs):
+    """``max_batch`` / ``max_wait_ticks`` build the static policy here."""
     kwargs.setdefault("num_devices", 2)
+    if max_batch is not None:
+        kwargs["scheduling"] = StaticBatchingPolicy(max_batch, max_wait_ticks)
     server = PumServer(**kwargs)
     server.register_matrix("proj", np.eye(8, dtype=np.int64))
     return server
@@ -82,57 +82,6 @@ def random_trace(label, ticks=40, rate=3):
             wave.append((vector, kwargs))
         trace.append(wave)
     return trace
-
-
-class TestDualConstruction:
-    def test_legacy_kwargs_build_a_static_policy(self):
-        server = make_server(max_batch=4, max_wait_ticks=2)
-        assert isinstance(server.scheduling, StaticBatchingPolicy)
-        assert server.scheduling.max_batch == 4
-        assert server.scheduling.max_wait_ticks == 2
-        assert server.batching.max_batch == 4
-
-    def test_equivalence_responses_and_ledgers(self):
-        trace = random_trace("dual", ticks=30)
-        legacy = make_server(max_batch=4, max_wait_ticks=2, queue_capacity=16)
-        policy = make_server(
-            scheduling=StaticBatchingPolicy(max_batch=4, max_wait_ticks=2),
-            queue_capacity=16,
-        )
-        r1, b1, s1 = drive(legacy, trace)
-        r2, b2, s2 = drive(policy, trace)
-        assert b1 == b2
-        assert s1 == s2
-        assert len(r1) == len(r2)
-        for a, b in zip(r1, r2):
-            assert (a.request_id, a.status, a.completion_tick, a.batch_size) \
-                == (b.request_id, b.status, b.completion_tick, b.batch_size)
-            if a.result is None:
-                assert b.result is None
-            else:
-                assert np.array_equal(a.result, b.result)
-        l1 = legacy.pool.total_ledger()
-        l2 = policy.pool.total_ledger()
-        assert l1.cycles == l2.cycles
-        assert l1.energy_pj == l2.energy_pj
-        assert l1.cycle_breakdown == l2.cycle_breakdown
-        assert legacy.queue_scans() == policy.queue_scans()
-
-    def test_instance_plus_legacy_knobs_rejected(self):
-        with pytest.raises(SchedulerError, match="not both"):
-            make_scheduling_policy(StaticBatchingPolicy(), max_batch=8)
-        with pytest.raises(SchedulerError, match="not both"):
-            PumServer(num_devices=1, scheduling=CostAwarePolicy(),
-                      max_wait_ticks=3)
-
-    def test_unknown_policy_name(self):
-        with pytest.raises(SchedulerError, match="unknown scheduling policy"):
-            make_scheduling_policy("oracle")
-
-    def test_names_resolve(self):
-        assert make_scheduling_policy("static").name == "static"
-        assert make_scheduling_policy("cost_aware", max_batch=8).max_batch == 8
-        assert make_scheduling_policy("autotuned").name == "autotuned"
 
 
 class TestCostOracle:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
+from flat_queue import install as install_flat_queue
 
+import repro
 from repro.testing import derive_rng
 
-from repro import PumServer, ThreadedServerDriver
+from repro import DevicePool, PumServer, StaticBatchingPolicy, ThreadedServerDriver
 from repro.errors import AdmissionError, QuantizationError, SchedulerError
 from repro.metrics import percentile
 from repro.runtime import (
@@ -15,8 +20,8 @@ from repro.runtime import (
     serve_cnn_conv,
     serve_llm_projection,
 )
-from repro.runtime.queueing import make_request_queue
-from repro.runtime.server import TELEMETRY_WINDOW, BatchingConfig, ServingStats
+from repro.runtime.cluster import ClusterGateway
+from repro.runtime.server import TELEMETRY_WINDOW, ServingStats
 from repro.workloads.aes.gf import gf_mul
 from repro.workloads.aes.reference import MIX_COLUMNS_MATRIX
 from repro.workloads.cnn.layers import Conv2d
@@ -27,10 +32,11 @@ def rng():
     return derive_rng("server")
 
 
-def make_server(**kwargs):
-    defaults = dict(num_devices=2, max_batch=4, max_wait_ticks=2)
-    defaults.update(kwargs)
-    server = PumServer(**defaults)
+def make_server(max_batch=4, max_wait_ticks=2, **kwargs):
+    kwargs.setdefault("num_devices", 2)
+    server = PumServer(
+        scheduling=StaticBatchingPolicy(max_batch, max_wait_ticks), **kwargs
+    )
     server.register_matrix("eye", np.eye(8, dtype=np.int64))
     return server
 
@@ -121,7 +127,7 @@ class TestBatching:
     def test_results_bit_identical_to_direct_pool_execution(self, rng):
         matrix = rng.integers(-50, 50, size=(16, 12))
         vectors = rng.integers(0, 16, size=(10, 16))
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=1)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1))
         server.register_matrix("m", matrix, element_size=8)
         futures = [server.submit("m", v, input_bits=4) for v in vectors]
         server.run_until_idle()
@@ -175,11 +181,45 @@ class TestBatching:
         assert server.stats.failed == 2
         assert server.tick() == []  # the loop is still alive
 
+    @pytest.mark.parametrize("bad", [
+        np.array([1.5, 2.7, 0.2, 3.9, 0.0, 1.0, 2.0, 3.0]),
+        np.array([np.nan, 1, 2, 3, 0, 1, 2, 3]),
+        np.array([np.inf, 1, 2, 3, 0, 1, 2, 3]),
+        np.array(list("12301230")),
+    ], ids=["float", "nan", "inf", "str"])
+    def test_non_integer_vectors_are_refused_not_truncated(self, bad):
+        server = make_server()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value in cast"
+            with pytest.raises(QuantizationError, match="must be integers"):
+                server.submit("eye", bad, input_bits=3)
+            with pytest.raises(QuantizationError, match="must be integers"):
+                server.submit_batch("eye", np.stack([bad, bad]), input_bits=3)
+        # Refused before a request id was consumed.
+        assert server.stats.submitted == 0 and server.pending == 0
+        assert server.submit("eye", np.ones(8, dtype=np.int64)).request_id == 0
+
+    def test_bool_and_narrow_integer_vectors_are_served(self):
+        server = make_server()
+        mask = np.array([True, False] * 4)
+        small = np.arange(8, dtype=np.uint8) % 4
+        futures = [server.submit("eye", mask, input_bits=3)]
+        futures += server.submit_batch("eye", np.stack([mask, small]), input_bits=3)
+        futures.append(server.submit("eye", small.tolist(), input_bits=3))
+        server.run_until_idle()
+        served = [f.result().result for f in futures]
+        for got, sent in zip(served, (mask, mask, small, small)):
+            assert np.array_equal(got, sent.astype(np.int64))
+
     def test_invalid_batching_config_rejected(self):
-        with pytest.raises(SchedulerError):
-            BatchingConfig(max_batch=0)
-        with pytest.raises(SchedulerError):
-            BatchingConfig(admission="drop_everything")
+        with pytest.raises(SchedulerError, match="max_batch"):
+            StaticBatchingPolicy(max_batch=0)
+        with pytest.raises(SchedulerError, match="queue_capacity"):
+            PumServer(num_devices=1, queue_capacity=0)
+        with pytest.raises(SchedulerError, match="unknown admission mode"):
+            PumServer(num_devices=1, admission="drop_everything")
+        with pytest.raises(SchedulerError, match="SchedulingPolicy instance"):
+            PumServer(num_devices=1, scheduling="cost_aware")
 
 
 class TestTelemetry:
@@ -250,7 +290,7 @@ class TestThreadedDriver:
 
 class TestServingEntryPoints:
     def test_serve_aes_mixcolumns_matches_gf_reference(self, rng):
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=2)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 2))
         columns = rng.integers(0, 256, size=(6, 4))
         served = serve_aes_mixcolumns(server, columns)
         reference = np.zeros_like(columns)
@@ -267,7 +307,7 @@ class TestServingEntryPoints:
         assert server.matrix_names.count("aes.mixcolumns") == 1
 
     def test_serve_cnn_conv_within_quantisation_tolerance(self, rng):
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=2)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 2))
         conv = Conv2d(3, 4, kernel=3, rng=rng)
         image = rng.standard_normal((1, 3, 8, 8))
         device, reference = serve_cnn_conv(server, conv, image, positions=6)
@@ -275,7 +315,7 @@ class TestServingEntryPoints:
         assert np.allclose(device, reference, atol=0.1 * scale + 1e-6)
 
     def test_serve_llm_projection_within_quantisation_tolerance(self, rng):
-        server = PumServer(num_devices=2, max_batch=8, max_wait_ticks=2)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(8, 2))
         weight = rng.standard_normal((16, 8))
         activations = rng.standard_normal((5, 16))
         device, reference = serve_llm_projection(server, weight, activations)
@@ -283,7 +323,7 @@ class TestServingEntryPoints:
         assert np.allclose(device, reference, atol=0.1 * scale + 1e-6)
 
     def test_workloads_larger_than_queue_capacity_are_served_in_waves(self, rng):
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=1,
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1),
                            queue_capacity=4, admission="reject")
         weight = rng.standard_normal((16, 8))
         activations = rng.standard_normal((11, 16))  # ~3x the queue capacity
@@ -304,7 +344,7 @@ class TestSubmitBatch:
     def test_results_match_per_vector_submission(self, rng):
         matrix = rng.integers(-50, 50, size=(16, 12))
         vectors = rng.integers(0, 16, size=(10, 16))
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=1)
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1))
         server.register_matrix("m", matrix, element_size=8, input_bits=4)
         futures = server.submit_batch("m", vectors, input_bits=4)
         server.run_until_idle()
@@ -422,9 +462,11 @@ class TestDispatchOrder:
         allocation = server.allocation_for(name)
         return server.pool.expected_mvm(allocation, np.eye(8, dtype=np.int64)).T
 
-    def run_mixed_traffic(self, queue):
-        server = PumServer(num_devices=2, max_batch=4, max_wait_ticks=3,
-                           queue_capacity=32, queue=queue)
+    def run_mixed_traffic(self, flat=False):
+        server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 3),
+                           queue_capacity=32)
+        if flat:
+            install_flat_queue(server)
         server.register_matrix("a", np.eye(8, dtype=np.int64))
         server.register_matrix("b", 2 * np.eye(8, dtype=np.int64), element_size=4)
         responses = []
@@ -442,7 +484,7 @@ class TestDispatchOrder:
         return server, responses
 
     def test_oldest_group_dispatches_first(self):
-        server, responses = self.run_mixed_traffic("indexed")
+        server, responses = self.run_mixed_traffic()
         # At tick 3 both groups are due (b aged past max_wait, a full): the
         # older b-group dispatches first, and the expired b request is shed
         # ahead of any dispatch that tick.
@@ -465,8 +507,8 @@ class TestDispatchOrder:
         )
 
     def test_flat_and_indexed_queues_dispatch_identically(self):
-        indexed_server, indexed = self.run_mixed_traffic("indexed")
-        flat_server, flat = self.run_mixed_traffic("flat")
+        indexed_server, indexed = self.run_mixed_traffic()
+        flat_server, flat = self.run_mixed_traffic(flat=True)
         assert [r.request_id for r in indexed] == [r.request_id for r in flat]
         assert [r.status for r in indexed] == [r.status for r in flat]
         assert [r.batch_size for r in indexed] == [r.batch_size for r in flat]
@@ -479,6 +521,7 @@ class TestDispatchOrder:
         slow_ledger = flat_server.pool.total_ledger()
         assert fast_ledger.cycles == slow_ledger.cycles
         assert fast_ledger.energy_pj == slow_ledger.energy_pj
+        assert fast_ledger.cycle_breakdown == slow_ledger.cycle_breakdown
 
 
 class TestQueueScans:
@@ -492,21 +535,47 @@ class TestQueueScans:
             server.run_until_idle()
             assert server.queue_scans() == 0
 
-    def test_flat_queue_scans_grow_with_depth(self):
-        scans = {}
-        for depth in (16, 64):
-            server = make_server(max_batch=4, max_wait_ticks=2,
-                                 queue_capacity=depth, queue="flat")
-            submit_n(server, depth)
+    def test_queue_scans_stay_flat_in_queue_depth(self):
+        """Multi-tenant bulk ingress: 64 and 256 queued over 8 matrices."""
+        rng = derive_rng("server-scans")
+        matrices = [rng.integers(-7, 8, size=(16, 16)) for _ in range(8)]
+        vectors = rng.integers(0, 16, size=(8, 32, 16))
+        for per_matrix in (8, 32):
+            server = PumServer(num_devices=2, queue_capacity=256,
+                               scheduling=StaticBatchingPolicy(32, 4))
+            for index, matrix in enumerate(matrices):
+                server.register_matrix(f"m{index}", matrix, element_size=4,
+                                       input_bits=4)
+            futures = [
+                server.submit_batch(f"m{index}", vectors[index][:per_matrix],
+                                    input_bits=4)
+                for index in range(8)
+            ]
             server.run_until_idle()
-            scans[depth] = server.queue_scans()
-        assert scans[64] > scans[16] > 0
+            assert server.queue_scans() == 0
+            assert server.stats.zero_copy_batches == server.stats.batches
+            for index, group in enumerate(futures):
+                served = np.stack([future.result().result for future in group])
+                assert np.array_equal(
+                    served, vectors[index][:per_matrix] @ matrices[index]
+                )
 
-    def test_unknown_queue_name_rejected(self):
-        with pytest.raises(SchedulerError, match="unknown request queue"):
-            make_request_queue("priority_heap")
-        with pytest.raises(SchedulerError):
-            PumServer(num_devices=1, queue="linked_list")
+
+class TestPublicSurface:
+    """Ratchet: the serving tier's knob and name counts only go down."""
+
+    def test_constructor_parameter_counts(self):
+        for cls, limit in ((PumServer, 10), (DevicePool, 7), (ClusterGateway, 24)):
+            assert len(inspect.signature(cls).parameters) <= limit, cls.__name__
+
+    def test_one_queue_and_one_construction_path(self):
+        for name in ("FlatRequestQueue", "RequestQueue", "make_request_queue",
+                     "make_scheduling_policy", "BatchingConfig"):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.runtime, name), name
+        default = PumServer(num_devices=1).scheduling
+        assert isinstance(default, StaticBatchingPolicy)
+        assert (default.max_batch, default.max_wait_ticks) == (16, 4)
 
 
 class TestLatencyPercentileCache:
