@@ -45,11 +45,12 @@ kernel-bench:
 	$(PY) -m pytest benchmarks/test_kernel_speedup.py -q
 
 # The resilience gates: fault-injection chaos suite (kill a device under
-# open-loop load; zero lost futures, bit-identical responses) plus the
-# 200+-schedule conservation harness.  Sweep schedules with
+# open-loop load; zero lost futures, bit-identical responses), the
+# 200+-schedule conservation harness and the queue's differential suite
+# (wave runs vs the flat-list oracle).  Sweep schedules with
 # REPRO_TEST_SEED=<n> make chaos (as the CI chaos job does).
 chaos:
-	$(PY) -m pytest tests/test_chaos.py tests/test_invariants.py -q
+	$(PY) -m pytest tests/test_chaos.py tests/test_invariants.py tests/test_queueing.py -q
 
 # Degraded-mode recovery benchmark (drain wall-clock with a mid-load kill
 # vs fault-free; back-to-primary after heal).  Writes
@@ -112,7 +113,9 @@ profile:
 # input validation, the cost ledger and the matmul itself.  server-round: one
 # steady-state submit_batch(64) per tenant + run_until_idle() at 1 and 32
 # tenants -- us and calls per request, the same batches through the pool
-# alone, the server's share, and what an idle and a waiting tick cost.
+# alone, the server's share, and what an idle and a waiting tick cost -- and
+# the same 64 vectors through 64 submit() calls (the ingress a wave record
+# does not help).
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 	$(PY) benchmarks/profile_serving.py server-round

@@ -18,8 +18,10 @@ The ``server-round`` mode prices the tier above it: one steady-state
 tenants (:func:`repro.testing.server_round`) -- untraced microseconds per
 request, the same batches through ``pool.exec_mvm_batch`` alone, the
 server's share of the round, and function calls per request split into
-submit and drain -- plus what a tick costs when nothing is due.  With
-``--profile`` it ends with the cProfile listing of the 32-tenant tick loop.
+submit and drain -- plus what a tick costs when nothing is due, and a
+``submit`` row: the same 64 vectors admitted by 64 ``submit()`` calls, the
+ingress a wave record cannot help.  With ``--profile`` it ends with the
+cProfile listing of the 32-tenant tick loop.
 
 Usage::
 
@@ -57,7 +59,8 @@ DEVICE_CALL_PARTS = {
     "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
 }
 
-SERVER_ROUND_TENANTS = (1, 32)
+#: ``(tenants, ingress)`` of each ``server-round`` row.
+SERVER_ROUND_ROWS = ((1, "submit_batch"), (32, "submit_batch"), (1, "submit"))
 
 
 def run_serving_workload(num_requests: int = 512) -> None:
@@ -168,12 +171,26 @@ def device_call_breakdown(loops: int = 2000) -> None:
         print("  ".join(f"{column:>18}" for column in row))
 
 
-def server_round_row(tenants: int) -> dict:
-    """What one steady-state server round costs at ``tenants`` tenants."""
+def server_round_row(tenants: int, ingress: str = "submit_batch") -> dict:
+    """What one steady-state server round costs at ``tenants`` tenants.
+
+    ``ingress="submit"`` admits the same vectors one ``submit()`` at a time.
+    """
     server, vectors, submit, drain = server_round(tenants)
     _, rows, _ = vectors.shape
     requests = tenants * rows
     input_bits = DEVICE_CALL_SHAPES["encoder_projection"][2]
+    if ingress == "submit":
+        def submit():
+            return [
+                [server.submit(f"t{tenant}", vector, input_bits=input_bits)
+                 for vector in block]
+                for tenant, block in enumerate(vectors)
+            ]
+
+        for _ in range(2):  # warm the batch arenas this ingress gathers into
+            submit()
+            drain()
     max_batch = server.scheduling.max_batch
     allocations = [server.allocation_for(f"t{tenant}") for tenant in range(tenants)]
 
@@ -204,6 +221,7 @@ def server_round_row(tenants: int) -> dict:
     assert server.queue_scans() == 0  # the tick loop never scans the queue
     return {
         "tenants": tenants,
+        "ingress": ingress,
         "requests": requests,
         "us_per_request": round(round_us / requests, 2),
         "pool_us_per_request": round(pool_us / requests, 2),
@@ -219,24 +237,26 @@ def server_round_row(tenants: int) -> dict:
 
 def server_round_breakdown(profile: bool) -> None:
     """Print the per-request cost of a steady-state server round."""
-    print("# steady-state PumServer round: submit_batch(64) per tenant + "
-          "run_until_idle(), 64x64 6-bit tenants, default scheduling.\n"
+    print("# steady-state PumServer round: submit_batch(64) per tenant (or 64 "
+          "submit() calls) + run_until_idle(), 64x64 6-bit tenants, default "
+          "scheduling.\n"
           "# us are untraced best-of-9; calls are sys.setprofile counts; a "
           "waiting tick has one undispatchable request per tenant queued")
-    rows = [server_round_row(tenants) for tenants in SERVER_ROUND_TENANTS]
+    rows = [server_round_row(*row) for row in SERVER_ROUND_ROWS]
     print("  ".join(f"{column:>27}" for column in rows[0]))
     for row in rows:
         print("  ".join(f"{value:>27}" for value in row.values()))
     if not profile:
         return
-    _, _, submit, drain = server_round(SERVER_ROUND_TENANTS[-1])
+    tenants = max(tenants for tenants, _ in SERVER_ROUND_ROWS)
+    _, _, submit, drain = server_round(tenants)
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(20):
         submit()
         drain()
     profiler.disable()
-    print(f"# top-25 cumulative hot spots (20 rounds x {SERVER_ROUND_TENANTS[-1]} tenants)")
+    print(f"# top-25 cumulative hot spots (20 rounds x {tenants} tenants)")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
 
 

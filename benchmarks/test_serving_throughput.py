@@ -13,8 +13,8 @@ trajectory as a workflow artifact.
 
 The file also records what a served request costs in steady state -- the
 ``server-round`` rows of ``benchmarks/profile_serving.py`` (microseconds and
-function calls per request at 1 and 32 tenants, and the share of a round
-that is the server's own Python) -- into ``benchmarks/artifacts/`` and, with
+function calls per request at 1 and 32 tenants and for 64 single
+``submit()`` calls, and the share of a round that is the server's own Python) -- into ``benchmarks/artifacts/`` and, with
 ``REPRO_BENCH_RECORD=1``, the ``BENCH_serving.json`` trajectory.  Nothing is
 asserted on those times; ``tests/test_hot_path.py`` budgets the call counts.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from profile_serving import SERVER_ROUND_TENANTS, server_round_row
+from profile_serving import SERVER_ROUND_ROWS, server_round_row
 
 from repro import DevicePool, PumServer, StaticBatchingPolicy
 
@@ -134,11 +134,12 @@ def test_serving_throughput_benchmark(offered_load, benchmark):
 
 def test_server_round_cost_is_recorded(record_row):
     """One steady-state request through the server, priced; nothing gated."""
-    rows = [server_round_row(tenants) for tenants in SERVER_ROUND_TENANTS]
+    rows = [server_round_row(*row) for row in SERVER_ROUND_ROWS]
     ARTIFACTS_DIR.mkdir(exist_ok=True)
     (ARTIFACTS_DIR / "server_round.json").write_text(json.dumps(rows, indent=2))
     for row in rows:
-        print(f"\nserver round, {row['tenants']} tenants: {row['us_per_request']} "
+        print(f"\nserver round, {row['tenants']} tenants by {row['ingress']}: "
+              f"{row['us_per_request']} "
               f"us/request (pool alone {row['pool_us_per_request']}), server "
               f"share {row['server_share']}")
         record_row("BENCH_serving.json", {"benchmark": "server_round", **row})

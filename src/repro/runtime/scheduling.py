@@ -45,10 +45,10 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import SchedulerError, SloError
 from ..metrics import ema
-from .queueing import GroupKey, IndexedRequestQueue
+from .queueing import GroupKey, IndexedRequestQueue, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .server import PumServer, Request
+    from .server import PumServer
 
 __all__ = [
     "Autotuner",
@@ -155,8 +155,12 @@ class SchedulingPolicy:
 
     def victim_order(
         self, server: "PumServer"
-    ) -> Optional[Callable[["Request"], tuple]]:
-        """Admission-shedding order override (``None`` = queue default)."""
+    ) -> Optional[Callable[[Request], tuple]]:
+        """Admission-shedding order override (``None`` = queue default).
+
+        The key is evaluated on per-row :class:`~repro.runtime.queueing.Request`
+        views of the queued waves, only while the queue is at capacity.
+        """
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -325,12 +329,12 @@ class CostAwarePolicy(SchedulingPolicy):
 
     def victim_order(
         self, server: "PumServer"
-    ) -> Callable[["Request"], tuple]:
+    ) -> Callable[[Request], tuple]:
         """Priced shedding: lowest priority, then most expensive, loosest first."""
         now = server.now
         weight = self.energy_weight
 
-        def priced(request: "Request") -> tuple:
+        def priced(request: Request) -> tuple:
             cost = server.predicted_batch_cycles(
                 request.name, request.input_bits, 1
             )

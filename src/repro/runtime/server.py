@@ -9,11 +9,14 @@ before they reach the chips.  :class:`PumServer` is that layer:
   by its pluggable placement policy) and ``submit()`` single-vector MVM
   requests that return :class:`ServerFuture` handles; bulk producers use
   ``submit_batch()``, which validates a whole ``(n, rows)`` array in one
-  NumPy pass and admits every row as a request whose vector is a *view* of
-  the caller's array;
-* an indexed queue (:mod:`~repro.runtime.queueing`) feeds a deterministic
-  simulated-clock scheduler loop: every :meth:`PumServer.tick` coalesces
-  compatible requests (same matrix, same input precision) into
+  NumPy pass.  Either way the unit the server admits, queues and dispatches
+  is the *wave* (:class:`~repro.runtime.queueing.Wave`): one record holding
+  the array, the shared priority / deadline / arrival tick and the list of
+  futures -- a request is a row of it, and costs one future on the way in
+  and one :class:`Response` on the way out;
+* an indexed queue of wave runs (:mod:`~repro.runtime.queueing`) feeds a
+  deterministic simulated-clock scheduler loop: every :meth:`PumServer.tick`
+  coalesces compatible requests (same matrix, same input precision) into
   ``exec_mvm_batch`` calls.  *When* a group dispatches is decided by the
   :class:`~repro.runtime.scheduling.SchedulingPolicy` handed to
   ``PumServer(scheduling=...)`` -- the default
@@ -27,10 +30,10 @@ before they reach the chips.  :class:`PumServer` is that layer:
   The tick loop is O(ready work): readiness, deadline shedding, and
   dispatch never scan requests outside the group being dispatched
   (``queue_scans()`` proves it stays flat);
-* dispatched batches are assembled without copying the big tensors:
-  contiguous runs admitted by ``submit_batch`` are sliced straight out of
-  the caller's array, and everything else is gathered into a reusable
-  per-``(allocation, input_bits)`` batch arena instead of ``np.stack``;
+* dispatched batches are assembled without copying the big tensors: a
+  batch that is one run of a ``submit_batch`` wave *is* a slice of the
+  caller's array, and everything else is gathered, a run at a time, into a
+  reusable per-``(allocation, input_bits)`` batch arena;
 * admission control rejects -- or sheds lower-priority queued work for --
   new requests when the queue is full, and requests whose deadline passed
   are shed instead of executed;
@@ -67,7 +70,7 @@ from ..metrics import percentile_sorted
 from ..plan.backends import ExecutionBackend
 from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
-from .queueing import GroupKey, IndexedRequestQueue
+from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
 from .scheduling import SchedulingPolicy, SloClass, StaticBatchingPolicy, resolve_slo
 
 __all__ = [
@@ -122,31 +125,6 @@ def integer_vectors(vectors: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False, slots=True)
-class Request:
-    """One single-vector MVM request as admitted to the queue.
-
-    Requests admitted through :meth:`PumServer.submit_batch` additionally
-    remember the shared batch array their vector is a row view of
-    (``source`` / ``source_row``), which is what lets batch assembly slice
-    the dispatched block out of the caller's array without copying.
-    Requests are identity objects (``eq=False``, slotted): the scheduler
-    creates one per admitted vector, so construction cost is ingress cost.
-    """
-
-    request_id: int
-    name: str
-    vector: np.ndarray
-    input_bits: int
-    priority: int
-    deadline: Optional[int]
-    arrival_tick: int
-    #: Bulk-admission source array this request's vector is a row of.
-    source: Optional[np.ndarray] = None
-    #: Row index of ``vector`` within ``source`` (-1 for single submits).
-    source_row: int = -1
-
-
-@dataclass(eq=False, slots=True)
 class Response:
     """Terminal outcome of a request (completed, rejected, or shed)."""
 
@@ -176,7 +154,8 @@ class ServerFuture:
 
     The blocking machinery is lazy: a :class:`threading.Event` is only
     materialised when a caller actually has to *wait* for the response.
-    Bulk ingress creates one future per admitted vector, and in the common
+    Ingress creates one future per vector (a wave keeps them in a list, row
+    order; nothing else is indexed by request), and in the common
     deterministic pattern (submit a wave, ``run_until_idle()``, then read
     results) every future is already resolved by the time ``result()`` is
     called -- so the hot path never pays for an event allocation or a
@@ -220,11 +199,15 @@ class ServerFuture:
         assert self._response is not None
         return self._response
 
-    def _resolve(self, response: Response) -> None:
-        self._response = response
-        event = self._event
-        if event is not None:
-            event.set()
+    @staticmethod
+    def _resolve_run(futures: List["ServerFuture"], responses: List[Response]) -> None:
+        """Publish ``responses`` onto ``futures``, pairwise (one call per run
+        of a wave, not per request)."""
+        for future, response in zip(futures, responses):
+            future._response = response
+            event = future._event
+            if event is not None:
+                event.set()
 
 
 @dataclass(eq=False, slots=True)
@@ -396,6 +379,24 @@ class ServingStats:
         }
 
 
+def coalesce(runs: List[Run]) -> List[Run]:
+    """Merge neighbouring runs that continue one wave.
+
+    The indexed queue hands back whole runs, but a wave admitted row by row
+    at capacity -- or taken from a row-granular queue, like the test
+    suite's flat-list oracle -- arrives as adjacent pieces; merged, one wave
+    is one slice again.
+    """
+    merged = [runs[0]]
+    for run in runs[1:]:
+        wave, start, stop = merged[-1]
+        if run[0] is wave and run[1] == stop:
+            merged[-1] = (wave, start, run[2])
+        else:
+            merged.append(run)
+    return merged
+
+
 class PumServer:
     """Serving front-end: single-vector requests in, coalesced batches out.
 
@@ -474,9 +475,12 @@ class PumServer:
         #: Re-registrations skipped because the matrix was byte-identical.
         self.registration_reuses = 0
         self._lock = threading.RLock()
-        self._futures: Dict[int, ServerFuture] = {}
         self._registrations: Dict[str, _Registration] = {}
         self._next_request = 0
+        #: ``pool.total_energy_pj()`` as read after the last batch of the
+        #: running tick -- which, the lock being held, is the reading before
+        #: the next one.  ``None`` at the start of a tick and after a failure.
+        self._energy_mark: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # Matrix registry                                                      #
@@ -682,18 +686,12 @@ class PumServer:
         with self._lock:
             priority, deadline = self._apply_slo(slo, priority, deadline)
             vector = self._admissible(name, vector, input_bits, ndim=1)
-            request = Request(
-                request_id=self._next_request,
-                name=name,
-                vector=vector,
-                input_bits=input_bits,
-                priority=priority,
-                deadline=deadline,
-                arrival_tick=self.now,
-            )
-            self._next_request += 1
-            self.stats.submitted += 1
-            return self._admit(request)
+            future = ServerFuture(self._next_request)
+            self._admit(Wave(
+                future.request_id, name, input_bits, priority, deadline,
+                self.now, vector[np.newaxis], [future], False,
+            ))
+            return future
 
     def submit_batch(
         self,
@@ -707,15 +705,15 @@ class PumServer:
         """Admit a whole ``(n, rows)`` array of single-vector requests at once.
 
         The bulk-ingress fast path: one shape/dtype/range validation pass
-        over the entire array (instead of one per vector), request ids and
-        futures allocated in bulk, and every admitted request's vector kept
-        as a *view* of the (single, contiguous) int64 copy of the caller's
-        array (the caller's own array when it already is one)
-        -- which is what lets the dispatcher later slice whole batches out
-        of it without copying.  Admission control is applied per request in
-        row order, exactly as ``n`` individual ``submit()`` calls would:
-        rows that cannot be admitted resolve their futures as rejected (or
-        shed a lower-priority victim) while the rest of the batch proceeds.
+        over the entire array (instead of one per vector) and one wave
+        record for all of it -- the (single, contiguous) int64 copy of the
+        caller's array (the caller's own array when it already is one),
+        what its rows share, and one future per row -- which is what lets
+        the dispatcher later slice whole batches out of it without copying.
+        Admission control is applied in row order, exactly as ``n``
+        individual ``submit()`` calls would: the rows that fit are a prefix
+        of the wave, and each row after it sheds a lower-priority victim or
+        resolves its future as rejected while the rest of the batch proceeds.
         Returns one future per row, in row order.
 
         An empty batch returns ``[]``; a non-integer array, or one
@@ -736,75 +734,53 @@ class PumServer:
         with self._lock:
             priority, deadline = self._apply_slo(slo, priority, deadline)
             source = self._admissible(name, vectors, input_bits, ndim=2)
-            count = source.shape[0]
-            if count == 0:
-                return []
             base_id = self._next_request
-            self._next_request += count
-            self.stats.submitted += count
-            arrival = self.now
-            requests = [
-                Request(
-                    request_id=base_id + row,
-                    name=name,
-                    vector=source[row],
-                    input_bits=input_bits,
-                    priority=priority,
-                    deadline=deadline,
-                    arrival_tick=arrival,
-                    source=source,
-                    source_row=row,
-                )
-                for row in range(count)
-            ]
-            if len(self.request_queue) + count <= self.queue_capacity:
-                # The whole wave fits: skip the per-request admission checks
-                # and let the queue ingest it in one bookkeeping pass.
-                futures = [ServerFuture(request.request_id) for request in requests]
-                self.request_queue.push_wave(requests)
-                self._futures.update(
-                    (request.request_id, future)
-                    for request, future in zip(requests, futures)
-                )
-                return futures
-            return [self._admit(request) for request in requests]
+            futures = list(map(ServerFuture, range(base_id, base_id + len(source))))
+            self._admit(Wave(
+                base_id, name, input_bits, priority, deadline,
+                self.now, source, futures, True,
+            ))
+            return futures
 
-    def _admit(self, request: Request) -> ServerFuture:
-        """Queue ``request`` (applying admission control) and return its future."""
-        future = ServerFuture(request.request_id)
-        if len(self.request_queue) >= self.queue_capacity:
-            victim = self._admission_victim(request)
-            if victim is None:
-                self.stats.rejected += 1
-                future._resolve(self._terminal(request, STATUS_REJECTED))
-                return future
-            self.request_queue.discard(victim.request_id)
+    def _admit(self, wave: Wave) -> None:
+        """Queue ``wave`` (ids ``_next_request`` onwards) under admission
+        control; rows that do not get in are resolved here."""
+        count = len(wave.futures)
+        self._next_request += count
+        self.stats.submitted += count
+        queue = self.request_queue
+        free = self.queue_capacity - len(queue)
+        admitted = count if count <= free else max(free, 0)
+        if admitted:
+            queue.push(wave, 0, admitted)
+        # At capacity, row by row: shed a queued victim the row outranks, or
+        # turn the row away -- and with it every row after it, since a
+        # rejection leaves the queue as it found it.
+        while admitted < count and self.admission == "shed_lowest":
+            victim = queue.victim(self.scheduling.victim_order(self))
+            if victim is None or victim.priority >= wave.priority:
+                break
             self.stats.shed += 1
-            self._futures.pop(victim.request_id)._resolve(
-                self._terminal(victim, STATUS_SHED)
-            )
-        self.request_queue.push(request)
-        self._futures[request.request_id] = future
-        return future
+            self._terminate(queue.discard(victim.request_id), STATUS_SHED)
+            queue.push(wave, admitted, admitted + 1)
+            admitted += 1
+        if admitted < count:
+            self.stats.rejected += count - admitted
+            self._terminate((wave, admitted, count), STATUS_REJECTED)
 
-    def _admission_victim(self, newcomer: Request) -> Optional[Request]:
-        """The queued request to shed for ``newcomer``, or None to reject it."""
-        if self.admission != "shed_lowest":
-            return None
-        victim = self.request_queue.victim(self.scheduling.victim_order(self))
-        if victim is not None and victim.priority < newcomer.priority:
-            return victim
-        return None
-
-    def _terminal(self, request: Request, status: str) -> Response:
-        return Response(
-            request_id=request.request_id,
-            name=request.name,
-            status=status,
-            result=None,
-            arrival_tick=request.arrival_tick,
-            completion_tick=self.now,
-        )
+    def _terminate(
+        self, run: Run, status: str, batch_size: int = 0,
+        error: Optional[str] = None,
+    ) -> List[Response]:
+        """Resolve every row of ``run`` without a result."""
+        wave, start, stop = run
+        responses = [
+            Response(wave.base_id + row, wave.name, status, None,
+                     wave.arrival_tick, self.now, batch_size, 0.0, error)
+            for row in range(start, stop)
+        ]
+        ServerFuture._resolve_run(wave.futures[start:stop], responses)
+        return responses
 
     # ------------------------------------------------------------------ #
     # Scheduler loop                                                       #
@@ -823,6 +799,7 @@ class PumServer:
         """
         with self._lock:
             self.now += 1
+            self._energy_mark = None
             self.scheduling.on_tick(self)
             self.stats.observe_queue_depth(len(self.request_queue))
             resolved = self._shed_expired()
@@ -848,12 +825,10 @@ class PumServer:
 
     def _shed_expired(self) -> List[Response]:
         """Shed queued requests whose absolute deadline has passed."""
-        responses = []
-        for request in self.request_queue.pop_expired(self.now):
-            self.stats.shed += 1
-            response = self._terminal(request, STATUS_SHED)
-            self._futures.pop(request.request_id)._resolve(response)
-            responses.append(response)
+        responses: List[Response] = []
+        for run in self.request_queue.pop_expired(self.now):
+            self.stats.shed += run[2] - run[1]
+            responses.extend(self._terminate(run, STATUS_SHED))
         return responses
 
     def _dispatch_group(self, key: GroupKey) -> List[Response]:
@@ -868,40 +843,28 @@ class PumServer:
             # policy the oldest member's wait is read once per pass).
             if not scheduling.dispatch_now(self, self.request_queue, key, self.now):
                 return responses
-            batch = self.request_queue.take(key, scheduling.max_batch)
-            responses.extend(self._execute_batch(name, input_bits, batch))
+            runs = self.request_queue.take(key, scheduling.max_batch)
+            responses.extend(self._execute_batch(name, input_bits, runs))
 
     def _assemble_batch(
         self,
         record: _Registration,
         input_bits: int,
-        batch: List[Request],
+        runs: List[Run],
     ) -> np.ndarray:
-        """The ``(len(batch), rows)`` input block of one dispatch, copy-free.
+        """The ``(batch, rows)`` input block of one dispatch, copy-free.
 
-        When every member is a consecutive row of one bulk-admission source
-        array (the steady state of ``submit_batch`` traffic: same priority,
-        arrival order), the block is a direct slice of that array -- zero
-        copies, zero allocations.  Otherwise rows are gathered into a
-        reusable per-``(name, input_bits)`` arena, so mixed traffic
-        costs row copies but still no per-batch allocation of the block.
+        A batch that is one run of a ``submit_batch`` wave (the steady state
+        of bulk traffic: same priority, arrival order) is a direct slice of
+        the caller's array -- zero copies, zero allocations.  Anything else
+        is gathered, one block per run, into a reusable
+        per-``(name, input_bits)`` arena, so mixed traffic costs copies but
+        still no per-batch allocation of the block.
         """
-        # O(1) zero-copy detection: the batch is in arrival (= id) order and
-        # bulk-admission id blocks never interleave, so if the first and
-        # last members share one source array and their row span equals the
-        # batch length, every member in between is necessarily the same
-        # wave's consecutive rows (rows ascend strictly within a wave; any
-        # shed request would shrink the count below the span).
-        first = batch[0]
-        last = batch[-1]
-        source = first.source
-        if (
-            source is not None
-            and last.source is source
-            and last.source_row - first.source_row == len(batch) - 1
-        ):
+        wave, start, stop = runs[0]
+        if len(runs) == 1 and wave.bulk:
             self.stats.zero_copy_batches += 1
-            return source[first.source_row: last.source_row + 1]
+            return wave.source[start:stop]
         max_batch = self.scheduling.max_batch
         arena = record.arenas.get(input_bits)
         if arena is None or arena.shape[0] < max_batch:
@@ -909,10 +872,12 @@ class PumServer:
                 (max_batch, record.allocation.shape[0]), dtype=np.int64
             )
             record.arenas[input_bits] = arena
-        for row, request in enumerate(batch):
-            arena[row] = request.vector
+        filled = 0
+        for wave, start, stop in runs:
+            arena[filled: filled + stop - start] = wave.source[start:stop]
+            filled += stop - start
         self.stats.gathered_batches += 1
-        return arena[: len(batch)]
+        return arena[:filled]
 
     def _note_degraded(self, before: Tuple[int, ...]) -> None:
         """Fold the pool's resilience counter deltas into the serving stats.
@@ -925,9 +890,11 @@ class PumServer:
         -- only failover events and detections do, so a fault-free
         ``verify="full"`` run keeps ``degraded_batches == 0``.
         """
+        after = self.pool.resilience_snapshot()
+        if after == before:
+            return
         hits, retries, failures, checks, corruptions, reexecutions = (
-            now - prior
-            for now, prior in zip(self.pool.resilience_snapshot(), before)
+            now - prior for now, prior in zip(after, before)
         )
         self.stats.integrity_checks += checks
         if hits or retries or failures or corruptions or reexecutions:
@@ -975,50 +942,75 @@ class PumServer:
         )
 
     def _execute_batch(
-        self, name: str, input_bits: int, batch: List[Request]
+        self, name: str, input_bits: int, runs: List[Run]
     ) -> List[Response]:
+        """One taken batch -> one pool call -> one response per row, each
+        resolved straight onto its wave's future."""
         record = self._registrations[name]
-        allocation = record.allocation
-        vectors = self._assemble_batch(record, input_bits, batch)
+        if len(runs) > 1:
+            runs = coalesce(runs)
+        pool = self.pool
         # Breakdown-free reading, equal bit for bit to
         # ``total_ledger().energy_pj``.
-        energy_before = self.pool.total_energy_pj()
-        before = self.pool.resilience_snapshot()
+        energy_before = self._energy_mark
+        if energy_before is None:
+            energy_before = pool.total_energy_pj()
+        before = pool.resilience_snapshot()
         try:
-            results = self.pool.exec_mvm_batch(
-                allocation, vectors, input_bits=input_bits, backend=self.backend
-            )
-        except ReproError as exc:
-            results = None
-            if self.auto_rebuild and self._band_exhausted(exc):
+            vectors = self._assemble_batch(record, input_bits, runs)
+            try:
+                results = pool.exec_mvm_batch(
+                    record.allocation, vectors, input_bits=input_bits,
+                    backend=self.backend,
+                )
+            except ReproError as exc:
+                if not (self.auto_rebuild and self._band_exhausted(exc)):
+                    raise
                 results = self._rebuild_and_retry(record, vectors, input_bits)
-            if results is None:
-                # A failing batch must never wedge the scheduler: resolve
-                # every rider as failed and keep the loop (and any driver
-                # thread) alive.
-                self._note_degraded(before)
-                return self._fail_batch(batch, exc)
+                if results is None:
+                    raise
+        except Exception as exc:
+            # Whatever went wrong, the riders left the queue with ``take``
+            # and must not be stranded: resolve every one as failed.  A
+            # library error stops there, so a failing batch never wedges
+            # the scheduler (or a driver thread); anything else is a bug
+            # and goes on to the caller.
+            self._energy_mark = None
+            self._note_degraded(before)
+            size = sum(stop - start for _, start, stop in runs)
+            self.stats.failed += size
+            error = f"{type(exc).__name__}: {exc}"
+            responses = [
+                response for run in runs
+                for response in self._terminate(run, STATUS_FAILED, size, error)
+            ]
+            if isinstance(exc, ReproError):
+                return responses
+            raise
         self._note_degraded(before)
-        energy_pj = self.pool.total_energy_pj() - energy_before
-        per_request = energy_pj / len(batch)
+        self._energy_mark = pool.total_energy_pj()
+        energy_pj = self._energy_mark - energy_before
+        size = len(vectors)
+        per_request = energy_pj / size
 
-        responses = []
-        latencies = []
-        for row, request in enumerate(batch):
-            response = Response(
-                request_id=request.request_id,
-                name=name,
-                status=STATUS_COMPLETED,
-                result=results[row],
-                arrival_tick=request.arrival_tick,
-                completion_tick=self.now,
-                batch_size=len(batch),
-                energy_pj=per_request,
-            )
-            latencies.append(response.latency_ticks)
-            self._futures.pop(request.request_id)._resolve(response)
-            responses.append(response)
-        self.stats.record_batch(len(batch), latencies, energy_pj)
+        # Per run, three list extensions; per row, one Response.
+        now = self.now
+        ids: List[int] = []
+        arrivals: List[int] = []
+        futures: List[ServerFuture] = []
+        for wave, start, stop in runs:
+            ids += range(wave.base_id + start, wave.base_id + stop)
+            arrivals += [wave.arrival_tick] * (stop - start)
+            futures += wave.futures[start:stop]
+        responses = [
+            Response(request_id, name, STATUS_COMPLETED, result, arrival, now,
+                     size, per_request)
+            for request_id, result, arrival in zip(ids, results, arrivals)
+        ]
+        ServerFuture._resolve_run(futures, responses)
+        self.stats.record_batch(
+            size, [now - arrival for arrival in arrivals], energy_pj
+        )
         return responses
 
     def _rebuild_and_retry(
@@ -1042,24 +1034,6 @@ class PumServer:
             )
         except ReproError:
             return None
-
-    def _fail_batch(self, batch: List[Request], exc: ReproError) -> List[Response]:
-        responses = []
-        for request in batch:
-            self.stats.failed += 1
-            response = Response(
-                request_id=request.request_id,
-                name=request.name,
-                status=STATUS_FAILED,
-                result=None,
-                arrival_tick=request.arrival_tick,
-                completion_tick=self.now,
-                batch_size=len(batch),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._futures.pop(request.request_id)._resolve(response)
-            responses.append(response)
-        return responses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1086,6 +1060,9 @@ class ThreadedServerDriver:
             raise SchedulerError("tick_interval must be >= 0")
         self.server = server
         self.tick_interval = tick_interval
+        #: The exception that ended the tick loop, if one escaped ``tick()``;
+        #: re-raised (once) by :meth:`stop`.
+        self.error: Optional[BaseException] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -1100,18 +1077,30 @@ class ThreadedServerDriver:
         return self
 
     def stop(self) -> None:
-        """Stop the tick loop and join the thread."""
+        """Stop the tick loop and join the thread.
+
+        Re-raises what killed the loop, if anything did: ``tick()`` fails a
+        batch's riders and carries on after a library error, so an exception
+        that reaches the driver is a bug, and later ``result()`` calls would
+        otherwise just time out with nobody pumping.
+        """
         if self._thread is None:
             return
         self._stop.set()
         self._thread.join()
         self._thread = None
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            self.server.tick()
-            if self.tick_interval:
-                time.sleep(self.tick_interval)
+        try:
+            while not self._stop.is_set():
+                self.server.tick()
+                if self.tick_interval:
+                    time.sleep(self.tick_interval)
+        except Exception as exc:
+            self.error = exc
 
     def __enter__(self) -> "ThreadedServerDriver":
         return self.start()

@@ -192,6 +192,30 @@ class TestSteadyStateIsFlat:
         assert server.matrix_names == ("tenant",)
         assert len(server.pool.allocations) == 1
 
+    def test_a_dispatched_wave_is_not_kept_by_the_queue(self):
+        """The queue's records are per wave, so a stale one would pin a whole
+        array: once a wave's rows have all left, nothing under the server
+        refers to it -- even while its group (and the group's lazy deadline
+        heap, which the static policy never reads) lives on."""
+        server = PumServer(pool=DevicePool(num_devices=1, config=small_chip(4)),
+                           scheduling=StaticBatchingPolicy(8, 1000))
+        server.register_matrix("m", np.eye(8, dtype=np.int64), input_bits=3)
+        vectors = np.ones((8, 8), dtype=np.int64)
+        futures = server.submit_batch("m", vectors, input_bits=3, deadline=50)
+        waiting = server.submit_batch("m", vectors[:1].copy(), input_bits=3,
+                                      deadline=900)
+        source = weakref.ref(vectors)
+        assert len(server.tick()) == 8  # the full batch went, one row waits
+        assert all(f.done() for f in futures) and not waiting[0].done()
+        del vectors, futures
+        gc.collect()
+        assert source() is None
+        assert not any(obj is not None and getattr(obj, "deadline", None) == 50
+                       for obj in reachable(server))
+        for _ in range(60):  # past the first wave's deadline: nothing to shed
+            assert server.tick() == []
+        assert server.pending == 1 and server.stats.shed == 0
+
     def test_distinct_batch_sizes_fill_the_receipt_memo_then_stop(self):
         # Every tile plan memoises one batch receipt per batch size, and
         # every ACE one float scratch block per shape, both up to a bound:

@@ -33,9 +33,12 @@ BATCH = 32
 MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 14
 MAX_CHARGES_PER_TILE = 6
 #: Python-level calls per request of one server round, submit + drain
-#: (measured 5.3 + 7.1 = 12.4 at one tenant; 12.5 before ``_energy_total``
-#: was inlined), and of one tick with an empty queue (measured 9).
-MAX_SERVER_CALLS_PER_REQUEST = 14
+#: (measured 1.23 + 4.80 = 6.03 at one tenant, + 10 %; it was 5.3 + 7.1 =
+#: 12.4 while the server kept a ``Request`` per row), and of one tick with an
+#: empty queue (measured 9).  Per request that is one ``ServerFuture`` and one
+#: ``Response`` constructor; the rest is per wave and per batch, most of it
+#: the pool call.
+MAX_SERVER_CALLS_PER_REQUEST = 6.7
 MAX_IDLE_TICK_CALLS = 12
 
 

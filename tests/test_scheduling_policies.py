@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from flat_queue import FlatRequestQueue
+from test_queueing import push as push_wave
 
 from repro.errors import SloError
 from repro.runtime import (
@@ -33,7 +34,6 @@ from repro.runtime import (
     resolve_slo,
 )
 from repro.runtime.queueing import IndexedRequestQueue
-from repro.runtime.server import Request
 from repro.testing import derive_rng
 
 
@@ -45,6 +45,16 @@ def make_server(max_batch=None, max_wait_ticks=None, **kwargs):
     server = PumServer(**kwargs)
     server.register_matrix("proj", np.eye(8, dtype=np.int64))
     return server
+
+
+def queued_requests(server, key=("proj", 3)):
+    """Per-row views of everything queued under ``key`` (taken off the queue:
+    the queue holds waves, so a test that wants requests asks the wave)."""
+    return [
+        wave.request(row)
+        for wave, start, stop in server.request_queue.take(key, server.queue_capacity)
+        for row in range(start, stop)
+    ]
 
 
 def drive(server, trace):
@@ -148,7 +158,7 @@ class TestSloClasses:
         server = make_server(max_batch=16, max_wait_ticks=50, queue_capacity=8)
         server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3,
                       slo="interactive")
-        request = next(iter(server.request_queue._requests.values()))
+        (request,) = queued_requests(server)
         assert request.deadline == server.now + 4
         assert request.priority == 20
 
@@ -156,7 +166,7 @@ class TestSloClasses:
         server = make_server(max_batch=16, max_wait_ticks=50)
         server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3,
                       slo="interactive", priority=7, deadline=1000)
-        request = next(iter(server.request_queue._requests.values()))
+        (request,) = queued_requests(server)
         assert request.deadline == 1000
         assert request.priority == 7
 
@@ -164,7 +174,9 @@ class TestSloClasses:
         server = make_server(max_batch=16, max_wait_ticks=50)
         server.submit_batch("proj", np.zeros((2, 8), dtype=np.int64),
                             input_bits=3, slo="batch")
-        for request in server.request_queue._requests.values():
+        requests = queued_requests(server)
+        assert len(requests) == 2
+        for request in requests:
             assert request.deadline is None
             assert request.priority == 0
 
@@ -346,20 +358,18 @@ class TestPredictedFinishTimePlacement:
 
 
 class TestQueueExtensions:
-    def request(self, request_id, name="m", deadline=None, priority=0):
-        return Request(request_id=request_id, name=name,
-                       vector=np.zeros(2, dtype=np.int64), input_bits=2,
-                       priority=priority, deadline=deadline,
-                       arrival_tick=0)
+    def push(self, queue, request_id, **kwargs):
+        """Queue one request (a wave of one) in group ``(name, 2)``."""
+        push_wave(queue, request_id, input_bits=2, **kwargs)
 
     @pytest.mark.parametrize("queue_cls",
                              [IndexedRequestQueue, FlatRequestQueue])
     def test_group_keys_and_min_deadline(self, queue_cls):
         queue = queue_cls()
         assert queue.group_keys() == []
-        queue.push(self.request(0, name="a", deadline=9))
-        queue.push(self.request(1, name="a", deadline=5))
-        queue.push(self.request(2, name="b"))
+        self.push(queue, 0, name="a", deadline=9)
+        self.push(queue, 1, name="a", deadline=5)
+        self.push(queue, 2, name="b")
         assert sorted(queue.group_keys()) == [("a", 2), ("b", 2)]
         assert queue.min_deadline(("a", 2)) == 5
         assert queue.min_deadline(("b", 2)) is None
@@ -373,8 +383,8 @@ class TestQueueExtensions:
                              [IndexedRequestQueue, FlatRequestQueue])
     def test_victim_accepts_custom_order(self, queue_cls):
         queue = queue_cls()
-        queue.push(self.request(0, priority=5))
-        queue.push(self.request(1, priority=1))
+        self.push(queue, 0, priority=5)
+        self.push(queue, 1, priority=1)
         assert queue.victim().request_id == 1
         # Invert the order: the custom key wins.
         assert queue.victim(order=lambda r: -r.priority).request_id == 0
@@ -382,7 +392,7 @@ class TestQueueExtensions:
     def test_indexed_group_keys_do_not_scan(self):
         queue = IndexedRequestQueue()
         for i in range(16):
-            queue.push(self.request(i, deadline=100 + i))
+            self.push(queue, i, deadline=100 + i)
         before = queue.scans
         queue.group_keys()
         queue.min_deadline(("m", 2))
@@ -390,8 +400,8 @@ class TestQueueExtensions:
 
     def test_indexed_take_cleans_group_deadlines(self):
         queue = IndexedRequestQueue()
-        queue.push(self.request(0, deadline=10))
-        queue.push(self.request(1, deadline=11))
+        self.push(queue, 0, deadline=10)
+        self.push(queue, 1, deadline=11)
         queue.take(("m", 2), max_batch=2)
         assert queue.min_deadline(("m", 2)) is None
         assert not queue._group_deadlines

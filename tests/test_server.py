@@ -445,14 +445,164 @@ class TestSubmitBatch:
     def test_bulk_vectors_are_views_of_one_source_array(self):
         server = make_server(max_batch=8, max_wait_ticks=10)
         vectors = np.full((3, 8), 1, dtype=np.int64)
-        server.submit_batch("eye", vectors, input_bits=3)
-        queued = [server.request_queue.take(("eye", 3), 8)][0]
-        sources = {id(request.source) for request in queued}
-        assert len(sources) == 1
-        assert all(
-            np.shares_memory(request.vector, request.source)
-            for request in queued
-        )
+        futures = server.submit_batch("eye", vectors, input_bits=3)
+        # One wave, queued as one run over the caller's own array.
+        ((wave, start, stop),) = server.request_queue.take(("eye", 3), 8)
+        assert (start, stop) == (0, 3)
+        assert wave.source is vectors
+        assert wave.futures == futures
+        requests = [wave.request(row) for row in range(start, stop)]
+        assert [r.request_id for r in requests] == [f.request_id for f in futures]
+        assert all(np.shares_memory(r.vector, vectors) for r in requests)
+        # A list (or a narrower dtype) is converted once, for the whole wave.
+        server.submit_batch("eye", vectors.astype(np.uint8).tolist(), input_bits=3)
+        ((wave, start, stop),) = server.request_queue.take(("eye", 3), 8)
+        assert wave.source.dtype == np.int64 and wave.source.flags.c_contiguous
+        assert np.shares_memory(wave.request(2).vector, wave.source)
+
+
+class TestWaves:
+    """The wave is the unit the server queues; a request is a row of it."""
+
+    def test_batch_spanning_two_waves_is_gathered_by_block(self, rng):
+        matrix = rng.integers(-50, 50, size=(16, 12))
+        first = rng.integers(0, 16, size=(3, 16))
+        second = rng.integers(0, 16, size=(7, 16))
+        for flat in (False, True):
+            server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1))
+            if flat:
+                install_flat_queue(server)
+            server.register_matrix("m", matrix, element_size=8, input_bits=4)
+            futures = server.submit_batch("m", first, input_bits=4)
+            futures += server.submit_batch("m", second, input_bits=4)
+            responses = server.run_until_idle()
+            served = np.stack([f.result().result for f in futures])
+            assert np.array_equal(served, np.vstack([first, second]) @ matrix)
+            # Batches of 4: [a0 a1 a2 | b0] is two runs (gathered), then
+            # [b1..b4] and the aged remainder [b5 b6] are one run each.
+            assert [r.batch_size for r in responses] == [4] * 8 + [2] * 2
+            assert server.stats.gathered_batches == 1
+            assert server.stats.zero_copy_batches == 2
+            assert server.stats.batches == 3
+
+    def test_reregistration_between_submit_and_tick_serves_the_new_bytes(self):
+        server = make_server(max_batch=4, max_wait_ticks=1)
+        vectors = np.arange(32, dtype=np.int64).reshape(4, 8) % 4
+        futures = server.submit_batch("eye", vectors, input_bits=3)
+        server.register_matrix("eye", 3 * np.eye(8, dtype=np.int64), element_size=4)
+        server.run_until_idle()
+        served = np.stack([f.result().result for f in futures])
+        assert np.array_equal(served, 3 * vectors)
+
+    @pytest.mark.parametrize("admission", ["reject", "shed_lowest"])
+    def test_wave_larger_than_the_queue_admits_a_prefix(self, admission):
+        for flat in (False, True):
+            server = make_server(queue_capacity=5, max_batch=4, max_wait_ticks=1,
+                                 admission=admission)
+            if flat:
+                install_flat_queue(server)
+            low = submit_n(server, 2, priority=0)
+            futures = server.submit_batch(
+                "eye", np.ones((9, 8), dtype=np.int64), input_bits=3, priority=3)
+            # Rows 0-2 fill the queue; under shed_lowest rows 3 and 4 each
+            # evict one of the two low-priority singles, and the row after
+            # finds nobody it outranks.
+            admitted = 5 if admission == "shed_lowest" else 3
+            assert [f.done() for f in futures] == \
+                [False] * admitted + [True] * (9 - admitted)
+            assert {f.result().status for f in futures[admitted:]} == {"rejected"}
+            assert [f.done() for f in low] == [admission == "shed_lowest"] * 2
+            assert server.pending == 5
+            assert server.stats.rejected == 9 - admitted
+            assert server.stats.shed == (2 if admission == "shed_lowest" else 0)
+            server.run_until_idle()
+            assert all(f.result().ok for f in futures[:admitted])
+            assert server.stats.submitted == 11 == (
+                server.stats.completed + server.stats.rejected + server.stats.shed
+            )
+
+    def test_every_future_resolves_exactly_once(self, rng):
+        """Each id gets one response, and the future holds that very object."""
+        server = make_server(queue_capacity=12, max_batch=4, max_wait_ticks=2,
+                             admission="shed_lowest")
+        futures, responses = [], []
+        for step in range(12):
+            rows = rng.integers(0, 4, size=(int(rng.integers(1, 8)), 8))
+            futures += server.submit_batch(
+                "eye", rows, input_bits=3, priority=int(rng.integers(0, 3)),
+                deadline=server.now + 2 if step % 3 == 0 else None)
+            futures.append(server.submit("eye", rows[0], input_bits=3))
+            if step % 2:
+                responses += server.tick()
+        responses += server.run_until_idle()
+        by_id = {}
+        for response in responses:
+            assert response.request_id not in by_id
+            by_id[response.request_id] = response
+        assert [f.request_id for f in futures] == list(range(len(futures)))
+        for future in futures:
+            assert future.done()
+            response = future.result(timeout=0)
+            assert response.request_id == future.request_id
+            if response.request_id in by_id:
+                assert by_id[response.request_id] is response
+            else:  # resolved at the door, or evicted by a later arrival
+                assert response.status in ("rejected", "shed")
+        assert {"completed", "rejected", "shed"} <= {
+            f.result().status for f in futures
+        }
+
+
+class TestEscapedExceptions:
+    """Regression: a non-ReproError out of the pool used to strand every
+    rider of the batch (0 of 16 futures done, 16 ``_futures`` entries kept)."""
+
+    @staticmethod
+    def exploding_server():
+        server = make_server(max_batch=16, max_wait_ticks=1)
+
+        def explode(*args, **kwargs):
+            raise ValueError("plan kept past its device")
+
+        server.pool.exec_mvm_batch = explode
+        return server
+
+    def test_unexpected_exception_fails_the_riders_then_propagates(self):
+        server = self.exploding_server()
+        futures = server.submit_batch("eye", np.ones((16, 8), dtype=np.int64),
+                                      input_bits=3)
+        with pytest.raises(ValueError, match="plan kept past its device"):
+            server.run_until_idle()
+        assert server.pending == 0
+        assert [f.done() for f in futures] == [True] * 16
+        for future in futures:
+            response = future.result(timeout=0)
+            assert response.status == "failed" and response.batch_size == 16
+            assert response.error == "ValueError: plan kept past its device"
+        assert server.stats.failed == 16
+        assert server.tick() == []  # nothing left behind
+
+    def test_driver_keeps_the_exception_and_reraises_it_on_stop(self):
+        server = self.exploding_server()
+        driver = ThreadedServerDriver(server, tick_interval=1e-5).start()
+        futures = submit_n(server, 4)
+        responses = [f.result(timeout=5.0) for f in futures]
+        assert {r.status for r in responses} == {"failed"}
+        driver._thread.join(timeout=5.0)
+        assert not driver._thread.is_alive()  # stopped pumping
+        assert isinstance(driver.error, ValueError)
+        with pytest.raises(ValueError, match="plan kept past its device"):
+            driver.stop()
+        driver.stop()  # raised once; the driver is reusable
+        assert driver.error is None
+
+    def test_driver_context_manager_reraises_on_exit(self):
+        server = self.exploding_server()
+        with pytest.raises(ValueError, match="plan kept past its device"):
+            with ThreadedServerDriver(server, tick_interval=1e-5):
+                future = server.submit("eye", np.ones(8, dtype=np.int64),
+                                       input_bits=3)
+                assert future.result(timeout=5.0).status == "failed"
 
 
 class TestDispatchOrder:
