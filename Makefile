@@ -106,18 +106,23 @@ plan-dump:
 profile:
 	$(PY) benchmarks/profile_serving.py
 
-# Two more modes of the same script.  device-call: one steady-state
+# Three more modes of the same script.  device-call: one steady-state
 # exact-path DarthPumDevice.exec_mvm_batch at the three paper shapes and an
 # 8-tile row band (128x16 on HctConfig.small()) -- untraced us and function
 # calls per call and per tile, and the time spent in the accumulator sync,
-# input validation, the cost ledger and the matmul itself.  server-round: one
-# steady-state submit_batch(64) per tenant + run_until_idle() at 1 and 32
-# tenants -- us and calls per request, the same batches through the pool
-# alone, the server's share, and what an idle and a waiting tick cost -- and
-# the same 64 vectors through 64 submit() calls (the ingress a wave record
-# does not help).
+# input validation, the cost ledger and the matmul itself.  pool-call: one
+# steady-state DevicePool.exec_mvm_batch at batch 16 on a one-band 64x64
+# allocation and on the pool_sharded layout (256x16, 2 bands x 2 replicas,
+# verify="full") -- us and Python-level calls, split into the pool's own
+# frames and the device calls under them.  server-round: one steady-state
+# submit_batch(64) per tenant + run_until_idle() at 1 and 32 tenants -- us
+# and calls per request, the same batches through the pool alone, the
+# server's share, pool frames per batch, and what an idle and a waiting tick
+# cost -- and the same 64 vectors through 64 submit() calls (the ingress a
+# wave record does not help).
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
+	$(PY) benchmarks/profile_serving.py pool-call
 	$(PY) benchmarks/profile_serving.py server-round
 
 # The server-round rows followed by the cProfile listing (top-25 cumulative)

@@ -13,12 +13,19 @@ function calls per call *and per tile*, and the share that goes to the
 accumulator sync, input validation, the cost ledger and the arithmetic
 itself.
 
-The ``server-round`` mode prices the tier above it: one steady-state
+The ``pool-call`` mode prices the tier above it: one steady-state
+``DevicePool.exec_mvm_batch`` at batch 16 against a single-band allocation
+and against the layerbench ``pool_sharded`` layout (2 bands x 2 replicas,
+``verify="full"``), as untraced microseconds and Python-level calls, each
+split into the pool's own frames and the device calls underneath.
+
+The ``server-round`` mode prices the tier above that: one steady-state
 ``submit_batch(64)`` per tenant plus ``run_until_idle()`` at 1 and 32
 tenants (:func:`repro.testing.server_round`) -- untraced microseconds per
 request, the same batches through ``pool.exec_mvm_batch`` alone, the
-server's share of the round, and function calls per request split into
-submit and drain -- plus what a tick costs when nothing is due, and a
+server's share of the round, function calls per request split into
+submit and drain, and the pool's own frames per dispatched batch -- plus
+what a tick costs when nothing is due, and a
 ``submit`` row: the same 64 vectors admitted by 64 ``submit()`` calls, the
 ingress a wave record cannot help.  With ``--profile`` it ends with the
 cProfile listing of the 32-tenant tick loop.
@@ -30,6 +37,7 @@ Usage::
     # or directly:
     PYTHONPATH=src python benchmarks/profile_serving.py [num_requests]
     PYTHONPATH=src python benchmarks/profile_serving.py device-call
+    PYTHONPATH=src python benchmarks/profile_serving.py pool-call
     PYTHONPATH=src python benchmarks/profile_serving.py server-round [--profile]
 """
 
@@ -42,7 +50,14 @@ import time
 
 import numpy as np
 
-from repro import DarthPumDevice, PumServer, StaticBatchingPolicy
+from repro import (
+    ChipConfig,
+    DarthPumDevice,
+    DevicePool,
+    HctConfig,
+    PumServer,
+    StaticBatchingPolicy,
+)
 from repro.testing import DEVICE_CALL_SHAPES, profiled_calls, server_round
 
 MATRIX_SHAPE = (64, 64)
@@ -57,6 +72,21 @@ DEVICE_CALL_PARTS = {
     "sync_us": (("set_vr_bits",), ()),
     "validate_us": (("validate_input_range",), ()),
     "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
+}
+
+POOL_CALL_BATCH = 16
+#: Every steady-state pooled call ``pool-call`` prices: label -> (shape,
+#: element size, input bits, pool keywords).  The first is the one-band call
+#: a default ``PumServer`` makes per batch; the second is the layerbench
+#: ``pool_sharded`` pool, where the band loop, the reduction and the ABFT
+#: check all run.
+POOL_CALL_SHAPES = {
+    "encoder_projection": (*DEVICE_CALL_SHAPES["encoder_projection"][:3],
+                           dict(num_devices=2)),
+    "pool_sharded": ((256, 16), 4, 4, dict(
+        num_devices=4, config=ChipConfig(hct=HctConfig.small(), num_hcts=8),
+        replication=2, verify="full",
+    )),
 }
 
 #: ``(tenants, ingress)`` of each ``server-round`` row.
@@ -83,7 +113,17 @@ def run_serving_workload(num_requests: int = 512) -> None:
             assert future.result().ok
 
 
-def steady_device_call(label: str, backend: str = "vectorized"):
+def steady_operands(shape, element_size: int, input_bits: int, batch: int):
+    """The seeded ``(matrix, vectors)`` every steady-state call here runs."""
+    rng = np.random.default_rng(11)
+    low = -(1 << (element_size - 1)) if element_size > 1 else -1
+    matrix = rng.integers(low, max(1, -low), size=shape)
+    vectors = rng.integers(0, 1 << input_bits, size=(batch, shape[0]),
+                           dtype=np.int64)
+    return matrix, vectors
+
+
+def device_call_at(label: str, backend: str = "vectorized"):
     """A zero-argument steady-state ``exec_mvm_batch`` at one device-call shape.
 
     Ideal chip, plan compiled, three warm-up calls made: what is left is
@@ -91,11 +131,8 @@ def steady_device_call(label: str, backend: str = "vectorized"):
     and allocation behind the call.
     """
     shape, element_size, input_bits, config = DEVICE_CALL_SHAPES[label]
-    rng = np.random.default_rng(11)
-    low = -(1 << (element_size - 1)) if element_size > 1 else -1
-    matrix = rng.integers(low, max(1, -low), size=shape)
-    vectors = rng.integers(0, 1 << input_bits, size=(DEVICE_CALL_BATCH, shape[0]),
-                           dtype=np.int64)
+    matrix, vectors = steady_operands(shape, element_size, input_bits,
+                                      DEVICE_CALL_BATCH)
     device = DarthPumDevice(config=config)
     allocation = device.set_matrix(matrix, element_size=element_size, precision=0)
     device.compile(allocation, input_bits=input_bits)
@@ -120,11 +157,39 @@ def best_call_us(call, repeats: int = 9, loops: int = 300) -> float:
     return best * 1e6
 
 
+def count_events(events) -> tuple:
+    """``(python_calls, c_calls)`` among :func:`profiled_calls` events."""
+    kinds = [event for event, _ in events]
+    # The closing ``sys.setprofile(None)`` is itself reported as a C call.
+    return kinds.count("call"), kinds.count("c_call") - 1
+
+
 def count_calls(call) -> tuple:
     """``(python_calls, c_calls)`` one ``call()`` makes, by ``sys.setprofile``."""
-    events = [event for event, _ in profiled_calls(call)]
-    # The closing ``sys.setprofile(None)`` is itself reported as a C call.
-    return events.count("call"), events.count("c_call") - 1
+    return count_events(profiled_calls(call))
+
+
+def split_pool_frames(events) -> tuple:
+    """``(pool_frames, device_frames, pooled_calls)`` among profiled events.
+
+    A pooled call is an outermost ``exec_mvm_batch`` frame (the pool's);
+    the ``exec_mvm_batch`` frames nested inside it are the device calls.
+    Pool frames are the Python-level calls inside a pooled call -- itself
+    included -- that no device call covers; frames outside any pooled call
+    (a server's, the caller's) are counted in neither.
+    """
+    nesting = []
+    depth = pool_frames = device_frames = pooled_calls = 0
+    for event, name in events:
+        if event == "call":
+            nesting.append(name == "exec_mvm_batch")
+            depth += nesting[-1]
+            pooled_calls += nesting[-1] and depth == 1
+            pool_frames += depth == 1
+            device_frames += depth > 1
+        elif event == "return" and nesting:
+            depth -= nesting.pop()
+    return pool_frames, device_frames, pooled_calls
 
 
 def device_call_breakdown(loops: int = 2000) -> None:
@@ -138,10 +203,10 @@ def device_call_breakdown(loops: int = 2000) -> None:
     header += list(DEVICE_CALL_PARTS)
     print("  ".join(f"{column:>18}" for column in header))
     for label in DEVICE_CALL_SHAPES:
-        call, device, allocation = steady_device_call(label)
+        call, device, allocation = device_call_at(label)
         tiles = len(allocation.placement.tiles)
         total_us = best_call_us(call)
-        estimate_us = best_call_us(steady_device_call(label, "estimate")[0])
+        estimate_us = best_call_us(device_call_at(label, "estimate")[0])
         python_calls, c_calls = count_calls(call)
 
         # The arithmetic alone: the device plan's one banded contraction.
@@ -168,6 +233,56 @@ def device_call_breakdown(loops: int = 2000) -> None:
                f"{estimate_us:.1f}", f"{matmul_us:.1f}", str(python_calls),
                f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
+        print("  ".join(f"{column:>18}" for column in row))
+
+
+def pool_call_at(label: str):
+    """A zero-argument steady-state pooled call at one pool-call shape, and
+    the same device calls made without the pool: ``(pooled, devices_alone,
+    allocation)``.  Plans compiled, three warm-up calls made."""
+    shape, element_size, input_bits, pool_keywords = POOL_CALL_SHAPES[label]
+    matrix, vectors = steady_operands(shape, element_size, input_bits,
+                                      POOL_CALL_BATCH)
+    pool = DevicePool(**pool_keywords)
+    allocation = pool.set_matrix(matrix, element_size=element_size)
+    pool.compile(allocation, input_bits=input_bits)
+    bands = [
+        (pool.devices[task.device_index], task.device_allocation,
+         vectors[:, task.row_start: task.row_end])
+        for task in allocation.tasks
+    ]
+
+    def pooled():
+        return pool.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+
+    def devices_alone():
+        for device, device_allocation, sub in bands:
+            device.exec_mvm_batch(device_allocation, sub, input_bits=input_bits)
+
+    for _ in range(3):
+        assert np.array_equal(pooled(), vectors @ matrix)
+    return pooled, devices_alone, allocation
+
+
+def pool_call_breakdown() -> None:
+    """Print what the pool adds to its device calls at the pool-call shapes."""
+    print(f"# steady-state DevicePool.exec_mvm_batch, exact path, batch "
+          f"{POOL_CALL_BATCH}: us are untraced best-of-9 (pool_us = total - the "
+          "same device calls made directly);\n# frames are sys.setprofile counts "
+          "of Python-level calls: the pool's own, and those under its device calls")
+    header = ["shape", "bands", "total_us", "device_us", "pool_us", "py_calls",
+              "pool_frames", "device_frames", "c_calls"]
+    print("  ".join(f"{column:>18}" for column in header))
+    for label in POOL_CALL_SHAPES:
+        pooled, devices_alone, allocation = pool_call_at(label)
+        total_us = best_call_us(pooled, loops=1000)
+        device_us = best_call_us(devices_alone, loops=1000)
+        events = profiled_calls(pooled)[1:]  # drop the ``pooled`` closure itself
+        pool_frames, device_frames, _ = split_pool_frames(events)
+        python_calls, c_calls = count_events(events)
+        row = [label, str(allocation.num_shards), f"{total_us:.1f}",
+               f"{device_us:.1f}", f"{total_us - device_us:.1f}", str(python_calls),
+               str(pool_frames), str(device_frames), str(c_calls)]
         print("  ".join(f"{column:>18}" for column in row))
 
 
@@ -211,7 +326,9 @@ def server_round_row(tenants: int, ingress: str = "submit_batch") -> dict:
     round_us = best_call_us(whole_round, loops=loops)
     pool_us = best_call_us(pool_alone, loops=loops)
     submit_calls = count_calls(submit)
-    drain_calls = count_calls(drain)
+    drain_events = profiled_calls(drain)
+    drain_calls = count_events(drain_events)
+    pool_frames, _, batches = split_pool_frames(drain_events)
     idle_tick_calls = count_calls(server.tick)
     # One request per tenant, too few and too young to dispatch.
     for tenant in range(tenants):
@@ -230,6 +347,7 @@ def server_round_row(tenants: int, ingress: str = "submit_batch") -> dict:
         "drain_py_calls_per_request": round(drain_calls[0] / requests, 2),
         "submit_c_calls_per_request": round(submit_calls[1] / requests, 2),
         "drain_c_calls_per_request": round(drain_calls[1] / requests, 2),
+        "pool_frames_per_batch": round(pool_frames / batches, 2),
         "idle_tick_py_calls": idle_tick_calls[0],
         "waiting_tick_py_calls": waiting_tick_calls[0],
     }
@@ -263,6 +381,9 @@ def server_round_breakdown(profile: bool) -> None:
 def main() -> None:
     if sys.argv[1:2] == ["device-call"]:
         device_call_breakdown()
+        return
+    if sys.argv[1:2] == ["pool-call"]:
+        pool_call_breakdown()
         return
     if sys.argv[1:2] == ["server-round"]:
         server_round_breakdown(profile="--profile" in sys.argv[2:])

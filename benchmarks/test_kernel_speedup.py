@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from profile_serving import best_call_us, count_calls, steady_device_call
+from profile_serving import best_call_us, count_calls, device_call_at
 
 from repro import DarthPumDevice
 
@@ -86,7 +86,7 @@ def test_vectorized_kernel_speedup_gate(host, record_row):
     assert reference_ledger.cycles == vectorized_ledger.cycles
     assert reference_ledger.energy_pj == vectorized_ledger.energy_pj
 
-    exact_call, _, exact_allocation = steady_device_call("row_band_8_tiles")
+    exact_call, _, exact_allocation = device_call_at("row_band_8_tiles")
     tiles = len(exact_allocation.placement.tiles)
     exact_call_us = best_call_us(exact_call)
     calls_per_exec = sum(count_calls(exact_call))

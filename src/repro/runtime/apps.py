@@ -36,7 +36,7 @@ from ..workloads.aes.mapping import (
 from ..workloads.aes.reference import decrypt_block
 from ..workloads.cnn.layers import Conv2d
 from ..workloads.cnn.mapping import CnnMapping, NoisyInferenceEngine
-from ..workloads.cnn.quantize import quantize
+from ..workloads.cnn.quantize import offset_shifted_mvm, quantize
 from ..workloads.cnn.resnet import ResNet20
 from ..workloads.cnn.tensors import im2col
 from ..workloads.llm.encoder import EncoderConfig, TransformerEncoder
@@ -227,30 +227,6 @@ def _serve_all(
     return np.stack(results)
 
 
-def _submit_shifted(
-    server: PumServer,
-    name: str,
-    vectors: np.ndarray,
-    column_sums: np.ndarray,
-    input_bits: int,
-    slo: Union[None, str, SloClass] = None,
-) -> np.ndarray:
-    """Push signed vectors through the server's non-negative MVM path.
-
-    The ACE applies non-negative bit-sliced inputs, so each vector is
-    shifted into the positive range before submission and the constant
-    column contribution is subtracted afterwards (the standard
-    ``x @ W = (x + o) @ W - o * sum(W, axis=0)`` trick the on-tile
-    mappings already use).  One request per vector -- the server's
-    scheduler, not the caller, decides the batches.
-    """
-    vectors = np.asarray(vectors, dtype=np.int64)
-    offsets = np.maximum(0, -vectors.min(axis=1))
-    shifted = vectors + offsets[:, None]
-    raw = _serve_all(server, name, shifted, input_bits, slo=slo)
-    return raw - offsets[:, None] * column_sums[None, :]
-
-
 def serve_aes_mixcolumns(
     server: PumServer,
     columns: np.ndarray,
@@ -305,9 +281,11 @@ def serve_cnn_conv(
         matrix_name, q_weight.values, element_size=weight_bits,
         input_bits=activation_bits + 1,
     )
-    corrected = _submit_shifted(
-        server, matrix_name, q_patches.values,
-        q_weight.values.sum(axis=0), input_bits=activation_bits + 1, slo=slo,
+    corrected = offset_shifted_mvm(
+        q_patches.values, q_weight.values.sum(axis=0),
+        lambda shifted: _serve_all(
+            server, matrix_name, shifted, activation_bits + 1, slo=slo
+        ),
     )
     device = corrected.astype(float) * q_weight.scale * q_patches.scale
     count = corrected.shape[0]
@@ -340,9 +318,11 @@ def serve_llm_projection(
         matrix_name, q_weight.values, element_size=weight_bits,
         input_bits=activation_bits + 1,
     )
-    corrected = _submit_shifted(
-        server, matrix_name, q_activations.values,
-        q_weight.values.sum(axis=0), input_bits=activation_bits + 1, slo=slo,
+    corrected = offset_shifted_mvm(
+        q_activations.values, q_weight.values.sum(axis=0),
+        lambda shifted: _serve_all(
+            server, matrix_name, shifted, activation_bits + 1, slo=slo
+        ),
     )
     device = corrected.astype(float) * q_weight.scale * q_activations.scale
     return device, activations @ weight

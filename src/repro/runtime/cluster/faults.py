@@ -20,7 +20,8 @@ adds on top of chip failure:
     a reachable state instead of a theoretical one.
 ``corrupt``
     One bit of the written frame payload is flipped *after* its CRC was
-    computed, so the consumer's CRC check fails and the frame is skipped
+    computed and *before* the frame is committed, so the consumer's CRC
+    check fails and the frame is skipped
     (:class:`~repro.errors.TransportError`).  Models a torn write or bus
     corruption; exercises the ring's skip-past recovery end to end.
 
@@ -59,13 +60,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ClusterError
 from .messages import K_RESULTS, K_SUBMIT
-from .transport import _FRAME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .transport import ShmRing
@@ -350,14 +351,16 @@ class TransportFaultInjector:
             self._stash.append((index + delay, blob))
             self.frames_delayed += 1
             return True
-        if not ring.push_frame(parts):
+        # A corrupting flip happens inside the write, ahead of the commit: a
+        # consumer polling from another process never sees clean bytes.
+        damage = partial(self._flip_bit, index) if mode == FAULT_CORRUPT else None
+        if not ring.push_frame(parts, damage):
             return False
         if mode == FAULT_DUP:
             # Best effort: a full ring simply loses the duplicate.
             ring.push_frame(parts)
             self.frames_duplicated += 1
         elif mode == FAULT_CORRUPT:
-            self._flip_bit(ring, index)
             self.frames_corrupted += 1
         return True
 
@@ -401,8 +404,9 @@ class TransportFaultInjector:
             still_held.append((deliver_at, blob))
         self._stash = still_held
 
-    def _flip_bit(self, ring: "ShmRing", index: int) -> None:
-        """Flip one deterministic payload bit of the just-written frame.
+    def _flip_bit(self, index: int, data, start: int, length: int) -> None:
+        """Flip one deterministic bit of the ``length`` payload bytes at
+        ``data[start:]`` -- the :meth:`ShmRing.push_frame` ``damage`` hook.
 
         The CRC in the frame header was computed before the flip, so the
         consumer's ``peek`` fails the check, raises ``TransportError``,
@@ -410,17 +414,12 @@ class TransportFaultInjector:
         a torn write rather than silent wrong data (the device tier's
         ``corrupt`` mode covers the silent case; the wire has a CRC).
         """
-        frame = ring._last_frame
-        if frame is None:
-            return
-        position, length = frame
         if length == 0:
             return
         rng = np.random.default_rng(
             np.random.SeedSequence([int(self.seed), int(index)])
         )
-        offset = position + _FRAME.size + int(rng.integers(0, length))
-        ring._data[offset] ^= 1 << int(rng.integers(0, 8))
+        data[start + int(rng.integers(0, length))] ^= 1 << int(rng.integers(0, 8))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -231,7 +231,7 @@ class ClusterGateway:
     processes, and launches the response-pump and health-monitor tasks.
 
     The keywords configure, in order: the worker fleet and the server each
-    worker builds (``num_workers`` .. ``verify``), admission
+    worker builds (``num_workers`` .. ``queue_capacity``), admission
     (``inflight_window``), liveness (``heartbeat_interval``,
     ``stop_timeout``), hedging (``batch_timeout``, ``hedge_backoff``,
     ``max_attempts``), circuit breakers (``breaker_threshold``,
@@ -239,7 +239,10 @@ class ClusterGateway:
     ``restart_budget``, ``restart_window``) and fault injection
     (``transport_faults``).  Ring size, poll sleep, liveness and control
     timeouts, hedge jitter, the breaker cooldown cap and the process start
-    method are the module constants above, not options.
+    method are the module constants above, not options; neither are each
+    worker pool's execution backend, placement policy and ABFT mode, which
+    are what :func:`~repro.runtime.cluster.worker.build_worker_server`
+    defaults to (library default, ``"cache_affinity"``, ``"off"``).
     """
 
     def __init__(
@@ -250,12 +253,9 @@ class ClusterGateway:
         chip: Optional[str] = "small",
         num_hcts: int = 3,
         noise: Optional[str] = None,
-        backend: Optional[str] = None,
-        policy: str = "cache_affinity",
         max_batch: Optional[int] = None,
         max_wait_ticks: Optional[int] = None,
         queue_capacity: int = 4096,
-        verify: str = "off",
         inflight_window: int = 1024,
         heartbeat_interval: float = 0.05,
         stop_timeout: float = 5.0,
@@ -314,12 +314,9 @@ class ClusterGateway:
             "chip": chip,
             "num_hcts": num_hcts,
             "noise": noise,
-            "backend": backend,
-            "policy": policy,
             "max_batch": max_batch,
             "max_wait_ticks": max_wait_ticks,
             "queue_capacity": queue_capacity,
-            "verify": verify,
         }
         self._ctx = multiprocessing.get_context(START_METHOD)
         self.stats = GatewayStats()
@@ -756,10 +753,6 @@ class ClusterGateway:
                 self._resolve(("straggle", worker.worker_id), header)
             elif "stopped" in header:
                 self._resolve(("stop", worker.worker_id), True)
-            else:
-                self._resolve(
-                    ("ping", worker.worker_id, header.get("nonce")), True
-                )
         elif kind == K_ERROR:
             batch_id = header.get("batch")
             batch = worker.pending.pop(batch_id, None) \

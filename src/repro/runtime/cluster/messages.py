@@ -18,7 +18,6 @@ Request kinds (gateway -> worker)::
               arrays [vectors (n, rows)]
     DRAIN     header {}          -- flush, reply ACK with a stats snapshot
     STOP      header {}          -- exit the command loop (ACK, then exit)
-    PING      header {nonce}     -- liveness probe, reply ACK {nonce}
     STRAGGLE  header {batches, seconds}  -- chaos: sleep before the next
               N SUBMITs while still heartbeating (gray failure on demand)
 
@@ -47,7 +46,6 @@ __all__ = [
     "K_ACK",
     "K_DRAIN",
     "K_ERROR",
-    "K_PING",
     "K_READY",
     "K_REGISTER",
     "K_REGISTERED",
@@ -66,7 +64,6 @@ K_REGISTER = 1
 K_SUBMIT = 2
 K_DRAIN = 3
 K_STOP = 4
-K_PING = 5
 K_STRAGGLE = 6
 
 # Replies (worker -> gateway).

@@ -192,10 +192,9 @@ class ShmRing:
         #: (see :mod:`repro.runtime.cluster.faults`).  ``None`` -- the
         #: default -- keeps the hot path a single attribute check.
         self.fault_injector = None
-        #: ``(position, payload_length)`` of the last frame written by
-        #: :meth:`push_frame`; lets an attached injector corrupt the
-        #: committed bytes in place, after the CRC was computed.
-        self._last_frame: Optional[Tuple[int, int]] = None
+        #: Bytes of the frame handed out by the last :meth:`peek` and not
+        #: yet released by :meth:`advance` (consumer side).
+        self._pending = 0
         #: Sequence number of the frame returned by the last successful
         #: :meth:`peek`; a consumer that sees it jump by more than one has
         #: observed a skipped (torn/corrupted) frame.
@@ -247,7 +246,7 @@ class ShmRing:
             return injector.on_push(self, parts)
         return self.push_frame(parts)
 
-    def push_frame(self, parts: Sequence) -> bool:
+    def push_frame(self, parts: Sequence, damage=None) -> bool:
         """The raw frame write behind :meth:`push` (no fault model).
 
         The frame is written contiguously: when it does not fit between
@@ -256,6 +255,13 @@ class ShmRing:
         ``False`` (not blocking, not raising) is the backpressure signal
         -- the sender's inflight window, not the transport, decides what
         saturation means.
+
+        ``damage(data, start, length)``, when given, may alter the
+        ``length`` payload bytes at ``data[start:]`` once payload, CRC and
+        header are in place and *before* the frame is committed: the
+        consumer can only ever see the damaged bytes, so the CRC it checks
+        is the CRC of what it then reads (the fault injector's ``corrupt``
+        mode).
         """
         views = [memoryview(part).cast("B") for part in parts]
         length = sum(len(view) for view in views)
@@ -291,8 +297,9 @@ class ShmRing:
         _FRAME.pack_into(
             self._data, position, length, (seq + 1) & 0xFFFFFFFF, crc
         )
+        if damage is not None:
+            damage(self._data, position + _FRAME.size, length)
         self._write_head(head + _FRAME.size + length, seq + 1)
-        self._last_frame = (position, length)
         return True
 
     # -- consumer side ---------------------------------------------------
@@ -343,10 +350,9 @@ class ShmRing:
 
     def advance(self) -> None:
         """Release the frame returned by the last :meth:`peek`."""
-        pending = getattr(self, "_pending", 0)
-        if pending:
+        if self._pending:
             _, tail, _ = self._read_ctrl()
-            self._write_tail(tail + pending)
+            self._write_tail(tail + self._pending)
             self._pending = 0
 
     def pop(self) -> Optional[bytes]:

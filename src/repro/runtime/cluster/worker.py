@@ -46,7 +46,6 @@ from .messages import (
     K_ACK,
     K_DRAIN,
     K_ERROR,
-    K_PING,
     K_READY,
     K_REGISTER,
     K_REGISTERED,
@@ -273,8 +272,6 @@ def _handle(server: PumServer, kind: int, header: Dict[str, Any],
             "drain": True, "stats": server.stats.snapshot(),
             "duplicates_suppressed": state.duplicates_suppressed,
         })
-    if kind == K_PING:
-        return encode_message(K_ACK, {"nonce": header.get("nonce")})
     if kind == K_STRAGGLE:
         state.straggle_batches = int(header.get("batches", 1))
         state.straggle_seconds = float(header.get("seconds", 0.0))

@@ -201,10 +201,11 @@ class IntegrityChecker:
         if checksums is None or position >= len(checksums):
             return None
         band = checksums[position]
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        partial = np.atleast_2d(np.asarray(partial, dtype=np.int64))
+        # One scalar per vector either way: a batch reduces row by row, a
+        # single vector to a 0-d value.
+        vectors = np.asarray(vectors, dtype=np.int64)
         expected = vectors @ band.check
-        got = partial.sum(axis=1)
+        got = np.asarray(partial, dtype=np.int64).sum(axis=-1)
         tolerance = self._effective_tolerance()
         if tolerance == 0.0:
             return bool(np.array_equal(got, expected))

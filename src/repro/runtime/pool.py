@@ -11,10 +11,13 @@ sharding work across identical compute tiles:
   ``"predicted_finish_time"``); a matrix too large for any single chip is
   *row-sharded* across several devices, each holding a contiguous band of
   rows.
-* ``exec_mvm`` / ``exec_mvm_batch`` split the input vector(s) along the
-  shard boundaries, run every shard on its own device (each shard's partial
-  result is a full-width ``(batch, cols)`` contribution), and sum the
-  partials -- the same map-reduce a multi-chip interconnect performs.
+* ``exec_mvm`` / ``exec_mvm_batch`` check their one ``(allocation,
+  inputs)`` and hand it to the pool's one band loop (``_dispatch``): every
+  row band runs on the device holding its first healthy copy (each band's
+  partial result is a full-width ``(batch, cols)`` contribution) and the
+  partials are summed in band order -- the same map-reduce a multi-chip
+  interconnect performs.  Several matrices are several calls:
+  ``[pool.exec_mvm_batch(a, v) for a, v in requests]``.
 * every :class:`PooledAllocation` *is* its shard table -- a
   :class:`~repro.plan.ir.ShardedPlan` mapping band position to that band's
   copies in replica order -- filled once by ``set_matrix`` (``compile``
@@ -34,6 +37,7 @@ sharding work across identical compute tiles:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,26 +73,8 @@ __all__ = [
     "make_placement_policy",
 ]
 
-
-#: Shared empty "tried" set for initial replica selection (never mutated).
-_NOTHING_TRIED: frozenset = frozenset()
-
-
-class _ShardFailure:
-    """Sentinel carried back from a tolerant device call: shard failed.
-
-    ``error`` is either a :class:`~repro.errors.DeviceFailedError` (the
-    device died mid-call) or an :class:`~repro.errors.IntegrityError` (the
-    device answered, but its partial failed the ABFT checksum).
-    """
-
-    __slots__ = ("task", "error")
-
-    def __init__(
-        self, task: ShardTask, error: Union[DeviceFailedError, IntegrityError]
-    ) -> None:
-        self.task = task
-        self.error = error
+#: Sort key of a dispatch wave (stable: bands keep their order per device).
+_DEVICE_INDEX = attrgetter("device_index")
 
 
 @dataclass
@@ -282,34 +268,34 @@ class PredictedFinishTimePolicy(PlacementPolicy):
         needed: int,
         placed_devices: Sequence[int],
     ) -> Optional[int]:
-        candidates = [i for i in range(len(free)) if free[i] >= needed]
-        if not candidates:
-            return None
         pool = self._pool
         if pool is None:
-            return max(candidates, key=lambda i: (free[i], -i))
+            return LeastLoadedPolicy.choose(self, free, needed, placed_devices)
         return min(
-            candidates,
+            (i for i in range(len(free)) if free[i] >= needed),
             key=lambda i: (pool.predicted_device_finish_cycles(i), -free[i], i),
+            default=None,
         )
+
+
+#: The policies selectable by name, keyed by each class's own ``name``.
+_POLICIES_BY_NAME = {
+    policy.name: policy
+    for policy in (RoundRobinPolicy, LeastLoadedPolicy, CacheAffinityPolicy,
+                   PredictedFinishTimePolicy)
+}
 
 
 def make_placement_policy(policy: Union[str, PlacementPolicy]) -> PlacementPolicy:
     """Resolve a policy name (or pass through a policy instance)."""
     if isinstance(policy, PlacementPolicy):
         return policy
-    factories = {
-        "round_robin": RoundRobinPolicy,
-        "least_loaded": LeastLoadedPolicy,
-        "cache_affinity": CacheAffinityPolicy,
-        "predicted_finish_time": PredictedFinishTimePolicy,
-    }
-    if policy not in factories:
+    if policy not in _POLICIES_BY_NAME:
         raise AllocationError(
             f"unknown scheduling policy {policy!r}; expected one of "
-            f"{tuple(factories)} or a PlacementPolicy instance"
+            f"{tuple(_POLICIES_BY_NAME)} or a PlacementPolicy instance"
         )
-    return factories[policy]()
+    return _POLICIES_BY_NAME[policy]()
 
 
 class DevicePool:
@@ -370,9 +356,7 @@ class DevicePool:
         values that cannot pass a checksum.
     """
 
-    POLICIES = (
-        "round_robin", "least_loaded", "cache_affinity", "predicted_finish_time"
-    )
+    POLICIES = tuple(_POLICIES_BY_NAME)
 
     def __init__(
         self,
@@ -417,7 +401,7 @@ class DevicePool:
         self.fault_injector = None
         # Integrity tier: ABFT checksum verification plus per-device EWMA
         # health scores feeding the corruption quarantine.
-        self._verify = self._validated_verify(verify)
+        self.verify = verify
         noisy = noise is not None and any((
             noise.programming_noise, noise.read_noise, noise.ir_drop,
             noise.drift, noise.stuck_at_faults,
@@ -438,14 +422,6 @@ class DevicePool:
         """Name of the active placement policy."""
         return self.placement_policy.name
 
-    @staticmethod
-    def _validated_verify(mode: str) -> str:
-        if mode not in VERIFY_MODES:
-            raise ConfigurationError(
-                f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}"
-            )
-        return mode
-
     @property
     def verify(self) -> str:
         """Active ABFT verification mode (``"off"``/``"audit"``/``"full"``)."""
@@ -453,7 +429,11 @@ class DevicePool:
 
     @verify.setter
     def verify(self, mode: str) -> None:
-        self._verify = self._validated_verify(mode)
+        if mode not in VERIFY_MODES:
+            raise ConfigurationError(
+                f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}"
+            )
+        self._verify = mode
 
     # ------------------------------------------------------------------ #
     # Scheduling                                                           #
@@ -509,7 +489,7 @@ class DevicePool:
         # of O(rows^2)).
         total_free = sum(self.free_hcts(index) for index in range(self.num_devices))
         max_shards = min(rows, total_free // self.replication)
-        plan: Optional[List[Tuple[int, int, List[int]]]] = None
+        plan: Optional[List[List[ShardTask]]] = None
         for num_shards in range(1, max_shards + 1):
             plan = self._plan_shards(
                 matrix.shape, element_size, precision, num_shards, affinity
@@ -522,7 +502,7 @@ class DevicePool:
                 "when sharded one row band per device"
             )
         self.placement_policy.committed(
-            [index for _, _, devices in plan for index in devices],
+            [task.device_index for copies in plan for task in copies],
             self.num_devices,
         )
 
@@ -531,21 +511,13 @@ class DevicePool:
             allocation_id=self._next_allocation, shape=(rows, cols),
             matrix=source, element_size=element_size, precision=precision,
         )
-        for position, (row_start, row_end, devices) in enumerate(plan):
-            block = matrix[row_start:row_end, :]
+        for copies in plan:
             allocation.bands.append(tuple(
-                ShardTask(
-                    position, device_index, row_start, row_end,
-                    self.devices[device_index].set_matrix(
-                        block, element_size=element_size, precision=precision
-                    ),
-                    replica,
-                )
-                for replica, device_index in enumerate(devices)
+                self._program_copy(allocation, matrix, task) for task in copies
             ))
         self.integrity.register(
             allocation.allocation_id, source,
-            [(row_start, row_end) for row_start, row_end, _ in plan],
+            [(copies[0].row_start, copies[0].row_end) for copies in plan],
         )
         self._allocations[allocation.allocation_id] = allocation
         self._next_allocation += 1
@@ -558,45 +530,83 @@ class DevicePool:
         precision: int,
         num_shards: int,
         affinity: Sequence[int] = (),
-    ) -> Optional[List[Tuple[int, int, List[int]]]]:
+    ) -> Optional[List[List[ShardTask]]]:
         """Try to place ``num_shards`` even row bands; None when infeasible.
 
-        Returns one ``(row_start, row_end, devices)`` entry per band, with
-        ``devices`` in replica order.  With ``replication=R`` each band is
-        placed ``R`` times.  Replicas of one band must land on distinct
-        devices (that is the whole point of a replica), which is enforced
-        here rather than in the policies: the trial free list handed to
-        ``choose`` has the band's existing devices masked out, so any
-        policy spreads copies correctly.
+        Returns the shard table to be: per band its copies in replica order,
+        each a :class:`~repro.plan.ir.ShardTask` naming its device and rows
+        but programmed nowhere yet (``device_allocation`` is ``None``).
+        With ``replication=R`` each band is placed on ``R`` distinct devices
+        (see :meth:`_choose_devices`).
         """
         rows, cols = shape
-        if num_shards > rows:
-            return None
         band = -(-rows // num_shards)
         free = [self.free_hcts(index) for index in range(self.num_devices)]
         placed_devices = list(affinity)
-        bands: List[Tuple[int, int, List[int]]] = []
+        bands: List[List[ShardTask]] = []
         start = 0
         while start < rows:
             end = min(rows, start + band)
             needed = self._hcts_for((end - start, cols), element_size, precision)
-            band_devices: List[int] = []
-            for _ in range(self.replication):
-                if band_devices:
-                    trial = list(free)
-                    for index in band_devices:
-                        trial[index] = -1
-                else:
-                    trial = free
-                chosen = self.placement_policy.choose(trial, needed, placed_devices)
-                if chosen is None:
-                    return None
-                free[chosen] -= needed
-                band_devices.append(chosen)
-                placed_devices.append(chosen)
-            bands.append((start, end, band_devices))
+            devices = self._choose_devices(
+                free, needed, placed_devices, self.replication
+            )
+            if len(devices) < self.replication:
+                return None
+            bands.append([
+                ShardTask(len(bands), device_index, start, end, None, replica)
+                for replica, device_index in enumerate(devices)
+            ])
             start = end
         return bands
+
+    def _choose_devices(
+        self,
+        free: List[int],
+        needed: int,
+        placed_devices: List[int],
+        copies: int,
+        barred=(),
+    ) -> List[int]:
+        """The policy's devices for ``copies`` more copies of one band.
+
+        The pool's one placement step (``set_matrix`` plans with it,
+        ``rebuild`` replaces lost copies with it).  Replicas of one band
+        must land on distinct devices (that is the whole point of a
+        replica), which is enforced here rather than in the policies: the
+        trial free list handed to ``choose`` has the ``barred`` devices --
+        during a rebuild the band's surviving holders and every failed
+        device -- and the ones chosen so far masked out, so any policy
+        spreads copies correctly.  Each chosen device is charged ``needed``
+        in ``free`` and appended to ``placed_devices``; fewer than
+        ``copies`` devices come back when the policy finds no more room.
+        """
+        chosen: List[int] = []
+        while len(chosen) < copies:
+            trial = list(free)
+            for index in (*barred, *chosen):
+                if 0 <= index < len(trial):
+                    trial[index] = -1
+            device_index = self.placement_policy.choose(trial, needed, placed_devices)
+            if device_index is None:
+                break
+            free[device_index] -= needed
+            placed_devices.append(device_index)
+            chosen.append(device_index)
+        return chosen
+
+    def _program_copy(
+        self, allocation: PooledAllocation, source: np.ndarray, task: ShardTask
+    ) -> ShardTask:
+        """``task`` with its rows of ``source`` programmed on its device."""
+        return replace(
+            task,
+            device_allocation=self.devices[task.device_index].set_matrix(
+                source[task.row_start: task.row_end, :],
+                element_size=allocation.element_size,
+                precision=allocation.precision,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Plan compilation                                                     #
@@ -763,12 +773,6 @@ class DevicePool:
             self.integrity_reexecutions,
         )
 
-    def _health_ok(self, device_index: int) -> None:
-        """Decay one device's health score after an uneventful call."""
-        health = self._health[device_index]
-        if health.score:
-            health.record_ok()
-
     def _health_event(self, device_index: int, corruption: bool) -> None:
         """Account one bad event; quarantine the device past the threshold."""
         health = self._health[device_index]
@@ -783,46 +787,33 @@ class DevicePool:
 
     def _finish_call(self, allocation: PooledAllocation, task: ShardTask,
                      vectors, partial):
-        """Post-process one successful device call: health decay + ABFT check.
+        """Post-process one successful device call: ABFT check + health decay.
 
         ``vectors`` is the input slice the shard consumed.  In ``"full"``
         mode a failed check raises :class:`~repro.errors.IntegrityError` so
-        the failover loop re-executes the band on a replica; ``"audit"``
-        counts the detection but serves the result as-is.
+        the band loop re-executes the band on a replica; ``"audit"`` counts
+        the detection but serves the result as-is.  An uneventful call
+        decays the device's health score.
         """
-        if self._verify == VERIFY_OFF:
-            self._health_ok(task.device_index)
-            return partial
-        ok = self.integrity.verify(
-            allocation.allocation_id, task.position, vectors, partial
-        )
-        if ok is None:
-            self._health_ok(task.device_index)
-            return partial
-        self.integrity_checks += 1
-        if ok:
-            self._health_ok(task.device_index)
-            return partial
-        self.corruptions_detected += 1
-        self._health_event(task.device_index, corruption=True)
-        if self._verify == VERIFY_FULL:
-            raise IntegrityError(task.device_index, task.position)
+        if self._verify != VERIFY_OFF:
+            ok = self.integrity.verify(
+                allocation.allocation_id, task.position, vectors, partial
+            )
+            if ok is not None:
+                self.integrity_checks += 1
+                if not ok:
+                    self.corruptions_detected += 1
+                    self._health_event(task.device_index, corruption=True)
+                    if self._verify == VERIFY_FULL:
+                        raise IntegrityError(task.device_index, task.position)
+                    return partial
+        health = self._health[task.device_index]
+        if health.score:
+            health.record_ok()
         return partial
 
-    def _device_call(self, device_index: int, fn, *args, **kwargs):
-        """Run one device call through the fault injector (when attached)."""
-        injector = self.fault_injector
-        if injector is not None:
-            injector.before_call(device_index)
-        result = fn(*args, **kwargs)
-        if injector is not None:
-            result = injector.after_call(device_index, result)
-        return result
-
-    def _select_task(
-        self, allocation: PooledAllocation, position: int, tried
-    ) -> Optional[ShardTask]:
-        """Pick the copy of band ``position`` to dispatch.
+    def _select_task(self, copies: Sequence[ShardTask], tried) -> Optional[ShardTask]:
+        """Pick which of one band's ``copies`` to dispatch.
 
         Prefers the first *healthy* copy in replica order (primary first);
         when every copy's device is marked failed, falls back to the first
@@ -831,7 +822,7 @@ class DevicePool:
         every copy has already been tried this call (truly exhausted).
         """
         fallback: Optional[ShardTask] = None
-        for task in allocation.bands[position]:
+        for task in copies:
             if task.device_index in tried:
                 continue
             if fallback is None:
@@ -840,63 +831,57 @@ class DevicePool:
                 return task
         return fallback
 
-    def _dispatch_with_retry(
-        self, requests: Sequence[Tuple[PooledAllocation, np.ndarray]], call
-    ) -> List[np.ndarray]:
-        """The pool's one fan-out/failover loop: one result per request.
+    def _dispatch(self, allocation: PooledAllocation, inputs: np.ndarray, call):
+        """The pool's one band loop: fan ``inputs`` out, fail over, reduce.
 
-        Every band of every ``(allocation, inputs)`` request selects a copy
-        (first healthy one in replica order) and the selected copies run
-        device by device on the calling thread.  ``call(device,
+        Every band of ``allocation`` selects a copy (first healthy one in
+        replica order) and the selected copies run device by device, in
+        band order on each device, on the calling thread.  ``call(device,
         device_allocation, sub)`` performs the device work of one copy on
-        ``sub``, the slice of ``inputs`` its rows consume.  A copy whose
-        device raises
+        ``sub``, the slice of ``inputs`` its rows consume, between the fault
+        injector's hooks (when one is attached).  A copy whose device raises
         :class:`~repro.errors.DeviceFailedError`, or whose partial fails
         the ABFT check under ``verify="full"``, is noted against its
         device's health and re-dispatched on the band's next untried copy
-        in a further wave (rarely more than one), so sibling bands are
-        unaffected; a band with no copy left raises the same error with
-        ``kind="exhausted"``.  Partials are summed in band order whichever
-        copies served them, so degraded results are bit-identical to
-        fault-free ones; a single-band result is the device's own array.
+        in a further wave (rarely more than one) that starts only once every
+        copy of this one has run, so sibling bands are unaffected; failed
+        copies are examined in the order they ran, and a band with no copy
+        left raises the same error with ``kind="exhausted"``.  Partials are
+        summed in band order whichever copies served them, so degraded
+        results are bit-identical to fault-free ones; a single-band result
+        is the device's own array.
         """
-        def run(device_index: int, item):
-            key, task = item
-            allocation, inputs = requests[key[0]]
-            sub = inputs[..., task.row_start: task.row_end]
-            try:
-                partial = self._device_call(
-                    device_index, call, self.devices[device_index],
-                    task.device_allocation, sub,
-                )
-                return key, self._finish_call(allocation, task, sub, partial)
-            except (DeviceFailedError, IntegrityError) as exc:
-                return key, _ShardFailure(task, exc)
-
-        wave: Dict[int, List] = {}
-        for index, (allocation, _) in enumerate(requests):
-            for position in range(allocation.num_shards):
-                task = self._select_task(allocation, position, _NOTHING_TRIED)
-                if task.replica != 0:
-                    self.replica_hits += 1
-                wave.setdefault(task.device_index, []).append(
-                    ((index, position), task)
-                )
-        tried: Dict = {}
-        partials: Dict = {}
+        wave: List[ShardTask] = []
+        for copies in allocation.bands:
+            task = self._select_task(copies, ())
+            if task.replica != 0:
+                self.replica_hits += 1
+            wave.append(task)
+        partials: List[Optional[np.ndarray]] = [None] * len(wave)
+        tried: Dict[int, set] = {}
         while wave:
             # On the calling thread: device calls are interpreter-bound, so
             # worker threads would only add their wake-ups under the GIL.
-            outcomes = [
-                run(device_index, item)
-                for device_index in sorted(wave) for item in wave[device_index]
-            ]
-            wave = {}
-            for key, value in outcomes:
-                if not isinstance(value, _ShardFailure):
-                    partials[key] = value
-                    continue
-                failed, error = value.task, value.error
+            # The sort is stable: ascending device, then the order selected.
+            failures = []
+            for task in sorted(wave, key=_DEVICE_INDEX):
+                sub = inputs[..., task.row_start: task.row_end]
+                injector = self.fault_injector
+                try:
+                    if injector is not None:
+                        injector.before_call(task.device_index)
+                    partial = call(
+                        self.devices[task.device_index], task.device_allocation, sub
+                    )
+                    if injector is not None:
+                        partial = injector.after_call(task.device_index, partial)
+                    partials[task.position] = self._finish_call(
+                        allocation, task, sub, partial
+                    )
+                except (DeviceFailedError, IntegrityError) as error:
+                    failures.append((task, error))
+            wave = []
+            for failed, error in failures:
                 corrupted = isinstance(error, IntegrityError)
                 if not corrupted:
                     # A dead device did not answer at all: mark it failed
@@ -906,10 +891,9 @@ class DevicePool:
                     # dispatch once corruption proves persistent.
                     self.mark_device_failed(failed.device_index)
                     self._health_event(failed.device_index, corruption=False)
-                attempted = tried.setdefault(key, set())
+                attempted = tried.setdefault(failed.position, set())
                 attempted.add(failed.device_index)
-                allocation = requests[key[0]][0]
-                retry = self._select_task(allocation, failed.position, attempted)
+                retry = self._select_task(allocation.bands[failed.position], attempted)
                 if retry is None:
                     detail = (
                         f"every replica of band {failed.position} of "
@@ -928,17 +912,14 @@ class DevicePool:
                     self.integrity_reexecutions += 1
                 else:
                     self.replica_retries += 1
-                wave.setdefault(retry.device_index, []).append((key, retry))
+                wave.append(retry)
 
-        results: List[np.ndarray] = []
-        for index, (allocation, _) in enumerate(requests):
-            total = partials[(index, 0)]
-            if allocation.num_shards > 1:
-                total = total.copy()
-                for position in range(1, allocation.num_shards):
-                    total += partials[(index, position)]
-            results.append(total)
-        return results
+        total = partials[0]
+        if len(partials) > 1:
+            total = total.copy()
+            for partial in partials[1:]:
+                total += partial
+        return total
 
     def exec_mvm(
         self,
@@ -953,12 +934,12 @@ class DevicePool:
             raise QuantizationError(
                 f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
             )
-        return self._dispatch_with_retry(
-            [(allocation, vector)],
+        return self._dispatch(
+            allocation, vector,
             lambda device, device_allocation, sub: device.exec_mvm(
                 device_allocation, sub, input_bits=input_bits
             ),
-        )[0]
+        )
 
     def close(self) -> None:
         """Nothing to release: the pool owns no threads or handles.
@@ -989,36 +970,20 @@ class DevicePool:
         shard order.  In the common single-shard serving case the device
         result *is* the pool result: no zero tensor, no partial-sum add.
         """
-        return self.exec_requests(
-            [(allocation, vectors)], input_bits=input_bits, backend=backend
-        )[0]
-
-    def exec_requests(
-        self,
-        requests: Sequence[Tuple[PooledAllocation, np.ndarray]],
-        input_bits: int = 8,
-        backend: Union[None, str, ExecutionBackend] = None,
-    ) -> List[np.ndarray]:
-        """Serve a list of ``(allocation, vectors)`` requests.
-
-        Each request's vectors go through the batched path over its
-        allocation's shard table; every device drains its share of the
-        request list in order.  Returns one result array per request, in
-        request order.
-        """
         backend = backend if backend is not None else self.backend
-        batches: List[Tuple[PooledAllocation, np.ndarray]] = []
-        for allocation, vectors in requests:
-            vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-            rows, _ = allocation.shape
-            if vectors.shape[1] != rows:
-                raise QuantizationError(
-                    f"input batch of shape {vectors.shape} does not match "
-                    f"matrix rows ({rows})"
-                )
-            batches.append((allocation, vectors))
-        return self._dispatch_with_retry(
-            batches,
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if vectors.ndim < 2:
+            vectors = vectors.reshape(1, -1)
+        rows, _ = allocation.shape
+        if vectors.shape[1] != rows:
+            raise QuantizationError(
+                f"input batch of shape {vectors.shape} does not match "
+                f"matrix rows ({rows})"
+            )
+        # ``exec_mvm_batch`` is looked up on the device at call time: tracing
+        # shims and tests replace it on the instance.
+        return self._dispatch(
+            allocation, vectors,
             lambda device, device_allocation, sub: device.exec_mvm_batch(
                 device_allocation, sub, input_bits=input_bits, backend=backend
             ),
@@ -1081,27 +1046,17 @@ class DevicePool:
                     (row_end - row_start, allocation.shape[1]),
                     allocation.element_size, allocation.precision,
                 )
+                devices = self._choose_devices(
+                    free, needed, holders, self.replication - len(healthy),
+                    set(holders) | self._failed_devices,
+                )
                 fresh: List[ShardTask] = []
-                for replica in range(len(healthy), self.replication):
-                    trial = list(free)
-                    for index in set(holders) | self._failed_devices:
-                        if 0 <= index < len(trial):
-                            trial[index] = -1
-                    chosen = self.placement_policy.choose(trial, needed, holders)
-                    if chosen is None:
-                        break
-                    fresh.append(ShardTask(
-                        position, chosen, row_start, row_end,
-                        self.devices[chosen].set_matrix(
-                            allocation.matrix[row_start:row_end, :],
-                            element_size=allocation.element_size,
-                            precision=allocation.precision,
-                        ),
-                        replica,
+                for replica, chosen in enumerate(devices, len(healthy)):
+                    fresh.append(self._program_copy(
+                        allocation, allocation.matrix,
+                        ShardTask(position, chosen, row_start, row_end, None, replica),
                     ))
                     programmed.append(fresh[-1])
-                    free[chosen] -= needed
-                    holders.append(chosen)
                 if not healthy and not fresh:
                     raise RebuildError(allocation.allocation_id, position)
                 if fresh:

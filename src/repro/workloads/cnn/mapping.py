@@ -24,7 +24,7 @@ from ...core.hct import HybridComputeTile
 from ...errors import MappingError
 from ..profile import MvmOp, WorkloadProfile
 from .layers import Conv2d
-from .quantize import quantize
+from .quantize import offset_shifted_mvm, quantize
 from .resnet import ResNet20
 from .tensors import im2col
 
@@ -129,15 +129,13 @@ def run_conv_on_tile(
                              bits_per_cell=1, output_pipeline=0)
 
     count = min(positions, q_patches.values.shape[0])
-    vectors = q_patches.values[:count].astype(np.int64)
-    # The ACE applies non-negative bit-sliced inputs, so shift each input
-    # into the positive range and subtract the constant column afterwards
-    # (standard trick: x @ W = (x + o) @ W - o * sum(W, axis=0)).
-    offsets = np.maximum(0, -vectors.min(axis=1))
-    shifted = vectors + offsets[:, None]
-    result = tile.execute_mvm_batch(handle, shifted, input_bits=activation_bits + 1)
-    corrections = offsets[:, None] * q_weight.values.sum(axis=0)[None, :]
-    device = (result.values - corrections).astype(float) * q_weight.scale * q_patches.scale
+    corrected = offset_shifted_mvm(
+        q_patches.values[:count], q_weight.values.sum(axis=0),
+        lambda shifted: tile.execute_mvm_batch(
+            handle, shifted, input_bits=activation_bits + 1
+        ).values,
+    )
+    device = corrected.astype(float) * q_weight.scale * q_patches.scale
     reference = patches[:count] @ weight_matrix
     tile.release_matrix(handle)
     return device, reference

@@ -11,12 +11,16 @@ operands imply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ...errors import QuantizationError
 
-__all__ = ["QuantizedTensor", "quantize", "dequantize", "quantize_per_output"]
+__all__ = [
+    "QuantizedTensor", "quantize", "dequantize", "quantize_per_output",
+    "offset_shifted_mvm",
+]
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,27 @@ def quantize(x: np.ndarray, bits: int = 8) -> QuantizedTensor:
     scale = max_abs / qmax if max_abs > 0 else 1.0
     values = np.clip(np.rint(x / scale), -qmax, qmax).astype(np.int64)
     return QuantizedTensor(values=values, scale=scale, bits=bits)
+
+
+def offset_shifted_mvm(
+    vectors: np.ndarray,
+    column_sums: np.ndarray,
+    execute: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``vectors @ W`` for signed ``vectors`` on a non-negative input path.
+
+    The ACE applies non-negative bit-sliced inputs, so each vector is
+    shifted into the positive range by its own offset ``o``,
+    ``execute(shifted) -> raw`` runs the MVM however the caller reaches the
+    hardware (a tile, a server), and the constant column contribution is
+    subtracted afterwards: ``x @ W = (x + o) @ W - o * sum(W, axis=0)``,
+    with ``column_sums = W.sum(axis=0)``.  The shifted values need one more
+    input bit than the signed ones.
+    """
+    vectors = np.asarray(vectors, dtype=np.int64)
+    offsets = np.maximum(0, -vectors.min(axis=1))
+    raw = execute(vectors + offsets[:, None])
+    return raw - offsets[:, None] * column_sums[None, :]
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

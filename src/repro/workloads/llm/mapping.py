@@ -136,7 +136,7 @@ def run_projection_on_tile(
     token's activation vector through the hybrid MVM path, and returns the
     dequantised device result alongside the float reference.
     """
-    from ..cnn.quantize import quantize
+    from ..cnn.quantize import offset_shifted_mvm, quantize
 
     weight = np.asarray(weight, dtype=float)
     activations = np.asarray(activations, dtype=float)
@@ -145,14 +145,14 @@ def run_projection_on_tile(
     q_w = quantize(weight, bits=weight_bits)
     q_x = quantize(activations, bits=activation_bits)
     handle = tile.set_matrix(q_w.values, value_bits=weight_bits, bits_per_cell=1)
-    # All tokens go through the tile as one batched MVM: shift each token's
-    # activations into the non-negative range, push the whole batch through
-    # the ACE/DCE in one arbiter pass, then undo the per-token offsets.
-    vectors = q_x.values.astype(np.int64)
-    offsets = np.maximum(0, -vectors.min(axis=1))
-    shifted = vectors + offsets[:, None]
-    result = tile.execute_mvm_batch(handle, shifted, input_bits=activation_bits + 1)
-    corrections = offsets[:, None] * q_w.values.sum(axis=0)[None, :]
+    # All tokens go through the tile as one batched MVM: the whole batch
+    # takes the ACE/DCE in one arbiter pass.
+    corrected = offset_shifted_mvm(
+        q_x.values, q_w.values.sum(axis=0),
+        lambda shifted: tile.execute_mvm_batch(
+            handle, shifted, input_bits=activation_bits + 1
+        ).values,
+    )
     tile.release_matrix(handle)
-    device = (result.values - corrections).astype(float) * q_w.scale * q_x.scale
+    device = corrected.astype(float) * q_w.scale * q_x.scale
     return device, activations @ weight

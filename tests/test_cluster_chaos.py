@@ -557,11 +557,15 @@ def test_seeded_fault_campaign_stays_bit_identical():
         ) as gw:
             await gw.register_matrix("w", MATRIX)
             futures = []
-            for start in range(0, 40, 4):
+            # 20 batches against a 10-frame fault horizon: the campaign
+            # outlives its own faults, so a frame a fault ate or still holds
+            # (a ``delay`` is only flushed by later pushes on its ring) has
+            # traffic behind it to recover through.
+            for start in range(0, 40, 2):
                 while True:  # shed submits (window or breaker) retry
                     try:
                         futures.extend(
-                            await gw.submit_batch("w", TRACE[start: start + 4])
+                            await gw.submit_batch("w", TRACE[start: start + 2])
                         )
                         break
                     except AdmissionError:

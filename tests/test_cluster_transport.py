@@ -7,6 +7,7 @@ behaviour lives in ``test_cluster.py``.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.runtime.cluster import (
     encode_message,
 )
 from repro.runtime.cluster.messages import K_RESULTS, K_SUBMIT
+from repro.runtime.cluster.transport import _FRAME
 
 
 @pytest.fixture
@@ -342,6 +344,43 @@ def test_ring_seq_gap_observable_after_skip_past(ring):
     assert bytes(ring.peek()) == b"\x02after"
     assert ring.last_seq == seq_before + 2  # exactly one frame lost
     ring.advance()
+
+
+def test_corrupt_fault_lands_before_the_frame_is_committed(ring, monkeypatch):
+    """The seeded ``corrupt`` flip must not race the consumer.
+
+    The consumer lives in another process and polls ``head``: whatever
+    the producer does to a frame after ``_write_head`` can land between
+    the consumer's CRC check and its read.  So at the commit point the
+    stored CRC must already mismatch the payload.
+    """
+    from repro.runtime.cluster import TransportFaultInjector
+
+    seen = []
+    write_head = ring._write_head
+
+    def committing(head, seq):
+        # The frame about to be published starts at the old head.
+        start = ring._read_ctrl()[0] % ring.capacity + _FRAME.size
+        length, _, crc = _FRAME.unpack_from(ring._data, start - _FRAME.size)
+        payload = bytes(ring._data[start: start + length])
+        seen.append((payload, zlib.crc32(payload) == crc))
+        write_head(head, seq)
+
+    monkeypatch.setattr(ring, "_write_head", committing)
+    injector = TransportFaultInjector(seed=7, kinds=None).attach(ring)
+    assert push_bytes(ring, b"\x02clean")
+    injector.corrupt(1)
+    assert push_bytes(ring, b"\x02mangled-in-flight")
+    assert [ok for _, ok in seen] == [True, False]
+    assert seen[0][0] == b"\x02clean"
+    assert seen[1][0] != b"\x02mangled-in-flight"
+    assert injector.frames_corrupted == 1
+    # What the consumer then reads is what was committed.
+    assert ring.pop() == b"\x02clean"
+    with pytest.raises(TransportError, match="CRC mismatch"):
+        ring.peek()
+    assert ring.peek() is None
 
 
 def test_ring_backpressure_bounded_backoff_producer():

@@ -6,10 +6,11 @@ tier-1, so this file pins the deterministic proxies instead: how many
 Python-level calls and ledger charges one call makes per tile, that the
 per-plan batch-receipt memo is counted,
 bounded and released with its plan, and that every rejected input is
-rejected before any simulated state moves.  One tier up, a served request
-should cost the pool call plus a constant: ``TestServerRound`` budgets the
-Python-level calls per request of a steady-state ``PumServer`` round and of
-a tick with nothing due.
+rejected before any simulated state moves.  One tier up, a pooled call
+should cost the device call plus a handful of frames (``TestPoolCall``), and
+a served request the pool call plus a constant: ``TestServerRound`` budgets
+the Python-level calls per request of a steady-state ``PumServer`` round and
+of a tick with nothing due.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DarthPumDevice
+from repro import DarthPumDevice, DevicePool
 from repro.core.config import HctConfig
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ExecutionError, QuantizationError
@@ -32,13 +33,19 @@ BATCH = 32
 #: per-tile loop this replaced took 35 / 89 / 224).
 MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 14
 MAX_CHARGES_PER_TILE = 6
+#: Python-level calls of one steady-state single-band pooled call, and how
+#: many of them are the pool's own frames (measured 30 and 5: the front door,
+#: the band loop, the copy selection, the device-call lambda and the
+#: post-call check; 39 and 14 while a request list sat under the loop).
+MAX_POOL_CALLS, MAX_POOL_FRAMES = 31, 5
 #: Python-level calls per request of one server round, submit + drain
-#: (measured 1.23 + 4.80 = 6.03 at one tenant, + 10 %; it was 5.3 + 7.1 =
-#: 12.4 while the server kept a ``Request`` per row), and of one tick with an
+#: (measured 1.23 + 4.23 = 5.47 at one tenant, + 10 %; it was 1.23 + 4.80 =
+#: 6.03 before the pool lost nine frames per batch, and 5.3 + 7.1 = 12.4
+#: while the server kept a ``Request`` per row), and of one tick with an
 #: empty queue (measured 9).  Per request that is one ``ServerFuture`` and one
 #: ``Response`` constructor; the rest is per wave and per batch, most of it
 #: the pool call.
-MAX_SERVER_CALLS_PER_REQUEST = 6.7
+MAX_SERVER_CALLS_PER_REQUEST = 6.0
 MAX_IDLE_TICK_CALLS = 12
 
 
@@ -86,20 +93,52 @@ class TestCallBudget:
         assert device.planner_builds() == tiles
 
 
+def _python_calls(function) -> int:
+    return sum(event == "call" for event, _ in profiled_calls(function))
+
+
+class TestPoolCall:
+    """Batch 16 against a single-band 64x64 6-bit allocation, exact path."""
+
+    def test_steady_state_pooled_call_stays_within_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        shape, element_size, input_bits, _ = DEVICE_CALL_SHAPES["encoder_projection"]
+        rng = derive_rng("hot-path-pool")
+        half = 1 << (element_size - 1)
+        matrix = rng.integers(-half, half, size=shape)
+        vectors = rng.integers(0, 1 << input_bits, size=(16, shape[0]), dtype=np.int64)
+        pool = DevicePool(num_devices=2)
+        allocation = pool.set_matrix(matrix, element_size=element_size)
+        pool.compile(allocation, input_bits=input_bits)
+        (task,) = allocation.tasks
+        device = pool.devices[task.device_index]
+
+        def pooled():
+            return pool.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+
+        for _ in range(2):  # first call compiles the kernel and the receipt
+            assert np.array_equal(pooled(), vectors @ matrix)
+        builds = pool.planner_builds()
+        pool_calls = _python_calls(pooled)
+        device_calls = _python_calls(lambda: device.exec_mvm_batch(
+            task.device_allocation, vectors, input_bits=input_bits, backend=None
+        ))
+        # ``_python_calls`` sees the test's own closure as one call each time.
+        assert pool_calls - 1 <= MAX_POOL_CALLS, pool_calls - 1
+        assert pool_calls - device_calls <= MAX_POOL_FRAMES, (pool_calls, device_calls)
+        assert pool.planner_builds() == builds
+
+
 class TestServerRound:
     """``submit_batch(64)`` + ``run_until_idle()`` on a 64x64 6-bit tenant."""
-
-    @staticmethod
-    def _python_calls(function) -> int:
-        return sum(event == "call" for event, _ in profiled_calls(function))
 
     def test_steady_state_round_stays_within_budget(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         server, vectors, submit, drain = server_round(tenants=1)
         builds, batches = server.planner_builds(), server.stats.batches
         futures = []
-        calls = self._python_calls(lambda: futures.extend(submit()))
-        calls += self._python_calls(drain)
+        calls = _python_calls(lambda: futures.extend(submit()))
+        calls += _python_calls(drain)
         requests = vectors.shape[1]
         assert calls <= MAX_SERVER_CALLS_PER_REQUEST * requests, calls / requests
         matrix = server.allocation_for("t0").matrix
@@ -114,7 +153,7 @@ class TestServerRound:
     def test_idle_tick_stays_within_budget(self):
         server, _, _, _ = server_round(tenants=1)
         assert server.pending == 0
-        assert self._python_calls(server.tick) <= MAX_IDLE_TICK_CALLS
+        assert _python_calls(server.tick) <= MAX_IDLE_TICK_CALLS
 
 
 class TestReceiptMemo:

@@ -594,9 +594,11 @@ class TestParallelFanout:
         pool = DevicePool(num_devices=3, policy="round_robin")
         allocations = [pool.set_matrix(m, element_size=4) for m in matrices]
         assert len({a.devices_used[0] for a in allocations}) > 1
-        outputs = pool.exec_requests(
-            list(zip(allocations, request_vectors)), input_bits=4
-        )
+        # A list of requests is a loop of calls: each reaches its own device.
+        outputs = [
+            pool.exec_mvm_batch(allocation, vectors, input_bits=4)
+            for allocation, vectors in zip(allocations, request_vectors)
+        ]
         for output, matrix, vectors in zip(outputs, matrices, request_vectors):
             assert np.array_equal(output, vectors @ matrix)
 

@@ -8,12 +8,19 @@ import pytest
 from repro.testing import derive_rng
 
 from repro.core import ChipConfig, HctConfig
-from repro.errors import AllocationError, NoDevicesError, QuantizationError
+from repro.errors import (
+    AllocationError,
+    DeviceFailedError,
+    NoDevicesError,
+    QuantizationError,
+)
 from repro.reram import NoiseConfig
 from repro.runtime import (
     CacheAffinityPolicy,
     DevicePool,
+    FaultInjector,
     LeastLoadedPolicy,
+    PlacementPolicy,
     RoundRobinPolicy,
     make_placement_policy,
 )
@@ -302,7 +309,11 @@ class TestServing:
         alloc_b = pool.set_matrix(b, element_size=4)
         vec_a = rng.integers(0, 8, size=(3, 8))
         vec_b = rng.integers(0, 8, size=(2, 8))
-        results = pool.exec_requests([(alloc_a, vec_a), (alloc_b, vec_b)], input_bits=3)
+        assert alloc_a.devices_used != alloc_b.devices_used
+        results = [
+            pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+            for allocation, vectors in ((alloc_a, vec_a), (alloc_b, vec_b))
+        ]
         assert np.array_equal(results[0], vec_a @ a)
         assert np.array_equal(results[1], vec_b @ b)
 
@@ -313,6 +324,25 @@ class TestServing:
             pool.exec_mvm(allocation, np.zeros(9, dtype=np.int64))
         with pytest.raises(QuantizationError):
             pool.exec_mvm_batch(allocation, np.zeros((2, 9), dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [8, 100], ids=["one_band", "sharded"])
+    def test_a_vector_is_a_batch_of_one_and_an_empty_batch_is_empty(self, rng, rows):
+        pool = tiny_pool()
+        matrix = rng.integers(-8, 8, size=(rows, 30))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        assert (allocation.num_shards > 1) == (rows == 100)
+        vector = rng.integers(0, 8, size=rows)
+        out = pool.exec_mvm_batch(allocation, vector, input_bits=3)
+        assert out.shape == (1, 30) and np.array_equal(out[0], vector @ matrix)
+        out = pool.exec_mvm_batch(allocation, list(vector), input_bits=3)
+        assert np.array_equal(out[0], vector @ matrix)
+        empty = pool.exec_mvm_batch(
+            allocation, np.zeros((0, rows), dtype=np.int64), input_bits=3
+        )
+        assert empty.shape == (0, 30) and empty.dtype == np.int64
+        for bad in (np.zeros(rows + 1, dtype=np.int64), np.int64(3)):
+            with pytest.raises(QuantizationError, match="does not match matrix rows"):
+                pool.exec_mvm_batch(allocation, bad, input_bits=3)
 
     def test_total_ledger_aggregates_devices(self, rng):
         pool = tiny_pool()
@@ -402,6 +432,103 @@ class TestFanout:
             assert threading.active_count() == threads
             if noise is None:
                 assert np.array_equal(out, vectors @ matrix)
+
+
+class _ScriptedPolicy(PlacementPolicy):
+    """Places copy ``n`` of an allocation on ``devices[n]`` (band-major)."""
+
+    name = "scripted"
+
+    def __init__(self, devices):
+        self._devices = devices
+
+    def choose(self, free, needed, placed_devices):
+        index = self._devices[len(placed_devices)]
+        return index if free[index] >= needed else None
+
+
+class TestBandLoop:
+    """The order in which one call's bands reach each device, and in which
+    failed copies are retried: sequences and counters captured at PR 17
+    (``aa4798b``), before the request list under the loop was removed."""
+
+    #: Band position -> (primary, replica) device; bands 0 and 1 share the
+    #: replica device 2, band 2 never fails.
+    LAYOUT = (1, 2, 0, 2, 3, 1)
+
+    def _pool(self, verify="off"):
+        pool = DevicePool(
+            num_devices=4, config=ChipConfig(hct=HctConfig.small(), num_hcts=2),
+            policy=_ScriptedPolicy(self.LAYOUT), replication=2, verify=verify,
+        )
+        rng = derive_rng("pool-band-loop")
+        matrix = rng.integers(-8, 8, size=(48, 16))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        assert [tuple(task.device_index for task in copies)
+                for copies in allocation.bands] == [(1, 2), (0, 2), (3, 1)]
+        bands = {id(task.device_allocation): task.position
+                 for task in allocation.all_tasks}
+        calls = []
+        for index, device in enumerate(pool.devices):
+            def recorded(device_allocation, vectors, *, _index=index,
+                         _call=device.exec_mvm_batch, **kwargs):
+                calls.append((_index, bands[id(device_allocation)]))
+                return _call(device_allocation, vectors, **kwargs)
+
+            device.exec_mvm_batch = recorded
+        vectors = rng.integers(0, 8, size=(5, 48))
+        return pool, FaultInjector().attach(pool), allocation, matrix, vectors, calls
+
+    @staticmethod
+    def _counters(pool):
+        return (pool.replica_hits, pool.replica_retries, pool.device_failures,
+                pool.integrity_reexecutions)
+
+    def test_two_bands_retry_onto_one_replica_device(self):
+        pool, injector, allocation, matrix, vectors, calls = self._pool()
+        injector.kill(0)
+        injector.kill(1)
+        out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(out, vectors @ matrix)
+        # Band 2 runs in the first wave; the retries reach device 2 in the
+        # order their first copies failed (device 0's band 1, then device
+        # 1's band 0), not in band order.
+        assert calls == [(3, 2), (2, 1), (2, 0)]
+        assert self._counters(pool) == (0, 2, 2, 0)
+        # Both dead devices are marked now: first choice is the replica, and
+        # a first wave reaches a device in band order.
+        del calls[:]
+        out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(out, vectors @ matrix)
+        assert calls == [(2, 0), (2, 1), (3, 2)]
+        assert self._counters(pool) == (2, 2, 2, 0)
+
+    def test_corrupted_partials_reexecute_in_the_same_order(self):
+        pool, injector, allocation, matrix, vectors, calls = self._pool("full")
+        injector.corrupt(0)
+        injector.corrupt(1)
+        out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(out, vectors @ matrix)
+        assert calls == [(0, 1), (1, 0), (3, 2), (2, 1), (2, 0)]
+        assert self._counters(pool) == (0, 0, 0, 2)
+        assert pool.corruptions_detected == 2 and pool.failed_devices == []
+
+    def test_first_exhausted_band_in_failure_order_is_raised(self):
+        pool, injector, allocation, _, vectors, calls = self._pool()
+        for device_index in (0, 1, 2):
+            injector.kill(device_index)
+        with pytest.raises(DeviceFailedError) as raised:
+            pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        # Bands 1 and 0 both ran out of copies on device 2; band 1 failed
+        # first (its primary sat on the lower device), so it is reported.
+        assert (raised.value.kind, raised.value.device_index) == ("exhausted", 2)
+        assert str(raised.value) == (
+            "every replica of band 1 of allocation 0 has failed "
+            "(tried devices [0, 2])"
+        )
+        assert calls == [(3, 2)]
+        assert self._counters(pool) == (0, 2, 3, 0)
+        assert pool.failed_devices == [0, 1, 2]
 
 
 class TestEnergyTotals:
