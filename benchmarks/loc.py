@@ -2,9 +2,11 @@
 
 Prints, for ``src/``, total lines and *code* lines (blank lines, comments
 and docstrings excluded -- the count a "this PR removed N lines" claim is
-judged on), the largest files, and the constructor parameter counts of the
-three wide front doors, so the next simplicity PR starts from numbers
-instead of hand counting.
+judged on), the same subtotal for the cluster tier (``repro/runtime/cluster/``),
+the largest files, and the constructor parameter counts of the three wide
+front doors, so the next simplicity PR starts from numbers instead of hand
+counting.  Numbers to start from, not a ratchet: a bound on line counts would
+reward dense code.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.runtime.cluster import ClusterGateway
 
 #: The source tree that is actually imported (``PYTHONPATH=src``).
 SRC = Path(repro.__file__).resolve().parent.parent
+#: The tier with its own subtotal line.
+CLUSTER = Path("repro/runtime/cluster")
 STATEMENT_ENDS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
 NOT_CODE = STATEMENT_ENDS + (tokenize.COMMENT, tokenize.NL, tokenize.ENDMARKER)
 
@@ -44,8 +48,12 @@ def main() -> None:
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         rows.append((text.count("\n"), code_lines(text), path.relative_to(SRC)))
-    print(f"src/: {sum(r[0] for r in rows)} lines, "
-          f"{sum(r[1] for r in rows)} code lines, {len(rows)} files")
+    for label, part in (
+        ("src/", rows),
+        (f"  {CLUSTER}/", [row for row in rows if CLUSTER in row[2].parents]),
+    ):
+        print(f"{label}: {sum(r[0] for r in part)} lines, "
+              f"{sum(r[1] for r in part)} code lines, {len(part)} files")
     for total, code, path in sorted(rows, reverse=True)[:8]:
         print(f"  {total:6d} lines {code:6d} code  {path}")
     for front_door in (ClusterGateway, PumServer, DevicePool):

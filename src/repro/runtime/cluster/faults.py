@@ -38,9 +38,9 @@ transport has its producer in exactly one process -- the gateway pushes
 request rings, each worker pushes its reply ring -- so producer-side
 injection covers both directions of the channel without a consumer-side
 hook: :class:`~repro.runtime.cluster.gateway.ClusterGateway` attaches
-injectors to the request rings it owns, and ships a serialized
-:class:`TransportFaultSpec` in each worker's spawn spec so the worker
-attaches the reply-side injector itself.
+injectors to the request rings it owns, and ships the
+:class:`TransportFaultSpec` itself in each worker's spawn spec so the
+worker attaches the reply-side injector itself.
 
 Faults apply only to *data* frames (``SUBMIT`` requests, ``RESULTS``
 replies, selected by the ``kinds`` filter); control traffic --
@@ -61,7 +61,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,13 +168,14 @@ class TransportFaultSchedule:
 
 @dataclass(frozen=True)
 class TransportFaultSpec:
-    """Serializable description of a whole-cluster transport-fault campaign.
+    """Description of a whole-cluster transport-fault campaign.
 
-    The spec is plain scalars/tuples so it crosses the process boundary
-    inside a worker spawn spec.  Each (worker, direction) pair gets its
-    own :class:`TransportFaultInjector` with an independent schedule
-    derived from ``(seed, worker_id, direction)`` -- deterministic for a
-    given topology, distinct per ring.
+    A frozen dataclass of scalars and tuples: it pickles as it is, which is
+    how it crosses the process boundary inside a worker spawn spec (fork or
+    spawn).  Each (worker, direction) pair gets its own
+    :class:`TransportFaultInjector` with an independent schedule derived
+    from ``(seed, worker_id, direction)`` -- deterministic for a given
+    topology, distinct per ring.
     """
 
     seed: int
@@ -208,27 +209,6 @@ class TransportFaultSpec:
         )
         kinds = (K_SUBMIT,) if direction == "request" else (K_RESULTS,)
         return TransportFaultInjector(schedule, kinds=kinds)
-
-    def to_spec(self) -> Dict[str, Any]:
-        """Plain-dict form for a worker spawn spec."""
-        return {
-            "seed": self.seed,
-            "num_events": self.num_events,
-            "horizon_frames": self.horizon_frames,
-            "modes": list(self.modes),
-            "directions": list(self.directions),
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "TransportFaultSpec":
-        """Rebuild from :meth:`to_spec` output (worker-process side)."""
-        return cls(
-            seed=int(spec["seed"]),
-            num_events=int(spec.get("num_events", 4)),
-            horizon_frames=int(spec.get("horizon_frames", 32)),
-            modes=tuple(spec.get("modes", TRANSPORT_FAULT_MODES)),
-            directions=tuple(spec.get("directions", ("request", "reply"))),
-        )
 
 
 class _ActiveTransportFault:

@@ -16,31 +16,42 @@ Design points, mirroring the single-server stack one tier up:
   placement is deterministic, re-registration of identical bytes is a
   no-op, and adding workers moves the minimum number of matrices.  With
   ``replication=R`` the top-R workers each hold a full copy.
-* **Cost-aware routing.**  Each worker's REGISTERED reply carries a
-  serialized :class:`~repro.plan.ir.PlanHandle`; the gateway scores
-  replicas by predicted outstanding cycles (the cluster analogue of the
-  pool's predicted-finish-time policy) and routes each batch to the
-  cheapest live replica.
+* **Cost-aware routing, stated once.**  Each worker's REGISTERED reply
+  carries a serialized :class:`~repro.plan.ir.PlanHandle`; the gateway
+  scores replicas by predicted outstanding cycles (the cluster analogue
+  of the pool's predicted-finish-time policy).  Every routing decision --
+  a new batch, a retry after a worker failure, a hedge after a timeout --
+  walks the one order :meth:`ClusterGateway._replicas` produces (breaker
+  admits, not yet tried, cheapest) and differs only in which replicas it
+  filters out.
 * **Backpressure.**  Every worker has a bounded inflight window
   (vectors in flight, not bytes); a batch that fits no live replica's
   window -- or no ring -- is shed *to the caller* as
   :class:`~repro.errors.AdmissionError` rather than queued without
   bound, exactly like the server's ``admission="reject"`` mode.
 * **Health.**  Workers beat a shared heartbeat board; a health task
-  feeds missed beats and dead processes into the same
-  :class:`~repro.runtime.integrity.DeviceHealth` EWMA/quarantine
-  machinery the pool uses per chip.  A failed worker's inflight batches
-  are retried on surviving replicas when placement allows, and resolved
+  marks a worker whose process died or whose beats froze not ``alive``,
+  which is what takes it out of routing until a restart (a slow one is
+  fenced by its circuit breaker instead).  The
+  :class:`~repro.runtime.integrity.DeviceHealth` EWMA the pool uses per
+  chip is kept per worker as telemetry only -- ``health_score`` and
+  ``quarantined`` in :meth:`ClusterGateway.worker_status` -- and decides
+  nothing here.  A failed worker's inflight batches are retried on
+  surviving replicas when placement allows, and resolved
   ``status="failed"`` (never lost) when it does not.
 * **Drain/restart.**  ``drain_worker`` fences routing and waits for the
   window to empty; ``restart_worker`` respawns the process on fresh
   rings and replays matrix registrations, so rolling restarts lose no
   futures.
+* **Control round trips.**  READY, REGISTERED, DRAIN, STRAGGLE and STOP
+  are all one :meth:`ClusterGateway._call`: expect the reply, push the
+  frame, wait ``CONTROL_TIMEOUT``.  A full ring or a silent worker is a
+  :class:`~repro.errors.ClusterError`, never a bare timeout.
 * **Gray failures.**  With ``batch_timeout`` set, a watchdog expires
   batches whose worker is alive-but-slow and hedges them onto another
   replica (exponential backoff, deterministic jitter); per-worker
-  circuit breakers (closed -> open -> half-open) fence repeat offenders
-  before the EWMA quarantine trips; duplicate SUBMITs are suppressed
+  circuit breakers (closed -> open -> half-open) fence repeat
+  offenders; duplicate SUBMITs are suppressed
   worker-side and late/duplicate RESULTS are ignored gateway-side, so
   nothing ever resolves twice.  With ``auto_restart=True`` a supervisor
   task respawns dead workers inside a bounded restart budget.
@@ -53,7 +64,7 @@ import hashlib
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,14 +201,13 @@ class _MatrixRecord:
 class _Worker:
     """Gateway-side handle of one worker process and its transport."""
 
-    def __init__(self, worker_id: int,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
+    def __init__(self, worker_id: int, breaker: CircuitBreaker) -> None:
         self.worker_id = worker_id
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.requests: Optional[ShmRing] = None
         self.replies: Optional[ShmRing] = None
         self.health = DeviceHealth()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = breaker
         self.alive = False
         self.draining = False
         self.restarting = False
@@ -213,7 +223,13 @@ class _Worker:
     @property
     def routable(self) -> bool:
         """Whether new traffic may be placed on this worker."""
-        return self.alive and not self.draining and not self.health.quarantined
+        return self.alive and not self.draining
+
+    def close_rings(self) -> None:
+        """Detach from (and unlink) both rings of the current process."""
+        for ring in (self.requests, self.replies):
+            if ring is not None:
+                ring.close()
 
 
 class ClusterGateway:
@@ -327,10 +343,9 @@ class ClusterGateway:
         self._matrices: Dict[str, _MatrixRecord] = {}
         self._control: Dict[Tuple, asyncio.Future] = {}
         self._board: Optional[HeartbeatBoard] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._health_task: Optional[asyncio.Task] = None
-        self._watchdog_task: Optional[asyncio.Task] = None
-        self._supervisor_task: Optional[asyncio.Task] = None
+        #: Background tasks, the response pump first (it is the last one
+        #: :meth:`close` cancels).
+        self._tasks: List[asyncio.Task] = []
         #: Admitted batches with no routable target right now; the
         #: watchdog re-tries them until a replica heals or they expire.
         self._parked: List[_PendingBatch] = []
@@ -348,34 +363,25 @@ class ClusterGateway:
             return self
         self._started = True
         self._board = HeartbeatBoard(num_slots=self.num_workers, create=True)
-        ready = [self._expect(("ready", worker.worker_id))
-                 for worker in self._workers]
-        for worker in self._workers:
-            self._spawn(worker)
-        self._pump_task = asyncio.create_task(self._pump())
-        self._health_task = asyncio.create_task(self._health())
+        loops = [self._pump(), self._health()]
         if self.batch_timeout is not None:
-            self._watchdog_task = asyncio.create_task(self._watchdog())
+            loops.append(self._watchdog())
         if self.auto_restart:
-            self._supervisor_task = asyncio.create_task(self._supervise())
+            loops.append(self._supervise())
+        self._tasks = [asyncio.create_task(loop) for loop in loops]
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*ready), timeout=CONTROL_TIMEOUT
-            )
-        except asyncio.TimeoutError:
+            await asyncio.gather(*map(self._spawn, self._workers))
+        except ClusterError:
             await self.close()
-            raise ClusterError(
-                f"cluster workers failed to come up within "
-                f"{CONTROL_TIMEOUT}s"
-            ) from None
+            raise
         now = time.monotonic()
         for worker in self._workers:
             worker.alive = True
             worker.last_progress = now
         return self
 
-    def _spawn(self, worker: _Worker) -> None:
-        """Create fresh rings for ``worker`` and launch its process."""
+    async def _spawn(self, worker: _Worker) -> None:
+        """Create fresh rings for ``worker``, launch its process, await READY."""
         worker.requests = ShmRing(capacity=RING_CAPACITY, create=True)
         worker.replies = ShmRing(capacity=RING_CAPACITY, create=True)
         spec = dict(self._spec_base)
@@ -393,24 +399,21 @@ class ClusterGateway:
                 self.transport_faults.injector_for(
                     worker.worker_id, "request"
                 ).attach(worker.requests)
-            spec["transport_faults"] = self.transport_faults.to_spec()
+            spec["transport_faults"] = self.transport_faults
         worker.process = self._ctx.Process(
             target=worker_main, args=(spec,), daemon=True,
             name=f"pum-worker-{worker.worker_id}",
         )
         worker.process.start()
+        await self._call(worker, ("ready", worker.worker_id), None, "READY")
 
     async def close(self) -> None:
         """Stop every worker and release the shared-memory transport."""
         if self._closed:
             return
         self._closed = True
-        if self._health_task is not None:
-            self._health_task.cancel()
-        if self._watchdog_task is not None:
-            self._watchdog_task.cancel()
-        if self._supervisor_task is not None:
-            self._supervisor_task.cancel()
+        for task in self._tasks[1:]:
+            task.cancel()
         for worker in self._workers:
             if worker.alive and worker.requests is not None:
                 worker.requests.push(encode_message(K_STOP, {}))
@@ -424,21 +427,16 @@ class ClusterGateway:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        # Await the cancelled tasks so their frames (and any ring views
-        # held in locals) are torn down before the segments close.
-        if self._pump_task is not None:
-            self._pump_task.cancel()
+        # The pump goes last, it had the workers' last replies to carry (the
+        # others were cancelled above; again is a no-op).  Await them all so
+        # their frames (and any ring views held in locals) are torn down
+        # before the segments close.
+        for task in self._tasks:
+            task.cancel()
             try:
-                await self._pump_task
+                await task
             except asyncio.CancelledError:
                 pass
-        for task in (self._health_task, self._watchdog_task,
-                     self._supervisor_task):
-            if task is not None:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
         for batch in self._parked:
             self._resolve_batch_failed(
                 batch, "gateway closed with requests parked"
@@ -450,10 +448,7 @@ class ClusterGateway:
                     batch, "gateway closed with requests in flight"
                 )
             worker.pending.clear()
-            if worker.requests is not None:
-                worker.requests.close()
-            if worker.replies is not None:
-                worker.replies.close()
+            worker.close_rings()
             worker.alive = False
         if self._board is not None:
             self._board.close()
@@ -520,29 +515,16 @@ class ClusterGateway:
     async def _register_on(self, worker: _Worker, record: _MatrixRecord,
                            name: str) -> None:
         """Push one REGISTER and await the worker's REGISTERED reply."""
-        pending = self._expect(("registered", worker.worker_id, name))
         frame = encode_message(K_REGISTER, {
             "name": name,
             "element_size": record.element_size,
             "precision": record.precision,
             "input_bits": record.input_bits,
         }, [record.matrix])
-        if worker.requests is None or not worker.requests.push(frame):
-            pending.cancel()
-            raise ClusterError(
-                f"worker {worker.worker_id} request ring is full during "
-                f"registration of {name!r}"
-            )
-        try:
-            handle = await asyncio.wait_for(
-                pending, timeout=CONTROL_TIMEOUT
-            )
-        except asyncio.TimeoutError:
-            raise ClusterError(
-                f"worker {worker.worker_id} did not acknowledge registration "
-                f"of {name!r} within {CONTROL_TIMEOUT}s"
-            ) from None
-        worker.plan_handles[name] = handle
+        worker.plan_handles[name] = await self._call(
+            worker, ("registered", worker.worker_id, name), frame,
+            f"registration of {name!r}",
+        )
 
     def plan_handle(self, name: str) -> PlanHandle:
         """The serialized-across-the-wire cost handle of ``name``."""
@@ -603,30 +585,24 @@ class ClusterGateway:
                 f"batch of {n} exceeds the per-worker inflight window "
                 f"({self.inflight_window})"
             )
-        candidates = [
-            self._workers[worker_id]
-            for worker_id in record.placement
-            if self._workers[worker_id].routable
-        ]
-        if not candidates:
+        replicas = self._replicas(name)
+        if not replicas:
             self.stats.shed += n
             raise AdmissionError(
                 f"no live replica of {name!r} "
                 f"(placement {record.placement})"
             )
-        admitted = [worker for worker in candidates if worker.breaker.allows()]
+        admitted = [worker for worker in replicas if worker.breaker.allows()]
         if not admitted:
             # Replicas are alive but circuit-broken: backpressure, not
             # death -- a distinct signal so callers can tell "back off"
             # from "gone", while `except AdmissionError` still catches it.
             self.stats.shed += n
             raise CircuitOpenError(
-                worker_ids=[worker.worker_id for worker in candidates]
+                worker_ids=[worker.worker_id for worker in replicas]
             )
-        candidates = admitted
-        candidates.sort(key=lambda worker: worker.outstanding_cycles)
-        batch = self._make_batch(record, name, vectors, input_bits)
-        for worker in candidates:
+        batch = self._make_batch(name, vectors, input_bits)
+        for worker in admitted:
             if worker.inflight + n > self.inflight_window:
                 continue
             if self._dispatch(worker, batch):
@@ -640,24 +616,41 @@ class ClusterGateway:
             f"(inflight window {self.inflight_window})"
         )
 
-    def _make_batch(self, record: _MatrixRecord, name: str,
-                    vectors: np.ndarray, input_bits: int) -> _PendingBatch:
+    def _replicas(self, name: str,
+                  attempted: Collection[int] = ()) -> List[_Worker]:
+        """The routable holders of ``name``, best first: the one routing order.
+
+        Placement order, stable-sorted by rank: replicas the breaker admits
+        come before ones it refuses; among the admitted, ones this batch has
+        not been sent to yet (``attempted``) come first; predicted
+        outstanding cycles decide the rest.  Callers only filter:
+        :meth:`submit_batch` keeps the admitted whose window fits,
+        :meth:`_retry` the untried, :meth:`_hedge` everyone.
+        """
+        def rank(worker: _Worker) -> Tuple[bool, bool, float]:
+            admits = worker.breaker.allows()
+            return (not admits, admits and worker.worker_id in attempted,
+                    worker.outstanding_cycles)
+
+        holders = [self._workers[worker_id]
+                   for worker_id in self._record(name).placement]
+        return sorted(
+            (worker for worker in holders if worker.routable), key=rank
+        )
+
+    def _make_batch(self, name: str, vectors: np.ndarray,
+                    input_bits: int) -> _PendingBatch:
         loop = asyncio.get_running_loop()
         n = vectors.shape[0]
         request_ids = list(range(self._next_request, self._next_request + n))
         self._next_request += n
         batch_id = self._next_batch
         self._next_batch += 1
-        handle = None
-        for worker_id in record.placement:
-            handle = self._workers[worker_id].plan_handles.get(name)
-            if handle is not None:
-                break
-        cost = handle.predicted_cycles(n) if handle is not None else float(n)
         return _PendingBatch(
             batch_id=batch_id, name=name, input_bits=input_bits,
             vectors=vectors, futures=[loop.create_future() for _ in range(n)],
-            request_ids=request_ids, worker_id=-1, cost=cost,
+            request_ids=request_ids, worker_id=-1,
+            cost=self.plan_handle(name).predicted_cycles(n),
         )
 
     def _dispatch(self, worker: _Worker, batch: _PendingBatch) -> bool:
@@ -887,7 +880,7 @@ class ClusterGateway:
                     continue
 
     def _fail_worker(self, worker: _Worker, kind: str) -> None:
-        """Quarantine ``worker`` and re-home or fail its inflight batches."""
+        """Mark ``worker`` dead and re-home or fail its inflight batches."""
         if not worker.alive:
             return
         worker.alive = False
@@ -898,7 +891,11 @@ class ClusterGateway:
             self.stats.circuit_opens += 1
         if worker.process is not None and worker.process.is_alive():
             worker.process.terminate()
-        reason = WorkerFailedError(worker.worker_id, kind)
+        self._rehome(worker, str(WorkerFailedError(worker.worker_id, kind)))
+
+    def _rehome(self, worker: _Worker, error: str) -> None:
+        """Retry everything in flight on ``worker`` elsewhere, or fail it
+        with ``error``; the worker's window is empty afterwards."""
         stranded = list(worker.pending.values())
         worker.pending.clear()
         worker.inflight = 0
@@ -906,32 +903,21 @@ class ClusterGateway:
         for batch in stranded:
             batch.attempted.add(worker.worker_id)
             if not self._retry(batch):
-                self._resolve_batch_failed(batch, str(reason))
+                self._resolve_batch_failed(batch, error)
 
     def _retry(self, batch: _PendingBatch) -> bool:
         """Re-dispatch a stranded batch on a surviving replica.
 
         Retries deliberately bypass the inflight window -- shedding an
         *already admitted* request would lose its future; the window
-        throttles new admissions only.
+        throttles new admissions only.  They bypass the breaker too (an
+        admitted future must not be lost to backpressure), but
+        :meth:`_replicas` ranks replicas whose breaker is closed ahead of
+        ones under suspicion.
         """
-        record = self._matrices.get(batch.name)
-        if record is None:
-            return False
-        survivors = [
-            self._workers[worker_id]
-            for worker_id in record.placement
-            if worker_id not in batch.attempted
-            and self._workers[worker_id].routable
-        ]
-        # Retries bypass the breaker too (an admitted future must not be
-        # lost to backpressure), but prefer replicas whose breaker is
-        # closed over ones under suspicion.
-        survivors.sort(key=lambda worker: (
-            not worker.breaker.allows(), worker.outstanding_cycles
-        ))
-        for worker in survivors:
-            if self._dispatch(worker, batch):
+        for worker in self._replicas(batch.name, batch.attempted):
+            if worker.worker_id not in batch.attempted \
+                    and self._dispatch(worker, batch):
                 self.stats.retried_batches += 1
                 return True
         return False
@@ -962,10 +948,10 @@ class ClusterGateway:
                     self.stats.batch_timeouts += 1
                     if worker.breaker.record_failure():
                         self.stats.circuit_opens += 1
-                    # Feed the EWMA score but never quarantine from here:
-                    # quarantine has no recovery path short of a restart,
-                    # which is the right response to a dead worker (the
-                    # _health task's call) but not to a slow one -- the
+                    # Feed the EWMA score but never flag quarantine from
+                    # here: the flag reports a worker that is out until a
+                    # restart, which is the right response to a dead worker
+                    # (the _health task's call) but not to a slow one -- the
                     # breaker fences stragglers *with* a half-open way
                     # back in once they catch up.
                     worker.health.record_failure()
@@ -975,29 +961,18 @@ class ClusterGateway:
     def _hedge(self, batch: _PendingBatch) -> None:
         """Re-dispatch a timed-out batch; park it when nowhere is routable.
 
-        Preference order: an unattempted routable replica with a closed
-        breaker, then any routable replica -- including the one that just
-        timed out (at R=1 that is the only copy; the worker's duplicate
-        suppression replays the original reply if the first attempt did
-        finish meanwhile, so re-sending is always safe).
+        Every routable replica is a candidate, in :meth:`_replicas` order:
+        untried ones with a closed breaker first, and in the end even the
+        one that just timed out (at R=1 that is the only copy; the worker's
+        duplicate suppression replays the original reply if the first
+        attempt did finish meanwhile, so re-sending is always safe).
         """
         if batch.attempts >= self.max_attempts:
             self._resolve_batch_failed(batch, str(BatchTimeoutError(
                 batch.worker_id, batch.batch_id, attempts=batch.attempts,
             )))
             return
-        record = self._matrices.get(batch.name)
-        replicas = [self._workers[worker_id] for worker_id in
-                    (record.placement if record is not None else [])]
-        fresh = [worker for worker in replicas
-                 if worker.routable and worker.breaker.allows()
-                 and worker.worker_id not in batch.attempted]
-        fallback = [worker for worker in replicas if worker.routable]
-        fresh.sort(key=lambda worker: worker.outstanding_cycles)
-        fallback.sort(key=lambda worker: (
-            not worker.breaker.allows(), worker.outstanding_cycles
-        ))
-        for worker in fresh + fallback:
+        for worker in self._replicas(batch.name, batch.attempted):
             if self._dispatch(worker, batch):
                 self.stats.hedged_batches += 1
                 self.stats.retried_batches += 1
@@ -1047,12 +1022,9 @@ class ClusterGateway:
             await asyncio.sleep(POLL_INTERVAL)
         if not worker.alive:
             return {}
-        pending = self._expect(("drain", worker_id))
-        if worker.requests is None or \
-                not worker.requests.push(encode_message(K_DRAIN, {})):
-            pending.cancel()
-            raise ClusterError(f"worker {worker_id} request ring is full")
-        return await asyncio.wait_for(pending, timeout=CONTROL_TIMEOUT)
+        return await self._call(
+            worker, ("drain", worker_id), encode_message(K_DRAIN, {}), "DRAIN"
+        )
 
     async def induce_straggler(self, worker_id: int, batches: int = 1,
                                seconds: float = 0.5) -> Dict[str, Any]:
@@ -1065,15 +1037,13 @@ class ClusterGateway:
         acknowledgement header.
         """
         self._require_running()
-        worker = self._workers[worker_id]
-        pending = self._expect(("straggle", worker_id))
         frame = encode_message(K_STRAGGLE, {
             "batches": int(batches), "seconds": float(seconds),
         })
-        if worker.requests is None or not worker.requests.push(frame):
-            pending.cancel()
-            raise ClusterError(f"worker {worker_id} request ring is full")
-        return await asyncio.wait_for(pending, timeout=CONTROL_TIMEOUT)
+        return await self._call(
+            self._workers[worker_id], ("straggle", worker_id), frame,
+            "STRAGGLE",
+        )
 
     async def restart_worker(self, worker_id: int,
                              graceful: bool = True) -> None:
@@ -1090,45 +1060,19 @@ class ClusterGateway:
         try:
             if graceful and worker.alive:
                 await self.drain_worker(worker_id)
-                stop = self._expect(("stop", worker_id))
-                if worker.requests is not None and \
-                        worker.requests.push(encode_message(K_STOP, {})):
-                    try:
-                        await asyncio.wait_for(
-                            stop, timeout=CONTROL_TIMEOUT
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-                else:
-                    stop.cancel()
+                try:
+                    await self._call(worker, ("stop", worker_id),
+                                     encode_message(K_STOP, {}), "STOP")
+                except ClusterError:
+                    pass  # unheard or unanswered: terminated just below
                 worker.alive = False
             if worker.process is not None and worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=self.stop_timeout)
-            for batch in list(worker.pending.values()):
-                batch.attempted.add(worker_id)
-                if not self._retry(batch):
-                    self._resolve_batch_failed(
-                        batch, f"worker {worker_id} restarted"
-                    )
-            worker.pending.clear()
-            worker.inflight = 0
-            worker.outstanding_cycles = 0.0
-            if worker.requests is not None:
-                worker.requests.close()
-            if worker.replies is not None:
-                worker.replies.close()
-            ready = self._expect(("ready", worker_id))
-            self._spawn(worker)
-            try:
-                await asyncio.wait_for(ready, timeout=CONTROL_TIMEOUT)
-            except asyncio.TimeoutError:
-                raise ClusterError(
-                    f"restarted worker {worker_id} failed to come up within "
-                    f"{CONTROL_TIMEOUT}s"
-                ) from None
+            self._rehome(worker, f"worker {worker_id} restarted")
+            worker.close_rings()
+            await self._spawn(worker)
             worker.health.reset()
-            worker.health.quarantined = False
             worker.breaker = CircuitBreaker(**self._breaker_args)
             worker.alive = True
             worker.draining = False
@@ -1172,10 +1116,32 @@ class ClusterGateway:
                 " or call start() first)"
             )
 
-    def _expect(self, key: Tuple) -> asyncio.Future:
-        future = asyncio.get_running_loop().create_future()
-        self._control[key] = future
-        return future
+    async def _call(self, worker: _Worker, key: Tuple,
+                    frame: Optional[Sequence], what: str) -> Any:
+        """One control round trip: the reply the pump files under ``key``.
+
+        Pushes ``frame`` onto the worker's request ring (``None`` after a
+        spawn: the process start was the request) and waits at most
+        ``CONTROL_TIMEOUT`` for the answer.  A full ring and a silent worker
+        both raise :class:`ClusterError` naming the worker and ``what``, and
+        neither leaves the expectation behind.
+        """
+        pending = asyncio.get_running_loop().create_future()
+        self._control[key] = pending
+        if frame is not None and (
+                worker.requests is None or not worker.requests.push(frame)):
+            del self._control[key]
+            raise ClusterError(
+                f"worker {worker.worker_id} request ring is full ({what})"
+            )
+        try:
+            return await asyncio.wait_for(pending, timeout=CONTROL_TIMEOUT)
+        except asyncio.TimeoutError:
+            self._control.pop(key, None)
+            raise ClusterError(
+                f"worker {worker.worker_id} did not answer {what} within "
+                f"{CONTROL_TIMEOUT}s"
+            ) from None
 
     def _resolve(self, key: Tuple, value: Any) -> None:
         future = self._control.pop(key, None)

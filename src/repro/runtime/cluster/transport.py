@@ -24,7 +24,10 @@ response ring, so every ring has exactly one writer and one reader and
 needs no cross-process lock.  The producer publishes a frame by writing
 its payload and header first and bumping the ``head`` counter *last*;
 the consumer only ever reads below ``head`` and only the consumer moves
-``tail`` -- the classic SPSC protocol.  Each frame additionally carries
+``tail`` -- the classic SPSC protocol.  The counters are single native
+64-bit words (one ``memoryview.cast("Q")`` over the control line), so
+the side that only reads one always sees a value the other side stored,
+never a mix of two.  Each frame additionally carries
 a CRC32 and a sequence number, so a torn or corrupted write (a worker
 dying mid-``push``, a stray writer) is *detected* at read time
 (:class:`~repro.errors.TransportError`) instead of silently decoding
@@ -57,10 +60,10 @@ __all__ = [
     "encode_array",
 ]
 
-#: Control-region layout (one cache line): head, tail, frames-pushed
-#: sequence, and the data capacity recorded at creation time (the kernel
-#: may round the segment itself up to a page multiple).
-_CTRL = struct.Struct("<QQQQ")
+#: Control region (one cache line).  Its first four native 64-bit words are
+#: head, tail, frames-pushed sequence, and the data capacity recorded at
+#: creation time (the kernel may round the segment itself up to a page
+#: multiple); the rest is padding.
 _CTRL_SIZE = 64
 
 #: Per-frame header: payload length, sequence number, CRC32(payload).
@@ -178,13 +181,22 @@ class ShmRing:
             self.shm = shared_memory.SharedMemory(
                 create=True, size=_CTRL_SIZE + capacity, name=name
             )
-            self.capacity = capacity
-            _CTRL.pack_into(self.shm.buf, 0, 0, 0, 0, capacity)
         else:
             if name is None:
                 raise TransportError("attaching to a ring requires its name")
             self.shm = shared_memory.SharedMemory(name=name)
-            self.capacity = _CTRL.unpack_from(self.shm.buf, 0)[3]
+        #: The counters as native words.  The other process reads them while
+        #: this one writes: a word is stored and loaded whole, where
+        #: ``struct`` moves standard-size integers a byte at a time and a
+        #: reader can pair old high bytes with new low ones -- a counter
+        #: *below* both values, i.e. a full ring that is empty or a frame
+        #: that runs past ``head``.  Both ends share a host, so native byte
+        #: order is the same on each by construction.
+        self._ctrl = self.shm.buf[:32].cast("Q")
+        if create:
+            # A new segment is zero-filled: head, tail and seq start at 0.
+            self._ctrl[3] = capacity
+        self.capacity = self._ctrl[3]
         self._owner = create
         self._data = self.shm.buf[_CTRL_SIZE: _CTRL_SIZE + self.capacity]
         #: Producer-seam hook: when set, :meth:`push` routes every frame
@@ -207,17 +219,17 @@ class ShmRing:
         return self.shm.name
 
     def _read_ctrl(self) -> Tuple[int, int, int]:
-        head, tail, seq, _ = _CTRL.unpack_from(self.shm.buf, 0)
-        return head, tail, seq
+        ctrl = self._ctrl
+        return ctrl[0], ctrl[1], ctrl[2]
 
     def _write_head(self, head: int, seq: int) -> None:
         # Publish order matters: payload and header are already in place,
         # so making head visible is the commit point of the frame.
-        struct.pack_into("<Q", self.shm.buf, 16, seq)
-        struct.pack_into("<Q", self.shm.buf, 0, head)
+        self._ctrl[2] = seq
+        self._ctrl[0] = head
 
     def _write_tail(self, tail: int) -> None:
-        struct.pack_into("<Q", self.shm.buf, 8, tail)
+        self._ctrl[1] = tail
 
     def __len__(self) -> int:
         """Bytes currently enqueued (header overhead included)."""
@@ -367,9 +379,10 @@ class ShmRing:
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Detach from the segment (unlinks it too when this side owns it)."""
-        data, self._data = self._data, None
-        if data is not None:
-            data.release()
+        views, self._data, self._ctrl = (self._data, self._ctrl), None, None
+        for view in views:
+            if view is not None:
+                view.release()
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - exported views still alive

@@ -41,7 +41,6 @@ from ...errors import ReproError, SchedulerError, TransportError
 from ...reram import NoiseConfig
 from ..scheduling import StaticBatchingPolicy
 from ..server import PumServer
-from .faults import TransportFaultSpec
 from .messages import (
     K_ACK,
     K_DRAIN,
@@ -291,7 +290,9 @@ def worker_main(spec: Dict[str, Any]) -> None:
     ``spec`` carries the transport attachment points (``request_ring``,
     ``response_ring``, ``board`` segment names, ``worker_id`` selecting
     the heartbeat slot) alongside the server parameters of
-    :func:`build_worker_server`.
+    :func:`build_worker_server` and, under a chaos campaign, the
+    gateway's :class:`~repro.runtime.cluster.faults.TransportFaultSpec`
+    itself (``transport_faults``).
     """
     worker_id = int(spec["worker_id"])
     requests = ShmRing(name=spec["request_ring"], create=False)
@@ -303,10 +304,8 @@ def worker_main(spec: Dict[str, Any]) -> None:
     # the reply direction's injector must live in *this* process because
     # this process is the reply ring's single producer.
     faults = spec.get("transport_faults")
-    if faults is not None:
-        fault_spec = TransportFaultSpec.from_spec(faults)
-        if "reply" in fault_spec.directions:
-            fault_spec.injector_for(worker_id, "reply").attach(replies)
+    if faults is not None and "reply" in faults.directions:
+        faults.injector_for(worker_id, "reply").attach(replies)
 
     def beat() -> None:
         board.beat(worker_id)

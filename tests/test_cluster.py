@@ -1,13 +1,17 @@
 """End-to-end cluster tests: gateway + worker processes over shm rings.
 
-Every test spawns real worker processes (fork start method where the
-platform has it) against the small chip configuration, so the whole
-suite stays in CI-friendly territory while exercising the actual
-process boundary: registration fan-out, zero-copy submission, failover,
-backpressure, and graceful drain/restart.
+Every test but the last two classes spawns real worker processes (fork
+start method where the platform has it) against the small chip
+configuration, so the whole suite stays in CI-friendly territory while
+exercising the actual process boundary: registration fan-out, zero-copy
+submission, failover, backpressure, and graceful drain/restart.
+``TestReplicaOrder`` and ``TestControlRoundTrip`` script an un-started
+gateway instead: routing order and control timeouts need no processes.
 """
 
 import asyncio
+import hashlib
+import itertools
 import os
 import signal
 
@@ -15,8 +19,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import ChipConfig, HctConfig
-from repro.errors import AdmissionError, ClusterError, QuantizationError
+from repro.errors import (
+    AdmissionError,
+    CircuitOpenError,
+    ClusterError,
+    QuantizationError,
+)
 from repro.runtime.cluster import ClusterGateway
+from repro.runtime.cluster import gateway as gateway_module
+from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch
 from repro.runtime.pool import DevicePool
 from repro.runtime.server import PumServer
 
@@ -322,3 +333,208 @@ def test_invalid_configuration_is_rejected():
         ClusterGateway(num_workers=2, replication=3)
     with pytest.raises(ClusterError, match="inflight_window"):
         ClusterGateway(num_workers=1, inflight_window=0)
+
+
+# --------------------------------------------------------------------- #
+# Replica order, pinned (no processes)                                    #
+# --------------------------------------------------------------------- #
+class _StubRing:
+    """A request ring that accepts or refuses every frame, and counts them."""
+
+    def __init__(self, accepts):
+        self.accepts = accepts
+        self.pushes = 0
+
+    def push(self, parts):
+        self.pushes += 1
+        return self.accepts
+
+
+class _StubHandle:
+    def predicted_cycles(self, n):
+        return 10.0 * n
+
+
+class TestReplicaOrder:
+    """Which replica a batch is offered to, in what order, pinned.
+
+    An un-started three-worker gateway with scripted worker state: per case
+    ``alive`` x breaker tripped x ``outstanding_cycles`` x ring full, then one
+    ``submit_batch``, or ``_retry`` / ``_hedge`` of a batch with a scripted
+    ``attempted`` set -- 8 448 cases.  ``EXPECTED`` hashes, per case, the
+    order in which ``_dispatch`` was offered workers (a worker offered the
+    same batch again counted once), the worker that took the batch, the
+    retry / hedge / shed counters, the exception and the parked count; it was
+    computed at the commit before the gateway's three sort blocks became
+    ``_replicas`` (``ff67030``) and must not move.
+    """
+
+    PLACEMENT = [2, 0, 1]
+    FLAGS = list(itertools.product([False, True], repeat=3))
+    CYCLES = [(0.0, 0.0, 0.0), (5.0, 1.0, 3.0), (2.0, 2.0, 1.0)]
+    RING_FULL = [(), (2,), (2, 0), (0, 1, 2)]
+    ATTEMPTED = [(), (2,), (0,), (2, 0), (0, 1, 2)]
+    EXPECTED = (
+        "1d8187220b1021737352c1824cd5fad49693cf7240f895da36c1e3df9cfaa323"
+    )
+
+    def scripted_gateway(self, alive, tripped, cycles, ring_full):
+        gw = ClusterGateway(num_workers=3, replication=3, batch_timeout=1.0,
+                            breaker_cooldown=30.0)
+        gw._started = True
+        for worker in gw._workers:
+            index = worker.worker_id
+            worker.alive = alive[index]
+            worker.requests = _StubRing(accepts=index not in ring_full)
+            worker.outstanding_cycles = cycles[index]
+            worker.plan_handles["m"] = _StubHandle()
+            if tripped[index]:
+                worker.breaker.record_failure()
+                worker.breaker.record_failure()
+                assert not worker.breaker.allows()
+        gw._matrices["m"] = _MatrixRecord(
+            fingerprint=("digest",), matrix=np.zeros((4, 4), dtype=np.int64),
+            element_size=8, precision=0, input_bits=8,
+            placement=list(self.PLACEMENT),
+        )
+        offered = []
+        dispatch = gw._dispatch
+
+        def logging_dispatch(worker, batch):
+            offered.append(worker.worker_id)
+            return dispatch(worker, batch)
+
+        gw._dispatch = logging_dispatch
+        return gw, offered
+
+    async def drive(self, gw, op, attempted):
+        """Run one routing call; returns ``(taken_by, exception)``."""
+        vectors = np.ones((2, 4), dtype=np.int64)
+        if op == "submit":
+            try:
+                await gw.submit_batch("m", vectors)
+            except AdmissionError as exc:
+                detail = sorted(exc.worker_ids) \
+                    if isinstance(exc, CircuitOpenError) else str(exc)
+                return -1, (type(exc).__name__, detail)
+            taken = [worker.worker_id for worker in gw._workers
+                     if worker.pending]
+            return taken[0], None
+        loop = asyncio.get_running_loop()
+        batch = _PendingBatch(
+            batch_id=7, name="m", input_bits=8, vectors=vectors,
+            futures=[loop.create_future() for _ in range(2)],
+            request_ids=[0, 1], worker_id=-1, cost=20.0,
+            attempted=set(attempted),
+        )
+        if op == "retry":
+            assert gw._retry(batch) == (batch.worker_id >= 0)
+        else:
+            gw._hedge(batch)
+        for future in batch.futures:
+            future.cancel()
+        return batch.worker_id, None
+
+    async def all_cases(self):
+        """Yield ``(case, gateway, offered, taken_by, exception)``."""
+        for alive, tripped, cycles, ring_full in itertools.product(
+                self.FLAGS, self.FLAGS, self.CYCLES, self.RING_FULL):
+            calls = [("submit", ())] + [
+                (op, attempted) for attempted in self.ATTEMPTED
+                for op in ("retry", "hedge")
+            ]
+            for op, attempted in calls:
+                gw, offered = self.scripted_gateway(
+                    alive, tripped, cycles, ring_full)
+                taken, error = await self.drive(gw, op, attempted)
+                case = (alive, tripped, cycles, ring_full, op, attempted)
+                yield case, gw, offered, taken, error
+
+    def test_offer_order_is_unchanged(self):
+        async def digest():
+            sha, cases = hashlib.sha256(), 0
+            async for case, gw, offered, taken, error in self.all_cases():
+                cases += 1
+                stats = gw.stats
+                sha.update(repr((
+                    case, list(dict.fromkeys(offered)), taken, error,
+                    stats.retried_batches, stats.hedged_batches, stats.shed,
+                    stats.submitted, stats.batches, len(gw._parked),
+                )).encode())
+            return cases, sha.hexdigest()
+
+        assert run(digest()) == (8448, self.EXPECTED)
+
+    def test_a_few_rows_by_hand(self):
+        """The rank, spelled out: breaker refuses, then already tried, then
+        outstanding cycles; placement order breaks ties."""
+        healthy, none = (True, True, True), (False, False, False)
+
+        async def offers(op, attempted, tripped=none, cycles=(0.0, 0.0, 0.0)):
+            gw, offered = self.scripted_gateway(
+                healthy, tripped, cycles, ring_full=(0, 1, 2))
+            await self.drive(gw, op, attempted)
+            return list(dict.fromkeys(offered))
+
+        async def scenario():
+            assert await offers("submit", ()) == [2, 0, 1]
+            assert await offers("submit", (), cycles=(5.0, 1.0, 3.0)) == [1, 2, 0]
+            assert await offers("submit", (), tripped=(False, False, True)) == [0, 1]
+            assert await offers("retry", (2,)) == [0, 1]
+            assert await offers("retry", (0,), tripped=(False, True, False)) == [2, 1]
+            assert await offers("hedge", (2,)) == [0, 1, 2]
+            assert await offers("hedge", (2,), tripped=(True, False, False)) == [1, 2, 0]
+
+        run(scenario())
+
+    def test_hedge_offers_each_ring_the_batch_once(self):
+        """A ring that just refused the frame is not offered it again."""
+
+        async def scenario():
+            async for case, gw, _, _, _ in self.all_cases():
+                if case[4] == "hedge":
+                    pushes = [w.requests.pushes for w in gw._workers]
+                    assert max(pushes) <= 1, (case, pushes)
+
+        run(scenario())
+
+
+# --------------------------------------------------------------------- #
+# Control round trips, typed (no processes)                               #
+# --------------------------------------------------------------------- #
+class TestControlRoundTrip:
+    """A control request that gets no answer raises ``ClusterError``."""
+
+    def silent_gateway(self, monkeypatch, accepts):
+        monkeypatch.setattr(gateway_module, "CONTROL_TIMEOUT", 0.05)
+        gw = ClusterGateway(num_workers=1)
+        gw._started = True
+        gw._workers[0].alive = True
+        gw._workers[0].requests = _StubRing(accepts=accepts)
+        return gw
+
+    def test_an_unanswered_request_times_out_typed(self, monkeypatch):
+        gw = self.silent_gateway(monkeypatch, accepts=True)
+
+        async def scenario():
+            with pytest.raises(ClusterError, match="worker 0 .*DRAIN"):
+                await gw.drain_worker(0)
+            with pytest.raises(ClusterError, match="worker 0 .*STRAGGLE"):
+                await gw.induce_straggler(0)
+            assert gw._workers[0].requests.pushes == 2
+            assert gw._control == {}
+
+        run(scenario())
+
+    def test_a_refused_push_leaves_no_expectation_behind(self, monkeypatch):
+        gw = self.silent_gateway(monkeypatch, accepts=False)
+
+        async def scenario():
+            with pytest.raises(ClusterError, match="ring is full"):
+                await gw.drain_worker(0)
+            assert gw._control == {}
+            with pytest.raises(ClusterError, match="ring is full"):
+                await gw.induce_straggler(0)
+            assert gw._control == {}
+
+        run(scenario())

@@ -1,12 +1,16 @@
 """Cluster transport tests: array codec, SPSC ring, wire protocol.
 
-Everything here is single-process -- the ring's two ends are exercised
-from one test body, which is exactly the SPSC contract (one producer,
-one consumer; they just happen to share a thread here).  Process-level
-behaviour lives in ``test_cluster.py``.
+Everything here but the last test is single-process -- the ring's two
+ends are exercised from one test body, which is exactly the SPSC contract
+(one producer, one consumer; they just happen to share a thread here).
+The last test puts the producer in a second process, because what it
+checks (a counter read while the other side writes it) has no
+single-process form.  Gateway-level behaviour lives in ``test_cluster.py``.
 """
 
+import multiprocessing
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -23,6 +27,7 @@ from repro.runtime.cluster import (
     encode_array,
     encode_message,
 )
+from repro.runtime.cluster.gateway import START_METHOD
 from repro.runtime.cluster.messages import K_RESULTS, K_SUBMIT
 from repro.runtime.cluster.transport import _FRAME
 
@@ -412,4 +417,81 @@ def test_ring_backpressure_bounded_backoff_producer():
         order = [int.from_bytes(frame[1:3], "little") for frame in delivered]
         assert order == list(range(64))
     finally:
+        ring.close()
+
+
+# --------------------------------------------------------------------- #
+# Two processes: the counters are read while the other side writes them   #
+# --------------------------------------------------------------------- #
+STRESS_FRAMES = 200_000
+
+
+def _stress_producer(name):
+    """Push ``STRESS_FRAMES`` numbered frames, then one carrying the number
+    of pushes the ring refused while it was under half full."""
+    ring = ShmRing(name=name, create=False)
+    refused_with_room = 0
+    try:
+        for index in range(STRESS_FRAMES + 1):
+            value = index if index < STRESS_FRAMES else refused_with_room
+            payload = value.to_bytes(8, "little") + bytes(192)
+            while True:
+                # Read before the push: only the consumer lowers occupancy,
+                # so a refusal after this reading found no more queued.
+                queued = len(ring)
+                if ring.push([payload]):
+                    break
+                refused_with_room += queued < ring.capacity // 2
+    finally:
+        ring.close()
+
+
+def test_ring_counters_never_tear_between_processes():
+    """A consumer polling while the producer commits sees whole counters.
+
+    ``head`` / ``tail`` / ``seq`` are 8-byte words one process writes while
+    the other reads.  Stored byte by byte, a reader can combine old high
+    bytes with new low bytes and see a counter *below* both values: the
+    consumer then reports a ``truncated frame`` on a ring nobody damaged
+    (about 1 % of frames), and the producer computes no free space on a
+    ring that is nearly empty (``push`` -> ``False``, which the gateway
+    turns into ``AdmissionError("every replica ... saturated")``).  Fixed
+    work, and both counts must be exactly zero.
+    """
+    ring = ShmRing(capacity=1 << 22)
+    producer = multiprocessing.get_context(START_METHOD).Process(
+        target=_stress_producer, args=(ring.name,), daemon=True
+    )
+    producer.start()
+    try:
+        errors = received = 0
+        refused_with_room = None
+        deadline = time.monotonic() + 120.0
+        while refused_with_room is None:
+            try:
+                payload = ring.peek()
+            except TransportError:
+                errors += 1
+                payload = None
+            if payload is None:
+                assert time.monotonic() < deadline, \
+                    f"producer stalled after {received} frames"
+                continue
+            value = int.from_bytes(payload[:8], "little")
+            payload.release()
+            if received < STRESS_FRAMES:
+                assert value == received
+            else:
+                refused_with_room = value
+            received += 1
+            assert ring.last_seq == received & 0xFFFFFFFF
+            ring.advance()
+        producer.join(timeout=30.0)
+        assert producer.exitcode == 0
+        assert errors == 0
+        assert refused_with_room == 0
+    finally:
+        if producer.is_alive():
+            producer.terminate()
+            producer.join(timeout=5.0)
         ring.close()
