@@ -106,7 +106,7 @@ plan-dump:
 profile:
 	$(PY) benchmarks/profile_serving.py
 
-# Three more modes of the same script.  device-call: one steady-state
+# Four more modes of the same script.  device-call: one steady-state
 # exact-path DarthPumDevice.exec_mvm_batch at the three paper shapes and an
 # 8-tile row band (128x16 on HctConfig.small()) -- untraced us and function
 # calls per call and per tile, and the time spent in the accumulator sync,
@@ -119,11 +119,17 @@ profile:
 # and calls per request, the same batches through the pool alone, the
 # server's share, pool frames per batch, and what an idle and a waiting tick
 # cost -- and the same 64 vectors through 64 submit() calls (the ingress a
-# wave record does not help).
+# wave record does not help).  cluster-wave: one 16-row cluster_saturate wave
+# through a scripted gateway and one worker's functions in one process, on
+# real rings, doorbells and heartbeat board -- us and sys.setprofile events
+# (Python + C calls) for gateway submit, the worker's turn (whole, outside its
+# tick loop, and split into peek / decode / copy+submit / drain / RESULTS
+# frame / advance+push / two beats) and gateway resolve.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 	$(PY) benchmarks/profile_serving.py pool-call
 	$(PY) benchmarks/profile_serving.py server-round
+	$(PY) benchmarks/profile_serving.py cluster-wave
 
 # The server-round rows followed by the cProfile listing (top-25 cumulative)
 # of the tick loop at 32 tenants x 64 bulk-admitted requests.

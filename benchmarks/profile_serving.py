@@ -30,6 +30,14 @@ what a tick costs when nothing is due, and a
 ingress a wave record cannot help.  With ``--profile`` it ends with the
 cProfile listing of the 32-tenant tick loop.
 
+The ``cluster-wave`` mode prices the tier above that: one 16-row wave of the
+layerbench ``cluster_saturate`` workload through a gateway and one worker
+that share this process (:class:`ClusterWaveTwin`: real shared-memory rings,
+doorbells and heartbeat board; no second process, no event-loop turn between
+the stages) -- untraced microseconds and ``sys.setprofile`` events (Python
+calls + C calls) for the gateway's submit, the worker's handling split into
+its seven stages, and the gateway's resolve.
+
 Usage::
 
     make profile
@@ -39,10 +47,12 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_serving.py device-call
     PYTHONPATH=src python benchmarks/profile_serving.py pool-call
     PYTHONPATH=src python benchmarks/profile_serving.py server-round [--profile]
+    PYTHONPATH=src python benchmarks/profile_serving.py cluster-wave
 """
 
 from __future__ import annotations
 
+import asyncio
 import cProfile
 import pstats
 import sys
@@ -91,6 +101,16 @@ POOL_CALL_SHAPES = {
 
 #: ``(tenants, ingress)`` of each ``server-round`` row.
 SERVER_ROUND_ROWS = ((1, "submit_batch"), (32, "submit_batch"), (1, "submit"))
+
+#: The layerbench ``cluster_saturate`` shapes: what each worker builds, what
+#: it holds (four 24x16 4-bit matrices) and the 16-row waves it answers.
+CLUSTER_WAVE_SPEC = dict(chip="small", num_hcts=12, noise=None, max_batch=16,
+                         max_wait_ticks=1, num_devices=1, queue_capacity=4096)
+CLUSTER_WAVE_MATRICES, CLUSTER_WAVE_SHAPE = 4, (24, 16)
+CLUSTER_WAVE_BITS, CLUSTER_WAVE_ROWS = 4, 16
+#: The worker's share of a wave, in the order ``worker_main`` spends it.
+WORKER_STAGES = ("peek", "decode", "copy_submit", "drain", "result_frame",
+                 "advance_push", "two_beats")
 
 
 def run_serving_workload(num_requests: int = 512) -> None:
@@ -378,7 +398,217 @@ def server_round_breakdown(profile: bool) -> None:
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
 
 
+class ClusterWaveTwin:
+    """A gateway and one ``cluster_saturate`` worker sharing this process.
+
+    The gateway is scripted the way ``tests/test_cluster.py`` scripts one
+    (started, worker 0 alive and holding every matrix) on real rings with
+    real doorbells; the worker is :func:`build_worker_server`'s server and
+    the functions ``worker_main`` calls.  ``submit`` / ``serve`` /
+    ``resolve`` move one wave one hop each, so each can be timed and
+    profiled alone.  Build it inside a running event loop (the gateway makes
+    asyncio futures) and ``close`` it there.
+    """
+
+    def __init__(self) -> None:
+        from repro.runtime.cluster import ClusterGateway, build_worker_server
+        from repro.runtime.cluster.gateway import RING_CAPACITY, _MatrixRecord
+        from repro.runtime.cluster.transport import Doorbell, HeartbeatBoard, ShmRing
+        from repro.runtime.cluster.worker import WorkerState
+
+        rng = np.random.default_rng(11)
+        half = 1 << (CLUSTER_WAVE_BITS - 1)
+        self.server = build_worker_server(CLUSTER_WAVE_SPEC)
+        self.state = WorkerState()
+        self.board = HeartbeatBoard(num_slots=1)
+        self.gateway = ClusterGateway(num_workers=1)
+        self.gateway._started = True
+        self.worker = worker = self.gateway._workers[0]
+        worker.alive = True
+        worker.requests = ShmRing(RING_CAPACITY, bell=Doorbell())
+        worker.replies = ShmRing(RING_CAPACITY, bell=Doorbell())
+        self.matrices = {}
+        for index in range(CLUSTER_WAVE_MATRICES):
+            name = f"m{index}"
+            self.matrices[name] = matrix = rng.integers(-half, half, size=CLUSTER_WAVE_SHAPE)
+            self.server.register_matrix(name, matrix, element_size=CLUSTER_WAVE_BITS,
+                                        input_bits=CLUSTER_WAVE_BITS)
+            worker.plan_handles[name] = self.server.plan_handle(name, CLUSTER_WAVE_BITS)
+            self.gateway._matrices[name] = _MatrixRecord(
+                fingerprint=(name,), matrix=matrix, element_size=CLUSTER_WAVE_BITS,
+                precision=0, input_bits=CLUSTER_WAVE_BITS, placement=[0],
+            )
+        self.vectors = rng.integers(
+            0, 1 << CLUSTER_WAVE_BITS, dtype=np.int64,
+            size=(CLUSTER_WAVE_ROWS, CLUSTER_WAVE_SHAPE[0]),
+        )
+        self.waves = 0
+
+    def beat(self) -> None:
+        self.board.beat(0)
+
+    def submit(self) -> list:
+        """Gateway: route, make the batch and its futures, encode, push.
+        Waves alternate over the matrices, as the workload's do."""
+        name = f"m{self.waves % CLUSTER_WAVE_MATRICES}"
+        self.waves += 1
+        call = self.gateway.submit_batch(name, self.vectors, input_bits=CLUSTER_WAVE_BITS)
+        try:  # it never suspends: drive it to its result in place
+            call.send(None)
+        except StopIteration as done:
+            return done.value
+        raise RuntimeError("submit_batch suspended")
+
+    def serve(self) -> None:
+        """Worker: one turn of ``worker_main``'s loop on the frame ``submit``
+        pushed."""
+        from repro.runtime.cluster.worker import _answer
+
+        requests = self.worker.requests
+        self.beat()
+        payload = requests.peek()
+        reply = _answer(self.server, payload, self.beat, self.state)
+        payload = None
+        requests.advance()
+        self.worker.replies.push(reply)
+
+    def serve_staged(self, stages: dict) -> None:
+        """The same turn taken apart the way ``_handle`` puts it together;
+        each stage's seconds are added to its :data:`WORKER_STAGES` entry."""
+        from repro.runtime.cluster.messages import decode_message
+        from repro.runtime.cluster.worker import _drain_batch, _result_frame
+
+        requests, clock = self.worker.requests, time.perf_counter
+        marks = [clock()]
+        payload = requests.peek()
+        marks.append(clock())
+        _, header, arrays = decode_message(payload)
+        marks.append(clock())
+        futures = self.server.submit_batch(
+            header["name"], np.array(arrays[0]), input_bits=header["input_bits"])
+        marks.append(clock())
+        _drain_batch(self.server, lambda: None)
+        marks.append(clock())
+        reply = _result_frame(self.server, header, futures)
+        marks.append(clock())
+        payload = arrays = None
+        requests.advance()
+        self.worker.replies.push(reply)
+        marks.append(clock())
+        self.beat()
+        self.beat()
+        marks.append(clock())
+        for stage, start, stop in zip(WORKER_STAGES, marks, marks[1:]):
+            stages[stage] = stages.get(stage, 0.0) + stop - start
+
+    def resolve(self) -> None:
+        """Gateway: the reply bell's callback -- decode, resolve the wave."""
+        self.gateway._on_bell(self.worker)
+
+    def wave(self) -> list:
+        """One whole wave; returns its resolved futures."""
+        futures = self.submit()
+        self.serve()
+        self.resolve()
+        return futures
+
+    def close(self) -> None:
+        self.worker.requests.close()
+        self.worker.replies.close()
+        self.board.close()
+
+
+def events_outside(events, frame: str) -> tuple:
+    """:func:`count_events` of the :func:`profiled_calls` events that are not
+    inside (or the entry of) a Python frame named ``frame``."""
+    nesting, kept = [], []
+    inside = 0
+    for event, name in events:
+        if event == "call":
+            nesting.append(name == frame)
+            inside += nesting[-1]
+        if not inside:
+            kept.append((event, name))
+        if event == "return" and nesting:
+            inside -= nesting.pop()
+    return count_events(kept)
+
+
+def cluster_wave_events(twin: ClusterWaveTwin) -> dict:
+    """``sys.setprofile`` events of one steady-state wave, per hop, as
+    ``(python_calls, c_calls)`` -- the worker's also without its tick loop --
+    and the ``names`` of every Python function entered on the way."""
+    futures = []
+    submit = profiled_calls(lambda: futures.extend(twin.submit()))
+    serve = profiled_calls(twin.serve)
+    resolve = profiled_calls(twin.resolve)
+    assert len(futures) == CLUSTER_WAVE_ROWS and all(future.done() for future in futures)
+    return {
+        "gateway_submit": count_events(submit),
+        "worker": count_events(serve),
+        "worker_outside_drain": events_outside(serve, "_drain_batch"),
+        "gateway_resolve": count_events(resolve),
+        "names": {name for event, name in submit + serve + resolve if event == "call"},
+    }
+
+
+def cluster_wave_breakdown(waves: int = 2000, repeats: int = 5) -> None:
+    """Print what one 16-row wave costs at each hop of the cluster."""
+
+    async def measure():
+        twin = ClusterWaveTwin()
+        try:
+            for _ in range(200):  # plans, receipts, arenas and table memos warm
+                assert all(future.result().ok for future in twin.wave())
+            hops = {"gateway_submit": [], "worker": [], "gateway_resolve": []}
+            stages = []
+            for _ in range(repeats):
+                seconds = dict.fromkeys(hops, 0.0)
+                for _ in range(waves):
+                    t0 = time.perf_counter()
+                    twin.submit()
+                    t1 = time.perf_counter()
+                    twin.serve()
+                    t2 = time.perf_counter()
+                    twin.resolve()
+                    t3 = time.perf_counter()
+                    for hop, spent in zip(hops, (t1 - t0, t2 - t1, t3 - t2)):
+                        seconds[hop] += spent
+                for hop in hops:
+                    hops[hop].append(seconds[hop] / waves * 1e6)
+                staged = {}
+                for _ in range(waves):
+                    twin.submit()
+                    twin.serve_staged(staged)
+                    twin.resolve()
+                stages.append({stage: staged[stage] / waves * 1e6 for stage in staged})
+            return ({hop: min(samples) for hop, samples in hops.items()},
+                    {stage: min(sample[stage] for sample in stages)
+                     for stage in WORKER_STAGES},
+                    cluster_wave_events(twin))
+        finally:
+            twin.close()
+
+    hops, stages, events = asyncio.run(measure())
+    print(f"# one {CLUSTER_WAVE_ROWS}-row wave at the cluster_saturate shapes, gateway "
+          f"and worker in one process on real rings and bells: us are untraced "
+          f"best-of-{repeats} means over {waves} waves;\n# calls are sys.setprofile "
+          "counts of one wave (python + c); the stage rows take the worker's turn "
+          "apart and are timed in a separate pass")
+    def row(*columns) -> None:
+        print("  ".join(f"{column:>22}" for column in columns))
+
+    row("hop", "us_per_wave", "py_calls", "c_calls")
+    for hop in ("gateway_submit", "worker", "worker_outside_drain", "gateway_resolve"):
+        row(hop, f"{hops[hop]:.1f}" if hop in hops else "-", *events[hop])
+    for stage in WORKER_STAGES:
+        row(f"worker.{stage}", f"{stages[stage]:.1f}", "", "")
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["cluster-wave"]:
+        cluster_wave_breakdown()
+        return
     if sys.argv[1:2] == ["device-call"]:
         device_call_breakdown()
         return

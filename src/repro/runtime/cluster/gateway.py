@@ -5,8 +5,10 @@ owns the worker processes (each a :mod:`worker
 <repro.runtime.cluster.worker>` running its own
 :class:`~repro.runtime.server.PumServer` shard), the shared-memory rings
 connecting them, and the client-facing ``submit`` / ``submit_batch``
-API, which hands back :class:`asyncio.Future` objects resolved by a
-background *response pump* as RESULTS frames arrive.
+API, which hands back :class:`asyncio.Future` objects resolved, a wave at
+a time, as RESULTS frames arrive: every reply ring has a doorbell the
+event loop watches (``loop.add_reader``), so a reply costs one wakeup and
+nothing in the gateway runs on a poll timer.
 
 Design points, mirroring the single-server stack one tier up:
 
@@ -62,7 +64,9 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import multiprocessing
+import struct
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -95,17 +99,14 @@ from .messages import (
     decode_message,
     encode_message,
 )
-from .transport import HeartbeatBoard, ShmRing
+from .transport import Doorbell, HeartbeatBoard, ShmRing
 from .worker import worker_main
 
 __all__ = ["ClusterGateway", "ClusterResponse", "GatewayStats"]
 
-#: Fixed transport and timing constants of the gateway (the worker loop's
-#: counterpart is :data:`repro.runtime.cluster.worker.POLL_INTERVAL`).
+#: Fixed transport and timing constants of the gateway.
 #: Byte capacity of every request/reply ring.
 RING_CAPACITY = 1 << 22
-#: Sleep of the response pump and the drain wait when nothing is pending.
-POLL_INTERVAL = 5e-4
 #: A worker whose heartbeat slot stays frozen this long is treated as dead.
 LIVENESS_TIMEOUT = 5.0
 #: Bound on every control round trip (ready, registered, drain, stop).
@@ -120,7 +121,7 @@ START_METHOD = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class ClusterResponse:
     """Terminal state of one gateway request (the cluster's Response)."""
 
@@ -173,7 +174,7 @@ class _PendingBatch:
     input_bits: int
     vectors: np.ndarray
     futures: List[asyncio.Future]
-    request_ids: List[int]
+    request_ids: Sequence[int]
     worker_id: int
     cost: float
     attempted: set = field(default_factory=set)
@@ -212,6 +213,9 @@ class _Worker:
         self.draining = False
         self.restarting = False
         self.inflight = 0
+        #: Set while ``inflight`` is zero (what :meth:`drain_worker` awaits).
+        self.drained = asyncio.Event()
+        self.drained.set()
         self.outstanding_cycles = 0.0
         self.pending: Dict[int, _PendingBatch] = {}
         self.plan_handles: Dict[str, PlanHandle] = {}
@@ -226,10 +230,14 @@ class _Worker:
         return self.alive and not self.draining
 
     def close_rings(self) -> None:
-        """Detach from (and unlink) both rings of the current process."""
+        """Stop watching the reply bell, then detach from (and unlink) both
+        rings of the current process, bells included."""
+        if self.replies is not None:
+            asyncio.get_running_loop().remove_reader(self.replies.bell)
         for ring in (self.requests, self.replies):
             if ring is not None:
                 ring.close()
+        self.requests = self.replies = None
 
 
 class ClusterGateway:
@@ -244,7 +252,8 @@ class ClusterGateway:
 
     Construction only records configuration; :meth:`start` (or entering
     the context) creates the shared-memory transport, spawns the worker
-    processes, and launches the response-pump and health-monitor tasks.
+    processes, watches their reply doorbells and launches the health-monitor
+    task.
 
     The keywords configure, in order: the worker fleet and the server each
     worker builds (``num_workers`` .. ``queue_capacity``), admission
@@ -253,7 +262,7 @@ class ClusterGateway:
     ``max_attempts``), circuit breakers (``breaker_threshold``,
     ``breaker_cooldown``), supervised restart (``auto_restart``,
     ``restart_budget``, ``restart_window``) and fault injection
-    (``transport_faults``).  Ring size, poll sleep, liveness and control
+    (``transport_faults``).  Ring size, liveness and control
     timeouts, hedge jitter, the breaker cooldown cap and the process start
     method are the module constants above, not options; neither are each
     worker pool's execution backend, placement policy and ABFT mode, which
@@ -343,8 +352,8 @@ class ClusterGateway:
         self._matrices: Dict[str, _MatrixRecord] = {}
         self._control: Dict[Tuple, asyncio.Future] = {}
         self._board: Optional[HeartbeatBoard] = None
-        #: Background tasks, the response pump first (it is the last one
-        #: :meth:`close` cancels).
+        #: Background tasks: health, then watchdog and supervisor when
+        #: configured.  Replies need none -- see :meth:`_on_bell`.
         self._tasks: List[asyncio.Task] = []
         #: Admitted batches with no routable target right now; the
         #: watchdog re-tries them until a replica heals or they expire.
@@ -363,7 +372,7 @@ class ClusterGateway:
             return self
         self._started = True
         self._board = HeartbeatBoard(num_slots=self.num_workers, create=True)
-        loops = [self._pump(), self._health()]
+        loops = [self._health()]
         if self.batch_timeout is not None:
             loops.append(self._watchdog())
         if self.auto_restart:
@@ -382,14 +391,20 @@ class ClusterGateway:
 
     async def _spawn(self, worker: _Worker) -> None:
         """Create fresh rings for ``worker``, launch its process, await READY."""
-        worker.requests = ShmRing(capacity=RING_CAPACITY, create=True)
-        worker.replies = ShmRing(capacity=RING_CAPACITY, create=True)
+        worker.requests = ShmRing(RING_CAPACITY, create=True, bell=Doorbell())
+        worker.replies = ShmRing(RING_CAPACITY, create=True, bell=Doorbell())
+        asyncio.get_running_loop().add_reader(worker.replies.bell, self._on_bell, worker)
         spec = dict(self._spec_base)
         spec.update(
             worker_id=worker.worker_id,
             request_ring=worker.requests.name,
             response_ring=worker.replies.name,
+            request_bell=worker.requests.bell,
+            response_bell=worker.replies.bell,
             board=self._board.name,
+            # An idle worker beats this often: as often as health looks, and
+            # never so rarely that a long check period reads as a frozen slot.
+            heartbeat_interval=min(self.heartbeat_interval, LIVENESS_TIMEOUT / 4),
         )
         if self.transport_faults is not None:
             # Request-direction faults are injected here (this process is
@@ -412,7 +427,7 @@ class ClusterGateway:
         if self._closed:
             return
         self._closed = True
-        for task in self._tasks[1:]:
+        for task in self._tasks:
             task.cancel()
         for worker in self._workers:
             if worker.alive and worker.requests is not None:
@@ -427,16 +442,14 @@ class ClusterGateway:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        # The pump goes last, it had the workers' last replies to carry (the
-        # others were cancelled above; again is a no-op).  Await them all so
-        # their frames (and any ring views held in locals) are torn down
-        # before the segments close.
-        for task in self._tasks:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+            if not process.is_alive():
+                # Its sentinel pipe goes now, not when a collector gets here.
+                process.close()
+                worker.process = None
+        # Await the tasks so their frames are torn down before the segments
+        # close -- whatever one of them died of: rings, bells and the board
+        # below are released regardless.
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         for batch in self._parked:
             self._resolve_batch_failed(
                 batch, "gateway closed with requests parked"
@@ -642,13 +655,14 @@ class ClusterGateway:
                     input_bits: int) -> _PendingBatch:
         loop = asyncio.get_running_loop()
         n = vectors.shape[0]
-        request_ids = list(range(self._next_request, self._next_request + n))
+        request_ids = range(self._next_request, self._next_request + n)
         self._next_request += n
         batch_id = self._next_batch
         self._next_batch += 1
         return _PendingBatch(
             batch_id=batch_id, name=name, input_bits=input_bits,
-            vectors=vectors, futures=[loop.create_future() for _ in range(n)],
+            vectors=vectors,
+            futures=[asyncio.Future(loop=loop) for _ in request_ids],
             request_ids=request_ids, worker_id=-1,
             cost=self.plan_handle(name).predicted_cycles(n),
         )
@@ -670,6 +684,7 @@ class ClusterGateway:
         worker.pending[batch.batch_id] = batch
         worker.breaker.record_dispatch()
         worker.inflight += n
+        worker.drained.clear()
         worker.outstanding_cycles += batch.cost
         self.stats.submitted += n
         self.stats.batches += 1
@@ -680,49 +695,51 @@ class ClusterGateway:
 
         Each attempt gets exponentially more headroom (``hedge_backoff``)
         so a hedge storm cannot outrun a merely-busy cluster, plus a
-        deterministic jitter derived from ``(batch_id, attempt)`` that
-        de-synchronizes expiries without sacrificing reproducibility.
+        seeded jitter -- a hash of ``(batch_id, attempt)`` scaled into
+        ``[0, 1)`` -- that de-synchronizes expiries without sacrificing
+        reproducibility.
         """
         if self.batch_timeout is None:
             return None
         timeout = self.batch_timeout * self.hedge_backoff ** (batch.attempts - 1)
-        spread = float(np.random.default_rng(np.random.SeedSequence(
-            [batch.batch_id, batch.attempts]
-        )).random())
+        spread = zlib.crc32(
+            struct.pack("<qq", batch.batch_id, batch.attempts)
+        ) / 2**32
         return time.monotonic() + timeout * (1.0 + HEDGE_JITTER * spread)
 
     # ------------------------------------------------------------------ #
-    # Response pump                                                        #
+    # Replies                                                              #
     # ------------------------------------------------------------------ #
-    async def _pump(self) -> None:
-        """Drain every worker's reply ring, resolving futures."""
+    def _on_bell(self, worker: _Worker) -> None:
+        """Reader callback of ``worker``'s reply bell: resolve every reply
+        its ring holds.
+
+        Clear the bell, *then* drain until the ring is empty -- the
+        consumer's half of :class:`~repro.runtime.cluster.transport.Doorbell`'s
+        no-lost-wakeup order.  Nothing a frame holds may escape (the loop
+        would carry on, but the frames behind it would wait for the next
+        ring): a frame that fails its CRC, its codec or its handler is
+        counted, reported to the loop's exception handler when it is not a
+        transport fault, and stepped past.
+        """
+        ring = worker.replies
+        ring.bell.clear()
         while True:
-            progressed = False
-            for worker in self._workers:
-                if worker.replies is None:
-                    continue
-                try:
-                    payload = worker.replies.peek()
-                except TransportError:
-                    self.stats.transport_errors += 1
-                    continue
+            try:
+                payload = ring.peek()
                 if payload is None:
-                    continue
-                progressed = True
-                try:
-                    kind, header, arrays = decode_message(payload)
-                    self._on_reply(worker, kind, header, arrays)
-                except TransportError:
-                    self.stats.transport_errors += 1
-                finally:
-                    worker.replies.advance()
-                    # Drop the frame views so a ring closed later (e.g. by
-                    # restart_worker) has no exported pointers left.
-                    payload = arrays = None
-            if progressed:
-                await asyncio.sleep(0)
-            else:
-                await asyncio.sleep(POLL_INTERVAL)
+                    # The frame views die with this call, so a ring closed
+                    # later (restart_worker) has no exported pointers left.
+                    return
+                self._on_reply(worker, *decode_message(payload))
+            except Exception as exc:
+                self.stats.transport_errors += 1
+                if not isinstance(exc, TransportError):
+                    asyncio.get_running_loop().call_exception_handler({
+                        "message": f"unhandled reply from worker {worker.worker_id}",
+                        "exception": exc,
+                    })
+            ring.advance()
 
     def _on_reply(self, worker: _Worker, kind: int, header: Dict[str, Any],
                   arrays: Sequence[np.ndarray]) -> None:
@@ -778,37 +795,53 @@ class ClusterGateway:
             # so nothing ever resolves twice.
             self.stats.duplicate_replies += 1
             return
+        self._release_window(worker, batch)
+        n = len(batch.futures)
+        errors = header.get("errors") or {}
+        shapes = [array.shape for array in arrays]
+        if [shape[:1] for shape in shapes] != [(n,)] * 4 \
+                or list(map(len, shapes)) != [1, 2, 1, 1] \
+                or not isinstance(errors, dict):
+            # CRC-valid, but not a RESULTS frame for this batch: fail the
+            # batch before any future is touched, not the reader.
+            self.stats.transport_errors += 1
+            self._resolve_batch_failed(batch, (
+                f"malformed RESULTS frame from worker {worker.worker_id}: "
+                f"arrays {shapes} for {n} requests"
+            ))
+            return
         statuses, results, latency, energy = arrays
         # The views die with the frame; one copy of the result matrix
-        # outlives it and every row below is a view of that copy.
+        # outlives it and every result row is a view of that copy.
         results = np.array(results)
-        errors = header.get("errors", {})
-        self._release_window(worker, batch)
-        for index, future in enumerate(batch.futures):
-            status = STATUS_NAMES.get(int(statuses[index]), "failed")
-            response = ClusterResponse(
-                request_id=batch.request_ids[index],
-                name=batch.name,
-                status=status,
-                result=results[index] if status == "completed" else None,
-                latency_ticks=int(latency[index]),
-                energy_pj=float(energy[index]),
-                worker_id=worker.worker_id,
-                error=errors.get(str(index)),
-            )
+        if errors or statuses.any():
+            names = [STATUS_NAMES.get(code, "failed") for code in statuses.tolist()]
+            results = [row if status == "completed" else None
+                       for row, status in zip(results, names)]
+            texts = [errors.get(str(index)) for index in range(n)]
+        else:
+            # The steady state: nothing to decode per row.
+            names, texts = ("completed",) * n, (None,) * n
+        name, worker_id = batch.name, worker.worker_id
+        for future, request_id, status, result, ticks, energy_pj, error in zip(
+                batch.futures, batch.request_ids, names, results,
+                latency.tolist(), energy.tolist(), texts):
             if not future.done():
-                future.set_result(response)
-            if status == "completed":
-                self.stats.completed += 1
-            elif status == "shed":
-                self.stats.shed += 1
-            else:
-                self.stats.failed += 1
+                future.set_result(ClusterResponse(
+                    request_id, name, status, result, ticks, energy_pj,
+                    worker_id, error,
+                ))
+        completed, shed = names.count("completed"), names.count("shed")
+        self.stats.completed += completed
+        self.stats.shed += shed
+        self.stats.failed += n - completed - shed
         worker.health.record_ok()
         worker.breaker.record_success()
 
     def _release_window(self, worker: _Worker, batch: _PendingBatch) -> None:
         worker.inflight = max(0, worker.inflight - batch.vectors.shape[0])
+        if not worker.inflight:
+            worker.drained.set()
         worker.outstanding_cycles = max(
             0.0, worker.outstanding_cycles - batch.cost
         )
@@ -899,6 +932,7 @@ class ClusterGateway:
         stranded = list(worker.pending.values())
         worker.pending.clear()
         worker.inflight = 0
+        worker.drained.set()
         worker.outstanding_cycles = 0.0
         for batch in stranded:
             batch.attempted.add(worker.worker_id)
@@ -1012,14 +1046,15 @@ class ClusterGateway:
         self._require_running()
         worker = self._workers[worker_id]
         worker.draining = True
-        deadline = time.monotonic() + CONTROL_TIMEOUT
-        while worker.inflight and worker.alive:
-            if time.monotonic() > deadline:
-                raise ClusterError(
-                    f"worker {worker_id} failed to drain within "
-                    f"{CONTROL_TIMEOUT}s ({worker.inflight} inflight)"
-                )
-            await asyncio.sleep(POLL_INTERVAL)
+        try:
+            # Set by whatever empties the window: the last RESULTS, a timeout,
+            # or the worker's failure (which re-homes what it held).
+            await asyncio.wait_for(worker.drained.wait(), CONTROL_TIMEOUT)
+        except asyncio.TimeoutError:
+            raise ClusterError(
+                f"worker {worker_id} failed to drain within "
+                f"{CONTROL_TIMEOUT}s ({worker.inflight} inflight)"
+            ) from None
         if not worker.alive:
             return {}
         return await self._call(
@@ -1118,7 +1153,8 @@ class ClusterGateway:
 
     async def _call(self, worker: _Worker, key: Tuple,
                     frame: Optional[Sequence], what: str) -> Any:
-        """One control round trip: the reply the pump files under ``key``.
+        """One control round trip: the reply :meth:`_on_reply` files under
+        ``key``.
 
         Pushes ``frame`` onto the worker's request ring (``None`` after a
         spawn: the process start was the request) and waits at most

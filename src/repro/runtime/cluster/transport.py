@@ -37,11 +37,22 @@ never wedges the channel.
 Frames never wrap: a frame that does not fit contiguously before the end
 of the ring is preceded by a wrap marker and written at offset zero,
 which is what lets ``peek`` hand out one contiguous view per frame.
+
+Nothing here runs on a timer.  A ring may carry a :class:`Doorbell` -- a
+pipe the producer writes one byte into after each commit -- and its
+consumer blocks on that (the worker in :meth:`Doorbell.wait`, the gateway's
+event loop through ``add_reader``) instead of polling ``peek``.  The array
+codec is likewise paid once per *shape*, not once per frame: the dtype/shape
+table entry of an array is memoised by ``(dtype, shape)`` on the way out and
+a whole table's parse by its bytes on the way in, while the check that every
+array fits its frame, and the CRC over every payload byte, run on each frame.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import struct
 import time
 import zlib
@@ -54,10 +65,13 @@ import numpy as np
 from ...errors import TransportError
 
 __all__ = [
+    "Doorbell",
     "HeartbeatBoard",
     "ShmRing",
     "decode_array",
+    "decode_arrays",
     "encode_array",
+    "encode_arrays",
 ]
 
 #: Control region (one cache line).  Its first four native 64-bit words are
@@ -72,24 +86,97 @@ _FRAME = struct.Struct("<III")
 #: ``length`` sentinel marking "frame starts at offset 0" (wrap marker).
 _WRAP = 0xFFFFFFFF
 
-#: Array codec prefix: dtype-string length, ndim; then the dtype string and
-#: one little-endian uint64 per dimension.
+#: Array table entry prefix: dtype-string length, ndim; then the dtype string
+#: and one little-endian uint64 per dimension.
 _ARRAY = struct.Struct("<BB")
 
 
 # --------------------------------------------------------------------- #
 # ndarray codec                                                           #
 # --------------------------------------------------------------------- #
-def encode_array(array: np.ndarray) -> List[bytes]:
-    """Encode ``array`` as raw buffers ready for :meth:`ShmRing.push`.
+@lru_cache(maxsize=256)
+def _table_entry(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """The table entry of one ``(dtype, shape)`` (a serving cluster sends a
+    handful; packing one costs more than copying a small array)."""
+    if dtype.hasobject:
+        raise TransportError(f"cannot transport object-dtype array ({dtype})")
+    # NumPy bounds both counts (a dtype string is a few characters, ndim at
+    # most 64) far below the one byte each gets.
+    name = dtype.str.encode("ascii")
+    return struct.pack(
+        f"<BB{len(name)}s{len(shape)}Q", len(name), len(shape), name, *shape
+    )
 
-    The returned list is ``[header, data]``: a compact dtype/shape header
-    followed by the array's own C-contiguous bytes (a memoryview of the
-    caller's buffer when it is already contiguous -- pushing writes it
-    straight into shared memory with no intermediate copy).  Every
+
+def encode_arrays(arrays: Sequence[np.ndarray]) -> Tuple[bytes, List[memoryview]]:
+    """Encode ``arrays`` as ``(table, buffers)`` for :meth:`ShmRing.push`.
+
+    ``table`` is one dtype/shape entry per array, back to back; ``buffers``
+    are the arrays' own C-contiguous bytes in the same order (memoryviews of
+    the caller's buffers when they are already contiguous -- pushing writes
+    them straight into shared memory with no intermediate copy).  Every
     fixed-width dtype NumPy can describe round-trips (the planner emits
-    ``int64`` on the serving path, but the suite pins the full set);
-    object dtypes cannot cross a process boundary and are rejected.
+    ``int64`` on the serving path, but the suite pins the full set); object
+    dtypes cannot cross a process boundary and are rejected.
+    """
+    table, buffers = [], []
+    for array in arrays:
+        array = np.asarray(array, order="C")
+        table.append(_table_entry(array.dtype, array.shape))
+        # An empty multi-dimensional array has no castable buffer.
+        buffers.append(memoryview(array).cast("B") if array.size else b"")
+    return b"".join(table), buffers
+
+
+@lru_cache(maxsize=256)
+def _parse_table(table: bytes, count: int) -> Tuple[Tuple, ...]:
+    """``(dtype, shape, nbytes)`` of the ``count`` entries ``table`` starts
+    with.  A malformed table raises (and is not remembered)."""
+    entries, offset = [], 0
+    for _ in range(count):
+        dtype_len, ndim = _ARRAY.unpack_from(table, offset)
+        shape_at = offset + _ARRAY.size + dtype_len
+        dtype = np.dtype(table[offset + _ARRAY.size: shape_at].decode("ascii"))
+        shape = struct.unpack_from(f"<{ndim}Q", table, shape_at)
+        offset = shape_at + 8 * ndim
+        # Exact Python integers: a forged dimension cannot wrap the product
+        # back into the frame.
+        entries.append((dtype, shape, math.prod(shape) * dtype.itemsize))
+    return tuple(entries)
+
+
+def decode_arrays(payload: memoryview, table: bytes, count: int,
+                  offset: int) -> Tuple[List[np.ndarray], int]:
+    """Decode the ``count`` arrays ``table`` describes from ``payload`` at
+    ``offset``; returns ``(arrays, next_offset)``.
+
+    The arrays are *views* of ``payload`` (zero-copy): callers that hold one
+    past the frame's lifetime -- e.g. past :meth:`ShmRing.advance` -- must
+    copy it first.  The table is parsed once per distinct table; the check
+    that every array fits the frame runs on every decode.
+    """
+    arrays = []
+    try:
+        for dtype, shape, nbytes in _parse_table(table, count):
+            if nbytes > len(payload) - offset:
+                raise ValueError(
+                    f"shape {shape} of {dtype} needs {nbytes} bytes, "
+                    f"{len(payload) - offset} left in the frame"
+                )
+            # frombuffer refuses what cannot be a view: object dtypes, items
+            # of no size, dimensions past the address space.
+            arrays.append(np.frombuffer(
+                payload[offset: offset + nbytes], dtype=dtype
+            ).reshape(shape))
+            offset += nbytes
+    except (struct.error, TypeError, ValueError, SyntaxError) as exc:
+        # ``np.dtype`` raises all of the last three on a string it cannot parse.
+        raise TransportError(f"malformed array frame: {exc}") from exc
+    return arrays, offset
+
+
+def encode_array(array: np.ndarray) -> List[bytes]:
+    """One array as ``[table entry, data]``: :func:`encode_arrays` of one.
 
     >>> import numpy as np
     >>> parts = encode_array(np.arange(6, dtype=np.int16).reshape(2, 3))
@@ -98,60 +185,77 @@ def encode_array(array: np.ndarray) -> List[bytes]:
     array([[0, 1, 2],
            [3, 4, 5]], dtype=int16)
     """
-    array = np.asarray(array)
-    if array.dtype.hasobject:
-        raise TransportError(
-            f"cannot transport object-dtype array ({array.dtype})"
-        )
-    array = np.ascontiguousarray(array)
-    dtype_str = array.dtype.str.encode("ascii")
-    if len(dtype_str) > 255 or array.ndim > 255:
-        raise TransportError(
-            f"array header out of range (dtype {array.dtype}, "
-            f"ndim {array.ndim})"
-        )
-    header = struct.pack(
-        f"<BB{len(dtype_str)}s{array.ndim}Q",
-        len(dtype_str), array.ndim, dtype_str, *array.shape,
-    )
-    return [header, memoryview(array).cast("B")]
-
-
-@lru_cache(maxsize=64)
-def _wire_dtype(name: bytes) -> np.dtype:
-    """The dtype a header's dtype string names (a serving cluster sees a
-    handful; parsing one costs more than the rest of the header)."""
-    return np.dtype(name.decode("ascii"))
+    table, buffers = encode_arrays([array])
+    return [table, *buffers]
 
 
 def decode_array(payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
-    """Decode one array from ``payload`` at ``offset``.
+    """Decode one ``[table entry, data]`` array from ``payload`` at ``offset``.
 
-    Returns ``(array, next_offset)``.  The array is a *view* of
-    ``payload`` (zero-copy): callers that hold it past the frame's
-    lifetime -- e.g. past :meth:`ShmRing.advance` -- must copy it first.
+    Returns ``(array, next_offset)``; the array is a view of ``payload``.
     """
     try:
         dtype_len, ndim = _ARRAY.unpack_from(payload, offset)
-        offset += _ARRAY.size
-        dtype = _wire_dtype(bytes(payload[offset: offset + dtype_len]))
-        offset += dtype_len
-        shape = struct.unpack_from(f"<{ndim}Q", payload, offset)
-        offset += 8 * ndim
-        # Exact Python integers: a forged dimension cannot wrap the product
-        # back into the frame.
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes > len(payload) - offset:
-            raise ValueError(
-                f"shape {shape} of {dtype} needs {nbytes} bytes, "
-                f"{len(payload) - offset} left in the frame"
-            )
-        array = np.frombuffer(
-            payload[offset: offset + nbytes], dtype=dtype
-        ).reshape(shape)
-    except (struct.error, TypeError, ValueError) as exc:
+    except struct.error as exc:
         raise TransportError(f"malformed array frame: {exc}") from exc
-    return array, offset + nbytes
+    data = offset + _ARRAY.size + dtype_len + 8 * ndim
+    arrays, end = decode_arrays(payload, bytes(payload[offset:data]), 1, data)
+    return arrays[0], end
+
+
+# --------------------------------------------------------------------- #
+# Doorbell                                                                #
+# --------------------------------------------------------------------- #
+class Doorbell:
+    """The wakeup of one ring direction: a pipe the producer writes a byte
+    into after committing a frame and the consumer blocks on.
+
+    Both ends are :func:`multiprocessing.Pipe` connections, so a bell inside
+    a worker's spawn spec reaches the child under ``fork`` and ``spawn``
+    alike, and both are non-blocking: a full pipe already holds 64 KiB of
+    rings the consumer has yet to hear, so one more is dropped, not waited
+    for.  No wakeup is lost as long as each side keeps its order -- the
+    producer commits, *then* rings; the consumer clears the bell, *then*
+    drains the ring until it is empty -- because a frame committed after the
+    consumer found the ring empty is followed by a ring the consumer has not
+    cleared yet.
+    """
+
+    def __init__(self) -> None:
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        for end in (self._reader, self._writer):
+            os.set_blocking(end.fileno(), False)
+
+    def fileno(self) -> int:
+        """The descriptor that turns readable when the bell rings (what a
+        selector or ``loop.add_reader`` watches)."""
+        return self._reader.fileno()
+
+    def ring(self) -> None:
+        """Wake the consumer (producer side; after the frame is committed)."""
+        try:
+            os.write(self._writer.fileno(), b"\0")
+        except BlockingIOError:
+            pass
+
+    def clear(self) -> None:
+        """Silence the bell (consumer side; before draining the ring)."""
+        try:
+            os.read(self._reader.fileno(), 1 << 16)
+        except BlockingIOError:
+            pass
+
+    def wait(self, timeout: float) -> bool:
+        """Block until the bell rings, then clear it; ``False`` when
+        ``timeout`` seconds pass in silence."""
+        rung = self._reader.poll(timeout)
+        self.clear()
+        return rung
+
+    def close(self) -> None:
+        """Close both ends held by this process."""
+        self._reader.close()
+        self._writer.close()
 
 
 # --------------------------------------------------------------------- #
@@ -172,6 +276,7 @@ class ShmRing:
         capacity: int = 1 << 22,
         name: Optional[str] = None,
         create: bool = True,
+        bell: Optional[Doorbell] = None,
     ) -> None:
         if create:
             if capacity < 4 * _FRAME.size:
@@ -199,6 +304,9 @@ class ShmRing:
         self.capacity = self._ctrl[3]
         self._owner = create
         self._data = self.shm.buf[_CTRL_SIZE: _CTRL_SIZE + self.capacity]
+        #: Rung by :meth:`push_frame` after every commit and closed with the
+        #: ring; ``None`` leaves the consumer to poll (tests, probes).
+        self.bell = bell
         #: Producer-seam hook: when set, :meth:`push` routes every frame
         #: through ``fault_injector.on_push`` instead of writing directly
         #: (see :mod:`repro.runtime.cluster.faults`).  ``None`` -- the
@@ -312,6 +420,9 @@ class ShmRing:
         if damage is not None:
             damage(self._data, position + _FRAME.size, length)
         self._write_head(head + _FRAME.size + length, seq + 1)
+        # Commit, then ring -- never the other way round (see Doorbell).
+        if self.bell is not None:
+            self.bell.ring()
         return True
 
     # -- consumer side ---------------------------------------------------
@@ -324,7 +435,9 @@ class ShmRing:
         that died mid-``push``, or outright corruption -- raises
         :class:`~repro.errors.TransportError` *after* stepping past the
         frame, so the channel recovers by dropping exactly the bad
-        message.
+        message; a frame whose length field runs past the committed bytes
+        takes everything committed with it.  Either way the next call makes
+        progress: a consumer may loop on ``peek`` until it returns ``None``.
         """
         while True:
             head, tail, _ = self._read_ctrl()
@@ -340,8 +453,10 @@ class ShmRing:
                 self._write_tail(tail + contiguous)
                 continue
             if _FRAME.size + length > head - tail:
-                # Header bytes ahead of the committed head: the producer
-                # died mid-write and the commit never happened.
+                # A length that runs past the committed head is damage, and
+                # nothing says where the next frame starts: drop what is
+                # committed rather than report the same frame for ever.
+                self._write_tail(head)
                 raise TransportError(
                     f"truncated frame at ring offset {position} "
                     f"(length {length}, committed bytes {head - tail})"
@@ -378,7 +493,10 @@ class ShmRing:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Detach from the segment (unlinks it too when this side owns it)."""
+        """Detach from the segment (unlinks it too when this side owns it)
+        and close this process's ends of the bell."""
+        if self.bell is not None:
+            self.bell.close()
         views, self._data, self._ctrl = (self._data, self._ctrl), None, None
         for view in views:
             if view is not None:

@@ -12,11 +12,13 @@ those slices scale.
 :class:`~repro.runtime.cluster.transport.ShmRing` segments the gateway
 created (requests in, replies out) plus the heartbeat board, builds the
 server described by its spec, announces ``READY``, and then runs a
-command loop -- beat the heartbeat, pop one message, execute, reply.
-Request vectors are decoded as zero-copy views of the request ring and
-flow straight into ``submit_batch`` (whose bulk admission copy is the
-single copy the data ever takes on this side); result matrices are
-written directly into the response ring.
+command loop -- beat the heartbeat, pop one message, execute, reply --
+that *blocks on the request ring's doorbell* when the ring is empty, with
+the heartbeat period as the only timeout: an idle worker wakes to beat,
+not to poll.  Request vectors are decoded as zero-copy views of the
+request ring and flow straight into ``submit_batch`` (whose bulk admission
+copy is the single copy the data ever takes on this side); result matrices
+are written directly into the response ring, one frame per wave.
 
 The loop is deliberately synchronous per message: a ``SUBMIT`` runs the
 batch to completion (``run_until_idle``) before its ``RESULTS`` frame is
@@ -53,6 +55,7 @@ from .messages import (
     K_STRAGGLE,
     K_SUBMIT,
     STATUS_CODES,
+    batch_of,
     decode_message,
     encode_message,
 )
@@ -66,10 +69,10 @@ __all__ = ["WorkerState", "build_worker_server", "worker_main"]
 #: generous without letting result matrices accumulate.
 REPLY_CACHE_FRAMES = 64
 
-#: Idle-poll sleep of the command loop (seconds).  Small enough to stay
-#: invisible next to millisecond batches, large enough not to spin a
-#: core while the gateway has nothing queued.
-POLL_INTERVAL = 2e-4
+#: Back-off between tries of the two cold spins left in a worker -- a reply
+#: ring the gateway has let fill up, and the STRAGGLE chaos sleep -- both of
+#: which beat the heartbeat on every turn.  Nothing idle waits on it.
+SPIN_BACKOFF = 2e-4
 
 _NOISE_PRESETS = {
     None: lambda: None,
@@ -130,37 +133,37 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
 
 def _result_frame(server: PumServer, header: Dict[str, Any],
                   futures: List) -> List[bytes]:
-    """Assemble the RESULTS frame for a completed batch, in row order."""
-    n = len(futures)
-    statuses = np.zeros(n, dtype=np.uint8)
-    latency = np.zeros(n, dtype=np.int64)
-    energy = np.zeros(n, dtype=np.float64)
-    rows: List[np.ndarray] = []
-    errors: Dict[str, str] = {}
-    cols = 0
-    for index, future in enumerate(futures):
-        response = future.result(timeout=0)
-        statuses[index] = STATUS_CODES.get(response.status, STATUS_CODES["failed"])
-        latency[index] = response.completion_tick - response.arrival_tick
-        energy[index] = response.energy_pj
-        if response.result is not None:
-            row = np.asarray(response.result, dtype=np.int64)
-            cols = max(cols, row.shape[0])
-            rows.append(row)
-        else:
-            rows.append(None)  # type: ignore[arg-type]
-            if response.error:
-                errors[str(index)] = str(response.error)
-    results = np.zeros((n, cols), dtype=np.int64)
-    for index, row in enumerate(rows):
-        if row is not None:
-            results[index, : row.shape[0]] = row
-    reply = {"batch": header.get("batch"), "name": header.get("name")}
-    if errors:
-        reply["errors"] = errors
-    return encode_message(
-        K_RESULTS, reply, [statuses, results, latency, energy]
+    """Assemble the RESULTS frame for a completed batch, in row order: one
+    pass over the responses and one NumPy call per array."""
+    responses = [future.result(timeout=0) for future in futures]
+    n = len(responses)
+    statuses = np.array(
+        [STATUS_CODES.get(r.status, STATUS_CODES["failed"]) for r in responses],
+        dtype=np.uint8,
     )
+    latency = np.array(
+        [r.completion_tick - r.arrival_tick for r in responses], dtype=np.int64
+    )
+    energy = np.array([r.energy_pj for r in responses], dtype=np.float64)
+    reply = {"batch": header.get("batch"), "name": header.get("name")}
+    if not statuses.any():
+        # The steady state: every row completed, all of one matrix's width.
+        results = np.concatenate(
+            [r.result for r in responses], dtype=np.int64
+        ).reshape(n, -1)
+    else:
+        rows = [None if r.result is None else np.asarray(r.result, dtype=np.int64)
+                for r in responses]
+        cols = max((row.shape[0] for row in rows if row is not None), default=0)
+        results = np.zeros((n, cols), dtype=np.int64)
+        for index, row in enumerate(rows):
+            if row is not None:
+                results[index, : row.shape[0]] = row
+        errors = {str(index): str(r.error) for index, r in enumerate(responses)
+                  if r.result is None and r.error}
+        if errors:
+            reply["errors"] = errors
+    return encode_message(K_RESULTS, reply, [statuses, results, latency, energy])
 
 
 class WorkerState:
@@ -235,13 +238,14 @@ def _handle(server: PumServer, kind: int, header: Dict[str, Any],
             deadline = time.monotonic() + state.straggle_seconds
             while time.monotonic() < deadline:
                 beat()
-                time.sleep(POLL_INTERVAL)
-        name = header["name"]
+                time.sleep(SPIN_BACKOFF)
         # The one copy this side of the boundary: admitted vectors alias
         # the array handed to submit_batch, which must outlive the ring
         # frame -- so lift the payload out of shared memory here.
+        # A header that names no matrix is refused by the server like any
+        # unregistered name: typed, and answered with the batch id.
         futures = server.submit_batch(
-            name, np.array(arrays[0]),
+            header.get("name"), np.array(arrays[0]),
             input_bits=int(header.get("input_bits", 8)),
         )
         _drain_batch(server, beat)
@@ -284,19 +288,47 @@ def _handle(server: PumServer, kind: int, header: Dict[str, Any],
     raise TransportError(f"unknown message kind {kind}")
 
 
+def _answer(server: PumServer, payload: memoryview,
+            beat: Callable[[], None], state: WorkerState) -> List[bytes]:
+    """The reply to one request frame (``[]`` for STOP).
+
+    A bad message fails *that message*, never the worker: the loop stays up
+    and the ERROR reply names the batch whenever the frame's prefix decoded,
+    so the gateway can resolve its riders whatever else was wrong with it.
+    """
+    header: Dict[str, Any] = {}
+    try:
+        kind, header, arrays = decode_message(payload)
+        return _handle(server, kind, header, arrays, beat=beat, state=state)
+    except Exception as exc:
+        error = {
+            "error": f"{type(exc).__name__}: {exc}",
+            "batch": header.get("batch", batch_of(payload)),
+            "name": header.get("name"),
+        }
+        if not isinstance(exc, ReproError):
+            error["trace"] = traceback.format_exc(limit=4)
+        return encode_message(K_ERROR, error)
+
+
 def worker_main(spec: Dict[str, Any]) -> None:
     """Process entry point: serve the command loop until STOP.
 
     ``spec`` carries the transport attachment points (``request_ring``,
-    ``response_ring``, ``board`` segment names, ``worker_id`` selecting
-    the heartbeat slot) alongside the server parameters of
-    :func:`build_worker_server` and, under a chaos campaign, the
-    gateway's :class:`~repro.runtime.cluster.faults.TransportFaultSpec`
-    itself (``transport_faults``).
+    ``response_ring``, ``board`` segment names, the ``request_bell`` /
+    ``response_bell`` :class:`~repro.runtime.cluster.transport.Doorbell`
+    of each ring, ``worker_id`` selecting the heartbeat slot and
+    ``heartbeat_interval``, the longest an idle worker goes without a beat)
+    alongside the server parameters of :func:`build_worker_server` and,
+    under a chaos campaign, the gateway's
+    :class:`~repro.runtime.cluster.faults.TransportFaultSpec` itself
+    (``transport_faults``).
     """
     worker_id = int(spec["worker_id"])
-    requests = ShmRing(name=spec["request_ring"], create=False)
-    replies = ShmRing(name=spec["response_ring"], create=False)
+    requests = ShmRing(name=spec["request_ring"], create=False,
+                       bell=spec["request_bell"])
+    replies = ShmRing(name=spec["response_ring"], create=False,
+                      bell=spec["response_bell"])
     board = HeartbeatBoard(name=spec["board"], create=False)
     state = WorkerState()
 
@@ -312,11 +344,11 @@ def worker_main(spec: Dict[str, Any]) -> None:
 
     def send(parts: List[bytes]) -> None:
         # The gateway's inflight window bounds outstanding replies, so a
-        # full response ring only means the pump is behind; spin politely
+        # full response ring only means the gateway is behind; spin politely
         # and keep beating so the health monitor sees us alive.
         while not replies.push(parts):
             beat()
-            time.sleep(POLL_INTERVAL)
+            time.sleep(SPIN_BACKOFF)
 
     try:
         server = build_worker_server(spec)
@@ -329,38 +361,24 @@ def worker_main(spec: Dict[str, Any]) -> None:
 
     running = True
     while running:
-        board.beat(worker_id)
+        beat()
         try:
             payload = requests.peek()
         except TransportError as exc:
             send(encode_message(K_ERROR, {"error": str(exc)}))
             continue
         if payload is None:
-            time.sleep(POLL_INTERVAL)
+            # Beat, then block: the doorbell wakes the loop for a frame, the
+            # timeout only for the next beat.  ``wait`` clears the bell and
+            # the loop reads on until the ring is empty again (Doorbell's
+            # order), so no frame is slept through.
+            requests.bell.wait(spec["heartbeat_interval"])
             continue
-        header: Dict[str, Any] = {}
-        try:
-            kind, header, arrays = decode_message(payload)
-            reply = _handle(server, kind, header, arrays, beat=beat,
-                            state=state)
-        except ReproError as exc:
-            # A bad message fails *that message* (the gateway resolves its
-            # riders), never the worker: the loop stays up.
-            reply = encode_message(K_ERROR, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "batch": header.get("batch"),
-                "name": header.get("name"),
-            })
-        except Exception as exc:  # pragma: no cover - defensive
-            reply = encode_message(K_ERROR, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "trace": traceback.format_exc(limit=4),
-            })
-        finally:
-            requests.advance()
-            # Drop the frame views so the segment has no exported
-            # pointers when the rings close at shutdown.
-            payload = arrays = None
+        reply = _answer(server, payload, beat, state)
+        # Drop the frame view so the segment has no exported pointers when
+        # the rings close at shutdown.
+        payload = None
+        requests.advance()
         if reply:
             send(reply)
         else:

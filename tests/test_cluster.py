@@ -5,8 +5,9 @@ start method where the platform has it) against the small chip
 configuration, so the whole suite stays in CI-friendly territory while
 exercising the actual process boundary: registration fan-out, zero-copy
 submission, failover, backpressure, and graceful drain/restart.
-``TestReplicaOrder`` and ``TestControlRoundTrip`` script an un-started
-gateway instead: routing order and control timeouts need no processes.
+``TestReplicaOrder`` and the classes after it script an un-started gateway
+instead: routing order, control timeouts, what a reply frame does to its
+batch and what a wave's responses are need no processes.
 """
 
 import asyncio
@@ -23,12 +24,24 @@ from repro.errors import (
     AdmissionError,
     CircuitOpenError,
     ClusterError,
+    ExecutionError,
     QuantizationError,
+    ReproError,
 )
-from repro.runtime.cluster import ClusterGateway
+from repro.runtime.cluster import ClusterGateway, ShmRing
 from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch
+from repro.runtime.cluster.messages import (
+    K_ERROR,
+    K_REGISTERED,
+    K_RESULTS,
+    K_SUBMIT,
+    decode_message,
+    encode_message,
+)
+from repro.runtime.cluster.worker import WorkerState, _handle
 from repro.runtime.pool import DevicePool
+from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
 
 RNG = np.random.default_rng(11)
@@ -324,6 +337,99 @@ def test_submitting_after_close_raises():
 
 
 # --------------------------------------------------------------------- #
+# Wakeups: a doorbell, not a poll timer                                   #
+# --------------------------------------------------------------------- #
+def test_idle_worker_beats_on_the_heartbeat_period_not_a_poll_timer():
+    """With nothing submitted a worker wakes to beat, and for nothing else."""
+    period, window = 0.05, 0.3
+
+    async def scenario():
+        async with gateway(num_workers=1, heartbeat_interval=period) as gw:
+            await asyncio.sleep(0.1)  # READY is long answered: the worker is idle
+            before, _ = gw._board.read(0)
+            await asyncio.sleep(window)
+            after, _ = gw._board.read(0)
+            return after - before
+
+    assert run(scenario()) <= window / period + 2
+
+
+def test_round_trip_under_the_spawn_start_method(monkeypatch):
+    """Rings, board and both doorbells reach a *spawned* worker too."""
+    monkeypatch.setattr(gateway_module, "START_METHOD", "spawn")
+
+    async def scenario():
+        async with gateway(num_workers=1) as gw:
+            await gw.register_matrix("w", MATRIX)
+            responses = await asyncio.wait_for(
+                asyncio.gather(*await gw.submit_batch("w", TRACE[:16])), timeout=60
+            )
+            return np.stack([r.result for r in responses])
+
+    assert np.array_equal(run(scenario()), TRACE[:16] @ MATRIX)
+
+
+def test_close_and_restart_leave_no_descriptor_or_reader_behind():
+    """``close()`` gives back every pipe end, segment and loop registration:
+    20 start/close cycles and a restart end where they began."""
+
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        readers = len(loop._selector.get_map())
+        counts = []
+        for cycle in range(21):
+            gw = gateway(num_workers=2)
+            await gw.start()
+            if cycle == 20:
+                await gw.restart_worker(0)
+                assert len(loop._selector.get_map()) == readers + 2
+            await gw.close()
+            del gw
+            assert len(loop._selector.get_map()) == readers
+            counts.append(open_descriptors())
+        # The first cycle starts what lives as long as the process does (the
+        # shared-memory resource tracker and its pipe); after it, nothing grows.
+        assert counts[1:] == counts[:1] * 20, counts
+
+    run(scenario())
+
+
+def test_live_gateway_survives_a_malformed_results_frame():
+    """A CRC-valid RESULTS frame with three arrays fails *its batch*; the
+    replies behind it still resolve and ``close()`` still releases the rings."""
+
+    async def scenario():
+        async with gateway(num_workers=1) as gw:
+            await gw.register_matrix("w", MATRIX)
+            worker = gw._workers[0]
+            # While the worker sleeps ahead of the batch it pushes nothing, so
+            # the test may stand in as the reply ring's one producer.
+            await gw.induce_straggler(0, batches=1, seconds=0.4)
+            batch_id = gw._next_batch
+            forged = await gw.submit_batch("w", TRACE[:2])
+            assert worker.replies.push(encode_message(
+                K_RESULTS, {"batch": batch_id, "name": "w"},
+                [np.zeros(2, dtype=np.uint8), np.zeros((2, 16), dtype=np.int64),
+                 np.zeros(2, dtype=np.int64)],
+            ))
+            responses = await asyncio.wait_for(asyncio.gather(*forged), timeout=5)
+            assert [r.status for r in responses] == ["failed"] * 2
+            assert all("malformed RESULTS" in r.error for r in responses)
+            good = await asyncio.wait_for(
+                asyncio.gather(*await gw.submit_batch("w", TRACE[:4])), timeout=5
+            )
+            assert all(r.ok for r in good)
+            assert gw.stats.transport_errors == 1
+            # The straggler's own, late answer to the forged batch: a duplicate.
+            assert gw.stats.duplicate_replies == 1
+
+    run(scenario())
+
+
+# --------------------------------------------------------------------- #
 # Configuration validation                                                #
 # --------------------------------------------------------------------- #
 def test_invalid_configuration_is_rejected():
@@ -348,6 +454,9 @@ class _StubRing:
     def push(self, parts):
         self.pushes += 1
         return self.accepts
+
+    def close(self):
+        pass
 
 
 class _StubHandle:
@@ -538,3 +647,251 @@ class TestControlRoundTrip:
             assert gw._control == {}
 
         run(scenario())
+
+
+# --------------------------------------------------------------------- #
+# Reply frames against a scripted gateway (no processes)                  #
+# --------------------------------------------------------------------- #
+def scripted_worker(gw, handle=None):
+    """Script ``gw``'s worker 0 as alive, holding ``"m"``, its request ring a
+    stub (every SUBMIT is accepted and goes nowhere)."""
+    gw._started = True
+    worker = gw._workers[0]
+    worker.alive = True
+    worker.requests = _StubRing(accepts=True)
+    worker.plan_handles["m"] = handle if handle is not None else _StubHandle()
+    gw._matrices["m"] = _MatrixRecord(
+        fingerprint=("digest",), matrix=MATRIX, element_size=8, precision=0,
+        input_bits=8, placement=[0],
+    )
+    return worker
+
+
+def results_frame(batch, rows, cols=16, **extra):
+    return encode_message(K_RESULTS, {"batch": batch, "name": "m", **extra}, [
+        np.zeros(rows, dtype=np.uint8), np.ones((rows, cols), dtype=np.int64),
+        np.full(rows, 2, dtype=np.int64), np.full(rows, 0.5, dtype=np.float64),
+    ])
+
+
+class TestMalformedReplies:
+    """A reply that passes its CRC and is still not what it says: its batch
+    fails (when it names one), the reader carries on, nothing leaks."""
+
+    def test_forged_frames_fail_their_batch_and_a_good_frame_still_resolves(self):
+        from repro.runtime.cluster.messages import _PREFIX
+        from repro.runtime.cluster.transport import Doorbell
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _, context: reported.append(context))
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            worker.replies = ShmRing(capacity=1 << 16, bell=Doorbell())
+            loop.add_reader(worker.replies.bell, gw._on_bell, worker)
+            try:
+                forged = {
+                    "three arrays": encode_message(
+                        K_RESULTS, {"batch": 0, "name": "m"},
+                        [np.zeros(2, dtype=np.uint8), np.ones((2, 16), dtype=np.int64),
+                         np.zeros(2, dtype=np.int64)]),
+                    "one row for two requests": results_frame(1, 1),
+                    "results not a matrix": encode_message(
+                        K_RESULTS, {"batch": 2, "name": "m"},
+                        [np.zeros(2, dtype=np.uint8), np.ones(2, dtype=np.int64),
+                         np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.float64)]),
+                    "errors not an object": results_frame(3, 2, errors=["boom"]),
+                }
+                for batch_id, (what, frame) in enumerate(forged.items()):
+                    futures = await gw.submit_batch("m", TRACE[:2])
+                    assert worker.replies.push(frame)
+                    responses = await asyncio.wait_for(asyncio.gather(*futures), 5)
+                    assert [r.status for r in responses] == ["failed"] * 2, what
+                    assert all("malformed RESULTS" in r.error for r in responses)
+                    assert gw.stats.transport_errors == batch_id + 1
+                assert worker.inflight == 0 and not worker.pending
+                # Frames that name no batch: the codec's (``extra`` is a JSON
+                # list) and the handler's (REGISTERED without a handle).
+                blob = b"[1]"
+                assert worker.replies.push(
+                    [_PREFIX.pack(K_RESULTS, 0, 0, 0, 0, 0, len(blob), 0, 0), blob])
+                assert worker.replies.push(encode_message(K_REGISTERED, {"name": "m"}))
+                futures = await gw.submit_batch("m", TRACE[:2])
+                assert worker.replies.push(results_frame(4, 2))
+                responses = await asyncio.wait_for(asyncio.gather(*futures), 5)
+                assert all(r.ok and r.result.tolist() == [1] * 16 for r in responses)
+                assert gw.stats.transport_errors == 6
+                assert [type(c["exception"]) for c in reported] == [KeyError]
+                assert gw.stats.failed == 8 and gw.stats.completed == 2
+            finally:
+                await gw.close()
+            assert worker.replies is None
+
+        run(scenario())
+
+    def test_close_releases_the_transport_whatever_a_task_died_of(self):
+        from repro.runtime.cluster.transport import Doorbell
+
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            ring = ShmRing(capacity=1 << 12, bell=Doorbell())
+            scripted_worker(gw).replies = ring
+
+            async def dies():
+                raise ValueError("not enough values to unpack")
+
+            gw._tasks = [asyncio.create_task(dies())]
+            await asyncio.sleep(0)
+            await gw.close()  # does not re-raise, and gets as far as the rings
+            assert ring._data is None
+
+        run(scenario())
+
+
+class TestErrorRepliesNameTheirBatch:
+    """An ERROR reply that loses its batch id strands the batch's riders."""
+
+    def test_a_submit_that_names_no_matrix_is_a_typed_error(self):
+        server = local_server()
+        server.register_matrix("w", MATRIX)
+        with pytest.raises(ReproError, match="no matrix registered"):
+            _handle(server, K_SUBMIT, {"batch": 3, "input_bits": 8}, [TRACE[:2]])
+
+    def test_the_batch_id_rides_from_the_prefix_to_the_riders(self):
+        from repro.runtime.cluster.worker import _answer
+
+        server = local_server()
+        server.register_matrix("w", MATRIX)
+        nameless = b"".join(bytes(part) for part in encode_message(
+            K_SUBMIT, {"batch": 0, "input_bits": 8}, [TRACE[:2]]))
+        # Its prefix decodes and nothing after it does: the array table names
+        # a dtype NumPy has never heard of.
+        garbled = b"".join(bytes(part) for part in encode_message(
+            K_SUBMIT, {"batch": 1, "name": "w", "input_bits": 8}, [TRACE[:2]]
+        )).replace(b"<i8", b"<zz", 1)
+        replies = [_answer(server, memoryview(frame), lambda: None, WorkerState())
+                   for frame in (nameless, garbled)]
+        for batch_id, reply, error in zip(
+                (0, 1), replies, ("AdmissionError", "TransportError")):
+            kind, header, _ = decode_message(memoryview(b"".join(reply)))
+            assert (kind, header["batch"]) == (K_ERROR, batch_id)
+            assert header["error"].startswith(error)
+            assert "trace" not in header  # typed, not the catch-all
+
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            riders = [await gw.submit_batch("m", TRACE[:2]) for _ in replies]
+            for reply in replies:
+                gw._on_reply(worker, *decode_message(memoryview(b"".join(reply))))
+            return [[future.result() for future in futures] for futures in riders]
+
+        for responses, error in zip(run(scenario()), ("AdmissionError", "TransportError")):
+            assert [r.status for r in responses] == ["failed"] * 2
+            assert all(r.error.startswith(error) for r in responses)
+
+
+def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
+    """A pure function of ``(batch_id, attempt)`` inside ``[timeout, 1.1 x
+    timeout]`` -- no generator built per dispatch."""
+    monkeypatch.setattr(gateway_module.time, "monotonic", lambda: 100.0)
+    monkeypatch.setattr(np.random, "default_rng", None)  # not on this path
+    gw = ClusterGateway(num_workers=1, batch_timeout=2.0, hedge_backoff=1.0)
+
+    def headroom(batch_id, attempts):
+        batch = _PendingBatch(
+            batch_id=batch_id, name="m", input_bits=8, vectors=TRACE[:1], futures=[],
+            request_ids=range(1), worker_id=0, cost=0.0, attempts=attempts,
+        )
+        return gw._attempt_deadline(batch) - 100.0
+
+    table = {(batch_id, attempts): headroom(batch_id, attempts)
+             for batch_id in range(64) for attempts in (1, 2, 3, 4)}
+    assert all(2.0 <= value <= 2.2 for value in table.values())
+    assert table == {key: headroom(*key) for key in table}  # deterministic
+    assert len(set(table.values())) == len(table)  # differs per batch and attempt
+    assert max(table.values()) - min(table.values()) > 0.15  # and uses the spread
+    assert ClusterGateway(num_workers=1)._attempt_deadline(None) is None
+
+
+# --------------------------------------------------------------------- #
+# One wave's responses, pinned (no processes)                             #
+# --------------------------------------------------------------------- #
+class TestWaveEquivalence:
+    """What one 12-row wave resolves to, through ``worker._handle`` and
+    ``gateway._on_reply``: every ``ClusterResponse`` field, the gateway's
+    stats and the worker's window.  ``EXPECTED`` was computed at the commit
+    before RESULTS frames were built and resolved per wave (``c5592f7``):
+    the all-completed wave takes the vectorised branch on both sides, the
+    other two the per-row one, and none of it may move.
+    """
+
+    EXPECTED = {
+        "clean": "778d1c85d1c6bc3e30ff8cc90706252cb5cda8001ee5e4f478ddd37506629e0d",
+        "rejected at admission":
+            "7e9dee00e372d740178c1b3d65d5729279fb0c5d472cc706304adf8d740b9772",
+        "failed in the pool":
+            "1a612f79992fcff6fecc7072db6e298ddf9648de04d03e1eb474eaa9425ba62e",
+    }
+    STATUSES = {
+        "clean": ["completed"] * 12,
+        "rejected at admission": ["completed"] * 5 + ["rejected"] * 7,
+        "failed in the pool": ["completed"] * 4 + ["failed"] * 4 + ["completed"] * 4,
+    }
+
+    def wave(self, queue_capacity, fail_pool_calls=()):
+        pool = DevicePool(
+            num_devices=1, config=ChipConfig(hct=HctConfig.small(), num_hcts=3))
+        server = PumServer(pool=pool, scheduling=StaticBatchingPolicy(4, 1),
+                           queue_capacity=queue_capacity, admission="reject")
+        server.register_matrix("m", MATRIX)
+        calls, execute = [], pool.exec_mvm_batch
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) in fail_pool_calls:
+                raise ExecutionError("injected pool failure")
+            return execute(*args, **kwargs)
+
+        pool.exec_mvm_batch = flaky
+
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw, server.plan_handle("m"))
+            futures = await gw.submit_batch("m", TRACE[:12])
+            reply = _handle(server, K_SUBMIT,
+                            {"batch": 0, "name": "m", "input_bits": 8}, [TRACE[:12]])
+            frame = memoryview(b"".join(bytes(part) for part in reply))
+            gw._on_reply(worker, *decode_message(frame))
+            rows = [
+                (r.request_id, r.name, r.status,
+                 None if r.result is None else r.result.tolist(),
+                 r.latency_ticks, r.energy_pj, r.worker_id, r.error)
+                for r in (future.result() for future in futures)
+            ]
+            window = (worker.inflight, worker.outstanding_cycles, len(worker.pending))
+            return rows, gw.stats.snapshot(), window
+
+        return run(scenario())
+
+    @pytest.mark.parametrize("label, arguments", [
+        ("clean", (4096,)),
+        ("rejected at admission", (5,)),
+        ("failed in the pool", (4096, (2,))),
+    ])
+    def test_responses_and_stats_are_unchanged(self, label, arguments):
+        rows, stats, window = self.wave(*arguments)
+        assert [row[2] for row in rows] == self.STATUSES[label]
+        digest = hashlib.sha256(repr((rows, stats, window)).encode()).hexdigest()
+        assert digest == self.EXPECTED[label]
+
+    def test_a_wave_with_no_completed_row_is_still_answered(self):
+        """Every batch fails in the pool, so the result matrix is ``(12, 0)``
+        -- an array with no castable buffer, which used to crash the frame's
+        encoding into a batch-less ERROR and strand all twelve riders."""
+        rows, stats, window = self.wave(4096, fail_pool_calls=range(1, 4))
+        assert [row[2:4] for row in rows] == [("failed", None)] * 12
+        assert all(row[7] == "ExecutionError: injected pool failure" for row in rows)
+        assert (stats["failed"], stats["completed"], stats["transport_errors"]) == (12, 0, 0)
+        assert window == (0, 0.0, 0)

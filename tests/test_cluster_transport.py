@@ -1,20 +1,23 @@
-"""Cluster transport tests: array codec, SPSC ring, wire protocol.
+"""Cluster transport tests: array codec, SPSC ring, wire protocol, doorbell.
 
-Everything here but the last test is single-process -- the ring's two
-ends are exercised from one test body, which is exactly the SPSC contract
-(one producer, one consumer; they just happen to share a thread here).
-The last test puts the producer in a second process, because what it
-checks (a counter read while the other side writes it) has no
+Everything here but the two-process section is single-process -- the
+ring's two ends are exercised from one test body, which is exactly the
+SPSC contract (one producer, one consumer; they just happen to share a
+thread here).  The two-process tests put the producer in a second process,
+because what they check (a counter read while the other side writes it, a
+consumer asleep on the doorbell while the other side commits) has no
 single-process form.  Gateway-level behaviour lives in ``test_cluster.py``.
 """
 
 import multiprocessing
 import struct
+import threading
 import time
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TransportError
 from repro.runtime.cluster import (
@@ -271,9 +274,140 @@ def test_message_malformed_header_raises():
         decode_message(memoryview(b"\x02\x00\xff\xff\xff\xff"))
 
 
+def test_message_without_arrays_or_extra_never_enters_json(monkeypatch):
+    """SUBMIT / RESULTS headers live in the fixed prefix: no JSON either way."""
+    from repro.runtime.cluster import messages
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("json on the hot path")
+
+    monkeypatch.setattr(messages.json, "dumps", no_json)
+    monkeypatch.setattr(messages.json, "loads", no_json)
+    header = {"batch": 3, "name": "weights", "input_bits": 4}
+    parts = encode_message(K_SUBMIT, header, [np.zeros((2, 3), dtype=np.int64)])
+    assert len(parts) == 3  # prefix, name + array table, one array
+    assert decode_message(memoryview(b"".join(parts)))[1] == header
+    reply = encode_message(K_RESULTS, {"batch": 3, "name": "weights"}, [
+        np.zeros(2, dtype=np.uint8), np.zeros((2, 5), dtype=np.int64),
+        np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.float64),
+    ])
+    assert len(reply) == 6
+    assert parts[0][0] == K_SUBMIT and reply[0][0] == K_RESULTS  # the injector's byte
+
+
+def test_message_slots_fall_back_to_extra():
+    """A value its fixed slot cannot hold still round-trips (as ``extra``)."""
+    for header in (
+        {"batch": None, "name": None, "input_bits": None},
+        {"batch": 1 << 70, "input_bits": -1},
+        {"batch": True, "name": ["not", "a", "string"], "input_bits": 1 << 16},
+        {"batch": -(1 << 63), "name": "", "input_bits": 0},
+    ):
+        payload = memoryview(b"".join(encode_message(K_SUBMIT, header)))
+        assert decode_message(payload) == (K_SUBMIT, header, [])
+
+
+def test_message_refuses_a_forged_table_shape():
+    """The ``2**32 x 2**32`` shape is refused at the message level too."""
+    parts = [bytes(part) for part in encode_message(
+        K_SUBMIT, {"batch": 1, "name": "w"}, [np.zeros((1, 1), dtype=np.int64)])]
+    honest = struct.pack("<2Q", 1, 1)
+    assert parts[1].count(honest) == 1
+    parts[1] = parts[1].replace(honest, struct.pack("<2Q", 1 << 32, 1 << 32))
+    with pytest.raises(TransportError, match="left in the frame"):
+        decode_message(memoryview(b"".join(parts)))
+
+
+def test_message_extra_must_be_a_json_object():
+    from repro.runtime.cluster.messages import _PREFIX
+
+    for blob in (b"[1,2]", b"7", b"{not json"):
+        frame = _PREFIX.pack(K_RESULTS, 0, 0, 0, 0, 0, len(blob), 0, 0) + blob
+        with pytest.raises(TransportError, match="malformed message frame"):
+            decode_message(memoryview(frame))
+    # A header that claims more bytes than the frame has.
+    frame = _PREFIX.pack(K_RESULTS, 0, 2, 0, 40, 0, 0, 0, 0) + b"short"
+    with pytest.raises(TransportError, match="header ends at byte"):
+        decode_message(memoryview(frame))
+
+
 def test_status_code_tables_are_inverse():
     assert STATUS_NAMES == {code: name for name, code in STATUS_CODES.items()}
     assert STATUS_CODES["completed"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Codec properties                                                        #
+# --------------------------------------------------------------------- #
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+#: Headers as the code base builds them: the three slotted keys (each
+#: optional, ``None`` included -- ERROR replies send it), extras on top.
+HEADERS = st.builds(
+    lambda extras, slotted: {**extras, **slotted},
+    st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3),
+    st.fixed_dictionaries({}, optional={
+        "batch": st.none() | st.integers(-(1 << 63), (1 << 63) - 1),
+        "name": st.none() | st.text(max_size=12),
+        "input_bits": st.integers(0, 64),
+    }),
+)
+SHAPES = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+
+
+@st.composite
+def array_lists(draw):
+    arrays = []
+    for _ in range(draw(st.integers(0, 6))):
+        dtype = np.dtype(draw(st.sampled_from(ALL_DTYPES)))
+        shape = draw(SHAPES)
+        raw = np.random.default_rng(draw(st.integers(0, 1 << 16))).bytes(
+            int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+        arrays.append(np.frombuffer(raw, dtype=dtype).reshape(shape))
+    return arrays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.integers(0, 255), header=HEADERS, arrays=array_lists())
+def test_message_round_trip_property(kind, header, arrays):
+    """Any header, 0-6 arrays of mixed dtype and shape (empty and 0-d ones
+    included): the decoded dict is *equal* -- no ``trace``, no defaulted
+    key -- and every array comes back bit for bit."""
+    payload = memoryview(b"".join(
+        bytes(part) for part in encode_message(kind, header, arrays)))
+    decoded_kind, decoded_header, decoded = decode_message(payload)
+    assert decoded_kind == kind
+    assert decoded_header == header
+    assert len(decoded) == len(arrays)
+    for got, sent in zip(decoded, arrays):
+        assert (got.dtype, got.shape) == (sent.dtype, sent.shape)
+        assert got.tobytes() == sent.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # numpy, on odd dtype strings
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(header=HEADERS, arrays=array_lists())
+def test_damaged_frames_decode_or_raise_transport_error(header, arrays):
+    """No CRC in front: every truncation and every single-bit flip of a valid
+    payload either decodes or raises ``TransportError`` -- nothing else may
+    reach the loop that called ``decode_message``."""
+    frame = b"".join(bytes(part) for part in encode_message(K_RESULTS, header, arrays))
+    damaged = [frame[:cut] for cut in range(len(frame))]
+    for index in range(len(frame)):
+        for bit in range(8):
+            flipped = bytearray(frame)
+            flipped[index] ^= 1 << bit
+            damaged.append(bytes(flipped))
+    for payload in damaged:
+        try:
+            decode_message(memoryview(payload))
+        except TransportError:
+            pass
 
 
 # --------------------------------------------------------------------- #
@@ -420,6 +554,93 @@ def test_ring_backpressure_bounded_backoff_producer():
         ring.close()
 
 
+def test_peek_makes_progress_past_a_frame_that_runs_over_the_head(ring):
+    """A consumer may loop on ``peek`` until ``None``: damage it cannot step
+    over costs what is committed, not the loop."""
+    push_bytes(ring, b"frame")
+    push_bytes(ring, b"behind it")
+    struct.pack_into("<I", ring._data, 0, 10_000)
+    with pytest.raises(TransportError, match="truncated"):
+        ring.peek()
+    assert ring.peek() is None
+    assert push_bytes(ring, b"after") and ring.pop() == b"after"
+
+
+# --------------------------------------------------------------------- #
+# Doorbell                                                                #
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def belled_ring():
+    from repro.runtime.cluster.transport import Doorbell
+
+    ring = ShmRing(capacity=1 << 14, bell=Doorbell())
+    yield ring
+    ring.close()
+
+
+def test_bell_rung_before_the_wait_is_not_lost(belled_ring):
+    bell = belled_ring.bell
+    assert bell.wait(0.0) is False  # silent until a frame is committed
+    assert push_bytes(belled_ring, b"early") and push_bytes(belled_ring, b"twice")
+    assert bell.wait(0.0) is True  # rung before anyone waited: still heard
+    assert bell.wait(0.0) is False  # ... once: the wait cleared it
+    assert belled_ring.pop() == b"early"
+
+
+def test_bell_rings_after_the_commit_not_before(belled_ring, monkeypatch):
+    """The producer's half of the order: a consumer woken by a ring that came
+    *before* the commit could clear it, find the ring empty and sleep through
+    the frame.  At the commit point the bell must still be silent."""
+    rung_at_commit = []
+    write_head = belled_ring._write_head
+
+    def committing(head, seq):
+        rung_at_commit.append(belled_ring.bell.wait(0.0))
+        write_head(head, seq)
+
+    monkeypatch.setattr(belled_ring, "_write_head", committing)
+    assert push_bytes(belled_ring, b"frame")
+    assert rung_at_commit == [False]
+    assert belled_ring.bell.wait(0.0) is True
+
+
+def test_bell_wakes_a_blocked_consumer_on_the_next_push(belled_ring):
+    woke = []
+    consumer = threading.Thread(
+        target=lambda: woke.append((belled_ring.bell.wait(30.0), belled_ring.pop())))
+    consumer.start()
+    time.sleep(0.05)  # let it block
+    assert not woke
+    assert push_bytes(belled_ring, b"wake up")
+    consumer.join(timeout=10.0)
+    assert woke == [(True, b"wake up")]
+
+
+def test_bell_survives_more_rings_than_the_pipe_holds(belled_ring):
+    """A full pipe drops the ring, not the producer: nothing blocks, and the
+    consumer still hears that there is something to read."""
+    for _ in range(70_000):  # the pipe holds 65 536
+        belled_ring.bell.ring()
+    assert belled_ring.bell.wait(0.0) is True
+    assert belled_ring.bell.wait(0.0) is False
+
+
+def test_closing_a_ring_closes_its_bell():
+    import os
+
+    from repro.runtime.cluster.transport import Doorbell
+
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    ShmRing(capacity=1 << 12).close()  # the resource tracker's pipe, once
+    before = open_descriptors()
+    ring = ShmRing(capacity=1 << 12, bell=Doorbell())
+    assert open_descriptors() > before
+    ring.close()
+    assert open_descriptors() == before
+
+
 # --------------------------------------------------------------------- #
 # Two processes: the counters are read while the other side writes them   #
 # --------------------------------------------------------------------- #
@@ -495,3 +716,51 @@ def test_ring_counters_never_tear_between_processes():
             producer.terminate()
             producer.join(timeout=5.0)
         ring.close()
+
+
+def _bell_producer(name, bell):
+    """Push ``STRESS_FRAMES`` numbered frames; spin while the ring is full."""
+    ring = ShmRing(name=name, create=False, bell=bell)
+    try:
+        for index in range(STRESS_FRAMES):
+            payload = index.to_bytes(8, "little") + bytes(192)
+            while not ring.push([payload]):
+                pass
+    finally:
+        ring.close()
+
+
+def test_bell_never_loses_a_wakeup_between_processes(belled_ring):
+    """The consumer *only* ever blocks on the bell: fixed work, and the
+    timeout must fire exactly never.
+
+    A 16 KiB ring holds about 80 of these frames, so the producer keeps
+    finding it full (it then spins without ringing) and the consumer keeps
+    finding it empty (it then sleeps): a commit that is not followed by a
+    ring leaves the two waiting for each other until the timeout (with the
+    ring removed from ``push_frame`` this stops at 77 frames).  The order
+    *within* a push is a microsecond-wide race this load rarely hits; the
+    single-process test above pins it instead.
+    """
+    ring = belled_ring
+    producer = multiprocessing.get_context(START_METHOD).Process(
+        target=_bell_producer, args=(ring.name, ring.bell), daemon=True
+    )
+    producer.start()
+    try:
+        received = timeouts = 0
+        while received < STRESS_FRAMES and not timeouts:
+            timeouts += not ring.bell.wait(20.0)
+            while (payload := ring.peek()) is not None:
+                assert int.from_bytes(payload[:8], "little") == received
+                payload.release()
+                received += 1
+                assert ring.last_seq == received & 0xFFFFFFFF
+                ring.advance()
+        assert (received, timeouts) == (STRESS_FRAMES, 0)
+        producer.join(timeout=30.0)
+        assert producer.exitcode == 0
+    finally:
+        if producer.is_alive():
+            producer.terminate()
+            producer.join(timeout=5.0)

@@ -10,10 +10,16 @@ rejected before any simulated state moves.  One tier up, a pooled call
 should cost the device call plus a handful of frames (``TestPoolCall``), and
 a served request the pool call plus a constant: ``TestServerRound`` budgets
 the Python-level calls per request of a steady-state ``PumServer`` round and
-of a tick with nothing due.
+of a tick with nothing due.  And one tier above that, a wave through the
+cluster should cost two frames and one pass over its rows on each side:
+``TestClusterWave`` budgets the profile events of each hop.
 """
 
 from __future__ import annotations
+
+import asyncio
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +53,16 @@ MAX_POOL_CALLS, MAX_POOL_FRAMES = 31, 5
 #: the pool call.
 MAX_SERVER_CALLS_PER_REQUEST = 6.0
 MAX_IDLE_TICK_CALLS = 12
+#: ``sys.setprofile`` events (Python calls + C calls -- a vectorised path
+#: trades NumPy scalar C calls for a few comprehension frames, so either
+#: alone would flatter or punish it) of one 16-row ``cluster_saturate`` wave,
+#: per hop, measured + 10 %: gateway submit 56 + 41 (73 + 50 with a
+#: ``create_future`` call per row and a JSON header), the worker's turn
+#: outside its tick loop 86 + 120 (90 + 218 with a per-row RESULTS frame and
+#: a per-array header), gateway resolve 39 + 68 (36 + 114 with a frozen
+#: response and three NumPy scalar reads per row).
+MAX_WAVE_EVENTS = {"gateway_submit": 107, "worker_outside_drain": 227,
+                   "gateway_resolve": 118}
 
 
 def programmed_device(shape, element_size, input_bits, noise=None, config=None):
@@ -154,6 +170,44 @@ class TestServerRound:
         server, _, _, _ = server_round(tenants=1)
         assert server.pending == 0
         assert _python_calls(server.tick) <= MAX_IDLE_TICK_CALLS
+
+
+class TestClusterWave:
+    """One 16-row wave through ``benchmarks/profile_serving.py``'s twin: a
+    scripted gateway and one worker's functions on real rings and bells."""
+
+    @staticmethod
+    def _profile_serving():
+        path = Path(__file__).parent.parent / "benchmarks" / "profile_serving.py"
+        spec = importlib.util.spec_from_file_location("profile_serving", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_steady_state_wave_stays_within_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        profile_serving = self._profile_serving()
+
+        async def scenario():
+            twin = profile_serving.ClusterWaveTwin()
+            try:
+                for _ in range(2 * profile_serving.CLUSTER_WAVE_MATRICES):
+                    futures = twin.wave()  # plans, receipts and table memos warm
+                name = f"m{(twin.waves - 1) % profile_serving.CLUSTER_WAVE_MATRICES}"
+                served = np.stack([future.result().result for future in futures])
+                assert np.array_equal(served, twin.vectors @ twin.matrices[name])
+                events = profile_serving.cluster_wave_events(twin)
+                stats = twin.gateway.stats
+                assert (stats.failed, stats.transport_errors, stats.shed) == (0, 0, 0)
+                return events
+            finally:
+                twin.close()
+
+        events = asyncio.run(scenario())
+        for hop, budget in MAX_WAVE_EVENTS.items():
+            assert sum(events[hop]) <= budget, (hop, events[hop])
+        # Two frames a wave: neither direction's header goes through JSON.
+        assert "dumps" not in events["names"] and "loads" not in events["names"]
 
 
 class TestReceiptMemo:
