@@ -11,7 +11,10 @@ steady-state ``DarthPumDevice.exec_mvm_batch`` on the proven-exact path at
 the three paper shapes and at an 8-tile row band, as untraced wall time and
 function calls per call *and per tile*, and the share that goes to the
 accumulator sync, input validation, the cost ledger and the arithmetic
-itself.
+itself.  Three more rows price the same call at the paper shapes under
+``NoiseConfig.paper_default()``, where the general path runs: untraced
+microseconds, and stopwatch time in the read-noise draw, the column-sum
+matmuls, the noise term and the ADC.
 
 The ``pool-call`` mode prices the tier above it: one steady-state
 ``DevicePool.exec_mvm_batch`` at batch 16 against a single-band allocation
@@ -57,6 +60,7 @@ import cProfile
 import pstats
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,6 +72,9 @@ from repro import (
     PumServer,
     StaticBatchingPolicy,
 )
+from repro.analog import kernels
+from repro.analog.adc import AnalogToDigitalConverter
+from repro.reram import NoiseConfig
 from repro.testing import DEVICE_CALL_SHAPES, profiled_calls, server_round
 
 MATRIX_SHAPE = (64, 64)
@@ -83,6 +90,14 @@ DEVICE_CALL_PARTS = {
     "validate_us": (("validate_input_range",), ()),
     "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
 }
+
+#: The device-call shapes that also run under ``NoiseConfig.paper_default()``
+#: (the layerbench ``kernel_paper_shapes`` noisy cells).
+NOISY_CALL_LABELS = ("resnet_conv", "aes_mixcolumns", "encoder_projection")
+#: Where a noisy call's time goes, by stopwatch around the stage's function:
+#: the generator draws, the column sums of both planes, the rest of the
+#: noise term (its matmul, root and products), the ADC pass.
+NOISY_CALL_STAGES = ("draw_us", "sums_us", "noise_term_us", "adc_us")
 
 POOL_CALL_BATCH = 16
 #: Every steady-state pooled call ``pool-call`` prices: label -> (shape,
@@ -143,17 +158,17 @@ def steady_operands(shape, element_size: int, input_bits: int, batch: int):
     return matrix, vectors
 
 
-def device_call_at(label: str, backend: str = "vectorized"):
+def device_call_at(label: str, backend: str = "vectorized", noise=None):
     """A zero-argument steady-state ``exec_mvm_batch`` at one device-call shape.
 
-    Ideal chip, plan compiled, three warm-up calls made: what is left is
-    the per-batch cost every serving tier pays.  Also returns the device
-    and allocation behind the call.
+    Ideal chip (or ``noise``), plan compiled, three warm-up calls made: what
+    is left is the per-batch cost every serving tier pays.  Also returns the
+    device and allocation behind the call.
     """
     shape, element_size, input_bits, config = DEVICE_CALL_SHAPES[label]
     matrix, vectors = steady_operands(shape, element_size, input_bits,
                                       DEVICE_CALL_BATCH)
-    device = DarthPumDevice(config=config)
+    device = DarthPumDevice(config=config, noise=noise)
     allocation = device.set_matrix(matrix, element_size=element_size, precision=0)
     device.compile(allocation, input_bits=input_bits)
 
@@ -162,7 +177,8 @@ def device_call_at(label: str, backend: str = "vectorized"):
                                      backend=backend)
 
     for _ in range(3):
-        assert np.array_equal(call(), vectors @ matrix) or backend == "estimate"
+        exact = noise is None and backend != "estimate"
+        assert np.array_equal(call(), vectors @ matrix) or not exact
     return call, device, allocation
 
 
@@ -253,6 +269,71 @@ def device_call_breakdown(loops: int = 2000) -> None:
                f"{estimate_us:.1f}", f"{matmul_us:.1f}", str(python_calls),
                f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
+        print("  ".join(f"{column:>18}" for column in row))
+
+
+def noisy_call_stages(call, device, allocation, loops: int = 100) -> dict:
+    """Per ``call()``: stopwatch microseconds in each of ``NOISY_CALL_STAGES``,
+    generator ``draws`` and standard-normal ``samples``."""
+    totals = dict.fromkeys(NOISY_CALL_STAGES + ("draws", "samples"), 0.0)
+
+    def timed(stage, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                totals[stage] += time.perf_counter() - start
+        return wrapper
+
+    def counted(rng):
+        """A stand-in for a crossbar's generator that times and counts its draws."""
+        def standard_normal(size=None, out=None):
+            totals["draws"] += 1
+            totals["samples"] += int(np.prod(size))
+            return rng.standard_normal(size, out=out)
+        return SimpleNamespace(standard_normal=timed("draw_us", standard_normal))
+
+    stacks = [hct.ace.crossbar(array_id).noise
+              for _, hct, handle in device._tiles(allocation)
+              for array_id in handle.array_ids]
+    patched = [(kernels, "normalised_column_sums", "sums_us"),
+               (kernels, "add_read_noise", "noise_term_us"),
+               (AnalogToDigitalConverter, "convert", "adc_us")]
+    restore = [(owner, name, getattr(owner, name)) for owner, name, _ in patched]
+    restore += [(stack, "_rng", stack.rng) for stack in stacks]
+    try:
+        for owner, name, stage in patched:
+            setattr(owner, name, timed(stage, getattr(owner, name)))
+        for stack in stacks:
+            stack._rng = counted(stack.rng)
+        for _ in range(loops):
+            call()
+    finally:
+        for owner, name, original in restore:
+            setattr(owner, name, original)
+    totals["noise_term_us"] -= totals["draw_us"]
+    return {key: value / loops * (1e6 if key.endswith("_us") else 1)
+            for key, value in totals.items()}
+
+
+def noisy_call_breakdown() -> None:
+    """Print the general path's per-call breakdown under paper-default noise."""
+    print(f"# the same call under NoiseConfig.paper_default() (general path), batch "
+          f"{DEVICE_CALL_BATCH}: total_us is untraced best-of-9;\n# draw/sums/"
+          "noise_term/adc are stopwatch us around the stage's function (rest_us = "
+          "total - those: bit slicing, rounding + shift-and-add, DCE accounting)")
+    header = ["shape", "tiles", "crossbars", "total_us", *NOISY_CALL_STAGES,
+              "rest_us", "samples"]
+    print("  ".join(f"{column:>18}" for column in header))
+    for label in NOISY_CALL_LABELS:
+        call, device, allocation = device_call_at(label, noise=NoiseConfig.paper_default())
+        total_us = best_call_us(call, loops=30)
+        stages = noisy_call_stages(call, device, allocation)
+        staged = [stages[stage] for stage in NOISY_CALL_STAGES]
+        row = [label, str(len(allocation.placement.tiles)), f"{stages['draws']:.0f}",
+               f"{total_us:.1f}", *(f"{value:.1f}" for value in staged),
+               f"{total_us - sum(staged):.1f}", f"{stages['samples']:.0f}"]
         print("  ".join(f"{column:>18}" for column in row))
 
 
@@ -611,6 +692,7 @@ def main() -> None:
         return
     if sys.argv[1:2] == ["device-call"]:
         device_call_breakdown()
+        noisy_call_breakdown()
         return
     if sys.argv[1:2] == ["pool-call"]:
         pool_call_breakdown()

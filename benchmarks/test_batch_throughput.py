@@ -59,6 +59,9 @@ def test_batch_speedup_at_least_5x(served_matrix):
     speedup = loop_seconds / max(batch_seconds, 1e-12)
     print(f"\nbatch {BATCH}: looped {loop_seconds * 1e3:.1f} ms, "
           f"batched {batch_seconds * 1e3:.1f} ms, speedup {speedup:.0f}x")
+    # Headroom, five runs at PR 21 (2 shared vCPUs): 18 844 / 20 003 / 20 234 /
+    # 21 811 / 23 449x -- the looped path takes ~150 ms a vector, the batch
+    # 0.2 ms -- so this wall-clock ratio cannot redden tier-1.
     assert speedup >= 5.0
 
 

@@ -18,18 +18,26 @@ Responses must stay bit-identical to the control run and every future must
 resolve as completed -- the same guarantee the tier-1 chaos gate pins in
 ticks; this benchmark adds the wall-clock numbers.
 
-PR 8 adds the integrity companion (``make integrity-bench``): the same
-drain with ABFT verification on (``verify="full"``) versus off, gating the
-checksum overhead at :data:`MAX_VERIFY_OVERHEAD` of the fault-free p50
-drain, plus the wall-clock cost of a live shard rebuild after losing every
-replica of a band.
+PR 8 adds the integrity companion: the same drain with ABFT verification
+on (``verify="full"``) versus off, plus the wall-clock cost of a live shard
+rebuild after losing every replica of a band.  Tier-1 asserts what the
+program controls -- identical payloads, the exact number of checks, nothing
+re-executed, identical simulated cycles and energy, and the check's extra
+Python-level calls and profile events per verified call
+(:data:`MAX_VERIFY_EXTRA_CALLS`, :data:`MAX_VERIFY_EXTRA_EVENTS`).  The
+wall-clock ratio is *recorded* (``integrity.json``, ``BENCH_recovery.json``)
+and judged against :data:`MAX_VERIFY_OVERHEAD` by ``make integrity-bench``,
+not by ``pytest -x``: every PR that makes the unverified drain faster moves
+a fixed ~0.3 ms check toward the bound (1.05-1.12 at PR 15, 1.04-1.22 and
+red one run in three at PR 20).
 
 Results go to ``benchmarks/artifacts/recovery.json`` (and
 ``integrity.json``) on every run; with ``REPRO_BENCH_RECORD=1`` (the CI
 benchmarks job) the headline numbers are appended to the
 ``BENCH_recovery.json`` trajectory at the repo root.  The correctness
-assertions are exact; the timing gates are bounds chosen so the benchmark
-does not flake on a noisy runner.
+assertions are exact; the one timing gate left here
+(:data:`MAX_DEGRADED_OVERHEAD`) is a sanity ceiling an order of magnitude
+above what it measures.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import numpy as np
 
 from repro import PumServer, StaticBatchingPolicy
 from repro.runtime import FaultInjector
+from repro.testing import profiled_calls
 
 NUM_DEVICES = 3
 REPLICATION = 2
@@ -63,8 +72,17 @@ REPEATS = 5
 MAX_DEGRADED_OVERHEAD = 25.0
 #: The PR 8 acceptance bound: ABFT verification is an ``O(batch * (rows +
 #: cols))`` reduction riding an ``O(batch * rows * cols)`` MVM, so
-#: ``verify="full"`` must stay within 15% of the fault-free drain.
+#: ``verify="full"`` should stay within 15% of the fault-free drain.  Judged
+#: by ``make integrity-bench`` from ``integrity.json``, not asserted here.
 MAX_VERIFY_OVERHEAD = 1.15
+#: What tier-1 holds the check to instead: Python-level calls and profile
+#: events (Python + C calls) one verified single-band pooled call makes
+#: beyond the same call unverified.  Measured 6 (``_finish_call``'s
+#: ``verify``, ``_effective_tolerance``, ``array_equal`` and the NumPy
+#: wrappers under them) and 17; the event budget leaves 10 % for a NumPy
+#: that dispatches ``asarray`` / ``sum`` differently.
+MAX_VERIFY_EXTRA_CALLS = 6
+MAX_VERIFY_EXTRA_EVENTS = 19
 #: The integrity benchmark drains a serving-sized band (one full default
 #: tile) rather than the 16x16 recovery toy: the checksum's relative cost
 #: is what the bound is about, and a toy matrix measures mostly fixed
@@ -215,7 +233,7 @@ def measure_verify():
     The two modes are measured *interleaved* (off, full, off, full, ...)
     so both see the same machine state, and the minimum of each isolates
     the intrinsic cost of the checksum work from scheduler jitter --
-    which is what the 1.15x acceptance bound is about.  Returns
+    which is what the 1.15x bound is about.  Returns
     ``{mode: (best_seconds, results, server)}``.
     """
     vectors = offered_load(INTEGRITY_MATRIX_SHAPE)
@@ -252,6 +270,17 @@ def measure_rebuild():
     return statistics.median(times[1:]), report
 
 
+def pooled_call_events(server) -> tuple:
+    """``(python_calls, events)`` of one steady-state pooled call on ``server``."""
+    allocation = server.allocation_for("m")
+    vectors = offered_load(INTEGRITY_MATRIX_SHAPE)[0][:MAX_BATCH]
+    events = profiled_calls(
+        lambda: server.pool.exec_mvm_batch(allocation, vectors, input_bits=INPUT_BITS)
+    )
+    kinds = [event for event, _ in events]
+    return kinds.count("call"), kinds.count("call") + kinds.count("c_call")
+
+
 def test_integrity_benchmark(record_row):
     measured = measure_verify()
     off_p50, off_results, off_server = measured["off"]
@@ -259,14 +288,25 @@ def test_integrity_benchmark(record_row):
     verify_overhead = full_p50 / max(off_p50, 1e-12)
     rebuild_p50, report = measure_rebuild()
 
-    # Verification is transparent on clean traffic: identical payloads,
-    # checks actually ran, and nothing fired.
+    # Verification is transparent on clean traffic: identical payloads, one
+    # check per dispatched batch of the one band, nothing fired, and no
+    # simulated cycle or picojoule (the check runs on the host).
     assert np.array_equal(full_results, off_results)
-    assert full_server.stats.integrity_checks >= 1
+    assert full_server.stats.integrity_checks == full_server.stats.batches >= 1
     assert full_server.stats.corruptions_detected == 0
     assert full_server.stats.reexecutions == 0
     assert full_server.stats.degraded_batches == 0
     assert off_server.stats.integrity_checks == 0
+    full_ledger, off_ledger = (
+        server.pool.total_ledger() for server in (full_server, off_server)
+    )
+    assert (full_ledger.cycles, full_ledger.energy_pj) == (
+        off_ledger.cycles, off_ledger.energy_pj)
+    # What the check costs the host, in counts the program controls.
+    off_calls, off_events = pooled_call_events(off_server)
+    full_calls, full_events = pooled_call_events(full_server)
+    assert full_calls - off_calls <= MAX_VERIFY_EXTRA_CALLS, (full_calls, off_calls)
+    assert full_events - off_events <= MAX_VERIFY_EXTRA_EVENTS, (full_events, off_events)
 
     print(
         f"\nintegrity: best drain {off_p50 * 1e3:.2f} ms verify=off -> "
@@ -288,6 +328,8 @@ def test_integrity_benchmark(record_row):
         "verify_overhead": verify_overhead,
         "max_verify_overhead": MAX_VERIFY_OVERHEAD,
         "integrity_checks": full_server.stats.integrity_checks,
+        "verify_extra_calls": full_calls - off_calls,
+        "verify_extra_events": full_events - off_events,
         "corruptions_detected": full_server.stats.corruptions_detected,
         "rebuild_p50_ms": rebuild_p50 * 1e3,
         "rebuild_copies_programmed": len(report.copies_programmed),
@@ -301,10 +343,6 @@ def test_integrity_benchmark(record_row):
     record_row("BENCH_recovery.json", {
         "verify_overhead": round(verify_overhead, 3),
         "verify_full_drain_ms": round(full_p50 * 1e3, 3),
+        "verify_extra_calls": full_calls - off_calls,
         "rebuild_ms": round(rebuild_p50 * 1e3, 3),
     })
-
-    assert verify_overhead <= MAX_VERIFY_OVERHEAD, (
-        f"verify='full' drain is {verify_overhead:.2f}x the unverified "
-        f"drain (acceptance bound {MAX_VERIFY_OVERHEAD}x)"
-    )

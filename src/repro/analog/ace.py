@@ -171,8 +171,11 @@ class AnalogComputeElement:
         parasitics: Optional[ParasiticModel] = None,
         adc_spec: Optional[AdcSpec] = None,
         ledger: Optional[CostLedger] = None,
+        tile_id: int = 0,
     ) -> None:
         self.config = config if config is not None else AceConfig()
+        #: Names this ACE's arrays in their noise streams (``(tile_id, array_id)``).
+        self.tile_id = int(tile_id)
         self.device = device if device is not None else DeviceParameters()
         self.noise_config = noise if noise is not None else NoiseConfig.ideal()
         self.parasitics = parasitics
@@ -188,7 +191,7 @@ class AnalogComputeElement:
         #: invalidated together with the shard-kernel cache.
         self._plans: Dict[Tuple[int, int], object] = {}
         #: Reusable per-shape scratch tensors for the vectorized forward
-        #: pass (bit-plane stacks and float input blocks).  Keyed purely by
+        #: pass (bit-plane stacks and float work blocks).  Keyed purely by
         #: shape -- contents are fully overwritten on every use -- so no
         #: invalidation is needed on release/reprogram.
         self._scratch: Dict[Tuple, np.ndarray] = {}
@@ -230,6 +233,7 @@ class AnalogComputeElement:
             dac=DigitalToAnalogConverter(),
             ledger=self.ledger,
             row_periphery_power_mw=self.config.row_periphery_power_mw,
+            noise_stream=(self.tile_id, array_id),
         )
         self._crossbars[array_id] = crossbar
         return array_id, crossbar
@@ -403,10 +407,11 @@ class AnalogComputeElement:
         key = ("planes", input_bits, batch, rows)
         return self._scratch_for(key, (input_bits, batch, rows), np.int64)
 
-    def float_scratch(self, batch: int, rows: int) -> np.ndarray:
-        """Reusable ``(batch, rows)`` float64 input block (exact fast path)."""
-        key = ("float", batch, rows)
-        return self._scratch_for(key, (batch, rows), np.float64)
+    def float_scratch(self, *shape: int) -> np.ndarray:
+        """Reusable float64 block of ``shape``: the exact path's ``(batch,
+        rows)`` input block; the general path's float bit planes and its
+        one work block per shard shape (column sums, noise term, draw)."""
+        return self._scratch_for(("float",) + shape, shape, np.float64)
 
     @property
     def cached_kernels(self) -> int:

@@ -74,13 +74,23 @@ class AnalogToDigitalConverter:
         """Value-domain width of one ADC code."""
         return self._step
 
-    def convert(self, values: np.ndarray) -> np.ndarray:
+    def convert(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Quantise ``values`` to the nearest ADC code and return the codes
-        mapped back into the value domain (integers)."""
+        mapped back into the value domain (integers).
+
+        ``out`` (a float64 block shaped like ``values``, which it may be)
+        receives the result; the arithmetic is the same either way.
+        """
         values = np.asarray(values, dtype=float)
-        codes = np.rint((values - self.min_value) / self._step)
-        codes = np.clip(codes, 0, self.spec.levels - 1)
-        return codes * self._step + self.min_value
+        codes = np.subtract(
+            values, self.min_value, out=np.empty_like(values) if out is None else out
+        )
+        codes /= self._step
+        np.rint(codes, out=codes)
+        np.clip(codes, 0, self.spec.levels - 1, out=codes)
+        codes *= self._step
+        codes += self.min_value
+        return codes
 
     # ------------------------------------------------------------------ #
     # Cost model                                                          #

@@ -18,7 +18,7 @@ CrossSim+MILO methodology does, which is what the accuracy experiments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .dac import DigitalToAnalogConverter
 __all__ = [
     "AnalogCrossbar",
     "CrossbarOutput",
+    "add_read_noise",
     "normalised_column_sums",
     "parasitic_signed_sums",
+    "read_noise_variance",
 ]
 
 
-def normalised_column_sums(x, conductances, baseline, lsb):
+def normalised_column_sums(x, conductances, baseline, lsb, out=None):
     """Column currents normalised to the value domain: ``(x @ g - b) / lsb``.
 
     The Ohm/Kirchhoff current sum shared by every execution engine -- the
@@ -44,23 +46,72 @@ def normalised_column_sums(x, conductances, baseline, lsb):
     compute signed column sums through this one expression, so the float
     pipeline cannot drift between them.  Broadcasts over any leading stack
     dimensions of ``x`` / ``conductances`` (NumPy dispatches the same 2-D
-    products either way).
+    products either way).  The three operations run in place, in ``out``
+    when given: the same values in a caller-owned block.
     """
-    return (np.matmul(x, conductances) - baseline) / lsb
+    sums = np.matmul(x, conductances, out=out)
+    sums -= baseline
+    sums /= lsb
+    return sums
 
 
-def parasitic_signed_sums(parasitics, x, input_bits_matrix, pos_g, neg_g, baseline, lsb):
+def read_noise_variance(pos_g, neg_g, scale):
+    """Value-domain variance one driven wordline adds to each bitline per
+    access: ``scale**2 * (g_pos**2 + g_neg**2)`` with ``scale = sigma / lsb``
+    (:attr:`AnalogCrossbar.read_noise_scale`)."""
+    return (pos_g * pos_g + neg_g * neg_g) * (scale * scale)
+
+
+def add_read_noise(signed, x, variance, rng, out=None, draw=None):
+    """Add one access's read noise to value-domain column sums, in place.
+
+    ``signed += sqrt(x @ variance) * z`` with ``variance`` from
+    :func:`read_noise_variance` and ``z`` standard normals drawn from
+    ``rng`` in C order, one per element of ``signed``.  This is the
+    per-device model (every conductance read as ``g * (1 + sigma * n)``,
+    fresh ``n`` per device, per vector) summed down the bitline: for
+    binary ``x`` the per-device terms of column ``j`` add up to exactly
+    ``N(0, (x @ variance)_j)``.  Only the clamp at zero conductance is
+    dropped (``n < -1 / sigma``; see :mod:`repro.reram.noise`).
+
+    The single source of the read-noise term for both execution engines:
+    :meth:`AnalogCrossbar.mvm_1bit` consumes ``used_cols`` normals of the
+    crossbar's stream, :meth:`AnalogCrossbar.mvm_batch` ``batch *
+    used_cols``, and the vectorized engine ``(input_bits, batch,
+    used_cols)`` per crossbar per call -- the same stream, because the
+    reference schedule visits a crossbar once per input bit in bit order.
+    ``out`` (shaped like ``signed``) and ``draw`` are optional work blocks.
+    """
+    noise = np.matmul(x, variance, out=out)
+    np.sqrt(noise, out=noise)
+    noise *= rng.standard_normal(noise.shape, out=draw)
+    signed += noise
+    return signed
+
+
+def parasitic_signed_sums(
+    parasitics, x, input_bits_matrix, pos_g, neg_g, baseline, lsb, scale=0.0, rng=None
+):
     """Signed value-domain sums of one binary input batch under IR drop.
 
     ``input_bits_matrix`` is the raw ``(batch, rows)`` 0/1 matrix (the
     parasitic solve is input-dependent), ``x`` its float view.  Single
     source of truth for the parasitic branch of both execution engines.
+    With ``rng`` (read noise active, ``scale`` the crossbar's
+    ``read_noise_scale``) the term of :func:`add_read_noise` is added, on
+    the attenuated conductances.
+    Attenuation itself is solved on the programmed, not the read-perturbed,
+    conductances; what that leaves out is second order (``sigma`` x IR drop).
     """
     p_eff = parasitics.apply_batch(pos_g, input_bits_matrix)
     n_eff = parasitics.apply_batch(neg_g, input_bits_matrix)
-    pos_sum = (np.matmul(x[:, None, :], p_eff)[:, 0, :] - baseline) / lsb
-    neg_sum = (np.matmul(x[:, None, :], n_eff)[:, 0, :] - baseline) / lsb
-    return pos_sum - neg_sum
+    rows = x[:, None, :]
+    pos_sum = (np.matmul(rows, p_eff)[:, 0, :] - baseline) / lsb
+    neg_sum = (np.matmul(rows, n_eff)[:, 0, :] - baseline) / lsb
+    signed = pos_sum - neg_sum
+    if rng is not None:
+        add_read_noise(signed[:, None, :], rows, read_noise_variance(p_eff, n_eff, scale), rng)
+    return signed
 
 
 @dataclass(frozen=True)
@@ -99,12 +150,15 @@ class AnalogCrossbar:
         ledger: Optional[CostLedger] = None,
         row_periphery_power_mw: float = 0.7,
         sample_hold_energy_pj: float = 2.1e-5,
+        noise_stream: Tuple[int, ...] = (),
     ) -> None:
         self.rows = int(rows)
         self.cols = int(cols)
         self.bits_per_cell = int(bits_per_cell)
         self.device = device if device is not None else DeviceParameters()
-        self.noise = NoiseStack(self.device, noise if noise is not None else NoiseConfig.ideal())
+        self.noise = NoiseStack(
+            self.device, noise if noise is not None else NoiseConfig.ideal(), noise_stream
+        )
         self.parasitics = parasitics
         self.mapper = ConductanceMapper(self.device, self.bits_per_cell)
         max_sum = self.rows * (2 ** self.bits_per_cell - 1)
@@ -184,8 +238,8 @@ class AnalogCrossbar:
     def positive_conductances(self) -> np.ndarray:
         """Programmed positive-plane conductances (post write-verify noise).
 
-        These are the frozen post-programming values; read-time error
-        sources (read noise, drift) are applied on top of them per MVM.
+        These are the frozen post-programming values; read noise is added
+        to the column sums they produce, per MVM.
         The vectorized execution engine snapshots them into its per-shard
         kernel cache.
         """
@@ -199,6 +253,12 @@ class AnalogCrossbar:
         if self._negative_g is None:
             raise DeviceError("crossbar has not been programmed")
         return self._negative_g
+
+    @property
+    def read_noise_scale(self) -> float:
+        """``sigma / lsb``: the read-noise deviation of a conductance ``g``
+        is ``read_noise_scale * g`` in the value domain."""
+        return self.noise.read_noise.sigma / self.mapper.lsb_conductance()
 
     # ------------------------------------------------------------------ #
     # One-bit-input MVM                                                    #
@@ -225,8 +285,7 @@ class AnalogCrossbar:
         if np.any((input_bits != 0) & (input_bits != 1)):
             raise DeviceError("mvm_1bit expects a binary input vector")
 
-        pos_g = self.noise.read(self._positive_g)
-        neg_g = self.noise.read(self._negative_g)
+        pos_g, neg_g = self._positive_g, self._negative_g
         if self.parasitics is not None:
             pos_g = self.parasitics.apply(pos_g, input_bits)
             neg_g = self.parasitics.apply(neg_g, input_bits)
@@ -239,6 +298,9 @@ class AnalogCrossbar:
         pos_sum = (x @ pos_g - baseline) / lsb
         neg_sum = (x @ neg_g - baseline) / lsb
         signed = pos_sum - neg_sum
+        if self.noise.read_noise_active:
+            variance = read_noise_variance(pos_g, neg_g, self.read_noise_scale)
+            add_read_noise(signed, x, variance, self.noise.rng)
         quantised = self.adc.convert(signed)
 
         latency = (
@@ -269,10 +331,13 @@ class AnalogCrossbar:
         ``(batch, cols)``; latency and energy are charged for all ``batch``
         sequential hardware MVMs at once.
 
-        With read noise enabled, one conductance sample is drawn per batched
-        call (the whole batch sees the same read perturbation), whereas
-        ``mvm_1bit`` re-draws per vector.  In the noise-free configuration
-        the results are bit-identical to the single-vector path.
+        Read noise is drawn per vector, as the hardware's ``batch``
+        sequential accesses would see it: one call consumes ``batch *
+        used_cols`` standard normals of this crossbar's stream in C order,
+        the very samples ``batch`` successive ``mvm_1bit`` calls consume
+        (:func:`add_read_noise`), so looped and batched execution of one
+        crossbar agree value for value and leave the generator in the same
+        state.
         """
         if self._positive_g is None or self._negative_g is None:
             raise DeviceError("crossbar has not been programmed")
@@ -287,23 +352,25 @@ class AnalogCrossbar:
         if np.any((input_bit_matrix != 0) & (input_bit_matrix != 1)):
             raise DeviceError("mvm_batch expects binary input vectors")
 
-        pos_g = self.noise.read(self._positive_g)
-        neg_g = self.noise.read(self._negative_g)
+        pos_g, neg_g = self._positive_g, self._negative_g
         x = input_bit_matrix.astype(float)
         lsb = self.mapper.lsb_conductance()
         baseline = self.device.g_min * x.sum(axis=1, keepdims=True)
+        scale = self.read_noise_scale
+        rng = self.noise.rng if self.noise.read_noise_active else None
         if self.parasitics is not None:
             # IR drop depends on the individual input pattern, but the
             # parasitic network solve is element-wise per vector, so the
             # whole batch runs through one stacked attenuation + matmul pass
             # (bit-identical to solving vector by vector).
             signed = parasitic_signed_sums(
-                self.parasitics, x, input_bit_matrix, pos_g, neg_g, baseline, lsb
+                self.parasitics, x, input_bit_matrix, pos_g, neg_g, baseline, lsb, scale, rng
             )
         else:
-            signed = normalised_column_sums(
-                x, pos_g, baseline, lsb
-            ) - normalised_column_sums(x, neg_g, baseline, lsb)
+            signed = normalised_column_sums(x, pos_g, baseline, lsb)
+            signed -= normalised_column_sums(x, neg_g, baseline, lsb)
+            if rng is not None:
+                add_read_noise(signed, x, read_noise_variance(pos_g, neg_g, scale), rng)
         quantised = self.adc.convert(signed)
 
         per_vector_latency = (

@@ -14,19 +14,26 @@ with, collapsing the schedule into a handful of NumPy contractions:
   ``(num_slices, rows, cols)`` tensors -- the **shard kernel cache** held by
   the owning :class:`~repro.analog.ace.AnalogComputeElement` and invalidated
   whenever the allocation is released or reprogrammed;
-* every ``(input_bit, weight_slice)`` partial product of a shard is computed
-  by one broadcast matmul, and ADC quantisation runs as a single
-  element-wise pass over the stacked output tensor.
+* the partial products of a weight slice -- every input bit of it -- come
+  from one broadcast matmul per conductance plane, and ADC quantisation
+  runs as a single element-wise pass over the shard's stacked output.
 
 Bit-for-bit equivalence with the reference engine is a hard invariant, not
 an aspiration: the stacked matmuls hand BLAS the *same* ``(batch, rows) @
 (rows, cols)`` operands per step (broadcasting only moves the loop out of
-Python), stochastic read noise is drawn in bulk from each crossbar's own
-generator in exactly the per-step order the reference engine consumes it,
-and latency/energy ledger charges are replayed value-for-value in the
+Python), read noise is the reference's own bitline term
+(:func:`~repro.analog.crossbar.add_read_noise`) fed one ``(input_bits,
+batch, cols)`` draw per crossbar from that crossbar's generator -- the
+samples the reference's per-step calls consume, in their order -- and
+latency/energy ledger charges are replayed value-for-value in the
 reference charge order (:func:`issue_mvm_charges`, run-length but never
 multiplied out) so even the floating-point accumulation of the
 :class:`~repro.metrics.CostLedger` matches.
+
+The general path allocates nothing per call that scales with the shard:
+column sums, the noise term, ADC codes and their rounding all live in one
+block of the ACE's per-shape scratch, and every step is the reference's
+operation with ``out=``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,12 @@ import numpy as np
 
 from ..errors import QuantizationError
 from .bitslicing import slice_inputs_tensor
-from .crossbar import normalised_column_sums, parasitic_signed_sums
+from .crossbar import (
+    add_read_noise,
+    normalised_column_sums,
+    parasitic_signed_sums,
+    read_noise_variance,
+)
 
 __all__ = [
     "ShardKernel",
@@ -73,6 +85,9 @@ class TileKernel:
     #: s*bits_per_cell``), as exact float64 integers -- the operand of the
     #: proven-exact integer fast path.
     recombined: np.ndarray
+    #: ``read_noise_variance(pos, neg, scale)``, present only while read
+    #: noise is active (nothing else reads it).
+    read_variance: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -188,6 +203,10 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
                     pos=pos,
                     neg=neg,
                     recombined=recombined,
+                    read_variance=(
+                        read_noise_variance(pos, neg, crossbars[0].read_noise_scale)
+                        if crossbars[0].noise.read_noise_active else None
+                    ),
                 )
             )
     sample = tiles[0].crossbars[0]
@@ -221,60 +240,48 @@ def validate_input_range(vectors: np.ndarray, input_bits: int) -> None:
         raise QuantizationError(f"input values exceed {input_bits} bits")
 
 
-def _tile_codes(
-    ace,
-    kernel: ShardKernel,
-    tile: TileKernel,
-    bit_planes: np.ndarray,
-    input_bits: int,
-) -> np.ndarray:
-    """ADC output values of one shard, shape ``(slices, input_bits, batch, cols)``."""
-    bits_int = np.ascontiguousarray(bit_planes[:, :, tile.row_start: tile.row_end])
-    x = bits_int.astype(float)
+def _tile_codes(ace, kernel: ShardKernel, tile: TileKernel, bit_planes: np.ndarray) -> np.ndarray:
+    """ADC output values of one shard, shape ``(slices, input_bits, batch, cols)``.
+
+    Computed in the ACE's scratch, so valid until the next shard: one
+    ``(input_bits, batch, cols)`` block per weight slice for the column
+    sums and codes, one more that the second plane and then the noise term
+    pass through, and one for the draw.
+    """
+    input_bits, batch, _ = bit_planes.shape
+    x = ace.float_scratch(input_bits, batch, tile.used_rows)
+    x[...] = bit_planes[:, :, tile.row_start: tile.row_end]
+    work = ace.float_scratch(kernel.num_slices + 2, input_bits, batch, tile.used_cols)
+    signed, other, draw = work[:-2], work[-2], work[-1]
     lsb = kernel.lsb_conductance
-    baseline = kernel.g_min * x.sum(axis=2)  # (input_bits, batch)
-    adc = tile.crossbars[0].adc
-
-    read_active = tile.crossbars[0].noise.read_noise_active
+    baseline = (kernel.g_min * x.sum(axis=2))[..., None]  # (input_bits, batch, 1)
+    read_noise = tile.read_variance is not None
     parasitics = ace.parasitics
+    if parasitics is not None:
+        bits_int = np.ascontiguousarray(bit_planes[:, :, tile.row_start: tile.row_end])
 
-    if not read_active and parasitics is None:
-        # Fast path: one broadcast matmul per conductance plane.  Each
-        # (slice, input bit) pair is the same (batch, rows) @ (rows, cols)
-        # product the reference engine issues, so BLAS sees identical
-        # operands and the outputs match bit for bit.
-        stacked_baseline = baseline[..., None]
-        signed = normalised_column_sums(
-            x[None, :, :, :], tile.pos[:, None, :, :], stacked_baseline, lsb
-        ) - normalised_column_sums(
-            x[None, :, :, :], tile.neg[:, None, :, :], stacked_baseline, lsb
-        )
-        return adc.convert(signed)
-
-    batch = x.shape[1]
-    signed = np.empty(
-        (kernel.num_slices, input_bits, batch, tile.used_cols), dtype=float
-    )
-    for slice_index, crossbar in enumerate(tile.crossbars):
-        # One bulk draw per crossbar reproduces the reference engine's
-        # per-step consumption of that crossbar's private generator:
-        # (positive plane, negative plane) per input bit, in bit order.
-        pos_planes, neg_planes = crossbar.noise.read_pair_bulk(
-            tile.pos[slice_index], tile.neg[slice_index], input_bits
-        )
+    for index, crossbar in enumerate(tile.crossbars):
+        sums = signed[index]
         if parasitics is None:
-            stacked_baseline = baseline[..., None]
-            signed[slice_index] = normalised_column_sums(
-                x, pos_planes, stacked_baseline, lsb
-            ) - normalised_column_sums(x, neg_planes, stacked_baseline, lsb)
-        else:
-            for bit in range(input_bits):
-                signed[slice_index, bit] = parasitic_signed_sums(
-                    parasitics, x[bit], bits_int[bit],
-                    pos_planes[bit], neg_planes[bit],
-                    baseline[bit][:, None], lsb,
+            # Each (slice, input bit) pair is the same (batch, rows) @
+            # (rows, cols) product the reference engine issues, so BLAS sees
+            # identical operands and the outputs match bit for bit; one draw
+            # per crossbar is the reference's per-step consumption of that
+            # crossbar's private generator, in input-bit order.
+            normalised_column_sums(x, tile.pos[index], baseline, lsb, out=sums)
+            sums -= normalised_column_sums(x, tile.neg[index], baseline, lsb, out=other)
+            if read_noise:
+                add_read_noise(
+                    sums, x, tile.read_variance[index], crossbar.noise.rng, out=other, draw=draw
                 )
-    return adc.convert(signed)
+        else:
+            rng = crossbar.noise.rng if read_noise else None
+            for bit in range(input_bits):
+                sums[bit] = parasitic_signed_sums(
+                    parasitics, x[bit], bits_int[bit], tile.pos[index], tile.neg[index],
+                    baseline[bit], lsb, crossbar.read_noise_scale, rng,
+                )
+    return tile.crossbars[0].adc.convert(signed, out=signed)
 
 
 def analog_step_costs(
@@ -337,8 +344,10 @@ def ace_forward_vectorized(ace, plan, vectors: np.ndarray) -> List[np.ndarray]:
     ``vectors`` is the ``(batch, rows)`` int64 block the backend admitted.
     Returns one ``(batch, used_cols)`` int64 array per shard, in
     ``plan.kernel.tiles`` order: the shift-and-add sum of that shard's
-    post-ADC partial products (the ``rint -> int64 -> << shift ->
-    accumulate`` sequence the shift units and DCE perform), before DCE
+    post-ADC partial products (the ``rint -> << shift -> accumulate``
+    sequence the shift units and DCE perform, as one contraction of the
+    rounded codes with ``2.0 ** shift`` -- integers times powers of two,
+    every partial sum far below 2**53, so float64 is exact), before DCE
     truncation.  Input range errors are raised before anything is computed;
     no ledger, counter or register is touched -- the batch's
     :class:`~repro.plan.ir.BatchReceipt` charges the cost side.
@@ -372,14 +381,15 @@ def ace_forward_vectorized(ace, plan, vectors: np.ndarray) -> List[np.ndarray]:
     bit_planes = slice_inputs_tensor(
         vectors, input_bits, out=ace.bitplane_scratch(input_bits, batch, rows)
     )
-    shifts = (
-        np.arange(input_bits, dtype=np.int64)[None, :]
-        + np.arange(kernel.num_slices, dtype=np.int64)[:, None] * kernel.bits_per_cell
-    )[:, :, None, None]
-    return [
-        (
-            np.rint(_tile_codes(ace, kernel, tile, bit_planes, input_bits)).astype(np.int64)
-            << shifts
-        ).sum(axis=(0, 1))
-        for tile in kernel.tiles
-    ]
+    weights = 2.0 ** (
+        np.arange(input_bits)[None, :]
+        + np.arange(kernel.num_slices)[:, None] * kernel.bits_per_cell
+    )
+    shard_totals = []
+    for tile in kernel.tiles:
+        codes = _tile_codes(ace, kernel, tile, bit_planes)
+        np.rint(codes, out=codes)
+        shard_totals.append(
+            np.tensordot(weights, codes, axes=([0, 1], [0, 1])).astype(np.int64)
+        )
+    return shard_totals

@@ -79,6 +79,7 @@ class HybridComputeTile:
             noise=noise,
             parasitics=parasitics,
             ledger=self.ledger,
+            tile_id=self.tile_id,
         )
         self.dce = DigitalComputeElement(
             config=self.config.dce,

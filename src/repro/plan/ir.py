@@ -137,8 +137,8 @@ class PlanStep:
     The reference backend executes exactly one crossbar call per step, in
     plan order (input bit outermost, then row tile, column tile, weight
     slice -- the hardware issue order); the vectorized backend collapses
-    all steps of a shard into one broadcast matmul but produces the same
-    post-ADC values.
+    the steps of each weight slice into broadcast matmuls but produces the
+    same post-ADC values.
     """
 
     input_bit: int

@@ -5,12 +5,32 @@ parasitics (IR drop; modelled in :mod:`repro.reram.parasitics`), read noise,
 conductance drift, and stuck-at faults.  Each is modelled here as a small,
 composable transformer over conductance matrices so the analog crossbar can
 apply exactly the subset of error sources an experiment enables.
+
+Read noise has one definition and one execution form.  The definition is
+per device: :meth:`ReadNoiseModel.apply` reads every conductance as
+``max(g * (1 + sigma * n), 0)`` with an independent ``n ~ N(0, 1)`` per
+device per access.  The MVM paths never materialise those perturbed
+planes: only bitline sums are observed, and for a binary wordline vector
+``x`` the sum of the per-device terms down column ``j`` is exactly
+``N(0, sigma**2 * (x @ (g_pos**2 + g_neg**2))_j)``, so both execution
+engines draw one standard normal per *bitline* per access
+(:func:`repro.analog.crossbar.add_read_noise`) -- ``batch * cols`` samples
+per crossbar step where the per-device form needs ``2 * rows * cols``.
+The bitline form drops only the clamp at zero conductance, reachable for
+``n < -1 / sigma`` (-500 standard deviations at the device default 0.002);
+it is the per-device model in distribution for ``sigma <~ 0.1``
+(``tests/test_reram.py`` measures the two against each other).
+
+Every crossbar owns one generator, seeded ``(config.seed, tile_id,
+array_id)``: programming noise, the stuck-at map and read noise of one
+array draw from it, and no two arrays of a device share a stream, so their
+errors add in quadrature rather than coherently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +110,8 @@ class ReadNoiseModel:
     """Per-access random perturbation of the sensed current.
 
     Read noise is re-drawn on every MVM, unlike programming noise which is
-    frozen when the matrix is written.
+    frozen when the matrix is written.  :meth:`apply` is the per-device
+    definition; MVMs execute its bitline-sum equivalent (module docstring).
     """
 
     def __init__(self, params: DeviceParameters, sigma: Optional[float] = None) -> None:
@@ -104,41 +125,6 @@ class ReadNoiseModel:
         conductances = np.asarray(conductances, dtype=float)
         noise = rng.normal(0.0, self.sigma, size=conductances.shape) * conductances
         return np.clip(conductances + noise, 0.0, None)
-
-    def apply_pair_bulk(
-        self,
-        positive: np.ndarray,
-        negative: np.ndarray,
-        count: int,
-        rng: np.random.Generator,
-    ) -> tuple:
-        """``count`` successive (positive, negative) read perturbations at once.
-
-        The vectorized execution engine consumes read noise in bulk: one
-        generator draw of shape ``(count, 2) + plane_shape`` replays exactly
-        the stream ``count`` alternating ``apply(positive)`` /
-        ``apply(negative)`` calls would consume (NumPy generators fill
-        arrays in C order), so batched and per-step execution see
-        bit-identical conductances.  The perturbation is :meth:`apply`'s
-        ``clip(g + normal * g, 0, None)``, computed in place on the drawn
-        block (scale by ``g``, add ``g``, clamp at zero) so a call allocates
-        the draw and nothing else.  Returns ``(positive_stack,
-        negative_stack)``, two ``(count,) + plane_shape`` views of that
-        block.
-        """
-        positive = np.asarray(positive, dtype=float)
-        negative = np.asarray(negative, dtype=float)
-        if self.sigma == 0.0:
-            return (
-                np.broadcast_to(positive, (count,) + positive.shape),
-                np.broadcast_to(negative, (count,) + negative.shape),
-            )
-        draw = rng.normal(0.0, self.sigma, size=(count, 2) + positive.shape)
-        pair = np.stack([positive, negative])
-        draw *= pair
-        draw += pair
-        np.maximum(draw, 0.0, out=draw)
-        return draw[:, 0], draw[:, 1]
 
 
 class DriftModel:
@@ -206,15 +192,20 @@ class NoiseStack:
     """The full set of error sources applied by an analog array.
 
     ``program()`` is applied once when a matrix is written; ``read()`` is
-    applied on every MVM.  IR drop is handled separately by the crossbar
-    because it depends on the applied inputs, not only the stored state.
+    the per-device read of a conductance plane (MVMs add the equivalent
+    bitline term instead, drawing from :attr:`rng`).  IR drop is handled
+    separately by the crossbar because it depends on the applied inputs,
+    not only the stored state.
     """
 
     params: DeviceParameters
     config: NoiseConfig = field(default_factory=NoiseConfig)
+    #: What names this array under ``config.seed`` -- ``(tile_id, array_id)``
+    #: inside a device -- so every array draws from its own stream.
+    stream: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.config.seed)
+        self._rng = np.random.default_rng((self.config.seed, *self.stream))
         self.programming = ProgrammingNoiseModel(self.params, self.config.programming_sigma)
         self.read_noise = ReadNoiseModel(self.params, self.config.read_sigma)
         self.drift = DriftModel(self.params, self.config.drift_rate)
@@ -222,7 +213,7 @@ class NoiseStack:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The random generator shared by all stochastic error sources."""
+        """This array's generator, shared by its stochastic error sources."""
         return self._rng
 
     def program(self, conductances: np.ndarray) -> np.ndarray:
@@ -245,24 +236,5 @@ class NoiseStack:
 
     @property
     def read_noise_active(self) -> bool:
-        """Whether :meth:`read` draws fresh stochastic noise per access."""
+        """Whether an access draws fresh stochastic noise."""
         return bool(self.config.read_noise and self.read_noise.sigma != 0.0)
-
-    def read_pair_bulk(self, positive: np.ndarray, negative: np.ndarray, count: int) -> tuple:
-        """``count`` successive ``(read(positive), read(negative))`` pairs.
-
-        Bulk-consumption equivalent of alternating :meth:`read` calls on the
-        two planes of a differential pair (drift is a no-op at read time,
-        exactly as in :meth:`read` with ``elapsed=0``).  When read noise is
-        inactive the original planes are returned broadcast to the stacked
-        shape without consuming the generator, mirroring :meth:`read`'s
-        pass-through.
-        """
-        if not self.read_noise_active:
-            positive = np.asarray(positive, dtype=float)
-            negative = np.asarray(negative, dtype=float)
-            return (
-                np.broadcast_to(positive, (count,) + positive.shape),
-                np.broadcast_to(negative, (count,) + negative.shape),
-            )
-        return self.read_noise.apply_pair_bulk(positive, negative, count, self._rng)

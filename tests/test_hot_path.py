@@ -12,13 +12,17 @@ a served request the pool call plus a constant: ``TestServerRound`` budgets
 the Python-level calls per request of a steady-state ``PumServer`` round and
 of a tick with nothing due.  And one tier above that, a wave through the
 cluster should cost two frames and one pass over its rows on each side:
-``TestClusterWave`` budgets the profile events of each hop.
+``TestClusterWave`` budgets the profile events of each hop.  Off the exact
+path, ``TestNoisyCall`` budgets what a call under read noise draws and
+allocates: one generator call per crossbar, one sample per bitline sum,
+and no block that scales with the shard.
 """
 
 from __future__ import annotations
 
 import asyncio
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,17 @@ MAX_IDLE_TICK_CALLS = 12
 #: response and three NumPy scalar reads per row).
 MAX_WAVE_EVENTS = {"gateway_submit": 107, "worker_outside_drain": 227,
                    "gateway_resolve": 118}
+#: One steady-state call under ``NoiseConfig.paper_default()`` at batch 32:
+#: label -> (generator draws = crossbars of the allocation, standard normals
+#: = slices x input bits x batch x used columns, summed over tiles).  The
+#: per-device draw this replaced took 2 x rows x cols per (crossbar, input
+#: bit): 258 048 / 2 048 / 344 064 samples.
+NOISY_CALL_DRAWS = {"resnet_conv": (18, 64512), "aes_mixcolumns": (1, 1024),
+                    "encoder_projection": (6, 86016)}
+#: ``tracemalloc`` peak of the third noisy ``encoder_projection`` call
+#: (measured 147 KB: bit planes and results; 2 597 KB while every step of
+#: the general path returned a fresh (slices, bits, batch, cols) block).
+MAX_NOISY_CALL_PEAK_BYTES = 256 * 1024
 
 
 def programmed_device(shape, element_size, input_bits, noise=None, config=None):
@@ -107,6 +122,60 @@ class TestCallBudget:
         assert sum(planner.receipt_hits for planner in planners) == hits + tiles
         assert sum(planner.receipt_misses for planner in planners) == tiles
         assert device.planner_builds() == tiles
+
+
+def _profile_serving():
+    """``benchmarks/profile_serving.py``, whose probes this file budgets."""
+    path = Path(__file__).parent.parent / "benchmarks" / "profile_serving.py"
+    spec = importlib.util.spec_from_file_location("profile_serving", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNoisyCall:
+    """The general path under ``NoiseConfig.paper_default()``, batch 32."""
+
+    @staticmethod
+    def _steady(label):
+        shape, element_size, input_bits, _ = DEVICE_CALL_SHAPES[label]
+        device, allocation, _, vectors = programmed_device(
+            shape, element_size, input_bits, noise=NoiseConfig.paper_default()
+        )
+        assert device.device_plan(allocation, input_bits) is None
+
+        def call():
+            return device.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+
+        for _ in range(2):  # first call builds the kernel, receipt and scratch
+            call()
+        return device, allocation, call
+
+    @pytest.mark.parametrize("label", sorted(NOISY_CALL_DRAWS))
+    def test_one_draw_per_crossbar_one_sample_per_bitline_sum(self, label, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        device, allocation, call = self._steady(label)
+        input_bits = DEVICE_CALL_SHAPES[label][2]
+        crossbars = [hct.ace.crossbar(array_id)
+                     for _, hct, handle in device._tiles(allocation)
+                     for array_id in handle.array_ids]
+        samples = sum(input_bits * BATCH * crossbar.programmed_shape[1]
+                      for crossbar in crossbars)
+        assert (len(crossbars), samples) == NOISY_CALL_DRAWS[label]
+        # ``make hotpath``'s probe: a counting stand-in for every generator.
+        counted = _profile_serving().noisy_call_stages(call, device, allocation, loops=1)
+        assert (counted["draws"], counted["samples"]) == NOISY_CALL_DRAWS[label]
+
+    def test_steady_state_noisy_call_allocates_no_shard_sized_block(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        _, _, call = self._steady("encoder_projection")
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_NOISY_CALL_PEAK_BYTES, peak
 
 
 def _python_calls(function) -> int:
@@ -176,17 +245,9 @@ class TestClusterWave:
     """One 16-row wave through ``benchmarks/profile_serving.py``'s twin: a
     scripted gateway and one worker's functions on real rings and bells."""
 
-    @staticmethod
-    def _profile_serving():
-        path = Path(__file__).parent.parent / "benchmarks" / "profile_serving.py"
-        spec = importlib.util.spec_from_file_location("profile_serving", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     def test_steady_state_wave_stays_within_budget(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        profile_serving = self._profile_serving()
+        profile_serving = _profile_serving()
 
         async def scenario():
             twin = profile_serving.ClusterWaveTwin()

@@ -29,6 +29,7 @@ from repro import (
 )
 from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
 from repro.analog.compensation import ParasiticCompensation
+from repro.analog.crossbar import AnalogCrossbar
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
@@ -530,6 +531,80 @@ class TestShardKernelCache:
         clean_handle = clean.set_matrix(np.eye(8, dtype=np.int64) * 3, value_bits=4)
         clean.execute_mvm_batch(clean_handle, np.ones((1, 8), dtype=np.int64), input_bits=1)
         assert clean.ace.kernel_for(clean_handle).exact
+
+
+class TestReadNoiseStreams:
+    """One generator per crossbar, named ``(seed, tile_id, array_id)``; one
+    crossbar's looped and batched reads are the same samples."""
+
+    READ_NOISE = NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False,
+                             read_sigma=0.05, seed=5)
+
+    @staticmethod
+    def _noisy_batch(seed, backend=None):
+        rng = derive_rng("kernels-streams")
+        matrix = rng.integers(-32, 32, size=(64, 64))
+        vectors = rng.integers(0, 128, size=(8, 64))
+        device = DarthPumDevice(noise=NoiseConfig(read_sigma=0.05, seed=seed))
+        allocation = device.set_matrix(matrix, element_size=6, precision=0)
+        return device.exec_mvm_batch(allocation, vectors, input_bits=7, backend=backend)
+
+    def test_crossbars_of_one_ace_draw_from_different_streams(self):
+        tile = HybridComputeTile(HctConfig.small(), noise=NoiseConfig(seed=5))
+        # Six slices; the two lowest are programmed with the same levels.
+        handle = tile.set_matrix(np.full((8, 8), -3, dtype=np.int64), value_bits=6)
+        first, second = (tile.ace.crossbar(i) for i in handle.array_ids[:2])
+        assert np.array_equal(first.negative_levels, second.negative_levels)
+        assert not np.array_equal(first.negative_conductances, second.negative_conductances)
+        states = [tile.ace.crossbar(i).noise.rng.bit_generator.state["state"]["state"]
+                  for i in handle.array_ids]
+        assert len(set(states)) == len(states) == 6
+
+    def test_same_array_on_two_tiles_draws_from_different_streams(self):
+        device = DarthPumDevice(
+            config=ChipConfig(hct=HctConfig.small(), num_hcts=2), noise=NoiseConfig(seed=5)
+        )
+        crossbars = []
+        for _ in range(2):  # one tile-filling matrix each: same array ids, two tiles
+            allocation = device.set_matrix(np.ones((8, 8), dtype=np.int64), element_size=8)
+            (index,) = allocation.hct_indices
+            crossbars.append(device.chip.hct(index).ace.crossbar(0))
+        one, other = crossbars
+        assert one is not other
+        assert np.array_equal(one.positive_levels, other.positive_levels)
+        assert not np.array_equal(one.positive_conductances, other.positive_conductances)
+        assert one.noise.rng.bit_generator.state != other.noise.rng.bit_generator.state
+
+    def test_identically_seeded_devices_agree_and_seeds_differ(self):
+        assert np.array_equal(self._noisy_batch(5), self._noisy_batch(5))
+        assert np.array_equal(self._noisy_batch(5), self._noisy_batch(5, "reference"))
+        assert not np.array_equal(self._noisy_batch(5), self._noisy_batch(6))
+
+    @pytest.mark.parametrize(
+        "parasitics", [None, ParasiticModel(wire_resistance_ohm=0.5)], ids=["bare", "ir_drop"]
+    )
+    def test_looped_equals_batched_at_the_crossbar(self, parasitics):
+        rng = derive_rng("kernels-looped-batched")
+        positive = rng.integers(0, 2, size=(16, 12))
+        negative = rng.integers(0, 2, size=(16, 12)) * (1 - positive)
+        vectors = rng.integers(0, 2, size=(9, 16))
+        looped, batched = (
+            AnalogCrossbar(rows=16, cols=12, noise=self.READ_NOISE, parasitics=parasitics)
+            for _ in range(2)
+        )
+        for crossbar in (looped, batched):
+            crossbar.program_differential(positive, negative)
+        whole = batched.mvm_batch(vectors).values
+        rows = np.stack([looped.mvm_1bit(vector).values for vector in vectors])
+        assert np.array_equal(whole, rows)
+        assert not np.array_equal(whole, vectors @ (positive - negative))  # noise was on
+        assert (looped.noise.rng.bit_generator.state
+                == batched.noise.rng.bit_generator.state)
+        # batch x used_cols normals, no more: a fresh twin generator lands
+        # on the same state after exactly that many.
+        twin = np.random.default_rng(self.READ_NOISE.seed)
+        twin.standard_normal(vectors.shape[0] * 12)
+        assert twin.bit_generator.state == batched.noise.rng.bit_generator.state
 
 
 class TestRegisterMatrixMemoisation:
