@@ -110,7 +110,7 @@ plan-dump:
 profile:
 	$(PY) benchmarks/profile_serving.py
 
-# Four more modes of the same script.  device-call: one steady-state
+# Five more modes of the same script.  device-call: one steady-state
 # exact-path DarthPumDevice.exec_mvm_batch at the three paper shapes and an
 # 8-tile row band (128x16 on HctConfig.small()) -- untraced us and function
 # calls per call and per tile, and the time spent in the accumulator sync,
@@ -128,12 +128,18 @@ profile:
 # real rings, doorbells and heartbeat board -- us and sys.setprofile events
 # (Python + C calls) for gateway submit, the worker's turn (whole, outside its
 # tick loop, and split into peek / decode / copy+submit / drain / RESULTS
-# frame / advance+push / two beats) and gateway resolve.
+# frame / advance+push / two beats) and gateway resolve.  registration: one
+# new 64x64 4-bit PumServer.register_matrix (the tenant_churn tenant) and the
+# first wave against it -- untraced us for each, and stopwatch self time of
+# fingerprint / release / encode+slice+map / crossbar construct / program /
+# tile-plan compile / shard-kernel build / device-plan compile / the rest of
+# the registration / the first call itself.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 	$(PY) benchmarks/profile_serving.py pool-call
 	$(PY) benchmarks/profile_serving.py server-round
 	$(PY) benchmarks/profile_serving.py cluster-wave
+	$(PY) benchmarks/profile_serving.py registration
 
 # The server-round rows followed by the cProfile listing (top-25 cumulative)
 # of the tick loop at 32 tenants x 64 bulk-admitted requests.

@@ -41,6 +41,12 @@ the stages) -- untraced microseconds and ``sys.setprofile`` events (Python
 calls + C calls) for the gateway's submit, the worker's handling split into
 its seven stages, and the gateway's resolve.
 
+The ``registration`` mode prices the write path: one new 64x64 4-bit
+``PumServer.register_matrix`` (the layerbench ``tenant_churn`` tenant:
+release, program, compile) and the first wave against it -- untraced
+microseconds for each, and stopwatch self time of each stage from the
+fingerprint to the first call's lazily built shard kernel and device plan.
+
 Usage::
 
     make profile
@@ -51,6 +57,7 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_serving.py pool-call
     PYTHONPATH=src python benchmarks/profile_serving.py server-round [--profile]
     PYTHONPATH=src python benchmarks/profile_serving.py cluster-wave
+    PYTHONPATH=src python benchmarks/profile_serving.py registration
 """
 
 from __future__ import annotations
@@ -72,9 +79,15 @@ from repro import (
     PumServer,
     StaticBatchingPolicy,
 )
+from repro.analog import ace as ace_module
 from repro.analog import kernels
 from repro.analog.adc import AnalogToDigitalConverter
-from repro.reram import NoiseConfig
+from repro.analog.crossbar import AnalogCrossbar
+from repro.analog.numbers import DifferentialPairs
+from repro.plan.planner import Planner
+from repro.reram import ConductanceMapper, NoiseConfig
+from repro.runtime import server as server_module
+from repro.runtime import session as session_module
 from repro.testing import DEVICE_CALL_SHAPES, profiled_calls, server_round
 
 MATRIX_SHAPE = (64, 64)
@@ -126,6 +139,28 @@ CLUSTER_WAVE_BITS, CLUSTER_WAVE_ROWS = 4, 16
 #: The worker's share of a wave, in the order ``worker_main`` spends it.
 WORKER_STAGES = ("peek", "decode", "copy_submit", "drain", "result_frame",
                  "advance_push", "two_beats")
+
+
+#: The layerbench ``tenant_churn`` tenant and wave.
+REGISTRATION_SHAPE, REGISTRATION_BITS, REGISTRATION_ROWS = (64, 64), 4, 32
+#: Where a new registration and the first call against it spend their time:
+#: stage -> the functions whose self time (what no other listed function
+#: covers) it sums, as ``(owner, name)``.  ``register_rest`` is placement,
+#: the device and tile bookkeeping and the pool's shard table; ``first_call``
+#: is the wave itself once the kernel and the device plan exist.
+REGISTRATION_STAGES = {
+    "fingerprint": ((server_module, "matrix_fingerprint"),),
+    "release": ((DevicePool, "release"),),
+    "encode_slice_map": ((DifferentialPairs, "encode"), (ace_module, "slice_matrix"),
+                         (ConductanceMapper, "value_to_conductance")),
+    "crossbar_construct": ((ace_module.AnalogComputeElement, "_allocate_crossbar"),),
+    "program": ((AnalogCrossbar, "program_differential"), (AnalogCrossbar, "_program")),
+    "tile_plan_compile": ((Planner, "_build"),),
+    "shard_kernel_build": ((ace_module, "build_shard_kernel"),),
+    "device_plan_compile": ((session_module, "compile_device_plan"),),
+    "register_rest": ((PumServer, "register_matrix"),),
+    "first_call": ((PumServer, "submit_batch"), (PumServer, "run_until_idle")),
+}
 
 
 def run_serving_workload(num_requests: int = 512) -> None:
@@ -479,6 +514,90 @@ def server_round_breakdown(profile: bool) -> None:
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
 
 
+def registration_row(rounds: int = 200, repeats: int = 5) -> dict:
+    """What a new registration and the first call against it cost.
+
+    ``register_new_us`` / ``first_call_us`` are untraced best-of-``repeats``
+    means over ``rounds`` rounds, each replacing the tenant's matrix with
+    new bytes; the ``*_stage_us`` entries are a separate stopwatch pass.
+    """
+    rng = np.random.default_rng(11)
+    half = 1 << (REGISTRATION_BITS - 1)
+    matrices = rng.integers(-half, half, size=(7, *REGISTRATION_SHAPE))
+    vectors = rng.integers(0, 1 << REGISTRATION_BITS,
+                           size=(REGISTRATION_ROWS, REGISTRATION_SHAPE[0]), dtype=np.int64)
+    server = PumServer(num_devices=2)
+    spent = {"register": 0.0, "call": 0.0}
+
+    def new_round(k: int) -> None:
+        start = time.perf_counter()
+        server.register_matrix("t", matrices[k % len(matrices)],
+                               element_size=REGISTRATION_BITS, input_bits=REGISTRATION_BITS)
+        registered = time.perf_counter()
+        futures = server.submit_batch("t", vectors, input_bits=REGISTRATION_BITS)
+        server.run_until_idle()
+        spent["call"] += time.perf_counter() - registered
+        spent["register"] += registered - start
+        assert futures[-1].result().ok
+
+    best = dict.fromkeys(spent, float("inf"))
+    for _ in range(repeats + 1):  # the first pass warms arenas and memos
+        spent.update(register=0.0, call=0.0)
+        for k in range(rounds):
+            new_round(k)
+        best = {key: min(best[key], spent[key] / rounds) for key in spent}
+    assert server.registration_reuses == 0
+
+    totals = dict.fromkeys(REGISTRATION_STAGES, 0.0)
+    nested = []
+
+    def staged(stage, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            nested.append(0.0)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                totals[stage] += elapsed - nested.pop()
+                if nested:
+                    nested[-1] += elapsed
+        return wrapper
+
+    patched = [(owner, name, stage) for stage, functions in REGISTRATION_STAGES.items()
+               for owner, name in functions if hasattr(owner, name)]
+    restore = [(owner, name, getattr(owner, name)) for owner, name, _ in patched]
+    try:
+        for owner, name, stage in patched:
+            setattr(owner, name, staged(stage, getattr(owner, name)))
+        for k in range(rounds):
+            new_round(k)
+    finally:
+        for owner, name, original in restore:
+            setattr(owner, name, original)
+    row = {"shape": list(REGISTRATION_SHAPE), "element_size": REGISTRATION_BITS,
+           "rows": REGISTRATION_ROWS,
+           "register_new_us": round(best["register"] * 1e6, 1),
+           "first_call_us": round(best["call"] * 1e6, 1)}
+    row.update({f"{stage}_stage_us": round(total / rounds * 1e6, 1)
+                for stage, total in totals.items()})
+    return row
+
+
+def registration_breakdown() -> None:
+    """Print what a new registration and its first call cost, by stage."""
+    row = registration_row()
+    print(f"# one new {REGISTRATION_SHAPE[0]}x{REGISTRATION_SHAPE[1]} "
+          f"{REGISTRATION_BITS}-bit PumServer.register_matrix (release, program, "
+          f"compile) + the first {REGISTRATION_ROWS}-row wave against it, ideal "
+          "device:\n# register_new_us / first_call_us are untraced best-of-5 means "
+          "over 200 rounds; stage rows are stopwatch self time of a separate pass "
+          "(inflated by the probe, compare them with each other)")
+    for key, value in row.items():
+        if key.endswith("_us"):
+            print(f"{key:>30}  {value:>8.1f}")
+
+
 class ClusterWaveTwin:
     """A gateway and one ``cluster_saturate`` worker sharing this process.
 
@@ -699,6 +818,9 @@ def main() -> None:
         return
     if sys.argv[1:2] == ["server-round"]:
         server_round_breakdown(profile="--profile" in sys.argv[2:])
+        return
+    if sys.argv[1:2] == ["registration"]:
+        registration_breakdown()
         return
     num_requests = int(sys.argv[1]) if len(sys.argv) > 1 else 512
     profiler = cProfile.Profile()

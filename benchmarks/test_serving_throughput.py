@@ -17,6 +17,9 @@ function calls per request at 1 and 32 tenants and for 64 single
 ``submit()`` calls, and the share of a round that is the server's own Python) -- into ``benchmarks/artifacts/`` and, with
 ``REPRO_BENCH_RECORD=1``, the ``BENCH_serving.json`` trajectory.  Nothing is
 asserted on those times; ``tests/test_hot_path.py`` budgets the call counts.
+The ``registration`` row of the same script is recorded the same way: what a
+new 64x64 4-bit ``register_matrix`` and the first wave against it cost
+(``register_new_us``, ``first_call_us`` and the stage split).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from profile_serving import SERVER_ROUND_ROWS, server_round_row
+from profile_serving import SERVER_ROUND_ROWS, registration_row, server_round_row
 
 from repro import DevicePool, PumServer, StaticBatchingPolicy
 
@@ -145,3 +148,13 @@ def test_server_round_cost_is_recorded(record_row):
               f"us/request (pool alone {row['pool_us_per_request']}), server "
               f"share {row['server_share']}")
         record_row("BENCH_serving.json", {"benchmark": "server_round", **row})
+
+
+def test_registration_cost_is_recorded(record_row):
+    """One new registration and its first call, priced; nothing gated."""
+    row = registration_row(rounds=100, repeats=3)
+    ARTIFACTS_DIR.mkdir(exist_ok=True)
+    (ARTIFACTS_DIR / "registration.json").write_text(json.dumps(row, indent=2))
+    print(f"\nnew {row['shape']} {row['element_size']}-bit registration: "
+          f"{row['register_new_us']} us, first call {row['first_call_us']} us")
+    record_row("BENCH_serving.json", {"benchmark": "registration", **row})

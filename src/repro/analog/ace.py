@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import AllocationError, CapacityError, QuantizationError
 from ..metrics import CostLedger
-from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
+from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
 from .adc import AdcSpec, AnalogToDigitalConverter, make_adc
 from .bitslicing import ShiftAddPlan, slice_inputs, slice_matrix
 from .crossbar import AnalogCrossbar
@@ -185,6 +185,10 @@ class AnalogComputeElement:
         self._free_arrays = list(range(self.config.num_arrays))
         self._handles: Dict[int, MatrixHandle] = {}
         self._matrices: Dict[int, np.ndarray] = {}
+        #: Per allocation, the ``(slices, 2, rows, cols)`` level block and
+        #: conductance block ``set_matrix`` programmed; the crossbars and the
+        #: shard kernel hold views of them, nobody a copy.
+        self._programmed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._kernels: Dict[int, ShardKernel] = {}
         #: Compiled execution plans, keyed ``(handle_id, input_bits)`` and
         #: populated by the owning tile's :class:`~repro.plan.planner.Planner`;
@@ -282,32 +286,26 @@ class AnalogComputeElement:
                 f"matrix needs {needed} arrays but only {self.arrays_free} are free"
             )
 
-        signed = bool(np.any(matrix < 0))
+        signed = bool(matrix.size and np.minimum.reduce(matrix, axis=None) < 0)
         if representation == "differential":
             encoder = DifferentialPairs(value_bits)
         elif representation == "offset":
             encoder = OffsetSubtraction(value_bits)
         else:
             raise QuantizationError(f"unknown representation {representation!r}")
-        encoded = encoder.encode(matrix.astype(np.int64))
+        # One pass each over the whole matrix -- encode, slice, map -- as
+        # (slices, 2, rows, cols) blocks: plane 0 positive, plane 1 negative.
+        levels = slice_matrix(encoder.encode(matrix).planes, value_bits, bits_per_cell)
+        conductances = ConductanceMapper(self.device, bits_per_cell).value_to_conductance(levels)
 
-        row_tiles = int(np.ceil(rows / self.config.array_rows))
-        col_tiles = int(np.ceil(cols / self.config.array_cols))
-        pos_slices = slice_matrix(encoded.positive, value_bits, bits_per_cell)
-        neg_slices = slice_matrix(encoded.negative, value_bits, bits_per_cell)
-
+        array_rows, array_cols = self.config.array_rows, self.config.array_cols
         array_ids: List[int] = []
-        for row_tile in range(row_tiles):
-            r0 = row_tile * self.config.array_rows
-            r1 = min(rows, r0 + self.config.array_rows)
-            for col_tile in range(col_tiles):
-                c0 = col_tile * self.config.array_cols
-                c1 = min(cols, c0 + self.config.array_cols)
-                for pos_slice, neg_slice in zip(pos_slices, neg_slices):
+        for r0 in range(0, rows, array_rows):
+            for c0 in range(0, cols, array_cols):
+                tile = np.s_[:, r0: r0 + array_rows, c0: c0 + array_cols]
+                for slice_levels, slice_conductances in zip(levels, conductances):
                     array_id, crossbar = self._allocate_crossbar(bits_per_cell)
-                    crossbar.program_differential(
-                        pos_slice[r0:r1, c0:c1], neg_slice[r0:r1, c0:c1]
-                    )
+                    crossbar._program(slice_levels[tile], slice_conductances[tile])
                     array_ids.append(array_id)
 
         handle = MatrixHandle(
@@ -317,13 +315,14 @@ class AnalogComputeElement:
             bits_per_cell=bits_per_cell,
             signed=signed,
             representation=representation,
-            row_tiles=row_tiles,
-            col_tiles=col_tiles,
-            num_slices=len(pos_slices),
+            row_tiles=-(-rows // array_rows),
+            col_tiles=-(-cols // array_cols),
+            num_slices=len(levels),
             array_ids=tuple(array_ids),
         )
         self._handles[handle.handle_id] = handle
         self._matrices[handle.handle_id] = matrix.astype(np.int64)
+        self._programmed[handle.handle_id] = (levels, conductances)
         self._next_handle += 1
         return handle
 
@@ -356,6 +355,7 @@ class AnalogComputeElement:
         self._free_arrays.sort()
         self._handles.pop(handle.handle_id, None)
         self._matrices.pop(handle.handle_id, None)
+        self._programmed.pop(handle.handle_id, None)
         self._kernels.pop(handle.handle_id, None)
         for key in [k for k in self._plans if k[0] == handle.handle_id]:
             del self._plans[key]
@@ -364,7 +364,7 @@ class AnalogComputeElement:
     # Shard kernel cache (vectorized execution engine)                     #
     # ------------------------------------------------------------------ #
     def kernel_for(self, handle: MatrixHandle) -> ShardKernel:
-        """Stacked per-shard conductance tensors for ``handle``.
+        """Per-shard conductance tensors for ``handle`` (views, not copies).
 
         Built lazily on first use and cached per allocation; ``release``
         (and therefore ``update_row`` / ``update_col``, which reprogram
@@ -422,6 +422,11 @@ class AnalogComputeElement:
     def cached_plans(self) -> int:
         """Number of live compiled execution plans (all ``input_bits``)."""
         return len(self._plans)
+
+    def programmed_planes(self, handle: MatrixHandle) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(slices, 2, rows, cols)`` level and conductance blocks of
+        ``handle``: every crossbar's programmed slice is a view of them."""
+        return self._programmed[handle.handle_id]
 
     def stored_matrix(self, handle: MatrixHandle) -> np.ndarray:
         """The quantised integer matrix associated with ``handle``."""

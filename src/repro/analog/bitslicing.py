@@ -28,24 +28,30 @@ __all__ = [
 ]
 
 
-def slice_matrix(matrix: np.ndarray, value_bits: int, bits_per_cell: int) -> List[np.ndarray]:
-    """Split a non-negative integer matrix into per-cell bit slices.
+def slice_matrix(matrix: np.ndarray, value_bits: int, bits_per_cell: int) -> np.ndarray:
+    """Split a non-negative integer array into per-cell bit slices.
 
     Slice ``s`` holds bits ``[s*bits_per_cell, (s+1)*bits_per_cell)`` of each
-    value; slices are ordered from least to most significant.
+    value; the slices are stacked least significant first along a new
+    leading axis, shape ``(num_slices, *matrix.shape)``.  Any array shape
+    will do: the ACE slices both planes of an encoded matrix in one pass.
     """
     matrix = np.asarray(matrix)
     if not np.issubdtype(matrix.dtype, np.integer):
         raise QuantizationError("bit-slicing expects an integer matrix")
-    if np.any(matrix < 0):
+    if matrix.size and np.minimum.reduce(matrix, axis=None) < 0:
         raise QuantizationError("bit-slicing expects a non-negative matrix; encode sign first")
     if value_bits < 1 or bits_per_cell < 1:
         raise QuantizationError("value_bits and bits_per_cell must be >= 1")
-    if np.any(matrix >= (1 << value_bits)):
+    if matrix.size and np.maximum.reduce(matrix, axis=None) >= (1 << value_bits):
         raise QuantizationError(f"matrix values exceed {value_bits} bits")
-    num_slices = int(np.ceil(value_bits / bits_per_cell))
-    mask = (1 << bits_per_cell) - 1
-    return [((matrix >> (s * bits_per_cell)) & mask).astype(np.int64) for s in range(num_slices)]
+    num_slices = -(-value_bits // bits_per_cell)
+    shifts = np.arange(0, num_slices * bits_per_cell, bits_per_cell)
+    slices = np.right_shift(
+        matrix.astype(np.int64, copy=False), shifts.reshape((-1,) + (1,) * matrix.ndim)
+    )
+    slices &= (1 << bits_per_cell) - 1
+    return slices
 
 
 def slice_inputs(vector: np.ndarray, input_bits: int) -> List[np.ndarray]:

@@ -169,10 +169,14 @@ class AnalogCrossbar:
         self.row_periphery_power_mw = row_periphery_power_mw
         self.sample_hold_energy_pj = sample_hold_energy_pj
 
-        self._positive_levels: Optional[np.ndarray] = None
-        self._negative_levels: Optional[np.ndarray] = None
-        self._positive_g: Optional[np.ndarray] = None
-        self._negative_g: Optional[np.ndarray] = None
+        #: ``(2, rows, cols)`` integer levels and conductances of the
+        #: programmed slice: positive plane, then negative plane.
+        self._levels: Optional[np.ndarray] = None
+        self._conductances: Optional[np.ndarray] = None
+        #: Whether programming left every device at its ideal conductance,
+        #: compared value for value when the slice was written (one of the
+        #: two conditions of :func:`~repro.analog.kernels.exact_path_eligible`).
+        self.programmed_ideal = False
         #: Number of MVM operations executed (utilisation statistics).
         self.mvm_count = 0
 
@@ -182,7 +186,7 @@ class AnalogCrossbar:
     @property
     def is_programmed(self) -> bool:
         """Whether a matrix slice has been written into the array."""
-        return self._positive_g is not None
+        return self._conductances is not None
 
     def program(self, levels: np.ndarray) -> None:
         """Program a non-negative integer slice into the positive devices only."""
@@ -195,64 +199,73 @@ class AnalogCrossbar:
         negative = np.asarray(negative, dtype=np.int64)
         if positive.shape != negative.shape:
             raise DeviceError("positive and negative slices must have the same shape")
-        if positive.shape[0] > self.rows or positive.shape[1] > self.cols:
+        self._program(np.stack((positive, negative)))
+
+    def _program(self, levels: np.ndarray, ideal: Optional[np.ndarray] = None) -> None:
+        """Write the ``(2, rows, cols)`` level planes into the devices.
+
+        ``ideal`` is their ideal conductance mapping when the caller already
+        holds it: the ACE maps a whole matrix in one pass and hands every
+        crossbar views of its level and conductance blocks.  The block is
+        programmed in place -- a plane the error sources moved is
+        overwritten with what the devices hold, positive plane first -- and
+        kept as this crossbar's conductances.
+        """
+        if levels.shape[1] > self.rows or levels.shape[2] > self.cols:
             raise CapacityError(
-                f"slice of shape {positive.shape} does not fit a "
+                f"slice of shape {levels.shape[1:]} does not fit a "
                 f"{self.rows}x{self.cols} crossbar"
             )
-        self._positive_levels = positive
-        self._negative_levels = negative
-        ideal_pos = self.mapper.value_to_conductance(positive)
-        ideal_neg = self.mapper.value_to_conductance(negative)
-        self._positive_g = self.noise.program(ideal_pos)
-        self._negative_g = self.noise.program(ideal_neg)
-        cells = 2 * positive.size
+        if ideal is None:
+            ideal = self.mapper.value_to_conductance(levels)
+        self.programmed_ideal = True
+        for plane in ideal:
+            programmed = self.noise.program(plane)
+            if not np.array_equal(programmed, plane):
+                self.programmed_ideal = False
+                plane[...] = programmed
+        self._levels = levels
+        self._conductances = ideal
         self.ledger.charge(
             "ace.program",
             cycles=self.device.program_latency_cycles,
-            energy_pj=cells * self.device.program_energy_pj,
+            energy_pj=levels.size * self.device.program_energy_pj,
         )
+
+    def _programmed(self, planes: Optional[np.ndarray], index: int) -> np.ndarray:
+        if planes is None:
+            raise DeviceError("crossbar has not been programmed")
+        return planes[index]
 
     @property
     def programmed_shape(self) -> tuple:
         """Shape of the currently programmed slice."""
-        if self._positive_levels is None:
-            raise DeviceError("crossbar has not been programmed")
-        return self._positive_levels.shape
+        return self._programmed(self._levels, 0).shape
 
     @property
     def positive_levels(self) -> np.ndarray:
         """Programmed positive-plane integer levels (pre conductance mapping)."""
-        if self._positive_levels is None:
-            raise DeviceError("crossbar has not been programmed")
-        return self._positive_levels
+        return self._programmed(self._levels, 0)
 
     @property
     def negative_levels(self) -> np.ndarray:
         """Programmed negative-plane integer levels (pre conductance mapping)."""
-        if self._negative_levels is None:
-            raise DeviceError("crossbar has not been programmed")
-        return self._negative_levels
+        return self._programmed(self._levels, 1)
 
     @property
     def positive_conductances(self) -> np.ndarray:
         """Programmed positive-plane conductances (post write-verify noise).
 
         These are the frozen post-programming values; read noise is added
-        to the column sums they produce, per MVM.
-        The vectorized execution engine snapshots them into its per-shard
-        kernel cache.
+        to the column sums they produce, per MVM.  The vectorized execution
+        engine reads the same block through its per-shard kernel cache.
         """
-        if self._positive_g is None:
-            raise DeviceError("crossbar has not been programmed")
-        return self._positive_g
+        return self._programmed(self._conductances, 0)
 
     @property
     def negative_conductances(self) -> np.ndarray:
         """Programmed negative-plane conductances (post write-verify noise)."""
-        if self._negative_g is None:
-            raise DeviceError("crossbar has not been programmed")
-        return self._negative_g
+        return self._programmed(self._conductances, 1)
 
     @property
     def read_noise_scale(self) -> float:
@@ -273,10 +286,11 @@ class AnalogCrossbar:
         active_adc_bits:
             Optional early-termination hint forwarded to ramp ADCs.
         """
-        if self._positive_g is None or self._negative_g is None:
+        if self._conductances is None:
             raise DeviceError("crossbar has not been programmed")
         input_bits = np.asarray(input_bits, dtype=np.int64)
-        used_rows, used_cols = self._positive_levels.shape  # type: ignore[union-attr]
+        pos_g, neg_g = self._conductances
+        used_rows, used_cols = pos_g.shape
         if input_bits.shape != (used_rows,):
             raise DeviceError(
                 f"input vector of shape {input_bits.shape} does not match the "
@@ -285,7 +299,6 @@ class AnalogCrossbar:
         if np.any((input_bits != 0) & (input_bits != 1)):
             raise DeviceError("mvm_1bit expects a binary input vector")
 
-        pos_g, neg_g = self._positive_g, self._negative_g
         if self.parasitics is not None:
             pos_g = self.parasitics.apply(pos_g, input_bits)
             neg_g = self.parasitics.apply(neg_g, input_bits)
@@ -339,11 +352,12 @@ class AnalogCrossbar:
         crossbar agree value for value and leave the generator in the same
         state.
         """
-        if self._positive_g is None or self._negative_g is None:
+        if self._conductances is None:
             raise DeviceError("crossbar has not been programmed")
         input_bit_matrix = np.atleast_2d(np.asarray(input_bit_matrix, dtype=np.int64))
         batch = input_bit_matrix.shape[0]
-        used_rows, used_cols = self._positive_levels.shape  # type: ignore[union-attr]
+        pos_g, neg_g = self._conductances
+        used_rows, used_cols = pos_g.shape
         if input_bit_matrix.shape[1] != used_rows:
             raise DeviceError(
                 f"input batch of shape {input_bit_matrix.shape} does not match the "
@@ -352,7 +366,6 @@ class AnalogCrossbar:
         if np.any((input_bit_matrix != 0) & (input_bit_matrix != 1)):
             raise DeviceError("mvm_batch expects binary input vectors")
 
-        pos_g, neg_g = self._positive_g, self._negative_g
         x = input_bit_matrix.astype(float)
         lsb = self.mapper.lsb_conductance()
         baseline = self.device.g_min * x.sum(axis=1, keepdims=True)
@@ -392,7 +405,5 @@ class AnalogCrossbar:
 
     def expected_1bit(self, input_bits: np.ndarray) -> np.ndarray:
         """Noise-free reference result for ``mvm_1bit`` (used in tests)."""
-        if self._positive_levels is None or self._negative_levels is None:
-            raise DeviceError("crossbar has not been programmed")
         x = np.asarray(input_bits, dtype=np.int64)
-        return x @ (self._positive_levels - self._negative_levels)
+        return x @ (self.positive_levels - self.negative_levels)

@@ -10,8 +10,8 @@ with, collapsing the schedule into a handful of NumPy contractions:
 
 * all input bit-planes of a batch are stacked into one
   ``(input_bits, batch, rows)`` tensor (:func:`~repro.analog.bitslicing.slice_inputs_tensor`);
-* the per-shard conductance slices are stacked once at programming time into
-  ``(num_slices, rows, cols)`` tensors -- the **shard kernel cache** held by
+* the per-shard conductance slices are ``(num_slices, rows, cols)`` windows
+  of the block the ACE programmed -- the **shard kernel cache** held by
   the owning :class:`~repro.analog.ace.AnalogComputeElement` and invalidated
   whenever the allocation is released or reprogrammed;
 * the partial products of a weight slice -- every input bit of it -- come
@@ -39,7 +39,7 @@ operation with ``out=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,9 +77,10 @@ class TileKernel:
     array_ids: Tuple[int, ...]
     #: Crossbars holding this shard's weight slices, least significant first.
     crossbars: Tuple[object, ...]
-    #: Stacked positive-plane conductances, shape ``(num_slices, rows, cols)``.
+    #: Positive-plane conductances, shape ``(num_slices, rows, cols)``: a
+    #: view of the block the ACE programmed, like ``neg`` and ``recombined``.
     pos: np.ndarray
-    #: Stacked negative-plane conductances, same shape as ``pos``.
+    #: Negative-plane conductances, same shape as ``pos``.
     neg: np.ndarray
     #: Weight slices recombined to signed values (``sum_s (pos_s - neg_s) <<
     #: s*bits_per_cell``), as exact float64 integers -- the operand of the
@@ -92,7 +93,7 @@ class TileKernel:
 
 @dataclass(frozen=True)
 class ShardKernel:
-    """The per-allocation kernel cache: stacked conductances for every shard.
+    """The per-allocation kernel cache: conductance windows for every shard.
 
     Built lazily on the first vectorized MVM against a handle and cached by
     the owning ACE (``AnalogComputeElement.kernel_for``); released together
@@ -117,6 +118,33 @@ class ShardKernel:
         return len(self.tiles)
 
 
+#: ADC round-trip proofs, one per converter configuration ``(type, spec,
+#: min, max)``: a process builds a handful (ADC kind x bits per cell x array
+#: height), while every crossbar of every registration gets its own instance.
+_ADC_PROOFS: Dict[tuple, bool] = {}
+
+
+def adc_round_trips(adc) -> bool:
+    """Whether ``adc`` returns every integer of its range unchanged.
+
+    One code step plus the worst boundary flip must stay below half an
+    integer (``lsb < 0.999``); that is then verified, not assumed, by
+    quantising every reachable integer and checking it round-trips.  The
+    proof depends only on the converter's configuration, so it runs once
+    for each.
+    """
+    key = (type(adc), adc.spec, adc.min_value, adc.max_value)
+    proven = _ADC_PROOFS.get(key)
+    if proven is None:
+        candidates = np.arange(
+            int(np.ceil(adc.min_value)), int(np.floor(adc.max_value)) + 1, dtype=float
+        )
+        proven = _ADC_PROOFS[key] = bool(
+            adc.lsb < 0.999 and np.array_equal(np.rint(adc.convert(candidates)), candidates)
+        )
+    return proven
+
+
 def exact_path_eligible(crossbars) -> bool:
     """Whether the analog chain of these crossbars is provably lossless.
 
@@ -127,43 +155,39 @@ def exact_path_eligible(crossbars) -> bool:
     and any accumulated float rounding ``eps``.  That holds exactly when
 
     * the programmed conductances are the *ideal* value mapping (no
-      programming noise, no stuck-at faults) -- checked bit-for-bit against
-      the mapper, not inferred from config flags; and
-    * the ADC grid is fine enough that one code step plus the worst
-      boundary flip stays below half an integer (``lsb < 0.999``), verified
-      by quantising every reachable integer and checking it round-trips.
+      programming noise, no stuck-at faults) -- compared bit-for-bit when
+      the slice was written, while the ideal planes were in hand
+      (:attr:`AnalogCrossbar.programmed_ideal`), not inferred from config
+      flags; and
+    * the ADC grid is fine enough to return every reachable integer
+      unchanged (:func:`adc_round_trips`).
 
     Read noise, drift, and parasitics are per-call concerns checked by the
     forward pass itself.
     """
-    for crossbar in crossbars:
-        adc = crossbar.adc
-        if adc.lsb >= 0.999:
-            return False
-        ideal_pos = crossbar.mapper.value_to_conductance(crossbar.positive_levels)
-        ideal_neg = crossbar.mapper.value_to_conductance(crossbar.negative_levels)
-        if not np.array_equal(crossbar.positive_conductances, ideal_pos):
-            return False
-        if not np.array_equal(crossbar.negative_conductances, ideal_neg):
-            return False
-        lo = int(np.ceil(adc.min_value))
-        hi = int(np.floor(adc.max_value))
-        candidates = np.arange(lo, hi + 1, dtype=float)
-        if not np.array_equal(np.rint(adc.convert(candidates)), candidates):
-            return False
-    return True
+    return all(
+        crossbar.programmed_ideal and adc_round_trips(crossbar.adc) for crossbar in crossbars
+    )
 
 
 def build_shard_kernel(ace, handle) -> ShardKernel:
-    """Snapshot the programmed conductances of ``handle`` into stacked tensors.
+    """The kernel cache of ``handle``: views of what the ACE programmed.
 
     The crossbars are walked in the allocation order of ``set_matrix``
     (row tile, then column tile, then weight slice), so ``array_ids`` of
-    each tile kernel mirrors the reference engine's array grid.
+    each tile kernel mirrors the reference engine's array grid.  Nothing is
+    copied: a tile's conductance stacks are windows of the allocation's
+    conductance block, and its recombined weights a window of one
+    whole-matrix recombination of the level block.
     """
     rows, cols = handle.shape
     array_rows = ace.config.array_rows
     array_cols = ace.config.array_cols
+    levels, conductances = ace.programmed_planes(handle)
+    shifts = np.arange(handle.num_slices) * handle.bits_per_cell
+    recombined = (
+        ((levels[:, 0] - levels[:, 1]) << shifts[:, None, None]).sum(axis=0).astype(float)
+    )
     tiles: List[TileKernel] = []
     index = 0
     for row_tile in range(handle.row_tiles):
@@ -171,24 +195,12 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
         r1 = min(rows, r0 + array_rows)
         for col_tile in range(handle.col_tiles):
             c0 = col_tile * array_cols
+            c1 = min(cols, c0 + array_cols)
             ids = handle.array_ids[index: index + handle.num_slices]
             index += handle.num_slices
             crossbars = tuple(ace.crossbar(array_id) for array_id in ids)
-            pos = np.stack([xb.positive_conductances for xb in crossbars])
-            neg = np.stack([xb.negative_conductances for xb in crossbars])
-            used_rows, used_cols = crossbars[0].programmed_shape
-            shifts = (
-                np.arange(handle.num_slices, dtype=np.int64)
-                * handle.bits_per_cell
-            )
-            levels = np.stack(
-                [
-                    xb.positive_levels.astype(np.int64)
-                    - xb.negative_levels.astype(np.int64)
-                    for xb in crossbars
-                ]
-            )
-            recombined = (levels << shifts[:, None, None]).sum(axis=0).astype(float)
+            pos = conductances[:, 0, r0:r1, c0:c1]
+            neg = conductances[:, 1, r0:r1, c0:c1]
             tiles.append(
                 TileKernel(
                     row_tile=row_tile,
@@ -196,13 +208,13 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
                     row_start=r0,
                     row_end=r1,
                     col_offset=c0,
-                    used_rows=used_rows,
-                    used_cols=used_cols,
+                    used_rows=r1 - r0,
+                    used_cols=c1 - c0,
                     array_ids=ids,
                     crossbars=crossbars,
                     pos=pos,
                     neg=neg,
-                    recombined=recombined,
+                    recombined=recombined[r0:r1, c0:c1],
                     read_variance=(
                         read_noise_variance(pos, neg, crossbars[0].read_noise_scale)
                         if crossbars[0].noise.read_noise_active else None

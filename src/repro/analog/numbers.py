@@ -28,21 +28,45 @@ __all__ = ["DifferentialPairs", "OffsetSubtraction", "EncodedMatrix"]
 class EncodedMatrix:
     """A signed integer matrix encoded for programming into crossbars.
 
-    ``positive`` and ``negative`` are non-negative integer matrices; the
-    represented value is ``positive - negative`` for differential pairs, or
-    ``positive - offset`` (with ``negative`` unused and all zeros) for offset
-    subtraction.
+    ``planes`` stacks the two non-negative integer planes, shape ``(2,
+    rows, cols)``: the represented value is ``positive - negative`` for
+    differential pairs, or ``positive - offset`` (with ``negative`` unused
+    and all zeros) for offset subtraction.
     """
 
-    positive: np.ndarray
-    negative: np.ndarray
+    planes: np.ndarray
     offset: int
     scheme: str
 
     @property
+    def positive(self) -> np.ndarray:
+        """The positive plane (a view of ``planes``)."""
+        return self.planes[0]
+
+    @property
+    def negative(self) -> np.ndarray:
+        """The negative plane (a view of ``planes``)."""
+        return self.planes[1]
+
+    @property
     def shape(self) -> Tuple[int, int]:
         """Logical matrix shape."""
-        return tuple(self.positive.shape)  # type: ignore[return-value]
+        return tuple(self.planes.shape[1:])  # type: ignore[return-value]
+
+
+def _checked(matrix: np.ndarray, scheme: str, limit: int, value_bits: int) -> np.ndarray:
+    """``matrix`` as an array, after the dtype and magnitude checks both
+    encoders make (one ``min`` and one ``max``, no boolean temporaries)."""
+    matrix = np.asarray(matrix)
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise QuantizationError(f"{scheme} encoding expects integer matrices")
+    if matrix.size and max(
+        int(np.maximum.reduce(matrix, axis=None)), -int(np.minimum.reduce(matrix, axis=None))
+    ) > limit:
+        raise QuantizationError(
+            f"matrix magnitude exceeds {limit} for {value_bits}-bit values"
+        )
+    return matrix
 
 
 class DifferentialPairs:
@@ -58,17 +82,12 @@ class DifferentialPairs:
 
     def encode(self, matrix: np.ndarray) -> EncodedMatrix:
         """Split a signed matrix into positive and negative magnitude parts."""
-        matrix = np.asarray(matrix)
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise QuantizationError("differential encoding expects integer matrices")
-        if np.any(np.abs(matrix) > self.max_magnitude):
-            raise QuantizationError(
-                f"matrix magnitude exceeds {self.max_magnitude} for "
-                f"{self.value_bits}-bit values"
-            )
-        positive = np.where(matrix > 0, matrix, 0).astype(np.int64)
-        negative = np.where(matrix < 0, -matrix, 0).astype(np.int64)
-        return EncodedMatrix(positive=positive, negative=negative, offset=0, scheme=self.name)
+        matrix = _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+        planes = np.empty((2,) + matrix.shape, dtype=np.int64)
+        np.maximum(matrix, 0, out=planes[0])
+        np.minimum(matrix, 0, out=planes[1])
+        np.negative(planes[1], out=planes[1])
+        return EncodedMatrix(planes=planes, offset=0, scheme=self.name)
 
     def decode_partial(self, positive_sum: np.ndarray, negative_sum: np.ndarray,
                        inputs: np.ndarray) -> np.ndarray:
@@ -90,18 +109,10 @@ class OffsetSubtraction:
 
     def encode(self, matrix: np.ndarray) -> EncodedMatrix:
         """Shift a signed matrix into the non-negative range ``[0, 2*offset]``."""
-        matrix = np.asarray(matrix)
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise QuantizationError("offset encoding expects integer matrices")
-        if np.any(np.abs(matrix) > self.max_magnitude):
-            raise QuantizationError(
-                f"matrix magnitude exceeds {self.max_magnitude} for "
-                f"{self.value_bits}-bit values"
-            )
-        positive = (matrix + self.offset).astype(np.int64)
-        negative = np.zeros_like(positive)
-        return EncodedMatrix(positive=positive, negative=negative, offset=self.offset,
-                             scheme=self.name)
+        matrix = _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+        planes = np.zeros((2,) + matrix.shape, dtype=np.int64)
+        np.add(matrix, self.offset, out=planes[0], dtype=np.int64)
+        return EncodedMatrix(planes=planes, offset=self.offset, scheme=self.name)
 
     def decode_partial(self, positive_sum: np.ndarray, negative_sum: np.ndarray,
                        inputs: np.ndarray) -> np.ndarray:

@@ -99,12 +99,17 @@ class ConductanceMapper:
     def value_to_conductance(self, values: np.ndarray) -> np.ndarray:
         """Map integer level values to ideal (noise-free) conductances."""
         values = np.asarray(values)
-        if np.any(values < 0) or np.any(values > self.num_levels - 1):
+        if values.size and (
+            np.minimum.reduce(values, axis=None) < 0
+            or np.maximum.reduce(values, axis=None) > self.num_levels - 1
+        ):
             raise QuantizationError(
                 f"values must be in [0, {self.num_levels - 1}] for "
                 f"{self.bits_per_cell} bits per cell"
             )
-        return self.params.g_min + values * self._step
+        conductances = values * self._step
+        conductances += self.params.g_min  # in place: one block, not two
+        return conductances
 
     def conductance_to_value(self, conductances: np.ndarray) -> np.ndarray:
         """Quantise conductances back to the nearest integer level."""

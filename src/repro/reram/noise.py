@@ -205,7 +205,7 @@ class NoiseStack:
     stream: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng((self.config.seed, *self.stream))
+        self._rng: Optional[np.random.Generator] = None
         self.programming = ProgrammingNoiseModel(self.params, self.config.programming_sigma)
         self.read_noise = ReadNoiseModel(self.params, self.config.read_sigma)
         self.drift = DriftModel(self.params, self.config.drift_rate)
@@ -213,16 +213,22 @@ class NoiseStack:
 
     @property
     def rng(self) -> np.random.Generator:
-        """This array's generator, shared by its stochastic error sources."""
+        """This array's generator, shared by its stochastic error sources.
+
+        Built at the first draw: an array that is programmed and read
+        without an active error source never pays for one.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng((self.config.seed, *self.stream))
         return self._rng
 
     def program(self, conductances: np.ndarray) -> np.ndarray:
         """Apply programming-time error sources (write noise, stuck-at)."""
         result = np.array(conductances, dtype=float, copy=True)
         if self.config.programming_noise:
-            result = self.programming.apply(result, self._rng)
+            result = self.programming.apply(result, self.rng)
         if self.config.stuck_at_faults:
-            result = self.stuck_at.apply(result, self._rng)
+            result = self.stuck_at.apply(result, self.rng)
         return result
 
     def read(self, conductances: np.ndarray, elapsed: float = 0.0) -> np.ndarray:
@@ -231,7 +237,7 @@ class NoiseStack:
         if self.config.drift and elapsed > 0:
             result = self.drift.apply(result, elapsed)
         if self.config.read_noise:
-            result = self.read_noise.apply(result, self._rng)
+            result = self.read_noise.apply(result, self.rng)
         return result
 
     @property

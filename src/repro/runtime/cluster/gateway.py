@@ -372,12 +372,6 @@ class ClusterGateway:
             return self
         self._started = True
         self._board = HeartbeatBoard(num_slots=self.num_workers, create=True)
-        loops = [self._health()]
-        if self.batch_timeout is not None:
-            loops.append(self._watchdog())
-        if self.auto_restart:
-            loops.append(self._supervise())
-        self._tasks = [asyncio.create_task(loop) for loop in loops]
         try:
             await asyncio.gather(*map(self._spawn, self._workers))
         except ClusterError:
@@ -387,6 +381,14 @@ class ClusterGateway:
         for worker in self._workers:
             worker.alive = True
             worker.last_progress = now
+        # Only now: a supervisor already running would take a worker still
+        # on its way to READY for a dead one and spend its restart budget.
+        loops = [self._health()]
+        if self.batch_timeout is not None:
+            loops.append(self._watchdog())
+        if self.auto_restart:
+            loops.append(self._supervise())
+        self._tasks = [asyncio.create_task(loop) for loop in loops]
         return self
 
     async def _spawn(self, worker: _Worker) -> None:

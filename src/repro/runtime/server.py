@@ -504,11 +504,14 @@ class PumServer:
         cache-affinity policy keeps updated matrices on chips whose ReRAM
         arrays already hold the stale version.
 
-        Registration is also when *all* planning happens: the pool compiles
-        the sharded execution plan (and the tile-level plans at
-        ``input_bits``, the precision requests against this matrix are
-        expected to use) ahead of time, so the request hot path hits only
-        caches -- ``planner_builds()`` stays flat while serving.
+        Registration is also when the *planning* happens: the pool fills
+        the shard table and compiles the tile-level plans at ``input_bits``
+        (the precision requests against this matrix are expected to use)
+        ahead of time, so ``planner_builds()`` stays flat while serving.
+        The tensors the vectorized engine contracts -- the shard kernels and
+        the ``DevicePlan`` that stacks them -- are built by the first call
+        against the allocation, not here (docs/architecture.md, *Write
+        path*).
         """
         with self._lock:
             fingerprint = matrix_fingerprint(matrix, element_size, precision)

@@ -14,6 +14,7 @@ share one implementation without conftest module-name collisions.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import sys
@@ -60,18 +61,25 @@ def profiled_calls(function) -> list:
     ``"call"`` events are the Python-level calls, named after the function
     entered; ``"c_call"`` events are builtins, named after the *calling*
     function.  The closing ``sys.setprofile(None)`` is itself the last
-    ``c_call``.
+    ``c_call``.  Garbage is collected first and the cyclic collector is off
+    while ``function`` runs: a finaliser or weakref callback that happens to
+    fire mid-call is not one of the call's frames.
     """
     events = []
 
     def on_event(frame, event, _arg):
         events.append((event, frame.f_code.co_name))
 
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(on_event)
     try:
         function()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return events
 
 

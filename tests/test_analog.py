@@ -1,5 +1,9 @@
 """Tests for the analog PUM substrate."""
 
+import dataclasses
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from repro.analog import (
     slice_inputs,
     slice_matrix,
 )
+from repro.core.config import HctConfig
 from repro.errors import CapacityError, DeviceError, QuantizationError
 from repro.reram import NoiseConfig
 
@@ -189,6 +194,124 @@ class TestAce:
         got = noisy.execute_mvm(handle, x, input_bits=4).reduce()
         want = x @ matrix
         assert np.abs(got - want).max() <= max(8, 0.2 * np.abs(want).max())
+
+
+class TestProgrammedStateDigest:
+    """What a registration leaves behind, pinned value for value.
+
+    Per case, sha256 over every crossbar of the allocation in ``array_ids``
+    order (levels and conductances of both planes, ``programmed_shape``),
+    the shard kernel's ``exact`` flag and each tile's ``pos`` / ``neg`` /
+    ``recombined``, and ``repr`` of the ACE's ledger.  A digest covers one
+    noise configuration: {differential, offset} x ``bits_per_cell`` {1, 2}
+    x three shapes, 4-bit values, each on a fresh ACE.  Two more follow one
+    ACE under ``paper_default`` through an ``update_row`` and through a
+    release and re-registration on the same arrays.  ``EXPECTED`` was
+    computed at the commit before the write path was reworked (``eff2e5c``)
+    and must not move; the matrices come from a fixed seed, not
+    ``REPRO_TEST_SEED``, for that reason.
+    """
+
+    NOISE = {
+        "ideal": NoiseConfig.ideal(),
+        "paper_default": NoiseConfig.paper_default(),
+        "sigma_zero": NoiseConfig(programming_noise=True, programming_sigma=0.0,
+                                  read_noise=False, ir_drop=False),
+        "stuck_at": NoiseConfig(read_noise=False, ir_drop=False, stuck_at_faults=True,
+                                stuck_at_rate=0.03, seed=9),
+    }
+    #: shape -> ACE geometry (the ragged one on ``HctConfig.small()``'s
+    #: 16x16 arrays, with enough of them for 5 x 2 tiles of 4 slices).
+    SHAPES = {
+        (64, 64): AceConfig(),
+        (70, 20): dataclasses.replace(HctConfig.small().ace, num_arrays=64),
+        (144, 16): AceConfig(),
+    }
+    VALUE_BITS = 4
+    EXPECTED = {
+        "ideal":
+            "bcf5b21a5c12b9fb3501efddc07b16c730734a2348e033fa02688212716889fc",
+        "paper_default":
+            "0e5948aff0907f65e65543501d89270f81b8231a9875f2c59353a59e32a0dba7",
+        "sigma_zero":
+            "bcf5b21a5c12b9fb3501efddc07b16c730734a2348e033fa02688212716889fc",
+        "stuck_at":
+            "7b19f41628d271c9505387bbabe239fec05f648ab1b3865f11cc295f06cc5bf2",
+        "update_row":
+            "27c7ea96aae5d18f14ce20b9c37b2e81e37e3521b8cbc1892a89ff83d575ab2a",
+        "reregister":
+            "5b0b9301077710e142a844f5a33e475da0b4024c3bdb88b9ad7e17204f6abf39",
+    }
+
+    @staticmethod
+    def _matrix(shape, label=0):
+        rng = np.random.default_rng((22, label, *shape))
+        return rng.integers(-8, 8, size=shape)
+
+    @staticmethod
+    def _absorb(digest, ace, handle):
+        """Hash the programmed state of ``handle``; returns its ``exact`` flag."""
+        for array_id in handle.array_ids:
+            crossbar = ace.crossbar(array_id)
+            for plane in (crossbar.positive_levels, crossbar.negative_levels):
+                digest.update(np.ascontiguousarray(plane, dtype=np.int64).tobytes())
+            for plane in (crossbar.positive_conductances, crossbar.negative_conductances):
+                digest.update(np.ascontiguousarray(plane, dtype=np.float64).tobytes())
+            digest.update(repr(tuple(int(n) for n in crossbar.programmed_shape)).encode())
+        kernel = ace.kernel_for(handle)
+        digest.update(repr(kernel.exact).encode())
+        for tile in kernel.tiles:
+            for block in (tile.pos, tile.neg, tile.recombined):
+                digest.update(repr(block.shape).encode())
+                digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+        digest.update(repr(ace.ledger).encode())
+        return kernel.exact
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_registration_shape(self, noise):
+        digest = hashlib.sha256()
+        exact = {}
+        for representation, bits_per_cell, shape in itertools.product(
+            ("differential", "offset"), (1, 2), self.SHAPES
+        ):
+            ace = AnalogComputeElement(self.SHAPES[shape], noise=self.NOISE[noise], tile_id=3)
+            handle = ace.set_matrix(self._matrix(shape), self.VALUE_BITS, bits_per_cell,
+                                    representation)
+            exact[bits_per_cell, shape] = self._absorb(digest, ace, handle)
+        assert digest.hexdigest() == self.EXPECTED[noise]
+        # The flag follows the programmed values and the ADC grid, never the
+        # config's switches: write noise of sigma 0 moves nothing, and a
+        # 2-bit cell on 64 rows overruns the 8-bit converter.
+        lossless = noise in ("ideal", "sigma_zero")
+        assert exact == {(bits, shape): lossless and (bits == 1 or shape == (70, 20))
+                         for bits, shape in exact}
+
+    def test_update_row_reprograms_the_same_arrays(self):
+        ace = AnalogComputeElement(noise=self.NOISE["paper_default"], tile_id=1)
+        first = ace.set_matrix(self._matrix((64, 64)), self.VALUE_BITS)
+        digest = hashlib.sha256()
+        self._absorb(digest, ace, first)
+        second = ace.update_row(first, 5, self._matrix((64, 64), label=1)[5])
+        assert second.array_ids == first.array_ids
+        self._absorb(digest, ace, second)
+        assert digest.hexdigest() == self.EXPECTED["update_row"]
+
+    def test_release_then_reregister_restarts_the_stream(self):
+        ace = AnalogComputeElement(noise=self.NOISE["paper_default"], tile_id=1)
+        matrix = self._matrix((64, 64))
+        first = ace.set_matrix(matrix, self.VALUE_BITS)
+        before = [ace.crossbar(i).positive_conductances.copy() for i in first.array_ids]
+        ace.crossbar(first.array_ids[0]).mvm_1bit(np.ones(64, dtype=np.int64))
+        ace.release(first)
+        again = ace.set_matrix(matrix, self.VALUE_BITS)
+        assert again.array_ids == first.array_ids
+        for array_id, conductances in zip(again.array_ids, before):
+            assert np.array_equal(ace.crossbar(array_id).positive_conductances, conductances)
+        ace.release(again)
+        digest = hashlib.sha256()
+        self._absorb(digest, ace, ace.set_matrix(self._matrix((64, 64), label=2),
+                                                 self.VALUE_BITS))
+        assert digest.hexdigest() == self.EXPECTED["reregister"]
 
 
 class TestCompensation:

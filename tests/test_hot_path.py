@@ -15,12 +15,15 @@ cluster should cost two frames and one pass over its rows on each side:
 ``TestClusterWave`` budgets the profile events of each hop.  Off the exact
 path, ``TestNoisyCall`` budgets what a call under read noise draws and
 allocates: one generator call per crossbar, one sample per bitline sum,
-and no block that scales with the shard.
+and no block that scales with the shard.  The write path has its own
+budget: ``TestRegistration`` counts what a new ``register_matrix`` and the
+first call against it construct, map, prove and call.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -28,13 +31,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import DarthPumDevice, DevicePool
+from repro import DarthPumDevice, DevicePool, PumServer
+from repro.analog.adc import AnalogToDigitalConverter
 from repro.core.config import HctConfig
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ExecutionError, QuantizationError
 from repro.metrics import CostLedger
 from repro.plan.planner import Planner
-from repro.reram import NoiseConfig
+from repro.reram import ConductanceMapper, DeviceParameters, NoiseConfig, NoiseStack
 from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls, server_round
 
 BATCH = 32
@@ -78,6 +82,12 @@ NOISY_CALL_DRAWS = {"resnet_conv": (18, 64512), "aes_mixcolumns": (1, 1024),
 #: (measured 147 KB: bit planes and results; 2 597 KB while every step of
 #: the general path returned a fresh (slices, bits, batch, cols) block).
 MAX_NOISY_CALL_PEAK_BYTES = 256 * 1024
+#: Python-level calls of one new 64x64 4-bit ``register_matrix`` (release,
+#: program, compile) plus the first 32-row wave against it on an ideal
+#: server, measured + 10 % (measured 548; 820 while every crossbar sliced,
+#: mapped and range-checked its own planes and re-mapped them for the
+#: exactness proof).
+MAX_REGISTRATION_CALLS = 602
 
 
 def programmed_device(shape, element_size, input_bits, noise=None, config=None):
@@ -271,6 +281,103 @@ class TestClusterWave:
         assert "dumps" not in events["names"] and "loads" not in events["names"]
 
 
+class TestRegistration:
+    """A new 64x64 4-bit ``register_matrix`` and the first wave against it."""
+
+    ROUNDS = 16
+
+    @staticmethod
+    def _rounds(noise=None):
+        rng = derive_rng("hot-path-registration")
+        matrices = rng.integers(-8, 8, size=(TestRegistration.ROUNDS + 2, 64, 64))
+        vectors = rng.integers(0, 16, size=(32, 64), dtype=np.int64)
+        server = PumServer(pool=DevicePool(num_devices=2, noise=noise))
+        served = []
+
+        def new_round(k):
+            server.register_matrix("t", matrices[k], element_size=4, input_bits=4)
+            served.append(server.submit_batch("t", vectors, input_bits=4))
+            server.run_until_idle()
+
+        for k in range(2):  # the second replaces the first: release is on the path
+            new_round(k)
+        return server, matrices, vectors, served, new_round
+
+    @staticmethod
+    def _counted(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_ideal_registration_stays_within_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        server, matrices, vectors, served, new_round = self._rounds()
+        generators = self._counted(monkeypatch, np.random, "default_rng")
+        mappings = self._counted(monkeypatch, ConductanceMapper, "value_to_conductance")
+        # The exact path converts nothing: whatever reaches the ADC while
+        # registering and serving is a round-trip proof.
+        proofs = self._counted(monkeypatch, AnalogToDigitalConverter, "convert")
+        reuses = server.registration_reuses
+        for k in range(2, 2 + self.ROUNDS):
+            before = len(mappings)
+            calls = _python_calls(lambda: new_round(k))
+            assert len(mappings) - before <= 1
+            # ``_python_calls`` sees the lambda and ``new_round`` themselves.
+            assert calls - 2 <= MAX_REGISTRATION_CALLS, calls - 2
+            rows = np.stack([future.result().result for future in served[-1]])
+            assert np.array_equal(rows, vectors @ matrices[k])
+        assert generators == []
+        assert len(proofs) <= 1
+        assert server.registration_reuses == reuses
+        plan = server.pool.devices[0].device_plan
+        (task,) = server.allocation_for("t").tasks
+        assert plan(task.device_allocation, 4) is not None
+
+    def test_noisy_registration_builds_one_generator_per_crossbar(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        server, _, _, _, new_round = self._rounds(NoiseConfig.paper_default())
+        generators = self._counted(monkeypatch, np.random, "default_rng")
+        new_round(2)
+        (task,) = server.allocation_for("t").tasks
+        device = server.pool.devices[task.device_index]
+        crossbars = [hct.ace.crossbar(array_id)
+                     for _, hct, handle in device._tiles(task.device_allocation)
+                     for array_id in handle.array_ids]
+        # Programming noise is each array's first draw; the wave's read
+        # noise then continues the same stream.
+        assert len(generators) == len(crossbars) == 4
+        assert all(crossbar.noise._rng is not None for crossbar in crossbars)
+        # Built at the first draw, not with the stack.
+        generators.clear()
+        stack = NoiseStack(DeviceParameters(), NoiseConfig.paper_default(), (0, 7))
+        assert stack._rng is None and generators == []
+        assert stack.rng is stack.rng and len(generators) == 1
+
+
+def test_profiled_calls_keeps_the_collector_out():
+    """A finaliser the cyclic collector would run mid-call is not a frame."""
+    class Cycle:
+        def __init__(self):
+            self.me = self
+
+        def __del__(self):
+            pass
+
+    def churn():
+        for _ in range(5000):
+            Cycle()
+
+    names = {name for event, name in profiled_calls(churn) if event == "call"}
+    assert "__del__" not in names and "__init__" in names
+    assert gc.isenabled()
+
+
 class TestReceiptMemo:
     @staticmethod
     def _tile():
@@ -411,6 +518,75 @@ class TestSameErrorsSameOrder:
                 assert str(raised.value) == message
         validate_input_range(np.array([[0, 7]], dtype=np.uint8), 3)
         validate_input_range(np.empty((0, 4), dtype=np.int64), 3)
+
+    def test_programming_rejects_as_before_it_was_stacked(self):
+        """The write path's checks, by layer: the messages and their
+        precedence are the per-plane ones, with nothing charged, no array
+        taken and no crossbar left half-programmed."""
+        from repro.analog import (
+            AnalogCrossbar, DifferentialPairs, OffsetSubtraction, slice_matrix,
+        )
+        from repro.errors import CapacityError, DeviceError
+
+        mapper = ConductanceMapper(DeviceParameters(), 2)
+        magnitude = "matrix magnitude exceeds 8 for 4-bit values"
+        for attempt, message in (
+            (lambda: slice_matrix(np.array([[0.5, -1.0]]), 4, 2),
+             "bit-slicing expects an integer matrix"),
+            (lambda: slice_matrix(np.array([[1, -1, 99]]), 0, 2),
+             "bit-slicing expects a non-negative matrix; encode sign first"),
+            (lambda: slice_matrix(np.array([[1, 99]]), 4, 0),
+             "value_bits and bits_per_cell must be >= 1"),
+            (lambda: slice_matrix(np.array([[[1, 2], [3, 16]]]), 4, 2),
+             "matrix values exceed 4 bits"),
+            (lambda: DifferentialPairs(4).encode(np.array([[9, -1]])), magnitude),
+            (lambda: DifferentialPairs(4).encode(np.array([[1, -9]])), magnitude),
+            (lambda: OffsetSubtraction(4).encode(np.array([[-9, 0]])), magnitude),
+            (lambda: DifferentialPairs(4).encode(np.array([[0.5]])),
+             "differential encoding expects integer matrices"),
+            (lambda: OffsetSubtraction(4).encode(np.array([[99.0]])),
+             "offset encoding expects integer matrices"),
+            (lambda: mapper.value_to_conductance(np.array([[0, 4], [-1, 0]])),
+             "values must be in [0, 3] for 2 bits per cell"),
+        ):
+            with pytest.raises(QuantizationError) as raised:
+                attempt()
+            assert str(raised.value) == message
+
+        ledger = CostLedger()
+        crossbar = AnalogCrossbar(rows=4, cols=4, ledger=ledger)
+        wide = np.full((8, 4), 2, dtype=np.int64)
+        for planes, error, message in (
+            ((wide, wide[:4]), DeviceError,
+             "positive and negative slices must have the same shape"),
+            ((wide, wide), CapacityError, "slice of shape (8, 4) does not fit a 4x4 crossbar"),
+            ((wide[:4], wide[:4] - 2), QuantizationError,
+             "values must be in [0, 1] for 1 bits per cell"),
+        ):
+            with pytest.raises(error) as raised:
+                crossbar.program_differential(*planes)
+            assert str(raised.value) == message
+            assert not crossbar.is_programmed and ledger == CostLedger()
+
+        tile = HybridComputeTile(HctConfig.small())
+        ace = tile.ace
+        before = tile.ledger.snapshot(), list(ace._free_arrays)
+        eights = np.full((20, 20), 8, dtype=np.int64)
+        for matrix, keywords, message in (
+            (eights.astype(float), {}, "set_matrix expects an integer (quantised) matrix"),
+            (eights, dict(bits_per_cell=9), "bits_per_cell 9 exceeds the device maximum 8"),
+            (eights, dict(representation="twos"), "unknown representation 'twos'"),
+            (eights + 1, {}, magnitude),
+            (-eights - 1, dict(representation="offset"), magnitude),
+            # +8 passes the offset encoder's magnitude check and is 16 on the
+            # positive plane: one bit too wide for the slicer.
+            (eights, dict(representation="offset"), "matrix values exceed 4 bits"),
+        ):
+            with pytest.raises(QuantizationError) as raised:
+                ace.set_matrix(matrix, value_bits=4, **keywords)
+            assert str(raised.value) == message
+            assert (tile.ledger.snapshot(), list(ace._free_arrays)) == before
+        assert ace.arrays_used == 0 and not ace._crossbars
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_disabled_ace_raises_allocation_error_first(self, path):
