@@ -96,12 +96,17 @@ INPUT_BITS = 8
 DEVICE_CALL_BATCH = 32
 #: Where a device call's non-arithmetic time goes: part -> (functions
 #: counted with everything they call, functions counted by self time only).
-#: ``issue_mvm_charges`` only loops over ``charge``/``charge_run``, which
-#: are already counted inclusively.
+#: ``set_vr_planes`` is the register store of the exact path (the all-band
+#: ``&`` / ``!=`` unpack in front of it is inline in ``execute_device_plan``
+#: and stays in no column); ``charge_stream`` is the receipt's compiled run
+#: list.  An older ``src/`` has ``set_vr_bits`` / ``charge_run`` /
+#: ``issue_mvm_charges`` in their place, which is why those names stay:
+#: on either side exactly one set runs on the profiled path.
 DEVICE_CALL_PARTS = {
-    "sync_us": (("set_vr_bits",), ()),
+    "sync_us": (("set_vr_planes", "set_vr_bits"), ()),
     "validate_us": (("validate_input_range",), ()),
-    "ledger_us": (("charge", "charge_run", "snapshot"), ("issue_mvm_charges",)),
+    "ledger_us": (("charge", "charge_stream", "charge_run", "snapshot"),
+                  ("issue_mvm_charges",)),
 }
 
 #: The device-call shapes that also run under ``NoiseConfig.paper_default()``

@@ -26,8 +26,8 @@ Python), read noise is the reference's own bitline term
 batch, cols)`` draw per crossbar from that crossbar's generator -- the
 samples the reference's per-step calls consume, in their order -- and
 latency/energy ledger charges are replayed value-for-value in the
-reference charge order (:func:`issue_mvm_charges`, run-length but never
-multiplied out) so even the floating-point accumulation of the
+reference charge order (:func:`analog_runs`, compiled once per batch
+receipt) so even the floating-point accumulation of the
 :class:`~repro.metrics.CostLedger` matches.
 
 The general path allocates nothing per call that scales with the shard:
@@ -39,11 +39,12 @@ operation with ``out=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import QuantizationError
+from ..metrics import ChargeRuns
 from .bitslicing import slice_inputs_tensor
 from .crossbar import (
     add_read_noise,
@@ -56,9 +57,9 @@ __all__ = [
     "ShardKernel",
     "TileKernel",
     "ace_forward_vectorized",
+    "analog_runs",
     "analog_step_costs",
     "build_shard_kernel",
-    "issue_mvm_charges",
     "validate_input_range",
 ]
 
@@ -322,32 +323,28 @@ def analog_step_costs(
     return tuple(step_costs)
 
 
-def issue_mvm_charges(
-    ledger,
-    input_bits: int,
-    num_slices: int,
-    step_costs: Sequence[Tuple[float, float]],
-) -> None:
-    """Replay the reference interpreter's ``ace.mvm`` charge stream.
+def analog_runs(
+    kernel: ShardKernel, input_bits: int, batch: int, active_adc_bits: Optional[int] = None
+) -> ChargeRuns:
+    """The reference interpreter's ``ace.mvm`` charge stream, run-length.
 
     The reference issues one charge per (input bit, shard, slice) step,
-    input bits outermost.  The replay is run-length
-    (:meth:`~repro.metrics.CostLedger.charge_run`): one run of the whole
+    input bits outermost, each of that shard's :func:`analog_step_costs`.
+    As runs (:data:`~repro.metrics.ChargeRuns`) that is one run of the whole
     stream when every shard costs the same, otherwise one run of
     ``num_slices`` per (input bit, shard) in the reference issue order.
-    Either way the ledger performs the same additions in the same order, so
-    its floating-point totals and breakdowns match value for value.
+    Either way a ledger replaying them performs the same additions in the
+    same order, so its floating-point totals and breakdowns match value for
+    value.
     """
+    step_costs = analog_step_costs(kernel, batch, active_adc_bits)
     if len(set(step_costs)) == 1:
-        cycles, energy_pj = step_costs[0]
-        ledger.charge_run(
-            "ace.mvm", input_bits * len(step_costs) * num_slices,
-            cycles=cycles, energy_pj=energy_pj,
-        )
-        return
-    for _ in range(input_bits):
-        for cycles, energy_pj in step_costs:
-            ledger.charge_run("ace.mvm", num_slices, cycles=cycles, energy_pj=energy_pj)
+        return (("ace.mvm", input_bits * len(step_costs) * kernel.num_slices, *step_costs[0]),)
+    return tuple(
+        ("ace.mvm", kernel.num_slices, cycles, energy_pj)
+        for _ in range(input_bits)
+        for cycles, energy_pj in step_costs
+    )
 
 
 def ace_forward_vectorized(ace, plan, vectors: np.ndarray) -> List[np.ndarray]:

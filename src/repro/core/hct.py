@@ -300,13 +300,8 @@ class HybridComputeTile:
         execution backend commits through here so the tile-side effects of
         an MVM cannot drift between interpreters.
         """
-        for tile in range(plan.handle.col_tiles):
-            self.arbiter.acquire(
-                f"pipeline:{plan.output_base + tile}",
-                Domain.ANALOG,
-                self._clock,
-                optimized_cycles,
-            )
+        for resource in plan.output_resources:
+            self.arbiter.acquire(resource, Domain.ANALOG, self._clock, optimized_cycles)
         self._clock += charged
         self.ledger.charge(label, cycles=charged)
 

@@ -149,10 +149,10 @@ class InstructionInjectionUnit:
 
         The single source of truth for the cost side of a batched reduction,
         and a pure function of its arguments: the reference interpreter
-        computes it per call (:meth:`account_reduction_batch`), the
-        vectorized and cost-only backends once per
-        :class:`~repro.plan.ir.BatchReceipt`; both charge it through
-        :meth:`apply_reduction`.  Every staged write touches
+        charges it per call (:meth:`account_reduction_batch`), the planner
+        compiles it once per :class:`~repro.plan.ir.BatchReceipt` into the
+        run list and counter totals the vectorized and cost-only backends
+        replay.  Every staged write touches
         one device per bit per transferred element (``dce.write``); every
         ADD executes its NOR network on all rows of all bit arrays
         (``dce.boolean``).
@@ -191,23 +191,11 @@ class InstructionInjectionUnit:
         num_ops, add_uops, saved, write_pj, boolean_pj = self.reduction_batch_costs(
             pipeline, num_partials, batch, width
         )
-        self.apply_reduction(pipeline.ledger, write_pj, boolean_pj, saved)
-        return num_ops, add_uops, saved
-
-    def apply_reduction(
-        self, ledger, write_pj: float, boolean_pj: float, saved: int
-    ) -> None:
-        """Charge one batched reduction stream of known cost and count it.
-
-        The one place a batched reduction touches the ledger and the IIU
-        statistics: :meth:`account_reduction_batch` calls it with costs it
-        has just computed, the receipt replay of the vectorized and
-        cost-only backends with the ones memoised per column tile.
-        """
-        ledger.charge("dce.write", energy_pj=write_pj)
-        ledger.charge("dce.boolean", energy_pj=boolean_pj)
+        pipeline.ledger.charge("dce.write", energy_pj=write_pj)
+        pipeline.ledger.charge("dce.boolean", energy_pj=boolean_pj)
         self.injections += 1
         self.front_end_slots_saved += saved
+        return num_ops, add_uops, saved
 
     def inject_reduction_batch(
         self,

@@ -103,7 +103,7 @@ class BitPipeline:
         ]
         #: Weight of each bit plane as a ``(depth, 1)`` int64 column (bit 63
         #: is the sign bit, which is what two's complement wants).
-        self._bit_weights = np.left_shift(
+        self.bit_weights = np.left_shift(
             np.int64(1), np.arange(self.depth, dtype=np.int64)
         )[:, None]
         self._synth = BooleanSynthesizer(self.family)
@@ -134,27 +134,35 @@ class BitPipeline:
     def set_vr_bits(self, vr: int, values: Sequence[int]) -> None:
         """Overwrite a VR's bit planes in one vectorised pass, charging nothing.
 
-        The single shared implementation of the bit-plane unpack: cost-free
-        state updates (element-wise ops, the batched reduction's accumulator
-        sync) call it directly, and :meth:`write_vr` layers the write cost on
-        top.  Rows beyond ``len(values)`` are cleared.
+        Cost-free state updates (element-wise ops, the batched reduction's
+        accumulator sync) call it directly, and :meth:`write_vr` layers the
+        write cost on top.  Rows beyond ``len(values)`` are cleared.
         """
-        self._check_vr(vr)
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape[0] > self.rows:
-            raise CapacityError(
-                f"vector of {values.shape[0]} elements exceeds {self.rows} rows"
-            )
-        count = values.shape[0]
+        self.set_vr_planes(vr, (np.asarray(values, dtype=np.int64) & self.bit_weights) != 0)
+
+    def set_vr_planes(self, vr: int, planes: np.ndarray) -> None:
+        """Store ``(depth, n)`` bit planes (``(words & bit_weights) != 0``)
+        into VR ``vr``, charging nothing.
+
+        The one place a whole register is overwritten, and so the one body
+        of checks; a caller syncing many pipelines of one depth unpacks their
+        words in one pass and stores a slice through here.  Rows beyond ``n``
+        are cleared.
+        """
+        count = planes.shape[1]
+        if not 0 <= vr < self.num_vrs or count > self.rows:  # no frame unless one fails
+            self._check_vr(vr)
+            raise CapacityError(f"vector of {count} elements exceeds {self.rows} rows")
         register = self._store[vr]
-        np.not_equal(values & self._bit_weights, 0, out=register[:, :count])
-        register[:, count:] = False
+        register[:, :count] = planes
+        if count < self.rows:
+            register[:, count:] = False
 
     def read_vr(self, vr: int, signed: bool = False) -> np.ndarray:
         """Read VR ``vr`` back as integers (two's complement if ``signed``)."""
         self._check_vr(vr)
         values = np.bitwise_or.reduce(
-            np.where(self._store[vr], self._bit_weights, 0), axis=0
+            np.where(self._store[vr], self.bit_weights, 0), axis=0
         )
         if signed and self.depth < 64:
             sign = np.int64(1) << (self.depth - 1)

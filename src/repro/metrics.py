@@ -17,11 +17,13 @@ Units used throughout the library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 __all__ = [
+    "ChargeRuns",
     "CostLedger",
     "CostSnapshot",
+    "checked_runs",
     "ema",
     "merge_ledgers",
     "geometric_mean",
@@ -34,6 +36,22 @@ CLOCK_HZ = 1.0e9
 
 #: Seconds per cycle.
 CYCLE_SECONDS = 1.0 / CLOCK_HZ
+
+#: A charge stream in run-length form: ``(category, count, cycles,
+#: energy_pj)`` per run of ``count`` identical charges.
+ChargeRuns = Tuple[Tuple[str, int, float, float], ...]
+
+
+def checked_runs(runs: Iterable[Tuple[str, int, float, float]]) -> ChargeRuns:
+    """``runs`` as :meth:`CostLedger.charge_stream` replays them.
+
+    Costs become floats and empty runs (``count < 1``) are dropped; a
+    negative or NaN cost raises what :meth:`CostLedger.charge` raises for it.
+    """
+    checked = tuple((name, n, float(c), float(e)) for name, n, c, e in runs if n >= 1)
+    if not all(c >= 0 and e >= 0 for _, _, c, e in checked):
+        raise ValueError("cycles and energy must be non-negative")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,20 @@ class CostLedger:
     Categories are free-form strings such as ``"ace.mvm"`` or
     ``"dce.nor"``; the evaluation harness groups them by prefix when
     building per-kernel breakdowns (e.g. Figure 14).
+
+    Totals are float sums, so they depend on the order of the additions:
+    two interpreters of one schedule agree bit for bit only if they add the
+    same values in the same order.  :meth:`charge_stream` therefore replays
+    a run of ``count`` identical charges as ``count`` additions, never as
+    ``count * value`` -- except where the product provably *is* the loop's
+    sum.  That is a cycle run whose value ``v``, running total ``t`` and
+    category part ``p`` are all integers with ``t + count * v`` and ``p +
+    count * v`` below 2**53: every partial sum ``t + k * v`` of the loop is
+    then an integer below 2**53, hence a float64, hence every addition of
+    the loop is exact and it ends on exactly ``t + count * v``; ``count *
+    v`` is such an integer too, so the product and the one addition round
+    nothing either.  Fractional values, parts or totals (every energy), and
+    sums reaching 2**53, take the loop.
     """
 
     cycles: float = 0.0
@@ -72,7 +104,7 @@ class CostLedger:
 
     def charge(self, category: str, *, cycles: float = 0.0, energy_pj: float = 0.0) -> None:
         """Add ``cycles`` and ``energy_pj`` under ``category``."""
-        if cycles < 0 or energy_pj < 0:
+        if not (cycles >= 0 and energy_pj >= 0):  # written so that NaN fails too
             raise ValueError("cycles and energy must be non-negative")
         if cycles:
             self.cycles += cycles
@@ -83,36 +115,45 @@ class CostLedger:
                 self.energy_breakdown.get(category, 0.0) + energy_pj
             )
 
-    def charge_run(
-        self, category: str, count: int, *, cycles: float = 0.0, energy_pj: float = 0.0
-    ) -> None:
-        """Replay ``count`` successive identical :meth:`charge` calls.
+    def charge_stream(self, runs: ChargeRuns) -> None:
+        """Replay a charge stream given as runs, in one frame.
 
-        Run-length form of a charge stream: the additions happen one by one
-        on local variables, so every intermediate float sum -- totals and
-        breakdowns -- is the one ``count`` separate calls produce.  Repeated
-        addition is not ``count * value`` in floating point, so the run is
-        never multiplied out.
+        Each run ``(category, count, cycles, energy_pj)`` stands for ``count``
+        successive identical :meth:`charge` calls, and ``runs`` for those
+        calls back to back: totals, breakdowns and the breakdowns' key order
+        end up as the separate calls leave them.  ``runs`` comes from
+        :func:`checked_runs` (float costs, no empty run), which is where a
+        negative or NaN cost is refused -- once, when the stream is
+        compiled, not per replay.
+
+        The additions happen one by one on local variables; an integral
+        cycle run below 2**53 is added as one product (exact: see the class
+        docstring).
         """
-        if cycles < 0 or energy_pj < 0:
-            raise ValueError("cycles and energy must be non-negative")
-        if count < 1:
-            return
-        cycle_total = self.cycles
-        cycle_part = self.cycle_breakdown.get(category, 0.0)
-        energy_total = self.energy_pj
-        energy_part = self.energy_breakdown.get(category, 0.0)
-        for _ in range(count):  # adding a zero is exact, so one loop serves both
-            cycle_total += cycles
-            cycle_part += cycles
-            energy_total += energy_pj
-            energy_part += energy_pj
-        if cycles:
-            self.cycles = cycle_total
-            self.cycle_breakdown[category] = cycle_part
-        if energy_pj:
-            self.energy_pj = energy_total
-            self.energy_breakdown[category] = energy_part
+        cycle_parts, energy_parts = self.cycle_breakdown, self.energy_breakdown
+        cycle_total, energy_total = self.cycles, self.energy_pj
+        for category, count, cycles, energy_pj in runs:
+            if cycles:
+                part = cycle_parts.get(category, 0.0)
+                added = count * cycles
+                if (
+                    cycle_total + added < 2.0 ** 53 and part + added < 2.0 ** 53
+                    and cycles.is_integer() and cycle_total.is_integer() and part.is_integer()
+                ):
+                    cycle_total += added
+                    part += added
+                else:
+                    for _ in range(count):
+                        cycle_total += cycles
+                        part += cycles
+                cycle_parts[category] = part
+            if energy_pj:
+                part = energy_parts.get(category, 0.0)
+                for _ in range(count):
+                    energy_total += energy_pj
+                    part += energy_pj
+                energy_parts[category] = part
+        self.cycles, self.energy_pj = cycle_total, energy_total
 
     def charge_power(self, category: str, *, cycles: float, power_mw: float) -> None:
         """Charge ``cycles`` of activity at ``power_mw``; energy follows at 1 GHz."""

@@ -38,11 +38,7 @@ import numpy as np
 
 from ..analog.ace import BatchMvmExecution, BatchPartialProduct
 from ..analog.bitslicing import slice_inputs
-from ..analog.kernels import (
-    ace_forward_vectorized,
-    issue_mvm_charges,
-    validate_input_range,
-)
+from ..analog.kernels import ace_forward_vectorized, validate_input_range
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
 from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
@@ -123,22 +119,22 @@ def _replay_receipt(tile, plan: MvmPlan, receipt, optimized: bool) -> None:
     """Charge and count one batch on ``tile`` from its receipt.
 
     Replays the reference interpreter's accounting exactly: the ``ace.mvm``
-    stream and the crossbars' ``mvm_count``, then -- with digital
-    post-processing on -- per column tile the ``dce.write`` /
-    ``dce.boolean`` charges and IIU statistics, the transpose count and the
-    ``hct.mvm_batch`` schedule commit.  Shared by the per-tile backends
-    (:func:`_account_batch`) and the whole-allocation contraction
-    (:func:`execute_device_plan`), so the two cannot drift.
+    stream and -- with digital post-processing on -- per column tile the
+    ``dce.write`` / ``dce.boolean`` charges as one compiled run list, the
+    crossbars' ``mvm_count``, the IIU and transpose-unit counters by the
+    receipt's totals, and the ``hct.mvm_batch`` schedule commit.  Shared by
+    the per-tile backends (:func:`_account_batch`) and the whole-allocation
+    contraction (:func:`execute_device_plan`), so the two cannot drift.
     """
-    ledger = tile.ledger
-    issue_mvm_charges(ledger, plan.input_bits, plan.handle.num_slices, receipt.step_costs)
-    for shard in plan.kernel.tiles:
-        for crossbar in shard.crossbars:
-            crossbar.mvm_count += receipt.mvm_steps
-    if not tile.digital_post_processing:
+    digital = tile.digital_post_processing
+    tile.ledger.charge_stream(receipt.runs if digital else receipt.analog_runs)
+    steps = receipt.mvm_steps
+    for crossbar in plan.crossbars:
+        crossbar.mvm_count += steps
+    if not digital:
         return
-    for write_pj, boolean_pj, saved in receipt.reductions:
-        tile.iiu.apply_reduction(ledger, write_pj, boolean_pj, saved)
+    tile.iiu.injections += receipt.injections
+    tile.iiu.front_end_slots_saved += receipt.slots_saved
     tile.transpose_unit.vector_count += receipt.n_adds
     charged = receipt.optimized_cycles if optimized else receipt.unoptimized_cycles
     tile._commit_schedule(plan, receipt.optimized_cycles, charged)
@@ -237,14 +233,17 @@ def execute_device_plan(
     partials = plan.tiles[0][0].iiu.wrap_accumulator(
         np.matmul(banded, plan.weights).astype(np.int64), plan.depth
     )
+    # Every block's last batch row as bit planes, (row_bands, depth, cols).
+    planes = (partials[:, -1, None, :] & plan.bit_weights) != 0
     for hct, tile_plan, band, outputs in plan.tiles:
         ledger = hct.ledger
         start_energy = ledger.energy_pj
         receipt = hct.planner.receipt_for(tile_plan, batch)
         _replay_receipt(hct, tile_plan, receipt, True)
-        last = partials[band, -1]
         for pipeline, col_offset, width in outputs:
-            pipeline.set_vr_bits(tile_plan.accumulator_vr, last[col_offset: col_offset + width])
+            pipeline.set_vr_planes(
+                tile_plan.accumulator_vr, planes[band, :, col_offset: col_offset + width]
+            )
         runtime_ledger.charge("runtime.mvm_batch", cycles=receipt.optimized_cycles,
                               energy_pj=ledger.energy_pj - start_energy)
     return np.add.reduce(partials, axis=0)

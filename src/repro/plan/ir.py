@@ -39,6 +39,7 @@ import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_step_costs
+from ..metrics import ChargeRuns
 
 __all__ = [
     "BatchReceipt",
@@ -312,27 +313,32 @@ class PlanCostModel:
 class BatchReceipt:
     """Everything one batch of one plan charges besides its arithmetic.
 
-    What the vectorized and cost-only backends account per call -- the
-    ``ace.mvm`` charge stream, the crossbars' ``mvm_count`` increments, the
-    ``dce.write`` / ``dce.boolean`` reduction energies with the IIU and
-    transpose-unit statistics, and both Figure 10 timelines -- is a pure
-    function of ``(plan, batch, active_adc_bits)``.  The
-    :class:`~repro.plan.planner.Planner` computes it once
-    (:meth:`~repro.plan.planner.Planner.receipt_for`), memoises it on the
-    plan, and the backends replay it against the tile's live ledger and
-    counters (``repro.plan.backends._account_batch``); the step-walking
-    reference backend never builds one and is the oracle the replay is
-    tested against.
+    What the vectorized and cost-only backends account per call is a pure
+    function of ``(plan, batch, active_adc_bits)``, so the
+    :class:`~repro.plan.planner.Planner` compiles it once
+    (:meth:`~repro.plan.planner.Planner.receipt_for`) and memoises it on the
+    plan: the ledger side as the charge stream itself, run-length
+    (:data:`~repro.metrics.ChargeRuns`, non-negativity checked at compile
+    time), the counter side as totals.  The backends replay both against
+    the tile's live ledger and counters (``repro.plan.backends._replay_receipt``);
+    the step-walking reference backend never builds one and is the oracle
+    the replay is tested against.
     """
 
-    #: Per-shard ``(cycles, energy_pj)`` of one analog macro-step.
-    step_costs: Tuple[Tuple[float, float], ...]
+    #: The ``ace.mvm`` stream in the reference issue order: one run of the
+    #: whole stream when every shard's macro-step costs the same, otherwise
+    #: one run of ``num_slices`` per (input bit, shard), input bits outermost.
+    analog_runs: ChargeRuns
+    #: :attr:`analog_runs`, then per column tile its reduction's
+    #: ``dce.write`` and ``dce.boolean`` energy: what a batch charges with
+    #: digital post-processing on (raw mode stops after the analog part).
+    runs: ChargeRuns
     #: Analog steps every crossbar of the allocation runs (``mvm_count``).
     mvm_steps: int
-    #: Per column tile ``(dce.write pJ, dce.boolean pJ, front-end slots
-    #: saved)`` of its reduction.
-    reductions: Tuple[Tuple[float, float, int], ...]
-    #: Pipelined ADDs and front-end slots saved, over all column tiles.
+    #: Reduction streams the IIU injects (one per column tile), the
+    #: pipelined ADDs (vectors through the transpose unit) and the front-end
+    #: slots saved, over all column tiles.
+    injections: int
     n_adds: int
     slots_saved: int
     #: Figure 10b / 10a wall-clock cycles and the 10b breakdown.
@@ -389,6 +395,16 @@ class MvmPlan:
     def shape(self) -> Tuple[int, int]:
         """Logical matrix shape of the planned allocation."""
         return self.handle.shape
+
+    @cached_property
+    def crossbars(self) -> Tuple[object, ...]:
+        """Every crossbar of the allocation, flat (they count analog steps)."""
+        return tuple(crossbar for shard in self.kernel.tiles for crossbar in shard.crossbars)
+
+    @cached_property
+    def output_resources(self) -> Tuple[str, ...]:
+        """Arbiter names of the output pipelines, one per column tile."""
+        return tuple(f"pipeline:{self.output_base + t}" for t in range(self.handle.col_tiles))
 
     @cached_property
     def kernel(self):
@@ -538,6 +554,8 @@ class DevicePlan:
     rows: int
     #: Accumulator width every output pipeline shares (one wrap serves all).
     depth: int
+    #: Their ``bit_weights``: ``(depth, 1)`` int64 (one unpack serves all).
+    bit_weights: np.ndarray
     #: Per block, in placement order: ``(hct, MvmPlan, band, ((pipeline,
     #: col_offset, width), ...))`` -- the output pipelines with the matrix
     #: columns each accumulates.

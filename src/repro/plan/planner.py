@@ -33,7 +33,8 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
-from ..analog.kernels import analog_step_costs
+from ..analog.kernels import analog_runs
+from ..metrics import checked_runs
 from .ir import BatchReceipt, DevicePlan, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
 
 __all__ = ["Planner", "compile_device_plan"]
@@ -105,7 +106,8 @@ class Planner:
         self, plan: MvmPlan, batch: int, active_adc_bits: Optional[int]
     ) -> BatchReceipt:
         tile = self.tile
-        reductions = []
+        analog = checked_runs(analog_runs(plan.kernel, plan.input_bits, batch, active_adc_bits))
+        reduction = []
         n_adds = slots_saved = 0
         add_uops = 12.0
         for red in plan.reduction:
@@ -113,15 +115,16 @@ class Planner:
                 tile.dce.pipeline(plan.output_base + red.col_tile),
                 red.partials_per_vector, batch, red.width,
             )
-            reductions.append((write_pj, boolean_pj, saved))
+            reduction += [("dce.write", 1, 0.0, write_pj), ("dce.boolean", 1, 0.0, boolean_pj)]
             n_adds += adds
             slots_saved += saved
         optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
         unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
         return BatchReceipt(
-            step_costs=analog_step_costs(plan.kernel, batch, active_adc_bits),
+            analog_runs=analog,
+            runs=analog + checked_runs(reduction),
             mvm_steps=plan.input_bits * batch,
-            reductions=tuple(reductions),
+            injections=len(plan.reduction),
             n_adds=n_adds,
             slots_saved=slots_saved,
             optimized_cycles=optimized_cycles,
@@ -235,4 +238,6 @@ def compile_device_plan(
         tiles.append((hct, plan, band, outputs))
     if len(depths) != 1:
         return None
-    return DevicePlan(input_bits, weights, rows, depths.pop(), tuple(tiles))
+    return DevicePlan(
+        input_bits, weights, rows, depths.pop(), outputs[0][0].bit_weights, tuple(tiles)
+    )

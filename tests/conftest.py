@@ -13,10 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import HctConfig, HybridComputeTile
 from repro.digital import BitPipeline
 from repro.testing import REPRO_TEST_SEED, derive_rng
+
+# One profile for every property test: the examples are a function of the
+# test alone (no random seed), and no wall-clock deadline decides a verdict
+# on a shared host.
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

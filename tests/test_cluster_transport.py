@@ -372,7 +372,7 @@ def array_lists(draw):
     return arrays
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(kind=st.integers(0, 255), header=HEADERS, arrays=array_lists())
 def test_message_round_trip_property(kind, header, arrays):
     """Any header, 0-6 arrays of mixed dtype and shape (empty and 0-d ones
@@ -390,7 +390,7 @@ def test_message_round_trip_property(kind, header, arrays):
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # numpy, on odd dtype strings
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(header=HEADERS, arrays=array_lists())
 def test_damaged_frames_decode_or_raise_transport_error(header, arrays):
     """No CRC in front: every truncation and every single-bit flip of a valid

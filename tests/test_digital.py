@@ -192,6 +192,32 @@ class TestPipelineStorage:
             assert pipeline.read_element(3, row) == int(expected[row]) % (1 << depth)
         assert not pipeline.read_vr(2).any() and not pipeline.read_vr(4).any()
 
+    def test_set_vr_planes_is_set_vr_bits_with_the_same_checks(self, small_pipeline, rng):
+        pipeline = small_pipeline
+
+        def planes(values):
+            return (values & pipeline.bit_weights) != 0
+
+        values = rng.integers(-100, 100, size=5)
+        for vr in (1, 2):
+            pipeline.set_vr_bits(vr, np.full(8, -1))  # stale bits in every row
+        pipeline.set_vr_bits(1, values)
+        pipeline.set_vr_planes(2, planes(values))
+        assert np.array_equal(pipeline.read_vr(2), pipeline.read_vr(1))
+        assert not pipeline.read_vr(2)[5:].any()  # the tail is cleared
+        before = pipeline._store.copy()
+        too_long = np.zeros(9, dtype=np.int64)
+        for vr, rejected, message in (
+            (pipeline.num_vrs, too_long, "vector register 8 out of range"),  # the VR first
+            (-1, values, "vector register -1 out of range"),
+            (0, too_long, "vector of 9 elements exceeds 8 rows"),
+        ):
+            with pytest.raises(CapacityError, match=message):
+                pipeline.set_vr_bits(vr, rejected)
+            with pytest.raises(CapacityError, match=message):
+                pipeline.set_vr_planes(vr, planes(rejected))
+        assert np.array_equal(pipeline._store, before)
+
     def test_write_element_matches_set_vr_bits(self, small_pipeline):
         values = np.array([-5, 7, -1, 0, 3, -128, 127, 2])
         for row, value in enumerate(values):

@@ -43,15 +43,20 @@ from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls, server
 
 BATCH = 32
 #: Python-level calls of one steady-state call: a fixed part plus the
-#: per-tile receipt replay (measured 26 / 52 / 117 at 1 / 3 / 8 tiles; the
-#: per-tile loop this replaced took 35 / 89 / 224).
-MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 14
-MAX_CHARGES_PER_TILE = 6
+#: per-tile receipt replay (measured 21 / 37 / 77 at 1 / 3 / 8 tiles -- per
+#: tile the memo lookup, the replay, one ``charge_stream``, the schedule
+#: commit with its arbiter and ledger call, the register store and the
+#: runtime charge; 26 / 52 / 117 while the replay re-walked the receipt
+#: through six ``charge`` / ``charge_run`` calls per tile, and the per-tile
+#: loop before that took 35 / 89 / 224).
+MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 8
+#: ``charge_stream``, ``hct.mvm_batch`` and ``runtime.mvm_batch``.
+MAX_CHARGES_PER_TILE = 3
 #: Python-level calls of one steady-state single-band pooled call, and how
-#: many of them are the pool's own frames (measured 30 and 5: the front door,
+#: many of them are the pool's own frames (measured 25 and 5: the front door,
 #: the band loop, the copy selection, the device-call lambda and the
 #: post-call check; 39 and 14 while a request list sat under the loop).
-MAX_POOL_CALLS, MAX_POOL_FRAMES = 31, 5
+MAX_POOL_CALLS, MAX_POOL_FRAMES = 26, 5
 #: Python-level calls per request of one server round, submit + drain
 #: (measured 1.23 + 4.23 = 5.47 at one tenant, + 10 %; it was 1.23 + 4.80 =
 #: 6.03 before the pool lost nine frames per batch, and 5.3 + 7.1 = 12.4
@@ -126,7 +131,7 @@ class TestCallBudget:
         assert len(names) <= MAX_CALLS_FIXED + MAX_CALLS_PER_TILE * tiles, (
             len(names), sorted(set(names))
         )
-        charges = [name for name in names if name in ("charge", "charge_run")]
+        charges = [name for name in names if name in ("charge", "charge_stream")]
         assert len(charges) <= MAX_CHARGES_PER_TILE * tiles
         # Steady state: nothing was planned or compiled inside the call.
         assert sum(planner.receipt_hits for planner in planners) == hits + tiles
@@ -193,7 +198,8 @@ def _python_calls(function) -> int:
 
 
 class TestPoolCall:
-    """Batch 16 against a single-band 64x64 6-bit allocation, exact path."""
+    """Batch 16 on the exact path: a single-band 64x64 6-bit allocation, and
+    the sharded, replicated, verified layout the benchmark claim is made on."""
 
     def test_steady_state_pooled_call_stays_within_budget(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -222,6 +228,26 @@ class TestPoolCall:
         assert pool_calls - 1 <= MAX_POOL_CALLS, pool_calls - 1
         assert pool_calls - device_calls <= MAX_POOL_FRAMES, (pool_calls, device_calls)
         assert pool.planner_builds() == builds
+
+
+    def test_sharded_verified_call_stays_within_budget(self, monkeypatch):
+        """The layerbench ``pool_sharded`` layout -- 256x16 over 2 bands x 2
+        replicas of small tiles, ``verify="full"`` -- at ``make hotpath``'s
+        probe: each band's device call pays the fixed part once and the
+        per-tile replay for its eight blocks (measured 152 device frames;
+        232 while a tile's replay took thirteen)."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        profile_serving = _profile_serving()
+        pooled, _, allocation = profile_serving.pool_call_at("pool_sharded")
+        assert allocation.num_shards == 2 and allocation.replication == 2
+        tiles = sum(len(task.device_allocation.placement.tiles)
+                    for task in allocation.tasks)
+        assert tiles == 16
+        events = profiled_calls(pooled)[1:]  # drop the ``pooled`` closure itself
+        _, device_frames, pooled_calls = profile_serving.split_pool_frames(events)
+        assert pooled_calls == 1
+        budget = MAX_CALLS_FIXED * allocation.num_shards + MAX_CALLS_PER_TILE * tiles
+        assert device_frames <= budget, device_frames
 
 
 class TestServerRound:

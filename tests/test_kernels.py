@@ -352,6 +352,34 @@ class TestDevicePlanEquivalence:
         assert twins["loop"][1].device_plans == {input_bits: None}
         assert not twins["reference"][1].device_plans  # never asked for one
 
+    def test_stale_register_rows_beyond_the_output_width_are_cleared(self):
+        """40x40 on small tiles is three 40-column row blocks of three column
+        tiles each, the last 8 wide: rows 8..15 of that pipeline's
+        accumulator VR are beyond every store."""
+        case = "square_ragged"
+        input_bits = DEVICE_PLAN_CASES[case][2]
+        backends = {"plan": "vectorized", "loop": "vectorized",
+                    "reference": "reference"}
+        twins = {name: programmed_device(case) for name in backends}
+        force_per_tile_loop(twins["loop"][1], input_bits)
+        vectors = derive_rng("kernels-device-plan-stale").integers(
+            0, 1 << input_bits, size=(5, 40)
+        )
+        states = {}
+        for name, (device, allocation, matrix) in twins.items():
+            tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+            for tile in tiles:
+                for index in range(3):
+                    tile.dce.pipeline(index).set_vr_bits(0, np.full(16, -1))
+            out = device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                        backend=backends[name])
+            assert np.array_equal(out, vectors @ matrix)
+            states[name] = device_state(device, allocation)
+            for tile in tiles:
+                narrow = tile.dce.pipeline(2).read_vr(0)
+                assert narrow[:8].any() and not narrow[8:].any()
+        assert states["plan"] == states["loop"] == states["reference"]
+
     @pytest.mark.parametrize("noise", [
         NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False, seed=3),
         NoiseConfig(programming_noise=True, read_noise=False, ir_drop=False,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import CostLedger, geometric_mean, merge_ledgers
+from repro.metrics import CostLedger, checked_runs, geometric_mean, merge_ledgers
 
 
 class TestCostLedger:
@@ -103,38 +103,78 @@ def test_ledger_totals_match_breakdown_sum(charges):
     assert ledger.energy_pj == pytest.approx(sum(ledger.energy_breakdown.values()))
 
 
-_charge = st.tuples(
-    st.integers(min_value=0, max_value=2),
+_cost = st.one_of(
+    st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    st.integers(min_value=0, max_value=10**9).map(float),  # the integral shortcut
+)
+_run = st.tuples(
+    st.integers(min_value=0, max_value=2).map("cat{}".format),
     st.integers(min_value=0, max_value=300),
-    st.floats(min_value=0, max_value=1e9, allow_nan=False),
-    st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    _cost,
+    _cost,
 )
 
 
-@given(st.lists(_charge, max_size=12))
-def test_charge_run_equals_looped_charges_bit_for_bit(runs):
-    """Property: a run leaves the ledger ``==`` to ``count`` separate charges.
-
-    Totals *and* breakdowns, compared with ``==``: the run adds one by one,
-    it never multiplies (``count * energy`` rounds differently).
-    """
-    looped, replayed = CostLedger(), CostLedger()
+def _looped(runs, ledger=None):
+    """The oracle: one ``charge`` per unit of every run."""
+    ledger = CostLedger() if ledger is None else ledger
     for category, count, cycles, energy in runs:
         for _ in range(count):
-            looped.charge(f"cat{category}", cycles=cycles, energy_pj=energy)
-        replayed.charge_run(f"cat{category}", count, cycles=cycles, energy_pj=energy)
+            ledger.charge(category, cycles=cycles, energy_pj=energy)
+    return ledger
+
+
+def _assert_same_ledger(replayed, looped):
     assert replayed.cycles == looped.cycles
     assert replayed.energy_pj == looped.energy_pj
-    assert replayed.cycle_breakdown == looped.cycle_breakdown
-    assert replayed.energy_breakdown == looped.energy_breakdown
+    for name in ("cycle_breakdown", "energy_breakdown"):
+        assert list(getattr(replayed, name).items()) == list(getattr(looped, name).items())
+
+
+@given(st.lists(_run, max_size=12), st.lists(_run, max_size=3))
+def test_charge_run_equals_looped_charges_bit_for_bit(runs, earlier):
+    """Property: a run list leaves the ledger ``==`` to one charge per unit.
+
+    Totals, both breakdowns *and their key order*, compared with ``==``,
+    zero cycles or zero energy included: the stream adds one by one, and
+    where it multiplies (integral cycles) the product is the loop's sum.
+    """
+    replayed = _looped(earlier)
+    replayed.charge_stream(checked_runs(runs))
+    _assert_same_ledger(replayed, _looped(runs, _looped(earlier)))
 
 
 def test_charge_run_is_not_a_multiplication():
-    looped, replayed = CostLedger(), CostLedger()
-    for _ in range(10):
-        looped.charge("x", energy_pj=0.1)
-    replayed.charge_run("x", 10, energy_pj=0.1)
-    assert replayed.energy_pj == looped.energy_pj != 10 * 0.1
+    replayed = CostLedger()
+    replayed.charge_stream(checked_runs([("x", 10, 0.0, 0.1)]))
+    assert replayed.energy_pj == _looped([("x", 10, 0.0, 0.1)]).energy_pj != 10 * 0.1
+
+
+@pytest.mark.parametrize("earlier, run", [
+    # The total straddles 2**53 halfway through the run.
+    ([("x", 1, 2.0 ** 53 - 10, 0.0)], ("x", 8, 3.0, 0.0)),
+    # An integral total over a non-integral category part, and the reverse.
+    ([("x", 1, 1 / 3, 0.0), ("y", 1, 2 / 3, 0.0)], ("x", 2, 3.0, 0.0)),
+    ([("x", 1, 1 / 3, 0.0)], ("y", 2, 3.0, 0.0)),
+    # A non-integral value.
+    ([], ("x", 10, 0.1, 0.0)),
+], ids=["straddles_2**53", "fractional_part", "fractional_total", "fractional_value"])
+def test_charge_stream_loops_wherever_the_product_would_round(earlier, run):
+    category, count, cycles, _ = run
+    replayed = _looped(earlier)
+    multiplied = (replayed.cycles + count * cycles,
+                  replayed.cycle_breakdown.get(category, 0.0) + count * cycles)
+    replayed.charge_stream(checked_runs([run]))
+    _assert_same_ledger(replayed, _looped([run], _looped(earlier)))
+    assert (replayed.cycles, replayed.cycle_breakdown[category]) != multiplied
+
+
+def test_charge_stream_multiplies_an_integral_cycle_run_exactly():
+    earlier, run = [("x", 1, 7.0, 0.5), ("y", 1, 2.0, 0.0)], ("x", 10 ** 6, 192.0, 0.0)
+    replayed = _looped(earlier)
+    replayed.charge_stream(checked_runs([run]))
+    _assert_same_ledger(replayed, _looped([run], _looped(earlier)))
+    assert replayed.cycle_breakdown == {"x": 7.0 + 192.0e6, "y": 2.0}
 
 
 @pytest.mark.parametrize("kwargs", [{"cycles": -1.0}, {"energy_pj": -0.5}])
@@ -143,9 +183,25 @@ def test_charge_run_rejects_negatives_like_charge(kwargs):
     with pytest.raises(ValueError) as looped:
         ledger.charge("x", **kwargs)
     with pytest.raises(ValueError) as replayed:
-        ledger.charge_run("x", 3, **kwargs)
+        ledger.charge_stream(checked_runs(
+            [("x", 3, kwargs.get("cycles", 0.0), kwargs.get("energy_pj", 0.0))]
+        ))
     assert str(replayed.value) == str(looped.value)
     assert ledger.snapshot() == CostLedger().snapshot()
+
+
+@pytest.mark.parametrize("kwargs", [{"cycles": float("nan")}, {"energy_pj": float("nan")},
+                                    {"cycles": 1.0, "energy_pj": float("nan")}])
+def test_nan_cost_is_refused_before_it_poisons_the_ledger(kwargs):
+    """``nan < 0`` is false, so the guard has to ask for ``>= 0`` instead."""
+    ledger = CostLedger()
+    ledger.charge("x", cycles=3.0, energy_pj=0.5)
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.charge("x", **kwargs)
+    with pytest.raises(ValueError, match="non-negative"):
+        checked_runs([("x", 3, kwargs.get("cycles", 0.0), kwargs.get("energy_pj", 0.0))])
+    assert ledger.snapshot() == before
 
 
 class TestPercentileSorted:
