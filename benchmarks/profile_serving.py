@@ -25,7 +25,10 @@ split into the pool's own frames and the device calls underneath.
 The ``server-round`` mode prices the tier above that: one steady-state
 ``submit_batch(64)`` per tenant plus ``run_until_idle()`` at 1 and 32
 tenants (:func:`repro.testing.server_round`) -- untraced microseconds per
-request, the same batches through ``pool.exec_mvm_batch`` alone, the
+request, what ``result()`` on every row costs after the round
+(``read_us_per_request``: the part of a row's cost that is paid when the row
+is asked for) and what ``columns()`` on every wave costs instead, the same
+batches through ``pool.exec_mvm_batch`` alone, the
 server's share of the round, function calls per request split into
 submit and drain, and the pool's own frames per dispatched batch -- plus
 what a tick costs when nothing is due, and a
@@ -463,9 +466,30 @@ def server_round_row(tenants: int, ingress: str = "submit_batch") -> dict:
                     allocation, block[start: start + max_batch], input_bits=input_bits
                 )
 
+    def read_rows(wave):
+        for future in wave:
+            future.result()
+
+    def read_us(read):
+        # What it then costs to ask every wave for its rows (each loop reads
+        # a fresh round: a row's response is built once).
+        rounds = [whole_round() for _ in range(loops)]
+        start = time.perf_counter()
+        for futures in rounds:
+            for wave in futures:
+                read(wave)
+        return (time.perf_counter() - start) / loops * 1e6
+
     loops = max(1, 4096 // requests)
     round_us = best_call_us(whole_round, loops=loops)
     pool_us = best_call_us(pool_alone, loops=loops)
+    rows_us = min(read_us(read_rows) for _ in range(9))
+    # The same read as arrays; a wave without ``columns`` (an older ``src/``,
+    # or the lists the ``submit`` ingress builds) is skipped.
+    columns_us = None
+    if hasattr(submit()[0], "columns"):
+        columns_us = min(read_us(lambda wave: wave.columns()) for _ in range(9))
+    drain()
     submit_calls = count_calls(submit)
     drain_events = profiled_calls(drain)
     drain_calls = count_events(drain_events)
@@ -482,6 +506,9 @@ def server_round_row(tenants: int, ingress: str = "submit_batch") -> dict:
         "ingress": ingress,
         "requests": requests,
         "us_per_request": round(round_us / requests, 2),
+        "read_us_per_request": round(rows_us / requests, 2),
+        "columns_us_per_request":
+            None if columns_us is None else round(columns_us / requests, 2),
         "pool_us_per_request": round(pool_us / requests, 2),
         "server_share": round(1.0 - pool_us / round_us, 3),
         "submit_py_calls_per_request": round(submit_calls[0] / requests, 2),
@@ -504,7 +531,7 @@ def server_round_breakdown(profile: bool) -> None:
     rows = [server_round_row(*row) for row in SERVER_ROUND_ROWS]
     print("  ".join(f"{column:>27}" for column in rows[0]))
     for row in rows:
-        print("  ".join(f"{value:>27}" for value in row.values()))
+        print("  ".join(f"{'-' if value is None else value:>27}" for value in row.values()))
     if not profile:
         return
     tenants = max(tenants for tenants, _ in SERVER_ROUND_ROWS)

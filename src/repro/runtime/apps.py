@@ -208,23 +208,23 @@ def _serve_all(
     fault) raises a descriptive error instead of surfacing as ``None`` deep
     inside a stack operation.
     """
-    results = []
+    blocks = []
     wave = server.queue_capacity
     for start in range(0, len(vectors), wave):
         futures = server.submit_batch(
             name, vectors[start: start + wave], input_bits=input_bits, slo=slo
         )
         server.run_until_idle()
-        for future in futures:
-            response = future.result()
-            if not response.ok:
-                raise AdmissionError(
-                    f"request {response.request_id} against matrix {name!r} "
-                    f"ended {response.status}"
-                    + (f" ({response.error})" if response.error else "")
-                )
-            results.append(response.result)
-    return np.stack(results)
+        statuses, results = futures.columns()[:2]
+        if statuses.any():
+            response = futures[int(statuses.nonzero()[0][0])].result()  # first not ok
+            raise AdmissionError(
+                f"request {response.request_id} against matrix {name!r} "
+                f"ended {response.status}"
+                + (f" ({response.error})" if response.error else "")
+            )
+        blocks.append(results)
+    return np.concatenate(blocks)
 
 
 def serve_aes_mixcolumns(

@@ -54,6 +54,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...errors import TransportError
+from ..server import STATUS_CODES
 from .transport import decode_arrays, encode_arrays
 
 __all__ = [
@@ -89,8 +90,9 @@ K_ACK = 67
 K_ERROR = 68
 
 #: Per-row terminal states of a RESULTS frame, packed as a u8 array so a
-#: thousand-row batch does not drag a thousand strings through JSON.
-STATUS_CODES = {"completed": 0, "failed": 1, "shed": 2, "rejected": 3}
+#: thousand-row batch does not drag a thousand strings through JSON.  The
+#: codes (``STATUS_CODES``) are the server's: the worker ships the status
+#: column of ``WaveFutures.columns()`` as it is.
 STATUS_NAMES = {code: name for name, code in STATUS_CODES.items()}
 
 #: kind, array count, flags, input_bits, name length, array-table length,

@@ -42,7 +42,7 @@ from ...core.config import ChipConfig, HctConfig
 from ...errors import ReproError, SchedulerError, TransportError
 from ...reram import NoiseConfig
 from ..scheduling import StaticBatchingPolicy
-from ..server import PumServer
+from ..server import PumServer, WaveFutures
 from .messages import (
     K_ACK,
     K_DRAIN,
@@ -54,7 +54,6 @@ from .messages import (
     K_STOP,
     K_STRAGGLE,
     K_SUBMIT,
-    STATUS_CODES,
     batch_of,
     decode_message,
     encode_message,
@@ -132,37 +131,13 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
 
 
 def _result_frame(server: PumServer, header: Dict[str, Any],
-                  futures: List) -> List[bytes]:
-    """Assemble the RESULTS frame for a completed batch, in row order: one
-    pass over the responses and one NumPy call per array."""
-    responses = [future.result(timeout=0) for future in futures]
-    n = len(responses)
-    statuses = np.array(
-        [STATUS_CODES.get(r.status, STATUS_CODES["failed"]) for r in responses],
-        dtype=np.uint8,
-    )
-    latency = np.array(
-        [r.completion_tick - r.arrival_tick for r in responses], dtype=np.int64
-    )
-    energy = np.array([r.energy_pj for r in responses], dtype=np.float64)
+                  futures: WaveFutures) -> List[bytes]:
+    """Assemble the RESULTS frame for a drained batch, in row order, from the
+    wave's columns: no row's future or response is built on the way."""
+    statuses, results, latency, energy, errors = futures.columns()
     reply = {"batch": header.get("batch"), "name": header.get("name")}
-    if not statuses.any():
-        # The steady state: every row completed, all of one matrix's width.
-        results = np.concatenate(
-            [r.result for r in responses], dtype=np.int64
-        ).reshape(n, -1)
-    else:
-        rows = [None if r.result is None else np.asarray(r.result, dtype=np.int64)
-                for r in responses]
-        cols = max((row.shape[0] for row in rows if row is not None), default=0)
-        results = np.zeros((n, cols), dtype=np.int64)
-        for index, row in enumerate(rows):
-            if row is not None:
-                results[index, : row.shape[0]] = row
-        errors = {str(index): str(r.error) for index, r in enumerate(responses)
-                  if r.result is None and r.error}
-        if errors:
-            reply["errors"] = errors
+    if errors:
+        reply["errors"] = {str(row): error for row, error in errors.items()}
     return encode_message(K_RESULTS, reply, [statuses, results, latency, energy])
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,12 +87,14 @@ class Request:
 
 @dataclass(eq=False, slots=True)
 class Wave:
-    """One admission: ``len(futures)`` requests that differ only by row.
+    """One admission: ``len(source)`` requests that differ only by row.
 
     Row ``r`` is request ``base_id + r``, its vector ``source[r]`` and its
     future ``futures[r]``.  ``source`` is the one contiguous int64 array the
     front door produced (the caller's own when it already was one), so a run
-    of rows dispatches as the slice ``source[start:stop]``.
+    of rows dispatches as the slice ``source[start:stop]``.  The wave lives
+    as long as the queue holds a run of it; what outlives it is ``futures``,
+    which does not point back here.
     """
 
     base_id: int
@@ -102,8 +104,11 @@ class Wave:
     deadline: Optional[int]
     arrival_tick: int
     source: np.ndarray
-    #: One :class:`~repro.runtime.server.ServerFuture` per row.
-    futures: list
+    #: The wave's :class:`~repro.runtime.server.WaveFutures`: the sequence
+    #: ``submit_batch`` returned, on which the scheduler records the outcome
+    #: of each run of rows (``futures.resolve(start, stop, ...)``).  A row's
+    #: ``ServerFuture`` is built when that sequence is indexed, not kept here.
+    futures: Sequence
     #: Admitted by ``submit_batch``: a run of it dispatches as a slice of the
     #: caller's array (``zero_copy_batches``).  A ``submit`` vector is copied
     #: into the batch arena like any other gathered row.

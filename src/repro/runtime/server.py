@@ -11,9 +11,13 @@ before they reach the chips.  :class:`PumServer` is that layer:
   ``submit_batch()``, which validates a whole ``(n, rows)`` array in one
   NumPy pass.  Either way the unit the server admits, queues and dispatches
   is the *wave* (:class:`~repro.runtime.queueing.Wave`): one record holding
-  the array, the shared priority / deadline / arrival tick and the list of
-  futures -- a request is a row of it, and costs one future on the way in
-  and one :class:`Response` on the way out;
+  the array, the shared priority / deadline / arrival tick and the wave's
+  :class:`WaveFutures` -- a request is a row of it.  Resolution is per *run*
+  too: a dispatched batch (or a shed, a rejection, a failure) leaves one
+  record per run of rows on the wave's futures, and a row's
+  :class:`ServerFuture` or :class:`Response` is built when somebody asks for
+  that row -- a caller who wants arrays (:meth:`WaveFutures.columns`) never
+  pays for either;
 * an indexed queue of wave runs (:mod:`~repro.runtime.queueing`) feeds a
   deterministic simulated-clock scheduler loop: every :meth:`PumServer.tick`
   coalesces compatible requests (same matrix, same input precision) into
@@ -53,8 +57,9 @@ import hashlib
 import threading
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +85,7 @@ __all__ = [
     "ServerFuture",
     "ServingStats",
     "ThreadedServerDriver",
+    "WaveFutures",
     "integer_vectors",
     "matrix_fingerprint",
 ]
@@ -89,6 +95,12 @@ STATUS_COMPLETED = "completed"
 STATUS_REJECTED = "rejected"
 STATUS_SHED = "shed"
 STATUS_FAILED = "failed"
+#: The statuses as the ``uint8`` codes of :meth:`WaveFutures.columns` -- and
+#: of the cluster's RESULTS frame, which ships that column as it is, so the
+#: numbering is wire format.  A row nobody has resolved yet reads
+#: :data:`PENDING_CODE`.
+STATUS_CODES = {STATUS_COMPLETED: 0, STATUS_FAILED: 1, STATUS_SHED: 2, STATUS_REJECTED: 3}
+PENDING_CODE = 255
 
 #: Entries retained by each sliding telemetry window (see ServingStats).
 TELEMETRY_WINDOW = 4096
@@ -150,64 +162,227 @@ class Response:
 
 
 class ServerFuture:
-    """Handle returned by :meth:`PumServer.submit`, resolved by the scheduler.
+    """One row of a wave's :class:`WaveFutures`: ``(wave, row)``, nothing else.
 
-    The blocking machinery is lazy: a :class:`threading.Event` is only
-    materialised when a caller actually has to *wait* for the response.
-    Ingress creates one future per vector (a wave keeps them in a list, row
-    order; nothing else is indexed by request), and in the common
-    deterministic pattern (submit a wave, ``run_until_idle()``, then read
-    results) every future is already resolved by the time ``result()`` is
-    called -- so the hot path never pays for an event allocation or a
-    wakeup.  Threaded deployments still block correctly: the waiter
-    re-checks the response after publishing its event, and the resolver
-    stores the response before reading the event slot, so no interleaving
-    can strand a waiter.
+    Built when a caller indexes or iterates what ``submit_batch`` returned
+    (``submit`` returns row 0 of a one-row wave), not at admission; two
+    views of one row are equal and hash alike.  The view keeps the wave's
+    futures alive, never the other way round.
     """
 
-    __slots__ = ("request_id", "_event", "_response")
+    __slots__ = ("request_id", "_wave", "_row")
 
-    #: Guards lazy event creation when several threads wait on one future.
-    _event_init_lock = threading.Lock()
+    def __init__(self, wave: "WaveFutures", row: int) -> None:
+        self.request_id = wave.base_id + row
+        self._wave = wave
+        self._row = row
 
-    def __init__(self, request_id: int) -> None:
-        self.request_id = request_id
-        self._event: Optional[threading.Event] = None
-        self._response: Optional[Response] = None
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ServerFuture) and other._wave is self._wave
+                and other._row == self._row)
+
+    def __hash__(self) -> int:
+        return hash(self.request_id)
 
     def done(self) -> bool:
         """Whether the request has reached a terminal state."""
-        return self._response is not None
+        return self._wave._owners[self._row] is not None
 
     def result(self, timeout: Optional[float] = None) -> Response:
-        """Block until resolved and return the :class:`Response`."""
-        response = self._response
-        if response is not None:
-            return response
-        if self._event is None:
-            with ServerFuture._event_init_lock:
-                if self._event is None:
-                    self._event = threading.Event()
-            # The resolver may have published the response before it could
-            # observe the event we just created.
-            if self._response is not None:
-                return self._response
-        if not self._event.wait(timeout):
+        """Block until resolved and return the :class:`Response` -- the same
+        object on every call, and the one ``tick()`` handed out."""
+        wave, row = self._wave, self._row
+        if wave._owners[row] is None and not wave._wait(row, timeout):
             raise SchedulerError(
                 f"request {self.request_id} not resolved within {timeout}s"
             )
-        assert self._response is not None
-        return self._response
+        return wave._response(row)
 
-    @staticmethod
-    def _resolve_run(futures: List["ServerFuture"], responses: List[Response]) -> None:
-        """Publish ``responses`` onto ``futures``, pairwise (one call per run
-        of a wave, not per request)."""
-        for future, response in zip(futures, responses):
-            future._response = response
-            event = future._event
-            if event is not None:
-                event.set()
+
+class _LazyRows(Sequence):
+    """List manners for a sequence whose items are built when asked for."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, (list, _LazyRows)) and len(self) == len(other)
+                and list(self) == list(other))
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def __radd__(self, other) -> list:
+        return list(other) + list(self)
+
+
+class WaveFutures(_LazyRows):
+    """The futures of one wave, and where its rows' outcomes are recorded.
+
+    What ``submit_batch`` returns: a sequence of ``len(vectors)``
+    :class:`ServerFuture` views, each built when it is indexed (negative
+    indices and slices work) or iterated.  The scheduler resolves a wave a
+    *run* at a time -- :meth:`resolve` stores one record ``(start, stop,
+    status, result block or None, completion tick, batch size, energy per
+    request, error)`` for rows ``start:stop``, the block being a view of the
+    batch's result array -- and a row's :class:`Response` is built from its
+    record the first time someone asks, then remembered (a response holds no
+    reference back, so that is not a cycle).  :meth:`columns` reads the
+    records into arrays without building either object.
+
+    The object knows the wave's ids, name and arrival tick but not the wave:
+    it keeps neither the queue's :class:`~repro.runtime.queueing.Wave` nor
+    the caller's input array alive, and nothing it holds points back at it,
+    so dropping the last reference frees it without the cyclic collector.
+
+    Blocking is lazy and per wave: the first ``result()`` that has to wait
+    creates one :class:`threading.Condition`, and every waiter of the wave
+    waits on it for its own predicate, "my row has a record" (rows of one
+    wave resolve in different ticks).  No interleaving strands a waiter: the
+    resolver stores the record *before* it reads the condition slot, and a
+    waiter publishes the condition *before* it checks for its record under
+    the condition's lock.  So a resolver that saw no condition stored its
+    record before the waiter's check; one that saw it notifies under the
+    lock, which it gets either before the waiter's check or after the
+    waiter is inside ``wait()``.
+    """
+
+    __slots__ = ("base_id", "name", "arrival_tick", "_owners", "_records",
+                 "_responses", "_condition", "__weakref__")
+
+    #: Guards lazy condition creation when several threads wait on one wave.
+    _condition_init_lock = threading.Lock()
+
+    def __init__(self, base_id: int, name: str, arrival_tick: int, count: int) -> None:
+        self.base_id = base_id
+        self.name = name
+        self.arrival_tick = arrival_tick
+        #: Per row, the record that resolved it (``None`` while pending).
+        #: Readers take no lock: a run enters with one slice assignment.
+        self._owners: List[Optional[tuple]] = [None] * count
+        #: One record per resolved run, in resolution order.
+        self._records: List[tuple] = []
+        self._responses: Dict[int, Response] = {}
+        self._condition: Optional[threading.Condition] = None
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def __getitem__(self, index):
+        count = len(self._owners)
+        if isinstance(index, slice):
+            return [ServerFuture(self, row) for row in range(count)[index]]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("future index out of range")
+        return ServerFuture(self, index)
+
+    def __iter__(self) -> Iterator[ServerFuture]:
+        return (ServerFuture(self, row) for row in range(len(self._owners)))
+
+    def resolve(self, start: int, stop: int, status: str,
+                block: Optional[np.ndarray], tick: int, batch_size: int,
+                energy_pj: float, error: Optional[str] = None) -> "ResolvedRun":
+        """Record the outcome of rows ``start:stop`` (``block[i]`` is row
+        ``start + i``'s result), wake the wave's waiters and return the run
+        as ``tick()`` reports it.  A row resolves exactly once: a run that
+        covers a resolved row raises."""
+        rows = stop - start
+        if self._owners[start:stop].count(None) != rows:
+            raise SchedulerError(
+                f"rows {start}:{stop} of wave {self.base_id} ({self.name!r}) "
+                "cover a row that is already resolved"
+            )
+        record = (start, stop, status, block, tick, batch_size, energy_pj, error)
+        self._owners[start:stop] = [record] * rows
+        self._records.append(record)
+        condition = self._condition
+        if condition is not None:
+            with condition:
+                condition.notify_all()
+        return self, start, stop
+
+    def _response(self, row: int) -> Response:
+        """Resolved row ``row``'s response, built on the first ask."""
+        response = self._responses.get(row)
+        if response is None:
+            start, _, status, block, tick, batch_size, energy_pj, error = \
+                self._owners[row]
+            # ``setdefault``: of two threads asking at once, one object wins.
+            response = self._responses.setdefault(row, Response(
+                self.base_id + row, self.name, status,
+                None if block is None else block[row - start],
+                self.arrival_tick, tick, batch_size, energy_pj, error,
+            ))
+        return response
+
+    def _wait(self, row: int, timeout: Optional[float]) -> bool:
+        """Block until ``row`` has a record; ``False`` on timeout."""
+        with WaveFutures._condition_init_lock:  # waiting is the slow path
+            if self._condition is None:
+                self._condition = threading.Condition()
+        with self._condition:
+            return self._condition.wait_for(
+                lambda: self._owners[row] is not None, timeout
+            )
+
+    def columns(self) -> tuple:
+        """The wave as arrays, one fill per run record and no per-row object.
+
+        ``(statuses, results, latency_ticks, energy_pj, errors)``: the
+        ``uint8`` :data:`STATUS_CODES` of every row (:data:`PENDING_CODE`
+        where nothing resolved the row yet), the ``(n, cols)`` int64 result
+        block (zeros on rows without a result), ticks from admission to
+        resolution, energy charged per row, and the error text of the failed
+        rows by row index.  What iterating the futures and reading each
+        ``result()`` would give, without building either.
+        """
+        n, records = len(self._owners), self._records
+        statuses = np.full(n, PENDING_CODE, dtype=np.uint8)
+        latency = np.zeros(n, dtype=np.int64)
+        energy = np.zeros(n, dtype=np.float64)
+        cols = max((record[3].shape[1] for record in records
+                    if record[3] is not None), default=0)
+        results = np.zeros((n, cols), dtype=np.int64)
+        errors: Dict[int, str] = {}
+        for start, stop, status, block, tick, _, energy_pj, error in records:
+            statuses[start:stop] = STATUS_CODES[status]
+            latency[start:stop] = tick - self.arrival_tick
+            energy[start:stop] = energy_pj
+            if block is not None:
+                results[start:stop, : block.shape[1]] = block
+            elif error:
+                errors.update(dict.fromkeys(range(start, stop), error))
+        return statuses, results, latency, energy, errors
+
+
+#: Rows ``start:stop`` of a wave's futures, resolved.
+ResolvedRun = Tuple[WaveFutures, int, int]
+
+
+class ResolvedRuns(_LazyRows):
+    """What ``tick()`` / ``run_until_idle()`` resolved, in dispatch order.
+
+    A sequence of :class:`Response` that holds the resolved *runs*:
+    ``len()`` adds run lengths, and the responses -- the very objects the
+    rows' futures return -- are built when it is iterated, indexed or
+    compared (``server.tick() == []`` is how to ask for an idle tick).
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: List[ResolvedRun]) -> None:
+        self._runs = runs
+
+    def __len__(self) -> int:
+        return sum(stop - start for _, start, stop in self._runs)
+
+    def __iter__(self) -> Iterator[Response]:
+        for futures, start, stop in self._runs:
+            yield from map(futures._response, range(start, stop))
 
 
 @dataclass(eq=False, slots=True)
@@ -613,26 +788,6 @@ class PumServer:
     # ------------------------------------------------------------------ #
     # Admission                                                            #
     # ------------------------------------------------------------------ #
-    def _apply_slo(
-        self,
-        slo: Union[None, str, SloClass],
-        priority: int,
-        deadline: Optional[int],
-    ) -> Tuple[int, Optional[int]]:
-        """Resolve an SLO class into the (priority, deadline) pair to admit.
-
-        Explicit arguments win: an SLO only fills in a deadline the caller
-        did not pass and a priority the caller left at the default 0.
-        """
-        resolved = resolve_slo(slo)
-        if resolved is None:
-            return priority, deadline
-        if deadline is None:
-            deadline = resolved.deadline_for(self.now)
-        if priority == 0:
-            priority = resolved.shed_priority
-        return priority, deadline
-
     def _admissible(
         self, name: str, vectors: np.ndarray, input_bits: int, ndim: int
     ) -> np.ndarray:
@@ -646,7 +801,7 @@ class PumServer:
         vectors as one contiguous int64 array: the caller's own when it
         already is one.
         """
-        rows = self.allocation_for(name).shape[0]
+        rows = self._registration(name).allocation.shape[0]
         source = np.asarray(vectors)
         if source.ndim != ndim or source.shape[-1] != rows:
             expected = (
@@ -685,16 +840,10 @@ class PumServer:
         deadline and priority the caller did not pass explicitly.  When the
         queue is at capacity the admission mode decides between rejecting
         the newcomer and shedding the lowest-priority queued request.
+        A vector is a wave of one: the future is row 0 of its
+        :class:`WaveFutures`, through the code ``submit_batch`` runs.
         """
-        with self._lock:
-            priority, deadline = self._apply_slo(slo, priority, deadline)
-            vector = self._admissible(name, vector, input_bits, ndim=1)
-            future = ServerFuture(self._next_request)
-            self._admit(Wave(
-                future.request_id, name, input_bits, priority, deadline,
-                self.now, vector[np.newaxis], [future], False,
-            ))
-            return future
+        return self._admit(name, vector, input_bits, priority, deadline, slo, bulk=False)[0]
 
     def submit_batch(
         self,
@@ -704,25 +853,30 @@ class PumServer:
         priority: int = 0,
         deadline: Optional[int] = None,
         slo: Union[None, str, SloClass] = None,
-    ) -> List[ServerFuture]:
+    ) -> WaveFutures:
         """Admit a whole ``(n, rows)`` array of single-vector requests at once.
 
         The bulk-ingress fast path: one shape/dtype/range validation pass
         over the entire array (instead of one per vector) and one wave
         record for all of it -- the (single, contiguous) int64 copy of the
-        caller's array (the caller's own array when it already is one),
-        what its rows share, and one future per row -- which is what lets
-        the dispatcher later slice whole batches out of it without copying.
+        caller's array (the caller's own array when it already is one) and
+        what its rows share -- which is what lets the dispatcher later slice
+        whole batches out of it without copying.
         Admission control is applied in row order, exactly as ``n``
         individual ``submit()`` calls would: the rows that fit are a prefix
         of the wave, and each row after it sheds a lower-priority victim or
         resolves its future as rejected while the rest of the batch proceeds.
-        Returns one future per row, in row order.
+        Returns the wave's :class:`WaveFutures`: a sequence with one
+        :class:`ServerFuture` per row, in row order (``len``, indexing,
+        slicing, iteration, ``+`` with a list), each built when it is asked
+        for; ``futures.columns()`` hands the whole wave back as arrays.
+        Holding it keeps the recorded result blocks alive, not ``vectors``.
 
-        An empty batch returns ``[]``; a non-integer array, or one
-        containing any value outside ``[0, 2**input_bits)``, is rejected as
-        a whole with :class:`~repro.errors.QuantizationError` before any
-        request is created -- the same check ``submit()`` applies.
+        An empty batch returns an empty sequence (it equals ``[]``); a
+        non-integer array, or one containing any value outside
+        ``[0, 2**input_bits)``, is rejected as a whole with
+        :class:`~repro.errors.QuantizationError` before any request is
+        created -- the same check ``submit()`` applies.
 
         >>> import numpy as np
         >>> from repro.runtime.server import PumServer
@@ -734,56 +888,64 @@ class PumServer:
         >>> np.array_equal(np.stack([f.result().result for f in futures]), rows)
         True
         """
-        with self._lock:
-            priority, deadline = self._apply_slo(slo, priority, deadline)
-            source = self._admissible(name, vectors, input_bits, ndim=2)
-            base_id = self._next_request
-            futures = list(map(ServerFuture, range(base_id, base_id + len(source))))
-            self._admit(Wave(
-                base_id, name, input_bits, priority, deadline,
-                self.now, source, futures, True,
-            ))
-            return futures
+        return self._admit(name, vectors, input_bits, priority, deadline, slo, bulk=True)
 
-    def _admit(self, wave: Wave) -> None:
-        """Queue ``wave`` (ids ``_next_request`` onwards) under admission
-        control; rows that do not get in are resolved here."""
-        count = len(wave.futures)
-        self._next_request += count
-        self.stats.submitted += count
-        queue = self.request_queue
-        free = self.queue_capacity - len(queue)
-        admitted = count if count <= free else max(free, 0)
-        if admitted:
-            queue.push(wave, 0, admitted)
-        # At capacity, row by row: shed a queued victim the row outranks, or
-        # turn the row away -- and with it every row after it, since a
-        # rejection leaves the queue as it found it.
-        while admitted < count and self.admission == "shed_lowest":
-            victim = queue.victim(self.scheduling.victim_order(self))
-            if victim is None or victim.priority >= wave.priority:
-                break
-            self.stats.shed += 1
-            self._terminate(queue.discard(victim.request_id), STATUS_SHED)
-            queue.push(wave, admitted, admitted + 1)
-            admitted += 1
-        if admitted < count:
-            self.stats.rejected += count - admitted
-            self._terminate((wave, admitted, count), STATUS_REJECTED)
+    def _admit(
+        self, name: str, vectors: np.ndarray, input_bits: int, priority: int,
+        deadline: Optional[int], slo: Union[None, str, SloClass], bulk: bool,
+    ) -> WaveFutures:
+        """The one way in: validate ``vectors`` (a ``submit`` vector is a
+        wave of one), queue them as one wave (ids ``_next_request`` onwards)
+        under admission control and return its futures; rows that do not get
+        in are resolved here."""
+        with self._lock:
+            if slo is not None:
+                # Explicit arguments win: an SLO class only fills in a
+                # deadline the caller did not pass and a priority the caller
+                # left at the default 0.
+                slo = resolve_slo(slo)
+                if deadline is None:
+                    deadline = slo.deadline_for(self.now)
+                if priority == 0:
+                    priority = slo.shed_priority
+            source = self._admissible(name, vectors, input_bits, ndim=2 if bulk else 1)
+            if not bulk:
+                source = source[np.newaxis]
+            count = len(source)
+            futures = WaveFutures(self._next_request, name, self.now, count)
+            wave = Wave(futures.base_id, name, input_bits, priority, deadline,
+                        self.now, source, futures, bulk)
+            self._next_request += count
+            self.stats.submitted += count
+            queue = self.request_queue
+            free = self.queue_capacity - len(queue)
+            admitted = count if count <= free else max(free, 0)
+            if admitted:
+                queue.push(wave, 0, admitted)
+            # At capacity, row by row: shed a queued victim the row
+            # outranks, or turn the row away -- and with it every row after
+            # it, since a rejection leaves the queue as it found it.
+            while admitted < count and self.admission == "shed_lowest":
+                victim = queue.victim(self.scheduling.victim_order(self))
+                if victim is None or victim.priority >= wave.priority:
+                    break
+                self.stats.shed += 1
+                self._terminate(queue.discard(victim.request_id), STATUS_SHED)
+                queue.push(wave, admitted, admitted + 1)
+                admitted += 1
+            if admitted < count:
+                self.stats.rejected += count - admitted
+                self._terminate((wave, admitted, count), STATUS_REJECTED)
+            return futures
 
     def _terminate(
         self, run: Run, status: str, batch_size: int = 0,
         error: Optional[str] = None,
-    ) -> List[Response]:
-        """Resolve every row of ``run`` without a result."""
+    ) -> ResolvedRun:
+        """Resolve every row of ``run`` without a result: one record."""
         wave, start, stop = run
-        responses = [
-            Response(wave.base_id + row, wave.name, status, None,
-                     wave.arrival_tick, self.now, batch_size, 0.0, error)
-            for row in range(start, stop)
-        ]
-        ServerFuture._resolve_run(wave.futures[start:stop], responses)
-        return responses
+        return wave.futures.resolve(start, stop, status, None, self.now,
+                                    batch_size, 0.0, error)
 
     # ------------------------------------------------------------------ #
     # Scheduler loop                                                       #
@@ -794,31 +956,38 @@ class PumServer:
         with self._lock:
             return len(self.request_queue)
 
-    def tick(self) -> List[Response]:
+    def tick(self) -> ResolvedRuns:
         """Advance the simulated clock one tick and dispatch what is due.
 
         Returns the responses resolved during this tick (completed batches
-        plus deadline sheds), in dispatch order.
+        plus deadline sheds), in dispatch order, as a :class:`ResolvedRuns`:
+        ``len()`` and truth cost nothing, and a :class:`Response` is built
+        when the sequence is iterated, indexed or compared.
         """
         with self._lock:
             self.now += 1
             self._energy_mark = None
             self.scheduling.on_tick(self)
             self.stats.observe_queue_depth(len(self.request_queue))
-            resolved = self._shed_expired()
+            resolved: List[ResolvedRun] = []
+            for run in self.request_queue.pop_expired(self.now):
+                # Past its absolute deadline: shed instead of executed.
+                self.stats.shed += run[2] - run[1]
+                resolved.append(self._terminate(run, STATUS_SHED))
             for key in self.scheduling.ready_groups(
                 self, self.request_queue, self.now
             ):
-                resolved.extend(self._dispatch_group(key))
-            return resolved
+                resolved += self._dispatch_group(key)
+            return ResolvedRuns(resolved)
 
-    def run_until_idle(self, max_ticks: int = 100_000) -> List[Response]:
-        """Tick until the queue drains; returns every response resolved."""
-        responses: List[Response] = []
+    def run_until_idle(self, max_ticks: int = 100_000) -> ResolvedRuns:
+        """Tick until the queue drains; returns every response resolved (one
+        :class:`ResolvedRuns` over all the ticks, as lazy as ``tick()``'s)."""
+        responses = ResolvedRuns([])
         for _ in range(max_ticks):
             if not self.pending:
                 return responses
-            responses.extend(self.tick())
+            responses._runs += self.tick()._runs
         if self.pending:
             raise SchedulerError(
                 f"queue failed to drain within {max_ticks} ticks "
@@ -826,18 +995,10 @@ class PumServer:
             )
         return responses
 
-    def _shed_expired(self) -> List[Response]:
-        """Shed queued requests whose absolute deadline has passed."""
-        responses: List[Response] = []
-        for run in self.request_queue.pop_expired(self.now):
-            self.stats.shed += run[2] - run[1]
-            responses.extend(self._terminate(run, STATUS_SHED))
-        return responses
-
-    def _dispatch_group(self, key: GroupKey) -> List[Response]:
+    def _dispatch_group(self, key: GroupKey) -> List[ResolvedRun]:
         """Drain one compatible group into >= 1 ``exec_mvm_batch`` calls."""
         name, input_bits = key
-        responses: List[Response] = []
+        responses: List[ResolvedRun] = []
         scheduling = self.scheduling
         while True:
             if not self.request_queue.group_pending(key):
@@ -847,7 +1008,7 @@ class PumServer:
             if not scheduling.dispatch_now(self, self.request_queue, key, self.now):
                 return responses
             runs = self.request_queue.take(key, scheduling.max_batch)
-            responses.extend(self._execute_batch(name, input_bits, runs))
+            responses += self._execute_batch(name, input_bits, runs)
 
     def _assemble_batch(
         self,
@@ -946,9 +1107,9 @@ class PumServer:
 
     def _execute_batch(
         self, name: str, input_bits: int, runs: List[Run]
-    ) -> List[Response]:
-        """One taken batch -> one pool call -> one response per row, each
-        resolved straight onto its wave's future."""
+    ) -> List[ResolvedRun]:
+        """One taken batch -> one pool call -> one record per run, each a
+        block of the result array stored on its wave's futures."""
         record = self._registrations[name]
         if len(runs) > 1:
             runs = coalesce(runs)
@@ -983,12 +1144,11 @@ class PumServer:
             size = sum(stop - start for _, start, stop in runs)
             self.stats.failed += size
             error = f"{type(exc).__name__}: {exc}"
-            responses = [
-                response for run in runs
-                for response in self._terminate(run, STATUS_FAILED, size, error)
+            resolved = [
+                self._terminate(run, STATUS_FAILED, size, error) for run in runs
             ]
             if isinstance(exc, ReproError):
-                return responses
+                return resolved
             raise
         self._note_degraded(before)
         self._energy_mark = pool.total_energy_pj()
@@ -996,25 +1156,21 @@ class PumServer:
         size = len(vectors)
         per_request = energy_pj / size
 
-        # Per run, three list extensions; per row, one Response.
-        now = self.now
-        ids: List[int] = []
-        arrivals: List[int] = []
-        futures: List[ServerFuture] = []
+        # Per run: one record (its block a view of ``results``, as a
+        # response's row is a view of the block) and one latency extension.
+        now, offset = self.now, 0
+        resolved: List[ResolvedRun] = []
+        latencies: List[int] = []
         for wave, start, stop in runs:
-            ids += range(wave.base_id + start, wave.base_id + stop)
-            arrivals += [wave.arrival_tick] * (stop - start)
-            futures += wave.futures[start:stop]
-        responses = [
-            Response(request_id, name, STATUS_COMPLETED, result, arrival, now,
-                     size, per_request)
-            for request_id, result, arrival in zip(ids, results, arrivals)
-        ]
-        ServerFuture._resolve_run(futures, responses)
-        self.stats.record_batch(
-            size, [now - arrival for arrival in arrivals], energy_pj
-        )
-        return responses
+            rows = stop - start
+            resolved.append(wave.futures.resolve(
+                start, stop, STATUS_COMPLETED, results[offset: offset + rows],
+                now, size, per_request,
+            ))
+            latencies += [now - wave.arrival_tick] * rows
+            offset += rows
+        self.stats.record_batch(size, latencies, energy_pj)
+        return resolved
 
     def _rebuild_and_retry(
         self,

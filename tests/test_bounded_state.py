@@ -418,3 +418,51 @@ class TestDroppedChipIsFreedByReferenceCounting:
         server.pool.close()
         del server
         assert [chip() for chip in chips] == [None, None]
+
+
+class TestResolvedWaveIsFreedByReferenceCounting:
+    """A wave's futures record outcomes per run and build a row's view or
+    response on demand; neither is kept where it would close a cycle, and
+    neither the futures nor a response reach the caller's input array."""
+
+    @staticmethod
+    def _server():
+        server = PumServer(pool=DevicePool(num_devices=1, config=small_chip(4)),
+                           scheduling=StaticBatchingPolicy(16, 1), queue_capacity=64)
+        server.register_matrix("m", np.eye(8, dtype=np.int64), input_bits=3)
+        return server
+
+    def test_dropping_the_futures_of_a_read_round_frees_the_wave_state(
+            self, no_cycle_collector):
+        server = self._server()
+        futures = server.submit_batch("m", np.ones((64, 8), dtype=np.int64), input_bits=3)
+        resolved = server.run_until_idle()
+        # Every way of reading: views, responses through both doors, columns.
+        assert [f.result() for f in futures] == list(resolved)
+        assert futures[-1] == futures[63] and not futures.columns()[0].any()
+        state, row = weakref.ref(futures), weakref.ref(futures[5].result().result)
+        del futures, resolved
+        assert state() is None and row() is None
+
+    def test_a_kept_response_does_not_keep_the_input_array(self, no_cycle_collector):
+        server = self._server()
+        vectors = np.ones((64, 8), dtype=np.int64)
+        futures = server.submit_batch("m", vectors, input_bits=3)
+        assert len(server.run_until_idle()) == 64
+        kept = futures[40].result()
+        source, state = weakref.ref(vectors), weakref.ref(futures)
+        del vectors, futures
+        assert source() is None and state() is None
+        assert kept.ok and np.array_equal(kept.result, np.ones(8, dtype=np.int64))
+
+    def test_pending_futures_do_not_keep_a_dispatched_source(self, no_cycle_collector):
+        """The futures outlive the wave: once its last row has left the queue
+        nothing reaches the caller's array, whoever still holds a future."""
+        server = self._server()
+        vectors = np.ones((16, 8), dtype=np.int64)
+        futures = server.submit_batch("m", vectors, input_bits=3)
+        source = weakref.ref(vectors)
+        del vectors
+        assert source() is not None and not futures[0].done()
+        server.run_until_idle()
+        assert source() is None and futures[0].done()

@@ -58,23 +58,34 @@ MAX_CHARGES_PER_TILE = 3
 #: post-call check; 39 and 14 while a request list sat under the loop).
 MAX_POOL_CALLS, MAX_POOL_FRAMES = 26, 5
 #: Python-level calls per request of one server round, submit + drain
-#: (measured 1.23 + 4.23 = 5.47 at one tenant, + 10 %; it was 1.23 + 4.80 =
-#: 6.03 before the pool lost nine frames per batch, and 5.3 + 7.1 = 12.4
-#: while the server kept a ``Request`` per row), and of one tick with an
-#: empty queue (measured 9).  Per request that is one ``ServerFuture`` and one
-#: ``Response`` constructor; the rest is per wave and per batch, most of it
-#: the pool call.
-MAX_SERVER_CALLS_PER_REQUEST = 6.0
+#: (measured 0.20 + 2.81 = 3.01 at one tenant and 0.17 + 2.54 at 32, budget
+#: the prototype's 3.33 + 10 %; it was 1.23 + 3.92 = 5.15 while a row cost a
+#: ``ServerFuture`` on the way in and a ``Response`` on the way out, and
+#: 5.3 + 7.1 = 12.4 while the server kept a ``Request`` per row), and of one
+#: tick with an empty queue (measured 9).  Nothing in it is per request any
+#: more: per wave, the futures record and the wave; per batch, one
+#: ``resolve`` per run it took from and the pool call, which is most of it.
+#: A row's view and response are built when somebody asks for the row --
+#: outside the round.
+MAX_SERVER_CALLS_PER_REQUEST = 3.7
 MAX_IDLE_TICK_CALLS = 12
+#: The same 64 vectors admitted by 64 ``submit()`` calls, submit + drain per
+#: request (measured 13.05 + 3.81 = 16.86; 14.05 + 3.98 = 18.03 with a future
+#: and a response per row).  A one-row wave goes through the code a bulk wave
+#: does -- its futures record, the wave, one ``resolve``, row 0's view -- and
+#: must not pay for the generality: the bound is the old path's count + 2.5 %.
+MAX_SUBMIT_CALLS_PER_REQUEST = 18.5
 #: ``sys.setprofile`` events (Python calls + C calls -- a vectorised path
 #: trades NumPy scalar C calls for a few comprehension frames, so either
 #: alone would flatter or punish it) of one 16-row ``cluster_saturate`` wave,
 #: per hop, measured + 10 %: gateway submit 56 + 41 (73 + 50 with a
 #: ``create_future`` call per row and a JSON header), the worker's turn
-#: outside its tick loop 86 + 120 (90 + 218 with a per-row RESULTS frame and
+#: outside its tick loop 50 + 102, budget the prototype's 53 + 105 + 10 %
+#: (86 + 120 with sixteen futures built at the door and sixteen ``result()``
+#: calls behind the RESULTS frame, 90 + 218 with a per-row RESULTS frame and
 #: a per-array header), gateway resolve 39 + 68 (36 + 114 with a frozen
 #: response and three NumPy scalar reads per row).
-MAX_WAVE_EVENTS = {"gateway_submit": 107, "worker_outside_drain": 227,
+MAX_WAVE_EVENTS = {"gateway_submit": 107, "worker_outside_drain": 175,
                    "gateway_resolve": 118}
 #: One steady-state call under ``NoiseConfig.paper_default()`` at batch 32:
 #: label -> (generator draws = crossbars of the allocation, standard normals
@@ -270,6 +281,29 @@ class TestServerRound:
         assert server.stats.batches > batches
         assert server.stats.zero_copy_batches == server.stats.batches
         assert server.planner_builds() == builds
+
+    def test_single_submit_round_stays_within_budget(self, monkeypatch):
+        """64 ``submit()`` calls + ``run_until_idle()``: one-row waves."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        server, vectors, _, drain = server_round(tenants=1)
+        input_bits = DEVICE_CALL_SHAPES["encoder_projection"][2]
+
+        def submit():
+            return [server.submit("t0", vector, input_bits=input_bits)
+                    for vector in vectors[0]]
+
+        for _ in range(2):  # warm the batch arena single submits gather into
+            submit()
+            drain()
+        gathered = server.stats.gathered_batches
+        futures = []
+        calls = _python_calls(lambda: futures.extend(submit()))
+        calls += _python_calls(drain)
+        requests = vectors.shape[1]
+        assert calls <= MAX_SUBMIT_CALLS_PER_REQUEST * requests, calls / requests
+        served = np.stack([future.result().result for future in futures])
+        assert np.array_equal(served, vectors[0] @ server.allocation_for("t0").matrix)
+        assert server.stats.gathered_batches > gathered and server.queue_scans() == 0
 
     def test_idle_tick_stays_within_budget(self):
         server, _, _, _ = server_round(tenants=1)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -21,7 +25,7 @@ from repro.runtime import (
     serve_llm_projection,
 )
 from repro.runtime.cluster import ClusterGateway
-from repro.runtime.server import TELEMETRY_WINDOW, ServingStats
+from repro.runtime.server import PENDING_CODE, STATUS_CODES, TELEMETRY_WINDOW, ServingStats
 from repro.workloads.aes.gf import gf_mul
 from repro.workloads.aes.reference import MIX_COLUMNS_MATRIX
 from repro.workloads.cnn.layers import Conv2d
@@ -277,6 +281,63 @@ class TestThreadedDriver:
         assert all(r.ok for r in responses)
         assert server.pending == 0
 
+    def test_waiters_on_rows_of_one_wave_each_get_their_row(self):
+        """One condition per wave, a predicate per waiter: eight threads block
+        on rows of a 64-row wave that resolves in four batches, a ninth on the
+        row a higher-priority newcomer sheds (on even rounds while its waiter
+        waits, on odd rounds before it asks).  Nobody is handed a neighbour's
+        response and nobody is stranded: ``wait_for`` re-reads the predicate
+        when its timeout ends, so a waiter that slept through its wake-up
+        still returns -- five seconds late, which is what ``waited`` catches
+        (a woken waiter needs milliseconds)."""
+        server = make_server(max_batch=16, max_wait_ticks=1, queue_capacity=64,
+                             admission="shed_lowest")
+        vectors = np.arange(64 * 8, dtype=np.int64).reshape(64, 8) % 7
+        rows = (0, 1, 15, 16, 31, 32, 47, 48, 63)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per round
+        try:
+            for round_ in range(200):
+                self.one_waiter_round(server, vectors, rows, round_)
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.stats.shed == 200 and server.stats.completed == 200 * 64
+
+    @staticmethod
+    def one_waiter_round(server, vectors, rows, round_):
+        futures = server.submit_batch("eye", vectors, input_bits=3)
+        got, waited = {}, {}
+
+        def wait(row):
+            started = time.monotonic()
+            try:
+                got[row] = futures[row].result(timeout=5)
+            except Exception as exc:
+                got[row] = exc
+            waited[row] = time.monotonic() - started
+
+        threads = [threading.Thread(target=wait, args=(row,)) for row in rows]
+        for thread in threads[round_ % 2:]:  # row 0's waiter is threads[0]
+            thread.start()
+        urgent = server.submit("eye", vectors[0], input_bits=3, priority=1)
+        for thread in threads[:round_ % 2]:
+            thread.start()
+        with ThreadedServerDriver(server, tick_interval=1e-5):
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert urgent.result(timeout=5).ok
+        assert max(waited.values()) < 2.5, (round_, waited)
+        for row in rows:
+            response = got[row]
+            assert response is futures[row].result(timeout=0), (round_, row, response)
+            assert response.request_id == futures[row].request_id
+            if row == 0:
+                assert (response.status, response.result) == ("shed", None)
+            else:
+                assert response.ok and np.array_equal(response.result, vectors[row])
+        assert server.pending == 0 and all(f.done() for f in futures)
+
     def test_driver_start_stop_idempotent(self):
         server = make_server()
         driver = ThreadedServerDriver(server, tick_interval=0.0)
@@ -330,6 +391,27 @@ class TestServingEntryPoints:
         device, reference = serve_llm_projection(server, weight, activations)
         assert device.shape == reference.shape == (11, 8)
         assert server.stats.rejected == 0
+
+    def test_a_request_that_does_not_complete_is_named_first_in_row_order(self, rng):
+        """Competing traffic turns the wave's last row away at the door and a
+        chip fault fails its first batch: the error names the first row that
+        is not ok (the failed one), with its status and the fault's text."""
+        server = make_server(max_batch=4, max_wait_ticks=1, queue_capacity=8)
+        serve_aes_mixcolumns(server, rng.integers(0, 256, size=(2, 4)))  # registers
+        squatter = server.submit("eye", np.ones(8, dtype=np.int64), input_bits=3)
+        execute = server.pool.exec_mvm_batch
+
+        def fail_once(*args, **kwargs):
+            server.pool.exec_mvm_batch = execute
+            raise QuantizationError("chip fault")
+
+        server.pool.exec_mvm_batch = fail_once
+        first = squatter.request_id + 1
+        with pytest.raises(AdmissionError, match=(
+                rf"request {first} against matrix 'aes.mixcolumns' ended failed "
+                r"\(QuantizationError: chip fault\)")):
+            serve_aes_mixcolumns(server, rng.integers(0, 256, size=(8, 4)))
+        assert server.stats.rejected == 1 and server.stats.failed == 4
 
 
 class TestSubmitBatch:
@@ -551,6 +633,141 @@ class TestWaves:
         assert {"completed", "rejected", "shed"} <= {
             f.result().status for f in futures
         }
+
+
+def resolution_schedule(rng, observe=lambda waves: None):
+    """A serving schedule that resolves rows every way the server can.
+
+    ``submit`` and ``submit_batch`` waves of three priorities against two
+    tenants, some with deadlines, into a 16-row ``shed_lowest`` queue (so
+    waves are shed from the middle and turned away at the door), a vector
+    refused before it gets an id, one batch failed by an injected
+    ``ReproError``, and ticks between admissions.  ``observe`` sees what
+    every ``submit_batch`` so far returned, after each step -- waves that are
+    still queued, partly dispatched, shed in the middle.  Returns every
+    future in id order and the request ids each ``tick()`` returned.
+    """
+    server = make_server(queue_capacity=16, max_batch=8, max_wait_ticks=3,
+                         admission="shed_lowest")
+    server.register_matrix("mix", rng.integers(-7, 8, size=(8, 6)), element_size=4)
+    futures, ticks, waves = [], [], []
+    execute = server.pool.exec_mvm_batch
+
+    def fail_once(*args, **kwargs):
+        server.pool.exec_mvm_batch = execute
+        raise AdmissionError("injected batch failure")
+
+    for step in range(48):
+        name = "eye" if rng.integers(0, 3) else "mix"
+        priority = int(rng.integers(0, 3))
+        deadline = server.now + int(rng.integers(1, 4)) if step % 4 == 1 else None
+        rows = rng.integers(0, 8, size=(int(rng.integers(1, 12)), 8))
+        if step % 3 == 2:
+            futures.append(server.submit(name, rows[0], input_bits=3,
+                                         priority=priority, deadline=deadline))
+        else:
+            waves.append(server.submit_batch(name, rows, input_bits=3,
+                                             priority=priority, deadline=deadline))
+            futures += waves[-1]
+        if step == 7:
+            with pytest.raises(QuantizationError):
+                server.submit_batch(name, rows + 8, input_bits=3)
+        if step == 20:
+            server.pool.exec_mvm_batch = fail_once
+        if step % 3 == 0 or step > 40:
+            ticks.append([r.request_id for r in server.tick()])
+        observe(waves)
+    while server.pending:
+        ticks.append([r.request_id for r in server.tick()])
+    observe(waves)
+    assert [f.request_id for f in futures] == list(range(len(futures)))
+    return server, futures, ticks
+
+
+class TestWaveResolution:
+    """What a caller can read off the futures and off ``tick()``, pinned."""
+
+    #: sha256 over every future's fields (id order) and the ids each tick
+    #: returned, computed at ``898eb79`` -- the commit before a wave resolved
+    #: once per run -- on a fixed seed, so it holds on every leg of the seed
+    #: matrix and under both ``REPRO_BACKEND`` values.
+    EXPECTED = "a273b7d70b54af67594aa152f0cbab46c74000fa301d9a46077c2672bad24fa6"
+
+    def test_resolution_digest_is_unchanged(self):
+        _, futures, ticks = resolution_schedule(np.random.default_rng(24))
+        digest = hashlib.sha256()
+        statuses = set()
+        for future in futures:
+            assert future.done()
+            r = future.result(timeout=0)
+            statuses.add(r.status)
+            result = b"-" if r.result is None else \
+                np.ascontiguousarray(r.result, dtype=np.int64).tobytes()
+            digest.update(repr((
+                r.request_id, r.name, r.status, result, r.arrival_tick,
+                r.completion_tick, r.batch_size, repr(r.energy_pj), r.error,
+            )).encode())
+        digest.update(repr(ticks).encode())
+        assert statuses == {"completed", "rejected", "shed", "failed"}
+        assert digest.hexdigest() == self.EXPECTED
+
+    def test_columns_equal_the_futures_row_for_row(self):
+        """``columns()`` against what iterating the futures gives, on every
+        wave after every step of a seeded schedule."""
+        seen = set()
+
+        def compare(waves):
+            for wave in waves:
+                statuses, results, latency, energy, errors = wave.columns()
+                assert len(wave) == len(statuses) == len(results)
+                assert (statuses.dtype, results.dtype) == (np.uint8, np.int64)
+                for row, future in enumerate(wave):
+                    if not future.done():
+                        assert statuses[row] == PENDING_CODE
+                        expected = (None, 0, 0.0, None)
+                    else:
+                        r = future.result(timeout=0)
+                        assert statuses[row] == STATUS_CODES[r.status]
+                        expected = (r.result, r.latency_ticks, r.energy_pj, r.error)
+                    if expected[0] is None:
+                        assert not results[row].any()
+                    else:
+                        assert np.array_equal(results[row], expected[0])
+                    assert (latency[row], energy[row]) == expected[1:3]
+                    assert errors.get(row) == expected[3]
+                seen.add(tuple(sorted(set(statuses.tolist()))))
+
+        resolution_schedule(derive_rng("wave-resolution"), observe=compare)
+        # Waves caught part resolved, and ending in more than one way.
+        assert any(PENDING_CODE in kinds and len(kinds) > 1 for kinds in seen)
+        assert any(PENDING_CODE not in kinds and len(kinds) > 1 for kinds in seen)
+        assert {code for kinds in seen for code in kinds} == {0, 1, 2, 3, PENDING_CODE}
+
+    def test_a_row_resolves_exactly_once(self):
+        server = make_server(max_batch=4, max_wait_ticks=3)
+        futures = server.submit_batch("eye", np.ones((6, 8), dtype=np.int64), input_bits=3)
+        assert len(server.tick()) == 4 and [f.done() for f in futures] == [True] * 4 + [False] * 2
+        with pytest.raises(SchedulerError, match="already resolved"):
+            futures.resolve(3, 5, "shed", None, server.now, 0, 0.0)
+        assert not futures[4].done()  # the refused run left nothing behind
+        assert len(server.run_until_idle()) == 2 and futures[5].result().ok
+
+    def test_the_returned_sequences_have_list_manners(self):
+        server = make_server(max_batch=4, max_wait_ticks=1)
+        futures = server.submit_batch("eye", np.ones((6, 8), dtype=np.int64), input_bits=3)
+        single = server.submit("eye", np.ones(8, dtype=np.int64), input_bits=3)
+        assert len(futures) == 6 and futures != [] and futures == list(futures)
+        assert [f.request_id for f in futures[-2:]] == [4, 5] == [f.request_id for f in futures[4:]]
+        assert futures[-1] == futures[5] and hash(futures[-1]) == hash(futures[5])
+        assert futures[5] != single and len({*futures, *futures[::2]}) == 6
+        assert [f.request_id for f in [single] + futures + [single]] == [6, 0, 1, 2, 3, 4, 5, 6]
+        with pytest.raises(IndexError):
+            futures[6]
+        resolved = server.run_until_idle()
+        assert len(resolved) == 7 and resolved and resolved != []
+        assert resolved[0] is futures[0].result() and resolved[-1] is single.result()
+        assert [r.request_id for r in resolved] == list(range(7))
+        assert server.tick() == [] and not server.tick() and len(server.tick()) == 0
 
 
 class TestEscapedExceptions:
