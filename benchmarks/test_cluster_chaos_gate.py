@@ -118,7 +118,6 @@ async def poisson_run(chaos):
         "batch_timeout": BATCH_TIMEOUT,
         "transport_faults": spec,
         "auto_restart": True,
-        "restart_budget": 3,
     } if chaos else {}
     async with gateway(**knobs) as gw:
         await gw.register_matrix("m", MATRIX, input_bits=INPUT_BITS)

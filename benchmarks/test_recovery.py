@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import PumServer, StaticBatchingPolicy
+from repro import DevicePool, PumServer, StaticBatchingPolicy
 from repro.runtime import FaultInjector
 from repro.testing import profiled_calls
 
@@ -95,9 +95,10 @@ ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
 def build_server(verify: str = "off", num_devices: int = NUM_DEVICES,
                  shape: tuple = MATRIX_SHAPE) -> PumServer:
     server = PumServer(
-        num_devices=num_devices, replication=REPLICATION,
+        pool=DevicePool(num_devices=num_devices, policy="cache_affinity",
+                        replication=REPLICATION, verify=verify),
         scheduling=StaticBatchingPolicy(MAX_BATCH, 1),
-        queue_capacity=WAVES * WAVE_SIZE, verify=verify,
+        queue_capacity=WAVES * WAVE_SIZE,
     )
     rng = np.random.default_rng(37)
     server.register_matrix(

@@ -29,7 +29,6 @@ async def main() -> None:
 
     async with ClusterGateway(
         num_workers=2,          # one process (and one GIL) per worker
-        devices_per_worker=1,
         replication=2,          # every matrix lives on two workers
         chip="small",           # fast functional chip configuration
     ) as gateway:

@@ -30,8 +30,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. Register matrices, submit requests, drive the simulated clock.   #
     # ------------------------------------------------------------------ #
-    server = PumServer(num_devices=2, policy="cache_affinity",
-                       scheduling=StaticBatchingPolicy(8, 3), queue_capacity=32)
+    server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(8, 3),
+                       queue_capacity=32)
     matrix = rng.integers(-50, 50, size=(32, 24))
     server.register_matrix("ranker", matrix, element_size=8)
 

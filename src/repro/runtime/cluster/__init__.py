@@ -18,10 +18,11 @@ OS process:
   door: rendezvous placement, cost-aware replica routing, bounded
   inflight windows, heartbeat health checks, retry-on-replica failover,
   graceful drain/restart, per-batch timeouts with hedged re-dispatch,
-  per-worker circuit breakers, and supervised auto-restart;
+  per-worker circuit breakers (the :class:`CircuitBreaker` state
+  machine), and supervised auto-restart;
 * :mod:`faults <repro.runtime.cluster.faults>` -- the chaos layer:
   deterministic transport fault injection (drop/dup/delay/corrupt on the
-  ring's producer seam) and the :class:`CircuitBreaker` state machine.
+  ring's producer seam).
 
 Import this package explicitly (``from repro.runtime.cluster import
 ClusterGateway``); ``repro.runtime`` does not re-export it, so the
@@ -30,15 +31,14 @@ single-process stack never pays the multiprocessing import.
 
 from .faults import (
     TRANSPORT_FAULT_MODES,
-    CircuitBreaker,
     TransportFaultEvent,
     TransportFaultInjector,
     TransportFaultSchedule,
     TransportFaultSpec,
 )
-from .gateway import ClusterGateway, ClusterResponse, GatewayStats
+from .gateway import CircuitBreaker, ClusterGateway, ClusterResponse, GatewayStats
 from .messages import STATUS_CODES, STATUS_NAMES, decode_message, encode_message
-from .transport import HeartbeatBoard, ShmRing, decode_array, encode_array
+from .transport import HeartbeatBoard, ShmRing
 from .worker import build_worker_server, worker_main
 
 __all__ = [
@@ -56,9 +56,7 @@ __all__ = [
     "TransportFaultSchedule",
     "TransportFaultSpec",
     "build_worker_server",
-    "decode_array",
     "decode_message",
-    "encode_array",
     "encode_message",
     "worker_main",
 ]

@@ -1,4 +1,4 @@
-"""Cluster chaos layer: transport fault injection and circuit breaking.
+"""Cluster chaos layer: transport fault injection.
 
 PR 6's :class:`~repro.runtime.faults.FaultInjector` made *device* failure
 a first-class, deterministic, testable event.  This module extends the
@@ -45,23 +45,16 @@ worker attaches the reply-side injector itself.
 Faults apply only to *data* frames (``SUBMIT`` requests, ``RESULTS``
 replies, selected by the ``kinds`` filter); control traffic --
 registration, readiness, drain, stop -- is never faulted, so a chaos
-campaign degrades service, not cluster bring-up.
-
-The module also houses :class:`CircuitBreaker`, the gray-failure
-counterpart of :class:`~repro.runtime.integrity.DeviceHealth`: where the
-EWMA score quarantines a device that keeps *corrupting*, the breaker
-fences a worker that keeps *timing out* -- closed until consecutive
-failures cross a threshold, open (no traffic) for a cooldown, then
-half-open admitting one probe batch that either closes it again or
-re-opens it with a doubled cooldown.
+campaign degrades service, not cluster bring-up.  (The breaker that fences
+a worker which keeps timing out is the gateway's:
+:class:`~repro.runtime.cluster.gateway.CircuitBreaker`.)
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TRANSPORT_FAULT_MODES",
-    "CircuitBreaker",
     "TransportFaultEvent",
     "TransportFaultInjector",
     "TransportFaultSchedule",
@@ -408,97 +400,3 @@ class TransportFaultInjector:
             f"delayed={self.frames_delayed}, corrupt={self.frames_corrupted})"
         )
 
-
-class CircuitBreaker:
-    """Per-worker circuit breaker: closed -> open -> half-open -> closed.
-
-    The gateway records one event per batch outcome: ``record_failure``
-    for an execution timeout or a worker failure, ``record_success`` for
-    a clean RESULTS frame.  ``threshold`` *consecutive* failures trip the
-    breaker open; while open, :meth:`allows` is ``False`` and the router
-    steers traffic to other replicas.  After ``cooldown`` seconds the
-    breaker half-opens and admits exactly one probe batch
-    (:meth:`record_dispatch` consumes the slot): a success closes the
-    breaker and resets the cooldown, a failure re-opens it with the
-    cooldown doubled (capped at ``max_cooldown``) -- a sick worker is
-    probed at an exponentially decaying rate instead of hammered.
-
-    ``clock`` is injectable for deterministic unit tests.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        threshold: int = 2,
-        cooldown: float = 0.5,
-        max_cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ClusterError("breaker threshold must be >= 1")
-        if cooldown <= 0 or max_cooldown < cooldown:
-            raise ClusterError(
-                "breaker needs 0 < cooldown <= max_cooldown"
-            )
-        self.threshold = threshold
-        self.base_cooldown = cooldown
-        self.max_cooldown = max_cooldown
-        self._clock = clock
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        #: Lifetime trips to open (telemetry).
-        self.opens = 0
-        self.cooldown = cooldown
-        self._opened_at = 0.0
-        self._probe_inflight = False
-
-    def allows(self) -> bool:
-        """Whether a new batch may be routed through this breaker now."""
-        if self.state == self.OPEN:
-            if self._clock() - self._opened_at < self.cooldown:
-                return False
-            self.state = self.HALF_OPEN
-            self._probe_inflight = False
-        if self.state == self.HALF_OPEN:
-            return not self._probe_inflight
-        return True
-
-    def record_dispatch(self) -> None:
-        """Note a dispatch; in half-open this consumes the probe slot."""
-        if self.state == self.HALF_OPEN:
-            self._probe_inflight = True
-
-    def record_success(self) -> None:
-        """A batch completed cleanly: close and reset the cooldown."""
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.cooldown = self.base_cooldown
-        self._probe_inflight = False
-
-    def record_failure(self) -> bool:
-        """Account one timeout/failure; True when this event tripped open."""
-        self.consecutive_failures += 1
-        if self.state == self.HALF_OPEN:
-            self.cooldown = min(self.cooldown * 2, self.max_cooldown)
-            self._trip()
-            return True
-        if self.state == self.CLOSED \
-                and self.consecutive_failures >= self.threshold:
-            self._trip()
-            return True
-        return False
-
-    def _trip(self) -> None:
-        self.state = self.OPEN
-        self.opens += 1
-        self._opened_at = self._clock()
-        self._probe_inflight = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CircuitBreaker(state={self.state}, "
-            f"failures={self.consecutive_failures}, opens={self.opens})"
-        )

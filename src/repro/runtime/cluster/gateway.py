@@ -63,12 +63,13 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import multiprocessing
 import struct
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +84,7 @@ from ...errors import (
 from ...plan.ir import PlanHandle
 from ..integrity import DeviceHealth
 from ..server import integer_vectors, matrix_fingerprint
-from .faults import CircuitBreaker, TransportFaultSpec
+from .faults import TransportFaultSpec
 from .messages import (
     K_ACK,
     K_DRAIN,
@@ -102,7 +103,7 @@ from .messages import (
 from .transport import Doorbell, HeartbeatBoard, ShmRing
 from .worker import worker_main
 
-__all__ = ["ClusterGateway", "ClusterResponse", "GatewayStats"]
+__all__ = ["CircuitBreaker", "ClusterGateway", "ClusterResponse", "GatewayStats"]
 
 #: Fixed transport and timing constants of the gateway.
 #: Byte capacity of every request/reply ring.
@@ -111,14 +112,129 @@ RING_CAPACITY = 1 << 22
 LIVENESS_TIMEOUT = 5.0
 #: Bound on every control round trip (ready, registered, drain, stop).
 CONTROL_TIMEOUT = 60.0
+#: Growth of a batch's deadline per attempt: attempt k waits
+#: ``batch_timeout * HEDGE_BACKOFF ** (k - 1)``.
+HEDGE_BACKOFF = 2.0
 #: Relative spread of the deterministic jitter on hedge deadlines.
 HEDGE_JITTER = 0.1
+#: Dispatch attempts (the first send included) before a timed-out batch fails.
+MAX_ATTEMPTS = 4
+#: Consecutive failures that trip a worker's circuit breaker open.
+BREAKER_THRESHOLD = 2
+#: A tripped breaker's first cooldown, in seconds.
+BREAKER_COOLDOWN = 0.5
 #: Cap on a circuit breaker's doubling cooldown, in seconds.
 BREAKER_MAX_COOLDOWN = 30.0
+#: Supervised restarts allowed per worker within any ``RESTART_WINDOW`` seconds.
+RESTART_BUDGET = 3
+RESTART_WINDOW = 30.0
 #: How worker processes are started: fork where the platform has it.
 START_METHOD = (
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 )
+
+
+class CircuitBreaker:
+    """Per-worker circuit breaker: closed -> open -> half-open -> closed.
+
+    The gray-failure counterpart of
+    :class:`~repro.runtime.integrity.DeviceHealth`: where the EWMA score
+    quarantines a device that keeps *corrupting*, the breaker fences a worker
+    that keeps *timing out*.  The gateway records one event per batch
+    outcome: ``record_failure`` for an execution timeout or a worker failure,
+    ``record_success`` for a clean RESULTS frame.  ``threshold``
+    *consecutive* failures trip the breaker open; while open,
+    :meth:`allows` is ``False`` and the router steers traffic to other
+    replicas.  After ``cooldown`` seconds the breaker half-opens and admits
+    exactly one probe batch (:meth:`record_dispatch` consumes the slot): a
+    success closes the breaker and resets the cooldown, a failure re-opens
+    it with the cooldown doubled (capped at ``max_cooldown``) -- a sick
+    worker is probed at an exponentially decaying rate instead of hammered.
+
+    ``clock`` is injectable for deterministic unit tests.
+    """
+
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half_open"
+
+    def __init__(
+        self,
+        threshold: int = 2,
+        cooldown: float = 0.5,
+        max_cooldown: float = 30.0,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        if threshold < 1:
+            raise ClusterError("breaker threshold must be >= 1")
+        if cooldown <= 0 or max_cooldown < cooldown:
+            raise ClusterError(
+                "breaker needs 0 < cooldown <= max_cooldown"
+            )
+        self.threshold = threshold
+        self.base_cooldown = cooldown
+        self.max_cooldown = max_cooldown
+        self._clock = clock
+        self.state = self.CLOSED
+        self.consecutive_failures = 0
+        #: Lifetime trips to open (telemetry).
+        self.opens = 0
+        self.cooldown = cooldown
+        self._opened_at = 0.0
+        self._probe_inflight = False
+
+    def allows(self) -> bool:
+        """Whether a new batch may be routed through this breaker now."""
+        if self.state == self.OPEN:
+            if self._clock() - self._opened_at < self.cooldown:
+                return False
+            self.state = self.HALF_OPEN
+            self._probe_inflight = False
+        if self.state == self.HALF_OPEN:
+            return not self._probe_inflight
+        return True
+
+    def record_dispatch(self) -> None:
+        """Note a dispatch; in half-open this consumes the probe slot."""
+        if self.state == self.HALF_OPEN:
+            self._probe_inflight = True
+
+    def record_success(self) -> None:
+        """A batch completed cleanly: close and reset the cooldown."""
+        self.state = self.CLOSED
+        self.consecutive_failures = 0
+        self.cooldown = self.base_cooldown
+        self._probe_inflight = False
+
+    def record_failure(self) -> bool:
+        """Account one timeout/failure; True when this event tripped open."""
+        self.consecutive_failures += 1
+        if self.state == self.HALF_OPEN:
+            self.cooldown = min(self.cooldown * 2, self.max_cooldown)
+            self._trip()
+            return True
+        if self.state == self.CLOSED \
+                and self.consecutive_failures >= self.threshold:
+            self._trip()
+            return True
+        return False
+
+    def _trip(self) -> None:
+        self.state = self.OPEN
+        self.opens += 1
+        self._opened_at = self._clock()
+        self._probe_inflight = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"CircuitBreaker(state={self.state}, "
+            f"failures={self.consecutive_failures}, opens={self.opens})"
+        )
+
+
+def _new_breaker() -> CircuitBreaker:
+    """A closed breaker with the gateway's constants, read at call time."""
+    return CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN, BREAKER_MAX_COOLDOWN)
 
 
 @dataclass(eq=False, slots=True)
@@ -258,22 +374,22 @@ class ClusterGateway:
     The keywords configure, in order: the worker fleet and the server each
     worker builds (``num_workers`` .. ``queue_capacity``), admission
     (``inflight_window``), liveness (``heartbeat_interval``,
-    ``stop_timeout``), hedging (``batch_timeout``, ``hedge_backoff``,
-    ``max_attempts``), circuit breakers (``breaker_threshold``,
-    ``breaker_cooldown``), supervised restart (``auto_restart``,
-    ``restart_budget``, ``restart_window``) and fault injection
-    (``transport_faults``).  Ring size, liveness and control
-    timeouts, hedge jitter, the breaker cooldown cap and the process start
-    method are the module constants above, not options; neither are each
-    worker pool's execution backend, placement policy and ABFT mode, which
-    are what :func:`~repro.runtime.cluster.worker.build_worker_server`
-    defaults to (library default, ``"cache_affinity"``, ``"off"``).
+    ``stop_timeout``), hedging (``batch_timeout``), supervised restart
+    (``auto_restart``) and fault injection (``transport_faults``).  The
+    module constants above are not options: ring size, liveness and control
+    timeouts, hedge backoff and jitter, the attempt bound, the breaker
+    threshold, cooldown and cooldown cap, the restart budget and window, and
+    the process start method.  Tests that need another value patch the
+    module attribute; the code reads each one where it is used.  Neither are
+    options each worker pool's size, execution backend, placement policy,
+    replication and ABFT mode, which
+    :func:`~repro.runtime.cluster.worker.build_worker_server` fixes (one
+    device, library default, ``"cache_affinity"``, 1, ``"off"``).
     """
 
     def __init__(
         self,
         num_workers: int = 2,
-        devices_per_worker: int = 1,
         replication: int = 1,
         chip: Optional[str] = "small",
         num_hcts: int = 3,
@@ -285,13 +401,7 @@ class ClusterGateway:
         heartbeat_interval: float = 0.05,
         stop_timeout: float = 5.0,
         batch_timeout: Optional[float] = None,
-        hedge_backoff: float = 2.0,
-        max_attempts: int = 4,
-        breaker_threshold: int = 2,
-        breaker_cooldown: float = 0.5,
         auto_restart: bool = False,
-        restart_budget: int = 3,
-        restart_window: float = 30.0,
         transport_faults: Optional[TransportFaultSpec] = None,
     ) -> None:
         if num_workers < 1:
@@ -305,37 +415,26 @@ class ClusterGateway:
             )
         if inflight_window < 1:
             raise ClusterError("inflight_window must be >= 1")
+        # NaN fails the test too: a non-positive or NaN period would make the
+        # health and supervisor loops -- and every idle worker -- spin.
+        if not 0 < heartbeat_interval < math.inf:
+            raise ClusterError(
+                f"heartbeat_interval must be positive and finite "
+                f"(got {heartbeat_interval})"
+            )
         if batch_timeout is not None and batch_timeout <= 0:
             raise ClusterError("batch_timeout must be positive (or None)")
-        if max_attempts < 1:
-            raise ClusterError("max_attempts must be >= 1")
-        if hedge_backoff < 1.0:
-            raise ClusterError("hedge_backoff must be >= 1.0")
         if stop_timeout <= 0:
             raise ClusterError("stop_timeout must be positive")
-        if restart_budget < 1 or restart_window <= 0:
-            raise ClusterError(
-                "supervision needs restart_budget >= 1 and restart_window > 0"
-            )
         self.num_workers = num_workers
         self.replication = replication
         self.inflight_window = inflight_window
         self.heartbeat_interval = heartbeat_interval
         self.stop_timeout = stop_timeout
         self.batch_timeout = batch_timeout
-        self.hedge_backoff = hedge_backoff
-        self.max_attempts = max_attempts
-        self._breaker_args = dict(
-            threshold=breaker_threshold,
-            cooldown=breaker_cooldown,
-            max_cooldown=BREAKER_MAX_COOLDOWN,
-        )
         self.auto_restart = auto_restart
-        self.restart_budget = restart_budget
-        self.restart_window = restart_window
         self.transport_faults = transport_faults
         self._spec_base = {
-            "num_devices": devices_per_worker,
             "chip": chip,
             "num_hcts": num_hcts,
             "noise": noise,
@@ -345,10 +444,7 @@ class ClusterGateway:
         }
         self._ctx = multiprocessing.get_context(START_METHOD)
         self.stats = GatewayStats()
-        self._workers = [
-            _Worker(index, CircuitBreaker(**self._breaker_args))
-            for index in range(num_workers)
-        ]
+        self._workers = [_Worker(index, _new_breaker()) for index in range(num_workers)]
         self._matrices: Dict[str, _MatrixRecord] = {}
         self._control: Dict[Tuple, asyncio.Future] = {}
         self._board: Optional[HeartbeatBoard] = None
@@ -695,7 +791,7 @@ class ClusterGateway:
     def _attempt_deadline(self, batch: _PendingBatch) -> Optional[float]:
         """Deadline of the batch's current attempt, or None when untimed.
 
-        Each attempt gets exponentially more headroom (``hedge_backoff``)
+        Each attempt gets exponentially more headroom (``HEDGE_BACKOFF``)
         so a hedge storm cannot outrun a merely-busy cluster, plus a
         seeded jitter -- a hash of ``(batch_id, attempt)`` scaled into
         ``[0, 1)`` -- that de-synchronizes expiries without sacrificing
@@ -703,7 +799,7 @@ class ClusterGateway:
         """
         if self.batch_timeout is None:
             return None
-        timeout = self.batch_timeout * self.hedge_backoff ** (batch.attempts - 1)
+        timeout = self.batch_timeout * HEDGE_BACKOFF ** (batch.attempts - 1)
         spread = zlib.crc32(
             struct.pack("<qq", batch.batch_id, batch.attempts)
         ) / 2**32
@@ -884,7 +980,7 @@ class ClusterGateway:
     async def _supervise(self) -> None:
         """Auto-restart dead workers within a bounded budget per window.
 
-        The budget (``restart_budget`` restarts per ``restart_window``
+        The budget (``RESTART_BUDGET`` restarts per ``RESTART_WINDOW``
         seconds, per worker) is what separates supervision from a
         crash loop: a worker that dies faster than it heals stays down
         until its window rolls over, and routing treats it like any
@@ -900,9 +996,9 @@ class ClusterGateway:
                 now = time.monotonic()
                 worker.restart_times = [
                     stamp for stamp in worker.restart_times
-                    if now - stamp < self.restart_window
+                    if now - stamp < RESTART_WINDOW
                 ]
-                if len(worker.restart_times) >= self.restart_budget:
+                if len(worker.restart_times) >= RESTART_BUDGET:
                     continue
                 worker.restart_times.append(now)
                 try:
@@ -1003,7 +1099,7 @@ class ClusterGateway:
         duplicate suppression replays the original reply if the first
         attempt did finish meanwhile, so re-sending is always safe).
         """
-        if batch.attempts >= self.max_attempts:
+        if batch.attempts >= MAX_ATTEMPTS:
             self._resolve_batch_failed(batch, str(BatchTimeoutError(
                 batch.worker_id, batch.batch_id, attempts=batch.attempts,
             )))
@@ -1015,7 +1111,7 @@ class ClusterGateway:
                 return
         if batch.park_deadline is None:
             batch.park_deadline = time.monotonic() + \
-                self.batch_timeout * self.max_attempts
+                self.batch_timeout * MAX_ATTEMPTS
         self._parked.append(batch)
 
     def _retry_parked(self, now: float) -> None:
@@ -1110,7 +1206,7 @@ class ClusterGateway:
             worker.close_rings()
             await self._spawn(worker)
             worker.health.reset()
-            worker.breaker = CircuitBreaker(**self._breaker_args)
+            worker.breaker = _new_breaker()
             worker.alive = True
             worker.draining = False
             worker.last_beats = 0

@@ -68,9 +68,7 @@ __all__ = [
     "Doorbell",
     "HeartbeatBoard",
     "ShmRing",
-    "decode_array",
     "decode_arrays",
-    "encode_array",
     "encode_arrays",
 ]
 
@@ -118,6 +116,13 @@ def encode_arrays(arrays: Sequence[np.ndarray]) -> Tuple[bytes, List[memoryview]
     fixed-width dtype NumPy can describe round-trips (the planner emits
     ``int64`` on the serving path, but the suite pins the full set); object
     dtypes cannot cross a process boundary and are rejected.
+
+    >>> import numpy as np
+    >>> table, buffers = encode_arrays([np.arange(6, dtype=np.int16).reshape(2, 3)])
+    >>> (array,), offset = decode_arrays(memoryview(b"".join(buffers)), table, 1, 0)
+    >>> array
+    array([[0, 1, 2],
+           [3, 4, 5]], dtype=int16)
     """
     table, buffers = [], []
     for array in arrays:
@@ -173,34 +178,6 @@ def decode_arrays(payload: memoryview, table: bytes, count: int,
         # ``np.dtype`` raises all of the last three on a string it cannot parse.
         raise TransportError(f"malformed array frame: {exc}") from exc
     return arrays, offset
-
-
-def encode_array(array: np.ndarray) -> List[bytes]:
-    """One array as ``[table entry, data]``: :func:`encode_arrays` of one.
-
-    >>> import numpy as np
-    >>> parts = encode_array(np.arange(6, dtype=np.int16).reshape(2, 3))
-    >>> array, offset = decode_array(memoryview(b"".join(parts)), 0)
-    >>> array
-    array([[0, 1, 2],
-           [3, 4, 5]], dtype=int16)
-    """
-    table, buffers = encode_arrays([array])
-    return [table, *buffers]
-
-
-def decode_array(payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
-    """Decode one ``[table entry, data]`` array from ``payload`` at ``offset``.
-
-    Returns ``(array, next_offset)``; the array is a view of ``payload``.
-    """
-    try:
-        dtype_len, ndim = _ARRAY.unpack_from(payload, offset)
-    except struct.error as exc:
-        raise TransportError(f"malformed array frame: {exc}") from exc
-    data = offset + _ARRAY.size + dtype_len + 8 * ndim
-    arrays, end = decode_arrays(payload, bytes(payload[offset:data]), 1, data)
-    return arrays[0], end
 
 
 # --------------------------------------------------------------------- #

@@ -84,13 +84,15 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
     """Construct the :class:`PumServer` a worker spec describes.
 
     The spec is a plain dict of scalars/strings (it crosses the process
-    boundary at spawn time): the pool's ``num_devices``, ``policy``,
-    ``backend``, ``replication``, ``verify``; the server's
-    ``queue_capacity``; the ``max_batch`` / ``max_wait_ticks`` of its
-    :class:`~repro.runtime.scheduling.StaticBatchingPolicy`; plus
-    ``chip`` (``None`` for paper-default chips, ``"small"`` for the fast
-    functional configuration) and ``noise`` (``None`` / ``"ideal"`` /
-    ``"paper_default"``).
+    boundary at spawn time): the server's ``queue_capacity``; the
+    ``max_batch`` / ``max_wait_ticks`` of its
+    :class:`~repro.runtime.scheduling.StaticBatchingPolicy`; plus ``chip``
+    (``None`` for paper-default chips, ``"small"`` for the fast functional
+    configuration, with ``num_hcts``) and ``noise`` (``None`` / ``"ideal"``
+    / ``"paper_default"``).  The pool is not configurable: one device,
+    ``"cache_affinity"`` placement, the library's default backend, no
+    replication and ABFT ``"off"`` -- a worker's replicas are other
+    workers.  Keys the spec carries beyond these are ignored.
     """
     chip = spec.get("chip")
     if chip is None:
@@ -108,15 +110,8 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
         raise ReproError(f"unknown worker noise preset {noise_name!r}") from None
     from ..pool import DevicePool
 
-    pool = DevicePool(
-        num_devices=int(spec.get("num_devices", 1)),
-        config=config,
-        noise=noise,
-        policy=spec.get("policy", "cache_affinity"),
-        backend=spec.get("backend"),
-        replication=int(spec.get("replication", 1)),
-        verify=spec.get("verify", "off"),
-    )
+    pool = DevicePool(num_devices=1, config=config, noise=noise,
+                      policy="cache_affinity")
     knobs = {
         knob: spec[knob]
         for knob in ("max_batch", "max_wait_ticks")

@@ -72,7 +72,6 @@ from ..errors import (
     SchedulerError,
 )
 from ..metrics import percentile_sorted
-from ..plan.backends import ExecutionBackend
 from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
 from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
@@ -595,13 +594,9 @@ class PumServer:
         self,
         pool: Optional[DevicePool] = None,
         num_devices: int = 2,
-        policy: str = "cache_affinity",
         queue_capacity: int = 64,
         admission: str = "reject",
-        backend: Union[None, str, ExecutionBackend] = None,
-        replication: int = 1,
         scheduling: Optional[SchedulingPolicy] = None,
-        verify: Optional[str] = None,
         auto_rebuild: bool = False,
     ) -> None:
         if queue_capacity < 1:
@@ -616,23 +611,15 @@ class PumServer:
                 f"scheduling must be a SchedulingPolicy instance or None "
                 f"(got {scheduling!r})"
             )
+        #: The chips and every setting of how they run -- placement policy,
+        #: execution backend, replication, ABFT mode -- live on the pool.
         self.pool = pool if pool is not None else DevicePool(
-            num_devices=num_devices, policy=policy, backend=backend,
-            replication=replication,
-            verify=verify if verify is not None else "off",
+            num_devices=num_devices, policy="cache_affinity",
         )
-        if pool is not None and verify is not None:
-            # An explicit server-level verify mode wins over the pool's.
-            self.pool.verify = verify
         #: When True, a batch that exhausts every replica of a band
         #: triggers :meth:`DevicePool.rebuild` on the affected allocation
         #: and retries once before failing its riders.
         self.auto_rebuild = bool(auto_rebuild)
-        #: Execution backend for batches dispatched by this server; ``None``
-        #: defers to the pool's default.  Kept server-side so two servers
-        #: sharing one pool can run different backends without mutating the
-        #: shared pool.
-        self.backend = backend
         #: When each group dispatches, and how large a batch may grow: the
         #: live knobs are ``scheduling.max_batch`` / ``.max_wait_ticks``
         #: (an :class:`~repro.runtime.scheduling.Autotuner` moves them).
@@ -1124,8 +1111,7 @@ class PumServer:
             vectors = self._assemble_batch(record, input_bits, runs)
             try:
                 results = pool.exec_mvm_batch(
-                    record.allocation, vectors, input_bits=input_bits,
-                    backend=self.backend,
+                    record.allocation, vectors, input_bits=input_bits
                 )
             except ReproError as exc:
                 if not (self.auto_rebuild and self._band_exhausted(exc)):
@@ -1188,8 +1174,7 @@ class PumServer:
             if not self._rebuild(record).changed:
                 return None
             return self.pool.exec_mvm_batch(
-                record.allocation, vectors, input_bits=input_bits,
-                backend=self.backend,
+                record.allocation, vectors, input_bits=input_bits
             )
         except ReproError:
             return None

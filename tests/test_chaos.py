@@ -49,8 +49,9 @@ def tiny_pool(num_devices=3, num_hcts=3, replication=1, policy="least_loaded",
 
 
 def make_server(replication=2, num_devices=3, max_batch=4, max_wait_ticks=2,
-                **kwargs):
-    pool = tiny_pool(num_devices=num_devices, replication=replication)
+                verify="off", **kwargs):
+    pool = tiny_pool(num_devices=num_devices, replication=replication,
+                     verify=verify)
     kwargs.setdefault("queue_capacity", 256)
     return PumServer(
         pool=pool, scheduling=StaticBatchingPolicy(max_batch, max_wait_ticks),

@@ -28,7 +28,7 @@ from repro.errors import (
     QuantizationError,
     ReproError,
 )
-from repro.runtime.cluster import ClusterGateway, ShmRing
+from repro.runtime.cluster import ClusterGateway, ShmRing, build_worker_server
 from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch
 from repro.runtime.cluster.messages import (
@@ -40,7 +40,7 @@ from repro.runtime.cluster.messages import (
     encode_message,
 )
 from repro.runtime.cluster.worker import WorkerState, _handle
-from repro.runtime.pool import DevicePool
+from repro.runtime.pool import CacheAffinityPolicy, DevicePool
 from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
 
@@ -441,6 +441,25 @@ def test_invalid_configuration_is_rejected():
         ClusterGateway(num_workers=1, inflight_window=0)
 
 
+def test_worker_pool_is_the_same_whichever_spec_built_it():
+    """A worker's pool has no knobs: the spec the gateway sends (no pool
+    keys) and layerbench's twin spec (which still names them, at the values
+    they always had) build the same pool."""
+    workloads = pytest.importorskip("layerbench.workloads")
+    specs = {
+        "gateway": ClusterGateway(**workloads.ClusterWorkload.GATEWAY)._spec_base,
+        "layerbench": workloads.ClusterWorkload(0).worker_spec(),
+    }
+    pools = {origin: build_worker_server(spec).pool for origin, spec in specs.items()}
+    described = {
+        origin: (pool.num_devices, type(pool.placement_policy), pool.replication,
+                 pool.verify, pool.backend)
+        for origin, pool in pools.items()
+    }
+    assert described["gateway"] == described["layerbench"] == (
+        1, CacheAffinityPolicy, 1, "off", None)
+
+
 # --------------------------------------------------------------------- #
 # Replica order, pinned (no processes)                                    #
 # --------------------------------------------------------------------- #
@@ -487,9 +506,12 @@ class TestReplicaOrder:
         "1d8187220b1021737352c1824cd5fad49693cf7240f895da36c1e3df9cfaa323"
     )
 
+    @pytest.fixture(autouse=True)
+    def tripped_breakers_stay_open(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 30.0)
+
     def scripted_gateway(self, alive, tripped, cycles, ring_full):
-        gw = ClusterGateway(num_workers=3, replication=3, batch_timeout=1.0,
-                            breaker_cooldown=30.0)
+        gw = ClusterGateway(num_workers=3, replication=3, batch_timeout=1.0)
         gw._started = True
         for worker in gw._workers:
             index = worker.worker_id
@@ -797,7 +819,8 @@ def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
     timeout]`` -- no generator built per dispatch."""
     monkeypatch.setattr(gateway_module.time, "monotonic", lambda: 100.0)
     monkeypatch.setattr(np.random, "default_rng", None)  # not on this path
-    gw = ClusterGateway(num_workers=1, batch_timeout=2.0, hedge_backoff=1.0)
+    monkeypatch.setattr(gateway_module, "HEDGE_BACKOFF", 1.0)
+    gw = ClusterGateway(num_workers=1, batch_timeout=2.0)
 
     def headroom(batch_id, attempts):
         batch = _PendingBatch(

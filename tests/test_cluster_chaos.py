@@ -30,6 +30,7 @@ from repro.errors import (
     ClusterError,
     TransportError,
 )
+from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster import (
     CircuitBreaker,
     ClusterGateway,
@@ -397,13 +398,13 @@ def test_straggler_is_hedged_onto_replica():
     assert np.array_equal(hedged, local)  # hedged answers stay bit-identical
 
 
-def test_batch_timeout_surfaces_after_max_attempts():
+def test_batch_timeout_surfaces_after_max_attempts(monkeypatch):
     """With one replica and one attempt, a straggler fails the batch."""
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
 
     async def scenario():
         async with gateway(
-            num_workers=1, batch_timeout=0.15, max_attempts=1,
-            stop_timeout=8.0,
+            num_workers=1, batch_timeout=0.15, stop_timeout=8.0,
         ) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=1, seconds=1.0)
@@ -431,8 +432,7 @@ def test_hedge_back_to_same_worker_at_r1():
 
     async def scenario():
         async with gateway(
-            num_workers=1, batch_timeout=0.2, hedge_backoff=2.0,
-            stop_timeout=8.0,
+            num_workers=1, batch_timeout=0.2, stop_timeout=8.0,
         ) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=1, seconds=0.7)
@@ -451,11 +451,12 @@ def test_hedge_back_to_same_worker_at_r1():
 # --------------------------------------------------------------------- #
 # E2E: circuit breaker routing                                             #
 # --------------------------------------------------------------------- #
-def test_open_breaker_sheds_as_circuit_open_error():
+def test_open_breaker_sheds_as_circuit_open_error(monkeypatch):
+    monkeypatch.setattr(gateway_module, "BREAKER_THRESHOLD", 1)
+    monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 0.3)
+
     async def scenario():
-        async with gateway(
-            num_workers=1, breaker_threshold=1, breaker_cooldown=0.3,
-        ) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             gw._workers[0].breaker.record_failure()  # trip it open
             with pytest.raises(CircuitOpenError, match="circuit breaker"):
@@ -471,11 +472,14 @@ def test_open_breaker_sheds_as_circuit_open_error():
     run(scenario())
 
 
-def test_breaker_opens_on_consecutive_timeouts_and_feeds_health():
+def test_breaker_opens_on_consecutive_timeouts_and_feeds_health(monkeypatch):
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(gateway_module, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 5.0)
+
     async def scenario():
         async with gateway(
-            num_workers=1, batch_timeout=0.15, max_attempts=1,
-            breaker_threshold=2, breaker_cooldown=5.0, stop_timeout=8.0,
+            num_workers=1, batch_timeout=0.15, stop_timeout=8.0,
         ) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=2, seconds=0.8)
@@ -616,11 +620,14 @@ def test_supervisor_restarts_killed_worker():
     run(scenario())
 
 
-def test_supervisor_respects_restart_budget():
+def test_supervisor_respects_restart_budget(monkeypatch):
+    monkeypatch.setattr(gateway_module, "RESTART_BUDGET", 1)
+    monkeypatch.setattr(gateway_module, "RESTART_WINDOW", 120.0)
+
     async def scenario():
         async with gateway(
             replication=2, heartbeat_interval=0.02, auto_restart=True,
-            restart_budget=1, restart_window=120.0, stop_timeout=2.0,
+            stop_timeout=2.0,
         ) as gw:
             await gw.register_matrix("w", MATRIX)
             os.kill(gw._workers[0].process.pid, signal.SIGKILL)
@@ -653,11 +660,13 @@ def test_supervisor_respects_restart_budget():
 def test_chaos_knobs_are_validated():
     with pytest.raises(ClusterError, match="batch_timeout"):
         ClusterGateway(num_workers=1, batch_timeout=0.0)
-    with pytest.raises(ClusterError, match="max_attempts"):
-        ClusterGateway(num_workers=1, max_attempts=0)
-    with pytest.raises(ClusterError, match="hedge_backoff"):
-        ClusterGateway(num_workers=1, hedge_backoff=0.5)
     with pytest.raises(ClusterError, match="stop_timeout"):
         ClusterGateway(num_workers=1, stop_timeout=0.0)
-    with pytest.raises(ClusterError, match="restart_budget"):
-        ClusterGateway(num_workers=1, restart_budget=0)
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+def test_heartbeat_interval_must_be_positive_and_finite(interval):
+    """A zero, negative or NaN period would spin the health and supervisor
+    loops and every idle worker; an infinite one would never look."""
+    with pytest.raises(ClusterError, match="heartbeat_interval"):
+        ClusterGateway(num_workers=1, heartbeat_interval=interval)

@@ -25,14 +25,12 @@ from repro.runtime.cluster import (
     STATUS_NAMES,
     HeartbeatBoard,
     ShmRing,
-    decode_array,
     decode_message,
-    encode_array,
     encode_message,
 )
 from repro.runtime.cluster.gateway import START_METHOD
 from repro.runtime.cluster.messages import K_RESULTS, K_SUBMIT
-from repro.runtime.cluster.transport import _FRAME
+from repro.runtime.cluster.transport import _FRAME, decode_arrays, encode_arrays
 
 
 @pytest.fixture
@@ -46,10 +44,24 @@ def push_bytes(ring, payload):
     return ring.push([payload])
 
 
-def _forged_array_frame(dtype: bytes, shape, data: bytes = b"") -> memoryview:
-    return memoryview(struct.pack(
+def _forged_array_frame(dtype: bytes, shape, data: bytes = b""):
+    """``(table, payload)`` of one array whose table entry is written by hand."""
+    table = struct.pack(
         f"<BB{len(dtype)}s{len(shape)}Q", len(dtype), len(shape), dtype, *shape
-    ) + data)
+    )
+    return table, memoryview(data)
+
+
+def decode_one(table: bytes, payload: memoryview):
+    """Decode the one array ``table`` describes from the start of ``payload``."""
+    (array,), offset = decode_arrays(payload, table, 1, 0)
+    return array, offset
+
+
+def round_trip_blob(array):
+    """``(table, payload bytes)`` as ``encode_arrays([array])`` ships them."""
+    table, buffers = encode_arrays([array])
+    return table, b"".join(bytes(part) for part in buffers)
 
 
 @pytest.mark.parametrize("shape", [
@@ -58,17 +70,17 @@ def _forged_array_frame(dtype: bytes, shape, data: bytes = b"") -> memoryview:
     (3, 1 << 40),
 ])
 def test_array_codec_rejects_a_shape_that_overflows_the_frame(shape):
-    frame = _forged_array_frame(b"<i8", shape, bytes(48))
+    table, payload = _forged_array_frame(b"<i8", shape, bytes(48))
     with pytest.raises(TransportError, match="malformed array frame.*left in the frame"):
-        decode_array(frame, 0)
+        decode_one(table, payload)
 
 
 def test_array_codec_rejects_an_unknown_dtype_string():
     for dtype in (b"<zz9", b"\xff\xfe"):
         with pytest.raises(TransportError, match="malformed array frame"):
-            decode_array(_forged_array_frame(dtype, (2,), bytes(16)), 0)
+            decode_one(*_forged_array_frame(dtype, (2,), bytes(16)))
     # The failure is not remembered: a good frame still decodes.
-    array, _ = decode_array(_forged_array_frame(b"<i8", (2,), bytes(16)), 0)
+    array, _ = decode_one(*_forged_array_frame(b"<i8", (2,), bytes(16)))
     assert array.tolist() == [0, 0]
 
 
@@ -96,8 +108,8 @@ def test_array_codec_identity_every_dtype(dtype):
         array = rng.integers(
             max(info.min, -1000), min(info.max, 1000), size=(5, 3)
         ).astype(dtype)
-    blob = b"".join(bytes(part) for part in encode_array(array))
-    decoded, offset = decode_array(memoryview(blob), 0)
+    table, blob = round_trip_blob(array)
+    decoded, offset = decode_one(table, memoryview(blob))
     assert offset == len(blob)
     assert decoded.dtype == array.dtype
     assert decoded.shape == array.shape
@@ -107,8 +119,8 @@ def test_array_codec_identity_every_dtype(dtype):
 @pytest.mark.parametrize("shape", [(0,), (7,), (2, 3, 4)])
 def test_array_codec_identity_shapes(shape):
     array = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
-    blob = b"".join(bytes(part) for part in encode_array(array))
-    decoded, _ = decode_array(memoryview(blob), 0)
+    table, blob = round_trip_blob(array)
+    decoded, _ = decode_one(table, memoryview(blob))
     assert decoded.shape == array.shape
     assert np.array_equal(decoded, array)
 
@@ -116,23 +128,23 @@ def test_array_codec_identity_shapes(shape):
 def test_array_codec_is_zero_copy_on_decode():
     """Decoded arrays are views of the source buffer, not copies."""
     array = np.arange(12, dtype=np.int64)
-    blob = bytearray(b"".join(bytes(part) for part in encode_array(array)))
-    decoded, _ = decode_array(memoryview(blob), 0)
-    header = len(blob) - array.nbytes
-    blob[header] = 0xAA  # mutate the underlying buffer
+    table, payload = round_trip_blob(array)
+    blob = bytearray(payload)
+    decoded, _ = decode_one(table, memoryview(blob))
+    blob[0] = 0xAA  # mutate the underlying buffer
     assert decoded[0] != array[0]  # the view saw the mutation
 
 
 def test_array_codec_rejects_object_dtype():
     with pytest.raises(TransportError, match="object"):
-        encode_array(np.array([object()], dtype=object))
+        encode_arrays([np.array([object()], dtype=object)])
 
 
 def test_array_codec_rejects_truncated_payload():
     array = np.arange(8, dtype=np.int64)
-    blob = b"".join(bytes(part) for part in encode_array(array))
+    table, blob = round_trip_blob(array)
     with pytest.raises(TransportError, match="malformed"):
-        decode_array(memoryview(blob[: len(blob) // 2]), 0)
+        decode_one(table, memoryview(blob[: len(blob) // 2]))
 
 
 # --------------------------------------------------------------------- #

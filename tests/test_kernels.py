@@ -747,8 +747,10 @@ class TestWorkloadEquivalence:
     @staticmethod
     def _servers():
         return {
-            backend: PumServer(num_devices=2, scheduling=StaticBatchingPolicy(8, 2),
-                               backend=backend)
+            backend: PumServer(
+                pool=DevicePool(num_devices=2, policy="cache_affinity", backend=backend),
+                scheduling=StaticBatchingPolicy(8, 2),
+            )
             for backend in ("reference", "vectorized")
         }
 

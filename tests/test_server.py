@@ -256,7 +256,7 @@ class TestTelemetry:
 
 class TestMatrixRegistry:
     def test_reregistration_releases_the_old_allocation(self, rng):
-        server = PumServer(num_devices=2, policy="cache_affinity")
+        server = PumServer(pool=DevicePool(num_devices=2, policy="cache_affinity"))
         first = server.register_matrix("m", rng.integers(-5, 5, size=(8, 8)))
         used_before = sum(u > 0 for u in server.pool.utilization())
         second = server.register_matrix("m", rng.integers(-5, 5, size=(8, 8)))
@@ -932,8 +932,15 @@ class TestPublicSurface:
     """Ratchet: the serving tier's knob and name counts only go down."""
 
     def test_constructor_parameter_counts(self):
-        for cls, limit in ((PumServer, 10), (DevicePool, 7), (ClusterGateway, 21)):
+        for cls, limit in ((PumServer, 6), (DevicePool, 7), (ClusterGateway, 14)):
             assert len(inspect.signature(cls).parameters) <= limit, cls.__name__
+
+    def test_a_server_built_from_a_device_count_owns_a_default_pool(self):
+        """Every pool setting has one home: ``PumServer(num_devices=n)`` is
+        ``PumServer(pool=DevicePool(num_devices=n, policy="cache_affinity"))``."""
+        pool = PumServer(num_devices=3).pool
+        assert (pool.num_devices, pool.placement_policy.name, pool.backend,
+                pool.replication, pool.verify) == (3, "cache_affinity", None, 1, "off")
 
     def test_one_queue_and_one_construction_path(self):
         for name in ("FlatRequestQueue", "RequestQueue", "make_request_queue",
