@@ -99,14 +99,16 @@ INPUT_BITS = 8
 DEVICE_CALL_BATCH = 32
 #: Where a device call's non-arithmetic time goes: part -> (functions
 #: counted with everything they call, functions counted by self time only).
-#: ``set_vr_planes`` is the register store of the exact path (the all-band
-#: ``&`` / ``!=`` unpack in front of it is inline in ``execute_device_plan``
-#: and stays in no column); ``charge_stream`` is the receipt's compiled run
-#: list.  An older ``src/`` has ``set_vr_bits`` / ``charge_run`` /
-#: ``issue_mvm_charges`` in their place, which is why those names stay:
-#: on either side exactly one set runs on the profiled path.
+#: ``set_vr_words`` is the register store of the exact path: it keeps the
+#: last batch row as words, and their unpack into bit planes is paid only
+#: when a register is read (``flush_us``, timed apart).  ``charge_stream`` is
+#: the receipt's compiled run list.  An older ``src/`` stores bit planes with
+#: ``set_vr_planes`` (the all-band unpack in front of it inline in
+#: ``execute_device_plan``, in no column) or ``set_vr_bits``, and charges
+#: through ``charge_run`` / ``issue_mvm_charges``, which is why those names
+#: stay: on either side exactly one set runs on the profiled path.
 DEVICE_CALL_PARTS = {
-    "sync_us": (("set_vr_planes", "set_vr_bits"), ()),
+    "sync_us": (("set_vr_words", "set_vr_planes", "set_vr_bits"), ()),
     "validate_us": (("validate_input_range",), ()),
     "ledger_us": (("charge", "charge_stream", "charge_run", "snapshot"),
                   ("issue_mvm_charges",)),
@@ -271,15 +273,35 @@ def split_pool_frames(events) -> tuple:
     return pool_frames, device_frames, pooled_calls
 
 
+def register_flush_us(call, device, allocation, input_bits: int,
+                      loops: int = 2000) -> float:
+    """Stopwatch microseconds per ``call()`` to read back the accumulator
+    registers it left: one ``arrays`` access per output pipeline, which
+    unpacks whatever words are pending (nothing is, on an older ``src/``)."""
+    plan = device.device_plan(allocation, input_bits)
+    pipelines = [pipeline for _, _, _, outputs in plan.tiles
+                 for pipeline, _, _ in outputs]
+    total = 0.0
+    for _ in range(loops):
+        call()
+        start = time.perf_counter()
+        for pipeline in pipelines:
+            pipeline.arrays
+        total += time.perf_counter() - start
+    return total / loops * 1e6
+
+
 def device_call_breakdown(loops: int = 2000) -> None:
     """Print the per-call breakdown of the exact path at the device-call shapes."""
     print(f"# steady-state DarthPumDevice.exec_mvm_batch, exact path, batch "
           f"{DEVICE_CALL_BATCH}: us per call.  total/estimate/matmul are untraced "
           "best-of-9;\n# sync/validate/ledger are cProfile times of the same call "
-          "(inflated by the probe, compare them with each other)")
+          "(inflated by the probe, compare them with each other); flush is the\n"
+          "# stopwatch time to read the accumulator registers back after a call "
+          "(not part of the call)")
     header = ["shape", "tiles", "total_us", "us_per_tile", "estimate_us",
               "matmul_us", "py_calls", "calls_per_tile", "c_calls"]
-    header += list(DEVICE_CALL_PARTS)
+    header += list(DEVICE_CALL_PARTS) + ["flush_us"]
     print("  ".join(f"{column:>18}" for column in header))
     for label in DEVICE_CALL_SHAPES:
         call, device, allocation = device_call_at(label)
@@ -312,6 +334,9 @@ def device_call_breakdown(loops: int = 2000) -> None:
                f"{estimate_us:.1f}", f"{matmul_us:.1f}", str(python_calls),
                f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
+        flush_us = register_flush_us(call, device, allocation,
+                                     DEVICE_CALL_SHAPES[label][2], loops)
+        row.append(f"{flush_us:.1f}")
         print("  ".join(f"{column:>18}" for column in row))
 
 

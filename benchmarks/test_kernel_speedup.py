@@ -19,7 +19,10 @@ the cost of one steady-state exact-path device call (``exact_call_us`` and
 since PR 15, the single-tile encoder shape in the rows without ``tiles``.
 Since PR 21 a row also carries ``noisy_call_us``: one steady-state call under
 ``NoiseConfig.paper_default()`` (the general path: read noise, lossy ADC) at
-each of the three paper shapes.  None of these is asserted here --
+each of the three paper shapes, and newer rows ``flush_us``: what reading
+the row band's accumulator registers back after a call costs (the call
+leaves them as words, unpacked on first read).  None of these is asserted
+here --
 ``tests/test_hot_path.py`` gates the call count and the noisy call's draws
 and allocations.
 """
@@ -31,10 +34,17 @@ import time
 from pathlib import Path
 
 import numpy as np
-from profile_serving import NOISY_CALL_LABELS, best_call_us, count_calls, device_call_at
+from profile_serving import (
+    NOISY_CALL_LABELS,
+    best_call_us,
+    count_calls,
+    device_call_at,
+    register_flush_us,
+)
 
 from repro import DarthPumDevice
 from repro.reram import NoiseConfig
+from repro.testing import DEVICE_CALL_SHAPES
 
 MATRIX_SHAPE = (64, 64)
 BATCH = 32
@@ -93,10 +103,12 @@ def test_vectorized_kernel_speedup_gate(host, record_row):
     assert reference_ledger.cycles == vectorized_ledger.cycles
     assert reference_ledger.energy_pj == vectorized_ledger.energy_pj
 
-    exact_call, _, exact_allocation = device_call_at("row_band_8_tiles")
+    exact_call, exact_device, exact_allocation = device_call_at("row_band_8_tiles")
     tiles = len(exact_allocation.placement.tiles)
     exact_call_us = best_call_us(exact_call)
     calls_per_exec = sum(count_calls(exact_call))
+    flush_us = register_flush_us(exact_call, exact_device, exact_allocation,
+                                 DEVICE_CALL_SHAPES["row_band_8_tiles"][2], loops=300)
     noisy_call_us = {
         label: round(best_call_us(
             device_call_at(label, noise=NoiseConfig.paper_default())[0], repeats=5, loops=20
@@ -118,6 +130,7 @@ def test_vectorized_kernel_speedup_gate(host, record_row):
         "tiles": tiles,
         "exact_call_us": exact_call_us,
         "calls_per_exec": calls_per_exec,
+        "flush_us": flush_us,
         "noisy_call_us": noisy_call_us,
         **host,
     }
@@ -131,6 +144,7 @@ def test_vectorized_kernel_speedup_gate(host, record_row):
         "tiles": tiles,
         "exact_call_us": round(exact_call_us, 1),
         "calls_per_exec": calls_per_exec,
+        "flush_us": round(flush_us, 1),
         "noisy_call_us": noisy_call_us,
     })
 

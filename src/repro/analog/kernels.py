@@ -240,12 +240,17 @@ def validate_input_range(vectors: np.ndarray, input_bits: int) -> None:
     The exact integer path (and the cost-only backend) never materialise
     the bit-plane tensor, but they must reject invalid inputs with the same
     errors, in the same order, as the general path (and the reference
-    interpreter's ``slice_inputs``) -- from one ``min`` and one ``max``
-    instead of two boolean temporaries.
+    interpreter's ``slice_inputs``).  A valid batch costs one ``max`` over
+    its 64-bit words read as unsigned, where a negative input exceeds every
+    bound; only a rejected one pays the ``min`` and ``max`` that pick its
+    error.
     """
     if vectors.dtype.kind not in "iu":
         raise QuantizationError("input bit-slicing expects an integer vector")
     if not vectors.size:
+        return
+    words = vectors.astype(np.int64, copy=False).view(np.uint64)
+    if np.maximum.reduce(words, axis=None) < (1 << input_bits):
         return
     if np.minimum.reduce(vectors, axis=None) < 0:
         raise QuantizationError("input bit-slicing expects non-negative inputs")

@@ -12,7 +12,11 @@ All bits of a pipeline live in one VR-major tensor of shape ``(cols, depth,
 rows)``; ``arrays[b].bits`` is the ``(rows, cols)`` view of bit plane ``b``.
 A whole register is therefore one contiguous ``(depth, rows)`` block that
 word-level accesses load and store in a single pass, and the column slices
-``bits[:, v]`` the gate networks compute on are contiguous too.
+``bits[:, v]`` the gate networks compute on are contiguous too.  One
+register may hold its value as int64 words instead (:meth:`set_vr_words`,
+the exact path's accumulator store): every access to the tensor or to
+``arrays`` unpacks them into bits first (a ``DigitalArray`` kept from an
+earlier access of ``arrays`` does not).
 
 The pipeline is a *functional* model: word-level operations really execute
 the underlying NOR-sequence gate networks on the stored bits, so results are
@@ -93,11 +97,13 @@ class BitPipeline:
         self.auto_cycles = bool(auto_cycles)
         self.scratch = ScratchColumns.at_top_of(self.cols)
         self.num_vrs = self.cols - ScratchColumns.COUNT
-        self._store = np.zeros((self.cols, self.depth, self.rows), dtype=bool)
-        self.arrays: List[DigitalArray] = [
+        self._bits = np.zeros((self.cols, self.depth, self.rows), dtype=bool)
+        #: ``(vr, words)`` stored by :meth:`set_vr_words` and not unpacked yet.
+        self._pending = None
+        self._arrays: List[DigitalArray] = [
             DigitalArray(
                 self.rows, self.cols, self.family, self.ledger,
-                bits=self._store[:, plane, :].T,
+                bits=self._bits[:, plane, :].T,
             )
             for plane in range(self.depth)
         ]
@@ -115,6 +121,24 @@ class BitPipeline:
     # ------------------------------------------------------------------ #
     # Vector register access                                               #
     # ------------------------------------------------------------------ #
+    @property
+    def _store(self) -> np.ndarray:
+        """The ``(cols, depth, rows)`` bit tensor, pending words unpacked."""
+        if self._pending is not None:
+            self._unpack_pending()
+        return self._bits
+
+    @property
+    def arrays(self) -> List[DigitalArray]:
+        """The ``depth`` arrays, one bit plane each, pending words unpacked."""
+        if self._pending is not None:
+            self._unpack_pending()
+        return self._arrays
+
+    def _unpack_pending(self) -> None:
+        vr, words = self._pending
+        self.set_vr_planes(vr, (words & self.bit_weights) != 0)
+
     def _check_vr(self, vr: int) -> None:
         if not 0 <= vr < self.num_vrs:
             raise CapacityError(f"vector register {vr} out of range [0, {self.num_vrs})")
@@ -144,19 +168,44 @@ class BitPipeline:
         """Store ``(depth, n)`` bit planes (``(words & bit_weights) != 0``)
         into VR ``vr``, charging nothing.
 
-        The one place a whole register is overwritten, and so the one body
-        of checks; a caller syncing many pipelines of one depth unpacks their
-        words in one pass and stores a slice through here.  Rows beyond ``n``
+        The one place a whole register's bits are overwritten, and so the
+        one body of checks; pending words (:meth:`set_vr_words`) of this VR
+        are dropped, those of another VR unpacked first.  Rows beyond ``n``
         are cleared.
         """
         count = planes.shape[1]
         if not 0 <= vr < self.num_vrs or count > self.rows:  # no frame unless one fails
             self._check_vr(vr)
             raise CapacityError(f"vector of {count} elements exceeds {self.rows} rows")
-        register = self._store[vr]
+        pending = self._pending
+        if pending is not None:
+            if pending[0] == vr:
+                self._pending = None
+            else:
+                self._unpack_pending()
+        register = self._bits[vr]
         register[:, :count] = planes
         if count < self.rows:
             register[:, count:] = False
+
+    def set_vr_words(self, vr: int, words: np.ndarray) -> None:
+        """Store int64 ``words`` into VR ``vr``, unpacking them when read.
+
+        :meth:`set_vr_bits` without the unpack: the words stay pending until
+        something reads the bits or ``arrays``, when :meth:`set_vr_planes`
+        stores them.  The pipeline keeps ``words`` without copying, so the
+        caller must not write to them afterwards.  Same checks, raised now;
+        pending words of another VR are unpacked first.  The exact path
+        leaves its accumulator registers this way.
+        """
+        count = words.shape[0]
+        if not 0 <= vr < self.num_vrs or count > self.rows:  # no frame unless one fails
+            self._check_vr(vr)
+            raise CapacityError(f"vector of {count} elements exceeds {self.rows} rows")
+        pending = self._pending
+        if pending is not None and pending[0] != vr:
+            self._unpack_pending()
+        self._pending = vr, words
 
     def read_vr(self, vr: int, signed: bool = False) -> np.ndarray:
         """Read VR ``vr`` back as integers (two's complement if ``signed``)."""

@@ -212,12 +212,15 @@ def execute_device_plan(
 
     ``vectors`` is the ``(batch, rows)`` int64 block the device admitted.
     The input range is validated once, before anything is charged; the
-    banded matmul, the accumulator wrap and the sum over row bands produce
-    the integers the per-tile loop would add up block by block (everything
-    stays far below 2**53).  Each block then gets its side effects in
-    placement order -- receipt replay against its own ledger, accumulator
-    VRs from the last batch row, the ``runtime.mvm_batch`` charge -- so
-    every ledger sees the additions of the loop in the order of the loop.
+    banded matmul, the accumulator wrap and the sum over row bands (a
+    single band is its own sum) produce the integers the per-tile loop
+    would add up block by block (everything stays far below 2**53).  Each
+    block then gets its side effects in placement order -- receipt replay
+    against its own ledger, accumulator VRs from the last batch row, the
+    ``runtime.mvm_batch`` charge -- so every ledger sees the additions of
+    the loop in the order of the loop.  The VRs keep that row as words
+    (``BitPipeline.set_vr_words``): one copy of every band's row, so the
+    returned array shares nothing with them, unpacked only if read.
 
     Returns ``None``, having touched nothing, when a block has left the
     exact path since the plan was compiled (digital or analog mode
@@ -233,19 +236,20 @@ def execute_device_plan(
     partials = plan.tiles[0][0].iiu.wrap_accumulator(
         np.matmul(banded, plan.weights).astype(np.int64), plan.depth
     )
-    # Every block's last batch row as bit planes, (row_bands, depth, cols).
-    planes = (partials[:, -1, None, :] & plan.bit_weights) != 0
+    last = partials[:, -1].copy()  # (row_bands, cols)
     for hct, tile_plan, band, outputs in plan.tiles:
         ledger = hct.ledger
         start_energy = ledger.energy_pj
         receipt = hct.planner.receipt_for(tile_plan, batch)
         _replay_receipt(hct, tile_plan, receipt, True)
         for pipeline, col_offset, width in outputs:
-            pipeline.set_vr_planes(
-                tile_plan.accumulator_vr, planes[band, :, col_offset: col_offset + width]
+            pipeline.set_vr_words(
+                tile_plan.accumulator_vr, last[band, col_offset: col_offset + width]
             )
         runtime_ledger.charge("runtime.mvm_batch", cycles=receipt.optimized_cycles,
                               energy_pj=ledger.energy_pj - start_energy)
+    if len(partials) == 1:
+        return partials[0]
     return np.add.reduce(partials, axis=0)
 
 

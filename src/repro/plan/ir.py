@@ -554,8 +554,6 @@ class DevicePlan:
     rows: int
     #: Accumulator width every output pipeline shares (one wrap serves all).
     depth: int
-    #: Their ``bit_weights``: ``(depth, 1)`` int64 (one unpack serves all).
-    bit_weights: np.ndarray
     #: Per block, in placement order: ``(hct, MvmPlan, band, ((pipeline,
     #: col_offset, width), ...))`` -- the output pipelines with the matrix
     #: columns each accumulates.

@@ -238,6 +238,4 @@ def compile_device_plan(
         tiles.append((hct, plan, band, outputs))
     if len(depths) != 1:
         return None
-    return DevicePlan(
-        input_bits, weights, rows, depths.pop(), outputs[0][0].bit_weights, tuple(tiles)
-    )
+    return DevicePlan(input_bits, weights, rows, depths.pop(), tuple(tiles))

@@ -54,12 +54,12 @@ from ..errors import (
     ReplicationError,
 )
 from ..metrics import CostLedger, merge_ledgers
-from ..plan.backends import ExecutionBackend
+from ..plan.backends import ExecutionBackend, resolve_backend
 from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
 from ..reram import NoiseConfig
 from .allocator import plan_matrix
 from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, IntegrityChecker
-from .session import DarthPumDevice
+from .session import DarthPumDevice, integer_vectors
 
 __all__ = [
     "CacheAffinityPolicy",
@@ -333,8 +333,9 @@ class DevicePool:
         Default execution backend for every device MVM issued by this pool
         (a name from the :class:`~repro.plan.backends.BackendRegistry` or
         an :class:`~repro.plan.backends.ExecutionBackend` instance;
-        ``None`` defers to the library default, which is vectorized).
-        Individual calls may override it.
+        ``None`` defers to the library default, which is vectorized unless
+        ``REPRO_BACKEND`` names another -- read once, here: setting it later
+        does not reach this pool).  Individual calls may override it.
     replication:
         Copies stored of each row band (default 1 = no replication).  With
         ``replication=R`` every band of every matrix is programmed on ``R``
@@ -386,6 +387,7 @@ class DevicePool:
             DarthPumDevice(config=config, noise=noise) for _ in range(num_devices)
         ]
         self.backend = backend
+        self._executor = resolve_backend(backend)
         self._allocations: Dict[int, PooledAllocation] = {}
         self._next_allocation = 0
         # Health tracking and degraded-mode telemetry.  A device lands in
@@ -928,7 +930,7 @@ class DevicePool:
         input_bits: int = 8,
     ) -> np.ndarray:
         """Map-reduce a single MVM over the allocation's shards."""
-        vector = np.asarray(vector, dtype=np.int64)
+        vector = integer_vectors(vector)
         rows, _ = allocation.shape
         if vector.shape != (rows,):
             raise QuantizationError(
@@ -970,12 +972,12 @@ class DevicePool:
         shard order.  In the common single-shard serving case the device
         result *is* the pool result: no zero tensor, no partial-sum add.
         """
-        backend = backend if backend is not None else self.backend
-        vectors = np.asarray(vectors, dtype=np.int64)
+        backend = backend if backend is not None else self._executor
+        vectors = integer_vectors(vectors)
         if vectors.ndim < 2:
             vectors = vectors.reshape(1, -1)
         rows, _ = allocation.shape
-        if vectors.shape[1] != rows:
+        if vectors.ndim != 2 or vectors.shape[1] != rows:
             raise QuantizationError(
                 f"input batch of shape {vectors.shape} does not match "
                 f"matrix rows ({rows})"

@@ -76,6 +76,7 @@ from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
 from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
 from .scheduling import SchedulingPolicy, SloClass, StaticBatchingPolicy, resolve_slo
+from .session import integer_vectors
 
 __all__ = [
     "PumServer",
@@ -117,22 +118,6 @@ def matrix_fingerprint(
     canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
     digest = hashlib.sha256(canonical.tobytes()).hexdigest()
     return (digest, canonical.shape, element_size, precision)
-
-
-def integer_vectors(vectors: np.ndarray) -> np.ndarray:
-    """``np.asarray(vectors)``, refusing what an int64 cast would truncate.
-
-    Request vectors must arrive with an integer (or bool) dtype: a float,
-    NaN or string array raises :class:`~repro.errors.QuantizationError`, as
-    ``set_matrix`` refuses a float matrix.
-    """
-    source = np.asarray(vectors)
-    if source.dtype.kind not in "iub":
-        raise QuantizationError(
-            f"request vectors must be integers (got dtype {source.dtype}); "
-            "quantise floats first"
-        )
-    return source
 
 
 @dataclass(eq=False, slots=True)
@@ -806,7 +791,7 @@ class PumServer:
                     f"request vector values must be in [0, 2**{input_bits}) "
                     f"(got range [{lo}, {hi}])"
                 )
-        return np.ascontiguousarray(source, dtype=np.int64)
+        return np.ascontiguousarray(source)
 
     def submit(
         self,

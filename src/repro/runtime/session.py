@@ -39,7 +39,23 @@ from ..plan.planner import compile_device_plan
 from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
 
-__all__ = ["MatrixAllocation", "DarthPumDevice"]
+__all__ = ["MatrixAllocation", "DarthPumDevice", "integer_vectors"]
+
+
+def integer_vectors(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` as int64, refusing what an int64 cast would truncate.
+
+    Input vectors must arrive with an integer (or bool) dtype: a float,
+    NaN or string array raises :class:`~repro.errors.QuantizationError`, as
+    ``set_matrix`` refuses a float matrix.  An int64 array is returned as is.
+    """
+    source = np.asarray(vectors)
+    if source.dtype.kind not in "iub":
+        raise QuantizationError(
+            f"input vectors must be integers (got dtype {source.dtype}); "
+            "quantise floats first"
+        )
+    return source.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -174,7 +190,7 @@ class DarthPumDevice:
     def exec_mvm(self, allocation: MatrixAllocation, vector: np.ndarray,
                  input_bits: int = 8) -> np.ndarray:
         """execMVM(): multiply ``vector`` by the stored matrix."""
-        vector = np.asarray(vector, dtype=np.int64)
+        vector = integer_vectors(vector)
         rows, cols = allocation.shape
         if vector.shape != (rows,):
             raise QuantizationError(
@@ -219,11 +235,11 @@ class DarthPumDevice:
         >>> np.array_equal(out, vectors @ matrix)
         True
         """
-        vectors = np.asarray(vectors, dtype=np.int64)
+        vectors = integer_vectors(vectors)
         if vectors.ndim < 2:
             vectors = np.atleast_2d(vectors)
         rows, cols = allocation.placement.shape
-        if vectors.shape[1] != rows:
+        if vectors.ndim != 2 or vectors.shape[1] != rows:
             raise QuantizationError(
                 f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
             )

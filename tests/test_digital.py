@@ -218,6 +218,51 @@ class TestPipelineStorage:
                 pipeline.set_vr_planes(vr, planes(rejected))
         assert np.array_equal(pipeline._store, before)
 
+    def test_set_vr_words_is_set_vr_bits_unpacked_when_read(self, small_pipeline, rng):
+        """Pending words: another VR's store unpacks them first, the same
+        VR's replaces them; the checks are ``set_vr_planes``'s, raised at
+        once, leaving the pending words in place."""
+        pipeline = small_pipeline
+        twin = BitPipeline(depth=16, rows=8, cols=16)
+        a, b, c = (rng.integers(-100, 100, size=n) for n in (8, 5, 3))
+        for target in (pipeline, twin):
+            for vr in (1, 2, 3):
+                target.set_vr_bits(vr, np.full(8, -1))  # stale bits in every row
+
+        def planes(values):
+            return (values & pipeline.bit_weights) != 0
+
+        for stores, expected in (
+            ([("words", 1, a), ("words", 2, b)], [(1, a), (2, b)]),
+            ([("words", 1, c), ("planes", 3, a)], [(1, c), (3, a)]),
+            ([("words", 1, b), ("planes", 1, c)], [(1, c)]),
+            ([("words", 2, a), ("words", 2, c)], [(2, c)]),
+            ([("words", 3, b), ("bits", 1, a)], [(3, b), (1, a)]),
+        ):
+            for kind, vr, values in stores:
+                if kind == "words":
+                    pipeline.set_vr_words(vr, values)
+                elif kind == "planes":
+                    pipeline.set_vr_planes(vr, planes(values))
+                else:
+                    pipeline.set_vr_bits(vr, values)
+            for vr, values in expected:
+                twin.set_vr_bits(vr, values)
+            assert np.array_equal(pipeline._store, twin._store), stores
+
+        pipeline.set_vr_words(2, a)
+        too_long = np.zeros(9, dtype=np.int64)
+        for vr, rejected, message in (
+            (pipeline.num_vrs, too_long, "vector register 8 out of range"),  # the VR first
+            (-1, b, "vector register -1 out of range"),
+            (0, too_long, "vector of 9 elements exceeds 8 rows"),
+        ):
+            with pytest.raises(CapacityError, match=message):
+                pipeline.set_vr_words(vr, rejected)
+        twin.set_vr_bits(2, a)
+        assert np.array_equal(pipeline.read_vr(2), twin.read_vr(2))
+        assert np.array_equal(pipeline._store, twin._store)
+
     def test_write_element_matches_set_vr_bits(self, small_pipeline):
         values = np.array([-5, 7, -1, 0, 3, -128, 127, 2])
         for row, value in enumerate(values):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import importlib.util
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,20 +44,26 @@ from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls, server
 
 BATCH = 32
 #: Python-level calls of one steady-state call: a fixed part plus the
-#: per-tile receipt replay (measured 21 / 37 / 77 at 1 / 3 / 8 tiles -- per
+#: per-tile receipt replay (measured 22 / 38 / 78 at 1 / 3 / 8 tiles -- per
 #: tile the memo lookup, the replay, one ``charge_stream``, the schedule
 #: commit with its arbiter and ledger call, the register store and the
 #: runtime charge; 26 / 52 / 117 while the replay re-walked the receipt
 #: through six ``charge`` / ``charge_run`` calls per tile, and the per-tile
-#: loop before that took 35 / 89 / 224).
-MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 20, 8
+#: loop before that took 35 / 89 / 224).  The fixed 14 are the test's own
+#: closure, the front door with its dtype check, reading ``REPRO_BACKEND``
+#: (6: a direct device call resolves ``backend=None`` each time), the plan
+#: lookup, the range check and the contraction; under a pool, which
+#: resolved its backend when it was built, 8 of them remain.
+MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 14, 8
 #: ``charge_stream``, ``hct.mvm_batch`` and ``runtime.mvm_batch``.
 MAX_CHARGES_PER_TILE = 3
 #: Python-level calls of one steady-state single-band pooled call, and how
-#: many of them are the pool's own frames (measured 25 and 5: the front door,
-#: the band loop, the copy selection, the device-call lambda and the
-#: post-call check; 39 and 14 while a request list sat under the loop).
-MAX_POOL_CALLS, MAX_POOL_FRAMES = 26, 5
+#: many of them are the pool's own frames (measured 22 and 6: the front door
+#: and its dtype check, the band loop, the copy selection, the device-call
+#: lambda and the post-call check; 25 and 5 while every device call read
+#: ``REPRO_BACKEND`` and had no dtype check, 39 and 14 while a request list
+#: sat under the loop).
+MAX_POOL_CALLS, MAX_POOL_FRAMES = 22, 6
 #: Python-level calls per request of one server round, submit + drain
 #: (measured 0.20 + 2.81 = 3.01 at one tenant and 0.17 + 2.54 at 32, budget
 #: the prototype's 3.33 + 10 %; it was 1.23 + 3.92 = 5.15 while a row cost a
@@ -208,6 +215,22 @@ def _python_calls(function) -> int:
     return sum(event == "call" for event, _ in profiled_calls(function))
 
 
+def _frame_origins(function) -> list:
+    """``(module, function name)`` of every Python-level call of ``function()``."""
+    frames = []
+
+    def on_event(frame, event, _arg):
+        if event == "call":
+            frames.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    sys.setprofile(on_event)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
 class TestPoolCall:
     """Batch 16 on the exact path: a single-band 64x64 6-bit allocation, and
     the sharded, replicated, verified layout the benchmark claim is made on."""
@@ -231,14 +254,22 @@ class TestPoolCall:
         for _ in range(2):  # first call compiles the kernel and the receipt
             assert np.array_equal(pooled(), vectors @ matrix)
         builds = pool.planner_builds()
-        pool_calls = _python_calls(pooled)
-        device_calls = _python_calls(lambda: device.exec_mvm_batch(
-            task.device_allocation, vectors, input_bits=input_bits, backend=None
-        ))
-        # ``_python_calls`` sees the test's own closure as one call each time.
-        assert pool_calls - 1 <= MAX_POOL_CALLS, pool_calls - 1
-        assert pool_calls - device_calls <= MAX_POOL_FRAMES, (pool_calls, device_calls)
+        events = profiled_calls(pooled)[1:]  # drop the ``pooled`` closure itself
+        pool_frames, device_frames, pooled_calls = (
+            _profile_serving().split_pool_frames(events))
+        assert pooled_calls == 1
+        assert pool_frames + device_frames <= MAX_POOL_CALLS, (pool_frames, device_frames)
+        assert pool_frames <= MAX_POOL_FRAMES, pool_frames
         assert pool.planner_builds() == builds
+        # The backend was resolved when the pool was built: no call reads
+        # the environment.
+        frames = _frame_origins(pooled)
+        assert not [frame for frame in frames
+                    if frame[0] == "os" or frame[1] == "default_backend"], frames
+        # A direct device call still does.
+        direct = _frame_origins(lambda: device.exec_mvm_batch(
+            task.device_allocation, vectors, input_bits=input_bits))
+        assert ("repro.plan.backends", "default_backend") in direct
 
 
     def test_sharded_verified_call_stays_within_budget(self, monkeypatch):

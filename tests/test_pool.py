@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,54 @@ class TestServing:
         for bad in (np.zeros(rows + 1, dtype=np.int64), np.int64(3)):
             with pytest.raises(QuantizationError, match="does not match matrix rows"):
                 pool.exec_mvm_batch(allocation, bad, input_bits=3)
+
+    @staticmethod
+    def _target(rng, level):
+        """``(pool, target, allocation, matrix)``: the pool or, at ``level``
+        ``"device"``, the device holding the one band, and what it calls."""
+        rows = 100 if level == "sharded" else 8
+        pool = tiny_pool()
+        matrix = rng.integers(-8, 8, size=(rows, 30))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        if level != "device":
+            return pool, pool, allocation, matrix
+        (task,) = allocation.tasks
+        return pool, pool.devices[task.device_index], task.device_allocation, matrix
+
+    @staticmethod
+    def _refused(pool, target, allocation, matrix, rng, bad, message):
+        """Each of ``bad`` raises ``message`` before anything is charged,
+        and a good batch is served afterwards."""
+        before = pool.total_ledger().snapshot()
+        for vectors in bad:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no "invalid value in cast"
+                with pytest.raises(QuantizationError, match=message):
+                    target.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert pool.total_ledger().snapshot() == before
+        vectors = rng.integers(0, 8, size=(2, matrix.shape[0]))
+        out = target.exec_mvm_batch(allocation, vectors.astype(np.uint8), input_bits=3)
+        assert np.array_equal(out, vectors @ matrix)
+
+    @pytest.mark.parametrize("level", ["device", "one_band", "sharded"])
+    def test_float_batches_are_refused_not_truncated(self, rng, level):
+        """``[[0.5] * rows]`` was served as zeros."""
+        pool, target, allocation, matrix = self._target(rng, level)
+        rows = matrix.shape[0]
+        bad = ([[0.5] * rows], np.full((2, rows), 3.0), np.full((2, rows), np.nan))
+        self._refused(pool, target, allocation, matrix, rng, bad, "must be integers")
+        with pytest.raises(QuantizationError, match="must be integers"):
+            target.exec_mvm(allocation, [0.5] * rows, input_bits=3)
+
+    @pytest.mark.parametrize("level", ["device", "one_band", "sharded"])
+    def test_a_three_d_batch_is_refused_typed(self, rng, level):
+        """A ``(batch, rows, k)`` block passes a check of its second axis and
+        used to die broadcasting inside the contraction (``ValueError``)."""
+        pool, target, allocation, matrix = self._target(rng, level)
+        bad = (np.ones((2, matrix.shape[0], 3), dtype=np.int64),
+               np.ones((2, matrix.shape[0], 1), dtype=np.int64))
+        self._refused(pool, target, allocation, matrix, rng, bad,
+                      "does not match matrix rows")
 
     def test_total_ledger_aggregates_devices(self, rng):
         pool = tiny_pool()

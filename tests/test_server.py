@@ -203,6 +203,25 @@ class TestBatching:
         assert server.stats.submitted == 0 and server.pending == 0
         assert server.submit("eye", np.ones(8, dtype=np.int64)).request_id == 0
 
+    @pytest.mark.parametrize("value, message", [
+        (1 << 20, "input values exceed 3 bits"),
+        (-1, "input bit-slicing expects non-negative inputs"),
+    ], ids=["wide", "negative"])
+    def test_a_vector_changed_after_submit_fails_typed_never_wrong(self, value, message):
+        """The door keeps the caller's own int64 array, so a caller can still
+        write into it before the batch runs.  The device checks the range of
+        what it is handed, so the rows fail with the error text instead of
+        being served an answer to a vector nobody validated."""
+        server = make_server()
+        vectors = np.tile(np.arange(8, dtype=np.int64) % 4, (4, 1))
+        futures = server.submit_batch("eye", vectors, input_bits=3)
+        vectors[2, 5] = value
+        server.run_until_idle()
+        statuses, _, _, _, errors = futures.columns()
+        assert set(statuses) == {STATUS_CODES["failed"]}
+        assert all(error == f"QuantizationError: {message}" for error in errors.values())
+        assert [future.result().status for future in futures] == ["failed"] * 4
+
     def test_bool_and_narrow_integer_vectors_are_served(self):
         server = make_server()
         mask = np.array([True, False] * 4)
