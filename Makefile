@@ -45,12 +45,13 @@ kernel-bench:
 	$(PY) -m pytest benchmarks/test_kernel_speedup.py -q
 
 # The resilience gates: fault-injection chaos suite (kill a device under
-# open-loop load; zero lost futures, bit-identical responses), the
-# 200+-schedule conservation harness and the queue's differential suite
-# (wave runs vs the flat-list oracle).  Sweep schedules with
-# REPRO_TEST_SEED=<n> make chaos (as the CI chaos job does).
+# open-loop load; zero lost futures, bit-identical responses), the fault
+# framework's own suite (seeded-campaign digest, typed edge inputs on the
+# device and ring tiers), the 200+-schedule conservation harness and the
+# queue's differential suite (wave runs vs the flat-list oracle).  Sweep
+# schedules with REPRO_TEST_SEED=<n> make chaos (as the CI chaos job does).
 chaos:
-	$(PY) -m pytest tests/test_chaos.py tests/test_invariants.py tests/test_queueing.py -q
+	$(PY) -m pytest tests/test_chaos.py tests/test_faults.py tests/test_invariants.py tests/test_queueing.py -q
 
 # Degraded-mode recovery benchmark (drain wall-clock with a mid-load kill
 # vs fault-free; back-to-primary after heal).  Writes

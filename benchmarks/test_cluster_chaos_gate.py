@@ -3,7 +3,7 @@
 One open-loop Poisson run absorbs the full chaos menu simultaneously:
 
 * a **seeded transport fault campaign** (drop / duplicate / delay /
-  corrupt, from :class:`TransportFaultSchedule` keyed on
+  corrupt, from a :class:`TransportFaultSpec` keyed on
   ``REPRO_TEST_SEED``) on the request *and* reply ring of every worker;
 * one **induced straggler** -- a worker that keeps heartbeating but
   sleeps through a batch, so only the batch timeout can catch it;
@@ -34,13 +34,10 @@ import signal
 from pathlib import Path
 
 import numpy as np
+import open_loop
 
-from repro.core.config import ChipConfig, HctConfig
-from repro.errors import AdmissionError
 from repro.metrics import percentile
 from repro.runtime.cluster import ClusterGateway, TransportFaultSpec
-from repro.runtime.pool import DevicePool
-from repro.runtime.server import PumServer
 from repro.testing import REPRO_TEST_SEED
 
 CPUS = os.cpu_count() or 1
@@ -54,6 +51,8 @@ STRAGGLE_WAVE = 2
 STRAGGLE_SECONDS = 0.8
 KILL_WAVE = 6
 BATCH_TIMEOUT = 0.35
+#: Wait before re-offering a shed wave.
+SHED_BACKOFF = 2e-3
 #: Recovery-price ceiling, in absolute terms: the worst recovery chain
 #: is deterministic -- a straggle of STRAGGLE_SECONDS, or a batch eating
 #: consecutive timeouts with exponential backoff (0.35 + 0.7 + 1.4 s)
@@ -87,30 +86,12 @@ def gateway(**kwargs):
     )
 
 
-async def submit_with_backpressure(gw, vectors):
-    """Submit one wave, waiting out AdmissionError sheds (which includes
-    CircuitOpenError -- an open breaker is backpressure, not data loss);
-    returns (futures, sheds)."""
-    sheds = 0
-    while True:
-        try:
-            return await gw.submit_batch("m", vectors, INPUT_BITS), sheds
-        except AdmissionError:
-            sheds += 1
-            await asyncio.sleep(2e-3)
-
-
 async def poisson_run(chaos):
     """Open-loop Poisson drive; with ``chaos`` the full menu is applied.
 
     Returns (responses in submission order, per-wave latencies, sheds,
     stats, faults_injected).
     """
-    rng = np.random.default_rng(47)
-    waves = load()
-    arrivals = np.cumsum(
-        rng.exponential(WAVE_SIZE / POISSON_RATE, size=len(waves))
-    )
     spec = TransportFaultSpec(
         seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
     ) if chaos else None
@@ -123,34 +104,21 @@ async def poisson_run(chaos):
         await gw.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
         straggler = gw.placement_of("m")[0]
         victim = gw.placement_of("m")[1]
-        loop = asyncio.get_running_loop()
-        latencies = [[] for _ in waves]
-        futures = []
-        sheds = 0
-        start = loop.time()
-        for index, (at, wave) in enumerate(zip(arrivals, waves)):
-            now = loop.time() - start
-            if at > now:
-                await asyncio.sleep(at - now)
+
+        async def on_wave(index):
             if chaos and index == STRAGGLE_WAVE:
                 await gw.induce_straggler(
                     straggler, batches=1, seconds=STRAGGLE_SECONDS
                 )
             if chaos and index == KILL_WAVE:
                 os.kill(gw._workers[victim].process.pid, signal.SIGKILL)
-            submitted = loop.time()
 
-            def record(future, submitted=submitted, index=index):
-                latencies[index].append(loop.time() - submitted)
-
-            batch, wave_sheds = await submit_with_backpressure(gw, wave)
-            sheds += wave_sheds
-            for future in batch:
-                future.add_done_callback(record)
-            futures.extend(batch)
-        responses = await asyncio.gather(*futures)
+        responses, latencies, sheds = await open_loop.poisson_run(
+            gw, load(), POISSON_RATE, 47, INPUT_BITS, SHED_BACKOFF, on_wave
+        )
         if chaos:
             # The supervisor must heal the killed replica before we leave.
+            loop = asyncio.get_running_loop()
             deadline = loop.time() + 60
             while gw.stats.supervised_restarts < 1 \
                     or not gw.worker_status()[victim]["alive"]:
@@ -165,14 +133,7 @@ async def poisson_run(chaos):
 
 
 def single_server_answers(trace):
-    pool = DevicePool(
-        num_devices=1, config=ChipConfig(hct=HctConfig.small(), num_hcts=3)
-    )
-    server = PumServer(pool=pool, queue_capacity=4096)
-    server.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
-    futures = server.submit_batch("m", trace, INPUT_BITS)
-    server.run_until_idle()
-    return np.stack([f.result().result for f in futures])
+    return open_loop.single_server_answers(MATRIX, trace, INPUT_BITS)
 
 
 # --------------------------------------------------------------------- #

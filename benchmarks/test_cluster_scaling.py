@@ -42,13 +42,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import open_loop
 
-from repro.core.config import ChipConfig, HctConfig
-from repro.errors import AdmissionError
 from repro.metrics import percentile
 from repro.runtime.cluster import ClusterGateway
-from repro.runtime.pool import DevicePool
-from repro.runtime.server import PumServer
 
 CPUS = os.cpu_count() or 1
 SCALE_WORKERS = 4
@@ -68,6 +65,8 @@ REPEATS = 3
 POISSON_REQUESTS = 256
 POISSON_RATE = 1200.0  # offered load, requests/second
 KILL_WAVE = 4
+#: Wait before re-offering a shed wave.
+SHED_BACKOFF = 2e-4
 
 ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
 
@@ -93,18 +92,6 @@ def load(requests, seed):
     )
 
 
-async def submit_with_backpressure(gw, name, vectors):
-    """Submit one wave, waiting out AdmissionError sheds; returns
-    (futures, sheds)."""
-    sheds = 0
-    while True:
-        try:
-            return await gw.submit_batch(name, vectors, INPUT_BITS), sheds
-        except AdmissionError:
-            sheds += 1
-            await asyncio.sleep(2e-4)
-
-
 # --------------------------------------------------------------------- #
 # Throughput scaling                                                      #
 # --------------------------------------------------------------------- #
@@ -118,7 +105,9 @@ async def drain_throughput(num_workers):
             futures = []
             start = time.perf_counter()
             for wave in vectors:
-                batch, _ = await submit_with_backpressure(gw, "m", wave)
+                batch, _ = await open_loop.submit_with_backpressure(
+                    gw, wave, INPUT_BITS, SHED_BACKOFF
+                )
                 futures.extend(batch)
             responses = await asyncio.gather(*futures)
             elapsed = time.perf_counter() - start
@@ -131,45 +120,25 @@ async def drain_throughput(num_workers):
 # Open-loop Poisson load                                                  #
 # --------------------------------------------------------------------- #
 async def poisson_run(kill=False):
-    """Open-loop Poisson drive; returns (latencies by wave, sheds, stats).
-
-    Wave arrival times are drawn up front from an exponential
-    inter-arrival distribution and never adjusted -- the generator keeps
-    offering load even when the cluster falls behind, so the latency
-    percentiles include queueing delay, not just service time.
+    """Open-loop Poisson drive (:func:`open_loop.poisson_run`); returns
+    (latencies by wave, sheds, stats).  With ``kill``, the matrix's primary
+    is SIGKILLed as wave :data:`KILL_WAVE` arrives, so that wave is sent to
+    a dead worker and must be retried on the replica.
     """
-    rng = np.random.default_rng(43)
-    waves = load(POISSON_REQUESTS, seed=44)
-    arrivals = np.cumsum(
-        rng.exponential(WAVE_SIZE / POISSON_RATE, size=len(waves))
-    )
     async with gateway(
         2, replication=2, heartbeat_interval=0.02
     ) as gw:
         await gw.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
-        loop = asyncio.get_running_loop()
-        latencies = [[] for _ in waves]
-        futures = []
-        sheds = 0
-        start = loop.time()
-        for index, (at, wave) in enumerate(zip(arrivals, waves)):
-            now = loop.time() - start
-            if at > now:
-                await asyncio.sleep(at - now)
-            submitted = loop.time()
 
-            def record(future, submitted=submitted, index=index):
-                latencies[index].append(loop.time() - submitted)
-
-            batch, wave_sheds = await submit_with_backpressure(gw, "m", wave)
-            sheds += wave_sheds
-            for future in batch:
-                future.add_done_callback(record)
-            futures.extend(batch)
+        async def on_wave(index):
             if kill and index == KILL_WAVE:
                 victim = gw.placement_of("m")[0]
                 os.kill(gw._workers[victim].process.pid, signal.SIGKILL)
-        responses = await asyncio.gather(*futures)
+
+        responses, latencies, sheds = await open_loop.poisson_run(
+            gw, load(POISSON_REQUESTS, seed=44), POISSON_RATE, 43,
+            INPUT_BITS, SHED_BACKOFF, on_wave,
+        )
         assert len(responses) == POISSON_REQUESTS  # no future lost
         assert all(r.ok for r in responses), (
             f"{sum(not r.ok for r in responses)} requests did not complete"
@@ -191,14 +160,7 @@ async def cluster_answers(trace):
 
 
 def single_server_answers(trace):
-    pool = DevicePool(
-        num_devices=1, config=ChipConfig(hct=HctConfig.small(), num_hcts=3)
-    )
-    server = PumServer(pool=pool, queue_capacity=4096)
-    server.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
-    futures = server.submit_batch("m", trace, INPUT_BITS)
-    server.run_until_idle()
-    return np.stack([f.result().result for f in futures])
+    return open_loop.single_server_answers(MATRIX, trace, INPUT_BITS)
 
 
 # --------------------------------------------------------------------- #

@@ -245,6 +245,16 @@ class BatchTimeoutError(ClusterError):
         super().__init__(detail)
 
 
+class FaultConfigError(SchedulerError, ClusterError):
+    """A fault event, schedule, campaign or injector wiring is inconsistent.
+
+    One error for both tiers of :mod:`repro.runtime.faults`: it is a
+    :class:`SchedulerError` (what the device tier always raised) and a
+    :class:`ClusterError` (what the transport tier raised), so a caller of
+    either catches it as before.
+    """
+
+
 class CircuitOpenError(AdmissionError):
     """Every replica that could serve a request is circuit-broken.
 

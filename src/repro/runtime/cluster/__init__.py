@@ -20,22 +20,16 @@ OS process:
   graceful drain/restart, per-batch timeouts with hedged re-dispatch,
   per-worker circuit breakers (the :class:`CircuitBreaker` state
   machine), and supervised auto-restart;
-* :mod:`faults <repro.runtime.cluster.faults>` -- the chaos layer:
-  deterministic transport fault injection (drop/dup/delay/corrupt on the
-  ring's producer seam).
+* :mod:`faults <repro.runtime.cluster.faults>` -- the chaos layer: the
+  ring tier of :mod:`repro.runtime.faults` (seeded drop/dup/delay/corrupt
+  on the ring's producer seam).
 
 Import this package explicitly (``from repro.runtime.cluster import
 ClusterGateway``); ``repro.runtime`` does not re-export it, so the
 single-process stack never pays the multiprocessing import.
 """
 
-from .faults import (
-    TRANSPORT_FAULT_MODES,
-    TransportFaultEvent,
-    TransportFaultInjector,
-    TransportFaultSchedule,
-    TransportFaultSpec,
-)
+from .faults import TransportFaultInjector, TransportFaultSpec
 from .gateway import CircuitBreaker, ClusterGateway, ClusterResponse, GatewayStats
 from .messages import STATUS_CODES, STATUS_NAMES, decode_message, encode_message
 from .transport import HeartbeatBoard, ShmRing
@@ -50,10 +44,7 @@ __all__ = [
     "STATUS_CODES",
     "STATUS_NAMES",
     "ShmRing",
-    "TRANSPORT_FAULT_MODES",
-    "TransportFaultEvent",
     "TransportFaultInjector",
-    "TransportFaultSchedule",
     "TransportFaultSpec",
     "build_worker_server",
     "decode_message",

@@ -871,14 +871,15 @@ class ClusterGateway:
                     batch, header.get("error", "worker error")
                 )
                 return
-            # A failed registration must fail its awaiter, not time out.
+            # A failed registration or start-up must fail its awaiter, not
+            # time out.
             name = header.get("name")
-            pending = self._control.pop(
-                ("registered", worker.worker_id, name), None
-            ) if name else None
+            key = ("registered", worker.worker_id, name) if name \
+                else ("ready", worker.worker_id)
+            pending = self._control.pop(key, None)
             if pending is not None and not pending.done():
                 pending.set_exception(ClusterError(
-                    header.get("error", f"registration of {name!r} failed")
+                    header.get("error", "worker error")
                 ))
             else:
                 self.stats.transport_errors += 1

@@ -302,13 +302,6 @@ def worker_main(spec: Dict[str, Any]) -> None:
     board = HeartbeatBoard(name=spec["board"], create=False)
     state = WorkerState()
 
-    # A chaos campaign ships its TransportFaultSpec in the spawn spec;
-    # the reply direction's injector must live in *this* process because
-    # this process is the reply ring's single producer.
-    faults = spec.get("transport_faults")
-    if faults is not None and "reply" in faults.directions:
-        faults.injector_for(worker_id, "reply").attach(replies)
-
     def beat() -> None:
         board.beat(worker_id)
 
@@ -322,14 +315,21 @@ def worker_main(spec: Dict[str, Any]) -> None:
 
     try:
         server = build_worker_server(spec)
+        # A chaos campaign ships its TransportFaultSpec in the spawn spec;
+        # the reply direction's injector must live in *this* process because
+        # this process is the reply ring's single producer.
+        faults = spec.get("transport_faults")
+        if faults is not None and "reply" in faults.directions:
+            faults.injector_for(worker_id, "reply").attach(replies)
     except Exception as exc:  # pragma: no cover - config errors are fatal
+        # Fails the gateway's READY wait at once; the rings still close.
         send(encode_message(K_ERROR, {
             "error": f"worker {worker_id} failed to start: {exc}",
         }))
-        return
-    send(encode_message(K_READY, {"worker": worker_id, "pid": os.getpid()}))
-
-    running = True
+        running = False
+    else:
+        send(encode_message(K_READY, {"worker": worker_id, "pid": os.getpid()}))
+        running = True
     while running:
         beat()
         try:
@@ -355,7 +355,6 @@ def worker_main(spec: Dict[str, Any]) -> None:
             send(encode_message(K_ACK, {"stopped": worker_id}))
             running = False
 
-    server.pool.close()
     requests.close()
     replies.close()
     board.close()

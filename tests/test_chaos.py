@@ -116,7 +116,7 @@ class TestFaultInjector:
     def test_scheduled_events_fire_on_call_counts(self):
         pool = tiny_pool(num_devices=2, replication=2)
         schedule = FaultSchedule(
-            events=(FaultEvent(device_index=0, mode="kill", after_call=1),),
+            events=(FaultEvent("kill", after=1, target=0),),
         )
         injector = FaultInjector(schedule=schedule).attach(pool)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
@@ -128,26 +128,27 @@ class TestFaultInjector:
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=1)  # call 1: kill
         assert np.array_equal(out, vectors)
         assert pool.replica_retries == 1
-        assert injector.kills_triggered == 1
+        assert injector.armed["kill"] == 1
 
     def test_schedule_from_seed_is_reproducible(self):
-        first = FaultSchedule.from_seed(42, num_devices=4)
-        second = FaultSchedule.from_seed(42, num_devices=4)
+        modes = FaultInjector.MODES
+        first = FaultSchedule.from_seed(42, modes=modes, num_targets=4)
+        second = FaultSchedule.from_seed(42, modes=modes, num_targets=4)
         assert first == second
-        different = FaultSchedule.from_seed(43, num_devices=4)
+        different = FaultSchedule.from_seed(43, modes=modes, num_targets=4)
         assert first != different
         for event in first.events:
-            assert 0 <= event.device_index < 4
+            assert 0 <= event.target < 4
             assert event.mode in ("kill", "hang", "corrupt")
-            assert event.duration_calls >= 1
+            assert event.duration >= 1
 
     def test_event_validation(self):
         with pytest.raises(SchedulerError):
-            FaultEvent(device_index=0, mode="meltdown")
+            FaultEvent("meltdown")
         with pytest.raises(SchedulerError):
-            FaultEvent(device_index=0, mode="kill", after_call=-1)
+            FaultEvent("kill", after=-1)
         with pytest.raises(SchedulerError):
-            FaultEvent(device_index=0, mode="hang", duration_calls=0)
+            FaultEvent("hang", duration=0)
         injector = FaultInjector()
         with pytest.raises(SchedulerError):
             injector.hang(0, calls=0)

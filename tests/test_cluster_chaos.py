@@ -35,13 +35,12 @@ from repro.runtime.cluster import (
     CircuitBreaker,
     ClusterGateway,
     ShmRing,
-    TransportFaultEvent,
     TransportFaultInjector,
-    TransportFaultSchedule,
     TransportFaultSpec,
 )
 from repro.runtime.cluster.messages import K_STRAGGLE, K_SUBMIT, encode_message
 from repro.runtime.cluster.worker import WorkerState, _handle
+from repro.runtime.faults import FaultEvent, FaultSchedule
 from repro.runtime.pool import DevicePool
 from repro.runtime.server import PumServer
 from repro.testing import REPRO_TEST_SEED
@@ -74,28 +73,27 @@ def local_server():
 # --------------------------------------------------------------------- #
 class TestTransportFaultSchedule:
     def test_same_seed_same_schedule(self):
-        first = TransportFaultSchedule.from_seed(REPRO_TEST_SEED)
-        again = TransportFaultSchedule.from_seed(REPRO_TEST_SEED)
+        first = FaultSchedule.from_seed(REPRO_TEST_SEED)
+        again = FaultSchedule.from_seed(REPRO_TEST_SEED)
         assert first == again
         assert len(first.events) == 4
 
     def test_different_seeds_differ(self):
-        assert TransportFaultSchedule.from_seed(1) \
-            != TransportFaultSchedule.from_seed(2)
+        assert FaultSchedule.from_seed(1) != FaultSchedule.from_seed(2)
 
     def test_events_stay_inside_the_horizon(self):
-        schedule = TransportFaultSchedule.from_seed(
-            REPRO_TEST_SEED, num_events=16, horizon_frames=8
+        schedule = FaultSchedule.from_seed(
+            REPRO_TEST_SEED, num_events=16, horizon=8
         )
         for event in schedule.events:
-            assert 0 <= event.after_frame < 8
-            assert event.duration_frames >= 1
+            assert 0 <= event.after < 8
+            assert event.duration >= 1
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ClusterError, match="unknown transport fault"):
-            TransportFaultEvent(after_frame=0, mode="gremlins")
-        with pytest.raises(ClusterError, match="unknown transport fault"):
-            TransportFaultSchedule.from_seed(1, modes=("gremlins",))
+        with pytest.raises(ClusterError, match="unknown fault mode"):
+            FaultEvent(after=0, mode="gremlins")
+        with pytest.raises(ClusterError, match="unknown fault mode"):
+            FaultSchedule.from_seed(1, modes=("gremlins",))
 
     def test_spec_round_trips_and_derives_per_ring(self):
         spec = TransportFaultSpec(seed=REPRO_TEST_SEED)
@@ -154,14 +152,6 @@ class TestTransportFaultInjector:
         assert ring.pop() == b"\x02second"
         assert injector.frames_delayed == 1
 
-    def test_flush_force_delivers_held_frames(self, ring):
-        injector = TransportFaultInjector(kinds=None).attach(ring)
-        injector.delay_next(1, by=100)
-        assert ring.push([b"\x02held"])
-        assert ring.pop() is None
-        assert injector.flush(ring) == 1
-        assert ring.pop() == b"\x02held"
-
     def test_corrupt_is_detected_by_crc_and_skipped(self, ring):
         injector = TransportFaultInjector(
             seed=REPRO_TEST_SEED, kinds=None
@@ -189,8 +179,8 @@ class TestTransportFaultInjector:
         assert injector.frames_dropped == 1
 
     def test_seeded_schedule_drives_injection(self, ring):
-        schedule = TransportFaultSchedule(events=(
-            TransportFaultEvent(after_frame=1, mode="drop"),
+        schedule = FaultSchedule(events=(
+            FaultEvent(after=1, mode="drop"),
         ))
         TransportFaultInjector(schedule, kinds=None).attach(ring)
         assert ring.push([b"\x02zero"])
@@ -204,7 +194,7 @@ class TestTransportFaultInjector:
         def campaign():
             ring = ShmRing(capacity=1 << 12)
             injector = TransportFaultInjector(
-                TransportFaultSchedule.from_seed(REPRO_TEST_SEED),
+                FaultSchedule.from_seed(REPRO_TEST_SEED),
                 kinds=None,
             ).attach(ring)
             delivered = []

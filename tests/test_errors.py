@@ -37,6 +37,7 @@ from repro.errors import (
     DeviceError,
     DeviceFailedError,
     ExecutionError,
+    FaultConfigError,
     IntegrityError,
     IsaError,
     MappingError,
@@ -347,6 +348,8 @@ class TestHierarchy:
         (WorkerFailedError, ClusterError),
         (BatchTimeoutError, ClusterError),
         (CircuitOpenError, AdmissionError),
+        (FaultConfigError, SchedulerError),
+        (FaultConfigError, ClusterError),
     ])
     def test_subclassing(self, child, parent):
         assert issubclass(child, parent)
@@ -366,7 +369,7 @@ class TestHierarchy:
             "DeviceError", "DeviceFailedError", "IntegrityError",
             "RebuildError", "QuantizationError",
             "ClusterError", "TransportError", "WorkerFailedError",
-            "BatchTimeoutError", "CircuitOpenError",
+            "BatchTimeoutError", "CircuitOpenError", "FaultConfigError",
         }
         assert public == covered, (
             "public exceptions changed; update tests/test_errors.py: "
