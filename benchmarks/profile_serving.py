@@ -42,7 +42,9 @@ that share this process (:class:`ClusterWaveTwin`: real shared-memory rings,
 doorbells and heartbeat board; no second process, no event-loop turn between
 the stages) -- untraced microseconds and ``sys.setprofile`` events (Python
 calls + C calls) for the gateway's submit, the worker's handling split into
-its seven stages, and the gateway's resolve.
+its seven stages, the gateway's resolve and a read of every row of the
+resolved wave (what a caller that gathers the whole wave adds), with the
+gateway's three hops summed.
 
 The ``registration`` mode prices the write path: one new 64x64 4-bit
 ``PumServer.register_matrix`` (the layerbench ``tenant_churn`` tenant:
@@ -71,6 +73,7 @@ import pstats
 import sys
 import time
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -704,9 +707,9 @@ class ClusterWaveTwin:
     def beat(self) -> None:
         self.board.beat(0)
 
-    def submit(self) -> list:
-        """Gateway: route, make the batch and its futures, encode, push.
-        Waves alternate over the matrices, as the workload's do."""
+    def submit(self) -> Sequence:
+        """Gateway: route, make the batch, encode, push; returns the wave's
+        futures.  Waves alternate over the matrices, as the workload's do."""
         name = f"m{self.waves % CLUSTER_WAVE_MATRICES}"
         self.waves += 1
         call = self.gateway.submit_batch(name, self.vectors, input_bits=CLUSTER_WAVE_BITS)
@@ -794,18 +797,25 @@ def events_outside(events, frame: str) -> tuple:
 def cluster_wave_events(twin: ClusterWaveTwin) -> dict:
     """``sys.setprofile`` events of one steady-state wave, per hop, as
     ``(python_calls, c_calls)`` -- the worker's also without its tick loop --
-    and the ``names`` of every Python function entered on the way."""
-    futures = []
-    submit = profiled_calls(lambda: futures.extend(twin.submit()))
+    and the ``names`` of every Python function entered on the way.
+    ``gateway_read`` asks the resolved wave for every row, as a caller that
+    gathers the whole wave does: a gateway that makes a row's future and
+    response only when the row is asked for pays for them there, so submit
+    + resolve + read is the whole per-row cost either way."""
+    waves, futures = [], []
+    submit = profiled_calls(lambda: waves.append(twin.submit()))
     serve = profiled_calls(twin.serve)
     resolve = profiled_calls(twin.resolve)
+    read = profiled_calls(lambda: futures.extend(waves[0]))
     assert len(futures) == CLUSTER_WAVE_ROWS and all(future.done() for future in futures)
     return {
         "gateway_submit": count_events(submit),
         "worker": count_events(serve),
         "worker_outside_drain": events_outside(serve, "_drain_batch"),
         "gateway_resolve": count_events(resolve),
-        "names": {name for event, name in submit + serve + resolve if event == "call"},
+        "gateway_read": count_events(read),
+        "names": {name for event, name in submit + serve + resolve + read
+                  if event == "call"},
     }
 
 
@@ -817,19 +827,22 @@ def cluster_wave_breakdown(waves: int = 2000, repeats: int = 5) -> None:
         try:
             for _ in range(200):  # plans, receipts, arenas and table memos warm
                 assert all(future.result().ok for future in twin.wave())
-            hops = {"gateway_submit": [], "worker": [], "gateway_resolve": []}
+            hops = {"gateway_submit": [], "worker": [], "gateway_resolve": [],
+                    "gateway_read": []}
             stages = []
             for _ in range(repeats):
                 seconds = dict.fromkeys(hops, 0.0)
                 for _ in range(waves):
                     t0 = time.perf_counter()
-                    twin.submit()
+                    wave = twin.submit()
                     t1 = time.perf_counter()
                     twin.serve()
                     t2 = time.perf_counter()
                     twin.resolve()
                     t3 = time.perf_counter()
-                    for hop, spent in zip(hops, (t1 - t0, t2 - t1, t3 - t2)):
+                    list(wave)
+                    t4 = time.perf_counter()
+                    for hop, spent in zip(hops, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                         seconds[hop] += spent
                 for hop in hops:
                     hops[hop].append(seconds[hop] / waves * 1e6)
@@ -850,14 +863,19 @@ def cluster_wave_breakdown(waves: int = 2000, repeats: int = 5) -> None:
     print(f"# one {CLUSTER_WAVE_ROWS}-row wave at the cluster_saturate shapes, gateway "
           f"and worker in one process on real rings and bells: us are untraced "
           f"best-of-{repeats} means over {waves} waves;\n# calls are sys.setprofile "
-          "counts of one wave (python + c); the stage rows take the worker's turn "
-          "apart and are timed in a separate pass")
+          "counts of one wave (python + c); gateway_read asks the resolved wave for "
+          "every row, as a gathering caller does;\n# the stage rows take the worker's "
+          "turn apart and are timed in a separate pass")
     def row(*columns) -> None:
         print("  ".join(f"{column:>22}" for column in columns))
 
     row("hop", "us_per_wave", "py_calls", "c_calls")
-    for hop in ("gateway_submit", "worker", "worker_outside_drain", "gateway_resolve"):
+    for hop in ("gateway_submit", "worker", "worker_outside_drain", "gateway_resolve",
+                "gateway_read"):
         row(hop, f"{hops[hop]:.1f}" if hop in hops else "-", *events[hop])
+    gateway = ("gateway_submit", "gateway_resolve", "gateway_read")
+    row("gateway_total", f"{sum(hops[hop] for hop in gateway):.1f}",
+        *map(sum, zip(*(events[hop] for hop in gateway))))
     for stage in WORKER_STAGES:
         row(f"worker.{stage}", f"{stages[stage]:.1f}", "", "")
 

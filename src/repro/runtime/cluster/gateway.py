@@ -5,10 +5,12 @@ owns the worker processes (each a :mod:`worker
 <repro.runtime.cluster.worker>` running its own
 :class:`~repro.runtime.server.PumServer` shard), the shared-memory rings
 connecting them, and the client-facing ``submit`` / ``submit_batch``
-API, which hands back :class:`asyncio.Future` objects resolved, a wave at
-a time, as RESULTS frames arrive: every reply ring has a doorbell the
-event loop watches (``loop.add_reader``), so a reply costs one wakeup and
-nothing in the gateway runs on a poll timer.
+API.  ``submit_batch`` hands back one sequence per wave whose rows are
+:class:`asyncio.Future` objects made when a row is first asked for; one
+RESULTS frame (or one failure) settles the whole wave once, and a row's
+:class:`ClusterResponse` is built from the wave's stored columns.  Every
+reply ring has a doorbell the event loop watches (``loop.add_reader``), so
+a reply costs one wakeup and nothing in the gateway runs on a poll timer.
 
 Design points, mirroring the single-server stack one tier up:
 
@@ -83,7 +85,7 @@ from ...errors import (
 )
 from ...plan.ir import PlanHandle
 from ..integrity import DeviceHealth
-from ..server import integer_vectors, matrix_fingerprint
+from ..server import _LazyRows, integer_vectors, matrix_fingerprint
 from .faults import TransportFaultSpec
 from .messages import (
     K_ACK,
@@ -96,6 +98,7 @@ from .messages import (
     K_STOP,
     K_STRAGGLE,
     K_SUBMIT,
+    STATUS_CODES,
     STATUS_NAMES,
     decode_message,
     encode_message,
@@ -256,6 +259,98 @@ class ClusterResponse:
         return self.status == "completed"
 
 
+class _WaveFutures(_LazyRows):
+    """The futures of one wave, made when asked for, and its one outcome.
+
+    What ``submit_batch`` returns: a sequence of ``len(request_ids)``
+    :class:`asyncio.Future` objects (negative indices and slices work).  A
+    row's future is a real ``asyncio.Future`` on the gateway's loop, made the
+    first time the row is asked for and kept from then on, so asyncio's own
+    cancel, callback and ``wait_for`` rules hold.
+
+    What a wave costs follows how many of its rows are read.  A row nobody
+    asks for costs nothing, so a caller that reads one row (a done callback
+    on the last) pays for one future and one response.  A caller that asks
+    for every row -- ``gather(*wave)``, or a walk after the reply -- gets
+    them made in one pass and set by one walk over the wave's columns in
+    step, which is what they cost when every row was made at submit.
+    :meth:`settle` stores the outcome once and sets the futures that exist;
+    rows asked for later are made already done.  Nothing here refers to the
+    batch or to a reply frame.
+    """
+
+    __slots__ = ("request_ids", "name", "_loop", "_futures", "_outcome", "__weakref__")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, name: str, request_ids: range) -> None:
+        self.request_ids, self.name, self._loop = request_ids, name, loop
+        #: Each row's future, ``None`` until the row is asked for.
+        self._futures: List[Optional[asyncio.Future]] = [None] * len(request_ids)
+        #: ``(worker_id, errors, codes, results, latency, energy)`` once settled.
+        self._outcome: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return len(self.request_ids)
+
+    def __getitem__(self, index):
+        rows = range(len(self.request_ids))[index]
+        futures = self._make(rows if isinstance(rows, range) else (rows,))
+        return [futures[row] for row in rows] if isinstance(rows, range) else futures[rows]
+
+    def __iter__(self):
+        futures = self._futures
+        if any(futures):
+            return iter(self._make(range(len(futures))))
+        # Every row at the first ask, as ``gather(*wave)`` asks: one pass.
+        futures[:] = [asyncio.Future(loop=self._loop) for _ in futures]
+        if self._outcome is not None:
+            self._set(range(len(futures)))
+        return iter(futures)
+
+    def _make(self, rows: Sequence[int]) -> List[Optional[asyncio.Future]]:
+        """Make the futures of ``rows`` not asked for before (already done on
+        a settled wave); returns every row's, ``None`` where still not."""
+        missing = [row for row in rows if self._futures[row] is None]
+        for row in missing:
+            self._futures[row] = asyncio.Future(loop=self._loop)
+        if missing and self._outcome is not None:
+            # Once every row exists, the one walk over the columns sets them.
+            self._set(range(len(self._futures)) if all(self._futures) else missing)
+        return self._futures
+
+    def settle(self, worker_id: int, errors: Dict[str, str], *columns) -> int:
+        """Resolve every row, once, from a RESULTS frame's error texts by
+        ``str(row)`` and its ``columns``: the status codes, one copy of the
+        result matrix, latency and energy as lists (nothing that dies with
+        the frame).  Returns the rows settled: all, or none when the wave
+        was settled already."""
+        if self._outcome is not None:
+            return 0
+        self._outcome = (worker_id, errors, *columns)
+        if any(self._futures):
+            self._set(range(len(self._futures)))
+        return len(self._futures)
+
+    def _set(self, rows: Sequence[int]) -> None:
+        """Set the futures of ``rows`` that were asked for and not cancelled
+        by their caller to their responses."""
+        worker_id, errors, codes, results, latency, energy = self._outcome
+        futures, ids, name = self._futures, self.request_ids, self.name
+        if len(rows) == len(futures) and all(futures) and not (errors or any(codes)):
+            # Every row asked for and every one completed, as a gathering
+            # caller's wave is: the columns in step, nothing decoded per row.
+            for future, request_id, result, ticks, energy_pj in zip(futures, ids, results, latency, energy):
+                if not future.done():
+                    future.set_result(ClusterResponse(
+                        request_id, name, "completed", result, ticks, energy_pj, worker_id))
+            return
+        for row in rows:
+            if futures[row] is not None and not futures[row].done():
+                status = STATUS_NAMES.get(codes[row], "failed")
+                futures[row].set_result(ClusterResponse(
+                    ids[row], name, status, results[row] if status == "completed" else None,
+                    latency[row], energy[row], worker_id, errors.get(str(row))))
+
+
 @dataclass
 class GatewayStats:
     """Aggregate gateway telemetry (all counters lifetime)."""
@@ -289,8 +384,7 @@ class _PendingBatch:
     name: str
     input_bits: int
     vectors: np.ndarray
-    futures: List[asyncio.Future]
-    request_ids: Sequence[int]
+    futures: _WaveFutures
     worker_id: int
     cost: float
     attempted: set = field(default_factory=set)
@@ -668,8 +762,13 @@ class ClusterGateway:
         return futures[0]
 
     async def submit_batch(self, name: str, vectors: np.ndarray,
-                           input_bits: int = 8) -> List[asyncio.Future]:
-        """Admit ``(n, rows)`` vectors; returns one future per row.
+                           input_bits: int = 8) -> Sequence[asyncio.Future]:
+        """Admit ``(n, rows)`` vectors; returns the wave's ``n`` futures.
+
+        The return value is a sequence, not a ``list``: ``len``, indexing,
+        slices and iteration work, and each row's :class:`asyncio.Future`
+        is made the first time it is asked for (the same object after
+        that).  The wave resolves all at once, when its reply arrives.
 
         The batch is routed whole to the cheapest live replica of
         ``name`` (by predicted outstanding cycles) whose inflight window
@@ -719,8 +818,6 @@ class ClusterGateway:
             if self._dispatch(worker, batch):
                 return batch.futures
         # Saturated everywhere: shed to the caller.
-        for future in batch.futures:
-            future.cancel()
         self.stats.shed += n
         raise AdmissionError(
             f"every replica of {name!r} is saturated "
@@ -751,7 +848,6 @@ class ClusterGateway:
 
     def _make_batch(self, name: str, vectors: np.ndarray,
                     input_bits: int) -> _PendingBatch:
-        loop = asyncio.get_running_loop()
         n = vectors.shape[0]
         request_ids = range(self._next_request, self._next_request + n)
         self._next_request += n
@@ -760,9 +856,8 @@ class ClusterGateway:
         return _PendingBatch(
             batch_id=batch_id, name=name, input_bits=input_bits,
             vectors=vectors,
-            futures=[asyncio.Future(loop=loop) for _ in request_ids],
-            request_ids=request_ids, worker_id=-1,
-            cost=self.plan_handle(name).predicted_cycles(n),
+            futures=_WaveFutures(asyncio.get_running_loop(), name, request_ids),
+            worker_id=-1, cost=self.plan_handle(name).predicted_cycles(n),
         )
 
     def _dispatch(self, worker: _Worker, batch: _PendingBatch) -> bool:
@@ -890,19 +985,18 @@ class ClusterGateway:
         if batch is None:
             # Reply idempotency: a duplicated frame, or a late reply of a
             # batch already hedged/retried elsewhere.  The first reply to
-            # land resolved the futures; this one is counted and ignored,
-            # so nothing ever resolves twice.
+            # land settled the wave; this one is counted and ignored, so
+            # nothing ever resolves twice.
             self.stats.duplicate_replies += 1
             return
         self._release_window(worker, batch)
-        n = len(batch.futures)
+        n = len(batch.vectors)
         errors = header.get("errors") or {}
         shapes = [array.shape for array in arrays]
-        if [shape[:1] for shape in shapes] != [(n,)] * 4 \
-                or list(map(len, shapes)) != [1, 2, 1, 1] \
-                or not isinstance(errors, dict):
+        if len(shapes) != 4 or len(shapes[1]) != 2 or not isinstance(errors, dict) \
+                or shapes != [(n,), (n, shapes[1][1]), (n,), (n,)]:
             # CRC-valid, but not a RESULTS frame for this batch: fail the
-            # batch before any future is touched, not the reader.
+            # batch before the wave reads a column, not the reader.
             self.stats.transport_errors += 1
             self._resolve_batch_failed(batch, (
                 f"malformed RESULTS frame from worker {worker.worker_id}: "
@@ -910,27 +1004,11 @@ class ClusterGateway:
             ))
             return
         statuses, results, latency, energy = arrays
-        # The views die with the frame; one copy of the result matrix
-        # outlives it and every result row is a view of that copy.
-        results = np.array(results)
-        if errors or statuses.any():
-            names = [STATUS_NAMES.get(code, "failed") for code in statuses.tolist()]
-            results = [row if status == "completed" else None
-                       for row, status in zip(results, names)]
-            texts = [errors.get(str(index)) for index in range(n)]
-        else:
-            # The steady state: nothing to decode per row.
-            names, texts = ("completed",) * n, (None,) * n
-        name, worker_id = batch.name, worker.worker_id
-        for future, request_id, status, result, ticks, energy_pj, error in zip(
-                batch.futures, batch.request_ids, names, results,
-                latency.tolist(), energy.tolist(), texts):
-            if not future.done():
-                future.set_result(ClusterResponse(
-                    request_id, name, status, result, ticks, energy_pj,
-                    worker_id, error,
-                ))
-        completed, shed = names.count("completed"), names.count("shed")
+        codes = statuses.tolist()
+        completed, shed = (codes.count(STATUS_CODES[name]) for name in ("completed", "shed"))
+        # Every result row is a view of the wave's one copy of the matrix.
+        batch.futures.settle(worker.worker_id, errors, codes, np.array(results),
+                             latency.tolist(), energy.tolist())
         self.stats.completed += completed
         self.stats.shed += shed
         self.stats.failed += n - completed - shed
@@ -945,17 +1023,14 @@ class ClusterGateway:
             0.0, worker.outstanding_cycles - batch.cost
         )
 
-    def _resolve_batch_failed(self, batch: _PendingBatch,
-                              error: str) -> None:
-        for index, future in enumerate(batch.futures):
-            if future.done():
-                continue
-            future.set_result(ClusterResponse(
-                request_id=batch.request_ids[index], name=batch.name,
-                status="failed", result=None,
-                worker_id=batch.worker_id, error=error,
-            ))
-            self.stats.failed += 1
+    def _resolve_batch_failed(self, batch: _PendingBatch, error: str) -> None:
+        # Every row failed with ``error``: the columns of a RESULTS frame that
+        # says so.  A row its caller cancelled counts failed too, as a RESULTS
+        # frame counts every row by its status.
+        n = len(batch.vectors)
+        self.stats.failed += batch.futures.settle(
+            batch.worker_id, dict.fromkeys(map(str, range(n)), error),
+            [STATUS_CODES["failed"]] * n, [None] * n, [0] * n, [0.0] * n)
 
     # ------------------------------------------------------------------ #
     # Health monitoring and failover                                       #

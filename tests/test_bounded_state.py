@@ -15,6 +15,7 @@ by walking the live object graph rather than by naming private dicts:
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import tracemalloc
 import weakref
@@ -22,6 +23,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scripted_cluster import results_frame, scripted_worker
 
 from repro import (
     ChipConfig,
@@ -34,6 +36,8 @@ from repro import (
 from repro.plan import DevicePlan
 from repro.plan.backends import default_backend
 from repro.plan.planner import Planner
+from repro.runtime.cluster import ClusterGateway
+from repro.runtime.cluster.messages import decode_message
 from repro.testing import derive_rng
 
 ROUNDS = 300
@@ -466,3 +470,53 @@ class TestResolvedWaveIsFreedByReferenceCounting:
         assert source() is not None and not futures[0].done()
         server.run_until_idle()
         assert source() is None and futures[0].done()
+
+
+class TestResolvedClusterWaveIsFreed:
+    """What ``ClusterGateway.submit_batch`` returns holds the wave's one
+    outcome and the row futures asked for; it keeps neither its batch nor the
+    RESULTS frame, and nothing keeps it once the caller lets go."""
+
+    @staticmethod
+    def _frame():
+        """Batch 0's RESULTS frame (16 completed rows) as one byte array."""
+        parts = results_frame(0, 16, cols=8)
+        return np.frombuffer(b"".join(map(bytes, parts)), dtype=np.uint8).copy()
+
+    @staticmethod
+    def _resolve(gw, worker, frame):
+        gw._on_reply(worker, *decode_message(memoryview(frame)))
+
+    def test_dropping_the_wave_frees_it_and_its_result_copy(self, no_cycle_collector):
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            wave = await gw.submit_batch("m", np.ones((16, 8), dtype=np.int64))
+            early = wave[3]
+            self._resolve(gw, worker, self._frame())
+            assert worker.pending == {} and worker.inflight == 0
+            copy = wave[5].result().result.base
+            assert early.result().result.base is copy
+            refs = [weakref.ref(wave), weakref.ref(copy)]
+            del wave, early, copy
+            assert [ref() for ref in refs] == [None, None]
+            await gw.close()
+
+        asyncio.run(scenario())
+
+    def test_a_kept_response_does_not_keep_the_frame(self, no_cycle_collector):
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            wave = await gw.submit_batch("m", np.ones((16, 8), dtype=np.int64))
+            frame = self._frame()
+            held = weakref.ref(frame)
+            self._resolve(gw, worker, frame)
+            kept = wave[2].result()
+            del frame
+            assert held() is None
+            assert kept.ok and kept.result.tolist() == [1] * 8
+            assert (kept.latency_ticks, kept.energy_pj) == (2, 0.5)
+            await gw.close()
+
+        asyncio.run(scenario())

@@ -1,13 +1,14 @@
 """End-to-end cluster tests: gateway + worker processes over shm rings.
 
-Every test but the last two classes spawns real worker processes (fork
+Every test before ``TestReplicaOrder`` spawns real worker processes (fork
 start method where the platform has it) against the small chip
 configuration, so the whole suite stays in CI-friendly territory while
 exercising the actual process boundary: registration fan-out, zero-copy
 submission, failover, backpressure, and graceful drain/restart.
 ``TestReplicaOrder`` and the classes after it script an un-started gateway
 instead: routing order, control timeouts, what a reply frame does to its
-batch and what a wave's responses are need no processes.
+batch, what a wave's responses are and every way a wave resolves need no
+processes.
 """
 
 import asyncio
@@ -15,9 +16,11 @@ import hashlib
 import itertools
 import os
 import signal
+import types
 
 import numpy as np
 import pytest
+from scripted_cluster import StubHandle, StubRing, deliver, results_frame, scripted_worker
 
 from repro.core.config import ChipConfig, HctConfig
 from repro.errors import (
@@ -43,6 +46,7 @@ from repro.runtime.cluster.worker import WorkerState, _handle
 from repro.runtime.pool import CacheAffinityPolicy, DevicePool
 from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
+from repro.testing import derive_rng
 
 RNG = np.random.default_rng(11)
 MATRIX = RNG.integers(-8, 8, size=(24, 16), dtype=np.int64)
@@ -463,26 +467,6 @@ def test_worker_pool_is_the_same_whichever_spec_built_it():
 # --------------------------------------------------------------------- #
 # Replica order, pinned (no processes)                                    #
 # --------------------------------------------------------------------- #
-class _StubRing:
-    """A request ring that accepts or refuses every frame, and counts them."""
-
-    def __init__(self, accepts):
-        self.accepts = accepts
-        self.pushes = 0
-
-    def push(self, parts):
-        self.pushes += 1
-        return self.accepts
-
-    def close(self):
-        pass
-
-
-class _StubHandle:
-    def predicted_cycles(self, n):
-        return 10.0 * n
-
-
 class TestReplicaOrder:
     """Which replica a batch is offered to, in what order, pinned.
 
@@ -516,9 +500,9 @@ class TestReplicaOrder:
         for worker in gw._workers:
             index = worker.worker_id
             worker.alive = alive[index]
-            worker.requests = _StubRing(accepts=index not in ring_full)
+            worker.requests = StubRing(accepts=index not in ring_full)
             worker.outstanding_cycles = cycles[index]
-            worker.plan_handles["m"] = _StubHandle()
+            worker.plan_handles["m"] = StubHandle()
             if tripped[index]:
                 worker.breaker.record_failure()
                 worker.breaker.record_failure()
@@ -554,8 +538,8 @@ class TestReplicaOrder:
         loop = asyncio.get_running_loop()
         batch = _PendingBatch(
             batch_id=7, name="m", input_bits=8, vectors=vectors,
-            futures=[loop.create_future() for _ in range(2)],
-            request_ids=[0, 1], worker_id=-1, cost=20.0,
+            futures=gateway_module._WaveFutures(loop, "m", range(2)),
+            worker_id=-1, cost=20.0,
             attempted=set(attempted),
         )
         if op == "retry":
@@ -641,7 +625,7 @@ class TestControlRoundTrip:
         gw = ClusterGateway(num_workers=1)
         gw._started = True
         gw._workers[0].alive = True
-        gw._workers[0].requests = _StubRing(accepts=accepts)
+        gw._workers[0].requests = StubRing(accepts=accepts)
         return gw
 
     def test_an_unanswered_request_times_out_typed(self, monkeypatch):
@@ -674,28 +658,6 @@ class TestControlRoundTrip:
 # --------------------------------------------------------------------- #
 # Reply frames against a scripted gateway (no processes)                  #
 # --------------------------------------------------------------------- #
-def scripted_worker(gw, handle=None):
-    """Script ``gw``'s worker 0 as alive, holding ``"m"``, its request ring a
-    stub (every SUBMIT is accepted and goes nowhere)."""
-    gw._started = True
-    worker = gw._workers[0]
-    worker.alive = True
-    worker.requests = _StubRing(accepts=True)
-    worker.plan_handles["m"] = handle if handle is not None else _StubHandle()
-    gw._matrices["m"] = _MatrixRecord(
-        fingerprint=("digest",), matrix=MATRIX, element_size=8, precision=0,
-        input_bits=8, placement=[0],
-    )
-    return worker
-
-
-def results_frame(batch, rows, cols=16, **extra):
-    return encode_message(K_RESULTS, {"batch": batch, "name": "m", **extra}, [
-        np.zeros(rows, dtype=np.uint8), np.ones((rows, cols), dtype=np.int64),
-        np.full(rows, 2, dtype=np.int64), np.full(rows, 0.5, dtype=np.float64),
-    ])
-
-
 class TestMalformedReplies:
     """A reply that passes its CRC and is still not what it says: its batch
     fails (when it names one), the reader carries on, nothing leaks."""
@@ -825,7 +787,7 @@ def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
     def headroom(batch_id, attempts):
         batch = _PendingBatch(
             batch_id=batch_id, name="m", input_bits=8, vectors=TRACE[:1], futures=[],
-            request_ids=range(1), worker_id=0, cost=0.0, attempts=attempts,
+            worker_id=0, cost=0.0, attempts=attempts,
         )
         return gw._attempt_deadline(batch) - 100.0
 
@@ -918,3 +880,322 @@ class TestWaveEquivalence:
         assert all(row[7] == "ExecutionError: injected pool failure" for row in rows)
         assert (stats["failed"], stats["completed"], stats["transport_errors"]) == (12, 0, 0)
         assert window == (0, 0.0, 0)
+
+
+# --------------------------------------------------------------------- #
+# Every way a cluster wave resolves, pinned (no processes)                #
+# --------------------------------------------------------------------- #
+def holder(gw, batch_id):
+    """The worker ``batch_id`` is in flight on."""
+    return next(worker for worker in gw._workers if batch_id in worker.pending)
+
+
+def random_reply(rng, batch_id, rows, codes=(), errors=None):
+    """A RESULTS frame of random columns, and those columns."""
+    statuses = np.zeros(rows, dtype=np.uint8)
+    statuses[:len(codes)] = codes
+    arrays = [statuses, rng.integers(-999, 999, size=(rows, 16)),
+              rng.integers(0, 64, size=rows), rng.random(rows) * 100]
+    header = {"batch": batch_id, "name": "m"}
+    if errors:
+        header["errors"] = errors
+    return arrays, encode_message(K_RESULTS, header, arrays)
+
+
+async def cluster_wave_campaign(rng):
+    """Resolve waves every way the gateway can, on a scripted two-worker
+    gateway whose clock only moves when the campaign moves it.
+
+    In order: every row completed; completed, failed, shed, rejected and
+    unknown codes with error texts; a malformed RESULTS frame; a duplicated
+    RESULTS frame; a wave hedged after a timeout whose first worker answers
+    late; a K_ERROR naming the batch; a wave that times out on every attempt;
+    a wave parked until it expires; ``close()`` with one wave parked and one
+    in flight.  Matrix ``"m"`` is on both workers, ``"n"`` on worker 1 only.
+    The real watchdog runs against the scripted clock, so which batch times
+    out, and when, is fixed.
+
+    Returns what ``submit_batch`` returned for each wave, the reply that
+    resolved it as ``(worker_id, arrays, errors)`` (``None`` when nothing
+    did) and the gateway's stats.
+    """
+    clock = [100.0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gateway_module, "time",
+                      types.SimpleNamespace(monotonic=lambda: clock[0]))
+        # No breaker trips: its cooldown runs on the real clock.
+        patch.setattr(gateway_module, "BREAKER_THRESHOLD", 1000)
+        gw = ClusterGateway(num_workers=2, replication=2, batch_timeout=0.02)
+        gw._started = True
+        for worker in gw._workers:
+            worker.alive = True
+            worker.requests = StubRing(accepts=True)
+            worker.plan_handles["m"] = worker.plan_handles["n"] = StubHandle()
+        for name, placement in (("m", [0, 1]), ("n", [1])):
+            gw._matrices[name] = _MatrixRecord(
+                fingerprint=(name,), matrix=MATRIX, element_size=8, precision=0,
+                input_bits=8, placement=placement,
+            )
+        gw._tasks = [asyncio.create_task(gw._watchdog())]
+        waves, replies = [], []
+
+        async def submit(name, rows):
+            waves.append(await gw.submit_batch(
+                name, rng.integers(0, 16, size=(rows, 24))))
+            replies.append(None)
+            batch_id = gw._next_batch - 1
+            return batch_id, holder(gw, batch_id)
+
+        def answer(worker, batch_id, rows, codes=(), errors=None):
+            arrays, frame = random_reply(rng, batch_id, rows, codes, errors)
+            deliver(gw, worker, frame)
+            return worker.worker_id, arrays, errors or {}
+
+        async def until(predicate):
+            for _ in range(20_000):
+                if predicate():
+                    return
+                await asyncio.sleep(0.001)
+            raise AssertionError("the watchdog never got there")
+
+        async def time_out(timeouts):
+            clock[0] += 1.0
+            await until(lambda: gw.stats.batch_timeouts == timeouts)
+
+        try:
+            batch, worker = await submit("m", 16)
+            replies[-1] = answer(worker, batch, 16)
+
+            batch, worker = await submit("m", 12)
+            codes = rng.choice([0, 1, 2, 3, 255], size=12)
+            codes[:5] = [0, 1, 2, 3, 255]
+            errors = {str(row): f"row {row} went wrong" for row in range(12)
+                      if codes[row] in (1, 3) or row == 0}
+            replies[-1] = answer(worker, batch, 12, codes, errors)
+
+            batch, worker = await submit("m", 5)
+            deliver(gw, worker, encode_message(
+                K_RESULTS, {"batch": batch, "name": "m"},
+                random_reply(rng, batch, 5)[0][:3]))
+
+            batch, worker = await submit("m", 7)
+            arrays, frame = random_reply(rng, batch, 7)
+            deliver(gw, worker, frame)
+            deliver(gw, worker, frame)
+            replies[-1] = (worker.worker_id, arrays, {})
+
+            batch, first = await submit("m", 9)
+            await time_out(1)
+            second = holder(gw, batch)
+            assert second is not first
+            answer(first, batch, 9)  # late: the hedge owns the batch now
+            replies[-1] = answer(second, batch, 9)
+
+            batch, worker = await submit("m", 4)
+            deliver(gw, worker, encode_message(K_ERROR, {
+                "batch": batch, "name": "m",
+                "error": "AdmissionError: injected at the worker",
+            }))
+
+            await submit("m", 3)
+            for timeouts in range(2, 2 + gateway_module.MAX_ATTEMPTS):
+                await time_out(timeouts)
+            timeouts = 1 + gateway_module.MAX_ATTEMPTS
+
+            ring = gw._workers[1].requests
+            await submit("n", 6)
+            ring.accepts = False
+            await time_out(timeouts + 1)
+            assert len(gw._parked) == 1
+            clock[0] += 1.0
+            await until(lambda: not gw._parked)
+
+            ring.accepts = True
+            await submit("n", 8)
+            ring.accepts = False
+            await time_out(timeouts + 2)
+            assert len(gw._parked) == 1
+            await submit("m", 10)
+        finally:
+            await gw.close()
+    return waves, replies, gw.stats.snapshot()
+
+
+def response_fields(response):
+    result = b"-" if response.result is None else \
+        np.ascontiguousarray(response.result, dtype=np.int64).tobytes()
+    return (response.request_id, response.name, response.status, result,
+            response.latency_ticks, repr(response.energy_pj), response.worker_id,
+            response.error)
+
+
+class TestClusterWaveResolution:
+    """What a caller can read off the waves ``submit_batch`` returned."""
+
+    #: sha256 over every row's ``ClusterResponse`` fields (wave, then row
+    #: order) and the gateway's stats after :func:`cluster_wave_campaign` on a
+    #: fixed seed, computed at ``4eda68f`` -- the commit before a cluster wave
+    #: resolved once -- so it holds on every leg of the seed matrix.
+    EXPECTED = "f183ebb3aac9624e7c8bbc15f7cc0c09eac46443a22b47598425576f143b42f9"
+    STATUSES = [
+        {"completed"}, {"completed", "failed", "shed", "rejected"}, {"failed"},
+        {"completed"}, {"completed"}, {"failed"}, {"failed"}, {"failed"},
+        {"failed"}, {"failed"},
+    ]
+
+    @staticmethod
+    def campaign(rng):
+        async def scenario():
+            waves, replies, stats = await cluster_wave_campaign(rng)
+            return [[future.result() for future in wave] for wave in waves], replies, stats
+
+        return run(scenario())
+
+    def test_resolution_digest_is_unchanged(self):
+        responses, _, stats = self.campaign(np.random.default_rng(28))
+        digest = hashlib.sha256()
+        for wave in responses:
+            for response in wave:
+                digest.update(repr(response_fields(response)).encode())
+        digest.update(repr(sorted(stats.items())).encode())
+        assert [{r.status for r in wave} for wave in responses] == self.STATUSES
+        assert digest.hexdigest() == self.EXPECTED
+
+    def test_the_campaign_under_the_suite_seed(self):
+        """Every row resolved once, to what the frame that won said."""
+        responses, replies, stats = self.campaign(derive_rng("cluster-wave-resolution"))
+        rows = [response for wave in responses for response in wave]
+        assert [r.request_id for r in rows] == list(range(len(rows)))
+        assert all(r.name == ("n" if index in (7, 8) else "m")
+                   for index, wave in enumerate(responses) for r in wave)
+        for wave, reply in zip(responses, replies):
+            if reply is None:
+                assert {r.status for r in wave} == {"failed"}
+                assert all(r.result is None and r.error for r in wave)
+                continue
+            worker_id, (statuses, results, latency, energy), errors = reply
+            for row, r in enumerate(wave):
+                assert r.status == gateway_module.STATUS_NAMES.get(
+                    int(statuses[row]), "failed")
+                assert r.ok == (r.result is not None)
+                if r.ok:
+                    assert r.result.tolist() == results[row].tolist()
+                assert (r.latency_ticks, r.energy_pj, r.worker_id, r.error) == (
+                    latency[row], energy[row], worker_id, errors.get(str(row)))
+        completed = sum(r.ok for r in rows)
+        shed = sum(r.status == "shed" for r in rows)
+        assert (stats["completed"], stats["shed"], stats["failed"]) == (
+            completed, shed, len(rows) - completed - shed)
+        assert (stats["duplicate_replies"], stats["transport_errors"]) == (2, 1)
+        assert stats["batch_timeouts"] == 3 + gateway_module.MAX_ATTEMPTS
+        assert "malformed RESULTS" in responses[2][0].error
+        assert "attempt" in responses[6][0].error
+        assert "expired" in responses[7][0].error
+        assert [responses[8][0].error, responses[9][0].error] == [
+            "gateway closed with requests parked",
+            "gateway closed with requests in flight",
+        ]
+
+    def test_rows_are_real_asyncio_futures(self):
+        """``await``, ``gather``, ``wait`` and done callbacks, before and after
+        the wave resolves; a row is one future however often it is asked for."""
+
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            wave = await gw.submit_batch("m", TRACE[:8])
+            assert len(wave) == 8 and all(asyncio.isfuture(row) for row in wave[:7])
+            assert wave[0] is wave[0] and wave[-2] is wave[6]
+            assert wave[2:4] == [wave[2], wave[3]] and list(wave)[:7] == wave[:7]
+            with pytest.raises(IndexError):
+                wave[8]
+            fired = []
+            wave[0].add_done_callback(fired.append)
+            wave[1].add_done_callback(fired.append)
+            assert wave[1].remove_done_callback(fired.append) == 1
+            first = asyncio.ensure_future(asyncio.wait(
+                [wave[2], wave[3]], return_when=asyncio.FIRST_COMPLETED))
+            gathered = asyncio.ensure_future(asyncio.gather(*wave[:4]))
+
+            async def awaits(row):
+                return await row
+
+            awaited = asyncio.ensure_future(awaits(wave[4]))
+            await asyncio.sleep(0)
+            assert not any(task.done() for task in (first, gathered, awaited))
+            deliver(gw, worker, results_frame(0, 8))
+            done, pending = await first
+            assert done == {wave[2], wave[3]} and not pending
+            responses = await gathered
+            assert [r.request_id for r in responses] == [0, 1, 2, 3]
+            assert await awaited is wave[4].result()
+            assert fired == [wave[0]]
+            wave[5].add_done_callback(fired.append)
+            assert wave[0].remove_done_callback(fired.append) == 0
+            await asyncio.sleep(0)
+            assert fired == [wave[0], wave[5]]
+            late = wave[7]  # first asked for after the wave resolved
+            assert late.done() and late is wave[7]
+            early = wave[6].result()
+            assert response_fields(late.result())[1:] == response_fields(early)[1:]
+            assert (late.result().request_id, early.request_id) == (7, 6)
+            assert (early.status, early.latency_ticks, early.energy_pj,
+                    early.worker_id, early.error) == ("completed", 2, 0.5, 0, None)
+            await gw.close()
+
+        run(scenario())
+
+    def test_a_timed_out_row_is_cancelled_alone(self):
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            wave = await gw.submit_batch("m", TRACE[:4])
+            rows = list(wave)  # every row asked for before the reply
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(wave[1], 0.01)
+            assert wave[1].cancelled() and not wave[0].done() and not wave[3].done()
+            assert worker.inflight == 4 and rows == list(wave)
+            deliver(gw, worker, results_frame(0, 4))
+            assert [row.cancelled() for row in wave] == [False, True, False, False]
+            assert all(wave[row].result().ok for row in (0, 2, 3))
+            assert (worker.inflight, worker.pending) == (0, {})
+            assert worker.drained.is_set() and gw.stats.completed == 4
+            # A failed wave counts every row failed, the cancelled one too, as
+            # a RESULTS frame counts every row by its status: with nothing
+            # retried, completed + shed + failed is what was submitted.
+            wave = await gw.submit_batch("m", TRACE[:4])
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(wave[2], 0.01)
+            deliver(gw, worker, encode_message(K_ERROR, {"batch": 1, "error": "boom"}))
+            assert [row.result().error for row in wave[:2]] == ["boom"] * 2
+            assert wave[2].cancelled() and gw.stats.failed == 4
+            stats = gw.stats
+            assert stats.completed + stats.shed + stats.failed == stats.submitted == 8
+            await gw.close()
+
+        run(scenario())
+
+    def test_a_duplicate_frame_resolves_no_row_twice(self):
+        async def scenario():
+            gw = ClusterGateway(num_workers=1)
+            worker = scripted_worker(gw)
+            wave = await gw.submit_batch("m", TRACE[:3])
+            fired = []
+            for row in wave[:2]:
+                row.add_done_callback(fired.append)
+            deliver(gw, worker, results_frame(0, 3))
+            first = [row.result() for row in wave[:2]]
+            shed = encode_message(K_RESULTS, {"batch": 0, "name": "m"}, [
+                np.full(3, 2, dtype=np.uint8), np.zeros((3, 16), dtype=np.int64),
+                np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.float64)])
+            deliver(gw, worker, shed)
+            # A wave settles once.
+            assert wave.settle(0, {}, [1] * 3, [None] * 3, [0] * 3, [0.0] * 3) == 0
+            await asyncio.sleep(0)
+            assert all(row.result() is response for row, response in zip(wave, first))
+            assert all(response.ok for response in [*first, wave[2].result()])
+            assert sorted(map(id, fired)) == sorted(map(id, wave[:2]))
+            assert (gw.stats.completed, gw.stats.shed, gw.stats.duplicate_replies) == (3, 0, 1)
+            await gw.close()
+
+        run(scenario())

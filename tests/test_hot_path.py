@@ -85,15 +85,19 @@ MAX_SUBMIT_CALLS_PER_REQUEST = 18.5
 #: ``sys.setprofile`` events (Python calls + C calls -- a vectorised path
 #: trades NumPy scalar C calls for a few comprehension frames, so either
 #: alone would flatter or punish it) of one 16-row ``cluster_saturate`` wave,
-#: per hop, measured + 10 %: gateway submit 56 + 41 (73 + 50 with a
-#: ``create_future`` call per row and a JSON header), the worker's turn
-#: outside its tick loop 50 + 102, budget the prototype's 53 + 105 + 10 %
+#: per hop, measured + 10 %: gateway submit 40 + 43 (56 + 42 with a future
+#: made per row at the door, 73 + 50 with a JSON header too), the worker's
+#: turn outside its tick loop 50 + 102, budget the prototype's 53 + 105 + 10 %
 #: (86 + 120 with sixteen futures built at the door and sixteen ``result()``
 #: calls behind the RESULTS frame, 90 + 218 with a per-row RESULTS frame and
-#: a per-array header), gateway resolve 39 + 68 (36 + 114 with a frozen
-#: response and three NumPy scalar reads per row).
-MAX_WAVE_EVENTS = {"gateway_submit": 107, "worker_outside_drain": 175,
-                   "gateway_resolve": 118}
+#: a per-array header), gateway resolve 25 + 39 (39 + 68 with a response and
+#: a ``set_result`` per row, 36 + 114 with a frozen response and three NumPy
+#: scalar reads per row), and asking the resolved wave for every row 37 + 41:
+#: the sixteen futures and responses a caller that reads every row pays for
+#: (1 + 1 when submit and resolve made them: 207 events for the three hops
+#: then, 225 now).
+MAX_WAVE_EVENTS = {"gateway_submit": 90, "worker_outside_drain": 175,
+                   "gateway_resolve": 70, "gateway_read": 86}
 #: One steady-state call under ``NoiseConfig.paper_default()`` at batch 32:
 #: label -> (generator draws = crossbars of the allocation, standard normals
 #: = slices x input bits x batch x used columns, summed over tiles).  The
