@@ -130,11 +130,14 @@ profile:
 # (Python + C calls) for gateway submit, the worker's turn (whole, outside its
 # tick loop, and split into peek / decode / copy+submit / drain / RESULTS
 # frame / advance+push / two beats) and gateway resolve.  registration: one
-# new 64x64 4-bit PumServer.register_matrix (the tenant_churn tenant) and the
-# first wave against it -- untraced us for each, and stopwatch self time of
-# fingerprint / release / encode+slice+map / crossbar construct / program /
-# tile-plan compile / shard-kernel build / device-plan compile / the rest of
-# the registration / the first call itself.
+# 64x64 4-bit PumServer.register_matrix with new bytes (the tenant_churn
+# tenant, reprogrammed in place) and the first wave against it, then the same
+# with the shape alternating (released and placed anew) -- untraced us for
+# each, minor faults, Python calls, planner builds and crossbars built per
+# round, and stopwatch self time of memo compare / in-place bookkeeping / release /
+# encode+slice+map / crossbar construct / program / tile-plan compile /
+# shard-kernel build / device-plan compile / the rest of the registration /
+# the first call itself.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 	$(PY) benchmarks/profile_serving.py pool-call

@@ -46,11 +46,14 @@ its seven stages, the gateway's resolve and a read of every row of the
 resolved wave (what a caller that gathers the whole wave adds), with the
 gateway's three hops summed.
 
-The ``registration`` mode prices the write path: one new 64x64 4-bit
-``PumServer.register_matrix`` (the layerbench ``tenant_churn`` tenant:
-release, program, compile) and the first wave against it -- untraced
-microseconds for each, and stopwatch self time of each stage from the
-fingerprint to the first call's lazily built shard kernel and device plan.
+The ``registration`` mode prices the write path: one 64x64 4-bit
+``PumServer.register_matrix`` with new bytes (the layerbench
+``tenant_churn`` tenant, reprogrammed in place) and the first wave against
+it, then the same with the shape alternating every round (released and
+placed anew: the path the in-place one bypasses) -- untraced microseconds
+for each, minor page faults, Python calls, planner builds and crossbars
+built per round, and stopwatch self time of each stage from the memo to
+the first call's lazily built shard kernel and device plan.
 
 Usage::
 
@@ -70,6 +73,7 @@ from __future__ import annotations
 import asyncio
 import cProfile
 import pstats
+import resource
 import sys
 import time
 from types import SimpleNamespace
@@ -92,7 +96,6 @@ from repro.analog.crossbar import AnalogCrossbar
 from repro.analog.numbers import DifferentialPairs
 from repro.plan.planner import Planner
 from repro.reram import ConductanceMapper, NoiseConfig
-from repro.runtime import server as server_module
 from repro.runtime import session as session_module
 from repro.testing import DEVICE_CALL_SHAPES, profiled_calls, server_round
 
@@ -156,13 +159,29 @@ WORKER_STAGES = ("peek", "decode", "copy_submit", "drain", "result_frame",
 
 #: The layerbench ``tenant_churn`` tenant and wave.
 REGISTRATION_SHAPE, REGISTRATION_BITS, REGISTRATION_ROWS = (64, 64), 4, 32
-#: Where a new registration and the first call against it spend their time:
+#: The ``registration`` rows: label -> the shapes the tenant's matrix cycles
+#: through, one per round, always with new bytes.  ``same_shape`` is the
+#: ``tenant_churn`` round (reprogrammed in place); ``new_shape`` alternates
+#: two shapes, so every round releases and places the matrix anew -- the
+#: path a same-shape round took before, and the bypass of the in-place one.
+REGISTRATION_KINDS = {
+    "same_shape": (REGISTRATION_SHAPE,),
+    "new_shape": (REGISTRATION_SHAPE, (REGISTRATION_SHAPE[0], 48)),
+}
+#: Where a registration and the first call against it spend their time:
 #: stage -> the functions whose self time (what no other listed function
-#: covers) it sums, as ``(owner, name)``.  ``register_rest`` is placement,
-#: the device and tile bookkeeping and the pool's shard table; ``first_call``
-#: is the wave itself once the kernel and the device plan exist.
+#: covers) it sums, as ``(owner, name)``.  ``memo_compare`` is the server's
+#: decision (the comparison with the live matrix); ``reprogram_rest`` the
+#: in-place path's own bookkeeping (checks, rewinds, checksums);
+#: ``register_rest`` is placement, the device and tile bookkeeping and the
+#: pool's shard table; ``first_call`` is the wave itself once the kernel and
+#: the device plan exist.  A stage whose function an older ``src/`` lacks
+#: reads 0.
 REGISTRATION_STAGES = {
-    "fingerprint": ((server_module, "matrix_fingerprint"),),
+    "memo_compare": ((PumServer, "_holds"),),
+    "reprogram_rest": ((DevicePool, "update_matrix"),
+                       (session_module.DarthPumDevice, "update_matrix"),
+                       (ace_module.AnalogComputeElement, "reprogram")),
     "release": ((DevicePool, "release"),),
     "encode_slice_map": ((DifferentialPairs, "encode"), (ace_module, "slice_matrix"),
                          (ConductanceMapper, "value_to_conductance")),
@@ -574,16 +593,23 @@ def server_round_breakdown(profile: bool) -> None:
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
 
 
-def registration_row(rounds: int = 200, repeats: int = 5) -> dict:
-    """What a new registration and the first call against it cost.
+def registration_row(kind: str = "same_shape", rounds: int = 200, repeats: int = 5) -> dict:
+    """What a registration with new bytes and the first call against it cost.
 
+    ``kind`` picks the shapes from :data:`REGISTRATION_KINDS`.
     ``register_new_us`` / ``first_call_us`` are untraced best-of-``repeats``
     means over ``rounds`` rounds, each replacing the tenant's matrix with
-    new bytes; the ``*_stage_us`` entries are a separate stopwatch pass.
+    new bytes, and ``minor_faults`` the page faults per round of the last
+    of those passes (``ru_minflt``).  ``py_calls`` (Python frames of one
+    round), ``planner_builds`` and ``crossbars_built`` (per round) come
+    from a counted pass, the ``*_stage_us`` entries from a stopwatch pass.
     """
+    shapes = REGISTRATION_KINDS[kind]
     rng = np.random.default_rng(11)
     half = 1 << (REGISTRATION_BITS - 1)
-    matrices = rng.integers(-half, half, size=(7, *REGISTRATION_SHAPE))
+    # An even count, so that round k holds shape k % len(shapes).
+    matrices = [rng.integers(-half, half, size=shapes[index % len(shapes)])
+                for index in range(14)]
     vectors = rng.integers(0, 1 << REGISTRATION_BITS,
                            size=(REGISTRATION_ROWS, REGISTRATION_SHAPE[0]), dtype=np.int64)
     server = PumServer(num_devices=2)
@@ -603,10 +629,34 @@ def registration_row(rounds: int = 200, repeats: int = 5) -> dict:
     best = dict.fromkeys(spent, float("inf"))
     for _ in range(repeats + 1):  # the first pass warms arenas and memos
         spent.update(register=0.0, call=0.0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for k in range(rounds):
             new_round(k)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         best = {key: min(best[key], spent[key] / rounds) for key in spent}
     assert server.registration_reuses == 0
+
+    counted = 20
+    calls = sum(count_calls(lambda k=k: new_round(k))[0] - 2  # the lambda, new_round
+                for k in range(counted)) / counted
+    built = []
+    construct = AnalogCrossbar.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    builds = server.planner_builds()
+    AnalogCrossbar.__init__ = counting
+    try:
+        for k in range(counted):
+            new_round(k)
+    finally:
+        AnalogCrossbar.__init__ = construct
+    counts = {"py_calls": round(calls, 1),
+              "planner_builds": (server.planner_builds() - builds) / counted,
+              "crossbars_built": len(built) / counted,
+              "minor_faults": round(faults / rounds, 2)}
 
     totals = dict.fromkeys(REGISTRATION_STAGES, 0.0)
     nested = []
@@ -635,27 +685,31 @@ def registration_row(rounds: int = 200, repeats: int = 5) -> dict:
     finally:
         for owner, name, original in restore:
             setattr(owner, name, original)
-    row = {"shape": list(REGISTRATION_SHAPE), "element_size": REGISTRATION_BITS,
-           "rows": REGISTRATION_ROWS,
+    row = {"kind": kind, "shapes": [list(shape) for shape in shapes],
+           "element_size": REGISTRATION_BITS, "rows": REGISTRATION_ROWS,
            "register_new_us": round(best["register"] * 1e6, 1),
-           "first_call_us": round(best["call"] * 1e6, 1)}
+           "first_call_us": round(best["call"] * 1e6, 1), **counts}
     row.update({f"{stage}_stage_us": round(total / rounds * 1e6, 1)
                 for stage, total in totals.items()})
     return row
 
 
 def registration_breakdown() -> None:
-    """Print what a new registration and its first call cost, by stage."""
-    row = registration_row()
-    print(f"# one new {REGISTRATION_SHAPE[0]}x{REGISTRATION_SHAPE[1]} "
-          f"{REGISTRATION_BITS}-bit PumServer.register_matrix (release, program, "
-          f"compile) + the first {REGISTRATION_ROWS}-row wave against it, ideal "
-          "device:\n# register_new_us / first_call_us are untraced best-of-5 means "
-          "over 200 rounds; stage rows are stopwatch self time of a separate pass "
-          "(inflated by the probe, compare them with each other)")
-    for key, value in row.items():
-        if key.endswith("_us"):
-            print(f"{key:>30}  {value:>8.1f}")
+    """Print what a registration with new bytes and its first call cost."""
+    rows = [registration_row(kind) for kind in REGISTRATION_KINDS]
+    print(f"# one {REGISTRATION_BITS}-bit PumServer.register_matrix with new bytes + the "
+          f"first {REGISTRATION_ROWS}-row wave against it, ideal device; same_shape: "
+          f"{REGISTRATION_SHAPE[0]}x{REGISTRATION_SHAPE[1]} every round (reprogrammed in "
+          "place), new_shape: alternating with 64x48 (release + place + compile).\n"
+          "# register_new_us / first_call_us are untraced best-of-5 means over 200 "
+          "rounds; minor_faults per round of the last of those passes; py_calls, "
+          "planner_builds and crossbars_built per round of a counted pass; stage rows "
+          "are stopwatch self time of a separate pass (inflated by the probe, compare "
+          "them with each other)")
+    print(f"{'':>30}  " + "  ".join(f"{row['kind']:>10}" for row in rows))
+    for key, value in rows[0].items():
+        if isinstance(value, (int, float)) and key not in ("element_size", "rows"):
+            print(f"{key:>30}  " + "  ".join(f"{row[key]:>10.1f}" for row in rows))
 
 
 class ClusterWaveTwin:

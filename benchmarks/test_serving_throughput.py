@@ -30,7 +30,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from profile_serving import SERVER_ROUND_ROWS, registration_row, server_round_row
+from profile_serving import (
+    REGISTRATION_KINDS,
+    SERVER_ROUND_ROWS,
+    registration_row,
+    server_round_row,
+)
 
 from repro import DevicePool, PumServer, StaticBatchingPolicy
 
@@ -151,10 +156,12 @@ def test_server_round_cost_is_recorded(record_row):
 
 
 def test_registration_cost_is_recorded(record_row):
-    """One new registration and its first call, priced; nothing gated."""
-    row = registration_row(rounds=100, repeats=3)
+    """A registration with new bytes and its first call, priced for the same
+    shape (reprogrammed in place) and a new one; nothing gated."""
+    rows = [registration_row(kind, rounds=100, repeats=3) for kind in REGISTRATION_KINDS]
     ARTIFACTS_DIR.mkdir(exist_ok=True)
-    (ARTIFACTS_DIR / "registration.json").write_text(json.dumps(row, indent=2))
-    print(f"\nnew {row['shape']} {row['element_size']}-bit registration: "
-          f"{row['register_new_us']} us, first call {row['first_call_us']} us")
-    record_row("BENCH_serving.json", {"benchmark": "registration", **row})
+    (ARTIFACTS_DIR / "registration.json").write_text(json.dumps(rows, indent=2))
+    for row in rows:
+        print(f"\n{row['kind']} {row['element_size']}-bit registration: "
+              f"{row['register_new_us']} us, first call {row['first_call_us']} us")
+        record_row("BENCH_serving.json", {"benchmark": "registration", **row})

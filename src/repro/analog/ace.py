@@ -35,7 +35,22 @@ __all__ = [
     "MatrixHandle",
     "MvmExecution",
     "PartialProduct",
+    "integer_matrix",
 ]
+
+#: The signed-number encodings a matrix can be programmed with, by name.
+_ENCODERS = {"differential": DifferentialPairs, "offset": OffsetSubtraction}
+
+
+def integer_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as an array, refused unless it is 2-D with an integer
+    dtype: a float matrix must be quantised first, never truncated."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise QuantizationError("set_matrix expects a 2-D matrix")
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise QuantizationError("set_matrix expects an integer (quantised) matrix")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,6 @@ class MatrixHandle:
     shape: Tuple[int, int]
     value_bits: int
     bits_per_cell: int
-    signed: bool
     representation: str
     row_tiles: int
     col_tiles: int
@@ -221,11 +235,11 @@ class AnalogComputeElement:
             self.config.adc_kind, min_value=-max_sum, max_value=max_sum, spec=self.adc_spec
         )
 
-    def _allocate_crossbar(self, bits_per_cell: int) -> Tuple[int, AnalogCrossbar]:
+    def _allocate_crossbar(self, bits_per_cell: int) -> int:
         if not self._free_arrays:
             raise AllocationError("no free analog arrays remain in this ACE")
         array_id = self._free_arrays.pop(0)
-        crossbar = AnalogCrossbar(
+        self._crossbars[array_id] = AnalogCrossbar(
             rows=self.config.array_rows,
             cols=self.config.array_cols,
             bits_per_cell=bits_per_cell,
@@ -239,8 +253,7 @@ class AnalogComputeElement:
             row_periphery_power_mw=self.config.row_periphery_power_mw,
             noise_stream=(self.tile_id, array_id),
         )
-        self._crossbars[array_id] = crossbar
-        return array_id, crossbar
+        return array_id
 
     def crossbar(self, array_id: int) -> AnalogCrossbar:
         """Return the crossbar occupying array slot ``array_id``."""
@@ -269,11 +282,7 @@ class AnalogComputeElement:
         The matrix is stored column-major over the bitlines: each output
         element of an MVM corresponds to one bitline of one column tile.
         """
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise QuantizationError("set_matrix expects a 2-D matrix")
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise QuantizationError("set_matrix expects an integer (quantised) matrix")
+        matrix = integer_matrix(matrix)
         if bits_per_cell > self.device.max_bits_per_cell:
             raise QuantizationError(
                 f"bits_per_cell {bits_per_cell} exceeds the device maximum "
@@ -285,67 +294,92 @@ class AnalogComputeElement:
             raise CapacityError(
                 f"matrix needs {needed} arrays but only {self.arrays_free} are free"
             )
-
-        signed = bool(matrix.size and np.minimum.reduce(matrix, axis=None) < 0)
-        if representation == "differential":
-            encoder = DifferentialPairs(value_bits)
-        elif representation == "offset":
-            encoder = OffsetSubtraction(value_bits)
-        else:
+        if representation not in _ENCODERS:
             raise QuantizationError(f"unknown representation {representation!r}")
         # One pass each over the whole matrix -- encode, slice, map -- as
         # (slices, 2, rows, cols) blocks: plane 0 positive, plane 1 negative.
-        levels = slice_matrix(encoder.encode(matrix).planes, value_bits, bits_per_cell)
+        levels = slice_matrix(
+            _ENCODERS[representation](value_bits).encode(matrix).planes, value_bits, bits_per_cell
+        )
         conductances = ConductanceMapper(self.device, bits_per_cell).value_to_conductance(levels)
-
-        array_rows, array_cols = self.config.array_rows, self.config.array_cols
-        array_ids: List[int] = []
-        for r0 in range(0, rows, array_rows):
-            for c0 in range(0, cols, array_cols):
-                tile = np.s_[:, r0: r0 + array_rows, c0: c0 + array_cols]
-                for slice_levels, slice_conductances in zip(levels, conductances):
-                    array_id, crossbar = self._allocate_crossbar(bits_per_cell)
-                    crossbar._program(slice_levels[tile], slice_conductances[tile])
-                    array_ids.append(array_id)
-
         handle = MatrixHandle(
             handle_id=self._next_handle,
             shape=(rows, cols),
             value_bits=value_bits,
             bits_per_cell=bits_per_cell,
-            signed=signed,
             representation=representation,
-            row_tiles=-(-rows // array_rows),
-            col_tiles=-(-cols // array_cols),
+            row_tiles=-(-rows // self.config.array_rows),
+            col_tiles=-(-cols // self.config.array_cols),
             num_slices=len(levels),
-            array_ids=tuple(array_ids),
+            array_ids=tuple([self._allocate_crossbar(bits_per_cell) for _ in range(needed)]),
         )
         self._handles[handle.handle_id] = handle
         self._matrices[handle.handle_id] = matrix.astype(np.int64)
         self._programmed[handle.handle_id] = (levels, conductances)
         self._next_handle += 1
+        self._program_arrays(handle)
         return handle
 
     def update_row(self, handle: MatrixHandle, row: int, values: np.ndarray) -> MatrixHandle:
         """Re-program a single matrix row (updateRow library call)."""
         matrix = self._matrices[handle.handle_id].copy()
         matrix[row, :] = np.asarray(values, dtype=np.int64)
-        return self._reprogram(handle, matrix)
+        return self.reprogram(handle, matrix)
 
     def update_col(self, handle: MatrixHandle, col: int, values: np.ndarray) -> MatrixHandle:
         """Re-program a single matrix column (updateCol library call)."""
         matrix = self._matrices[handle.handle_id].copy()
         matrix[:, col] = np.asarray(values, dtype=np.int64)
-        return self._reprogram(handle, matrix)
+        return self.reprogram(handle, matrix)
 
-    def _reprogram(self, handle: MatrixHandle, matrix: np.ndarray) -> MatrixHandle:
-        self.release(handle)
-        return self.set_matrix(
-            matrix,
-            value_bits=handle.value_bits,
-            bits_per_cell=handle.bits_per_cell,
-            representation=handle.representation,
+    def reprogram(self, handle: MatrixHandle, matrix: np.ndarray) -> MatrixHandle:
+        """Rewrite ``handle``'s arrays with ``matrix`` where they are.
+
+        ``setMatrix`` over a live allocation of the same shape, and the one
+        body ``update_row`` / ``update_col`` ride: :meth:`set_matrix`'s
+        checks in its order, then the encoded matrix is sliced and mapped
+        into the allocation's own level and conductance blocks, and every
+        array -- rewound to the state it was built in -- programs its views
+        of them again, one ``ace.program`` charge each in allocation order.
+        That is what a release and a ``set_matrix`` onto the same arrays
+        would leave, but the handle, its arrays, its compiled plans and
+        their batch receipts stay; the shard kernel, which holds the
+        recombined weights and the exactness proof, is dropped.  Returns
+        ``handle``.
+        """
+        matrix = integer_matrix(matrix)
+        if matrix.shape != handle.shape:
+            raise QuantizationError(f"expected a matrix of shape {handle.shape}")
+        levels, conductances = self._programmed[handle.handle_id]
+        encoded = _ENCODERS[handle.representation](handle.value_bits).encode(matrix)
+        slice_matrix(encoded.planes, handle.value_bits, handle.bits_per_cell, out=levels)
+        ConductanceMapper(self.device, handle.bits_per_cell).value_to_conductance(
+            levels, out=conductances
         )
+        self._matrices[handle.handle_id][...] = matrix
+        self._kernels.pop(handle.handle_id, None)
+        for (handle_id, _), plan in self._plans.items():
+            if handle_id == handle.handle_id:
+                plan.__dict__.pop("kernel", None)  # the plan's cached view of it
+        for array_id in handle.array_ids:
+            self._crossbars[array_id].rewind()
+        self._program_arrays(handle)
+        return handle
+
+    def _program_arrays(self, handle: MatrixHandle) -> None:
+        """Program ``handle``'s blocks into its arrays in allocation order
+        (row tile, column tile, weight slice), each array handed views of
+        the level and conductance blocks."""
+        levels, conductances = self._programmed[handle.handle_id]
+        array_rows, array_cols = self.config.array_rows, self.config.array_cols
+        array_ids = iter(handle.array_ids)
+        for r0 in range(0, handle.shape[0], array_rows):
+            for c0 in range(0, handle.shape[1], array_cols):
+                tile = np.s_[:, r0: r0 + array_rows, c0: c0 + array_cols]
+                for slice_levels, slice_conductances in zip(levels, conductances):
+                    self._crossbars[next(array_ids)]._program(
+                        slice_levels[tile], slice_conductances[tile]
+                    )
 
     def release(self, handle: MatrixHandle) -> None:
         """Free the arrays used by ``handle`` (disableAnalogMode path)."""
@@ -367,9 +401,8 @@ class AnalogComputeElement:
         """Per-shard conductance tensors for ``handle`` (views, not copies).
 
         Built lazily on first use and cached per allocation; ``release``
-        (and therefore ``update_row`` / ``update_col``, which reprogram
-        through release + ``set_matrix``) invalidates the entry, so the
-        cache can never serve conductances of a stale programming.
+        and :meth:`reprogram` (so ``update_row`` / ``update_col``) drop the
+        entry, so the cache can never serve weights of a stale programming.
         """
         kernel = self._kernels.get(handle.handle_id)
         if kernel is None:

@@ -28,13 +28,17 @@ __all__ = [
 ]
 
 
-def slice_matrix(matrix: np.ndarray, value_bits: int, bits_per_cell: int) -> np.ndarray:
+def slice_matrix(
+    matrix: np.ndarray, value_bits: int, bits_per_cell: int, out: "np.ndarray | None" = None
+) -> np.ndarray:
     """Split a non-negative integer array into per-cell bit slices.
 
     Slice ``s`` holds bits ``[s*bits_per_cell, (s+1)*bits_per_cell)`` of each
     value; the slices are stacked least significant first along a new
     leading axis, shape ``(num_slices, *matrix.shape)``.  Any array shape
     will do: the ACE slices both planes of an encoded matrix in one pass.
+    ``out``, an int64 block of that shape, receives the slices in place of
+    a new array -- after every check, so a refused matrix leaves it alone.
     """
     matrix = np.asarray(matrix)
     if not np.issubdtype(matrix.dtype, np.integer):
@@ -48,7 +52,7 @@ def slice_matrix(matrix: np.ndarray, value_bits: int, bits_per_cell: int) -> np.
     num_slices = -(-value_bits // bits_per_cell)
     shifts = np.arange(0, num_slices * bits_per_cell, bits_per_cell)
     slices = np.right_shift(
-        matrix.astype(np.int64, copy=False), shifts.reshape((-1,) + (1,) * matrix.ndim)
+        matrix.astype(np.int64, copy=False), shifts.reshape((-1,) + (1,) * matrix.ndim), out=out
     )
     slices &= (1 << bits_per_cell) - 1
     return slices

@@ -232,6 +232,16 @@ class AnalogCrossbar:
             energy_pj=levels.size * self.device.program_energy_pj,
         )
 
+    def rewind(self) -> None:
+        """Return the array to the state it was built in: its noise stream
+        restarts from ``(seed, *noise_stream)`` (a stuck-at map is drawn
+        anew) and no MVM is counted.  The ACE rewinds an array before it
+        reprograms it in place, so what a noisy array answers does not
+        depend on what it held before."""
+        if self.noise._rng is not None:  # a stack that never drew is as built
+            self.noise = NoiseStack(self.device, self.noise.config, self.noise.stream)
+        self.mvm_count = 0
+
     def _programmed(self, planes: Optional[np.ndarray], index: int) -> np.ndarray:
         if planes is None:
             raise DeviceError("crossbar has not been programmed")

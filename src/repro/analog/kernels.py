@@ -97,9 +97,9 @@ class ShardKernel:
     """The per-allocation kernel cache: conductance windows for every shard.
 
     Built lazily on the first vectorized MVM against a handle and cached by
-    the owning ACE (``AnalogComputeElement.kernel_for``); released together
-    with the handle, so ``update_row`` / ``update_col`` -- which reprogram
-    through release + set_matrix -- can never serve stale tensors.
+    the owning ACE (``AnalogComputeElement.kernel_for``); dropped with the
+    handle and by every in-place reprogram of it (``update_row`` /
+    ``update_col`` included), so it can never serve stale tensors.
     """
 
     handle_id: int

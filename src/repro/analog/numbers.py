@@ -80,9 +80,13 @@ class DifferentialPairs:
         self.value_bits = int(value_bits)
         self.max_magnitude = 2 ** (value_bits - 1) if value_bits > 1 else 1
 
+    def check(self, matrix: np.ndarray) -> np.ndarray:
+        """``matrix`` as an array, or the error :meth:`encode` would raise."""
+        return _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+
     def encode(self, matrix: np.ndarray) -> EncodedMatrix:
         """Split a signed matrix into positive and negative magnitude parts."""
-        matrix = _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+        matrix = self.check(matrix)
         planes = np.empty((2,) + matrix.shape, dtype=np.int64)
         np.maximum(matrix, 0, out=planes[0])
         np.minimum(matrix, 0, out=planes[1])

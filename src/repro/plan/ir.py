@@ -352,16 +352,19 @@ class MvmPlan:
     """The compiled execution plan for one HCT-resident matrix allocation.
 
     Built once by the :class:`~repro.plan.planner.Planner`, cached keyed on
-    ``(allocation, input_bits)``, and invalidated on release/reprogram
-    alongside the shard-kernel cache.  Every backend in the
+    ``(allocation, input_bits)``, and dropped on release alongside the
+    shard-kernel cache.  Every backend in the
     :class:`~repro.plan.backends.BackendRegistry` executes this object --
     two interpreters of one IR -- so results, ledgers, and timelines agree
     bit for bit by construction of their shared operands.
 
     The plan also carries its :class:`BatchReceipt` memo (``receipts``,
     keyed ``(batch, active_adc_bits)``, filled and bounded by the planner),
-    so the per-batch accounting dies with the plan on release/reprogram
-    exactly like the schedule it was derived from.
+    so the per-batch accounting dies with the plan on release exactly like
+    the schedule it was derived from.  Neither depends on the programmed
+    values: an in-place reprogram
+    (:meth:`~repro.analog.ace.AnalogComputeElement.reprogram`) keeps the
+    plan and its receipts and drops only its cached :attr:`kernel`.
     """
 
     #: The analog allocation this plan executes against.
@@ -411,8 +414,8 @@ class MvmPlan:
         """Stacked per-shard conductance tensors (vectorized operand).
 
         Fetched from the ACE's shard-kernel cache on first use and then
-        held by the plan (the two are invalidated together, by
-        ``release``), so the tensors are built lazily: interpreters that
+        held by the plan (``release`` and a reprogram drop both), so the
+        tensors are built lazily: interpreters that
         never touch them (the step-walking reference backend, the
         single-vector path) pay nothing, while the vectorized and cost-only
         backends share one snapshot per allocation.
@@ -536,8 +539,9 @@ class DevicePlan:
 
     Kept per ``(allocation, input_bits)`` on the
     :class:`~repro.runtime.session.MatrixAllocation` and dropped on
-    ``release`` / ``update_row`` / ``update_col`` like the tile plans it
-    refers to.
+    ``release`` and whenever the programmed values change
+    (``update_matrix`` / ``update_row`` / ``update_col``): its stacked
+    weights and its eligibility follow the values.
     """
 
     #: Scratch blocks kept per plan before the oldest is dropped (a server

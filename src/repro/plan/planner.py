@@ -3,10 +3,12 @@
 One planner instance lives on every
 :class:`~repro.core.hct.HybridComputeTile`.  ``plan_for`` is the only
 entry point: it returns the cached plan for ``(allocation, input_bits)``
-or builds it exactly once.  The cache itself is held by the tile's ACE --
-next to the shard-kernel cache and invalidated by the same ``release``
-path -- so ``update_row`` / ``update_col`` (which reprogram through
-release + ``set_matrix``) can never serve a stale schedule.
+or builds it exactly once.  The cache itself is held by the tile's ACE,
+next to the shard-kernel cache, and emptied by the same ``release``.  A
+plan is the allocation's geometry -- schedule, reduction layout, cost
+model, batch receipts -- so an in-place reprogram (``update_row`` /
+``update_col``, a same-shape re-registration) keeps it and drops only the
+shard kernel it holds, which the values decide.
 
 ``builds`` counts actual compilations; the serving layers aggregate it
 (`DevicePool.planner_builds`, `PumServer.planner_builds`) so tests can
@@ -83,8 +85,9 @@ class Planner:
         """The accounting of one ``batch``-vector MVM of ``plan`` (memoised).
 
         Kept in ``plan.receipts``, so it is dropped with the plan on
-        release/reprogram; at most :attr:`RECEIPT_BATCH_SIZES` entries per
-        plan, oldest evicted first.
+        release (an in-place reprogram keeps both: a receipt is geometry);
+        at most :attr:`RECEIPT_BATCH_SIZES` entries per plan, oldest
+        evicted first.
         """
         receipts = plan.receipts
         key = (batch, active_adc_bits)

@@ -96,8 +96,11 @@ class ConductanceMapper:
         self.num_levels = params.levels(self.bits_per_cell)
         self._step = params.conductance_range / (self.num_levels - 1)
 
-    def value_to_conductance(self, values: np.ndarray) -> np.ndarray:
-        """Map integer level values to ideal (noise-free) conductances."""
+    def value_to_conductance(
+        self, values: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Map integer level values to ideal (noise-free) conductances
+        (into the float64 block ``out`` when given, after the range check)."""
         values = np.asarray(values)
         if values.size and (
             np.minimum.reduce(values, axis=None) < 0
@@ -107,7 +110,7 @@ class ConductanceMapper:
                 f"values must be in [0, {self.num_levels - 1}] for "
                 f"{self.bits_per_cell} bits per cell"
             )
-        conductances = values * self._step
+        conductances = np.multiply(values, self._step, out=out)
         conductances += self.params.g_min  # in place: one block, not two
         return conductances
 

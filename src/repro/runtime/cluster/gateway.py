@@ -15,9 +15,9 @@ a reply costs one wakeup and nothing in the gateway runs on a poll timer.
 Design points, mirroring the single-server stack one tier up:
 
 * **Consistent placement.**  A matrix is placed at registration time by
-  rendezvous (highest-random-weight) hashing of its content digest --
-  the same sha256 fingerprint the server's registration memo uses -- so
-  placement is deterministic, re-registration of identical bytes is a
+  rendezvous (highest-random-weight) hashing of its content digest
+  (:func:`matrix_fingerprint`, a sha256 of the matrix, which
+  ``integer_matrix`` has refused if it is not integers) -- so placement is deterministic, re-registration of identical bytes is a
   no-op, and adding workers moves the minimum number of matrices.  With
   ``replication=R`` the top-R workers each hold a full copy.
 * **Cost-aware routing, stated once.**  Each worker's REGISTERED reply
@@ -85,7 +85,8 @@ from ...errors import (
 )
 from ...plan.ir import PlanHandle
 from ..integrity import DeviceHealth
-from ..server import _LazyRows, integer_vectors, matrix_fingerprint
+from ..server import _LazyRows
+from ..session import integer_matrix, integer_vectors
 from .faults import TransportFaultSpec
 from .messages import (
     K_ACK,
@@ -397,6 +398,12 @@ class _PendingBatch:
     park_deadline: Optional[float] = None
 
 
+def matrix_fingerprint(matrix: np.ndarray, element_size: int, precision: int) -> Tuple:
+    """Content fingerprint of a C-contiguous int64 ``matrix`` and its
+    quantisation config, deciding whether a re-registration is a no-op."""
+    return (hashlib.sha256(matrix.tobytes()).hexdigest(), matrix.shape, element_size, precision)
+
+
 @dataclass
 class _MatrixRecord:
     """Everything needed to route for -- and re-register -- one matrix."""
@@ -697,13 +704,14 @@ class ClusterGateway:
         the workers' programmed shards and plan caches stay untouched.
         """
         self._require_running()
-        fingerprint = matrix_fingerprint(matrix, element_size, precision)
+        # A private copy: restarts replay it, whatever the caller does next.
+        canonical = np.array(integer_matrix(matrix), dtype=np.int64, order="C")
+        fingerprint = matrix_fingerprint(canonical, element_size, precision)
         record = self._matrices.get(name)
         if record is not None and record.fingerprint == fingerprint \
                 and record.input_bits == input_bits:
             self.stats.registration_reuses += 1
             return list(record.placement)
-        canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
         placement = self._rendezvous(fingerprint[0])
         record = _MatrixRecord(
             fingerprint=fingerprint, matrix=canonical,

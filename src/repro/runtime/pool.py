@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..analog.numbers import DifferentialPairs
 from ..core.config import ChipConfig
 from ..errors import (
     AllocationError,
@@ -59,7 +60,7 @@ from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
 from ..reram import NoiseConfig
 from .allocator import plan_matrix
 from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, IntegrityChecker
-from .session import DarthPumDevice, integer_vectors
+from .session import DarthPumDevice, integer_matrix, integer_vectors
 
 __all__ = [
     "CacheAffinityPolicy",
@@ -88,8 +89,9 @@ class PooledAllocation(ShardedPlan):
     plus what :meth:`DevicePool.rebuild` needs to reprogram a lost band.
     """
 
-    #: Canonical int64 copy of the source matrix, retained so
-    #: :meth:`DevicePool.rebuild` can reprogram lost row bands.
+    #: The pool's private int64 copy of the source matrix, retained so
+    #: :meth:`DevicePool.rebuild` can reprogram lost row bands (and
+    #: ``update_matrix`` rewrites it with the copies).
     matrix: Optional[np.ndarray] = None
     #: Quantisation config the matrix was stored with (rebuild reuses it).
     element_size: int = 8
@@ -480,9 +482,7 @@ class DevicePool:
                 "DevicePool.set_matrix called with zero devices configured; "
                 "construct the pool with num_devices >= 1"
             )
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise QuantizationError("set_matrix expects a 2-D matrix")
+        matrix = integer_matrix(matrix)
         rows, cols = matrix.shape
 
         # Each shard copy occupies at least one HCT, so the total free
@@ -508,7 +508,10 @@ class DevicePool:
             self.num_devices,
         )
 
-        source = np.ascontiguousarray(matrix, dtype=np.int64)
+        # The pool's own copy: a caller reusing its buffer must not change
+        # what a rebuild programs (``np.ascontiguousarray`` would keep a
+        # C-contiguous int64 array itself).
+        source = np.array(matrix, dtype=np.int64, order="C")
         allocation = PooledAllocation(
             allocation_id=self._next_allocation, shape=(rows, cols),
             matrix=source, element_size=element_size, precision=precision,
@@ -524,6 +527,43 @@ class DevicePool:
         self._allocations[allocation.allocation_id] = allocation
         self._next_allocation += 1
         return allocation
+
+    def update_matrix(self, allocation: PooledAllocation, matrix: np.ndarray) -> None:
+        """Store ``matrix``, of ``allocation``'s shape, where the old one is.
+
+        Every copy of every band is reprogrammed in place
+        (:meth:`~repro.runtime.session.DarthPumDevice.update_matrix`): the
+        shard table, the devices' HCTs and arrays, and the compiled plans
+        stay.  The retained source and the ABFT checksums follow the new
+        values, and the placement policy is told of the copies where they
+        are, as if it had placed them there again.  The matrix is never
+        moved, whatever the policy: a release and a :meth:`set_matrix`
+        might have put it elsewhere (``least_loaded`` or ``round_robin``
+        once other matrices came and went), this keeps its devices, noise
+        streams and ledgers.  A matrix of another shape, or one the encoder
+        refuses, raises :class:`~repro.errors.QuantizationError`, and a
+        copy on a failed device :class:`~repro.errors.DeviceFailedError`
+        (release the allocation and ``set_matrix`` instead), all before any
+        copy is written.
+        """
+        matrix = integer_matrix(matrix)
+        if matrix.shape != allocation.shape:
+            raise QuantizationError(f"expected a matrix of shape {allocation.shape}")
+        DifferentialPairs(allocation.element_size).check(matrix)
+        failed = self._failed_devices.intersection(allocation.devices_used)
+        if failed:
+            raise DeviceFailedError(min(failed), message="a copy is on a failed device")
+        tasks = allocation.all_tasks
+        for task in tasks:
+            self.devices[task.device_index].update_matrix(
+                task.device_allocation, matrix[task.row_start: task.row_end]
+            )
+        allocation.matrix[...] = matrix
+        self.placement_policy.committed([task.device_index for task in tasks], self.num_devices)
+        self.integrity.register(
+            allocation.allocation_id, allocation.matrix,
+            [(copies[0].row_start, copies[0].row_end) for copies in allocation.bands],
+        )
 
     def _plan_shards(
         self,

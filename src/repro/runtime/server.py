@@ -53,7 +53,6 @@ background thread; correctness never depends on real time.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import deque
@@ -76,7 +75,7 @@ from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
 from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
 from .scheduling import SchedulingPolicy, SloClass, StaticBatchingPolicy, resolve_slo
-from .session import integer_vectors
+from .session import integer_matrix, integer_vectors
 
 __all__ = [
     "PumServer",
@@ -87,7 +86,6 @@ __all__ = [
     "ThreadedServerDriver",
     "WaveFutures",
     "integer_vectors",
-    "matrix_fingerprint",
 ]
 
 #: Response status values.
@@ -109,15 +107,6 @@ TELEMETRY_WINDOW = 4096
 #: turns it away; ``"shed_lowest"`` evicts the lowest-priority queued
 #: request instead when the newcomer outranks it.
 ADMISSION_MODES = ("reject", "shed_lowest")
-
-
-def matrix_fingerprint(
-    matrix: np.ndarray, element_size: int, precision: int
-) -> Tuple[str, Tuple[int, ...], int, int]:
-    """Content fingerprint deciding whether a re-registration is a no-op."""
-    canonical = np.ascontiguousarray(np.asarray(matrix).astype(np.int64))
-    digest = hashlib.sha256(canonical.tobytes()).hexdigest()
-    return (digest, canonical.shape, element_size, precision)
 
 
 @dataclass(eq=False, slots=True)
@@ -373,16 +362,17 @@ class ResolvedRuns(_LazyRows):
 class _Registration:
     """Everything the server keeps about one registered name.
 
-    Replacing or releasing the name drops the record, and with it every
-    buffer and memo that described the old allocation.
+    Replacing the name with another geometry drops the record, and with it
+    every buffer and memo that described the old allocation; new values of
+    the same geometry keep it, because none of them depends on the values.
     """
 
     allocation: PooledAllocation
-    fingerprint: Tuple[str, Tuple[int, ...], int, int]
     #: Reusable batch-assembly buffers, keyed by input_bits.
     arenas: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: Predicted batch cost memos, keyed (input_bits, batch); cleared when
-    #: a rebuild changes the placement.
+    #: Predicted batch cost memos, keyed (input_bits, batch): geometry only,
+    #: so an in-place reprogram keeps them; cleared when a rebuild changes
+    #: the placement.
     cycles: Dict[Tuple[int, int], float] = field(default_factory=dict)
     energy_pj: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
@@ -642,14 +632,25 @@ class PumServer:
     ) -> PooledAllocation:
         """Place ``matrix`` on the pool under ``name`` (replacing any old one).
 
-        Programming multi-bit analog devices is slow and energetic, so a
-        re-registration whose matrix bytes and quantisation config match the
-        live allocation is a no-op: the existing shards -- and with them the
-        devices' shard kernel and plan caches -- are reused untouched
-        (``registration_reuses`` counts these).  Otherwise re-registration
-        passes the previous shards' devices as the affinity hint, so the
-        cache-affinity policy keeps updated matrices on chips whose ReRAM
-        arrays already hold the stale version.
+        ``matrix`` must have an integer dtype (a float one raises
+        :class:`~repro.errors.QuantizationError`, before it is compared with
+        anything).  Programming multi-bit analog devices is slow and
+        energetic, so a re-registration is compared with the pool's own copy
+        of the live allocation's matrix:
+
+        * the same values and quantisation config: a no-op -- the shards,
+          and with them the devices' shard kernel and plan caches, are
+          reused untouched (``registration_reuses`` counts these);
+        * new values of the same shape and config: the allocation is
+          reprogrammed in place (:meth:`DevicePool.update_matrix`) -- same
+          devices whatever the placement policy, same arrays, tile plans,
+          batch receipts and cost memos -- unless a copy sits on a failed
+          device; values the encoder refuses leave the registration as it
+          was;
+        * anything else: the old allocation is released and the matrix
+          placed anew, with the previous shards' devices as the affinity
+          hint, so the cache-affinity policy keeps it on chips whose ReRAM
+          arrays already held the stale version.
 
         Registration is also when the *planning* happens: the pool fills
         the shard table and compiles the tile-level plans at ``input_bits``
@@ -660,25 +661,42 @@ class PumServer:
         against the allocation, not here (docs/architecture.md, *Write
         path*).
         """
+        matrix = integer_matrix(matrix)
         with self._lock:
-            fingerprint = matrix_fingerprint(matrix, element_size, precision)
             previous = self._registrations.get(name)
-            if previous is not None and previous.fingerprint == fingerprint:
-                self.registration_reuses += 1
-                self.pool.compile(previous.allocation, input_bits=input_bits)
-                return previous.allocation
             affinity: Tuple[int, ...] = ()
             if previous is not None:
+                allocation = previous.allocation
+                if self._holds(allocation, matrix, element_size, precision):
+                    self.pool.compile(allocation, input_bits=input_bits)
+                    return allocation
                 del self._registrations[name]
-                affinity = tuple(previous.allocation.devices_used)
-                self.pool.release(previous.allocation)
+                affinity = tuple(allocation.devices_used)
+                self.pool.release(allocation)
             allocation = self.pool.set_matrix(
                 matrix, element_size=element_size, precision=precision,
                 affinity=affinity,
             )
             self.pool.compile(allocation, input_bits=input_bits)
-            self._registrations[name] = _Registration(allocation, fingerprint)
+            self._registrations[name] = _Registration(allocation)
             return allocation
+
+    def _holds(self, allocation: PooledAllocation, matrix: np.ndarray,
+               element_size: int, precision: int) -> bool:
+        """Whether ``allocation`` can go on serving as ``matrix``: it holds
+        those values already (a memo reuse), or only the values changed
+        and it was reprogrammed in place."""
+        config = (allocation.shape, allocation.element_size, allocation.precision)
+        if config != (matrix.shape, element_size, precision):
+            return False
+        if np.array_equal(allocation.matrix, matrix):
+            self.registration_reuses += 1
+            return True
+        try:
+            self.pool.update_matrix(allocation, matrix)
+        except DeviceFailedError:
+            return False  # a copy on a failed device: released and placed anew
+        return True
 
     def planner_builds(self) -> int:
         """Execution plans compiled across the pool (registration-time only)."""

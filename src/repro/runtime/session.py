@@ -23,7 +23,8 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analog.ace import MatrixHandle
+from ..analog.ace import MatrixHandle, integer_matrix
+from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
 from ..errors import QuantizationError
@@ -39,7 +40,7 @@ from ..plan.planner import compile_device_plan
 from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
 
-__all__ = ["MatrixAllocation", "DarthPumDevice", "integer_vectors"]
+__all__ = ["MatrixAllocation", "DarthPumDevice", "integer_matrix", "integer_vectors"]
 
 
 def integer_vectors(vectors: np.ndarray) -> np.ndarray:
@@ -86,7 +87,7 @@ class MatrixAllocation:
     matrix: Optional[np.ndarray] = None
     #: Compiled :class:`~repro.plan.ir.DevicePlan` per ``input_bits``
     #: (``None``: compiled and found off the proven-exact path).  Emptied
-    #: whenever ``handles`` changes.
+    #: whenever the programmed values or ``handles`` change.
     device_plans: Dict[int, Optional[DevicePlan]] = field(default_factory=dict, repr=False)
 
     @property
@@ -160,13 +161,7 @@ class DarthPumDevice:
         precision: int = 0,
     ) -> MatrixAllocation:
         """setMatrix(): allocate HCTs and program ``matrix`` into them."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise QuantizationError("set_matrix expects a 2-D matrix")
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise QuantizationError(
-                "set_matrix expects an integer matrix; quantise floats first"
-            )
+        matrix = integer_matrix(matrix)
         placement = plan_matrix(matrix.shape, element_size, precision, self.chip.config.hct)
         hct_indices = self.chip.allocate_hcts(placement.hcts_needed, owner="set_matrix")
         allocation = MatrixAllocation(
@@ -296,9 +291,9 @@ class DarthPumDevice:
         parasitics, a lossy ADC, analog mode disabled).  Compiled on first
         use -- the first vectorized call, like the shard kernels it stacks,
         not :meth:`compile`, so registration stays as cheap as it was -- and
-        kept on the allocation until ``release`` / ``update_row`` /
-        ``update_col``.  The stacked weights do not depend on ``input_bits``:
-        the plans of one allocation share one tensor.
+        kept on the allocation until ``release`` / ``update_matrix`` /
+        ``update_row`` / ``update_col``.  The stacked weights do not depend
+        on ``input_bits``: the plans of one allocation share one tensor.
         """
         plans = allocation.device_plans
         if input_bits not in plans:
@@ -356,6 +351,29 @@ class DarthPumDevice:
             self.predicted_mvm_energy_pj(allocation, 1, input_bits=input_bits),
         )
 
+    def update_matrix(self, allocation: MatrixAllocation, matrix: np.ndarray) -> None:
+        """setMatrix() again, in place: ``matrix``, of the allocation's
+        shape, is programmed where the old one was.
+
+        Every block is reprogrammed where it lies
+        (:meth:`~repro.analog.ace.AnalogComputeElement.reprogram`): the
+        HCTs, arrays and handles stay, and so do the tile plans and their
+        batch receipts, which depend on the geometry alone.  What the values
+        decide -- the shard kernels and the device plans stacking them --
+        is rebuilt by the next call.  A matrix the encoder refuses is
+        refused whole, before any block is written.
+        """
+        matrix = integer_matrix(matrix)
+        if matrix.shape != allocation.shape:
+            raise QuantizationError(f"expected a matrix of shape {allocation.shape}")
+        DifferentialPairs(allocation.placement.element_size).check(matrix)
+        allocation.device_plans.clear()
+        for tile, hct, handle in self._tiles(allocation):
+            hct.ace.reprogram(
+                handle, matrix[tile.row_start: tile.row_end, tile.col_start: tile.col_end]
+            )
+        allocation.matrix[...] = matrix
+
     def update_row(self, allocation: MatrixAllocation, row: int, values: np.ndarray) -> None:
         """updateRow(): rewrite one matrix row across the affected HCTs."""
         self._update(allocation, row=row, values=values)
@@ -372,25 +390,17 @@ class DarthPumDevice:
             allocation.matrix[row, :] = values
         if col is not None:
             allocation.matrix[:, col] = values
-        # The handles below change: the stacked weights and tile plans of
-        # every compiled device plan are stale.
+        # The recombined weights every compiled device plan stacked are stale.
         allocation.device_plans.clear()
         for tile, hct, handle in self._tiles(allocation):
-            affected = (
-                (row is not None and tile.row_start <= row < tile.row_end)
-                or (col is not None and tile.col_start <= col < tile.col_end)
-            )
-            if not affected:
-                continue
-            if row is not None:
-                new_handle = hct.ace.update_row(
+            if row is not None and tile.row_start <= row < tile.row_end:
+                hct.ace.update_row(
                     handle, row - tile.row_start, values[tile.col_start: tile.col_end]
                 )
-            else:
-                new_handle = hct.ace.update_col(
+            elif col is not None and tile.col_start <= col < tile.col_end:
+                hct.ace.update_col(
                     handle, col - tile.col_start, values[tile.row_start: tile.row_end]
                 )
-            allocation.handles[tile.hct_slot] = new_handle
 
     def release(self, allocation: MatrixAllocation) -> None:
         """Free the HCTs and analog arrays used by an allocation."""

@@ -25,7 +25,8 @@ from repro.analog import (
     slice_inputs,
     slice_matrix,
 )
-from repro.core.config import HctConfig
+from repro import DevicePool, PumServer, StaticBatchingPolicy
+from repro.core.config import ChipConfig, HctConfig
 from repro.errors import CapacityError, DeviceError, QuantizationError
 from repro.reram import NoiseConfig
 
@@ -312,6 +313,115 @@ class TestProgrammedStateDigest:
         self._absorb(digest, ace, ace.set_matrix(self._matrix((64, 64), label=2),
                                                  self.VALUE_BITS))
         assert digest.hexdigest() == self.EXPECTED["reregister"]
+
+
+class TestReprogramEquivalence:
+    """Every kind of re-registration, pinned from the caller's side and the
+    array's.
+
+    One ``PumServer`` over ``DevicePool(replication=2, verify="full")`` on
+    two small chips walks name ``"a"`` through a registration, new bytes of
+    the same shape, the same bytes again, a new shape, a new
+    ``element_size``, new bytes at that size, then ``update_row`` and
+    ``update_col`` on every copy's device and a re-registration of what
+    they left; name ``"b"`` sits beside it throughout.  After each step one
+    sha256 absorbs the answers of a fixed wave to both names (statuses,
+    results, latency ticks, energy, errors), and per copy of ``"a"`` each
+    block's level and conductance planes, the shard kernel's ``exact`` flag
+    and recombined weights and every crossbar's ``mvm_count``; then the
+    ABFT checksums and ``repr`` of every ledger.  ``EXPECTED`` was computed
+    at ``e3c05a5``, where every step released the old copies and placed
+    new ones, on both ``REPRO_BACKEND`` legs: a step that reprograms in
+    place must leave the same state behind.
+    """
+
+    NOISE = {"ideal": NoiseConfig.ideal(), "paper_default": NoiseConfig.paper_default()}
+    EXPECTED = {
+        "ideal": "c6929cf7f9c747ddeab4adb1239dbbbb243bbf4b68de82beab3b28dbe616f3c5",
+        "paper_default":
+            "9e45e72de8209f550c06701a826921f8ccd287b016b7f303c9fccc4feaa43713",
+    }
+
+    @staticmethod
+    def _array(digest, array):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+
+    def _copy(self, digest, device, device_allocation):
+        for _, hct, handle in device._tiles(device_allocation):
+            ace = hct.ace
+            for block in ace.programmed_planes(handle):
+                self._array(digest, block)
+            kernel = ace.kernel_for(handle)
+            digest.update(bytes([kernel.exact]))
+            for tile in kernel.tiles:
+                self._array(digest, tile.recombined)
+            self._array(digest, [ace.crossbar(i).mvm_count for i in handle.array_ids])
+
+    def _absorb(self, digest, server, vectors):
+        for name in ("a", "b"):
+            rows = server.allocation_for(name).shape[0]
+            futures = server.submit_batch(name, vectors[:, :rows], input_bits=3)
+            server.run_until_idle()
+            *columns, errors = futures.columns()
+            for column in columns:
+                self._array(digest, column)
+            digest.update(repr(sorted(errors.items())).encode())
+        pool = server.pool
+        allocation = server.allocation_for("a")
+        for task in allocation.all_tasks:
+            self._copy(digest, pool.devices[task.device_index], task.device_allocation)
+        for band in pool.integrity._bands[allocation.allocation_id]:
+            self._array(digest, [band.row_start, band.row_end])
+            self._array(digest, band.check)
+            self._array(digest, band.abs_check)
+        for device in pool.devices:
+            digest.update(repr(device.ledger).encode())
+            digest.update(repr(device.chip.total_ledger()).encode())
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_kind_of_reregistration(self, noise):
+        rng = np.random.default_rng((30, 7))
+
+        def matrix(shape, bits=4):
+            return rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=shape)
+
+        pool = DevicePool(num_devices=2, config=ChipConfig(hct=HctConfig.small(), num_hcts=8),
+                          noise=self.NOISE[noise], policy="cache_affinity",
+                          replication=2, verify="full")
+        server = PumServer(pool=pool, scheduling=StaticBatchingPolicy(8, 1))
+        vectors = rng.integers(0, 8, size=(6, 40))
+        server.register_matrix("b", matrix((20, 12)), element_size=4, input_bits=3)
+        digest = hashlib.sha256()
+        current = None
+        for new, element_size in (
+            (matrix((40, 20)), 4),     # registration
+            (matrix((40, 20)), 4),     # new bytes, same shape
+            (None, 4),                 # the same bytes, in a new array
+            (matrix((24, 20)), 4),     # a new shape
+            (None, 5),                 # the same bytes, a new element_size
+            (matrix((24, 20), 5), 5),  # new bytes at that size
+        ):
+            current = current.copy() if new is None else new
+            server.register_matrix("a", current, element_size=element_size, input_bits=3)
+            self._absorb(digest, server, vectors)
+
+        # update_row / update_col on every copy's device, each copy called
+        # there directly (the pool's checksums still hold the registered
+        # bytes), then the name re-registered with what they left.
+        current[5] = matrix(20, 5)
+        current[:, 3] = matrix(24, 5)
+        for task in server.allocation_for("a").all_tasks:
+            device = pool.devices[task.device_index]
+            device.update_row(task.device_allocation, 5, current[5])
+            device.update_col(task.device_allocation, 3, current[:, 3])
+            self._array(digest, device.exec_mvm_batch(task.device_allocation,
+                                                      vectors[:, :24], input_bits=3))
+            self._copy(digest, device, task.device_allocation)
+        server.register_matrix("a", current, element_size=5, input_bits=3)
+        self._absorb(digest, server, vectors)
+        assert digest.hexdigest() == self.EXPECTED[noise]
 
 
 class TestCompensation:

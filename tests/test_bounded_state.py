@@ -312,15 +312,29 @@ class TestNoStaleAllocationReferences:
         # (single submits of mixed priority cannot be sliced zero-copy).
         server.predicted_batch_cycles("proj", 3, 4)
         server.predicted_batch_energy_pj("proj", 3, 4)
-        for priority in (0, 1, 0):
-            server.submit("proj", np.ones(8, dtype=np.int64), input_bits=3,
-                          priority=priority)
-        server.run_until_idle()
+
+        def traffic():
+            for priority in (0, 1, 0):
+                server.submit("proj", np.ones(8, dtype=np.int64), input_bits=3,
+                              priority=priority)
+            server.run_until_idle()
+
+        traffic()
         assert server.stats.gathered_batches >= 1
         parts = self._parts(old)
         entries = container_entries(server)
 
-        new_matrix = old_matrix + 1
+        # New values of the same shape are reprogrammed in place: the
+        # allocation and its per-name structures stay, and the same traffic
+        # leaves them no larger (the shard kernel the energy prediction built
+        # is rebuilt only by a backend that reads it).
+        same = server.register_matrix("proj", old_matrix + 1, element_size=4,
+                                      input_bits=3)
+        assert same is old
+        traffic()
+        assert container_entries(server) <= entries
+
+        new_matrix = rng.integers(-8, 8, size=(8, 6))
         new = server.register_matrix("proj", new_matrix, element_size=4,
                                      input_bits=3)
         assert new.allocation_id != old.allocation_id
@@ -409,13 +423,26 @@ class TestDroppedChipIsFreedByReferenceCounting:
         future = server.submit("tenant", np.ones(32, dtype=np.int64), input_bits=4)
         server.run_until_idle()
         assert np.array_equal(future.result().result, matrix.sum(axis=0))
+        plans = tile_plans(server.pool, old, 4)
+        # New values of the same shape: reprogrammed in place.  What the
+        # values made -- device plans, shard kernels -- is freed; the tile
+        # plans (geometry) stay, and none is compiled.
+        stale = [weakref.ref(plan) for plan in device_plans(server.pool, old, 4)]
+        stale += [weakref.ref(plan.kernel) for plan in plans]
+        builds = server.planner_builds()
+        assert server.register_matrix("tenant", matrix + 1, element_size=4,
+                                      input_bits=4) is old
+        assert [ref() for ref in stale] == [None] * len(stale)
+        assert list(map(id, tile_plans(server.pool, old, 4))) == list(map(id, plans))
+        assert server.planner_builds() == builds
+        # Another shape: released, and everything of the old allocation freed.
         refs = [weakref.ref(plan) for plan in device_plans(server.pool, old, 4)]
-        refs += [weakref.ref(plan) for plan in tile_plans(server.pool, old, 4)]
+        refs += [weakref.ref(plan) for plan in plans]
         refs.append(weakref.ref(old))
         assert all(ref() is not None for ref in refs)
         chips = [weakref.ref(device.chip) for device in server.pool.devices]
-        del old, future
-        server.register_matrix("tenant", matrix + 1, element_size=4, input_bits=4)
+        del old, future, plans
+        server.register_matrix("tenant", matrix[:, :24], element_size=4, input_bits=4)
         assert [ref() for ref in refs] == [None] * len(refs)
         # The chips are the server's and stay; they go with it.
         assert all(chip() is not None for chip in chips)

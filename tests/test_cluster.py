@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.runtime.cluster import ClusterGateway, ShmRing, build_worker_server
 from repro.runtime.cluster import gateway as gateway_module
-from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch
+from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch, matrix_fingerprint
 from repro.runtime.cluster.messages import (
     K_ERROR,
     K_REGISTERED,
@@ -798,6 +798,23 @@ def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
     assert len(set(table.values())) == len(table)  # differs per batch and attempt
     assert max(table.values()) - min(table.values()) > 0.15  # and uses the spread
     assert ClusterGateway(num_workers=1)._attempt_deadline(None) is None
+
+
+def test_a_float_matrix_is_refused_before_the_registration_memo():
+    """``MATRIX + 0.5`` truncates to the live bytes: the gateway refuses it
+    instead of answering from its memo, and no worker hears of it."""
+
+    async def scenario():
+        gw = ClusterGateway(num_workers=1)
+        worker = scripted_worker(gw)
+        gw._matrices["m"].fingerprint = matrix_fingerprint(MATRIX, 8, 0)
+        with pytest.raises(QuantizationError, match="integer"):
+            await gw.register_matrix("m", MATRIX + 0.5)
+        assert gw.stats.registration_reuses == 0 and worker.requests.pushes == 0
+        assert await gw.register_matrix("m", MATRIX.copy()) == [0]  # the memo
+        await gw.close()
+
+    run(scenario())
 
 
 # --------------------------------------------------------------------- #

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import hashlib
 import importlib.util
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ import pytest
 
 from repro import DarthPumDevice, DevicePool, PumServer
 from repro.analog.adc import AnalogToDigitalConverter
+from repro.analog.crossbar import AnalogCrossbar
 from repro.core.config import HctConfig
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ExecutionError, QuantizationError
@@ -109,12 +111,18 @@ NOISY_CALL_DRAWS = {"resnet_conv": (18, 64512), "aes_mixcolumns": (1, 1024),
 #: (measured 147 KB: bit planes and results; 2 597 KB while every step of
 #: the general path returned a fresh (slices, bits, batch, cols) block).
 MAX_NOISY_CALL_PEAK_BYTES = 256 * 1024
-#: Python-level calls of one new 64x64 4-bit ``register_matrix`` (release,
-#: program, compile) plus the first 32-row wave against it on an ideal
-#: server, measured + 10 % (measured 548; 820 while every crossbar sliced,
-#: mapped and range-checked its own planes and re-mapped them for the
-#: exactness proof).
-MAX_REGISTRATION_CALLS = 602
+#: Python-level calls of one 64x64 4-bit ``register_matrix`` with new bytes
+#: (reprogrammed in place) plus the first 32-row wave against it on an ideal
+#: server, measured + 10 % (measured 277, 13 of them the pool's and the
+#: device's whole-matrix range checks that keep a refused matrix from
+#: changing any copy; 486 while it released and placed the matrix again, 820
+#: while every crossbar also sliced, mapped and range-checked its own planes
+#: and re-mapped them for the exactness proof).
+MAX_REGISTRATION_CALLS = 305
+#: The same for a round that alternates 64x64 and 64x48, so every round
+#: releases, places and compiles the matrix anew (measured 499, budget
+#: + 10 %; 602 budgeted the 486 of this path when same-shape rounds took it).
+MAX_REPLACEMENT_CALLS = 549
 
 
 def programmed_device(shape, element_size, input_bits, noise=None, config=None):
@@ -380,11 +388,15 @@ class TestRegistration:
     """A new 64x64 4-bit ``register_matrix`` and the first wave against it."""
 
     ROUNDS = 16
+    #: The shapes a round cycles through: the same one (reprogrammed in
+    #: place), or two in turn (released and placed anew every round).
+    SAME_SHAPE, NEW_SHAPE = ((64, 64),), ((64, 64), (64, 48))
 
     @staticmethod
-    def _rounds(noise=None):
+    def _rounds(noise=None, shapes=SAME_SHAPE):
         rng = derive_rng("hot-path-registration")
-        matrices = rng.integers(-8, 8, size=(TestRegistration.ROUNDS + 2, 64, 64))
+        matrices = [rng.integers(-8, 8, size=shapes[k % len(shapes)])
+                    for k in range(TestRegistration.ROUNDS + 2)]
         vectors = rng.integers(0, 16, size=(32, 64), dtype=np.int64)
         server = PumServer(pool=DevicePool(num_devices=2, noise=noise))
         served = []
@@ -394,9 +406,25 @@ class TestRegistration:
             served.append(server.submit_batch("t", vectors, input_bits=4))
             server.run_until_idle()
 
-        for k in range(2):  # the second replaces the first: release is on the path
+        for k in range(2):  # the second replaces the first
             new_round(k)
         return server, matrices, vectors, served, new_round
+
+    def test_same_shape_registration_rewrites_in_place(self, monkeypatch):
+        """New bytes of the same shape plan nothing, build no crossbar and
+        hash nothing: the memo is one comparison."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        server, matrices, vectors, served, new_round = self._rounds()
+        crossbars = self._counted(monkeypatch, AnalogCrossbar, "__init__")
+        digests = self._counted(monkeypatch, hashlib, "sha256")
+        builds = server.planner_builds()
+        allocation = server.allocation_for("t")
+        for k in range(2, 2 + self.ROUNDS):
+            new_round(k)
+            rows = served[-1].columns()[1]
+            assert np.array_equal(rows, vectors @ matrices[k])
+        assert (server.planner_builds() - builds, crossbars, digests) == (0, [], [])
+        assert server.allocation_for("t") is allocation
 
     @staticmethod
     def _counted(monkeypatch, owner, name):
@@ -411,8 +439,15 @@ class TestRegistration:
         return calls
 
     def test_ideal_registration_stays_within_budget(self, monkeypatch):
+        self._within_budget(monkeypatch, self.SAME_SHAPE, MAX_REGISTRATION_CALLS)
+
+    def test_release_and_place_stays_within_budget(self, monkeypatch):
+        """A new shape every round: what every workload's set-up runs."""
+        self._within_budget(monkeypatch, self.NEW_SHAPE, MAX_REPLACEMENT_CALLS)
+
+    def _within_budget(self, monkeypatch, shapes, budget):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        server, matrices, vectors, served, new_round = self._rounds()
+        server, matrices, vectors, served, new_round = self._rounds(shapes=shapes)
         generators = self._counted(monkeypatch, np.random, "default_rng")
         mappings = self._counted(monkeypatch, ConductanceMapper, "value_to_conductance")
         # The exact path converts nothing: whatever reaches the ADC while
@@ -424,7 +459,7 @@ class TestRegistration:
             calls = _python_calls(lambda: new_round(k))
             assert len(mappings) - before <= 1
             # ``_python_calls`` sees the lambda and ``new_round`` themselves.
-            assert calls - 2 <= MAX_REGISTRATION_CALLS, calls - 2
+            assert calls - 2 <= budget, calls - 2
             rows = np.stack([future.result().result for future in served[-1]])
             assert np.array_equal(rows, vectors @ matrices[k])
         assert generators == []
@@ -529,16 +564,26 @@ class TestReceiptMemo:
         tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
         plan = tile.planner.plan_for(handle, 2)
         assert len(plan.receipts) == 1
-        new_handle = tile.ace.update_row(handle, 0, np.zeros(12, dtype=np.int64))
-        assert tile.ace.cached_plans == 0  # the memo went with its plan
-        out = tile.execute_mvm_batch(new_handle, vectors, input_bits=2,
+        # update_row reprograms in place: the kernel goes, the plan and its
+        # receipts -- geometry, not values -- stay.
+        assert tile.ace.update_row(handle, 0, np.zeros(12, dtype=np.int64)) is handle
+        assert tile.ace.cached_kernels == 0 and tile.ace.cached_plans == 1
+        out = tile.execute_mvm_batch(handle, vectors, input_bits=2,
                                      backend="vectorized")
         updated = matrix.copy()
         updated[0] = 0
         assert np.array_equal(out.values, vectors @ updated)
-        fresh = tile.planner.plan_for(new_handle, 2)
+        assert tile.planner.plan_for(handle, 2) is plan and len(plan.receipts) == 1
+        assert tile.planner.receipt_misses == 1
+        # A release takes the plan, and the memo goes with it: another shape
+        # in its place compiles its own.
+        tile.release_matrix(handle)
+        assert tile.ace.cached_plans == 0
+        other = tile.set_matrix(matrix[:, :8], value_bits=4)
+        tile.execute_mvm_batch(other, vectors, input_bits=2, backend="vectorized")
+        fresh = tile.planner.plan_for(other, 2)
         assert fresh is not plan and len(fresh.receipts) == 1
-        tile.release_matrix(new_handle)
+        tile.release_matrix(other)
         assert tile.ace.cached_plans == 0
 
 

@@ -539,7 +539,7 @@ class TestShardKernelCache:
         tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
         assert tile.ace.cached_kernels == 1
         new_handle = tile.ace.update_row(handle, 0, np.array([3, 0, 0, 0, 0, 0, 0, 1]))
-        assert tile.ace.cached_kernels == 0  # stale entry dropped with release
+        assert tile.ace.cached_kernels == 0  # stale entry dropped by the reprogram
         updated = matrix.copy()
         updated[0] = [3, 0, 0, 0, 0, 0, 0, 1]
         out = tile.execute_mvm_batch(new_handle, vectors, input_bits=2,
@@ -654,13 +654,21 @@ class TestRegisterMatrixMemoisation:
         first = server.register_matrix("m", matrix, element_size=4)
         changed = matrix.copy()
         changed[0, 0] += 1
+        # Same shape: reprogrammed in place, the allocation kept.
         second = server.register_matrix("m", changed, element_size=4)
-        assert second is not first
+        assert second is first
         assert server.registration_reuses == 0
         vector = np.ones(16, dtype=np.int64)
         future = server.submit("m", vector, input_bits=1)
         server.run_until_idle()
         assert np.array_equal(future.result().result, vector @ changed)
+        # Another shape: released and placed anew.
+        narrower = changed[:, :12].copy()
+        assert server.register_matrix("m", narrower, element_size=4) is not first
+        assert server.registration_reuses == 0
+        future = server.submit("m", vector, input_bits=1)
+        server.run_until_idle()
+        assert np.array_equal(future.result().result, vector @ narrower)
 
     def test_changed_quantisation_config_reprograms(self):
         matrix = np.eye(16, dtype=np.int64)

@@ -19,6 +19,7 @@ from repro.errors import (
 from repro.reram import NoiseConfig
 from repro.runtime import (
     CacheAffinityPolicy,
+    DarthPumDevice,
     DevicePool,
     FaultInjector,
     LeastLoadedPolicy,
@@ -238,6 +239,77 @@ class TestReplication:
         assert all(u > 0 for u in pool.utilization())
         pool.release(allocation)
         assert pool.utilization() == [0.0, 0.0]
+
+    def test_rebuild_programs_the_registered_matrix_not_the_callers_buffer(self, rng):
+        """The pool keeps its own copy: a caller that reuses the buffer it
+        registered from does not change what a rebuild programs."""
+        pool = DevicePool(num_devices=3, config=ChipConfig(hct=HctConfig.small(), num_hcts=3),
+                          replication=2)
+        buffer = rng.integers(-8, 8, size=(8, 8))
+        matrix = buffer.copy()
+        allocation = pool.set_matrix(buffer, element_size=4)
+        buffer[...] = 0
+        first, second = (task.device_index for task in allocation.bands[0])
+        pool.mark_device_failed(first)
+        assert pool.rebuild(allocation).copies_programmed
+        pool.mark_device_failed(second)  # only the rebuilt copy is left
+        vectors = rng.integers(0, 8, size=(4, 8))
+        assert np.array_equal(pool.exec_mvm_batch(allocation, vectors, input_bits=3),
+                              vectors @ matrix)
+
+    def test_update_matrix_rewrites_every_copy_in_place(self, rng):
+        class Recording(LeastLoadedPolicy):
+            reports = []
+
+            def committed(self, placed_devices, num_devices):
+                self.reports.append(list(placed_devices))
+
+        pool = DevicePool(num_devices=3, config=ChipConfig(hct=HctConfig.small(), num_hcts=3),
+                          policy=Recording(), replication=2, verify="full")
+        allocation = pool.set_matrix(rng.integers(-8, 8, size=(8, 8)), element_size=4)
+        tasks = allocation.all_tasks
+        new = rng.integers(-7, 8, size=(8, 8))
+        pool.update_matrix(allocation, new)
+        assert all(a is b for a, b in zip(allocation.all_tasks, tasks))
+        # The policy hears of the copies as it did of the placement.
+        assert Recording.reports == [[task.device_index for task in tasks]] * 2
+        # The checksums follow the values: verify="full" passes every band.
+        vectors = rng.integers(0, 8, size=(4, 8))
+        assert np.array_equal(pool.exec_mvm_batch(allocation, vectors, input_bits=3),
+                              vectors @ new)
+        assert pool.corruptions_detected == 0
+        with pytest.raises(QuantizationError, match="shape"):
+            pool.update_matrix(allocation, new[:, :6])
+        pool.mark_device_failed(tasks[1].device_index)
+        with pytest.raises(DeviceFailedError):
+            pool.update_matrix(allocation, new + 1)
+        assert np.array_equal(allocation.matrix, new)
+
+    def test_a_refused_update_changes_no_copy(self, rng):
+        """Out of range in the last rows only: refused before the first
+        band's copies (pool) or the first tile (device) is written, so a
+        verified call still finds every copy, checksum and the retained
+        source as they were."""
+        config = ChipConfig(hct=HctConfig.small(), num_hcts=3)
+        pool = DevicePool(num_devices=3, config=config, replication=2, verify="full")
+        device = DarthPumDevice(config=config)
+        for shape, store, update, call in (
+            ((64, 8), pool.set_matrix, pool.update_matrix, pool.exec_mvm_batch),
+            ((40, 8), device.set_matrix, device.update_matrix, device.exec_mvm_batch),
+        ):
+            matrix = rng.integers(-8, 8, size=shape)
+            allocation = store(matrix, element_size=4)
+            bad = rng.integers(-8, 8, size=shape)
+            bad[-1, -1] = 99
+            with pytest.raises(QuantizationError, match="magnitude exceeds 8"):
+                update(allocation, bad)
+            vectors = rng.integers(0, 8, size=(4, shape[0]))
+            assert np.array_equal(call(allocation, vectors, input_bits=3), vectors @ matrix)
+            assert np.array_equal(allocation.matrix, matrix)
+        # Four bands at the pool, three tiles at the device: a check per
+        # band or per tile would have rewritten the first ones.
+        assert allocation.placement.tiles[-1].row_start > 0
+        assert pool.corruptions_detected == 0
 
     def test_device_health_marks_and_restores(self):
         pool = tiny_pool()

@@ -124,7 +124,11 @@ class TestCostOracle:
         first = server.predicted_batch_cycles("proj", 3, 4)
         assert server.predicted_batch_cycles("proj", 3, 4) == first
         assert evaluated == [server.allocation_for("proj").allocation_id]
-        replaced = server.register_matrix("proj", np.ones((8, 8), dtype=np.int64))
+        # New values of the same shape: the memo is geometry, so it stays.
+        server.register_matrix("proj", np.ones((8, 8), dtype=np.int64))
+        assert server.predicted_batch_cycles("proj", 3, 4) == first
+        assert len(evaluated) == 1
+        replaced = server.register_matrix("proj", np.ones((8, 6), dtype=np.int64))
         again = server.predicted_batch_cycles("proj", 3, 4)
         assert again > 0
         assert evaluated[1:] == [replaced.allocation_id]

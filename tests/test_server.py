@@ -16,7 +16,14 @@ from flat_queue import install as install_flat_queue
 import repro
 from repro.testing import derive_rng
 
-from repro import DevicePool, PumServer, StaticBatchingPolicy, ThreadedServerDriver
+from repro import (
+    ChipConfig,
+    DevicePool,
+    HctConfig,
+    PumServer,
+    StaticBatchingPolicy,
+    ThreadedServerDriver,
+)
 from repro.errors import AdmissionError, QuantizationError, SchedulerError
 from repro.metrics import percentile
 from repro.runtime import (
@@ -277,11 +284,46 @@ class TestMatrixRegistry:
     def test_reregistration_releases_the_old_allocation(self, rng):
         server = PumServer(pool=DevicePool(num_devices=2, policy="cache_affinity"))
         first = server.register_matrix("m", rng.integers(-5, 5, size=(8, 8)))
-        used_before = sum(u > 0 for u in server.pool.utilization())
-        second = server.register_matrix("m", rng.integers(-5, 5, size=(8, 8)))
-        assert sum(u > 0 for u in server.pool.utilization()) == used_before
+        used_before = server.pool.utilization()
+        second = server.register_matrix("m", rng.integers(-5, 5, size=(8, 6)))
+        assert second is not first
+        assert server.pool.utilization() == used_before
         # Cache affinity re-places the update on the device(s) that held it.
         assert second.devices_used == first.devices_used
+        # New values of the same shape are rewritten where they are.
+        assert server.register_matrix("m", rng.integers(-5, 5, size=(8, 6))) is second
+        assert server.pool.utilization() == used_before
+
+    def test_a_same_shape_reregistration_is_never_moved(self, rng):
+        """Under ``least_loaded`` a release and a new placement would move
+        ``a`` to the emptier device -- as a new shape does; new values of the
+        live shape stay where they are, whatever the policy."""
+        config = ChipConfig(hct=HctConfig.small(), num_hcts=4)
+        server = PumServer(pool=DevicePool(num_devices=2, config=config,
+                                           policy="least_loaded"))
+
+        def register(name, shape):
+            matrix = rng.integers(-5, 5, size=shape)
+            return server.register_matrix(name, matrix, element_size=4)
+
+        first = register("a", (8, 8))
+        register("b", (8, 8))
+        register("c", (40, 8))  # device 0 full, device 1 one quarter used
+        assert first.devices_used == [0] and server.pool.utilization() == [1.0, 0.25]
+        assert register("a", (8, 8)) is first and first.devices_used == [0]
+        assert register("a", (8, 6)).devices_used == [1]
+
+    def test_a_float_matrix_is_refused_before_the_memo(self):
+        """``m + 0.5`` truncates to ``m``: refused, never taken as a reuse
+        of the live registration (as under a fresh name)."""
+        server = PumServer(num_devices=1)
+        matrix = np.eye(8, dtype=np.int64)
+        allocation = server.register_matrix("m", matrix, element_size=4)
+        for name in ("m", "fresh"):
+            with pytest.raises(QuantizationError, match="integer"):
+                server.register_matrix(name, matrix + 0.5, element_size=4)
+        assert server.registration_reuses == 0
+        assert server.matrix_names == ("m",) and server.allocation_for("m") is allocation
 
     def test_requests_use_the_latest_registration(self):
         server = make_server(max_batch=1, max_wait_ticks=1)
