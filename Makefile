@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test unit bench doctest docs-check batch-bench serve-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile hotpath profile-server layerbench layerbench-compare loc lint coverage all
+.PHONY: test unit bench doctest docs-check batch-bench serve-bench kernel-bench chaos recovery-bench integrity-bench sched-bench cluster-bench cluster-chaos cluster-demo plan-dump profile hotpath profile-server layerbench layerbench-compare loc reach lint coverage all
 
 # Tier-1: the full unit + benchmark suite.
 test:
@@ -167,6 +167,14 @@ layerbench-compare:
 # and DevicePool (from inspect.signature).
 loc:
 	$(PY) benchmarks/loc.py
+
+# Which src/ functions no run ever enters: the six examples, pytest
+# benchmarks, every layerbench workload at --trace 0 and 1 (--seconds 1) and
+# python -m repro.plan, each under a sys.setprofile call recorder; prints the
+# never-entered functions per file (2-3 min; the benchmark gates take about
+# twice as long under the recorder).
+reach:
+	$(PY) benchmarks/reach.py
 
 # Lint/format gate (needs ruff: pip install -r requirements-dev.txt).
 lint:

@@ -30,7 +30,7 @@ from .plan import (
 )
 from .runtime.faults import FaultInjector, FaultSchedule
 from .runtime.integrity import DeviceHealth, IntegrityChecker
-from .runtime.pool import DevicePool, PredictedFinishTimePolicy, RebuildReport
+from .runtime.pool import DevicePool, RebuildReport
 from .runtime.queueing import IndexedRequestQueue
 from .runtime.scheduling import (
     Autotuner,
@@ -64,7 +64,6 @@ __all__ = [
     "IntegrityChecker",
     "MvmPlan",
     "Planner",
-    "PredictedFinishTimePolicy",
     "PumServer",
     "RebuildReport",
     "SchedulingPolicy",

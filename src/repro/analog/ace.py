@@ -66,11 +66,6 @@ class AceConfig:
     row_periphery_power_mw: float = 0.7
     input_buffer_area_um2: float = 27000.0
 
-    @property
-    def adc_latency_label(self) -> str:
-        """Human-readable ADC configuration label."""
-        return f"{self.adc_kind.upper()} x{self.adcs_per_array}"
-
 
 @dataclass(frozen=True)
 class MatrixHandle:

@@ -412,8 +412,3 @@ class AnalogCrossbar:
         self.ledger.charge("ace.mvm", cycles=latency, energy_pj=energy)
         self.mvm_count += batch
         return CrossbarOutput(values=quantised, latency_cycles=latency, energy_pj=energy)
-
-    def expected_1bit(self, input_bits: np.ndarray) -> np.ndarray:
-        """Noise-free reference result for ``mvm_1bit`` (used in tests)."""
-        x = np.asarray(input_bits, dtype=np.int64)
-        return x @ (self.positive_levels - self.negative_levels)

@@ -113,11 +113,6 @@ class ShardKernel:
     #: :func:`exact_path_eligible`).
     exact: bool = False
 
-    @property
-    def num_tiles(self) -> int:
-        """Number of (row tile, column tile) shards in the cache."""
-        return len(self.tiles)
-
 
 #: ADC round-trip proofs, one per converter configuration ``(type, spec,
 #: min, max)``: a process builds a handful (ADC kind x bits per cell x array

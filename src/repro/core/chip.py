@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 from ..errors import AllocationError, CapacityError
 from ..metrics import CostLedger, merge_ledgers
 from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
-from .area import AreaModel, Table3
+from .area import Table3
 from .config import ChipConfig
 from .frontend import FrontEnd
 from .hct import HybridComputeTile
@@ -66,7 +66,6 @@ class DarthPumChip:
             FrontEnd(front_end_id=i, hcts_served=self.config.hcts_per_front_end)
             for i in range(self.config.num_front_ends)
         ]
-        self.area_model = AreaModel(self.config.hct)
 
     # ------------------------------------------------------------------ #
     # Tile management                                                      #
@@ -169,10 +168,6 @@ class DarthPumChip:
         """Energy of the active front ends over ``cycles`` cycles."""
         active = max(1, self.materialized_hcts // self.config.hcts_per_front_end)
         return active * Table3.FRONT_END_POWER_MW * cycles
-
-    def area_cm2(self) -> float:
-        """Effective chip area (calibrated, Section 6 iso-area sizing)."""
-        return self.config.num_hcts * self.area_model.effective_hct_area_um2() / 1e8
 
     def memory_capacity_gb(self) -> float:
         """Total memory capacity of the chip in GB."""

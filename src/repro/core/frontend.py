@@ -70,15 +70,6 @@ class FrontEnd:
         self.issued.append(record)
         return record
 
-    def issue_program(self, instructions, hct_index: int) -> List[IssueRecord]:
-        """Issue a sequence of instructions to one HCT."""
-        return [self.issue(instruction, hct_index) for instruction in instructions]
-
-    @property
-    def instructions_issued(self) -> int:
-        """Total instructions issued by this front end."""
-        return len(self.issued)
-
     @property
     def clock(self) -> float:
         """Current front-end cycle."""

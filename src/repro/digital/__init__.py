@@ -4,7 +4,7 @@ from .alu import BooleanSynthesizer, ScratchColumns
 from .array import DigitalArray
 from .dce import DceConfig, DigitalComputeElement
 from .logic import LogicFamily, Primitive, get_family, ideal_family, oscar_family
-from .microops import MicroOp, WordOpCost, WordOpKind, stream_cycles
+from .microops import MicroOp, WordOpCost, WordOpKind
 from .pipeline import BitPipeline
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "get_family",
     "ideal_family",
     "oscar_family",
-    "stream_cycles",
 ]

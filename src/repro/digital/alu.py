@@ -183,16 +183,6 @@ class BooleanSynthesizer:
         return ops
 
     @property
-    def uops_per_xor(self) -> int:
-        """µops needed for a single-bit XOR (5 for OSCAR, 1 for ideal)."""
-        return 1 if self.family.has("XOR") else 5
-
-    @property
-    def uops_per_and(self) -> int:
-        """µops needed for a single-bit AND (3 for OSCAR, 1 for ideal)."""
-        return 1 if self.family.has("AND") else 3
-
-    @property
     def uops_per_full_adder(self) -> int:
         """µops needed per full-adder bit (12 for OSCAR, 5 for ideal)."""
         return 5 if self.family.has("XOR") and self.family.has("AND") else 12

@@ -10,14 +10,14 @@ expensive copy+mask+AND sequence RACER would otherwise need.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..errors import CapacityError, ConfigurationError, ExecutionError
 from ..metrics import CostLedger
 from .logic import LogicFamily, oscar_family
-from .microops import WordOpCost, WordOpKind, stream_cycles
+from .microops import WordOpCost, WordOpKind
 from .pipeline import BitPipeline
 
 __all__ = ["DigitalComputeElement", "DceConfig"]
@@ -41,11 +41,6 @@ class DceConfig:
         self.rows = int(rows)
         self.cols = int(cols)
         self.issue_queue_depth = int(issue_queue_depth)
-
-    @property
-    def arrays_per_pipeline(self) -> int:
-        """Number of digital PUM arrays in one pipeline."""
-        return self.pipeline_depth
 
     @property
     def total_arrays(self) -> int:
@@ -115,11 +110,6 @@ class DigitalComputeElement:
                 auto_cycles=self.auto_cycles,
             )
         return pipeline
-
-    @property
-    def active_pipelines(self) -> Tuple[int, ...]:
-        """Indices of pipelines that have been touched so far."""
-        return tuple(sorted(self._pipelines))
 
     def reserve_pipeline(self, index: int) -> None:
         """Pipeline-reserve instruction: mark all data in a pipeline dead.
@@ -260,12 +250,6 @@ class DigitalComputeElement:
             f"dce.{cost.kind.value}",
             energy_pj=BitPipeline.WRITE_ENERGY_PJ * cost.rows * cost.bits,
         )
-
-    def charge_stream(self, costs: Sequence[WordOpCost], category: str = "dce.stream") -> float:
-        """Charge a pipelined stream of operations (see Figure 10b)."""
-        cycles = stream_cycles(list(costs), pipelined=True)
-        self.ledger.charge(category, cycles=cycles)
-        return cycles
 
     @property
     def total_uops(self) -> int:

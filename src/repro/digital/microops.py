@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
-__all__ = ["MicroOp", "WordOpKind", "WordOpCost", "stream_cycles"]
+__all__ = ["MicroOp", "WordOpKind", "WordOpCost"]
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,10 @@ class WordOpCost:
     name:
         Operation name (``"add"``, ``"xor"``, ``"shift_left"``, ...).
     kind:
-        Pipelining class; determines how a stream of such operations
-        overlaps in the bit pipeline.
+        Pipelining class; determines the operation's latency
+        (:attr:`unpipelined_cycles`).  How a stream of ADDs overlaps in the
+        bit pipeline (Figure 10b) is priced by
+        :meth:`~repro.plan.ir.PlanCostModel.timeline`.
     uops_per_bit:
         Number of array-level µops executed per bit position.
     bits:
@@ -100,43 +101,3 @@ class WordOpCost:
             return 2.0 * self.rows
         # WRITE: one row written per cycle (pipeline write-port limit).
         return float(self.rows)
-
-    @property
-    def pipelined_cycles(self) -> float:
-        """Incremental cycles when following another operation of the same
-        kind in a full bit pipeline (steady-state throughput)."""
-        if self.kind is WordOpKind.BITWISE:
-            return self.uops_per_bit
-        if self.kind is WordOpKind.CARRY:
-            # Bit-pipelining (RACER): a new carry-type op can enter array 0
-            # as soon as array 0 has finished the previous op's sequence.
-            return self.uops_per_bit
-        if self.kind is WordOpKind.SHIFT:
-            return 1.0
-        if self.kind is WordOpKind.ELEMENT:
-            return 2.0 * self.rows
-        return float(self.rows)
-
-
-def stream_cycles(costs: Sequence[WordOpCost], pipelined: bool = True) -> float:
-    """Total cycles to execute ``costs`` back to back.
-
-    With ``pipelined=True`` the first operation pays its full latency and
-    subsequent operations pay only their steady-state increment, which is the
-    behaviour the instruction injection unit enables for the shift-and-add
-    reduction sequence (Figure 10b).  With ``pipelined=False`` every
-    operation pays its full latency (Figure 10a).
-    """
-    if not costs:
-        return 0.0
-    if not pipelined:
-        return sum(c.unpipelined_cycles for c in costs)
-    total = costs[0].unpipelined_cycles
-    for cost in costs[1:]:
-        total += cost.pipelined_cycles
-    return total
-
-
-def total_uops(costs: Iterable[WordOpCost]) -> float:
-    """Total µops across a sequence of word-op costs."""
-    return sum(c.total_uops for c in costs)

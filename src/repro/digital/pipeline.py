@@ -514,18 +514,6 @@ class BitPipeline:
         if charge and self.auto_cycles:
             self.ledger.charge(f"dce.{cost.name}", cycles=cost.unpipelined_cycles)
 
-    def charge_stream(self, costs: Sequence[WordOpCost], category: str = "dce.stream") -> float:
-        """Charge a pipelined stream of already-executed operations.
-
-        Used by schedulers that run with ``auto_cycles=False``; returns the
-        number of cycles charged.
-        """
-        from .microops import stream_cycles
-
-        cycles = stream_cycles(list(costs), pipelined=True)
-        self.ledger.charge(category, cycles=cycles)
-        return cycles
-
     def _free_scratch_vr(self, in_use: Sequence[int]) -> int:
         """Find a VR not in ``in_use`` to use as a temporary (highest first)."""
         used = set(in_use)

@@ -17,7 +17,6 @@ from .pool import (
     LeastLoadedPolicy,
     PlacementPolicy,
     PooledAllocation,
-    PredictedFinishTimePolicy,
     RebuildReport,
     RoundRobinPolicy,
     make_placement_policy,
@@ -62,7 +61,6 @@ __all__ = [
     "MatrixPlacement",
     "PlacementPolicy",
     "PooledAllocation",
-    "PredictedFinishTimePolicy",
     "PumServer",
     "RebuildReport",
     "Request",

@@ -67,10 +67,6 @@ class MatrixPlacement:
         """Number of hybrid compute tiles the matrix occupies."""
         return len({tile.hct_slot for tile in self.tiles})
 
-    def tiles_for_hct(self, hct_slot: int) -> List[TilePlan]:
-        """Blocks placed on a given HCT slot."""
-        return [tile for tile in self.tiles if tile.hct_slot == hct_slot]
-
 
 def plan_matrix(
     shape: Tuple[int, int],

@@ -22,8 +22,7 @@ Design points, mirroring the single-server stack one tier up:
   ``replication=R`` the top-R workers each hold a full copy.
 * **Cost-aware routing, stated once.**  Each worker's REGISTERED reply
   carries a serialized :class:`~repro.plan.ir.PlanHandle`; the gateway
-  scores replicas by predicted outstanding cycles (the cluster analogue
-  of the pool's predicted-finish-time policy).  Every routing decision --
+  scores replicas by predicted outstanding cycles.  Every routing decision --
   a new batch, a retry after a worker failure, a hedge after a timeout --
   walks the one order :meth:`ClusterGateway._replicas` produces (breaker
   admits, not yet tried, cheapest) and differs only in which replicas it

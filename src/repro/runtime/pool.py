@@ -6,9 +6,8 @@ Table 1 calls across ``N`` devices the same way multi-node machines scale by
 sharding work across identical compute tiles:
 
 * ``set_matrix`` places each matrix on the device chosen by the pluggable
-  :class:`PlacementPolicy` (``"round_robin"``, ``"least_loaded"``,
-  ``"cache_affinity"``, or the cost-model-driven
-  ``"predicted_finish_time"``); a matrix too large for any single chip is
+  :class:`PlacementPolicy` (``"round_robin"``, ``"least_loaded"`` or
+  ``"cache_affinity"``); a matrix too large for any single chip is
   *row-sharded* across several devices, each holding a contiguous band of
   rows.
 * ``exec_mvm`` / ``exec_mvm_batch`` check their one ``(allocation,
@@ -68,7 +67,6 @@ __all__ = [
     "LeastLoadedPolicy",
     "PlacementPolicy",
     "PooledAllocation",
-    "PredictedFinishTimePolicy",
     "RebuildReport",
     "RoundRobinPolicy",
     "make_placement_policy",
@@ -141,14 +139,6 @@ class PlacementPolicy:
     """
 
     name = "base"
-
-    def bind(self, pool: "DevicePool") -> None:
-        """Attach the owning pool (no-op by default).
-
-        Load-model policies (:class:`PredictedFinishTimePolicy`) need to
-        query the pool's live allocations when choosing; the pool calls
-        this once at construction and once per policy swap.
-        """
 
     def choose(
         self,
@@ -241,50 +231,10 @@ class CacheAffinityPolicy(PlacementPolicy):
         return LeastLoadedPolicy.choose(self, free, needed, placed_devices)
 
 
-class PredictedFinishTimePolicy(PlacementPolicy):
-    """Place each band on the device predicted to finish its work first.
-
-    Where :class:`LeastLoadedPolicy` counts free HCTs -- a *capacity* proxy
-    -- this policy prices each candidate device by the summed
-    :meth:`~repro.plan.ir.MvmPlan.predicted_cycles` of the allocations
-    already resident on it (:meth:`DevicePool.predicted_device_finish_cycles`):
-    the cost model's estimate of how long the device needs to serve one
-    round of its outstanding matrices.  A device hosting one huge matrix
-    stops looking as attractive as one hosting three tiny ones just because
-    their HCT counts happen to match.  Ties break toward the most free
-    HCTs, then the lowest index; before :meth:`bind` (or on an empty pool)
-    it degrades to exactly least-loaded.
-    """
-
-    name = "predicted_finish_time"
-
-    def __init__(self) -> None:
-        self._pool: Optional["DevicePool"] = None
-
-    def bind(self, pool: "DevicePool") -> None:
-        self._pool = pool
-
-    def choose(
-        self,
-        free: Sequence[int],
-        needed: int,
-        placed_devices: Sequence[int],
-    ) -> Optional[int]:
-        pool = self._pool
-        if pool is None:
-            return LeastLoadedPolicy.choose(self, free, needed, placed_devices)
-        return min(
-            (i for i in range(len(free)) if free[i] >= needed),
-            key=lambda i: (pool.predicted_device_finish_cycles(i), -free[i], i),
-            default=None,
-        )
-
-
 #: The policies selectable by name, keyed by each class's own ``name``.
 _POLICIES_BY_NAME = {
     policy.name: policy
-    for policy in (RoundRobinPolicy, LeastLoadedPolicy, CacheAffinityPolicy,
-                   PredictedFinishTimePolicy)
+    for policy in (RoundRobinPolicy, LeastLoadedPolicy, CacheAffinityPolicy)
 }
 
 
@@ -294,7 +244,7 @@ def make_placement_policy(policy: Union[str, PlacementPolicy]) -> PlacementPolic
         return policy
     if policy not in _POLICIES_BY_NAME:
         raise AllocationError(
-            f"unknown scheduling policy {policy!r}; expected one of "
+            f"unknown placement policy {policy!r}; expected one of "
             f"{tuple(_POLICIES_BY_NAME)} or a PlacementPolicy instance"
         )
     return _POLICIES_BY_NAME[policy]()
@@ -329,8 +279,7 @@ class DevicePool:
         ``"least_loaded"`` (default) places new matrices on the device with
         the most free HCTs; ``"round_robin"`` cycles through the devices;
         ``"cache_affinity"`` keeps an allocation's shards on as few devices
-        as possible; ``"predicted_finish_time"`` prices devices by the
-        plan-cost-model load of the matrices already resident on them.
+        as possible.
     backend:
         Default execution backend for every device MVM issued by this pool
         (a name from the :class:`~repro.plan.backends.BackendRegistry` or
@@ -384,7 +333,6 @@ class DevicePool:
         if self.replication > num_devices:
             raise ReplicationError(self.replication, num_devices)
         self.placement_policy = make_placement_policy(policy)
-        self.placement_policy.bind(self)
         self.devices: List[DarthPumDevice] = [
             DarthPumDevice(config=config, noise=noise) for _ in range(num_devices)
         ]
@@ -734,28 +682,6 @@ class DevicePool:
             self.predicted_batch_cycles(allocation, 17, input_bits=input_bits),
             self.predicted_batch_energy_pj(allocation, 1, input_bits=input_bits),
         )
-
-    def predicted_device_finish_cycles(
-        self, device_index: int, batch: int = 1
-    ) -> float:
-        """Predicted cycles for ``device_index`` to serve one round of work.
-
-        Sums the predicted single-round cost of every live allocation's
-        primary shards resident on the device -- the load model behind
-        :class:`PredictedFinishTimePolicy`.  Each allocation is priced at
-        the smallest precision it was compiled for (8 bits before any
-        ``compile``), matching the traffic it is expected to serve.
-        """
-        total = 0.0
-        device = self.devices[device_index]
-        for allocation in self._allocations.values():
-            input_bits = min(allocation.prepared_input_bits, default=8)
-            for task in allocation.tasks:
-                if task.device_index == device_index:
-                    total += device.predicted_mvm_cycles(
-                        task.device_allocation, batch, input_bits=input_bits
-                    )
-        return total
 
     # ------------------------------------------------------------------ #
     # Device health and replica failover                                   #

@@ -35,7 +35,7 @@ from ..plan.backends import (
     execute_device_plan,
     resolve_backend,
 )
-from ..plan.ir import DevicePlan, MvmPlan, PlanHandle
+from ..plan.ir import DevicePlan, MvmPlan
 from ..plan.planner import compile_device_plan
 from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
@@ -332,24 +332,6 @@ class DarthPumDevice:
         for _, hct, handle in self._tiles(allocation):
             total += hct.planner.plan_for(handle, input_bits).predicted_energy_pj(batch)
         return total
-
-    def plan_handle(
-        self, allocation: MatrixAllocation, input_bits: int = 8
-    ) -> PlanHandle:
-        """Process-portable cost surrogate of this allocation's plans.
-
-        Fits the affine :class:`~repro.plan.ir.PlanHandle` from two
-        predicted-cycle samples of the cached tile plans (pure cache hits
-        after ``compile``) -- the form a cluster worker ships to the
-        gateway so cross-process routing can price work without owning
-        any live plan object.
-        """
-        return PlanHandle.from_cost_samples(
-            allocation.shape, input_bits,
-            self.predicted_mvm_cycles(allocation, 1, input_bits=input_bits),
-            self.predicted_mvm_cycles(allocation, 17, input_bits=input_bits),
-            self.predicted_mvm_energy_pj(allocation, 1, input_bits=input_bits),
-        )
 
     def update_matrix(self, allocation: MatrixAllocation, matrix: np.ndarray) -> None:
         """setMatrix() again, in place: ``matrix``, of the allocation's

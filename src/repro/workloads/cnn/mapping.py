@@ -88,11 +88,6 @@ class CnnMapping:
         """HCTs needed to hold every layer simultaneously (per-layer mapping)."""
         return sum(p.hcts_needed for p in self.placements)
 
-    @property
-    def total_weight_bytes(self) -> int:
-        """Total weight footprint of the mapped network."""
-        return sum(p.weight_bytes for p in self.placements)
-
     def placement_for(self, label: str) -> LayerPlacement:
         """The placement record of a named layer."""
         for placement in self.placements:

@@ -12,7 +12,7 @@ classifier.  The per-layer names match the labels of Figure 15
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +41,6 @@ class BasicBlock:
         out = self.bn2.forward(self.conv2.forward(out))
         shortcut = x if self.downsample is None else self.downsample.forward(x)
         return np.maximum(out + shortcut, 0)
-
-    def conv_layers(self) -> List[Tuple[str, Conv2d]]:
-        """Named convolution layers of the block (for Figure 15 labelling)."""
-        layers = [(f"{self.name}-Conv1", self.conv1), (f"{self.name}-Conv2", self.conv2)]
-        return layers
 
 
 class ResNet20:
@@ -135,13 +130,6 @@ class ResNet20:
                 if block.downsample is not None:
                     total += block.downsample.parameter_count()
         return total + self.fc.parameter_count()
-
-    def layer_summary(self) -> Dict[str, Tuple[int, int]]:
-        """Mapping of figure label -> Toeplitz MVM (rows, cols) per layer."""
-        return {
-            label: layer.mvm_shape(shape)
-            for label, layer, shape in self.named_mvm_layers()
-        }
 
 
 def resnet20(num_classes: int = 10, seed: int = 0) -> ResNet20:

@@ -76,11 +76,6 @@ class WorkloadProfile:
         """Total number of MVM invocations per item."""
         return sum(op.count for op in self.mvm_ops)
 
-    @property
-    def non_mvm_ops(self) -> float:
-        """All per-item operations that cannot run on analog PUM."""
-        return self.elementwise_ops + self.lookup_ops + self.nonlinear_ops
-
     def scaled(self, factor: float) -> "WorkloadProfile":
         """A profile for ``factor`` items fused into one (e.g. batching)."""
         return WorkloadProfile(

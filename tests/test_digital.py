@@ -15,9 +15,9 @@ from repro.digital import (
     get_family,
     ideal_family,
     oscar_family,
-    stream_cycles,
 )
 from repro.errors import CapacityError, ConfigurationError, ExecutionError
+from repro.plan.ir import PlanCostModel
 
 
 class TestLogicFamilies:
@@ -308,20 +308,28 @@ class TestWordOpCosts:
     def test_bitwise_cost_is_uops_per_bit(self):
         cost = WordOpCost("xor", WordOpKind.BITWISE, 5, 16, 64)
         assert cost.unpipelined_cycles == 5
-        assert cost.pipelined_cycles == 5
 
     def test_carry_cost_scales_with_bits_unpipelined_only(self):
         cost = WordOpCost("add", WordOpKind.CARRY, 12, 16, 64)
         assert cost.unpipelined_cycles == 12 * 16
-        assert cost.pipelined_cycles == 12
+
+    # The Figure 10 ADD stream is priced in one place, the plan cost model.
+    # Every other term is zero, so the breakdown is the stream alone.
+    STREAM = PlanCostModel(per_step_analog=0.0, transfer=0.0, write=0.0,
+                           depth=16, max_shift=0, steps_per_vector=1)
 
     def test_stream_cycles_pipelined_vs_not(self):
-        costs = [WordOpCost("add", WordOpKind.CARRY, 12, 16, 64)] * 4
-        assert stream_cycles(costs, pipelined=True) == 12 * 16 + 3 * 12
-        assert stream_cycles(costs, pipelined=False) == 4 * 12 * 16
+        # Figure 10b: the first ADD pays the full 12 µops x 16 bits, each
+        # later one enters the bit pipeline 12 µops behind it.
+        _, pipelined = self.STREAM.timeline(4, 4, 12.0, optimized=True)
+        assert pipelined["pipelined_adds"] == 12 * 16 + 3 * 12
+        # Figure 10a: every serialized step carries the full ADD.
+        _, serial = self.STREAM.timeline(4, 4, 12.0, optimized=False)
+        assert serial["serialized_steps"] == 4 * 12 * 16
 
     def test_stream_cycles_empty(self):
-        assert stream_cycles([]) == 0.0
+        _, breakdown = self.STREAM.timeline(0, 0, 12.0, optimized=True)
+        assert breakdown["pipelined_adds"] == 0
 
 
 class TestDce:

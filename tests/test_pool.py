@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.errors import (
     DeviceFailedError,
     NoDevicesError,
     QuantizationError,
+    RebuildError,
 )
 from repro.reram import NoiseConfig
 from repro.runtime import (
@@ -59,7 +61,7 @@ class TestScheduling:
         assert placements == [[0], [1], [0], [1]]
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(AllocationError):
+        with pytest.raises(AllocationError, match="unknown placement policy 'random'"):
             tiny_pool(policy="random")
 
     def test_empty_pool_raises_named_error(self):
@@ -664,3 +666,101 @@ class TestEnergyTotals:
         vectors = rng.integers(0, 16, size=(6, 24))
         pool.exec_mvm_batch(allocation, vectors, input_bits=4)
         assert pool.total_energy_pj() == pool.total_ledger().energy_pj
+
+
+class TestPlacementDigest:
+    """Where every copy of every matrix lands, pinned per policy.
+
+    A fixed-seed sequence of ``set_matrix`` (mixed shapes, multi-band ones
+    among them, some with an affinity hint), ``release``, ``update_matrix``
+    and ``mark_device_failed`` + ``rebuild`` + ``restore_device`` on four
+    small chips.  ``EXPECTED`` hashes, after every step, each live
+    allocation's copies (band, replica, device, rows) and any error a step
+    raised; it was computed at ``23d00ef``, before the placement rules'
+    ``bind`` hook was removed, and must not move.
+    """
+
+    SHAPES = ((8, 8), (16, 12), (100, 30), (40, 20), (64, 16))
+    EXPECTED = {
+        ("round_robin", 1): (
+            "acedf3e27a050cefce7b165422d597f7d7acdbbb455efe078f05acd75d33cfb9"
+        ),
+        ("round_robin", 2): (
+            "0bd1ab3ae8f31a621a6ff20445853e8e49c95a8c1a5e9b8b3aa25de3ec9d0c85"
+        ),
+        ("least_loaded", 1): (
+            "d0e35a6d47c59cdc9c9213de6526cda394431b2d1a183ff394b5c6a9e0942987"
+        ),
+        ("least_loaded", 2): (
+            "9cfa89b726b5b2844baecdb0334e8d73308fe2d787a0abf93ea4a57772e0f292"
+        ),
+        ("cache_affinity", 1): (
+            "9d3b8a40e166a2b6127859eb93b30cb5704da0fa8ab3e78d59e0e0bfc88fb300"
+        ),
+        ("cache_affinity", 2): (
+            "63b2a91c600eccc45c6dfb1a1e15282d233f5546a456e44439a3527559f231c2"
+        ),
+    }
+
+    @staticmethod
+    def _state(pool):
+        return [
+            (allocation.allocation_id,
+             [(task.position, task.replica, task.device_index,
+               task.row_start, task.row_end) for task in allocation.all_tasks])
+            for allocation in sorted(pool.allocations,
+                                     key=lambda a: a.allocation_id)
+        ]
+
+    def _trace(self, policy, replication):
+        pool = DevicePool(
+            num_devices=4, config=ChipConfig(hct=HctConfig.small(), num_hcts=8),
+            policy=policy, replication=replication,
+        )
+        rng = np.random.default_rng(2026)
+        live, trace = [], []
+
+        def record(step, op, outcome):
+            trace.append((step, op, outcome, self._state(pool)))
+
+        for step in range(80):
+            op = int(rng.integers(0, 10))
+            if op < 4 or not live:
+                rows, cols = self.SHAPES[rng.integers(len(self.SHAPES))]
+                affinity = (live[rng.integers(len(live))].devices_used
+                            if live and op == 0 else ())
+                try:
+                    live.append(pool.set_matrix(
+                        rng.integers(-8, 8, size=(rows, cols)),
+                        element_size=4, affinity=affinity,
+                    ))
+                except AllocationError as error:
+                    record(step, op, type(error).__name__)
+                    continue
+            elif op < 7:
+                pool.release(live.pop(rng.integers(len(live))))
+            elif op < 9:
+                allocation = live[rng.integers(len(live))]
+                pool.update_matrix(
+                    allocation, rng.integers(-8, 8, size=allocation.shape))
+            else:
+                device_index = int(rng.integers(pool.num_devices))
+                pool.mark_device_failed(device_index)
+                for allocation in list(live):
+                    try:
+                        pool.rebuild(allocation)
+                    except RebuildError as error:
+                        record(step, op, type(error).__name__)
+                        pool.release(allocation)
+                        live.remove(allocation)
+                pool.restore_device(device_index)
+            record(step, op, None)
+        return trace
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("policy",
+                             ["round_robin", "least_loaded", "cache_affinity"])
+    def test_placement_digest(self, policy, replication):
+        trace = self._trace(policy, replication)
+        digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+        assert digest == self.EXPECTED[(policy, replication)]

@@ -11,7 +11,6 @@ surface end to end:
   deadline-pressure dispatch and priced admission shedding;
 * SLO classes filling in deadlines/priorities at admission;
 * the :class:`Autotuner` nudging the static knobs from live telemetry;
-* :class:`PredictedFinishTimePolicy` placement on the pool;
 * the queue-level ``group_keys`` / ``min_deadline`` / ``victim(order=)``
   extensions, on the indexed queue and its flat-list oracle.
 """
@@ -27,7 +26,6 @@ from repro.errors import SloError
 from repro.runtime import (
     Autotuner,
     CostAwarePolicy,
-    DevicePool,
     PumServer,
     SloClass,
     StaticBatchingPolicy,
@@ -326,39 +324,6 @@ class TestAutotuner:
             server.tick()
         assert 1 <= tuner.max_wait_ticks
         assert tuner.max_batch <= 8
-
-
-class TestPredictedFinishTimePlacement:
-    def small_pool(self, **kwargs):
-        from repro.core.config import ChipConfig, HctConfig
-        kwargs.setdefault("config", ChipConfig(hct=HctConfig.small(),
-                                               num_hcts=4))
-        return DevicePool(policy="predicted_finish_time", **kwargs)
-
-    def test_balances_by_predicted_load_not_hct_count(self):
-        pool = self.small_pool(num_devices=2)
-        first = pool.set_matrix(np.eye(8, dtype=np.int64))
-        second = pool.set_matrix(np.eye(8, dtype=np.int64))
-        # Least-loaded would also separate these; the point is the tie-break
-        # flows through the cost model without error and spreads the load.
-        assert first.devices_used != second.devices_used
-        loads = [pool.predicted_device_finish_cycles(i) for i in range(2)]
-        assert all(load > 0 for load in loads)
-
-    def test_registered_in_factories(self):
-        assert "predicted_finish_time" in DevicePool.POLICIES
-        pool = self.small_pool(num_devices=2)
-        assert pool.policy == "predicted_finish_time"
-        assert pool.placement_policy._pool is pool
-
-    def test_finish_cycles_track_allocations(self):
-        pool = self.small_pool(num_devices=1)
-        assert pool.predicted_device_finish_cycles(0) == 0.0
-        allocation = pool.set_matrix(np.eye(8, dtype=np.int64))
-        loaded = pool.predicted_device_finish_cycles(0)
-        assert loaded > 0
-        pool.release(allocation)
-        assert pool.predicted_device_finish_cycles(0) == 0.0
 
 
 class TestQueueExtensions:
