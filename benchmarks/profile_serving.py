@@ -175,8 +175,9 @@ REGISTRATION_KINDS = {
 #: in-place path's own bookkeeping (checks, rewinds, checksums);
 #: ``register_rest`` is placement, the device and tile bookkeeping and the
 #: pool's shard table; ``first_call`` is the wave itself once the kernel and
-#: the device plan exist.  A stage whose function an older ``src/`` lacks
-#: reads 0.
+#: the device plan exist.  ``shard_kernel_build`` / ``device_plan_compile``
+#: count a build and an in-place refresh alike.  A stage whose function an
+#: older ``src/`` lacks reads 0.
 REGISTRATION_STAGES = {
     "memo_compare": ((PumServer, "_holds"),),
     "reprogram_rest": ((DevicePool, "update_matrix"),
@@ -188,8 +189,10 @@ REGISTRATION_STAGES = {
     "crossbar_construct": ((ace_module.AnalogComputeElement, "_allocate_crossbar"),),
     "program": ((AnalogCrossbar, "program_differential"), (AnalogCrossbar, "_program")),
     "tile_plan_compile": ((Planner, "_build"),),
-    "shard_kernel_build": ((ace_module, "build_shard_kernel"),),
-    "device_plan_compile": ((session_module, "compile_device_plan"),),
+    "shard_kernel_build": ((ace_module, "build_shard_kernel"),
+                           (kernels.ShardKernel, "refresh")),
+    "device_plan_compile": ((session_module, "compile_device_plan"),
+                            (session_module, "restack_device_plan")),
     "register_rest": ((PumServer, "register_matrix"),),
     "first_call": ((PumServer, "submit_batch"), (PumServer, "run_until_idle")),
 }

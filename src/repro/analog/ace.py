@@ -53,6 +53,18 @@ def integer_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def updated_matrix(matrix: np.ndarray, index, values) -> np.ndarray:
+    """A copy of ``matrix`` with ``values`` stored at ``index`` (a row or a
+    column), refused unless ``values`` has an integer dtype: an update, like
+    a matrix, must be quantised first, never truncated."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise QuantizationError("update_row / update_col expect integer (quantised) values")
+    matrix = matrix.copy()
+    matrix[index] = values
+    return matrix
+
+
 @dataclass(frozen=True)
 class AceConfig:
     """Geometry and periphery of an analog compute element (Table 2)."""
@@ -201,7 +213,7 @@ class AnalogComputeElement:
         self._kernels: Dict[int, ShardKernel] = {}
         #: Compiled execution plans, keyed ``(handle_id, input_bits)`` and
         #: populated by the owning tile's :class:`~repro.plan.planner.Planner`;
-        #: invalidated together with the shard-kernel cache.
+        #: dropped on release together with the shard-kernel cache.
         self._plans: Dict[Tuple[int, int], object] = {}
         #: Reusable per-shape scratch tensors for the vectorized forward
         #: pass (bit-plane stacks and float work blocks).  Keyed purely by
@@ -317,15 +329,15 @@ class AnalogComputeElement:
 
     def update_row(self, handle: MatrixHandle, row: int, values: np.ndarray) -> MatrixHandle:
         """Re-program a single matrix row (updateRow library call)."""
-        matrix = self._matrices[handle.handle_id].copy()
-        matrix[row, :] = np.asarray(values, dtype=np.int64)
-        return self.reprogram(handle, matrix)
+        return self.reprogram(
+            handle, updated_matrix(self._matrices[handle.handle_id], np.s_[row, :], values)
+        )
 
     def update_col(self, handle: MatrixHandle, col: int, values: np.ndarray) -> MatrixHandle:
         """Re-program a single matrix column (updateCol library call)."""
-        matrix = self._matrices[handle.handle_id].copy()
-        matrix[:, col] = np.asarray(values, dtype=np.int64)
-        return self.reprogram(handle, matrix)
+        return self.reprogram(
+            handle, updated_matrix(self._matrices[handle.handle_id], np.s_[:, col], values)
+        )
 
     def reprogram(self, handle: MatrixHandle, matrix: np.ndarray) -> MatrixHandle:
         """Rewrite ``handle``'s arrays with ``matrix`` where they are.
@@ -338,9 +350,10 @@ class AnalogComputeElement:
         of them again, one ``ace.program`` charge each in allocation order.
         That is what a release and a ``set_matrix`` onto the same arrays
         would leave, but the handle, its arrays, its compiled plans and
-        their batch receipts stay; the shard kernel, which holds the
-        recombined weights and the exactness proof, is dropped.  Returns
-        ``handle``.
+        their batch receipts stay, and so does the shard kernel they hold:
+        its recombined weights, read variance and exactness proof are
+        rewritten where they lie (:meth:`~repro.analog.kernels.ShardKernel.refresh`).
+        Returns ``handle``.
         """
         matrix = integer_matrix(matrix)
         if matrix.shape != handle.shape:
@@ -352,13 +365,12 @@ class AnalogComputeElement:
             levels, out=conductances
         )
         self._matrices[handle.handle_id][...] = matrix
-        self._kernels.pop(handle.handle_id, None)
-        for (handle_id, _), plan in self._plans.items():
-            if handle_id == handle.handle_id:
-                plan.__dict__.pop("kernel", None)  # the plan's cached view of it
         for array_id in handle.array_ids:
             self._crossbars[array_id].rewind()
         self._program_arrays(handle)
+        kernel = self._kernels.get(handle.handle_id)
+        if kernel is not None:
+            kernel.refresh(levels)
         return handle
 
     def _program_arrays(self, handle: MatrixHandle) -> None:
@@ -396,8 +408,9 @@ class AnalogComputeElement:
         """Per-shard conductance tensors for ``handle`` (views, not copies).
 
         Built lazily on first use and cached per allocation; ``release``
-        and :meth:`reprogram` (so ``update_row`` / ``update_col``) drop the
-        entry, so the cache can never serve weights of a stale programming.
+        drops the entry and :meth:`reprogram` (so ``update_row`` /
+        ``update_col``) refreshes it in place, so the cache can never serve
+        weights of a stale programming.
         """
         kernel = self._kernels.get(handle.handle_id)
         if kernel is None:

@@ -221,7 +221,8 @@ class AnalogCrossbar:
         self.programmed_ideal = True
         for plane in ideal:
             programmed = self.noise.program(plane)
-            if not np.array_equal(programmed, plane):
+            # The plane itself back: no error source is configured.
+            if programmed is not plane and not np.array_equal(programmed, plane):
                 self.programmed_ideal = False
                 plane[...] = programmed
         self._levels = levels

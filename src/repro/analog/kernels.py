@@ -12,8 +12,9 @@ with, collapsing the schedule into a handful of NumPy contractions:
   ``(input_bits, batch, rows)`` tensor (:func:`~repro.analog.bitslicing.slice_inputs_tensor`);
 * the per-shard conductance slices are ``(num_slices, rows, cols)`` windows
   of the block the ACE programmed -- the **shard kernel cache** held by
-  the owning :class:`~repro.analog.ace.AnalogComputeElement` and invalidated
-  whenever the allocation is released or reprogrammed;
+  the owning :class:`~repro.analog.ace.AnalogComputeElement`, dropped when
+  the allocation is released and refreshed where it lies when it is
+  reprogrammed;
 * the partial products of a weight slice -- every input bit of it -- come
   from one broadcast matmul per conductance plane, and ADC quantisation
   runs as a single element-wise pass over the shard's stacked output.
@@ -92,14 +93,16 @@ class TileKernel:
     read_variance: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ShardKernel:
     """The per-allocation kernel cache: conductance windows for every shard.
 
     Built lazily on the first vectorized MVM against a handle and cached by
     the owning ACE (``AnalogComputeElement.kernel_for``); dropped with the
-    handle and by every in-place reprogram of it (``update_row`` /
-    ``update_col`` included), so it can never serve stale tensors.
+    handle.  An in-place reprogram of it (``update_row`` / ``update_col``
+    included) keeps the object -- and every plan holding it -- and
+    :meth:`refresh` rewrites what the values decide into its own blocks, so
+    it can never serve stale tensors.
     """
 
     handle_id: int
@@ -107,11 +110,38 @@ class ShardKernel:
     bits_per_cell: int
     lsb_conductance: float
     g_min: float
+    #: The whole allocation's recombined weights, ``(rows, cols)`` float64;
+    #: every tile's ``recombined`` is a window of it.
+    recombined: np.ndarray
     tiles: Tuple[TileKernel, ...]
     #: Whether the proven-exact integer fast path may serve this allocation
     #: (ideal conductances and a verified-lossless ADC; see
     #: :func:`exact_path_eligible`).
     exact: bool = False
+
+    def refresh(self, levels: np.ndarray) -> None:
+        """Rewrite what the programmed values decide, where it lies.
+
+        ``levels`` is the allocation's ``(slices, 2, rows, cols)`` level
+        block.  The weight slices are recombined most significant first,
+        one ``(rows, cols)`` integer block at a time (no whole-block
+        temporary), and stored into the kernel's own float64 block; the
+        read variance is recomputed from the conductances the arrays now
+        hold, and ``exact`` is decided again by the same proof.  The
+        windows the tiles and plans hold see the new values.
+        """
+        work = np.subtract(levels[-1, 0], levels[-1, 1])
+        for plane in levels[-2::-1]:
+            work <<= self.bits_per_cell
+            work += plane[0]
+            work -= plane[1]
+        self.recombined[...] = work
+        for tile in self.tiles:
+            if tile.read_variance is not None:
+                tile.read_variance[...] = read_noise_variance(
+                    tile.pos, tile.neg, tile.crossbars[0].read_noise_scale
+                )
+        self.exact = all(exact_path_eligible(tile.crossbars) for tile in self.tiles)
 
 
 #: ADC round-trip proofs, one per converter configuration ``(type, spec,
@@ -173,17 +203,16 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
     (row tile, then column tile, then weight slice), so ``array_ids`` of
     each tile kernel mirrors the reference engine's array grid.  Nothing is
     copied: a tile's conductance stacks are windows of the allocation's
-    conductance block, and its recombined weights a window of one
-    whole-matrix recombination of the level block.
+    conductance block, and its recombined weights a window of the
+    kernel's whole-matrix block.  This lays out the geometry; the values
+    are filled by :meth:`ShardKernel.refresh`, the body an in-place
+    reprogram reruns.
     """
     rows, cols = handle.shape
     array_rows = ace.config.array_rows
     array_cols = ace.config.array_cols
     levels, conductances = ace.programmed_planes(handle)
-    shifts = np.arange(handle.num_slices) * handle.bits_per_cell
-    recombined = (
-        ((levels[:, 0] - levels[:, 1]) << shifts[:, None, None]).sum(axis=0).astype(float)
-    )
+    recombined = np.empty((rows, cols))
     tiles: List[TileKernel] = []
     index = 0
     for row_tile in range(handle.row_tiles):
@@ -196,7 +225,6 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
             index += handle.num_slices
             crossbars = tuple(ace.crossbar(array_id) for array_id in ids)
             pos = conductances[:, 0, r0:r1, c0:c1]
-            neg = conductances[:, 1, r0:r1, c0:c1]
             tiles.append(
                 TileKernel(
                     row_tile=row_tile,
@@ -209,24 +237,25 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
                     array_ids=ids,
                     crossbars=crossbars,
                     pos=pos,
-                    neg=neg,
+                    neg=conductances[:, 1, r0:r1, c0:c1],
                     recombined=recombined[r0:r1, c0:c1],
                     read_variance=(
-                        read_noise_variance(pos, neg, crossbars[0].read_noise_scale)
-                        if crossbars[0].noise.read_noise_active else None
+                        np.empty(pos.shape) if crossbars[0].noise.read_noise_active else None
                     ),
                 )
             )
     sample = tiles[0].crossbars[0]
-    return ShardKernel(
+    kernel = ShardKernel(
         handle_id=handle.handle_id,
         num_slices=handle.num_slices,
         bits_per_cell=handle.bits_per_cell,
         lsb_conductance=sample.mapper.lsb_conductance(),
         g_min=ace.device.g_min,
+        recombined=recombined,
         tiles=tuple(tiles),
-        exact=all(exact_path_eligible(tile.crossbars) for tile in tiles),
     )
+    kernel.refresh(levels)
+    return kernel
 
 
 def validate_input_range(vectors: np.ndarray, input_bits: int) -> None:

@@ -364,7 +364,8 @@ class MvmPlan:
     the schedule it was derived from.  Neither depends on the programmed
     values: an in-place reprogram
     (:meth:`~repro.analog.ace.AnalogComputeElement.reprogram`) keeps the
-    plan and its receipts and drops only its cached :attr:`kernel`.
+    plan and its receipts, and refreshes its cached :attr:`kernel` where it
+    lies.
     """
 
     #: The analog allocation this plan executes against.
@@ -414,11 +415,11 @@ class MvmPlan:
         """Stacked per-shard conductance tensors (vectorized operand).
 
         Fetched from the ACE's shard-kernel cache on first use and then
-        held by the plan (``release`` and a reprogram drop both), so the
-        tensors are built lazily: interpreters that
-        never touch them (the step-walking reference backend, the
-        single-vector path) pay nothing, while the vectorized and cost-only
-        backends share one snapshot per allocation.
+        held by the plan (``release`` drops both; a reprogram rewrites the
+        one object both hold), so the tensors are built lazily:
+        interpreters that never touch them (the step-walking reference
+        backend, the single-vector path) pay nothing, while the vectorized
+        and cost-only backends share one kernel per allocation.
         """
         return self.ace.kernel_for(self.handle)
 
@@ -539,9 +540,12 @@ class DevicePlan:
 
     Kept per ``(allocation, input_bits)`` on the
     :class:`~repro.runtime.session.MatrixAllocation` and dropped on
-    ``release`` and whenever the programmed values change
-    (``update_matrix`` / ``update_row`` / ``update_col``): its stacked
-    weights and its eligibility follow the values.
+    ``release``.  When the programmed values change in place
+    (``update_matrix`` / ``update_row`` / ``update_col``) its stacked
+    weights are stored again where they lie
+    (:func:`~repro.plan.planner.restack_device_plan`) and its scratch
+    stays; it is dropped only if a block's values took it off the exact
+    path.
     """
 
     #: Scratch blocks kept per plan before the oldest is dropped (a server

@@ -7,8 +7,8 @@ or builds it exactly once.  The cache itself is held by the tile's ACE,
 next to the shard-kernel cache, and emptied by the same ``release``.  A
 plan is the allocation's geometry -- schedule, reduction layout, cost
 model, batch receipts -- so an in-place reprogram (``update_row`` /
-``update_col``, a same-shape re-registration) keeps it and drops only the
-shard kernel it holds, which the values decide.
+``update_col``, a same-shape re-registration) keeps it, and the shard
+kernel it holds, which the values decide, is refreshed where it lies.
 
 ``builds`` counts actual compilations; the serving layers aggregate it
 (`DevicePool.planner_builds`, `PumServer.planner_builds`) so tests can
@@ -208,30 +208,25 @@ def compile_device_plan(
     enabled -- and all output pipelines share one accumulator width.
     Digital post-processing can be switched per tile at any time, so it is
     checked per call instead.  Costs one array store per (row tile, column
-    tile) shard on top of the tile plans it compiles or finds cached --
-    unless ``weights`` hands in the tensor a plan of the same allocation at
-    another ``input_bits`` already stacked, which is then shared.
+    tile) shard on top of the tile plans it compiles or finds cached, into
+    a new tensor or into ``weights``, the one a plan of the same allocation
+    at another ``input_bits`` already stacked, which is then shared.  The
+    store is :func:`restack_device_plan`'s, the body an in-place reprogram
+    reruns.
     """
     rows, cols = shape
     blocks = list(blocks)
     band_rows = blocks[0][0].row_end
-    stack = weights is None
-    if stack:
+    if weights is None:
         weights = np.zeros((-(-rows // band_rows), band_rows, cols))
     tiles, depths = [], set()
     for tile, hct, handle in blocks:
         if not (hct.analog_enabled and hct.ace.enabled) or hct.ace.parasitics is not None:
             return None
         plan = hct.planner.plan_for(handle, input_bits)
-        kernel = plan.kernel
-        if not kernel.exact or kernel.tiles[0].crossbars[0].noise.read_noise_active:
-            return None
         band = tile.row_start // band_rows
-        for shard in kernel.tiles if stack else ():
-            first = tile.col_start + shard.col_offset
-            weights[
-                band, shard.row_start: shard.row_end, first: first + shard.used_cols
-            ] = shard.recombined
+        if not _stack_block(weights, band, tile.col_start, plan.kernel):
+            return None
         outputs = tuple(
             (hct.dce.pipeline(plan.output_base + red.col_tile),
              tile.col_start + red.col_offset, red.width)
@@ -242,3 +237,32 @@ def compile_device_plan(
     if len(depths) != 1:
         return None
     return DevicePlan(input_bits, weights, rows, depths.pop(), tuple(tiles))
+
+
+def restack_device_plan(plan: DevicePlan, blocks: Iterable[Tuple]) -> bool:
+    """Store every block's recombined weights into ``plan.weights`` again.
+
+    What an in-place reprogram of the allocation runs once its shard
+    kernels are refreshed: ``blocks`` is the device's tile walk the plan was
+    compiled from.  The plan's geometry and operand scratch stay.  Returns
+    ``False`` -- the plan must be dropped -- once a block has left the
+    proven-exact path.
+    """
+    return all(
+        _stack_block(plan.weights, band, tile.col_start, tile_plan.kernel)
+        for (tile, _, _), (_, tile_plan, band, _) in zip(blocks, plan.tiles)
+    )
+
+
+def _stack_block(weights: np.ndarray, band: int, col_start: int, kernel) -> bool:
+    """Store one block's shards into row band ``band`` of ``weights`` from
+    column ``col_start``; ``False``, storing nothing, unless the block is
+    on the proven-exact path."""
+    if not kernel.exact or kernel.tiles[0].crossbars[0].noise.read_noise_active:
+        return False
+    for shard in kernel.tiles:
+        first = col_start + shard.col_offset
+        weights[band, shard.row_start: shard.row_end, first: first + shard.used_cols] = (
+            shard.recombined
+        )
+    return True

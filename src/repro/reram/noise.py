@@ -223,7 +223,15 @@ class NoiseStack:
         return self._rng
 
     def program(self, conductances: np.ndarray) -> np.ndarray:
-        """Apply programming-time error sources (write noise, stuck-at)."""
+        """Apply programming-time error sources (write noise, stuck-at).
+
+        With neither configured the devices hold exactly what was written,
+        and ``conductances`` itself is returned: no copy, and a caller can
+        read ``program(plane) is plane`` as the proof that the write was
+        ideal.  Otherwise the result is a new array.
+        """
+        if not (self.config.programming_noise or self.config.stuck_at_faults):
+            return conductances
         result = np.array(conductances, dtype=float, copy=True)
         if self.config.programming_noise:
             result = self.programming.apply(result, self.rng)

@@ -482,7 +482,8 @@ class DevicePool:
         Every copy of every band is reprogrammed in place
         (:meth:`~repro.runtime.session.DarthPumDevice.update_matrix`): the
         shard table, the devices' HCTs and arrays, and the compiled plans
-        stay.  The retained source and the ABFT checksums follow the new
+        stay (shard kernels and device plans refreshed where they lie).
+        The retained source and the ABFT checksums follow the new
         values, and the placement policy is told of the copies where they
         are, as if it had placed them there again.  The matrix is never
         moved, whatever the policy: a release and a :meth:`set_matrix`

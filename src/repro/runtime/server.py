@@ -644,9 +644,10 @@ class PumServer:
         * new values of the same shape and config: the allocation is
           reprogrammed in place (:meth:`DevicePool.update_matrix`) -- same
           devices whatever the placement policy, same arrays, tile plans,
-          batch receipts and cost memos -- unless a copy sits on a failed
-          device; values the encoder refuses leave the registration as it
-          was;
+          batch receipts and cost memos, and the shard kernels and device
+          plans the values fill are rewritten where they lie, so the next
+          call builds nothing -- unless a copy sits on a failed device;
+          values the encoder refuses leave the registration as it was;
         * anything else: the old allocation is released and the matrix
           placed anew, with the previous shards' devices as the affinity
           hint, so the cache-affinity policy keeps it on chips whose ReRAM
@@ -658,8 +659,8 @@ class PumServer:
         ahead of time, so ``planner_builds()`` stays flat while serving.
         The tensors the vectorized engine contracts -- the shard kernels and
         the ``DevicePlan`` that stacks them -- are built by the first call
-        against the allocation, not here (docs/architecture.md, *Write
-        path*).
+        against a new allocation, not here, and refreshed here by an
+        in-place reprogram (docs/architecture.md, *Write path*).
         """
         matrix = integer_matrix(matrix)
         with self._lock:

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analog.ace import MatrixHandle, integer_matrix
+from ..analog.ace import MatrixHandle, integer_matrix, updated_matrix
 from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
@@ -36,7 +36,7 @@ from ..plan.backends import (
     resolve_backend,
 )
 from ..plan.ir import DevicePlan, MvmPlan
-from ..plan.planner import compile_device_plan
+from ..plan.planner import compile_device_plan, restack_device_plan
 from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
 
@@ -87,7 +87,7 @@ class MatrixAllocation:
     matrix: Optional[np.ndarray] = None
     #: Compiled :class:`~repro.plan.ir.DevicePlan` per ``input_bits``
     #: (``None``: compiled and found off the proven-exact path).  Emptied
-    #: whenever the programmed values or ``handles`` change.
+    #: whenever ``handles`` change; refreshed in place when the values do.
     device_plans: Dict[int, Optional[DevicePlan]] = field(default_factory=dict, repr=False)
 
     @property
@@ -291,9 +291,12 @@ class DarthPumDevice:
         parasitics, a lossy ADC, analog mode disabled).  Compiled on first
         use -- the first vectorized call, like the shard kernels it stacks,
         not :meth:`compile`, so registration stays as cheap as it was -- and
-        kept on the allocation until ``release`` / ``update_matrix`` /
-        ``update_row`` / ``update_col``.  The stacked weights do not depend
-        on ``input_bits``: the plans of one allocation share one tensor.
+        kept on the allocation until ``release``.  ``update_matrix`` /
+        ``update_row`` / ``update_col`` rewrite its stacked weights where
+        they lie, and drop it only when a block has left the exact path (a
+        ``None`` is dropped too, so it is decided again).  The stacked
+        weights do not depend on ``input_bits``: the plans of one
+        allocation share one tensor.
         """
         plans = allocation.device_plans
         if input_bits not in plans:
@@ -341,48 +344,45 @@ class DarthPumDevice:
         (:meth:`~repro.analog.ace.AnalogComputeElement.reprogram`): the
         HCTs, arrays and handles stay, and so do the tile plans and their
         batch receipts, which depend on the geometry alone.  What the values
-        decide -- the shard kernels and the device plans stacking them --
-        is rebuilt by the next call.  A matrix the encoder refuses is
-        refused whole, before any block is written.
+        decide is rewritten where it lies: each block's shard kernel by its
+        ACE, then every compiled device plan's stacked weights
+        (:func:`~repro.plan.planner.restack_device_plan`); a plan is dropped
+        only when a block has left the proven-exact path.  A matrix the
+        encoder refuses is refused whole, before any block is written.
         """
         matrix = integer_matrix(matrix)
         if matrix.shape != allocation.shape:
             raise QuantizationError(f"expected a matrix of shape {allocation.shape}")
+        self._rewrite(allocation, matrix, self._tiles(allocation))
+
+    def update_row(self, allocation: MatrixAllocation, row: int, values: np.ndarray) -> None:
+        """updateRow(): rewrite one matrix row across the affected HCTs."""
+        row = range(allocation.shape[0])[row]
+        self._rewrite(allocation, updated_matrix(allocation.matrix, np.s_[row, :], values),
+                      [block for block in self._tiles(allocation)
+                       if block[0].row_start <= row < block[0].row_end])
+
+    def update_col(self, allocation: MatrixAllocation, col: int, values: np.ndarray) -> None:
+        """updateCol(): rewrite one matrix column across the affected HCTs."""
+        col = range(allocation.shape[1])[col]
+        self._rewrite(allocation, updated_matrix(allocation.matrix, np.s_[:, col], values),
+                      [block for block in self._tiles(allocation)
+                       if block[0].col_start <= col < block[0].col_end])
+
+    def _rewrite(self, allocation: MatrixAllocation, matrix: np.ndarray, blocks) -> None:
+        """Program ``blocks`` with their windows of ``matrix``, the whole new
+        matrix, in place: refused whole, before any block or copy is written,
+        if a value is out of range.  The device plans are then refreshed."""
         DifferentialPairs(allocation.placement.element_size).check(matrix)
-        allocation.device_plans.clear()
-        for tile, hct, handle in self._tiles(allocation):
+        for tile, hct, handle in blocks:
             hct.ace.reprogram(
                 handle, matrix[tile.row_start: tile.row_end, tile.col_start: tile.col_end]
             )
         allocation.matrix[...] = matrix
-
-    def update_row(self, allocation: MatrixAllocation, row: int, values: np.ndarray) -> None:
-        """updateRow(): rewrite one matrix row across the affected HCTs."""
-        self._update(allocation, row=row, values=values)
-
-    def update_col(self, allocation: MatrixAllocation, col: int, values: np.ndarray) -> None:
-        """updateCol(): rewrite one matrix column across the affected HCTs."""
-        self._update(allocation, col=col, values=values)
-
-    def _update(self, allocation: MatrixAllocation, values: np.ndarray,
-                row: Optional[int] = None, col: Optional[int] = None) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        assert allocation.matrix is not None
-        if row is not None:
-            allocation.matrix[row, :] = values
-        if col is not None:
-            allocation.matrix[:, col] = values
-        # The recombined weights every compiled device plan stacked are stale.
-        allocation.device_plans.clear()
-        for tile, hct, handle in self._tiles(allocation):
-            if row is not None and tile.row_start <= row < tile.row_end:
-                hct.ace.update_row(
-                    handle, row - tile.row_start, values[tile.col_start: tile.col_end]
-                )
-            elif col is not None and tile.col_start <= col < tile.col_end:
-                hct.ace.update_col(
-                    handle, col - tile.col_start, values[tile.row_start: tile.row_end]
-                )
+        plans = allocation.device_plans
+        for input_bits, plan in list(plans.items()):
+            if plan is None or not restack_device_plan(plan, self._tiles(allocation)):
+                del plans[input_bits]
 
     def release(self, allocation: MatrixAllocation) -> None:
         """Free the HCTs and analog arrays used by an allocation."""

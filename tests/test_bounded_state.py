@@ -424,17 +424,22 @@ class TestDroppedChipIsFreedByReferenceCounting:
         server.run_until_idle()
         assert np.array_equal(future.result().result, matrix.sum(axis=0))
         plans = tile_plans(server.pool, old, 4)
-        # New values of the same shape: reprogrammed in place.  What the
-        # values made -- device plans, shard kernels -- is freed; the tile
-        # plans (geometry) stay, and none is compiled.
-        stale = [weakref.ref(plan) for plan in device_plans(server.pool, old, 4)]
-        stale += [weakref.ref(plan.kernel) for plan in plans]
+        # New values of the same shape: reprogrammed in place.  Nothing is
+        # freed or compiled: the tile plans (geometry), the device plans and
+        # shard kernels (values, rewritten where they lie) are the same
+        # objects, and they answer for the new values.
+        kept = device_plans(server.pool, old, 4) + [plan.kernel for plan in plans]
         builds = server.planner_builds()
         assert server.register_matrix("tenant", matrix + 1, element_size=4,
                                       input_bits=4) is old
-        assert [ref() for ref in stale] == [None] * len(stale)
+        now = device_plans(server.pool, old, 4) + [plan.kernel for plan in plans]
+        assert list(map(id, now)) == list(map(id, kept))
         assert list(map(id, tile_plans(server.pool, old, 4))) == list(map(id, plans))
         assert server.planner_builds() == builds
+        future = server.submit("tenant", np.ones(32, dtype=np.int64), input_bits=4)
+        server.run_until_idle()
+        assert np.array_equal(future.result().result, (matrix + 1).sum(axis=0))
+        del kept, now
         # Another shape: released, and everything of the old allocation freed.
         refs = [weakref.ref(plan) for plan in device_plans(server.pool, old, 4)]
         refs += [weakref.ref(plan) for plan in plans]

@@ -113,15 +113,18 @@ NOISY_CALL_DRAWS = {"resnet_conv": (18, 64512), "aes_mixcolumns": (1, 1024),
 MAX_NOISY_CALL_PEAK_BYTES = 256 * 1024
 #: Python-level calls of one 64x64 4-bit ``register_matrix`` with new bytes
 #: (reprogrammed in place) plus the first 32-row wave against it on an ideal
-#: server, measured + 10 % (measured 277, 13 of them the pool's and the
-#: device's whole-matrix range checks that keep a refused matrix from
-#: changing any copy; 486 while it released and placed the matrix again, 820
-#: while every crossbar also sliced, mapped and range-checked its own planes
-#: and re-mapped them for the exactness proof).
-MAX_REGISTRATION_CALLS = 305
+#: server, measured + 10 % (measured 230: the shard kernel and the device
+#: plan are refreshed where they lie and an ideal write copies and compares
+#: no plane; 277 while both were rebuilt by the first wave, 13 of them the
+#: pool's and the device's whole-matrix range checks that keep a refused
+#: matrix from changing any copy; 486 while it released and placed the
+#: matrix again, 820 while every crossbar also sliced, mapped and
+#: range-checked its own planes and re-mapped them for the exactness proof).
+MAX_REGISTRATION_CALLS = 253
 #: The same for a round that alternates 64x64 and 64x48, so every round
-#: releases, places and compiles the matrix anew (measured 499, budget
-#: + 10 %; 602 budgeted the 486 of this path when same-shape rounds took it).
+#: releases, places and compiles the matrix anew (measured 476, 499 while an
+#: ideal write copied and compared its planes; budget 499 + 10 %; 602
+#: budgeted the 486 of this path when same-shape rounds took it).
 MAX_REPLACEMENT_CALLS = 549
 
 
@@ -282,6 +285,34 @@ class TestPoolCall:
         direct = _frame_origins(lambda: device.exec_mvm_batch(
             task.device_allocation, vectors, input_bits=input_bits))
         assert ("repro.plan.backends", "default_backend") in direct
+
+    def test_first_call_after_an_in_place_update_stays_within_budget(self, monkeypatch):
+        """``update_matrix`` refreshes the shard kernel and the device plan
+        where they lie, so the call after it is a steady-state call: it
+        compiles, builds and stacks nothing."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        shape, element_size, input_bits, _ = DEVICE_CALL_SHAPES["encoder_projection"]
+        rng = derive_rng("hot-path-pool-update")
+        half = 1 << (element_size - 1)
+        matrix, new = (rng.integers(-half, half, size=shape) for _ in range(2))
+        vectors = rng.integers(0, 1 << input_bits, size=(16, shape[0]), dtype=np.int64)
+        pool = DevicePool(num_devices=2)
+        allocation = pool.set_matrix(matrix, element_size=element_size)
+
+        def pooled():
+            return pool.exec_mvm_batch(allocation, vectors, input_bits=input_bits)
+
+        for _ in range(2):  # first call compiles the kernel and the receipt
+            assert np.array_equal(pooled(), vectors @ matrix)
+        builds = pool.planner_builds()
+        pool.update_matrix(allocation, new)
+        events = profiled_calls(pooled)[1:]
+        pool_frames, device_frames, pooled_calls = (
+            _profile_serving().split_pool_frames(events))
+        assert pooled_calls == 1
+        assert pool_frames + device_frames <= MAX_POOL_CALLS, (pool_frames, device_frames)
+        assert np.array_equal(pooled(), vectors @ new)
+        assert pool.planner_builds() == builds
 
 
     def test_sharded_verified_call_stays_within_budget(self, monkeypatch):
@@ -564,16 +595,22 @@ class TestReceiptMemo:
         tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
         plan = tile.planner.plan_for(handle, 2)
         assert len(plan.receipts) == 1
-        # update_row reprograms in place: the kernel goes, the plan and its
-        # receipts -- geometry, not values -- stay.
+        # update_row reprograms in place: the plan and its receipts --
+        # geometry, not values -- stay, and so does the kernel the plan
+        # holds, its values rewritten.
+        kernel = plan.kernel
+        receipt = next(iter(plan.receipts.values()))
         assert tile.ace.update_row(handle, 0, np.zeros(12, dtype=np.int64)) is handle
-        assert tile.ace.cached_kernels == 0 and tile.ace.cached_plans == 1
-        out = tile.execute_mvm_batch(handle, vectors, input_bits=2,
-                                     backend="vectorized")
+        assert tile.ace.cached_kernels == 1 and tile.ace.cached_plans == 1
+        assert plan.kernel is kernel
         updated = matrix.copy()
         updated[0] = 0
+        assert np.array_equal(kernel.recombined, updated)
+        out = tile.execute_mvm_batch(handle, vectors, input_bits=2,
+                                     backend="vectorized")
         assert np.array_equal(out.values, vectors @ updated)
         assert tile.planner.plan_for(handle, 2) is plan and len(plan.receipts) == 1
+        assert next(iter(plan.receipts.values())) is receipt
         assert tile.planner.receipt_misses == 1
         # A release takes the plan, and the memo goes with it: another shape
         # in its place compiles its own.

@@ -131,6 +131,66 @@ class TestDevice:
         with pytest.raises(QuantizationError):
             device.set_matrix(np.ones((4, 4)) * 0.5)
 
+    def test_a_refused_update_changes_nothing(self, device, rng):
+        """A row or column the encoder refuses leaves the stored copy, and
+        so ``expected_mvm``, as it was."""
+        matrix = rng.integers(-8, 8, size=(8, 8))
+        allocation = device.set_matrix(matrix, element_size=4)
+        x = rng.integers(0, 8, size=8)
+        for update in (device.update_row, device.update_col):
+            with pytest.raises(QuantizationError, match="magnitude exceeds 8"):
+                update(allocation, 0, [100] * 8)
+            assert np.array_equal(allocation.matrix, matrix)
+            assert np.array_equal(device.expected_mvm(allocation, x), x @ matrix)
+            assert np.array_equal(device.exec_mvm(allocation, x, input_bits=3), x @ matrix)
+
+    def test_a_row_refused_in_its_last_block_writes_no_block(self, device, rng):
+        """8x512 over eight HCTs, the row's last value out of range: the
+        whole row is checked before the first block is reprogrammed."""
+        matrix = rng.integers(-8, 8, size=(8, 512))
+        allocation = device.set_matrix(matrix, element_size=4)
+        assert allocation.hcts_used == 8
+        row = rng.integers(-8, 8, size=512)
+        row[-1] = 99
+        before = device.chip.total_ledger().snapshot()
+        with pytest.raises(QuantizationError, match="magnitude exceeds 8"):
+            device.update_row(allocation, 3, row)
+        after = device.chip.total_ledger().snapshot()
+        vectors = rng.integers(1, 8, size=(4, 8))
+        assert np.array_equal(device.exec_mvm_batch(allocation, vectors, input_bits=3),
+                              vectors @ matrix)
+        assert after == before  # no block was programmed
+        assert np.array_equal(allocation.matrix, matrix)
+
+    def test_a_negative_index_updates_the_device_too(self, device, rng):
+        """Row -1 is the last row at the device as in its copy, and a row
+        past the end is refused before anything is written."""
+        matrix = rng.integers(-8, 8, size=(40, 20))
+        allocation = device.set_matrix(matrix, element_size=4)
+        assert allocation.hcts_used > 1
+        new = rng.integers(-8, 8, size=(40, 20))
+        device.update_row(allocation, -1, new[-1])
+        device.update_col(allocation, -1, new[:, -1])
+        matrix[-1], matrix[:, -1] = new[-1], new[:, -1]
+        with pytest.raises(IndexError):
+            device.update_row(allocation, 40, new[0])
+        vectors = rng.integers(0, 8, size=(3, 40))
+        assert np.array_equal(allocation.matrix, matrix)
+        assert np.array_equal(device.exec_mvm_batch(allocation, vectors, input_bits=3),
+                              vectors @ matrix)
+
+    def test_float_updates_are_refused_not_truncated(self, device, rng):
+        matrix = rng.integers(-8, 8, size=(8, 8))
+        allocation = device.set_matrix(matrix, element_size=4)
+        tile = device.chip.hct(allocation.hct_indices[0])
+        handle = allocation.handles[0]
+        for update, target in ((device.update_row, allocation), (device.update_col, allocation),
+                               (tile.ace.update_row, handle), (tile.ace.update_col, handle)):
+            with pytest.raises(QuantizationError, match="integer"):
+                update(target, 1, [1.7] * 8)
+        assert np.array_equal(allocation.matrix, matrix)
+        assert np.array_equal(tile.ace.stored_matrix(handle), matrix)
+
     def test_release_returns_hcts(self, device, rng):
         allocation = device.set_matrix(rng.integers(0, 3, size=(8, 8)), element_size=2)
         assert device.chip.allocated_hcts > 0

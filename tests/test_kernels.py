@@ -30,6 +30,7 @@ from repro import (
 from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
 from repro.analog.compensation import ParasiticCompensation
 from repro.analog.crossbar import AnalogCrossbar
+from repro.analog.kernels import build_shard_kernel
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
@@ -446,14 +447,15 @@ class TestDevicePlanEquivalence:
         step(matrix)
         assert plan_device.device_plan(plan_allocation, input_bits) is compiled
 
-        # update_row reprograms one tile: stale plans go, fresh ones follow.
+        # update_row reprograms one tile: the plan stays, its stacked
+        # weights rewritten where they lie.
         new_row = rng.integers(-8, 8, size=16)
         matrix[37] = new_row
         for device, allocation, _ in twins.values():
             device.update_row(allocation, 37, new_row)
-        assert not plan_allocation.device_plans
+        assert plan_allocation.device_plans == {input_bits: compiled}
         step(matrix)
-        assert plan_device.device_plan(plan_allocation, input_bits) is not compiled
+        assert plan_device.device_plan(plan_allocation, input_bits) is compiled
         new_col = rng.integers(-8, 8, size=128)
         matrix[:, 3] = new_col
         for device, allocation, _ in twins.values():
@@ -532,16 +534,25 @@ class TestShardKernelCache:
         assert tile.ace.kernel_for(handle) is kernel  # reused, not rebuilt
 
     def test_cache_invalidated_on_reprogram(self):
+        """The stale values are rewritten where they lie: the same kernel,
+        tiles and blocks, holding what a fresh build would."""
         tile = HybridComputeTile(HctConfig.small())
         matrix = np.eye(8, dtype=np.int64)
         handle = tile.set_matrix(matrix, value_bits=4)
         vectors = np.arange(16, dtype=np.int64).reshape(2, 8) % 4
         tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
         assert tile.ace.cached_kernels == 1
+        kernel = tile.ace.kernel_for(handle)
+        tiles, recombined = kernel.tiles, kernel.recombined
         new_handle = tile.ace.update_row(handle, 0, np.array([3, 0, 0, 0, 0, 0, 0, 1]))
-        assert tile.ace.cached_kernels == 0  # stale entry dropped by the reprogram
+        assert tile.ace.cached_kernels == 1 and tile.ace.kernel_for(handle) is kernel
+        assert kernel.tiles is tiles and kernel.recombined is recombined
         updated = matrix.copy()
         updated[0] = [3, 0, 0, 0, 0, 0, 0, 1]
+        fresh = build_shard_kernel(tile.ace, handle)
+        assert np.array_equal(kernel.recombined, updated)
+        assert kernel.recombined.tobytes() == fresh.recombined.tobytes()
+        assert kernel.exact == fresh.exact
         out = tile.execute_mvm_batch(new_handle, vectors, input_bits=2,
                                      backend="vectorized")
         assert np.array_equal(out.values, vectors @ updated)
@@ -559,6 +570,63 @@ class TestShardKernelCache:
         clean_handle = clean.set_matrix(np.eye(8, dtype=np.int64) * 3, value_bits=4)
         clean.execute_mvm_batch(clean_handle, np.ones((1, 8), dtype=np.int64), input_bits=1)
         assert clean.ace.kernel_for(clean_handle).exact
+
+    #: Stuck-at faults only, on a stream whose map over an 8x8 4-bit
+    #: allocation holds seven devices, every one stuck low (pinned below).
+    STUCK_LOW = NoiseConfig(programming_noise=False, read_noise=False, ir_drop=False,
+                            stuck_at_faults=True, stuck_at_rate=0.05, seed=218)
+
+    def test_in_place_rewrites_follow_the_exactness_proof_both_ways(self):
+        """A agrees with the arrays' fault map, so it is exact; B is not.
+        A -> B -> A in place answers what a freshly programmed device
+        answers, and only B has no device plan."""
+        config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
+
+        def fresh(matrix):
+            device = DarthPumDevice(config=config, noise=self.STUCK_LOW)
+            return device, device.set_matrix(matrix, element_size=4)
+
+        device, allocation = fresh(np.zeros((8, 8), dtype=np.int64))
+        ((_, hct, handle),) = device._tiles(allocation)
+        faults = [hct.ace.crossbar(i).noise.stuck_at for i in handle.array_ids]
+        stuck = np.logical_or.reduce([fault._mask for fault in faults])
+        assert stuck.sum() == 7
+        assert all((fault._values[fault._mask] == hct.ace.device.g_min).all()
+                   for fault in faults)
+        rng = derive_rng("kernels-stuck-at-refresh")
+        a = np.where(stuck, 0, rng.integers(-8, 8, size=(8, 8)))
+        b = np.where(stuck, 7, a)
+        vectors = rng.integers(0, 16, size=(6, 8))
+        for matrix, exact in ((a, True), (b, False), (a, True)):
+            device.update_matrix(allocation, matrix)
+            twin, twin_allocation = fresh(matrix)
+            out = device.exec_mvm_batch(allocation, vectors, input_bits=4)
+            assert np.array_equal(out, twin.exec_mvm_batch(twin_allocation, vectors,
+                                                           input_bits=4))
+            assert np.array_equal(out, vectors @ matrix) == exact
+            assert (device.device_plan(allocation, 4) is not None) == exact
+            assert hct.ace.kernel_for(handle).exact == exact
+
+    def test_in_place_rewrite_under_paper_noise_matches_a_fresh_kernel(self):
+        """Under ``paper_default`` an in-place A -> B leaves the kept kernel
+        holding what a fresh build for B holds, bit for bit."""
+        rng = derive_rng("kernels-paper-refresh")
+        a, b = (rng.integers(-32, 32, size=(24, 20)) for _ in range(2))
+        tiles = [HybridComputeTile(HctConfig.small(), noise=NoiseConfig.paper_default())
+                 for _ in range(2)]
+        kept, twin = tiles
+        handle = kept.set_matrix(a, value_bits=6, bits_per_cell=2)
+        kernel = kept.ace.kernel_for(handle)
+        assert kept.ace.reprogram(handle, b) is handle
+        twin_handle = twin.set_matrix(b, value_bits=6, bits_per_cell=2)
+        for fresh in (build_shard_kernel(kept.ace, handle),
+                      build_shard_kernel(twin.ace, twin_handle)):
+            assert kept.ace.kernel_for(handle) is kernel
+            assert kernel.recombined.tobytes() == fresh.recombined.tobytes()
+            assert kernel.exact == fresh.exact is False
+            for ours, theirs in zip(kernel.tiles, fresh.tiles, strict=True):
+                assert ours.read_variance is not None
+                assert ours.read_variance.tobytes() == theirs.read_variance.tobytes()
 
 
 class TestReadNoiseStreams:

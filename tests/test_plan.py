@@ -99,20 +99,24 @@ class TestPlanCacheLifecycle:
         assert tile.ace.cached_kernels == 0
 
     def test_invalidated_on_reprogram(self):
-        """update_row reprograms in place: the plan (geometry) stays and its
-        kernel (values) drops; a release and another shape plan anew."""
+        """update_row reprograms in place: the plan (geometry) stays, and
+        the kernel it holds (values) is the same object with its stale
+        values rewritten; a release and another shape plan anew."""
         tile = HybridComputeTile(HctConfig.small())
         matrix = np.eye(8, dtype=np.int64)
         handle = tile.set_matrix(matrix, value_bits=4)
         vectors = np.arange(16, dtype=np.int64).reshape(2, 8) % 4
-        tile.execute_mvm_batch(handle, vectors, input_bits=2)
+        tile.execute_mvm_batch(handle, vectors, input_bits=2, backend="vectorized")
         assert tile.ace.cached_plans == 1
         plan = tile.planner.plan_for(handle, 2)
+        kernel = plan.kernel
         new_handle = tile.ace.update_row(handle, 0, np.array([3, 0, 0, 0, 0, 0, 0, 1]))
         assert new_handle is handle and tile.ace.cached_plans == 1
-        assert tile.ace.cached_kernels == 0 and "kernel" not in vars(plan)
+        assert tile.ace.cached_kernels == 1 and vars(plan)["kernel"] is kernel
+        assert tile.ace.kernel_for(handle) is kernel
         updated = matrix.copy()
         updated[0] = [3, 0, 0, 0, 0, 0, 0, 1]
+        assert np.array_equal(kernel.recombined, updated) and kernel.exact
         out = tile.execute_mvm_batch(new_handle, vectors, input_bits=2)
         assert np.array_equal(out.values, vectors @ updated)
         assert tile.planner.builds == 1
