@@ -10,8 +10,8 @@ The ``device-call`` mode zooms into the bottom of that stack: one
 steady-state ``DarthPumDevice.exec_mvm_batch`` on the proven-exact path at
 the three paper shapes and at an 8-tile row band, as untraced wall time and
 function calls per call *and per tile*, and the share that goes to the
-accumulator sync, input validation, the cost ledger and the arithmetic
-itself.  Three more rows price the same call at the paper shapes under
+tile state besides the ledger (registers, arbiter, counters), input
+validation, the cost ledger and the arithmetic itself.  Three more rows price the same call at the paper shapes under
 ``NoiseConfig.paper_default()``, where the general path runs: untraced
 microseconds, and stopwatch time in the read-noise draw, the column-sum
 matmuls, the noise term and the ADC.
@@ -105,16 +105,19 @@ INPUT_BITS = 8
 DEVICE_CALL_BATCH = 32
 #: Where a device call's non-arithmetic time goes: part -> (functions
 #: counted with everything they call, functions counted by self time only).
-#: ``set_vr_words`` is the register store of the exact path: it keeps the
-#: last batch row as words, and their unpack into bit planes is paid only
-#: when a register is read (``flush_us``, timed apart).  ``charge_stream`` is
-#: the receipt's compiled run list.  An older ``src/`` stores bit planes with
-#: ``set_vr_planes`` (the all-band unpack in front of it inline in
-#: ``execute_device_plan``, in no column) or ``set_vr_bits``, and charges
-#: through ``charge_run`` / ``issue_mvm_charges``, which is why those names
-#: stay: on either side exactly one set runs on the profiled path.
+#: ``sync_us`` is the tile state a call leaves besides its ledger: the
+#: accumulator register stores (``set_vr_words`` keeps the words, their
+#: unpack into bit planes is paid only when a register is read: ``flush_us``,
+#: timed apart), the arbiter reservations and the replay's counter updates.
+#: ``ledger_us`` is the receipt's compiled run list and the runtime charges.
+#: An older ``src/`` stores bit planes with ``set_vr_planes`` or
+#: ``set_vr_bits``, commits through ``_commit_schedule`` (its ledger charge
+#: lands in ``ledger_us``) and charges through ``charge_run`` /
+#: ``issue_mvm_charges``, which is why those names stay: on either side
+#: exactly one set runs on the profiled path.
 DEVICE_CALL_PARTS = {
-    "sync_us": (("set_vr_words", "set_vr_planes", "set_vr_bits"), ()),
+    "sync_us": (("set_vr_words", "set_vr_planes", "set_vr_bits", "acquire"),
+                ("_replay_receipt", "_commit_schedule")),
     "validate_us": (("validate_input_range",), ()),
     "ledger_us": (("charge", "charge_stream", "charge_run", "snapshot"),
                   ("issue_mvm_charges",)),
@@ -335,11 +338,13 @@ def device_call_breakdown(loops: int = 2000) -> None:
         estimate_us = best_call_us(device_call_at(label, "estimate")[0])
         python_calls, c_calls = count_calls(call)
 
-        # The arithmetic alone: the device plan's one banded contraction.
+        # The arithmetic alone: the device plan's one matmul (on an older
+        # ``src/``, whose entry is two operands, its banded contraction).
         plan = device.device_plan(allocation, DEVICE_CALL_SHAPES[label][2])
-        _, banded = plan.operands(DEVICE_CALL_BATCH)
+        entry = plan.operands(DEVICE_CALL_BATCH)
+        operand, weights = entry[1], entry[2] if len(entry) > 2 else plan.weights
         matmul_us = best_call_us(
-            lambda: np.matmul(banded, plan.weights).astype(np.int64)
+            lambda: np.matmul(operand, weights).astype(np.int64)
         )
 
         profiler = cProfile.Profile()

@@ -21,7 +21,7 @@ from ..errors import AllocationError, CapacityError, QuantizationError
 from ..metrics import CostLedger
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
 from .adc import AdcSpec, AnalogToDigitalConverter, make_adc
-from .bitslicing import ShiftAddPlan, slice_inputs, slice_matrix
+from .bitslicing import ShiftAddPlan, integer_vectors, slice_inputs, slice_matrix
 from .crossbar import AnalogCrossbar
 from .dac import DigitalToAnalogConverter
 from .kernels import ShardKernel, build_shard_kernel
@@ -498,7 +498,7 @@ class AnalogComputeElement:
         """
         if not self.enabled:
             raise AllocationError("the ACE of this tile has been disabled")
-        vector = np.asarray(vector, dtype=np.int64)
+        vector = integer_vectors(vector)
         rows, cols = handle.shape
         if vector.shape != (rows,):
             raise QuantizationError(

@@ -58,6 +58,24 @@ def slice_matrix(
     return slices
 
 
+def integer_vectors(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` as int64, refusing what an int64 cast would truncate.
+
+    Input vectors must arrive with an integer (or bool) dtype: a float,
+    NaN or string array raises :class:`~repro.errors.QuantizationError`, as
+    ``set_matrix`` refuses a float matrix.  An int64 array is returned as
+    is.  Every tier's entry (tile, device, pool, server, gateway) checks
+    its vectors here.
+    """
+    source = np.asarray(vectors)
+    if source.dtype.kind not in "iub":
+        raise QuantizationError(
+            f"input vectors must be integers (got dtype {source.dtype}); "
+            "quantise floats first"
+        )
+    return source.astype(np.int64, copy=False)
+
+
 def slice_inputs(vector: np.ndarray, input_bits: int) -> List[np.ndarray]:
     """Split a non-negative integer input vector into one-bit slices.
 

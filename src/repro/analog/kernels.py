@@ -258,6 +258,14 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
     return kernel
 
 
+def dot_bound(rows: int, input_bits: int, value_bits: int) -> int:
+    """The largest magnitude a sum of ``rows`` products of an
+    ``input_bits``-bit input and a ``value_bits``-bit signed weight (at most
+    ``2**(value_bits - 1)`` in magnitude) can reach, and so every partial
+    sum of it: below 2**53 every one is an exact float64."""
+    return rows * ((1 << input_bits) - 1) << (value_bits - 1)
+
+
 def validate_input_range(vectors: np.ndarray, input_bits: int) -> None:
     """Range checks of ``slice_inputs_tensor`` without building bit planes.
 

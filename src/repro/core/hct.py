@@ -296,9 +296,12 @@ class HybridComputeTile:
         """Arbiter reservation + clock advance + ledger charge of one MVM.
 
         The arbiter locks the output pipelines for the analog domain for
-        the duration of the MVM, serialising younger digital work.  Every
-        execution backend commits through here so the tile-side effects of
-        an MVM cannot drift between interpreters.
+        the duration of the MVM, serialising younger digital work.  The
+        reference interpreter and the single-vector path commit through
+        here; a receipt replay (``repro.plan.backends._replay_receipt``)
+        makes the same reservations and clock advance from its bound record,
+        whose run list carries this ledger charge, and
+        ``tests/test_kernels.py`` holds the two equal.
         """
         for resource in plan.output_resources:
             self.arbiter.acquire(resource, Domain.ANALOG, self._clock, optimized_cycles)

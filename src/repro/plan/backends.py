@@ -19,8 +19,9 @@ both consume the *same compiled plan object*:
 
 One level up, :func:`execute_device_plan` interprets a
 :class:`~repro.plan.ir.DevicePlan`: all tiles of one device-level matrix
-on the proven-exact path in one contraction, with the same receipt replay
-per tile.  Devices use it when the call's backend is the stock
+on the proven-exact path, where no accumulator can wrap, in one matmul,
+with the same receipt replay per tile from records bound once per batch
+size.  Devices use it when the call's backend is the stock
 :class:`VectorizedExecutor`.
 
 Backends are resolved by name (or passed as instances) anywhere a
@@ -37,8 +38,9 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..analog.ace import BatchMvmExecution, BatchPartialProduct
-from ..analog.bitslicing import slice_inputs
-from ..analog.kernels import ace_forward_vectorized, validate_input_range
+from ..analog.bitslicing import integer_vectors, slice_inputs
+from ..analog.kernels import ace_forward_vectorized, dot_bound, validate_input_range
+from ..core.arbiter import Domain
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
 from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
@@ -102,7 +104,7 @@ def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
     """
     if not (tile.analog_enabled and tile.ace.enabled):
         raise AllocationError("the ACE of this tile has been disabled")
-    vectors = np.asarray(vectors, dtype=np.int64)
+    vectors = integer_vectors(vectors)
     if vectors.ndim < 2:
         vectors = np.atleast_2d(vectors)
     if vectors.shape[0] == 0:
@@ -115,29 +117,33 @@ def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _replay_receipt(tile, plan: MvmPlan, receipt, optimized: bool) -> None:
-    """Charge and count one batch on ``tile`` from its receipt.
+def _replay_receipt(record) -> None:
+    """Charge and count one batch on a tile from its bound receipt.
 
-    Replays the reference interpreter's accounting exactly: the ``ace.mvm``
-    stream and -- with digital post-processing on -- per column tile the
-    ``dce.write`` / ``dce.boolean`` charges as one compiled run list, the
-    crossbars' ``mvm_count``, the IIU and transpose-unit counters by the
-    receipt's totals, and the ``hct.mvm_batch`` schedule commit.  Shared by
-    the per-tile backends (:func:`_account_batch`) and the whole-allocation
-    contraction (:func:`execute_device_plan`), so the two cannot drift.
+    ``record`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s.  Replays the
+    reference interpreter's accounting exactly: the ``ace.mvm`` stream and
+    -- with digital post-processing on -- per column tile the ``dce.write``
+    / ``dce.boolean`` charges and the ``hct.mvm_batch`` schedule commit, as
+    one compiled run list; the crossbars' ``mvm_count``; the IIU and
+    transpose-unit counters by the receipt's totals; and the commit's
+    arbiter reservations and clock advance.  The one replay body of the
+    per-tile backends (:func:`_account_batch`, which binds a record per
+    call) and the whole-allocation contraction (:func:`execute_device_plan`,
+    whose records are bound once per batch size), so the two cannot drift.
     """
-    digital = tile.digital_post_processing
-    tile.ledger.charge_stream(receipt.runs if digital else receipt.analog_runs)
-    steps = receipt.mvm_steps
-    for crossbar in plan.crossbars:
+    ledger, runs, crossbars, steps, counters = record
+    ledger.charge_stream(runs)
+    for crossbar in crossbars:
         crossbar.mvm_count += steps
-    if not digital:
+    if counters is None:
         return
-    tile.iiu.injections += receipt.injections
-    tile.iiu.front_end_slots_saved += receipt.slots_saved
-    tile.transpose_unit.vector_count += receipt.n_adds
-    charged = receipt.optimized_cycles if optimized else receipt.unoptimized_cycles
-    tile._commit_schedule(plan, receipt.optimized_cycles, charged)
+    tile, injections, slots_saved, n_adds, resources, cycles, charged = counters
+    tile.iiu.injections += injections
+    tile.iiu.front_end_slots_saved += slots_saved
+    tile.transpose_unit.vector_count += n_adds
+    for resource in resources:
+        tile.arbiter.acquire(resource, Domain.ANALOG, tile._clock, cycles)
+    tile._clock += charged
 
 
 def _account_batch(
@@ -163,7 +169,7 @@ def _account_batch(
     ledger = tile.ledger
     start_cycles, start_energy = ledger.cycles, ledger.energy_pj
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
-    _replay_receipt(tile, plan, receipt, optimized)
+    _replay_receipt(receipt.bind(tile, plan, tile.digital_post_processing, optimized))
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
@@ -208,19 +214,24 @@ def _account_batch(
 def execute_device_plan(
     plan: DevicePlan, vectors: np.ndarray, runtime_ledger
 ) -> Optional[np.ndarray]:
-    """One batch against a whole device-level matrix, as one contraction.
+    """One batch against a whole device-level matrix, as one matmul.
 
     ``vectors`` is the ``(batch, rows)`` int64 block the device admitted.
-    The input range is validated once, before anything is charged; the
-    banded matmul, the accumulator wrap and the sum over row bands (a
-    single band is its own sum) produce the integers the per-tile loop
-    would add up block by block (everything stays far below 2**53).  Each
-    block then gets its side effects in placement order -- receipt replay
-    against its own ledger, accumulator VRs from the last batch row, the
-    ``runtime.mvm_batch`` charge -- so every ledger sees the additions of
-    the loop in the order of the loop.  The VRs keep that row as words
-    (``BitPipeline.set_vr_words``): one copy of every band's row, so the
-    returned array shares nothing with them, unpacked only if read.
+    The input range is validated once, before anything is charged.  The
+    answer is one ``(batch, row_bands * band_rows) @ (row_bands *
+    band_rows, cols)`` float64 matmul over the plan's operand (zero padding
+    adds nothing): :func:`~repro.plan.planner.compile_device_plan` proved
+    that no accumulator wraps and every sum is exact, so this is the sum of
+    the per-tile loop's wrapped blocks.  The accumulator registers get the
+    last batch row's block sums: a single band's is the result's last row,
+    several bands' one ``(row_bands, 1, band_rows)`` matmul.  Each block
+    then gets its side effects in placement order from the record bound for
+    this batch size (:meth:`~repro.plan.ir.DevicePlan.operands`) -- receipt
+    replay against its own ledger, accumulator VRs kept as words
+    (``BitPipeline.set_vr_words``, unpacked only if read) -- and the
+    ``runtime.mvm_batch`` charges follow as one stream, so every ledger sees
+    the additions of the loop in the order of the loop.  The returned array
+    shares nothing with the registers.
 
     Returns ``None``, having touched nothing, when a block has left the
     exact path since the plan was compiled (digital or analog mode
@@ -231,26 +242,21 @@ def execute_device_plan(
             return None
     validate_input_range(vectors, plan.input_bits)
     batch = vectors.shape[0]
-    block, banded = plan.operands(batch)
+    entry = plan.scratch.get(batch) or plan.operands(batch)
+    block, operand, weights, last, registers, tiles = entry
     block[...] = vectors
-    partials = plan.tiles[0][0].iiu.wrap_accumulator(
-        np.matmul(banded, plan.weights).astype(np.int64), plan.depth
-    )
-    last = partials[:, -1].copy()  # (row_bands, cols)
-    for hct, tile_plan, band, outputs in plan.tiles:
-        ledger = hct.ledger
+    result = np.matmul(operand, weights).astype(np.int64)
+    registers[...] = result[-1] if last is None else np.matmul(last, plan.weights)[:, 0]
+    charges = []
+    for record, cycles, outputs in tiles:
+        ledger = record[0]
         start_energy = ledger.energy_pj
-        receipt = hct.planner.receipt_for(tile_plan, batch)
-        _replay_receipt(hct, tile_plan, receipt, True)
-        for pipeline, col_offset, width in outputs:
-            pipeline.set_vr_words(
-                tile_plan.accumulator_vr, last[band, col_offset: col_offset + width]
-            )
-        runtime_ledger.charge("runtime.mvm_batch", cycles=receipt.optimized_cycles,
-                              energy_pj=ledger.energy_pj - start_energy)
-    if len(partials) == 1:
-        return partials[0]
-    return np.add.reduce(partials, axis=0)
+        _replay_receipt(record)
+        for pipeline, vr, words in outputs:
+            pipeline.set_vr_words(vr, words)
+        charges.append(("runtime.mvm_batch", 1, cycles, ledger.energy_pj - start_energy))
+    runtime_ledger.charge_stream(charges)
+    return result
 
 
 class ReferenceExecutor(ExecutionBackend):
@@ -396,6 +402,10 @@ class VectorizedExecutor(ExecutionBackend):
         active_adc_bits: Optional[int] = None,
     ) -> HctBatchMvmResult:
         vectors = _admit_batch(tile, plan, vectors)
+        if dot_bound(plan.handle.shape[0], plan.input_bits, plan.handle.value_bits) >= 1 << 53:
+            # Past float64's exact integers: the reference's int64 sums.
+            return ReferenceExecutor().execute_batch(tile, plan, vectors, optimized,
+                                                     compensation, active_adc_bits)
         shard_totals = ace_forward_vectorized(tile.ace, plan, vectors)
         return _account_batch(
             tile, plan, vectors, shard_totals, optimized, compensation, active_adc_bits

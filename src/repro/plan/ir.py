@@ -346,6 +346,26 @@ class BatchReceipt:
     unoptimized_cycles: float
     breakdown: Mapping[str, float]
 
+    def bind(self, tile, plan: "MvmPlan", digital: bool = True, optimized: bool = True) -> Tuple:
+        """This batch's side effects on ``tile``, bound to their targets.
+
+        The record ``repro.plan.backends._replay_receipt`` replays:
+        ``(ledger, runs, crossbars, steps, counters)``.  With digital
+        post-processing on, ``runs`` ends with the ``hct.mvm_batch``
+        schedule commit as one more run -- the charge the reference makes
+        right after the stream -- and ``counters`` is ``(tile, injections,
+        slots_saved, n_adds, output resources, optimized cycles, charged
+        cycles)``; in raw analog mode the stream stops after the analog
+        part and ``counters`` is ``None``.
+        """
+        if not digital:
+            return tile.ledger, self.analog_runs, plan.crossbars, self.mvm_steps, None
+        charged = self.optimized_cycles if optimized else self.unoptimized_cycles
+        commit = (("hct.mvm_batch", 1, charged, 0.0),)
+        return tile.ledger, self.runs + commit, plan.crossbars, self.mvm_steps, (
+            tile, self.injections, self.slots_saved, self.n_adds, plan.output_resources,
+            self.optimized_cycles, charged)
+
 
 @dataclass
 class MvmPlan:
@@ -530,26 +550,27 @@ class DevicePlan:
 
     A matrix larger than one HCT is placed as a grid of blocks, each with
     its own :class:`MvmPlan`.  When every block is on the proven-exact path
-    their arithmetic is the same small exact-integer matmul, so the device
-    stacks the blocks' recombined weights once
-    (:func:`~repro.plan.planner.compile_device_plan`) and a call contracts
-    all of them at once (``repro.plan.backends.execute_device_plan``).  What
-    stays per block is what belongs to the block's hardware: its
-    :class:`BatchReceipt` replay against its own ledger and counters, and
-    its accumulator registers.
+    and no accumulator can wrap, the device's answer is one exact-integer
+    matmul, so the device stacks the blocks' recombined weights once
+    (:func:`~repro.plan.planner.compile_device_plan`, which proves both
+    from geometry and configuration) and a call contracts all of them at
+    once (``repro.plan.backends.execute_device_plan``).  What stays per
+    block is what belongs to the block's hardware: its :class:`BatchReceipt`
+    replay against its own ledger and counters, and its accumulator
+    registers -- both bound once per batch size (:meth:`operands`).
 
     Kept per ``(allocation, input_bits)`` on the
     :class:`~repro.runtime.session.MatrixAllocation` and dropped on
     ``release``.  When the programmed values change in place
     (``update_matrix`` / ``update_row`` / ``update_col``) its stacked
     weights are stored again where they lie
-    (:func:`~repro.plan.planner.restack_device_plan`) and its scratch
-    stays; it is dropped only if a block's values took it off the exact
-    path.
+    (:func:`~repro.plan.planner.restack_device_plan`) and its per-batch
+    entries stay (they hold geometry only); it is dropped only if a
+    block's values took it off the exact path.
     """
 
-    #: Scratch blocks kept per plan before the oldest is dropped (a server
-    #: dispatches a handful of batch sizes per matrix).
+    #: Per-batch entries kept per plan before the oldest is dropped (a
+    #: server dispatches a handful of batch sizes per matrix).
     SCRATCH_BATCH_SIZES = 8
 
     #: Input precision the tile plans were compiled for.
@@ -560,32 +581,48 @@ class DevicePlan:
     weights: np.ndarray
     #: Matrix rows (``<= row_bands * band_rows``).
     rows: int
-    #: Accumulator width every output pipeline shares (one wrap serves all).
-    depth: int
     #: Per block, in placement order: ``(hct, MvmPlan, band, ((pipeline,
     #: col_offset, width), ...))`` -- the output pipelines with the matrix
     #: columns each accumulates.
     tiles: Tuple[Tuple, ...]
-    #: Per batch size ``(input block, banded operand)``: two views of one
-    #: zeroed float64 buffer, oldest first.
-    scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    #: Per batch size, oldest first, what :meth:`operands` returns.
+    scratch: Dict[int, Tuple] = field(default_factory=dict, repr=False)
 
-    def operands(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(batch, rows)`` input block and its banded matmul operand.
+    def operands(self, batch: int) -> Tuple:
+        """Everything a ``batch``-row call uses besides the vectors (built once).
 
-        Both are views of one buffer: storing a batch into the first fills
-        the ``(row_bands, batch, band_rows)`` second; the padding rows of a
-        ragged last band are never written and stay zero.
+        ``(block, operand, weights, last, registers, tiles)``: ``block`` is
+        the ``(batch, rows)`` view of the zeroed float64 ``(batch, row_bands
+        * band_rows)`` ``operand`` a batch is stored into (the padding
+        columns of a ragged last band stay zero), ``weights`` the stacked
+        weights as ``(row_bands * band_rows, cols)``.  ``last`` is the
+        operand's last row as ``(row_bands, 1, band_rows)`` -- ``None`` for
+        a single band, whose accumulator row is the result's last row --
+        and ``registers`` the int64 ``(row_bands, cols)`` block the
+        accumulator rows are stored into.  ``tiles`` holds per block its
+        :meth:`BatchReceipt.bind` record, its ``runtime.mvm_batch`` cycles
+        and ``((pipeline, vr, words), ...)``, ``words`` a view of
+        ``registers``.  The receipts are looked up here, so a steady call
+        looks up nothing.
         """
         entry = self.scratch.get(batch)
         if entry is None:
             if len(self.scratch) >= self.SCRATCH_BATCH_SIZES:
                 del self.scratch[next(iter(self.scratch))]
-            row_bands, band_rows, _ = self.weights.shape
-            block = np.zeros((batch, row_bands * band_rows))
+            row_bands, band_rows, cols = self.weights.shape
+            operand = np.zeros((batch, row_bands * band_rows))
+            registers = np.zeros((row_bands, cols), dtype=np.int64)
+            tiles = []
+            for hct, plan, band, outputs in self.tiles:
+                receipt = hct.planner.receipt_for(plan, batch)
+                tiles.append((receipt.bind(hct, plan), receipt.optimized_cycles, tuple(
+                    (pipeline, plan.accumulator_vr, registers[band, offset: offset + width])
+                    for pipeline, offset, width in outputs
+                )))
             entry = self.scratch[batch] = (
-                block[:, : self.rows],
-                block.reshape(batch, row_bands, band_rows).transpose(1, 0, 2),
+                operand[:, : self.rows], operand, self.weights.reshape(-1, cols),
+                operand[-1].reshape(row_bands, 1, band_rows) if row_bands > 1 else None,
+                registers, tuple(tiles),
             )
         return entry
 

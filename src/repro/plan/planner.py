@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
-from ..analog.kernels import analog_runs
+from ..analog.kernels import analog_runs, dot_bound
 from ..metrics import checked_runs
 from .ir import BatchReceipt, DevicePlan, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
 
@@ -205,38 +205,45 @@ def compile_device_plan(
     (the device's tile walk; placement is a regular grid starting at row
     0).  Returns ``None`` unless every block is on the proven-exact path --
     exact shard kernel, no parasitics, read noise inactive, the ACE still
-    enabled -- and all output pipelines share one accumulator width.
-    Digital post-processing can be switched per tile at any time, so it is
-    checked per call instead.  Costs one array store per (row tile, column
-    tile) shard on top of the tile plans it compiles or finds cached, into
-    a new tensor or into ``weights``, the one a plan of the same allocation
-    at another ``input_bits`` already stacked, which is then shared.  The
-    store is :func:`restack_device_plan`'s, the body an in-place reprogram
-    reruns.
+    enabled -- and the device's answer is provably one exact matmul: with
+    ``M = 2**(element size - 1)`` the largest weight magnitude, ``band_rows
+    * (2**input_bits - 1) * M < 2**(depth - 1)`` for every block's
+    pipeline depth, so no block's accumulator can wrap, and ``rows *
+    (2**input_bits - 1) * M < 2**53``, so every float64 partial sum is an
+    exact integer.  The proof reads geometry and configuration, no value,
+    so an in-place reprogram keeps it.  Digital post-processing can be
+    switched per tile at any time, so it is checked per call instead.
+    Costs one array store per (row tile, column tile) shard on top of the
+    tile plans it compiles or finds cached, into a new tensor or into
+    ``weights``, the one a plan of the same allocation at another
+    ``input_bits`` already stacked, which is then shared.  The store is
+    :func:`restack_device_plan`'s, the body an in-place reprogram reruns.
     """
     rows, cols = shape
     blocks = list(blocks)
     band_rows = blocks[0][0].row_end
+    value_bits = blocks[0][2].value_bits
+    if dot_bound(rows, input_bits, value_bits) >= 1 << 53:
+        return None
+    band_bound = dot_bound(band_rows, input_bits, value_bits)  # < 2**(depth - 1): no wrap
     if weights is None:
         weights = np.zeros((-(-rows // band_rows), band_rows, cols))
-    tiles, depths = [], set()
+    tiles = []
     for tile, hct, handle in blocks:
-        if not (hct.analog_enabled and hct.ace.enabled) or hct.ace.parasitics is not None:
+        if (not (hct.analog_enabled and hct.ace.enabled) or hct.ace.parasitics is not None
+                or band_bound >= 1 << (hct.dce.config.pipeline_depth - 1)):
             return None
         plan = hct.planner.plan_for(handle, input_bits)
         band = tile.row_start // band_rows
-        if not _stack_block(weights, band, tile.col_start, plan.kernel):
-            return None
         outputs = tuple(
             (hct.dce.pipeline(plan.output_base + red.col_tile),
              tile.col_start + red.col_offset, red.width)
             for red in plan.reduction
         )
-        depths.update(pipeline.depth for pipeline, _, _ in outputs)
+        if not _stack_block(weights, band, tile.col_start, plan.kernel):
+            return None
         tiles.append((hct, plan, band, outputs))
-    if len(depths) != 1:
-        return None
-    return DevicePlan(input_bits, weights, rows, depths.pop(), tuple(tiles))
+    return DevicePlan(input_bits, weights, rows, tuple(tiles))
 
 
 def restack_device_plan(plan: DevicePlan, blocks: Iterable[Tuple]) -> bool:

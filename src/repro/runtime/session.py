@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..analog.ace import MatrixHandle, integer_matrix, updated_matrix
+from ..analog.bitslicing import integer_vectors
 from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
@@ -41,22 +42,6 @@ from ..reram import NoiseConfig
 from .allocator import MatrixPlacement, plan_matrix, precision_to_bits_per_cell
 
 __all__ = ["MatrixAllocation", "DarthPumDevice", "integer_matrix", "integer_vectors"]
-
-
-def integer_vectors(vectors: np.ndarray) -> np.ndarray:
-    """``vectors`` as int64, refusing what an int64 cast would truncate.
-
-    Input vectors must arrive with an integer (or bool) dtype: a float,
-    NaN or string array raises :class:`~repro.errors.QuantizationError`, as
-    ``set_matrix`` refuses a float matrix.  An int64 array is returned as is.
-    """
-    source = np.asarray(vectors)
-    if source.dtype.kind not in "iub":
-        raise QuantizationError(
-            f"input vectors must be integers (got dtype {source.dtype}); "
-            "quantise floats first"
-        )
-    return source.astype(np.int64, copy=False)
 
 
 @dataclass

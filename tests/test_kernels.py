@@ -14,6 +14,8 @@ per-allocation shard kernel cache, the memoised
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from repro.analog.compensation import ParasiticCompensation
 from repro.analog.crossbar import AnalogCrossbar
 from repro.analog.kernels import build_shard_kernel
 from repro.core.hct import HybridComputeTile
+from repro.digital.dce import DceConfig
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
 from repro.reram import NoiseConfig, ParasiticModel
@@ -517,6 +520,107 @@ class TestDevicePlanEquivalence:
         assert messages["plan"] == messages["loop"] == "input values exceed 4 bits"
         assert moved["plan"] == [False] * 8
         assert moved["loop"] == [True] * 4 + [False] * 4
+
+
+#: label -> (pipeline depth, element size, input bits) of a 40x20 matrix on
+#: small tiles: three 16-row bands (the last ragged) of two column tiles.
+#: The wrap bound ``16 * (2**input_bits - 1) * 2**(element_size - 1) <
+#: 2**(depth - 1)`` holds on the first three (1920 < 2048, 3840 < 4096,
+#: 1920 < 2**31) and fails on the last three (1920, 3840, 3968 >= 2048 or
+#: 1024), where an accumulator can wrap.
+WRAP_BOUND_CASES = {
+    "depth_12": (12, 4, 4),
+    "depth_13_wider_weights": (13, 5, 4),
+    "depth_32": (32, 4, 4),
+    "depth_11": (11, 4, 4),
+    "depth_12_wider_weights": (12, 5, 4),
+    "depth_12_wider_inputs": (12, 4, 5),
+}
+
+
+def wrapped_product(vectors, matrix, depth, band_rows=16):
+    """The per-tile loop's answer: every band's sum read back from a
+    ``depth``-bit two's-complement accumulator, then summed."""
+    half = 1 << (depth - 1)
+    return sum(
+        (vectors[:, start: start + band_rows] @ matrix[start: start + band_rows] + half)
+        % (2 * half) - half
+        for start in range(0, matrix.shape[0], band_rows)
+    )
+
+
+class TestDevicePlanEligibility:
+    """The device plan exists exactly where one matmul is provably the
+    answer -- no accumulator can wrap, every float64 sum is exact -- and is
+    then bit-identical, state included, to the per-tile loop and
+    ``reference``; elsewhere the loop serves and still wraps."""
+
+    @pytest.mark.parametrize("case", sorted(WRAP_BOUND_CASES))
+    def test_plan_exactly_when_no_accumulator_can_wrap(self, case):
+        depth, element_size, input_bits = WRAP_BOUND_CASES[case]
+        magnitude, top = 1 << (element_size - 1), (1 << input_bits) - 1
+        eligible = 16 * top * magnitude < 1 << (depth - 1)
+        small = HctConfig.small()
+        config = ChipConfig(hct=HctConfig(
+            dce=DceConfig(num_pipelines=8, pipeline_depth=depth, rows=16, cols=24),
+            ace=small.ace,
+        ), num_hcts=16)
+        rng = derive_rng("kernels-wrap-bound", case)
+        matrix = rng.integers(-magnitude, magnitude, size=(40, 20))
+        matrix[:, 0] = -magnitude  # all-``top`` rows sum at the bound here
+        backends = {"plan": "vectorized", "loop": "vectorized",
+                    "reference": "reference"}
+        twins = {}
+        for name in backends:
+            device = DarthPumDevice(config=config)
+            twins[name] = device, device.set_matrix(matrix, element_size=element_size)
+        force_per_tile_loop(twins["loop"][1], input_bits)
+        plan_device, plan_allocation = twins["plan"]
+        assert (plan_device.device_plan(plan_allocation, input_bits) is not None) == eligible
+        extreme = np.full((3, 40), top)
+        for vectors in (rng.integers(0, top + 1, size=(5, 40)), extreme, extreme):
+            outs, states = {}, {}
+            for name, (device, allocation) in twins.items():
+                outs[name] = device.exec_mvm_batch(
+                    allocation, vectors, input_bits=input_bits, backend=backends[name]
+                )
+                tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+                states[name] = (device_state(device, allocation),
+                                [repr(tile.ledger) for tile in tiles], repr(device.ledger))
+            assert np.array_equal(outs["plan"], wrapped_product(vectors, matrix, depth))
+            for name in ("loop", "reference"):
+                assert np.array_equal(outs["plan"], outs[name]), name
+                assert states["plan"] == states[name], name
+        # Only where the bound fails does the loop's accumulator wrap.
+        assert np.array_equal(outs["plan"], extreme @ matrix) == eligible
+
+    @pytest.mark.parametrize("input_bits", [40, 41, 44, 56])
+    def test_sums_past_float64_are_served_exactly(self, input_bits):
+        """64 rows of 8-bit weights: ``64 * (2**40 - 1) * 128 < 2**53``,
+        one more input bit is not.  Past the bound the vectorized engine
+        returned wrong answers (from 56 bits with ``invalid value
+        encountered in cast``); now it takes the reference's int64 sums."""
+        rng = derive_rng("kernels-float64-bound", input_bits)
+        matrix = rng.integers(-128, 128, size=(64, 8))
+        matrix[:, 0] = -128
+        vectors = rng.integers(0, 1 << input_bits, size=(3, 64), dtype=np.int64)
+        vectors[0] = (1 << input_bits) - 1
+        expected = vectors @ matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for backend in ("vectorized", "reference"):
+                tile = HybridComputeTile(HctConfig.paper_default())
+                handle = tile.set_matrix(matrix, value_bits=8)
+                out = tile.execute_mvm_batch(handle, vectors, input_bits=input_bits,
+                                             backend=backend)
+                assert np.array_equal(out.values, expected), backend
+            device = DarthPumDevice()
+            allocation = device.set_matrix(matrix, element_size=8)
+            assert (device.device_plan(allocation, input_bits) is not None) == (
+                input_bits == 40)
+            out = device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                        backend="vectorized")
+            assert np.array_equal(out, expected)
 
 
 class TestShardKernelCache:
