@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from digest_text import rendered
 
 from repro.testing import derive_rng
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,21 @@ class TestProgrammedStateDigest:
         "reregister":
             "5b0b9301077710e142a844f5a33e475da0b4024c3bdb88b9ad7e17204f6abf39",
     }
+    #: The siblings: the same material through ``digest_text.rendered``.
+    ROUNDED = {
+        "ideal":
+            "69a56ad8173e3aed8f72034e5857624e9d576c6d031e6c4251b464e0605cf4e9",
+        "paper_default":
+            "cdf42dff640d51705847b5263d128d41e663cfb1748f854c3173883cf50688d1",
+        "sigma_zero":
+            "69a56ad8173e3aed8f72034e5857624e9d576c6d031e6c4251b464e0605cf4e9",
+        "stuck_at":
+            "c68a4dd8f76545c1fe1c74ee7ec3b09cc4ceb1f58204e7318bfb6c421a38a615",
+        "update_row":
+            "302a3ea339d12dbb1c999a2eed5a3f348d74f0224a35f7b9ca773abdf9b0b654",
+        "reregister":
+            "4a87dd3aad3346c3185ec58dfe1935a65b1bddafbc09c207c184eb8d6df0eaa0",
+    }
 
     @staticmethod
     def _matrix(shape, label=0):
@@ -250,26 +266,36 @@ class TestProgrammedStateDigest:
         return rng.integers(-8, 8, size=shape)
 
     @staticmethod
-    def _absorb(digest, ace, handle):
-        """Hash the programmed state of ``handle``; returns its ``exact`` flag."""
+    def _absorb(digest, ace, handle, text=None):
+        """Hash the programmed state of ``handle``; returns its ``exact`` flag.
+
+        ``text=None`` feeds the exact pin (raw bytes, ``repr``); the sibling
+        passes :func:`~digest_text.rendered`.
+        """
+        def put(exact, value):
+            digest.update(exact if text is None else text(value))
+
         for array_id in handle.array_ids:
             crossbar = ace.crossbar(array_id)
             for plane in (crossbar.positive_levels, crossbar.negative_levels):
-                digest.update(np.ascontiguousarray(plane, dtype=np.int64).tobytes())
+                plane = np.ascontiguousarray(plane, dtype=np.int64)
+                put(plane.tobytes(), plane)
             for plane in (crossbar.positive_conductances, crossbar.negative_conductances):
-                digest.update(np.ascontiguousarray(plane, dtype=np.float64).tobytes())
-            digest.update(repr(tuple(int(n) for n in crossbar.programmed_shape)).encode())
+                plane = np.ascontiguousarray(plane, dtype=np.float64)
+                put(plane.tobytes(), plane)
+            shape = tuple(int(n) for n in crossbar.programmed_shape)
+            put(repr(shape).encode(), shape)
         kernel = ace.kernel_for(handle)
-        digest.update(repr(kernel.exact).encode())
+        put(repr(kernel.exact).encode(), kernel.exact)
         for tile in kernel.tiles:
             for block in (tile.pos, tile.neg, tile.recombined):
-                digest.update(repr(block.shape).encode())
-                digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
-        digest.update(repr(ace.ledger).encode())
+                put(repr(block.shape).encode(), block.shape)
+                block = np.ascontiguousarray(block, dtype=np.float64)
+                put(block.tobytes(), block)
+        put(repr(ace.ledger).encode(), ace.ledger)
         return kernel.exact
 
-    @pytest.mark.parametrize("noise", sorted(NOISE))
-    def test_every_registration_shape(self, noise):
+    def _registrations(self, noise, text=None):
         digest = hashlib.sha256()
         exact = {}
         for representation, bits_per_cell, shape in itertools.product(
@@ -278,26 +304,20 @@ class TestProgrammedStateDigest:
             ace = AnalogComputeElement(self.SHAPES[shape], noise=self.NOISE[noise], tile_id=3)
             handle = ace.set_matrix(self._matrix(shape), self.VALUE_BITS, bits_per_cell,
                                     representation)
-            exact[bits_per_cell, shape] = self._absorb(digest, ace, handle)
-        assert digest.hexdigest() == self.EXPECTED[noise]
-        # The flag follows the programmed values and the ADC grid, never the
-        # config's switches: write noise of sigma 0 moves nothing, and a
-        # 2-bit cell on 64 rows overruns the 8-bit converter.
-        lossless = noise in ("ideal", "sigma_zero")
-        assert exact == {(bits, shape): lossless and (bits == 1 or shape == (70, 20))
-                         for bits, shape in exact}
+            exact[bits_per_cell, shape] = self._absorb(digest, ace, handle, text)
+        return digest.hexdigest(), exact
 
-    def test_update_row_reprograms_the_same_arrays(self):
+    def _update_row(self, text=None):
         ace = AnalogComputeElement(noise=self.NOISE["paper_default"], tile_id=1)
         first = ace.set_matrix(self._matrix((64, 64)), self.VALUE_BITS)
         digest = hashlib.sha256()
-        self._absorb(digest, ace, first)
+        self._absorb(digest, ace, first, text)
         second = ace.update_row(first, 5, self._matrix((64, 64), label=1)[5])
         assert second.array_ids == first.array_ids
-        self._absorb(digest, ace, second)
-        assert digest.hexdigest() == self.EXPECTED["update_row"]
+        self._absorb(digest, ace, second, text)
+        return digest.hexdigest()
 
-    def test_release_then_reregister_restarts_the_stream(self):
+    def _reregister(self, text=None):
         ace = AnalogComputeElement(noise=self.NOISE["paper_default"], tile_id=1)
         matrix = self._matrix((64, 64))
         first = ace.set_matrix(matrix, self.VALUE_BITS)
@@ -311,8 +331,35 @@ class TestProgrammedStateDigest:
         ace.release(again)
         digest = hashlib.sha256()
         self._absorb(digest, ace, ace.set_matrix(self._matrix((64, 64), label=2),
-                                                 self.VALUE_BITS))
-        assert digest.hexdigest() == self.EXPECTED["reregister"]
+                                                 self.VALUE_BITS), text)
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_registration_shape(self, noise):
+        hexdigest, exact = self._registrations(noise)
+        assert hexdigest == self.EXPECTED[noise]
+        # The flag follows the programmed values and the ADC grid, never the
+        # config's switches: write noise of sigma 0 moves nothing, and a
+        # 2-bit cell on 64 rows overruns the 8-bit converter.
+        lossless = noise in ("ideal", "sigma_zero")
+        assert exact == {(bits, shape): lossless and (bits == 1 or shape == (70, 20))
+                         for bits, shape in exact}
+
+    def test_update_row_reprograms_the_same_arrays(self):
+        assert self._update_row() == self.EXPECTED["update_row"]
+
+    def test_release_then_reregister_restarts_the_stream(self):
+        assert self._reregister() == self.EXPECTED["reregister"]
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_registration_shape_rounded(self, noise):
+        assert self._registrations(noise, rendered)[0] == self.ROUNDED[noise]
+
+    def test_update_row_rounded(self):
+        assert self._update_row(rendered) == self.ROUNDED["update_row"]
+
+    def test_reregister_rounded(self):
+        assert self._reregister(rendered) == self.ROUNDED["reregister"]
 
 
 class TestReprogramEquivalence:
@@ -341,47 +388,55 @@ class TestReprogramEquivalence:
         "paper_default":
             "9e45e72de8209f550c06701a826921f8ccd287b016b7f303c9fccc4feaa43713",
     }
+    #: The siblings: the same material through ``digest_text.rendered``.
+    ROUNDED = {
+        "ideal": "761d2dfc52bc0fb64612e5ccc1839c1483464a030f5b754e50d73fbdb89b9eab",
+        "paper_default":
+            "cb2a6786cabcaa222fdd84148900f11c9bd13a1694a81f08b9c4cca781bf8fe3",
+    }
 
     @staticmethod
-    def _array(digest, array):
+    def _array(digest, array, text=None):
         array = np.ascontiguousarray(array)
+        if text is not None:
+            digest.update(text(array))
+            return
         digest.update(f"{array.dtype.str}{array.shape}".encode())
         digest.update(array.tobytes())
 
-    def _copy(self, digest, device, device_allocation):
+    def _copy(self, digest, device, device_allocation, text=None):
         for _, hct, handle in device._tiles(device_allocation):
             ace = hct.ace
             for block in ace.programmed_planes(handle):
-                self._array(digest, block)
+                self._array(digest, block, text)
             kernel = ace.kernel_for(handle)
             digest.update(bytes([kernel.exact]))
             for tile in kernel.tiles:
-                self._array(digest, tile.recombined)
-            self._array(digest, [ace.crossbar(i).mvm_count for i in handle.array_ids])
+                self._array(digest, tile.recombined, text)
+            self._array(digest, [ace.crossbar(i).mvm_count for i in handle.array_ids], text)
 
-    def _absorb(self, digest, server, vectors):
+    def _absorb(self, digest, server, vectors, text=None):
         for name in ("a", "b"):
             rows = server.allocation_for(name).shape[0]
             futures = server.submit_batch(name, vectors[:, :rows], input_bits=3)
             server.run_until_idle()
             *columns, errors = futures.columns()
             for column in columns:
-                self._array(digest, column)
+                self._array(digest, column, text)
             digest.update(repr(sorted(errors.items())).encode())
         pool = server.pool
         allocation = server.allocation_for("a")
         for task in allocation.all_tasks:
-            self._copy(digest, pool.devices[task.device_index], task.device_allocation)
+            self._copy(digest, pool.devices[task.device_index], task.device_allocation, text)
         for band in pool.integrity._bands[allocation.allocation_id]:
-            self._array(digest, [band.row_start, band.row_end])
-            self._array(digest, band.check)
-            self._array(digest, band.abs_check)
+            self._array(digest, [band.row_start, band.row_end], text)
+            self._array(digest, band.check, text)
+            self._array(digest, band.abs_check, text)
         for device in pool.devices:
-            digest.update(repr(device.ledger).encode())
-            digest.update(repr(device.chip.total_ledger()).encode())
+            for ledger in (device.ledger, device.chip.total_ledger()):
+                digest.update(repr(ledger).encode() if text is None else text(ledger))
 
-    @pytest.mark.parametrize("noise", sorted(NOISE))
-    def test_every_kind_of_reregistration(self, noise):
+    def _campaign(self, noise, text=None):
         rng = np.random.default_rng((30, 7))
 
         def matrix(shape, bits=4):
@@ -405,7 +460,7 @@ class TestReprogramEquivalence:
         ):
             current = current.copy() if new is None else new
             server.register_matrix("a", current, element_size=element_size, input_bits=3)
-            self._absorb(digest, server, vectors)
+            self._absorb(digest, server, vectors, text)
 
         # update_row / update_col on every copy's device, each copy called
         # there directly (the pool's checksums still hold the registered
@@ -417,11 +472,19 @@ class TestReprogramEquivalence:
             device.update_row(task.device_allocation, 5, current[5])
             device.update_col(task.device_allocation, 3, current[:, 3])
             self._array(digest, device.exec_mvm_batch(task.device_allocation,
-                                                      vectors[:, :24], input_bits=3))
-            self._copy(digest, device, task.device_allocation)
+                                                      vectors[:, :24], input_bits=3), text)
+            self._copy(digest, device, task.device_allocation, text)
         server.register_matrix("a", current, element_size=5, input_bits=3)
-        self._absorb(digest, server, vectors)
-        assert digest.hexdigest() == self.EXPECTED[noise]
+        self._absorb(digest, server, vectors, text)
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_kind_of_reregistration(self, noise):
+        assert self._campaign(noise) == self.EXPECTED[noise]
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_kind_of_reregistration_rounded(self, noise):
+        assert self._campaign(noise, rendered) == self.ROUNDED[noise]
 
 
 class TestCompensation:

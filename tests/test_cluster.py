@@ -20,6 +20,7 @@ import types
 
 import numpy as np
 import pytest
+from digest_text import rendered
 from scripted_cluster import StubHandle, StubRing, deliver, results_frame, scripted_worker
 
 from repro.core.config import ChipConfig, HctConfig
@@ -836,6 +837,14 @@ class TestWaveEquivalence:
         "failed in the pool":
             "1a612f79992fcff6fecc7072db6e298ddf9648de04d03e1eb474eaa9425ba62e",
     }
+    #: The siblings: the same material through ``digest_text.rendered``.
+    ROUNDED = {
+        "clean": "e342f34a86f3a52387ffcdcf444a2fc2f2fc6fff64d8b5ff2c33d80c0a09e4ff",
+        "rejected at admission":
+            "86e784f8eec857105beccb08d30f2df7c2c8e5d2f177c1e8f30b13a55cd63136",
+        "failed in the pool":
+            "028eab1ef1369659674ddafa8ca1afa51f11968fefbaef91333150164092d343",
+    }
     STATUSES = {
         "clean": ["completed"] * 12,
         "rejected at admission": ["completed"] * 5 + ["rejected"] * 7,
@@ -887,6 +896,15 @@ class TestWaveEquivalence:
         assert [row[2] for row in rows] == self.STATUSES[label]
         digest = hashlib.sha256(repr((rows, stats, window)).encode()).hexdigest()
         assert digest == self.EXPECTED[label]
+
+    @pytest.mark.parametrize("label, arguments", [
+        ("clean", (4096,)),
+        ("rejected at admission", (5,)),
+        ("failed in the pool", (4096, (2,))),
+    ])
+    def test_responses_and_stats_rounded(self, label, arguments):
+        digest = hashlib.sha256(rendered(self.wave(*arguments))).hexdigest()
+        assert digest == self.ROUNDED[label]
 
     def test_a_wave_with_no_completed_row_is_still_answered(self):
         """Every batch fails in the pool, so the result matrix is ``(12, 0)``

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from digest_text import rendered
 from flat_queue import install as install_flat_queue
 
 import repro
@@ -753,8 +754,11 @@ class TestWaveResolution:
     #: once per run -- on a fixed seed, so it holds on every leg of the seed
     #: matrix and under both ``REPRO_BACKEND`` values.
     EXPECTED = "a273b7d70b54af67594aa152f0cbab46c74000fa301d9a46077c2672bad24fa6"
+    #: The sibling: the same material through ``digest_text.rendered``.
+    ROUNDED = "2ebaa4798831d64a542dd06ae6915857fff128a467ebd3185d6a0210bcbb8deb"
 
-    def test_resolution_digest_is_unchanged(self):
+    @staticmethod
+    def _digest(text=None):
         _, futures, ticks = resolution_schedule(np.random.default_rng(24))
         digest = hashlib.sha256()
         statuses = set()
@@ -764,13 +768,22 @@ class TestWaveResolution:
             statuses.add(r.status)
             result = b"-" if r.result is None else \
                 np.ascontiguousarray(r.result, dtype=np.int64).tobytes()
-            digest.update(repr((
-                r.request_id, r.name, r.status, result, r.arrival_tick,
-                r.completion_tick, r.batch_size, repr(r.energy_pj), r.error,
-            )).encode())
+            fields = (r.request_id, r.name, r.status, result, r.arrival_tick,
+                      r.completion_tick, r.batch_size, r.energy_pj, r.error)
+            if text is None:
+                fields = fields[:7] + (repr(r.energy_pj), r.error)
+                digest.update(repr(fields).encode())
+            else:
+                digest.update(text(fields))
         digest.update(repr(ticks).encode())
         assert statuses == {"completed", "rejected", "shed", "failed"}
-        assert digest.hexdigest() == self.EXPECTED
+        return digest.hexdigest()
+
+    def test_resolution_digest_is_unchanged(self):
+        assert self._digest() == self.EXPECTED
+
+    def test_resolution_digest_rounded(self):
+        assert self._digest(rendered) == self.ROUNDED
 
     def test_columns_equal_the_futures_row_for_row(self):
         """``columns()`` against what iterating the futures gives, on every
