@@ -109,7 +109,8 @@ DEVICE_CALL_BATCH = 32
 #: accumulator register stores (``set_vr_words`` keeps the words, their
 #: unpack into bit planes is paid only when a register is read: ``flush_us``,
 #: timed apart), the arbiter reservations and the replay's counter updates.
-#: ``ledger_us`` is the receipt's compiled run list and the runtime charges.
+#: ``ledger_us`` is the receipt's per-category totals and the runtime charge
+#: (an older ``src/`` replays a run list, energy runs one addition per unit).
 #: An older ``src/`` stores bit planes with ``set_vr_planes`` or
 #: ``set_vr_bits``, commits through ``_commit_schedule`` (its ledger charge
 #: lands in ``ledger_us``) and charges through ``charge_run`` /

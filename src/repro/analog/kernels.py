@@ -26,10 +26,9 @@ Python), read noise is the reference's own bitline term
 (:func:`~repro.analog.crossbar.add_read_noise`) fed one ``(input_bits,
 batch, cols)`` draw per crossbar from that crossbar's generator -- the
 samples the reference's per-step calls consume, in their order -- and
-latency/energy ledger charges are replayed value-for-value in the
-reference charge order (:func:`analog_runs`, compiled once per batch
-receipt) so even the floating-point accumulation of the
-:class:`~repro.metrics.CostLedger` matches.
+latency/energy ledger charges are replayed value for value
+(:func:`analog_runs`, compiled once per batch receipt), so the
+:class:`~repro.metrics.CostLedger` totals match.
 
 The general path allocates nothing per call that scales with the shard:
 column sums, the noise term, ADC codes and their rounding all live in one
@@ -363,24 +362,17 @@ def analog_step_costs(
 def analog_runs(
     kernel: ShardKernel, input_bits: int, batch: int, active_adc_bits: Optional[int] = None
 ) -> ChargeRuns:
-    """The reference interpreter's ``ace.mvm`` charge stream, run-length.
+    """The reference interpreter's ``ace.mvm`` charges, run-length.
 
     The reference issues one charge per (input bit, shard, slice) step,
-    input bits outermost, each of that shard's :func:`analog_step_costs`.
-    As runs (:data:`~repro.metrics.ChargeRuns`) that is one run of the whole
-    stream when every shard costs the same, otherwise one run of
-    ``num_slices`` per (input bit, shard) in the reference issue order.
-    Either way a ledger replaying them performs the same additions in the
-    same order, so its floating-point totals and breakdowns match value for
-    value.
+    each of that shard's :func:`analog_step_costs`: as runs
+    (:data:`~repro.metrics.ChargeRuns`), one run of ``input_bits *
+    num_slices`` per shard.
     """
-    step_costs = analog_step_costs(kernel, batch, active_adc_bits)
-    if len(set(step_costs)) == 1:
-        return (("ace.mvm", input_bits * len(step_costs) * kernel.num_slices, *step_costs[0]),)
+    runs = input_bits * kernel.num_slices
     return tuple(
-        ("ace.mvm", kernel.num_slices, cycles, energy_pj)
-        for _ in range(input_bits)
-        for cycles, energy_pj in step_costs
+        ("ace.mvm", runs, cycles, energy_pj)
+        for cycles, energy_pj in analog_step_costs(kernel, batch, active_adc_bits)
     )
 
 

@@ -142,18 +142,15 @@ class DarthPumChip:
         ledgers.extend(tile.ledger for tile in self._tiles)
         return merge_ledgers(ledgers)
 
-    def total_energy_pj(self) -> float:
-        """Total energy across the chip, without materialising a ledger.
+    def total_energy_units(self) -> int:
+        """``total_ledger().energy_units``, without materialising a ledger.
 
-        Accumulates in the exact order :meth:`total_ledger` merges (chip
-        ledger first, then tiles in index order), so the float result equals
-        ``total_ledger().energy_pj`` bit for bit -- but skips the slot scan
-        and the breakdown dict merging, which makes it cheap enough for the
-        serving scheduler's per-batch energy deltas.
+        Skips the slot scan and the breakdown merging, which makes it cheap
+        enough for the serving scheduler's per-batch energy deltas.
         """
-        total = 0.0 + self.ledger.energy_pj
+        total = self.ledger.energy_units
         for tile in self._tiles:
-            total += tile.ledger.energy_pj
+            total += tile.ledger.energy_units
         return total
 
     def planner_builds(self) -> int:

@@ -12,6 +12,13 @@ Units used throughout the library:
 * area    -- square micrometres (um^2)
 * power   -- milliwatts (mW); ``energy_pj = power_mw * cycles`` at 1 GHz
              because 1 mW * 1 ns == 1 pJ.
+
+A ledger stores both quantities as Python ints on a grid of :data:`UNITS`
+per cycle and per pJ (an energy unit is one zeptojoule).  :func:`units`
+puts a float on the grid once, where a charge, run, receipt or plan is
+built; after that every sum is exact, so a total does not depend on the
+order of its additions.  The public reads (``cycles``, ``energy_pj``, the
+breakdowns, :meth:`CostLedger.snapshot`) convert back to cycles and pJ.
 """
 
 from __future__ import annotations
@@ -34,24 +41,58 @@ __all__ = [
 #: Cycles per second of the modelled DARTH-PUM clock (Section 6: 1 GHz).
 CLOCK_HZ = 1.0e9
 
-#: Seconds per cycle.
-CYCLE_SECONDS = 1.0 / CLOCK_HZ
+#: Ledger units per cycle and per pJ: a 10**-9 grid.  Cycles need it too,
+#: as a charge may be a fraction of a cycle.
+UNITS = 10 ** 9
+
+_INFINITY = float("inf")
 
 #: A charge stream in run-length form: ``(category, count, cycles,
 #: energy_pj)`` per run of ``count`` identical charges.
 ChargeRuns = Tuple[Tuple[str, int, float, float], ...]
 
+#: A charge stream folded onto the grid: ``(cycle_units, energy_units,
+#: ((category, cycle_units), ...), ((category, energy_units), ...))``, the
+#: categories in order of first appearance, those charged zero left out.
+Tally = Tuple[int, int, Tuple[Tuple[str, int], ...], Tuple[Tuple[str, int], ...]]
 
-def checked_runs(runs: Iterable[Tuple[str, int, float, float]]) -> ChargeRuns:
-    """``runs`` as :meth:`CostLedger.charge_stream` replays them.
 
-    Costs become floats and empty runs (``count < 1``) are dropped; a
-    negative or NaN cost raises what :meth:`CostLedger.charge` raises for it.
+def units(value: float) -> int:
+    """``value`` (cycles or pJ) on the ledger grid: the nearest multiple of
+    ``1 / UNITS``, counted.
+
+    The same float always maps to the same int, and an integral value maps
+    exactly (``int(value) * UNITS``).  A negative, NaN or infinite value
+    raises :class:`ValueError`.
     """
-    checked = tuple((name, n, float(c), float(e)) for name, n, c, e in runs if n >= 1)
-    if not all(c >= 0 and e >= 0 for _, _, c, e in checked):
-        raise ValueError("cycles and energy must be non-negative")
-    return checked
+    value = float(value)
+    if not 0.0 <= value < _INFINITY:  # written so that NaN fails too
+        raise ValueError("cycles and energy must be finite and non-negative")
+    whole = int(value)
+    return whole * UNITS + round((value - whole) * UNITS)
+
+
+def tally(charges: Iterable[Tuple[str, int, int]]) -> Tally:
+    """``(category, cycle_units, energy_units)`` charges folded per category."""
+    cycle_parts: Dict[str, int] = {}
+    energy_parts: Dict[str, int] = {}
+    for category, cycles, energy in charges:
+        if cycles:
+            cycle_parts[category] = cycle_parts.get(category, 0) + cycles
+        if energy:
+            energy_parts[category] = energy_parts.get(category, 0) + energy
+    return (sum(cycle_parts.values()), sum(energy_parts.values()),
+            tuple(cycle_parts.items()), tuple(energy_parts.items()))
+
+
+def checked_runs(runs: Iterable[Tuple[str, int, float, float]]) -> Tally:
+    """``runs`` as :meth:`CostLedger.charge_stream` takes them: each cost
+    put on the grid once, each run one multiply, folded per category.
+
+    Empty runs (``count < 1``) are dropped; a negative, NaN or infinite cost
+    raises what :meth:`CostLedger.charge` raises for it.
+    """
+    return tally((name, n * units(c), n * units(e)) for name, n, c, e in runs if n >= 1)
 
 
 @dataclass(frozen=True)
@@ -63,16 +104,6 @@ class CostSnapshot:
     cycle_breakdown: Mapping[str, float]
     energy_breakdown: Mapping[str, float]
 
-    @property
-    def seconds(self) -> float:
-        """Wall-clock seconds implied by the cycle count at 1 GHz."""
-        return self.cycles * CYCLE_SECONDS
-
-    @property
-    def energy_joules(self) -> float:
-        """Total energy in joules."""
-        return self.energy_pj * 1e-12
-
 
 @dataclass
 class CostLedger:
@@ -82,78 +113,63 @@ class CostLedger:
     ``"dce.nor"``; the evaluation harness groups them by prefix when
     building per-kernel breakdowns (e.g. Figure 14).
 
-    Totals are float sums, so they depend on the order of the additions:
-    two interpreters of one schedule agree bit for bit only if they add the
-    same values in the same order.  :meth:`charge_stream` therefore replays
-    a run of ``count`` identical charges as ``count`` additions, never as
-    ``count * value`` -- except where the product provably *is* the loop's
-    sum.  That is a cycle run whose value ``v``, running total ``t`` and
-    category part ``p`` are all integers with ``t + count * v`` and ``p +
-    count * v`` below 2**53: every partial sum ``t + k * v`` of the loop is
-    then an integer below 2**53, hence a float64, hence every addition of
-    the loop is exact and it ends on exactly ``t + count * v``; ``count *
-    v`` is such an integer too, so the product and the one addition round
-    nothing either.  Fractional values, parts or totals (every energy), and
-    sums reaching 2**53, take the loop.
+    Everything is held in integer grid units (:data:`UNITS` per cycle and
+    per pJ, see the module docstring): the totals and, per category, the
+    parts, the breakdowns keeping their categories in order of first
+    charge.  A charge is put on the grid when it is made, so two ledgers
+    charged the same values hold the same ints whatever the order of the
+    charges or merges.  ``cycles``, ``energy_pj``, ``cycle_breakdown`` and
+    ``energy_breakdown`` read them back in cycles and pJ.
     """
 
-    cycles: float = 0.0
-    energy_pj: float = 0.0
-    cycle_breakdown: Dict[str, float] = field(default_factory=dict)
-    energy_breakdown: Dict[str, float] = field(default_factory=dict)
+    cycle_units: int = 0
+    energy_units: int = 0
+    cycle_parts: Dict[str, int] = field(default_factory=dict)
+    energy_parts: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def cycles(self) -> float:
+        """Total cycles."""
+        return self.cycle_units / UNITS
+
+    @property
+    def energy_pj(self) -> float:
+        """Total energy in pJ."""
+        return self.energy_units / UNITS
+
+    @property
+    def cycle_breakdown(self) -> Dict[str, float]:
+        """Cycles per category (a new dict)."""
+        return {key: value / UNITS for key, value in self.cycle_parts.items()}
+
+    @property
+    def energy_breakdown(self) -> Dict[str, float]:
+        """pJ per category (a new dict)."""
+        return {key: value / UNITS for key, value in self.energy_parts.items()}
 
     def charge(self, category: str, *, cycles: float = 0.0, energy_pj: float = 0.0) -> None:
         """Add ``cycles`` and ``energy_pj`` under ``category``."""
-        if not (cycles >= 0 and energy_pj >= 0):  # written so that NaN fails too
-            raise ValueError("cycles and energy must be non-negative")
+        cycles = units(cycles) if cycles else 0
+        energy = units(energy_pj) if energy_pj else 0
         if cycles:
-            self.cycles += cycles
-            self.cycle_breakdown[category] = self.cycle_breakdown.get(category, 0.0) + cycles
-        if energy_pj:
-            self.energy_pj += energy_pj
-            self.energy_breakdown[category] = (
-                self.energy_breakdown.get(category, 0.0) + energy_pj
-            )
+            self.cycle_units += cycles
+            self.cycle_parts[category] = self.cycle_parts.get(category, 0) + cycles
+        if energy:
+            self.energy_units += energy
+            self.energy_parts[category] = self.energy_parts.get(category, 0) + energy
 
-    def charge_stream(self, runs: ChargeRuns) -> None:
-        """Replay a charge stream given as runs, in one frame.
-
-        Each run ``(category, count, cycles, energy_pj)`` stands for ``count``
-        successive identical :meth:`charge` calls, and ``runs`` for those
-        calls back to back: totals, breakdowns and the breakdowns' key order
-        end up as the separate calls leave them.  ``runs`` comes from
-        :func:`checked_runs` (float costs, no empty run), which is where a
-        negative or NaN cost is refused -- once, when the stream is
-        compiled, not per replay.
-
-        The additions happen one by one on local variables; an integral
-        cycle run below 2**53 is added as one product (exact: see the class
-        docstring).
-        """
-        cycle_parts, energy_parts = self.cycle_breakdown, self.energy_breakdown
-        cycle_total, energy_total = self.cycles, self.energy_pj
-        for category, count, cycles, energy_pj in runs:
-            if cycles:
-                part = cycle_parts.get(category, 0.0)
-                added = count * cycles
-                if (
-                    cycle_total + added < 2.0 ** 53 and part + added < 2.0 ** 53
-                    and cycles.is_integer() and cycle_total.is_integer() and part.is_integer()
-                ):
-                    cycle_total += added
-                    part += added
-                else:
-                    for _ in range(count):
-                        cycle_total += cycles
-                        part += cycles
-                cycle_parts[category] = part
-            if energy_pj:
-                part = energy_parts.get(category, 0.0)
-                for _ in range(count):
-                    energy_total += energy_pj
-                    part += energy_pj
-                energy_parts[category] = part
-        self.cycles, self.energy_pj = cycle_total, energy_total
+    def charge_stream(self, totals: Tally) -> None:
+        """Add a charge stream compiled by :func:`checked_runs` (or
+        :func:`tally`): its totals, then its parts per category."""
+        cycles, energy, cycle_items, energy_items = totals
+        self.cycle_units += cycles
+        self.energy_units += energy
+        parts = self.cycle_parts
+        for category, value in cycle_items:
+            parts[category] = parts.get(category, 0) + value
+        parts = self.energy_parts
+        for category, value in energy_items:
+            parts[category] = parts.get(category, 0) + value
 
     def charge_power(self, category: str, *, cycles: float, power_mw: float) -> None:
         """Charge ``cycles`` of activity at ``power_mw``; energy follows at 1 GHz."""
@@ -161,41 +177,36 @@ class CostLedger:
 
     def merge(self, other: "CostLedger") -> None:
         """Fold ``other`` into this ledger in place."""
-        self.cycles += other.cycles
-        self.energy_pj += other.energy_pj
-        for key, value in other.cycle_breakdown.items():
-            self.cycle_breakdown[key] = self.cycle_breakdown.get(key, 0.0) + value
-        for key, value in other.energy_breakdown.items():
-            self.energy_breakdown[key] = self.energy_breakdown.get(key, 0.0) + value
+        self.charge_stream((other.cycle_units, other.energy_units,
+                            other.cycle_parts.items(), other.energy_parts.items()))
 
     def snapshot(self) -> CostSnapshot:
         """Return an immutable copy of the current totals."""
         return CostSnapshot(
             cycles=self.cycles,
             energy_pj=self.energy_pj,
-            cycle_breakdown=dict(self.cycle_breakdown),
-            energy_breakdown=dict(self.energy_breakdown),
+            cycle_breakdown=self.cycle_breakdown,
+            energy_breakdown=self.energy_breakdown,
         )
 
     def reset(self) -> None:
         """Zero the ledger."""
-        self.cycles = 0.0
-        self.energy_pj = 0.0
-        self.cycle_breakdown.clear()
-        self.energy_breakdown.clear()
+        self.cycle_units = self.energy_units = 0
+        self.cycle_parts.clear()
+        self.energy_parts.clear()
 
     def cycles_for(self, prefix: str) -> float:
         """Total cycles across all categories starting with ``prefix``."""
-        return sum(v for k, v in self.cycle_breakdown.items() if k.startswith(prefix))
+        return sum(v for k, v in self.cycle_parts.items() if k.startswith(prefix)) / UNITS
 
     def energy_for(self, prefix: str) -> float:
         """Total energy (pJ) across all categories starting with ``prefix``."""
-        return sum(v for k, v in self.energy_breakdown.items() if k.startswith(prefix))
+        return sum(v for k, v in self.energy_parts.items() if k.startswith(prefix)) / UNITS
 
     @property
     def seconds(self) -> float:
         """Wall-clock seconds implied by the cycle count at 1 GHz."""
-        return self.cycles * CYCLE_SECONDS
+        return self.cycles / CLOCK_HZ
 
     @property
     def energy_joules(self) -> float:

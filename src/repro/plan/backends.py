@@ -42,6 +42,7 @@ from ..analog.bitslicing import integer_vectors, slice_inputs
 from ..analog.kernels import ace_forward_vectorized, dot_bound, validate_input_range
 from ..core.arbiter import Domain
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
+from ..metrics import UNITS
 from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
 __all__ = [
@@ -121,18 +122,18 @@ def _replay_receipt(record) -> None:
     """Charge and count one batch on a tile from its bound receipt.
 
     ``record`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s.  Replays the
-    reference interpreter's accounting exactly: the ``ace.mvm`` stream and
+    reference interpreter's accounting exactly: the ``ace.mvm`` charges and
     -- with digital post-processing on -- per column tile the ``dce.write``
     / ``dce.boolean`` charges and the ``hct.mvm_batch`` schedule commit, as
-    one compiled run list; the crossbars' ``mvm_count``; the IIU and
+    one update by per-category totals; the crossbars' ``mvm_count``; the IIU and
     transpose-unit counters by the receipt's totals; and the commit's
     arbiter reservations and clock advance.  The one replay body of the
     per-tile backends (:func:`_account_batch`, which binds a record per
     call) and the whole-allocation contraction (:func:`execute_device_plan`,
     whose records are bound once per batch size), so the two cannot drift.
     """
-    ledger, runs, crossbars, steps, counters = record
-    ledger.charge_stream(runs)
+    ledger, totals, crossbars, steps, counters = record
+    ledger.charge_stream(totals)
     for crossbar in crossbars:
         crossbar.mvm_count += steps
     if counters is None:
@@ -166,10 +167,10 @@ def _account_batch(
     """
     batch = vectors.shape[0]
     handle = plan.handle
-    ledger = tile.ledger
-    start_cycles, start_energy = ledger.cycles, ledger.energy_pj
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
-    _replay_receipt(receipt.bind(tile, plan, tile.digital_post_processing, optimized))
+    record = receipt.bind(tile, plan, tile.digital_post_processing, optimized)
+    _replay_receipt(record)
+    cycles, energy = record[1][:2]
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
@@ -178,7 +179,7 @@ def _account_batch(
         if not estimated:
             for shard, totals in zip(plan.kernel.tiles, shard_totals):
                 values[:, shard.col_offset: shard.col_offset + shard.used_cols] += totals
-        optimized_cycles = unoptimized_cycles = ledger.cycles - start_cycles
+        optimized_cycles = unoptimized_cycles = cycles / UNITS
         breakdown, slots_saved = {"analog": optimized_cycles}, 0
     else:
         if not estimated:
@@ -203,7 +204,7 @@ def _account_batch(
         batch=batch,
         optimized_cycles=optimized_cycles,
         unoptimized_cycles=unoptimized_cycles,
-        energy_pj=ledger.energy_pj - start_energy,
+        energy_pj=energy / UNITS,
         breakdown=breakdown,
         num_partial_products=len(plan.steps),
         iiu_slots_saved=slots_saved,
@@ -229,9 +230,9 @@ def execute_device_plan(
     this batch size (:meth:`~repro.plan.ir.DevicePlan.operands`) -- receipt
     replay against its own ledger, accumulator VRs kept as words
     (``BitPipeline.set_vr_words``, unpacked only if read) -- and the
-    ``runtime.mvm_batch`` charges follow as one stream, so every ledger sees
-    the additions of the loop in the order of the loop.  The returned array
-    shares nothing with the registers.
+    ``runtime.mvm_batch`` charges of all blocks, bound there too, follow as
+    one update, so every ledger ends where the per-tile loop leaves it.  The
+    returned array shares nothing with the registers.
 
     Returns ``None``, having touched nothing, when a block has left the
     exact path since the plan was compiled (digital or analog mode
@@ -243,19 +244,15 @@ def execute_device_plan(
     validate_input_range(vectors, plan.input_bits)
     batch = vectors.shape[0]
     entry = plan.scratch.get(batch) or plan.operands(batch)
-    block, operand, weights, last, registers, tiles = entry
+    block, operand, weights, last, registers, tiles, runtime = entry
     block[...] = vectors
     result = np.matmul(operand, weights).astype(np.int64)
     registers[...] = result[-1] if last is None else np.matmul(last, plan.weights)[:, 0]
-    charges = []
-    for record, cycles, outputs in tiles:
-        ledger = record[0]
-        start_energy = ledger.energy_pj
+    for record, outputs in tiles:
         _replay_receipt(record)
         for pipeline, vr, words in outputs:
             pipeline.set_vr_words(vr, words)
-        charges.append(("runtime.mvm_batch", 1, cycles, ledger.energy_pj - start_energy))
-    runtime_ledger.charge_stream(charges)
+    runtime_ledger.charge_stream(runtime)
     return result
 
 
@@ -275,7 +272,7 @@ class ReferenceExecutor(ExecutionBackend):
     ) -> HctBatchMvmResult:
         vectors = _admit_batch(tile, plan, vectors)
         batch = vectors.shape[0]
-        start_energy = tile.ledger.energy_pj
+        start_energy = tile.ledger.energy_units
         execution = self._analog_forward(tile, plan, vectors, active_adc_bits)
 
         if not tile.digital_post_processing:
@@ -288,7 +285,7 @@ class ReferenceExecutor(ExecutionBackend):
                 batch=batch,
                 optimized_cycles=cycles,
                 unoptimized_cycles=cycles,
-                energy_pj=tile.ledger.energy_pj - start_energy,
+                energy_pj=(tile.ledger.energy_units - start_energy) / UNITS,
                 breakdown={"analog": cycles},
                 num_partial_products=len(execution.partials),
             )
@@ -309,7 +306,7 @@ class ReferenceExecutor(ExecutionBackend):
             batch=batch,
             optimized_cycles=optimized_cycles,
             unoptimized_cycles=unoptimized_cycles,
-            energy_pj=tile.ledger.energy_pj - start_energy,
+            energy_pj=(tile.ledger.energy_units - start_energy) / UNITS,
             breakdown=breakdown,
             num_partial_products=len(execution.partials),
             iiu_slots_saved=slots_saved,
@@ -325,7 +322,8 @@ class ReferenceExecutor(ExecutionBackend):
         execution = BatchMvmExecution(
             handle=plan.handle, batch=vectors.shape[0], plan=plan.shift_add
         )
-        start_cycles, start_energy = ace.ledger.cycles, ace.ledger.energy_pj
+        ledger = ace.ledger
+        start_cycles, start_energy = ledger.cycle_units, ledger.energy_units
         for step in plan.steps:
             tile_bits = bit_matrices[step.input_bit][:, step.row_start: step.row_end]
             output = ace.crossbar(step.array_id).mvm_batch(
@@ -342,8 +340,8 @@ class ReferenceExecutor(ExecutionBackend):
                     col_offset=step.col_offset,
                 )
             )
-        execution.analog_cycles = ace.ledger.cycles - start_cycles
-        execution.analog_energy_pj = ace.ledger.energy_pj - start_energy
+        execution.analog_cycles = (ledger.cycle_units - start_cycles) / UNITS
+        execution.analog_energy_pj = (ledger.energy_units - start_energy) / UNITS
         return execution
 
     @staticmethod

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_step_costs
-from ..metrics import ChargeRuns
+from ..metrics import Tally, tally, units
 
 __all__ = [
     "BatchReceipt",
@@ -317,22 +317,22 @@ class BatchReceipt:
     function of ``(plan, batch, active_adc_bits)``, so the
     :class:`~repro.plan.planner.Planner` compiles it once
     (:meth:`~repro.plan.planner.Planner.receipt_for`) and memoises it on the
-    plan: the ledger side as the charge stream itself, run-length
-    (:data:`~repro.metrics.ChargeRuns`, non-negativity checked at compile
-    time), the counter side as totals.  The backends replay both against
-    the tile's live ledger and counters (``repro.plan.backends._replay_receipt``);
-    the step-walking reference backend never builds one and is the oracle
-    the replay is tested against.
+    plan: the ledger side as per-category totals on the ledger grid
+    (:func:`~repro.metrics.checked_runs`, every cost checked and converted
+    once, here), the counter side as totals.  The backends replay both
+    against the tile's live ledger and counters
+    (``repro.plan.backends._replay_receipt``); the step-walking reference
+    backend never builds one and is the oracle the replay is tested
+    against.
     """
 
-    #: The ``ace.mvm`` stream in the reference issue order: one run of the
-    #: whole stream when every shard's macro-step costs the same, otherwise
-    #: one run of ``num_slices`` per (input bit, shard), input bits outermost.
-    analog_runs: ChargeRuns
-    #: :attr:`analog_runs`, then per column tile its reduction's
-    #: ``dce.write`` and ``dce.boolean`` energy: what a batch charges with
-    #: digital post-processing on (raw mode stops after the analog part).
-    runs: ChargeRuns
+    #: The ``ace.mvm`` charges: what a batch charges in raw analog mode.
+    analog: Tally
+    #: With digital post-processing on: :attr:`analog`, per column tile the
+    #: reduction's ``dce.write`` and ``dce.boolean`` energy, and the
+    #: ``hct.mvm_batch`` schedule commit -- of the optimized schedule, then
+    #: of the unoptimized one.
+    digital: Tuple[Tally, Tally]
     #: Analog steps every crossbar of the allocation runs (``mvm_count``).
     mvm_steps: int
     #: Reduction streams the IIU injects (one per column tile), the
@@ -350,19 +350,16 @@ class BatchReceipt:
         """This batch's side effects on ``tile``, bound to their targets.
 
         The record ``repro.plan.backends._replay_receipt`` replays:
-        ``(ledger, runs, crossbars, steps, counters)``.  With digital
-        post-processing on, ``runs`` ends with the ``hct.mvm_batch``
-        schedule commit as one more run -- the charge the reference makes
-        right after the stream -- and ``counters`` is ``(tile, injections,
-        slots_saved, n_adds, output resources, optimized cycles, charged
-        cycles)``; in raw analog mode the stream stops after the analog
-        part and ``counters`` is ``None``.
+        ``(ledger, totals, crossbars, steps, counters)``.  With digital
+        post-processing on, ``totals`` is the schedule's :attr:`digital`
+        entry and ``counters`` is ``(tile, injections, slots_saved, n_adds,
+        output resources, optimized cycles, charged cycles)``; in raw analog
+        mode ``totals`` is :attr:`analog` and ``counters`` is ``None``.
         """
         if not digital:
-            return tile.ledger, self.analog_runs, plan.crossbars, self.mvm_steps, None
+            return tile.ledger, self.analog, plan.crossbars, self.mvm_steps, None
         charged = self.optimized_cycles if optimized else self.unoptimized_cycles
-        commit = (("hct.mvm_batch", 1, charged, 0.0),)
-        return tile.ledger, self.runs + commit, plan.crossbars, self.mvm_steps, (
+        return tile.ledger, self.digital[not optimized], plan.crossbars, self.mvm_steps, (
             tile, self.injections, self.slots_saved, self.n_adds, plan.output_resources,
             self.optimized_cycles, charged)
 
@@ -591,19 +588,22 @@ class DevicePlan:
     def operands(self, batch: int) -> Tuple:
         """Everything a ``batch``-row call uses besides the vectors (built once).
 
-        ``(block, operand, weights, last, registers, tiles)``: ``block`` is
-        the ``(batch, rows)`` view of the zeroed float64 ``(batch, row_bands
-        * band_rows)`` ``operand`` a batch is stored into (the padding
-        columns of a ragged last band stay zero), ``weights`` the stacked
-        weights as ``(row_bands * band_rows, cols)``.  ``last`` is the
-        operand's last row as ``(row_bands, 1, band_rows)`` -- ``None`` for
-        a single band, whose accumulator row is the result's last row --
-        and ``registers`` the int64 ``(row_bands, cols)`` block the
-        accumulator rows are stored into.  ``tiles`` holds per block its
-        :meth:`BatchReceipt.bind` record, its ``runtime.mvm_batch`` cycles
-        and ``((pipeline, vr, words), ...)``, ``words`` a view of
-        ``registers``.  The receipts are looked up here, so a steady call
-        looks up nothing.
+        ``(block, operand, weights, last, registers, tiles, runtime)``:
+        ``block`` is the ``(batch, rows)`` view of the zeroed float64
+        ``(batch, row_bands * band_rows)`` ``operand`` a batch is stored
+        into (the padding columns of a ragged last band stay zero),
+        ``weights`` the stacked weights as ``(row_bands * band_rows,
+        cols)``.  ``last`` is the operand's last row as ``(row_bands, 1,
+        band_rows)`` -- ``None`` for a single band, whose accumulator row is
+        the result's last row -- and ``registers`` the int64 ``(row_bands,
+        cols)`` block the accumulator rows are stored into.  ``tiles`` holds
+        per block its :meth:`BatchReceipt.bind` record and ``((pipeline, vr,
+        words), ...)``, ``words`` a view of ``registers``.  ``runtime`` is
+        what the device's runtime ledger is charged
+        (:data:`~repro.metrics.Tally`): per block, ``runtime.mvm_batch`` with
+        its optimized cycles and the energy its receipt charges.  The
+        receipts are looked up here, so a steady call looks up nothing and
+        adds nothing up.
         """
         entry = self.scratch.get(batch)
         if entry is None:
@@ -612,17 +612,19 @@ class DevicePlan:
             row_bands, band_rows, cols = self.weights.shape
             operand = np.zeros((batch, row_bands * band_rows))
             registers = np.zeros((row_bands, cols), dtype=np.int64)
-            tiles = []
+            tiles, runtime = [], []
             for hct, plan, band, outputs in self.tiles:
                 receipt = hct.planner.receipt_for(plan, batch)
-                tiles.append((receipt.bind(hct, plan), receipt.optimized_cycles, tuple(
+                tiles.append((receipt.bind(hct, plan), tuple(
                     (pipeline, plan.accumulator_vr, registers[band, offset: offset + width])
                     for pipeline, offset, width in outputs
                 )))
+                runtime.append(("runtime.mvm_batch", units(receipt.optimized_cycles),
+                                receipt.digital[0][1]))
             entry = self.scratch[batch] = (
                 operand[:, : self.rows], operand, self.weights.reshape(-1, cols),
                 operand[-1].reshape(row_bands, 1, band_rows) if row_bands > 1 else None,
-                registers, tuple(tiles),
+                registers, tuple(tiles), tally(runtime),
             )
         return entry
 

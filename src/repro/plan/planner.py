@@ -109,7 +109,7 @@ class Planner:
         self, plan: MvmPlan, batch: int, active_adc_bits: Optional[int]
     ) -> BatchReceipt:
         tile = self.tile
-        analog = checked_runs(analog_runs(plan.kernel, plan.input_bits, batch, active_adc_bits))
+        analog = analog_runs(plan.kernel, plan.input_bits, batch, active_adc_bits)
         reduction = []
         n_adds = slots_saved = 0
         add_uops = 12.0
@@ -124,8 +124,9 @@ class Planner:
         optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
         unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
         return BatchReceipt(
-            analog_runs=analog,
-            runs=analog + checked_runs(reduction),
+            analog=checked_runs(analog),
+            digital=tuple(checked_runs(analog + (*reduction, ("hct.mvm_batch", 1, charged, 0.0)))
+                          for charged in (optimized_cycles, unoptimized_cycles)),
             mvm_steps=plan.input_bits * batch,
             injections=len(plan.reduction),
             n_adds=n_adds,

@@ -1102,17 +1102,13 @@ class DevicePool:
         """
         return merge_ledgers([device.chip.total_ledger() for device in self.devices])
 
-    def total_energy_pj(self) -> float:
-        """Pool-wide energy total, bit-identical to ``total_ledger().energy_pj``.
-
-        Sums the per-chip totals in the same order ``total_ledger`` merges
-        them, without building any breakdown dicts -- the serving scheduler
-        reads this before and after every dispatched batch, so it must cost
-        a handful of float additions, not a ledger merge.
-        """
-        total = 0.0
+    def total_energy_units(self) -> int:
+        """``total_ledger().energy_units``, without building any breakdown
+        dicts: the serving scheduler reads it after every dispatched batch,
+        so it must cost a handful of int additions, not a ledger merge."""
+        total = 0
         for device in self.devices:
-            total += device.chip.total_energy_pj()
+            total += device.chip.total_energy_units()
         return total
 
     def expected_mvm(self, allocation: PooledAllocation, vectors: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ from ..errors import (
     ReproError,
     SchedulerError,
 )
-from ..metrics import percentile_sorted
+from ..metrics import UNITS, percentile_sorted
 from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
 from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
@@ -614,10 +614,10 @@ class PumServer:
         self._lock = threading.RLock()
         self._registrations: Dict[str, _Registration] = {}
         self._next_request = 0
-        #: ``pool.total_energy_pj()`` as read after the last batch of the
+        #: ``pool.total_energy_units()`` as read after the last batch of the
         #: running tick -- which, the lock being held, is the reading before
         #: the next one.  ``None`` at the start of a tick and after a failure.
-        self._energy_mark: Optional[float] = None
+        self._energy_mark: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Matrix registry                                                      #
@@ -1105,11 +1105,9 @@ class PumServer:
         if len(runs) > 1:
             runs = coalesce(runs)
         pool = self.pool
-        # Breakdown-free reading, equal bit for bit to
-        # ``total_ledger().energy_pj``.
         energy_before = self._energy_mark
         if energy_before is None:
-            energy_before = pool.total_energy_pj()
+            energy_before = pool.total_energy_units()
         before = pool.resilience_snapshot()
         try:
             vectors = self._assemble_batch(record, input_bits, runs)
@@ -1141,8 +1139,8 @@ class PumServer:
                 return resolved
             raise
         self._note_degraded(before)
-        self._energy_mark = pool.total_energy_pj()
-        energy_pj = self._energy_mark - energy_before
+        self._energy_mark = pool.total_energy_units()
+        energy_pj = (self._energy_mark - energy_before) / UNITS
         size = len(vectors)
         per_request = energy_pj / size
 

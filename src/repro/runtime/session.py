@@ -29,7 +29,7 @@ from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
 from ..errors import QuantizationError
-from ..metrics import CostLedger
+from ..metrics import CostLedger, tally, units
 from ..plan.backends import (
     ExecutionBackend,
     VectorizedExecutor,
@@ -238,12 +238,15 @@ class DarthPumDevice:
         result = np.zeros((batch, cols), dtype=np.int64)
         for tile, hct, handle in self._tiles(allocation):
             sub_vectors = vectors[:, tile.row_start: tile.row_end]
+            start = hct.ledger.energy_units
             sub_result = hct.execute_mvm_batch(
                 handle, sub_vectors, input_bits=input_bits, backend=executor
             )
             result[:, tile.col_start: tile.col_end] += sub_result.values
-            self.ledger.charge("runtime.mvm_batch", cycles=sub_result.optimized_cycles,
-                               energy_pj=sub_result.energy_pj)
+            # The tile's energy as counted, not through pJ: what a device
+            # plan charges for the block, exactly.
+            self.ledger.charge_stream(tally([("runtime.mvm_batch", units(
+                sub_result.optimized_cycles), hct.ledger.energy_units - start)]))
         return result
 
     def compile(self, allocation: MatrixAllocation, input_bits: int = 8) -> List[MvmPlan]:

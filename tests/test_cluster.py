@@ -827,15 +827,18 @@ class TestWaveEquivalence:
     stats and the worker's window.  ``EXPECTED`` was computed at the commit
     before RESULTS frames were built and resolved per wave (``c5592f7``):
     the all-completed wave takes the vectorised branch on both sides, the
-    other two the per-row one, and none of it may move.
+    other two the per-row one, and none of it may move.  It was re-pinned
+    over ``ca3b0f3`` when the ledger moved to integer units (the last bits
+    of ``energy_pj`` moved); ``ROUNDED``, computed at ``ca3b0f3``, held
+    across that move.
     """
 
     EXPECTED = {
-        "clean": "778d1c85d1c6bc3e30ff8cc90706252cb5cda8001ee5e4f478ddd37506629e0d",
+        "clean": "4abe2a50d2f5ae43ccabc115686406a4b688b5177bd44ac57aff80d42cdcd4c5",
         "rejected at admission":
-            "7e9dee00e372d740178c1b3d65d5729279fb0c5d472cc706304adf8d740b9772",
+            "761bca3b88745ab61aad2f5804ad667c31b452fe9885680a6b07119691e774d3",
         "failed in the pool":
-            "1a612f79992fcff6fecc7072db6e298ddf9648de04d03e1eb474eaa9425ba62e",
+            "90a891bddde5963d8110f9f216ec7d131f7a8792bde1cfec2fe34a575d321b39",
     }
     #: The siblings: the same material through ``digest_text.rendered``.
     ROUNDED = {

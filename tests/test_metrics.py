@@ -1,9 +1,11 @@
 """Tests for the cost-ledger accounting primitives."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import CostLedger, checked_runs, geometric_mean, merge_ledgers
+from repro.metrics import UNITS, CostLedger, checked_runs, geometric_mean, merge_ledgers, units
 
 
 class TestCostLedger:
@@ -101,11 +103,13 @@ def test_ledger_totals_match_breakdown_sum(charges):
         ledger.charge(f"cat{index % 3}", cycles=cycles, energy_pj=energy)
     assert ledger.cycles == pytest.approx(sum(ledger.cycle_breakdown.values()))
     assert ledger.energy_pj == pytest.approx(sum(ledger.energy_breakdown.values()))
+    assert ledger.cycle_units == sum(ledger.cycle_parts.values())
+    assert ledger.energy_units == sum(ledger.energy_parts.values())
 
 
 _cost = st.one_of(
     st.floats(min_value=0, max_value=1e9, allow_nan=False),
-    st.integers(min_value=0, max_value=10**9).map(float),  # the integral shortcut
+    st.integers(min_value=0, max_value=10**9).map(float),  # whole cycles and pJ
 )
 _run = st.tuples(
     st.integers(min_value=0, max_value=2).map("cat{}".format),
@@ -125,9 +129,8 @@ def _looped(runs, ledger=None):
 
 
 def _assert_same_ledger(replayed, looped):
-    assert replayed.cycles == looped.cycles
-    assert replayed.energy_pj == looped.energy_pj
-    for name in ("cycle_breakdown", "energy_breakdown"):
+    assert replayed == looped
+    for name in ("cycle_parts", "energy_parts"):
         assert list(getattr(replayed, name).items()) == list(getattr(looped, name).items())
 
 
@@ -136,18 +139,22 @@ def test_charge_run_equals_looped_charges_bit_for_bit(runs, earlier):
     """Property: a run list leaves the ledger ``==`` to one charge per unit.
 
     Totals, both breakdowns *and their key order*, compared with ``==``,
-    zero cycles or zero energy included: the stream adds one by one, and
-    where it multiplies (integral cycles) the product is the loop's sum.
+    zero cycles or zero energy included: each cost is put on the grid once,
+    and ``count`` times that int is the sum of ``count`` charges of it.
     """
     replayed = _looped(earlier)
     replayed.charge_stream(checked_runs(runs))
     _assert_same_ledger(replayed, _looped(runs, _looped(earlier)))
 
 
-def test_charge_run_is_not_a_multiplication():
+def test_charge_run_is_a_multiplication():
+    """A run is ``count`` times its cost on the grid, once: ten charges of
+    0.1 pJ are 1 pJ, where adding 0.1 ten times in floats is not."""
     replayed = CostLedger()
     replayed.charge_stream(checked_runs([("x", 10, 0.0, 0.1)]))
-    assert replayed.energy_pj == _looped([("x", 10, 0.0, 0.1)]).energy_pj != 10 * 0.1
+    assert replayed.energy_units == 10 * units(0.1) == UNITS
+    assert replayed.energy_pj == _looped([("x", 10, 0.0, 0.1)]).energy_pj == 1.0
+    assert sum([0.1] * 10) != 1.0
 
 
 @pytest.mark.parametrize("earlier, run", [
@@ -159,14 +166,23 @@ def test_charge_run_is_not_a_multiplication():
     # A non-integral value.
     ([], ("x", 10, 0.1, 0.0)),
 ], ids=["straddles_2**53", "fractional_part", "fractional_total", "fractional_value"])
-def test_charge_stream_loops_wherever_the_product_would_round(earlier, run):
-    category, count, cycles, _ = run
+def test_charge_stream_is_exact_wherever_the_float_loop_rounds(earlier, run):
+    """Where adding the float costs one by one rounds, the ledger does not:
+    every total and part is the exact sum of the charges' grid values."""
+    charges = earlier + [run]
     replayed = _looped(earlier)
-    multiplied = (replayed.cycles + count * cycles,
-                  replayed.cycle_breakdown.get(category, 0.0) + count * cycles)
     replayed.charge_stream(checked_runs([run]))
     _assert_same_ledger(replayed, _looped([run], _looped(earlier)))
-    assert (replayed.cycles, replayed.cycle_breakdown[category]) != multiplied
+    exact = sum(count * units(cycles) for _, count, cycles, _ in charges)
+    assert replayed.cycle_units == exact and replayed.cycles == exact / UNITS
+    for category, part in replayed.cycle_parts.items():
+        assert part == sum(count * units(cycles)
+                           for name, count, cycles, _ in charges if name == category)
+    float_loop = 0.0
+    for _, count, cycles, _ in charges:
+        for _ in range(count):
+            float_loop += cycles
+    assert Fraction(float_loop) != sum(count * Fraction(cycles) for _, count, cycles, _ in charges)
 
 
 def test_charge_stream_multiplies_an_integral_cycle_run_exactly():
@@ -202,6 +218,62 @@ def test_nan_cost_is_refused_before_it_poisons_the_ledger(kwargs):
     with pytest.raises(ValueError, match="non-negative"):
         checked_runs([("x", 3, kwargs.get("cycles", 0.0), kwargs.get("energy_pj", 0.0))])
     assert ledger.snapshot() == before
+
+
+_INFINITE_CHARGES = {
+    "charge_cycles": lambda ledger: ledger.charge("x", cycles=float("inf")),
+    "charge_energy": lambda ledger: ledger.charge("x", cycles=1.0, energy_pj=float("inf")),
+    "charge_power": lambda ledger: ledger.charge_power("x", cycles=2.0, power_mw=float("inf")),
+    "charge_power_cycles": lambda ledger: ledger.charge_power(
+        "x", cycles=float("inf"), power_mw=1.0),
+    "checked_runs_cycles": lambda ledger: checked_runs([("x", 3, float("inf"), 0.0)]),
+    "checked_runs_energy": lambda ledger: checked_runs([("x", 3, 0.0, float("inf"))]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_INFINITE_CHARGES))
+def test_infinite_cost_is_refused_like_nan(label):
+    """An infinite cost has no place on the grid: refused as NaN is, before
+    anything moves, not taken as a total of ``inf``."""
+    ledger = CostLedger()
+    ledger.charge("x", cycles=3.0, energy_pj=0.5)
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _INFINITE_CHARGES[label](ledger)
+    assert ledger.snapshot() == before
+
+
+_charge = st.tuples(st.integers(min_value=0, max_value=2).map("cat{}".format), _cost, _cost)
+
+
+def _values(ledger):
+    return (ledger.cycles, ledger.energy_pj,
+            sorted(ledger.cycle_breakdown.items()), sorted(ledger.energy_breakdown.items()))
+
+
+@given(st.lists(_charge, max_size=24), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=5))
+def test_ledger_is_order_free(charges, random, pieces):
+    """Property: any permutation of a charge list, and any partition of it
+    into sub-ledgers merged in any order, leave equal totals and breakdown
+    values."""
+    in_order, shuffled = CostLedger(), CostLedger()
+    for category, cycles, energy in charges:
+        in_order.charge(category, cycles=cycles, energy_pj=energy)
+    permuted = list(charges)
+    random.shuffle(permuted)
+    parts = [CostLedger() for _ in range(pieces)]
+    for category, cycles, energy in permuted:
+        shuffled.charge(category, cycles=cycles, energy_pj=energy)
+        random.choice(parts).charge(category, cycles=cycles, energy_pj=energy)
+    random.shuffle(parts)
+    assert _values(shuffled) == _values(in_order)
+    assert _values(merge_ledgers(parts)) == _values(in_order)
+    nested = CostLedger()
+    for part in parts:
+        part.merge(nested)
+        nested = part
+    assert _values(nested) == _values(in_order)
 
 
 class TestPercentileSorted:

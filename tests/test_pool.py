@@ -18,6 +18,7 @@ from repro.errors import (
     QuantizationError,
     RebuildError,
 )
+from repro.metrics import UNITS
 from repro.reram import NoiseConfig
 from repro.runtime import (
     CacheAffinityPolicy,
@@ -662,10 +663,12 @@ class TestEnergyTotals:
         allocation = pool.set_matrix(
             rng.integers(-20, 20, size=(24, 8)), element_size=8
         )
-        assert pool.total_energy_pj() == pool.total_ledger().energy_pj
+        assert pool.total_energy_units() == pool.total_ledger().energy_units
+        assert pool.total_energy_units() / UNITS == pool.total_ledger().energy_pj
         vectors = rng.integers(0, 16, size=(6, 24))
         pool.exec_mvm_batch(allocation, vectors, input_bits=4)
-        assert pool.total_energy_pj() == pool.total_ledger().energy_pj
+        assert pool.total_energy_units() == pool.total_ledger().energy_units
+        assert pool.total_energy_units() / UNITS == pool.total_ledger().energy_pj
 
 
 class TestPlacementDigest:

@@ -752,9 +752,12 @@ class TestWaveResolution:
     #: sha256 over every future's fields (id order) and the ids each tick
     #: returned, computed at ``898eb79`` -- the commit before a wave resolved
     #: once per run -- on a fixed seed, so it holds on every leg of the seed
-    #: matrix and under both ``REPRO_BACKEND`` values.
-    EXPECTED = "a273b7d70b54af67594aa152f0cbab46c74000fa301d9a46077c2672bad24fa6"
-    #: The sibling: the same material through ``digest_text.rendered``.
+    #: matrix and under both ``REPRO_BACKEND`` values; re-pinned over
+    #: ``ca3b0f3`` when the ledger moved to integer units (the last bits of
+    #: ``energy_pj`` moved).
+    EXPECTED = "d04a852d1fe3ec59ebd7b19ee1b4a1929819eef2cff641628a5fdb7844ca5b9a"
+    #: The sibling: the same material through ``digest_text.rendered``,
+    #: computed at ``ca3b0f3`` and held across that move.
     ROUNDED = "2ebaa4798831d64a542dd06ae6915857fff128a467ebd3185d6a0210bcbb8deb"
 
     @staticmethod
