@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import AllocationError, CapacityError, QuantizationError
-from ..metrics import UNITS, CostLedger
+from ..metrics import CostLedger
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
 from .adc import AdcSpec, AnalogToDigitalConverter, make_adc
 from .bitslicing import ShiftAddPlan, integer_vectors, slice_inputs, slice_matrix
@@ -520,7 +520,7 @@ class AnalogComputeElement:
                 handle, input_bits, self.config.array_rows, self.config.array_cols
             )
 
-        start_cycles, start_energy = self.ledger.cycle_units, self.ledger.energy_units
+        start_cycles, start_energy = self.ledger.cycles, self.ledger.energy_pj
         for step in steps:
             output = self._crossbars[step.array_id].mvm_1bit(
                 bit_vectors[step.input_bit][step.row_start: step.row_end],
@@ -537,8 +537,8 @@ class AnalogComputeElement:
                     col_offset=step.col_offset,
                 )
             )
-        execution.analog_cycles = (self.ledger.cycle_units - start_cycles) / UNITS
-        execution.analog_energy_pj = (self.ledger.energy_units - start_energy) / UNITS
+        execution.analog_cycles = self.ledger.cycles - start_cycles
+        execution.analog_energy_pj = self.ledger.energy_pj - start_energy
         return execution
 
     def expected_mvm(self, handle: MatrixHandle, vector: np.ndarray) -> np.ndarray:

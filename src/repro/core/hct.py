@@ -42,7 +42,7 @@ from ..digital.dce import DigitalComputeElement
 from ..digital.logic import get_family
 from ..digital.microops import WordOpCost
 from ..errors import AllocationError, CapacityError
-from ..metrics import UNITS, CostLedger
+from ..metrics import CostLedger
 from ..plan.backends import ExecutionBackend, resolve_backend
 from ..plan.ir import HctBatchMvmResult, HctMvmResult, MvmPlan
 from ..plan.planner import Planner
@@ -189,7 +189,7 @@ class HybridComputeTile:
         if not self.analog_enabled:
             raise AllocationError("the ACE of this tile has been disabled")
         plan = self.planner.plan_for(handle, input_bits)
-        start_energy = self.ledger.energy_units
+        start_energy = self.ledger.energy_pj
         execution = self.ace.execute_mvm(
             handle, vector, input_bits=input_bits, active_adc_bits=active_adc_bits,
             steps=plan.steps,
@@ -205,7 +205,7 @@ class HybridComputeTile:
                 values=values,
                 optimized_cycles=cycles,
                 unoptimized_cycles=cycles,
-                energy_pj=(self.ledger.energy_units - start_energy) / UNITS,
+                energy_pj=self.ledger.energy_pj - start_energy,
                 breakdown={"analog": cycles},
                 num_partial_products=len(execution.partials),
             )
@@ -229,7 +229,7 @@ class HybridComputeTile:
             values=values,
             optimized_cycles=optimized_cycles,
             unoptimized_cycles=unoptimized_cycles,
-            energy_pj=(self.ledger.energy_units - start_energy) / UNITS,
+            energy_pj=self.ledger.energy_pj - start_energy,
             breakdown=breakdown,
             num_partial_products=len(execution.partials),
             iiu_slots_saved=slots_saved,

@@ -148,7 +148,11 @@ class CostLedger:
         return {key: value / UNITS for key, value in self.energy_parts.items()}
 
     def charge(self, category: str, *, cycles: float = 0.0, energy_pj: float = 0.0) -> None:
-        """Add ``cycles`` and ``energy_pj`` under ``category``."""
+        """Add ``cycles`` and ``energy_pj`` under ``category``.
+
+        A negative, NaN or infinite cost raises :class:`ValueError` before
+        anything is added.
+        """
         cycles = units(cycles) if cycles else 0
         energy = units(energy_pj) if energy_pj else 0
         if cycles:

@@ -125,8 +125,8 @@ def _replay_receipt(record) -> None:
     reference interpreter's accounting exactly: the ``ace.mvm`` charges and
     -- with digital post-processing on -- per column tile the ``dce.write``
     / ``dce.boolean`` charges and the ``hct.mvm_batch`` schedule commit, as
-    one update by per-category totals; the crossbars' ``mvm_count``; the IIU and
-    transpose-unit counters by the receipt's totals; and the commit's
+    one update by per-category totals; the crossbars' ``mvm_count``; the
+    IIU and transpose-unit counters by the receipt's totals; and the commit's
     arbiter reservations and clock advance.  The one replay body of the
     per-tile backends (:func:`_account_batch`, which binds a record per
     call) and the whole-allocation contraction (:func:`execute_device_plan`,
@@ -170,7 +170,7 @@ def _account_batch(
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
     record = receipt.bind(tile, plan, tile.digital_post_processing, optimized)
     _replay_receipt(record)
-    cycles, energy = record[1][:2]
+    cycle_units, energy_units = record[1][:2]  # the tally's totals
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
@@ -179,7 +179,7 @@ def _account_batch(
         if not estimated:
             for shard, totals in zip(plan.kernel.tiles, shard_totals):
                 values[:, shard.col_offset: shard.col_offset + shard.used_cols] += totals
-        optimized_cycles = unoptimized_cycles = cycles / UNITS
+        optimized_cycles = unoptimized_cycles = cycle_units / UNITS
         breakdown, slots_saved = {"analog": optimized_cycles}, 0
     else:
         if not estimated:
@@ -204,7 +204,7 @@ def _account_batch(
         batch=batch,
         optimized_cycles=optimized_cycles,
         unoptimized_cycles=unoptimized_cycles,
-        energy_pj=energy / UNITS,
+        energy_pj=energy_units / UNITS,
         breakdown=breakdown,
         num_partial_products=len(plan.steps),
         iiu_slots_saved=slots_saved,

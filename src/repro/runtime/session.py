@@ -236,6 +236,9 @@ class DarthPumDevice:
                 if result is not None:
                     return result
         result = np.zeros((batch, cols), dtype=np.int64)
+        # Per tile its cycles and its energy as counted, not through pJ, and
+        # one charge once every tile is done: what a device plan charges.
+        charges = []
         for tile, hct, handle in self._tiles(allocation):
             sub_vectors = vectors[:, tile.row_start: tile.row_end]
             start = hct.ledger.energy_units
@@ -243,10 +246,9 @@ class DarthPumDevice:
                 handle, sub_vectors, input_bits=input_bits, backend=executor
             )
             result[:, tile.col_start: tile.col_end] += sub_result.values
-            # The tile's energy as counted, not through pJ: what a device
-            # plan charges for the block, exactly.
-            self.ledger.charge_stream(tally([("runtime.mvm_batch", units(
-                sub_result.optimized_cycles), hct.ledger.energy_units - start)]))
+            charges.append(("runtime.mvm_batch", units(sub_result.optimized_cycles),
+                            hct.ledger.energy_units - start))
+        self.ledger.charge_stream(tally(charges))
         return result
 
     def compile(self, allocation: MatrixAllocation, input_bits: int = 8) -> List[MvmPlan]:

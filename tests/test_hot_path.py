@@ -64,7 +64,10 @@ MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 14, 4.4
 #: measured 2 / 1.33 / 1.13 per tile at 1 / 3 / 8 tiles, budget the
 #: largest + 10 % (3 per tile -- stream, ``hct.mvm_batch`` and
 #: ``runtime.mvm_batch`` -- while the commit and the runtime charge were
-#: separate calls).
+#: separate calls).  Both budgets re-measured unchanged once the ledger
+#: counted integer units: the frames stayed, each ``charge_stream`` became
+#: one update per category (no addition per unit of a run) and the runtime
+#: one a constant bound per batch size.
 MAX_CHARGES_PER_TILE = 2.2
 #: Python-level calls of one steady-state single-band pooled call, and how
 #: many of them are the pool's own frames (measured 17 and 6: the front door
