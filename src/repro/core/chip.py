@@ -59,8 +59,7 @@ class DarthPumChip:
         #: Materialised tiles in HCT-index order (the slot-scan order).  The
         #: chip has ~1860 slots but functional runs touch a handful;
         #: accounting sweeps iterate this list instead of scanning every
-        #: slot (the serving scheduler reads the energy total several times
-        #: per dispatched batch).
+        #: slot.
         self._tiles: List[HybridComputeTile] = []
         self.front_ends: List[FrontEnd] = [
             FrontEnd(front_end_id=i, hcts_served=self.config.hcts_per_front_end)
@@ -141,17 +140,6 @@ class DarthPumChip:
         ledgers = [self.ledger]
         ledgers.extend(tile.ledger for tile in self._tiles)
         return merge_ledgers(ledgers)
-
-    def total_energy_units(self) -> int:
-        """``total_ledger().energy_units``, without materialising a ledger.
-
-        Skips the slot scan and the breakdown merging, which makes it cheap
-        enough for the serving scheduler's per-batch energy deltas.
-        """
-        total = self.ledger.energy_units
-        for tile in self._tiles:
-            total += tile.ledger.energy_units
-        return total
 
     def planner_builds(self) -> int:
         """Execution plans compiled across all materialised tiles.

@@ -1095,20 +1095,24 @@ class DevicePool:
     def total_ledger(self) -> CostLedger:
         """Aggregated cost ledger across every chip in the pool.
 
-        Only the chip/tile ledgers are merged: the per-device runtime
-        ledgers (``device.ledger``) hold ``runtime.mvm*`` entries whose
-        cycles/energy are *copies* of charges already present in the tile
-        ledgers, so including them would double-count every MVM.
+        Only the chip/tile ledgers are merged.  Each device's runtime ledger
+        (``device.ledger``) is charged, per completed MVM call, exactly the
+        integer energy that call charged its tiles -- so its ``runtime.mvm*``
+        entries are copies of tile charges (merging them would double-count
+        every MVM), and :meth:`mvm_energy_units` reads a call's energy from
+        them alone.  A call that fails part-way charges the runtime ledger
+        nothing, so the mirror covers completed calls only.
         """
         return merge_ledgers([device.chip.total_ledger() for device in self.devices])
 
-    def total_energy_units(self) -> int:
-        """``total_ledger().energy_units``, without building any breakdown
-        dicts: the serving scheduler reads it after every dispatched batch,
-        so it must cost a handful of int additions, not a ledger merge."""
+    def mvm_energy_units(self) -> int:
+        """The MVM energy the devices' completed calls charged, in ledger
+        units: one int per device, however many tiles the chips hold (the
+        serving scheduler reads it around every dispatched batch).
+        Programming is not in it."""
         total = 0
         for device in self.devices:
-            total += device.chip.total_energy_units()
+            total += device.ledger.energy_units
         return total
 
     def expected_mvm(self, allocation: PooledAllocation, vectors: np.ndarray) -> np.ndarray:

@@ -42,8 +42,9 @@ before they reach the chips.  :class:`PumServer` is that layer:
   new requests when the queue is full, and requests whose deadline passed
   are shed instead of executed;
 * per-request and aggregate telemetry (queue depth, batch-fill histogram,
-  latency percentiles in ticks, energy per request from the pool's
-  :class:`~repro.metrics.CostLedger`) accumulates in :class:`ServingStats`.
+  latency percentiles in ticks, energy per request from the devices'
+  runtime :class:`~repro.metrics.CostLedger`) accumulates in
+  :class:`ServingStats`.
 
 The scheduler clock is a plain integer tick counter advanced only by
 ``tick()`` -- tests and benchmarks are exactly reproducible.  For wall-clock
@@ -58,7 +59,8 @@ import time
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from itertools import chain, repeat
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -446,15 +448,15 @@ class ServingStats:
             self.queue_depth_samples.append(depth)
             self.peak_queue_depth = max(self.peak_queue_depth, depth)
 
-    def record_batch(self, size: int, latencies: List[int], energy_pj: float) -> None:
-        """Account one dispatched batch."""
+    def record_batch(self, size: int, latencies: Iterable[int], energy_pj: float) -> None:
+        """Account one dispatched batch (``latencies``: one per request)."""
         with self._stats_lock:
             self.batches += 1
             self.completed += size
             self.batch_fill[size] = self.batch_fill.get(size, 0) + 1
             self.latencies.extend(latencies)
             per_request = energy_pj / size if size else 0.0
-            self.energy_per_request_pj.extend([per_request] * size)
+            self.energy_per_request_pj.extend(repeat(per_request, size))
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile in ticks (0.0 when nothing completed yet).
@@ -614,10 +616,6 @@ class PumServer:
         self._lock = threading.RLock()
         self._registrations: Dict[str, _Registration] = {}
         self._next_request = 0
-        #: ``pool.total_energy_units()`` as read after the last batch of the
-        #: running tick -- which, the lock being held, is the reading before
-        #: the next one.  ``None`` at the start of a tick and after a failure.
-        self._energy_mark: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Matrix registry                                                      #
@@ -957,7 +955,6 @@ class PumServer:
         """
         with self._lock:
             self.now += 1
-            self._energy_mark = None
             self.scheduling.on_tick(self)
             self.stats.observe_queue_depth(len(self.request_queue))
             resolved: List[ResolvedRun] = []
@@ -1034,20 +1031,18 @@ class PumServer:
         self.stats.gathered_batches += 1
         return arena[:filled]
 
-    def _note_degraded(self, before: Tuple[int, ...]) -> None:
+    def _note_degraded(self, before: Tuple[int, ...], after: Tuple[int, ...]) -> None:
         """Fold the pool's resilience counter deltas into the serving stats.
 
-        ``before`` is the :meth:`DevicePool.resilience_snapshot` taken when
-        the dispatch started.  Bracketing per dispatch (like the energy
+        ``before`` and ``after`` are the :meth:`DevicePool.resilience_snapshot`
+        taken when the dispatch started and ended (a batch whose two are
+        equal need not call).  Bracketing per dispatch (like the energy
         reading) keeps the stats correct even when several servers share
         one pool: each server only accounts the degradation its own batches
         experienced.  Plain integrity checks do not flag a batch degraded
         -- only failover events and detections do, so a fault-free
         ``verify="full"`` run keeps ``degraded_batches == 0``.
         """
-        after = self.pool.resilience_snapshot()
-        if after == before:
-            return
         hits, retries, failures, checks, corruptions, reexecutions = (
             now - prior for now, prior in zip(after, before)
         )
@@ -1105,9 +1100,7 @@ class PumServer:
         if len(runs) > 1:
             runs = coalesce(runs)
         pool = self.pool
-        energy_before = self._energy_mark
-        if energy_before is None:
-            energy_before = pool.total_energy_units()
+        energy_before = pool.mvm_energy_units()
         before = pool.resilience_snapshot()
         try:
             vectors = self._assemble_batch(record, input_bits, runs)
@@ -1127,8 +1120,7 @@ class PumServer:
             # library error stops there, so a failing batch never wedges
             # the scheduler (or a driver thread); anything else is a bug
             # and goes on to the caller.
-            self._energy_mark = None
-            self._note_degraded(before)
+            self._note_degraded(before, pool.resilience_snapshot())
             size = sum(stop - start for _, start, stop in runs)
             self.stats.failed += size
             error = f"{type(exc).__name__}: {exc}"
@@ -1138,26 +1130,30 @@ class PumServer:
             if isinstance(exc, ReproError):
                 return resolved
             raise
-        self._note_degraded(before)
-        self._energy_mark = pool.total_energy_units()
-        energy_pj = (self._energy_mark - energy_before) / UNITS
+        after = pool.resilience_snapshot()
+        if after != before:
+            self._note_degraded(before, after)
+        # The MVM energy the batch's completed device calls charged (a
+        # replica's re-execution included); programming charged by an
+        # auto-rebuild belongs to the registration, not to the batch.
+        energy_pj = (pool.mvm_energy_units() - energy_before) / UNITS
         size = len(vectors)
         per_request = energy_pj / size
 
         # Per run: one record (its block a view of ``results``, as a
-        # response's row is a view of the block) and one latency extension.
+        # response's row is a view of the block) and one run of latencies.
         now, offset = self.now, 0
         resolved: List[ResolvedRun] = []
-        latencies: List[int] = []
+        latencies = []
         for wave, start, stop in runs:
             rows = stop - start
             resolved.append(wave.futures.resolve(
                 start, stop, STATUS_COMPLETED, results[offset: offset + rows],
                 now, size, per_request,
             ))
-            latencies += [now - wave.arrival_tick] * rows
+            latencies.append(repeat(now - wave.arrival_tick, rows))
             offset += rows
-        self.stats.record_batch(size, latencies, energy_pj)
+        self.stats.record_batch(size, chain.from_iterable(latencies), energy_pj)
         return resolved
 
     def _rebuild_and_retry(

@@ -177,12 +177,16 @@ class DarthPumDevice:
                 f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
             )
         result = np.zeros(cols, dtype=np.int64)
+        # Charged as ``exec_mvm_batch``'s per-tile loop charges.
+        charges = []
         for tile, hct, handle in self._tiles(allocation):
             sub_vector = vector[tile.row_start: tile.row_end]
+            start = hct.ledger.energy_units
             sub_result = hct.execute_mvm(handle, sub_vector, input_bits=input_bits)
             result[tile.col_start: tile.col_end] += sub_result.values
-            self.ledger.charge("runtime.mvm", cycles=sub_result.optimized_cycles,
-                               energy_pj=sub_result.energy_pj)
+            charges.append(("runtime.mvm", units(sub_result.optimized_cycles),
+                            hct.ledger.energy_units - start))
+        self.ledger.charge_stream(tally(charges))
         return result
 
     def exec_mvm_batch(

@@ -7,10 +7,11 @@ import pytest
 
 from repro.testing import derive_rng
 
-from repro.core import HctConfig, HybridComputeTile
+from repro.core import ChipConfig, HctConfig, HybridComputeTile
 from repro.errors import QuantizationError
 from repro.reram import NoiseConfig
 from repro.runtime import DarthPumDevice
+from test_kernels import mirrored
 
 
 @pytest.fixture
@@ -137,12 +138,26 @@ class TestDeviceBatchApi:
         matrix = rng.integers(-100, 100, size=(70, 40))
         allocation = device.set_matrix(matrix, element_size=8, precision=0)
         vectors = rng.integers(0, 255, size=(5, 70))
-        looped = np.stack(
-            [device.exec_mvm(allocation, v, input_bits=8) for v in vectors]
-        )
-        batched = device.exec_mvm_batch(allocation, vectors, input_bits=8)
+        looped = np.stack([
+            mirrored(device.exec_mvm, allocation, v, input_bits=8) for v in vectors
+        ])
+        batched = mirrored(device.exec_mvm_batch, allocation, vectors, input_bits=8)
         assert np.array_equal(batched, looped)
         assert np.array_equal(batched, vectors @ matrix)
+
+    def test_single_vector_charge_is_the_tiles_energy_to_the_unit(self, rng):
+        """``exec_mvm`` charged its runtime ledger each tile's float pJ
+        difference: once a tile's ledger held ~1e7 pJ, the runtime ledger
+        drifted units away from the energy its tiles executed."""
+        device = DarthPumDevice(config=ChipConfig(hct=HctConfig.small(), num_hcts=4))
+        matrix = rng.integers(-8, 8, size=(8, 8))
+        allocation = device.set_matrix(matrix, element_size=4)
+        device.chip.hct(allocation.hct_indices[0]).ledger.charge("bias", energy_pj=1e7)
+        for vector in rng.integers(0, 16, size=(10, 8)):
+            assert np.array_equal(
+                mirrored(device.exec_mvm, allocation, vector, input_bits=4),
+                vector @ matrix,
+            )
 
     def test_single_vector_promoted_to_batch_of_one(self, rng):
         device = DarthPumDevice()

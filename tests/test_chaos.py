@@ -442,8 +442,13 @@ class TestQuarantine:
         injector.corrupt(victim, calls=3)
         vectors = np.ones((1, 8), dtype=np.int64)
         for _ in range(3):
+            runtime = pool.mvm_energy_units()
+            executed = pool.total_ledger().energy_units
             out = pool.exec_mvm_batch(allocation, vectors, input_bits=1)
             assert np.array_equal(out, vectors)  # replica re-execution wins
+            # The runtime ledgers mirror the tiles, re-execution included.
+            assert (pool.mvm_energy_units() - runtime
+                    == pool.total_ledger().energy_units - executed)
         # Three detections push the EWMA over the default 0.5 threshold.
         assert pool.corruptions_detected == 3
         assert pool.integrity_reexecutions == 3
@@ -660,6 +665,30 @@ class TestRebuildGate:
         server.run_until_idle()
         for vector, future in zip(vectors, tail):
             assert np.array_equal(future.result().result, vector @ matrix)
+
+    def test_a_rebuilt_batch_bills_its_rows_not_the_reprogramming(self):
+        """The retried batch read the rebuild's programming as request
+        energy (4504.62 pJ a row against 1091.28 served healthy)."""
+        energies = {}
+        for killed in (False, True):
+            rng = derive_rng("rebuild-gate-energy")
+            server = make_server(replication=2, num_devices=4,
+                                 max_batch=self.WAVE_SIZE, auto_rebuild=True)
+            allocation = server.register_matrix(
+                "model", rng.integers(-8, 8, size=(self.ROWS, self.COLS)),
+                element_size=4, input_bits=3,
+            )
+            if killed:
+                injector = FaultInjector().attach(server.pool)
+                for device_index in allocation.devices_used:
+                    injector.kill(device_index)
+            vectors = rng.integers(0, 8, size=(self.WAVE_SIZE, self.ROWS))
+            futures = server.submit_batch("model", vectors, input_bits=3)
+            server.run_until_idle()
+            assert server.stats.rebuilds == killed
+            assert {f.result().status for f in futures} == {"completed"}
+            energies[killed] = [f.result().energy_pj for f in futures]
+        assert energies[True] == energies[False]
 
     def test_without_auto_rebuild_riders_fail_but_nothing_wedges(self):
         server, futures, _, _, _ = self._run(auto_rebuild=False)

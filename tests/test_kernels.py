@@ -324,9 +324,25 @@ def device_state(device, allocation):
     }
 
 
+def mirrored(call, allocation, *args, **kwargs):
+    """``call(allocation, *args, **kwargs)`` -- a device's ``exec_mvm`` or
+    ``exec_mvm_batch`` -- asserting that the device's runtime ledger moved
+    by exactly the energy units the allocation's tiles did: what a served
+    batch's energy is read from."""
+    device = call.__self__
+    tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+    runtime = device.ledger.energy_units
+    executed = sum(tile.ledger.energy_units for tile in tiles)
+    out = call(allocation, *args, **kwargs)
+    assert (device.ledger.energy_units - runtime
+            == sum(tile.ledger.energy_units for tile in tiles) - executed)
+    return out
+
+
 class TestDevicePlanEquivalence:
     """One contraction for all tiles == the per-tile loop == ``reference``,
-    on every result and every piece of simulated state."""
+    on every result and every piece of simulated state, the runtime ledger
+    mirroring the tiles' energy on each."""
 
     @pytest.mark.parametrize("case", sorted(DEVICE_PLAN_CASES))
     def test_plan_path_matches_the_per_tile_loop_and_reference(self, case):
@@ -335,20 +351,26 @@ class TestDevicePlanEquivalence:
                     "reference": "reference"}
         twins = {name: programmed_device(case) for name in backends}
         force_per_tile_loop(twins["loop"][1], input_bits)
+        estimator, estimated, _ = programmed_device(case)
         rng = derive_rng("kernels-device-plan-vectors", case)
         for batch in (1, 5, 32, 5):
             matrix = twins["plan"][2]
             vectors = rng.integers(0, 1 << input_bits, size=(batch, matrix.shape[0]))
             outs, states = {}, {}
             for name, (device, allocation, _) in twins.items():
-                outs[name] = device.exec_mvm_batch(
-                    allocation, vectors, input_bits=input_bits, backend=backends[name]
+                outs[name] = mirrored(
+                    device.exec_mvm_batch, allocation, vectors,
+                    input_bits=input_bits, backend=backends[name],
                 )
                 states[name] = device_state(device, allocation)
             assert np.array_equal(outs["plan"], vectors @ matrix)
             for name in ("loop", "reference"):
                 assert np.array_equal(outs["plan"], outs[name]), name
                 assert states["plan"] == states[name], name
+            # ``estimate`` charges what the engines do, runtime ledger included.
+            mirrored(estimator.exec_mvm_batch, estimated, vectors,
+                     input_bits=input_bits, backend="estimate")
+            assert estimator.ledger == twins["plan"][0].ledger
         device, allocation, _ = twins["plan"]
         plan = device.device_plan(allocation, input_bits)
         assert len(plan.tiles) == len(allocation.placement.tiles)
@@ -388,7 +410,8 @@ class TestDevicePlanEquivalence:
         NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False, seed=3),
         NoiseConfig(programming_noise=True, read_noise=False, ir_drop=False,
                     stuck_at_faults=True, seed=11),
-    ], ids=["read_noise", "frozen_program_noise"])
+        NoiseConfig.paper_default(),
+    ], ids=["read_noise", "frozen_program_noise", "paper_default"])
     def test_noisy_device_keeps_the_loop_and_matches_reference(self, noise):
         case = "row_band_ragged"
         input_bits = DEVICE_PLAN_CASES[case][2]
@@ -400,8 +423,9 @@ class TestDevicePlanEquivalence:
             device, allocation, _ = programmed_device(case, noise=noise)
             device.compile(allocation, input_bits)
             assert device.device_plan(allocation, input_bits) is None
-            outs[backend] = device.exec_mvm_batch(
-                allocation, vectors, input_bits=input_bits, backend=backend
+            outs[backend] = mirrored(
+                device.exec_mvm_batch, allocation, vectors,
+                input_bits=input_bits, backend=backend,
             )
             states[backend] = device_state(device, allocation)
         assert np.array_equal(outs["vectorized"], outs["reference"])
@@ -418,9 +442,8 @@ class TestDevicePlanEquivalence:
         def step(expected_matrix):
             vectors = rng.integers(0, 1 << input_bits, size=(5, 128))
             outs = {
-                name: device.exec_mvm_batch(allocation, vectors,
-                                            input_bits=input_bits,
-                                            backend=backends[name])
+                name: mirrored(device.exec_mvm_batch, allocation, vectors,
+                               input_bits=input_bits, backend=backends[name])
                 for name, (device, allocation, _) in twins.items()
             }
             assert np.array_equal(outs["plan"], outs["reference"])
@@ -581,8 +604,9 @@ class TestDevicePlanEligibility:
         for vectors in (rng.integers(0, top + 1, size=(5, 40)), extreme, extreme):
             outs, states = {}, {}
             for name, (device, allocation) in twins.items():
-                outs[name] = device.exec_mvm_batch(
-                    allocation, vectors, input_bits=input_bits, backend=backends[name]
+                outs[name] = mirrored(
+                    device.exec_mvm_batch, allocation, vectors,
+                    input_bits=input_bits, backend=backends[name],
                 )
                 tiles = [device.chip.hct(index) for index in allocation.hct_indices]
                 states[name] = (device_state(device, allocation),

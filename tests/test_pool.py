@@ -18,7 +18,6 @@ from repro.errors import (
     QuantizationError,
     RebuildError,
 )
-from repro.metrics import UNITS
 from repro.reram import NoiseConfig
 from repro.runtime import (
     CacheAffinityPolicy,
@@ -658,17 +657,23 @@ class TestBandLoop:
 
 class TestEnergyTotals:
     def test_total_energy_pj_is_bit_identical_to_the_ledger_merge(self):
+        """``mvm_energy_units()`` is, to the unit, what the pool's MVM calls
+        charged the tiles of its chips -- programming is not in it."""
         rng = derive_rng("pool-energy")
         pool = DevicePool(num_devices=2)
         allocation = pool.set_matrix(
             rng.integers(-20, 20, size=(24, 8)), element_size=8
         )
-        assert pool.total_energy_units() == pool.total_ledger().energy_units
-        assert pool.total_energy_units() / UNITS == pool.total_ledger().energy_pj
+        programmed = pool.total_ledger().energy_units
+        assert programmed > 0 and pool.mvm_energy_units() == 0
         vectors = rng.integers(0, 16, size=(6, 24))
         pool.exec_mvm_batch(allocation, vectors, input_bits=4)
-        assert pool.total_energy_units() == pool.total_ledger().energy_units
-        assert pool.total_energy_units() / UNITS == pool.total_ledger().energy_pj
+        pool.exec_mvm(allocation, vectors[0], input_bits=4)
+        executed = pool.total_ledger().energy_units - programmed
+        assert executed > 0 and pool.mvm_energy_units() == executed
+        assert pool.mvm_energy_units() == sum(
+            device.ledger.energy_units for device in pool.devices
+        )
 
 
 class TestPlacementDigest:
