@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.testing import derive_rng
 
+from repro.analog.compensation import ParasiticCompensation
 from repro.core import ChipConfig, HctConfig, HybridComputeTile
 from repro.errors import QuantizationError
+from repro.metrics import UNITS
 from repro.reram import NoiseConfig
-from repro.runtime import DarthPumDevice
-from test_kernels import mirrored
+from repro.runtime import DarthPumDevice, DevicePool
+from test_kernels import device_state, mirrored
 
 
 @pytest.fixture
@@ -189,3 +193,156 @@ class TestDeviceBatchApi:
         handle = tile.set_matrix(np.eye(8, dtype=np.int64), value_bits=4)
         with pytest.raises(ExecutionError):
             tile.execute_mvm_batch(handle, np.zeros((0, 8), dtype=np.int64))
+
+
+#: The single call's ledger categories, folded into the batch's they merged
+#: with: the pin hashes units per category, not what a category is called.
+SINGLE_LABELS = {"hct.mvm": "hct.mvm_batch", "runtime.mvm": "runtime.mvm_batch"}
+
+STUCK_AT = NoiseConfig(programming_noise=False, read_noise=False, ir_drop=False,
+                       stuck_at_faults=True, seed=11)
+
+
+def _units(ledger):
+    """A ledger's integer cycle and energy units per category."""
+    parts = {}
+    for kind, source in (("cycles", ledger.cycle_parts), ("energy", ledger.energy_parts)):
+        for category, amount in source.items():
+            key = (kind, SINGLE_LABELS.get(category, category))
+            parts[key] = parts.get(key, 0) + amount
+    return sorted(parts.items())
+
+
+def _registers(tile, handle, input_bits):
+    """Every VR of every output pipeline of ``handle``, staging VRs included."""
+    plan = tile.planner.plan_for(handle, input_bits)
+    pipelines = [tile.dce.pipeline(plan.output_base + c) for c in range(handle.col_tiles)]
+    return [[p.read_vr(vr, signed=True).tolist() for vr in range(p.num_vrs)]
+            for p in pipelines]
+
+
+def _tile_state(tile, handle):
+    return (
+        _units(tile.ledger),
+        (tile.iiu.injections, tile.iiu.front_end_slots_saved),
+        tile.transpose_unit.vector_count,
+        tile._clock,
+        dict(tile.arbiter._owners),
+        [tile.ace.crossbar(i).mvm_count for i in handle.array_ids],
+    )
+
+
+def _device_state(device, allocation, input_bits):
+    state = device_state(device, allocation)
+    tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+    state["runtime_ledger"] = _units(device.ledger)
+    state["tile_ledgers"] = [_units(tile.ledger) for tile in tiles]
+    state["registers"] = [_registers(hct, handle, input_bits)
+                          for _, hct, handle in device._tiles(allocation)]
+    return sorted(state.items())
+
+
+#: label -> (noise, rows, cols, value bits, bits per cell, input bits, call
+#: keywords, raw mode).  Small tiles: 16x16 arrays, so 24 columns are two
+#: column tiles.
+TILE_PIN_CASES = {
+    "ideal": (None, 16, 12, 4, 1, 4, {}, False),
+    "paper_default": (NoiseConfig.paper_default(), 16, 12, 4, 1, 4, {}, False),
+    "stuck_at": (STUCK_AT, 16, 12, 4, 1, 4, {}, False),
+    "raw_mode": (None, 16, 12, 4, 1, 4, {}, True),
+    "compensation": (None, 16, 12, 2, 1, 1,
+                     {"compensation": ParasiticCompensation()}, False),
+    "active_adc_bits": (None, 16, 12, 4, 2, 4, {"active_adc_bits": 3}, False),
+    "unoptimized": (None, 16, 12, 4, 1, 4, {"optimized": False}, False),
+    "two_column_tiles": (None, 16, 24, 3, 1, 3, {}, False),
+}
+
+#: label -> (noise, raw mode on the allocation's first HCT).  A 40x20
+#: matrix of 4-bit values at 4 input bits on small tiles: three row bands
+#: (the last ragged) of two column tiles each.
+DEVICE_PIN_CASES = {
+    "ideal": (None, False),
+    "paper_default": (NoiseConfig.paper_default(), False),
+    "stuck_at": (STUCK_AT, False),
+    "raw_mode": (None, True),
+}
+
+
+class TestSingleCallPin:
+    """Single-vector calls on a tile, a device and a replicated ``verify=
+    "full"`` pool, pinned: the answers, every VR of every output pipeline,
+    ``device_state``, the ledgers' units per category and every field of a
+    tile result besides ``energy_pj``.  Three calls per case on fixed seeds
+    (not ``REPRO_TEST_SEED``), hashed after each.  ``EXPECTED`` was computed
+    at ``19edfee``, when a single call was its own engine, and must not
+    move while single calls are served by another interpreter."""
+
+    EXPECTED = {
+        "tile": "c25f0189c7859edeb259eab2915c9d09f232f69af158749e95c6ef5de8ef0404",
+        "device": "54723dc6055de4f0a61ed43b7a7f9681bedf84aebae0f58228f5f7b044376b8e",
+        "pool": "91f77172fa66b6808b883e0247c2f65e212133eaeb1da19b68aba20a3186d5c0",
+    }
+
+    @staticmethod
+    def _digest(parts):
+        return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+    def test_tile(self):
+        parts = []
+        for case in sorted(TILE_PIN_CASES):
+            noise, rows, cols, value_bits, cell_bits, input_bits, kwargs, raw = (
+                TILE_PIN_CASES[case])
+            rng = np.random.default_rng(list(b"tile-pin") + [len(parts)])
+            magnitude = 1 << (value_bits - 1)
+            if "compensation" in kwargs:
+                matrix = kwargs["compensation"].remap(rng.integers(0, 2, size=(rows, cols)))
+            else:
+                matrix = rng.integers(-magnitude, magnitude, size=(rows, cols))
+            tile = HybridComputeTile(HctConfig.small(), noise=noise)
+            handle = tile.set_matrix(matrix, value_bits=value_bits, bits_per_cell=cell_bits)
+            if raw:
+                tile.disable_digital_mode()
+            for vector in rng.integers(0, 1 << input_bits, size=(3, rows)):
+                result = tile.execute_mvm(handle, vector, input_bits=input_bits, **kwargs)
+                parts.append((
+                    case, result.values.tolist(), float(result.optimized_cycles),
+                    float(result.unoptimized_cycles),
+                    sorted((k, float(v)) for k, v in result.breakdown.items()),
+                    result.num_partial_products, result.iiu_slots_saved,
+                    _registers(tile, handle, input_bits), _tile_state(tile, handle),
+                ))
+        assert self._digest(parts) == self.EXPECTED["tile"]
+
+    def test_device(self):
+        parts = []
+        for case in sorted(DEVICE_PIN_CASES):
+            noise, raw = DEVICE_PIN_CASES[case]
+            rng = np.random.default_rng(list(b"device-pin") + [len(parts)])
+            matrix = rng.integers(-8, 8, size=(40, 20))
+            device = DarthPumDevice(config=ChipConfig(hct=HctConfig.small(), num_hcts=16),
+                                    noise=noise)
+            allocation = device.set_matrix(matrix, element_size=4)
+            if raw:
+                device.disable_digital_mode(allocation.hct_indices[0])
+            for vector in rng.integers(0, 16, size=(3, 40)):
+                out = mirrored(device.exec_mvm, allocation, vector, input_bits=4)
+                parts.append((case, out.tolist(), _device_state(device, allocation, 4)))
+        assert self._digest(parts) == self.EXPECTED["device"]
+
+    def test_replicated_pool(self):
+        rng = np.random.default_rng(list(b"pool-pin"))
+        pool = DevicePool(num_devices=4, replication=2, verify="full",
+                          config=ChipConfig(hct=HctConfig.small(), num_hcts=3))
+        matrix = rng.integers(-8, 8, size=(64, 20))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        assert allocation.num_shards > 1
+        parts = []
+        for vector in rng.integers(0, 8, size=(3, 64)):
+            out = pool.exec_mvm(allocation, vector, input_bits=3)
+            parts.append((out.tolist(), pool.resilience_snapshot(), [
+                (task.device_index,
+                 _device_state(pool.devices[task.device_index], task.device_allocation, 3))
+                for task in allocation.all_tasks
+            ]))
+        assert self._digest(parts) == self.EXPECTED["pool"]
+

@@ -36,7 +36,7 @@ import pytest
 from repro import DarthPumDevice, DevicePool, PumServer
 from repro.analog.adc import AnalogToDigitalConverter
 from repro.analog.crossbar import AnalogCrossbar
-from repro.core.config import HctConfig
+from repro.core.config import ChipConfig, HctConfig
 from repro.core.hct import HybridComputeTile
 from repro.errors import AllocationError, ExecutionError, QuantizationError
 from repro.metrics import CostLedger
@@ -848,6 +848,72 @@ class TestSameErrorsSameOrder:
         with pytest.raises(AllocationError, match="has been disabled"):
             resolve_backend(backend).execute_batch(tile, plan, bad)
         assert _moving_state(tile, handle) == before
+
+    @staticmethod
+    def _single_call_tiers():
+        """``tier -> (call(vector), disable(), moving state)`` over one 8x8
+        identity matrix of 4-bit values, each tier warmed by one call."""
+        tile, handle = TestSameErrorsSameOrder._tile(None)
+        tile.execute_mvm(handle, np.ones(8, dtype=np.int64), input_bits=3)
+        config = ChipConfig(hct=HctConfig.small(), num_hcts=4)
+        device = DarthPumDevice(config=config)
+        allocation = device.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
+        device.exec_mvm(allocation, np.ones(8, dtype=np.int64), input_bits=3)
+        pool = DevicePool(num_devices=2, config=config, replication=2, verify="full")
+        pooled = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
+        pool.exec_mvm(pooled, np.ones(8, dtype=np.int64), input_bits=3)
+
+        def disable_tile():
+            tile.ace.enabled = False
+
+        def disable_copies():
+            for task in pooled.all_tasks:
+                pool.devices[task.device_index].disable_analog_mode(task.device_allocation)
+
+        return {
+            "tile": (lambda v: tile.execute_mvm(handle, v, input_bits=3).values,
+                     disable_tile, lambda: _moving_state(tile, handle)),
+            "device": (lambda v: device.exec_mvm(allocation, v, input_bits=3),
+                       lambda: device.disable_analog_mode(allocation),
+                       lambda: (device.chip.total_ledger().snapshot(),
+                                device.ledger.snapshot())),
+            "pool": (lambda v: pool.exec_mvm(pooled, v, input_bits=3), disable_copies,
+                     lambda: (pool.total_ledger().snapshot(), pool.resilience_snapshot())),
+        }
+
+    @pytest.mark.parametrize("tier", ["tile", "device", "pool"])
+    def test_single_calls_reject_alike_at_every_tier(self, tier):
+        """A single vector is checked as a single vector at every tier: a
+        shape error names the vector, never a batch; the typed value errors
+        keep their messages; nothing is charged or counted on the way."""
+        call, disable, moving = self._single_call_tiers()[tier]
+        before = moving()
+        shape_error = r"^input vector of shape \(.*\) does not match matrix rows \(8\)$"
+        for vector in (np.ones((1, 8), dtype=np.int64), np.ones((2, 8), dtype=np.int64),
+                       np.int64(3), np.empty(0, dtype=np.int64),
+                       np.ones(7, dtype=np.int64), np.ones(9, dtype=np.int64)):
+            with pytest.raises(QuantizationError, match=shape_error):
+                call(vector)
+        for vector, message in (
+            ([1.5] * 8, "input vectors must be integers (got dtype float64); "
+                        "quantise floats first"),
+            (np.full(8, np.nan), "input vectors must be integers (got dtype float64); "
+                                 "quantise floats first"),
+            (np.array([1, -2, 0, 0, 0, 0, 0, 99]),
+             "input bit-slicing expects non-negative inputs"),
+            (np.array([1, 2, 0, 0, 0, 0, 0, 8]), "input values exceed 3 bits"),
+        ):
+            with pytest.raises(QuantizationError) as raised:
+                call(vector)
+            assert str(raised.value) == message
+        assert moving() == before
+        assert np.array_equal(call(np.arange(8)), np.arange(8))
+        # A disabled ACE is named before the values are looked at; on a tile,
+        # before the vector's shape too.
+        disable()
+        bad = np.full(9 if tier == "tile" else 8, -1)
+        with pytest.raises(AllocationError, match="has been disabled"):
+            call(bad)
 
     def test_device_level_checks_come_before_the_tiles(self):
         device, allocation, _, vectors = programmed_device((64, 64), 6, 7)

@@ -578,25 +578,33 @@ class TestDevicePlanEligibility:
     then bit-identical, state included, to the per-tile loop and
     ``reference``; elsewhere the loop serves and still wraps."""
 
+    @staticmethod
+    def _wrap_bound_twins(case, names):
+        """One device per name holding the case's 40x20 matrix, its config,
+        its generator and the matrix."""
+        depth, element_size, input_bits = WRAP_BOUND_CASES[case]
+        magnitude = 1 << (element_size - 1)
+        config = ChipConfig(hct=HctConfig(
+            dce=DceConfig(num_pipelines=8, pipeline_depth=depth, rows=16, cols=24),
+            ace=HctConfig.small().ace,
+        ), num_hcts=16)
+        rng = derive_rng("kernels-wrap-bound", case)
+        matrix = rng.integers(-magnitude, magnitude, size=(40, 20))
+        matrix[:, 0] = -magnitude  # all-``top`` rows sum at the bound here
+        twins = {}
+        for name in names:
+            device = DarthPumDevice(config=config)
+            twins[name] = device, device.set_matrix(matrix, element_size=element_size)
+        return twins, rng, matrix
+
     @pytest.mark.parametrize("case", sorted(WRAP_BOUND_CASES))
     def test_plan_exactly_when_no_accumulator_can_wrap(self, case):
         depth, element_size, input_bits = WRAP_BOUND_CASES[case]
         magnitude, top = 1 << (element_size - 1), (1 << input_bits) - 1
         eligible = 16 * top * magnitude < 1 << (depth - 1)
-        small = HctConfig.small()
-        config = ChipConfig(hct=HctConfig(
-            dce=DceConfig(num_pipelines=8, pipeline_depth=depth, rows=16, cols=24),
-            ace=small.ace,
-        ), num_hcts=16)
-        rng = derive_rng("kernels-wrap-bound", case)
-        matrix = rng.integers(-magnitude, magnitude, size=(40, 20))
-        matrix[:, 0] = -magnitude  # all-``top`` rows sum at the bound here
         backends = {"plan": "vectorized", "loop": "vectorized",
                     "reference": "reference"}
-        twins = {}
-        for name in backends:
-            device = DarthPumDevice(config=config)
-            twins[name] = device, device.set_matrix(matrix, element_size=element_size)
+        twins, rng, matrix = self._wrap_bound_twins(case, backends)
         force_per_tile_loop(twins["loop"][1], input_bits)
         plan_device, plan_allocation = twins["plan"]
         assert (plan_device.device_plan(plan_allocation, input_bits) is not None) == eligible
@@ -617,6 +625,27 @@ class TestDevicePlanEligibility:
                 assert states["plan"] == states[name], name
         # Only where the bound fails does the loop's accumulator wrap.
         assert np.array_equal(outs["plan"], extreme @ matrix) == eligible
+
+    @pytest.mark.parametrize(
+        "case", ["depth_11", "depth_12_wider_inputs", "depth_12_wider_weights"])
+    def test_executed_gates_wrap_like_wrap_accumulator(self, case):
+        """The fourth leg, where the bound fails: single calls reduce with
+        executed NOR-gate adds (``InstructionInjectionUnit.inject_reduction``),
+        and their accumulators wrap exactly as the analytic
+        ``wrap_accumulator`` of the other three legs does."""
+        depth, _, input_bits = WRAP_BOUND_CASES[case]
+        twins, rng, matrix = self._wrap_bound_twins(case, ("gates", "reference"))
+        vectors = np.vstack([np.full(40, (1 << input_bits) - 1),
+                             rng.integers(0, 1 << input_bits, size=(2, 40))])
+        gates, gate_allocation = twins["gates"]
+        looped = np.stack([gates.exec_mvm(gate_allocation, vector, input_bits=input_bits)
+                           for vector in vectors])
+        device, allocation = twins["reference"]
+        analytic = device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                         backend="reference")
+        assert np.array_equal(looped, wrapped_product(vectors, matrix, depth))
+        assert np.array_equal(looped, analytic)
+        assert not np.array_equal(looped[0], vectors[0] @ matrix)
 
     @pytest.mark.parametrize("input_bits", [40, 41, 44, 56])
     def test_sums_past_float64_are_served_exactly(self, input_bits):
