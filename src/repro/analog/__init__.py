@@ -1,6 +1,6 @@
 """Analog PUM substrate: crossbar MVM, periphery, bit-slicing, compensation."""
 
-from .ace import AceConfig, AnalogComputeElement, MatrixHandle, MvmExecution, PartialProduct
+from .ace import AceConfig, AnalogComputeElement, MatrixHandle
 from .adc import AdcSpec, AnalogToDigitalConverter, RampAdc, SarAdc, make_adc
 from .bitslicing import (
     ShiftAddPlan,
@@ -29,10 +29,8 @@ __all__ = [
     "DigitalToAnalogConverter",
     "EncodedMatrix",
     "MatrixHandle",
-    "MvmExecution",
     "OffsetSubtraction",
     "ParasiticCompensation",
-    "PartialProduct",
     "RampAdc",
     "SarAdc",
     "ShardKernel",

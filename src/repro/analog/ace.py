@@ -4,16 +4,17 @@ An ACE bundles 64 analog crossbars with their input buffers, wordline
 drivers, and ADCs (Table 2).  Matrices are programmed once -- tiled over
 arrays by rows, columns, and weight bit slices -- and then reused by many
 MVMs, because programming multi-bit analog devices is slow and energetic
-(Section 4.1).  ``execute_mvm`` applies the input one bit per cycle and
-emits the stream of per-bit partial products that the hybrid compute tile
-forwards (through its shift units) to the digital compute element for
-reduction.
+(Section 4.1).  An MVM applies the input one bit per cycle and emits the
+stream of per-bit partial products that the hybrid compute tile forwards
+(through its shift units) to the digital compute element for reduction;
+it is interpreted from the tile's compiled plan by the backends in
+:mod:`repro.plan.backends`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from ..errors import AllocationError, CapacityError, QuantizationError
 from ..metrics import CostLedger
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
 from .adc import AdcSpec, AnalogToDigitalConverter, make_adc
-from .bitslicing import ShiftAddPlan, integer_vectors, slice_inputs, slice_matrix
+from .bitslicing import ShiftAddPlan, slice_matrix
 from .crossbar import AnalogCrossbar
 from .dac import DigitalToAnalogConverter
 from .kernels import ShardKernel, build_shard_kernel
@@ -33,8 +34,6 @@ __all__ = [
     "BatchMvmExecution",
     "BatchPartialProduct",
     "MatrixHandle",
-    "MvmExecution",
-    "PartialProduct",
     "integer_matrix",
 ]
 
@@ -100,51 +99,10 @@ class MatrixHandle:
 
 
 @dataclass(frozen=True)
-class PartialProduct:
-    """One ADC output vector produced during a bit-sliced MVM."""
-
-    values: np.ndarray
-    shift: int
-    input_bit: int
-    weight_slice: int
-    row_tile: int
-    col_tile: int
-    col_offset: int
-
-
-@dataclass
-class MvmExecution:
-    """The full partial-product stream and cost of one analog MVM."""
-
-    handle: MatrixHandle
-    partials: List[PartialProduct] = field(default_factory=list)
-    plan: Optional[ShiftAddPlan] = None
-    analog_cycles: float = 0.0
-    analog_energy_pj: float = 0.0
-
-    def reduce(self) -> np.ndarray:
-        """Functionally reduce the partial products (reference reduction).
-
-        On hardware this reduction is what the DCE performs; the method is
-        used by tests and by the runtime's ``disableDigitalMode`` path.
-        """
-        rows, cols = self.handle.shape
-        result = np.zeros(cols, dtype=np.int64)
-        for partial in self.partials:
-            width = partial.values.shape[0]
-            segment = np.rint(partial.values).astype(np.int64) << partial.shift
-            result[partial.col_offset: partial.col_offset + width] += segment
-        return result
-
-
-@dataclass(frozen=True)
 class BatchPartialProduct:
-    """One ADC output *matrix* produced during a batched bit-sliced MVM.
-
-    Identical to :class:`PartialProduct` except that ``values`` holds the
-    partial products of the whole batch, one row per input vector
-    (shape ``(batch, tile_cols)``).
-    """
+    """One ADC output *matrix* produced during a bit-sliced MVM: the
+    partial products of the whole batch, one row per input vector (shape
+    ``(batch, tile_cols)``), and where they land."""
 
     values: np.ndarray
     shift: int
@@ -474,73 +432,8 @@ class AnalogComputeElement:
         return self._matrices[handle.handle_id].copy()
 
     # ------------------------------------------------------------------ #
-    # MVM execution                                                        #
+    # Verification                                                         #
     # ------------------------------------------------------------------ #
-    def execute_mvm(
-        self,
-        handle: MatrixHandle,
-        vector: np.ndarray,
-        input_bits: int = 8,
-        active_adc_bits: Optional[int] = None,
-        steps: Optional[Sequence] = None,
-    ) -> MvmExecution:
-        """Run ``vector @ matrix`` through the analog arrays bit-serially.
-
-        Returns the partial-product stream; the caller (HCT) is responsible
-        for the shift-and-add reduction in the digital domain.  ``steps``
-        optionally supplies the pre-compiled schedule of a cached
-        :class:`~repro.plan.ir.MvmPlan` (the HCT passes its plan's steps);
-        bare-ACE callers omit it and the schedule is unrolled on the fly
-        from the same single source (:func:`~repro.plan.ir.unroll_schedule`).
-
-        Batched execution has no ACE-level entry point: it is interpreted
-        from the plan by the backends in :mod:`repro.plan.backends`.
-        """
-        if not self.enabled:
-            raise AllocationError("the ACE of this tile has been disabled")
-        vector = integer_vectors(vector)
-        rows, cols = handle.shape
-        if vector.shape != (rows,):
-            raise QuantizationError(
-                f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
-            )
-        bit_vectors = slice_inputs(vector, input_bits)
-        plan = ShiftAddPlan(
-            input_bits=input_bits,
-            weight_slices=handle.num_slices,
-            bits_per_cell=handle.bits_per_cell,
-        )
-        execution = MvmExecution(handle=handle, plan=plan)
-        if steps is None:
-            # Deferred import: repro.plan imports the backends package,
-            # which imports this module.
-            from ..plan.ir import unroll_schedule
-
-            steps = unroll_schedule(
-                handle, input_bits, self.config.array_rows, self.config.array_cols
-            )
-
-        start_cycles, start_energy = self.ledger.cycles, self.ledger.energy_pj
-        for step in steps:
-            output = self._crossbars[step.array_id].mvm_1bit(
-                bit_vectors[step.input_bit][step.row_start: step.row_end],
-                active_adc_bits=active_adc_bits,
-            )
-            execution.partials.append(
-                PartialProduct(
-                    values=output.values,
-                    shift=step.shift,
-                    input_bit=step.input_bit,
-                    weight_slice=step.weight_slice,
-                    row_tile=step.row_tile,
-                    col_tile=step.col_tile,
-                    col_offset=step.col_offset,
-                )
-            )
-        execution.analog_cycles = self.ledger.cycles - start_cycles
-        execution.analog_energy_pj = self.ledger.energy_pj - start_energy
-        return execution
-
     def expected_mvm(self, handle: MatrixHandle, vector: np.ndarray) -> np.ndarray:
         """Noise-free reference ``vector @ matrix`` (used by tests and the runtime).
 

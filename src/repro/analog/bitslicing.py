@@ -76,6 +76,18 @@ def integer_vectors(vectors: np.ndarray) -> np.ndarray:
     return source.astype(np.int64, copy=False)
 
 
+def single_vector(vector: np.ndarray, rows: int) -> np.ndarray:
+    """``vector`` as one int64 input vector of ``rows`` elements
+    (:func:`integer_vectors`), refused with its own shape otherwise: the
+    front door of every single-vector call, before it runs as a batch of one."""
+    vector = integer_vectors(vector)
+    if vector.shape != (rows,):
+        raise QuantizationError(
+            f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
+        )
+    return vector
+
+
 def slice_inputs(vector: np.ndarray, input_bits: int) -> List[np.ndarray]:
     """Split a non-negative integer input vector into one-bit slices.
 

@@ -5,7 +5,7 @@ from .area import AreaModel, Table3
 from .chip import DarthPumChip
 from .config import ChipConfig, HctConfig
 from .frontend import FrontEnd, IssueRecord
-from .hct import HctMvmResult, HybridComputeTile
+from .hct import HybridComputeTile
 from .injection_unit import InjectionTableEntry, InstructionInjectionUnit
 from .shift_unit import ShiftedTransfer, ShiftUnit
 from .transpose_unit import TransposeResult, TransposeUnit
@@ -19,7 +19,6 @@ __all__ = [
     "Domain",
     "FrontEnd",
     "HctConfig",
-    "HctMvmResult",
     "HybridComputeTile",
     "InjectionTableEntry",
     "InstructionInjectionUnit",

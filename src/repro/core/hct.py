@@ -12,22 +12,22 @@ compute element (DCE, 64 bit pipelines) through four auxiliary components:
 * an **instruction injection unit** expands the shift-and-add reduction
   locally instead of through the front end (Section 4.2).
 
-``execute_mvm`` is fully functional: the crossbars really compute the
-bit-sliced partial products (with whatever noise model is enabled) and the
-DCE really reduces them with NOR-synthesised adds, so the returned vector is
-the genuine hybrid result.  The same call also produces a cycle-accurate
-timeline for both the unoptimised (Figure 10a) and optimised (Figure 10b)
-schedules.
-
-Batched MVMs follow the plan/compile/execute split: the tile's
+Every MVM follows the plan/compile/execute split: the tile's
 :class:`~repro.plan.planner.Planner` compiles the bit-sliced schedule into
 one cached :class:`~repro.plan.ir.MvmPlan` per ``(allocation,
 input_bits)``, and ``execute_mvm_batch`` hands that plan to whichever
 :class:`~repro.plan.backends.ExecutionBackend` the caller selects
 (``backend="vectorized"`` by default, ``"reference"`` for the per-step
 ground truth, ``"estimate"`` for ledgers without arithmetic).  The
-backends are two interpreters of one IR, so their bit-identity is
-structural -- see ``tests/test_kernels.py``.
+backends are interpreters of one IR, so their bit-identity is structural
+-- see ``tests/test_kernels.py``.
+
+``execute_mvm`` is a batch of one on
+:data:`~repro.plan.backends.GATE_LEVEL`: the crossbars really compute the
+bit-sliced partial products (with whatever noise model is enabled) and the
+DCE really reduces them with NOR-synthesised adds, so the returned vector
+is the genuine hybrid result, with the cycle-accurate timelines of both
+the unoptimised (Figure 10a) and optimised (Figure 10b) schedules.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..analog.ace import AnalogComputeElement, MatrixHandle, MvmExecution
+from ..analog.ace import AnalogComputeElement, MatrixHandle
+from ..analog.bitslicing import single_vector
 from ..analog.compensation import ParasiticCompensation
 from ..digital.dce import DigitalComputeElement
 from ..digital.logic import get_family
-from ..digital.microops import WordOpCost
 from ..errors import AllocationError, CapacityError
 from ..metrics import CostLedger
-from ..plan.backends import ExecutionBackend, resolve_backend
-from ..plan.ir import HctBatchMvmResult, HctMvmResult, MvmPlan
+from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
+from ..plan.ir import HctBatchMvmResult, MvmPlan
 from ..plan.planner import Planner
 from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
 from .arbiter import AnalogDigitalArbiter, Domain
@@ -54,7 +54,7 @@ from .shift_unit import ShiftUnit
 from .transpose_unit import TransposeUnit
 from .vacore import VACore, VACoreManager
 
-__all__ = ["HybridComputeTile", "HctBatchMvmResult", "HctMvmResult"]
+__all__ = ["HybridComputeTile", "HctBatchMvmResult"]
 
 
 class HybridComputeTile:
@@ -184,56 +184,19 @@ class HybridComputeTile:
         optimized: bool = True,
         compensation: Optional[ParasiticCompensation] = None,
         active_adc_bits: Optional[int] = None,
-    ) -> HctMvmResult:
-        """Run a full hybrid MVM: analog partial products + digital reduction."""
-        if not self.analog_enabled:
+    ) -> HctBatchMvmResult:
+        """Run one hybrid MVM: analog partial products + digital reduction.
+
+        A batch of one on :data:`~repro.plan.backends.GATE_LEVEL`, whose
+        reduction is executed NOR add by NOR add; ``values`` is its row.
+        """
+        if not (self.analog_enabled and self.ace.enabled):
             raise AllocationError("the ACE of this tile has been disabled")
-        plan = self.planner.plan_for(handle, input_bits)
-        start_energy = self.ledger.energy_pj
-        execution = self.ace.execute_mvm(
-            handle, vector, input_bits=input_bits, active_adc_bits=active_adc_bits,
-            steps=plan.steps,
-        )
-
-        if not self.digital_post_processing:
-            # Expert mode: hand back the raw analog reduction without the DCE.
-            values = execution.reduce()
-            if compensation is not None:
-                values = compensation.recover(values, vector)
-            cycles = execution.analog_cycles
-            return HctMvmResult(
-                values=values,
-                optimized_cycles=cycles,
-                unoptimized_cycles=cycles,
-                energy_pj=self.ledger.energy_pj - start_energy,
-                breakdown={"analog": cycles},
-                num_partial_products=len(execution.partials),
-            )
-
-        values, reduce_costs, slots_saved = self._reduce_in_dce(
-            execution, plan.output_base
-        )
-        if compensation is not None:
-            values = compensation.recover(values, vector)
-
-        add_costs = [c for c in reduce_costs if c.name == "add"]
-        n_adds = len(add_costs)
-        add_uops = add_costs[0].uops_per_bit if add_costs else 12.0
-        optimized_cycles, breakdown = plan.cost.timeline(1, n_adds, add_uops, True)
-        unoptimized_cycles, _ = plan.cost.timeline(1, n_adds, add_uops, False)
-
-        charged = optimized_cycles if optimized else unoptimized_cycles
-        self._commit_schedule(plan, optimized_cycles, charged, label="hct.mvm")
-
-        return HctMvmResult(
-            values=values,
-            optimized_cycles=optimized_cycles,
-            unoptimized_cycles=unoptimized_cycles,
-            energy_pj=self.ledger.energy_pj - start_energy,
-            breakdown=breakdown,
-            num_partial_products=len(execution.partials),
-            iiu_slots_saved=slots_saved,
-        )
+        vector = single_vector(vector, handle.shape[0])
+        result = self.execute_mvm_batch(handle, vector[None], input_bits, optimized,
+                                        compensation, active_adc_bits, backend=GATE_LEVEL)
+        result.values = result.values[0]
+        return result
 
     def execute_mvm_batch(
         self,
@@ -263,7 +226,8 @@ class HybridComputeTile:
         results, ledger totals, and timelines -- which
         ``tests/test_kernels.py`` pins down.  In the noise-free
         configuration the returned rows also match ``batch`` sequential
-        :meth:`execute_mvm` calls bit for bit.
+        :meth:`execute_mvm` calls (batches of one on the gate-level
+        interpreter) bit for bit.
         """
         if not self.analog_enabled:
             raise AllocationError("the ACE of this tile has been disabled")
@@ -289,62 +253,21 @@ class HybridComputeTile:
         count = max(2, min(4, num_vrs - 1))
         return list(range(1, 1 + count))
 
-    def _commit_schedule(
-        self, plan: MvmPlan, optimized_cycles: float, charged: float,
-        label: str = "hct.mvm_batch",
-    ) -> None:
+    def _commit_schedule(self, plan: MvmPlan, optimized_cycles: float, charged: float) -> None:
         """Arbiter reservation + clock advance + ledger charge of one MVM.
 
         The arbiter locks the output pipelines for the analog domain for
         the duration of the MVM, serialising younger digital work.  The
-        reference interpreter and the single-vector path commit through
-        here; a receipt replay (``repro.plan.backends._replay_receipt``)
-        makes the same reservations and clock advance from its bound record,
-        whose run list carries this ledger charge, and
-        ``tests/test_kernels.py`` holds the two equal.
+        reference and gate-level interpreters commit through here; a
+        receipt replay (``repro.plan.backends._replay_receipt``) makes the
+        same reservations and clock advance from its bound record, whose
+        run list carries this ledger charge, and ``tests/test_kernels.py``
+        holds the two equal.
         """
         for resource in plan.output_resources:
             self.arbiter.acquire(resource, Domain.ANALOG, self._clock, optimized_cycles)
         self._clock += charged
-        self.ledger.charge(label, cycles=charged)
-
-    def _reduce_in_dce(self, execution: MvmExecution, output_base: int):
-        """Functionally reduce the partial-product stream in the DCE."""
-        handle = execution.handle
-        rows, cols = handle.shape
-        staging = self._staging_vrs()
-        accumulator = 0
-        all_costs: List[WordOpCost] = []
-        slots_saved = 0
-        result = np.zeros(cols, dtype=np.int64)
-
-        for col_tile in range(handle.col_tiles):
-            pipeline_index = output_base + col_tile
-            pipeline = self.dce.pipeline(pipeline_index)
-            tile_partials = [p for p in execution.partials if p.col_tile == col_tile]
-            if not tile_partials:
-                continue
-            shifted_values = []
-            shifts = []
-            for partial in tile_partials:
-                transfer = self.shift_unit.apply(
-                    np.rint(partial.values).astype(np.int64),
-                    input_bit=partial.input_bit,
-                    extra_shift=partial.weight_slice * handle.bits_per_cell,
-                )
-                self.transpose_unit.vector_to_register(transfer.values)
-                shifted_values.append(transfer.values)
-                shifts.append(transfer.shift)
-            costs, saved = self.iiu.inject_reduction(
-                pipeline, shifted_values, accumulator, staging, shifts
-            )
-            all_costs.extend(costs)
-            slots_saved += saved
-            tile_width = tile_partials[0].values.shape[0]
-            col_offset = tile_partials[0].col_offset
-            reduced = pipeline.read_vr(accumulator, signed=True)[:tile_width]
-            result[col_offset: col_offset + tile_width] = reduced
-        return result, all_costs, slots_saved
+        self.ledger.charge("hct.mvm_batch", cycles=charged)
 
     # ------------------------------------------------------------------ #
     # Convenience passthroughs                                             #

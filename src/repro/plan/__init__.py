@@ -8,7 +8,9 @@ costs) from *execution* (interpreting that schedule).  The
 interpreters (:class:`ReferenceExecutor`, :class:`VectorizedExecutor`,
 and the cost-only :class:`CostModelExecutor`), selected with ``backend=``
 at every layer from :class:`~repro.core.hct.HybridComputeTile` up through
-:class:`~repro.runtime.server.PumServer`.  :class:`DevicePlan` stacks the
+:class:`~repro.runtime.server.PumServer`.  A single-vector call is a batch
+of one on :data:`GATE_LEVEL`, the unregistered
+:class:`GateLevelExecutor` that executes the reduction's NOR adds.  :class:`DevicePlan` stacks the
 tile plans of one device-level matrix so the proven-exact path is one
 contraction whatever the tile count, and :class:`ShardedPlan` extends the
 compiled form across a device pool so serving does zero per-request
@@ -21,9 +23,11 @@ plan.
 from .backends import (
     BACKENDS,
     DEFAULT_BACKEND,
+    GATE_LEVEL,
     BackendRegistry,
     CostModelExecutor,
     ExecutionBackend,
+    GateLevelExecutor,
     ReferenceExecutor,
     VectorizedExecutor,
     default_backend,
@@ -32,7 +36,6 @@ from .backends import (
 from .ir import (
     DevicePlan,
     HctBatchMvmResult,
-    HctMvmResult,
     MvmPlan,
     PlanCostModel,
     PlanHandle,
@@ -50,8 +53,9 @@ __all__ = [
     "DEFAULT_BACKEND",
     "DevicePlan",
     "ExecutionBackend",
+    "GATE_LEVEL",
+    "GateLevelExecutor",
     "HctBatchMvmResult",
-    "HctMvmResult",
     "MvmPlan",
     "PlanCostModel",
     "PlanHandle",

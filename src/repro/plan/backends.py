@@ -16,6 +16,10 @@ both consume the *same compiled plan object*:
   identical ledger totals and timelines -- without computing any values:
   capacity planning at zero arithmetic cost, and proof that new backends
   drop in without touching the tile.
+* :class:`GateLevelExecutor` is the reference interpreter with the DCE
+  reduction executed NOR add by NOR add.  It is not registered: it serves
+  every single-vector call (:data:`GATE_LEVEL`, a batch of one), the one
+  place the analytic reduction is checked against executed gates.
 
 One level up, :func:`execute_device_plan` interprets a
 :class:`~repro.plan.ir.DevicePlan`: all tiles of one device-level matrix
@@ -48,9 +52,11 @@ from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "GATE_LEVEL",
     "BackendRegistry",
     "CostModelExecutor",
     "ExecutionBackend",
+    "GateLevelExecutor",
     "ReferenceExecutor",
     "VectorizedExecutor",
     "default_backend",
@@ -344,15 +350,10 @@ class ReferenceExecutor(ExecutionBackend):
         execution.analog_energy_pj = (ledger.energy_units - start_energy) / UNITS
         return execution
 
-    @staticmethod
-    def _reduce_in_dce(tile, plan: MvmPlan, execution: BatchMvmExecution):
-        """Gate-accounted batch reduction of the partial-product stream.
-
-        One NumPy shift-and-add per column tile; the shift units still align
-        every partial product in flight and the IIU reconstructs the
-        equivalent µop stream for cost accounting
-        (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction_batch`).
-        """
+    def _reduce_in_dce(self, tile, plan: MvmPlan, execution: BatchMvmExecution):
+        """Reduce the partial-product stream in the DCE, column tile by
+        column tile: the shift units align every partial product in flight,
+        the transpose unit stages it, and :meth:`_inject` reduces it."""
         handle = plan.handle
         staging = list(plan.staging_vrs)
         n_adds = 0
@@ -376,13 +377,57 @@ class ReferenceExecutor(ExecutionBackend):
                 tile.transpose_unit.batch_to_registers(transfer.values)
                 shifted_values.append(transfer.values)
                 shifts.append(transfer.shift)
-            reduced, adds, add_uops, saved = tile.iiu.inject_reduction_batch(
-                pipeline, shifted_values, plan.accumulator_vr, staging, shifts
+            reduced, adds, add_uops, saved = self._inject(
+                tile.iiu, pipeline, shifted_values, plan.accumulator_vr, staging, shifts
             )
             n_adds += adds
             slots_saved += saved
             result[:, red.col_offset: red.col_offset + red.width] = reduced[:, : red.width]
         return result, (n_adds, add_uops), slots_saved
+
+    @staticmethod
+    def _inject(iiu, pipeline, shifted_values, accumulator_vr, staging, shifts):
+        """One column tile's write + ADD stream for the whole batch: one
+        NumPy sum, the µop stream reconstructed for its cost
+        (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction_batch`).
+        Returns ``(reduced, n_adds, add_uops_per_bit, slots_saved)``."""
+        return iiu.inject_reduction_batch(
+            pipeline, shifted_values, accumulator_vr, staging, shifts
+        )
+
+
+class GateLevelExecutor(ReferenceExecutor):
+    """:class:`ReferenceExecutor` with the write + ADD stream executed.
+
+    Per vector, the shifted partial products are written into the staging
+    VRs and added into the accumulator by NOR-synthesised ripple adds
+    (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction`),
+    and the sum is read back from the accumulator: nothing of the reduction
+    is modelled.  Every single-vector call is a batch of one on
+    :data:`GATE_LEVEL`; it is not in :data:`BACKENDS`.
+    """
+
+    name = "gate_level"
+
+    @staticmethod
+    def _inject(iiu, pipeline, shifted_values, accumulator_vr, staging, shifts):
+        width = shifted_values[0].shape[1]
+        rows, n_adds, add_uops, slots_saved = [], 0, 12.0, 0
+        for vector in range(shifted_values[0].shape[0]):
+            costs, saved = iiu.inject_reduction(
+                pipeline, [values[vector] for values in shifted_values],
+                accumulator_vr, staging, shifts,
+            )
+            adds = [cost for cost in costs if cost.name == "add"]
+            n_adds += len(adds)
+            add_uops = adds[0].uops_per_bit if adds else add_uops
+            slots_saved += saved
+            rows.append(pipeline.read_vr(accumulator_vr, signed=True)[:width])
+        return np.stack(rows), n_adds, add_uops, slots_saved
+
+
+#: The interpreter of every single-vector call.
+GATE_LEVEL = GateLevelExecutor()
 
 
 class VectorizedExecutor(ExecutionBackend):

@@ -45,7 +45,6 @@ __all__ = [
     "BatchReceipt",
     "DevicePlan",
     "HctBatchMvmResult",
-    "HctMvmResult",
     "MvmPlan",
     "PlanCostModel",
     "PlanHandle",
@@ -58,40 +57,9 @@ __all__ = [
 
 
 @dataclass
-class HctMvmResult:
-    """The outcome of one hybrid MVM on an HCT."""
-
-    #: The reduced output vector (signed integers).
-    values: np.ndarray
-    #: Wall-clock cycles with the optimised (shift-in-flight) schedule.
-    optimized_cycles: float
-    #: Wall-clock cycles with the naive serialised schedule (Figure 10a).
-    unoptimized_cycles: float
-    #: Energy consumed by this MVM (analog + digital), in pJ.
-    energy_pj: float
-    #: Per-phase cycle breakdown of the optimised schedule.
-    breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Number of partial products the reduction consumed.
-    num_partial_products: int = 0
-    #: Front-end instruction slots saved by the IIU.
-    iiu_slots_saved: int = 0
-
-    @property
-    def cycles(self) -> float:
-        """Alias for the optimised wall-clock latency."""
-        return self.optimized_cycles
-
-    @property
-    def speedup_from_optimization(self) -> float:
-        """How much the Section 4.1 optimisations help for this MVM."""
-        if self.optimized_cycles == 0:
-            return 1.0
-        return self.unoptimized_cycles / self.optimized_cycles
-
-
-@dataclass
 class HctBatchMvmResult:
-    """The outcome of one batched hybrid MVM on an HCT."""
+    """The outcome of one hybrid MVM on an HCT, of a batch of ``batch``
+    vectors (a single-vector call is a batch of one, ``values`` its row)."""
 
     #: The reduced output vectors, one row per input vector (signed integers).
     values: np.ndarray
@@ -167,9 +135,7 @@ def unroll_schedule(
     array`` mapping mirrors the allocation order of ``set_matrix``.  The
     single source of the schedule derivation: the
     :class:`~repro.plan.planner.Planner` bakes the result into every
-    :class:`MvmPlan`, and the single-vector
-    :meth:`~repro.analog.ace.AnalogComputeElement.execute_mvm` walks it
-    directly, so the two cannot drift.
+    :class:`MvmPlan`.
     """
     rows, cols = handle.shape
     array_grid = {}

@@ -10,8 +10,9 @@ sharding work across identical compute tiles:
   ``"cache_affinity"``); a matrix too large for any single chip is
   *row-sharded* across several devices, each holding a contiguous band of
   rows.
-* ``exec_mvm`` / ``exec_mvm_batch`` check their one ``(allocation,
-  inputs)`` and hand it to the pool's one band loop (``_dispatch``): every
+* ``exec_mvm_batch`` checks its one ``(allocation, inputs)`` and hands it
+  to the pool's one band loop (``_dispatch``; ``exec_mvm`` is a batch of
+  one): every
   row band runs on the device holding its first healthy copy (each band's
   partial result is a full-width ``(batch, cols)`` contribution) and the
   partials are summed in band order -- the same map-reduce a multi-chip
@@ -41,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..analog.bitslicing import single_vector
 from ..analog.numbers import DifferentialPairs
 from ..core.config import ChipConfig
 from ..errors import (
@@ -54,7 +56,7 @@ from ..errors import (
     ReplicationError,
 )
 from ..metrics import CostLedger, merge_ledgers
-from ..plan.backends import ExecutionBackend, resolve_backend
+from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
 from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
 from ..reram import NoiseConfig
 from .allocator import plan_matrix
@@ -896,19 +898,10 @@ class DevicePool:
         vector: np.ndarray,
         input_bits: int = 8,
     ) -> np.ndarray:
-        """Map-reduce a single MVM over the allocation's shards."""
-        vector = integer_vectors(vector)
-        rows, _ = allocation.shape
-        if vector.shape != (rows,):
-            raise QuantizationError(
-                f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
-            )
-        return self._dispatch(
-            allocation, vector,
-            lambda device, device_allocation, sub: device.exec_mvm(
-                device_allocation, sub, input_bits=input_bits
-            ),
-        )
+        """Map-reduce a single MVM over the allocation's shards: a batch of
+        one on :data:`~repro.plan.backends.GATE_LEVEL`; returns its row."""
+        vector = single_vector(vector, allocation.shape[0])
+        return self.exec_mvm_batch(allocation, vector[None], input_bits, backend=GATE_LEVEL)[0]
 
     def close(self) -> None:
         """Nothing to release: the pool owns no threads or handles.
@@ -1097,7 +1090,7 @@ class DevicePool:
 
         Only the chip/tile ledgers are merged.  Each device's runtime ledger
         (``device.ledger``) is charged, per completed MVM call, exactly the
-        integer energy that call charged its tiles -- so its ``runtime.mvm*``
+        integer energy that call charged its tiles -- so its ``runtime.mvm_batch``
         entries are copies of tile charges (merging them would double-count
         every MVM), and :meth:`mvm_energy_units` reads a call's energy from
         them alone.  A call that fails part-way charges the runtime ledger

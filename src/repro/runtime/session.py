@@ -24,13 +24,14 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..analog.ace import MatrixHandle, integer_matrix, updated_matrix
-from ..analog.bitslicing import integer_vectors
+from ..analog.bitslicing import integer_vectors, single_vector
 from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
 from ..errors import QuantizationError
 from ..metrics import CostLedger, tally, units
 from ..plan.backends import (
+    GATE_LEVEL,
     ExecutionBackend,
     VectorizedExecutor,
     execute_device_plan,
@@ -169,25 +170,13 @@ class DarthPumDevice:
 
     def exec_mvm(self, allocation: MatrixAllocation, vector: np.ndarray,
                  input_bits: int = 8) -> np.ndarray:
-        """execMVM(): multiply ``vector`` by the stored matrix."""
-        vector = integer_vectors(vector)
-        rows, cols = allocation.shape
-        if vector.shape != (rows,):
-            raise QuantizationError(
-                f"input vector of shape {vector.shape} does not match matrix rows ({rows})"
-            )
-        result = np.zeros(cols, dtype=np.int64)
-        # Charged as ``exec_mvm_batch``'s per-tile loop charges.
-        charges = []
-        for tile, hct, handle in self._tiles(allocation):
-            sub_vector = vector[tile.row_start: tile.row_end]
-            start = hct.ledger.energy_units
-            sub_result = hct.execute_mvm(handle, sub_vector, input_bits=input_bits)
-            result[tile.col_start: tile.col_end] += sub_result.values
-            charges.append(("runtime.mvm", units(sub_result.optimized_cycles),
-                            hct.ledger.energy_units - start))
-        self.ledger.charge_stream(tally(charges))
-        return result
+        """execMVM(): multiply ``vector`` by the stored matrix.
+
+        A batch of one on :data:`~repro.plan.backends.GATE_LEVEL`, whose
+        reduction is executed NOR add by NOR add; returns its row.
+        """
+        vector = single_vector(vector, allocation.shape[0])
+        return self.exec_mvm_batch(allocation, vector[None], input_bits, backend=GATE_LEVEL)[0]
 
     def exec_mvm_batch(
         self,

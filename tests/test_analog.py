@@ -28,6 +28,7 @@ from repro.analog import (
 )
 from repro import DevicePool, PumServer, StaticBatchingPolicy
 from repro.core.config import ChipConfig, HctConfig
+from repro.core.hct import HybridComputeTile
 from repro.errors import CapacityError, DeviceError, QuantizationError
 from repro.reram import NoiseConfig
 
@@ -155,14 +156,29 @@ class TestCrossbar:
         assert out.latency_cycles > 0 and out.energy_pj > 0
 
 
+def raw_tile(noise=None):
+    """A tile of 64 16x16 arrays in raw mode (``disable_digital_mode``): an
+    MVM returns the analog shift-and-add reduction, no DCE in the way."""
+    config = HctConfig(dce=HctConfig.small().dce,
+                       ace=AceConfig(num_arrays=64, array_rows=16, array_cols=16))
+    tile = HybridComputeTile(config, noise=noise)
+    tile.disable_digital_mode()
+    return tile
+
+
+def raw_mvm(tile, handle, x, input_bits):
+    """``x @ matrix`` through the ACE alone, one crossbar call per step."""
+    return tile.execute_mvm_batch(handle, x[None], input_bits=input_bits,
+                                  backend="reference").values[0]
+
+
 class TestAce:
     def test_bit_sliced_mvm_is_exact(self, rng):
-        ace = AnalogComputeElement(AceConfig(num_arrays=64, array_rows=16, array_cols=16))
+        tile = raw_tile()
         matrix = rng.integers(-100, 100, size=(40, 30))
-        handle = ace.set_matrix(matrix, value_bits=8, bits_per_cell=2)
+        handle = tile.set_matrix(matrix, value_bits=8, bits_per_cell=2)
         x = rng.integers(0, 255, size=40)
-        execution = ace.execute_mvm(handle, x, input_bits=8)
-        assert np.array_equal(execution.reduce(), x @ matrix)
+        assert np.array_equal(raw_mvm(tile, handle, x, 8), x @ matrix)
 
     def test_arrays_needed_and_capacity_error(self):
         ace = AnalogComputeElement(AceConfig(num_arrays=4, array_rows=16, array_cols=16))
@@ -186,14 +202,11 @@ class TestAce:
         assert np.array_equal(ace.stored_matrix(handle)[0], new_row)
 
     def test_noise_injection_stays_close(self, rng):
-        noisy = AnalogComputeElement(
-            AceConfig(num_arrays=64, array_rows=16, array_cols=16),
-            noise=NoiseConfig(programming_sigma=0.02, read_sigma=0.01),
-        )
+        noisy = raw_tile(NoiseConfig(programming_sigma=0.02, read_sigma=0.01))
         matrix = rng.integers(-10, 10, size=(16, 16))
         handle = noisy.set_matrix(matrix, value_bits=5, bits_per_cell=1)
         x = rng.integers(0, 15, size=16)
-        got = noisy.execute_mvm(handle, x, input_bits=4).reduce()
+        got = raw_mvm(noisy, handle, x, 4)
         want = x @ matrix
         assert np.abs(got - want).max() <= max(8, 0.2 * np.abs(want).max())
 
@@ -522,10 +535,9 @@ class TestCompensation:
 def test_property_ace_mvm_matches_numpy(rows, cols, bits, seed):
     """Property: noise-free bit-sliced analog MVM equals the integer matmul."""
     rng = derive_rng("analog", seed)
-    ace = AnalogComputeElement(AceConfig(num_arrays=64, array_rows=16, array_cols=16))
+    tile = raw_tile()
     magnitude = 2 ** (bits - 1)
     matrix = rng.integers(-magnitude, magnitude, size=(rows, cols))
-    handle = ace.set_matrix(matrix, value_bits=bits, bits_per_cell=1)
+    handle = tile.set_matrix(matrix, value_bits=bits, bits_per_cell=1)
     x = rng.integers(0, 2 ** bits, size=rows)
-    execution = ace.execute_mvm(handle, x, input_bits=bits)
-    assert np.array_equal(execution.reduce(), x @ matrix)
+    assert np.array_equal(raw_mvm(tile, handle, x, bits), x @ matrix)

@@ -346,3 +346,31 @@ class TestSingleCallPin:
             ]))
         assert self._digest(parts) == self.EXPECTED["pool"]
 
+
+
+class TestSingleCallEnergy:
+    """A single call's ``energy_pj`` is the units it charged over ``UNITS``,
+    divided once: it was a float difference of two ledger reads
+    (``1561.2840319999996`` against the exact ``1561.284032`` below)."""
+
+    def test_tile(self):
+        rng = np.random.default_rng(7)
+        tile = HybridComputeTile(HctConfig.small())
+        handle = tile.set_matrix(rng.integers(-8, 8, size=(16, 12)), value_bits=4)
+        for vector in rng.integers(0, 16, size=(3, 16)):
+            before = tile.ledger.energy_units
+            result = tile.execute_mvm(handle, vector, input_bits=4)
+            assert result.energy_pj == (tile.ledger.energy_units - before) / UNITS
+
+    def test_device(self):
+        """On a device's tiles, whose ledgers already hold ~1e7 pJ."""
+        rng = np.random.default_rng(7)
+        device = DarthPumDevice(config=ChipConfig(hct=HctConfig.small(), num_hcts=16))
+        allocation = device.set_matrix(rng.integers(-8, 8, size=(40, 20)), element_size=4)
+        vector = rng.integers(0, 16, size=40)
+        for tile, hct, handle in device._tiles(allocation):
+            hct.ledger.charge("bias", energy_pj=1e7 / 3)
+            before = hct.ledger.energy_units
+            result = hct.execute_mvm(handle, vector[tile.row_start: tile.row_end],
+                                     input_bits=4)
+            assert result.energy_pj == (hct.ledger.energy_units - before) / UNITS
