@@ -545,6 +545,82 @@ class TestDevicePlanEquivalence:
         assert moved["loop"] == [True] * 4 + [False] * 4
 
 
+class TestDevicePlanReplayState:
+    """A plan call's state after a sequence that moves its bound entries
+    about -- batch sizes 32 -> 16 -> 32, a register read, a ``reference``
+    call on one of its tiles, an entry evicted past
+    ``DevicePlan.SCRATCH_BATCH_SIZES`` -- equals the per-tile loop's after
+    every step, ledgers ``==`` on integer units and in category order.
+    With ``read_every_step`` off the registers are read only where the
+    sequence says, so a call finds its own words still pending."""
+
+    @staticmethod
+    def _moved(device, allocation, read):
+        """``device_state`` plus every ledger's ``repr``; without ``read``,
+        what it holds besides the accumulators, which are not read (a read
+        unpacks the words a call left pending)."""
+        tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+        ledgers = ([(tile.ledger, repr(tile.ledger)) for tile in tiles],
+                   (device.ledger, repr(device.ledger)))
+        if read:
+            return device_state(device, allocation), ledgers
+        return ledgers, [
+            (tile.iiu.injections, tile.iiu.front_end_slots_saved,
+             tile.transpose_unit.vector_count, tile._clock, dict(tile.arbiter._owners),
+             [tile.ace.crossbar(i).mvm_count for i in handle.array_ids])
+            for tile, handle in zip(tiles, allocation.handles.values())
+        ]
+
+    @pytest.mark.parametrize("read_every_step", [True, False], ids=["read", "unread"])
+    @pytest.mark.parametrize("case", ["row_band_8_tiles", "grid_ragged", "paper_tile_64"])
+    def test_state_matches_the_loop_through_entry_moves(self, case, read_every_step):
+        input_bits = DEVICE_PLAN_CASES[case][2]
+        twins = {name: programmed_device(case) for name in ("plan", "loop")}
+        force_per_tile_loop(twins["loop"][1], input_bits)
+        matrix = twins["plan"][2]
+        rng = derive_rng("kernels-device-plan-replay-state", case)
+        plan_device, plan_allocation, _ = twins["plan"]
+
+        def compare(read):
+            states = [self._moved(device, allocation, read)
+                      for device, allocation, _ in twins.values()]
+            assert states[0] == states[1]
+
+        def call(batch):
+            vectors = rng.integers(0, 1 << input_bits, size=(batch, matrix.shape[0]))
+            for device, allocation, _ in twins.values():
+                out = mirrored(device.exec_mvm_batch, allocation, vectors,
+                               input_bits=input_bits, backend="vectorized")
+                assert np.array_equal(out, vectors @ matrix)
+            compare(read_every_step)
+
+        for batch in (32, 32, 16):
+            call(batch)
+        compare(True)  # a read of every accumulator between calls
+        for batch in (32, 32, 16, 32):
+            call(batch)
+        compare(True)
+        # A reference call on the first tile leaves its registers as bits.
+        first = plan_allocation.placement.tiles[0]
+        sub = rng.integers(0, 1 << input_bits, size=(3, first.row_end - first.row_start))
+        for device, allocation, _ in twins.values():
+            tile = device.chip.hct(allocation.hct_indices[first.hct_slot])
+            tile.execute_mvm_batch(allocation.handles[first.hct_slot], sub,
+                                   input_bits=input_bits, backend="reference")
+        compare(read_every_step)
+        call(32)
+        call(16)
+        # Evict the 32-row entry, then call at 32 again.
+        plan = plan_device.device_plan(plan_allocation, input_bits)
+        for batch in range(1, plan.SCRATCH_BATCH_SIZES + 1):
+            call(batch)
+        assert 32 not in plan.scratch
+        call(32)
+        call(32)
+        compare(True)
+        assert 32 in plan.scratch
+
+
 #: label -> (pipeline depth, element size, input bits) of a 40x20 matrix on
 #: small tiles: three 16-row bands (the last ragged) of two column tiles.
 #: The wrap bound ``16 * (2**input_bits - 1) * 2**(element_size - 1) <
