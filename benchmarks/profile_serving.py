@@ -104,23 +104,29 @@ INPUT_BITS = 8
 
 DEVICE_CALL_BATCH = 32
 #: Where a device call's non-arithmetic time goes: part -> (functions
-#: counted with everything they call, functions counted by self time only).
-#: ``sync_us`` is the tile state a call leaves besides its ledger: the
-#: accumulator register stores (``set_vr_words`` keeps the words, their
-#: unpack into bit planes is paid only when a register is read: ``flush_us``,
-#: timed apart), the arbiter reservations and the replay's counter updates.
-#: ``ledger_us`` is the receipt's per-category totals and the runtime charge
-#: (an older ``src/`` replays a run list, energy runs one addition per unit).
-#: An older ``src/`` stores bit planes with ``set_vr_planes`` or
-#: ``set_vr_bits``, commits through ``_commit_schedule`` (its ledger charge
-#: lands in ``ledger_us``) and charges through ``charge_run`` /
-#: ``issue_mvm_charges``, which is why those names stay: on either side
-#: exactly one set runs on the profiled path.
+#: counted with everything they call, functions counted by self time only;
+#: one that calls another listed one on the exact path is counted by self
+#: time, so nothing there is counted twice).  ``sync_us`` is the tile state a call leaves besides
+#: its ledger: the accumulator register stores (``store_words``, which skips
+#: a register still holding the entry's words; ``set_vr_words`` keeps the
+#: words, their unpack into bit planes is paid only when a register is read:
+#: ``flush_us``, timed apart), the arbiter reservations (``reserve`` and its
+#: ``acquire`` per output pipeline) and the replay's counter updates
+#: (``_replay``'s own time).  ``ledger_us`` is the receipts' per-category
+#: totals and the runtime charge (``charge_streams``, one frame for every
+#: ledger of the call; ``charge_stream``, which calls it, is not on the
+#: exact path).  An older ``src/`` replays per tile through
+#: ``_replay_receipt``, stores with ``set_vr_words``, ``set_vr_planes`` or
+#: ``set_vr_bits``, reserves through ``acquire``, commits through
+#: ``_commit_schedule`` (its ledger charge lands in ``ledger_us``) and
+#: charges through ``charge_stream``, ``charge_run`` / ``issue_mvm_charges``
+#: (a run list, energy runs one addition per unit), which is why those names
+#: stay: on either side exactly one set runs on the profiled path.
 DEVICE_CALL_PARTS = {
     "sync_us": (("set_vr_words", "set_vr_planes", "set_vr_bits", "acquire"),
-                ("_replay_receipt", "_commit_schedule")),
+                ("_replay", "store_words", "reserve", "_replay_receipt", "_commit_schedule")),
     "validate_us": (("validate_input_range",), ()),
-    "ledger_us": (("charge", "charge_stream", "charge_run", "snapshot"),
+    "ledger_us": (("charge", "charge_streams", "charge_stream", "charge_run", "snapshot"),
                   ("issue_mvm_charges",)),
 }
 
@@ -279,11 +285,16 @@ def count_calls(call) -> tuple:
     return count_events(profiled_calls(call))
 
 
+#: Frames that are a device call: ``exec_mvm_batch``, and the body past its
+#: admission (``exec_admitted``), which a pool calls directly.
+DEVICE_CALL_FRAMES = ("exec_mvm_batch", "exec_admitted")
+
+
 def split_pool_frames(events) -> tuple:
     """``(pool_frames, device_frames, pooled_calls)`` among profiled events.
 
     A pooled call is an outermost ``exec_mvm_batch`` frame (the pool's);
-    the ``exec_mvm_batch`` frames nested inside it are the device calls.
+    the device calls are the :data:`DEVICE_CALL_FRAMES` nested inside it.
     Pool frames are the Python-level calls inside a pooled call -- itself
     included -- that no device call covers; frames outside any pooled call
     (a server's, the caller's) are counted in neither.
@@ -292,7 +303,7 @@ def split_pool_frames(events) -> tuple:
     depth = pool_frames = device_frames = pooled_calls = 0
     for event, name in events:
         if event == "call":
-            nesting.append(name == "exec_mvm_batch")
+            nesting.append(name in DEVICE_CALL_FRAMES)
             depth += nesting[-1]
             pooled_calls += nesting[-1] and depth == 1
             pool_frames += depth == 1

@@ -12,7 +12,7 @@ DARTH-PUM's shift units) perform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,14 +58,18 @@ def slice_matrix(
     return slices
 
 
-def integer_vectors(vectors: np.ndarray) -> np.ndarray:
+def integer_vectors(vectors: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
     """``vectors`` as int64, refusing what an int64 cast would truncate.
 
     Input vectors must arrive with an integer (or bool) dtype: a float,
     NaN or string array raises :class:`~repro.errors.QuantizationError`, as
-    ``set_matrix`` refuses a float matrix.  An int64 array is returned as
-    is.  Every tier's entry (tile, device, pool, server, gateway) checks
-    its vectors here.
+    ``set_matrix`` refuses a float matrix.  So does a uint64 value of
+    ``2**63`` or more, which int64 cannot hold (the cast would wrap it
+    negative): it is too wide for any input precision.  An int64 array is
+    returned as is.  Every tier's entry (tile, device, pool, server,
+    gateway) checks its vectors here.  With ``rows``, the device's and the
+    pool's admission: the result is a ``(batch, rows)`` block, a single
+    vector a batch of one, and any other shape is refused.
     """
     source = np.asarray(vectors)
     if source.dtype.kind not in "iub":
@@ -73,7 +77,18 @@ def integer_vectors(vectors: np.ndarray) -> np.ndarray:
             f"input vectors must be integers (got dtype {source.dtype}); "
             "quantise floats first"
         )
-    return source.astype(np.int64, copy=False)
+    if source.dtype.kind == "u" and source.size and source.max() >> np.uint64(63):
+        raise QuantizationError("input values exceed 63 bits")
+    source = source.astype(np.int64, copy=False)
+    if rows is None:
+        return source
+    if source.ndim < 2:
+        source = source.reshape(1, -1)
+    if source.ndim != 2 or source.shape[1] != rows:
+        raise QuantizationError(
+            f"input batch of shape {source.shape} does not match matrix rows ({rows})"
+        )
+    return source
 
 
 def single_vector(vector: np.ndarray, rows: int) -> np.ndarray:

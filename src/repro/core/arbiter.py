@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from ..errors import ArbiterConflictError
 
-__all__ = ["Domain", "AnalogDigitalArbiter"]
+__all__ = ["Domain", "AnalogDigitalArbiter", "reserve"]
 
 
 class Domain(Enum):
@@ -33,6 +33,9 @@ class AnalogDigitalArbiter:
 
     #: resource name -> (owning domain, busy-until cycle)
     _owners: Dict[str, Tuple[Domain, float]] = field(default_factory=dict)
+    #: The owning tile's cycle clock: where its MVMs' reservations start
+    #: (:func:`reserve` advances it).
+    now: float = 0.0
     #: Number of conflicts that stalled an instruction (statistics).
     stall_events: int = 0
     #: Total cycles of stall introduced by serialisation.
@@ -88,3 +91,17 @@ class AnalogDigitalArbiter:
         if resource not in self._owners:
             return None
         return self._owners[resource][0]
+
+
+def reserve(reservations) -> None:
+    """Commit MVMs' output-pipeline holds and clock advances, in order.
+
+    Per ``(arbiter, resources, cycles, advance)``: every resource is
+    acquired for the analog domain at the arbiter's clock for ``cycles``,
+    then the clock moves on by ``advance``.  The schedule commit of every
+    interpreter and the replay of a bound receipt both reserve through here.
+    """
+    for arbiter, resources, cycles, advance in reservations:
+        for resource in resources:
+            arbiter.acquire(resource, Domain.ANALOG, arbiter.now, cycles)
+        arbiter.now += advance

@@ -47,7 +47,7 @@ from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
 from ..plan.ir import HctBatchMvmResult, MvmPlan
 from ..plan.planner import Planner
 from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
-from .arbiter import AnalogDigitalArbiter, Domain
+from .arbiter import AnalogDigitalArbiter, reserve
 from .config import HctConfig
 from .injection_unit import InstructionInjectionUnit
 from .shift_unit import ShiftUnit
@@ -94,7 +94,6 @@ class HybridComputeTile:
         self.vacores = VACoreManager()
         self.planner = Planner(self)
         self._matrix_output_pipeline: Dict[int, int] = {}
-        self._clock = 0.0
         self.analog_enabled = True
         self.digital_post_processing = True
 
@@ -253,20 +252,24 @@ class HybridComputeTile:
         count = max(2, min(4, num_vrs - 1))
         return list(range(1, 1 + count))
 
+    @property
+    def _clock(self) -> float:
+        """The tile's cycle clock, kept by its arbiter (``arbiter.now``)."""
+        return self.arbiter.now
+
     def _commit_schedule(self, plan: MvmPlan, optimized_cycles: float, charged: float) -> None:
         """Arbiter reservation + clock advance + ledger charge of one MVM.
 
         The arbiter locks the output pipelines for the analog domain for
         the duration of the MVM, serialising younger digital work.  The
         reference and gate-level interpreters commit through here; a
-        receipt replay (``repro.plan.backends._replay_receipt``) makes the
-        same reservations and clock advance from its bound record, whose
-        run list carries this ledger charge, and ``tests/test_kernels.py``
+        receipt replay (``repro.plan.backends._replay``) makes the same
+        reservations and clock advance through the same
+        :func:`~repro.core.arbiter.reserve` from its bound program, whose
+        tally carries this ledger charge, and ``tests/test_kernels.py``
         holds the two equal.
         """
-        for resource in plan.output_resources:
-            self.arbiter.acquire(resource, Domain.ANALOG, self._clock, optimized_cycles)
-        self._clock += charged
+        reserve(((self.arbiter, plan.output_resources, optimized_cycles, charged),))
         self.ledger.charge("hct.mvm_batch", cycles=charged)
 
     # ------------------------------------------------------------------ #

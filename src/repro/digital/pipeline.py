@@ -207,6 +207,17 @@ class BitPipeline:
             self._unpack_pending()
         self._pending = vr, words
 
+    @staticmethod
+    def store_words(stores) -> None:
+        """:meth:`set_vr_words` of each ``(pipeline, vr, words)``, in one
+        frame, skipped where that pipeline still holds this very ``words``
+        object pending for ``vr``: a register view its owner rewrites in
+        place between stores, so storing it again would change nothing."""
+        for pipeline, vr, words in stores:
+            pending = pipeline._pending
+            if pending is None or pending[1] is not words or pending[0] != vr:
+                pipeline.set_vr_words(vr, words)
+
     def read_vr(self, vr: int, signed: bool = False) -> np.ndarray:
         """Read VR ``vr`` back as integers (two's complement if ``signed``)."""
         self._check_vr(vr)

@@ -30,6 +30,7 @@ __all__ = [
     "ChargeRuns",
     "CostLedger",
     "CostSnapshot",
+    "charge_streams",
     "checked_runs",
     "ema",
     "merge_ledgers",
@@ -165,15 +166,7 @@ class CostLedger:
     def charge_stream(self, totals: Tally) -> None:
         """Add a charge stream compiled by :func:`checked_runs` (or
         :func:`tally`): its totals, then its parts per category."""
-        cycles, energy, cycle_items, energy_items = totals
-        self.cycle_units += cycles
-        self.energy_units += energy
-        parts = self.cycle_parts
-        for category, value in cycle_items:
-            parts[category] = parts.get(category, 0) + value
-        parts = self.energy_parts
-        for category, value in energy_items:
-            parts[category] = parts.get(category, 0) + value
+        charge_streams(((self, totals),))
 
     def charge_power(self, category: str, *, cycles: float, power_mw: float) -> None:
         """Charge ``cycles`` of activity at ``power_mw``; energy follows at 1 GHz."""
@@ -216,6 +209,21 @@ class CostLedger:
     def energy_joules(self) -> float:
         """Total energy in joules."""
         return self.energy_pj * 1e-12
+
+
+def charge_streams(charges: Iterable[Tuple[CostLedger, Tally]]) -> None:
+    """:meth:`CostLedger.charge_stream` of each ``(ledger, tally)``, in
+    order, in one frame: the body of every stream update, and how a replay
+    program charges all its ledgers at once."""
+    for ledger, (cycles, energy, cycle_items, energy_items) in charges:
+        ledger.cycle_units += cycles
+        ledger.energy_units += energy
+        parts = ledger.cycle_parts
+        for category, value in cycle_items:
+            parts[category] = parts.get(category, 0) + value
+        parts = ledger.energy_parts
+        for category, value in energy_items:
+            parts[category] = parts.get(category, 0) + value
 
 
 def merge_ledgers(ledgers: Iterable[CostLedger]) -> CostLedger:

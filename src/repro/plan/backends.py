@@ -24,8 +24,8 @@ both consume the *same compiled plan object*:
 One level up, :func:`execute_device_plan` interprets a
 :class:`~repro.plan.ir.DevicePlan`: all tiles of one device-level matrix
 on the proven-exact path, where no accumulator can wrap, in one matmul,
-with the same receipt replay per tile from records bound once per batch
-size.  Devices use it when the call's backend is the stock
+with the same replay body running one program bound once per batch size.
+Devices use it when the call's backend is the stock
 :class:`VectorizedExecutor`.
 
 Backends are resolved by name (or passed as instances) anywhere a
@@ -44,9 +44,10 @@ import numpy as np
 from ..analog.ace import BatchMvmExecution, BatchPartialProduct
 from ..analog.bitslicing import integer_vectors, slice_inputs
 from ..analog.kernels import ace_forward_vectorized, dot_bound, validate_input_range
-from ..core.arbiter import Domain
+from ..core.arbiter import reserve
+from ..digital.pipeline import BitPipeline
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
-from ..metrics import UNITS
+from ..metrics import UNITS, charge_streams
 from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
 __all__ = [
@@ -124,33 +125,36 @@ def _admit_batch(tile, plan: MvmPlan, vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _replay_receipt(record) -> None:
-    """Charge and count one batch on a tile from its bound receipt.
+def _replay(program) -> None:
+    """Charge and count one call's batches from their bound replay program.
 
-    ``record`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s.  Replays the
-    reference interpreter's accounting exactly: the ``ace.mvm`` charges and
-    -- with digital post-processing on -- per column tile the ``dce.write``
-    / ``dce.boolean`` charges and the ``hct.mvm_batch`` schedule commit, as
-    one update by per-category totals; the crossbars' ``mvm_count``; the
-    IIU and transpose-unit counters by the receipt's totals; and the commit's
-    arbiter reservations and clock advance.  The one replay body of the
-    per-tile backends (:func:`_account_batch`, which binds a record per
-    call) and the whole-allocation contraction (:func:`execute_device_plan`,
-    whose records are bound once per batch size), so the two cannot drift.
+    ``program`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s (one tile) or
+    a :class:`~repro.plan.ir.DevicePlan` entry's (every block of the
+    allocation, the device's runtime charge and the accumulator stores).
+    Replays the reference interpreter's accounting exactly: each ledger's
+    charges as one update by per-category totals
+    (:func:`~repro.metrics.charge_streams`), the crossbars' ``mvm_count``,
+    the IIU and transpose-unit counters by the receipts' totals, the
+    schedule commits' arbiter reservations and clock advances
+    (:func:`~repro.core.arbiter.reserve`) and the accumulator stores
+    (:meth:`~repro.digital.pipeline.BitPipeline.store_words`).  The one
+    replay body of the per-tile backends (:func:`_account_batch`, which
+    binds a program per call) and of the whole-allocation contraction
+    (:func:`execute_device_plan`, whose program is bound once per batch
+    size), so the two cannot drift.
     """
-    ledger, totals, crossbars, steps, counters = record
-    ledger.charge_stream(totals)
-    for crossbar in crossbars:
+    charges, crossbars, counters, reservations, registers = program
+    charge_streams(charges)
+    for crossbar, steps in crossbars:
         crossbar.mvm_count += steps
-    if counters is None:
-        return
-    tile, injections, slots_saved, n_adds, resources, cycles, charged = counters
-    tile.iiu.injections += injections
-    tile.iiu.front_end_slots_saved += slots_saved
-    tile.transpose_unit.vector_count += n_adds
-    for resource in resources:
-        tile.arbiter.acquire(resource, Domain.ANALOG, tile._clock, cycles)
-    tile._clock += charged
+    for iiu, injections, slots_saved, transpose_unit, n_adds in counters:
+        iiu.injections += injections
+        iiu.front_end_slots_saved += slots_saved
+        transpose_unit.vector_count += n_adds
+    if reservations:
+        reserve(reservations)
+    if registers:
+        BitPipeline.store_words(registers)
 
 
 def _account_batch(
@@ -167,16 +171,17 @@ def _account_batch(
     ``shard_totals`` holds one shift-and-added ``(batch, used_cols)`` block
     per shard in ``plan.kernel.tiles`` order, or is ``None`` for a cost-only
     run (``values`` stays an all-zero placeholder and no register moves).
-    The cost side is :func:`_replay_receipt`; the value side reduces the
-    shard totals per column tile and leaves the accumulator registers as
-    the hardware stream would.
+    The cost side is :func:`_replay`; the value side reduces the shard
+    totals per column tile and leaves the accumulator registers as the
+    hardware stream would.
     """
     batch = vectors.shape[0]
     handle = plan.handle
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
-    record = receipt.bind(tile, plan, tile.digital_post_processing, optimized)
-    _replay_receipt(record)
-    cycle_units, energy_units = record[1][:2]  # the tally's totals
+    program = receipt.bind(tile, plan, tile.digital_post_processing, optimized)
+    _replay(program)
+    ((_, totals),) = program[0]
+    cycle_units, energy_units = totals[:2]
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
@@ -218,9 +223,7 @@ def _account_batch(
     )
 
 
-def execute_device_plan(
-    plan: DevicePlan, vectors: np.ndarray, runtime_ledger
-) -> Optional[np.ndarray]:
+def execute_device_plan(plan: DevicePlan, vectors: np.ndarray) -> Optional[np.ndarray]:
     """One batch against a whole device-level matrix, as one matmul.
 
     ``vectors`` is the ``(batch, rows)`` int64 block the device admitted.
@@ -229,16 +232,19 @@ def execute_device_plan(
     band_rows, cols)`` float64 matmul over the plan's operand (zero padding
     adds nothing): :func:`~repro.plan.planner.compile_device_plan` proved
     that no accumulator wraps and every sum is exact, so this is the sum of
-    the per-tile loop's wrapped blocks.  The accumulator registers get the
-    last batch row's block sums: a single band's is the result's last row,
-    several bands' one ``(row_bands, 1, band_rows)`` matmul.  Each block
-    then gets its side effects in placement order from the record bound for
-    this batch size (:meth:`~repro.plan.ir.DevicePlan.operands`) -- receipt
-    replay against its own ledger, accumulator VRs kept as words
-    (``BitPipeline.set_vr_words``, unpacked only if read) -- and the
-    ``runtime.mvm_batch`` charges of all blocks, bound there too, follow as
-    one update, so every ledger ends where the per-tile loop leaves it.  The
-    returned array shares nothing with the registers.
+    the per-tile loop's wrapped blocks.  The same matmul yields the
+    accumulator registers, the last batch row's block sums: a single
+    band's is the result's last row, several bands' come from one more
+    operand row per band holding that band's slice of the last row
+    (:meth:`~repro.plan.ir.DevicePlan.operands`) -- exact integers too, so
+    no order of additions changes a bit.  Then the entry's replay program,
+    bound for this batch size, runs in one frame (:func:`_replay`): every
+    block's receipt against its own ledger and counters, the
+    ``runtime.mvm_batch`` charge of all blocks against the device's
+    runtime ledger, and the accumulator VRs kept as words
+    (``BitPipeline.store_words``, unpacked only if read), so every ledger
+    and register ends where the per-tile loop leaves it.  The returned
+    array shares nothing with the registers.
 
     Returns ``None``, having touched nothing, when a block has left the
     exact path since the plan was compiled (digital or analog mode
@@ -249,17 +255,15 @@ def execute_device_plan(
             return None
     validate_input_range(vectors, plan.input_bits)
     batch = vectors.shape[0]
-    entry = plan.scratch.get(batch) or plan.operands(batch)
-    block, operand, weights, last, registers, tiles, runtime = entry
+    block, operand, weights, spread, last, registers, program = (
+        plan.scratch.get(batch) or plan.operands(batch))
     block[...] = vectors
-    result = np.matmul(operand, weights).astype(np.int64)
-    registers[...] = result[-1] if last is None else np.matmul(last, plan.weights)[:, 0]
-    for record, outputs in tiles:
-        _replay_receipt(record)
-        for pipeline, vr, words in outputs:
-            pipeline.set_vr_words(vr, words)
-    runtime_ledger.charge_stream(runtime)
-    return result
+    if spread is not None:
+        spread[...] = last
+    full = np.matmul(operand, weights)
+    registers[...] = full[-len(registers):]
+    _replay(program)
+    return full[:batch].astype(np.int64)
 
 
 class ReferenceExecutor(ExecutionBackend):

@@ -36,10 +36,11 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_step_costs
-from ..metrics import Tally, tally, units
+from ..metrics import CostLedger, Tally, tally, units
 
 __all__ = [
     "BatchReceipt",
@@ -287,7 +288,7 @@ class BatchReceipt:
     (:func:`~repro.metrics.checked_runs`, every cost checked and converted
     once, here), the counter side as totals.  The backends replay both
     against the tile's live ledger and counters
-    (``repro.plan.backends._replay_receipt``); the step-walking reference
+    (``repro.plan.backends._replay``); the step-walking reference
     backend never builds one and is the oracle the replay is tested
     against.
     """
@@ -313,21 +314,28 @@ class BatchReceipt:
     breakdown: Mapping[str, float]
 
     def bind(self, tile, plan: "MvmPlan", digital: bool = True, optimized: bool = True) -> Tuple:
-        """This batch's side effects on ``tile``, bound to their targets.
+        """This batch's side effects on ``tile``, as a one-tile replay program.
 
-        The record ``repro.plan.backends._replay_receipt`` replays:
-        ``(ledger, totals, crossbars, steps, counters)``.  With digital
-        post-processing on, ``totals`` is the schedule's :attr:`digital`
-        entry and ``counters`` is ``(tile, injections, slots_saved, n_adds,
-        output resources, optimized cycles, charged cycles)``; in raw analog
-        mode ``totals`` is :attr:`analog` and ``counters`` is ``None``.
+        A program is what ``repro.plan.backends._replay`` runs: ``(charges,
+        crossbars, counters, reservations, registers)``, each a flat tuple
+        over tiles -- ``(ledger, tally)`` per ledger, ``(crossbar, steps)``
+        per crossbar, ``(iiu, injections, slots_saved, transpose unit,
+        n_adds)`` and ``(arbiter, output resources, optimized cycles,
+        charged cycles)`` per tile with digital post-processing on,
+        ``(pipeline, vr, words)`` per accumulator store.  With digital
+        post-processing on, the tally is the schedule's :attr:`digital`
+        entry; in raw analog mode it is :attr:`analog`, and there are no
+        counters or reservations.  A tile stores its own registers, so
+        ``registers`` is empty here; a :class:`DevicePlan` entry
+        concatenates the programs of all its tiles and adds its stores.
         """
+        steps = tuple((crossbar, self.mvm_steps) for crossbar in plan.crossbars)
         if not digital:
-            return tile.ledger, self.analog, plan.crossbars, self.mvm_steps, None
+            return ((tile.ledger, self.analog),), steps, (), (), ()
         charged = self.optimized_cycles if optimized else self.unoptimized_cycles
-        return tile.ledger, self.digital[not optimized], plan.crossbars, self.mvm_steps, (
-            tile, self.injections, self.slots_saved, self.n_adds, plan.output_resources,
-            self.optimized_cycles, charged)
+        return (((tile.ledger, self.digital[not optimized]),), steps,
+                ((tile.iiu, self.injections, self.slots_saved, tile.transpose_unit, self.n_adds),),
+                ((tile.arbiter, plan.output_resources, self.optimized_cycles, charged),), ())
 
 
 @dataclass
@@ -520,7 +528,8 @@ class DevicePlan:
     once (``repro.plan.backends.execute_device_plan``).  What stays per
     block is what belongs to the block's hardware: its :class:`BatchReceipt`
     replay against its own ledger and counters, and its accumulator
-    registers -- both bound once per batch size (:meth:`operands`).
+    registers -- all of them bound once per batch size into one replay
+    program (:meth:`operands`).
 
     Kept per ``(allocation, input_bits)`` on the
     :class:`~repro.runtime.session.MatrixAllocation` and dropped on
@@ -548,49 +557,61 @@ class DevicePlan:
     #: col_offset, width), ...))`` -- the output pipelines with the matrix
     #: columns each accumulates.
     tiles: Tuple[Tuple, ...]
+    #: The device's runtime ledger, charged ``runtime.mvm_batch`` per call.
+    ledger: CostLedger
     #: Per batch size, oldest first, what :meth:`operands` returns.
     scratch: Dict[int, Tuple] = field(default_factory=dict, repr=False)
 
     def operands(self, batch: int) -> Tuple:
         """Everything a ``batch``-row call uses besides the vectors (built once).
 
-        ``(block, operand, weights, last, registers, tiles, runtime)``:
-        ``block`` is the ``(batch, rows)`` view of the zeroed float64
-        ``(batch, row_bands * band_rows)`` ``operand`` a batch is stored
-        into (the padding columns of a ragged last band stay zero),
-        ``weights`` the stacked weights as ``(row_bands * band_rows,
-        cols)``.  ``last`` is the operand's last row as ``(row_bands, 1,
-        band_rows)`` -- ``None`` for a single band, whose accumulator row is
-        the result's last row -- and ``registers`` the int64 ``(row_bands,
-        cols)`` block the accumulator rows are stored into.  ``tiles`` holds
-        per block its :meth:`BatchReceipt.bind` record and ``((pipeline, vr,
-        words), ...)``, ``words`` a view of ``registers``.  ``runtime`` is
-        what the device's runtime ledger is charged
-        (:data:`~repro.metrics.Tally`): per block, ``runtime.mvm_batch`` with
-        its optimized cycles and the energy its receipt charges.  The
-        receipts are looked up here, so a steady call looks up nothing and
-        adds nothing up.
+        ``(block, operand, weights, spread, last, registers, program)``:
+        ``operand`` is a zeroed float64 ``(batch + extra, row_bands *
+        band_rows)`` array and ``block`` the ``(batch, rows)`` view of it a
+        batch is stored into (the padding columns of a ragged last band stay
+        zero); ``weights`` are the stacked weights as ``(row_bands *
+        band_rows, cols)``.  The accumulator rows -- per band, the last
+        vector's sum over that band alone -- come out of the same matmul:
+        with several bands, ``extra = row_bands`` rows follow the batch and
+        ``spread`` is the writable view of their diagonal blocks that
+        ``last``, the last batch row as ``(row_bands, band_rows)``, is
+        copied into; a single band's accumulator row is the result's last
+        row (``extra = 0``, ``spread`` and ``last`` are ``None``).
+        ``registers`` is the int64 ``(row_bands, cols)`` block they are
+        stored into, the result's last ``row_bands`` rows.  ``program`` is
+        every block's :meth:`BatchReceipt.bind` program concatenated, with
+        the runtime ledger's charge (per block, ``runtime.mvm_batch`` with
+        its optimized cycles and the energy its receipt charges) after the
+        blocks' and per output pipeline ``(pipeline, vr, words)``,
+        ``words`` a view of ``registers``.  The receipts are looked up here,
+        so a steady call looks up nothing and adds nothing up.
         """
         entry = self.scratch.get(batch)
         if entry is None:
             if len(self.scratch) >= self.SCRATCH_BATCH_SIZES:
                 del self.scratch[next(iter(self.scratch))]
             row_bands, band_rows, cols = self.weights.shape
-            operand = np.zeros((batch, row_bands * band_rows))
+            extra = row_bands if row_bands > 1 else 0
+            operand = np.zeros((batch + extra, row_bands * band_rows))
             registers = np.zeros((row_bands, cols), dtype=np.int64)
-            tiles, runtime = [], []
+            programs, stores, runtime = [], [], []
             for hct, plan, band, outputs in self.tiles:
                 receipt = hct.planner.receipt_for(plan, batch)
-                tiles.append((receipt.bind(hct, plan), tuple(
-                    (pipeline, plan.accumulator_vr, registers[band, offset: offset + width])
-                    for pipeline, offset, width in outputs
-                )))
+                programs.append(receipt.bind(hct, plan))
+                stores += [(pipeline, plan.accumulator_vr, registers[band, offset: offset + width])
+                           for pipeline, offset, width in outputs]
                 runtime.append(("runtime.mvm_batch", units(receipt.optimized_cycles),
                                 receipt.digital[0][1]))
+            charges, *parts, _ = (sum(part, ()) for part in zip(*programs))
+            program = (charges + ((self.ledger, tally(runtime)),), *parts, tuple(stores))
+            spread = last = None
+            if extra:  # band b's slice of the last row, into extra row b
+                spread = as_strided(operand[batch:], (row_bands, band_rows), (
+                    operand.strides[0] + band_rows * operand.itemsize, operand.itemsize))
+                last = operand[batch - 1].reshape(row_bands, band_rows)
             entry = self.scratch[batch] = (
-                operand[:, : self.rows], operand, self.weights.reshape(-1, cols),
-                operand[-1].reshape(row_bands, 1, band_rows) if row_bands > 1 else None,
-                registers, tuple(tiles), tally(runtime),
+                operand[:batch, : self.rows], operand, self.weights.reshape(-1, cols),
+                spread, last, registers, program,
             )
         return entry
 

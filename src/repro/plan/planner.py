@@ -36,7 +36,7 @@ import numpy as np
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_runs, dot_bound
-from ..metrics import checked_runs
+from ..metrics import CostLedger, checked_runs
 from .ir import BatchReceipt, DevicePlan, MvmPlan, PlanCostModel, ReductionStep, unroll_schedule
 
 __all__ = ["Planner", "compile_device_plan"]
@@ -198,18 +198,20 @@ def compile_device_plan(
     shape: Tuple[int, int],
     input_bits: int,
     blocks: Iterable[Tuple],
+    ledger: CostLedger,
     weights: Optional[np.ndarray] = None,
 ) -> Optional[DevicePlan]:
     """Stack one device-level matrix into a :class:`~repro.plan.ir.DevicePlan`.
 
     ``blocks`` yields ``(placement tile, hct, handle)`` in placement order
     (the device's tile walk; placement is a regular grid starting at row
-    0).  Returns ``None`` unless every block is on the proven-exact path --
-    exact shard kernel, no parasitics, read noise inactive, the ACE still
-    enabled -- and the device's answer is provably one exact matmul: with
-    ``M = 2**(element size - 1)`` the largest weight magnitude, ``band_rows
-    * (2**input_bits - 1) * M < 2**(depth - 1)`` for every block's
-    pipeline depth, so no block's accumulator can wrap, and ``rows *
+    0), and ``ledger`` is the device's runtime ledger, which the plan's
+    calls charge.  Returns ``None`` unless every block is on the
+    proven-exact path -- exact shard kernel, no parasitics, read noise
+    inactive, the ACE still enabled -- and the device's answer is provably
+    one exact matmul: with ``M = 2**(element size - 1)`` the largest weight
+    magnitude, ``band_rows * (2**input_bits - 1) * M < 2**(depth - 1)`` for
+    every block's pipeline depth, so no block's accumulator can wrap, and ``rows *
     (2**input_bits - 1) * M < 2**53``, so every float64 partial sum is an
     exact integer.  The proof reads geometry and configuration, no value,
     so an in-place reprogram keeps it.  Digital post-processing can be
@@ -244,7 +246,7 @@ def compile_device_plan(
         if not _stack_block(weights, band, tile.col_start, plan.kernel):
             return None
         tiles.append((hct, plan, band, outputs))
-    return DevicePlan(input_bits, weights, rows, tuple(tiles))
+    return DevicePlan(input_bits, weights, rows, tuple(tiles), ledger)
 
 
 def restack_device_plan(plan: DevicePlan, blocks: Iterable[Tuple]) -> bool:

@@ -163,7 +163,7 @@ class IntegrityChecker:
             BandChecksum(
                 row_start=row_start,
                 row_end=row_end,
-                check=matrix[row_start:row_end, :].sum(axis=1),
+                check=band_check_vector(matrix[row_start:row_end, :]),
                 abs_check=np.abs(matrix[row_start:row_end, :]).sum(axis=1),
             )
             for row_start, row_end in bands

@@ -802,15 +802,20 @@ class DevicePool:
                 return task
         return fallback
 
-    def _dispatch(self, allocation: PooledAllocation, inputs: np.ndarray, call):
+    def _dispatch(self, allocation: PooledAllocation, inputs: np.ndarray,
+                  input_bits: int, backend):
         """The pool's one band loop: fan ``inputs`` out, fail over, reduce.
 
         Every band of ``allocation`` selects a copy (first healthy one in
         replica order) and the selected copies run device by device, in
-        band order on each device, on the calling thread.  ``call(device,
-        device_allocation, sub)`` performs the device work of one copy on
-        ``sub``, the slice of ``inputs`` its rows consume, between the fault
-        injector's hooks (when one is attached).  A copy whose device raises
+        band order on each device, on the calling thread.  Each copy's
+        device runs ``sub``, the slice of the admitted block ``inputs`` its
+        rows consume, through
+        :meth:`~repro.runtime.session.DarthPumDevice.exec_admitted` (its
+        ``exec_mvm_batch`` past the checks ``inputs`` passed here), between
+        the fault injector's hooks (when one is attached) -- or through an
+        ``exec_mvm_batch`` replaced on the device instance (a tracing shim,
+        a test's stand-in), which then gets the call.  A copy whose device raises
         :class:`~repro.errors.DeviceFailedError`, or whose partial fails
         the ABFT check under ``verify="full"``, is noted against its
         device's health and re-dispatched on the band's next untried copy
@@ -836,14 +841,17 @@ class DevicePool:
             # The sort is stable: ascending device, then the order selected.
             failures = []
             for task in sorted(wave, key=_DEVICE_INDEX):
-                sub = inputs[..., task.row_start: task.row_end]
+                sub = inputs[:, task.row_start: task.row_end]
+                device = self.devices[task.device_index]
                 injector = self.fault_injector
                 try:
                     if injector is not None:
                         injector.before_call(task.device_index)
-                    partial = call(
-                        self.devices[task.device_index], task.device_allocation, sub
-                    )
+                    run = device.exec_mvm_batch
+                    if getattr(run, "__self__", None) is device:  # the class's own
+                        run = device.exec_admitted
+                    partial = run(task.device_allocation, sub, input_bits=input_bits,
+                                  backend=backend)
                     if injector is not None:
                         partial = injector.after_call(task.device_index, partial)
                     partials[task.position] = self._finish_call(
@@ -926,30 +934,16 @@ class DevicePool:
         """Map-reduce a batch of MVMs over the allocation's shards.
 
         Every shard's device executes its row band for the whole batch in
-        one :meth:`~repro.runtime.session.DarthPumDevice.exec_mvm_batch`
-        pass, fanning out over the allocation's shard table (zero
+        one :meth:`~repro.runtime.session.DarthPumDevice.exec_admitted`
+        pass (the device call past the dtype and shape checks, which run
+        once, here), fanning out over the allocation's shard table (zero
         per-request planning).  The full-width partial results are summed in
         shard order.  In the common single-shard serving case the device
         result *is* the pool result: no zero tensor, no partial-sum add.
         """
         backend = backend if backend is not None else self._executor
-        vectors = integer_vectors(vectors)
-        if vectors.ndim < 2:
-            vectors = vectors.reshape(1, -1)
-        rows, _ = allocation.shape
-        if vectors.ndim != 2 or vectors.shape[1] != rows:
-            raise QuantizationError(
-                f"input batch of shape {vectors.shape} does not match "
-                f"matrix rows ({rows})"
-            )
-        # ``exec_mvm_batch`` is looked up on the device at call time: tracing
-        # shims and tests replace it on the instance.
-        return self._dispatch(
-            allocation, vectors,
-            lambda device, device_allocation, sub: device.exec_mvm_batch(
-                device_allocation, sub, input_bits=input_bits, backend=backend
-            ),
-        )
+        vectors = integer_vectors(vectors, allocation.shape[0])
+        return self._dispatch(allocation, vectors, input_bits, backend)
 
     def release(self, allocation: PooledAllocation) -> None:
         """Free every shard (and the compiled plans) of a pooled allocation."""

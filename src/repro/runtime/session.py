@@ -208,15 +208,16 @@ class DarthPumDevice:
         >>> np.array_equal(out, vectors @ matrix)
         True
         """
-        vectors = integer_vectors(vectors)
-        if vectors.ndim < 2:
-            vectors = np.atleast_2d(vectors)
-        rows, cols = allocation.placement.shape
-        if vectors.ndim != 2 or vectors.shape[1] != rows:
-            raise QuantizationError(
-                f"input batch of shape {vectors.shape} does not match matrix rows ({rows})"
-            )
-        batch = vectors.shape[0]
+        vectors = integer_vectors(vectors, allocation.placement.shape[0])
+        return self.exec_admitted(allocation, vectors, input_bits, backend)
+
+    def exec_admitted(self, allocation: MatrixAllocation, vectors: np.ndarray,
+                      input_bits: int = 8, backend=None) -> np.ndarray:
+        """:meth:`exec_mvm_batch` past its admission: ``vectors`` is an int64
+        ``(batch, rows)`` block already checked against ``allocation`` (a
+        pool hands its bands' slices of the block it admitted here, so the
+        dtype and shape checks run once per pool call)."""
+        batch, cols = vectors.shape[0], allocation.placement.shape[1]
         if batch == 0:
             return np.zeros((0, cols), dtype=np.int64)
         executor = resolve_backend(backend)
@@ -225,7 +226,7 @@ class DarthPumDevice:
         if type(executor) is VectorizedExecutor:
             plan = self.device_plan(allocation, input_bits)
             if plan is not None:
-                result = execute_device_plan(plan, vectors, self.ledger)
+                result = execute_device_plan(plan, vectors)
                 if result is not None:
                     return result
         result = np.zeros((batch, cols), dtype=np.int64)
@@ -285,7 +286,7 @@ class DarthPumDevice:
         if input_bits not in plans:
             stacked = next((plan.weights for plan in plans.values() if plan), None)
             plans[input_bits] = compile_device_plan(
-                allocation.shape, input_bits, self._tiles(allocation), stacked
+                allocation.shape, input_bits, self._tiles(allocation), self.ledger, stacked
             )
         return plans[input_bits]
 
