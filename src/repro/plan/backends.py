@@ -232,9 +232,10 @@ def execute_device_plan(plan: DevicePlan, vectors: np.ndarray) -> Optional[np.nd
     band_rows, cols)`` float64 matmul over the plan's operand (zero padding
     adds nothing): :func:`~repro.plan.planner.compile_device_plan` proved
     that no accumulator wraps and every sum is exact, so this is the sum of
-    the per-tile loop's wrapped blocks.  The same matmul yields the
+    the per-tile loop's wrapped blocks, written into the entry's product
+    buffer and returned as a new int64 array.  The same matmul yields the
     accumulator registers, the last batch row's block sums: a single
-    band's is the result's last row, several bands' come from one more
+    band's is the answer's last row, several bands' come from one more
     operand row per band holding that band's slice of the last row
     (:meth:`~repro.plan.ir.DevicePlan.operands`) -- exact integers too, so
     no order of additions changes a bit.  Then the entry's replay program,
@@ -255,15 +256,15 @@ def execute_device_plan(plan: DevicePlan, vectors: np.ndarray) -> Optional[np.nd
             return None
     validate_input_range(vectors, plan.input_bits)
     batch = vectors.shape[0]
-    block, operand, weights, spread, last, registers, program = (
+    block, operand, weights, spread, last, product, answer, accumulators, registers, program = (
         plan.scratch.get(batch) or plan.operands(batch))
     block[...] = vectors
     if spread is not None:
         spread[...] = last
-    full = np.matmul(operand, weights)
-    registers[...] = full[-len(registers):]
+    np.matmul(operand, weights, out=product)
+    registers[...] = accumulators
     _replay(program)
-    return full[:batch].astype(np.int64)
+    return answer.astype(np.int64)
 
 
 class ReferenceExecutor(ExecutionBackend):

@@ -565,20 +565,23 @@ class DevicePlan:
     def operands(self, batch: int) -> Tuple:
         """Everything a ``batch``-row call uses besides the vectors (built once).
 
-        ``(block, operand, weights, spread, last, registers, program)``:
-        ``operand`` is a zeroed float64 ``(batch + extra, row_bands *
-        band_rows)`` array and ``block`` the ``(batch, rows)`` view of it a
-        batch is stored into (the padding columns of a ragged last band stay
-        zero); ``weights`` are the stacked weights as ``(row_bands *
-        band_rows, cols)``.  The accumulator rows -- per band, the last
-        vector's sum over that band alone -- come out of the same matmul:
-        with several bands, ``extra = row_bands`` rows follow the batch and
-        ``spread`` is the writable view of their diagonal blocks that
-        ``last``, the last batch row as ``(row_bands, band_rows)``, is
-        copied into; a single band's accumulator row is the result's last
-        row (``extra = 0``, ``spread`` and ``last`` are ``None``).
-        ``registers`` is the int64 ``(row_bands, cols)`` block they are
-        stored into, the result's last ``row_bands`` rows.  ``program`` is
+        ``(block, operand, weights, spread, last, product, answer,
+        accumulators, registers, program)``: ``operand`` is a zeroed float64
+        ``(batch + extra, row_bands * band_rows)`` array and ``block`` the
+        ``(batch, rows)`` view of it a batch is stored into (the padding
+        columns of a ragged last band stay zero); ``weights`` are the
+        stacked weights as ``(row_bands * band_rows, cols)``; ``product`` is
+        the float64 ``(batch + extra, cols)`` buffer the matmul writes, its
+        first ``batch`` rows the ``answer``.  The accumulator rows -- per
+        band, the last vector's sum over that band alone -- come out of the
+        same matmul: with several bands, ``extra = row_bands`` rows follow
+        the batch and ``spread`` is the writable view of their diagonal
+        blocks that ``last``, the last batch row as ``(row_bands,
+        band_rows)``, is copied into; a single band's accumulator row is
+        the answer's last row (``extra = 0``, ``spread`` and ``last`` are
+        ``None``).  ``accumulators`` is the product's last ``row_bands``
+        rows, and ``registers`` the int64 ``(row_bands, cols)`` block they
+        are stored into.  ``program`` is
         every block's :meth:`BatchReceipt.bind` program concatenated, with
         the runtime ledger's charge (per block, ``runtime.mvm_batch`` with
         its optimized cycles and the energy its receipt charges) after the
@@ -609,9 +612,10 @@ class DevicePlan:
                 spread = as_strided(operand[batch:], (row_bands, band_rows), (
                     operand.strides[0] + band_rows * operand.itemsize, operand.itemsize))
                 last = operand[batch - 1].reshape(row_bands, band_rows)
+            product = np.empty((batch + extra, cols))
             entry = self.scratch[batch] = (
-                operand[:batch, : self.rows], operand, self.weights.reshape(-1, cols),
-                spread, last, registers, program,
+                operand[:batch, : self.rows], operand, self.weights.reshape(-1, cols), spread,
+                last, product, product[:batch], product[-row_bands:], registers, program,
             )
         return entry
 
