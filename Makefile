@@ -171,8 +171,10 @@ loc:
 # Which src/ functions no run ever enters: the six examples, pytest
 # benchmarks, every layerbench workload at --trace 0 and 1 (--seconds 1) and
 # python -m repro.plan, each under a sys.setprofile call recorder; prints the
-# never-entered functions per file (2-3 min; the benchmark gates take about
-# twice as long under the recorder).
+# never-entered functions per file, those benchmarks/reach_kept.txt keeps on
+# purpose apart from the candidates (2-3 min; the benchmark gates take about
+# twice as long under the recorder).  Exits 1 first if a kept line names a
+# function that is gone.
 reach:
 	$(PY) benchmarks/reach.py
 

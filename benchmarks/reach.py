@@ -6,8 +6,12 @@ at ``--trace 0`` and ``--trace 1`` (``--seconds 1``) and ``python -m
 repro.plan``, each in a child interpreter under a ``sys.setprofile`` call
 recorder, then prints, per file, every function defined under ``src/`` that
 no run entered: its line, qualified name and length.  The list is evidence
-for a deletion, not a verdict -- a function held for an open item, pinned by
-a digest or reached only by a unit test shows up here too.
+for a deletion, not a verdict.  It comes in two groups: the functions named
+in ``benchmarks/reach_kept.txt`` -- kept on purpose (held for an open item,
+a Table 1 call, a test's seam or oracle), each line ``path::Qualname``
+followed by the reason -- and the candidates, everything else.  A kept line
+naming a function ``src/`` no longer defines is stale: the tool lists those
+and exits 1 before running anything.
 
     PYTHONPATH=src python benchmarks/reach.py        # 2-3 min on 2 vCPUs
 
@@ -42,10 +46,11 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+KEPT = Path(__file__).resolve().parent / "reach_kept.txt"
 EXAMPLES = ("quickstart", "aes_encryption", "resnet_inference", "llm_encoder",
             "serving", "cluster")
 LAYERBENCH_SEED = 12345
@@ -150,23 +155,61 @@ def functions(path: Path) -> Iterator[Tuple[Key, int]]:
                    last - code.co_firstlineno + 1)
 
 
-def report(entered: Set[Key]) -> None:
-    defined = dict(kv for path in sorted(SRC.rglob("*.py"))
-                   for kv in functions(path))
+def defined_functions() -> Dict[Key, int]:
+    """Every function ``src/`` defines, with the lines its body spans."""
+    return dict(kv for path in sorted(SRC.rglob("*.py")) for kv in functions(path))
+
+
+def kept_list() -> Dict[Tuple[str, str], str]:
+    """``(file, qualified name) -> reason`` of every line of the kept list
+    (blank lines and ``#`` comments skipped)."""
+    kept = {}
+    for line in KEPT.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, _, reason = line.partition(" ")
+            relative, _, qualname = name.partition("::")
+            kept[(relative, qualname)] = reason.strip()
+    return kept
+
+
+def stale_kept(defined: Dict[Key, int]) -> List[str]:
+    """The kept-list entries that name no function ``src/`` defines."""
+    names = {(relative, qualname) for relative, qualname, _ in defined}
+    return [f"{relative}::{qualname}" for relative, qualname in kept_list()
+            if (relative, qualname) not in names]
+
+
+def report(entered: Set[Key], defined: Dict[Key, int]) -> None:
+    kept = kept_list()
     missed = sorted((key for key in defined if key not in entered),
                     key=lambda key: (key[0], key[2]))
-    print(f"# {len(missed)} of {len(defined)} src/ functions "
-          f"({sum(defined[key] for key in missed)} lines) never entered")
-    current = None
+    groups = {True: [], False: []}
     for key in missed:
-        relative, qualname, line = key
-        if relative != current:
-            current = relative
-            print(relative)
-        print(f"  {line:5d}  {qualname}  ({defined[key]} lines)")
+        groups[key[:2] in kept].append(key)
+    print(f"# {len(missed)} of {len(defined)} src/ functions "
+          f"({sum(defined[key] for key in missed)} lines) never entered: "
+          f"{len(groups[True])} kept, {len(groups[False])} candidates")
+    for is_kept, title in ((True, f"kept ({KEPT.name})"), (False, "candidates")):
+        keys = groups[is_kept]
+        print(f"## {title}: {len(keys)} functions, "
+              f"{sum(defined[key] for key in keys)} lines")
+        current = None
+        for key in keys:
+            relative, qualname, line = key
+            if relative != current:
+                current = relative
+                print(relative)
+            reason = f"  -- {kept[key[:2]]}" if is_kept else ""
+            print(f"  {line:5d}  {qualname}  ({defined[key]} lines){reason}")
 
 
 def main() -> int:
+    defined = defined_functions()
+    stale = stale_kept(defined)
+    if stale:
+        print(f"# {KEPT.name} names {len(stale)} function(s) src/ no longer defines:")
+        print("\n".join(f"  {name}" for name in stale))
+        return 1
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), str(ROOT), os.environ.get("PYTHONPATH")])))
     entered: Set[Key] = set()
@@ -184,7 +227,7 @@ def main() -> int:
             for line in record.read_text().splitlines():
                 relative, qualname, first = line.split("\t")
                 entered.add((relative, qualname, int(first)))
-    report(entered)
+    report(entered, defined)
     return 0
 
 

@@ -5,7 +5,6 @@ from .adc import AdcSpec, AnalogToDigitalConverter, RampAdc, SarAdc, make_adc
 from .bitslicing import (
     ShiftAddPlan,
     ShiftAddStep,
-    recombine,
     slice_inputs,
     slice_inputs_tensor,
     slice_matrix,
@@ -37,7 +36,6 @@ __all__ = [
     "ShiftAddPlan",
     "ShiftAddStep",
     "make_adc",
-    "recombine",
     "slice_inputs",
     "slice_inputs_tensor",
     "slice_matrix",

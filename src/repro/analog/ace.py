@@ -92,11 +92,6 @@ class MatrixHandle:
     num_slices: int
     array_ids: Tuple[int, ...]
 
-    @property
-    def arrays_used(self) -> int:
-        """Number of analog arrays occupied by this matrix."""
-        return len(self.array_ids)
-
 
 @dataclass(frozen=True)
 class BatchPartialProduct:
@@ -188,11 +183,6 @@ class AnalogComputeElement:
     def arrays_free(self) -> int:
         """Number of analog arrays not yet allocated to a matrix."""
         return len(self._free_arrays)
-
-    @property
-    def arrays_used(self) -> int:
-        """Number of analog arrays currently holding matrix slices."""
-        return self.config.num_arrays - len(self._free_arrays)
 
     def _make_adc(self, bits_per_cell: int) -> AnalogToDigitalConverter:
         max_sum = self.config.array_rows * (2 ** bits_per_cell - 1)

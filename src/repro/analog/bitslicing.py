@@ -12,7 +12,7 @@ DARTH-PUM's shift units) perform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "slice_matrix",
     "slice_inputs",
     "slice_inputs_tensor",
-    "recombine",
     "ShiftAddStep",
     "ShiftAddPlan",
 ]
@@ -155,18 +154,6 @@ def slice_inputs_tensor(
     return out
 
 
-def recombine(partials: Sequence[np.ndarray], shifts: Sequence[int]) -> np.ndarray:
-    """Shift-and-add recombination of partial products (long multiplication)."""
-    if len(partials) != len(shifts):
-        raise ValueError("partials and shifts must have the same length")
-    if not partials:
-        raise ValueError("recombine() needs at least one partial product")
-    total = np.zeros_like(np.asarray(partials[0], dtype=np.int64))
-    for partial, shift in zip(partials, shifts):
-        total = total + (np.asarray(partial, dtype=np.int64) << int(shift))
-    return total
-
-
 @dataclass(frozen=True)
 class ShiftAddStep:
     """One step of the reduction sequence executed after an analog MVM."""
@@ -213,8 +200,3 @@ class ShiftAddPlan:
     def max_shift(self) -> int:
         """Largest shift applied by any step."""
         return (self.input_bits - 1) + (self.weight_slices - 1) * self.bits_per_cell
-
-    def temporaries_needed(self) -> int:
-        """Upper bound on temporary vector registers the reduction may need
-        (Section 4.2: up to N for an N-bit input)."""
-        return self.input_bits

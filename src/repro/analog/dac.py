@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigurationError
 
 __all__ = ["DacSpec", "DigitalToAnalogConverter"]
@@ -31,29 +29,12 @@ class DacSpec:
         if self.resolution_bits < 1:
             raise ConfigurationError("DAC resolution must be at least 1 bit")
 
-    @property
-    def levels(self) -> int:
-        """Number of distinct analog voltages the DAC can drive."""
-        return 2 ** self.resolution_bits
-
 
 class DigitalToAnalogConverter:
-    """Converts digital input codes to (idealised) wordline voltages."""
+    """The wordline drivers of one array: what driving an input costs."""
 
-    def __init__(self, spec: DacSpec | None = None, full_scale: float = 1.0) -> None:
+    def __init__(self, spec: DacSpec | None = None) -> None:
         self.spec = spec if spec is not None else DacSpec()
-        self.full_scale = float(full_scale)
-
-    def convert(self, codes: np.ndarray) -> np.ndarray:
-        """Map integer codes to analog activation levels in ``[0, full_scale]``."""
-        codes = np.asarray(codes, dtype=float)
-        max_code = self.spec.levels - 1
-        if np.any(codes < 0) or np.any(codes > max_code):
-            raise ConfigurationError(
-                f"DAC codes must be in [0, {max_code}] for "
-                f"{self.spec.resolution_bits}-bit resolution"
-            )
-        return codes / max_code * self.full_scale if max_code else codes
 
     def drive_latency(self, num_wordlines: int) -> float:
         """Cycles to drive ``num_wordlines`` inputs (all wordlines parallel)."""

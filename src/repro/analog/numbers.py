@@ -15,8 +15,6 @@ paper discusses two and uses differential cell pairs (Figure 3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import QuantizationError
@@ -37,21 +35,6 @@ class EncodedMatrix:
     planes: np.ndarray
     offset: int
     scheme: str
-
-    @property
-    def positive(self) -> np.ndarray:
-        """The positive plane (a view of ``planes``)."""
-        return self.planes[0]
-
-    @property
-    def negative(self) -> np.ndarray:
-        """The negative plane (a view of ``planes``)."""
-        return self.planes[1]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Logical matrix shape."""
-        return tuple(self.planes.shape[1:])  # type: ignore[return-value]
 
 
 def _checked(matrix: np.ndarray, scheme: str, limit: int, value_bits: int) -> np.ndarray:
@@ -93,11 +76,6 @@ class DifferentialPairs:
         np.negative(planes[1], out=planes[1])
         return EncodedMatrix(planes=planes, offset=0, scheme=self.name)
 
-    def decode_partial(self, positive_sum: np.ndarray, negative_sum: np.ndarray,
-                       inputs: np.ndarray) -> np.ndarray:
-        """Signed partial product from the two bitline currents."""
-        return np.asarray(positive_sum, dtype=float) - np.asarray(negative_sum, dtype=float)
-
 
 class OffsetSubtraction:
     """Offset-subtraction encoding of signed integer matrices."""
@@ -117,10 +95,3 @@ class OffsetSubtraction:
         planes = np.zeros((2,) + matrix.shape, dtype=np.int64)
         np.add(matrix, self.offset, out=planes[0], dtype=np.int64)
         return EncodedMatrix(planes=planes, offset=self.offset, scheme=self.name)
-
-    def decode_partial(self, positive_sum: np.ndarray, negative_sum: np.ndarray,
-                       inputs: np.ndarray) -> np.ndarray:
-        """Subtract ``offset * sum(inputs)`` from the raw bitline sums."""
-        inputs = np.asarray(inputs, dtype=float)
-        correction = self.offset * float(inputs.sum())
-        return np.asarray(positive_sum, dtype=float) - correction

@@ -4,7 +4,6 @@ from .arbiter import AnalogDigitalArbiter, Domain
 from .area import AreaModel, Table3
 from .chip import DarthPumChip
 from .config import ChipConfig, HctConfig
-from .frontend import FrontEnd, IssueRecord
 from .hct import HybridComputeTile
 from .injection_unit import InjectionTableEntry, InstructionInjectionUnit
 from .shift_unit import ShiftedTransfer, ShiftUnit
@@ -17,12 +16,10 @@ __all__ = [
     "ChipConfig",
     "DarthPumChip",
     "Domain",
-    "FrontEnd",
     "HctConfig",
     "HybridComputeTile",
     "InjectionTableEntry",
     "InstructionInjectionUnit",
-    "IssueRecord",
     "ShiftUnit",
     "ShiftedTransfer",
     "Table3",

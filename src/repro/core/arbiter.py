@@ -3,9 +3,10 @@
 Analog instructions take hundreds of cycles (ADC and array I/O), digital
 ones take tens.  Dispatching both from one instruction stream risks a
 younger digital instruction interleaving with (and corrupting) the reduction
-sequence of an older analog MVM.  The arbiter locks each resource -- a
-digital pipeline or an analog array group -- to either analog or digital use
-until explicitly released, which both prevents interference and provides the
+sequence of an older analog MVM.  The arbiter holds each resource -- a
+digital pipeline or an analog array group -- for one domain until the
+operation that acquired it completes: a younger operation on the same
+resource starts only then, which both prevents interference and provides the
 serialisation that makes an MVM appear atomic.
 """
 
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Tuple
-
-from ..errors import ArbiterConflictError
 
 __all__ = ["Domain", "AnalogDigitalArbiter", "reserve"]
 
@@ -58,39 +57,6 @@ class AnalogDigitalArbiter:
                 self.stall_cycles += busy_until - now
         self._owners[resource] = (domain, start + duration)
         return start
-
-    def try_acquire(self, resource: str, domain: Domain, now: float, duration: float) -> float:
-        """Like :meth:`acquire` but raises if the other domain holds the lock.
-
-        Used by the functional model to detect genuine interference bugs
-        (e.g. a digital op touching a pipeline that is receiving analog
-        partial products without a prior ``pipeline reserve``).
-        """
-        if resource in self._owners:
-            owner, busy_until = self._owners[resource]
-            if busy_until > now and owner is not domain:
-                raise ArbiterConflictError(
-                    f"resource {resource!r} is busy with {owner.value} work until "
-                    f"cycle {busy_until:.0f}; {domain.value} access at cycle {now:.0f} "
-                    "would interleave with it"
-                )
-        return self.acquire(resource, domain, now, duration)
-
-    def release(self, resource: str) -> None:
-        """Explicitly release a resource (e.g. after an MVM's reduction)."""
-        self._owners.pop(resource, None)
-
-    def busy_until(self, resource: str) -> float:
-        """Cycle at which ``resource`` becomes free (0 if unowned)."""
-        if resource not in self._owners:
-            return 0.0
-        return self._owners[resource][1]
-
-    def owner(self, resource: str) -> Domain | None:
-        """Domain currently owning ``resource`` (None if unowned)."""
-        if resource not in self._owners:
-            return None
-        return self._owners[resource][0]
 
 
 def reserve(reservations) -> None:

@@ -3,7 +3,11 @@
 A chip instantiates up to 1860 HCTs (SAR ADCs) or 1660 HCTs (ramp ADCs) in
 the area of the baseline CPU (Section 6).  Tiles are materialised lazily so
 that functional experiments touching a handful of tiles stay cheap, while
-throughput modelling can still reason about the full tile count.
+throughput modelling can still reason about the full tile count.  The
+front ends (one per ``hcts_per_front_end`` tiles) are costed, not
+simulated: each tile's IIU counts the issue slots it saves them
+(``front_end_slots_saved``), and :meth:`DarthPumChip.front_end_energy_pj`
+and Table 3 carry their power and area.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from ..metrics import CostLedger, merge_ledgers
 from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
 from .area import Table3
 from .config import ChipConfig
-from .frontend import FrontEnd
 from .hct import HybridComputeTile
 
 __all__ = ["DarthPumChip"]
@@ -61,10 +64,6 @@ class DarthPumChip:
         #: accounting sweeps iterate this list instead of scanning every
         #: slot.
         self._tiles: List[HybridComputeTile] = []
-        self.front_ends: List[FrontEnd] = [
-            FrontEnd(front_end_id=i, hcts_served=self.config.hcts_per_front_end)
-            for i in range(self.config.num_front_ends)
-        ]
 
     # ------------------------------------------------------------------ #
     # Tile management                                                      #
@@ -89,10 +88,6 @@ class DarthPumChip:
             )
             insort(self._tiles, slot.tile, key=attrgetter("tile_id"))
         return slot.tile
-
-    def front_end_for(self, hct_index: int) -> FrontEnd:
-        """The front-end unit serving ``hct_index``."""
-        return self.front_ends[hct_index // self.config.hcts_per_front_end]
 
     def allocate_hcts(self, count: int, owner: str = "anonymous") -> List[int]:
         """Reserve ``count`` free HCTs for a workload; returns their indices."""
@@ -154,16 +149,11 @@ class DarthPumChip:
         active = max(1, self.materialized_hcts // self.config.hcts_per_front_end)
         return active * Table3.FRONT_END_POWER_MW * cycles
 
-    def memory_capacity_gb(self) -> float:
-        """Total memory capacity of the chip in GB."""
-        return self.config.memory_capacity_gb
-
     def utilization(self) -> float:
         """Fraction of HCTs currently allocated to workloads."""
         return self.allocated_hcts / self.config.num_hcts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DarthPumChip(hcts={self.config.num_hcts}, adc={self.config.hct.adc_kind}, "
-            f"capacity={self.memory_capacity_gb():.1f} GB)"
+            f"DarthPumChip(hcts={self.config.num_hcts}, adc={self.config.hct.adc_kind})"
         )

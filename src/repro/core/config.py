@@ -104,14 +104,3 @@ class ChipConfig:
         """The iso-area chip of Section 6: 1860 HCTs (SAR) or 1660 (ramp)."""
         num = 1860 if adc_kind == "sar" else 1660
         return cls(hct=HctConfig.paper_default(adc_kind), num_hcts=num)
-
-    @property
-    def num_front_ends(self) -> int:
-        """Number of shared front-end units on the chip."""
-        return -(-self.num_hcts // self.hcts_per_front_end)
-
-    @property
-    def memory_capacity_gb(self) -> float:
-        """Total chip memory capacity in gigabytes (SLC accounting)."""
-        bits = self.num_hcts * self.hct.memory_capacity_bits
-        return bits / 8 / 1e9

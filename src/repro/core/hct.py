@@ -252,11 +252,6 @@ class HybridComputeTile:
         count = max(2, min(4, num_vrs - 1))
         return list(range(1, 1 + count))
 
-    @property
-    def _clock(self) -> float:
-        """The tile's cycle clock, kept by its arbiter (``arbiter.now``)."""
-        return self.arbiter.now
-
     def _commit_schedule(self, plan: MvmPlan, optimized_cycles: float, charged: float) -> None:
         """Arbiter reservation + clock advance + ledger charge of one MVM.
 
@@ -282,8 +277,3 @@ class HybridComputeTile:
     def expected_mvm(self, handle: MatrixHandle, vector: np.ndarray) -> np.ndarray:
         """Noise-free reference result (for verification)."""
         return self.ace.expected_mvm(handle, vector)
-
-    @property
-    def snapshot(self):
-        """Snapshot of the tile's cost ledger."""
-        return self.ledger.snapshot()

@@ -78,13 +78,3 @@ class ShiftUnit:
             shift=shift,
             transfer_cycles=self.transfer_cycles(int(np.asarray(values).size)),
         )
-
-    def rate_matched(self, adc_elements_per_cycle: float, dce_rows_per_cycle: float = 1.0) -> bool:
-        """Whether ADC production and DCE write consumption rates match.
-
-        The network bandwidth is provisioned so that neither side stalls the
-        other (Section 4, "chosen to rate-match ADC throughput with DCE write
-        bandwidth").
-        """
-        network_elements_per_cycle = self.transfer_bytes_per_cycle / self.element_bytes
-        return network_elements_per_cycle >= min(adc_elements_per_cycle, dce_rows_per_cycle)

@@ -39,18 +39,11 @@ class TransposeUnit:
         #: Number of full matrix transpositions performed (statistics).
         self.matrix_count = 0
 
-    def vector_to_register(self, row_vector: np.ndarray) -> TransposeResult:
-        """Turn an analog output row vector into a digital VR column layout."""
-        row_vector = np.asarray(row_vector)
-        cycles = float(-(-row_vector.shape[0] // self.elements_per_cycle))
-        self.vector_count += 1
-        return TransposeResult(values=row_vector.reshape(-1), cycles=cycles)
-
     def batch_to_registers(self, matrix: np.ndarray) -> TransposeResult:
         """Turn a batch of analog output rows into VR column layouts.
 
-        Equivalent to calling :meth:`vector_to_register` once per row of
-        ``matrix`` (shape ``(batch, width)``), in a single vectorised pass.
+        ``matrix`` has shape ``(batch, width)``; each row is one vector
+        transposition, ``ceil(width / elements_per_cycle)`` cycles.
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:

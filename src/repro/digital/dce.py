@@ -87,8 +87,6 @@ class DigitalComputeElement:
         if not lazy:
             for index in range(self.config.num_pipelines):
                 self.pipeline(index)
-        #: Pipelines reserved (marked dead) by a pipeline-reserve instruction.
-        self._reserved: set = set()
 
     # ------------------------------------------------------------------ #
     # Pipeline management                                                  #
@@ -120,17 +118,11 @@ class DigitalComputeElement:
         (Section 4.2).
         """
         self.pipeline(index).reserved = True
-        self._reserved.add(index)
 
     def release_pipeline(self, index: int) -> None:
         """Release a previously reserved pipeline."""
-        self._reserved.discard(index)
         if index in self._pipelines:
             self._pipelines[index].reserved = False
-
-    def is_reserved(self, index: int) -> bool:
-        """Whether a pipeline is currently reserved for analog output."""
-        return index in self._reserved
 
     # ------------------------------------------------------------------ #
     # Element-wise load/store (Section 4.2)                                #
@@ -217,20 +209,6 @@ class DigitalComputeElement:
         self._charge(cost)
         return cost
 
-    def copy_vr_between_pipelines(
-        self, src_pipeline: int, src_vr: int, dst_pipeline: int, dst_vr: int
-    ) -> WordOpCost:
-        """Vector copy between two pipelines of the same DCE (RACER COPY)."""
-        src = self.pipeline(src_pipeline)
-        dst = self.pipeline(dst_pipeline)
-        if src.depth != dst.depth:
-            raise ExecutionError("pipelines must have matching depths to copy")
-        values = src.read_vr(src_vr)
-        dst.write_vr(dst_vr, values, charge=False)
-        cost = WordOpCost("copy_vr", WordOpKind.WRITE, 1.0, dst.depth, dst.rows)
-        self._charge(cost)
-        return cost
-
     @staticmethod
     def _write_vr_raw(pipeline: BitPipeline, vr: int, values: np.ndarray) -> None:
         """Overwrite a VR's stored bits without charging word-op costs.
@@ -250,8 +228,3 @@ class DigitalComputeElement:
             f"dce.{cost.kind.value}",
             energy_pj=BitPipeline.WRITE_ENERGY_PJ * cost.rows * cost.bits,
         )
-
-    @property
-    def total_uops(self) -> int:
-        """Total µops executed across all materialised pipelines."""
-        return sum(p.total_uops for p in self._pipelines.values())

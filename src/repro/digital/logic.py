@@ -110,11 +110,6 @@ class LogicFamily:
         """Look up a native primitive; raises ``KeyError`` if unsupported."""
         return self.primitives[name]
 
-    @property
-    def names(self) -> tuple:
-        """Names of the native primitives, sorted for reproducibility."""
-        return tuple(sorted(self.primitives))
-
 
 def oscar_family(
     nor_latency: float = 1.0,

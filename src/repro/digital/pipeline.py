@@ -542,11 +542,6 @@ class BitPipeline:
         """
         return self._synth.uops_per_full_adder
 
-    @property
-    def total_uops(self) -> int:
-        """Total µops executed across all arrays."""
-        return sum(array.uop_count for array in self.arrays)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BitPipeline(depth={self.depth}, rows={self.rows}, cols={self.cols}, "

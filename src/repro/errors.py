@@ -51,10 +51,6 @@ class ExecutionError(ReproError):
     """Runtime failure while executing a program or kernel."""
 
 
-class ArbiterConflictError(ExecutionError):
-    """An analog and a digital operation attempted to use the same resource."""
-
-
 class RegisterLiveError(ExecutionError):
     """An MVM attempted to overwrite a live vector register without a reserve."""
 

@@ -39,9 +39,6 @@ __all__ = [
     "percentile_sorted",
 ]
 
-#: Cycles per second of the modelled DARTH-PUM clock (Section 6: 1 GHz).
-CLOCK_HZ = 1.0e9
-
 #: Ledger units per cycle and per pJ: a 10**-9 grid.  Cycles need it too,
 #: as a charge may be a fraction of a cycle.
 UNITS = 10 ** 9
@@ -168,10 +165,6 @@ class CostLedger:
         :func:`tally`): its totals, then its parts per category."""
         charge_streams(((self, totals),))
 
-    def charge_power(self, category: str, *, cycles: float, power_mw: float) -> None:
-        """Charge ``cycles`` of activity at ``power_mw``; energy follows at 1 GHz."""
-        self.charge(category, cycles=cycles, energy_pj=cycles * power_mw)
-
     def merge(self, other: "CostLedger") -> None:
         """Fold ``other`` into this ledger in place."""
         self.charge_stream((other.cycle_units, other.energy_units,
@@ -185,30 +178,6 @@ class CostLedger:
             cycle_breakdown=self.cycle_breakdown,
             energy_breakdown=self.energy_breakdown,
         )
-
-    def reset(self) -> None:
-        """Zero the ledger."""
-        self.cycle_units = self.energy_units = 0
-        self.cycle_parts.clear()
-        self.energy_parts.clear()
-
-    def cycles_for(self, prefix: str) -> float:
-        """Total cycles across all categories starting with ``prefix``."""
-        return sum(v for k, v in self.cycle_parts.items() if k.startswith(prefix)) / UNITS
-
-    def energy_for(self, prefix: str) -> float:
-        """Total energy (pJ) across all categories starting with ``prefix``."""
-        return sum(v for k, v in self.energy_parts.items() if k.startswith(prefix)) / UNITS
-
-    @property
-    def seconds(self) -> float:
-        """Wall-clock seconds implied by the cycle count at 1 GHz."""
-        return self.cycles / CLOCK_HZ
-
-    @property
-    def energy_joules(self) -> float:
-        """Total energy in joules."""
-        return self.energy_pj * 1e-12
 
 
 def charge_streams(charges: Iterable[Tuple[CostLedger, Tally]]) -> None:

@@ -83,16 +83,6 @@ class HctBatchMvmResult:
     estimated: bool = False
 
     @property
-    def cycles(self) -> float:
-        """Alias for the optimised wall-clock latency of the batch."""
-        return self.optimized_cycles
-
-    @property
-    def cycles_per_vector(self) -> float:
-        """Amortised optimised latency per input vector."""
-        return self.optimized_cycles / max(1, self.batch)
-
-    @property
     def speedup_from_optimization(self) -> float:
         """How much the Section 4.1 optimisations help for this batch."""
         if self.optimized_cycles == 0:
@@ -386,11 +376,6 @@ class MvmPlan:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Logical matrix shape of the planned allocation."""
-        return self.handle.shape
-
     @cached_property
     def crossbars(self) -> Tuple[object, ...]:
         """Every crossbar of the allocation, flat (they count analog steps)."""
@@ -661,10 +646,6 @@ class PlanHandle:
         """Predicted cycles of one ``batch``-vector dispatch."""
         return self.base_cycles + self.cycles_per_vector * batch
 
-    def predicted_energy_pj(self, batch: int) -> float:
-        """Predicted analog-phase energy (pJ) of one ``batch`` dispatch."""
-        return self.energy_per_vector_pj * batch
-
     @classmethod
     def from_cost_samples(
         cls,
@@ -728,11 +709,6 @@ class ShardTask:
     #: prefers), 1..R-1 are failover replicas holding identical blocks on
     #: distinct devices.
     replica: int = 0
-
-    @property
-    def rows(self) -> int:
-        """Number of matrix rows held by this copy."""
-        return self.row_end - self.row_start
 
 
 @dataclass

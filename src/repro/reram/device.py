@@ -81,13 +81,11 @@ class DeviceParameters:
 
 
 class ConductanceMapper:
-    """Maps digital values to device conductances and back.
+    """Maps digital values to device conductances.
 
     A mapper is configured for a fixed number of bits per cell.  Values in
     ``[0, 2**bits_per_cell - 1]`` are mapped linearly onto
-    ``[g_min, g_max]``.  The inverse mapping quantises a (possibly noisy)
-    conductance back to the nearest level, which is how the write--verify
-    programming loop and the ADC read-out are modelled.
+    ``[g_min, g_max]``.
     """
 
     def __init__(self, params: DeviceParameters, bits_per_cell: int) -> None:
@@ -113,12 +111,6 @@ class ConductanceMapper:
         conductances = np.multiply(values, self._step, out=out)
         conductances += self.params.g_min  # in place: one block, not two
         return conductances
-
-    def conductance_to_value(self, conductances: np.ndarray) -> np.ndarray:
-        """Quantise conductances back to the nearest integer level."""
-        conductances = np.asarray(conductances, dtype=float)
-        levels = np.rint((conductances - self.params.g_min) / self._step)
-        return np.clip(levels, 0, self.num_levels - 1).astype(np.int64)
 
     def lsb_conductance(self) -> float:
         """Conductance difference corresponding to one least-significant bit."""

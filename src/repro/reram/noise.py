@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .device import DeviceParameters
 
 __all__ = [
@@ -51,7 +52,9 @@ class NoiseConfig:
     """Which error sources are enabled, and with what strength.
 
     ``None`` for a sigma/rate means "use the device default"; ``0`` disables
-    the corresponding error source entirely.
+    the corresponding error source entirely.  ``drift=True`` is refused: no
+    MVM path applies :class:`DriftModel` yet, so a drift config would
+    silently answer as if the devices held still.
     """
 
     programming_noise: bool = True
@@ -64,6 +67,13 @@ class NoiseConfig:
     drift_rate: float = 0.001
     stuck_at_rate: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.drift:
+            raise ConfigurationError(
+                "conductance drift is not modelled on the MVM path, so "
+                "NoiseConfig(drift=True) is refused rather than answered without it"
+            )
 
     @classmethod
     def ideal(cls) -> "NoiseConfig":
@@ -191,11 +201,10 @@ class StuckAtFaultModel:
 class NoiseStack:
     """The full set of error sources applied by an analog array.
 
-    ``program()`` is applied once when a matrix is written; ``read()`` is
-    the per-device read of a conductance plane (MVMs add the equivalent
-    bitline term instead, drawing from :attr:`rng`).  IR drop is handled
-    separately by the crossbar because it depends on the applied inputs,
-    not only the stored state.
+    ``program()`` is applied once when a matrix is written; MVMs add read
+    noise as a bitline term, drawing from :attr:`rng` (module docstring).
+    IR drop is handled separately by the crossbar because it depends on the
+    applied inputs, not only the stored state.
     """
 
     params: DeviceParameters
@@ -237,15 +246,6 @@ class NoiseStack:
             result = self.programming.apply(result, self.rng)
         if self.config.stuck_at_faults:
             result = self.stuck_at.apply(result, self.rng)
-        return result
-
-    def read(self, conductances: np.ndarray, elapsed: float = 0.0) -> np.ndarray:
-        """Apply read-time error sources (read noise, drift)."""
-        result = conductances
-        if self.config.drift and elapsed > 0:
-            result = self.drift.apply(result, elapsed)
-        if self.config.read_noise:
-            result = self.read_noise.apply(result, self.rng)
         return result
 
     @property

@@ -47,11 +47,6 @@ class TilePlan:
     col_start: int
     col_end: int
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the block."""
-        return (self.row_end - self.row_start, self.col_end - self.col_start)
-
 
 @dataclass(frozen=True)
 class MatrixPlacement:

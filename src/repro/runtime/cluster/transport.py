@@ -489,12 +489,6 @@ class ShmRing:
                 pass
             self._owner = False
 
-    def __enter__(self) -> "ShmRing":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShmRing(name={self.name!r}, capacity={self.capacity}, "

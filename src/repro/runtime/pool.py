@@ -358,7 +358,7 @@ class DevicePool:
         self.verify = verify
         noisy = noise is not None and any((
             noise.programming_noise, noise.read_noise, noise.ir_drop,
-            noise.drift, noise.stuck_at_faults,
+            noise.stuck_at_faults,
         ))
         self.integrity = IntegrityChecker(noisy=noisy)
         self._health: List[DeviceHealth] = [
@@ -917,12 +917,6 @@ class DevicePool:
         Part of the serving API (servers, benchmarks and ``with`` blocks
         close their pool); safe to call repeatedly, the pool stays usable.
         """
-
-    def __enter__(self) -> "DevicePool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def exec_mvm_batch(
         self,

@@ -22,7 +22,6 @@ from repro.analog import (
     SarAdc,
     ShiftAddPlan,
     make_adc,
-    recombine,
     slice_inputs,
     slice_matrix,
 )
@@ -78,16 +77,11 @@ class TestBitSlicing:
         with pytest.raises(QuantizationError):
             slice_matrix(np.array([[-1]]), 4, 2)
 
-    def test_recombine_matches_long_multiplication(self):
-        partials = [np.array([3]), np.array([1])]
-        assert recombine(partials, [0, 2])[0] == 3 + (1 << 2)
-
     def test_shift_add_plan_steps(self):
         plan = ShiftAddPlan(input_bits=3, weight_slices=2, bits_per_cell=2)
         steps = plan.steps
         assert len(steps) == 6
         assert plan.max_shift == 2 + 2
-        assert plan.temporaries_needed() == 3
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=4))
     def test_plan_shift_coverage(self, input_bits, slices):
@@ -100,15 +94,16 @@ class TestNumberRepresentations:
     def test_differential_encoding_splits_sign(self):
         matrix = np.array([[3, -2], [0, -7]])
         encoded = DifferentialPairs(value_bits=4).encode(matrix)
-        assert np.array_equal(encoded.positive - encoded.negative, matrix)
-        assert encoded.positive.min() >= 0 and encoded.negative.min() >= 0
+        positive, negative = encoded.planes
+        assert np.array_equal(positive - negative, matrix)
+        assert positive.min() >= 0 and negative.min() >= 0
 
     def test_offset_encoding_and_decode(self):
         matrix = np.array([[3, -2]])
         scheme = OffsetSubtraction(value_bits=4)
-        scheme.encode(matrix)
-        decoded = scheme.decode_partial(np.array([10.0]), np.zeros(1), np.array([1.0]))
-        assert decoded[0] == 10.0 - scheme.offset
+        encoded = scheme.encode(matrix)
+        assert encoded.offset == scheme.offset and not encoded.planes[1].any()
+        assert np.array_equal(encoded.planes[0] - encoded.offset, matrix)
 
     def test_magnitude_overflow_rejected(self):
         with pytest.raises(QuantizationError):
@@ -189,9 +184,9 @@ class TestAce:
     def test_release_frees_arrays(self, rng):
         ace = AnalogComputeElement(AceConfig(num_arrays=8, array_rows=16, array_cols=16))
         handle = ace.set_matrix(rng.integers(0, 3, size=(16, 16)), value_bits=2, bits_per_cell=1)
-        used = ace.arrays_used
+        free = ace.arrays_free
         ace.release(handle)
-        assert ace.arrays_used == used - handle.arrays_used
+        assert ace.arrays_free == free + len(handle.array_ids) == 8
 
     def test_update_row_changes_result(self, rng):
         ace = AnalogComputeElement(AceConfig(num_arrays=8, array_rows=8, array_cols=8))

@@ -20,6 +20,7 @@ import gc
 import tracemalloc
 import weakref
 from collections import deque
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -137,8 +138,8 @@ class TestSteadyStateIsFlat:
         # The layerbench ``pool_sharded`` shape: 2 bands x 2 replicas over
         # 4 chips, ABFT on, batch 32.
         rng = derive_rng("bounded-pool")
-        with DevicePool(num_devices=4, config=small_chip(8), replication=2,
-                        verify="full") as pool:
+        with closing(DevicePool(num_devices=4, config=small_chip(8), replication=2,
+                                verify="full")) as pool:
             matrix = rng.integers(-8, 8, size=(256, 16))
             allocation = pool.set_matrix(matrix, element_size=4)
             assert (allocation.num_shards, allocation.replication) == (2, 2)
@@ -226,8 +227,8 @@ class TestSteadyStateIsFlat:
         # a caller cycling through more sizes than either bound must find
         # the containers full, not growing.
         rng = derive_rng("bounded-receipts")
-        with DevicePool(num_devices=2, config=small_chip(4), replication=2,
-                        backend="vectorized") as pool:
+        with closing(DevicePool(num_devices=2, config=small_chip(4), replication=2,
+                                backend="vectorized")) as pool:
             matrix = rng.integers(-8, 8, size=(32, 16))
             allocation = pool.set_matrix(matrix, element_size=4)
             plans = tile_plans(pool, allocation, 4)

@@ -355,19 +355,12 @@ class TestDce:
         with pytest.raises(ExecutionError):
             dce.element_load(0, 1, 0, 0, 1, 0, num_elements=1)
 
-    def test_copy_vr_between_pipelines(self):
-        dce = DigitalComputeElement(DceConfig(num_pipelines=2, pipeline_depth=8, rows=8, cols=16))
-        values = np.arange(8)
-        dce.pipeline(0).write_vr(0, values)
-        dce.copy_vr_between_pipelines(0, 0, 1, 3)
-        assert np.array_equal(dce.pipeline(1).read_vr(3), values)
-
     def test_reserve_and_release_pipeline(self):
         dce = DigitalComputeElement(DceConfig(num_pipelines=2, pipeline_depth=8, rows=8, cols=16))
         dce.reserve_pipeline(1)
-        assert dce.is_reserved(1)
+        assert dce.pipeline(1).reserved
         dce.release_pipeline(1)
-        assert not dce.is_reserved(1)
+        assert not dce.pipeline(1).reserved
 
     def test_pipeline_index_bounds(self):
         dce = DigitalComputeElement(DceConfig(num_pipelines=2, pipeline_depth=8, rows=8, cols=16))

@@ -8,11 +8,15 @@ and every relative link in the tracked markdown files must resolve.
 from __future__ import annotations
 
 import doctest
+import importlib
+import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.plan import ir
 from repro.runtime import allocator, apps, pool, session
 
@@ -48,6 +52,36 @@ def test_runtime_api_examples_exist():
     assert (session.DarthPumDevice.exec_mvm_batch.__doc__
             and ">>>" in session.DarthPumDevice.exec_mvm_batch.__doc__)
     assert pool.DevicePool.__doc__ and ">>>" in pool.DevicePool.__doc__
+
+
+def test_every_all_entry_resolves():
+    """Each name in each ``repro`` module's ``__all__`` exists, so a
+    deletion that leaves an export behind fails here, not at a caller's
+    ``from ... import *``.  ``__main__`` modules run when imported and are
+    skipped."""
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    exported = [(module.__name__, name) for module in modules
+                for name in getattr(module, "__all__", ())]
+    assert len(exported) > 500
+    missing = [f"{module}.{name}" for module, name in exported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"__all__ names that do not exist: {missing}"
+
+
+def test_reach_kept_list_names_existing_functions():
+    """Every line of ``benchmarks/reach_kept.txt`` names a function ``src/``
+    defines (what ``make reach`` checks before its runs), so a deletion
+    that leaves its kept line behind fails here."""
+    spec = importlib.util.spec_from_file_location(
+        "reach", REPO_ROOT / "benchmarks" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    assert reach.kept_list()
+    assert reach.stale_kept(reach.defined_functions()) == []
 
 
 @pytest.mark.parametrize("doc", DOC_FILES)

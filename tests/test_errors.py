@@ -17,9 +17,7 @@ import pytest
 
 import repro.errors as errors_module
 from repro.core import (
-    AnalogDigitalArbiter,
     ChipConfig,
-    Domain,
     HctConfig,
     HybridComputeTile,
     InstructionInjectionUnit,
@@ -28,7 +26,6 @@ from repro.digital import BitPipeline
 from repro.errors import (
     AdmissionError,
     AllocationError,
-    ArbiterConflictError,
     BatchTimeoutError,
     CapacityError,
     CircuitOpenError,
@@ -116,13 +113,6 @@ class TestRaisableViaPublicApi:
         handle = tile.set_matrix(np.ones((4, 4), dtype=np.int64))
         with pytest.raises(ExecutionError, match="at least one input vector"):
             tile.execute_mvm_batch(handle, np.empty((0, 4), dtype=np.int64))
-
-    def test_arbiter_conflict_error(self):
-        arbiter = AnalogDigitalArbiter()
-        arbiter.acquire("pipeline:0", Domain.ANALOG, now=0.0, duration=10.0)
-        with pytest.raises(ArbiterConflictError, match="busy with analog"):
-            arbiter.try_acquire("pipeline:0", Domain.DIGITAL, now=1.0,
-                                duration=1.0)
 
     def test_register_live_error(self):
         tile = HybridComputeTile(HctConfig.small())
@@ -336,7 +326,6 @@ class TestHierarchy:
         (MappingError, ReproError),
         (IsaError, ReproError),
         (ExecutionError, ReproError),
-        (ArbiterConflictError, ExecutionError),
         (RegisterLiveError, ExecutionError),
         (DeviceError, ReproError),
         (DeviceFailedError, DeviceError),
@@ -365,7 +354,7 @@ class TestHierarchy:
             "AllocationError", "NoDevicesError", "ReplicationError",
             "SchedulerError", "AdmissionError", "SloError", "MappingError",
             "IsaError",
-            "ExecutionError", "ArbiterConflictError", "RegisterLiveError",
+            "ExecutionError", "RegisterLiveError",
             "DeviceError", "DeviceFailedError", "IntegrityError",
             "RebuildError", "QuantizationError",
             "ClusterError", "TransportError", "WorkerFailedError",

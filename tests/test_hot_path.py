@@ -687,7 +687,7 @@ def _moving_state(tile, handle):
         [tile.ace.crossbar(i).mvm_count for i in handle.array_ids],
         (tile.iiu.injections, tile.iiu.front_end_slots_saved),
         tile.transpose_unit.vector_count,
-        tile._clock,
+        tile.arbiter.now,
     )
 
 
@@ -835,7 +835,7 @@ class TestSameErrorsSameOrder:
                 ace.set_matrix(matrix, value_bits=4, **keywords)
             assert str(raised.value) == message
             assert (tile.ledger.snapshot(), list(ace._free_arrays)) == before
-        assert ace.arrays_used == 0 and not ace._crossbars
+        assert ace.arrays_free == ace.config.num_arrays and not ace._crossbars
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_disabled_ace_raises_allocation_error_first(self, path):

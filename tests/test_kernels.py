@@ -201,7 +201,7 @@ def assert_same_accounting(reference, other):
     assert tile.iiu.injections == ref_tile.iiu.injections
     assert tile.iiu.front_end_slots_saved == ref_tile.iiu.front_end_slots_saved
     assert tile.transpose_unit.vector_count == ref_tile.transpose_unit.vector_count
-    assert tile._clock == ref_tile._clock
+    assert tile.arbiter.now == ref_tile.arbiter.now
     assert [tile.ace.crossbar(i).mvm_count for i in handle.array_ids] == [
         ref_tile.ace.crossbar(i).mvm_count for i in ref_handle.array_ids
     ]
@@ -302,8 +302,21 @@ def programmed_device(case, noise=None, label="kernels-device-plan"):
     return device, allocation, matrix
 
 
+def peek_vr(pipeline, vr):
+    """``pipeline.read_vr(vr)``, without unpacking pending words: decoded
+    from a copy of them, as ``set_vr_words`` left them, so the next call
+    still finds its own words pending."""
+    bits = pipeline._bits[vr].copy()
+    if pipeline._pending is not None and pipeline._pending[0] == vr:
+        words = pipeline._pending[1].copy()
+        bits[:] = False
+        bits[:, :words.shape[0]] = (words & pipeline.bit_weights) != 0
+    return np.bitwise_or.reduce(np.where(bits, pipeline.bit_weights, 0), axis=0)
+
+
 def device_state(device, allocation):
-    """Everything a device call moves besides its result."""
+    """Everything a device call moves besides its result; registers are
+    read with :func:`peek_vr`, so reading the state flushes nothing."""
     tiles = [device.chip.hct(index) for index in allocation.hct_indices]
     return {
         "runtime_ledger": device.ledger.snapshot(),
@@ -311,14 +324,14 @@ def device_state(device, allocation):
         "iiu": [(tile.iiu.injections, tile.iiu.front_end_slots_saved)
                 for tile in tiles],
         "transposes": [tile.transpose_unit.vector_count for tile in tiles],
-        "clocks": [tile._clock for tile in tiles],
+        "clocks": [tile.arbiter.now for tile in tiles],
         "arbiters": [dict(tile.arbiter._owners) for tile in tiles],
         "mvm_counts": [
             [tile.ace.crossbar(i).mvm_count for i in handle.array_ids]
             for tile, handle in zip(tiles, allocation.handles.values())
         ],
         "accumulators": [
-            [tile.dce.pipeline(p).read_vr(0).tolist() for p in range(handle.col_tiles)]
+            [peek_vr(tile.dce.pipeline(p), 0).tolist() for p in range(handle.col_tiles)]
             for tile, handle in zip(tiles, allocation.handles.values())
         ],
     }
@@ -566,7 +579,7 @@ class TestDevicePlanReplayState:
             return device_state(device, allocation), ledgers
         return ledgers, [
             (tile.iiu.injections, tile.iiu.front_end_slots_saved,
-             tile.transpose_unit.vector_count, tile._clock, dict(tile.arbiter._owners),
+             tile.transpose_unit.vector_count, tile.arbiter.now, dict(tile.arbiter._owners),
              [tile.ace.crossbar(i).mvm_count for i in handle.array_ids])
             for tile, handle in zip(tiles, allocation.handles.values())
         ]

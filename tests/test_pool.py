@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ class TestSharding:
         pool = tiny_pool()
         matrix = rng.integers(-8, 8, size=(100, 30))  # 100 % 3 != 0
         allocation = pool.set_matrix(matrix, element_size=4, precision=0)
-        sizes = {task.rows for task in allocation.tasks}
+        sizes = {task.row_end - task.row_start for task in allocation.tasks}
         assert len(sizes) > 1  # genuinely uneven bands
         vectors = rng.integers(0, 8, size=(6, 100))
         result = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
@@ -523,17 +524,6 @@ class TestClose:
         assert np.array_equal(out, vectors @ matrix)
         pool.close()
 
-    def test_context_manager_closes_even_on_error(self, rng):
-        matrix = rng.integers(-8, 8, size=(100, 30))
-        vectors = rng.integers(0, 8, size=(2, 100))
-        with pytest.raises(RuntimeError, match="sentinel"):
-            with tiny_pool() as pool:
-                allocation = pool.set_matrix(matrix, element_size=4)
-                pool.exec_mvm_batch(allocation, vectors, input_bits=3)
-                raise RuntimeError("sentinel")
-        out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
-        assert np.array_equal(out, vectors @ matrix)
-
 
 class TestFanout:
     """A multi-device call walks its devices on the calling thread."""
@@ -545,7 +535,7 @@ class TestFanout:
 
         threads = threading.active_count()
         config = ChipConfig(hct=HctConfig.small(), num_hcts=3)
-        with DevicePool(num_devices=3, config=config, noise=noise) as pool:
+        with closing(DevicePool(num_devices=3, config=config, noise=noise)) as pool:
             rng = derive_rng("pool-fanout")
             matrix = rng.integers(-8, 8, size=(120, 30))
             allocation = pool.set_matrix(matrix, element_size=4)

@@ -99,12 +99,12 @@ class TestCostOracle:
         # max-over-devices (critical path) semantics as the pool predictor.
         server = make_server(max_batch=8, max_wait_ticks=1)
         predicted = server.predicted_batch_cycles("proj", 3, 4)
-        before = [device.ledger.cycles_for("runtime.mvm_batch")
+        before = [device.ledger.cycle_breakdown.get("runtime.mvm_batch", 0.0)
                   for device in server.pool.devices]
         vectors = np.arange(32, dtype=np.int64).reshape(4, 8) % 8
         server.submit_batch("proj", vectors, input_bits=3)
         server.run_until_idle()
-        after = [device.ledger.cycles_for("runtime.mvm_batch")
+        after = [device.ledger.cycle_breakdown.get("runtime.mvm_batch", 0.0)
                  for device in server.pool.devices]
         charged = max(now - then for now, then in zip(after, before))
         assert charged == predicted
