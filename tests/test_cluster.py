@@ -36,14 +36,16 @@ from repro.runtime.cluster import ClusterGateway, ShmRing, build_worker_server
 from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch, matrix_fingerprint
 from repro.runtime.cluster.messages import (
+    K_DRAIN,
     K_ERROR,
+    K_REGISTER,
     K_REGISTERED,
     K_RESULTS,
     K_SUBMIT,
     decode_message,
     encode_message,
 )
-from repro.runtime.cluster.worker import WorkerState, _handle
+from repro.runtime.cluster.worker import WorkerState, _answer, _handle
 from repro.runtime.pool import CacheAffinityPolicy, DevicePool
 from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
@@ -918,6 +920,103 @@ class TestWaveEquivalence:
         assert all(row[7] == "ExecutionError: injected pool failure" for row in rows)
         assert (stats["failed"], stats["completed"], stats["transport_errors"]) == (12, 0, 0)
         assert window == (0, 0.0, 0)
+
+
+# --------------------------------------------------------------------- #
+# A worker's reply bytes, pinned (no processes)                           #
+# --------------------------------------------------------------------- #
+def frame_of(kind, header, arrays=()):
+    return memoryview(b"".join(bytes(part) for part in encode_message(kind, header, arrays)))
+
+
+class TestWorkerReplyPin:
+    """The bytes a worker answers with, frame in, frame out through
+    ``worker._answer``: RESULTS columns, error texts, REGISTERED handles and
+    the K_DRAIN ACK's stats.  ``EXPECTED`` was computed at ``d743f96``, the
+    commit whose worker still queued each SUBMIT on its own ``PumServer``
+    and ticked it idle.
+    """
+
+    #: Worker A: ``StaticBatchingPolicy(16, 4)``, room for 4096 rows.
+    #: Worker B: ``StaticBatchingPolicy(8, 0)``, room for 20 rows.
+    #: Worker C: ``paper_default`` noise, ``StaticBatchingPolicy(16, 4)``.
+    SPECS = {
+        "A": {"chip": "small", "num_hcts": 3, "max_batch": 16, "max_wait_ticks": 4},
+        "B": {"chip": "small", "num_hcts": 3, "max_batch": 8, "max_wait_ticks": 0,
+              "queue_capacity": 20},
+        "C": {"chip": "small", "num_hcts": 3, "noise": "paper_default"},
+    }
+    EXPECTED = {
+        "A: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "A: 16 rows": "382e1a82930cbba2212ca58144465a2d23f32495a1028b533edcc37caecb6128",
+        "A: ragged tail": "28cee28fd7b514f5e355da5bc6429a53047cd2796a525b2c1c974f1cfe54d3cc",
+        "A: empty": "dd73eeb38004304b4f52360410ae82d15d52cb75895aecb3068daddcafe3a3e7",
+        "A: failed chunk": "4b1a46933c96161429c43b8366eab483c3616941bd25306abcf971f6e6bd7436",
+        "A: out of range": "75106f875b15470e0490927f9a05cc8faefe7876fbf20197485fb9184b239356",
+        "A: wrong shape": "e10c8001e97b21a4d059e7f026e7b80f7e1000ae1961d1a8c5638e06d5b722bf",
+        "A: duplicate": "382e1a82930cbba2212ca58144465a2d23f32495a1028b533edcc37caecb6128",
+        "A: after it": "7972a8627c68a37ff4289bd64de0e1c537169fe162371ef6415c265cd402f240",
+        "A: drain": "a2eca5e330702f1bf3469dbc980cf3b40c5b6b00bed39ecaf81332d9b8316ad8",
+        "B: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "B: past capacity": "f89b885c907fde0bfa32333ff73df4a1d261dbf1b3defb8468ba72024c432c5a",
+        "B: at capacity": "83044a1e0e309195450c9dc4cf0c469cc90ac251ef776bf34c682d0104987634",
+        "B: drain": "f80344a3dde8b8c55b0b0254e230f4631c34bfcdc4a0ecb3192b9fa5cf8d90bf",
+        "C: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "C: first wave": "fdc3ba089073f294ba684ddda1892d8538edbf5285df4e734156db022978f9ca",
+        "C: second wave": "1638c9de98c1a73094981dc41e1aa8739ac3d8b43e33da2bec42835cbb80a2ac",
+        "C: drain": "d03c293914f9cf62e41e66e991ebf6d2a58b0f9f7242830983fa8ac7b8d28972",
+    }
+
+    @staticmethod
+    def campaign():
+        """``{label: sha256 of the reply frame}`` over the three workers."""
+        replies = {}
+        for worker, spec in TestWorkerReplyPin.SPECS.items():
+            server, state = build_worker_server(spec), WorkerState()
+            calls, execute = [], server.pool.exec_mvm_batch
+
+            def flaky(*args, **kwargs):
+                calls.append(None)
+                if failing[0] and len(calls) == failing[0]:
+                    raise ExecutionError("injected pool failure")
+                return execute(*args, **kwargs)
+
+            failing = [0]
+            server.pool.exec_mvm_batch = flaky
+
+            def answer(label, kind, header, arrays=()):
+                reply = _answer(server, frame_of(kind, header, arrays),
+                                lambda: None, state)
+                replies[f"{worker}: {label}"] = hashlib.sha256(
+                    b"".join(bytes(part) for part in reply)).hexdigest()
+
+            answer("register", K_REGISTER,
+                   {"name": "m", "element_size": 8, "precision": 0, "input_bits": 8},
+                   [MATRIX])
+            submit = {"name": "m", "input_bits": 8}
+            if worker == "A":
+                answer("16 rows", K_SUBMIT, {"batch": 0, **submit}, [TRACE[:16]])
+                answer("ragged tail", K_SUBMIT, {"batch": 1, **submit}, [TRACE])
+                answer("empty", K_SUBMIT, {"batch": 2, **submit}, [TRACE[:0]])
+                failing[0] = len(calls) + 2
+                answer("failed chunk", K_SUBMIT, {"batch": 3, **submit}, [TRACE])
+                failing[0] = 0
+                answer("out of range", K_SUBMIT, {"batch": 4, **submit}, [TRACE[:4] + 250])
+                answer("wrong shape", K_SUBMIT, {"batch": 5, **submit}, [TRACE[:4, :8]])
+                answer("duplicate", K_SUBMIT, {"batch": 0, **submit}, [TRACE[:16]])
+                answer("after it", K_SUBMIT, {"batch": 6, **submit}, [TRACE[:3]])
+            elif worker == "B":
+                answer("past capacity", K_SUBMIT, {"batch": 0, **submit}, [TRACE[:30]])
+                answer("at capacity", K_SUBMIT, {"batch": 1, **submit}, [TRACE[:20]])
+            else:
+                answer("first wave", K_SUBMIT, {"batch": 0, **submit}, [TRACE[:20]])
+                answer("second wave", K_SUBMIT, {"batch": 1, **submit}, [TRACE[20:]])
+            answer("drain", K_DRAIN, {})
+            server.pool.close()
+        return replies
+
+    def test_reply_bytes_are_unchanged(self):
+        assert self.campaign() == self.EXPECTED
 
 
 # --------------------------------------------------------------------- #
