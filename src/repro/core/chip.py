@@ -13,10 +13,7 @@ and Table 3 carry their power and area.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import AllocationError, CapacityError
 from ..metrics import CostLedger, merge_ledgers
@@ -26,15 +23,6 @@ from .config import ChipConfig
 from .hct import HybridComputeTile
 
 __all__ = ["DarthPumChip"]
-
-
-@dataclass
-class _TileSlot:
-    """Book-keeping for one HCT slot on the chip."""
-
-    tile: Optional[HybridComputeTile] = None
-    allocated: bool = False
-    owner: Optional[str] = None
 
 
 class DarthPumChip:
@@ -52,18 +40,18 @@ class DarthPumChip:
         self.noise = noise
         self.parasitics = parasitics
         self.ledger = CostLedger()
-        self._slots: Dict[int, _TileSlot] = {i: _TileSlot() for i in range(self.config.num_hcts)}
-        #: The free HCTs, without scanning the ~1860 slots: every index from
+        #: Book-keeping exists only for the HCTs a workload touched: the
+        #: reserved indices, and the materialised tiles by index (the chip
+        #: has ~1860 HCTs but functional runs touch a handful, so accounting
+        #: sweeps walk this dict, in index order where order shows).
+        self._allocated: Set[int] = set()
+        self._tiles: Dict[int, HybridComputeTile] = {}
+        #: The free HCTs, without scanning the ~1860 indices: every index from
         #: ``_next_unused`` up has never been reserved, and ``_released`` is
         #: a min-heap of the lower ones handed back since.  The lowest free
         #: index is therefore the heap's top, or ``_next_unused``.
         self._next_unused = 0
         self._released: List[int] = []
-        #: Materialised tiles in HCT-index order (the slot-scan order).  The
-        #: chip has ~1860 slots but functional runs touch a handful;
-        #: accounting sweeps iterate this list instead of scanning every
-        #: slot.
-        self._tiles: List[HybridComputeTile] = []
 
     # ------------------------------------------------------------------ #
     # Tile management                                                      #
@@ -77,19 +65,14 @@ class DarthPumChip:
         """Return (materialising if needed) the HCT at ``index``."""
         if not 0 <= index < self.config.num_hcts:
             raise CapacityError(f"HCT index {index} out of range [0, {self.config.num_hcts})")
-        slot = self._slots[index]
-        if slot.tile is None:
-            slot.tile = HybridComputeTile(
-                config=self.config.hct,
-                device=self.device,
-                noise=self.noise,
-                parasitics=self.parasitics,
-                tile_id=index,
-            )
-            insort(self._tiles, slot.tile, key=attrgetter("tile_id"))
-        return slot.tile
+        tile = self._tiles.get(index)
+        if tile is None:
+            tile = self._tiles[index] = HybridComputeTile(
+                config=self.config.hct, device=self.device, noise=self.noise,
+                parasitics=self.parasitics, tile_id=index)
+        return tile
 
-    def allocate_hcts(self, count: int, owner: str = "anonymous") -> List[int]:
+    def allocate_hcts(self, count: int) -> List[int]:
         """Reserve ``count`` free HCTs for a workload; returns their indices."""
         free = self.config.num_hcts - self.allocated_hcts
         if free < count:
@@ -103,18 +86,15 @@ class DarthPumChip:
             else:
                 index = self._next_unused
                 self._next_unused += 1
-            self._slots[index].allocated = True
-            self._slots[index].owner = owner
+            self._allocated.add(index)
             chosen.append(index)
         return chosen
 
     def release_hcts(self, indices: Iterable[int]) -> None:
         """Return HCTs to the free pool."""
         for index in indices:
-            slot = self._slots.get(index)
-            if slot is not None and slot.allocated:
-                slot.allocated = False
-                slot.owner = None
+            if index in self._allocated:
+                self._allocated.remove(index)
                 heapq.heappush(self._released, index)
 
     @property
@@ -133,7 +113,7 @@ class DarthPumChip:
     def total_ledger(self) -> CostLedger:
         """Merged ledger across all materialised tiles plus the chip ledger."""
         ledgers = [self.ledger]
-        ledgers.extend(tile.ledger for tile in self._tiles)
+        ledgers.extend(self._tiles[index].ledger for index in sorted(self._tiles))
         return merge_ledgers(ledgers)
 
     def planner_builds(self) -> int:
@@ -142,7 +122,7 @@ class DarthPumChip:
         Serving tests assert this stays flat on the request hot path: all
         planning happens at registration time.
         """
-        return sum(tile.planner.builds for tile in self._tiles)
+        return sum(tile.planner.builds for tile in self._tiles.values())
 
     def front_end_energy_pj(self, cycles: float) -> float:
         """Energy of the active front ends over ``cycles`` cycles."""

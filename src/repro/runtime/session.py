@@ -149,7 +149,7 @@ class DarthPumDevice:
         """setMatrix(): allocate HCTs and program ``matrix`` into them."""
         matrix = integer_matrix(matrix)
         placement = plan_matrix(matrix.shape, element_size, precision, self.chip.config.hct)
-        hct_indices = self.chip.allocate_hcts(placement.hcts_needed, owner="set_matrix")
+        hct_indices = self.chip.allocate_hcts(placement.hcts_needed)
         allocation = MatrixAllocation(
             allocation_id=self._next_allocation,
             placement=placement,

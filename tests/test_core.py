@@ -182,7 +182,7 @@ class TestAreaModel:
 class TestChip:
     def test_allocation_and_release(self):
         chip = DarthPumChip(ChipConfig(num_hcts=16))
-        indices = chip.allocate_hcts(4, owner="test")
+        indices = chip.allocate_hcts(4)
         assert chip.allocated_hcts == 4
         chip.release_hcts(indices)
         assert chip.allocated_hcts == 0
