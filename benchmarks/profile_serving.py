@@ -162,9 +162,14 @@ CLUSTER_WAVE_SPEC = dict(chip="small", num_hcts=12, noise=None, max_batch=16,
                          max_wait_ticks=1, num_devices=1, queue_capacity=4096)
 CLUSTER_WAVE_MATRICES, CLUSTER_WAVE_SHAPE = 4, (24, 16)
 CLUSTER_WAVE_BITS, CLUSTER_WAVE_ROWS = 4, 16
-#: The worker's share of a wave, in the order ``worker_main`` spends it.
-WORKER_STAGES = ("peek", "decode", "copy_submit", "drain", "result_frame",
-                 "advance_push", "two_beats")
+#: The worker's share of a wave, in the order ``worker_main`` spends it:
+#: ``answer`` is ``_serve`` (front-door check, chunked pool calls, the
+#: columns).  A ``src/`` whose worker still queues a SUBMIT on its server
+#: and ticks it idle spends ``copy_submit`` and ``drain`` there instead.
+WORKER_STAGES = ("peek", "decode", "answer", "result_frame", "advance_push",
+                 "two_beats")
+QUEUED_WORKER_STAGES = ("peek", "decode", "copy_submit", "drain", "result_frame",
+                        "advance_push", "two_beats")
 
 
 #: The layerbench ``tenant_churn`` tenant and wave.
@@ -808,9 +813,10 @@ class ClusterWaveTwin:
 
     def serve_staged(self, stages: dict) -> None:
         """The same turn taken apart the way ``_handle`` puts it together;
-        each stage's seconds are added to its :data:`WORKER_STAGES` entry."""
-        from repro.runtime.cluster.messages import decode_message
-        from repro.runtime.cluster.worker import _drain_batch, _result_frame
+        each stage's seconds are added to its :data:`WORKER_STAGES` entry
+        (:data:`QUEUED_WORKER_STAGES` on a worker that has no ``_serve``)."""
+        from repro.runtime.cluster import worker
+        from repro.runtime.cluster.messages import K_RESULTS, decode_message, encode_message
 
         requests, clock = self.worker.requests, time.perf_counter
         marks = [clock()]
@@ -818,21 +824,28 @@ class ClusterWaveTwin:
         marks.append(clock())
         _, header, arrays = decode_message(payload)
         marks.append(clock())
-        futures = self.server.submit_batch(
-            header["name"], np.array(arrays[0]), input_bits=header["input_bits"])
+        if hasattr(worker, "_serve"):
+            answer = worker._serve(self.server, header, arrays[0], lambda: None)
+            marks.append(clock())
+            reply = encode_message(K_RESULTS, *answer)
+            names = WORKER_STAGES
+        else:
+            futures = self.server.submit_batch(
+                header["name"], np.array(arrays[0]), input_bits=header["input_bits"])
+            marks.append(clock())
+            worker._drain_batch(self.server, lambda: None)
+            marks.append(clock())
+            reply = worker._result_frame(self.server, header, futures)
+            names = QUEUED_WORKER_STAGES
         marks.append(clock())
-        _drain_batch(self.server, lambda: None)
-        marks.append(clock())
-        reply = _result_frame(self.server, header, futures)
-        marks.append(clock())
-        payload = arrays = None
+        payload = arrays = answer = None
         requests.advance()
         self.worker.replies.push(reply)
         marks.append(clock())
         self.beat()
         self.beat()
         marks.append(clock())
-        for stage, start, stop in zip(WORKER_STAGES, marks, marks[1:]):
+        for stage, start, stop in zip(names, marks, marks[1:]):
             stages[stage] = stages.get(stage, 0.0) + stop - start
 
     def resolve(self) -> None:
@@ -870,7 +883,7 @@ def events_outside(events, frame: str) -> tuple:
 
 def cluster_wave_events(twin: ClusterWaveTwin) -> dict:
     """``sys.setprofile`` events of one steady-state wave, per hop, as
-    ``(python_calls, c_calls)`` -- the worker's also without its tick loop --
+    ``(python_calls, c_calls)`` -- the worker's also outside its pool calls --
     and the ``names`` of every Python function entered on the way.
     ``gateway_read`` asks the resolved wave for every row, as a caller that
     gathers the whole wave does: a gateway that makes a row's future and
@@ -885,7 +898,7 @@ def cluster_wave_events(twin: ClusterWaveTwin) -> dict:
     return {
         "gateway_submit": count_events(submit),
         "worker": count_events(serve),
-        "worker_outside_drain": events_outside(serve, "_drain_batch"),
+        "worker_outside_pool": events_outside(serve, "exec_mvm_batch"),
         "gateway_resolve": count_events(resolve),
         "gateway_read": count_events(read),
         "names": {name for event, name in submit + serve + resolve + read
@@ -928,7 +941,7 @@ def cluster_wave_breakdown(waves: int = 2000, repeats: int = 5) -> None:
                 stages.append({stage: staged[stage] / waves * 1e6 for stage in staged})
             return ({hop: min(samples) for hop, samples in hops.items()},
                     {stage: min(sample[stage] for sample in stages)
-                     for stage in WORKER_STAGES},
+                     for stage in stages[0]},
                     cluster_wave_events(twin))
         finally:
             twin.close()
@@ -944,14 +957,14 @@ def cluster_wave_breakdown(waves: int = 2000, repeats: int = 5) -> None:
         print("  ".join(f"{column:>22}" for column in columns))
 
     row("hop", "us_per_wave", "py_calls", "c_calls")
-    for hop in ("gateway_submit", "worker", "worker_outside_drain", "gateway_resolve",
+    for hop in ("gateway_submit", "worker", "worker_outside_pool", "gateway_resolve",
                 "gateway_read"):
         row(hop, f"{hops[hop]:.1f}" if hop in hops else "-", *events[hop])
     gateway = ("gateway_submit", "gateway_resolve", "gateway_read")
     row("gateway_total", f"{sum(hops[hop] for hop in gateway):.1f}",
         *map(sum, zip(*(events[hop] for hop in gateway))))
-    for stage in WORKER_STAGES:
-        row(f"worker.{stage}", f"{stages[stage]:.1f}", "", "")
+    for stage, us in stages.items():
+        row(f"worker.{stage}", f"{us:.1f}", "", "")
 
 
 def main() -> None:

@@ -13,7 +13,8 @@ OS process:
 * :mod:`messages <repro.runtime.cluster.messages>` -- the framed wire
   protocol (tiny JSON headers, raw ndarray payloads, never pickle);
 * :mod:`worker <repro.runtime.cluster.worker>` -- the per-process
-  command loop owning chips and a ``PumServer`` shard;
+  command loop owning chips in a ``DevicePool`` (a ``PumServer`` holds its
+  registry and stats), answering each SUBMIT with chunked pool calls;
 * :mod:`gateway <repro.runtime.cluster.gateway>` -- the asyncio front
   door: rendezvous placement, cost-aware replica routing, bounded
   inflight windows, heartbeat health checks, retry-on-replica failover,

@@ -2,8 +2,8 @@
 
 The gateway is the single front door of a scale-out serving cluster.  It
 owns the worker processes (each a :mod:`worker
-<repro.runtime.cluster.worker>` running its own
-:class:`~repro.runtime.server.PumServer` shard), the shared-memory rings
+<repro.runtime.cluster.worker>` serving its own
+:class:`~repro.runtime.pool.DevicePool` shard), the shared-memory rings
 connecting them, and the client-facing ``submit`` / ``submit_batch``
 API.  ``submit_batch`` hands back one sequence per wave whose rows are
 :class:`asyncio.Future` objects made when a row is first asked for; one

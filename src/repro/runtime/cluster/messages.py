@@ -91,8 +91,9 @@ K_ERROR = 68
 
 #: Per-row terminal states of a RESULTS frame, packed as a u8 array so a
 #: thousand-row batch does not drag a thousand strings through JSON.  The
-#: codes (``STATUS_CODES``) are the server's: the worker ships the status
-#: column of ``WaveFutures.columns()`` as it is.
+#: codes (``STATUS_CODES``) are the server's, the ones
+#: ``WaveFutures.columns()`` reads: the worker writes its status column in
+#: them.
 STATUS_NAMES = {code: name for name, code in STATUS_CODES.items()}
 
 #: kind, array count, flags, input_bits, name length, array-table length,

@@ -1,12 +1,12 @@
 """Cluster device worker: one OS process owning chips and a server shard.
 
 Each worker is a separate interpreter running its own
-:class:`~repro.runtime.server.PumServer` over its own
-:class:`~repro.runtime.pool.DevicePool` -- its own chips, plan caches,
-batch arenas, and (crucially) its own GIL.  Within one server the Python
-slices of the pipeline (planning glue, noise modelling, batch assembly)
-serialize on one GIL; moving each shard into a process is what makes
-those slices scale.
+:class:`~repro.runtime.pool.DevicePool` -- its own chips, plan caches and
+(crucially) its own GIL -- behind a :class:`~repro.runtime.server.PumServer`
+that holds its matrix registry and serving stats.  Within one process the
+Python slices of the pipeline (planning glue, noise modelling, framing)
+serialize on one GIL; moving each shard into a process is what makes those
+slices scale.
 
 ``worker_main`` is the process entry point: it attaches to the two
 :class:`~repro.runtime.cluster.transport.ShmRing` segments the gateway
@@ -16,16 +16,19 @@ command loop -- beat the heartbeat, pop one message, execute, reply --
 that *blocks on the request ring's doorbell* when the ring is empty, with
 the heartbeat period as the only timeout: an idle worker wakes to beat,
 not to poll.  Request vectors are decoded as zero-copy views of the
-request ring and flow straight into ``submit_batch`` (whose bulk admission
-copy is the single copy the data ever takes on this side); result matrices
-are written directly into the response ring, one frame per wave.
+request ring and read in place by the pool (which copies each chunk into
+its own operand); result columns are written directly into the response
+ring, one frame per wave.
 
-The loop is deliberately synchronous per message: a ``SUBMIT`` runs the
-batch to completion (``run_until_idle``) before its ``RESULTS`` frame is
-pushed, so replies never interleave and the worker's scheduler keeps the
-deterministic tick clock of the single-process server -- which is what
-makes gateway results bit-identical to a local :class:`PumServer` on the
-same trace.
+A ``SUBMIT`` is answered in one pass, not through the server's queue and
+tick loop: by the time it arrives the gateway has batched, routed and
+admitted the wave, so that scheduler would have no choice to make.
+:func:`_serve` runs the server's front-door check, admits the prefix
+``queue_capacity`` allows and calls the pool once per ``max_batch`` chunk,
+beating after each, with the latency ticks the static policy gives a
+wave at an empty queue.  Replies never interleave, and the chunks are the
+batches a local :class:`PumServer` would run on the same trace -- which is
+what makes gateway results (noise streams included) bit-identical to it.
 """
 
 from __future__ import annotations
@@ -34,15 +37,24 @@ import os
 import time
 import traceback
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...core.config import ChipConfig, HctConfig
-from ...errors import ReproError, SchedulerError, TransportError
+from ...errors import ReproError, TransportError
+from ...metrics import UNITS
 from ...reram import NoiseConfig
 from ..scheduling import StaticBatchingPolicy
-from ..server import PumServer, WaveFutures
+from ..server import (
+    STATUS_CODES,
+    STATUS_COMPLETED,
+    STATUS_FAILED,
+    STATUS_REJECTED,
+    PumServer,
+    admissible,
+)
 from .messages import (
     K_ACK,
     K_DRAIN,
@@ -112,28 +124,13 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
 
     pool = DevicePool(num_devices=1, config=config, noise=noise,
                       policy="cache_affinity")
-    knobs = {
-        knob: spec[knob]
-        for knob in ("max_batch", "max_wait_ticks")
-        if spec.get(knob) is not None
-    }
+    knobs = {knob: spec[knob] for knob in ("max_batch", "max_wait_ticks")
+             if spec.get(knob) is not None}
     return PumServer(
         pool=pool,
         scheduling=StaticBatchingPolicy(**knobs),
         queue_capacity=int(spec.get("queue_capacity", 4096)),
-        admission="reject",
     )
-
-
-def _result_frame(server: PumServer, header: Dict[str, Any],
-                  futures: WaveFutures) -> List[bytes]:
-    """Assemble the RESULTS frame for a drained batch, in row order, from the
-    wave's columns: no row's future or response is built on the way."""
-    statuses, results, latency, energy, errors = futures.columns()
-    reply = {"batch": header.get("batch"), "name": header.get("name")}
-    if errors:
-        reply["errors"] = {str(row): error for row, error in errors.items()}
-    return encode_message(K_RESULTS, reply, [statuses, results, latency, energy])
 
 
 class WorkerState:
@@ -171,25 +168,62 @@ class WorkerState:
             self.reply_cache.popitem(last=False)
 
 
-def _drain_batch(server: PumServer, beat: Callable[[], None],
-                 max_ticks: int = 100_000) -> None:
-    """``run_until_idle`` with a heartbeat per tick.
+def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
+           beat: Callable[[], None]) -> Tuple[Dict[str, Any], List[np.ndarray]]:
+    """The RESULTS header and columns of one SUBMIT, in one pass: no queue,
+    no tick loop.
 
-    Beating from *inside* the dispatch loop is what distinguishes a long
-    batch from a hang: the board advances while the scheduler makes
-    progress, so the gateway's ``LIVENESS_TIMEOUT`` measures wedged-ness,
-    not batch length.
+    The gateway has batched, routed and admitted the wave already, and the
+    worker's queue is empty whenever a SUBMIT arrives, so the server's
+    scheduler would have no choice to make.  What it would decide is done
+    here directly: the server's front-door check (:func:`admissible`), the
+    prefix ``queue_capacity`` admits (the rest rejected), then one
+    ``exec_mvm_batch`` per ``max_batch`` chunk, in row order, with a beat
+    after each.  A chunk that raises a library error fails its rows with
+    that text.  Latency is what the static policy gives a wave arriving at
+    an empty queue: 1 tick for a full chunk, ``max(1, max_wait_ticks)`` for
+    a ragged last one, 0 for a rejected row; energy per row is the chunk's
+    MVM energy over its size.  The server's stats move as its tick loop
+    would move them (a worker's pool has no replica, no ABFT and no fault
+    injector, so there is no degradation to note).
     """
-    for _ in range(max_ticks):
-        if not server.pending:
-            return
-        server.tick()
+    name, input_bits = header.get("name"), int(header.get("input_bits", 8))
+    allocation = server.allocation_for(name)
+    vectors = admissible(name, allocation.shape[0], vectors, input_bits)
+    count, stats, pool, policy = len(vectors), server.stats, server.pool, server.scheduling
+    admitted = min(count, server.queue_capacity)
+    stats.submitted += count
+    stats.rejected += count - admitted
+    if admitted:
+        stats.observe_queue_depth(admitted)
+    statuses = np.full(count, STATUS_CODES[STATUS_REJECTED], dtype=np.uint8)
+    latency, energy = np.zeros(count, dtype=np.int64), np.zeros(count)
+    results = np.zeros((count, allocation.shape[1]), dtype=np.int64)
+    reply: Dict[str, Any] = {"batch": header.get("batch"), "name": name}
+    for start in range(0, admitted, policy.max_batch):
+        stop = min(start + policy.max_batch, admitted)
+        size = stop - start
+        latency[start:stop] = ticks = \
+            1 if size == policy.max_batch else max(1, policy.max_wait_ticks)
+        stats.zero_copy_batches += 1
+        before = pool.mvm_energy_units()
+        try:
+            results[start:stop] = pool.exec_mvm_batch(
+                allocation, vectors[start:stop], input_bits=input_bits)
+        except ReproError as exc:
+            stats.failed += size
+            statuses[start:stop] = STATUS_CODES[STATUS_FAILED]
+            reply.setdefault("errors", {}).update(dict.fromkeys(
+                map(str, range(start, stop)), f"{type(exc).__name__}: {exc}"))
+        else:
+            energy_pj = (pool.mvm_energy_units() - before) / UNITS
+            statuses[start:stop] = STATUS_CODES[STATUS_COMPLETED]
+            energy[start:stop] = energy_pj / size
+            stats.record_batch(size, repeat(ticks, size), energy_pj)
         beat()
-    if server.pending:
-        raise SchedulerError(
-            f"queue failed to drain within {max_ticks} ticks "
-            f"({server.pending} requests pending)"
-        )
+    if STATUS_CODES[STATUS_COMPLETED] not in statuses:
+        results = results[:, :0]  # no row has a result: the columns are empty
+    return reply, [statuses, results, latency, energy]
 
 
 def _handle(server: PumServer, kind: int, header: Dict[str, Any],
@@ -209,35 +243,23 @@ def _handle(server: PumServer, kind: int, header: Dict[str, Any],
             while time.monotonic() < deadline:
                 beat()
                 time.sleep(SPIN_BACKOFF)
-        # The one copy this side of the boundary: admitted vectors alias
-        # the array handed to submit_batch, which must outlive the ring
-        # frame -- so lift the payload out of shared memory here.
-        # A header that names no matrix is refused by the server like any
-        # unregistered name: typed, and answered with the batch id.
-        futures = server.submit_batch(
-            header.get("name"), np.array(arrays[0]),
-            input_bits=int(header.get("input_bits", 8)),
-        )
-        _drain_batch(server, beat)
-        reply = _result_frame(server, header, futures)
+        # No copy: the vectors are read in place from the ring frame.  The
+        # pool copies each chunk into its own operand and the RESULTS
+        # columns are arrays of their own, so nothing holds the frame past
+        # this call -- the loop's ``requests.advance()`` may release it.
+        reply = encode_message(K_RESULTS, *_serve(server, header, arrays[0], beat))
         state.remember_reply(header.get("batch"), reply)
         return reply
     if kind == K_REGISTER:
         # Lift the matrix out of the ring frame before handing it to the
         # registry, which may keep references past the frame's lifetime.
+        name, input_bits = header["name"], int(header.get("input_bits", 8))
         allocation = server.register_matrix(
-            header["name"],
-            np.array(arrays[0]),
-            element_size=int(header.get("element_size", 8)),
-            precision=int(header.get("precision", 0)),
-            input_bits=int(header.get("input_bits", 8)),
-        )
-        handle = server.plan_handle(
-            header["name"], input_bits=int(header.get("input_bits", 8))
-        )
+            name, np.array(arrays[0]), element_size=int(header.get("element_size", 8)),
+            precision=int(header.get("precision", 0)), input_bits=input_bits)
+        handle = server.plan_handle(name, input_bits=input_bits)
         return encode_message(K_REGISTERED, {
-            "name": header["name"],
-            "shape": list(allocation.shape),
+            "name": name, "shape": list(allocation.shape),
             "handle": handle.to_bytes().hex(),
         })
     if kind == K_DRAIN:

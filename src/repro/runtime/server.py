@@ -548,6 +548,38 @@ def coalesce(runs: List[Run]) -> List[Run]:
     return merged
 
 
+def admissible(name: str, rows: int, vectors: np.ndarray, input_bits: int,
+               ndim: int = 2) -> np.ndarray:
+    """The request front door: ``submit``'s (``ndim=1``), ``submit_batch``'s
+    and a cluster worker's, against a matrix of ``rows`` rows.
+
+    Shape, then dtype, then value range, each failing the caller
+    synchronously with :class:`~repro.errors.QuantizationError` before a
+    request id is consumed -- so a bad vector never poisons the batch it
+    would later ride in, and a float is refused (as ``set_matrix`` refuses a
+    float matrix) instead of being truncated.  Returns the vectors as one
+    contiguous int64 array: the caller's own when it already is one.
+    """
+    source = np.asarray(vectors)
+    if source.ndim != ndim or source.shape[-1] != rows:
+        expected = (
+            f"submit expects a ({rows},) vector" if ndim == 1
+            else f"submit_batch expects an (n, {rows}) array"
+        )
+        raise QuantizationError(
+            f"{expected} for matrix {name!r} (got shape {source.shape})"
+        )
+    source = integer_vectors(source)
+    if source.size:
+        lo, hi = int(source.min()), int(source.max())
+        if lo < 0 or hi >= 1 << input_bits:
+            raise QuantizationError(
+                f"request vector values must be in [0, 2**{input_bits}) "
+                f"(got range [{lo}, {hi}])"
+            )
+    return np.ascontiguousarray(source)
+
+
 class PumServer:
     """Serving front-end: single-vector requests in, coalesced batches out.
 
@@ -777,39 +809,6 @@ class PumServer:
     # ------------------------------------------------------------------ #
     # Admission                                                            #
     # ------------------------------------------------------------------ #
-    def _admissible(
-        self, name: str, vectors: np.ndarray, input_bits: int, ndim: int
-    ) -> np.ndarray:
-        """The request front door shared by ``submit`` and ``submit_batch``.
-
-        Shape, then dtype, then value range, each failing the caller
-        synchronously with :class:`~repro.errors.QuantizationError` before
-        a request id is consumed -- so a bad vector never poisons the batch
-        it would later ride in, and a float is refused (as ``set_matrix``
-        refuses a float matrix) instead of being truncated.  Returns the
-        vectors as one contiguous int64 array: the caller's own when it
-        already is one.
-        """
-        rows = self._registration(name).allocation.shape[0]
-        source = np.asarray(vectors)
-        if source.ndim != ndim or source.shape[-1] != rows:
-            expected = (
-                f"submit expects a ({rows},) vector" if ndim == 1
-                else f"submit_batch expects an (n, {rows}) array"
-            )
-            raise QuantizationError(
-                f"{expected} for matrix {name!r} (got shape {source.shape})"
-            )
-        source = integer_vectors(source)
-        if source.size:
-            lo, hi = int(source.min()), int(source.max())
-            if lo < 0 or hi >= 1 << input_bits:
-                raise QuantizationError(
-                    f"request vector values must be in [0, 2**{input_bits}) "
-                    f"(got range [{lo}, {hi}])"
-                )
-        return np.ascontiguousarray(source)
-
     def submit(
         self,
         name: str,
@@ -897,7 +896,8 @@ class PumServer:
                     deadline = slo.deadline_for(self.now)
                 if priority == 0:
                     priority = slo.shed_priority
-            source = self._admissible(name, vectors, input_bits, ndim=2 if bulk else 1)
+            source = admissible(name, self.allocation_for(name).shape[0], vectors,
+                                input_bits, ndim=2 if bulk else 1)
             if not bulk:
                 source = source[np.newaxis]
             count = len(source)

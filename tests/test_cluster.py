@@ -1018,6 +1018,25 @@ class TestWorkerReplyPin:
     def test_reply_bytes_are_unchanged(self):
         assert self.campaign() == self.EXPECTED
 
+    @pytest.mark.parametrize("worker", sorted(SPECS))
+    def test_nothing_holds_the_request_frame(self, worker):
+        """The worker reads a SUBMIT's vectors in place: once the answer is
+        built, no view of the frame is left (a bytearray with an exported
+        buffer refuses to resize), and the reply replays unchanged after the
+        frame's bytes are overwritten."""
+        server, state = build_worker_server(self.SPECS[worker]), WorkerState()
+        _answer(server, frame_of(K_REGISTER, {"name": "m"}, [MATRIX]), lambda: None, state)
+        frame = bytearray(frame_of(K_SUBMIT, {"batch": 0, "name": "m", "input_bits": 8},
+                                   [TRACE[:30]]))
+        reply = _answer(server, memoryview(frame), lambda: None, state)
+        first = b"".join(bytes(part) for part in reply)
+        frame[:] = bytes(len(frame))
+        frame.extend(b"resizable")
+        again = _answer(server, frame_of(K_SUBMIT, {"batch": 0}), lambda: None, state)
+        assert b"".join(bytes(part) for part in again) == first
+        assert decode_message(memoryview(first))[0] == K_RESULTS
+        server.pool.close()
+
 
 # --------------------------------------------------------------------- #
 # Every way a cluster wave resolves, pinned (no processes)                #
