@@ -174,9 +174,11 @@ loc:
 # never-entered functions per file, those benchmarks/reach_kept.txt keeps on
 # purpose apart from the candidates (2-3 min; the benchmark gates take about
 # twice as long under the recorder).  Exits 1 first if a kept line names a
-# function that is gone.
+# function that is gone.  Writes benchmarks/artifacts/reach.json; with
+# BASE=<another run's reach.json> it also prints the functions this tree
+# newly strands.
 reach:
-	$(PY) benchmarks/reach.py
+	$(PY) benchmarks/reach.py $(if $(BASE),--against $(BASE))
 
 # Lint/format gate (needs ruff: pip install -r requirements-dev.txt).
 lint:

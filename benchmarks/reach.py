@@ -14,6 +14,15 @@ naming a function ``src/`` no longer defines is stale: the tool lists those
 and exits 1 before running anything.
 
     PYTHONPATH=src python benchmarks/reach.py        # 2-3 min on 2 vCPUs
+    PYTHONPATH=src python benchmarks/reach.py --against parent-reach.json
+
+Every run writes ``benchmarks/artifacts/reach.json``: the functions ``src/``
+defines and those no run entered, as ``path::Qualname``.  With
+``--against`` a list written the same way at another commit (run this file
+in a checkout of it), the report ends with the functions this tree newly
+strands -- defined and entered there, never entered here -- and the new
+functions no run enters.  Line numbers are left out of the names, so an
+edit that moves a function does not make it look new.
 
 How the recorder keeps seeing every call:
 
@@ -51,6 +60,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 KEPT = Path(__file__).resolve().parent / "reach_kept.txt"
+ARTIFACT = ROOT / "benchmarks" / "artifacts" / "reach.json"
 EXAMPLES = ("quickstart", "aes_encryption", "resnet_inference", "llm_encoder",
             "serving", "cluster")
 LAYERBENCH_SEED = 12345
@@ -179,7 +189,8 @@ def stale_kept(defined: Dict[Key, int]) -> List[str]:
             if (relative, qualname) not in names]
 
 
-def report(entered: Set[Key], defined: Dict[Key, int]) -> None:
+def report(entered: Set[Key], defined: Dict[Key, int]) -> List[Key]:
+    """Print the never-entered functions, kept first; return them."""
     kept = kept_list()
     missed = sorted((key for key in defined if key not in entered),
                     key=lambda key: (key[0], key[2]))
@@ -201,9 +212,30 @@ def report(entered: Set[Key], defined: Dict[Key, int]) -> None:
                 print(relative)
             reason = f"  -- {kept[key[:2]]}" if is_kept else ""
             print(f"  {line:5d}  {qualname}  ({defined[key]} lines){reason}")
+    return missed
 
 
-def main() -> int:
+def name(key: Key) -> str:
+    return f"{key[0]}::{key[1]}"
+
+
+def compare(defined: Dict[Key, int], missed: List[Key], base: Path) -> None:
+    """Print what this tree strands against ``base``'s ``reach.json``."""
+    before = json.loads(base.read_text())
+    was_defined, was_missed = set(before["defined"]), set(before["never_entered"])
+    stranded = [key for key in missed
+                if name(key) in was_defined and name(key) not in was_missed]
+    unreached = [key for key in missed if name(key) not in was_defined]
+    for title, keys in (("newly stranded (entered in the base run)", stranded),
+                        ("new and never entered", unreached)):
+        print(f"## {title}: {len(keys)} functions, "
+              f"{sum(defined[key] for key in keys)} lines")
+        for key in keys:
+            print(f"  {name(key)}  ({defined[key]} lines)")
+
+
+def main(argv: List[str]) -> int:
+    base = Path(argv[argv.index("--against") + 1]) if "--against" in argv else None
     defined = defined_functions()
     stale = stale_kept(defined)
     if stale:
@@ -227,7 +259,15 @@ def main() -> int:
             for line in record.read_text().splitlines():
                 relative, qualname, first = line.split("\t")
                 entered.add((relative, qualname, int(first)))
-    report(entered, defined)
+    missed = report(entered, defined)
+    ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
+    ARTIFACT.write_text(json.dumps({
+        "defined": sorted(map(name, defined)),
+        "never_entered": sorted(map(name, missed)),
+    }, indent=0))
+    print(f"# wrote {ARTIFACT.relative_to(ROOT)}")
+    if base is not None:
+        compare(defined, missed, base)
     return 0
 
 
@@ -235,4 +275,4 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--record"]:
         child(sys.argv)
     else:
-        sys.exit(main())
+        sys.exit(main(sys.argv[1:]))
