@@ -896,8 +896,8 @@ class PumServer:
                     deadline = slo.deadline_for(self.now)
                 if priority == 0:
                     priority = slo.shed_priority
-            source = admissible(name, self.allocation_for(name).shape[0], vectors,
-                                input_bits, ndim=2 if bulk else 1)
+            source = admissible(name, self._registration(name).allocation.shape[0],
+                                vectors, input_bits, ndim=2 if bulk else 1)
             if not bulk:
                 source = source[np.newaxis]
             count = len(source)
