@@ -570,13 +570,15 @@ def admissible(name: str, rows: int, vectors: np.ndarray, input_bits: int,
             f"{expected} for matrix {name!r} (got shape {source.shape})"
         )
     source = integer_vectors(source)
-    if source.size:
+    # Read as unsigned, a negative value is 2**63 or more, past every bound
+    # (an int64 is below 2**63, so wider bounds are that one): a valid wave
+    # costs one ``max``, and only a refusal pays for the range it names.
+    if source.size and int(source.view(np.uint64).max()) >= 1 << min(input_bits, 63):
         lo, hi = int(source.min()), int(source.max())
-        if lo < 0 or hi >= 1 << input_bits:
-            raise QuantizationError(
-                f"request vector values must be in [0, 2**{input_bits}) "
-                f"(got range [{lo}, {hi}])"
-            )
+        raise QuantizationError(
+            f"request vector values must be in [0, 2**{input_bits}) "
+            f"(got range [{lo}, {hi}])"
+        )
     return np.ascontiguousarray(source)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import re
 import sys
 import threading
 import time
@@ -33,7 +34,13 @@ from repro.runtime import (
     serve_llm_projection,
 )
 from repro.runtime.cluster import ClusterGateway
-from repro.runtime.server import PENDING_CODE, STATUS_CODES, TELEMETRY_WINDOW, ServingStats
+from repro.runtime.server import (
+    PENDING_CODE,
+    STATUS_CODES,
+    TELEMETRY_WINDOW,
+    ServingStats,
+    admissible,
+)
 from repro.workloads.aes.gf import gf_mul
 from repro.workloads.aes.reference import MIX_COLUMNS_MATRIX
 from repro.workloads.cnn.layers import Conv2d
@@ -1123,3 +1130,34 @@ class TestStatsSnapshot:
         stats.record_batch(3, [1, 2, 3], energy_pj=9.0)
         stats.observe_queue_depth(5)
         assert stats.snapshot() == stats.summary()
+
+
+class TestFrontDoor:
+    """``admissible``: the check ``submit``, ``submit_batch`` and a cluster
+    worker run on request vectors before anything is queued or executed."""
+
+    @pytest.mark.parametrize("input_bits, values, refused", [
+        (4, [0, 15], None),
+        (4, [0, 16], "[0, 2**4) (got range [0, 16])"),
+        (4, [-1, 3], "[0, 2**4) (got range [-1, 3])"),
+        (63, [0, 2**63 - 1], None),
+        (63, [-(2**63), 5], f"[0, 2**63) (got range [{-(2**63)}, 5])"),
+        (64, [-1, 2**63 - 1], f"[0, 2**64) (got range [-1, {2**63 - 1}])"),
+        (64, [0, 2**63 - 1], None),
+    ])
+    def test_one_pass_for_a_valid_wave_the_full_range_for_a_refusal(
+            self, input_bits, values, refused):
+        vectors = np.array([values], dtype=np.int64)
+        if refused is None:
+            assert admissible("m", 2, vectors, input_bits) is vectors
+        else:
+            with pytest.raises(QuantizationError, match=re.escape(refused)):
+                admissible("m", 2, vectors, input_bits)
+
+    def test_shape_before_dtype_before_range(self):
+        with pytest.raises(QuantizationError, match=r"an \(n, 2\) array for matrix 'm'"):
+            admissible("m", 2, np.array([[0.5, -1.0, 2.0]]), 4)
+        with pytest.raises(QuantizationError, match="must be integers"):
+            admissible("m", 2, np.array([[0.5, -1.0]]), 4)
+        with pytest.raises(QuantizationError, match=r"a \(2,\) vector"):
+            admissible("m", 2, np.zeros(3, dtype=np.int64), 4, ndim=1)
