@@ -124,8 +124,11 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
 
     pool = DevicePool(num_devices=1, config=config, noise=noise,
                       policy="cache_affinity")
-    knobs = {knob: spec[knob] for knob in ("max_batch", "max_wait_ticks")
-             if spec.get(knob) is not None}
+    knobs = {
+        knob: spec[knob]
+        for knob in ("max_batch", "max_wait_ticks")
+        if spec.get(knob) is not None
+    }
     return PumServer(
         pool=pool,
         scheduling=StaticBatchingPolicy(**knobs),
