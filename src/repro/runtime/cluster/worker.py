@@ -49,7 +49,6 @@ from ...reram import NoiseConfig
 from ..scheduling import StaticBatchingPolicy
 from ..server import (
     STATUS_CODES,
-    STATUS_COMPLETED,
     STATUS_FAILED,
     STATUS_REJECTED,
     PumServer,
@@ -199,10 +198,15 @@ def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
     stats.rejected += count - admitted
     if admitted:
         stats.observe_queue_depth(admitted)
-    statuses = np.full(count, STATUS_CODES[STATUS_REJECTED], dtype=np.uint8)
+    # A NumPy call costs more than a chunk's few rows: each column is made
+    # whole once, and a chunk writes only where it differs.
+    statuses = np.zeros(count, dtype=np.uint8)  # the code of STATUS_COMPLETED
+    if admitted < count:
+        statuses[admitted:] = STATUS_CODES[STATUS_REJECTED]
     latency, energy = np.zeros(count, dtype=np.int64), np.zeros(count)
     results = np.zeros((count, allocation.shape[1]), dtype=np.int64)
     reply: Dict[str, Any] = {"batch": header.get("batch"), "name": name}
+    completed = False
     for start in range(0, admitted, policy.max_batch):
         stop = min(start + policy.max_batch, admitted)
         size = stop - start
@@ -219,12 +223,12 @@ def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
             reply.setdefault("errors", {}).update(dict.fromkeys(
                 map(str, range(start, stop)), f"{type(exc).__name__}: {exc}"))
         else:
+            completed = True
             energy_pj = (pool.mvm_energy_units() - before) / UNITS
-            statuses[start:stop] = STATUS_CODES[STATUS_COMPLETED]
             energy[start:stop] = energy_pj / size
             stats.record_batch(size, repeat(ticks, size), energy_pj)
         beat()
-    if STATUS_CODES[STATUS_COMPLETED] not in statuses:
+    if not completed:
         results = results[:, :0]  # no row has a result: the columns are empty
     return reply, [statuses, results, latency, energy]
 
