@@ -13,7 +13,10 @@ and Table 3 carry their power and area.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set
+from bisect import insort
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import AllocationError, CapacityError
 from ..metrics import CostLedger, merge_ledgers
@@ -23,6 +26,14 @@ from .config import ChipConfig
 from .hct import HybridComputeTile
 
 __all__ = ["DarthPumChip"]
+
+
+@dataclass(slots=True)
+class _TileSlot:
+    """Book-keeping for one HCT slot on the chip."""
+
+    tile: Optional[HybridComputeTile] = None
+    allocated: bool = False
 
 
 class DarthPumChip:
@@ -40,18 +51,18 @@ class DarthPumChip:
         self.noise = noise
         self.parasitics = parasitics
         self.ledger = CostLedger()
-        #: Book-keeping exists only for the HCTs a workload touched: the
-        #: reserved indices, and the materialised tiles by index (the chip
-        #: has ~1860 HCTs but functional runs touch a handful, so accounting
-        #: sweeps walk this dict, in index order where order shows).
-        self._allocated: Set[int] = set()
-        self._tiles: Dict[int, HybridComputeTile] = {}
-        #: The free HCTs, without scanning the ~1860 indices: every index from
+        self._slots: Dict[int, _TileSlot] = {i: _TileSlot() for i in range(self.config.num_hcts)}
+        #: The free HCTs, without scanning the ~1860 slots: every index from
         #: ``_next_unused`` up has never been reserved, and ``_released`` is
         #: a min-heap of the lower ones handed back since.  The lowest free
         #: index is therefore the heap's top, or ``_next_unused``.
         self._next_unused = 0
         self._released: List[int] = []
+        #: Materialised tiles in HCT-index order (the slot-scan order).  The
+        #: chip has ~1860 slots but functional runs touch a handful;
+        #: accounting sweeps iterate this list instead of scanning every
+        #: slot.
+        self._tiles: List[HybridComputeTile] = []
 
     # ------------------------------------------------------------------ #
     # Tile management                                                      #
@@ -65,12 +76,17 @@ class DarthPumChip:
         """Return (materialising if needed) the HCT at ``index``."""
         if not 0 <= index < self.config.num_hcts:
             raise CapacityError(f"HCT index {index} out of range [0, {self.config.num_hcts})")
-        tile = self._tiles.get(index)
-        if tile is None:
-            tile = self._tiles[index] = HybridComputeTile(
-                config=self.config.hct, device=self.device, noise=self.noise,
-                parasitics=self.parasitics, tile_id=index)
-        return tile
+        slot = self._slots[index]
+        if slot.tile is None:
+            slot.tile = HybridComputeTile(
+                config=self.config.hct,
+                device=self.device,
+                noise=self.noise,
+                parasitics=self.parasitics,
+                tile_id=index,
+            )
+            insort(self._tiles, slot.tile, key=attrgetter("tile_id"))
+        return slot.tile
 
     def allocate_hcts(self, count: int) -> List[int]:
         """Reserve ``count`` free HCTs for a workload; returns their indices."""
@@ -86,15 +102,16 @@ class DarthPumChip:
             else:
                 index = self._next_unused
                 self._next_unused += 1
-            self._allocated.add(index)
+            self._slots[index].allocated = True
             chosen.append(index)
         return chosen
 
     def release_hcts(self, indices: Iterable[int]) -> None:
         """Return HCTs to the free pool."""
         for index in indices:
-            if index in self._allocated:
-                self._allocated.remove(index)
+            slot = self._slots.get(index)
+            if slot is not None and slot.allocated:
+                slot.allocated = False
                 heapq.heappush(self._released, index)
 
     @property
@@ -113,7 +130,7 @@ class DarthPumChip:
     def total_ledger(self) -> CostLedger:
         """Merged ledger across all materialised tiles plus the chip ledger."""
         ledgers = [self.ledger]
-        ledgers.extend(self._tiles[index].ledger for index in sorted(self._tiles))
+        ledgers.extend(tile.ledger for tile in self._tiles)
         return merge_ledgers(ledgers)
 
     def planner_builds(self) -> int:
@@ -122,7 +139,7 @@ class DarthPumChip:
         Serving tests assert this stays flat on the request hot path: all
         planning happens at registration time.
         """
-        return sum(tile.planner.builds for tile in self._tiles.values())
+        return sum(tile.planner.builds for tile in self._tiles)
 
     def front_end_energy_pj(self, cycles: float) -> float:
         """Energy of the active front ends over ``cycles`` cycles."""

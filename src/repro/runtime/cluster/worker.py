@@ -181,8 +181,9 @@ def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
     here directly: the server's front-door check (:func:`admissible`), the
     prefix ``queue_capacity`` admits (the rest rejected), then one
     ``exec_mvm_batch`` per ``max_batch`` chunk, in row order, with a beat
-    after each.  A chunk that raises a library error fails its rows with
-    that text.  Latency is what the static policy gives a wave arriving at
+    after each -- the board advances while the wave makes progress, so the
+    gateway's ``LIVENESS_TIMEOUT`` measures wedged-ness, not wave length.
+    A chunk that raises a library error fails its rows with that text.  Latency is what the static policy gives a wave arriving at
     an empty queue: 1 tick for a full chunk, ``max(1, max_wait_ticks)`` for
     a ragged last one, 0 for a rejected row; energy per row is the chunk's
     MVM energy over its size.  The server's stats move as its tick loop
@@ -254,6 +255,8 @@ def _handle(server: PumServer, kind: int, header: Dict[str, Any],
         # pool copies each chunk into its own operand and the RESULTS
         # columns are arrays of their own, so nothing holds the frame past
         # this call -- the loop's ``requests.advance()`` may release it.
+        # A header that names no matrix is refused like any unregistered
+        # name: typed, and answered with the batch id.
         reply = encode_message(K_RESULTS, *_serve(server, header, arrays[0], beat))
         state.remember_reply(header.get("batch"), reply)
         return reply
