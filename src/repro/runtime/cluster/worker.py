@@ -207,7 +207,6 @@ def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
     latency, energy = np.zeros(count, dtype=np.int64), np.zeros(count)
     results = np.zeros((count, allocation.shape[1]), dtype=np.int64)
     reply: Dict[str, Any] = {"batch": header.get("batch"), "name": name}
-    completed = False
     for start in range(0, admitted, policy.max_batch):
         stop = min(start + policy.max_batch, admitted)
         size = stop - start
@@ -224,13 +223,12 @@ def _serve(server: PumServer, header: Dict[str, Any], vectors: np.ndarray,
             reply.setdefault("errors", {}).update(dict.fromkeys(
                 map(str, range(start, stop)), f"{type(exc).__name__}: {exc}"))
         else:
-            completed = True
             energy_pj = (pool.mvm_energy_units() - before) / UNITS
             energy[start:stop] = energy_pj / size
             stats.record_batch(size, repeat(ticks, size), energy_pj)
         beat()
-    if not completed:
-        results = results[:, :0]  # no row has a result: the columns are empty
+    if statuses.all():  # no row completed: the result columns are empty
+        results = results[:, :0]
     return reply, [statuses, results, latency, energy]
 
 
