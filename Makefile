@@ -128,8 +128,9 @@ profile:
 # through a scripted gateway and one worker's functions in one process, on
 # real rings, doorbells and heartbeat board -- us and sys.setprofile events
 # (Python + C calls) for gateway submit, the worker's turn (whole, outside its
-# tick loop, and split into peek / decode / copy+submit / drain / RESULTS
-# frame / advance+push / two beats) and gateway resolve.  registration: one
+# pool calls, and split into peek / decode / answer / RESULTS frame /
+# advance+push / two beats; copy+submit and drain stand for answer on a src/
+# whose worker queued the wave and ticked it idle) and gateway resolve.  registration: one
 # 64x64 4-bit PumServer.register_matrix with new bytes (the tenant_churn
 # tenant, reprogrammed in place) and the first wave against it, then the same
 # with the shape alternating (released and placed anew) -- untraced us for

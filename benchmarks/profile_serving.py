@@ -41,8 +41,9 @@ layerbench ``cluster_saturate`` workload through a gateway and one worker
 that share this process (:class:`ClusterWaveTwin`: real shared-memory rings,
 doorbells and heartbeat board; no second process, no event-loop turn between
 the stages) -- untraced microseconds and ``sys.setprofile`` events (Python
-calls + C calls) for the gateway's submit, the worker's handling split into
-its seven stages, the gateway's resolve and a read of every row of the
+calls + C calls) for the gateway's submit, the worker's handling (whole,
+outside its pool calls, and split into its stages: :data:`WORKER_STAGES`),
+the gateway's resolve and a read of every row of the
 resolved wave (what a caller that gathers the whole wave adds), with the
 gateway's three hops summed.
 

@@ -91,9 +91,8 @@ K_ERROR = 68
 
 #: Per-row terminal states of a RESULTS frame, packed as a u8 array so a
 #: thousand-row batch does not drag a thousand strings through JSON.  The
-#: codes (``STATUS_CODES``) are the server's, the ones
-#: ``WaveFutures.columns()`` reads: the worker writes its status column in
-#: them.
+#: codes are the server's ``STATUS_CODES`` (those ``WaveFutures.columns()``
+#: reads out), in which the worker writes its status column.
 STATUS_NAMES = {code: name for name, code in STATUS_CODES.items()}
 
 #: kind, array count, flags, input_bits, name length, array-table length,

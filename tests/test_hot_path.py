@@ -107,8 +107,8 @@ MAX_SUBMIT_CALLS_PER_REQUEST = 18.5
 #: alone would flatter or punish it) of one 16-row ``cluster_saturate`` wave,
 #: per hop, measured + 10 %: gateway submit 40 + 43 (56 + 42 with a future
 #: made per row at the door, 73 + 50 with a JSON header too), the worker's
-#: whole turn 66 + 129 (99 + 165 while it queued the wave on its server and
-#: ticked it idle), and the part of it outside its pool call 50 + 104 (83 +
+#: whole turn 64 + 131 (99 + 165 while it queued the wave on its server and
+#: ticked it idle), and the part of it outside its pool call 48 + 106 (83 +
 #: 140 then; outside the tick loop it was 50 + 102, and 86 + 120 with sixteen
 #: futures built at the door and sixteen ``result()`` calls behind the
 #: RESULTS frame, 90 + 218 with a per-row RESULTS frame and a per-array
