@@ -1018,6 +1018,12 @@ class TestWorkerReplyPin:
     def test_reply_bytes_are_unchanged(self):
         assert self.campaign() == self.EXPECTED
 
+
+class TestWorkerServesInOnePass:
+    """What a SUBMIT leaves behind on the worker once it is answered."""
+
+    SPECS = TestWorkerReplyPin.SPECS
+
     @pytest.mark.parametrize("worker", sorted(SPECS))
     def test_nothing_holds_the_request_frame(self, worker):
         """The worker reads a SUBMIT's vectors in place: once the answer is
@@ -1035,6 +1041,37 @@ class TestWorkerReplyPin:
         again = _answer(server, frame_of(K_SUBMIT, {"batch": 0}), lambda: None, state)
         assert b"".join(bytes(part) for part in again) == first
         assert decode_message(memoryview(first))[0] == K_RESULTS
+        server.pool.close()
+
+    def test_a_chunk_that_crashes_leaves_nothing_queued(self):
+        """A non-library error in a wave's second chunk fails the message
+        (an ERROR with its trace) and leaves no row behind for the next
+        SUBMIT to run: that one is answered with its own rows only."""
+        server, state = build_worker_server(self.SPECS["A"]), WorkerState()
+        _answer(server, frame_of(K_REGISTER, {"name": "m"}, [MATRIX]), lambda: None, state)
+        calls, execute = [], server.pool.exec_mvm_batch
+
+        def crashing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected crash")
+            return execute(*args, **kwargs)
+
+        server.pool.exec_mvm_batch = crashing
+        submit = {"name": "m", "input_bits": 8}
+        crashed = _answer(server, frame_of(K_SUBMIT, {"batch": 0, **submit}, [TRACE]),
+                          lambda: None, state)
+        kind, header, _ = decode_message(memoryview(b"".join(bytes(p) for p in crashed)))
+        assert (kind, header["batch"]) == (K_ERROR, 0)
+        assert header["error"] == "RuntimeError: injected crash" and "trace" in header
+        assert server.pending == 0
+        calls.clear()
+        reply = _answer(server, frame_of(K_SUBMIT, {"batch": 1, **submit}, [TRACE[:4]]),
+                        lambda: None, state)
+        _, _, (statuses, results, latency, _) = decode_message(
+            memoryview(b"".join(bytes(p) for p in reply)))
+        assert statuses.tolist() == [0] * 4 and latency.tolist() == [4] * 4
+        assert np.array_equal(results, TRACE[:4] @ MATRIX) and len(calls) == 1
         server.pool.close()
 
 
