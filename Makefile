@@ -130,15 +130,15 @@ profile:
 # (Python + C calls) for gateway submit, the worker's turn (whole, outside its
 # pool calls, and split into peek / decode / answer / RESULTS frame /
 # advance+push / two beats; copy+submit and drain stand for answer on a src/
-# whose worker queued the wave and ticked it idle) and gateway resolve.  registration: one
-# 64x64 4-bit PumServer.register_matrix with new bytes (the tenant_churn
-# tenant, reprogrammed in place) and the first wave against it, then the same
-# with the shape alternating (released and placed anew) -- untraced us for
-# each, minor faults, Python calls, planner builds and crossbars built per
-# round, and stopwatch self time of memo compare / in-place bookkeeping / release /
-# encode+slice+map / crossbar construct / program / tile-plan compile /
-# shard-kernel build / device-plan compile / the rest of the registration /
-# the first call itself.
+# whose worker queued the wave and ticked it idle) and gateway resolve.
+# registration: one 64x64 4-bit PumServer.register_matrix with new bytes (the
+# tenant_churn tenant, reprogrammed in place) and the first wave against it,
+# then the same with the shape alternating (released and placed anew) --
+# untraced us for each, minor faults, Python calls, planner builds and
+# crossbars built per round, and stopwatch self time of memo compare / in-place
+# bookkeeping / release / encode+slice+map / crossbar construct / program /
+# tile-plan compile / shard-kernel build / device-plan compile / the rest of
+# the registration / the first call itself.
 hotpath:
 	$(PY) benchmarks/profile_serving.py device-call
 	$(PY) benchmarks/profile_serving.py pool-call

@@ -219,10 +219,10 @@ def name(key: Key) -> str:
     return f"{key[0]}::{key[1]}"
 
 
-def compare(defined: Dict[Key, int], missed: List[Key], base: Path) -> None:
-    """Print what this tree strands against ``base``'s ``reach.json``."""
-    before = json.loads(base.read_text())
-    was_defined, was_missed = set(before["defined"]), set(before["never_entered"])
+def compare(defined: Dict[Key, int], missed: List[Key], base: Dict) -> None:
+    """Print what this tree strands against ``base``, another run's
+    ``reach.json``."""
+    was_defined, was_missed = set(base["defined"]), set(base["never_entered"])
     stranded = [key for key in missed
                 if name(key) in was_defined and name(key) not in was_missed]
     unreached = [key for key in missed if name(key) not in was_defined]
@@ -235,7 +235,9 @@ def compare(defined: Dict[Key, int], missed: List[Key], base: Path) -> None:
 
 
 def main(argv: List[str]) -> int:
-    base = Path(argv[argv.index("--against") + 1]) if "--against" in argv else None
+    # Read before the runs: a missing or malformed base fails in a second.
+    base = (json.loads(Path(argv[argv.index("--against") + 1]).read_text())
+            if "--against" in argv else None)
     defined = defined_functions()
     stale = stale_kept(defined)
     if stale:
