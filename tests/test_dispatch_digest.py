@@ -62,12 +62,27 @@ ROUNDED = {
     "traces": "74fab3e5fb588660eda562adb98f6b9c1f6aca7b2a22ea165ad331e5edc044d0",
     "waves": "d5687b6d8e2fe2600956089c03207765cc3f990fb3f5ba391f91394348fd4725",
 }
+#: The same three families with every server admitting by ``"reject"`` (the
+#: admission-mode draw still happens, so no seeded stream shifts) and
+#: without the autotuned policy: what the static and cost-aware schedulers
+#: decide on their own, computed at ``3cc8e31``.
+SURVIVING = {
+    "invariants": "61ae79d26d5dd5c53e9a9bddca65fe7115cc845dc8d6c78cab5d8e2e7cb1f8d8",
+    "traces": "6f05d937226e101b9006384209e96ae3e03bf62ed69f97e2487dbc3fac5d76d7",
+    "waves": "49ce75d85d7026f7253c6fd4170e4e74f852353119d6c654270c878bbe8b589d",
+}
+SURVIVING_ROUNDED = {
+    "invariants": "100d083c429055d98d5f174f454a630f31e0ff98a6c3db18dcc597486eaadb07",
+    "traces": "08b10014e500c6287d5d27ab19ff3f0f63784339ad00496ea8f9846e77772a40",
+    "waves": "a69e71001c0a9f6c696d923f5ba38bb4d27c581e432e8db7018d8b5bf1a37e3a",
+}
 
 POLICIES = {
     "static": lambda: StaticBatchingPolicy(8, 6),
     "cost_aware": lambda: CostAwarePolicy(max_batch=8, max_wait_ticks=6),
     "autotuned": lambda: Autotuner(max_batch=8, max_wait_ticks=6, interval_ticks=4),
 }
+SURVIVING_POLICIES = ("cost_aware", "static")
 TRACES = 7
 WAVE_SCHEDULES = 12
 
@@ -121,11 +136,11 @@ def absorb(digest, server, log, futures, text=None) -> None:
         sorted(ledger.energy_breakdown.items()))
 
 
-def invariants_digest(text=None) -> str:
+def invariants_digest(text=None, surviving=False) -> str:
     digest = hashlib.sha256()
     for case in range(NUM_CASES):
         rng = derive_rng("invariants", case)
-        server = build_server(rng)
+        server = build_server(rng, "reject" if surviving else None)
         log = record_ticks(server)
         injector = FaultInjector(seed=case).attach(server.pool)
         futures = random_schedule(server, injector, rng)
@@ -134,11 +149,11 @@ def invariants_digest(text=None) -> str:
     return digest.hexdigest()
 
 
-def traces_digest(text=None) -> str:
+def traces_digest(text=None, surviving=False) -> str:
     digest = hashlib.sha256()
     for index in range(TRACES):
         trace = random_trace(f"digest-{index}", ticks=40)
-        for name in sorted(POLICIES):
+        for name in SURVIVING_POLICIES if surviving else sorted(POLICIES):
             server = PumServer(num_devices=2, scheduling=POLICIES[name](),
                                queue_capacity=32)
             server.register_matrix("proj", np.eye(8, dtype=np.int64))
@@ -179,20 +194,22 @@ def wave_schedule(server, rng, tenants):
     return futures
 
 
-def waves_digest(text=None) -> str:
+def waves_digest(text=None, surviving=False) -> str:
     digest = hashlib.sha256()
     for index in range(WAVE_SCHEDULES):
-        for name in sorted(POLICIES):
+        for name in SURVIVING_POLICIES if surviving else sorted(POLICIES):
             rng = derive_rng("digest-waves", index)
             tenants = int(rng.integers(1, 4))
             pool = DevicePool(
                 num_devices=2,
                 config=ChipConfig(hct=HctConfig.small(), num_hcts=4),
             )
+            queue_capacity = int(rng.integers(6, 24))
+            drawn = str(rng.choice(["reject", "shed_lowest"]))
             server = PumServer(
                 pool=pool, scheduling=POLICIES[name](),
-                queue_capacity=int(rng.integers(6, 24)),
-                admission=str(rng.choice(["reject", "shed_lowest"])),
+                queue_capacity=queue_capacity,
+                admission="reject" if surviving else drawn,
             )
             for tenant in range(tenants):
                 server.register_matrix(
@@ -222,3 +239,21 @@ def test_dispatch_digest_is_unchanged(family, compute):
 ])
 def test_dispatch_digest_rounded(family, compute):
     assert compute(rendered) == ROUNDED[family]
+
+
+@pytest.mark.parametrize("family, compute", [
+    ("invariants", invariants_digest),
+    ("traces", traces_digest),
+    ("waves", waves_digest),
+])
+def test_surviving_dispatch_digest(family, compute):
+    assert compute(surviving=True) == SURVIVING[family]
+
+
+@pytest.mark.parametrize("family, compute", [
+    ("invariants", invariants_digest),
+    ("traces", traces_digest),
+    ("waves", waves_digest),
+])
+def test_surviving_dispatch_digest_rounded(family, compute):
+    assert compute(rendered, surviving=True) == SURVIVING_ROUNDED[family]

@@ -37,8 +37,9 @@ ROWS = 4
 STATUSES = ("completed", "rejected", "shed", "failed")
 
 
-def build_server(rng):
-    """A random small-but-real serving stack."""
+def build_server(rng, admission=None):
+    """A random small-but-real serving stack (``admission``, when given,
+    overrides the drawn admission mode; the draw happens either way)."""
     num_devices = int(rng.integers(1, 4))
     replication = int(rng.integers(1, num_devices + 1))
     pool = DevicePool(
@@ -47,14 +48,17 @@ def build_server(rng):
         replication=replication,
         policy=str(rng.choice(["round_robin", "least_loaded", "cache_affinity"])),
     )
+    scheduling = StaticBatchingPolicy(
+        max_batch=int(rng.integers(1, 5)),
+        max_wait_ticks=int(rng.integers(0, 4)),
+    )
+    queue_capacity = int(rng.integers(2, 10))
+    drawn = str(rng.choice(["reject", "shed_lowest"]))
     server = PumServer(
         pool=pool,
-        scheduling=StaticBatchingPolicy(
-            max_batch=int(rng.integers(1, 5)),
-            max_wait_ticks=int(rng.integers(0, 4)),
-        ),
-        queue_capacity=int(rng.integers(2, 10)),
-        admission=str(rng.choice(["reject", "shed_lowest"])),
+        scheduling=scheduling,
+        queue_capacity=queue_capacity,
+        admission=admission or drawn,
     )
     # Always drawn, so the rest of the seeded schedule does not shift.
     if rng.choice(["flat", "indexed"]) == "flat":

@@ -704,7 +704,7 @@ class TestWaves:
         }
 
 
-def resolution_schedule(rng, observe=lambda waves: None):
+def resolution_schedule(rng, observe=lambda waves: None, admission="shed_lowest"):
     """A serving schedule that resolves rows every way the server can.
 
     ``submit`` and ``submit_batch`` waves of three priorities against two
@@ -717,7 +717,7 @@ def resolution_schedule(rng, observe=lambda waves: None):
     future in id order and the request ids each ``tick()`` returned.
     """
     server = make_server(queue_capacity=16, max_batch=8, max_wait_ticks=3,
-                         admission="shed_lowest")
+                         admission=admission)
     server.register_matrix("mix", rng.integers(-7, 8, size=(8, 6)), element_size=4)
     futures, ticks, waves = [], [], []
     execute = server.pool.exec_mvm_batch
@@ -766,10 +766,15 @@ class TestWaveResolution:
     #: The sibling: the same material through ``digest_text.rendered``,
     #: computed at ``ca3b0f3`` and held across that move.
     ROUNDED = "2ebaa4798831d64a542dd06ae6915857fff128a467ebd3185d6a0210bcbb8deb"
+    #: The same schedule on a queue that admits by ``"reject"``: rows are
+    #: shed only by their deadline, computed at ``3cc8e31``.
+    SURVIVING = "15bc045ae9442e4175a6e7db49ee687ab586394a8f0588369ba430254ab87c9e"
+    SURVIVING_ROUNDED = "b700164e8f3c1a27caf71bc4ec3afe64f00f03d640ac95c48aeccd2b26922795"
 
     @staticmethod
-    def _digest(text=None):
-        _, futures, ticks = resolution_schedule(np.random.default_rng(24))
+    def _digest(text=None, admission="shed_lowest"):
+        _, futures, ticks = resolution_schedule(np.random.default_rng(24),
+                                                admission=admission)
         digest = hashlib.sha256()
         statuses = set()
         for future in futures:
@@ -794,6 +799,12 @@ class TestWaveResolution:
 
     def test_resolution_digest_rounded(self):
         assert self._digest(rendered) == self.ROUNDED
+
+    def test_surviving_resolution_digest(self):
+        assert self._digest(admission="reject") == self.SURVIVING
+
+    def test_surviving_resolution_digest_rounded(self):
+        assert self._digest(rendered, admission="reject") == self.SURVIVING_ROUNDED
 
     def test_columns_equal_the_futures_row_for_row(self):
         """``columns()`` against what iterating the futures gives, on every
