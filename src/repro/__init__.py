@@ -33,7 +33,6 @@ from .runtime.integrity import DeviceHealth, IntegrityChecker
 from .runtime.pool import DevicePool, RebuildReport
 from .runtime.queueing import IndexedRequestQueue
 from .runtime.scheduling import (
-    Autotuner,
     CostAwarePolicy,
     SchedulingPolicy,
     SloClass,
@@ -46,7 +45,6 @@ __version__ = "1.7.0"
 
 __all__ = [
     "BACKENDS",
-    "Autotuner",
     "BackendRegistry",
     "ChipConfig",
     "CostAwarePolicy",

@@ -79,9 +79,6 @@ def _bit_product(workload: str) -> int:
 # --------------------------------------------------------------------------- #
 # DARTH-PUM                                                                    #
 # --------------------------------------------------------------------------- #
-#: 1-bit MAC throughput of one HCT's ACE (bit-MACs per cycle): 64 arrays of
-#: 64x64 devices producing one partial product per rate-matched 64-cycle step.
-_DARTH_BITMACS_PER_CYCLE_PER_HCT = 64 * 64 * 64 / 64.0
 #: Digital pipelines concurrently active per HCT (power envelope).
 _DARTH_ACTIVE_PIPELINES = 16
 #: Cycles per 8-bit element-wise word operation in a bit-pipelined stream.

@@ -241,9 +241,9 @@ def percentile_sorted(ordered: "list[float]", q: float) -> float:
 def ema(previous: "float | None", value: float, alpha: float) -> float:
     """One exponential-moving-average step, seeding on the first observation.
 
-    The serving autotuner smooths its telemetry windows (batch fill, shed
-    rate) through this before nudging any knob, so a single quiet window
-    cannot whipsaw the scheduler.
+    The integrity tier smooths each device's health score through this
+    (:class:`~repro.runtime.integrity.DeviceHealth`), so a single clean or
+    corrupted call cannot swing it from one end to the other.
 
     >>> ema(None, 4.0, 0.5)
     4.0

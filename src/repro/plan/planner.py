@@ -47,8 +47,8 @@ class Planner:
 
     #: Batch receipts kept per plan before the oldest is dropped.  A server
     #: dispatches batches of 1..``max_batch`` vectors, so that is how many
-    #: sizes one plan can see: 16 by default, and 64 is as far as the
-    #: autotuner may raise it (4x).  A caller cycling through more sizes
+    #: sizes one plan can see: 16 by default, and 64 leaves room for a
+    #: policy set to 4x that.  A caller cycling through more sizes
     #: than that recompiles the evicted ones instead of growing the plan.
     RECEIPT_BATCH_SIZES = 64
 

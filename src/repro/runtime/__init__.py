@@ -24,7 +24,6 @@ from .pool import (
 from .queueing import IndexedRequestQueue
 from .scheduling import (
     SLO_CLASSES,
-    Autotuner,
     CostAwarePolicy,
     SchedulingPolicy,
     SloClass,
@@ -33,7 +32,6 @@ from .scheduling import (
 )
 from .server import (
     PumServer,
-    Request,
     Response,
     ServerFuture,
     ServingStats,
@@ -43,7 +41,6 @@ from .session import DarthPumDevice, MatrixAllocation
 
 __all__ = [
     "AesSession",
-    "Autotuner",
     "CacheAffinityPolicy",
     "CnnSession",
     "CostAwarePolicy",
@@ -63,7 +60,6 @@ __all__ = [
     "PooledAllocation",
     "PumServer",
     "RebuildReport",
-    "Request",
     "Response",
     "RoundRobinPolicy",
     "SLO_CLASSES",

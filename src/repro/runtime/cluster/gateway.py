@@ -31,7 +31,7 @@ Design points, mirroring the single-server stack one tier up:
   (vectors in flight, not bytes); a batch that fits no live replica's
   window -- or no ring -- is shed *to the caller* as
   :class:`~repro.errors.AdmissionError` rather than queued without
-  bound, exactly like the server's ``admission="reject"`` mode.
+  bound, exactly like a server whose queue is full.
 * **Health.**  Workers beat a shared heartbeat board; a health task
   marks a worker whose process died or whose beats froze not ``alive``,
   which is what takes it out of routing until a restart (a slow one is

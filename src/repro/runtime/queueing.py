@@ -7,29 +7,23 @@ tick.  So the queue does not hold requests.  It holds one :class:`Wave`
 record per admission and, per ``(name, input_bits)`` group, an
 arrival-ordered deque of *runs* ``(wave, start, stop)``: the rows of that
 wave still waiting.  ``take`` slices runs off the front of a group, a
-mid-wave removal (admission victim) splits one, a partial admission pushes a
-shorter one, and a wave's deadline is one heap entry however many rows it
-has.  A :class:`Request` is the per-row *view* of a wave, materialised only
-where something needs to look at a single row: the admission-victim scan
-(and the policy's ``victim_order`` key it feeds) and the flat-list oracle.
+partial admission (a full queue) pushes a prefix of the wave, and a wave's
+deadline is one heap entry however many rows it has.  Rows leave only
+through ``take`` and deadline shedding, so a wave has at most one run queued.
 
 ``ready_groups`` touches only the group index (O(groups), not O(queue)),
 deadline shedding pops only expired heap entries, and ``take`` never looks
 at a run it does not return -- the tick loop is O(ready work).
 
-Scheduling ties resolve through two total orders (batch order
-``(-priority, arrival_tick, request_id)``, victim order ``(priority,
-arrival_tick, request_id)``).  Rows of one run are adjacent in both, in row
-order, so ordering runs by their first row orders the rows.  The flat list
-survives in ``tests/flat_queue.py`` as the differential oracle: it explodes
-every wave into rows and answers ``take`` with one-row runs, and the test
-suite replays identical operation sequences and whole serving schedules
-through both, requiring the same row ids in the same order.  (A
-:class:`~repro.runtime.scheduling.SchedulingPolicy` may hand ``victim`` an
-*explicit* order -- cost-priced shedding -- but the default stays the total
-order above.)  The ``scans`` counter records every pass whose cost is
-proportional to the *whole* queue rather than to the work returned, which is
-how tests prove the tick loop stays flat in queue depth.
+Dispatch ties resolve through one total order, ``(-priority, arrival_tick,
+request_id)``.  Rows of one run are adjacent in it, in row order, so
+ordering runs by their first row orders the rows.  The flat list survives in
+``tests/flat_queue.py`` as the differential oracle: it explodes every wave
+into rows and sorts them by that order, and the test suite replays identical
+operation sequences and whole serving schedules through both, requiring the
+same row ids in the same order.  The ``scans`` counter would record a pass
+whose cost is proportional to the *whole* queue rather than to the work
+returned; no operation here makes one.
 
 Cost-aware scheduling additionally needs a *group-level* deadline view:
 ``group_keys()`` enumerates the live groups and ``min_deadline(key)``
@@ -59,30 +53,10 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["IndexedRequestQueue", "Request", "Wave"]
+__all__ = ["IndexedRequestQueue", "Wave"]
 
 #: A compatible-request group: requests against one matrix at one precision.
 GroupKey = Tuple[str, int]
-
-
-@dataclass(eq=False, slots=True)
-class Request:
-    """One single-vector MVM request: the per-row view of a :class:`Wave`.
-
-    The scheduler does not keep one of these per queued vector; it keeps the
-    wave.  :meth:`Wave.request` builds the view for the few places that look
-    at a single row -- admission-victim selection, a policy's
-    ``victim_order`` key, the flat-list oracle, a test.  ``vector`` is a view
-    of the wave's source array, not a copy.
-    """
-
-    request_id: int
-    name: str
-    vector: np.ndarray
-    input_bits: int
-    priority: int
-    deadline: Optional[int]
-    arrival_tick: int
 
 
 @dataclass(eq=False, slots=True)
@@ -114,29 +88,14 @@ class Wave:
     #: into the batch arena like any other gathered row.
     bulk: bool
 
-    def request(self, row: int) -> Request:
-        """The per-row view of row ``row``."""
-        return Request(self.base_id + row, self.name, self.source[row],
-                       self.input_bits, self.priority, self.deadline,
-                       self.arrival_tick)
-
 
 #: Rows ``start:stop`` of one wave.
 Run = Tuple[Wave, int, int]
 
 
-def batch_order(request: Request) -> Tuple[int, int, int]:
-    """Dispatch order within a group: higher priority first, then arrival."""
-    return (-request.priority, request.arrival_tick, request.request_id)
-
-
-def victim_order(request: Request) -> Tuple[int, int, int]:
-    """Admission-shedding order: lowest priority first, then oldest."""
-    return (request.priority, request.arrival_tick, request.request_id)
-
-
 def run_batch_order(run: Run) -> Tuple[int, int, int]:
-    """:func:`batch_order` of a run's first row, which orders the whole run."""
+    """Dispatch order within a group -- higher priority first, then arrival,
+    then id -- of a run's first row, which orders the whole run."""
     wave, start, _ = run
     return (-wave.priority, wave.arrival_tick, wave.base_id + start)
 
@@ -150,19 +109,20 @@ class IndexedRequestQueue:
     """Per-group deques of runs plus a deadline heap of waves.
 
     Every group in ``_groups`` holds at least one run, oldest first, and
-    ``_live`` its exact row count.  Removing rows from the middle of a group
-    (admission victim) splits the run they sat in, so there is nothing dead
-    to skip later and no operation scans rows outside the group it works on.
-    The deadline heaps hold one ``(deadline, base_id)`` entry per wave and
-    are lazy: an entry whose wave has no queued rows left
-    (``_deadline_rows``) is discarded as it surfaces.
+    ``_live`` its exact row count.  Rows leave a group only through ``take``
+    and ``pop_expired``, which unlink whole runs (``take`` splits the last
+    one it returns), so there is nothing dead to skip later and no operation
+    scans rows outside the group it works on.  The deadline heaps hold one
+    ``(deadline, base_id)`` entry per wave and are lazy: an entry whose wave
+    has no queued rows left (``_deadline_rows``) is discarded as it surfaces.
 
     All mutating calls happen under the server's lock; the queue needs no
     synchronisation of its own.
     """
 
     def __init__(self) -> None:
-        #: Full-queue scans performed so far (O(pending) passes).
+        #: Full-queue scans performed so far (O(pending) passes): none of the
+        #: operations below makes one.
         self.scans = 0
         self._size = 0
         self._groups: Dict[GroupKey, Deque[Run]] = {}
@@ -226,23 +186,6 @@ class IndexedRequestQueue:
         else:
             del self._live[key], self._groups[key], self._priorities[key]
             self._group_deadlines.pop(key, None)
-
-    def discard(self, request_id: int) -> Optional[Run]:
-        """Remove one queued row by request id; returns it as a one-row run
-        (``None`` if absent).  Walks the runs, not the rows."""
-        for key, runs in self._groups.items():
-            for index, (wave, start, stop) in enumerate(runs):
-                row = request_id - wave.base_id
-                if start <= row < stop:
-                    del runs[index]
-                    if row + 1 < stop:
-                        runs.insert(index, (wave, row + 1, stop))
-                    if start < row:
-                        runs.insert(index, (wave, start, row))
-                    gone = (wave, row, row + 1)
-                    self._forget(key, [gone])
-                    return gone
-        return None
 
     def pop_expired(self, now: int) -> List[Run]:
         """Remove and return every run whose deadline passed, id order."""
@@ -308,7 +251,8 @@ class IndexedRequestQueue:
 
     def take(self, key: GroupKey, max_batch: int) -> List[Run]:
         """Remove and return up to ``max_batch`` rows of ``key`` as runs in
-        dispatch order (:func:`batch_order`), splitting the last if needed."""
+        dispatch order (:func:`run_batch_order`), splitting the last if
+        needed."""
         runs = self._groups.get(key)
         if not runs:
             return []
@@ -331,29 +275,6 @@ class IndexedRequestQueue:
             self._groups[key] = deque(sorted(runs, key=first_id))
         self._forget(key, chosen)
         return chosen
-
-    def victim(self, order=None) -> Optional[Request]:
-        """The queued row first in victim order, as a view (not removed).
-
-        ``order`` defaults to the :func:`victim_order` total order; a
-        scheduling policy may supply its own key function (cost-priced
-        shedding) without the queue knowing anything about costs.  Ties
-        under such a key go to the lowest request id.
-        """
-        if not self._size:
-            return None
-        # Admission control only engages when the queue is at capacity, so
-        # this O(pending) pass is bounded by queue_capacity and never runs
-        # in the tick loop; it is still an honest full-queue scan.
-        self.scans += 1
-        runs = sorted(
-            (run for runs in self._groups.values() for run in runs), key=first_id
-        )
-        return min(
-            (wave.request(row) for wave, start, stop in runs
-             for row in range(start, stop)),
-            key=order or victim_order,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedRequestQueue(pending={len(self)}, scans={self.scans})"

@@ -38,9 +38,9 @@ before they reach the chips.  :class:`PumServer` is that layer:
   batch that is one run of a ``submit_batch`` wave *is* a slice of the
   caller's array, and everything else is gathered, a run at a time, into a
   reusable per-``(allocation, input_bits)`` batch arena;
-* admission control rejects -- or sheds lower-priority queued work for --
-  new requests when the queue is full, and requests whose deadline passed
-  are shed instead of executed;
+* admission control rejects new requests when the queue is full (the rows
+  of a wave that fit are admitted, the rest rejected), and requests whose
+  deadline passed are shed instead of executed;
 * per-request and aggregate telemetry (queue depth, batch-fill histogram,
   latency percentiles in ticks, energy per request from the devices'
   runtime :class:`~repro.metrics.CostLedger`) accumulates in
@@ -75,13 +75,12 @@ from ..errors import (
 from ..metrics import UNITS, percentile_sorted
 from ..plan.ir import PlanHandle
 from .pool import DevicePool, PooledAllocation, RebuildReport
-from .queueing import GroupKey, IndexedRequestQueue, Request, Run, Wave
+from .queueing import GroupKey, IndexedRequestQueue, Run, Wave
 from .scheduling import SchedulingPolicy, SloClass, StaticBatchingPolicy, resolve_slo
 from .session import integer_matrix, integer_vectors
 
 __all__ = [
     "PumServer",
-    "Request",
     "Response",
     "ServerFuture",
     "ServingStats",
@@ -104,11 +103,6 @@ PENDING_CODE = 255
 
 #: Entries retained by each sliding telemetry window (see ServingStats).
 TELEMETRY_WINDOW = 4096
-
-#: What happens to a newcomer when the queue is at capacity: ``"reject"``
-#: turns it away; ``"shed_lowest"`` evicts the lowest-priority queued
-#: request instead when the newcomer outranks it.
-ADMISSION_MODES = ("reject", "shed_lowest")
 
 
 @dataclass(eq=False, slots=True)
@@ -376,7 +370,6 @@ class _Registration:
     #: so an in-place reprogram keeps them; cleared when a rebuild changes
     #: the placement.
     cycles: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    energy_pj: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
 @dataclass
@@ -530,24 +523,6 @@ class ServingStats:
         }
 
 
-def coalesce(runs: List[Run]) -> List[Run]:
-    """Merge neighbouring runs that continue one wave.
-
-    The indexed queue hands back whole runs, but a wave admitted row by row
-    at capacity -- or taken from a row-granular queue, like the test
-    suite's flat-list oracle -- arrives as adjacent pieces; merged, one wave
-    is one slice again.
-    """
-    merged = [runs[0]]
-    for run in runs[1:]:
-        wave, start, stop = merged[-1]
-        if run[0] is wave and run[1] == stop:
-            merged[-1] = (wave, start, run[2])
-        else:
-            merged.append(run)
-    return merged
-
-
 def admissible(name: str, rows: int, vectors: np.ndarray, input_bits: int,
                ndim: int = 2) -> np.ndarray:
     """The request front door: ``submit``'s (``ndim=1``), ``submit_batch``'s
@@ -606,17 +581,11 @@ class PumServer:
         pool: Optional[DevicePool] = None,
         num_devices: int = 2,
         queue_capacity: int = 64,
-        admission: str = "reject",
         scheduling: Optional[SchedulingPolicy] = None,
         auto_rebuild: bool = False,
     ) -> None:
         if queue_capacity < 1:
             raise SchedulerError("queue_capacity must be >= 1")
-        if admission not in ADMISSION_MODES:
-            raise SchedulerError(
-                f"unknown admission mode {admission!r}; "
-                f"expected one of {ADMISSION_MODES}"
-            )
         if scheduling is not None and not isinstance(scheduling, SchedulingPolicy):
             raise SchedulerError(
                 f"scheduling must be a SchedulingPolicy instance or None "
@@ -631,16 +600,13 @@ class PumServer:
         #: triggers :meth:`DevicePool.rebuild` on the affected allocation
         #: and retries once before failing its riders.
         self.auto_rebuild = bool(auto_rebuild)
-        #: When each group dispatches, and how large a batch may grow: the
-        #: live knobs are ``scheduling.max_batch`` / ``.max_wait_ticks``
-        #: (an :class:`~repro.runtime.scheduling.Autotuner` moves them).
+        #: When each group dispatches, and how large a batch may grow
+        #: (``scheduling.max_batch`` / ``.max_wait_ticks``).
         self.scheduling = (
             scheduling if scheduling is not None else StaticBatchingPolicy()
         )
-        #: Bound on queued requests; admission control engages beyond it.
+        #: Bound on queued requests; a request beyond it is rejected.
         self.queue_capacity = queue_capacity
-        #: Admission mode at capacity (one of :data:`ADMISSION_MODES`).
-        self.admission = admission
         #: Pending-request store, O(ready work) per tick.
         self.request_queue = IndexedRequestQueue()
         self.now = 0
@@ -738,8 +704,8 @@ class PumServer:
     def queue_scans(self) -> int:
         """Full-queue scans the scheduler has performed.
 
-        Stays flat (zero on the tick loop) no matter how deep the queue
-        gets; only admission shedding at capacity scans.
+        Zero no matter how deep the queue gets: no queue operation, on the
+        tick loop or at admission, is a pass over the whole queue.
         """
         return self.request_queue.scans
 
@@ -784,20 +750,6 @@ class PumServer:
             record.cycles[key] = cached
         return cached
 
-    def predicted_batch_energy_pj(
-        self, name: str, input_bits: int, batch: int
-    ) -> float:
-        """Predicted analog-phase energy (pJ) of one ``batch`` dispatch."""
-        record = self._registration(name)
-        key = (int(input_bits), int(batch))
-        cached = record.energy_pj.get(key)
-        if cached is None:
-            cached = self.pool.predicted_batch_energy_pj(
-                record.allocation, batch, input_bits=input_bits
-            )
-            record.energy_pj[key] = cached
-        return cached
-
     def plan_handle(self, name: str, input_bits: int = 8) -> PlanHandle:
         """Process-portable cost surrogate of the matrix under ``name``.
 
@@ -828,9 +780,8 @@ class PumServer:
         (``"interactive"`` / ``"standard"`` / ``"batch"``, or any
         :class:`~repro.runtime.scheduling.SloClass`) that fills in the
         deadline and priority the caller did not pass explicitly.  When the
-        queue is at capacity the admission mode decides between rejecting
-        the newcomer and shedding the lowest-priority queued request.
-        A vector is a wave of one: the future is row 0 of its
+        queue is at capacity the request is rejected: its future resolves
+        at once.  A vector is a wave of one: the future is row 0 of its
         :class:`WaveFutures`, through the code ``submit_batch`` runs.
         """
         return self._admit(name, vector, input_bits, priority, deadline, slo, bulk=False)[0]
@@ -854,8 +805,8 @@ class PumServer:
         whole batches out of it without copying.
         Admission control is applied in row order, exactly as ``n``
         individual ``submit()`` calls would: the rows that fit are a prefix
-        of the wave, and each row after it sheds a lower-priority victim or
-        resolves its future as rejected while the rest of the batch proceeds.
+        of the wave, and every row after it resolves its future as rejected
+        while the prefix proceeds.
         Returns the wave's :class:`WaveFutures`: a sequence with one
         :class:`ServerFuture` per row, in row order (``len``, indexing,
         slicing, iteration, ``+`` with a list), each built when it is asked
@@ -908,22 +859,10 @@ class PumServer:
                         self.now, source, futures, bulk)
             self._next_request += count
             self.stats.submitted += count
-            queue = self.request_queue
-            free = self.queue_capacity - len(queue)
+            free = self.queue_capacity - len(self.request_queue)
             admitted = count if count <= free else max(free, 0)
             if admitted:
-                queue.push(wave, 0, admitted)
-            # At capacity, row by row: shed a queued victim the row
-            # outranks, or turn the row away -- and with it every row after
-            # it, since a rejection leaves the queue as it found it.
-            while admitted < count and self.admission == "shed_lowest":
-                victim = queue.victim(self.scheduling.victim_order(self))
-                if victim is None or victim.priority >= wave.priority:
-                    break
-                self.stats.shed += 1
-                self._terminate(queue.discard(victim.request_id), STATUS_SHED)
-                queue.push(wave, admitted, admitted + 1)
-                admitted += 1
+                self.request_queue.push(wave, 0, admitted)
             if admitted < count:
                 self.stats.rejected += count - admitted
                 self._terminate((wave, admitted, count), STATUS_REJECTED)
@@ -957,7 +896,6 @@ class PumServer:
         """
         with self._lock:
             self.now += 1
-            self.scheduling.on_tick(self)
             self.stats.observe_queue_depth(len(self.request_queue))
             resolved: List[ResolvedRun] = []
             for run in self.request_queue.pop_expired(self.now):
@@ -1082,7 +1020,6 @@ class PumServer:
         if report.changed:
             self.stats.rebuilds += 1
             record.cycles.clear()
-            record.energy_pj.clear()
         return report
 
     @staticmethod
@@ -1099,8 +1036,6 @@ class PumServer:
         """One taken batch -> one pool call -> one record per run, each a
         block of the result array stored on its wave's futures."""
         record = self._registrations[name]
-        if len(runs) > 1:
-            runs = coalesce(runs)
         pool = self.pool
         energy_before = pool.mvm_energy_units()
         before = pool.resilience_snapshot()

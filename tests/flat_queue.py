@@ -5,13 +5,12 @@ a scan of it -- kept here because it is obviously right where
 :class:`repro.runtime.queueing.IndexedRequestQueue` is fast: it knows
 nothing of runs.  ``push`` explodes a wave into one :class:`Request` view
 per row, groups are recomputed from scratch, ties are resolved by sorting
-rows with the same ``batch_order`` / ``victim_order`` keys, and nothing is
-cached, so there is no index to fall out of step.  It speaks the queue
-surface the server drives -- runs ``(wave, start, stop)`` in, runs out --
-by answering with one-row runs; the server merges neighbouring rows of one
-wave before it assembles a batch, so the two queues are observably
-identical down to the copy counters.  ``tests/test_queueing.py`` replays
-identical operation sequences through both; ``tests/test_server.py`` and
+rows by :func:`batch_order`, and nothing is cached, so there is no index to
+fall out of step.  It speaks the queue surface the server drives -- runs
+``(wave, start, stop)`` in, runs out -- by merging the rows it takes back
+into runs (:func:`coalesce`), so the two queues are observably identical
+down to the copy counters.  ``tests/test_queueing.py`` replays identical
+operation sequences through both; ``tests/test_server.py`` and
 ``tests/test_invariants.py`` run whole serving schedules on a server whose
 queue is this one.  Install it by assigning ``server.request_queue`` before
 the first submit (:func:`install`).
@@ -19,17 +18,53 @@ the first submit (:func:`install`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.runtime.queueing import (
-    GroupKey,
-    Request,
-    Run,
-    Wave,
-    batch_order,
-    victim_order,
-)
+import numpy as np
+
+from repro.runtime.queueing import GroupKey, Run, Wave
 from repro.runtime.server import PumServer
+
+
+@dataclass(eq=False)
+class Request:
+    """One single-vector MVM request: row ``row`` of a wave, as a record
+    (:func:`row_request`).  ``vector`` is a view of the wave's source array,
+    not a copy."""
+
+    request_id: int
+    name: str
+    vector: np.ndarray
+    input_bits: int
+    priority: int
+    deadline: Optional[int]
+    arrival_tick: int
+
+
+def row_request(wave: Wave, row: int) -> Request:
+    """The per-row view of row ``row`` of ``wave``."""
+    return Request(wave.base_id + row, wave.name, wave.source[row],
+                   wave.input_bits, wave.priority, wave.deadline,
+                   wave.arrival_tick)
+
+
+def batch_order(request: Request) -> Tuple[int, int, int]:
+    """Dispatch order within a group: higher priority first, then arrival."""
+    return (-request.priority, request.arrival_tick, request.request_id)
+
+
+def coalesce(runs: List[Run]) -> List[Run]:
+    """Merge neighbouring runs that continue one wave."""
+    merged = runs[:1]
+    for run in runs[1:]:
+        wave, start, stop = merged[-1]
+        if run[0] is wave and run[1] == stop:
+            merged[-1] = (wave, start, run[2])
+        else:
+            merged.append(run)
+    return merged
+
 
 #: One queued row: its view and the wave it is a row of.
 Entry = Tuple[Request, Wave]
@@ -51,16 +86,13 @@ class FlatRequestQueue:
         return len(self._queue)
 
     def push(self, wave: Wave, start: int, stop: int) -> None:
-        self._queue.extend((wave.request(row), wave) for row in range(start, stop))
+        self._queue.extend((row_request(wave, row), wave)
+                           for row in range(start, stop))
 
     def _remove(self, entries: List[Entry]) -> List[Run]:
         for entry in entries:
             self._queue.remove(entry)
         return [one_row_run(entry) for entry in entries]
-
-    def discard(self, request_id: int) -> Optional[Run]:
-        found = [e for e in self._queue if e[0].request_id == request_id]
-        return self._remove(found)[0] if found else None
 
     def pop_expired(self, now: int) -> List[Run]:
         return self._remove([
@@ -109,13 +141,7 @@ class FlatRequestQueue:
     def take(self, key: GroupKey, max_batch: int) -> List[Run]:
         members = self._members(key)
         members.sort(key=lambda entry: batch_order(entry[0]))
-        return self._remove(members[:max_batch])
-
-    def victim(self, order=None) -> Optional[Request]:
-        if not self._queue:
-            return None
-        return min((request for request, _ in self._queue),
-                   key=order or victim_order)
+        return coalesce(self._remove(members[:max_batch]))
 
 
 def install(server: PumServer) -> PumServer:

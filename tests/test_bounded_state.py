@@ -312,7 +312,6 @@ class TestNoStaleAllocationReferences:
         # Touch every per-name structure: cost memos, and the gather arena
         # (single submits of mixed priority cannot be sliced zero-copy).
         server.predicted_batch_cycles("proj", 3, 4)
-        server.predicted_batch_energy_pj("proj", 3, 4)
 
         def traffic():
             for priority in (0, 1, 0):
@@ -327,8 +326,7 @@ class TestNoStaleAllocationReferences:
 
         # New values of the same shape are reprogrammed in place: the
         # allocation and its per-name structures stay, and the same traffic
-        # leaves them no larger (the shard kernel the energy prediction built
-        # is rebuilt only by a backend that reads it).
+        # leaves them no larger.
         same = server.register_matrix("proj", old_matrix + 1, element_size=4,
                                       input_bits=3)
         assert same is old

@@ -860,7 +860,7 @@ class TestWaveEquivalence:
         pool = DevicePool(
             num_devices=1, config=ChipConfig(hct=HctConfig.small(), num_hcts=3))
         server = PumServer(pool=pool, scheduling=StaticBatchingPolicy(4, 1),
-                           queue_capacity=queue_capacity, admission="reject")
+                           queue_capacity=queue_capacity)
         server.register_matrix("m", MATRIX)
         calls, execute = [], pool.exec_mvm_batch
 

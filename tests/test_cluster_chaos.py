@@ -65,7 +65,7 @@ def local_server():
         num_devices=1,
         config=ChipConfig(hct=HctConfig.small(), num_hcts=3),
     )
-    return PumServer(pool=pool, queue_capacity=4096, admission="reject")
+    return PumServer(pool=pool, queue_capacity=4096)
 
 
 # --------------------------------------------------------------------- #

@@ -7,25 +7,29 @@ everything a caller can observe of the dispatch:
 
 * the 224 ``test_invariants`` schedules (submits, bulk waves, ticks, kills,
   hangs and heals, on the indexed queue or its flat-list oracle);
-* seven ``test_scheduling_policies`` random traces under the static, the
-  cost-aware and the autotuned policy;
+* seven ``test_scheduling_policies`` random traces under the static and the
+  cost-aware policy;
 * twelve wave schedules (several tenants, bulk waves of 1-9 rows with SLO
   classes, explicit deadlines and mixed priorities, single submits between
-  them, a queue small enough that both admission modes engage) under the
-  same three policies.
+  them, a queue small enough that admission turns rows away) under the same
+  two policies.
 
 Per run: every response in the order ``tick()`` returned it, then per
 future its id, status, completion tick, batch size, error text, result bytes
 and ``energy_pj``; the shed / rejected / failed counters, the batch-fill
 histogram, ``zero_copy_batches`` / ``gathered_batches``, and the pool's
-merged ledger (totals and both breakdowns).  ``EXPECTED`` was computed at
-the commit *before* the wave-granular server (``0d23b53``) and re-pinned
-over ``ca3b0f3`` when the ledger moved to integer units (the last bits of
-energies moved); ``ROUNDED``, computed at ``ca3b0f3``, held across that
-move.  Neither may move (both are the same under
-``REPRO_BACKEND=reference``); the
-streams are derived from ``REPRO_TEST_SEED``, so the test only runs on the
-default seed.
+merged ledger (totals and both breakdowns).  ``SURVIVING`` was computed at
+``3cc8e31``, the commit before a full queue only rejected and the autotuned
+policy went: there the families still drew an admission mode per server
+(they still do, so no seeded stream shifts), and ``SURVIVING`` hashed the
+runs with every server rejecting and without the autotuned policy.  The
+pins of the whole families that it replaced dated from ``0d23b53`` (before
+the wave-granular server) and ``ca3b0f3`` (integer ledger units).
+``SURVIVING_ROUNDED`` hashes the same material through
+``digest_text.rendered``, so it holds across a change that moves float
+tails only.  Neither may move (both are the same under
+``REPRO_BACKEND=reference``); the streams are derived from
+``REPRO_TEST_SEED``, so the test only runs on the default seed.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from test_scheduling_policies import random_trace
 
 from repro.core import ChipConfig, HctConfig
 from repro.runtime import (
-    Autotuner,
     CostAwarePolicy,
     DevicePool,
     FaultInjector,
@@ -50,27 +53,12 @@ from repro.runtime import (
 )
 from repro.testing import REPRO_TEST_SEED, derive_rng
 
-EXPECTED = {
-    "invariants": "916e02011e0f89d21ab5dbfeff9a1cc27fb27d18a3f491221e5ee5ea842ee039",
-    "traces": "75b67618ac5a05af717338a7c9ee277d794f93d496cc0865aacb04259826112b",
-    "waves": "d06cd0b14b5dad23a6c0e9eba1be020bd2aecfd94eb516d36415f4e694e32f84",
-}
-#: The siblings: the same material through ``digest_text.rendered`` (every
-#: float ``.9g``), so they hold across a change that moves float tails only.
-ROUNDED = {
-    "invariants": "24e87ab7e8ce1adada4278f1189a49b220694557e30d0389c5aac934b934fb52",
-    "traces": "74fab3e5fb588660eda562adb98f6b9c1f6aca7b2a22ea165ad331e5edc044d0",
-    "waves": "d5687b6d8e2fe2600956089c03207765cc3f990fb3f5ba391f91394348fd4725",
-}
-#: The same three families with every server admitting by ``"reject"`` (the
-#: admission-mode draw still happens, so no seeded stream shifts) and
-#: without the autotuned policy: what the static and cost-aware schedulers
-#: decide on their own, computed at ``3cc8e31``.
 SURVIVING = {
     "invariants": "61ae79d26d5dd5c53e9a9bddca65fe7115cc845dc8d6c78cab5d8e2e7cb1f8d8",
     "traces": "6f05d937226e101b9006384209e96ae3e03bf62ed69f97e2487dbc3fac5d76d7",
     "waves": "49ce75d85d7026f7253c6fd4170e4e74f852353119d6c654270c878bbe8b589d",
 }
+#: The sibling: the same material through ``digest_text.rendered``.
 SURVIVING_ROUNDED = {
     "invariants": "100d083c429055d98d5f174f454a630f31e0ff98a6c3db18dcc597486eaadb07",
     "traces": "08b10014e500c6287d5d27ab19ff3f0f63784339ad00496ea8f9846e77772a40",
@@ -80,9 +68,7 @@ SURVIVING_ROUNDED = {
 POLICIES = {
     "static": lambda: StaticBatchingPolicy(8, 6),
     "cost_aware": lambda: CostAwarePolicy(max_batch=8, max_wait_ticks=6),
-    "autotuned": lambda: Autotuner(max_batch=8, max_wait_ticks=6, interval_ticks=4),
 }
-SURVIVING_POLICIES = ("cost_aware", "static")
 TRACES = 7
 WAVE_SCHEDULES = 12
 
@@ -106,7 +92,8 @@ def record_ticks(server):
 
 
 def absorb(digest, server, log, futures, text=None) -> None:
-    """Fold one finished run into ``digest`` (``text``: see ``ROUNDED``)."""
+    """Fold one finished run into ``digest`` (``text``: see
+    ``SURVIVING_ROUNDED``)."""
     def put(*values):
         digest.update(repr(values).encode() if text is None else text(values))
 
@@ -136,11 +123,11 @@ def absorb(digest, server, log, futures, text=None) -> None:
         sorted(ledger.energy_breakdown.items()))
 
 
-def invariants_digest(text=None, surviving=False) -> str:
+def invariants_digest(text=None) -> str:
     digest = hashlib.sha256()
     for case in range(NUM_CASES):
         rng = derive_rng("invariants", case)
-        server = build_server(rng, "reject" if surviving else None)
+        server = build_server(rng)
         log = record_ticks(server)
         injector = FaultInjector(seed=case).attach(server.pool)
         futures = random_schedule(server, injector, rng)
@@ -149,11 +136,11 @@ def invariants_digest(text=None, surviving=False) -> str:
     return digest.hexdigest()
 
 
-def traces_digest(text=None, surviving=False) -> str:
+def traces_digest(text=None) -> str:
     digest = hashlib.sha256()
     for index in range(TRACES):
         trace = random_trace(f"digest-{index}", ticks=40)
-        for name in SURVIVING_POLICIES if surviving else sorted(POLICIES):
+        for name in sorted(POLICIES):
             server = PumServer(num_devices=2, scheduling=POLICIES[name](),
                                queue_capacity=32)
             server.register_matrix("proj", np.eye(8, dtype=np.int64))
@@ -194,10 +181,10 @@ def wave_schedule(server, rng, tenants):
     return futures
 
 
-def waves_digest(text=None, surviving=False) -> str:
+def waves_digest(text=None) -> str:
     digest = hashlib.sha256()
     for index in range(WAVE_SCHEDULES):
-        for name in SURVIVING_POLICIES if surviving else sorted(POLICIES):
+        for name in sorted(POLICIES):
             rng = derive_rng("digest-waves", index)
             tenants = int(rng.integers(1, 4))
             pool = DevicePool(
@@ -205,12 +192,9 @@ def waves_digest(text=None, surviving=False) -> str:
                 config=ChipConfig(hct=HctConfig.small(), num_hcts=4),
             )
             queue_capacity = int(rng.integers(6, 24))
-            drawn = str(rng.choice(["reject", "shed_lowest"]))
-            server = PumServer(
-                pool=pool, scheduling=POLICIES[name](),
-                queue_capacity=queue_capacity,
-                admission="reject" if surviving else drawn,
-            )
+            rng.choice(["reject", "shed_lowest"])  # see test_invariants.build_server
+            server = PumServer(pool=pool, scheduling=POLICIES[name](),
+                               queue_capacity=queue_capacity)
             for tenant in range(tenants):
                 server.register_matrix(
                     f"t{tenant}", rng.integers(-4, 4, size=(4, 4)),
@@ -228,26 +212,8 @@ def waves_digest(text=None, surviving=False) -> str:
     ("traces", traces_digest),
     ("waves", waves_digest),
 ])
-def test_dispatch_digest_is_unchanged(family, compute):
-    assert compute() == EXPECTED[family]
-
-
-@pytest.mark.parametrize("family, compute", [
-    ("invariants", invariants_digest),
-    ("traces", traces_digest),
-    ("waves", waves_digest),
-])
-def test_dispatch_digest_rounded(family, compute):
-    assert compute(rendered) == ROUNDED[family]
-
-
-@pytest.mark.parametrize("family, compute", [
-    ("invariants", invariants_digest),
-    ("traces", traces_digest),
-    ("waves", waves_digest),
-])
 def test_surviving_dispatch_digest(family, compute):
-    assert compute(surviving=True) == SURVIVING[family]
+    assert compute() == SURVIVING[family]
 
 
 @pytest.mark.parametrize("family, compute", [
@@ -256,4 +222,4 @@ def test_surviving_dispatch_digest(family, compute):
     ("waves", waves_digest),
 ])
 def test_surviving_dispatch_digest_rounded(family, compute):
-    assert compute(rendered, surviving=True) == SURVIVING_ROUNDED[family]
+    assert compute(rendered) == SURVIVING_ROUNDED[family]

@@ -3,7 +3,7 @@
 The library cannot depend on hypothesis, so this is a hand-rolled property
 harness: each case derives an independent RNG stream from the suite's
 master seed (``REPRO_TEST_SEED``), generates a random server configuration
-(indexed queue or its flat-list oracle, replication, admission mode,
+(indexed queue or its flat-list oracle, replication, queue capacity,
 batching knobs) and a random operation schedule (single submits, bulk
 waves, ticks, device kills, hangs and heals), runs it, and checks the
 *conservation invariant*:
@@ -37,9 +37,8 @@ ROWS = 4
 STATUSES = ("completed", "rejected", "shed", "failed")
 
 
-def build_server(rng, admission=None):
-    """A random small-but-real serving stack (``admission``, when given,
-    overrides the drawn admission mode; the draw happens either way)."""
+def build_server(rng):
+    """A random small-but-real serving stack."""
     num_devices = int(rng.integers(1, 4))
     replication = int(rng.integers(1, num_devices + 1))
     pool = DevicePool(
@@ -53,13 +52,11 @@ def build_server(rng, admission=None):
         max_wait_ticks=int(rng.integers(0, 4)),
     )
     queue_capacity = int(rng.integers(2, 10))
-    drawn = str(rng.choice(["reject", "shed_lowest"]))
-    server = PumServer(
-        pool=pool,
-        scheduling=scheduling,
-        queue_capacity=queue_capacity,
-        admission=admission or drawn,
-    )
+    # Once the admission mode; still drawn, so the seeded stream does not
+    # shift (a full queue only rejects).
+    rng.choice(["reject", "shed_lowest"])
+    server = PumServer(pool=pool, scheduling=scheduling,
+                       queue_capacity=queue_capacity)
     # Always drawn, so the rest of the seeded schedule does not shift.
     if rng.choice(["flat", "indexed"]) == "flat":
         install_flat_queue(server)

@@ -3,8 +3,8 @@
 ``IndexedRequestQueue`` is the scheduler's queue: it holds waves as runs
 ``(wave, start, stop)``.  ``tests/flat_queue.py`` is the flat list of rows it
 replaced, kept as the differential oracle.  This suite drives both through
-the same parametrized scenarios -- push/discard/expire/ready/take/victim,
-mid-wave holes, mixed priorities -- and additionally replays identical
+the same parametrized scenarios -- push/expire/ready/take, waves split
+across batches, mixed priorities -- and additionally replays identical
 randomized operation sequences (single rows and waves of 1-9 rows, sizes
 that do not divide the take size) through both, asserting step-for-step
 equality of the row ids each operation returns, so a queue change cannot
@@ -16,15 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flat_queue import FlatRequestQueue
+from flat_queue import FlatRequestQueue, batch_order, row_request
 
-from repro.runtime.queueing import (
-    IndexedRequestQueue,
-    Request,
-    Wave,
-    batch_order,
-    victim_order,
-)
+from repro.runtime.queueing import IndexedRequestQueue, Wave, run_batch_order
 from repro.testing import derive_rng
 
 QUEUES = {"flat": FlatRequestQueue, "indexed": IndexedRequestQueue}
@@ -95,35 +89,6 @@ class TestConformance:
         assert queue.take(("m", 4), max_batch=3) == []
         assert queue.group_keys() == []
 
-    def test_discard_removes_exactly_one(self, queue):
-        for i in range(4):
-            push(queue, i)
-        assert ids([queue.discard(2)]) == [2]
-        assert queue.discard(2) is None
-        assert queue.discard(99) is None
-        assert ids(queue.take(("m", 4), 10)) == [0, 1, 3]
-
-    def test_discard_mid_wave_splits_the_run(self, queue):
-        wave = push(queue, 10, rows=5)
-        gone = queue.discard(12)
-        assert gone[0] is wave and ids([gone]) == [12]
-        assert queue.discard(12) is None
-        assert len(queue) == queue.group_pending(("m", 4)) == 4
-        assert ids(queue.take(("m", 4), 3)) == [10, 11, 13]
-        assert ids([queue.discard(14)]) == [14]
-        assert len(queue) == 0 and queue.group_keys() == []
-
-    def test_group_pending_tracks_discards(self, queue):
-        for i in range(4):
-            push(queue, i)
-        push(queue, 4, name="other")
-        assert queue.group_pending(("m", 4)) == 4
-        assert queue.group_pending(("other", 4)) == 1
-        assert queue.group_pending(("missing", 4)) == 0
-        queue.discard(0)
-        queue.discard(3)
-        assert queue.group_pending(("m", 4)) == 2
-
     def test_pop_expired_returns_id_order(self, queue):
         push(queue, 0, deadline=5)
         push(queue, 1)  # no deadline: never expires
@@ -137,9 +102,8 @@ class TestConformance:
         push(queue, 0, rows=6, deadline=5)
         push(queue, 6, rows=2)
         assert ids(queue.take(("m", 4), max_batch=2)) == [0, 1]
-        queue.discard(3)
         assert queue.min_deadline(("m", 4)) == 5
-        assert ids(queue.pop_expired(now=6)) == [2, 4, 5]
+        assert ids(queue.pop_expired(now=6)) == [2, 3, 4, 5]
         assert queue.min_deadline(("m", 4)) is None
         assert len(queue) == queue.group_pending(("m", 4)) == 2
         assert queue.pop_expired(now=99) == []
@@ -182,7 +146,7 @@ class TestConformance:
         push(queue, 0, arrival_tick=3)
         push(queue, 1, arrival_tick=5)
         assert queue.oldest_wait(("m", 4), now=9) == 6
-        queue.discard(0)
+        assert ids(queue.take(("m", 4), max_batch=1)) == [0]
         assert queue.oldest_wait(("m", 4), now=9) == 4
 
     def test_take_respects_priority_then_arrival(self, queue):
@@ -203,41 +167,18 @@ class TestConformance:
         assert queue.oldest_wait(("m", 4), now=3) == 2
         assert ids(queue.take(("m", 4), max_batch=4)) == [6, 7]
 
-    def test_victim_is_lowest_priority_oldest(self, queue):
-        assert queue.victim() is None
-        push(queue, 0, priority=1, arrival_tick=0)
-        push(queue, 1, priority=0, arrival_tick=2)
-        push(queue, 2, rows=3, priority=0, arrival_tick=1)
-        victim = queue.victim()
-        assert victim.request_id == 2  # lowest priority, then oldest, then row
-        assert len(queue) == 5  # victim() must not remove
-
-    def test_tombstone_churn_stays_consistent(self, queue):
-        """Interleaved push/discard/take cycles never corrupt the counters:
-        a hole punched mid-wave is gone for good, not skipped later."""
-        next_id = 0
-        for _ in range(6):
-            push(queue, next_id, rows=5, arrival_tick=next_id)
-            wave_ids = list(range(next_id, next_id + 5))
-            next_id += 5
-            queue.discard(wave_ids[0])
-            queue.discard(wave_ids[3])
-            assert ids(queue.take(("m", 4), max_batch=2)) == wave_ids[1:3]
-            assert queue.group_pending(("m", 4)) == len(queue)
-            assert ids(queue.take(("m", 4), max_batch=10)) == [wave_ids[4]]
-            assert len(queue) == 0
-
     def test_take_from_empty_group(self, queue):
         assert queue.take(("missing", 4), max_batch=4) == []
 
 
 class TestSharedTieBreaks:
     def test_order_functions_are_shared(self):
-        a = make_wave(0, priority=1, arrival_tick=5).request(0)
-        b = make_wave(1, priority=0, arrival_tick=2).request(0)
-        assert isinstance(a, Request) and a.request_id == 0
-        assert batch_order(a) < batch_order(b)
-        assert victim_order(b) < victim_order(a)
+        a, b = make_wave(0, priority=1, arrival_tick=5), make_wave(1, arrival_tick=2)
+        assert row_request(a, 0).request_id == 0
+        assert batch_order(row_request(a, 0)) < batch_order(row_request(b, 0))
+        # A run sorts as its first row does.
+        for wave in (a, b):
+            assert run_batch_order((wave, 0, 1)) == batch_order(row_request(wave, 0))
 
 
 class TestDualDriveEquivalence:
@@ -271,16 +212,6 @@ class TestDualDriveEquivalence:
                 flat.push(wave, 0, admitted)
                 indexed.push(wave, 0, admitted)
                 next_id += rows
-            elif op == 2 and next_id:  # discard a (maybe absent) id
-                for _ in range(int(rng.integers(1, 4))):
-                    victim_id = int(rng.integers(0, next_id))
-                    removed_flat = flat.discard(victim_id)
-                    removed_indexed = indexed.discard(victim_id)
-                    assert (removed_flat is None) == (removed_indexed is None)
-                    if removed_flat is not None:
-                        assert ids([removed_flat]) == ids([removed_indexed]) \
-                            == [victim_id]
-                        assert removed_flat[0] is removed_indexed[0]
             elif op == 3:  # expire
                 assert ids(flat.pop_expired(step)) \
                     == ids(indexed.pop_expired(step))
@@ -289,20 +220,12 @@ class TestDualDriveEquivalence:
                 assert ready_flat == indexed.ready_groups(step, 4, 3)
                 for key in ready_flat:
                     taken_flat = flat.take(key, 4)
-                    taken_indexed = indexed.take(key, 4)
-                    assert ids(taken_flat) == ids(taken_indexed)
+                    # Same runs of the same waves, not just the same ids.
+                    assert taken_flat == indexed.take(key, 4)
                     assert len(ids(taken_flat)) <= 4
-                    # Same rows of the same waves, not just the same ids.
-                    assert [run[0] for run in taken_flat] == [
-                        wave for wave, start, stop in taken_indexed
-                        for _ in range(start, stop)
-                    ]
             assert len(flat) == len(indexed)
             assert sorted(flat.group_keys()) == sorted(indexed.group_keys())
             for key in flat.group_keys():
                 assert flat.group_pending(key) == indexed.group_pending(key)
                 assert flat.oldest_wait(key, step) == indexed.oldest_wait(key, step)
                 assert flat.min_deadline(key) == indexed.min_deadline(key)
-            victim_flat, victim_indexed = flat.victim(), indexed.victim()
-            assert (victim_flat.request_id if victim_flat else None) \
-                == (victim_indexed.request_id if victim_indexed else None)

@@ -1,4 +1,4 @@
-"""Cost-model-driven scheduling: policies, SLO classes, and the autotuner.
+"""Cost-model-driven scheduling: policies and SLO classes.
 
 Covers the pluggable :class:`~repro.runtime.scheduling.SchedulingPolicy`
 surface end to end:
@@ -8,29 +8,28 @@ surface end to end:
   re-registration);
 * :class:`CostAwarePolicy` determinism -- replaying one tick trace twice
   yields identical dispatch batches, responses, and shed sets -- plus its
-  deadline-pressure dispatch and priced admission shedding;
+  deadline-pressure dispatch;
 * SLO classes filling in deadlines/priorities at admission;
-* the :class:`Autotuner` nudging the static knobs from live telemetry;
-* the queue-level ``group_keys`` / ``min_deadline`` / ``victim(order=)``
-  extensions, on the indexed queue and its flat-list oracle.
+* the queue-level ``group_keys`` / ``min_deadline`` extensions, on the
+  indexed queue and its flat-list oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from flat_queue import FlatRequestQueue
+from flat_queue import FlatRequestQueue, row_request
 from test_queueing import push as push_wave
 
 from repro.errors import SloError
 from repro.runtime import (
-    Autotuner,
     CostAwarePolicy,
     PumServer,
     SloClass,
     StaticBatchingPolicy,
     resolve_slo,
 )
+from repro.runtime import scheduling
 from repro.runtime.queueing import IndexedRequestQueue
 from repro.testing import derive_rng
 
@@ -49,7 +48,7 @@ def queued_requests(server, key=("proj", 3)):
     """Per-row views of everything queued under ``key`` (taken off the queue:
     the queue holds waves, so a test that wants requests asks the wave)."""
     return [
-        wave.request(row)
+        row_request(wave, row)
         for wave, start, stop in server.request_queue.take(key, server.queue_capacity)
         for row in range(start, stop)
     ]
@@ -133,8 +132,9 @@ class TestCostOracle:
 
     def test_energy_prediction_positive_and_monotonic(self):
         server = make_server()
-        e1 = server.predicted_batch_energy_pj("proj", 3, 1)
-        e4 = server.predicted_batch_energy_pj("proj", 3, 4)
+        allocation = server.allocation_for("proj")
+        e1 = server.pool.predicted_batch_energy_pj(allocation, 1, input_bits=3)
+        e4 = server.pool.predicted_batch_energy_pj(allocation, 4, input_bits=3)
         assert 0 < e1 < e4
 
     def test_batch_monotonicity(self):
@@ -202,12 +202,13 @@ class TestCostAwarePolicy:
             if a.result is not None:
                 assert np.array_equal(a.result, b.result)
 
-    def test_deadline_pressure_dispatches_before_shedding(self):
+    def test_deadline_pressure_dispatches_before_shedding(self, monkeypatch):
         # One tight request in a half-empty group: the static policy would
         # age it out past its deadline; the cost-aware policy dispatches
         # the moment slack dips below the predicted batch latency.
-        policy = CostAwarePolicy(max_batch=16, max_wait_ticks=10,
-                                 margin_ticks=1, amortization_tolerance=0.0)
+        monkeypatch.setattr(scheduling, "MARGIN_TICKS", 1)
+        monkeypatch.setattr(scheduling, "AMORTIZATION_TOLERANCE", 0.0)
+        policy = CostAwarePolicy(max_batch=16, max_wait_ticks=10)
         server = make_server(scheduling=policy)
         server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3,
                       slo="interactive")
@@ -221,11 +222,11 @@ class TestCostAwarePolicy:
         shed = static.run_until_idle()
         assert [r.status for r in shed] == ["shed"]
 
-    def test_amortization_valve_dispatches_converged_groups(self):
+    def test_amortization_valve_dispatches_converged_groups(self, monkeypatch):
         # Deadline-free traffic whose per-request cost has converged should
         # not wait out the full max_wait_ticks.
-        policy = CostAwarePolicy(max_batch=4, max_wait_ticks=30,
-                                 amortization_tolerance=10.0)
+        monkeypatch.setattr(scheduling, "AMORTIZATION_TOLERANCE", 10.0)
+        policy = CostAwarePolicy(max_batch=4, max_wait_ticks=30)
         server = make_server(scheduling=policy)
         server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3)
         responses = server.run_until_idle()
@@ -240,28 +241,6 @@ class TestCostAwarePolicy:
         responses = server.tick()
         assert [r.batch_size for r in responses] == [4, 4, 4, 4]
 
-    def test_priced_admission_victim(self):
-        # Two matrices of very different cost at priority 0: when the queue
-        # is full the cost-aware pricer sheds the *expensive* request,
-        # where the default order would shed the oldest.
-        server = PumServer(num_devices=2, queue_capacity=2,
-                           admission="shed_lowest",
-                           scheduling=CostAwarePolicy(max_batch=16,
-                                                      max_wait_ticks=50))
-        server.register_matrix("big", np.eye(128, dtype=np.int64))
-        server.register_matrix("small", np.eye(4, dtype=np.int64))
-        assert server.predicted_batch_cycles("big", 3, 1) \
-            > server.predicted_batch_cycles("small", 3, 1)
-        f_small = server.submit("small", np.zeros(4, dtype=np.int64),
-                                input_bits=3)
-        f_big = server.submit("big", np.zeros(128, dtype=np.int64),
-                              input_bits=3)
-        f_new = server.submit("small", np.zeros(4, dtype=np.int64),
-                              input_bits=3, priority=5)
-        assert f_big.done() and f_big.result().status == "shed"
-        assert not f_small.done()
-        assert not f_new.done()
-
     def test_ready_groups_tightest_slack_first(self):
         policy = CostAwarePolicy(max_batch=2, max_wait_ticks=50)
         server = PumServer(num_devices=2, scheduling=policy)
@@ -274,56 +253,6 @@ class TestCostAwarePolicy:
         keys = policy.ready_groups(server, server.request_queue,
                                    server.now + 1)
         assert keys == [("tight", 3), ("loose", 3)]
-
-
-class TestAutotuner:
-    def test_sheds_lower_wait(self):
-        tuner = Autotuner(max_batch=16, max_wait_ticks=6, interval_ticks=4)
-        server = make_server(scheduling=tuner)
-        # Interactive deadline (now+4) with wait 6: requests shed, and the
-        # tuner reacts by lowering the wait knob at its next window.
-        for _ in range(3):
-            server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3,
-                          slo="interactive")
-            for _ in range(4):
-                server.tick()
-        assert any(knob == "max_wait_ticks" and new < old
-                   for _, knob, old, new in tuner.history)
-        assert tuner.max_wait_ticks < 6
-
-    def test_saturated_fill_grows_batch(self):
-        tuner = Autotuner(max_batch=2, max_wait_ticks=1, interval_ticks=2)
-        server = make_server(scheduling=tuner, queue_capacity=64)
-        for _ in range(4):
-            server.submit_batch("proj", np.zeros((4, 8), dtype=np.int64),
-                                input_bits=3)
-            server.tick()
-            server.tick()
-        assert any(knob == "max_batch" and new > old
-                   for _, knob, old, new in tuner.history)
-
-    def test_sparse_fill_raises_wait(self):
-        tuner = Autotuner(max_batch=8, max_wait_ticks=1, interval_ticks=2,
-                          max_wait_ticks_limit=4)
-        server = make_server(scheduling=tuner)
-        for _ in range(4):
-            server.submit("proj", np.zeros(8, dtype=np.int64), input_bits=3)
-            server.tick()
-            server.tick()
-        assert any(knob == "max_wait_ticks" and new > old
-                   for _, knob, old, new in tuner.history)
-        assert tuner.max_wait_ticks <= 4
-
-    def test_knobs_respect_bounds(self):
-        tuner = Autotuner(max_batch=4, max_wait_ticks=1, interval_ticks=1,
-                          min_wait_ticks=1, max_batch_limit=8)
-        server = make_server(scheduling=tuner)
-        for _ in range(20):
-            server.submit_batch("proj", np.zeros((8, 8), dtype=np.int64),
-                                input_bits=3)
-            server.tick()
-        assert 1 <= tuner.max_wait_ticks
-        assert tuner.max_batch <= 8
 
 
 class TestQueueExtensions:
@@ -342,21 +271,11 @@ class TestQueueExtensions:
         assert sorted(queue.group_keys()) == [("a", 2), ("b", 2)]
         assert queue.min_deadline(("a", 2)) == 5
         assert queue.min_deadline(("b", 2)) is None
-        queue.discard(1)
+        queue.pop_expired(now=6)  # request 1 (deadline 5) is shed
         assert queue.min_deadline(("a", 2)) == 9
-        queue.discard(0)
+        queue.pop_expired(now=10)
         assert queue.group_keys() == [("b", 2)]
         assert queue.min_deadline(("a", 2)) is None
-
-    @pytest.mark.parametrize("queue_cls",
-                             [IndexedRequestQueue, FlatRequestQueue])
-    def test_victim_accepts_custom_order(self, queue_cls):
-        queue = queue_cls()
-        self.push(queue, 0, priority=5)
-        self.push(queue, 1, priority=1)
-        assert queue.victim().request_id == 1
-        # Invert the order: the custom key wins.
-        assert queue.victim(order=lambda r: -r.priority).request_id == 0
 
     def test_indexed_group_keys_do_not_scan(self):
         queue = IndexedRequestQueue()

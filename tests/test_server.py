@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 from digest_text import rendered
 from flat_queue import install as install_flat_queue
+from flat_queue import row_request
 
 import repro
 from repro.testing import derive_rng
 
 from repro import (
     ChipConfig,
+    CostAwarePolicy,
     DevicePool,
     HctConfig,
     PumServer,
@@ -104,7 +106,7 @@ class TestSchedulerEdgeCases:
         assert server.stats.batch_fill == {1: 1}
 
     def test_queue_full_rejects_newcomer(self):
-        server = make_server(queue_capacity=2, admission="reject")
+        server = make_server(queue_capacity=2)
         admitted = submit_n(server, 2)
         rejected = server.submit("eye", np.ones(8, dtype=np.int64), input_bits=3)
         assert rejected.done()
@@ -114,21 +116,6 @@ class TestSchedulerEdgeCases:
         server.run_until_idle()
         assert all(f.result().ok for f in admitted)
 
-    def test_queue_full_sheds_lowest_priority_for_higher(self):
-        server = make_server(queue_capacity=2, admission="shed_lowest",
-                             max_batch=8, max_wait_ticks=10)
-        low_a, low_b = submit_n(server, 2, priority=0)
-        high = server.submit("eye", np.ones(8, dtype=np.int64),
-                             input_bits=3, priority=5)
-        assert low_a.done()  # oldest lowest-priority request was evicted
-        assert low_a.result().status == "shed"
-        assert not low_b.done()
-        assert not high.done()
-        assert server.pending == 2
-        # A newcomer that does not outrank anyone queued is rejected instead.
-        lowest = server.submit("eye", np.ones(8, dtype=np.int64),
-                               input_bits=3, priority=-1)
-        assert lowest.result().status == "rejected"
 
 
 class TestBatching:
@@ -254,8 +241,6 @@ class TestBatching:
             StaticBatchingPolicy(max_batch=0)
         with pytest.raises(SchedulerError, match="queue_capacity"):
             PumServer(num_devices=1, queue_capacity=0)
-        with pytest.raises(SchedulerError, match="unknown admission mode"):
-            PumServer(num_devices=1, admission="drop_everything")
         with pytest.raises(SchedulerError, match="SchedulingPolicy instance"):
             PumServer(num_devices=1, scheduling="cost_aware")
 
@@ -351,16 +336,13 @@ class TestThreadedDriver:
         assert server.pending == 0
 
     def test_waiters_on_rows_of_one_wave_each_get_their_row(self):
-        """One condition per wave, a predicate per waiter: eight threads block
-        on rows of a 64-row wave that resolves in four batches, a ninth on the
-        row a higher-priority newcomer sheds (on even rounds while its waiter
-        waits, on odd rounds before it asks).  Nobody is handed a neighbour's
-        response and nobody is stranded: ``wait_for`` re-reads the predicate
-        when its timeout ends, so a waiter that slept through its wake-up
-        still returns -- five seconds late, which is what ``waited`` catches
-        (a woken waiter needs milliseconds)."""
-        server = make_server(max_batch=16, max_wait_ticks=1, queue_capacity=64,
-                             admission="shed_lowest")
+        """One condition per wave, a predicate per waiter: nine threads block
+        on rows of a 64-row wave that resolves in four batches.  Nobody is
+        handed a neighbour's response and nobody is stranded: ``wait_for``
+        re-reads the predicate when its timeout ends, so a waiter that slept
+        through its wake-up still returns -- five seconds late, which is what
+        ``waited`` catches (a woken waiter needs milliseconds)."""
+        server = make_server(max_batch=16, max_wait_ticks=1, queue_capacity=64)
         vectors = np.arange(64 * 8, dtype=np.int64).reshape(64, 8) % 7
         rows = (0, 1, 15, 16, 31, 32, 47, 48, 63)
         interval = sys.getswitchinterval()
@@ -370,7 +352,7 @@ class TestThreadedDriver:
                 self.one_waiter_round(server, vectors, rows, round_)
         finally:
             sys.setswitchinterval(interval)
-        assert server.stats.shed == 200 and server.stats.completed == 200 * 64
+        assert server.stats.completed == 200 * 64
 
     @staticmethod
     def one_waiter_round(server, vectors, rows, round_):
@@ -386,25 +368,18 @@ class TestThreadedDriver:
             waited[row] = time.monotonic() - started
 
         threads = [threading.Thread(target=wait, args=(row,)) for row in rows]
-        for thread in threads[round_ % 2:]:  # row 0's waiter is threads[0]
-            thread.start()
-        urgent = server.submit("eye", vectors[0], input_bits=3, priority=1)
-        for thread in threads[:round_ % 2]:
+        for thread in threads:
             thread.start()
         with ThreadedServerDriver(server, tick_interval=1e-5):
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert urgent.result(timeout=5).ok
         assert max(waited.values()) < 2.5, (round_, waited)
         for row in rows:
             response = got[row]
             assert response is futures[row].result(timeout=0), (round_, row, response)
             assert response.request_id == futures[row].request_id
-            if row == 0:
-                assert (response.status, response.result) == ("shed", None)
-            else:
-                assert response.ok and np.array_equal(response.result, vectors[row])
+            assert response.ok and np.array_equal(response.result, vectors[row])
         assert server.pending == 0 and all(f.done() for f in futures)
 
     def test_driver_start_stop_idempotent(self):
@@ -454,7 +429,7 @@ class TestServingEntryPoints:
 
     def test_workloads_larger_than_queue_capacity_are_served_in_waves(self, rng):
         server = PumServer(num_devices=2, scheduling=StaticBatchingPolicy(4, 1),
-                           queue_capacity=4, admission="reject")
+                           queue_capacity=4)
         weight = rng.standard_normal((16, 8))
         activations = rng.standard_normal((11, 16))  # ~3x the queue capacity
         device, reference = serve_llm_projection(server, weight, activations)
@@ -525,8 +500,7 @@ class TestSubmitBatch:
         assert server.pending == 0
 
     def test_partial_admission_rejects_overflow_rows(self):
-        server = make_server(queue_capacity=4, max_batch=8, max_wait_ticks=1,
-                             admission="reject")
+        server = make_server(queue_capacity=4, max_batch=8, max_wait_ticks=1)
         vectors = np.ones((6, 8), dtype=np.int64)
         futures = server.submit_batch("eye", vectors, input_bits=3)
         assert len(futures) == 6
@@ -537,21 +511,6 @@ class TestSubmitBatch:
         assert server.stats.rejected == 2
         server.run_until_idle()
         assert all(f.result().ok for f in futures[:4])
-
-    def test_partial_admission_sheds_lower_priority_victims(self):
-        server = make_server(queue_capacity=2, max_batch=8, max_wait_ticks=10,
-                             admission="shed_lowest")
-        low_a, low_b = submit_n(server, 2, priority=0)
-        futures = server.submit_batch("eye", np.ones((3, 8), dtype=np.int64),
-                                      input_bits=3, priority=5)
-        # Both low-priority requests were evicted for the first two rows;
-        # the third row found no victim it outranks and was rejected.
-        assert low_a.result().status == "shed"
-        assert low_b.result().status == "shed"
-        assert futures[2].result().status == "rejected"
-        assert server.pending == 2
-        server.run_until_idle()
-        assert all(f.result().ok for f in futures[:2])
 
     def test_deadline_expired_bulk_requests_all_resolve(self):
         server = make_server(max_batch=32, max_wait_ticks=10)
@@ -602,14 +561,14 @@ class TestSubmitBatch:
         assert (start, stop) == (0, 3)
         assert wave.source is vectors
         assert wave.futures == futures
-        requests = [wave.request(row) for row in range(start, stop)]
+        requests = [row_request(wave, row) for row in range(start, stop)]
         assert [r.request_id for r in requests] == [f.request_id for f in futures]
         assert all(np.shares_memory(r.vector, vectors) for r in requests)
         # A list (or a narrower dtype) is converted once, for the whole wave.
         server.submit_batch("eye", vectors.astype(np.uint8).tolist(), input_bits=3)
         ((wave, start, stop),) = server.request_queue.take(("eye", 3), 8)
         assert wave.source.dtype == np.int64 and wave.source.flags.c_contiguous
-        assert np.shares_memory(wave.request(2).vector, wave.source)
+        assert np.shares_memory(row_request(wave, 2).vector, wave.source)
 
 
 class TestWaves:
@@ -645,27 +604,24 @@ class TestWaves:
         served = np.stack([f.result().result for f in futures])
         assert np.array_equal(served, 3 * vectors)
 
-    @pytest.mark.parametrize("admission", ["reject", "shed_lowest"])
-    def test_wave_larger_than_the_queue_admits_a_prefix(self, admission):
+    def test_wave_larger_than_the_queue_admits_a_prefix(self):
         for flat in (False, True):
-            server = make_server(queue_capacity=5, max_batch=4, max_wait_ticks=1,
-                                 admission=admission)
+            server = make_server(queue_capacity=5, max_batch=4, max_wait_ticks=1)
             if flat:
                 install_flat_queue(server)
             low = submit_n(server, 2, priority=0)
             futures = server.submit_batch(
                 "eye", np.ones((9, 8), dtype=np.int64), input_bits=3, priority=3)
-            # Rows 0-2 fill the queue; under shed_lowest rows 3 and 4 each
-            # evict one of the two low-priority singles, and the row after
-            # finds nobody it outranks.
-            admitted = 5 if admission == "shed_lowest" else 3
+            # Rows 0-2 fill the queue; the rest are turned away, whatever
+            # their priority.
+            admitted = 3
             assert [f.done() for f in futures] == \
                 [False] * admitted + [True] * (9 - admitted)
             assert {f.result().status for f in futures[admitted:]} == {"rejected"}
-            assert [f.done() for f in low] == [admission == "shed_lowest"] * 2
+            assert [f.done() for f in low] == [False] * 2
             assert server.pending == 5
             assert server.stats.rejected == 9 - admitted
-            assert server.stats.shed == (2 if admission == "shed_lowest" else 0)
+            assert server.stats.shed == 0
             server.run_until_idle()
             assert all(f.result().ok for f in futures[:admitted])
             assert server.stats.submitted == 11 == (
@@ -674,14 +630,13 @@ class TestWaves:
 
     def test_every_future_resolves_exactly_once(self, rng):
         """Each id gets one response, and the future holds that very object."""
-        server = make_server(queue_capacity=12, max_batch=4, max_wait_ticks=2,
-                             admission="shed_lowest")
+        server = make_server(queue_capacity=12, max_batch=4, max_wait_ticks=2)
         futures, responses = [], []
         for step in range(12):
             rows = rng.integers(0, 4, size=(int(rng.integers(1, 8)), 8))
             futures += server.submit_batch(
                 "eye", rows, input_bits=3, priority=int(rng.integers(0, 3)),
-                deadline=server.now + 2 if step % 3 == 0 else None)
+                deadline=server.now + 1 if step % 3 == 0 else None)
             futures.append(server.submit("eye", rows[0], input_bits=3))
             if step % 2:
                 responses += server.tick()
@@ -697,27 +652,26 @@ class TestWaves:
             assert response.request_id == future.request_id
             if response.request_id in by_id:
                 assert by_id[response.request_id] is response
-            else:  # resolved at the door, or evicted by a later arrival
-                assert response.status in ("rejected", "shed")
+            else:  # resolved at the door
+                assert response.status == "rejected"
         assert {"completed", "rejected", "shed"} <= {
             f.result().status for f in futures
         }
 
 
-def resolution_schedule(rng, observe=lambda waves: None, admission="shed_lowest"):
+def resolution_schedule(rng, observe=lambda waves: None):
     """A serving schedule that resolves rows every way the server can.
 
     ``submit`` and ``submit_batch`` waves of three priorities against two
-    tenants, some with deadlines, into a 16-row ``shed_lowest`` queue (so
-    waves are shed from the middle and turned away at the door), a vector
+    tenants, some with deadlines, into a 16-row queue (so waves are turned
+    away at the door, or a suffix of them is), a vector
     refused before it gets an id, one batch failed by an injected
     ``ReproError``, and ticks between admissions.  ``observe`` sees what
     every ``submit_batch`` so far returned, after each step -- waves that are
     still queued, partly dispatched, shed in the middle.  Returns every
     future in id order and the request ids each ``tick()`` returned.
     """
-    server = make_server(queue_capacity=16, max_batch=8, max_wait_ticks=3,
-                         admission=admission)
+    server = make_server(queue_capacity=16, max_batch=8, max_wait_ticks=3)
     server.register_matrix("mix", rng.integers(-7, 8, size=(8, 6)), element_size=4)
     futures, ticks, waves = [], [], []
     execute = server.pool.exec_mvm_batch
@@ -757,24 +711,19 @@ class TestWaveResolution:
     """What a caller can read off the futures and off ``tick()``, pinned."""
 
     #: sha256 over every future's fields (id order) and the ids each tick
-    #: returned, computed at ``898eb79`` -- the commit before a wave resolved
-    #: once per run -- on a fixed seed, so it holds on every leg of the seed
-    #: matrix and under both ``REPRO_BACKEND`` values; re-pinned over
-    #: ``ca3b0f3`` when the ledger moved to integer units (the last bits of
-    #: ``energy_pj`` moved).
-    EXPECTED = "d04a852d1fe3ec59ebd7b19ee1b4a1929819eef2cff641628a5fdb7844ca5b9a"
-    #: The sibling: the same material through ``digest_text.rendered``,
-    #: computed at ``ca3b0f3`` and held across that move.
-    ROUNDED = "2ebaa4798831d64a542dd06ae6915857fff128a467ebd3185d6a0210bcbb8deb"
-    #: The same schedule on a queue that admits by ``"reject"``: rows are
-    #: shed only by their deadline, computed at ``3cc8e31``.
+    #: returned, on a fixed seed, so it holds on every leg of the seed matrix
+    #: and under both ``REPRO_BACKEND`` values.  Computed at ``3cc8e31``,
+    #: the commit before a full queue only rejected (rows are shed only by
+    #: their deadline); the pins it replaced, which also covered rows
+    #: evicted by a higher-priority newcomer, dated from ``898eb79`` (before
+    #: a wave resolved once per run) and ``ca3b0f3`` (integer ledger units).
     SURVIVING = "15bc045ae9442e4175a6e7db49ee687ab586394a8f0588369ba430254ab87c9e"
+    #: The sibling: the same material through ``digest_text.rendered``.
     SURVIVING_ROUNDED = "b700164e8f3c1a27caf71bc4ec3afe64f00f03d640ac95c48aeccd2b26922795"
 
     @staticmethod
-    def _digest(text=None, admission="shed_lowest"):
-        _, futures, ticks = resolution_schedule(np.random.default_rng(24),
-                                                admission=admission)
+    def _digest(text=None):
+        _, futures, ticks = resolution_schedule(np.random.default_rng(24))
         digest = hashlib.sha256()
         statuses = set()
         for future in futures:
@@ -794,17 +743,11 @@ class TestWaveResolution:
         assert statuses == {"completed", "rejected", "shed", "failed"}
         return digest.hexdigest()
 
-    def test_resolution_digest_is_unchanged(self):
-        assert self._digest() == self.EXPECTED
-
-    def test_resolution_digest_rounded(self):
-        assert self._digest(rendered) == self.ROUNDED
-
     def test_surviving_resolution_digest(self):
-        assert self._digest(admission="reject") == self.SURVIVING
+        assert self._digest() == self.SURVIVING
 
     def test_surviving_resolution_digest_rounded(self):
-        assert self._digest(rendered, admission="reject") == self.SURVIVING_ROUNDED
+        assert self._digest(rendered) == self.SURVIVING_ROUNDED
 
     def test_columns_equal_the_futures_row_for_row(self):
         """``columns()`` against what iterating the futures gives, on every
@@ -1027,7 +970,8 @@ class TestPublicSurface:
     """Ratchet: the serving tier's knob and name counts only go down."""
 
     def test_constructor_parameter_counts(self):
-        for cls, limit in ((PumServer, 6), (DevicePool, 7), (ClusterGateway, 14)):
+        for cls, limit in ((PumServer, 5), (DevicePool, 7), (ClusterGateway, 14),
+                           (StaticBatchingPolicy, 2), (CostAwarePolicy, 2)):
             assert len(inspect.signature(cls).parameters) <= limit, cls.__name__
 
     def test_a_server_built_from_a_device_count_owns_a_default_pool(self):
