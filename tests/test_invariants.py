@@ -21,7 +21,6 @@ fresh schedules without touching the code.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from flat_queue import install as install_flat_queue
 

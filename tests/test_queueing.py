@@ -89,6 +89,16 @@ class TestConformance:
         assert queue.take(("m", 4), max_batch=3) == []
         assert queue.group_keys() == []
 
+    def test_group_pending_tracks_takes(self, queue):
+        for i in range(4):
+            push(queue, i)
+        push(queue, 4, name="other")
+        assert queue.group_pending(("m", 4)) == 4
+        assert queue.group_pending(("other", 4)) == 1
+        assert queue.group_pending(("missing", 4)) == 0
+        assert ids(queue.take(("m", 4), max_batch=2)) == [0, 1]
+        assert queue.group_pending(("m", 4)) == 2
+
     def test_pop_expired_returns_id_order(self, queue):
         push(queue, 0, deadline=5)
         push(queue, 1)  # no deadline: never expires
