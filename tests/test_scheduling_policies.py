@@ -46,7 +46,8 @@ def make_server(max_batch=None, max_wait_ticks=None, **kwargs):
 
 def queued_requests(server, key=("proj", 3)):
     """Per-row views of everything queued under ``key`` (taken off the queue:
-    the queue holds waves, so a test that wants requests asks the wave)."""
+    the queue holds waves, so a test that wants requests builds the flat
+    oracle's row views)."""
     return [
         row_request(wave, row)
         for wave, start, stop in server.request_queue.take(key, server.queue_capacity)
