@@ -137,3 +137,45 @@ def test_conservation_under_random_schedules(case):
             assert response.result.shape == (ROWS,)
         else:
             assert response.result is None
+
+
+#: Randomized schedules for the admission rule below.
+ADMISSION_CASES = 16
+
+
+@pytest.mark.parametrize("case", range(ADMISSION_CASES))
+def test_a_full_queue_only_rejects_at_the_door(case):
+    """One admission rule: a wave admits the rows that fit, in row order, and
+    the rest are rejected on the spot, whatever their priority.  Nothing
+    queued is evicted to make room -- a queued row leaves by dispatch, or by
+    shedding once its own deadline has passed."""
+    rng = derive_rng("admission", case)
+    server = build_server(rng)
+    deadlines = {}
+    for _ in range(int(rng.integers(8, 25))):
+        if rng.integers(0, 3) == 0:
+            server.tick()
+            continue
+        deadline = (server.now + int(rng.integers(0, 4))
+                    if rng.integers(0, 2) else None)
+        pending = server.pending
+        waiting = [f for f in deadlines if not f.done()]
+        futures = server.submit_batch(
+            "m", rng.integers(0, 4, size=(int(rng.integers(1, 6)), ROWS)),
+            input_bits=2, priority=int(rng.integers(0, 3)), deadline=deadline)
+        fits = min(len(futures), server.queue_capacity - pending)
+        assert [f.done() for f in futures] \
+            == [False] * fits + [True] * (len(futures) - fits)
+        assert server.pending == pending + fits
+        assert not any(f.done() for f in waiting)
+        for future in futures:
+            deadlines[future] = deadline
+    server.run_until_idle()
+    for future, deadline in deadlines.items():
+        response = future.result(timeout=0)
+        if response.status == "rejected":
+            assert response.completion_tick == response.arrival_tick
+        elif response.status == "shed":
+            assert deadline is not None and response.completion_tick > deadline
+        else:
+            assert response.status == "completed"

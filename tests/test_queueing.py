@@ -180,6 +180,72 @@ class TestConformance:
     def test_take_from_empty_group(self, queue):
         assert queue.take(("missing", 4), max_batch=4) == []
 
+    def test_min_deadline_tracks_takes(self, queue):
+        push(queue, 0, rows=3, deadline=4)
+        push(queue, 3, rows=2, deadline=9, arrival_tick=1)
+        push(queue, 5, arrival_tick=1)  # no deadline
+        # A wave keeps its deadline while any row of it is queued.
+        assert ids(queue.take(("m", 4), max_batch=2)) == [0, 1]
+        assert queue.min_deadline(("m", 4)) == 4
+        assert ids(queue.take(("m", 4), max_batch=1)) == [2]
+        assert queue.min_deadline(("m", 4)) == 9
+        assert ids(queue.take(("m", 4), max_batch=2)) == [3, 4]
+        assert queue.min_deadline(("m", 4)) is None
+        assert queue.pop_expired(now=99) == []  # nothing left to expire
+        assert ids(queue.take(("m", 4), max_batch=2)) == [5]
+
+    def test_pop_expired_spans_groups_in_id_order(self, queue):
+        push(queue, 0, name="b", rows=2, deadline=3)
+        push(queue, 2, name="a", deadline=1)
+        push(queue, 3, name="b", deadline=8)
+        push(queue, 4, name="a", rows=2, deadline=2)
+        assert ids(queue.pop_expired(now=4)) == [0, 1, 2, 4, 5]
+        assert queue.group_keys() == [("b", 4)]
+        assert queue.group_pending(("a", 4)) == 0
+        assert len(queue) == queue.group_pending(("b", 4)) == 1
+        assert queue.min_deadline(("b", 4)) == 8
+
+    def test_a_group_emptied_by_expiry_is_gone(self, queue):
+        push(queue, 0, rows=3, deadline=2, arrival_tick=1)
+        assert ids(queue.pop_expired(now=3)) == [0, 1, 2]
+        assert len(queue) == 0 and queue.group_keys() == []
+        assert queue.oldest_wait(("m", 4), now=5) == -1
+        assert queue.min_deadline(("m", 4)) is None
+        assert queue.ready_groups(now=9, max_batch=1, max_wait_ticks=0) == []
+        assert queue.take(("m", 4), max_batch=4) == []
+
+    def test_ready_groups_see_what_take_left(self, queue):
+        push(queue, 0, rows=5, arrival_tick=0)
+        push(queue, 5, arrival_tick=3)
+        assert queue.ready_groups(now=3, max_batch=4, max_wait_ticks=9) \
+            == [("m", 4)]
+        assert ids(queue.take(("m", 4), max_batch=4)) == [0, 1, 2, 3]
+        # Two rows left: not a full batch, and the oldest is row 4 (tick 0).
+        assert queue.ready_groups(now=3, max_batch=4, max_wait_ticks=9) == []
+        assert queue.ready_groups(now=9, max_batch=4, max_wait_ticks=9) \
+            == [("m", 4)]
+        assert ids(queue.take(("m", 4), max_batch=1)) == [4]
+        assert queue.oldest_wait(("m", 4), now=9) == 6
+        assert queue.ready_groups(now=9, max_batch=4, max_wait_ticks=9) == []
+
+    def test_take_and_expire_churn_stays_consistent(self, queue):
+        """Interleaved push/take/expire cycles never corrupt the counters:
+        a row that leaves by either door is gone for good, not met later."""
+        next_id = 0
+        for cycle in range(6):
+            tick = 10 * cycle
+            push(queue, next_id, rows=5, deadline=tick + 1, arrival_tick=tick)
+            push(queue, next_id + 5, rows=2, arrival_tick=tick)
+            wave_ids = list(range(next_id, next_id + 7))
+            next_id += 7
+            assert ids(queue.take(("m", 4), max_batch=2)) == wave_ids[:2]
+            assert queue.group_pending(("m", 4)) == len(queue) == 5
+            assert ids(queue.pop_expired(now=tick + 2)) == wave_ids[2:5]
+            assert queue.group_pending(("m", 4)) == len(queue) == 2
+            assert queue.min_deadline(("m", 4)) is None
+            assert ids(queue.take(("m", 4), max_batch=10)) == wave_ids[5:]
+            assert len(queue) == 0 and queue.group_keys() == []
+
 
 class TestSharedTieBreaks:
     def test_order_functions_are_shared(self):

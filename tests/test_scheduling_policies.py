@@ -242,6 +242,39 @@ class TestCostAwarePolicy:
         responses = server.tick()
         assert [r.batch_size for r in responses] == [4, 4, 4, 4]
 
+    def test_full_queue_rejects_the_newcomer_whatever_its_cost(self):
+        # Two matrices of very different cost: at a full queue the
+        # higher-priority newcomer is turned away, and neither queued
+        # request -- cheap or expensive -- is evicted for it.
+        server = PumServer(num_devices=2, queue_capacity=2,
+                           scheduling=CostAwarePolicy(max_batch=16,
+                                                      max_wait_ticks=50))
+        server.register_matrix("big", np.eye(128, dtype=np.int64))
+        server.register_matrix("small", np.eye(4, dtype=np.int64))
+        assert server.predicted_batch_cycles("big", 3, 1) \
+            > server.predicted_batch_cycles("small", 3, 1)
+        f_small = server.submit("small", np.zeros(4, dtype=np.int64),
+                                input_bits=3)
+        f_big = server.submit("big", np.zeros(128, dtype=np.int64),
+                              input_bits=3)
+        f_new = server.submit("small", np.zeros(4, dtype=np.int64),
+                              input_bits=3, priority=5)
+        assert f_new.done() and f_new.result().status == "rejected"
+        assert not f_small.done() and not f_big.done()
+        assert server.stats.shed == 0
+        server.run_until_idle()
+        assert f_small.result().ok and f_big.result().ok
+
+    def test_tick_cycles_convert_predicted_cycles_to_ticks(self, monkeypatch):
+        policy = CostAwarePolicy(max_batch=4, max_wait_ticks=30)
+        server = make_server(scheduling=policy)
+        cycles = server.predicted_batch_cycles("proj", 3, 2)
+        assert policy.predicted_batch_ticks(server, ("proj", 3), 2) \
+            == cycles / scheduling.TICK_CYCLES
+        # Read at use: a patched constant takes effect without a new policy.
+        monkeypatch.setattr(scheduling, "TICK_CYCLES", cycles)
+        assert policy.predicted_batch_ticks(server, ("proj", 3), 2) == 1.0
+
     def test_ready_groups_tightest_slack_first(self):
         policy = CostAwarePolicy(max_batch=2, max_wait_ticks=50)
         server = PumServer(num_devices=2, scheduling=policy)

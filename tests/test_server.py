@@ -116,6 +116,43 @@ class TestSchedulerEdgeCases:
         server.run_until_idle()
         assert all(f.result().ok for f in admitted)
 
+    def test_queue_full_rejects_a_higher_priority_newcomer(self):
+        server = make_server(queue_capacity=2, max_batch=8, max_wait_ticks=10)
+        low = submit_n(server, 2, priority=0)
+        high = server.submit("eye", np.ones(8, dtype=np.int64),
+                             input_bits=3, priority=5)
+        # Priority orders dispatch only: nobody queued is evicted for it.
+        assert high.result(timeout=0).status == "rejected"
+        assert high.result(timeout=0).latency_ticks == 0
+        assert not any(f.done() for f in low)
+        assert (server.pending, server.stats.rejected, server.stats.shed) \
+            == (2, 1, 0)
+        server.run_until_idle()
+        assert all(f.result().ok for f in low)
+
+    def test_a_slot_freed_by_dispatch_admits_the_next_newcomer(self):
+        server = make_server(queue_capacity=2, max_batch=2, max_wait_ticks=10)
+        first = submit_n(server, 2)
+        assert submit_n(server, 1)[0].result(timeout=0).status == "rejected"
+        server.tick()  # a full batch dispatches and frees the queue
+        assert all(f.result(timeout=0).ok for f in first)
+        again = submit_n(server, 1)[0]
+        assert not again.done() and server.pending == 1
+        server.run_until_idle()
+        assert again.result().ok
+
+    def test_a_slot_freed_by_deadline_shedding_admits_the_next_newcomer(self):
+        server = make_server(queue_capacity=1, max_batch=8, max_wait_ticks=10)
+        doomed = server.submit("eye", np.ones(8, dtype=np.int64), input_bits=3,
+                               deadline=0)
+        assert submit_n(server, 1)[0].result(timeout=0).status == "rejected"
+        server.tick()  # now=1: past the deadline, the row leaves by shedding
+        assert doomed.result(timeout=0).status == "shed"
+        later = submit_n(server, 1)[0]
+        assert not later.done() and server.pending == 1
+        server.run_until_idle()
+        assert later.result().ok
+
 
 
 class TestBatching:
@@ -511,6 +548,20 @@ class TestSubmitBatch:
         assert server.stats.rejected == 2
         server.run_until_idle()
         assert all(f.result().ok for f in futures[:4])
+
+    def test_partial_admission_turns_away_higher_priority_overflow(self):
+        server = make_server(queue_capacity=4, max_batch=8, max_wait_ticks=10)
+        low = submit_n(server, 2, priority=0)
+        futures = server.submit_batch("eye", np.ones((3, 8), dtype=np.int64),
+                                      input_bits=3, priority=5)
+        # The two rows that fit are admitted; the third is rejected, and the
+        # queued low-priority rows are left alone.
+        assert [f.done() for f in futures] == [False, False, True]
+        assert futures[2].result().status == "rejected"
+        assert not any(f.done() for f in low)
+        assert server.pending == 4 and server.stats.shed == 0
+        server.run_until_idle()
+        assert all(f.result().ok for f in low + futures[:2])
 
     def test_deadline_expired_bulk_requests_all_resolve(self):
         server = make_server(max_batch=32, max_wait_ticks=10)
@@ -989,6 +1040,26 @@ class TestPublicSurface:
         default = PumServer(num_devices=1).scheduling
         assert isinstance(default, StaticBatchingPolicy)
         assert (default.max_batch, default.max_wait_ticks) == (16, 4)
+
+
+    def test_the_deleted_scheduler_surface_stays_deleted(self):
+        """One admission rule and one policy surface: a full queue rejects,
+        and a policy has its two knobs and nothing per tick."""
+        from repro.runtime import queueing, scheduling
+
+        for module, name in ((repro, "Autotuner"), (repro.runtime, "Autotuner"),
+                             (scheduling, "Autotuner"),
+                             (repro.runtime.server, "ADMISSION_MODES"),
+                             (queueing, "victim_order"),
+                             (scheduling.SchedulingPolicy, "on_tick"),
+                             (scheduling.SchedulingPolicy, "victim_order"),
+                             (queueing.IndexedRequestQueue, "victim"),
+                             (queueing.IndexedRequestQueue, "discard"),
+                             (PumServer, "predicted_batch_energy_pj")):
+            assert not hasattr(module, name), name
+        assert "admission" not in inspect.signature(PumServer).parameters
+        assert list(inspect.signature(CostAwarePolicy).parameters) \
+            == ["max_batch", "max_wait_ticks"]
 
 
 class TestLatencyPercentileCache:
