@@ -27,6 +27,7 @@ from repro.runtime import (
     FaultInjector,
     LeastLoadedPolicy,
     PlacementPolicy,
+    PumServer,
     RoundRobinPolicy,
     make_placement_policy,
 )
@@ -762,3 +763,126 @@ class TestPlacementDigest:
         trace = self._trace(policy, replication)
         digest = hashlib.sha256(repr(trace).encode()).hexdigest()
         assert digest == self.EXPECTED[(policy, replication)]
+
+
+def _module_from(path):
+    """Import the Python file at ``path`` (repository-relative) by path."""
+    import importlib.util
+    from pathlib import Path
+
+    location = Path(__file__).resolve().parent.parent / path
+    spec = importlib.util.spec_from_file_location(location.stem, location)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkloadPlacement:
+    """Where every layout a run builds lands, each pool built by its own
+    caller (layerbench's ``pool_sharded``, ``server_deep_queue`` and
+    ``tenant_churn``, the quickstart example, ``python -m repro.plan``, the
+    shape-alternating registration probe beside other tenants, and
+    ``benchmarks/test_recovery.py``'s server).
+
+    ``EXPECTED`` hashes each layout's copies (band, replica, device, rows),
+    per allocation, after every placement step; it was computed at
+    ``682fcf0``, while the pool still took a placement policy (the
+    examples' and layerbench's default ``least_loaded``, ``PumServer``'s
+    ``cache_affinity``, ``repro.plan``'s ``round_robin``), and must not
+    move: every rule placed these layouts the same.
+    """
+
+    EXPECTED = "c9ebfaef61c3d504f21def579f80a052fc3c96e8a1229c5c801f665e1829508a"
+
+    @staticmethod
+    def _layout(pool):
+        return [
+            [(task.position, task.replica, task.device_index,
+              task.row_start, task.row_end) for task in allocation.all_tasks]
+            for allocation in sorted(pool.allocations,
+                                     key=lambda a: a.allocation_id)
+        ]
+
+    def _layouts(self, capsys, monkeypatch):
+        workloads = pytest.importorskip("layerbench.workloads")
+        layouts = {}
+
+        sharded = workloads.PoolSharded(12345)
+        pool = sharded.make_pool()
+        pool.set_matrix(sharded.matrix, element_size=sharded.ELEMENT_SIZE)
+        layouts["pool_sharded"] = self._layout(pool)
+
+        # The quickstart example's pool, as examples/quickstart.py builds it.
+        pool = DevicePool(num_devices=3,
+                          config=ChipConfig(hct=HctConfig.small(), num_hcts=3))
+        pool.set_matrix(derive_rng("quickstart").integers(-8, 8, size=(100, 30)),
+                        element_size=4, precision=0)
+        layouts["quickstart"] = self._layout(pool)
+
+        # ``python -m repro.plan`` builds its pool inside ``main``.
+        from repro.plan.__main__ import main
+        from repro.runtime import pool as pool_module
+
+        built = []
+
+        class Recorded(pool_module.DevicePool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(pool_module, "DevicePool", Recorded)
+        main()
+        capsys.readouterr()
+        monkeypatch.undo()
+        (pool,) = built
+        layouts["repro.plan"] = self._layout(pool)
+
+        deep = workloads.ServerDeepQueue(12345)
+        server = deep.make_server()
+        for tenant, matrix in enumerate(deep.matrices):
+            server.register_matrix(f"t{tenant}", matrix,
+                                   element_size=deep.ELEMENT_SIZE,
+                                   input_bits=deep.INPUT_BITS)
+        layouts["server_deep_queue"] = self._layout(server.pool)
+
+        churn = workloads.TenantChurn(12345)
+        churn.setup()
+        rounds = [self._layout(churn.server.pool)]
+        for k in range(1, 5):
+            churn.step(k)
+            rounds.append(self._layout(churn.server.pool))
+        layouts["tenant_churn"] = rounds
+
+        # The shape-alternating registration probe: 64x64 and 64x48 4-bit
+        # in turn, new bytes every round, so every round releases and
+        # places anew; three tenants sit beside it.
+        rng = derive_rng("registration-probe")
+        server = PumServer(num_devices=2)
+        for tenant, shape in enumerate(((16, 16), (64, 64), (32, 24))):
+            server.register_matrix(f"other{tenant}",
+                                   rng.integers(-8, 8, size=shape),
+                                   element_size=4, input_bits=4)
+        rounds = []
+        for k in range(6):
+            shape = ((64, 64), (64, 48))[k % 2]
+            server.register_matrix("t", rng.integers(-8, 8, size=shape),
+                                   element_size=4, input_bits=4)
+            rounds.append(self._layout(server.pool))
+        layouts["registration_probe"] = rounds
+
+        recovery = _module_from("benchmarks/test_recovery.py")
+        layouts["test_recovery"] = self._layout(recovery.build_server().pool)
+        return layouts
+
+    def test_workload_placement_digest(self, capsys, monkeypatch):
+        layouts = self._layouts(capsys, monkeypatch)
+        # The readable core of the pin: (primary, replica) per band of
+        # pool_sharded, and the device of each band of the other sharded
+        # layouts.
+        (sharded,) = layouts["pool_sharded"]
+        assert [(sharded[band][2], sharded[band + 1][2])
+                for band in (0, 2)] == [(0, 1), (2, 3)]
+        for name in ("quickstart", "repro.plan"):
+            assert [task[2] for task in layouts[name][0]] == [0, 1, 2]
+        digest = hashlib.sha256(repr(sorted(layouts.items())).encode()).hexdigest()
+        assert digest == self.EXPECTED
