@@ -95,8 +95,8 @@ ARTIFACTS_DIR = Path(__file__).parent / "artifacts"
 def build_server(verify: str = "off", num_devices: int = NUM_DEVICES,
                  shape: tuple = MATRIX_SHAPE) -> PumServer:
     server = PumServer(
-        pool=DevicePool(num_devices=num_devices, policy="cache_affinity",
-                        replication=REPLICATION, verify=verify),
+        pool=DevicePool(num_devices=num_devices, replication=REPLICATION,
+                        verify=verify),
         scheduling=StaticBatchingPolicy(MAX_BATCH, 1),
         queue_capacity=WAVES * WAVE_SIZE,
     )

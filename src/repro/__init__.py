@@ -7,7 +7,7 @@ Memory Architecture" (ASPLOS 2026).  The package is organised as:
 * :mod:`repro.digital`   -- RACER-style digital (Boolean) PUM substrate
 * :mod:`repro.analog`    -- analog crossbar MVM substrate with periphery
 * :mod:`repro.core`      -- hybrid compute tiles, chip, area/energy models
-* :mod:`repro.plan`      -- the ExecutionPlan IR, planner, and backend registry
+* :mod:`repro.plan`      -- the ExecutionPlan IR, planner, and backend table
 * :mod:`repro.isa`       -- the hybrid ISA, assembler, and program executor
 * :mod:`repro.runtime`   -- the Table 1 programmer-facing library
 * :mod:`repro.workloads` -- AES, ResNet-20, and LLM-encoder workloads
@@ -21,7 +21,6 @@ from .core.hct import HybridComputeTile
 from .metrics import CostLedger
 from .plan import (
     BACKENDS,
-    BackendRegistry,
     ExecutionBackend,
     MvmPlan,
     Planner,
@@ -45,7 +44,6 @@ __version__ = "1.7.0"
 
 __all__ = [
     "BACKENDS",
-    "BackendRegistry",
     "ChipConfig",
     "CostAwarePolicy",
     "CostLedger",

@@ -1,20 +1,20 @@
-"""Plan/compile/execute: the ExecutionPlan IR and its backend registry.
+"""Plan/compile/execute: the ExecutionPlan IR and its backend table.
 
 ``repro.plan`` separates *planning* (deriving the bit-sliced MVM schedule
 of an allocation: shard topology, step order, reduction layout, analytic
 costs) from *execution* (interpreting that schedule).  The
 :class:`Planner` compiles one cacheable :class:`MvmPlan` per
-``(allocation, input_bits)``; the :class:`BackendRegistry` holds the
+``(allocation, input_bits)``; :data:`BACKENDS` names the
 interpreters (:class:`ReferenceExecutor`, :class:`VectorizedExecutor`,
 and the cost-only :class:`CostModelExecutor`), selected with ``backend=``
 at every layer from :class:`~repro.core.hct.HybridComputeTile` up through
 :class:`~repro.runtime.server.PumServer`.  A single-vector call is a batch
-of one on :data:`GATE_LEVEL`, the unregistered
-:class:`GateLevelExecutor` that executes the reduction's NOR adds.  :class:`DevicePlan` stacks the
-tile plans of one device-level matrix so the proven-exact path is one
-contraction whatever the tile count, and :class:`ShardedPlan` extends the
-compiled form across a device pool so serving does zero per-request
-planning.
+of one on :data:`GATE_LEVEL`, the :class:`GateLevelExecutor` (not in
+:data:`BACKENDS`) that executes the reduction's NOR adds.
+:class:`DevicePlan` stacks the tile plans of one device-level matrix so
+the proven-exact path is one contraction whatever the tile count, and
+:class:`ShardedPlan` extends the compiled form across a device pool so
+serving does zero per-request planning.
 
 ``python -m repro.plan`` (or ``make plan-dump``) pretty-prints a sample
 plan.
@@ -24,7 +24,6 @@ from .backends import (
     BACKENDS,
     DEFAULT_BACKEND,
     GATE_LEVEL,
-    BackendRegistry,
     CostModelExecutor,
     ExecutionBackend,
     GateLevelExecutor,
@@ -48,7 +47,6 @@ from .planner import Planner
 
 __all__ = [
     "BACKENDS",
-    "BackendRegistry",
     "CostModelExecutor",
     "DEFAULT_BACKEND",
     "DevicePlan",

@@ -30,7 +30,6 @@ def main() -> None:
     pool = DevicePool(
         num_devices=3,
         config=ChipConfig(hct=HctConfig.small(), num_hcts=2),
-        policy="round_robin",
     )
     big = (np.arange(96 * 16, dtype=np.int64).reshape(96, 16) % 199) - 99
     allocation = pool.set_matrix(big, element_size=8, precision=0)
@@ -38,7 +37,7 @@ def main() -> None:
     print(sharded.describe())
 
     print()
-    print(f"registered backends: {BACKENDS.names()} (default: {default_backend()!r})")
+    print(f"registered backends: {tuple(sorted(BACKENDS))} (default: {default_backend()!r})")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 PR 3's engines were selected by strings threaded through every layer and
 hand-synchronised by tests.  Here each engine is an
-:class:`ExecutionBackend` registered in the :class:`BackendRegistry`, and
-both consume the *same compiled plan object*:
+:class:`ExecutionBackend`, named in :data:`BACKENDS`, and
+all consume the *same compiled plan object*:
 
 * :class:`ReferenceExecutor` walks ``plan.steps`` one crossbar call at a
   time -- the hardware-faithful schedule and the ground truth.
@@ -17,7 +17,7 @@ both consume the *same compiled plan object*:
   capacity planning at zero arithmetic cost, and proof that new backends
   drop in without touching the tile.
 * :class:`GateLevelExecutor` is the reference interpreter with the DCE
-  reduction executed NOR add by NOR add.  It is not registered: it serves
+  reduction executed NOR add by NOR add.  It is not in :data:`BACKENDS`: it serves
   every single-vector call (:data:`GATE_LEVEL`, a batch of one), the one
   place the analytic reduction is checked against executed gates.
 
@@ -37,7 +37,7 @@ equivalence matrix runs the suite once per backend through it).
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "GATE_LEVEL",
-    "BackendRegistry",
     "CostModelExecutor",
     "ExecutionBackend",
     "GateLevelExecutor",
@@ -84,7 +83,7 @@ class ExecutionBackend:
     statistics all match the reference interpretation of the same plan.
     """
 
-    #: Registry name of the backend.
+    #: Name of the backend (its key in :data:`BACKENDS`).
     name = "base"
 
     def execute_batch(
@@ -492,57 +491,11 @@ class CostModelExecutor(ExecutionBackend):
         )
 
 
-class BackendRegistry:
-    """Name -> :class:`ExecutionBackend` registry.
-
-    New backends register here and immediately work at every layer
-    (tile, device, pool, server) -- nothing above the registry knows the
-    set of engines.
-    """
-
-    def __init__(self) -> None:
-        self._backends: Dict[str, ExecutionBackend] = {}
-
-    def register(
-        self, backend: ExecutionBackend, replace: bool = False
-    ) -> ExecutionBackend:
-        """Register ``backend`` under its ``name``; returns it for chaining."""
-        name = backend.name
-        if not name or name == "base":
-            raise ConfigurationError(
-                "execution backends must define a non-default `name`"
-            )
-        if name in self._backends and not replace:
-            raise ConfigurationError(
-                f"backend {name!r} is already registered (pass replace=True "
-                "to override)"
-            )
-        self._backends[name] = backend
-        return backend
-
-    def get(self, name: str) -> ExecutionBackend:
-        """The backend registered under ``name``."""
-        backend = self._backends.get(name)
-        if backend is None:
-            raise ConfigurationError(
-                f"unknown execution backend {name!r}; expected one of "
-                f"{self.names()} or an ExecutionBackend instance"
-            )
-        return backend
-
-    def names(self) -> Tuple[str, ...]:
-        """Registered backend names, sorted."""
-        return tuple(sorted(self._backends))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._backends
-
-
-#: The process-wide registry every ``backend=`` knob resolves through.
-BACKENDS = BackendRegistry()
-BACKENDS.register(ReferenceExecutor())
-BACKENDS.register(VectorizedExecutor())
-BACKENDS.register(CostModelExecutor())
+#: The engines a ``backend=`` name selects, by name.
+BACKENDS: Dict[str, ExecutionBackend] = {
+    backend.name: backend
+    for backend in (ReferenceExecutor(), VectorizedExecutor(), CostModelExecutor())
+}
 
 
 def default_backend() -> str:
@@ -562,4 +515,10 @@ def resolve_backend(
         backend = default_backend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    return BACKENDS.get(backend)
+    resolved = BACKENDS.get(backend)
+    if resolved is None:
+        raise ConfigurationError(
+            f"unknown execution backend {backend!r}; expected one of "
+            f"{tuple(sorted(BACKENDS))} or an ExecutionBackend instance"
+        )
+    return resolved

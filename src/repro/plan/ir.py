@@ -334,8 +334,8 @@ class MvmPlan:
 
     Built once by the :class:`~repro.plan.planner.Planner`, cached keyed on
     ``(allocation, input_bits)``, and dropped on release alongside the
-    shard-kernel cache.  Every backend in the
-    :class:`~repro.plan.backends.BackendRegistry` executes this object --
+    shard-kernel cache.  Every backend in
+    :data:`~repro.plan.backends.BACKENDS` executes this object --
     two interpreters of one IR -- so results, ledgers, and timelines agree
     bit for bit by construction of their shared operands.
 

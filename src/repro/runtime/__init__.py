@@ -11,16 +11,7 @@ from .apps import (
 )
 from .faults import FaultEvent, FaultInjector, FaultSchedule
 from .integrity import DeviceHealth, IntegrityChecker, band_check_vector
-from .pool import (
-    CacheAffinityPolicy,
-    DevicePool,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    PooledAllocation,
-    RebuildReport,
-    RoundRobinPolicy,
-    make_placement_policy,
-)
+from .pool import DevicePool, PooledAllocation, RebuildReport
 from .queueing import IndexedRequestQueue
 from .scheduling import (
     SLO_CLASSES,
@@ -41,7 +32,6 @@ from .session import DarthPumDevice, MatrixAllocation
 
 __all__ = [
     "AesSession",
-    "CacheAffinityPolicy",
     "CnnSession",
     "CostAwarePolicy",
     "DarthPumDevice",
@@ -52,16 +42,13 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "IndexedRequestQueue",
-    "LeastLoadedPolicy",
     "LlmSession",
     "MatrixAllocation",
     "MatrixPlacement",
-    "PlacementPolicy",
     "PooledAllocation",
     "PumServer",
     "RebuildReport",
     "Response",
-    "RoundRobinPolicy",
     "SLO_CLASSES",
     "SchedulingPolicy",
     "ServerFuture",
@@ -71,7 +58,6 @@ __all__ = [
     "ThreadedServerDriver",
     "TilePlan",
     "band_check_vector",
-    "make_placement_policy",
     "plan_matrix",
     "precision_to_bits_per_cell",
     "resolve_slo",

@@ -481,10 +481,10 @@ class ClusterGateway:
     threshold, cooldown and cooldown cap, the restart budget and window, and
     the process start method.  Tests that need another value patch the
     module attribute; the code reads each one where it is used.  Neither are
-    options each worker pool's size, execution backend, placement policy,
-    replication and ABFT mode, which
+    options each worker pool's size, execution backend, replication and
+    ABFT mode, which
     :func:`~repro.runtime.cluster.worker.build_worker_server` fixes (one
-    device, library default, ``"cache_affinity"``, 1, ``"off"``).
+    device, library default, 1, ``"off"``).
     """
 
     def __init__(

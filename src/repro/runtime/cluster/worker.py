@@ -101,9 +101,9 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
     (``None`` for paper-default chips, ``"small"`` for the fast functional
     configuration, with ``num_hcts``) and ``noise`` (``None`` / ``"ideal"``
     / ``"paper_default"``).  The pool is not configurable: one device,
-    ``"cache_affinity"`` placement, the library's default backend, no
-    replication and ABFT ``"off"`` -- a worker's replicas are other
-    workers.  Keys the spec carries beyond these are ignored.
+    the library's default backend, no replication and ABFT ``"off"`` -- a
+    worker's replicas are other workers.  Keys the spec carries beyond
+    these are ignored.
     """
     chip = spec.get("chip")
     if chip is None:
@@ -121,8 +121,7 @@ def build_worker_server(spec: Dict[str, Any]) -> PumServer:
         raise ReproError(f"unknown worker noise preset {noise_name!r}") from None
     from ..pool import DevicePool
 
-    pool = DevicePool(num_devices=1, config=config, noise=noise,
-                      policy="cache_affinity")
+    pool = DevicePool(num_devices=1, config=config, noise=noise)
     knobs = {
         knob: spec[knob]
         for knob in ("max_batch", "max_wait_ticks")

@@ -5,9 +5,8 @@ serving deployment runs many chips side by side, so the pool scales the
 Table 1 calls across ``N`` devices the same way multi-node machines scale by
 sharding work across identical compute tiles:
 
-* ``set_matrix`` places each matrix on the device chosen by the pluggable
-  :class:`PlacementPolicy` (``"round_robin"``, ``"least_loaded"`` or
-  ``"cache_affinity"``); a matrix too large for any single chip is
+* ``set_matrix`` places each matrix on the device with the most free HCTs
+  (:func:`most_free_device`); a matrix too large for any single chip is
   *row-sharded* across several devices, each holding a contiguous band of
   rows.
 * ``exec_mvm_batch`` checks its one ``(allocation, inputs)`` and hands it
@@ -64,14 +63,9 @@ from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, Inte
 from .session import DarthPumDevice, integer_matrix, integer_vectors
 
 __all__ = [
-    "CacheAffinityPolicy",
     "DevicePool",
-    "LeastLoadedPolicy",
-    "PlacementPolicy",
     "PooledAllocation",
     "RebuildReport",
-    "RoundRobinPolicy",
-    "make_placement_policy",
 ]
 
 #: Sort key of a dispatch wave (stable: bands keep their order per device).
@@ -119,137 +113,15 @@ class RebuildReport:
         return bool(self.copies_programmed or self.copies_dropped)
 
 
-class PlacementPolicy:
-    """Strategy object deciding which device receives each matrix shard.
-
-    ``choose`` is called once per row band while :meth:`DevicePool.set_matrix`
-    plans a placement.  It sees the *trial* free-HCT state (``free``), the HCT
-    cost of the band (``needed``), and the devices already holding earlier
-    shards of the same allocation (``placed_devices``, which also carries any
-    caller-supplied affinity hint).  Returning ``None`` means "no device fits",
-    which makes the pool retry with more, smaller bands.
-
-    ``committed`` is invoked once a full plan succeeds so stateful policies
-    (round-robin's cursor) only advance on placements that actually happen.
-
-    Replication needs no policy-specific support: when placing copy ``r > 0``
-    of a band, the pool hands ``choose`` a trial free list in which the
-    devices already holding that band are masked out (set to ``-1``), so
-    *every* policy -- including :class:`CacheAffinityPolicy`, whose affinity
-    pull would otherwise collapse replicas onto one chip -- spreads the
-    copies across distinct devices by construction.
-    """
-
-    name = "base"
-
-    def choose(
-        self,
-        free: Sequence[int],
-        needed: int,
-        placed_devices: Sequence[int],
-    ) -> Optional[int]:
-        """Pick a device index with ``free[index] >= needed``, or ``None``."""
-        raise NotImplementedError
-
-    def committed(self, placed_devices: Sequence[int], num_devices: int) -> None:
-        """Observe a committed placement (no-op by default).
-
-        ``placed_devices`` is the device of every copy placed, in
-        placement order (band-major, then replica).
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-class RoundRobinPolicy(PlacementPolicy):
-    """Cycle through the devices, skipping any that cannot hold the band."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def choose(
-        self,
-        free: Sequence[int],
-        needed: int,
-        placed_devices: Sequence[int],
-    ) -> Optional[int]:
-        num_devices = len(free)
-        for offset in range(num_devices):
-            index = (self._cursor + len(placed_devices) + offset) % num_devices
-            if free[index] >= needed:
-                return index
-        return None
-
-    def committed(self, placed_devices: Sequence[int], num_devices: int) -> None:
-        self._cursor = (self._cursor + len(placed_devices)) % num_devices
-
-
-class LeastLoadedPolicy(PlacementPolicy):
-    """Place every band on the device with the most free HCTs."""
-
-    name = "least_loaded"
-
-    def choose(
-        self,
-        free: Sequence[int],
-        needed: int,
-        placed_devices: Sequence[int],
-    ) -> Optional[int]:
-        candidates = [i for i in range(len(free)) if free[i] >= needed]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda i: (free[i], -i))
-
-
-class CacheAffinityPolicy(PlacementPolicy):
-    """Prefer devices already holding shards of the same allocation.
-
-    Keeping an allocation's shards on as few chips as possible means a
-    request against it fans out to fewer devices (fewer partial-sum
-    reductions) and re-registration of an updated matrix lands where the
-    ReRAM arrays are already programmed.  Falls back to least-loaded when no
-    preferred device fits.
-    """
-
-    name = "cache_affinity"
-
-    def choose(
-        self,
-        free: Sequence[int],
-        needed: int,
-        placed_devices: Sequence[int],
-    ) -> Optional[int]:
-        # Affinity hints may be stale (e.g. recorded before the pool was
-        # reconfigured); out-of-range indices are ignored, not an error.
-        preferred = [
-            i for i in dict.fromkeys(placed_devices)
-            if 0 <= i < len(free) and free[i] >= needed
-        ]
-        if preferred:
-            return max(preferred, key=lambda i: (free[i], -i))
-        return LeastLoadedPolicy.choose(self, free, needed, placed_devices)
-
-
-#: The policies selectable by name, keyed by each class's own ``name``.
-_POLICIES_BY_NAME = {
-    policy.name: policy
-    for policy in (RoundRobinPolicy, LeastLoadedPolicy, CacheAffinityPolicy)
-}
-
-
-def make_placement_policy(policy: Union[str, PlacementPolicy]) -> PlacementPolicy:
-    """Resolve a policy name (or pass through a policy instance)."""
-    if isinstance(policy, PlacementPolicy):
-        return policy
-    if policy not in _POLICIES_BY_NAME:
-        raise AllocationError(
-            f"unknown placement policy {policy!r}; expected one of "
-            f"{tuple(_POLICIES_BY_NAME)} or a PlacementPolicy instance"
-        )
-    return _POLICIES_BY_NAME[policy]()
+def most_free_device(free: Sequence[int], needed: int) -> Optional[int]:
+    """The pool's one placement rule: of the devices where a band of
+    ``needed`` HCTs fits (``free[index] >= needed``), the one with the most
+    free HCTs, the lowest index on a tie; ``None`` when none fits."""
+    best = None
+    for index, room in enumerate(free):
+        if room >= needed and (best is None or room > free[best]):
+            best = index
+    return best
 
 
 class DevicePool:
@@ -264,7 +136,7 @@ class DevicePool:
     >>> out = pool.exec_mvm_batch(allocation, vectors, input_bits=2)
     >>> np.array_equal(out, vectors @ matrix)
     True
-    >>> pool.set_matrix(np.eye(8, dtype=np.int64)).devices_used  # least loaded
+    >>> pool.set_matrix(np.eye(8, dtype=np.int64)).devices_used  # most free
     [1]
 
     Parameters
@@ -276,16 +148,10 @@ class DevicePool:
         device (defaults to the iso-area chip).
     noise:
         Optional noise configuration shared by every device.
-    policy:
-        A policy name or a :class:`PlacementPolicy` instance.
-        ``"least_loaded"`` (default) places new matrices on the device with
-        the most free HCTs; ``"round_robin"`` cycles through the devices;
-        ``"cache_affinity"`` keeps an allocation's shards on as few devices
-        as possible.
     backend:
         Default execution backend for every device MVM issued by this pool
-        (a name from the :class:`~repro.plan.backends.BackendRegistry` or
-        an :class:`~repro.plan.backends.ExecutionBackend` instance;
+        (a name in :data:`~repro.plan.backends.BACKENDS` or an
+        :class:`~repro.plan.backends.ExecutionBackend` instance;
         ``None`` defers to the library default, which is vectorized unless
         ``REPRO_BACKEND`` names another -- read once, here: setting it later
         does not reach this pool).  Individual calls may override it.
@@ -310,14 +176,11 @@ class DevicePool:
         values that cannot pass a checksum.
     """
 
-    POLICIES = tuple(_POLICIES_BY_NAME)
-
     def __init__(
         self,
         num_devices: int = 2,
         config: Optional[ChipConfig] = None,
         noise: Optional[NoiseConfig] = None,
-        policy: Union[str, PlacementPolicy] = "least_loaded",
         backend: Union[None, str, ExecutionBackend] = None,
         replication: int = 1,
         verify: str = "off",
@@ -334,7 +197,6 @@ class DevicePool:
             )
         if self.replication > num_devices:
             raise ReplicationError(self.replication, num_devices)
-        self.placement_policy = make_placement_policy(policy)
         self.devices: List[DarthPumDevice] = [
             DarthPumDevice(config=config, noise=noise) for _ in range(num_devices)
         ]
@@ -370,11 +232,6 @@ class DevicePool:
         self.quarantines = 0
         self.rebuilds = 0
         self.bands_rebuilt = 0
-
-    @property
-    def policy(self) -> str:
-        """Name of the active placement policy."""
-        return self.placement_policy.name
 
     @property
     def verify(self) -> str:
@@ -415,17 +272,15 @@ class DevicePool:
         matrix: np.ndarray,
         element_size: int = 8,
         precision: int = 0,
-        affinity: Sequence[int] = (),
     ) -> PooledAllocation:
         """Store ``matrix``, sharding it across devices when necessary.
 
-        The matrix is first offered whole to the device the policy selects;
-        when no single device can hold it, it is split into the smallest
-        number of contiguous row bands such that every band fits some device
-        (bands are sized evenly, so the last band may be smaller when the
-        row count does not divide).  ``affinity`` optionally seeds the set of
-        preferred devices for affinity-aware policies (e.g. the devices that
-        held a previous version of the same matrix).
+        The matrix is first offered whole to the device with the most free
+        HCTs; when no single device can hold it, it is split into the
+        smallest number of contiguous row bands such that every band fits
+        some device (bands are sized evenly, so the last band may be smaller
+        when the row count does not divide), each band placed in turn on
+        the device then most free.
         """
         if not self.devices:
             raise NoDevicesError(
@@ -443,9 +298,7 @@ class DevicePool:
         max_shards = min(rows, total_free // self.replication)
         plan: Optional[List[List[ShardTask]]] = None
         for num_shards in range(1, max_shards + 1):
-            plan = self._plan_shards(
-                matrix.shape, element_size, precision, num_shards, affinity
-            )
+            plan = self._plan_shards(matrix.shape, element_size, precision, num_shards)
             if plan is not None:
                 break
         if plan is None:
@@ -453,10 +306,6 @@ class DevicePool:
                 f"matrix of shape {matrix.shape} does not fit this pool even "
                 "when sharded one row band per device"
             )
-        self.placement_policy.committed(
-            [task.device_index for copies in plan for task in copies],
-            self.num_devices,
-        )
 
         # The pool's own copy: a caller reusing its buffer must not change
         # what a rebuild programs (``np.ascontiguousarray`` would keep a
@@ -486,16 +335,14 @@ class DevicePool:
         shard table, the devices' HCTs and arrays, and the compiled plans
         stay (shard kernels and device plans refreshed where they lie).
         The retained source and the ABFT checksums follow the new
-        values, and the placement policy is told of the copies where they
-        are, as if it had placed them there again.  The matrix is never
-        moved, whatever the policy: a release and a :meth:`set_matrix`
-        might have put it elsewhere (``least_loaded`` or ``round_robin``
-        once other matrices came and went), this keeps its devices, noise
-        streams and ledgers.  A matrix of another shape, or one the encoder
-        refuses, raises :class:`~repro.errors.QuantizationError`, and a
-        copy on a failed device :class:`~repro.errors.DeviceFailedError`
-        (release the allocation and ``set_matrix`` instead), all before any
-        copy is written.
+        values.  The matrix is never moved: a release and a
+        :meth:`set_matrix` might have put it elsewhere (once other matrices
+        came and went), this keeps its devices, noise streams and ledgers.
+        A matrix of another shape, or one the encoder refuses, raises
+        :class:`~repro.errors.QuantizationError`, and a copy on a failed
+        device :class:`~repro.errors.DeviceFailedError` (release the
+        allocation and ``set_matrix`` instead), all before any copy is
+        written.
         """
         matrix = integer_matrix(matrix)
         if matrix.shape != allocation.shape:
@@ -504,13 +351,11 @@ class DevicePool:
         failed = self._failed_devices.intersection(allocation.devices_used)
         if failed:
             raise DeviceFailedError(min(failed), message="a copy is on a failed device")
-        tasks = allocation.all_tasks
-        for task in tasks:
+        for task in allocation.all_tasks:
             self.devices[task.device_index].update_matrix(
                 task.device_allocation, matrix[task.row_start: task.row_end]
             )
         allocation.matrix[...] = matrix
-        self.placement_policy.committed([task.device_index for task in tasks], self.num_devices)
         self.integrity.register(
             allocation.allocation_id, allocation.matrix,
             [(copies[0].row_start, copies[0].row_end) for copies in allocation.bands],
@@ -522,7 +367,6 @@ class DevicePool:
         element_size: int,
         precision: int,
         num_shards: int,
-        affinity: Sequence[int] = (),
     ) -> Optional[List[List[ShardTask]]]:
         """Try to place ``num_shards`` even row bands; None when infeasible.
 
@@ -535,15 +379,12 @@ class DevicePool:
         rows, cols = shape
         band = -(-rows // num_shards)
         free = [self.free_hcts(index) for index in range(self.num_devices)]
-        placed_devices = list(affinity)
         bands: List[List[ShardTask]] = []
         start = 0
         while start < rows:
             end = min(rows, start + band)
             needed = self._hcts_for((end - start, cols), element_size, precision)
-            devices = self._choose_devices(
-                free, needed, placed_devices, self.replication
-            )
+            devices = self._choose_devices(free, needed, self.replication)
             if len(devices) < self.replication:
                 return None
             bands.append([
@@ -557,22 +398,20 @@ class DevicePool:
         self,
         free: List[int],
         needed: int,
-        placed_devices: List[int],
         copies: int,
         barred=(),
     ) -> List[int]:
-        """The policy's devices for ``copies`` more copies of one band.
+        """The devices for ``copies`` more copies of one band.
 
         The pool's one placement step (``set_matrix`` plans with it,
-        ``rebuild`` replaces lost copies with it).  Replicas of one band
-        must land on distinct devices (that is the whole point of a
-        replica), which is enforced here rather than in the policies: the
-        trial free list handed to ``choose`` has the ``barred`` devices --
-        during a rebuild the band's surviving holders and every failed
-        device -- and the ones chosen so far masked out, so any policy
-        spreads copies correctly.  Each chosen device is charged ``needed``
-        in ``free`` and appended to ``placed_devices``; fewer than
-        ``copies`` devices come back when the policy finds no more room.
+        ``rebuild`` replaces lost copies with it): each copy goes to
+        :func:`most_free_device` of a trial free list in which the
+        ``barred`` devices -- during a rebuild the band's surviving holders
+        and every failed device -- and the ones chosen so far are masked
+        out, so the replicas of one band land on distinct devices (that is
+        the whole point of a replica).  Each chosen device is charged
+        ``needed`` in ``free``; fewer than ``copies`` devices come back when
+        no more room is found.
         """
         chosen: List[int] = []
         while len(chosen) < copies:
@@ -580,11 +419,10 @@ class DevicePool:
             for index in (*barred, *chosen):
                 if 0 <= index < len(trial):
                     trial[index] = -1
-            device_index = self.placement_policy.choose(trial, needed, placed_devices)
+            device_index = most_free_device(trial, needed)
             if device_index is None:
                 break
             free[device_index] -= needed
-            placed_devices.append(device_index)
             chosen.append(device_index)
         return chosen
 
@@ -991,14 +829,13 @@ class DevicePool:
                     if task.device_index in self._failed_devices
                 ]
                 row_start, row_end = copies[0].row_start, copies[0].row_end
-                holders = [task.device_index for task in healthy]
                 needed = self._hcts_for(
                     (row_end - row_start, allocation.shape[1]),
                     allocation.element_size, allocation.precision,
                 )
                 devices = self._choose_devices(
-                    free, needed, holders, self.replication - len(healthy),
-                    set(holders) | self._failed_devices,
+                    free, needed, self.replication - len(healthy),
+                    {task.device_index for task in healthy} | self._failed_devices,
                 )
                 fresh: List[ShardTask] = []
                 for replica, chosen in enumerate(devices, len(healthy)):
@@ -1022,7 +859,7 @@ class DevicePool:
             for task in programmed:
                 self.devices[task.device_index].release(task.device_allocation)
             if isinstance(exc, (KeyError, IndexError)):
-                # Normalize: a placement policy or bookkeeping bug during
+                # Normalize: a placement or bookkeeping bug during
                 # the no-capacity walk must surface as the documented
                 # RebuildError, not leak a bare KeyError/IndexError to the
                 # caller (who is often the auto-rebuild retry path matching
@@ -1106,6 +943,6 @@ class DevicePool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DevicePool(devices={self.num_devices}, policy={self.policy!r}, "
+            f"DevicePool(devices={self.num_devices}, "
             f"allocations={len(self._allocations)})"
         )

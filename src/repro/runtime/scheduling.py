@@ -3,10 +3,8 @@
 The scheduler's dispatch decision used to be a hard-wired knob pair: a
 group dispatched when it held ``max_batch`` requests or its oldest member
 had waited ``max_wait_ticks``.  This module makes that decision a pluggable
-strategy -- the same pattern the pool uses for placement
-(:class:`~repro.runtime.pool.PlacementPolicy`) -- and a policy instance
-handed to ``PumServer(scheduling=...)`` is the one way to say when a batch
-dispatches.  Every policy carries the knob pair:
+strategy, and a policy instance handed to ``PumServer(scheduling=...)`` is
+the one way to say when a batch dispatches.  Every policy carries the knob pair:
 
 * :class:`StaticBatchingPolicy` is the knob pair itself (same readiness
   checks, same dispatch order, same ledgers) and what a server built

@@ -6,7 +6,7 @@ single-vector requests arriving one by one must be *coalesced* into batches
 before they reach the chips.  :class:`PumServer` is that layer:
 
 * callers register named matrices (placed on a :class:`~repro.runtime.pool.DevicePool`
-  by its pluggable placement policy) and ``submit()`` single-vector MVM
+  on the devices with the most free HCTs) and ``submit()`` single-vector MVM
   requests that return :class:`ServerFuture` handles; bulk producers use
   ``submit_batch()``, which validates a whole ``(n, rows)`` array in one
   NumPy pass.  Either way the unit the server admits, queues and dispatches
@@ -591,11 +591,9 @@ class PumServer:
                 f"scheduling must be a SchedulingPolicy instance or None "
                 f"(got {scheduling!r})"
             )
-        #: The chips and every setting of how they run -- placement policy,
-        #: execution backend, replication, ABFT mode -- live on the pool.
-        self.pool = pool if pool is not None else DevicePool(
-            num_devices=num_devices, policy="cache_affinity",
-        )
+        #: The chips and every setting of how they run -- execution
+        #: backend, replication, ABFT mode -- live on the pool.
+        self.pool = pool if pool is not None else DevicePool(num_devices=num_devices)
         #: When True, a batch that exhausts every replica of a band
         #: triggers :meth:`DevicePool.rebuild` on the affected allocation
         #: and retries once before failing its riders.
@@ -641,15 +639,14 @@ class PumServer:
           reused untouched (``registration_reuses`` counts these);
         * new values of the same shape and config: the allocation is
           reprogrammed in place (:meth:`DevicePool.update_matrix`) -- same
-          devices whatever the placement policy, same arrays, tile plans,
+          devices, same arrays, tile plans,
           batch receipts and cost memos, and the shard kernels and device
           plans the values fill are rewritten where they lie, so the next
           call builds nothing -- unless a copy sits on a failed device;
           values the encoder refuses leave the registration as it was;
         * anything else: the old allocation is released and the matrix
-          placed anew, with the previous shards' devices as the affinity
-          hint, so the cache-affinity policy keeps it on chips whose ReRAM
-          arrays already held the stale version.
+          placed anew, on the devices then most free (the released ones
+          among them).
 
         Registration is also when the *planning* happens: the pool fills
         the shard table and compiles the tile-level plans at ``input_bits``
@@ -663,18 +660,15 @@ class PumServer:
         matrix = integer_matrix(matrix)
         with self._lock:
             previous = self._registrations.get(name)
-            affinity: Tuple[int, ...] = ()
             if previous is not None:
                 allocation = previous.allocation
                 if self._holds(allocation, matrix, element_size, precision):
                     self.pool.compile(allocation, input_bits=input_bits)
                     return allocation
                 del self._registrations[name]
-                affinity = tuple(allocation.devices_used)
                 self.pool.release(allocation)
             allocation = self.pool.set_matrix(
                 matrix, element_size=element_size, precision=precision,
-                affinity=affinity,
             )
             self.pool.compile(allocation, input_bits=input_bits)
             self._registrations[name] = _Registration(allocation)

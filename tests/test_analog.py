@@ -457,8 +457,7 @@ class TestReprogramEquivalence:
             return rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=shape)
 
         pool = DevicePool(num_devices=2, config=ChipConfig(hct=HctConfig.small(), num_hcts=8),
-                          noise=self.NOISE[noise], policy="cache_affinity",
-                          replication=2, verify="full")
+                          noise=self.NOISE[noise], replication=2, verify="full")
         server = PumServer(pool=pool, scheduling=StaticBatchingPolicy(8, 1))
         vectors = rng.integers(0, 8, size=(6, 40))
         server.register_matrix("b", matrix((20, 12)), element_size=4, input_bits=3)

@@ -274,7 +274,7 @@ class TestNoStaleAllocationReferences:
     def test_release_forgets_the_allocation(self):
         rng = derive_rng("stale-pool")
         pool = DevicePool(num_devices=3, config=small_chip(2), replication=2,
-                          policy="round_robin", verify="full")
+                          verify="full")
         matrix = rng.integers(-8, 8, size=(48, 8))
         allocation = pool.set_matrix(matrix, element_size=4)
         pool.compile(allocation, input_bits=3)

@@ -39,11 +39,10 @@ from repro.runtime import (
 )
 
 
-def tiny_pool(num_devices=3, num_hcts=3, replication=1, policy="least_loaded",
-              verify="off"):
+def tiny_pool(num_devices=3, num_hcts=3, replication=1, verify="off"):
     config = ChipConfig(hct=HctConfig.small(), num_hcts=num_hcts)
     return DevicePool(
-        num_devices=num_devices, config=config, policy=policy,
+        num_devices=num_devices, config=config,
         replication=replication, verify=verify,
     )
 
@@ -203,17 +202,15 @@ class TestFaultInjector:
 
 class TestReplicatedPlacement:
     def test_replicas_land_on_distinct_devices(self):
-        for policy in ("round_robin", "least_loaded", "cache_affinity"):
-            pool = tiny_pool(num_devices=3, replication=2, policy=policy)
-            rng = derive_rng("placement", policy)
-            matrix = rng.integers(-8, 8, size=(40, 12))
-            allocation = pool.set_matrix(matrix, element_size=4, precision=0)
-            assert allocation.replication == 2
-            for copies in allocation.bands:
-                devices = [task.device_index for task in copies]
-                assert len(devices) == 2
-                assert len(set(devices)) == 2, \
-                    f"{policy} stacked replicas on one device"
+        pool = tiny_pool(num_devices=3, replication=2)
+        rng = derive_rng("placement", "least_loaded")
+        matrix = rng.integers(-8, 8, size=(40, 12))
+        allocation = pool.set_matrix(matrix, element_size=4, precision=0)
+        assert allocation.replication == 2
+        for copies in allocation.bands:
+            devices = [task.device_index for task in copies]
+            assert len(devices) == 2
+            assert len(set(devices)) == 2, "replicas stacked on one device"
 
     def test_replication_factor_validated(self):
         with pytest.raises(ReplicationError) as excinfo:

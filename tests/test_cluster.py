@@ -46,7 +46,7 @@ from repro.runtime.cluster.messages import (
     encode_message,
 )
 from repro.runtime.cluster.worker import WorkerState, _answer, _handle
-from repro.runtime.pool import CacheAffinityPolicy, DevicePool
+from repro.runtime.pool import DevicePool
 from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
 from repro.testing import derive_rng
@@ -459,12 +459,10 @@ def test_worker_pool_is_the_same_whichever_spec_built_it():
     }
     pools = {origin: build_worker_server(spec).pool for origin, spec in specs.items()}
     described = {
-        origin: (pool.num_devices, type(pool.placement_policy), pool.replication,
-                 pool.verify, pool.backend)
+        origin: (pool.num_devices, pool.replication, pool.verify, pool.backend)
         for origin, pool in pools.items()
     }
-    assert described["gateway"] == described["layerbench"] == (
-        1, CacheAffinityPolicy, 1, "off", None)
+    assert described["gateway"] == described["layerbench"] == (1, 1, "off", None)
 
 
 # --------------------------------------------------------------------- #

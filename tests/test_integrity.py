@@ -33,6 +33,7 @@ from repro.runtime import (
     StaticBatchingPolicy,
     band_check_vector,
 )
+from repro.runtime import pool as pool_module
 from repro.runtime.integrity import DEFAULT_NOISE_TOLERANCE, VERIFY_MODES
 
 
@@ -353,7 +354,7 @@ class TestRebuildErrorNormalization:
     a bare KeyError/IndexError from the placement walk -- and must roll
     back any copies programmed earlier in the same pass."""
 
-    def test_policy_keyerror_is_normalized_and_rolled_back(self):
+    def test_policy_keyerror_is_normalized_and_rolled_back(self, monkeypatch):
         pool = small_pool(num_devices=4, replication=2)
         rng = derive_rng("rebuild-normalize")
         matrix = rng.integers(-8, 8, size=(16, 8))
@@ -362,36 +363,31 @@ class TestRebuildErrorNormalization:
         pool.mark_device_failed(victim)
         free_before = [pool.free_hcts(i) for i in range(pool.num_devices)]
 
-        class BuggyPolicy:
-            def choose(self, free, needed, holders):
-                raise KeyError("stale device index")
+        def buggy(free, needed):
+            raise KeyError("stale device index")
 
-        original = pool.placement_policy
-        pool.placement_policy = BuggyPolicy()
-        try:
+        with monkeypatch.context() as patched:
+            patched.setattr(pool_module, "most_free_device", buggy)
             with pytest.raises(RebuildError) as excinfo:
                 pool.rebuild(allocation)
-        finally:
-            pool.placement_policy = original
         assert excinfo.value.allocation_id == allocation.allocation_id
         assert "placing replacement copies" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, KeyError)
         # Nothing programmed by the aborted pass was left behind.
         assert [pool.free_hcts(i) for i in range(pool.num_devices)] \
             == free_before
-        # The pool recovers: with the real policy back, rebuild succeeds.
+        # The pool recovers: with the real rule back, rebuild succeeds.
         report = pool.rebuild(allocation)
         assert report.changed is True
 
-    def test_index_error_is_normalized(self):
+    def test_index_error_is_normalized(self, monkeypatch):
         pool = small_pool(num_devices=2, replication=2)
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         pool.mark_device_failed(allocation.bands[0][0].device_index)
 
-        class BuggyPolicy:
-            def choose(self, free, needed, holders):
-                raise IndexError("device list out of range")
+        def buggy(free, needed):
+            raise IndexError("device list out of range")
 
-        pool.placement_policy = BuggyPolicy()
+        monkeypatch.setattr(pool_module, "most_free_device", buggy)
         with pytest.raises(RebuildError, match="IndexError"):
             pool.rebuild(allocation)

@@ -44,8 +44,10 @@ def build_server(rng):
         num_devices=num_devices,
         config=ChipConfig(hct=HctConfig.small(), num_hcts=2),
         replication=replication,
-        policy=str(rng.choice(["round_robin", "least_loaded", "cache_affinity"])),
     )
+    # This draw once picked the placement policy.  The pool has one rule
+    # now; the draw stays so the seeded stream does not shift.
+    rng.choice(["round_robin", "least_loaded", "cache_affinity"])
     scheduling = StaticBatchingPolicy(
         max_batch=int(rng.integers(1, 5)),
         max_wait_ticks=int(rng.integers(0, 4)),

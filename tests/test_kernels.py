@@ -160,8 +160,11 @@ class TestEngineEquivalence:
         assert DEFAULT_BACKEND == "vectorized"
         assert resolve_backend(None).name == "vectorized"
         assert isinstance(resolve_backend("reference"), ReferenceExecutor)
-        assert {"reference", "vectorized"} <= set(BACKENDS.names())
-        with pytest.raises(ConfigurationError):
+        assert {"reference", "vectorized"} <= set(BACKENDS)
+        with pytest.raises(ConfigurationError, match=(
+            r"unknown execution backend 'turbo'; expected one of "
+            r"\('estimate', 'reference', 'vectorized'\) or an ExecutionBackend instance"
+        )):
             resolve_backend("turbo")
 
     def test_slice_inputs_tensor_matches_slice_inputs(self):
@@ -999,7 +1002,7 @@ class TestParallelFanout:
         # One tiny HCT per device forces a multi-row-band placement, so the
         # fan-out really spans devices.
         config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
-        return DevicePool(num_devices=3, config=config, policy="round_robin")
+        return DevicePool(num_devices=3, config=config)
 
     def test_parallel_exec_mvm_batch_matches_serial(self):
         rng = derive_rng("kernels-6")
@@ -1016,7 +1019,7 @@ class TestParallelFanout:
         rng = derive_rng("kernels-7")
         matrices = [rng.integers(-8, 8, size=(12, 10)) for _ in range(3)]
         request_vectors = [rng.integers(0, 16, size=(3, 12)) for _ in range(3)]
-        pool = DevicePool(num_devices=3, policy="round_robin")
+        pool = DevicePool(num_devices=3)
         allocations = [pool.set_matrix(m, element_size=4) for m in matrices]
         assert len({a.devices_used[0] for a in allocations}) > 1
         # A list of requests is a loop of calls: each reaches its own device.
@@ -1070,7 +1073,7 @@ class TestWorkloadEquivalence:
     def _servers():
         return {
             backend: PumServer(
-                pool=DevicePool(num_devices=2, policy="cache_affinity", backend=backend),
+                pool=DevicePool(num_devices=2, backend=backend),
                 scheduling=StaticBatchingPolicy(8, 2),
             )
             for backend in ("reference", "vectorized")

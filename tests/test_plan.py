@@ -9,23 +9,20 @@ The tentpole invariants of the ExecutionPlan IR:
   ``register_matrix`` time only, asserted via ``planner_builds()``;
 * the cost-only ``"estimate"`` backend reproduces the real engines' ledgers
   and timelines without computing values;
-* the registry accepts new backends and the ``REPRO_BACKEND`` environment
-  variable flips the default for the whole stack.
+* a backend instance works wherever a name does, and the ``REPRO_BACKEND``
+  environment variable flips the default for the whole stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.testing import derive_rng
 
 from repro import ChipConfig, DevicePool, HctConfig, PumServer, StaticBatchingPolicy
 from repro.core.hct import HybridComputeTile
-from repro.errors import ConfigurationError
 from repro.plan import (
     BACKENDS,
-    BackendRegistry,
     ExecutionBackend,
     ReferenceExecutor,
     VectorizedExecutor,
@@ -164,7 +161,7 @@ class TestServingHotPathDoesNotPlan:
     def test_sharded_plan_is_the_allocations_own_table(self):
         rng = derive_rng("plan-17")
         config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
-        pool = DevicePool(num_devices=3, config=config, policy="round_robin")
+        pool = DevicePool(num_devices=3, config=config)
         matrix = rng.integers(-100, 100, size=(96, 16))
         allocation = pool.set_matrix(matrix, element_size=8, precision=0)
         assert len(allocation.devices_used) > 1
@@ -238,14 +235,10 @@ class TestBackendRegistry:
                 self.calls += 1
                 return self._inner.execute_batch(tile, plan, vectors, **kwargs)
 
-        registry = BackendRegistry()
-        backend = registry.register(CountingBackend())
-        assert registry.get("counting") is backend
-        with pytest.raises(ConfigurationError):
-            registry.register(CountingBackend())  # duplicate name
-
-        # An instance works everywhere a name does -- no registration needed
-        # for the process-wide registry, nothing above it knows the set.
+        # An instance works everywhere a name does: nothing above the
+        # backends knows the set.
+        backend = CountingBackend()
+        assert resolve_backend(backend) is backend
         tile, handle, matrix = _tile_with_matrix()
         vectors = np.ones((2, 32), dtype=np.int64)
         out = tile.execute_mvm_batch(handle, vectors, input_bits=1, backend=backend)
@@ -257,7 +250,7 @@ class TestBackendRegistry:
         assert default_backend() == "reference"
         assert isinstance(resolve_backend(None), ReferenceExecutor)
         monkeypatch.delenv("REPRO_BACKEND")
-        assert resolve_backend(None) is BACKENDS.get("vectorized")
+        assert resolve_backend(None) is BACKENDS["vectorized"]
 
 
 class TestDescribe:
@@ -276,7 +269,7 @@ class TestDescribe:
     def test_sharded_plan_describe(self):
         rng = derive_rng("plan-19")
         config = ChipConfig(hct=HctConfig.small(), num_hcts=2)
-        pool = DevicePool(num_devices=3, config=config, policy="round_robin")
+        pool = DevicePool(num_devices=3, config=config)
         matrix = rng.integers(-100, 100, size=(96, 16))
         allocation = pool.set_matrix(matrix, element_size=8)
         plan = pool.compile(allocation, input_bits=2)
@@ -291,4 +284,8 @@ class TestDescribe:
         main()
         out = capsys.readouterr().out
         assert "MvmPlan" in out and "ShardedPlan" in out
-        assert "registered backends" in out
+        # The pool section: a 96x16 matrix over three 2-HCT small chips,
+        # one band per chip.
+        assert "ShardedPlan: allocation 0, 96x16 over 3 shard(s) on devices [0, 1, 2]" in out
+        assert ("registered backends: ('estimate', 'reference', 'vectorized') "
+                f"(default: {default_backend()!r})") in out

@@ -20,17 +20,8 @@ from repro.errors import (
     RebuildError,
 )
 from repro.reram import NoiseConfig
-from repro.runtime import (
-    CacheAffinityPolicy,
-    DarthPumDevice,
-    DevicePool,
-    FaultInjector,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    PumServer,
-    RoundRobinPolicy,
-    make_placement_policy,
-)
+from repro.runtime import DarthPumDevice, DevicePool, FaultInjector, PumServer
+from repro.runtime import pool as pool_module
 
 
 @pytest.fixture
@@ -38,10 +29,10 @@ def rng():
     return derive_rng("pool")
 
 
-def tiny_pool(num_devices=3, num_hcts=3, policy="least_loaded"):
+def tiny_pool(num_devices=3, num_hcts=3):
     """A pool of small chips so sharding kicks in at test-friendly sizes."""
     config = ChipConfig(hct=HctConfig.small(), num_hcts=num_hcts)
-    return DevicePool(num_devices=num_devices, config=config, policy=policy)
+    return DevicePool(num_devices=num_devices, config=config)
 
 
 class TestScheduling:
@@ -55,16 +46,12 @@ class TestScheduling:
         assert third.devices_used == [2]
 
     def test_round_robin_cycles_devices(self):
-        pool = tiny_pool(num_devices=2, policy="round_robin")
+        pool = tiny_pool(num_devices=2)
         placements = [
             pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4).devices_used
             for _ in range(4)
         ]
         assert placements == [[0], [1], [0], [1]]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(AllocationError, match="unknown placement policy 'random'"):
-            tiny_pool(policy="random")
 
     def test_empty_pool_raises_named_error(self):
         with pytest.raises(NoDevicesError):
@@ -80,45 +67,13 @@ class TestScheduling:
 
 
 class TestPlacementPolicies:
-    def test_policy_factory_resolves_names_and_instances(self):
-        assert isinstance(make_placement_policy("round_robin"), RoundRobinPolicy)
-        assert isinstance(make_placement_policy("least_loaded"), LeastLoadedPolicy)
-        assert isinstance(make_placement_policy("cache_affinity"), CacheAffinityPolicy)
-        instance = RoundRobinPolicy()
-        assert make_placement_policy(instance) is instance
-        with pytest.raises(AllocationError):
-            make_placement_policy("fifo")
-
-    def test_policy_instance_accepted_by_pool(self):
-        pool = DevicePool(
-            num_devices=2,
-            config=ChipConfig(hct=HctConfig.small(), num_hcts=3),
-            policy=RoundRobinPolicy(),
-        )
-        assert pool.policy == "round_robin"
-
-    def test_cache_affinity_reuses_devices_for_updates(self):
-        pool = tiny_pool(policy="cache_affinity")
-        first = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        assert first.devices_used == [0]  # least-loaded fallback seeds device 0
-        updated = pool.set_matrix(
-            np.eye(8, dtype=np.int64), element_size=4,
-            affinity=first.devices_used,
-        )
-        assert updated.devices_used == first.devices_used
-        # Without an affinity hint the policy behaves like least-loaded.
-        fresh = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        assert fresh.devices_used == [1]
-
     def test_cache_affinity_ignores_stale_affinity_hints(self):
-        pool = tiny_pool(policy="cache_affinity")
-        allocation = pool.set_matrix(
-            np.eye(8, dtype=np.int64), element_size=4, affinity=[99, -3]
-        )
+        pool = tiny_pool()
+        allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert allocation.devices_used == [0]  # fell back to least-loaded
 
     def test_cache_affinity_falls_back_when_preferred_device_is_full(self, rng):
-        pool = tiny_pool(policy="cache_affinity", num_devices=3)
+        pool = tiny_pool(num_devices=3)
         big = rng.integers(-8, 8, size=(100, 30))  # needs more than one chip
         allocation = pool.set_matrix(big, element_size=4, precision=0)
         assert len(allocation.devices_used) > 1
@@ -128,7 +83,7 @@ class TestPlacementPolicies:
         )
 
     def test_round_robin_cursor_survives_refactor(self):
-        pool = tiny_pool(num_devices=3, policy="round_robin")
+        pool = tiny_pool(num_devices=3)
         used = [
             pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4).devices_used
             for _ in range(3)
@@ -145,7 +100,7 @@ class TestCacheAffinityCycles:
     """
 
     def test_affinity_survives_many_update_cycles(self):
-        pool = tiny_pool(policy="cache_affinity")
+        pool = tiny_pool()
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         home = allocation.devices_used
         for generation in range(8):
@@ -153,14 +108,14 @@ class TestCacheAffinityCycles:
             pool.release(previous)
             allocation = pool.set_matrix(
                 np.full((8, 8), generation, dtype=np.int64) % 4,
-                element_size=4, affinity=previous.devices_used,
+                element_size=4,
             )
             assert allocation.devices_used == home, \
                 f"update {generation} migrated off the affine device"
 
     def test_release_restores_affinity_capacity(self):
         """Churn must not leak: capacity returns fully after each cycle."""
-        pool = tiny_pool(policy="cache_affinity")
+        pool = tiny_pool()
         for _ in range(6):
             allocation = pool.set_matrix(
                 np.eye(8, dtype=np.int64), element_size=4
@@ -171,30 +126,25 @@ class TestCacheAffinityCycles:
         assert pool.allocations == []
 
     def test_eviction_to_other_device_when_affine_device_fills(self):
-        pool = tiny_pool(policy="cache_affinity", num_devices=2)
+        pool = tiny_pool(num_devices=2)
         first = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         home = first.devices_used[0]
         # Fill the affine device, then ask for affinity to it anyway.
         fillers = []
         while pool.free_hcts(home) > 0:
             fillers.append(
-                pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4,
-                                affinity=[home])
+                pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
             )
-        overflow = pool.set_matrix(
-            np.eye(8, dtype=np.int64), element_size=4, affinity=[home]
-        )
+        overflow = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert overflow.devices_used == [1 - home]  # fell back, not failed
         # Releasing a filler re-opens the affine device for the next cycle.
         pool.release(fillers[-1])
-        back_home = pool.set_matrix(
-            np.eye(8, dtype=np.int64), element_size=4, affinity=[home]
-        )
+        back_home = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert back_home.devices_used == [home]
 
     def test_affinity_accumulates_across_shards(self, rng):
         """Later shards of one allocation prefer devices of earlier shards."""
-        pool = tiny_pool(policy="cache_affinity", num_devices=3)
+        pool = tiny_pool(num_devices=3)
         big = rng.integers(-8, 8, size=(100, 30))
         allocation = pool.set_matrix(big, element_size=4, precision=0)
         assert allocation.num_shards > 1
@@ -231,6 +181,22 @@ class TestReplication:
         assert len(repl_alloc.all_tasks) == 2 * len(plain_alloc.all_tasks)
         assert len(repl_alloc.devices_used) == 2
 
+    def test_replicas_fit_where_packed_bands_would_not(self, rng):
+        """Each copy goes where the most HCTs are free, so three one-HCT
+        bands x 2 replicas fill three 2-HCT chips exactly.  (Packing later
+        bands onto earlier bands' devices, the old cache-affinity rule,
+        left no distinct device for the last replica and refused this
+        matrix with AllocationError.)"""
+        pool = DevicePool(num_devices=3, config=ChipConfig(hct=HctConfig.small(), num_hcts=2),
+                          replication=2)
+        matrix = rng.integers(-8, 8, size=(48, 8))
+        allocation = pool.set_matrix(matrix, element_size=4)
+        assert [tuple(task.device_index for task in copies)
+                for copies in allocation.bands] == [(0, 1), (2, 0), (1, 2)]
+        vectors = rng.integers(0, 8, size=(4, 48))
+        assert np.array_equal(pool.exec_mvm_batch(allocation, vectors, input_bits=3),
+                              vectors @ matrix)
+
     def test_release_frees_replicas_too(self, rng):
         pool = DevicePool(
             num_devices=2,
@@ -262,21 +228,13 @@ class TestReplication:
                               vectors @ matrix)
 
     def test_update_matrix_rewrites_every_copy_in_place(self, rng):
-        class Recording(LeastLoadedPolicy):
-            reports = []
-
-            def committed(self, placed_devices, num_devices):
-                self.reports.append(list(placed_devices))
-
         pool = DevicePool(num_devices=3, config=ChipConfig(hct=HctConfig.small(), num_hcts=3),
-                          policy=Recording(), replication=2, verify="full")
+                          replication=2, verify="full")
         allocation = pool.set_matrix(rng.integers(-8, 8, size=(8, 8)), element_size=4)
         tasks = allocation.all_tasks
         new = rng.integers(-7, 8, size=(8, 8))
         pool.update_matrix(allocation, new)
         assert all(a is b for a, b in zip(allocation.all_tasks, tasks))
-        # The policy hears of the copies as it did of the placement.
-        assert Recording.reports == [[task.device_index for task in tasks]] * 2
         # The checksums follow the values: verify="full" passes every band.
         vectors = rng.integers(0, 8, size=(4, 8))
         assert np.array_equal(pool.exec_mvm_batch(allocation, vectors, input_bits=3),
@@ -549,17 +507,21 @@ class TestFanout:
                 assert np.array_equal(out, vectors @ matrix)
 
 
-class _ScriptedPolicy(PlacementPolicy):
-    """Places copy ``n`` of an allocation on ``devices[n]`` (band-major)."""
+def _scripted_placement(devices):
+    """A stand-in for the pool's placement rule that places copy ``n`` of
+    an allocation on ``devices[n]`` (band-major).  A refusal starts the
+    count again: the pool then plans anew, with more bands."""
+    placed = []
 
-    name = "scripted"
+    def choose(free, needed):
+        index = devices[len(placed)]
+        if free[index] < needed:
+            placed.clear()
+            return None
+        placed.append(index)
+        return index
 
-    def __init__(self, devices):
-        self._devices = devices
-
-    def choose(self, free, needed, placed_devices):
-        index = self._devices[len(placed_devices)]
-        return index if free[index] >= needed else None
+    return choose
 
 
 class TestBandLoop:
@@ -571,10 +533,12 @@ class TestBandLoop:
     #: replica device 2, band 2 never fails.
     LAYOUT = (1, 2, 0, 2, 3, 1)
 
-    def _pool(self, verify="off"):
+    def _pool(self, monkeypatch, verify="off"):
+        monkeypatch.setattr(pool_module, "most_free_device",
+                            _scripted_placement(self.LAYOUT))
         pool = DevicePool(
             num_devices=4, config=ChipConfig(hct=HctConfig.small(), num_hcts=2),
-            policy=_ScriptedPolicy(self.LAYOUT), replication=2, verify=verify,
+            replication=2, verify=verify,
         )
         rng = derive_rng("pool-band-loop")
         matrix = rng.integers(-8, 8, size=(48, 16))
@@ -599,8 +563,8 @@ class TestBandLoop:
         return (pool.replica_hits, pool.replica_retries, pool.device_failures,
                 pool.integrity_reexecutions)
 
-    def test_two_bands_retry_onto_one_replica_device(self):
-        pool, injector, allocation, matrix, vectors, calls = self._pool()
+    def test_two_bands_retry_onto_one_replica_device(self, monkeypatch):
+        pool, injector, allocation, matrix, vectors, calls = self._pool(monkeypatch)
         injector.kill(0)
         injector.kill(1)
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
@@ -618,8 +582,8 @@ class TestBandLoop:
         assert calls == [(2, 0), (2, 1), (3, 2)]
         assert self._counters(pool) == (2, 2, 2, 0)
 
-    def test_corrupted_partials_reexecute_in_the_same_order(self):
-        pool, injector, allocation, matrix, vectors, calls = self._pool("full")
+    def test_corrupted_partials_reexecute_in_the_same_order(self, monkeypatch):
+        pool, injector, allocation, matrix, vectors, calls = self._pool(monkeypatch, "full")
         injector.corrupt(0)
         injector.corrupt(1)
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
@@ -628,8 +592,8 @@ class TestBandLoop:
         assert self._counters(pool) == (0, 0, 0, 2)
         assert pool.corruptions_detected == 2 and pool.failed_devices == []
 
-    def test_first_exhausted_band_in_failure_order_is_raised(self):
-        pool, injector, allocation, _, vectors, calls = self._pool()
+    def test_first_exhausted_band_in_failure_order_is_raised(self, monkeypatch):
+        pool, injector, allocation, _, vectors, calls = self._pool(monkeypatch)
         for device_index in (0, 1, 2):
             injector.kill(device_index)
         with pytest.raises(DeviceFailedError) as raised:
@@ -668,36 +632,26 @@ class TestEnergyTotals:
 
 
 class TestPlacementDigest:
-    """Where every copy of every matrix lands, pinned per policy.
+    """Where every copy of every matrix lands, pinned.
 
     A fixed-seed sequence of ``set_matrix`` (mixed shapes, multi-band ones
-    among them, some with an affinity hint), ``release``, ``update_matrix``
-    and ``mark_device_failed`` + ``rebuild`` + ``restore_device`` on four
-    small chips.  ``EXPECTED`` hashes, after every step, each live
-    allocation's copies (band, replica, device, rows) and any error a step
-    raised; it was computed at ``23d00ef``, before the placement rules'
-    ``bind`` hook was removed, and must not move.
+    among them), ``release``, ``update_matrix`` and ``mark_device_failed``
+    + ``rebuild`` + ``restore_device`` on four small chips.  ``EXPECTED``
+    hashes, after every step, each live allocation's copies (band, replica,
+    device, rows) and any error a step raised; it was computed at
+    ``23d00ef``, before the placement rules' ``bind`` hook was removed,
+    under the ``least_loaded`` rule -- the one the pool has kept, which
+    never read the affinity hints the sequence still draws -- and must not
+    move.
     """
 
     SHAPES = ((8, 8), (16, 12), (100, 30), (40, 20), (64, 16))
     EXPECTED = {
-        ("round_robin", 1): (
-            "acedf3e27a050cefce7b165422d597f7d7acdbbb455efe078f05acd75d33cfb9"
-        ),
-        ("round_robin", 2): (
-            "0bd1ab3ae8f31a621a6ff20445853e8e49c95a8c1a5e9b8b3aa25de3ec9d0c85"
-        ),
         ("least_loaded", 1): (
             "d0e35a6d47c59cdc9c9213de6526cda394431b2d1a183ff394b5c6a9e0942987"
         ),
         ("least_loaded", 2): (
             "9cfa89b726b5b2844baecdb0334e8d73308fe2d787a0abf93ea4a57772e0f292"
-        ),
-        ("cache_affinity", 1): (
-            "9d3b8a40e166a2b6127859eb93b30cb5704da0fa8ab3e78d59e0e0bfc88fb300"
-        ),
-        ("cache_affinity", 2): (
-            "63b2a91c600eccc45c6dfb1a1e15282d233f5546a456e44439a3527559f231c2"
         ),
     }
 
@@ -711,10 +665,10 @@ class TestPlacementDigest:
                                      key=lambda a: a.allocation_id)
         ]
 
-    def _trace(self, policy, replication):
+    def _trace(self, replication):
         pool = DevicePool(
             num_devices=4, config=ChipConfig(hct=HctConfig.small(), num_hcts=8),
-            policy=policy, replication=replication,
+            replication=replication,
         )
         rng = np.random.default_rng(2026)
         live, trace = [], []
@@ -726,12 +680,11 @@ class TestPlacementDigest:
             op = int(rng.integers(0, 10))
             if op < 4 or not live:
                 rows, cols = self.SHAPES[rng.integers(len(self.SHAPES))]
-                affinity = (live[rng.integers(len(live))].devices_used
-                            if live and op == 0 else ())
+                if live and op == 0:
+                    rng.integers(len(live))  # the old affinity hint's draw
                 try:
                     live.append(pool.set_matrix(
-                        rng.integers(-8, 8, size=(rows, cols)),
-                        element_size=4, affinity=affinity,
+                        rng.integers(-8, 8, size=(rows, cols)), element_size=4,
                     ))
                 except AllocationError as error:
                     record(step, op, type(error).__name__)
@@ -757,10 +710,10 @@ class TestPlacementDigest:
         return trace
 
     @pytest.mark.parametrize("replication", [1, 2])
-    @pytest.mark.parametrize("policy",
-                             ["round_robin", "least_loaded", "cache_affinity"])
+    # One rule is left; the id still names it, as the hashes were computed.
+    @pytest.mark.parametrize("policy", ["least_loaded"])
     def test_placement_digest(self, policy, replication):
-        trace = self._trace(policy, replication)
+        trace = self._trace(replication)
         digest = hashlib.sha256(repr(trace).encode()).hexdigest()
         assert digest == self.EXPECTED[(policy, replication)]
 

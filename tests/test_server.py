@@ -312,25 +312,24 @@ class TestTelemetry:
 
 class TestMatrixRegistry:
     def test_reregistration_releases_the_old_allocation(self, rng):
-        server = PumServer(pool=DevicePool(num_devices=2, policy="cache_affinity"))
+        server = PumServer(pool=DevicePool(num_devices=2))
         first = server.register_matrix("m", rng.integers(-5, 5, size=(8, 8)))
         used_before = server.pool.utilization()
         second = server.register_matrix("m", rng.integers(-5, 5, size=(8, 6)))
         assert second is not first
         assert server.pool.utilization() == used_before
-        # Cache affinity re-places the update on the device(s) that held it.
+        # Placed anew where the most HCTs are free: the device it left.
         assert second.devices_used == first.devices_used
         # New values of the same shape are rewritten where they are.
         assert server.register_matrix("m", rng.integers(-5, 5, size=(8, 6))) is second
         assert server.pool.utilization() == used_before
 
     def test_a_same_shape_reregistration_is_never_moved(self, rng):
-        """Under ``least_loaded`` a release and a new placement would move
-        ``a`` to the emptier device -- as a new shape does; new values of the
-        live shape stay where they are, whatever the policy."""
+        """A release and a new placement would move ``a`` to the emptier
+        device -- as a new shape does; new values of the live shape stay
+        where they are."""
         config = ChipConfig(hct=HctConfig.small(), num_hcts=4)
-        server = PumServer(pool=DevicePool(num_devices=2, config=config,
-                                           policy="least_loaded"))
+        server = PumServer(pool=DevicePool(num_devices=2, config=config))
 
         def register(name, shape):
             matrix = rng.integers(-5, 5, size=shape)
@@ -1021,16 +1020,16 @@ class TestPublicSurface:
     """Ratchet: the serving tier's knob and name counts only go down."""
 
     def test_constructor_parameter_counts(self):
-        for cls, limit in ((PumServer, 5), (DevicePool, 7), (ClusterGateway, 14),
+        for cls, limit in ((PumServer, 5), (DevicePool, 6), (ClusterGateway, 14),
                            (StaticBatchingPolicy, 2), (CostAwarePolicy, 2)):
             assert len(inspect.signature(cls).parameters) <= limit, cls.__name__
 
     def test_a_server_built_from_a_device_count_owns_a_default_pool(self):
         """Every pool setting has one home: ``PumServer(num_devices=n)`` is
-        ``PumServer(pool=DevicePool(num_devices=n, policy="cache_affinity"))``."""
+        ``PumServer(pool=DevicePool(num_devices=n))``."""
         pool = PumServer(num_devices=3).pool
-        assert (pool.num_devices, pool.placement_policy.name, pool.backend,
-                pool.replication, pool.verify) == (3, "cache_affinity", None, 1, "off")
+        assert (pool.num_devices, pool.backend, pool.replication, pool.verify) \
+            == (3, None, 1, "off")
 
     def test_one_queue_and_one_construction_path(self):
         for name in ("FlatRequestQueue", "RequestQueue", "make_request_queue",
@@ -1060,6 +1059,20 @@ class TestPublicSurface:
         assert "admission" not in inspect.signature(PumServer).parameters
         assert list(inspect.signature(CostAwarePolicy).parameters) \
             == ["max_batch", "max_wait_ticks"]
+
+    def test_the_deleted_placement_surface_stays_deleted(self):
+        """One placement rule and a backend table: no placement policies,
+        no affinity hint, no backend registry."""
+        for module in (repro, repro.runtime, repro.runtime.pool, repro.plan):
+            for name in ("PlacementPolicy", "RoundRobinPolicy", "LeastLoadedPolicy",
+                         "CacheAffinityPolicy", "make_placement_policy",
+                         "BackendRegistry"):
+                assert not hasattr(module, name), (module.__name__, name)
+        for name in ("POLICIES", "policy", "placement_policy"):
+            assert not hasattr(DevicePool, name), name
+        assert "policy" not in inspect.signature(DevicePool).parameters
+        assert "affinity" not in inspect.signature(DevicePool.set_matrix).parameters
+        assert isinstance(repro.plan.BACKENDS, dict)
 
 
 class TestLatencyPercentileCache:
