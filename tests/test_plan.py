@@ -223,6 +223,13 @@ class TestCostModelBackend:
 
 
 class TestBackendRegistry:
+    def test_backends_are_the_three_builtins_keyed_by_name(self):
+        assert sorted(BACKENDS) == ["estimate", "reference", "vectorized"]
+        for name, backend in BACKENDS.items():
+            assert isinstance(backend, ExecutionBackend)
+            assert backend.name == name
+            assert resolve_backend(name) is backend
+
     def test_custom_backend_drops_in(self):
         class CountingBackend(ExecutionBackend):
             name = "counting"

@@ -66,6 +66,40 @@ class TestScheduling:
             pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
 
 
+class TestMostFreeDevice:
+    """The pool's one placement rule, and the replica step built on it."""
+
+    def test_takes_the_device_with_the_most_free_hcts(self):
+        assert pool_module.most_free_device([2, 5, 3], 1) == 1
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        assert pool_module.most_free_device([3, 5, 5, 1], 2) == 1
+
+    def test_a_device_with_exactly_the_needed_room_fits(self):
+        assert pool_module.most_free_device([1, 2, 0], 2) == 1
+
+    def test_none_when_no_device_fits(self):
+        assert pool_module.most_free_device([1, 1], 2) is None
+        assert pool_module.most_free_device([], 1) is None
+        # A masked-out device (-1) is never chosen, even for a zero-HCT band.
+        assert pool_module.most_free_device([-1, -1], 0) is None
+
+    def test_replicas_land_on_distinct_devices_and_are_charged(self):
+        free = [4, 4, 4]
+        assert tiny_pool()._choose_devices(free, 2, 2) == [0, 1]
+        assert free == [2, 2, 4]
+
+    def test_barred_devices_are_skipped(self):
+        free = [4, 4, 4]
+        assert tiny_pool()._choose_devices(free, 2, 2, barred=(0,)) == [1, 2]
+        assert free == [4, 2, 2]
+
+    def test_fewer_copies_come_back_when_room_runs_out(self):
+        free = [2, 1, 0]
+        assert tiny_pool()._choose_devices(free, 2, 2) == [0]
+        assert free == [0, 1, 0]
+
+
 class TestPlacementPolicies:
     def test_cache_affinity_ignores_stale_affinity_hints(self):
         pool = tiny_pool()
