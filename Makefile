@@ -164,8 +164,8 @@ layerbench-compare:
 	python3 -m layerbench compare $(A) $(B)
 
 # Size baseline for simplicity PRs: src/ total and code lines, the largest
-# files, and the constructor parameter counts of ClusterGateway, PumServer
-# and DevicePool (from inspect.signature).
+# files, and the constructor parameter counts of ClusterGateway, PumServer,
+# DevicePool, CircuitBreaker and IntegrityChecker (from inspect.signature).
 loc:
 	$(PY) benchmarks/loc.py
 

@@ -4,9 +4,9 @@ Prints, for ``src/``, total lines and *code* lines (blank lines, comments
 and docstrings excluded -- the count a "this PR removed N lines" claim is
 judged on), the same subtotal for the cluster tier (``repro/runtime/cluster/``),
 the largest files, and the constructor parameter counts of the three wide
-front doors, so the next simplicity PR starts from numbers instead of hand
-counting.  Numbers to start from, not a ratchet: a bound on line counts would
-reward dense code.
+front doors and of the circuit breaker and the ABFT checker, so the next
+simplicity PR starts from numbers instead of hand counting.  Numbers to
+start from, not a ratchet: a bound on line counts would reward dense code.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 
 import repro
 from repro import DevicePool, PumServer
-from repro.runtime.cluster import ClusterGateway
+from repro.runtime import IntegrityChecker
+from repro.runtime.cluster import CircuitBreaker, ClusterGateway
 
 #: The source tree that is actually imported (``PYTHONPATH=src``).
 SRC = Path(repro.__file__).resolve().parent.parent
@@ -56,9 +57,9 @@ def main() -> None:
               f"{sum(r[1] for r in part)} code lines, {len(part)} files")
     for total, code, path in sorted(rows, reverse=True)[:8]:
         print(f"  {total:6d} lines {code:6d} code  {path}")
-    for front_door in (ClusterGateway, PumServer, DevicePool):
-        count = len(inspect.signature(front_door).parameters)
-        print(f"{front_door.__name__}: {count} constructor parameters")
+    for cls in (ClusterGateway, PumServer, DevicePool, CircuitBreaker, IntegrityChecker):
+        count = len(inspect.signature(cls).parameters)
+        print(f"{cls.__name__}: {count} constructor parameters")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ One open-loop Poisson run absorbs the full chaos menu simultaneously:
 * one **induced straggler** -- a worker that keeps heartbeating but
   sleeps through a batch, so only the batch timeout can catch it;
 * one **SIGKILL** of a replica mid-load, healed by the supervisor
-  (``auto_restart=True``).
+  (``gateway.AUTO_RESTART``).
 
 The gate is absolute, not statistical: every admitted future resolves
 exactly once and ``completed``, the answers are bit-identical to a
@@ -38,6 +38,7 @@ import open_loop
 
 from repro.metrics import percentile
 from repro.runtime.cluster import ClusterGateway, TransportFaultSpec
+from repro.runtime.cluster import gateway as gateway_module
 from repro.testing import REPRO_TEST_SEED
 
 CPUS = os.cpu_count() or 1
@@ -78,29 +79,33 @@ def load():
     )
 
 
-def gateway(**kwargs):
+def gateway(monkeypatch):
+    """The gate's gateway: a 256-vector window, a 20 ms heartbeat and an 8 s
+    stop timeout (gateway module constants, set through ``monkeypatch``)."""
+    monkeypatch.setattr(gateway_module, "INFLIGHT_WINDOW", 256)
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 8.0)
     return ClusterGateway(
         num_workers=2, chip="small", noise=None, replication=2,
-        max_batch=8, max_wait_ticks=1, inflight_window=256,
-        heartbeat_interval=0.02, stop_timeout=8.0, **kwargs
+        max_batch=8, max_wait_ticks=1,
     )
 
 
-async def poisson_run(chaos):
-    """Open-loop Poisson drive; with ``chaos`` the full menu is applied.
+async def poisson_run(chaos, monkeypatch):
+    """Open-loop Poisson drive; with ``chaos`` the full menu is applied
+    (a batch timeout, the seeded fault campaign and supervised restart,
+    left set on the gateway module until ``monkeypatch`` undoes them).
 
     Returns (responses in submission order, per-wave latencies, sheds,
     stats, faults_injected).
     """
-    spec = TransportFaultSpec(
-        seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
-    ) if chaos else None
-    knobs = {
-        "batch_timeout": BATCH_TIMEOUT,
-        "transport_faults": spec,
-        "auto_restart": True,
-    } if chaos else {}
-    async with gateway(**knobs) as gw:
+    if chaos:
+        monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", BATCH_TIMEOUT)
+        monkeypatch.setattr(gateway_module, "TRANSPORT_FAULTS", TransportFaultSpec(
+            seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
+        ))
+        monkeypatch.setattr(gateway_module, "AUTO_RESTART", True)
+    async with gateway(monkeypatch) as gw:
         await gw.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
         straggler = gw.placement_of("m")[0]
         victim = gw.placement_of("m")[1]
@@ -139,11 +144,11 @@ def single_server_answers(trace):
 # --------------------------------------------------------------------- #
 # The gate                                                                #
 # --------------------------------------------------------------------- #
-def test_cluster_chaos_gate(record_row):
+def test_cluster_chaos_gate(record_row, monkeypatch):
     clean_responses, clean_latencies, clean_sheds, clean_stats, _ = \
-        asyncio.run(poisson_run(chaos=False))
+        asyncio.run(poisson_run(False, monkeypatch))
     chaos_responses, chaos_latencies, chaos_sheds, chaos_stats, faults = \
-        asyncio.run(poisson_run(chaos=True))
+        asyncio.run(poisson_run(True, monkeypatch))
 
     # Zero lost futures, zero failures, nothing resolved twice: gather
     # returned exactly one terminal response per admitted request.

@@ -46,6 +46,7 @@ import open_loop
 
 from repro.metrics import percentile
 from repro.runtime.cluster import ClusterGateway
+from repro.runtime.cluster import gateway as gateway_module
 
 CPUS = os.cpu_count() or 1
 SCALE_WORKERS = 4
@@ -75,11 +76,12 @@ MATRIX = RNG.integers(-8, 8, size=MATRIX_SHAPE, dtype=np.int64)
 
 
 def gateway(num_workers, **kwargs):
+    """Every run's gateway; the test sets ``gateway.INFLIGHT_WINDOW`` to 256
+    before the first."""
     kwargs.setdefault("chip", "small")
     kwargs.setdefault("noise", "paper_default")
     kwargs.setdefault("max_batch", 8)
     kwargs.setdefault("max_wait_ticks", 1)
-    kwargs.setdefault("inflight_window", 256)
     return ClusterGateway(num_workers=num_workers, **kwargs)
 
 
@@ -119,15 +121,15 @@ async def drain_throughput(num_workers):
 # --------------------------------------------------------------------- #
 # Open-loop Poisson load                                                  #
 # --------------------------------------------------------------------- #
-async def poisson_run(kill=False):
+async def poisson_run(kill, monkeypatch):
     """Open-loop Poisson drive (:func:`open_loop.poisson_run`); returns
     (latencies by wave, sheds, stats).  With ``kill``, the matrix's primary
     is SIGKILLed as wave :data:`KILL_WAVE` arrives, so that wave is sent to
-    a dead worker and must be retried on the replica.
+    a dead worker and must be retried on the replica.  Sets a 20 ms
+    heartbeat (``gateway.HEARTBEAT_INTERVAL``) through ``monkeypatch``.
     """
-    async with gateway(
-        2, replication=2, heartbeat_interval=0.02
-    ) as gw:
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
+    async with gateway(2, replication=2) as gw:
         await gw.register_matrix("m", MATRIX, input_bits=INPUT_BITS)
 
         async def on_wave(index):
@@ -166,7 +168,8 @@ def single_server_answers(trace):
 # --------------------------------------------------------------------- #
 # The benchmark                                                           #
 # --------------------------------------------------------------------- #
-def test_cluster_scaling_benchmark(record_row):
+def test_cluster_scaling_benchmark(record_row, monkeypatch):
+    monkeypatch.setattr(gateway_module, "INFLIGHT_WINDOW", 256)
     trace = load(WAVE_SIZE, seed=45)[0]
     identical = np.array_equal(
         asyncio.run(cluster_answers(trace)), single_server_answers(trace)
@@ -178,10 +181,10 @@ def test_cluster_scaling_benchmark(record_row):
     scaling = scaled / max(single, 1e-12)
 
     clean_latencies, clean_sheds, clean_stats = asyncio.run(
-        poisson_run(kill=False)
+        poisson_run(False, monkeypatch)
     )
     chaos_latencies, chaos_sheds, chaos_stats = asyncio.run(
-        poisson_run(kill=True)
+        poisson_run(True, monkeypatch)
     )
 
     flat_clean = [l for wave in clean_latencies for l in wave]

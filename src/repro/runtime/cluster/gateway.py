@@ -50,13 +50,13 @@ Design points, mirroring the single-server stack one tier up:
   are all one :meth:`ClusterGateway._call`: expect the reply, push the
   frame, wait ``CONTROL_TIMEOUT``.  A full ring or a silent worker is a
   :class:`~repro.errors.ClusterError`, never a bare timeout.
-* **Gray failures.**  With ``batch_timeout`` set, a watchdog expires
+* **Gray failures.**  With ``BATCH_TIMEOUT`` set, a watchdog expires
   batches whose worker is alive-but-slow and hedges them onto another
   replica (exponential backoff, deterministic jitter); per-worker
   circuit breakers (closed -> open -> half-open) fence repeat
   offenders; duplicate SUBMITs are suppressed
   worker-side and late/duplicate RESULTS are ignored gateway-side, so
-  nothing ever resolves twice.  With ``auto_restart=True`` a supervisor
+  nothing ever resolves twice.  With ``AUTO_RESTART`` set a supervisor
   task respawns dead workers inside a bounded restart budget.
 """
 
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import math
 import multiprocessing
 import struct
 import time
@@ -111,12 +110,25 @@ __all__ = ["CircuitBreaker", "ClusterGateway", "ClusterResponse", "GatewayStats"
 #: Fixed transport and timing constants of the gateway.
 #: Byte capacity of every request/reply ring.
 RING_CAPACITY = 1 << 22
+#: Vectors in flight per worker; a batch that fits no replica's window is shed.
+INFLIGHT_WINDOW = 1024
+#: Period of the health and supervisor loops, and of an idle worker's beat.
+HEARTBEAT_INTERVAL = 0.05
+#: How long ``close()`` waits for the workers to stop before terminating them.
+STOP_TIMEOUT = 5.0
+#: First attempt's deadline of a batch, in seconds; ``None`` runs no watchdog
+#: (no per-batch timeout, no hedging).
+BATCH_TIMEOUT: Optional[float] = None
+#: Whether a supervisor task respawns dead workers (within ``RESTART_BUDGET``).
+AUTO_RESTART = False
+#: A seeded transport fault campaign for chaos runs, or ``None``.
+TRANSPORT_FAULTS: Optional[TransportFaultSpec] = None
 #: A worker whose heartbeat slot stays frozen this long is treated as dead.
 LIVENESS_TIMEOUT = 5.0
 #: Bound on every control round trip (ready, registered, drain, stop).
 CONTROL_TIMEOUT = 60.0
 #: Growth of a batch's deadline per attempt: attempt k waits
-#: ``batch_timeout * HEDGE_BACKOFF ** (k - 1)``.
+#: ``BATCH_TIMEOUT * HEDGE_BACKOFF ** (k - 1)``.
 HEDGE_BACKOFF = 2.0
 #: Relative spread of the deterministic jitter on hedge deadlines.
 HEDGE_JITTER = 0.1
@@ -145,14 +157,16 @@ class CircuitBreaker:
     quarantines a device that keeps *corrupting*, the breaker fences a worker
     that keeps *timing out*.  The gateway records one event per batch
     outcome: ``record_failure`` for an execution timeout or a worker failure,
-    ``record_success`` for a clean RESULTS frame.  ``threshold``
+    ``record_success`` for a clean RESULTS frame.  ``BREAKER_THRESHOLD``
     *consecutive* failures trip the breaker open; while open,
     :meth:`allows` is ``False`` and the router steers traffic to other
-    replicas.  After ``cooldown`` seconds the breaker half-opens and admits
-    exactly one probe batch (:meth:`record_dispatch` consumes the slot): a
-    success closes the breaker and resets the cooldown, a failure re-opens
-    it with the cooldown doubled (capped at ``max_cooldown``) -- a sick
-    worker is probed at an exponentially decaying rate instead of hammered.
+    replicas.  After ``BREAKER_COOLDOWN`` seconds the breaker half-opens and
+    admits exactly one probe batch (:meth:`record_dispatch` consumes the
+    slot): a success closes the breaker and resets the cooldown, a failure
+    re-opens it with the cooldown doubled (capped at
+    ``BREAKER_MAX_COOLDOWN``) -- a sick worker is probed at an exponentially
+    decaying rate instead of hammered.  The three constants are read when
+    they are used.
 
     ``clock`` is injectable for deterministic unit tests.
     """
@@ -161,28 +175,13 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(
-        self,
-        threshold: int = 2,
-        cooldown: float = 0.5,
-        max_cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ClusterError("breaker threshold must be >= 1")
-        if cooldown <= 0 or max_cooldown < cooldown:
-            raise ClusterError(
-                "breaker needs 0 < cooldown <= max_cooldown"
-            )
-        self.threshold = threshold
-        self.base_cooldown = cooldown
-        self.max_cooldown = max_cooldown
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self.state = self.CLOSED
         self.consecutive_failures = 0
         #: Lifetime trips to open (telemetry).
         self.opens = 0
-        self.cooldown = cooldown
+        self.cooldown = BREAKER_COOLDOWN
         self._opened_at = 0.0
         self._probe_inflight = False
 
@@ -206,18 +205,18 @@ class CircuitBreaker:
         """A batch completed cleanly: close and reset the cooldown."""
         self.state = self.CLOSED
         self.consecutive_failures = 0
-        self.cooldown = self.base_cooldown
+        self.cooldown = BREAKER_COOLDOWN
         self._probe_inflight = False
 
     def record_failure(self) -> bool:
         """Account one timeout/failure; True when this event tripped open."""
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN:
-            self.cooldown = min(self.cooldown * 2, self.max_cooldown)
+            self.cooldown = min(self.cooldown * 2, BREAKER_MAX_COOLDOWN)
             self._trip()
             return True
         if self.state == self.CLOSED \
-                and self.consecutive_failures >= self.threshold:
+                and self.consecutive_failures >= BREAKER_THRESHOLD:
             self._trip()
             return True
         return False
@@ -233,11 +232,6 @@ class CircuitBreaker:
             f"CircuitBreaker(state={self.state}, "
             f"failures={self.consecutive_failures}, opens={self.opens})"
         )
-
-
-def _new_breaker() -> CircuitBreaker:
-    """A closed breaker with the gateway's constants, read at call time."""
-    return CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN, BREAKER_MAX_COOLDOWN)
 
 
 @dataclass(eq=False, slots=True)
@@ -418,13 +412,13 @@ class _MatrixRecord:
 class _Worker:
     """Gateway-side handle of one worker process and its transport."""
 
-    def __init__(self, worker_id: int, breaker: CircuitBreaker) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.requests: Optional[ShmRing] = None
         self.replies: Optional[ShmRing] = None
         self.health = DeviceHealth()
-        self.breaker = breaker
+        self.breaker = CircuitBreaker()
         self.alive = False
         self.draining = False
         self.restarting = False
@@ -471,19 +465,20 @@ class ClusterGateway:
     processes, watches their reply doorbells and launches the health-monitor
     task.
 
-    The keywords configure, in order: the worker fleet and the server each
-    worker builds (``num_workers`` .. ``queue_capacity``), admission
-    (``inflight_window``), liveness (``heartbeat_interval``,
-    ``stop_timeout``), hedging (``batch_timeout``), supervised restart
-    (``auto_restart``) and fault injection (``transport_faults``).  The
-    module constants above are not options: ring size, liveness and control
-    timeouts, hedge backoff and jitter, the attempt bound, the breaker
-    threshold, cooldown and cooldown cap, the restart budget and window, and
-    the process start method.  Tests that need another value patch the
-    module attribute; the code reads each one where it is used.  Neither are
-    options each worker pool's size, execution backend, replication and
-    ABFT mode, which
-    :func:`~repro.runtime.cluster.worker.build_worker_server` fixes (one
+    The keywords configure the worker fleet (``num_workers``,
+    ``replication``) and the server each worker builds (``chip`` ..
+    ``max_wait_ticks``; its queue holds the
+    :func:`~repro.runtime.cluster.worker.build_worker_server` default, at
+    least ``INFLIGHT_WINDOW`` rows, so a worker never rejects a row the
+    gateway admitted).  The module constants above are not options: ring
+    size, the inflight window, the heartbeat period, liveness, stop and
+    control timeouts, the batch timeout, hedge backoff and jitter, the
+    attempt bound, the breaker threshold, cooldown and cooldown cap,
+    supervised restart with its budget and window, the transport fault
+    campaign, and the process start method.  Tests that need another value
+    patch the module attribute; the code reads each one where it is used.
+    Neither are options each worker pool's size, execution backend,
+    replication and ABFT mode, which ``build_worker_server`` fixes (one
     device, library default, 1, ``"off"``).
     """
 
@@ -496,13 +491,6 @@ class ClusterGateway:
         noise: Optional[str] = None,
         max_batch: Optional[int] = None,
         max_wait_ticks: Optional[int] = None,
-        queue_capacity: int = 4096,
-        inflight_window: int = 1024,
-        heartbeat_interval: float = 0.05,
-        stop_timeout: float = 5.0,
-        batch_timeout: Optional[float] = None,
-        auto_restart: bool = False,
-        transport_faults: Optional[TransportFaultSpec] = None,
     ) -> None:
         if num_workers < 1:
             raise ClusterError(
@@ -513,38 +501,18 @@ class ClusterGateway:
                 f"replication {replication} must be within [1, num_workers="
                 f"{num_workers}]"
             )
-        if inflight_window < 1:
-            raise ClusterError("inflight_window must be >= 1")
-        # NaN fails the test too: a non-positive or NaN period would make the
-        # health and supervisor loops -- and every idle worker -- spin.
-        if not 0 < heartbeat_interval < math.inf:
-            raise ClusterError(
-                f"heartbeat_interval must be positive and finite "
-                f"(got {heartbeat_interval})"
-            )
-        if batch_timeout is not None and batch_timeout <= 0:
-            raise ClusterError("batch_timeout must be positive (or None)")
-        if stop_timeout <= 0:
-            raise ClusterError("stop_timeout must be positive")
         self.num_workers = num_workers
         self.replication = replication
-        self.inflight_window = inflight_window
-        self.heartbeat_interval = heartbeat_interval
-        self.stop_timeout = stop_timeout
-        self.batch_timeout = batch_timeout
-        self.auto_restart = auto_restart
-        self.transport_faults = transport_faults
         self._spec_base = {
             "chip": chip,
             "num_hcts": num_hcts,
             "noise": noise,
             "max_batch": max_batch,
             "max_wait_ticks": max_wait_ticks,
-            "queue_capacity": queue_capacity,
         }
         self._ctx = multiprocessing.get_context(START_METHOD)
         self.stats = GatewayStats()
-        self._workers = [_Worker(index, _new_breaker()) for index in range(num_workers)]
+        self._workers = [_Worker(index) for index in range(num_workers)]
         self._matrices: Dict[str, _MatrixRecord] = {}
         self._control: Dict[Tuple, asyncio.Future] = {}
         self._board: Optional[HeartbeatBoard] = None
@@ -580,9 +548,9 @@ class ClusterGateway:
         # Only now: a supervisor already running would take a worker still
         # on its way to READY for a dead one and spend its restart budget.
         loops = [self._health()]
-        if self.batch_timeout is not None:
+        if BATCH_TIMEOUT is not None:
             loops.append(self._watchdog())
-        if self.auto_restart:
+        if AUTO_RESTART:
             loops.append(self._supervise())
         self._tasks = [asyncio.create_task(loop) for loop in loops]
         return self
@@ -602,17 +570,16 @@ class ClusterGateway:
             board=self._board.name,
             # An idle worker beats this often: as often as health looks, and
             # never so rarely that a long check period reads as a frozen slot.
-            heartbeat_interval=min(self.heartbeat_interval, LIVENESS_TIMEOUT / 4),
+            heartbeat_interval=min(HEARTBEAT_INTERVAL, LIVENESS_TIMEOUT / 4),
         )
-        if self.transport_faults is not None:
+        faults = TRANSPORT_FAULTS
+        if faults is not None:
             # Request-direction faults are injected here (this process is
             # the request ring's producer); the spec rides along so the
             # worker arms the reply direction on its side of the channel.
-            if "request" in self.transport_faults.directions:
-                self.transport_faults.injector_for(
-                    worker.worker_id, "request"
-                ).attach(worker.requests)
-            spec["transport_faults"] = self.transport_faults
+            if "request" in faults.directions:
+                faults.injector_for(worker.worker_id, "request").attach(worker.requests)
+            spec["transport_faults"] = faults
         worker.process = self._ctx.Process(
             target=worker_main, args=(spec,), daemon=True,
             name=f"pum-worker-{worker.worker_id}",
@@ -630,7 +597,7 @@ class ClusterGateway:
         for worker in self._workers:
             if worker.alive and worker.requests is not None:
                 worker.requests.push(encode_message(K_STOP, {}))
-        deadline = time.monotonic() + self.stop_timeout
+        deadline = time.monotonic() + STOP_TIMEOUT
         for worker in self._workers:
             process = worker.process
             if process is None:
@@ -796,11 +763,12 @@ class ClusterGateway:
         n = vectors.shape[0]
         if n == 0:
             return []
-        if n > self.inflight_window:
+        window = INFLIGHT_WINDOW
+        if n > window:
             self.stats.shed += n
             raise AdmissionError(
                 f"batch of {n} exceeds the per-worker inflight window "
-                f"({self.inflight_window})"
+                f"({window})"
             )
         replicas = self._replicas(name)
         if not replicas:
@@ -820,7 +788,7 @@ class ClusterGateway:
             )
         batch = self._make_batch(name, vectors, input_bits)
         for worker in admitted:
-            if worker.inflight + n > self.inflight_window:
+            if worker.inflight + n > window:
                 continue
             if self._dispatch(worker, batch):
                 return batch.futures
@@ -828,7 +796,7 @@ class ClusterGateway:
         self.stats.shed += n
         raise AdmissionError(
             f"every replica of {name!r} is saturated "
-            f"(inflight window {self.inflight_window})"
+            f"(inflight window {window})"
         )
 
     def _replicas(self, name: str,
@@ -899,9 +867,9 @@ class ClusterGateway:
         ``[0, 1)`` -- that de-synchronizes expiries without sacrificing
         reproducibility.
         """
-        if self.batch_timeout is None:
+        if BATCH_TIMEOUT is None:
             return None
-        timeout = self.batch_timeout * HEDGE_BACKOFF ** (batch.attempts - 1)
+        timeout = BATCH_TIMEOUT * HEDGE_BACKOFF ** (batch.attempts - 1)
         spread = zlib.crc32(
             struct.pack("<qq", batch.batch_id, batch.attempts)
         ) / 2**32
@@ -1045,7 +1013,7 @@ class ClusterGateway:
     async def _health(self) -> None:
         """Watch heartbeats; fail workers that die or stop beating."""
         while True:
-            await asyncio.sleep(self.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             now = time.monotonic()
             for worker in self._workers:
                 if not worker.alive or self._board is None:
@@ -1070,7 +1038,7 @@ class ClusterGateway:
         other dead replica meanwhile.
         """
         while True:
-            await asyncio.sleep(self.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             for worker in self._workers:
                 if worker.alive or worker.restarting or self._closed:
                     continue
@@ -1148,7 +1116,7 @@ class ClusterGateway:
         beating, the watchdog catches workers that keep beating but stop
         finishing -- a straggler looks perfectly alive to liveness.
         """
-        interval = max(self.batch_timeout / 4, 0.005)
+        interval = max(BATCH_TIMEOUT / 4, 0.005)
         while True:
             await asyncio.sleep(interval)
             now = time.monotonic()
@@ -1193,8 +1161,7 @@ class ClusterGateway:
                 self.stats.retried_batches += 1
                 return
         if batch.park_deadline is None:
-            batch.park_deadline = time.monotonic() + \
-                self.batch_timeout * MAX_ATTEMPTS
+            batch.park_deadline = time.monotonic() + BATCH_TIMEOUT * MAX_ATTEMPTS
         self._parked.append(batch)
 
     def _retry_parked(self, now: float) -> None:
@@ -1247,7 +1214,7 @@ class ClusterGateway:
         """Chaos control: make ``worker_id`` sleep before its next batches.
 
         The worker keeps heartbeating through the sleep, so liveness
-        stays green and only the per-batch ``batch_timeout`` (and the
+        stays green and only the per-batch ``BATCH_TIMEOUT`` (and the
         hedging behind it) can route around the slowness -- an on-demand
         gray failure for tests and chaos drills.  Returns the worker's
         acknowledgement header.
@@ -1284,12 +1251,12 @@ class ClusterGateway:
                 worker.alive = False
             if worker.process is not None and worker.process.is_alive():
                 worker.process.terminate()
-                worker.process.join(timeout=self.stop_timeout)
+                worker.process.join(timeout=STOP_TIMEOUT)
             self._rehome(worker, f"worker {worker_id} restarted")
             worker.close_rings()
             await self._spawn(worker)
             worker.health.reset()
-            worker.breaker = _new_breaker()
+            worker.breaker = CircuitBreaker()
             worker.alive = True
             worker.draining = False
             worker.last_beats = 0

@@ -64,9 +64,9 @@ VERIFY_AUDIT = "audit"
 VERIFY_FULL = "full"
 VERIFY_MODES = (VERIFY_OFF, VERIFY_AUDIT, VERIFY_FULL)
 
-#: Relative tolerance used under noise presets when the caller does not
-#: pass an explicit one: residuals up to this fraction of ``|x| @ |W|1``
-#: are attributed to analog noise rather than corruption.
+#: Relative tolerance of a check under noise presets (read at each check):
+#: residuals up to this fraction of ``|x| @ |W|1`` are attributed to analog
+#: noise rather than corruption.
 DEFAULT_NOISE_TOLERANCE = 0.05
 
 
@@ -137,16 +137,11 @@ class IntegrityChecker:
 
     One checker serves one pool: ``register`` is called at matrix
     registration with the source matrix and its band boundaries, ``verify``
-    once per checked fan-out result.  ``tolerance`` overrides the relative
-    tolerance band (``None`` = exact on noise-free pools,
-    :data:`DEFAULT_NOISE_TOLERANCE` under noise; ``0.0`` forces exact).
+    once per checked fan-out result.  The comparison is exact on noise-free
+    pools and banded by :data:`DEFAULT_NOISE_TOLERANCE` under noise.
     """
 
-    def __init__(self, tolerance: Optional[float] = None,
-                 noisy: bool = False) -> None:
-        if tolerance is not None and tolerance < 0:
-            raise ValueError("integrity tolerance must be >= 0")
-        self.tolerance = tolerance
+    def __init__(self, noisy: bool = False) -> None:
         self.noisy = bool(noisy)
         #: allocation id -> that allocation's checksums in band order.
         self._bands: Dict[int, List[BandChecksum]] = {}
@@ -178,8 +173,6 @@ class IntegrityChecker:
         return allocation_id in self._bands
 
     def _effective_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
         return DEFAULT_NOISE_TOLERANCE if self.noisy else 0.0
 
     def verify(

@@ -148,13 +148,6 @@ class DevicePool:
         device (defaults to the iso-area chip).
     noise:
         Optional noise configuration shared by every device.
-    backend:
-        Default execution backend for every device MVM issued by this pool
-        (a name in :data:`~repro.plan.backends.BACKENDS` or an
-        :class:`~repro.plan.backends.ExecutionBackend` instance;
-        ``None`` defers to the library default, which is vectorized unless
-        ``REPRO_BACKEND`` names another -- read once, here: setting it later
-        does not reach this pool).  Individual calls may override it.
     replication:
         Copies stored of each row band (default 1 = no replication).  With
         ``replication=R`` every band of every matrix is programmed on ``R``
@@ -181,7 +174,6 @@ class DevicePool:
         num_devices: int = 2,
         config: Optional[ChipConfig] = None,
         noise: Optional[NoiseConfig] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
         replication: int = 1,
         verify: str = "off",
     ) -> None:
@@ -200,8 +192,11 @@ class DevicePool:
         self.devices: List[DarthPumDevice] = [
             DarthPumDevice(config=config, noise=noise) for _ in range(num_devices)
         ]
-        self.backend = backend
-        self._executor = resolve_backend(backend)
+        #: The backend of every device MVM that names none: the library
+        #: default, vectorized unless ``REPRO_BACKEND`` names another -- read
+        #: once, here (setting it later does not reach this pool).  A call's
+        #: ``backend=`` overrides it.
+        self._executor = resolve_backend(None)
         self._allocations: Dict[int, PooledAllocation] = {}
         self._next_allocation = 0
         # Health tracking and degraded-mode telemetry.  A device lands in

@@ -104,6 +104,11 @@ PENDING_CODE = 255
 #: Entries retained by each sliding telemetry window (see ServingStats).
 TELEMETRY_WINDOW = 4096
 
+#: When True, a batch that exhausts every replica of a band triggers
+#: :meth:`DevicePool.rebuild` on the affected allocation and retries once
+#: before failing its riders.  Read per failing batch.
+AUTO_REBUILD = False
+
 
 @dataclass(eq=False, slots=True)
 class Response:
@@ -582,7 +587,6 @@ class PumServer:
         num_devices: int = 2,
         queue_capacity: int = 64,
         scheduling: Optional[SchedulingPolicy] = None,
-        auto_rebuild: bool = False,
     ) -> None:
         if queue_capacity < 1:
             raise SchedulerError("queue_capacity must be >= 1")
@@ -594,10 +598,6 @@ class PumServer:
         #: The chips and every setting of how they run -- execution
         #: backend, replication, ABFT mode -- live on the pool.
         self.pool = pool if pool is not None else DevicePool(num_devices=num_devices)
-        #: When True, a batch that exhausts every replica of a band
-        #: triggers :meth:`DevicePool.rebuild` on the affected allocation
-        #: and retries once before failing its riders.
-        self.auto_rebuild = bool(auto_rebuild)
         #: When each group dispatches, and how large a batch may grow
         #: (``scheduling.max_batch`` / ``.max_wait_ticks``).
         self.scheduling = (
@@ -1040,7 +1040,7 @@ class PumServer:
                     record.allocation, vectors, input_bits=input_bits
                 )
             except ReproError as exc:
-                if not (self.auto_rebuild and self._band_exhausted(exc)):
+                if not (AUTO_REBUILD and self._band_exhausted(exc)):
                     raise
                 results = self._rebuild_and_retry(record, vectors, input_bits)
                 if results is None:

@@ -11,6 +11,9 @@ the variable.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +21,10 @@ from hypothesis import settings
 from repro.core import HctConfig, HybridComputeTile
 from repro.digital import BitPipeline
 from repro.testing import REPRO_TEST_SEED, derive_rng
+
+# The repo root, so tests that pin layerbench's layouts import it from any
+# working directory (and fail, rather than skip, when it does not import).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 # One profile for every property test: the examples are a function of the
 # test alone (no random seed), and no wall-clock deadline decides a verdict

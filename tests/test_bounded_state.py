@@ -221,14 +221,14 @@ class TestSteadyStateIsFlat:
             assert server.tick() == []
         assert server.pending == 1 and server.stats.shed == 0
 
-    def test_distinct_batch_sizes_fill_the_receipt_memo_then_stop(self):
+    def test_distinct_batch_sizes_fill_the_receipt_memo_then_stop(self, monkeypatch):
         # Every tile plan memoises one batch receipt per batch size, and
         # every ACE one float scratch block per shape, both up to a bound:
         # a caller cycling through more sizes than either bound must find
         # the containers full, not growing.
         rng = derive_rng("bounded-receipts")
-        with closing(DevicePool(num_devices=2, config=small_chip(4), replication=2,
-                                backend="vectorized")) as pool:
+        monkeypatch.setenv("REPRO_BACKEND", "vectorized")  # read when the pool is built
+        with closing(DevicePool(num_devices=2, config=small_chip(4), replication=2)) as pool:
             matrix = rng.integers(-8, 8, size=(32, 16))
             allocation = pool.set_matrix(matrix, element_size=4)
             plans = tile_plans(pool, allocation, 4)

@@ -37,6 +37,7 @@ from repro.runtime import (
     PumServer,
     StaticBatchingPolicy,
 )
+from repro.runtime import server as server_module
 
 
 def tiny_pool(num_devices=3, num_hcts=3, replication=1, verify="off"):
@@ -615,11 +616,10 @@ class TestRebuildGate:
     WAVES = 12
     WAVE_SIZE = 6
 
-    def _run(self, auto_rebuild, num_devices=4):
+    def _run(self, monkeypatch, auto_rebuild, num_devices=4):
+        monkeypatch.setattr(server_module, "AUTO_REBUILD", auto_rebuild)
         rng = derive_rng("rebuild-gate")
-        server = make_server(
-            replication=2, num_devices=num_devices, auto_rebuild=auto_rebuild
-        )
+        server = make_server(replication=2, num_devices=num_devices)
         matrix = rng.integers(-8, 8, size=(self.ROWS, self.COLS))
         allocation = server.register_matrix(
             "model", matrix, element_size=4, input_bits=3
@@ -637,9 +637,9 @@ class TestRebuildGate:
         server.run_until_idle()
         return server, futures, matrix, allocation, holders
 
-    def test_auto_rebuild_restores_replication_with_zero_lost_futures(self):
+    def test_auto_rebuild_restores_replication_with_zero_lost_futures(self, monkeypatch):
         server, futures, matrix, allocation, holders = self._run(
-            auto_rebuild=True
+            monkeypatch, auto_rebuild=True
         )
         assert len(futures) == self.WAVES * self.WAVE_SIZE
         assert all(f.done() for f in futures)
@@ -663,14 +663,15 @@ class TestRebuildGate:
         for vector, future in zip(vectors, tail):
             assert np.array_equal(future.result().result, vector @ matrix)
 
-    def test_a_rebuilt_batch_bills_its_rows_not_the_reprogramming(self):
+    def test_a_rebuilt_batch_bills_its_rows_not_the_reprogramming(self, monkeypatch):
         """The retried batch read the rebuild's programming as request
         energy (4504.62 pJ a row against 1091.28 served healthy)."""
+        monkeypatch.setattr(server_module, "AUTO_REBUILD", True)
         energies = {}
         for killed in (False, True):
             rng = derive_rng("rebuild-gate-energy")
             server = make_server(replication=2, num_devices=4,
-                                 max_batch=self.WAVE_SIZE, auto_rebuild=True)
+                                 max_batch=self.WAVE_SIZE)
             allocation = server.register_matrix(
                 "model", rng.integers(-8, 8, size=(self.ROWS, self.COLS)),
                 element_size=4, input_bits=3,
@@ -687,8 +688,8 @@ class TestRebuildGate:
             energies[killed] = [f.result().energy_pj for f in futures]
         assert energies[True] == energies[False]
 
-    def test_without_auto_rebuild_riders_fail_but_nothing_wedges(self):
-        server, futures, _, _, _ = self._run(auto_rebuild=False)
+    def test_without_auto_rebuild_riders_fail_but_nothing_wedges(self, monkeypatch):
+        server, futures, _, _, _ = self._run(monkeypatch, auto_rebuild=False)
         assert all(f.done() for f in futures)
         statuses = {f.result().status for f in futures}
         assert statuses == {"completed", "failed"}

@@ -21,6 +21,7 @@ import types
 import numpy as np
 import pytest
 from digest_text import rendered
+from layerbench import workloads
 from scripted_cluster import StubHandle, StubRing, deliver, results_frame, scripted_worker
 
 from repro.core.config import ChipConfig, HctConfig
@@ -32,6 +33,7 @@ from repro.errors import (
     QuantizationError,
     ReproError,
 )
+from repro.plan.backends import resolve_backend
 from repro.runtime.cluster import ClusterGateway, ShmRing, build_worker_server
 from repro.runtime.cluster import gateway as gateway_module
 from repro.runtime.cluster.gateway import _MatrixRecord, _PendingBatch, matrix_fingerprint
@@ -45,7 +47,7 @@ from repro.runtime.cluster.messages import (
     decode_message,
     encode_message,
 )
-from repro.runtime.cluster.worker import WorkerState, _answer, _handle
+from repro.runtime.cluster.worker import WorkerState, _answer, _handle, _serve
 from repro.runtime.pool import DevicePool
 from repro.runtime.scheduling import StaticBatchingPolicy
 from repro.runtime.server import PumServer
@@ -210,11 +212,12 @@ def test_bad_vectors_fail_their_batch_not_the_worker():
     run(scenario())
 
 
-def test_killed_worker_retries_on_replica_without_losing_futures():
+def test_killed_worker_retries_on_replica_without_losing_futures(monkeypatch):
     """Chaos: SIGKILL one holder under load; replicas absorb everything."""
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
 
     async def scenario():
-        async with gateway(replication=2, heartbeat_interval=0.02) as gw:
+        async with gateway(replication=2) as gw:
             await gw.register_matrix("w", MATRIX)
             futures = []
             rng = np.random.default_rng(5)
@@ -237,11 +240,12 @@ def test_killed_worker_retries_on_replica_without_losing_futures():
     run(scenario())
 
 
-def test_killed_worker_without_replica_resolves_failed():
+def test_killed_worker_without_replica_resolves_failed(monkeypatch):
     """With replication=1 the stranded futures fail -- but never hang."""
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
 
     async def scenario():
-        async with gateway(replication=1, heartbeat_interval=0.02) as gw:
+        async with gateway(replication=1) as gw:
             await gw.register_matrix("w", MATRIX)
             holder = gw.placement_of("w")[0]
             futures = await gw.submit_batch("w", TRACE[:16])
@@ -267,9 +271,11 @@ def test_killed_worker_without_replica_resolves_failed():
 # --------------------------------------------------------------------- #
 # Backpressure                                                            #
 # --------------------------------------------------------------------- #
-def test_saturated_windows_shed_to_caller():
+def test_saturated_windows_shed_to_caller(monkeypatch):
+    monkeypatch.setattr(gateway_module, "INFLIGHT_WINDOW", 4)
+
     async def scenario():
-        async with gateway(num_workers=1, inflight_window=4) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             admitted, shed = [], 0
             for _ in range(10):
@@ -285,9 +291,11 @@ def test_saturated_windows_shed_to_caller():
     run(scenario())
 
 
-def test_batch_larger_than_window_is_rejected_upfront():
+def test_batch_larger_than_window_is_rejected_upfront(monkeypatch):
+    monkeypatch.setattr(gateway_module, "INFLIGHT_WINDOW", 4)
+
     async def scenario():
-        async with gateway(num_workers=1, inflight_window=4) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             with pytest.raises(AdmissionError, match="inflight window"):
                 await gw.submit_batch("w", TRACE[:8])
@@ -346,12 +354,13 @@ def test_submitting_after_close_raises():
 # --------------------------------------------------------------------- #
 # Wakeups: a doorbell, not a poll timer                                   #
 # --------------------------------------------------------------------- #
-def test_idle_worker_beats_on_the_heartbeat_period_not_a_poll_timer():
+def test_idle_worker_beats_on_the_heartbeat_period_not_a_poll_timer(monkeypatch):
     """With nothing submitted a worker wakes to beat, and for nothing else."""
     period, window = 0.05, 0.3
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", period)
 
     async def scenario():
-        async with gateway(num_workers=1, heartbeat_interval=period) as gw:
+        async with gateway(num_workers=1) as gw:
             await asyncio.sleep(0.1)  # READY is long answered: the worker is idle
             before, _ = gw._board.read(0)
             await asyncio.sleep(window)
@@ -444,25 +453,53 @@ def test_invalid_configuration_is_rejected():
         ClusterGateway(num_workers=0)
     with pytest.raises(ClusterError, match="replication"):
         ClusterGateway(num_workers=2, replication=3)
-    with pytest.raises(ClusterError, match="inflight_window"):
-        ClusterGateway(num_workers=1, inflight_window=0)
 
 
 def test_worker_pool_is_the_same_whichever_spec_built_it():
     """A worker's pool has no knobs: the spec the gateway sends (no pool
     keys) and layerbench's twin spec (which still names them, at the values
     they always had) build the same pool."""
-    workloads = pytest.importorskip("layerbench.workloads")
     specs = {
         "gateway": ClusterGateway(**workloads.ClusterWorkload.GATEWAY)._spec_base,
         "layerbench": workloads.ClusterWorkload(0).worker_spec(),
     }
     pools = {origin: build_worker_server(spec).pool for origin, spec in specs.items()}
     described = {
-        origin: (pool.num_devices, pool.replication, pool.verify, pool.backend)
+        origin: (pool.num_devices, pool.replication, pool.verify, pool._executor)
         for origin, pool in pools.items()
     }
-    assert described["gateway"] == described["layerbench"] == (1, 1, "off", None)
+    assert described["gateway"] == described["layerbench"] \
+        == (1, 1, "off", resolve_backend(None))
+
+
+class TestWorkerAdmitsTheWholeWindow:
+    """The gateway sends its workers no queue size: a worker's queue holds
+    ``build_worker_server``'s default, and that is at least the gateway's
+    inflight window, so a worker never rejects a row the gateway admitted
+    (a queue smaller than the window would resolve the overflow rows
+    ``"rejected"``, which ``GatewayStats`` counts as ``failed``)."""
+
+    @pytest.fixture(params=["default", "layerbench"])
+    def spec(self, request):
+        """The spec a default gateway and layerbench's gateway send."""
+        keywords = {} if request.param == "default" else workloads.ClusterWorkload.GATEWAY
+        return ClusterGateway(**keywords)._spec_base
+
+    def test_the_window_fits_the_worker_queue(self, spec):
+        assert gateway_module.INFLIGHT_WINDOW <= build_worker_server(spec).queue_capacity
+
+    def test_a_full_window_wave_has_no_rejected_row(self, spec):
+        server = build_worker_server(spec)
+        server.register_matrix("m", MATRIX)
+        window = gateway_module.INFLIGHT_WINDOW
+        vectors = np.resize(TRACE, (window, TRACE.shape[1]))
+        reply, (statuses, results, _, _) = _serve(
+            server, {"batch": 0, "name": "m", "input_bits": 8}, vectors, lambda: None)
+        assert "errors" not in reply
+        assert statuses.tolist() == [gateway_module.STATUS_CODES["completed"]] * window
+        assert (server.stats.rejected, server.stats.completed) == (0, window)
+        assert np.array_equal(results, vectors @ MATRIX)
+        server.pool.close()
 
 
 # --------------------------------------------------------------------- #
@@ -494,9 +531,10 @@ class TestReplicaOrder:
     @pytest.fixture(autouse=True)
     def tripped_breakers_stay_open(self, monkeypatch):
         monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 30.0)
+        monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 1.0)
 
     def scripted_gateway(self, alive, tripped, cycles, ring_full):
-        gw = ClusterGateway(num_workers=3, replication=3, batch_timeout=1.0)
+        gw = ClusterGateway(num_workers=3, replication=3)
         gw._started = True
         for worker in gw._workers:
             index = worker.worker_id
@@ -783,7 +821,8 @@ def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
     monkeypatch.setattr(gateway_module.time, "monotonic", lambda: 100.0)
     monkeypatch.setattr(np.random, "default_rng", None)  # not on this path
     monkeypatch.setattr(gateway_module, "HEDGE_BACKOFF", 1.0)
-    gw = ClusterGateway(num_workers=1, batch_timeout=2.0)
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 2.0)
+    gw = ClusterGateway(num_workers=1)
 
     def headroom(batch_id, attempts):
         batch = _PendingBatch(
@@ -798,7 +837,8 @@ def test_hedge_jitter_is_seeded_by_batch_and_attempt(monkeypatch):
     assert table == {key: headroom(*key) for key in table}  # deterministic
     assert len(set(table.values())) == len(table)  # differs per batch and attempt
     assert max(table.values()) - min(table.values()) > 0.15  # and uses the spread
-    assert ClusterGateway(num_workers=1)._attempt_deadline(None) is None
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", None)
+    assert gw._attempt_deadline(None) is None
 
 
 def test_a_float_matrix_is_refused_before_the_registration_memo():
@@ -1116,7 +1156,8 @@ async def cluster_wave_campaign(rng):
                       types.SimpleNamespace(monotonic=lambda: clock[0]))
         # No breaker trips: its cooldown runs on the real clock.
         patch.setattr(gateway_module, "BREAKER_THRESHOLD", 1000)
-        gw = ClusterGateway(num_workers=2, replication=2, batch_timeout=0.02)
+        patch.setattr(gateway_module, "BATCH_TIMEOUT", 0.02)
+        gw = ClusterGateway(num_workers=2, replication=2)
         gw._started = True
         for worker in gw._workers:
             worker.alive = True

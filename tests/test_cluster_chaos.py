@@ -227,11 +227,14 @@ class TestTransportFaultInjector:
 # Unit: circuit breaker state machine (fake clock)                         #
 # --------------------------------------------------------------------- #
 class TestCircuitBreaker:
-    def make(self, **kwargs):
+    @pytest.fixture(autouse=True)
+    def breaker_constants(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 1.0)
+
+    def make(self):
         self.now = 0.0
-        kwargs.setdefault("threshold", 2)
-        kwargs.setdefault("cooldown", 1.0)
-        return CircuitBreaker(clock=lambda: self.now, **kwargs)
+        return CircuitBreaker(clock=lambda: self.now)
 
     def test_closed_until_consecutive_threshold(self):
         breaker = self.make()
@@ -273,8 +276,9 @@ class TestCircuitBreaker:
         assert breaker.cooldown == 1.0
         assert breaker.allows()
 
-    def test_cooldown_growth_is_capped(self):
-        breaker = self.make(cooldown=1.0, max_cooldown=4.0)
+    def test_cooldown_growth_is_capped(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "BREAKER_MAX_COOLDOWN", 4.0)
+        breaker = self.make()
         for _ in range(8):
             breaker.record_failure()
             breaker.record_failure()
@@ -282,14 +286,6 @@ class TestCircuitBreaker:
             assert breaker.allows()
             breaker.record_dispatch()
         assert breaker.cooldown <= 4.0
-
-    def test_validation(self):
-        with pytest.raises(ClusterError, match="threshold"):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ClusterError, match="cooldown"):
-            CircuitBreaker(cooldown=0.0)
-        with pytest.raises(ClusterError, match="cooldown"):
-            CircuitBreaker(cooldown=5.0, max_cooldown=1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -352,13 +348,13 @@ class TestWorkerHandle:
 # --------------------------------------------------------------------- #
 # E2E: straggler hedging                                                   #
 # --------------------------------------------------------------------- #
-def test_straggler_is_hedged_onto_replica():
+def test_straggler_is_hedged_onto_replica(monkeypatch):
     """An induced straggler times out and its batch completes elsewhere."""
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.25)
 
     async def scenario():
-        async with gateway(
-            replication=2, heartbeat_interval=0.02, batch_timeout=0.25,
-        ) as gw:
+        async with gateway(replication=2) as gw:
             await gw.register_matrix("w", MATRIX)
             slow = gw.placement_of("w")[0]
             ack = await gw.induce_straggler(slow, batches=1, seconds=2.0)
@@ -391,11 +387,11 @@ def test_straggler_is_hedged_onto_replica():
 def test_batch_timeout_surfaces_after_max_attempts(monkeypatch):
     """With one replica and one attempt, a straggler fails the batch."""
     monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.15)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 8.0)
 
     async def scenario():
-        async with gateway(
-            num_workers=1, batch_timeout=0.15, stop_timeout=8.0,
-        ) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=1, seconds=1.0)
             futures = await gw.submit_batch("w", TRACE[:4])
@@ -415,15 +411,15 @@ def test_batch_timeout_surfaces_after_max_attempts(monkeypatch):
     run(scenario())
 
 
-def test_hedge_back_to_same_worker_at_r1():
+def test_hedge_back_to_same_worker_at_r1(monkeypatch):
     """At replication=1 the hedge re-sends to the same worker; the
     worker's duplicate suppression makes the re-send safe and the batch
     still completes exactly once."""
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.2)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 8.0)
 
     async def scenario():
-        async with gateway(
-            num_workers=1, batch_timeout=0.2, stop_timeout=8.0,
-        ) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=1, seconds=0.7)
             futures = await gw.submit_batch("w", TRACE[:4])
@@ -466,11 +462,11 @@ def test_breaker_opens_on_consecutive_timeouts_and_feeds_health(monkeypatch):
     monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
     monkeypatch.setattr(gateway_module, "BREAKER_THRESHOLD", 2)
     monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 5.0)
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.15)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 8.0)
 
     async def scenario():
-        async with gateway(
-            num_workers=1, batch_timeout=0.15, stop_timeout=8.0,
-        ) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             await gw.induce_straggler(0, batches=2, seconds=0.8)
             for _ in range(2):
@@ -490,9 +486,11 @@ def test_breaker_opens_on_consecutive_timeouts_and_feeds_health(monkeypatch):
 # --------------------------------------------------------------------- #
 # E2E: transport faults against real workers                               #
 # --------------------------------------------------------------------- #
-def test_dropped_submit_recovers_via_hedge():
+def test_dropped_submit_recovers_via_hedge(monkeypatch):
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.2)
+
     async def scenario():
-        async with gateway(num_workers=1, batch_timeout=0.2) as gw:
+        async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             injector = TransportFaultInjector(
                 kinds=(K_SUBMIT,)
@@ -536,20 +534,20 @@ def test_duplicated_submit_is_suppressed_end_to_end():
     run(scenario())
 
 
-def test_seeded_fault_campaign_stays_bit_identical():
+def test_seeded_fault_campaign_stays_bit_identical(monkeypatch):
     """The chaos-gate core at test scale: a seeded drop/dup/delay/corrupt
     schedule on both directions of every ring, under replication=2 with
     hedging on -- zero lost futures and answers equal to a fault-free
     single-process server."""
+    monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", 0.4)
+    monkeypatch.setattr(gateway_module, "TRANSPORT_FAULTS", TransportFaultSpec(
+        seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
+    ))
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 8.0)
 
     async def scenario():
-        spec = TransportFaultSpec(
-            seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
-        )
-        async with gateway(
-            replication=2, batch_timeout=0.4, transport_faults=spec,
-            heartbeat_interval=0.02, stop_timeout=8.0,
-        ) as gw:
+        async with gateway(replication=2) as gw:
             await gw.register_matrix("w", MATRIX)
             futures = []
             # 20 batches against a 10-frame fault horizon: the campaign
@@ -587,12 +585,18 @@ def test_seeded_fault_campaign_stays_bit_identical():
 # --------------------------------------------------------------------- #
 # E2E: supervised restart                                                  #
 # --------------------------------------------------------------------- #
-def test_supervisor_restarts_killed_worker():
+def supervised(monkeypatch):
+    """Supervised restart on, a 20 ms heartbeat and a 2 s stop timeout."""
+    monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
+    monkeypatch.setattr(gateway_module, "AUTO_RESTART", True)
+    monkeypatch.setattr(gateway_module, "STOP_TIMEOUT", 2.0)
+
+
+def test_supervisor_restarts_killed_worker(monkeypatch):
+    supervised(monkeypatch)
+
     async def scenario():
-        async with gateway(
-            replication=2, heartbeat_interval=0.02, auto_restart=True,
-            stop_timeout=2.0,
-        ) as gw:
+        async with gateway(replication=2) as gw:
             await gw.register_matrix("w", MATRIX)
             os.kill(gw._workers[0].process.pid, signal.SIGKILL)
             deadline = asyncio.get_running_loop().time() + 30
@@ -613,12 +617,10 @@ def test_supervisor_restarts_killed_worker():
 def test_supervisor_respects_restart_budget(monkeypatch):
     monkeypatch.setattr(gateway_module, "RESTART_BUDGET", 1)
     monkeypatch.setattr(gateway_module, "RESTART_WINDOW", 120.0)
+    supervised(monkeypatch)
 
     async def scenario():
-        async with gateway(
-            replication=2, heartbeat_interval=0.02, auto_restart=True,
-            stop_timeout=2.0,
-        ) as gw:
+        async with gateway(replication=2) as gw:
             await gw.register_matrix("w", MATRIX)
             os.kill(gw._workers[0].process.pid, signal.SIGKILL)
             deadline = asyncio.get_running_loop().time() + 30
@@ -643,20 +645,3 @@ def test_supervisor_respects_restart_budget(monkeypatch):
 
     run(scenario())
 
-
-# --------------------------------------------------------------------- #
-# Configuration validation                                                 #
-# --------------------------------------------------------------------- #
-def test_chaos_knobs_are_validated():
-    with pytest.raises(ClusterError, match="batch_timeout"):
-        ClusterGateway(num_workers=1, batch_timeout=0.0)
-    with pytest.raises(ClusterError, match="stop_timeout"):
-        ClusterGateway(num_workers=1, stop_timeout=0.0)
-
-
-@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
-def test_heartbeat_interval_must_be_positive_and_finite(interval):
-    """A zero, negative or NaN period would spin the health and supervisor
-    loops and every idle worker; an infinite one would never look."""
-    with pytest.raises(ClusterError, match="heartbeat_interval"):
-        ClusterGateway(num_workers=1, heartbeat_interval=interval)

@@ -152,19 +152,24 @@ class TestRaisableViaPublicApi:
         finally:
             ring.close()
 
-    def test_worker_failed_error(self):
+    def test_worker_failed_error(self, monkeypatch):
         from repro.runtime.cluster import ClusterGateway
+        from repro.runtime.cluster import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", 0.02)
 
         async def scenario():
             import asyncio
             import os
             import signal
-            async with ClusterGateway(
-                num_workers=1, chip="small", heartbeat_interval=0.02
-            ) as gateway:
+            async with ClusterGateway(num_workers=1, chip="small") as gateway:
                 await gateway.register_matrix(
                     "w", np.eye(8, dtype=np.int64), input_bits=2
                 )
+                # The worker sleeps through the wave, so the kill lands
+                # before it can answer (a 2-row wave used to win the race
+                # now and then).
+                await gateway.induce_straggler(0, batches=1, seconds=5.0)
                 futures = await gateway.submit_batch(
                     "w", np.ones((2, 8), dtype=np.int64), 2
                 )

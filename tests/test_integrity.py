@@ -33,6 +33,7 @@ from repro.runtime import (
     StaticBatchingPolicy,
     band_check_vector,
 )
+from repro.runtime import integrity as integrity_module
 from repro.runtime import pool as pool_module
 from repro.runtime.integrity import DEFAULT_NOISE_TOLERANCE, VERIFY_MODES
 
@@ -115,7 +116,7 @@ class TestIntegrityChecker:
 
     def test_tolerance_bands_absorb_noise_but_not_gross_corruption(self):
         checker, matrix = self._registered()
-        checker.tolerance = 0.05
+        checker.noisy = True  # banded by DEFAULT_NOISE_TOLERANCE, 0.05
         x = np.full((1, 8), 4, dtype=np.int64)
         clean = x @ matrix
         budget = 0.05 * (np.abs(x) @ np.abs(matrix).sum(axis=1)) + 0.05
@@ -126,19 +127,15 @@ class TestIntegrityChecker:
         gross[0, 0] += int(budget[0] * 4) + 8  # far outside the band
         assert checker.verify(0, 0, x, gross) is False
 
-    def test_noisy_default_and_explicit_zero(self):
-        assert IntegrityChecker(noisy=True)._effective_tolerance() \
-            == DEFAULT_NOISE_TOLERANCE
+    def test_noisy_default_and_explicit_zero(self, monkeypatch):
+        checker = IntegrityChecker(noisy=True)
+        assert checker._effective_tolerance() == DEFAULT_NOISE_TOLERANCE
+        # 0.0 forces exact comparison even on a noisy pool.
+        monkeypatch.setattr(integrity_module, "DEFAULT_NOISE_TOLERANCE", 0.0)
+        assert checker._effective_tolerance() == 0.0
+        monkeypatch.setattr(integrity_module, "DEFAULT_NOISE_TOLERANCE", 0.2)
+        assert checker._effective_tolerance() == 0.2
         assert IntegrityChecker(noisy=False)._effective_tolerance() == 0.0
-        # Explicit 0.0 forces exact comparison even on a noisy pool.
-        assert IntegrityChecker(tolerance=0.0, noisy=True) \
-            ._effective_tolerance() == 0.0
-        assert IntegrityChecker(tolerance=0.2, noisy=False) \
-            ._effective_tolerance() == 0.2
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            IntegrityChecker(tolerance=-0.1)
 
 
 class TestDeviceHealth:

@@ -1052,11 +1052,13 @@ class TestParallelFanout:
         out = pool.exec_mvm_batch(allocation, vectors, input_bits=8)
         assert np.array_equal(out, vectors @ matrix)
 
-    def test_backend_override_per_call(self):
+    def test_backend_override_per_call(self, monkeypatch):
         rng = derive_rng("kernels-9")
         matrix = rng.integers(-8, 8, size=(8, 8))
         vectors = rng.integers(0, 4, size=(2, 8))
-        pool = DevicePool(num_devices=1, backend="reference")
+        monkeypatch.setenv("REPRO_BACKEND", "reference")  # read when the pool is built
+        pool = DevicePool(num_devices=1)
+        assert isinstance(pool._executor, ReferenceExecutor)
         allocation = pool.set_matrix(matrix, element_size=4)
         default_out = pool.exec_mvm_batch(allocation, vectors, input_bits=2)
         override_out = pool.exec_mvm_batch(
@@ -1070,20 +1072,20 @@ class TestWorkloadEquivalence:
     """AES / CNN / LLM serving is bit-identical under either engine."""
 
     @staticmethod
-    def _servers():
-        return {
-            backend: PumServer(
-                pool=DevicePool(num_devices=2, backend=backend),
-                scheduling=StaticBatchingPolicy(8, 2),
-            )
-            for backend in ("reference", "vectorized")
-        }
+    def _servers(monkeypatch):
+        """One server per engine: a pool takes ``REPRO_BACKEND`` when built."""
+        servers = {}
+        for backend in ("reference", "vectorized"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            servers[backend] = PumServer(pool=DevicePool(num_devices=2),
+                                         scheduling=StaticBatchingPolicy(8, 2))
+        return servers
 
-    def test_aes_mixcolumns(self):
+    def test_aes_mixcolumns(self, monkeypatch):
         rng = derive_rng("kernels-10")
         columns = rng.integers(0, 256, size=(8, 4)).astype(np.int64)
         outs = {}
-        servers = self._servers()
+        servers = self._servers(monkeypatch)
         for engine, server in servers.items():
             outs[engine] = serve_aes_mixcolumns(server, columns)
         assert np.array_equal(outs["reference"], outs["vectorized"])
@@ -1093,23 +1095,23 @@ class TestWorkloadEquivalence:
         assert ref_ledger.energy_pj == vec_ledger.energy_pj
         assert ref_ledger.energy_breakdown == vec_ledger.energy_breakdown
 
-    def test_cnn_conv(self):
+    def test_cnn_conv(self, monkeypatch):
         rng = derive_rng("kernels-11")
         conv = Conv2d(in_channels=2, out_channels=3, kernel=3,
                       rng=derive_rng("kernels-12"))
         image = rng.normal(size=(1, 2, 6, 6))
         outs = {}
-        for engine, server in self._servers().items():
+        for engine, server in self._servers(monkeypatch).items():
             device, _ = serve_cnn_conv(server, conv, image, positions=4)
             outs[engine] = device
         assert np.array_equal(outs["reference"], outs["vectorized"])
 
-    def test_llm_projection(self):
+    def test_llm_projection(self, monkeypatch):
         rng = derive_rng("kernels-13")
         weight = rng.normal(size=(12, 8))
         activations = rng.normal(size=(5, 12))
         outs = {}
-        for engine, server in self._servers().items():
+        for engine, server in self._servers(monkeypatch).items():
             device, _ = serve_llm_projection(server, weight, activations)
             outs[engine] = device
         assert np.array_equal(outs["reference"], outs["vectorized"])

@@ -8,6 +8,7 @@ from contextlib import closing
 
 import numpy as np
 import pytest
+from layerbench import workloads
 
 from repro.testing import derive_rng
 
@@ -36,7 +37,7 @@ def tiny_pool(num_devices=3, num_hcts=3):
 
 
 class TestScheduling:
-    def test_least_loaded_spreads_matrices(self):
+    def test_most_free_spreads_matrices(self):
         pool = tiny_pool()
         first = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         second = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
@@ -45,7 +46,7 @@ class TestScheduling:
         assert second.devices_used == [1]
         assert third.devices_used == [2]
 
-    def test_round_robin_cycles_devices(self):
+    def test_most_free_alternates_between_equal_devices(self):
         pool = tiny_pool(num_devices=2)
         placements = [
             pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4).devices_used
@@ -100,13 +101,8 @@ class TestMostFreeDevice:
         assert free == [0, 1, 0]
 
 
-class TestPlacementPolicies:
-    def test_cache_affinity_ignores_stale_affinity_hints(self):
-        pool = tiny_pool()
-        allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
-        assert allocation.devices_used == [0]  # fell back to least-loaded
-
-    def test_cache_affinity_falls_back_when_preferred_device_is_full(self, rng):
+class TestMostFreeOverflow:
+    def test_a_matrix_too_big_for_one_device_spreads_over_several(self, rng):
         pool = tiny_pool(num_devices=3)
         big = rng.integers(-8, 8, size=(100, 30))  # needs more than one chip
         allocation = pool.set_matrix(big, element_size=4, precision=0)
@@ -116,24 +112,15 @@ class TestPlacementPolicies:
             pool.exec_mvm_batch(allocation, vectors, input_bits=3), vectors @ big
         )
 
-    def test_round_robin_cursor_survives_refactor(self):
-        pool = tiny_pool(num_devices=3)
-        used = [
-            pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4).devices_used
-            for _ in range(3)
-        ]
-        assert used == [[0], [1], [2]]
 
+class TestMostFreeChurn:
+    """Most-free placement across repeated register/release cycles.
 
-class TestCacheAffinityCycles:
-    """Eviction/affinity decisions across repeated register/release cycles.
-
-    The policy was previously exercised only incidentally (one update per
-    test); serving reality is a churn of re-registrations and releases, and
-    the affinity decisions must stay stable -- and honest -- through it.
+    Serving reality is a churn of re-registrations and releases, and the
+    placement must stay stable -- and leak no capacity -- through it.
     """
 
-    def test_affinity_survives_many_update_cycles(self):
+    def test_a_reregistered_matrix_returns_to_its_device(self):
         pool = tiny_pool()
         allocation = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         home = allocation.devices_used
@@ -145,9 +132,9 @@ class TestCacheAffinityCycles:
                 element_size=4,
             )
             assert allocation.devices_used == home, \
-                f"update {generation} migrated off the affine device"
+                f"update {generation} migrated to another device"
 
-    def test_release_restores_affinity_capacity(self):
+    def test_release_restores_capacity(self):
         """Churn must not leak: capacity returns fully after each cycle."""
         pool = tiny_pool()
         for _ in range(6):
@@ -159,11 +146,11 @@ class TestCacheAffinityCycles:
             assert pool.utilization() == [0.0] * pool.num_devices
         assert pool.allocations == []
 
-    def test_eviction_to_other_device_when_affine_device_fills(self):
+    def test_a_full_device_spills_to_the_other_until_a_release(self):
         pool = tiny_pool(num_devices=2)
         first = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         home = first.devices_used[0]
-        # Fill the affine device, then ask for affinity to it anyway.
+        # Fill the first matrix's device, then place one more.
         fillers = []
         while pool.free_hcts(home) > 0:
             fillers.append(
@@ -171,20 +158,19 @@ class TestCacheAffinityCycles:
             )
         overflow = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert overflow.devices_used == [1 - home]  # fell back, not failed
-        # Releasing a filler re-opens the affine device for the next cycle.
+        # Releasing a filler re-opens the first device for the next cycle.
         pool.release(fillers[-1])
         back_home = pool.set_matrix(np.eye(8, dtype=np.int64), element_size=4)
         assert back_home.devices_used == [home]
 
-    def test_affinity_accumulates_across_shards(self, rng):
-        """Later shards of one allocation prefer devices of earlier shards."""
+    def test_the_bands_of_one_matrix_visit_each_device_once(self, rng):
+        """A device takes one run of consecutive bands, never two."""
         pool = tiny_pool(num_devices=3)
         big = rng.integers(-8, 8, size=(100, 30))
         allocation = pool.set_matrix(big, element_size=4, precision=0)
         assert allocation.num_shards > 1
         ordered = [task.device_index for task in allocation.all_tasks]
-        # Consecutive bands stay on one device until it fills (affinity
-        # pull), so the device sequence is sorted runs, not alternation.
+        # The device sequence is runs, one per device used, not alternation.
         runs = sum(
             1 for a, b in zip(ordered, ordered[1:]) if a != b
         )
@@ -791,7 +777,6 @@ class TestWorkloadPlacement:
         ]
 
     def _layouts(self, capsys, monkeypatch):
-        workloads = pytest.importorskip("layerbench.workloads")
         layouts = {}
 
         sharded = workloads.PoolSharded(12345)

@@ -30,12 +30,14 @@ from repro import (
 )
 from repro.errors import AdmissionError, QuantizationError, SchedulerError
 from repro.metrics import percentile
+from repro.plan.backends import resolve_backend
 from repro.runtime import (
+    IntegrityChecker,
     serve_aes_mixcolumns,
     serve_cnn_conv,
     serve_llm_projection,
 )
-from repro.runtime.cluster import ClusterGateway
+from repro.runtime.cluster import CircuitBreaker, ClusterGateway
 from repro.runtime.server import (
     PENDING_CODE,
     STATUS_CODES,
@@ -1020,7 +1022,8 @@ class TestPublicSurface:
     """Ratchet: the serving tier's knob and name counts only go down."""
 
     def test_constructor_parameter_counts(self):
-        for cls, limit in ((PumServer, 5), (DevicePool, 6), (ClusterGateway, 14),
+        for cls, limit in ((PumServer, 4), (DevicePool, 5), (ClusterGateway, 7),
+                           (CircuitBreaker, 1), (IntegrityChecker, 1),
                            (StaticBatchingPolicy, 2), (CostAwarePolicy, 2)):
             assert len(inspect.signature(cls).parameters) <= limit, cls.__name__
 
@@ -1028,8 +1031,8 @@ class TestPublicSurface:
         """Every pool setting has one home: ``PumServer(num_devices=n)`` is
         ``PumServer(pool=DevicePool(num_devices=n))``."""
         pool = PumServer(num_devices=3).pool
-        assert (pool.num_devices, pool.backend, pool.replication, pool.verify) \
-            == (3, None, 1, "off")
+        assert (pool.num_devices, pool._executor, pool.replication, pool.verify) \
+            == (3, resolve_backend(None), 1, "off")
 
     def test_one_queue_and_one_construction_path(self):
         for name in ("FlatRequestQueue", "RequestQueue", "make_request_queue",
@@ -1073,6 +1076,40 @@ class TestPublicSurface:
         assert "policy" not in inspect.signature(DevicePool).parameters
         assert "affinity" not in inspect.signature(DevicePool.set_matrix).parameters
         assert isinstance(repro.plan.BACKENDS, dict)
+
+    def test_the_deleted_knobs_stay_deleted(self):
+        """A keyword only tests set is a module constant they patch: the
+        gateway's admission, liveness, hedging, supervision and fault knobs,
+        the server's auto-rebuild, the pool's backend, the breaker's tuning
+        and the ABFT tolerance."""
+        from repro.runtime import server as server_module
+        from repro.runtime.cluster import gateway as gateway_module
+
+        gone = {
+            ClusterGateway: ("queue_capacity", "inflight_window", "heartbeat_interval",
+                             "stop_timeout", "batch_timeout", "auto_restart",
+                             "transport_faults"),
+            PumServer: ("auto_rebuild",),
+            DevicePool: ("backend",),
+            CircuitBreaker: ("threshold", "cooldown", "max_cooldown"),
+            IntegrityChecker: ("tolerance",),
+        }
+        for cls, names in gone.items():
+            parameters = inspect.signature(cls).parameters
+            for name in names:
+                assert name not in parameters, (cls.__name__, name)
+        assert list(inspect.signature(CircuitBreaker).parameters) == ["clock"]
+        assert list(inspect.signature(IntegrityChecker).parameters) == ["noisy"]
+        assert not hasattr(gateway_module, "_new_breaker")
+        for module, name, value in (
+                (gateway_module, "INFLIGHT_WINDOW", 1024),
+                (gateway_module, "HEARTBEAT_INTERVAL", 0.05),
+                (gateway_module, "STOP_TIMEOUT", 5.0),
+                (gateway_module, "BATCH_TIMEOUT", None),
+                (gateway_module, "AUTO_RESTART", False),
+                (gateway_module, "TRANSPORT_FAULTS", None),
+                (server_module, "AUTO_REBUILD", False)):
+            assert getattr(module, name) == value, name
 
 
 class TestLatencyPercentileCache:
