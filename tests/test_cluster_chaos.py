@@ -287,6 +287,17 @@ class TestCircuitBreaker:
             breaker.record_dispatch()
         assert breaker.cooldown <= 4.0
 
+    def test_tuning_is_read_from_the_module_not_frozen_at_import(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "BREAKER_THRESHOLD", 3)
+        monkeypatch.setattr(gateway_module, "BREAKER_COOLDOWN", 0.25)
+        breaker = self.make()
+        assert breaker.cooldown == 0.25
+        assert breaker.record_failure() is False
+        assert breaker.record_failure() is False  # 2 < 3: still closed
+        assert breaker.record_failure() is True
+        self.now = 0.3
+        assert breaker.allows()
+
 
 # --------------------------------------------------------------------- #
 # Unit: worker-side duplicate suppression and in-dispatch heartbeats       #
@@ -645,3 +656,83 @@ def test_supervisor_respects_restart_budget(monkeypatch):
 
     run(scenario())
 
+
+
+# --------------------------------------------------------------------- #
+# Unit: the module switches reach the worker spec and the loops            #
+# --------------------------------------------------------------------- #
+class TestSpawnedWithTheModuleSwitches:
+    """A worker learns its heartbeat period and fault schedule from the
+    spec it is spawned with -- under the ``spawn`` start method the child
+    re-imports the gateway at its default constants -- and the gateway
+    runs the watchdog and supervisor only when their switches are on.
+    Started in-process: the process class records the spec and the READY
+    round trip answers at once."""
+
+    def started(self, monkeypatch):
+        """Start and close a one-worker gateway; its worker spec and the
+        names of the background loops it ran."""
+        specs = []
+
+        class RecordingProcess:
+            def __init__(self, target, args, daemon, name):
+                specs.append(args[0])
+
+            def start(self):
+                pass
+
+            def is_alive(self):
+                return False
+
+            def close(self):
+                pass
+
+        async def answered(worker, key, frame, what):
+            return None
+
+        gw = gateway(num_workers=1)
+        monkeypatch.setattr(gw._ctx, "Process", RecordingProcess)
+        monkeypatch.setattr(gw, "_call", answered)
+
+        async def scenario():
+            await gw.start()
+            loops = sorted(task.get_coro().__name__ for task in gw._tasks)
+            await gw.close()
+            return loops
+
+        loops = run(scenario())
+        (spec,) = specs
+        return spec, loops
+
+    @pytest.mark.parametrize("interval, sent", [
+        (0.02, 0.02),
+        (0.05, 0.05),
+        # Never so rarely that a long period reads as a frozen slot.
+        (60.0, gateway_module.LIVENESS_TIMEOUT / 4),
+    ])
+    def test_the_spec_carries_the_heartbeat_period(self, monkeypatch, interval, sent):
+        monkeypatch.setattr(gateway_module, "HEARTBEAT_INTERVAL", interval)
+        spec, _ = self.started(monkeypatch)
+        assert spec["heartbeat_interval"] == sent
+
+    def test_the_spec_carries_the_fault_schedule_only_when_set(self, monkeypatch):
+        spec, _ = self.started(monkeypatch)
+        assert "transport_faults" not in spec
+        faults = TransportFaultSpec(
+            seed=REPRO_TEST_SEED, num_events=3, horizon_frames=10,
+        )
+        monkeypatch.setattr(gateway_module, "TRANSPORT_FAULTS", faults)
+        spec, _ = self.started(monkeypatch)
+        assert spec["transport_faults"] is faults
+
+    @pytest.mark.parametrize("batch_timeout, auto_restart, loops", [
+        (None, False, ["_health"]),
+        (0.5, False, ["_health", "_watchdog"]),
+        (None, True, ["_health", "_supervise"]),
+    ])
+    def test_the_watchdog_and_supervisor_run_only_when_switched_on(
+            self, monkeypatch, batch_timeout, auto_restart, loops):
+        monkeypatch.setattr(gateway_module, "BATCH_TIMEOUT", batch_timeout)
+        monkeypatch.setattr(gateway_module, "AUTO_RESTART", auto_restart)
+        _, ran = self.started(monkeypatch)
+        assert ran == loops
