@@ -1,5 +1,7 @@
 """Tests for the digital (Boolean) PUM substrate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -371,3 +373,86 @@ class TestDce:
         config = DceConfig(num_pipelines=64, pipeline_depth=64, rows=64, cols=64)
         assert config.total_arrays == 4096
         assert config.capacity_bits == 4096 * 64 * 64
+
+
+class TestWordOpPin:
+    """Every gate-level word op, pinned bit for bit and unit for unit.
+
+    Each cell runs one fixed sequence on a fresh pipeline: for every op,
+    fresh operands are written into VRs 0-3, then the op runs in each
+    aliasing form (plain, ``dst = a``, ``dst = b``, ``a = b``; ``mux``
+    also ``dst = select``).  After every op the whole ``(cols, depth,
+    rows)`` bit tensor, scratch columns included, and the op's returned
+    ``WordOpCost`` records go into one sha256; the ledger's integer
+    ``cycle_units``, ``energy_units`` and both ``*_parts`` (in order) end
+    it.  The operands come from a fixed seed, not ``REPRO_TEST_SEED``, so
+    the digests must not move: they were computed while every word op
+    still ran its netlist one bit plane at a time.
+    """
+
+    #: ``family-depth-rows`` -> sha256 of the sequence.
+    EXPECTED = {
+        "oscar-1-1": "8412529e0b9002031c05643eb46ed535489f0b13d98be2888ddd5a734a2b4141",
+        "oscar-1-64": "a12f3ef3de39e1008a8d5fa5a7b394e33a74c95849cc8a1b28f3cacfc46ab2ff",
+        "oscar-8-1": "559a4f5837aa7c74c9e0879cf30def9cb194429ed027e59a2d841d6ba0739e50",
+        "oscar-8-64": "62493a06b3f29d60f6f29bbf595502761d7d6227dd93488455e2a5b1d4a26858",
+        "oscar-32-1": "2fe684864f4cd8fa9f34227b9bb46cabcadfc1fa78e65f46430ac0af9090e4f1",
+        "oscar-32-64": "36046e52b180cdf16c161c8d98a5588071014a7c1d94341d4cc306634d2f2168",
+        "oscar-63-1": "f2759fdf744a7701b76187d52bf92966a52c276ac7669a9446084cb57ceac20d",
+        "oscar-63-64": "1db7a3101a86f9677ade3e7cab59f65b735ec3c1693ab3029a1ddefb1ae535a1",
+        "oscar-64-1": "2e1b3b90edc575fe1be76d9a6a36a336a13aeb5da5d38e17da7cea651c3ae844",
+        "oscar-64-64": "930c11b0fa8df8f46c0d1fac3685066ad5914b6f72945f9e08ad801b54e8e7be",
+        "ideal-1-1": "b607705ea87e4251b198b02d12346bd4e53d93de1af3c41c0a719685bf77d9b3",
+        "ideal-1-64": "d548137afe84baf2056827a5d8c081ea5fdc859a778d08bbeb1be22c9929d278",
+        "ideal-8-1": "d7732e8821a01111e23f1ebad981f1594b7ffe06c855cc350a48697122228a57",
+        "ideal-8-64": "dd864627ead822db214281e23ef79f6c6110cdf2ae603b518ba065fa68da3e05",
+        "ideal-32-1": "b481d593a4a7829879fee060158fe26d8b65492c185c060611d22e37a43e90db",
+        "ideal-32-64": "22b3491c5673c7dc804b31f2c1e6f7769e7b4de5db48d8f24aea76cdb9d34c37",
+        "ideal-63-1": "16f5e83f3f5595e18c4904e29c26101c620de4cf0751c1aff4ff41a8026c8dcf",
+        "ideal-63-64": "6186cf930ccc1954441743e3d9b619a8000424626ace11eeebb51adbfadc7deb",
+        "ideal-64-1": "7e7118eb5f2587d3dd7cf57d0cdf7231cdb03ff3a398a82584d433a0625c98dc",
+        "ideal-64-64": "01854cb07ca947c0a2ce0caf624ff1b79b00937b0cdc48910fa65fcb26d5e202",
+    }
+
+    BINARY = ((4, 0, 1), (0, 0, 1), (1, 2, 1), (5, 3, 3))
+    UNARY = ((4, 0), (0, 0), (5, 3))
+    SEQUENCE = (
+        ("add", BINARY), ("sub", BINARY), ("increment", UNARY),
+        ("compare_lt", BINARY), ("max_", BINARY),
+        ("mux", ((4, 0, 1, 2), (1, 0, 1, 2), (2, 0, 1, 2), (0, 0, 1, 2), (5, 3, 3, 3))),
+        ("relu", UNARY), ("copy", UNARY), ("not_", UNARY), ("xor", BINARY),
+        ("and_", BINARY), ("or_", BINARY), ("nor", BINARY), ("multiply", BINARY),
+    )
+
+    @staticmethod
+    def _digest(family, depth, rows):
+        pipeline = BitPipeline(depth=depth, rows=rows, cols=16, family=get_family(family))
+        rng = np.random.default_rng(44)
+        info = np.iinfo(np.int64)
+        sha = hashlib.sha256()
+
+        def absorb(costs):
+            costs = costs if isinstance(costs, list) else [costs]
+            sha.update(repr(costs).encode())
+            sha.update(pipeline._store.tobytes())
+
+        for name, forms in TestWordOpPin.SEQUENCE:
+            for operands in forms:
+                values = rng.integers(info.min, info.max, size=(4, rows), endpoint=True)
+                values[:, 0] = (-1, 1, 0, -1)  # a carry through every plane
+                if rows > 3:
+                    values[:, 1:4] = ((0, -1, 1), (0, -1, -1), (-1, 0, 1), (info.min, 0, 1))
+                for vr, words in enumerate(values):
+                    absorb(pipeline.write_vr(vr, words))
+                absorb(getattr(pipeline, name)(*operands))
+        ledger = pipeline.ledger
+        sha.update(repr((ledger.cycle_units, ledger.energy_units,
+                         list(ledger.cycle_parts.items()),
+                         list(ledger.energy_parts.items()))).encode())
+        return sha.hexdigest()
+
+    @pytest.mark.parametrize("family", ["oscar", "ideal"])
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("depth", [1, 8, 32, 63, 64])
+    def test_word_ops_are_pinned(self, family, depth, rows):
+        assert self._digest(family, depth, rows) == self.EXPECTED[f"{family}-{depth}-{rows}"]
