@@ -5,8 +5,8 @@ logic family's native primitives (Section 2.2.2).  This module knows how to
 build the per-bit gate networks -- XOR, AND, full adders, multiplexers --
 out of OSCAR NOR operations (or out of the richer ideal family when it is
 available), executing them *for real* on a :class:`~repro.digital.array.
-DigitalArray` so that both the functional result and the µop count are
-genuine.
+DigitalArray` -- one bit plane, or every plane of a pipeline at once -- so
+that both the functional result and the µop count are genuine.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ class BooleanSynthesizer:
         """One bit of a ripple-carry adder.
 
         Consumes the carry-in column ``s.carry_in`` and produces the
-        carry-out in ``s.carry_out``; the pipeline moves the carry to the
-        next bit array between invocations.
+        carry-out in ``s.carry_out``; the pipeline schedules every plane's
+        carry-in before one invocation over all planes and checks it
+        against the carry-out of the plane below.
         """
         ops = 0
         if self.family.has("XOR") and self.family.has("AND"):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError, ExecutionError
-from ..metrics import CostLedger
+from ..metrics import CostLedger, checked_runs
 from .logic import LogicFamily
 from .microops import MicroOp
 
@@ -37,10 +37,11 @@ class DigitalArray:
         Cycle accounting is performed at the pipeline level because it
         depends on how operations overlap across arrays.
     bits:
-        Optional ``(rows, cols)`` boolean storage to compute in.  A
-        :class:`~repro.digital.pipeline.BitPipeline` hands each of its
-        arrays a view of one bit plane of its own tensor; a standalone
-        array allocates its own.
+        Optional ``(rows, cols)`` or ``(planes, rows, cols)`` boolean
+        storage to compute in.  A :class:`~repro.digital.pipeline.BitPipeline`
+        hands its word ops one array over every bit plane of its tensor, so
+        each µop runs once on all planes, as the pipeline's arrays run it
+        side by side; a standalone array allocates one plane of its own.
     """
 
     def __init__(
@@ -59,13 +60,16 @@ class DigitalArray:
         self.ledger = ledger if ledger is not None else CostLedger()
         if bits is None:
             bits = np.zeros((self.rows, self.cols), dtype=bool)
-        elif bits.shape != (self.rows, self.cols) or bits.dtype != np.bool_:
+        elif (bits.shape[-2:] != (self.rows, self.cols) or bits.ndim > 3
+              or bits.dtype != np.bool_):
             raise ConfigurationError(
-                f"array storage must be a ({self.rows}, {self.cols}) boolean "
-                f"buffer, got {bits.shape} {bits.dtype}"
+                f"array storage must be a ([planes,] {self.rows}, {self.cols}) "
+                f"boolean buffer, got {bits.shape} {bits.dtype}"
             )
         self._bits = bits
-        #: Number of µops executed on this array (for utilisation stats).
+        #: Bit planes every µop runs on (the storage's leading axis, if any).
+        self.planes = bits.shape[0] if bits.ndim == 3 else 1
+        #: Number of µops executed on this array, each on every plane.
         self.uop_count = 0
 
     # ------------------------------------------------------------------ #
@@ -73,37 +77,36 @@ class DigitalArray:
     # ------------------------------------------------------------------ #
     @property
     def bits(self) -> np.ndarray:
-        """The raw bit matrix (rows x cols).  Mutating it bypasses costs."""
+        """The raw bit storage (``[planes x] rows x cols``).  Mutating it
+        bypasses costs."""
         return self._bits
 
     def read_column(self, col: int) -> np.ndarray:
-        """Return a copy of column ``col`` (all rows)."""
+        """Return a copy of column ``col`` (all rows of every plane)."""
         self._check_col(col)
-        return self._bits[:, col].copy()
+        return self._bits[..., col].copy()
 
     def write_column(self, col: int, values: np.ndarray) -> None:
-        """Overwrite column ``col`` with ``values`` (boolean, length rows)."""
+        """Overwrite column ``col`` with boolean ``values``, shaped as
+        :meth:`read_column` returns it."""
         self._check_col(col)
         values = np.asarray(values, dtype=bool)
-        if values.shape != (self.rows,):
+        if values.shape != self._bits.shape[:-1]:
             raise ExecutionError(
-                f"column write expects shape ({self.rows},), got {values.shape}"
+                f"column write expects shape {self._bits.shape[:-1]}, got {values.shape}"
             )
-        self._bits[:, col] = values
-
-    def clear_column(self, col: int) -> None:
-        """Reset a column to all zeros (bulk erase of one bitline)."""
-        self._check_col(col)
-        self._bits[:, col] = False
+        self._bits[..., col] = values
 
     # ------------------------------------------------------------------ #
     # Boolean primitive execution                                         #
     # ------------------------------------------------------------------ #
     def execute(self, uop: MicroOp) -> float:
-        """Execute one µop; returns its latency in cycles.
+        """Execute one µop on every plane; returns its latency in cycles.
 
-        The energy (per-row constant times the number of rows) is charged to
-        the array's ledger under the ``"dce.boolean"`` category.
+        The energy (per-row constant times the number of rows, once per
+        plane) is charged to the array's ledger under the ``"dce.boolean"``
+        category, as ``planes`` times one plane's grid units: exactly what
+        one charge per plane adds up to.
         """
         if not self.family.has(uop.primitive):
             raise ExecutionError(
@@ -114,13 +117,12 @@ class DigitalArray:
         self._check_col(uop.src2)
         self._check_col(uop.dst)
         primitive = self.family.primitive(uop.primitive)
-        a = self._bits[:, uop.src1]
-        b = self._bits[:, uop.src2]
-        self._bits[:, uop.dst] = primitive.evaluate(a, b)
+        bits = self._bits
+        bits[..., uop.dst] = primitive.evaluate(bits[..., uop.src1], bits[..., uop.src2])
         self.uop_count += 1
-        self.ledger.charge(
-            "dce.boolean", energy_pj=primitive.energy_per_row_pj * self.rows
-        )
+        self.ledger.charge_stream(checked_runs(
+            (("dce.boolean", self.planes, 0.0, primitive.energy_per_row_pj * self.rows),)
+        ))
         return primitive.latency_cycles
 
     # ------------------------------------------------------------------ #

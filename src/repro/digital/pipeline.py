@@ -9,19 +9,25 @@ a stream of word-level operations achieves up to ``B`` times the throughput
 of a single array (bit-pipelining).
 
 All bits of a pipeline live in one VR-major tensor of shape ``(cols, depth,
-rows)``; ``arrays[b].bits`` is the ``(rows, cols)`` view of bit plane ``b``.
-A whole register is therefore one contiguous ``(depth, rows)`` block that
-word-level accesses load and store in a single pass, and the column slices
-``bits[:, v]`` the gate networks compute on are contiguous too.  One
-register may hold its value as int64 words instead (:meth:`set_vr_words`,
-the exact path's accumulator store): every access to the tensor or to
-``arrays`` unpacks them into bits first (a ``DigitalArray`` kept from an
-earlier access of ``arrays`` does not).
+rows)``.  A whole register is therefore one contiguous ``(depth, rows)``
+block that word-level accesses load and store in a single pass, and that
+block is also the column every µop of a gate network reads or writes: the
+word ops run on one :class:`~repro.digital.array.DigitalArray` over the
+``(depth, rows, cols)`` view of the tensor, so each µop executes once on
+every bit plane, as the ``B`` arrays execute it side by side.  ``arrays[b]``
+is the ``(rows, cols)`` view of bit plane ``b``, built when first read.
+One register may hold its value as int64 words instead
+(:meth:`set_vr_words`, the exact path's accumulator store): every access to
+the tensor or to ``arrays`` unpacks them into bits first (an array kept
+from an earlier access of ``arrays`` does not).
 
 The pipeline is a *functional* model: word-level operations really execute
 the underlying NOR-sequence gate networks on the stored bits, so results are
 bit-exact, while the :class:`~repro.digital.microops.WordOpCost` records
-returned by every operation drive the cycle/energy model.
+returned by every operation drive the cycle/energy model.  A carry-chain op
+takes the carry into each plane from one integer add of its operands and
+checks it against the carry-out the executed adder leaves in the plane
+below, so the gates still decide every bit.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ __all__ = ["BitPipeline"]
 class BitPipeline:
     """A bit-pipelined stack of digital PUM arrays with vector registers.
 
-    The pipeline owns its bits as one ``(cols, depth, rows)`` tensor and
-    hands array ``b`` the view ``tensor[:, b, :].T``, so a write through
+    The pipeline owns its bits as one ``(cols, depth, rows)`` tensor; its
+    word ops compute on the view ``tensor.transpose(1, 2, 0)`` and array
+    ``b`` of :attr:`arrays` on ``tensor[:, b, :].T``, so a write through
     ``arrays[b].bits`` and a word-level access of the same register see the
     same storage.
 
@@ -100,13 +107,11 @@ class BitPipeline:
         self._bits = np.zeros((self.cols, self.depth, self.rows), dtype=bool)
         #: ``(vr, words)`` stored by :meth:`set_vr_words` and not unpacked yet.
         self._pending = None
-        self._arrays: List[DigitalArray] = [
-            DigitalArray(
-                self.rows, self.cols, self.family, self.ledger,
-                bits=self._bits[:, plane, :].T,
-            )
-            for plane in range(self.depth)
-        ]
+        #: Every bit plane as one array, the one the word ops execute on.
+        self._array = DigitalArray(self.rows, self.cols, self.family, self.ledger,
+                                   bits=self._bits.transpose(1, 2, 0))
+        #: One array per bit plane, built when :attr:`arrays` is first read.
+        self._arrays: Optional[List[DigitalArray]] = None
         #: Weight of each bit plane as a ``(depth, 1)`` int64 column (bit 63
         #: is the sign bit, which is what two's complement wants).
         self.bit_weights = np.left_shift(
@@ -130,10 +135,30 @@ class BitPipeline:
 
     @property
     def arrays(self) -> List[DigitalArray]:
-        """The ``depth`` arrays, one bit plane each, pending words unpacked."""
+        """The ``depth`` arrays, one bit plane each, pending words unpacked.
+
+        Built on the first read; no word op needs them."""
+        store = self._store
+        if self._arrays is None:
+            self._arrays = [
+                DigitalArray(self.rows, self.cols, self.family, self.ledger,
+                             bits=store[:, plane, :].T)
+                for plane in range(self.depth)
+            ]
+        return self._arrays
+
+    def _operands(self, *vrs: int) -> DigitalArray:
+        """Check each VR a word op names; the all-planes array it executes
+        on, pending words unpacked."""
+        for vr in vrs:
+            self._check_vr(vr)
         if self._pending is not None:
             self._unpack_pending()
-        return self._arrays
+        return self._array
+
+    def _words(self, planes: np.ndarray) -> np.ndarray:
+        """``(depth, n)`` bit planes as ``n`` int64 words (plane b is bit b)."""
+        return np.bitwise_or.reduce(np.where(planes, self.bit_weights, 0), axis=0)
 
     def _unpack_pending(self) -> None:
         vr, words = self._pending
@@ -221,9 +246,7 @@ class BitPipeline:
     def read_vr(self, vr: int, signed: bool = False) -> np.ndarray:
         """Read VR ``vr`` back as integers (two's complement if ``signed``)."""
         self._check_vr(vr)
-        values = np.bitwise_or.reduce(
-            np.where(self._store[vr], self.bit_weights, 0), axis=0
-        )
+        values = self._words(self._store[vr])
         if signed and self.depth < 64:
             sign = np.int64(1) << (self.depth - 1)
             values = (values ^ sign) - sign
@@ -247,104 +270,60 @@ class BitPipeline:
         """Zero a vector register (bulk bitline reset, one cycle per array)."""
         self._check_vr(vr)
         self._store[vr] = False
-        cost = WordOpCost("clear_vr", WordOpKind.BITWISE, 1.0, self.depth, self.rows)
-        self._account(cost)
-        return cost
+        return self._cost("clear_vr", WordOpKind.BITWISE, 1)
 
     # ------------------------------------------------------------------ #
     # Bitwise word operations                                              #
     # ------------------------------------------------------------------ #
     def copy(self, dst: int, src: int) -> WordOpCost:
         """dst = src."""
-        return self._bitwise("copy", dst, src, src, self._synth.copy_col, unary=True)
+        array = self._operands(dst, src)
+        return self._cost("copy", WordOpKind.BITWISE, self._synth.copy_col(array, src, dst))
 
     def not_(self, dst: int, src: int) -> WordOpCost:
         """dst = ~src (bitwise complement)."""
-        return self._bitwise("not", dst, src, src, self._synth.not_col, unary=True)
+        array = self._operands(dst, src)
+        return self._cost("not", WordOpKind.BITWISE, self._synth.not_col(array, src, dst))
 
     def xor(self, dst: int, a: int, b: int) -> WordOpCost:
         """dst = a ^ b."""
-        return self._bitwise("xor", dst, a, b, None, op="xor")
+        array = self._operands(dst, a, b)
+        uops = self._synth.xor_col(array, a, b, dst, self.scratch)
+        return self._cost("xor", WordOpKind.BITWISE, uops)
 
     def and_(self, dst: int, a: int, b: int) -> WordOpCost:
         """dst = a & b."""
-        return self._bitwise("and", dst, a, b, None, op="and")
+        array = self._operands(dst, a, b)
+        uops = self._synth.and_col(array, a, b, dst, self.scratch)
+        return self._cost("and", WordOpKind.BITWISE, uops)
 
     def or_(self, dst: int, a: int, b: int) -> WordOpCost:
         """dst = a | b."""
-        return self._bitwise("or", dst, a, b, None, op="or")
+        array = self._operands(dst, a, b)
+        return self._cost("or", WordOpKind.BITWISE, self._synth.or_col(array, a, b, dst))
 
     def nor(self, dst: int, a: int, b: int) -> WordOpCost:
         """dst = ~(a | b)."""
-        return self._bitwise("nor", dst, a, b, None, op="nor")
-
-    def _bitwise(self, name, dst, a, b, unary_fn, unary=False, op=None) -> WordOpCost:
-        for vr in {dst, a, b}:
-            self._check_vr(vr)
-        uops = 0
-        for array in self.arrays:
-            if unary:
-                uops_bit = unary_fn(array, a, dst)
-            elif op == "xor":
-                uops_bit = self._synth.xor_col(array, a, b, dst, self.scratch)
-            elif op == "and":
-                uops_bit = self._synth.and_col(array, a, b, dst, self.scratch)
-            elif op == "or":
-                uops_bit = self._synth.or_col(array, a, b, dst)
-            elif op == "nor":
-                uops_bit = self._synth.nor_col(array, a, b, dst)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown bitwise op {name}")
-            uops = uops_bit
-        cost = WordOpCost(name, WordOpKind.BITWISE, float(uops), self.depth, self.rows)
-        self._account(cost)
-        return cost
+        array = self._operands(dst, a, b)
+        return self._cost("nor", WordOpKind.BITWISE, self._synth.nor_col(array, a, b, dst))
 
     # ------------------------------------------------------------------ #
     # Arithmetic word operations                                           #
     # ------------------------------------------------------------------ #
     def add(self, dst: int, a: int, b: int) -> WordOpCost:
-        """dst = a + b (modulo 2**depth), ripple carry through the arrays."""
-        return self._ripple_add("add", dst, a, b, initial_carry=False, invert_b=False)
+        """dst = a + b (modulo 2**depth), ripple carry through the planes."""
+        uops, _ = self._carry(dst, a, b, dst, carry_in=0)
+        return self._cost("add", WordOpKind.CARRY, uops)
 
     def sub(self, dst: int, a: int, b: int) -> WordOpCost:
-        """dst = a - b (two's complement)."""
-        return self._ripple_add("sub", dst, a, b, initial_carry=True, invert_b=True)
-
-    def _ripple_add(self, name, dst, a, b, initial_carry, invert_b) -> WordOpCost:
-        for vr in {dst, a, b}:
-            self._check_vr(vr)
-        s = self.scratch
-        carry = np.full(self.rows, initial_carry, dtype=bool)
-        uops_per_bit = 0
-        for array in self.arrays:
-            array.write_column(s.carry_in, carry)
-            b_col = b
-            extra = 0
-            if invert_b:
-                extra = self._synth.not_col(array, b, s.t5)
-                b_col = s.t5
-            uops_per_bit = extra + self._synth.full_adder(array, a, b_col, dst, s)
-            carry = array.read_column(s.carry_out)
-        cost = WordOpCost(name, WordOpKind.CARRY, float(uops_per_bit), self.depth, self.rows)
-        self._account(cost)
-        return cost
+        """dst = a - b (two's complement: a + ~b + 1)."""
+        uops, _ = self._carry(dst, a, b, dst, carry_in=1, invert_b=True)
+        return self._cost("sub", WordOpKind.CARRY, uops)
 
     def increment(self, dst: int, src: int) -> WordOpCost:
         """dst = src + 1 using the carry-in of the ripple adder."""
-        self._check_vr(dst)
-        self._check_vr(src)
-        s = self.scratch
-        carry = np.ones(self.rows, dtype=bool)
-        uops_per_bit = 0
-        for array in self.arrays:
-            array.write_column(s.carry_in, carry)
-            array.clear_column(s.t5)
-            uops_per_bit = self._synth.full_adder(array, src, s.t5, dst, s)
-            carry = array.read_column(s.carry_out)
-        cost = WordOpCost("increment", WordOpKind.CARRY, float(uops_per_bit), self.depth, self.rows)
-        self._account(cost)
-        return cost
+        uops, _ = self._carry(dst, src, None, dst, carry_in=1)
+        return self._cost("increment", WordOpKind.CARRY, uops)
 
     def compare_lt(self, dst: int, a: int, b: int) -> WordOpCost:
         """dst = (a < b) ? 1 : 0, treating operands as unsigned.
@@ -352,25 +331,44 @@ class BitPipeline:
         Computed as the final borrow of ``a - b``; the 0/1 flag is placed in
         bit 0 of ``dst`` and all other bits are cleared.
         """
-        for vr in {dst, a, b}:
-            self._check_vr(vr)
-        s = self.scratch
-        carry = np.ones(self.rows, dtype=bool)
-        uops_per_bit = 0
-        for array in self.arrays:
-            array.write_column(s.carry_in, carry)
-            extra = self._synth.not_col(array, b, s.t5)
-            uops_per_bit = extra + self._synth.full_adder(array, a, s.t5, s.t4, s)
-            carry = array.read_column(s.carry_out)
-        borrow = ~carry  # no final carry => a < b
-        for array in self.arrays:
-            array.clear_column(dst)
-        self.arrays[0].write_column(dst, borrow)
-        cost = WordOpCost(
-            "compare_lt", WordOpKind.CARRY, float(uops_per_bit + 1), self.depth, self.rows
-        )
-        self._account(cost)
-        return cost
+        uops, carry = self._carry(dst, a, b, self.scratch.t4, carry_in=1, invert_b=True)
+        register = self._bits[dst]
+        register[:] = False
+        register[0] = ~carry  # no final carry => a < b
+        return self._cost("compare_lt", WordOpKind.CARRY, uops + 1)
+
+    def _carry(self, dst, a, b, sum_dst, carry_in, invert_b=False):
+        """The carry chain of every arithmetic op: ``sum_dst = a + b' +
+        carry_in`` on every plane, ``b'`` being VR ``b``, its complement
+        (``invert_b``) or zero (``b is None``), staged in scratch ``t5``.
+
+        One uint64 add of the operands' words schedules the carry into every
+        plane, ``(a + b' + c0) ^ a ^ b'``; the family's full adder then runs
+        once over all planes, and its carry-out of plane k must equal the
+        carry scheduled into plane k + 1.  Returns the µops per bit and the
+        carry out of the top plane.
+        """
+        array = self._operands(*((dst, a) if b is None else (dst, a, b)))
+        s, store = self.scratch, self._bits
+        uops = 0
+        if b is None:
+            store[s.t5] = False
+            b = s.t5
+        elif invert_b:
+            uops = self._synth.not_col(array, b, s.t5)
+            b = s.t5
+        x = self._words(store[a]).view(np.uint64)
+        y = self._words(store[b]).view(np.uint64)
+        carries = ((x + y + np.uint64(carry_in)) ^ x ^ y).view(np.int64)
+        store[s.carry_in] = (carries & self.bit_weights) != 0
+        uops += self._synth.full_adder(array, a, b, sum_dst, s)
+        carry_out = store[s.carry_out]
+        if not np.array_equal(carry_out[:-1], store[s.carry_in, 1:]):
+            raise ExecutionError(
+                "the full adder's carry-out differs from the carry scheduled "
+                "into the next bit plane"
+            )
+        return uops, carry_out[-1].copy()
 
     def mux(self, dst: int, select: int, when_true: int, when_false: int) -> WordOpCost:
         """Per-element select: ``dst = select ? when_true : when_false``.
@@ -378,37 +376,22 @@ class BitPipeline:
         ``select`` is interpreted per element: any non-zero value selects
         ``when_true``.  The select flag is broadcast from bit 0.
         """
-        for vr in {dst, select, when_true, when_false}:
-            self._check_vr(vr)
-        flag = self.read_vr(select) != 0
-        uops_per_bit = 0
-        for array in self.arrays:
-            array.write_column(self.scratch.t5, flag)
-            uops_per_bit = self._synth.mux_col(
-                array, self.scratch.t5, when_true, when_false, dst, self.scratch
-            )
+        array = self._operands(dst, select, when_true, when_false)
+        s = self.scratch
+        self._bits[s.t5] = self.read_vr(select) != 0
+        uops = self._synth.mux_col(array, s.t5, when_true, when_false, dst, s)
         # Broadcasting the flag to every array is a shift-class traversal.
-        broadcast = WordOpCost("mux_broadcast", WordOpKind.SHIFT, 1.0, self.depth, self.rows)
-        compute = WordOpCost("mux", WordOpKind.BITWISE, float(uops_per_bit), self.depth, self.rows)
-        self._account(broadcast)
-        self._account(compute)
-        return compute
+        self._cost("mux_broadcast", WordOpKind.SHIFT, 1)
+        return self._cost("mux", WordOpKind.BITWISE, uops)
 
     def relu(self, dst: int, src: int) -> WordOpCost:
         """dst = max(src, 0) for signed two's-complement values."""
-        self._check_vr(dst)
-        self._check_vr(src)
-        sign = self.arrays[self.depth - 1].read_column(src)
-        keep = ~sign
-        uops_per_bit = 0
-        for array in self.arrays:
-            array.write_column(self.scratch.t5, keep)
-            uops_per_bit = self._synth.and_col(array, src, self.scratch.t5, dst, self.scratch)
-        broadcast = WordOpCost("relu_broadcast", WordOpKind.SHIFT, 1.0, self.depth, self.rows)
-        compute = WordOpCost("relu", WordOpKind.BITWISE, float(uops_per_bit), self.depth, self.rows)
-        self._account(broadcast)
-        self._account(compute)
-        return compute
+        array = self._operands(dst, src)
+        s = self.scratch
+        self._bits[s.t5] = ~self._bits[src, self.depth - 1]  # keep where the sign is 0
+        uops = self._synth.and_col(array, src, s.t5, dst, s)
+        self._cost("relu_broadcast", WordOpKind.SHIFT, 1)
+        return self._cost("relu", WordOpKind.BITWISE, uops)
 
     def max_(self, dst: int, a: int, b: int) -> List[WordOpCost]:
         """dst = max(a, b) element-wise (unsigned), via compare + mux."""
@@ -417,31 +400,22 @@ class BitPipeline:
         costs.append(self.mux(dst, free, b, a))
         return costs
 
-    def multiply(self, dst: int, a: int, b: int, bits: Optional[int] = None) -> List[WordOpCost]:
-        """dst = a * b (modulo 2**depth) via shift-and-add long multiplication.
+    def multiply(self, dst: int, a: int, b: int) -> List[WordOpCost]:
+        """dst = a * b (modulo 2**depth) via shift-and-add long multiplication
+        over every multiplier bit.
 
-        ``bits`` limits the number of multiplier bits considered (defaults to
-        the full pipeline depth).  Bit-serial multiplication is the expensive
-        digital-PUM path that the analog compute element exists to avoid.
+        Bit-serial multiplication is the expensive digital-PUM path that the
+        analog compute element exists to avoid.
         """
-        for vr in {dst, a, b}:
-            self._check_vr(vr)
-        bits = self.depth if bits is None else int(bits)
+        array = self._operands(dst, a, b)
+        s = self.scratch
         acc = self._free_scratch_vr((dst, a, b))
         partial = self._free_scratch_vr((dst, a, b, acc))
         costs: List[WordOpCost] = [self.clear_vr(acc)]
-        for bit in range(bits):
-            flag = self.arrays[bit].read_column(b)
-            uops_per_bit = 0
-            for array in self.arrays:
-                array.write_column(self.scratch.t5, flag)
-                uops_per_bit = self._synth.and_col(
-                    array, a, self.scratch.t5, partial, self.scratch
-                )
-            costs.append(
-                WordOpCost("mul_mask", WordOpKind.BITWISE, float(uops_per_bit), self.depth, self.rows)
-            )
-            self._account(costs[-1])
+        for bit in range(self.depth):
+            self._bits[s.t5] = self._bits[b, bit]
+            uops = self._synth.and_col(array, a, s.t5, partial, s)
+            costs.append(self._cost("mul_mask", WordOpKind.BITWISE, uops))
             if bit:
                 costs.append(self.shift_value_left(partial, partial, bit))
             costs.append(self.add(acc, acc, partial))
@@ -508,13 +482,18 @@ class BitPipeline:
     def reverse_direction(self) -> WordOpCost:
         """Explicit pipeline reversal macro: drain, then propagate in reverse."""
         self.direction = "left" if self.direction == "right" else "right"
-        cost = WordOpCost("pipeline_reverse", WordOpKind.SHIFT, 1.0, self.depth, self.rows)
-        self._account(cost)
-        return cost
+        return self._cost("pipeline_reverse", WordOpKind.SHIFT, 1)
 
     # ------------------------------------------------------------------ #
     # Accounting                                                           #
     # ------------------------------------------------------------------ #
+    def _cost(self, name: str, kind: WordOpKind, uops_per_bit: int) -> WordOpCost:
+        """The cost of a ``kind`` op of ``uops_per_bit`` µops on every
+        plane, accounted."""
+        cost = WordOpCost(name, kind, float(uops_per_bit), self.depth, self.rows)
+        self._account(cost)
+        return cost
+
     def _account(self, cost: WordOpCost, energy_rows: Optional[int] = None, charge: bool = True) -> None:
         if cost.kind in (WordOpKind.WRITE, WordOpKind.SHIFT, WordOpKind.ELEMENT):
             rows = energy_rows if energy_rows is not None else self.rows

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.digital import (
     BitPipeline,
+    BooleanSynthesizer,
     DceConfig,
     DigitalArray,
     DigitalComputeElement,
@@ -121,7 +122,7 @@ class TestPipelineArithmetic:
         b = rng.integers(0, 255, size=8)
         small_pipeline.write_vr(0, a)
         small_pipeline.write_vr(1, b)
-        small_pipeline.multiply(2, 0, 1, bits=8)
+        small_pipeline.multiply(2, 0, 1)
         assert np.array_equal(small_pipeline.read_vr(2), (a * b) % 2 ** 16)
 
     def test_relu_on_signed_values(self, small_pipeline):
@@ -304,6 +305,78 @@ class TestPipelineStorage:
         for wrong in (np.zeros((8, 4), dtype=bool), np.zeros((4, 8), dtype=np.uint8)):
             with pytest.raises(ConfigurationError):
                 DigitalArray(4, 8, oscar_family(), bits=wrong)
+
+
+def ripple_per_plane(pipeline, a, b, sum_dst, carry_in, invert_b=False):
+    """The carry chain as the arrays ripple it, one bit plane at a time
+    through ``pipeline.arrays``: plane k's carry-out is written into plane
+    k + 1's carry-in column before its full adder runs.  The oracle of
+    ``BitPipeline._carry``; returns the same ``(µops per bit, top carry)``."""
+    s = pipeline.scratch
+    synth = BooleanSynthesizer(pipeline.family)
+    carry = np.full(pipeline.rows, bool(carry_in))
+    for array in pipeline.arrays:
+        array.write_column(s.carry_in, carry)
+        uops, addend = 0, b
+        if b is None:
+            array.write_column(s.t5, np.zeros(pipeline.rows, dtype=bool))
+            addend = s.t5
+        elif invert_b:
+            uops, addend = synth.not_col(array, b, s.t5), s.t5
+        uops += synth.full_adder(array, a, addend, sum_dst, s)
+        carry = array.read_column(s.carry_out)
+    return uops, carry
+
+
+class TestCarryChain:
+    """``BitPipeline._carry`` runs the full adder once over every plane on
+    carries scheduled by one integer add; the per-plane ripple decides."""
+
+    #: (label, dst, a, b, carry_in, invert_b): add, sub, increment and
+    #: compare_lt's chains, with ``dst = a`` and ``a = b`` among them.
+    CHAINS = (
+        ("add", 4, 0, 1, 0, False), ("add_dst_a", 0, 0, 1, 0, False),
+        ("sub", 4, 0, 1, 1, True), ("sub_a_b", 4, 2, 2, 1, True),
+        ("increment", 4, 0, None, 1, False), ("compare", None, 0, 1, 1, True),
+    )
+
+    @pytest.mark.parametrize("family", ["oscar", "ideal"])
+    @pytest.mark.parametrize("depth", [1, 8, 63, 64])
+    def test_one_pass_matches_the_per_plane_ripple(self, family, depth, make_rng):
+        rng = make_rng(f"carry-chain-{family}-{depth}")
+        info = np.iinfo(np.int64)
+        for label, dst, a, b, carry_in, invert_b in self.CHAINS:
+            values = rng.integers(info.min, info.max, size=(3, 16), endpoint=True)
+            values[:, 0] = (-1, 1, -1)  # a carry through every plane
+            twins = [BitPipeline(depth=depth, rows=16, cols=16, family=get_family(family))
+                     for _ in range(2)]
+            for pipeline in twins:
+                for vr, words in enumerate(values):
+                    pipeline.set_vr_bits(vr, words)
+            compiled, oracle = twins
+            sum_dst = compiled.scratch.t4 if dst is None else dst
+            got = compiled._carry(4 if dst is None else dst, a, b, sum_dst, carry_in, invert_b)
+            want = ripple_per_plane(oracle, a, b, sum_dst, carry_in, invert_b)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), label
+            assert np.array_equal(compiled._store, oracle._store), label
+            assert compiled.ledger == oracle.ledger, label
+
+    def test_a_carry_the_netlist_does_not_produce_is_an_execution_error(self, small_pipeline):
+        pipeline = small_pipeline
+        full_adder = pipeline._synth.full_adder
+
+        def carry_flipped_in_plane_zero(array, a, b, sum_dst, s):
+            uops = full_adder(array, a, b, sum_dst, s)
+            array.bits[0, :, s.carry_out] ^= True
+            return uops
+
+        pipeline._synth.full_adder = carry_flipped_in_plane_zero
+        pipeline.write_vr(0, np.arange(8))
+        for op in (pipeline.add, pipeline.sub, pipeline.compare_lt):
+            with pytest.raises(ExecutionError, match="carry scheduled into the next bit plane"):
+                op(2, 0, 1)
+        with pytest.raises(ExecutionError, match="carry scheduled into the next bit plane"):
+            pipeline.increment(2, 0)
 
 
 class TestWordOpCosts:

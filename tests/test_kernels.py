@@ -718,17 +718,17 @@ class TestDevicePlanEligibility:
         # Only where the bound fails does the loop's accumulator wrap.
         assert np.array_equal(outs["plan"], extreme @ matrix) == eligible
 
-    @pytest.mark.parametrize(
-        "case", ["depth_11", "depth_12_wider_inputs", "depth_12_wider_weights"])
+    @pytest.mark.parametrize("case", sorted(WRAP_BOUND_CASES))
     def test_executed_gates_wrap_like_wrap_accumulator(self, case):
-        """The fourth leg, where the bound fails: single calls reduce with
-        executed NOR-gate adds (``InstructionInjectionUnit.inject_reduction``),
-        and their accumulators wrap exactly as the analytic
-        ``wrap_accumulator`` of the other three legs does."""
-        depth, _, input_bits = WRAP_BOUND_CASES[case]
+        """The fourth leg: single calls reduce with executed NOR-gate adds
+        (``InstructionInjectionUnit.inject_reduction``), and their
+        accumulators wrap exactly as the analytic ``wrap_accumulator`` of
+        the other three legs does -- where the bound holds, not at all."""
+        depth, element_size, input_bits = WRAP_BOUND_CASES[case]
+        top = (1 << input_bits) - 1
+        wraps = 16 * top * (1 << (element_size - 1)) >= 1 << (depth - 1)
         twins, rng, matrix = self._wrap_bound_twins(case, ("gates", "reference"))
-        vectors = np.vstack([np.full(40, (1 << input_bits) - 1),
-                             rng.integers(0, 1 << input_bits, size=(2, 40))])
+        vectors = np.vstack([np.full(40, top), rng.integers(0, top + 1, size=(8, 40))])
         gates, gate_allocation = twins["gates"]
         looped = np.stack([gates.exec_mvm(gate_allocation, vector, input_bits=input_bits)
                            for vector in vectors])
@@ -737,7 +737,10 @@ class TestDevicePlanEligibility:
                                          backend="reference")
         assert np.array_equal(looped, wrapped_product(vectors, matrix, depth))
         assert np.array_equal(looped, analytic)
-        assert not np.array_equal(looped[0], vectors[0] @ matrix)
+        if wraps:
+            assert not np.array_equal(looped[0], vectors[0] @ matrix)
+        else:
+            assert np.array_equal(looped, vectors @ matrix)
 
     @pytest.mark.parametrize("input_bits", [40, 41, 44, 56])
     def test_sums_past_float64_are_served_exactly(self, input_bits):
