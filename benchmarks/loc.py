@@ -3,10 +3,13 @@
 Prints, for ``src/``, total lines and *code* lines (blank lines, comments
 and docstrings excluded -- the count a "this PR removed N lines" claim is
 judged on), the same subtotal for the cluster tier (``repro/runtime/cluster/``),
-the largest files, and the constructor parameter counts of the three wide
-front doors and of the circuit breaker and the ABFT checker, so the next
-simplicity PR starts from numbers instead of hand counting.  Numbers to
-start from, not a ratchet: a bound on line counts would reward dense code.
+the largest files, the constructor parameter counts of the three wide
+front doors and of the circuit breaker and the ABFT checker, and the
+number of settable model values -- the fields of the eight config and spec
+classes plus the keywords of the model elements' constructors -- so the
+next simplicity PR starts from numbers instead of hand counting.  Numbers
+to start from, not a ratchet: a bound on line counts would reward dense
+code (``tests/test_model_settings.py`` holds the settings to account).
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from pathlib import Path
 
 import repro
 from repro import DevicePool, PumServer
+from repro.analog import AdcSpec, DacSpec, DigitalToAnalogConverter, RampAdc, SarAdc
+from repro.analog.ace import AceConfig, AnalogComputeElement
+from repro.analog.crossbar import AnalogCrossbar
+from repro.core import ChipConfig, HctConfig, HybridComputeTile
+from repro.digital.dce import DceConfig, DigitalComputeElement
+from repro.reram import DeviceParameters, NoiseConfig
 from repro.runtime import IntegrityChecker
 from repro.runtime.cluster import CircuitBreaker, ClusterGateway
 
@@ -25,6 +34,13 @@ from repro.runtime.cluster import CircuitBreaker, ClusterGateway
 SRC = Path(repro.__file__).resolve().parent.parent
 #: The tier with its own subtotal line.
 CLUSTER = Path("repro/runtime/cluster")
+#: The model layer's config and spec classes: every value a caller sets on
+#: a tile, chip, device or noise stack.
+SETTINGS = (HctConfig, AceConfig, DceConfig, ChipConfig, NoiseConfig, AdcSpec, DacSpec,
+            DeviceParameters)
+#: The model elements whose constructors take settings beside a config.
+ELEMENTS = (HybridComputeTile, AnalogComputeElement, DigitalComputeElement, AnalogCrossbar,
+            SarAdc, RampAdc, DigitalToAnalogConverter)
 STATEMENT_ENDS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
 NOT_CODE = STATEMENT_ENDS + (tokenize.COMMENT, tokenize.NL, tokenize.ENDMARKER)
 
@@ -44,6 +60,11 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def parameters(cls) -> int:
+    """How many parameters ``cls``'s constructor takes."""
+    return len(inspect.signature(cls).parameters)
+
+
 def main() -> None:
     rows = []
     for path in sorted(SRC.rglob("*.py")):
@@ -58,8 +79,11 @@ def main() -> None:
     for total, code, path in sorted(rows, reverse=True)[:8]:
         print(f"  {total:6d} lines {code:6d} code  {path}")
     for cls in (ClusterGateway, PumServer, DevicePool, CircuitBreaker, IntegrityChecker):
-        count = len(inspect.signature(cls).parameters)
-        print(f"{cls.__name__}: {count} constructor parameters")
+        print(f"{cls.__name__}: {parameters(cls)} constructor parameters")
+    fields, keywords = (sum(map(parameters, group)) for group in (SETTINGS, ELEMENTS))
+    print(f"model settings: {fields + keywords} ({fields} fields of {len(SETTINGS)} "
+          f"config/spec classes + {keywords} keywords of {len(ELEMENTS)} element "
+          "constructors)")
 
 
 if __name__ == "__main__":

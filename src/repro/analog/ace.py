@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import AllocationError, CapacityError, QuantizationError
+from ..errors import AllocationError, CapacityError, ConfigurationError, QuantizationError
 from ..metrics import CostLedger
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
-from .adc import AdcSpec, AnalogToDigitalConverter, make_adc
+from .adc import AnalogToDigitalConverter, make_adc
 from .bitslicing import ShiftAddPlan, slice_matrix
 from .crossbar import AnalogCrossbar
 from .dac import DigitalToAnalogConverter
@@ -64,6 +64,10 @@ def updated_matrix(matrix: np.ndarray, index, values) -> np.ndarray:
     return matrix
 
 
+#: ADCs per active array, by ADC family: two SAR or one ramp (Table 2).
+ADCS_PER_ARRAY = {"sar": 2, "ramp": 1}
+
+
 @dataclass(frozen=True)
 class AceConfig:
     """Geometry and periphery of an analog compute element (Table 2)."""
@@ -71,11 +75,18 @@ class AceConfig:
     num_arrays: int = 64
     array_rows: int = 64
     array_cols: int = 64
+    #: ADC family of every array: ``"sar"`` or ``"ramp"``.
     adc_kind: str = "sar"
-    #: ADCs per active array: 2 SAR or 1 ramp (Table 2).
-    adcs_per_array: int = 2
     row_periphery_power_mw: float = 0.7
-    input_buffer_area_um2: float = 27000.0
+
+    def __post_init__(self) -> None:
+        if self.adc_kind not in ADCS_PER_ARRAY:
+            raise ConfigurationError("adc_kind must be 'sar' or 'ramp'")
+
+    @property
+    def adcs_per_array(self) -> int:
+        """ADCs per active array, fixed by the family (Table 2)."""
+        return ADCS_PER_ARRAY[self.adc_kind]
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,6 @@ class AnalogComputeElement:
         device: Optional[DeviceParameters] = None,
         noise: Optional[NoiseConfig] = None,
         parasitics: Optional[ParasiticModel] = None,
-        adc_spec: Optional[AdcSpec] = None,
         ledger: Optional[CostLedger] = None,
         tile_id: int = 0,
     ) -> None:
@@ -153,7 +163,6 @@ class AnalogComputeElement:
         self.device = device if device is not None else DeviceParameters()
         self.noise_config = noise if noise is not None else NoiseConfig.ideal()
         self.parasitics = parasitics
-        self.adc_spec = adc_spec
         self.ledger = ledger if ledger is not None else CostLedger()
         self._crossbars: Dict[int, AnalogCrossbar] = {}
         self._free_arrays = list(range(self.config.num_arrays))
@@ -186,9 +195,7 @@ class AnalogComputeElement:
 
     def _make_adc(self, bits_per_cell: int) -> AnalogToDigitalConverter:
         max_sum = self.config.array_rows * (2 ** bits_per_cell - 1)
-        return make_adc(
-            self.config.adc_kind, min_value=-max_sum, max_value=max_sum, spec=self.adc_spec
-        )
+        return make_adc(self.config.adc_kind, min_value=-max_sum, max_value=max_sum)
 
     def _allocate_crossbar(self, bits_per_cell: int) -> int:
         if not self._free_arrays:

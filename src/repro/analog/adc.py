@@ -12,7 +12,8 @@ Two ADC families matter for DARTH-PUM:
   trick in Section 5.3 needs only 4 of the 256 steps).
 
 Both models perform real quantisation of the analog column outputs and
-charge latency/energy/area according to Table 3.
+charge latency and energy according to Table 3 (their area is a
+:class:`~repro.core.area.Table3` constant).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class AdcSpec:
     """Resolution and cost parameters of one ADC instance."""
 
     resolution_bits: int = 8
-    area_um2: float = 600.0
     power_mw: float = 1.5
     #: Cycles to digitise a single sample.
     conversion_cycles: float = 1.0
@@ -61,10 +61,12 @@ class AnalogToDigitalConverter:
 
     kind = "generic"
 
-    def __init__(self, spec: AdcSpec, min_value: float, max_value: float) -> None:
+    #: The family's resolution and cost (Table 3); set by each family.
+    spec: AdcSpec
+
+    def __init__(self, min_value: float = 0.0, max_value: float = 255.0) -> None:
         if max_value <= min_value:
             raise ConfigurationError("ADC range must have max_value > min_value")
-        self.spec = spec
         self.min_value = float(min_value)
         self.max_value = float(max_value)
         self._step = (self.max_value - self.min_value) / (self.spec.levels - 1)
@@ -103,32 +105,12 @@ class AnalogToDigitalConverter:
         """Energy to digitise ``num_bitlines`` outputs (pJ)."""
         raise NotImplementedError
 
-    def conversion_costs(
-        self, num_bitlines: int, num_adcs: int, active_bits: int | None = None
-    ) -> tuple[float, float]:
-        """``(latency_cycles, energy_pj)`` of one full-array conversion pass.
-
-        Convenience for callers that account latency and energy together
-        (the crossbar cost model and the vectorized execution engine, which
-        reconstructs per-step charges analytically instead of invoking the
-        converter once per partial product).
-        """
-        return (
-            self.conversion_latency(num_bitlines, num_adcs, active_bits),
-            self.conversion_energy_pj(num_bitlines, active_bits),
-        )
-
 
 class SarAdc(AnalogToDigitalConverter):
     """Successive-approximation ADC: 1-cycle conversions, multiplexed lanes."""
 
     kind = "sar"
-
-    def __init__(self, spec: AdcSpec | None = None, min_value: float = 0.0, max_value: float = 255.0) -> None:
-        spec = spec if spec is not None else AdcSpec(
-            resolution_bits=8, area_um2=600.0, power_mw=1.5, conversion_cycles=1.0
-        )
-        super().__init__(spec, min_value, max_value)
+    spec = AdcSpec(resolution_bits=8, power_mw=1.5, conversion_cycles=1.0)
 
     def conversion_latency(self, num_bitlines: int, num_adcs: int, active_bits: int | None = None) -> float:
         if num_adcs < 1:
@@ -150,16 +132,7 @@ class RampAdc(AnalogToDigitalConverter):
     """
 
     kind = "ramp"
-
-    def __init__(self, spec: AdcSpec | None = None, min_value: float = 0.0, max_value: float = 255.0) -> None:
-        spec = spec if spec is not None else AdcSpec(
-            resolution_bits=8,
-            area_um2=3800.0,
-            power_mw=1.2,
-            conversion_cycles=256.0,
-            parallel_lanes=64,
-        )
-        super().__init__(spec, min_value, max_value)
+    spec = AdcSpec(resolution_bits=8, power_mw=1.2, conversion_cycles=256.0, parallel_lanes=64)
 
     def conversion_latency(self, num_bitlines: int, num_adcs: int, active_bits: int | None = None) -> float:
         if num_adcs < 1:
@@ -181,12 +154,11 @@ class RampAdc(AnalogToDigitalConverter):
         return passes * self.spec.power_mw * steps
 
 
-def make_adc(kind: str, min_value: float = 0.0, max_value: float = 255.0,
-             spec: AdcSpec | None = None) -> AnalogToDigitalConverter:
+def make_adc(kind: str, min_value: float = 0.0, max_value: float = 255.0) -> AnalogToDigitalConverter:
     """Factory for ADC models by name (``"sar"`` or ``"ramp"``)."""
     kind = kind.lower()
     if kind == "sar":
-        return SarAdc(spec, min_value, max_value)
+        return SarAdc(min_value, max_value)
     if kind == "ramp":
-        return RampAdc(spec, min_value, max_value)
+        return RampAdc(min_value, max_value)
     raise ConfigurationError(f"unknown ADC kind {kind!r}; expected 'sar' or 'ramp'")

@@ -37,6 +37,9 @@ __all__ = [
     "read_noise_variance",
 ]
 
+#: Energy of one bitline's sample-and-hold per step, in pJ.
+SAMPLE_HOLD_ENERGY_PJ = 2.1e-5
+
 
 def normalised_column_sums(x, conductances, baseline, lsb, out=None):
     """Column currents normalised to the value domain: ``(x @ g - b) / lsb``.
@@ -149,7 +152,6 @@ class AnalogCrossbar:
         dac: Optional[DigitalToAnalogConverter] = None,
         ledger: Optional[CostLedger] = None,
         row_periphery_power_mw: float = 0.7,
-        sample_hold_energy_pj: float = 2.1e-5,
         noise_stream: Tuple[int, ...] = (),
     ) -> None:
         self.rows = int(rows)
@@ -167,7 +169,6 @@ class AnalogCrossbar:
         self.dac = dac if dac is not None else DigitalToAnalogConverter()
         self.ledger = ledger if ledger is not None else CostLedger()
         self.row_periphery_power_mw = row_periphery_power_mw
-        self.sample_hold_energy_pj = sample_hold_energy_pj
 
         #: ``(2, rows, cols)`` integer levels and conductances of the
         #: programmed slice: positive plane, then negative plane.
@@ -287,6 +288,27 @@ class AnalogCrossbar:
     # ------------------------------------------------------------------ #
     # One-bit-input MVM                                                    #
     # ------------------------------------------------------------------ #
+    def step_costs(
+        self, used_rows: int, used_cols: int, active_adc_bits: Optional[int] = None
+    ) -> Tuple[float, float]:
+        """``(cycles, energy_pj)`` of one one-bit-input step over a
+        ``used_rows x used_cols`` slice: wordline drive, array settling and
+        sample-and-hold, ADC conversion.  The one formula both engines
+        charge per step and the planner's timeline reads.
+        """
+        latency = (
+            self.dac.drive_latency(used_rows)
+            + 1.0  # array settling / sample-and-hold
+            + self.adc.conversion_latency(used_cols, self.num_adcs, active_adc_bits)
+        )
+        energy = (
+            self.dac.drive_energy_pj(used_rows)
+            + self.row_periphery_power_mw * 1.0
+            + used_cols * SAMPLE_HOLD_ENERGY_PJ
+            + self.adc.conversion_energy_pj(used_cols, active_adc_bits)
+        )
+        return latency, energy
+
     def mvm_1bit(self, input_bits: np.ndarray, active_adc_bits: Optional[int] = None) -> CrossbarOutput:
         """Apply a binary input vector to the wordlines and digitise the columns.
 
@@ -327,17 +349,7 @@ class AnalogCrossbar:
             add_read_noise(signed, x, variance, self.noise.rng)
         quantised = self.adc.convert(signed)
 
-        latency = (
-            self.dac.drive_latency(used_rows)
-            + 1.0  # array settling / sample-and-hold
-            + self.adc.conversion_latency(used_cols, self.num_adcs, active_adc_bits)
-        )
-        energy = (
-            self.dac.drive_energy_pj(used_rows)
-            + self.row_periphery_power_mw * 1.0
-            + used_cols * self.sample_hold_energy_pj
-            + self.adc.conversion_energy_pj(used_cols, active_adc_bits)
-        )
+        latency, energy = self.step_costs(used_rows, used_cols, active_adc_bits)
         self.ledger.charge("ace.mvm", cycles=latency, energy_pj=energy)
         self.mvm_count += 1
         return CrossbarOutput(values=quantised, latency_cycles=latency, energy_pj=energy)
@@ -397,16 +409,8 @@ class AnalogCrossbar:
                 add_read_noise(signed, x, read_noise_variance(pos_g, neg_g, scale), rng)
         quantised = self.adc.convert(signed)
 
-        per_vector_latency = (
-            self.dac.drive_latency(used_rows)
-            + 1.0
-            + self.adc.conversion_latency(used_cols, self.num_adcs, active_adc_bits)
-        )
-        per_vector_energy = (
-            self.dac.drive_energy_pj(used_rows)
-            + self.row_periphery_power_mw * 1.0
-            + used_cols * self.sample_hold_energy_pj
-            + self.adc.conversion_energy_pj(used_cols, active_adc_bits)
+        per_vector_latency, per_vector_energy = self.step_costs(
+            used_rows, used_cols, active_adc_bits
         )
         latency = batch * per_vector_latency
         energy = batch * per_vector_energy

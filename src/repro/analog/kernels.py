@@ -339,24 +339,18 @@ def analog_step_costs(
     """Per-shard ``(cycles, energy_pj)`` of one analog macro-step of a batch.
 
     The analytic counterpart of the reference interpreter's per-step
-    crossbar charges: a pure function of the shard geometry and periphery,
-    computed once per :class:`~repro.plan.ir.BatchReceipt`.
+    crossbar charges (:meth:`~repro.analog.crossbar.AnalogCrossbar.step_costs`
+    of each shard's first crossbar, times ``batch``): a pure function of the
+    shard geometry and periphery, computed once per
+    :class:`~repro.plan.ir.BatchReceipt`.
     """
-    step_costs = []
+    costs = []
     for tile in kernel.tiles:
-        sample = tile.crossbars[0]
-        adc_latency, adc_energy = sample.adc.conversion_costs(
-            tile.used_cols, sample.num_adcs, active_adc_bits
+        latency, energy = tile.crossbars[0].step_costs(
+            tile.used_rows, tile.used_cols, active_adc_bits
         )
-        latency = sample.dac.drive_latency(tile.used_rows) + 1.0 + adc_latency
-        energy = (
-            sample.dac.drive_energy_pj(tile.used_rows)
-            + sample.row_periphery_power_mw * 1.0
-            + tile.used_cols * sample.sample_hold_energy_pj
-            + adc_energy
-        )
-        step_costs.append((batch * latency, batch * energy))
-    return tuple(step_costs)
+        costs.append((batch * latency, batch * energy))
+    return tuple(costs)
 
 
 def analog_runs(

@@ -66,11 +66,10 @@ class HybridComputeTile:
         device: Optional[DeviceParameters] = None,
         noise: Optional[NoiseConfig] = None,
         parasitics: Optional[ParasiticModel] = None,
-        ledger: Optional[CostLedger] = None,
         tile_id: int = 0,
     ) -> None:
         self.config = config if config is not None else HctConfig.paper_default()
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = CostLedger()
         self.tile_id = int(tile_id)
         family = get_family(self.config.logic_family)
         self.ace = AnalogComputeElement(

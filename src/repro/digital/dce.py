@@ -32,7 +32,6 @@ class DceConfig:
         pipeline_depth: int = 64,
         rows: int = 64,
         cols: int = 64,
-        issue_queue_depth: int = 64,
     ) -> None:
         if num_pipelines < 1:
             raise ConfigurationError("a DCE needs at least one pipeline")
@@ -40,7 +39,6 @@ class DceConfig:
         self.pipeline_depth = int(pipeline_depth)
         self.rows = int(rows)
         self.cols = int(cols)
-        self.issue_queue_depth = int(issue_queue_depth)
 
     @property
     def total_arrays(self) -> int:
@@ -64,10 +62,10 @@ class DigitalComputeElement:
         Digital logic family shared by every pipeline.
     ledger:
         Cost ledger shared with the enclosing HCT.
-    lazy:
-        When true (default), pipelines are instantiated on first use, which
-        keeps chip-scale experiments cheap: a full Table-2 DCE holds 4096
-        arrays and most experiments touch only a few pipelines.
+
+    Pipelines are instantiated on first use, which keeps chip-scale
+    experiments cheap: a full Table-2 DCE holds 4096 arrays and most
+    experiments touch only a few pipelines.
     """
 
     def __init__(
@@ -75,18 +73,13 @@ class DigitalComputeElement:
         config: Optional[DceConfig] = None,
         family: Optional[LogicFamily] = None,
         ledger: Optional[CostLedger] = None,
-        lazy: bool = True,
         auto_cycles: bool = True,
     ) -> None:
         self.config = config if config is not None else DceConfig()
         self.family = family if family is not None else oscar_family()
         self.ledger = ledger if ledger is not None else CostLedger()
         self.auto_cycles = bool(auto_cycles)
-        self._lazy = bool(lazy)
         self._pipelines: Dict[int, BitPipeline] = {}
-        if not lazy:
-            for index in range(self.config.num_pipelines):
-                self.pipeline(index)
 
     # ------------------------------------------------------------------ #
     # Pipeline management                                                  #

@@ -166,10 +166,9 @@ class Planner:
         # every step; input bits are serial, column tiles are not.
         sample = ace.crossbar(handle.array_ids[0])
         cols_per_tile = min(cols, array_cols)
-        adc_latency = sample.adc.conversion_latency(cols_per_tile, sample.num_adcs, None)
         output_base = tile._matrix_output_pipeline.get(handle.handle_id, 0)
         cost = PlanCostModel(
-            per_step_analog=sample.dac.drive_latency(rows) + 1.0 + adc_latency,
+            per_step_analog=sample.step_costs(rows, cols_per_tile)[0],
             transfer=tile.shift_unit.transfer_cycles(cols_per_tile),
             write=float(tile.config.dce.rows),
             depth=tile.config.dce.pipeline_depth,

@@ -5,8 +5,7 @@ DARTH-PUM uses ReRAM for both its analog and digital compute elements
 
 * a conductance range ``[g_min, g_max]`` (Siemens),
 * a number of reliably programmable levels (``bits_per_cell``),
-* programming (write--verify) behaviour, and
-* the energy/latency cost of programming and reading.
+* programming (write--verify) behaviour and its energy/latency cost.
 
 The analog substrate maps multi-bit matrix values onto conductance levels;
 the digital substrate uses the same devices in single-level-cell (SLC) mode
@@ -53,8 +52,6 @@ class DeviceParameters:
     program_latency_cycles: float = 100.0
     #: Energy of programming one device, in pJ.
     program_energy_pj: float = 10.0
-    #: Energy of reading (sensing) one device, in pJ.
-    read_energy_pj: float = 0.05
 
     def __post_init__(self) -> None:
         if self.g_min <= 0 or self.g_max <= 0:

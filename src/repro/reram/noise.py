@@ -52,19 +52,22 @@ class NoiseConfig:
     """Which error sources are enabled, and with what strength.
 
     ``None`` for a sigma/rate means "use the device default"; ``0`` disables
-    the corresponding error source entirely.  ``drift=True`` is refused: no
-    MVM path applies :class:`DriftModel` yet, so a drift config would
-    silently answer as if the devices held still.
+    the corresponding error source entirely.  Two flags are refused rather
+    than answered without their effect.  ``drift=True``: no MVM path applies
+    :class:`DriftModel` yet, so a drift config would answer as if the
+    devices held still.  ``ir_drop=True``: IR drop is not a noise flag --
+    it enters through a :class:`~repro.reram.parasitics.ParasiticModel`
+    given to a tile (``HybridComputeTile(parasitics=...)``), which is what
+    every MVM path applies.
     """
 
     programming_noise: bool = True
     read_noise: bool = True
-    ir_drop: bool = True
+    ir_drop: bool = False
     drift: bool = False
     stuck_at_faults: bool = False
     programming_sigma: Optional[float] = None
     read_sigma: Optional[float] = None
-    drift_rate: float = 0.001
     stuck_at_rate: Optional[float] = None
     seed: int = 0
 
@@ -74,23 +77,24 @@ class NoiseConfig:
                 "conductance drift is not modelled on the MVM path, so "
                 "NoiseConfig(drift=True) is refused rather than answered without it"
             )
+        if self.ir_drop:
+            raise ConfigurationError(
+                "NoiseConfig(ir_drop=True) is refused: no MVM path reads the flag; "
+                "IR drop enters through a ParasiticModel on a tile "
+                "(HybridComputeTile(parasitics=...))"
+            )
 
     @classmethod
     def ideal(cls) -> "NoiseConfig":
         """A configuration with every error source disabled."""
-        return cls(
-            programming_noise=False,
-            read_noise=False,
-            ir_drop=False,
-            drift=False,
-            stuck_at_faults=False,
-        )
+        return cls(programming_noise=False, read_noise=False)
 
     @classmethod
     def paper_default(cls) -> "NoiseConfig":
-        """The error sources CrossSim models in detail (Section 7.5):
-        programming noise and parasitics, plus read noise."""
-        return cls(programming_noise=True, read_noise=True, ir_drop=True)
+        """Programming noise and read noise at the device defaults (Section
+        7.5).  Parasitics (IR drop) are not a noise flag: they need a
+        :class:`~repro.reram.parasitics.ParasiticModel` on the tile."""
+        return cls(programming_noise=True, read_noise=True)
 
 
 class ProgrammingNoiseModel:
@@ -217,7 +221,6 @@ class NoiseStack:
         self._rng: Optional[np.random.Generator] = None
         self.programming = ProgrammingNoiseModel(self.params, self.config.programming_sigma)
         self.read_noise = ReadNoiseModel(self.params, self.config.read_sigma)
-        self.drift = DriftModel(self.params, self.config.drift_rate)
         self.stuck_at = StuckAtFaultModel(self.params, self.config.stuck_at_rate)
 
     @property

@@ -353,6 +353,8 @@ class GatewayStats:
     completed: int = 0
     failed: int = 0
     shed: int = 0
+    #: Rows a worker's server turned away at admission (status ``"rejected"``).
+    rejected: int = 0
     batches: int = 0
     retried_batches: int = 0
     worker_failures: int = 0
@@ -980,13 +982,15 @@ class ClusterGateway:
             return
         statuses, results, latency, energy = arrays
         codes = statuses.tolist()
-        completed, shed = (codes.count(STATUS_CODES[name]) for name in ("completed", "shed"))
+        completed, shed, rejected = (
+            codes.count(STATUS_CODES[name]) for name in ("completed", "shed", "rejected"))
         # Every result row is a view of the wave's one copy of the matrix.
         batch.futures.settle(worker.worker_id, errors, codes, np.array(results),
                              latency.tolist(), energy.tolist())
         self.stats.completed += completed
         self.stats.shed += shed
-        self.stats.failed += n - completed - shed
+        self.stats.rejected += rejected
+        self.stats.failed += n - completed - shed - rejected
         worker.health.record_ok()
         worker.breaker.record_success()
 

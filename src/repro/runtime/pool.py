@@ -214,8 +214,7 @@ class DevicePool:
         # health scores feeding the corruption quarantine.
         self.verify = verify
         noisy = noise is not None and any((
-            noise.programming_noise, noise.read_noise, noise.ir_drop,
-            noise.stuck_at_faults,
+            noise.programming_noise, noise.read_noise, noise.stuck_at_faults,
         ))
         self.integrity = IntegrityChecker(noisy=noisy)
         self._health: List[DeviceHealth] = [

@@ -53,11 +53,14 @@ def scripted_worker(gw, handle=None):
     return worker
 
 
-def results_frame(batch, rows, cols=16, **extra):
-    """Batch ``batch``'s RESULTS frame: ``rows`` completed rows of ones,
-    latency 2 ticks and 0.5 pJ each."""
+def results_frame(batch, rows, cols=16, statuses=None, **extra):
+    """Batch ``batch``'s RESULTS frame: ``rows`` rows of ones, latency 2
+    ticks and 0.5 pJ each, every row completed unless ``statuses`` (one
+    status code per row) says otherwise."""
+    statuses = np.zeros(rows, dtype=np.uint8) if statuses is None else \
+        np.asarray(statuses, dtype=np.uint8)
     return encode_message(K_RESULTS, {"batch": batch, "name": "m", **extra}, [
-        np.zeros(rows, dtype=np.uint8), np.ones((rows, cols), dtype=np.int64),
+        statuses, np.ones((rows, cols), dtype=np.int64),
         np.full(rows, 2, dtype=np.int64), np.full(rows, 0.5, dtype=np.float64),
     ])
 

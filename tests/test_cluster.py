@@ -477,7 +477,7 @@ class TestWorkerAdmitsTheWholeWindow:
     ``build_worker_server``'s default, and that is at least the gateway's
     inflight window, so a worker never rejects a row the gateway admitted
     (a queue smaller than the window would resolve the overflow rows
-    ``"rejected"``, which ``GatewayStats`` counts as ``failed``)."""
+    ``"rejected"``, which ``GatewayStats`` counts as ``rejected``)."""
 
     @pytest.fixture(params=["default", "layerbench"])
     def spec(self, request):
@@ -772,6 +772,28 @@ class TestMalformedReplies:
         run(scenario())
 
 
+def test_rows_a_worker_rejected_are_counted_rejected_not_failed():
+    """A RESULTS frame's status-3 rows (turned away by the worker's server at
+    admission) land in ``GatewayStats.rejected``; ``failed`` keeps only the
+    rows that failed.  Scripted: no worker process."""
+    names = ["completed", "completed", "shed", "failed", "rejected", "rejected"]
+
+    async def scenario():
+        gw = ClusterGateway(num_workers=1)
+        worker = scripted_worker(gw)
+        try:
+            futures = await gw.submit_batch("m", TRACE[:len(names)])
+            codes = [gateway_module.STATUS_CODES[name] for name in names]
+            deliver(gw, worker, results_frame(gw._next_batch - 1, len(names), statuses=codes))
+            return [future.result().status for future in futures], gw.stats
+        finally:
+            await gw.close()
+
+    statuses, stats = run(scenario())
+    assert statuses == names
+    assert (stats.completed, stats.shed, stats.failed, stats.rejected) == (2, 1, 1, 2)
+
+
 class TestErrorRepliesNameTheirBatch:
     """An ERROR reply that loses its batch id strands the batch's riders."""
 
@@ -870,23 +892,25 @@ class TestWaveEquivalence:
     other two the per-row one, and none of it may move.  It was re-pinned
     over ``ca3b0f3`` when the ledger moved to integer units (the last bits
     of ``energy_pj`` moved); ``ROUNDED``, computed at ``ca3b0f3``, held
-    across that move.
+    across that move.  Both were re-pinned when ``GatewayStats`` gained
+    ``rejected``: with that key dropped and its rows added back to
+    ``failed``, the stats hash to the previous pins.
     """
 
     EXPECTED = {
-        "clean": "4abe2a50d2f5ae43ccabc115686406a4b688b5177bd44ac57aff80d42cdcd4c5",
+        "clean": "f77e8270e2b9e11c101a74c09f042a9486350cda28110a70081bebc546dc2206",
         "rejected at admission":
-            "761bca3b88745ab61aad2f5804ad667c31b452fe9885680a6b07119691e774d3",
+            "013108242cdd4272eacfe51e7efe7df90a678fad417a3b62950a8ca8ad6d835c",
         "failed in the pool":
-            "90a891bddde5963d8110f9f216ec7d131f7a8792bde1cfec2fe34a575d321b39",
+            "08fcf67d8451b770a9327573ce965538d785be57d576222fbf83cd8b2531693a",
     }
     #: The siblings: the same material through ``digest_text.rendered``.
     ROUNDED = {
-        "clean": "e342f34a86f3a52387ffcdcf444a2fc2f2fc6fff64d8b5ff2c33d80c0a09e4ff",
+        "clean": "521379b7f98cc4c797ec2257f1d200d62f36e54c8f8c7883a79a72608194e177",
         "rejected at admission":
-            "86e784f8eec857105beccb08d30f2df7c2c8e5d2f177c1e8f30b13a55cd63136",
+            "5e10cc473b007af7936aed81a484855a282f7d6a90c12395820d51bbc38421b4",
         "failed in the pool":
-            "028eab1ef1369659674ddafa8ca1afa51f11968fefbaef91333150164092d343",
+            "d68ad829e4d141fd2e750feec21520d45901c7f6989acf7b132dfd8b92a67cca",
     }
     STATUSES = {
         "clean": ["completed"] * 12,
@@ -1267,8 +1291,10 @@ class TestClusterWaveResolution:
     #: sha256 over every row's ``ClusterResponse`` fields (wave, then row
     #: order) and the gateway's stats after :func:`cluster_wave_campaign` on a
     #: fixed seed, computed at ``4eda68f`` -- the commit before a cluster wave
-    #: resolved once -- so it holds on every leg of the seed matrix.
-    EXPECTED = "f183ebb3aac9624e7c8bbc15f7cc0c09eac46443a22b47598425576f143b42f9"
+    #: resolved once -- so it holds on every leg of the seed matrix.  Re-pinned
+    #: when ``GatewayStats`` gained ``rejected``; folded back into ``failed``,
+    #: the stats hash to the previous pin.
+    EXPECTED = "7ba279db0035d900e30581005be82d3adabd2b688d03def938d3728a8c94c124"
     STATUSES = [
         {"completed"}, {"completed", "failed", "shed", "rejected"}, {"failed"},
         {"completed"}, {"completed"}, {"failed"}, {"failed"}, {"failed"},
@@ -1316,8 +1342,9 @@ class TestClusterWaveResolution:
                     latency[row], energy[row], worker_id, errors.get(str(row)))
         completed = sum(r.ok for r in rows)
         shed = sum(r.status == "shed" for r in rows)
-        assert (stats["completed"], stats["shed"], stats["failed"]) == (
-            completed, shed, len(rows) - completed - shed)
+        rejected = sum(r.status == "rejected" for r in rows)
+        assert (stats["completed"], stats["shed"], stats["rejected"], stats["failed"]) == (
+            completed, shed, rejected, len(rows) - completed - shed - rejected)
         assert (stats["duplicate_replies"], stats["transport_errors"]) == (2, 1)
         assert stats["batch_timeouts"] == 3 + gateway_module.MAX_ATTEMPTS
         assert "malformed RESULTS" in responses[2][0].error

@@ -229,6 +229,27 @@ class TestPoolWiring:
         assert pool.corruptions_detected == 0
 
 
+    def test_an_exact_pool_checks_exactly(self):
+        """A pool whose noise config enables no error source answers exactly,
+        so its checksums are compared exactly: an off-by-one partial is a
+        corruption, not noise inside a tolerance band."""
+        pool = small_pool(
+            verify="full", num_devices=1,
+            noise=NoiseConfig(programming_noise=False, read_noise=False),
+        )
+        rng = derive_rng("integrity-exact-noise-config")
+        matrix = rng.integers(-8, 8, size=(16, 8))
+        allocation = pool.set_matrix(matrix, element_size=4, precision=0)
+        vectors = rng.integers(4, 8, size=(3, 16))
+        partial = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(partial, vectors @ matrix)
+        position = 0
+        assert pool.integrity.verify(allocation.allocation_id, position, vectors, partial)
+        partial[1, 2] += 1
+        assert not pool.integrity.verify(allocation.allocation_id, position, vectors, partial)
+        assert not pool.integrity.noisy
+
+
 class TestRebuild:
     def _pool(self, num_devices=4):
         pool = small_pool(num_devices=num_devices, replication=2)

@@ -66,7 +66,7 @@ NOISE_PRESETS = {
     ),
     "full_stack": dict(
         noise=NoiseConfig(
-            programming_noise=True, read_noise=True, ir_drop=True, seed=5
+            programming_noise=True, read_noise=True, seed=5
         ),
         parasitics=ParasiticModel(wire_resistance_ohm=0.2),
     ),

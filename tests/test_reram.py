@@ -171,6 +171,13 @@ class TestDriftAndStuckAt:
             NoiseConfig(programming_noise=False, read_noise=False, ir_drop=False,
                         drift=True)
 
+    def test_ir_drop_config_is_refused(self):
+        """No MVM path reads ``ir_drop``: IR drop comes from a
+        ``ParasiticModel`` on the tile, and the refusal says so."""
+        with pytest.raises(ConfigurationError, match="ParasiticModel"):
+            NoiseConfig(programming_noise=False, read_noise=False, ir_drop=True)
+        assert not NoiseConfig().ir_drop and not NoiseConfig.paper_default().ir_drop
+
     def test_stuck_at_fault_count_matches_rate(self):
         params = DeviceParameters()
         model = StuckAtFaultModel(params, rate=0.5)
