@@ -29,7 +29,7 @@ __all__ = ["AdcSpec", "AnalogToDigitalConverter", "SarAdc", "RampAdc", "make_adc
 
 @dataclass(frozen=True)
 class AdcSpec:
-    """Resolution and cost parameters of one ADC instance."""
+    """Resolution and cost parameters of an ADC family (Table 3)."""
 
     resolution_bits: int = 8
     power_mw: float = 1.5
