@@ -115,7 +115,9 @@ profile:
 # exact-path DarthPumDevice.exec_mvm_batch at the three paper shapes and an
 # 8-tile row band (128x16 on HctConfig.small()) -- untraced us and function
 # calls per call and per tile, and the time spent in the accumulator sync,
-# input validation, the cost ledger and the matmul itself.  pool-call: one
+# input validation, the cost ledger and the matmul itself, and (settle) one
+# read of the tile ledgers and counters after 1000 calls, folding what the
+# calls counted instead of charging.  pool-call: one
 # steady-state DevicePool.exec_mvm_batch at batch 16 on a one-band 64x64
 # allocation and on the pool_sharded layout (256x16, 2 bands x 2 replicas,
 # verify="full") -- us and Python-level calls, split into the pool's own

@@ -113,10 +113,13 @@ DEVICE_CALL_BATCH = 32
 #: words, their unpack into bit planes is paid only when a register is read:
 #: ``flush_us``, timed apart), the arbiter reservations (``reserve`` and its
 #: ``acquire`` per output pipeline) and the replay's counter updates
-#: (``_replay``'s own time).  ``ledger_us`` is the receipts' per-category
-#: totals and the runtime charge (``charge_streams``, one frame for every
-#: ledger of the call; ``charge_stream``, which calls it, is not on the
-#: exact path).  An older ``src/`` replays per tile through
+#: (``_replay``'s own time: one count on the program, or on an older
+#: ``src/`` a walk over every crossbar and counter).  ``ledger_us`` is the
+#: runtime charge (``charge_streams``, one frame; on an older ``src/`` the
+#: same frame also added every tile ledger's per-category totals;
+#: ``charge_stream``, which calls it, is not on the exact path).  What the
+#: call counted and did not charge is folded by the first read after it:
+#: ``settle_us``, timed apart over 1 000 calls.  An older ``src/`` replays per tile through
 #: ``_replay_receipt``, stores with ``set_vr_words``, ``set_vr_planes`` or
 #: ``set_vr_bits``, reserves through ``acquire``, commits through
 #: ``_commit_schedule`` (its ledger charge lands in ``ledger_us``) and
@@ -337,17 +340,41 @@ def register_flush_us(call, device, allocation, input_bits: int,
     return total / loops * 1e6
 
 
+def settle_us(call, device, allocation, calls: int = 1000, repeats: int = 5) -> float:
+    """Best-of-``repeats`` stopwatch microseconds of one read of every
+    target a call counts on -- each tile's ledger, IIU and transpose unit
+    and each crossbar of the allocation -- after ``calls`` steady calls:
+    what folding ``calls`` pending calls costs (on an older ``src/``, which
+    charged them during the calls, the read alone)."""
+    blocks = [(hct, handle) for _, hct, handle in device._tiles(allocation)]
+    crossbars = [hct.ace.crossbar(array_id) for hct, handle in blocks
+                 for array_id in handle.array_ids]
+    best = float("inf")
+    for _ in range(repeats):
+        for _ in range(calls):
+            call()
+        start = time.perf_counter()
+        for hct, _ in blocks:
+            hct.ledger.cycle_units, hct.iiu.injections, hct.transpose_unit.vector_count
+        for crossbar in crossbars:
+            crossbar.mvm_count
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6
+
+
 def device_call_breakdown(loops: int = 2000) -> None:
     """Print the per-call breakdown of the exact path at the device-call shapes."""
     print(f"# steady-state DarthPumDevice.exec_mvm_batch, exact path, batch "
           f"{DEVICE_CALL_BATCH}: us per call.  total/estimate/matmul are untraced "
           "best-of-9;\n# sync/validate/ledger are cProfile times of the same call "
-          "(inflated by the probe, compare them with each other); flush is the\n"
+          "(inflated by the probe, compare them with each other); settle is the\n"
+          "# stopwatch time of one read of every tile ledger and counter after 1000 "
+          "calls, folding what they counted; flush is the\n"
           "# stopwatch time to read the accumulator registers back after a call "
           "(not part of the call)")
     header = ["shape", "tiles", "total_us", "us_per_tile", "estimate_us",
               "matmul_us", "py_calls", "calls_per_tile", "c_calls"]
-    header += list(DEVICE_CALL_PARTS) + ["flush_us"]
+    header += list(DEVICE_CALL_PARTS) + ["settle_us", "flush_us"]
     print("  ".join(f"{column:>18}" for column in header))
     for label in DEVICE_CALL_SHAPES:
         call, device, allocation = device_call_at(label)
@@ -382,6 +409,7 @@ def device_call_breakdown(loops: int = 2000) -> None:
                f"{estimate_us:.1f}", f"{matmul_us:.1f}", str(python_calls),
                f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
+        row.append(f"{settle_us(call, device, allocation):.1f}")
         flush_us = register_flush_us(call, device, allocation,
                                      DEVICE_CALL_SHAPES[label][2], loops)
         row.append(f"{flush_us:.1f}")

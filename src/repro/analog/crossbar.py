@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import CapacityError, DeviceError
-from ..metrics import CostLedger
+from ..metrics import CostLedger, Settled
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, NoiseStack, ParasiticModel
 from .adc import AnalogToDigitalConverter, SarAdc
 from .dac import DigitalToAnalogConverter
@@ -139,6 +139,11 @@ class CrossbarOutput:
 class AnalogCrossbar:
     """A ``rows x cols`` multi-level-cell analog crossbar with periphery."""
 
+    _claim = None
+    #: Number of MVM operations executed (utilisation statistics); a replay
+    #: program counts its steps lazily (:class:`~repro.metrics.Settled`).
+    mvm_count = Settled("mvm_count")
+
     def __init__(
         self,
         rows: int = 64,
@@ -178,8 +183,10 @@ class AnalogCrossbar:
         #: compared value for value when the slice was written (one of the
         #: two conditions of :func:`~repro.analog.kernels.exact_path_eligible`).
         self.programmed_ideal = False
-        #: Number of MVM operations executed (utilisation statistics).
         self.mvm_count = 0
+
+    def _fold(self, steps: int, calls: int) -> None:
+        self._mvm_count += calls * steps
 
     # ------------------------------------------------------------------ #
     # Programming                                                          #

@@ -21,6 +21,7 @@ from ..analog.bitslicing import ShiftAddPlan
 from ..digital.microops import WordOpCost, WordOpKind
 from ..digital.pipeline import BitPipeline
 from ..errors import RegisterLiveError
+from ..metrics import Settled
 
 __all__ = ["InjectionTableEntry", "InstructionInjectionUnit"]
 
@@ -44,9 +45,15 @@ class InstructionInjectionUnit:
     #: Counter tracking how many entries have been injected so far.
     counter: int = 0
     #: µop sequences injected over the unit's lifetime (statistics).
-    injections: int = 0
+    injections: int = Settled("injections")
     #: Front-end instruction slots saved by injecting locally (statistics).
-    front_end_slots_saved: int = 0
+    front_end_slots_saved: int = Settled("front_end_slots_saved")
+    #: Both counters are replay targets (:class:`~repro.metrics.Settled`).
+    _claim = None
+
+    def _fold(self, amount: Tuple[int, int], calls: int) -> None:
+        self._injections += calls * amount[0]
+        self._front_end_slots_saved += calls * amount[1]
 
     def configure(self, plan: ShiftAddPlan, accumulator_vr: int, staging_vrs: Sequence[int]) -> None:
         """Program the table for a new vACore / MVM shape.

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics import Settled
+
 __all__ = ["TransposeUnit", "TransposeResult"]
 
 
@@ -32,9 +34,13 @@ class TransposeResult:
 class TransposeUnit:
     """Streams data between the analog row format and the digital column format."""
 
+    _claim = None
+    #: Number of vector transpositions performed (statistics); a replay
+    #: target (:class:`~repro.metrics.Settled`).
+    vector_count = Settled("vector_count")
+
     def __init__(self, elements_per_cycle: int = 8) -> None:
         self.elements_per_cycle = max(1, int(elements_per_cycle))
-        #: Number of vector transpositions performed (statistics).
         self.vector_count = 0
         #: Number of full matrix transpositions performed (statistics).
         self.matrix_count = 0
@@ -60,3 +66,6 @@ class TransposeUnit:
         cycles = float(-(-matrix.size // self.elements_per_cycle))
         self.matrix_count += 1
         return TransposeResult(values=matrix.T.copy(), cycles=cycles)
+
+    def _fold(self, vectors: int, calls: int) -> None:
+        self._vector_count += calls * vectors

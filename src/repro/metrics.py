@@ -19,10 +19,20 @@ puts a float on the grid once, where a charge, run, receipt or plan is
 built; after that every sum is exact, so a total does not depend on the
 order of its additions.  The public reads (``cycles``, ``energy_pj``, the
 breakdowns, :meth:`CostLedger.snapshot`) convert back to cycles and pJ.
+
+A replay program (``repro.plan.backends._replay``) charges a steady call
+lazily: it counts the call on its :class:`Pending` record, and each target
+-- a ledger, a crossbar's ``mvm_count``, a tile's IIU and transpose-unit
+counters -- folds ``calls x tally`` into its :class:`Settled` fields the
+first time one of them is read or written (:func:`settle`).  A target holds
+at most one pending program (:func:`claim`), so what it reads is what
+charging every call at once would have left, to the unit and in category
+order.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -103,6 +113,69 @@ class CostSnapshot:
     energy_breakdown: Mapping[str, float]
 
 
+class Pending:
+    """The calls a replay program has made since it was bound: ``calls``
+    counts them (only the replaying thread writes it), and ``claimed`` says
+    whether the program is still the pending one of each of its targets."""
+
+    calls = 0
+    claimed = False
+
+
+#: Held while a target folds or changes hands: a read on another thread
+#: cannot fold the same calls twice.
+_SETTLING = threading.RLock()
+
+
+def settle(target) -> None:
+    """Fold into ``target`` what its pending program replayed since the
+    target last folded: ``calls x amount`` through ``target._fold``."""
+    held = target._claim
+    if held is not None and held[0].calls != held[2]:
+        with _SETTLING:
+            held = target._claim
+            folded, held[2] = held[2], held[0].calls
+            if held[2] != folded:
+                target._fold(held[1], held[2] - folded)
+
+
+def claim(pending: Pending, effects) -> None:
+    """Count one call of ``pending``'s program by charging it at once, and
+    make the program the pending one of every ``(target, amount)`` in
+    ``effects``: what a target held is folded first, and the program that
+    held it is told it no longer does.  So the call that claims a target
+    adds its categories to a ledger where charging it would have."""
+    with _SETTLING:
+        for target, amount in effects:
+            settle(target)
+            if target._claim is not None:
+                target._claim[0].claimed = False
+            target._fold(amount, 1)
+            target._claim = [pending, amount, pending.calls + 1]
+        pending.calls += 1
+        pending.claimed = True
+
+
+class Settled:
+    """The additive field ``name`` of a replay target, stored as
+    ``_<name>``: every read and write settles the target first.  Read on
+    the class, it is 0 (the default a dataclass takes for it)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = "_" + name
+
+    def __get__(self, target, owner=None):
+        if target is None:
+            return 0
+        if target._claim is not None:
+            settle(target)
+        return target.__dict__[self.name]
+
+    def __set__(self, target, value) -> None:
+        settle(target)
+        target.__dict__[self.name] = value
+
+
 @dataclass
 class CostLedger:
     """Accumulates cycles and energy, each attributed to a named category.
@@ -118,12 +191,18 @@ class CostLedger:
     charged the same values hold the same ints whatever the order of the
     charges or merges.  ``cycles``, ``energy_pj``, ``cycle_breakdown`` and
     ``energy_breakdown`` read them back in cycles and pJ.
+
+    A tile's ledger is a replay target: the four fields are
+    :class:`Settled`, so every read of them (``repr``, ``==``,
+    :meth:`snapshot`, :meth:`merge`) and every charge first folds the calls
+    its pending replay program made.
     """
 
     cycle_units: int = 0
     energy_units: int = 0
     cycle_parts: Dict[str, int] = field(default_factory=dict)
     energy_parts: Dict[str, int] = field(default_factory=dict)
+    _claim = None
 
     @property
     def cycles(self) -> float:
@@ -153,12 +232,8 @@ class CostLedger:
         """
         cycles = units(cycles) if cycles else 0
         energy = units(energy_pj) if energy_pj else 0
-        if cycles:
-            self.cycle_units += cycles
-            self.cycle_parts[category] = self.cycle_parts.get(category, 0) + cycles
-        if energy:
-            self.energy_units += energy
-            self.energy_parts[category] = self.energy_parts.get(category, 0) + energy
+        charge_streams(((self, (cycles, energy, ((category, cycles),) if cycles else (),
+                                ((category, energy),) if energy else ())),))
 
     def charge_stream(self, totals: Tally) -> None:
         """Add a charge stream compiled by :func:`checked_runs` (or
@@ -166,9 +241,12 @@ class CostLedger:
         charge_streams(((self, totals),))
 
     def merge(self, other: "CostLedger") -> None:
-        """Fold ``other`` into this ledger in place."""
-        self.charge_stream((other.cycle_units, other.energy_units,
-                            other.cycle_parts.items(), other.energy_parts.items()))
+        """Fold ``other`` into this ledger in place: its parts are copied
+        first, each dict in one step, so a ledger another thread charges
+        meanwhile merges whole."""
+        cycles, energy = tuple(other.cycle_parts.items()), tuple(other.energy_parts.items())
+        self.charge_stream((sum(value for _, value in cycles),
+                            sum(value for _, value in energy), cycles, energy))
 
     def snapshot(self) -> CostSnapshot:
         """Return an immutable copy of the current totals."""
@@ -179,20 +257,33 @@ class CostLedger:
             energy_breakdown=self.energy_breakdown,
         )
 
+    def _fold(self, totals: Tally, calls: int) -> None:
+        charge_streams(((self, totals),), calls)
 
-def charge_streams(charges: Iterable[Tuple[CostLedger, Tally]]) -> None:
-    """:meth:`CostLedger.charge_stream` of each ``(ledger, tally)``, in
-    order, in one frame: the body of every stream update, and how a replay
-    program charges all its ledgers at once."""
+
+def charge_streams(charges: Iterable[Tuple[CostLedger, Tally]], calls: int = 1) -> None:
+    """:meth:`CostLedger.charge_stream` of each ``(ledger, tally)``,
+    ``calls`` times, in order, in one frame: the body of every stream
+    update, how a replay program charges the ledger it charges at once (the
+    device's runtime ledger) and how a ledger folds its pending calls.
+    Each ledger is settled first."""
     for ledger, (cycles, energy, cycle_items, energy_items) in charges:
-        ledger.cycle_units += cycles
-        ledger.energy_units += energy
-        parts = ledger.cycle_parts
+        if ledger._claim is not None:
+            settle(ledger)
+        ledger._cycle_units += calls * cycles
+        ledger._energy_units += calls * energy
+        parts = ledger._cycle_parts
         for category, value in cycle_items:
-            parts[category] = parts.get(category, 0) + value
-        parts = ledger.energy_parts
+            parts[category] = parts.get(category, 0) + calls * value
+        parts = ledger._energy_parts
         for category, value in energy_items:
-            parts[category] = parts.get(category, 0) + value
+            parts[category] = parts.get(category, 0) + calls * value
+
+
+# The dataclass made ``__init__``, ``__repr__`` and ``__eq__`` over the four
+# fields; from here on they are read and written through :class:`Settled`.
+for _name in ("cycle_units", "energy_units", "cycle_parts", "energy_parts"):
+    setattr(CostLedger, _name, Settled(_name))
 
 
 def merge_ledgers(ledgers: Iterable[CostLedger]) -> CostLedger:

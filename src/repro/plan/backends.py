@@ -47,7 +47,7 @@ from ..analog.kernels import ace_forward_vectorized, dot_bound, validate_input_r
 from ..core.arbiter import reserve
 from ..digital.pipeline import BitPipeline
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
-from ..metrics import UNITS, charge_streams
+from ..metrics import UNITS, charge_streams, claim
 from .ir import DevicePlan, HctBatchMvmResult, MvmPlan
 
 __all__ = [
@@ -130,26 +130,31 @@ def _replay(program) -> None:
     ``program`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s (one tile) or
     a :class:`~repro.plan.ir.DevicePlan` entry's (every block of the
     allocation, the device's runtime charge and the accumulator stores).
-    Replays the reference interpreter's accounting exactly: each ledger's
-    charges as one update by per-category totals
-    (:func:`~repro.metrics.charge_streams`), the crossbars' ``mvm_count``,
-    the IIU and transpose-unit counters by the receipts' totals, the
-    schedule commits' arbiter reservations and clock advances
-    (:func:`~repro.core.arbiter.reserve`) and the accumulator stores
-    (:meth:`~repro.digital.pipeline.BitPipeline.store_words`).  The one
-    replay body of the per-tile backends (:func:`_account_batch`, which
-    binds a program per call) and of the whole-allocation contraction
-    (:func:`execute_device_plan`, whose program is bound once per batch
-    size), so the two cannot drift.
+    Replays the reference interpreter's accounting exactly.  The additive
+    effects -- the tile ledgers' per-category totals, the crossbars'
+    ``mvm_count``, the IIU and transpose-unit counters -- cost one count
+    on the program's :class:`~repro.metrics.Pending` record: each target
+    folds ``calls x tally`` when it is next read or written
+    (:func:`~repro.metrics.settle`).  The first call, and the first after
+    another program (another batch size, the per-tile path) claimed one of
+    them, charges at once and claims them all back, folding what they held
+    first (:func:`~repro.metrics.claim`).  The rest stays eager: the runtime
+    ledger's charge (:func:`~repro.metrics.charge_streams`; the pool reads
+    it once per served batch), the schedule commits' arbiter reservations
+    and clock advances (:func:`~repro.core.arbiter.reserve`) and the
+    accumulator stores (:meth:`~repro.digital.pipeline.BitPipeline.store_words`),
+    which are state, not sums.  The one replay body of the per-tile
+    backends (:func:`_account_batch`) and of the whole-allocation
+    contraction (:func:`execute_device_plan`), whose programs are both
+    bound once, so the two cannot drift.
     """
-    charges, crossbars, counters, reservations, registers = program
-    charge_streams(charges)
-    for crossbar, steps in crossbars:
-        crossbar.mvm_count += steps
-    for iiu, injections, slots_saved, transpose_unit, n_adds in counters:
-        iiu.injections += injections
-        iiu.front_end_slots_saved += slots_saved
-        transpose_unit.vector_count += n_adds
+    pending, effects, charges, reservations, registers = program
+    if pending.claimed:
+        pending.calls += 1
+    else:
+        claim(pending, effects)
+    if charges:
+        charge_streams(charges)
     if reservations:
         reserve(reservations)
     if registers:
@@ -177,14 +182,13 @@ def _account_batch(
     batch = vectors.shape[0]
     handle = plan.handle
     receipt = tile.planner.receipt_for(plan, batch, active_adc_bits)
-    program = receipt.bind(tile, plan, tile.digital_post_processing, optimized)
-    _replay(program)
-    ((_, totals),) = program[0]
-    cycle_units, energy_units = totals[:2]
+    digital = tile.digital_post_processing
+    _replay(receipt.bind(tile, plan, digital, optimized))
+    cycle_units, energy_units, _, _ = receipt.digital[not optimized] if digital else receipt.analog
     estimated = shard_totals is None
     values = np.zeros((batch, handle.shape[1]), dtype=np.int64)
 
-    if not tile.digital_post_processing:
+    if not digital:
         # Expert mode: the raw shift-and-add reduction, no DCE truncation.
         if not estimated:
             for shard, totals in zip(plan.kernel.tiles, shard_totals):
@@ -238,12 +242,12 @@ def execute_device_plan(plan: DevicePlan, vectors: np.ndarray) -> Optional[np.nd
     operand row per band holding that band's slice of the last row
     (:meth:`~repro.plan.ir.DevicePlan.operands`) -- exact integers too, so
     no order of additions changes a bit.  Then the entry's replay program,
-    bound for this batch size, runs in one frame (:func:`_replay`): every
-    block's receipt against its own ledger and counters, the
-    ``runtime.mvm_batch`` charge of all blocks against the device's
-    runtime ledger, and the accumulator VRs kept as words
+    bound for this batch size, runs in one frame (:func:`_replay`): the
+    call is counted for every block's ledger and counters (folded when
+    read), the ``runtime.mvm_batch`` charge of all blocks goes to the
+    device's runtime ledger, and the accumulator VRs are kept as words
     (``BitPipeline.store_words``, unpacked only if read), so every ledger
-    and register ends where the per-tile loop leaves it.  The returned
+    and register reads as the per-tile loop leaves it.  The returned
     array shares nothing with the registers.
 
     Returns ``None``, having touched nothing, when a block has left the

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..analog.bitslicing import ShiftAddPlan
 from ..analog.kernels import analog_step_costs
-from ..metrics import CostLedger, Tally, tally, units
+from ..metrics import CostLedger, Pending, Tally, tally, units
 
 __all__ = [
     "BatchReceipt",
@@ -302,30 +302,45 @@ class BatchReceipt:
     optimized_cycles: float
     unoptimized_cycles: float
     breakdown: Mapping[str, float]
+    #: :meth:`bind`'s programs by ``(digital, optimized)``.
+    programs: Dict = field(default_factory=dict, repr=False, compare=False)
 
     def bind(self, tile, plan: "MvmPlan", digital: bool = True, optimized: bool = True) -> Tuple:
         """This batch's side effects on ``tile``, as a one-tile replay program.
 
-        A program is what ``repro.plan.backends._replay`` runs: ``(charges,
-        crossbars, counters, reservations, registers)``, each a flat tuple
-        over tiles -- ``(ledger, tally)`` per ledger, ``(crossbar, steps)``
-        per crossbar, ``(iiu, injections, slots_saved, transpose unit,
-        n_adds)`` and ``(arbiter, output resources, optimized cycles,
-        charged cycles)`` per tile with digital post-processing on,
-        ``(pipeline, vr, words)`` per accumulator store.  With digital
-        post-processing on, the tally is the schedule's :attr:`digital`
-        entry; in raw analog mode it is :attr:`analog`, and there are no
-        counters or reservations.  A tile stores its own registers, so
-        ``registers`` is empty here; a :class:`DevicePlan` entry
-        concatenates the programs of all its tiles and adds its stores.
+        A program is what ``repro.plan.backends._replay`` runs: ``(pending,
+        effects, charges, reservations, registers)``.  ``effects`` are the
+        additive ones, counted per call on ``pending``
+        (:class:`~repro.metrics.Pending`) and folded by their targets when
+        read: ``(ledger, tally)``, ``(crossbar, steps)`` per crossbar, and
+        with digital post-processing on ``(iiu, (injections, slots
+        saved))`` and ``(transpose unit, n_adds)``.  The rest run every
+        call: ``(ledger, tally)`` per eager charge, ``(arbiter, output
+        resources, optimized cycles, charged cycles)`` per tile with digital
+        post-processing on, ``(pipeline, vr, words)`` per accumulator
+        store.  With digital post-processing on, the tally is the
+        schedule's :attr:`digital` entry; in raw analog mode it is
+        :attr:`analog`, and there are no counters or reservations.  A tile
+        charges nothing eagerly and stores its own registers, so those are
+        empty here; a :class:`DevicePlan` entry concatenates the effects
+        and reservations of all its tiles and adds its runtime charge and
+        stores.  A receipt belongs to one plan, so to one tile: each
+        program is bound once and kept in :attr:`programs`.
         """
-        steps = tuple((crossbar, self.mvm_steps) for crossbar in plan.crossbars)
-        if not digital:
-            return ((tile.ledger, self.analog),), steps, (), (), ()
-        charged = self.optimized_cycles if optimized else self.unoptimized_cycles
-        return (((tile.ledger, self.digital[not optimized]),), steps,
-                ((tile.iiu, self.injections, self.slots_saved, tile.transpose_unit, self.n_adds),),
-                ((tile.arbiter, plan.output_resources, self.optimized_cycles, charged),), ())
+        program = self.programs.get((digital, optimized))
+        if program is None:
+            steps = tuple((crossbar, self.mvm_steps) for crossbar in plan.crossbars)
+            if not digital:
+                program = Pending(), ((tile.ledger, self.analog), *steps), (), (), ()
+            else:
+                charged = self.optimized_cycles if optimized else self.unoptimized_cycles
+                program = (Pending(), ((tile.ledger, self.digital[not optimized]), *steps,
+                                       (tile.iiu, (self.injections, self.slots_saved)),
+                                       (tile.transpose_unit, self.n_adds)), (),
+                           ((tile.arbiter, plan.output_resources, self.optimized_cycles,
+                             charged),), ())
+            self.programs[digital, optimized] = program
+        return program
 
 
 @dataclass
@@ -566,13 +581,16 @@ class DevicePlan:
         the answer's last row (``extra = 0``, ``spread`` and ``last`` are
         ``None``).  ``accumulators`` is the product's last ``row_bands``
         rows, and ``registers`` the int64 ``(row_bands, cols)`` block they
-        are stored into.  ``program`` is
-        every block's :meth:`BatchReceipt.bind` program concatenated, with
-        the runtime ledger's charge (per block, ``runtime.mvm_batch`` with
-        its optimized cycles and the energy its receipt charges) after the
-        blocks' and per output pipeline ``(pipeline, vr, words)``,
-        ``words`` a view of ``registers``.  The receipts are looked up here,
-        so a steady call looks up nothing and adds nothing up.
+        are stored into.  ``program`` has its own
+        :class:`~repro.metrics.Pending` record and the effects and
+        reservations of every block's :meth:`BatchReceipt.bind` program,
+        one eager charge, the runtime ledger's (per block,
+        ``runtime.mvm_batch`` with its optimized cycles and the energy its
+        receipt charges), and per output pipeline ``(pipeline, vr,
+        words)``, ``words`` a view of ``registers``.  The receipts are
+        looked up here, so a steady call looks up nothing and adds nothing
+        up; its tile ledgers and counters fold ``calls x tally`` when read.
+        Each block has a tile of its own, so no target appears twice.
         """
         entry = self.scratch.get(batch)
         if entry is None:
@@ -590,8 +608,9 @@ class DevicePlan:
                            for pipeline, offset, width in outputs]
                 runtime.append(("runtime.mvm_batch", units(receipt.optimized_cycles),
                                 receipt.digital[0][1]))
-            charges, *parts, _ = (sum(part, ()) for part in zip(*programs))
-            program = (charges + ((self.ledger, tally(runtime)),), *parts, tuple(stores))
+            effects, reservations = (sum((bound[i] for bound in programs), ()) for i in (1, 3))
+            program = (Pending(), effects, ((self.ledger, tally(runtime)),), reservations,
+                       tuple(stores))
             spread = last = None
             if extra:  # band b's slice of the last row, into extra row b
                 spread = as_strided(operand[batch:], (row_bands, band_rows), (

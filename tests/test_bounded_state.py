@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import sys
+import time
 import tracemalloc
 import weakref
 from collections import deque
@@ -33,6 +35,7 @@ from repro import (
     HctConfig,
     PumServer,
     StaticBatchingPolicy,
+    ThreadedServerDriver,
 )
 from repro.plan import DevicePlan
 from repro.plan.backends import default_backend
@@ -386,6 +389,27 @@ class TestDroppedChipIsFreedByReferenceCounting:
         del device, allocation
         assert [ref() for ref in refs] == [None] * len(refs)
 
+    def test_del_device_with_unsettled_charges_frees_ledgers_and_crossbars(
+            self, no_cycle_collector):
+        """A target holds its pending program, never the reverse: a device
+        dropped with calls not yet folded into its tiles frees them."""
+        device = DarthPumDevice(config=small_chip(8))
+        allocation = self._program(device)
+        vectors = derive_rng("refcount-unsettled").integers(0, 16, size=(8, 128))
+        for _ in range(3):
+            device.exec_mvm_batch(allocation, vectors, input_bits=4, backend="vectorized")
+        tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+        crossbars = [tile.ace.crossbar(array_id)
+                     for tile, handle in zip(tiles, allocation.handles.values())
+                     for array_id in handle.array_ids]
+        targets = [*crossbars, *(part for tile in tiles
+                                 for part in (tile.ledger, tile.iiu, tile.transpose_unit))]
+        assert all(target._claim[0].calls > target._claim[2] for target in targets)
+        refs = [weakref.ref(target) for target in targets]
+        assert len(refs) == 8 * 4 + 8 * 3
+        del device, allocation, tiles, crossbars, targets
+        assert [ref() for ref in refs] == [None] * len(refs)
+
     def test_a_plan_kept_past_its_device_fails_with_reference_error(self):
         device = DarthPumDevice(config=small_chip(8))
         matrix = derive_rng("refcount-kept").integers(-8, 8, size=(32, 16))
@@ -551,3 +575,48 @@ class TestResolvedClusterWaveIsFreed:
             await gw.close()
 
         asyncio.run(scenario())
+
+
+class TestThreadedReadsLoseNoCharge:
+    def test_reading_the_pool_ledger_while_the_driver_ticks(self, monkeypatch):
+        """The main thread reads ``pool.total_ledger()`` over and over while a
+        ``ThreadedServerDriver`` serves waves at 4- and 3-bit inputs in turn,
+        each in batches of 16, 16 and 5 (each batch size and precision takes
+        the targets of the one before, so calls both count and claim): the
+        ledger and counters end where an identical unread run's do."""
+        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+        rng = derive_rng("threaded-reads")
+        matrix = rng.integers(-8, 8, size=(32, 16))
+        waves = [(bits, rng.integers(0, 1 << bits, size=(37, 32)))
+                 for _ in range(8) for bits in (4, 3)]
+
+        def run(read):
+            server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(8)),
+                               scheduling=StaticBatchingPolicy(16, 1), queue_capacity=1024)
+            server.register_matrix("proj", matrix, element_size=4, input_bits=4)
+            futures, reads, deadline = [], 0, time.monotonic() + 30
+            with ThreadedServerDriver(server, tick_interval=0) as driver:
+                for bits, wave in waves:  # one at a time: batches of 16, 16, 5
+                    futures.append(server.submit_batch("proj", wave, input_bits=bits))
+                    while (not futures[-1][-1].done() and driver.error is None
+                           and time.monotonic() < deadline):
+                        if read:
+                            server.pool.total_ledger()
+                            reads += 1
+            for wave, (_, vectors) in zip(futures, waves):
+                assert np.array_equal(wave.columns()[1], vectors @ matrix)
+            tiles = [tile for device in server.pool.devices for tile in device.chip._tiles]
+            state = (repr(server.pool.total_ledger()),
+                     [(tile.iiu.injections, tile.iiu.front_end_slots_saved,
+                       tile.transpose_unit.vector_count) for tile in tiles])
+            server.pool.close()
+            return state, reads
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            read, reads = run(read=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads > 0
+        assert read == run(read=False)[0]

@@ -35,7 +35,9 @@ from repro.analog.crossbar import AnalogCrossbar
 from repro.analog.kernels import build_shard_kernel
 from repro.core.hct import HybridComputeTile
 from repro.digital.dce import DceConfig
+from repro import metrics
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
+from repro.metrics import merge_ledgers
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
 from repro.reram import NoiseConfig, ParasiticModel
 from repro.runtime.apps import (
@@ -635,6 +637,138 @@ class TestDevicePlanReplayState:
         call(32)
         compare(True)
         assert 32 in plan.scratch
+
+
+#: Every way the state a call leaves is read, from ``(device, tiles,
+#: crossbars)``; each is made the first read after the calls.
+DEVICE_READS = {
+    "repr": lambda device, tiles, _: [repr(tile.ledger) for tile in tiles],
+    "==": lambda device, tiles, _: [tile.ledger for tile in tiles],  # the assert's ``==``
+    "snapshot": lambda device, tiles, _: [tile.ledger.snapshot() for tile in tiles],
+    "breakdowns": lambda device, tiles, _: [
+        (list(tile.ledger.cycle_breakdown.items()), list(tile.ledger.energy_breakdown.items()))
+        for tile in tiles],
+    "merge_ledgers": lambda device, tiles, _: repr(merge_ledgers(tile.ledger for tile in tiles)),
+    "total_ledger": lambda device, tiles, _: repr(device.chip.total_ledger()),
+    "mvm_count": lambda device, tiles, crossbars: [crossbar.mvm_count for crossbar in crossbars],
+    "counters": lambda device, tiles, _: [
+        (tile.iiu.injections, tile.iiu.front_end_slots_saved, tile.transpose_unit.vector_count)
+        for tile in tiles],
+}
+DEVICE_READ_FORMS = sorted(DEVICE_READS)
+
+
+class TestLazySettle:
+    """A steady plan call only counts itself; its tile ledgers, crossbars
+    and IIU / transpose counters fold ``calls x tally`` when first read or
+    written.  After k calls every read form equals what the eager
+    ``reference`` interpreter charged over the same k calls (ledgers ``==``
+    on integer units, ``repr`` in category order), and every write placed
+    between calls settles first."""
+
+    CASE = "row_band_8_tiles"
+
+    def _twins(self):
+        """``{"lazy": plan path, "eager": reference}``: ``(device,
+        allocation, matrix, tiles, crossbars)`` each."""
+        twins = {}
+        for name in ("lazy", "eager"):
+            device, allocation, matrix = programmed_device(self.CASE)
+            tiles = [device.chip.hct(index) for index in allocation.hct_indices]
+            crossbars = [tile.ace.crossbar(array_id)
+                         for tile, handle in zip(tiles, allocation.handles.values())
+                         for array_id in handle.array_ids]
+            twins[name] = [device, allocation, matrix, tiles, crossbars]
+        return twins
+
+    def _call(self, twins, batch, rng, check=True):
+        input_bits = DEVICE_PLAN_CASES[self.CASE][2]
+        matrix = twins["lazy"][2]
+        vectors = rng.integers(0, 1 << input_bits, size=(batch, matrix.shape[0]))
+        for name, backend in (("lazy", "vectorized"), ("eager", "reference")):
+            device, allocation, matrix = twins[name][:3]
+            out = device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                        backend=backend)
+            assert np.array_equal(out, vectors @ matrix) or not check
+
+    @staticmethod
+    def _reads(twins, form=None):
+        forms = DEVICE_READ_FORMS if form is None else [form]
+        return [[DEVICE_READS[name](device, tiles, crossbars) for name in forms]
+                for device, _, _, tiles, crossbars in twins.values()]
+
+    def _k_calls_read_as_eager(self, form, calls=5):
+        twins = self._twins()
+        rng = derive_rng("kernels-lazy-settle", form)
+        for _ in range(calls):
+            self._call(twins, 32, rng)
+        tiles = twins["lazy"][3]
+        assert all(tile.ledger._claim[0].calls == calls for tile in tiles)
+        lazy, eager = self._reads(twins, form)
+        assert lazy == eager
+        assert self._reads(twins)[0] == self._reads(twins)[1]
+
+    @pytest.mark.parametrize("form", DEVICE_READ_FORMS)
+    def test_k_calls_read_as_k_eager_charges(self, form):
+        self._k_calls_read_as_eager(form)
+
+    def test_an_off_by_one_settle_fails(self, monkeypatch):
+        def long_settle(target):
+            held = target._claim
+            if held is not None and held[0].calls != held[2]:
+                calls, folded = held[0].calls, held[2]
+                held[2] = calls
+                target._fold(held[1], calls - folded + 1)
+
+        monkeypatch.setattr(metrics, "settle", long_settle)
+        for form in DEVICE_READ_FORMS:
+            with pytest.raises(AssertionError):
+                self._k_calls_read_as_eager(form)
+
+    @pytest.mark.parametrize("step", [
+        "charge", "rewind", "reprogram", "disable_digital_mode", "reference",
+        "gate_level", "batch_16", "evict", "release",
+    ])
+    def test_a_write_between_calls_settles_first(self, step):
+        twins = self._twins()
+        rng = derive_rng("kernels-lazy-settle-step", step)
+        for _ in range(3):
+            self._call(twins, 32, rng)
+        input_bits = DEVICE_PLAN_CASES[self.CASE][2]
+        for device, allocation, matrix, tiles, crossbars in twins.values():
+            first = allocation.placement.tiles[0]
+            handle = allocation.handles[first.hct_slot]
+            sub = derive_rng("kernels-lazy-settle-sub").integers(
+                0, 1 << input_bits, size=(3, first.row_end - first.row_start))
+            if step == "charge":
+                tiles[0].ledger.charge("test.between", cycles=2.5, energy_pj=0.75)
+            elif step == "rewind":
+                crossbars[0].rewind()
+            elif step == "reprogram":
+                matrix[...] = ~matrix  # -m - 1 stays in range
+                device.update_matrix(allocation, matrix)
+            elif step == "disable_digital_mode":
+                device.disable_digital_mode(allocation.hct_indices[1])
+            elif step == "reference":
+                tiles[0].execute_mvm_batch(handle, sub, input_bits=input_bits,
+                                           backend="reference")
+            elif step == "gate_level":
+                tiles[0].execute_mvm(handle, sub[0], input_bits=input_bits)
+            elif step == "release":
+                device.release(allocation)
+        if step == "batch_16":
+            for batch in (16, 32, 16, 16, 32):
+                self._call(twins, batch, rng)
+        elif step == "evict":
+            plan = twins["lazy"][0].device_plan(twins["lazy"][1], input_bits)
+            for batch in range(1, plan.SCRATCH_BATCH_SIZES + 1):
+                self._call(twins, batch, rng)
+            assert 32 not in plan.scratch
+        if step != "release":
+            for _ in range(2):
+                self._call(twins, 32, rng, check=step != "disable_digital_mode")
+        lazy, eager = self._reads(twins)
+        assert lazy == eager
 
 
 #: label -> (pipeline depth, element size, input bits) of a 40x20 matrix on

@@ -1,11 +1,23 @@
 """Tests for the cost-ledger accounting primitives."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import UNITS, CostLedger, checked_runs, geometric_mean, merge_ledgers, units
+from repro import metrics
+from repro.metrics import (
+    UNITS,
+    CostLedger,
+    Pending,
+    checked_runs,
+    geometric_mean,
+    merge_ledgers,
+    units,
+)
+from repro.plan.backends import _replay
 
 
 class TestCostLedger:
@@ -278,3 +290,133 @@ class TestPercentileSorted:
             percentile_sorted([], 50)
         with pytest.raises(ValueError):
             percentile_sorted([1.0], 101)
+
+
+# --------------------------------------------------------------------------- #
+# Lazy replay: a program's steady calls are counted, and its targets fold      #
+# ``calls x tally`` when read or written.                                      #
+# --------------------------------------------------------------------------- #
+STREAM_A = checked_runs((("ace.mvm", 3, 0.25, 0.1), ("dce.write", 2, 0.0, 0.3),
+                         ("hct.mvm_batch", 1, 7.5, 0.0)))
+STREAM_B = checked_runs((("dce.boolean", 1, 0.0, 0.7), ("ace.mvm", 2, 0.5, 0.05)))
+
+
+def _program(ledger, stream):
+    """A one-ledger replay program, as ``BatchReceipt.bind`` shapes one."""
+    return Pending(), ((ledger, stream),), (), (), ()
+
+
+def _parts(ledger):
+    """Every field, both part dicts in category order."""
+    return (ledger.cycle_units, ledger.energy_units,
+            list(ledger.cycle_parts.items()), list(ledger.energy_parts.items()))
+
+
+#: The ways a ledger is read, each the first read after the replays.
+READ_FORMS = {
+    "repr": repr,
+    "fields": _parts,
+    "snapshot": CostLedger.snapshot,
+    "breakdowns": lambda ledger: (list(ledger.cycle_breakdown.items()),
+                                  list(ledger.energy_breakdown.items())),
+    "totals": lambda ledger: (ledger.cycles, ledger.energy_pj),
+    "merge_ledgers": lambda ledger: _parts(merge_ledgers([CostLedger(), ledger])),
+    "merge": lambda ledger: ledger.merge(CostLedger()) or _parts(ledger),
+}
+
+
+def _replayed_like_eager(form, calls=5, earlier=(("ace.program", 1, 2.0, 3.5),)):
+    """``calls`` replays of one program against a ledger, then ``form``
+    first, compared with ``calls`` charges of the same stream."""
+    lazy, eager = _looped(earlier), _looped(earlier)
+    program = _program(lazy, STREAM_A)
+    for _ in range(calls):
+        _replay(program)
+        eager.charge_stream(STREAM_A)
+    assert lazy._cycle_units != eager._cycle_units  # something is pending
+    if form == "==":
+        assert lazy == eager
+    else:
+        assert READ_FORMS[form](lazy) == READ_FORMS[form](eager)
+    _assert_same_ledger(lazy, eager)
+
+
+@pytest.mark.parametrize("form", sorted(READ_FORMS) + ["=="])
+def test_k_replays_read_as_k_charges(form):
+    _replayed_like_eager(form)
+
+
+def test_an_off_by_one_settle_fails_the_equivalence(monkeypatch):
+    """The check above is not vacuous: a settle that folds one call too
+    few is caught by every read form."""
+    def short_settle(target):
+        held = target._claim
+        if held is not None and held[0].calls != held[2]:
+            calls, folded = held[0].calls, held[2]
+            held[2] = calls
+            target._fold(held[1], calls - folded - 1)
+
+    monkeypatch.setattr(metrics, "settle", short_settle)
+    for form in sorted(READ_FORMS) + ["=="]:
+        with pytest.raises(AssertionError):
+            _replayed_like_eager(form)
+
+
+def test_writes_between_replays_settle_first():
+    """A charge, a merge into the ledger and a second program claiming it,
+    each between replays: the ledger reads as the eager sequence, category
+    order included, and the program that lost the ledger claims it back."""
+    lazy, eager = CostLedger(), CostLedger()
+    first, second = _program(lazy, STREAM_A), _program(lazy, STREAM_B)
+    other = _looped((("extra", 2, 1.0, 1.0),))
+    steps = [first, first, "charge", first, second, second, first, "merge", first,
+             second, first, first]
+    for step in steps:
+        if step == "charge":
+            lazy.charge("between", cycles=1.5, energy_pj=0.5)
+            eager.charge("between", cycles=1.5, energy_pj=0.5)
+        elif step == "merge":
+            lazy.merge(other)
+            eager.merge(other)
+        else:
+            _replay(step)
+            eager.charge_stream(step[1][0][1])
+    _assert_same_ledger(lazy, eager)
+    assert first[0].claimed and not second[0].claimed
+    assert (first[0].calls, second[0].calls) == (7, 3)
+    assert list(lazy.cycle_parts) == ["ace.mvm", "hct.mvm_batch", "between", "extra"]
+
+
+def test_reads_on_another_thread_lose_and_double_nothing():
+    """One thread replays two programs in turn (each call after a switch
+    claims), the other reads the ledger throughout with the interpreter
+    switching threads as often as it can: the calls all land once."""
+    ledger, eager = CostLedger(), CostLedger()
+    first, second = _program(ledger, STREAM_A), _program(ledger, STREAM_B)
+    plan = [first] * 3 + [second] * 2
+    rounds = 10000
+    for _ in range(rounds):
+        for program in plan:
+            eager.charge_stream(program[1][0][1])
+    done = threading.Event()
+
+    def replay():
+        for _ in range(rounds):
+            for program in plan:
+                _replay(program)
+        done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=replay)
+        thread.start()
+        reads = 0
+        while not done.is_set() and thread.is_alive():
+            repr(ledger)
+            reads += 1
+        thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert done.is_set() and not thread.is_alive() and reads > 0
+    _assert_same_ledger(ledger, eager)
