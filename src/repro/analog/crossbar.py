@@ -183,7 +183,7 @@ class AnalogCrossbar:
         #: compared value for value when the slice was written (one of the
         #: two conditions of :func:`~repro.analog.kernels.exact_path_eligible`).
         self.programmed_ideal = False
-        self.mvm_count = 0
+        self._mvm_count = 0  # ``mvm_count``'s storage: a new array has no claim to settle
 
     def _fold(self, steps: int, calls: int) -> None:
         self._mvm_count += calls * steps

@@ -41,7 +41,7 @@ class TransposeUnit:
 
     def __init__(self, elements_per_cycle: int = 8) -> None:
         self.elements_per_cycle = max(1, int(elements_per_cycle))
-        self.vector_count = 0
+        self._vector_count = 0  # ``vector_count``'s storage: nothing to settle yet
         #: Number of full matrix transpositions performed (statistics).
         self.matrix_count = 0
 

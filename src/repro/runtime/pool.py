@@ -924,7 +924,9 @@ class DevicePool:
         Programming is not in it."""
         total = 0
         for device in self.devices:
-            total += device.ledger.energy_units
+            # A runtime ledger is charged eagerly, never a replay target, so
+            # its stored units are current: read them past the settle check.
+            total += device.ledger._energy_units
         return total
 
     def expected_mvm(self, allocation: PooledAllocation, vectors: np.ndarray) -> np.ndarray:
