@@ -28,6 +28,7 @@ from repro import (
     HctConfig,
     PumServer,
     StaticBatchingPolicy,
+    metrics,
 )
 from repro.analog.bitslicing import slice_inputs, slice_inputs_tensor
 from repro.analog.compensation import ParasiticCompensation
@@ -35,7 +36,6 @@ from repro.analog.crossbar import AnalogCrossbar
 from repro.analog.kernels import build_shard_kernel
 from repro.core.hct import HybridComputeTile
 from repro.digital.dce import DceConfig
-from repro import metrics
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.metrics import merge_ledgers
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
