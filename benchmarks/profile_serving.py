@@ -191,7 +191,9 @@ REGISTRATION_KINDS = {
 #: stage -> the functions whose self time (what no other listed function
 #: covers) it sums, as ``(owner, name)``.  ``memo_compare`` is the server's
 #: decision (the comparison with the live matrix); ``reprogram_rest`` the
-#: in-place path's own bookkeeping (checks, rewinds, checksums);
+#: in-place path's own bookkeeping (the range check, copies, checksums);
+#: ``program`` the arrays' rewinds and writes and the ACE write body's own
+#: time (its one charge per block);
 #: ``register_rest`` is placement, the device and tile bookkeeping and the
 #: pool's shard table; ``first_call`` is the wave itself once the kernel and
 #: the device plan exist.  ``shard_kernel_build`` / ``device_plan_compile``
@@ -201,12 +203,15 @@ REGISTRATION_STAGES = {
     "memo_compare": ((PumServer, "_holds"),),
     "reprogram_rest": ((DevicePool, "update_matrix"),
                        (session_module.DarthPumDevice, "update_matrix"),
+                       (session_module.DarthPumDevice, "_rewrite"),
                        (ace_module.AnalogComputeElement, "reprogram")),
     "release": ((DevicePool, "release"),),
-    "encode_slice_map": ((DifferentialPairs, "encode"), (ace_module, "slice_matrix"),
+    "encode_slice_map": ((DifferentialPairs, "encode"), (DifferentialPairs, "planes"),
+                         (ace_module, "slice_matrix"),
                          (ConductanceMapper, "value_to_conductance")),
     "crossbar_construct": ((ace_module.AnalogComputeElement, "_allocate_crossbar"),),
-    "program": ((AnalogCrossbar, "program_differential"), (AnalogCrossbar, "_program")),
+    "program": ((AnalogCrossbar, "program_differential"), (AnalogCrossbar, "_program"),
+                (AnalogCrossbar, "rewind"), (ace_module.AnalogComputeElement, "_write")),
     "tile_plan_compile": ((Planner, "_build"),),
     "shard_kernel_build": ((ace_module, "build_shard_kernel"),
                            (kernels.ShardKernel, "refresh")),

@@ -13,13 +13,14 @@ it is interpreted from the tile's compiled plan by the backends in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import AllocationError, CapacityError, ConfigurationError, QuantizationError
-from ..metrics import CostLedger
+from ..metrics import CostLedger, tally, units
 from ..reram import ConductanceMapper, DeviceParameters, NoiseConfig, ParasiticModel
 from .adc import AnalogToDigitalConverter, make_adc
 from .bitslicing import ShiftAddPlan, slice_matrix
@@ -41,14 +42,17 @@ __all__ = [
 _ENCODERS = {"differential": DifferentialPairs, "offset": OffsetSubtraction}
 
 
-def integer_matrix(matrix: np.ndarray) -> np.ndarray:
+def integer_matrix(matrix: np.ndarray, shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """``matrix`` as an array, refused unless it is 2-D with an integer
-    dtype: a float matrix must be quantised first, never truncated."""
+    dtype (a float matrix must be quantised first, never truncated) and,
+    when ``shape`` is given, of that shape: an in-place rewrite's."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise QuantizationError("set_matrix expects a 2-D matrix")
     if not np.issubdtype(matrix.dtype, np.integer):
         raise QuantizationError("set_matrix expects an integer (quantised) matrix")
+    if shape is not None and matrix.shape != shape:
+        raise QuantizationError(f"expected a matrix of shape {shape}")
     return matrix
 
 
@@ -166,7 +170,6 @@ class AnalogComputeElement:
         self.ledger = ledger if ledger is not None else CostLedger()
         self._crossbars: Dict[int, AnalogCrossbar] = {}
         self._free_arrays = list(range(self.config.num_arrays))
-        self._handles: Dict[int, MatrixHandle] = {}
         self._matrices: Dict[int, np.ndarray] = {}
         #: Per allocation, the ``(slices, 2, rows, cols)`` level block and
         #: conductance block ``set_matrix`` programmed; the crossbars and the
@@ -243,6 +246,8 @@ class AnalogComputeElement:
 
         The matrix is stored column-major over the bitlines: each output
         element of an MVM corresponds to one bitline of one column tile.
+        Every check comes first -- the encoder's range check is the only
+        scan of the values -- so a refused matrix takes no array.
         """
         matrix = integer_matrix(matrix)
         if bits_per_cell > self.device.max_bits_per_cell:
@@ -258,12 +263,8 @@ class AnalogComputeElement:
             )
         if representation not in _ENCODERS:
             raise QuantizationError(f"unknown representation {representation!r}")
-        # One pass each over the whole matrix -- encode, slice, map -- as
-        # (slices, 2, rows, cols) blocks: plane 0 positive, plane 1 negative.
-        levels = slice_matrix(
-            _ENCODERS[representation](value_bits).encode(matrix).planes, value_bits, bits_per_cell
-        )
-        conductances = ConductanceMapper(self.device, bits_per_cell).value_to_conductance(levels)
+        matrix = _ENCODERS[representation](value_bits).check(matrix)
+        num_slices = -(-value_bits // bits_per_cell)
         handle = MatrixHandle(
             handle_id=self._next_handle,
             shape=(rows, cols),
@@ -272,14 +273,25 @@ class AnalogComputeElement:
             representation=representation,
             row_tiles=-(-rows // self.config.array_rows),
             col_tiles=-(-cols // self.config.array_cols),
-            num_slices=len(levels),
+            num_slices=num_slices,
             array_ids=tuple([self._allocate_crossbar(bits_per_cell) for _ in range(needed)]),
         )
-        self._handles[handle.handle_id] = handle
-        self._matrices[handle.handle_id] = matrix.astype(np.int64)
-        self._programmed[handle.handle_id] = (levels, conductances)
+        self._matrices[handle.handle_id] = np.empty((rows, cols), dtype=np.int64)
+        blocks = (num_slices, 2, rows, cols)
+        levels, conductances = self._programmed[handle.handle_id] = (
+            np.empty(blocks, dtype=np.int64), np.empty(blocks))
         self._next_handle += 1
-        self._program_arrays(handle)
+        # Every array holds views of the blocks, in allocation order (row
+        # tile, column tile, weight slice), for as long as the handle lives.
+        arrays = iter(handle.array_ids)
+        height, width = self.config.array_rows, self.config.array_cols
+        for r0, c0 in itertools.product(range(0, rows, height), range(0, cols, width)):
+            tile = np.s_[:, r0: r0 + height, c0: c0 + width]
+            for slice_levels, slice_conductances in zip(levels, conductances):
+                crossbar = self._crossbars[next(arrays)]
+                crossbar._levels = slice_levels[tile]
+                crossbar._conductances = slice_conductances[tile]
+        self._write(handle, matrix)
         return handle
 
     def update_row(self, handle: MatrixHandle, row: int, values: np.ndarray) -> MatrixHandle:
@@ -298,50 +310,55 @@ class AnalogComputeElement:
         """Rewrite ``handle``'s arrays with ``matrix`` where they are.
 
         ``setMatrix`` over a live allocation of the same shape, and the one
-        body ``update_row`` / ``update_col`` ride: :meth:`set_matrix`'s
-        checks in its order, then the encoded matrix is sliced and mapped
-        into the allocation's own level and conductance blocks, and every
-        array -- rewound to the state it was built in -- programs its views
-        of them again, one ``ace.program`` charge each in allocation order.
-        That is what a release and a ``set_matrix`` onto the same arrays
-        would leave, but the handle, its arrays, its compiled plans and
-        their batch receipts stay, and so does the shard kernel they hold:
-        its recombined weights, read variance and exactness proof are
-        rewritten where they lie (:meth:`~repro.analog.kernels.ShardKernel.refresh`).
-        Returns ``handle``.
+        entry ``update_row`` / ``update_col`` ride: :meth:`set_matrix`'s
+        checks in its order, then its write body (:meth:`_write`) over the
+        allocation's own level and conductance blocks.  That is what a
+        release and a ``set_matrix`` onto the same arrays would leave, but
+        the handle, its arrays, its compiled plans and their batch receipts
+        stay, and so does the shard kernel they hold: its recombined
+        weights, read variance and exactness proof are rewritten where they
+        lie (:meth:`~repro.analog.kernels.ShardKernel.refresh`).  Returns
+        ``handle``.
         """
-        matrix = integer_matrix(matrix)
-        if matrix.shape != handle.shape:
-            raise QuantizationError(f"expected a matrix of shape {handle.shape}")
+        self._write(handle, self.encoding(handle).check(integer_matrix(matrix, handle.shape)))
+        return handle
+
+    def encoding(self, handle: MatrixHandle):
+        """The signed-number encoding ``handle`` is programmed with."""
+        return _ENCODERS[handle.representation](handle.value_bits)
+
+    def _write(self, handle: MatrixHandle, matrix: np.ndarray) -> None:
+        """Program ``matrix`` into ``handle``'s arrays: the one write body of
+        :meth:`set_matrix` and :meth:`reprogram`, and of a device's in-place
+        rewrite.  ``matrix`` has been checked at the entry it came through
+        (its encoder's ``check``), so nothing here scans it again.
+
+        It is encoded, sliced and mapped into the allocation's ``(slices, 2,
+        rows, cols)`` level and conductance blocks, one pass each.  Then every
+        array is rewound to the state it was built in and programs its views
+        of the blocks again; the block's programming is one ``ace.program``
+        charge, the sum of every array's integer units.  A live shard kernel
+        is refreshed where it lies.
+        """
         levels, conductances = self._programmed[handle.handle_id]
-        encoded = _ENCODERS[handle.representation](handle.value_bits).encode(matrix)
-        slice_matrix(encoded.planes, handle.value_bits, handle.bits_per_cell, out=levels)
+        slice_matrix(self.encoding(handle).planes(matrix), handle.value_bits,
+                     handle.bits_per_cell, out=levels)
         ConductanceMapper(self.device, handle.bits_per_cell).value_to_conductance(
             levels, out=conductances
         )
-        self._matrices[handle.handle_id][...] = matrix
+        stored = self._matrices[handle.handle_id]
+        stored[...] = matrix
+        cycles, energy = units(self.device.program_latency_cycles), self.device.program_energy_pj
+        charges = []
         for array_id in handle.array_ids:
-            self._crossbars[array_id].rewind()
-        self._program_arrays(handle)
+            crossbar = self._crossbars[array_id]
+            crossbar.rewind()
+            crossbar._program(crossbar._levels, crossbar._conductances)
+            charges.append(("ace.program", cycles, units(crossbar._levels.size * energy)))
+        self.ledger.charge_stream(tally(charges))
         kernel = self._kernels.get(handle.handle_id)
         if kernel is not None:
-            kernel.refresh(levels)
-        return handle
-
-    def _program_arrays(self, handle: MatrixHandle) -> None:
-        """Program ``handle``'s blocks into its arrays in allocation order
-        (row tile, column tile, weight slice), each array handed views of
-        the level and conductance blocks."""
-        levels, conductances = self._programmed[handle.handle_id]
-        array_rows, array_cols = self.config.array_rows, self.config.array_cols
-        array_ids = iter(handle.array_ids)
-        for r0 in range(0, handle.shape[0], array_rows):
-            for c0 in range(0, handle.shape[1], array_cols):
-                tile = np.s_[:, r0: r0 + array_rows, c0: c0 + array_cols]
-                for slice_levels, slice_conductances in zip(levels, conductances):
-                    self._crossbars[next(array_ids)]._program(
-                        slice_levels[tile], slice_conductances[tile]
-                    )
+            kernel.refresh(stored)
 
     def release(self, handle: MatrixHandle) -> None:
         """Free the arrays used by ``handle`` (disableAnalogMode path)."""
@@ -349,7 +366,6 @@ class AnalogComputeElement:
             self._crossbars.pop(array_id, None)
             self._free_arrays.append(array_id)
         self._free_arrays.sort()
-        self._handles.pop(handle.handle_id, None)
         self._matrices.pop(handle.handle_id, None)
         self._programmed.pop(handle.handle_id, None)
         self._kernels.pop(handle.handle_id, None)

@@ -36,18 +36,17 @@ def slice_matrix(
     value; the slices are stacked least significant first along a new
     leading axis, shape ``(num_slices, *matrix.shape)``.  Any array shape
     will do: the ACE slices both planes of an encoded matrix in one pass.
-    ``out``, an int64 block of that shape, receives the slices in place of
-    a new array -- after every check, so a refused matrix leaves it alone.
+    The values are not scanned: they must lie in ``[0, 2**value_bits)``,
+    which is what an encoder's ``check`` admits
+    (:mod:`repro.analog.numbers`), and every slice is masked to
+    ``[0, 2**bits_per_cell)`` whatever it is handed.  ``out``, an int64
+    block of that shape, receives the slices in place of a new array.
     """
     matrix = np.asarray(matrix)
     if not np.issubdtype(matrix.dtype, np.integer):
         raise QuantizationError("bit-slicing expects an integer matrix")
-    if matrix.size and np.minimum.reduce(matrix, axis=None) < 0:
-        raise QuantizationError("bit-slicing expects a non-negative matrix; encode sign first")
     if value_bits < 1 or bits_per_cell < 1:
         raise QuantizationError("value_bits and bits_per_cell must be >= 1")
-    if matrix.size and np.maximum.reduce(matrix, axis=None) >= (1 << value_bits):
-        raise QuantizationError(f"matrix values exceed {value_bits} bits")
     num_slices = -(-value_bits // bits_per_cell)
     shifts = np.arange(0, num_slices * bits_per_cell, bits_per_cell)
     slices = np.right_shift(

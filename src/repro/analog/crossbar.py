@@ -207,25 +207,29 @@ class AnalogCrossbar:
         negative = np.asarray(negative, dtype=np.int64)
         if positive.shape != negative.shape:
             raise DeviceError("positive and negative slices must have the same shape")
-        self._program(np.stack((positive, negative)))
-
-    def _program(self, levels: np.ndarray, ideal: Optional[np.ndarray] = None) -> None:
-        """Write the ``(2, rows, cols)`` level planes into the devices.
-
-        ``ideal`` is their ideal conductance mapping when the caller already
-        holds it: the ACE maps a whole matrix in one pass and hands every
-        crossbar views of its level and conductance blocks.  The block is
-        programmed in place -- a plane the error sources moved is
-        overwritten with what the devices hold, positive plane first -- and
-        kept as this crossbar's conductances.
-        """
+        levels = np.stack((positive, negative))
         if levels.shape[1] > self.rows or levels.shape[2] > self.cols:
             raise CapacityError(
                 f"slice of shape {levels.shape[1:]} does not fit a "
                 f"{self.rows}x{self.cols} crossbar"
             )
-        if ideal is None:
-            ideal = self.mapper.value_to_conductance(levels)
+        self._program(levels, self.mapper.value_to_conductance(self.mapper.check(levels)))
+        self.ledger.charge(
+            "ace.program",
+            cycles=self.device.program_latency_cycles,
+            energy_pj=levels.size * self.device.program_energy_pj,
+        )
+
+    def _program(self, levels: np.ndarray, ideal: np.ndarray) -> None:
+        """Write the ``(2, rows, cols)`` level planes, whose ideal
+        conductance mapping is ``ideal``, into the devices: the body of
+        :meth:`program_differential` and of the ACE's one write pass, which
+        hands every crossbar views of its level and conductance blocks and
+        charges the programming itself.  Nothing is checked or charged
+        here.  The block is programmed in place -- a plane the error
+        sources moved is overwritten with what the devices hold, positive
+        plane first -- and kept as this crossbar's conductances.
+        """
         self.programmed_ideal = True
         for plane in ideal:
             programmed = self.noise.program(plane)
@@ -235,21 +239,20 @@ class AnalogCrossbar:
                 plane[...] = programmed
         self._levels = levels
         self._conductances = ideal
-        self.ledger.charge(
-            "ace.program",
-            cycles=self.device.program_latency_cycles,
-            energy_pj=levels.size * self.device.program_energy_pj,
-        )
 
     def rewind(self) -> None:
         """Return the array to the state it was built in: its noise stream
         restarts from ``(seed, *noise_stream)`` (a stuck-at map is drawn
         anew) and no MVM is counted.  The ACE rewinds an array before it
         reprograms it in place, so what a noisy array answers does not
-        depend on what it held before."""
+        depend on what it held before.  The calls a pending replay program
+        counted here are thrown away, not folded first: the program stays
+        this array's and counts on from zero."""
         if self.noise._rng is not None:  # a stack that never drew is as built
             self.noise = NoiseStack(self.device, self.noise.config, self.noise.stream)
-        self.mvm_count = 0
+        if self._claim is not None:
+            self._claim[2] = self._claim[0].calls
+        self._mvm_count = 0
 
     def _programmed(self, planes: Optional[np.ndarray], index: int) -> np.ndarray:
         if planes is None:

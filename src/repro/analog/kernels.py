@@ -113,28 +113,26 @@ class ShardKernel:
     #: every tile's ``recombined`` is a window of it.
     recombined: np.ndarray
     tiles: Tuple[TileKernel, ...]
+    #: What the encoding adds to every value (``OffsetSubtraction.offset``;
+    #: 0 for differential pairs).
+    offset: int = 0
     #: Whether the proven-exact integer fast path may serve this allocation
     #: (ideal conductances and a verified-lossless ADC; see
     #: :func:`exact_path_eligible`).
     exact: bool = False
 
-    def refresh(self, levels: np.ndarray) -> None:
+    def refresh(self, matrix: np.ndarray) -> None:
         """Rewrite what the programmed values decide, where it lies.
 
-        ``levels`` is the allocation's ``(slices, 2, rows, cols)`` level
-        block.  The weight slices are recombined most significant first,
-        one ``(rows, cols)`` integer block at a time (no whole-block
-        temporary), and stored into the kernel's own float64 block; the
-        read variance is recomputed from the conductances the arrays now
-        hold, and ``exact`` is decided again by the same proof.  The
-        windows the tiles and plans hold see the new values.
+        ``matrix`` is the allocation's programmed integer matrix.  Its weight
+        slices recombine (``sum_s (pos_s - neg_s) << s*bits_per_cell``) to
+        the encoded difference, positive minus negative plane, which is
+        ``matrix + offset``: stored into the kernel's own float64 block in
+        one pass.  The read variance is recomputed from the conductances
+        the arrays now hold, and ``exact`` is decided again by the same
+        proof.  The windows the tiles and plans hold see the new values.
         """
-        work = np.subtract(levels[-1, 0], levels[-1, 1])
-        for plane in levels[-2::-1]:
-            work <<= self.bits_per_cell
-            work += plane[0]
-            work -= plane[1]
-        self.recombined[...] = work
+        np.add(matrix, self.offset, out=self.recombined)
         for tile in self.tiles:
             if tile.read_variance is not None:
                 tile.read_variance[...] = read_noise_variance(
@@ -210,7 +208,7 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
     rows, cols = handle.shape
     array_rows = ace.config.array_rows
     array_cols = ace.config.array_cols
-    levels, conductances = ace.programmed_planes(handle)
+    conductances = ace.programmed_planes(handle)[1]
     recombined = np.empty((rows, cols))
     tiles: List[TileKernel] = []
     index = 0
@@ -252,8 +250,9 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
         g_min=ace.device.g_min,
         recombined=recombined,
         tiles=tuple(tiles),
+        offset=ace.encoding(handle).offset,
     )
-    kernel.refresh(levels)
+    kernel.refresh(ace.stored_matrix(handle))
     return kernel
 
 

@@ -37,61 +37,69 @@ class EncodedMatrix:
     scheme: str
 
 
-def _checked(matrix: np.ndarray, scheme: str, limit: int, value_bits: int) -> np.ndarray:
-    """``matrix`` as an array, after the dtype and magnitude checks both
-    encoders make (one ``min`` and one ``max``, no boolean temporaries)."""
-    matrix = np.asarray(matrix)
-    if not np.issubdtype(matrix.dtype, np.integer):
-        raise QuantizationError(f"{scheme} encoding expects integer matrices")
-    if matrix.size and max(
-        int(np.maximum.reduce(matrix, axis=None)), -int(np.minimum.reduce(matrix, axis=None))
-    ) > limit:
-        raise QuantizationError(
-            f"matrix magnitude exceeds {limit} for {value_bits}-bit values"
-        )
-    return matrix
-
-
-class DifferentialPairs:
-    """Differential cell-pair encoding of signed integer matrices."""
-
-    name = "differential"
+class _Encoding:
+    """What both encodings share: a range check that states exactly what
+    ``value_bits``-bit slicing can hold once encoded, and :meth:`encode`
+    built on it and the scheme's unchecked :meth:`planes`."""
 
     def __init__(self, value_bits: int = 8) -> None:
         if value_bits < 1:
             raise QuantizationError("value_bits must be >= 1")
         self.value_bits = int(value_bits)
-        self.max_magnitude = 2 ** (value_bits - 1) if value_bits > 1 else 1
 
     def check(self, matrix: np.ndarray) -> np.ndarray:
-        """``matrix`` as an array, or the error :meth:`encode` would raise."""
-        return _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+        """``matrix`` as an array, or the error :meth:`encode` would raise:
+        the write path's one range check (one ``min`` and one ``max``, no
+        boolean temporaries)."""
+        matrix = np.asarray(matrix)
+        if not np.issubdtype(matrix.dtype, np.integer):
+            raise QuantizationError(f"{self.name} encoding expects integer matrices")
+        if matrix.size and (np.minimum.reduce(matrix, axis=None) < self.low
+                            or np.maximum.reduce(matrix, axis=None) > self.high):
+            raise QuantizationError(self.refusal)
+        return matrix
 
     def encode(self, matrix: np.ndarray) -> EncodedMatrix:
-        """Split a signed matrix into positive and negative magnitude parts."""
-        matrix = self.check(matrix)
+        """:meth:`planes` of ``matrix`` once :meth:`check` admits it."""
+        return EncodedMatrix(planes=self.planes(self.check(matrix)), offset=self.offset,
+                             scheme=self.name)
+
+
+class DifferentialPairs(_Encoding):
+    """Differential cell-pair encoding of signed integer matrices."""
+
+    name, offset = "differential", 0
+
+    def __init__(self, value_bits: int = 8) -> None:
+        super().__init__(value_bits)
+        self.high = 2 ** (value_bits - 1) if value_bits > 1 else 1
+        self.low = -self.high
+        self.refusal = f"matrix magnitude exceeds {self.high} for {self.value_bits}-bit values"
+
+    def planes(self, matrix: np.ndarray) -> np.ndarray:
+        """The positive and negative magnitude parts of a checked matrix."""
         planes = np.empty((2,) + matrix.shape, dtype=np.int64)
         np.maximum(matrix, 0, out=planes[0])
         np.minimum(matrix, 0, out=planes[1])
         np.negative(planes[1], out=planes[1])
-        return EncodedMatrix(planes=planes, offset=0, scheme=self.name)
+        return planes
 
 
-class OffsetSubtraction:
+class OffsetSubtraction(_Encoding):
     """Offset-subtraction encoding of signed integer matrices."""
 
     name = "offset"
 
     def __init__(self, value_bits: int = 8) -> None:
-        if value_bits < 1:
-            raise QuantizationError("value_bits must be >= 1")
-        self.value_bits = int(value_bits)
+        super().__init__(value_bits)
         self.offset = 2 ** (value_bits - 1)
-        self.max_magnitude = self.offset
+        # ``+offset`` would encode to ``2**value_bits``: one bit too wide.
+        self.low, self.high = -self.offset, self.offset - 1
+        self.refusal = (f"matrix values must lie in [{self.low}, {self.high}] for "
+                        f"{self.value_bits}-bit values")
 
-    def encode(self, matrix: np.ndarray) -> EncodedMatrix:
-        """Shift a signed matrix into the non-negative range ``[0, 2*offset]``."""
-        matrix = _checked(matrix, self.name, self.max_magnitude, self.value_bits)
+    def planes(self, matrix: np.ndarray) -> np.ndarray:
+        """A checked matrix shifted into ``[0, 2*offset)`` on the positive plane."""
         planes = np.zeros((2,) + matrix.shape, dtype=np.int64)
         np.add(matrix, self.offset, out=planes[0], dtype=np.int64)
-        return EncodedMatrix(planes=planes, offset=self.offset, scheme=self.name)
+        return planes

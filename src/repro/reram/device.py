@@ -91,20 +91,23 @@ class ConductanceMapper:
         self.num_levels = params.levels(self.bits_per_cell)
         self._step = params.conductance_range / (self.num_levels - 1)
 
+    def check(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as an array, refused unless every one is a level in
+        ``[0, num_levels - 1]``: what a caller hands a crossbar, where no
+        encoder and slicer produced it."""
+        values = np.asarray(values)
+        if values.size and (np.minimum.reduce(values, axis=None) < 0
+                            or np.maximum.reduce(values, axis=None) >= self.num_levels):
+            raise QuantizationError(f"values must be in [0, {self.num_levels - 1}] for "
+                                    f"{self.bits_per_cell} bits per cell")
+        return values
+
     def value_to_conductance(
         self, values: np.ndarray, out: "np.ndarray | None" = None
     ) -> np.ndarray:
-        """Map integer level values to ideal (noise-free) conductances
-        (into the float64 block ``out`` when given, after the range check)."""
-        values = np.asarray(values)
-        if values.size and (
-            np.minimum.reduce(values, axis=None) < 0
-            or np.maximum.reduce(values, axis=None) > self.num_levels - 1
-        ):
-            raise QuantizationError(
-                f"values must be in [0, {self.num_levels - 1}] for "
-                f"{self.bits_per_cell} bits per cell"
-            )
+        """Map integer levels to ideal (noise-free) conductances (into the
+        float64 block ``out`` when given).  The levels are not scanned: a
+        slice is one by its mask, and :meth:`check` refuses anything else."""
         conductances = np.multiply(values, self._step, out=out)
         conductances += self.params.g_min  # in place: one block, not two
         return conductances

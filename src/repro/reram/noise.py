@@ -252,6 +252,13 @@ class NoiseStack:
         return result
 
     @property
+    def active(self) -> bool:
+        """Whether any error source is on: configured and at nonzero strength."""
+        config = self.config
+        return bool(self.read_noise_active or config.programming_noise and self.programming.sigma
+                    or config.stuck_at_faults and self.stuck_at.rate)
+
+    @property
     def read_noise_active(self) -> bool:
         """Whether an access draws fresh stochastic noise."""
         return bool(self.config.read_noise and self.read_noise.sigma != 0.0)

@@ -50,14 +50,13 @@ from ..errors import (
     DeviceFailedError,
     IntegrityError,
     NoDevicesError,
-    QuantizationError,
     RebuildError,
     ReplicationError,
 )
 from ..metrics import CostLedger, merge_ledgers
 from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
 from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
-from ..reram import NoiseConfig
+from ..reram import DeviceParameters, NoiseConfig, NoiseStack
 from .allocator import plan_matrix
 from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, IntegrityChecker
 from .session import DarthPumDevice, integer_matrix, integer_vectors
@@ -213,10 +212,11 @@ class DevicePool:
         # Integrity tier: ABFT checksum verification plus per-device EWMA
         # health scores feeding the corruption quarantine.
         self.verify = verify
-        noisy = noise is not None and any((
-            noise.programming_noise, noise.read_noise, noise.stuck_at_faults,
-        ))
-        self.integrity = IntegrityChecker(noisy=noisy)
+        # Banded only when the arrays' own noise stacks would draw: a source
+        # is on at nonzero strength only (a flag at sigma or rate 0 is exact).
+        self.integrity = IntegrityChecker(
+            noisy=noise is not None and NoiseStack(DeviceParameters(), noise).active
+        )
         self._health: List[DeviceHealth] = [
             DeviceHealth() for _ in range(num_devices)
         ]
@@ -336,20 +336,23 @@ class DevicePool:
         :class:`~repro.errors.QuantizationError`, and a copy on a failed
         device :class:`~repro.errors.DeviceFailedError` (release the
         allocation and ``set_matrix`` instead), all before any copy is
-        written.
+        written.  The pool takes one private copy of ``matrix`` (int64 for
+        every int64 caller; a uint64 one is checked before it is cast, so
+        no value wraps) and checks it once: every copy of every band
+        programs that copy through its device's and its ACEs' write bodies,
+        which check nothing again, so no write of the caller's can land
+        between the check and the arrays.
         """
-        matrix = integer_matrix(matrix)
-        if matrix.shape != allocation.shape:
-            raise QuantizationError(f"expected a matrix of shape {allocation.shape}")
-        DifferentialPairs(allocation.element_size).check(matrix)
+        source = DifferentialPairs(allocation.element_size).check(
+            np.array(integer_matrix(matrix, allocation.shape)))
         failed = self._failed_devices.intersection(allocation.devices_used)
         if failed:
             raise DeviceFailedError(min(failed), message="a copy is on a failed device")
         for task in allocation.all_tasks:
-            self.devices[task.device_index].update_matrix(
-                task.device_allocation, matrix[task.row_start: task.row_end]
-            )
-        allocation.matrix[...] = matrix
+            device = self.devices[task.device_index]
+            device._rewrite(task.device_allocation, source[task.row_start: task.row_end],
+                            device._tiles(task.device_allocation))
+        allocation.matrix = source.astype(np.int64, copy=False)
         self.integrity.register(
             allocation.allocation_id, allocation.matrix,
             [(copies[0].row_start, copies[0].row_end) for copies in allocation.bands],

@@ -28,7 +28,6 @@ from ..analog.bitslicing import integer_vectors, single_vector
 from ..analog.numbers import DifferentialPairs
 from ..core.chip import DarthPumChip
 from ..core.config import ChipConfig
-from ..errors import QuantizationError
 from ..metrics import CostLedger, tally, units
 from ..plan.backends import (
     GATE_LEVEL,
@@ -332,34 +331,42 @@ class DarthPumDevice:
         ACE, then every compiled device plan's stacked weights
         (:func:`~repro.plan.planner.restack_device_plan`); a plan is dropped
         only when a block has left the proven-exact path.  A matrix the
-        encoder refuses is refused whole, before any block is written.
+        encoder refuses is refused whole, before any block is written: the
+        one range check, here at the entry, and every block's ACE writes
+        its window unchecked.
         """
-        matrix = integer_matrix(matrix)
-        if matrix.shape != allocation.shape:
-            raise QuantizationError(f"expected a matrix of shape {allocation.shape}")
-        self._rewrite(allocation, matrix, self._tiles(allocation))
+        matrix = integer_matrix(matrix, allocation.shape)
+        self._rewrite(allocation, self._checked(allocation, matrix), self._tiles(allocation))
 
     def update_row(self, allocation: MatrixAllocation, row: int, values: np.ndarray) -> None:
         """updateRow(): rewrite one matrix row across the affected HCTs."""
         row = range(allocation.shape[0])[row]
-        self._rewrite(allocation, updated_matrix(allocation.matrix, np.s_[row, :], values),
+        matrix = updated_matrix(allocation.matrix, np.s_[row, :], values)
+        self._rewrite(allocation, self._checked(allocation, matrix),
                       [block for block in self._tiles(allocation)
                        if block[0].row_start <= row < block[0].row_end])
 
     def update_col(self, allocation: MatrixAllocation, col: int, values: np.ndarray) -> None:
         """updateCol(): rewrite one matrix column across the affected HCTs."""
         col = range(allocation.shape[1])[col]
-        self._rewrite(allocation, updated_matrix(allocation.matrix, np.s_[:, col], values),
+        matrix = updated_matrix(allocation.matrix, np.s_[:, col], values)
+        self._rewrite(allocation, self._checked(allocation, matrix),
                       [block for block in self._tiles(allocation)
                        if block[0].col_start <= col < block[0].col_end])
 
+    @staticmethod
+    def _checked(allocation: MatrixAllocation, matrix: np.ndarray) -> np.ndarray:
+        """``matrix`` once the allocation's encoder admits the whole of it."""
+        return DifferentialPairs(allocation.placement.element_size).check(matrix)
+
     def _rewrite(self, allocation: MatrixAllocation, matrix: np.ndarray, blocks) -> None:
         """Program ``blocks`` with their windows of ``matrix``, the whole new
-        matrix, in place: refused whole, before any block or copy is written,
-        if a value is out of range.  The device plans are then refreshed."""
-        DifferentialPairs(allocation.placement.element_size).check(matrix)
+        matrix, in place, through each ACE's write body: ``matrix`` was
+        checked whole at the entry it came through (a device call's, or
+        the pool's, which checks its private copy once for every copy and
+        band).  The device plans are then refreshed."""
         for tile, hct, handle in blocks:
-            hct.ace.reprogram(
+            hct.ace._write(
                 handle, matrix[tile.row_start: tile.row_end, tile.col_start: tile.col_end]
             )
         allocation.matrix[...] = matrix

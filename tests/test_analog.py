@@ -73,10 +73,6 @@ class TestBitSlicing:
         assert np.array_equal(bits[1], [0, 1])
         assert np.array_equal(bits[2], [1, 0])
 
-    def test_negative_matrix_rejected(self):
-        with pytest.raises(QuantizationError):
-            slice_matrix(np.array([[-1]]), 4, 2)
-
     def test_shift_add_plan_steps(self):
         plan = ShiftAddPlan(input_bits=3, weight_slices=2, bits_per_cell=2)
         steps = plan.steps
@@ -108,6 +104,46 @@ class TestNumberRepresentations:
     def test_magnitude_overflow_rejected(self):
         with pytest.raises(QuantizationError):
             DifferentialPairs(value_bits=2).encode(np.array([[9]]))
+
+    @pytest.mark.parametrize("value_bits", [1, 2, 3, 4, 6])
+    def test_the_encoders_admit_exactly_what_slicing_holds(self, value_bits):
+        """The slicer scans nothing: an encoder's check is the write path's
+        one range check.  Every value it admits encodes to planes in ``[0,
+        2**value_bits)`` whose slices recombine to them; one past either
+        end is refused."""
+        for encoding in (DifferentialPairs(value_bits), OffsetSubtraction(value_bits)):
+            admitted = np.arange(encoding.low, encoding.high + 1)[None]
+            planes = encoding.encode(admitted).planes
+            assert planes.min() >= 0 and planes.max() < 1 << value_bits
+            slices = slice_matrix(planes, value_bits, 2)
+            recombined = sum(plane << (2 * s) for s, plane in enumerate(slices))
+            assert np.array_equal(recombined[0] - recombined[1] - encoding.offset, admitted)
+            for outside in (encoding.low - 1, encoding.high + 1):
+                with pytest.raises(QuantizationError):
+                    encoding.encode(np.array([[outside]]))
+
+    def test_an_unsliceable_offset_value_is_refused_by_both_entries(self):
+        """``+offset`` encodes one bit too wide: ``set_matrix`` and
+        ``reprogram`` of a 3-bit offset matrix holding 4 both refuse it,
+        leaving the arrays, the ledger and the shard kernel as they were."""
+        ace = AnalogComputeElement(AceConfig(num_arrays=8, array_rows=8, array_cols=8))
+        good = np.arange(-4, 4).reshape(2, 4)
+        bad = good.copy()
+        bad[1, 3] = 4
+        handle = ace.set_matrix(good, value_bits=3, representation="offset")
+        kernel = ace.kernel_for(handle)
+
+        def state():
+            return (repr(ace.ledger), ace.arrays_free, ace.stored_matrix(handle).tobytes(),
+                    [plane.tobytes() for plane in ace.programmed_planes(handle)],
+                    kernel.recombined.tobytes(), kernel.exact)
+
+        before = state()
+        with pytest.raises(QuantizationError):
+            ace.set_matrix(bad, value_bits=3, representation="offset")
+        with pytest.raises(QuantizationError):
+            ace.reprogram(handle, bad)
+        assert state() == before and ace.kernel_for(handle) is kernel
 
 
 class TestCrossbar:

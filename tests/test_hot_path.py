@@ -137,18 +137,20 @@ NOISY_CALL_DRAWS = {"resnet_conv": (18, 64512), "aes_mixcolumns": (1, 1024),
 MAX_NOISY_CALL_PEAK_BYTES = 256 * 1024
 #: Python-level calls of one 64x64 4-bit ``register_matrix`` with new bytes
 #: (reprogrammed in place) plus the first 32-row wave against it on an ideal
-#: server, measured + 10 % (measured 230: the shard kernel and the device
-#: plan are refreshed where they lie and an ideal write copies and compares
-#: no plane; 277 while both were rebuilt by the first wave, 13 of them the
-#: pool's and the device's whole-matrix range checks that keep a refused
-#: matrix from changing any copy; 486 while it released and placed the
-#: matrix again, 820 while every crossbar also sliced, mapped and
-#: range-checked its own planes and re-mapped them for the exactness proof).
-MAX_REGISTRATION_CALLS = 253
+#: server, measured + 10 % (measured 188: the pool checks its private copy
+#: once and every block is one write pass with one charge; 233 while the
+#: pool, the device, the encoder, the slicer and the mapper each checked
+#: it and every array charged its own programming; 277 while the shard
+#: kernel and the device plan were rebuilt by the first wave; 486 while it
+#: released and placed the matrix again, 820 while every crossbar also
+#: sliced, mapped and range-checked its own planes and re-mapped them for
+#: the exactness proof).
+MAX_REGISTRATION_CALLS = 207
 #: The same for a round that alternates 64x64 and 64x48, so every round
-#: releases, places and compiles the matrix anew (measured 476, 499 while an
-#: ideal write copied and compared its planes; budget 499 + 10 %; 602
-#: budgeted the 486 of this path when same-shape rounds took it).
+#: releases, places and compiles the matrix anew (measured 503 by the probe
+#: that read 233 above, 504 before ``set_matrix`` shared the in-place write
+#: body; budget 499 + 10 %, still above that; 602 budgeted the 486 of this
+#: path when same-shape rounds took it).
 MAX_REPLACEMENT_CALLS = 549
 
 
@@ -564,6 +566,46 @@ class TestRegistration:
         (task,) = server.allocation_for("t").tasks
         assert plan(task.device_allocation, 4) is not None
 
+    def test_a_pooled_rewrite_checks_once_and_charges_once_per_block(self, monkeypatch):
+        """One ``DevicePool.update_matrix`` on a ``replication=2`` pool:
+        the encoder's check runs once, for every copy and band; each block
+        is one ``ace.program`` charge; and no rewind folds the calls that
+        the replays counted on its arrays (they are thrown away)."""
+        from repro.analog import DifferentialPairs
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        rng = derive_rng("hot-path-pooled-rewrite")
+        pool = DevicePool(num_devices=2, replication=2)
+        allocation = pool.set_matrix(rng.integers(-8, 8, size=(128, 64)), element_size=4)
+        vectors = rng.integers(0, 16, size=(8, 128))
+        for _ in range(3):
+            pool.exec_mvm_batch(allocation, vectors, input_bits=4)
+        blocks = [(pool.devices[task.device_index], block) for task in allocation.all_tasks
+                  for block in pool.devices[task.device_index]._tiles(task.device_allocation)]
+        crossbars = [hct.ace.crossbar(array_id) for _, (_, hct, handle) in blocks
+                     for array_id in handle.array_ids]
+        assert len(blocks) == 4
+        # The serving copies' arrays hold calls their replay counted, unfolded.
+        assert any(c._claim is not None and c._claim[0].calls > c._claim[2] for c in crossbars)
+
+        checks = self._counted(monkeypatch, DifferentialPairs, "check")
+        folds = self._counted(monkeypatch, AnalogCrossbar, "_fold")
+        charges = []
+        charge_stream = CostLedger.charge_stream
+
+        def recording(ledger, totals):
+            charges.extend(category for category, _ in totals[3])
+            charge_stream(ledger, totals)
+
+        monkeypatch.setattr(CostLedger, "charge_stream", recording)
+        matrix = rng.integers(-8, 8, size=(128, 64))
+        pool.update_matrix(allocation, matrix)
+        assert (len(checks), folds) == (1, [])
+        assert charges.count("ace.program") == len(blocks)
+        assert all(crossbar.mvm_count == 0 for crossbar in crossbars)
+        assert np.array_equal(pool.exec_mvm_batch(allocation, vectors, input_bits=4),
+                              vectors @ matrix)
+
     def test_noisy_registration_builds_one_generator_per_crossbar(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         server, _, _, _, new_round = self._rounds(NoiseConfig.paper_default())
@@ -778,7 +820,10 @@ class TestSameErrorsSameOrder:
     def test_programming_rejects_as_before_it_was_stacked(self):
         """The write path's checks, by layer: the messages and their
         precedence are the per-plane ones, with nothing charged, no array
-        taken and no crossbar left half-programmed."""
+        taken and no crossbar left half-programmed.  The encoder's is the
+        one range check of a matrix -- it states what slicing can hold --
+        so neither the slicer nor the mapper scans values; a crossbar
+        programmed directly checks its levels (``ConductanceMapper.check``)."""
         from repro.analog import (
             AnalogCrossbar, DifferentialPairs, OffsetSubtraction, slice_matrix,
         )
@@ -786,23 +831,21 @@ class TestSameErrorsSameOrder:
 
         mapper = ConductanceMapper(DeviceParameters(), 2)
         magnitude = "matrix magnitude exceeds 8 for 4-bit values"
+        offset_range = "matrix values must lie in [-8, 7] for 4-bit values"
         for attempt, message in (
             (lambda: slice_matrix(np.array([[0.5, -1.0]]), 4, 2),
              "bit-slicing expects an integer matrix"),
-            (lambda: slice_matrix(np.array([[1, -1, 99]]), 0, 2),
-             "bit-slicing expects a non-negative matrix; encode sign first"),
             (lambda: slice_matrix(np.array([[1, 99]]), 4, 0),
              "value_bits and bits_per_cell must be >= 1"),
-            (lambda: slice_matrix(np.array([[[1, 2], [3, 16]]]), 4, 2),
-             "matrix values exceed 4 bits"),
             (lambda: DifferentialPairs(4).encode(np.array([[9, -1]])), magnitude),
             (lambda: DifferentialPairs(4).encode(np.array([[1, -9]])), magnitude),
-            (lambda: OffsetSubtraction(4).encode(np.array([[-9, 0]])), magnitude),
+            (lambda: OffsetSubtraction(4).encode(np.array([[-9, 0]])), offset_range),
+            (lambda: OffsetSubtraction(4).encode(np.array([[8, 0]])), offset_range),
             (lambda: DifferentialPairs(4).encode(np.array([[0.5]])),
              "differential encoding expects integer matrices"),
             (lambda: OffsetSubtraction(4).encode(np.array([[99.0]])),
              "offset encoding expects integer matrices"),
-            (lambda: mapper.value_to_conductance(np.array([[0, 4], [-1, 0]])),
+            (lambda: mapper.check(np.array([[0, 4], [-1, 0]])),
              "values must be in [0, 3] for 2 bits per cell"),
         ):
             with pytest.raises(QuantizationError) as raised:
@@ -833,10 +876,10 @@ class TestSameErrorsSameOrder:
             (eights, dict(bits_per_cell=9), "bits_per_cell 9 exceeds the device maximum 8"),
             (eights, dict(representation="twos"), "unknown representation 'twos'"),
             (eights + 1, {}, magnitude),
-            (-eights - 1, dict(representation="offset"), magnitude),
-            # +8 passes the offset encoder's magnitude check and is 16 on the
-            # positive plane: one bit too wide for the slicer.
-            (eights, dict(representation="offset"), "matrix values exceed 4 bits"),
+            (-eights - 1, dict(representation="offset"), offset_range),
+            # +8 would be 16 on the offset encoding's positive plane: one
+            # bit too wide, so its encoder refuses it.
+            (eights, dict(representation="offset"), offset_range),
         ):
             with pytest.raises(QuantizationError) as raised:
                 ace.set_matrix(matrix, value_bits=4, **keywords)

@@ -249,6 +249,27 @@ class TestPoolWiring:
         assert not pool.integrity.verify(allocation.allocation_id, position, vectors, partial)
         assert not pool.integrity.noisy
 
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(programming_noise=True, programming_sigma=0.0, read_noise=False),
+        NoiseConfig(programming_noise=False, read_noise=True, read_sigma=0.0),
+        NoiseConfig(programming_noise=False, read_noise=False, stuck_at_faults=True,
+                    stuck_at_rate=0.0),
+    ], ids=["programming_sigma_0", "read_sigma_0", "stuck_at_rate_0"])
+    def test_a_source_at_zero_strength_checks_exactly(self, noise):
+        """A flag whose sigma or rate is 0 draws nothing -- the arrays'
+        noise stacks ask for strength, and so does the pool: the answer is
+        exact, so an off-by-one partial is refused under ``verify="full"``."""
+        pool = small_pool(verify="full", num_devices=1, noise=noise)
+        rng = derive_rng("integrity-zero-strength")
+        matrix = rng.integers(-8, 8, size=(16, 8))
+        allocation = pool.set_matrix(matrix, element_size=4, precision=0)
+        vectors = rng.integers(4, 8, size=(3, 16))
+        partial = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+        assert np.array_equal(partial, vectors @ matrix)
+        partial[1, 2] += 1
+        assert not pool.integrity.verify(allocation.allocation_id, 0, vectors, partial)
+        assert not pool.integrity.noisy
+
 
 class TestRebuild:
     def _pool(self, num_devices=4):

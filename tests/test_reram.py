@@ -46,9 +46,11 @@ class TestConductanceMapper:
         assert np.array_equal(levels, values)
 
     def test_out_of_range_value_rejected(self):
+        # The mapper's range check is ``check``: ``value_to_conductance`` maps
+        # levels a slicer's mask already bounds, without scanning them.
         mapper = ConductanceMapper(DeviceParameters(), 2)
         with pytest.raises(QuantizationError):
-            mapper.value_to_conductance(np.array([4]))
+            mapper.check(np.array([4]))
 
 
 class TestNoiseStack:
