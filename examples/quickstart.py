@@ -44,6 +44,14 @@ def main() -> None:
     print("setMatrix(): stored a", matrix.shape, "matrix on", allocation.hcts_used, "HCT(s)")
     print("execMVM() result matches numpy:", np.array_equal(result, vector @ matrix))
 
+    # New values of the same shape are written where the old ones sit.
+    updated = matrix[::-1].copy()
+    device.update_matrix(allocation, updated)
+    device.update_row(allocation, 0, matrix[0])
+    updated[0] = matrix[0]
+    print("setMatrix() in place + updateRow() match numpy:",
+          np.array_equal(device.exec_mvm(allocation, vector, input_bits=4), vector @ updated))
+
     # ------------------------------------------------------------------ #
     # 2. Batched execution: serve a whole batch in one arbiter pass.      #
     # ------------------------------------------------------------------ #
@@ -92,6 +100,10 @@ def main() -> None:
           round(mvm.speedup_from_optimization, 2), "x")
     print("  energy:", round(mvm.energy_pj, 1), "pJ")
     print("  front-end instruction slots saved by the IIU:", mvm.iiu_slots_saved)
+    tile.ace.reprogram(handle, -matrix[:16, :12])
+    again = tile.execute_mvm(handle, vector[:16], input_bits=4)
+    print("  arrays reprogrammed in place, result matches numpy:",
+          np.array_equal(again.values, vector[:16] @ -matrix[:16, :12]))
 
 
 if __name__ == "__main__":

@@ -344,7 +344,7 @@ class DevicePool:
         between the check and the arrays.
         """
         source = DifferentialPairs(allocation.element_size).check(
-            np.array(integer_matrix(matrix, allocation.shape)))
+            np.array(integer_matrix(matrix, allocation.shape), order="C"))
         failed = self._failed_devices.intersection(allocation.devices_used)
         if failed:
             raise DeviceFailedError(min(failed), message="a copy is on a failed device")
