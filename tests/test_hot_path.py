@@ -580,9 +580,9 @@ class TestRegistration:
         vectors = rng.integers(0, 16, size=(8, 128))
         for _ in range(3):
             pool.exec_mvm_batch(allocation, vectors, input_bits=4)
-        blocks = [(pool.devices[task.device_index], block) for task in allocation.all_tasks
+        blocks = [block for task in allocation.all_tasks
                   for block in pool.devices[task.device_index]._tiles(task.device_allocation)]
-        crossbars = [hct.ace.crossbar(array_id) for _, (_, hct, handle) in blocks
+        crossbars = [hct.ace.crossbar(array_id) for _, hct, handle in blocks
                      for array_id in handle.array_ids]
         assert len(blocks) == 4
         # The serving copies' arrays hold calls their replay counted, unfolded.
