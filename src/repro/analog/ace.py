@@ -26,7 +26,7 @@ from .adc import AnalogToDigitalConverter, make_adc
 from .bitslicing import ShiftAddPlan, slice_matrix
 from .crossbar import AnalogCrossbar
 from .dac import DigitalToAnalogConverter
-from .kernels import ShardKernel, build_shard_kernel
+from .kernels import ShardKernel, answers_exactly, build_shard_kernel
 from .numbers import DifferentialPairs, OffsetSubtraction
 
 __all__ = [
@@ -176,6 +176,10 @@ class AnalogComputeElement:
         #: shard kernel hold views of them, nobody a copy.
         self._programmed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._kernels: Dict[int, ShardKernel] = {}
+        #: Per allocation, whether its arrays answer every partial product
+        #: exactly (:func:`~repro.analog.kernels.answers_exactly`), decided
+        #: by each write while the arrays are in hand.
+        self._exact: Dict[int, bool] = {}
         #: Compiled execution plans, keyed ``(handle_id, input_bits)`` and
         #: populated by the owning tile's :class:`~repro.plan.planner.Planner`;
         #: dropped on release together with the shard-kernel cache.
@@ -350,15 +354,16 @@ class AnalogComputeElement:
         stored[...] = matrix
         cycles, energy = units(self.device.program_latency_cycles), self.device.program_energy_pj
         charges = []
-        for array_id in handle.array_ids:
-            crossbar = self._crossbars[array_id]
+        crossbars = [self._crossbars[array_id] for array_id in handle.array_ids]
+        for crossbar in crossbars:
             crossbar.rewind()
             crossbar._program(crossbar._levels, crossbar._conductances)
             charges.append(("ace.program", cycles, units(crossbar._levels.size * energy)))
         self.ledger.charge_stream(tally(charges))
+        exact = self._exact[handle.handle_id] = answers_exactly(crossbars)
         kernel = self._kernels.get(handle.handle_id)
         if kernel is not None:
-            kernel.refresh(stored)
+            kernel.refresh(stored, exact)
 
     def release(self, handle: MatrixHandle) -> None:
         """Free the arrays used by ``handle`` (disableAnalogMode path)."""
@@ -369,12 +374,20 @@ class AnalogComputeElement:
         self._matrices.pop(handle.handle_id, None)
         self._programmed.pop(handle.handle_id, None)
         self._kernels.pop(handle.handle_id, None)
+        self._exact.pop(handle.handle_id, None)
         for key in [k for k in self._plans if k[0] == handle.handle_id]:
             del self._plans[key]
 
     # ------------------------------------------------------------------ #
     # Shard kernel cache (vectorized execution engine)                     #
     # ------------------------------------------------------------------ #
+    def answers_exactly(self, handle: MatrixHandle) -> bool:
+        """Whether ``handle``'s arrays answer every partial product exactly,
+        as :func:`~repro.analog.kernels.answers_exactly` decided at its last
+        write: what the shard kernel's ``exact`` and the pool's ABFT band
+        read, without building a kernel."""
+        return self._exact[handle.handle_id]
+
     def kernel_for(self, handle: MatrixHandle) -> ShardKernel:
         """Per-shard conductance tensors for ``handle`` (views, not copies).
 

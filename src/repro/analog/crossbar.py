@@ -181,7 +181,7 @@ class AnalogCrossbar:
         self._conductances: Optional[np.ndarray] = None
         #: Whether programming left every device at its ideal conductance,
         #: compared value for value when the slice was written (one of the
-        #: two conditions of :func:`~repro.analog.kernels.exact_path_eligible`).
+        #: conditions of :func:`~repro.analog.kernels.answers_exactly`).
         self.programmed_ideal = False
         self._mvm_count = 0  # ``mvm_count``'s storage: a new array has no claim to settle
 

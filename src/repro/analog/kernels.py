@@ -59,6 +59,7 @@ __all__ = [
     "ace_forward_vectorized",
     "analog_runs",
     "analog_step_costs",
+    "answers_exactly",
     "build_shard_kernel",
     "validate_input_range",
 ]
@@ -117,11 +118,11 @@ class ShardKernel:
     #: 0 for differential pairs).
     offset: int = 0
     #: Whether the proven-exact integer fast path may serve this allocation
-    #: (ideal conductances and a verified-lossless ADC; see
-    #: :func:`exact_path_eligible`).
+    #: (:func:`answers_exactly` over every crossbar, as the ACE's last
+    #: write decided it).
     exact: bool = False
 
-    def refresh(self, matrix: np.ndarray) -> None:
+    def refresh(self, matrix: np.ndarray, exact: bool) -> None:
         """Rewrite what the programmed values decide, where it lies.
 
         ``matrix`` is the allocation's programmed integer matrix.  Its weight
@@ -129,8 +130,9 @@ class ShardKernel:
         the encoded difference, positive minus negative plane, which is
         ``matrix + offset``: stored into the kernel's own float64 block in
         one pass.  The read variance is recomputed from the conductances
-        the arrays now hold, and ``exact`` is decided again by the same
-        proof.  The windows the tiles and plans hold see the new values.
+        the arrays now hold, and ``exact`` is what the write decided
+        (:func:`answers_exactly` over the arrays it programmed).  The
+        windows the tiles and plans hold see the new values.
         """
         np.add(matrix, self.offset, out=self.recombined)
         for tile in self.tiles:
@@ -138,12 +140,13 @@ class ShardKernel:
                 tile.read_variance[...] = read_noise_variance(
                     tile.pos, tile.neg, tile.crossbars[0].read_noise_scale
                 )
-        self.exact = all(exact_path_eligible(tile.crossbars) for tile in self.tiles)
+        self.exact = exact
 
 
-#: ADC round-trip proofs, one per converter configuration ``(type, spec,
-#: min, max)``: a process builds a handful (ADC kind x bits per cell x array
-#: height), while every crossbar of every registration gets its own instance.
+#: ADC round-trip proofs, one per converter configuration ``(type,
+#: resolution, min, max)`` -- what ``convert`` reads: a process builds a
+#: handful (ADC kind x bits per cell x array height), while every crossbar
+#: of every registration gets its own instance.
 _ADC_PROOFS: Dict[tuple, bool] = {}
 
 
@@ -156,7 +159,7 @@ def adc_round_trips(adc) -> bool:
     proof depends only on the converter's configuration, so it runs once
     for each.
     """
-    key = (type(adc), adc.spec, adc.min_value, adc.max_value)
+    key = (type(adc), adc.spec.resolution_bits, adc.min_value, adc.max_value)
     proven = _ADC_PROOFS.get(key)
     if proven is None:
         candidates = np.arange(
@@ -168,8 +171,10 @@ def adc_round_trips(adc) -> bool:
     return proven
 
 
-def exact_path_eligible(crossbars) -> bool:
-    """Whether the analog chain of these crossbars is provably lossless.
+def answers_exactly(crossbars) -> bool:
+    """Whether these crossbars answer every partial product exactly: the
+    one rule for the forward pass's fast path (through
+    :attr:`ShardKernel.exact`), a device plan, and the pool's ABFT band.
 
     The general engine mirrors the reference float pipeline operation for
     operation.  A much faster path is valid when the quantise/recover chain
@@ -180,17 +185,21 @@ def exact_path_eligible(crossbars) -> bool:
     * the programmed conductances are the *ideal* value mapping (no
       programming noise, no stuck-at faults) -- compared bit-for-bit when
       the slice was written, while the ideal planes were in hand
-      (:attr:`AnalogCrossbar.programmed_ideal`), not inferred from config
-      flags; and
+      (:attr:`AnalogCrossbar.programmed_ideal`), not inferred from a
+      configuration;
+    * no parasitic model perturbs the conductances and no read noise is
+      drawn; and
     * the ADC grid is fine enough to return every reachable integer
       unchanged (:func:`adc_round_trips`).
 
-    Read noise, drift, and parasitics are per-call concerns checked by the
-    forward pass itself.
+    It reads the crossbars alone, so it needs no shard kernel: the ACE
+    decides it at every write (``AnalogComputeElement.answers_exactly``).
     """
-    return all(
-        crossbar.programmed_ideal and adc_round_trips(crossbar.adc) for crossbar in crossbars
-    )
+    for crossbar in crossbars:
+        if not (crossbar.programmed_ideal and crossbar.parasitics is None
+                and not crossbar.noise.read_noise_active and adc_round_trips(crossbar.adc)):
+            return False
+    return True
 
 
 def build_shard_kernel(ace, handle) -> ShardKernel:
@@ -252,7 +261,7 @@ def build_shard_kernel(ace, handle) -> ShardKernel:
         tiles=tuple(tiles),
         offset=ace.encoding(handle).offset,
     )
-    kernel.refresh(ace.stored_matrix(handle))
+    kernel.refresh(ace.stored_matrix(handle), ace.answers_exactly(handle))
     return kernel
 
 
@@ -386,11 +395,7 @@ def ace_forward_vectorized(ace, plan, vectors: np.ndarray) -> List[np.ndarray]:
     input_bits = plan.input_bits
     batch, rows = vectors.shape
     kernel = plan.kernel
-    if (
-        kernel.exact
-        and ace.parasitics is None
-        and not kernel.tiles[0].crossbars[0].noise.read_noise_active
-    ):
+    if kernel.exact:
         validate_input_range(vectors, input_bits)
         # Proven-exact fast path: with ideal conductances and a
         # verified-lossless ADC, every (input bit, slice) partial product

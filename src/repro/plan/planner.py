@@ -205,9 +205,10 @@ def compile_device_plan(
     ``blocks`` yields ``(placement tile, hct, handle)`` in placement order
     (the device's tile walk; placement is a regular grid starting at row
     0), and ``ledger`` is the device's runtime ledger, which the plan's
-    calls charge.  Returns ``None`` unless every block is on the
-    proven-exact path -- exact shard kernel, no parasitics, read noise
-    inactive, the ACE still enabled -- and the device's answer is provably
+    calls charge.  Returns ``None`` unless every block answers exactly
+    (its shard kernel's ``exact``:
+    :func:`~repro.analog.kernels.answers_exactly`) with the ACE still
+    enabled, and the device's answer is provably
     one exact matmul: with ``M = 2**(element size - 1)`` the largest weight
     magnitude, ``band_rows * (2**input_bits - 1) * M < 2**(depth - 1)`` for
     every block's pipeline depth, so no block's accumulator can wrap, and ``rows *
@@ -232,7 +233,7 @@ def compile_device_plan(
         weights = np.zeros((-(-rows // band_rows), band_rows, cols))
     tiles = []
     for tile, hct, handle in blocks:
-        if (not (hct.analog_enabled and hct.ace.enabled) or hct.ace.parasitics is not None
+        if (not (hct.analog_enabled and hct.ace.enabled)
                 or band_bound >= 1 << (hct.dce.config.pipeline_depth - 1)):
             return None
         plan = hct.planner.plan_for(handle, input_bits)
@@ -265,9 +266,9 @@ def restack_device_plan(plan: DevicePlan, blocks: Iterable[Tuple]) -> bool:
 
 def _stack_block(weights: np.ndarray, band: int, col_start: int, kernel) -> bool:
     """Store one block's shards into row band ``band`` of ``weights`` from
-    column ``col_start``; ``False``, storing nothing, unless the block is
-    on the proven-exact path."""
-    if not kernel.exact or kernel.tiles[0].crossbars[0].noise.read_noise_active:
+    column ``col_start``; ``False``, storing nothing, unless the block
+    answers exactly (``kernel.exact``)."""
+    if not kernel.exact:
         return False
     for shard in kernel.tiles:
         first = col_start + shard.col_offset

@@ -49,26 +49,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Which error sources are enabled, and with what strength.
+    """Each error source, stated once: by its strength.
 
-    ``None`` for a sigma/rate means "use the device default"; ``0`` disables
-    the corresponding error source entirely.  Two flags are refused rather
-    than answered without their effect.  ``drift=True``: no MVM path applies
+    ``programming_sigma`` (relative write error), ``read_sigma`` (relative
+    per-access read error) and ``stuck_at_rate`` (share of stuck devices)
+    take ``None`` for the device default (:class:`DeviceParameters`) and
+    ``0`` for off; there is no separate on/off flag.  Stuck-at faults are
+    off unless a rate is given.  Two flags are refused rather than answered
+    without their effect.  ``drift=True``: no MVM path applies
     :class:`DriftModel` yet, so a drift config would answer as if the
-    devices held still.  ``ir_drop=True``: IR drop is not a noise flag --
-    it enters through a :class:`~repro.reram.parasitics.ParasiticModel`
-    given to a tile (``HybridComputeTile(parasitics=...)``), which is what
-    every MVM path applies.
+    devices held still.  ``ir_drop=True``: IR drop is not a noise source
+    here -- it enters through a
+    :class:`~repro.reram.parasitics.ParasiticModel` given to a tile
+    (``HybridComputeTile(parasitics=...)``), which is what every MVM path
+    applies.
     """
 
-    programming_noise: bool = True
-    read_noise: bool = True
     ir_drop: bool = False
     drift: bool = False
-    stuck_at_faults: bool = False
     programming_sigma: Optional[float] = None
     read_sigma: Optional[float] = None
-    stuck_at_rate: Optional[float] = None
+    stuck_at_rate: Optional[float] = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -86,15 +87,15 @@ class NoiseConfig:
 
     @classmethod
     def ideal(cls) -> "NoiseConfig":
-        """A configuration with every error source disabled."""
-        return cls(programming_noise=False, read_noise=False)
+        """A configuration with every error source at zero strength."""
+        return cls(programming_sigma=0.0, read_sigma=0.0)
 
     @classmethod
     def paper_default(cls) -> "NoiseConfig":
         """Programming noise and read noise at the device defaults (Section
-        7.5).  Parasitics (IR drop) are not a noise flag: they need a
+        7.5).  Parasitics (IR drop) are not a noise source here: they need a
         :class:`~repro.reram.parasitics.ParasiticModel` on the tile."""
-        return cls(programming_noise=True, read_noise=True)
+        return cls()
 
 
 class ProgrammingNoiseModel:
@@ -112,9 +113,8 @@ class ProgrammingNoiseModel:
         self.sigma = params.programming_noise_sigma if sigma is None else float(sigma)
 
     def apply(self, conductances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return programmed conductances with residual write error."""
-        if self.sigma == 0.0:
-            return np.array(conductances, dtype=float, copy=True)
+        """Return programmed conductances with residual write error
+        (:meth:`NoiseStack.program` asks only at nonzero strength)."""
         conductances = np.asarray(conductances, dtype=float)
         noise = rng.normal(0.0, self.sigma, size=conductances.shape) * conductances
         return np.clip(conductances + noise, self.params.g_min, self.params.g_max)
@@ -191,9 +191,8 @@ class StuckAtFaultModel:
         return 0 if self._mask is None else int(self._mask.sum())
 
     def apply(self, conductances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Overwrite stuck positions with their stuck value."""
-        if self.rate == 0.0:
-            return conductances
+        """Overwrite stuck positions with their stuck value
+        (:meth:`NoiseStack.program` asks only at a nonzero rate)."""
         conductances = np.asarray(conductances, dtype=float)
         if self._mask is None or self._mask.shape != conductances.shape:
             self.build_fault_map(conductances.shape, rng)
@@ -222,6 +221,9 @@ class NoiseStack:
         self.programming = ProgrammingNoiseModel(self.params, self.config.programming_sigma)
         self.read_noise = ReadNoiseModel(self.params, self.config.read_sigma)
         self.stuck_at = StuckAtFaultModel(self.params, self.config.stuck_at_rate)
+        #: Whether an access draws fresh stochastic noise (read noise at
+        #: nonzero strength).
+        self.read_noise_active = self.read_noise.sigma != 0.0
 
     @property
     def rng(self) -> np.random.Generator:
@@ -237,28 +239,16 @@ class NoiseStack:
     def program(self, conductances: np.ndarray) -> np.ndarray:
         """Apply programming-time error sources (write noise, stuck-at).
 
-        With neither configured the devices hold exactly what was written,
-        and ``conductances`` itself is returned: no copy, and a caller can
-        read ``program(plane) is plane`` as the proof that the write was
-        ideal.  Otherwise the result is a new array.
+        With both at zero strength the devices hold exactly what was
+        written, and ``conductances`` itself is returned: no copy, no
+        generator, and a caller can read ``program(plane) is plane`` as the
+        proof that the write was ideal.  Otherwise the result is a new array.
         """
-        if not (self.config.programming_noise or self.config.stuck_at_faults):
+        if not (self.programming.sigma or self.stuck_at.rate):
             return conductances
         result = np.array(conductances, dtype=float, copy=True)
-        if self.config.programming_noise:
+        if self.programming.sigma:
             result = self.programming.apply(result, self.rng)
-        if self.config.stuck_at_faults:
+        if self.stuck_at.rate:
             result = self.stuck_at.apply(result, self.rng)
         return result
-
-    @property
-    def active(self) -> bool:
-        """Whether any error source is on: configured and at nonzero strength."""
-        config = self.config
-        return bool(self.read_noise_active or config.programming_noise and self.programming.sigma
-                    or config.stuck_at_faults and self.stuck_at.rate)
-
-    @property
-    def read_noise_active(self) -> bool:
-        """Whether an access draws fresh stochastic noise."""
-        return bool(self.config.read_noise and self.read_noise.sigma != 0.0)

@@ -12,11 +12,14 @@ trick for matrix products -- Huang & Abraham's checksum encoding:
   result ``P = x @ W`` must satisfy ``P @ 1 == x @ c`` -- a property the
   pool can test in ``O(batch * (rows + cols))``, a vanishing fraction of
   the MVM's ``O(batch * rows * cols)``.
-* On the integer fast path (noise-free pools) the identity is *exact*: a
-  single flipped bit always perturbs the row sum, so every corruption is
-  detected.  Under analog noise presets the comparison is tolerance-banded
-  against ``|x| @ |W|1`` (best-effort detection: perturbations inside the
-  band are indistinguishable from noise by construction).
+* On an allocation whose every copy answers exactly (the device decides:
+  :func:`~repro.analog.kernels.answers_exactly`) the identity is *exact*:
+  a single flipped bit always perturbs the row sum, so every corruption is
+  detected.  Otherwise -- noise, a stuck device, parasitics, an ADC too
+  coarse to return every partial product -- the comparison is
+  tolerance-banded against ``|x| @ |W|1`` (best-effort detection:
+  perturbations inside the band are indistinguishable from analog error by
+  construction).
 * :class:`DeviceHealth` turns detections and failures into a per-device
   EWMA score so a chip that keeps corrupting results is *quarantined*
   (auto ``mark_device_failed``) instead of being retried forever.
@@ -64,9 +67,9 @@ VERIFY_AUDIT = "audit"
 VERIFY_FULL = "full"
 VERIFY_MODES = (VERIFY_OFF, VERIFY_AUDIT, VERIFY_FULL)
 
-#: Relative tolerance of a check under noise presets (read at each check):
-#: residuals up to this fraction of ``|x| @ |W|1`` are attributed to analog
-#: noise rather than corruption.
+#: Relative tolerance of a check of an inexact allocation (read at each
+#: check): residuals up to this fraction of ``|x| @ |W|1`` are attributed to
+#: analog error rather than corruption.
 DEFAULT_NOISE_TOLERANCE = 0.05
 
 
@@ -83,7 +86,7 @@ class BandChecksum:
     row_end: int
     #: ``W @ 1``: the exact-identity check vector.
     check: np.ndarray
-    #: ``|W| @ 1``: scales the tolerance band under analog noise.
+    #: ``|W| @ 1``: scales the tolerance band of an inexact allocation.
     abs_check: np.ndarray
 
 
@@ -136,23 +139,27 @@ class IntegrityChecker:
     """Registry of per-band ABFT checksums plus the verification predicate.
 
     One checker serves one pool: ``register`` is called at matrix
-    registration with the source matrix and its band boundaries, ``verify``
-    once per checked fan-out result.  The comparison is exact on noise-free
-    pools and banded by :data:`DEFAULT_NOISE_TOLERANCE` under noise.
+    registration with the source matrix, its band boundaries and whether
+    the devices answer it exactly, ``verify`` once per checked fan-out
+    result.  The comparison is exact for an exact allocation and banded by
+    :data:`DEFAULT_NOISE_TOLERANCE` otherwise.
     """
 
-    def __init__(self, noisy: bool = False) -> None:
-        self.noisy = bool(noisy)
+    def __init__(self) -> None:
         #: allocation id -> that allocation's checksums in band order.
         self._bands: Dict[int, List[BandChecksum]] = {}
+        #: allocation id -> whether its devices answer it exactly.
+        self._exact: Dict[int, bool] = {}
 
     def register(
         self,
         allocation_id: int,
         matrix: np.ndarray,
         bands: Sequence[Tuple[int, int]],
+        exact: bool = True,
     ) -> None:
-        """Precompute check vectors for every ``(row_start, row_end)`` band."""
+        """Precompute check vectors for every ``(row_start, row_end)`` band;
+        ``exact`` says whether every partial is ``x @ W`` to the bit."""
         matrix = np.asarray(matrix, dtype=np.int64)
         self._bands[allocation_id] = [
             BandChecksum(
@@ -163,17 +170,19 @@ class IntegrityChecker:
             )
             for row_start, row_end in bands
         ]
+        self._exact[allocation_id] = exact
 
     def forget(self, allocation_id: int) -> None:
         """Drop every checksum of one allocation (on release)."""
         self._bands.pop(allocation_id, None)
+        self._exact.pop(allocation_id, None)
 
     def covers(self, allocation_id: int) -> bool:
         """Whether ``allocation_id`` has registered checksums."""
         return allocation_id in self._bands
 
-    def _effective_tolerance(self) -> float:
-        return DEFAULT_NOISE_TOLERANCE if self.noisy else 0.0
+    def _effective_tolerance(self, allocation_id: int) -> float:
+        return 0.0 if self._exact.get(allocation_id, True) else DEFAULT_NOISE_TOLERANCE
 
     def verify(
         self,
@@ -199,16 +208,16 @@ class IntegrityChecker:
         vectors = np.asarray(vectors, dtype=np.int64)
         expected = vectors @ band.check
         got = np.asarray(partial, dtype=np.int64).sum(axis=-1)
-        tolerance = self._effective_tolerance()
+        tolerance = self._effective_tolerance(allocation_id)
         if tolerance == 0.0:
             return bool(np.array_equal(got, expected))
         # Scale the band per vector: larger inputs accumulate more analog
-        # noise.  The +tolerance floor keeps all-zero vectors checkable.
+        # error.  The +tolerance floor keeps all-zero vectors checkable.
         bound = tolerance * (np.abs(vectors) @ band.abs_check) + tolerance
         return bool(np.all(np.abs(got - expected) <= bound))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IntegrityChecker(allocations={len(self._bands)}, "
-            f"tolerance={self._effective_tolerance()})"
+            f"banded={list(self._exact.values()).count(False)})"
         )

@@ -56,7 +56,7 @@ from ..errors import (
 from ..metrics import CostLedger, merge_ledgers
 from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
 from ..plan.ir import PlanHandle, ShardTask, ShardedPlan
-from ..reram import DeviceParameters, NoiseConfig, NoiseStack
+from ..reram import NoiseConfig
 from .allocator import plan_matrix
 from .integrity import VERIFY_FULL, VERIFY_MODES, VERIFY_OFF, DeviceHealth, IntegrityChecker
 from .session import DarthPumDevice, integer_matrix, integer_vectors
@@ -162,10 +162,11 @@ class DevicePool:
         re-executes on a replica within the same call, and only when every
         copy fails does the call raise
         :class:`~repro.errors.IntegrityError` (``kind="exhausted"``).
-        Checks are exact on noise-free pools and tolerance-banded under
-        noise presets.  Verification assumes value-producing backends; a
-        cost-only backend (``backend="estimate"``) returns placeholder
-        values that cannot pass a checksum.
+        Checks are exact on an allocation whose every copy answers exactly
+        (:func:`~repro.analog.kernels.answers_exactly`) and
+        tolerance-banded otherwise.  Verification assumes value-producing
+        backends; a cost-only backend (``backend="estimate"``) returns
+        placeholder values that cannot pass a checksum.
     """
 
     def __init__(
@@ -212,11 +213,7 @@ class DevicePool:
         # Integrity tier: ABFT checksum verification plus per-device EWMA
         # health scores feeding the corruption quarantine.
         self.verify = verify
-        # Banded only when the arrays' own noise stacks would draw: a source
-        # is on at nonzero strength only (a flag at sigma or rate 0 is exact).
-        self.integrity = IntegrityChecker(
-            noisy=noise is not None and NoiseStack(DeviceParameters(), noise).active
-        )
+        self.integrity = IntegrityChecker()
         self._health: List[DeviceHealth] = [
             DeviceHealth() for _ in range(num_devices)
         ]
@@ -313,10 +310,7 @@ class DevicePool:
             allocation.bands.append(tuple(
                 self._program_copy(allocation, matrix, task) for task in copies
             ))
-        self.integrity.register(
-            allocation.allocation_id, source,
-            [(copies[0].row_start, copies[0].row_end) for copies in plan],
-        )
+        self._register_checksums(allocation)
         self._allocations[allocation.allocation_id] = allocation
         self._next_allocation += 1
         return allocation
@@ -329,9 +323,10 @@ class DevicePool:
         shard table, the devices' HCTs and arrays, and the compiled plans
         stay (shard kernels and device plans refreshed where they lie).
         The retained source and the ABFT checksums follow the new
-        values.  The matrix is never moved: a release and a
-        :meth:`set_matrix` might have put it elsewhere (once other matrices
-        came and went), this keeps its devices, noise streams and ledgers.
+        values, and whether they are compared exactly is decided again.
+        The matrix is never moved: a release and a :meth:`set_matrix`
+        might have put it elsewhere (once other matrices came and went),
+        this keeps its devices, noise streams and ledgers.
         A matrix of another shape, or one the encoder refuses, raises
         :class:`~repro.errors.QuantizationError`, and a copy on a failed
         device :class:`~repro.errors.DeviceFailedError` (release the
@@ -353,9 +348,27 @@ class DevicePool:
             device._rewrite(task.device_allocation, source[task.row_start: task.row_end],
                             device._tiles(task.device_allocation))
         allocation.matrix = source.astype(np.int64, copy=False)
+        self._register_checksums(allocation)
+
+    def _register_checksums(self, allocation: PooledAllocation) -> None:
+        """Register ``allocation``'s ABFT checksums, compared exactly when
+        every block of every copy of every band answers exactly -- a stuck-at
+        map is drawn per array, so a copy on other arrays can stick where
+        this one does not.
+        Each ACE decided its blocks at their last write
+        (:func:`~repro.analog.kernels.answers_exactly`; no shard kernel is
+        built), and every pool write -- ``set_matrix``, ``update_matrix``,
+        ``rebuild`` -- registers again."""
+        exact = True
+        for copies in allocation.bands:
+            for task in copies:
+                for _, hct, handle in self.devices[task.device_index]._tiles(
+                        task.device_allocation):
+                    exact = exact and hct.ace.answers_exactly(handle)
         self.integrity.register(
             allocation.allocation_id, allocation.matrix,
             [(copies[0].row_start, copies[0].row_end) for copies in allocation.bands],
+            exact,
         )
 
     def _plan_shards(
@@ -794,7 +807,9 @@ class DevicePool:
         lost storage shard.  The new copies replace the band's entry in
         the allocation's shard table in place, and their tile-level plans
         are compiled at every precision the allocation was already
-        prepared for, so post-rebuild dispatch pays no planning stall.
+        prepared for, so post-rebuild dispatch pays no planning stall, and
+        whether its checksums are compared exactly is decided again over
+        the copies it now has.
 
         A band that cannot reach the replication target but keeps at least
         one live copy is left degraded (requests still succeed); a band
@@ -893,6 +908,7 @@ class DevicePool:
         if rebuilt_positions:
             self.rebuilds += 1
             self.bands_rebuilt += len(rebuilt_positions)
+        self._register_checksums(allocation)
         return report
 
     # ------------------------------------------------------------------ #

@@ -264,10 +264,8 @@ class TestProgrammedStateDigest:
     NOISE = {
         "ideal": NoiseConfig.ideal(),
         "paper_default": NoiseConfig.paper_default(),
-        "sigma_zero": NoiseConfig(programming_noise=True, programming_sigma=0.0,
-                                  read_noise=False, ir_drop=False),
-        "stuck_at": NoiseConfig(read_noise=False, ir_drop=False, stuck_at_faults=True,
-                                stuck_at_rate=0.03, seed=9),
+        "sigma_zero": NoiseConfig(programming_sigma=0.0, read_sigma=0.0),
+        "stuck_at": NoiseConfig(read_sigma=0.0, stuck_at_rate=0.03, seed=9),
     }
     #: shape -> ACE geometry (the ragged one on ``HctConfig.small()``'s
     #: 16x16 arrays, with enough of them for 5 x 2 tiles of 4 slices).

@@ -746,8 +746,7 @@ class TestSameErrorsSameOrder:
 
     PATHS = {
         "exact": (None, "vectorized"),
-        "general": (NoiseConfig(programming_noise=False, read_noise=True,
-                                ir_drop=False, seed=3), "vectorized"),
+        "general": (NoiseConfig(programming_sigma=0.0, seed=3), "vectorized"),
         "estimate": (None, "estimate"),
         "reference": (None, "reference"),
     }

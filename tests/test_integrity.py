@@ -61,11 +61,11 @@ class TestBandCheckVector:
 
 
 class TestIntegrityChecker:
-    def _registered(self, rows=8, cols=5):
+    def _registered(self, rows=8, cols=5, exact=True):
         rng = derive_rng("abft-checker", rows, cols)
         matrix = rng.integers(-9, 9, size=(rows, cols))
         checker = IntegrityChecker()
-        checker.register(0, matrix, [(0, rows)])
+        checker.register(0, matrix, [(0, rows)], exact)
         return checker, matrix
 
     def test_accepts_the_true_product(self):
@@ -115,8 +115,7 @@ class TestIntegrityChecker:
         assert checker.verify(0, 0, x, x @ matrix) is None
 
     def test_tolerance_bands_absorb_noise_but_not_gross_corruption(self):
-        checker, matrix = self._registered()
-        checker.noisy = True  # banded by DEFAULT_NOISE_TOLERANCE, 0.05
+        checker, matrix = self._registered(exact=False)  # banded by 0.05
         x = np.full((1, 8), 4, dtype=np.int64)
         clean = x @ matrix
         budget = 0.05 * (np.abs(x) @ np.abs(matrix).sum(axis=1)) + 0.05
@@ -128,14 +127,23 @@ class TestIntegrityChecker:
         assert checker.verify(0, 0, x, gross) is False
 
     def test_noisy_default_and_explicit_zero(self, monkeypatch):
-        checker = IntegrityChecker(noisy=True)
-        assert checker._effective_tolerance() == DEFAULT_NOISE_TOLERANCE
-        # 0.0 forces exact comparison even on a noisy pool.
+        """The band is per allocation: an inexact one reads the module
+        tolerance at each check, an exact one is compared exactly, and a
+        re-registration decides it again."""
+        checker, matrix = self._registered(exact=False)
+        checker.register(1, matrix, [(0, 8)])
+        assert checker._effective_tolerance(0) == DEFAULT_NOISE_TOLERANCE
+        # 0.0 forces exact comparison even on an inexact allocation.
         monkeypatch.setattr(integrity_module, "DEFAULT_NOISE_TOLERANCE", 0.0)
-        assert checker._effective_tolerance() == 0.0
+        assert checker._effective_tolerance(0) == 0.0
         monkeypatch.setattr(integrity_module, "DEFAULT_NOISE_TOLERANCE", 0.2)
-        assert checker._effective_tolerance() == 0.2
-        assert IntegrityChecker(noisy=False)._effective_tolerance() == 0.0
+        assert checker._effective_tolerance(0) == 0.2
+        assert checker._effective_tolerance(1) == 0.0
+        checker.register(0, matrix, [(0, 8)], exact=True)
+        assert checker._effective_tolerance(0) == 0.0
+        checker.register(1, matrix, [(0, 8)], exact=False)
+        checker.forget(1)
+        assert checker._effective_tolerance(1) == 0.0
 
 
 class TestDeviceHealth:
@@ -230,12 +238,12 @@ class TestPoolWiring:
 
 
     def test_an_exact_pool_checks_exactly(self):
-        """A pool whose noise config enables no error source answers exactly,
-        so its checksums are compared exactly: an off-by-one partial is a
-        corruption, not noise inside a tolerance band."""
+        """A pool whose noise config sets every source to zero answers
+        exactly, so its checksums are compared exactly: an off-by-one
+        partial is a corruption, not noise inside a tolerance band."""
         pool = small_pool(
             verify="full", num_devices=1,
-            noise=NoiseConfig(programming_noise=False, read_noise=False),
+            noise=NoiseConfig(programming_sigma=0.0, read_sigma=0.0),
         )
         rng = derive_rng("integrity-exact-noise-config")
         matrix = rng.integers(-8, 8, size=(16, 8))
@@ -247,28 +255,77 @@ class TestPoolWiring:
         assert pool.integrity.verify(allocation.allocation_id, position, vectors, partial)
         partial[1, 2] += 1
         assert not pool.integrity.verify(allocation.allocation_id, position, vectors, partial)
-        assert not pool.integrity.noisy
+        assert pool.integrity._effective_tolerance(allocation.allocation_id) == 0.0
 
+    @pytest.mark.parametrize("element_size", [4, 8])
     @pytest.mark.parametrize("noise", [
-        NoiseConfig(programming_noise=True, programming_sigma=0.0, read_noise=False),
-        NoiseConfig(programming_noise=False, read_noise=True, read_sigma=0.0),
-        NoiseConfig(programming_noise=False, read_noise=False, stuck_at_faults=True,
-                    stuck_at_rate=0.0),
-    ], ids=["programming_sigma_0", "read_sigma_0", "stuck_at_rate_0"])
-    def test_a_source_at_zero_strength_checks_exactly(self, noise):
-        """A flag whose sigma or rate is 0 draws nothing -- the arrays'
-        noise stacks ask for strength, and so does the pool: the answer is
-        exact, so an off-by-one partial is refused under ``verify="full"``."""
+        NoiseConfig.ideal(),
+        NoiseConfig(programming_sigma=0.0, read_sigma=0.0, stuck_at_rate=0.0),
+        NoiseConfig(programming_sigma=0.0, read_sigma=0.0, stuck_at_rate=None),
+    ], ids=["ideal", "stuck_at_rate_0", "stuck_at_device_default"])
+    def test_a_source_at_zero_strength_checks_exactly(self, noise, element_size):
+        """A source at strength 0 -- stated, or the device default of 0 --
+        draws nothing, and a 1-bit-cell block round-trips its ADC: the
+        device answers exactly, so an off-by-one partial is refused under
+        ``verify="full"``."""
         pool = small_pool(verify="full", num_devices=1, noise=noise)
-        rng = derive_rng("integrity-zero-strength")
-        matrix = rng.integers(-8, 8, size=(16, 8))
-        allocation = pool.set_matrix(matrix, element_size=4, precision=0)
+        rng = derive_rng("integrity-zero-strength", element_size)
+        half = 1 << (element_size - 1)
+        matrix = rng.integers(-half, half, size=(16, 8))
+        allocation = pool.set_matrix(matrix, element_size=element_size, precision=0)
         vectors = rng.integers(4, 8, size=(3, 16))
         partial = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
         assert np.array_equal(partial, vectors @ matrix)
         partial[1, 2] += 1
         assert not pool.integrity.verify(allocation.allocation_id, 0, vectors, partial)
-        assert not pool.integrity.noisy
+        assert pool.integrity._effective_tolerance(allocation.allocation_id) == 0.0
+
+    def test_the_band_follows_the_arrays_through_in_place_rewrites(self):
+        """Stuck-at faults only: a matrix that agrees with the arrays' fault
+        map is answered exactly, one that does not is not.  Each
+        ``update_matrix`` decides the band again from what the arrays now
+        answer, whatever the noise config says."""
+        pool = small_pool(
+            verify="audit", num_devices=1,
+            noise=NoiseConfig(programming_sigma=0.0, read_sigma=0.0,
+                              stuck_at_rate=0.05, seed=218),
+        )
+        allocation = pool.set_matrix(np.zeros((8, 8), dtype=np.int64), element_size=4)
+        (task,) = allocation.all_tasks
+        device = pool.devices[task.device_index]
+        ((_, hct, handle),) = device._tiles(task.device_allocation)
+        faults = [hct.ace.crossbar(i).noise.stuck_at for i in handle.array_ids]
+        stuck = np.logical_or.reduce([fault._mask for fault in faults])
+        assert stuck.any() and all((fault._values[fault._mask] == hct.ace.device.g_min).all()
+                                   for fault in faults)
+        rng = derive_rng("integrity-stuck-rewrites")
+        a = np.where(stuck, 0, rng.integers(-8, 8, size=(8, 8)))
+        b = np.where(stuck, 7, a)
+        vectors = rng.integers(0, 8, size=(4, 8))
+        for matrix, tolerance in ((a, 0.0), (b, DEFAULT_NOISE_TOLERANCE), (a, 0.0)):
+            pool.update_matrix(allocation, matrix)
+            assert pool.integrity._effective_tolerance(allocation.allocation_id) == tolerance
+            out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
+            assert np.array_equal(out, vectors @ matrix) == (tolerance == 0.0)
+
+    @pytest.mark.parametrize("element_size", [4, 8])
+    @pytest.mark.parametrize("precision", [1, 2])
+    def test_an_ideal_pool_with_a_lossy_adc_serves_every_clean_call(self, element_size,
+                                                                     precision):
+        """Multi-bit cells overrun the 8-bit ADC's grid, so a noise-free
+        pool answers off by the converter's rounding, not by a fault.  The
+        device decides the band, not the noise config: the allocation is
+        banded, and ``verify="full"`` serves every clean call."""
+        pool = small_pool(verify="full", num_devices=1, noise=NoiseConfig.ideal())
+        rng = derive_rng("integrity-lossy-adc", element_size, precision)
+        half = 1 << (element_size - 1)
+        matrix = rng.integers(-half, half, size=(16, 8))
+        allocation = pool.set_matrix(matrix, element_size=element_size, precision=precision)
+        for _ in range(4):
+            pool.exec_mvm_batch(allocation, rng.integers(0, 8, size=(4, 16)), input_bits=3)
+        assert (pool.integrity_checks, pool.corruptions_detected) == (4, 0)
+        assert (pool.integrity._effective_tolerance(allocation.allocation_id)
+                == DEFAULT_NOISE_TOLERANCE)
 
 
 class TestRebuild:

@@ -51,25 +51,18 @@ from repro.workloads.cnn.layers import Conv2d
 NOISE_PRESETS = {
     "ideal": dict(noise=None, parasitics=None),
     "frozen_program_noise": dict(
-        noise=NoiseConfig(
-            programming_noise=True, read_noise=False, ir_drop=False,
-            stuck_at_faults=True, seed=11,
-        ),
+        noise=NoiseConfig(read_sigma=0.0, stuck_at_rate=0.03, seed=11),
         parasitics=None,
     ),
     "read_noise": dict(
-        noise=NoiseConfig(
-            programming_noise=False, read_noise=True, ir_drop=False, seed=3
-        ),
+        noise=NoiseConfig(programming_sigma=0.0, seed=3),
         parasitics=None,
     ),
     "ir_drop": dict(
         noise=None, parasitics=ParasiticModel(wire_resistance_ohm=0.5)
     ),
     "full_stack": dict(
-        noise=NoiseConfig(
-            programming_noise=True, read_noise=True, seed=5
-        ),
+        noise=NoiseConfig(seed=5),
         parasitics=ParasiticModel(wire_resistance_ohm=0.2),
     ),
 }
@@ -425,9 +418,8 @@ class TestDevicePlanEquivalence:
         assert states["plan"] == states["loop"] == states["reference"]
 
     @pytest.mark.parametrize("noise", [
-        NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False, seed=3),
-        NoiseConfig(programming_noise=True, read_noise=False, ir_drop=False,
-                    stuck_at_faults=True, seed=11),
+        NoiseConfig(programming_sigma=0.0, seed=3),
+        NoiseConfig(read_sigma=0.0, stuck_at_rate=0.03, seed=11),
         NoiseConfig.paper_default(),
     ], ids=["read_noise", "frozen_program_noise", "paper_default"])
     def test_noisy_device_keeps_the_loop_and_matches_reference(self, noise):
@@ -944,9 +936,7 @@ class TestShardKernelCache:
         assert np.array_equal(out.values, vectors @ updated)
 
     def test_exact_fast_path_disabled_under_programming_noise(self):
-        noisy = NoiseConfig(
-            programming_noise=True, read_noise=False, ir_drop=False, seed=1
-        )
+        noisy = NoiseConfig(read_sigma=0.0, seed=1)
         tile = HybridComputeTile(HctConfig.small(), noise=noisy)
         handle = tile.set_matrix(np.eye(8, dtype=np.int64) * 3, value_bits=4)
         tile.execute_mvm_batch(handle, np.ones((1, 8), dtype=np.int64), input_bits=1)
@@ -959,8 +949,8 @@ class TestShardKernelCache:
 
     #: Stuck-at faults only, on a stream whose map over an 8x8 4-bit
     #: allocation holds seven devices, every one stuck low (pinned below).
-    STUCK_LOW = NoiseConfig(programming_noise=False, read_noise=False, ir_drop=False,
-                            stuck_at_faults=True, stuck_at_rate=0.05, seed=218)
+    STUCK_LOW = NoiseConfig(programming_sigma=0.0, read_sigma=0.0, stuck_at_rate=0.05,
+                            seed=218)
 
     def test_in_place_rewrites_follow_the_exactness_proof_both_ways(self):
         """A agrees with the arrays' fault map, so it is exact; B is not.
@@ -1019,8 +1009,7 @@ class TestReadNoiseStreams:
     """One generator per crossbar, named ``(seed, tile_id, array_id)``; one
     crossbar's looped and batched reads are the same samples."""
 
-    READ_NOISE = NoiseConfig(programming_noise=False, read_noise=True, ir_drop=False,
-                             read_sigma=0.05, seed=5)
+    READ_NOISE = NoiseConfig(programming_sigma=0.0, read_sigma=0.05, seed=5)
 
     @staticmethod
     def _noisy_batch(seed, backend=None):

@@ -207,9 +207,7 @@ class TestCostModelBackend:
         """The estimator draws no read noise, so a later real run is clean."""
         from repro.reram import NoiseConfig
 
-        noise = NoiseConfig(
-            programming_noise=False, read_noise=True, ir_drop=False, seed=7
-        )
+        noise = NoiseConfig(programming_sigma=0.0, seed=7)
         baseline_tile, baseline_handle, _ = _tile_with_matrix(noise=noise)
         vectors = np.ones((2, 32), dtype=np.int64)
         baseline = baseline_tile.execute_mvm_batch(

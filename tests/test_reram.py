@@ -6,6 +6,7 @@ import pytest
 from repro.testing import derive_rng
 from hypothesis import given, strategies as st
 
+from repro import DarthPumDevice
 from repro.analog.crossbar import AnalogCrossbar, add_read_noise, read_noise_variance
 from repro.errors import ConfigurationError, QuantizationError
 from repro.reram import (
@@ -62,18 +63,39 @@ class TestNoiseStack:
 
     def test_programming_noise_perturbs_but_stays_in_range(self):
         params = DeviceParameters(programming_noise_sigma=0.05)
-        stack = NoiseStack(params, NoiseConfig(programming_noise=True, read_noise=False))
+        stack = NoiseStack(params, NoiseConfig(read_sigma=0.0))
         conductances = np.full((8, 8), 5e-5)
         programmed = stack.program(conductances)
         assert not np.array_equal(programmed, conductances)
         assert programmed.min() >= params.g_min and programmed.max() <= params.g_max
 
     def test_read_noise_changes_between_reads(self):
-        stack = NoiseStack(DeviceParameters(), NoiseConfig(programming_noise=False, read_noise=True))
+        stack = NoiseStack(DeviceParameters(), NoiseConfig(programming_sigma=0.0))
         conductances = np.full((4, 4), 5e-5)
         assert stack.read_noise_active
         first = stack.read_noise.apply(conductances, stack.rng)
         assert not np.array_equal(first, stack.read_noise.apply(conductances, stack.rng))
+
+    #: Programming noise stated at strength 0, and no other source.
+    SIGMA_ZERO = NoiseConfig(programming_sigma=0.0, read_sigma=0.0)
+
+    def test_a_zero_strength_write_is_the_plane_itself(self, monkeypatch):
+        """A source at strength 0 is off: the write returns the plane itself
+        and builds no generator, and an in-place rewrite of a 64x64 4-bit
+        device builds none either."""
+        stack = NoiseStack(DeviceParameters(), self.SIGMA_ZERO)
+        plane = np.full((4, 4), 5e-5)
+        assert stack.program(plane) is plane
+        assert stack._rng is None
+        rng = derive_rng("reram-zero-strength")
+        device = DarthPumDevice(noise=self.SIGMA_ZERO)
+        allocation = device.set_matrix(rng.integers(-8, 8, size=(64, 64)), element_size=4)
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: built.append(args) or default_rng(*args))
+        device.update_matrix(allocation, rng.integers(-8, 8, size=(64, 64)))
+        assert built == []
 
     def test_seed_reproducibility(self):
         config = NoiseConfig(seed=42)
@@ -138,8 +160,8 @@ class TestBulkReadNoise:
         vectors = np.ones((3, 8), dtype=np.int64)
         for noise in (
             NoiseConfig.ideal(),
-            NoiseConfig(programming_noise=True, read_noise=False, seed=4),
-            NoiseConfig(programming_noise=False, read_noise=True, read_sigma=0.0, seed=4),
+            NoiseConfig(read_sigma=0.0, seed=4),
+            NoiseConfig(programming_sigma=0.0, read_sigma=0.0, seed=4),
         ):
             crossbar = AnalogCrossbar(rows=8, cols=4, noise=noise)
             crossbar.program_differential(
@@ -170,14 +192,13 @@ class TestDriftAndStuckAt:
         """No MVM path applies drift, so a drift config is refused rather
         than answered as if the devices held still (an ideal answer)."""
         with pytest.raises(ConfigurationError, match="drift is not modelled"):
-            NoiseConfig(programming_noise=False, read_noise=False, ir_drop=False,
-                        drift=True)
+            NoiseConfig(drift=True)
 
     def test_ir_drop_config_is_refused(self):
         """No MVM path reads ``ir_drop``: IR drop comes from a
         ``ParasiticModel`` on the tile, and the refusal says so."""
         with pytest.raises(ConfigurationError, match="ParasiticModel"):
-            NoiseConfig(programming_noise=False, read_noise=False, ir_drop=True)
+            NoiseConfig(ir_drop=True)
         assert not NoiseConfig().ir_drop and not NoiseConfig.paper_default().ir_drop
 
     def test_stuck_at_fault_count_matches_rate(self):

@@ -1081,7 +1081,8 @@ class TestPublicSurface:
         """A keyword only tests set is a module constant they patch: the
         gateway's admission, liveness, hedging, supervision and fault knobs,
         the server's auto-rebuild, the pool's backend, the breaker's tuning
-        and the ABFT tolerance."""
+        and the ABFT tolerance.  The ABFT band is per allocation, decided by
+        the devices, so the checker takes nothing."""
         from repro.runtime import server as server_module
         from repro.runtime.cluster import gateway as gateway_module
 
@@ -1092,14 +1093,14 @@ class TestPublicSurface:
             PumServer: ("auto_rebuild",),
             DevicePool: ("backend",),
             CircuitBreaker: ("threshold", "cooldown", "max_cooldown"),
-            IntegrityChecker: ("tolerance",),
+            IntegrityChecker: ("tolerance", "noisy"),
         }
         for cls, names in gone.items():
             parameters = inspect.signature(cls).parameters
             for name in names:
                 assert name not in parameters, (cls.__name__, name)
         assert list(inspect.signature(CircuitBreaker).parameters) == ["clock"]
-        assert list(inspect.signature(IntegrityChecker).parameters) == ["noisy"]
+        assert list(inspect.signature(IntegrityChecker).parameters) == []
         assert not hasattr(gateway_module, "_new_breaker")
         for module, name, value in (
                 (gateway_module, "INFLIGHT_WINDOW", 1024),
