@@ -280,17 +280,20 @@ class TestPoolWiring:
         assert not pool.integrity.verify(allocation.allocation_id, 0, vectors, partial)
         assert pool.integrity._effective_tolerance(allocation.allocation_id) == 0.0
 
-    def test_the_band_follows_the_arrays_through_in_place_rewrites(self):
+    def test_the_band_follows_the_arrays_through_rewrites_and_rebuild(self):
         """Stuck-at faults only: a matrix that agrees with the arrays' fault
         map is answered exactly, one that does not is not.  Each
         ``update_matrix`` decides the band again from what the arrays now
-        answer, whatever the noise config says."""
+        answer, whatever the noise config says, and so does a ``rebuild``
+        whose new copy sits on other arrays, with another fault map."""
         pool = small_pool(
-            verify="audit", num_devices=1,
+            verify="audit",
             noise=NoiseConfig(programming_sigma=0.0, read_sigma=0.0,
                               stuck_at_rate=0.05, seed=218),
         )
         allocation = pool.set_matrix(np.zeros((8, 8), dtype=np.int64), element_size=4)
+        # Takes the other device's first HCT, so a rebuilt copy lands on its second.
+        pool.set_matrix(np.zeros((8, 8), dtype=np.int64), element_size=4)
         (task,) = allocation.all_tasks
         device = pool.devices[task.device_index]
         ((_, hct, handle),) = device._tiles(task.device_allocation)
@@ -307,6 +310,12 @@ class TestPoolWiring:
             assert pool.integrity._effective_tolerance(allocation.allocation_id) == tolerance
             out = pool.exec_mvm_batch(allocation, vectors, input_bits=3)
             assert np.array_equal(out, vectors @ matrix) == (tolerance == 0.0)
+        pool.mark_device_failed(task.device_index)
+        assert pool.rebuild(allocation).changed
+        (moved,) = allocation.all_tasks
+        assert moved.device_index != task.device_index
+        assert (pool.integrity._effective_tolerance(allocation.allocation_id)
+                == DEFAULT_NOISE_TOLERANCE)
 
     @pytest.mark.parametrize("element_size", [4, 8])
     @pytest.mark.parametrize("precision", [1, 2])
