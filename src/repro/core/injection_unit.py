@@ -151,21 +151,20 @@ class InstructionInjectionUnit:
     @staticmethod
     def reduction_batch_costs(
         pipeline: BitPipeline, num_partials: int, batch: int, width: int
-    ) -> Tuple[int, float, int, float, float]:
+    ) -> Tuple[int, float, float]:
         """What one batched write+ADD reduction stream costs, charging nothing.
 
-        The single source of truth for the cost side of a batched reduction,
-        and a pure function of its arguments: the reference interpreter
-        charges it per call (:meth:`account_reduction_batch`), the planner
-        compiles it once per :class:`~repro.plan.ir.BatchReceipt` into the
-        run list and counter totals the vectorized and cost-only backends
-        replay.  Every staged write touches
-        one device per bit per transferred element (``dce.write``); every
-        ADD executes its NOR network on all rows of all bit arrays
-        (``dce.boolean``).
+        The energy and front-end slots of a batched reduction, a pure
+        function of its arguments: the reference interpreter charges it per
+        call (:meth:`account_reduction_batch`), the planner compiles it once
+        per :class:`~repro.plan.ir.BatchReceipt` into the run list and
+        counter totals the vectorized and cost-only backends replay.  Its
+        time is :meth:`~repro.plan.ir.PlanCostModel.predict`'s.  Every
+        staged write touches one device per bit per transferred element
+        (``dce.write``); every ADD executes its NOR network on all rows of
+        all bit arrays (``dce.boolean``).
 
-        Returns ``(n_adds, add_uops_per_bit, slots_saved, write_pj,
-        boolean_pj)``.
+        Returns ``(slots_saved, write_pj, boolean_pj)``.
         """
         add_uops = float(pipeline.add_uops_per_bit)
         depth, rows = pipeline.depth, pipeline.rows
@@ -176,13 +175,8 @@ class InstructionInjectionUnit:
         # Equal to summing ``total_uops`` over the ``num_ops`` write+ADD
         # pairs: the per-op uop counts are integral, so the product is exact.
         saved = int(num_ops * (write.total_uops + add.total_uops))
-        return (
-            num_ops,
-            add_uops,
-            saved,
-            num_ops * pipeline.WRITE_ENERGY_PJ * width * depth,
-            num_ops * add_uops * depth * nor_energy * rows,
-        )
+        return (saved, num_ops * pipeline.WRITE_ENERGY_PJ * width * depth,
+                num_ops * add_uops * depth * nor_energy * rows)
 
     def account_reduction_batch(
         self,
@@ -190,19 +184,18 @@ class InstructionInjectionUnit:
         num_partials: int,
         batch: int,
         width: int,
-    ) -> Tuple[int, float, int]:
+    ) -> int:
         """Charge one batched reduction stream and update the IIU statistics.
 
-        Returns ``(n_adds, add_uops_per_bit, slots_saved)``.
+        Returns the front-end slots it saved.
         """
-        num_ops, add_uops, saved, write_pj, boolean_pj = self.reduction_batch_costs(
-            pipeline, num_partials, batch, width
-        )
+        saved, write_pj, boolean_pj = self.reduction_batch_costs(
+            pipeline, num_partials, batch, width)
         pipeline.ledger.charge("dce.write", energy_pj=write_pj)
         pipeline.ledger.charge("dce.boolean", energy_pj=boolean_pj)
         self.injections += 1
         self.front_end_slots_saved += saved
-        return num_ops, add_uops, saved
+        return saved
 
     def inject_reduction_batch(
         self,
@@ -211,7 +204,7 @@ class InstructionInjectionUnit:
         accumulator_vr: int,
         staging_vrs: Sequence[int],
         shifts: Sequence[int],
-    ) -> Tuple[np.ndarray, int, float, int]:
+    ) -> Tuple[np.ndarray, int]:
         """Reduce a whole batch of partial-product streams in one pass.
 
         ``partial_values`` holds one already-shifted ``(batch, width)`` matrix
@@ -219,12 +212,12 @@ class InstructionInjectionUnit:
         gate-level write+ADD sequences (the per-element path of
         :meth:`inject_reduction`), the reduction is a single NumPy sum; the
         µop stream the hardware would execute is reconstructed analytically
-        (:meth:`account_reduction_batch`) so cycle, energy, and
-        front-end-slot accounting match the gate path.
+        (:meth:`account_reduction_batch`) so energy and front-end-slot
+        accounting match the gate path; its time is the plan's
+        :meth:`~repro.plan.ir.PlanCostModel.predict`.
 
-        Returns ``(reduced, n_adds, add_uops_per_bit, slots_saved)`` where
-        ``reduced`` is the ``(batch, width)`` accumulator contents after the
-        stream.
+        Returns ``(reduced, slots_saved)`` where ``reduced`` is the
+        ``(batch, width)`` accumulator contents after the stream.
 
         Like :meth:`inject_reduction`, requires the target pipeline to be
         reserved for analog output (:class:`~repro.errors.RegisterLiveError`
@@ -235,11 +228,9 @@ class InstructionInjectionUnit:
         batch, width = stacked.shape[1], stacked.shape[2]
         reduced = self.wrap_accumulator(stacked.sum(axis=0), pipeline.depth)
 
-        n_adds, add_uops, saved = self.account_reduction_batch(
-            pipeline, len(partial_values), batch, width
-        )
+        saved = self.account_reduction_batch(pipeline, len(partial_values), batch, width)
         # Leave the accumulator VR holding the last vector's reduction so the
         # pipeline state matches the end of the hardware stream (the bulk
         # charges above already cover this write).
         pipeline.set_vr_bits(accumulator_vr, reduced[-1])
-        return reduced, n_adds, add_uops, saved
+        return reduced, saved

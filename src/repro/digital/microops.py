@@ -64,7 +64,7 @@ class WordOpCost:
         Pipelining class; determines the operation's latency
         (:attr:`unpipelined_cycles`).  How a stream of ADDs overlaps in the
         bit pipeline (Figure 10b) is priced by
-        :meth:`~repro.plan.ir.PlanCostModel.timeline`.
+        :meth:`~repro.plan.ir.PlanCostModel.predict`.
     uops_per_bit:
         Number of array-level µops executed per bit position.
     bits:

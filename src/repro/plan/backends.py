@@ -304,14 +304,12 @@ class ReferenceExecutor(ExecutionBackend):
                 num_partial_products=len(execution.partials),
             )
 
-        values, (n_adds, add_uops), slots_saved = self._reduce_in_dce(
-            tile, plan, execution
-        )
+        values, slots_saved = self._reduce_in_dce(tile, plan, execution)
         if compensation is not None:
             values = compensation.recover_batch(values, vectors)
 
-        optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
-        unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
+        optimized_cycles, breakdown = plan.cost.predict(batch, True)
+        unoptimized_cycles, _ = plan.cost.predict(batch, False)
         charged = optimized_cycles if optimized else unoptimized_cycles
         tile._commit_schedule(plan, optimized_cycles, charged)
 
@@ -360,48 +358,42 @@ class ReferenceExecutor(ExecutionBackend):
 
     def _reduce_in_dce(self, tile, plan: MvmPlan, execution: BatchMvmExecution):
         """Reduce the partial-product stream in the DCE, column tile by
-        column tile: the shift units align every partial product in flight,
-        the transpose unit stages it, and :meth:`_inject` reduces it."""
-        handle = plan.handle
-        staging = list(plan.staging_vrs)
-        n_adds = 0
-        add_uops = 12.0
+        column tile, each in one NumPy sum, its µop stream charged for its
+        energy and front-end slots
+        (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction_batch`).
+        Returns ``(values, slots_saved)``."""
+        result = np.zeros((execution.batch, plan.handle.shape[1]), dtype=np.int64)
         slots_saved = 0
-        result = np.zeros((execution.batch, handle.shape[1]), dtype=np.int64)
-
-        for red in plan.reduction:
-            pipeline = tile.dce.pipeline(plan.output_base + red.col_tile)
-            tile_partials = [p for p in execution.partials if p.col_tile == red.col_tile]
-            if not tile_partials:
-                continue
-            shifted_values = []
-            shifts = []
-            for partial in tile_partials:
-                transfer = tile.shift_unit.apply(
-                    np.rint(partial.values).astype(np.int64),
-                    input_bit=partial.input_bit,
-                    extra_shift=partial.weight_slice * handle.bits_per_cell,
-                )
-                tile.transpose_unit.batch_to_registers(transfer.values)
-                shifted_values.append(transfer.values)
-                shifts.append(transfer.shift)
-            reduced, adds, add_uops, saved = self._inject(
-                tile.iiu, pipeline, shifted_values, plan.accumulator_vr, staging, shifts
+        for red, pipeline, shifted_values, shifts in _column_streams(tile, plan, execution):
+            reduced, saved = tile.iiu.inject_reduction_batch(
+                pipeline, shifted_values, plan.accumulator_vr, plan.staging_vrs, shifts
             )
-            n_adds += adds
             slots_saved += saved
             result[:, red.col_offset: red.col_offset + red.width] = reduced[:, : red.width]
-        return result, (n_adds, add_uops), slots_saved
+        return result, slots_saved
 
-    @staticmethod
-    def _inject(iiu, pipeline, shifted_values, accumulator_vr, staging, shifts):
-        """One column tile's write + ADD stream for the whole batch: one
-        NumPy sum, the µop stream reconstructed for its cost
-        (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction_batch`).
-        Returns ``(reduced, n_adds, add_uops_per_bit, slots_saved)``."""
-        return iiu.inject_reduction_batch(
-            pipeline, shifted_values, accumulator_vr, staging, shifts
-        )
+
+def _column_streams(tile, plan: MvmPlan, execution: BatchMvmExecution):
+    """Yield ``(reduction step, pipeline, shifted values, shifts)`` per
+    column tile that has partial products, in order: the shift units align
+    every partial product in flight and the transpose unit stages it, just
+    before the column tile is reduced."""
+    handle = plan.handle
+    for red in plan.reduction:
+        partials = [p for p in execution.partials if p.col_tile == red.col_tile]
+        if not partials:
+            continue
+        shifted_values, shifts = [], []
+        for partial in partials:
+            transfer = tile.shift_unit.apply(
+                np.rint(partial.values).astype(np.int64),
+                input_bit=partial.input_bit,
+                extra_shift=partial.weight_slice * handle.bits_per_cell,
+            )
+            tile.transpose_unit.batch_to_registers(transfer.values)
+            shifted_values.append(transfer.values)
+            shifts.append(transfer.shift)
+        yield red, tile.dce.pipeline(plan.output_base + red.col_tile), shifted_values, shifts
 
 
 class GateLevelExecutor(ReferenceExecutor):
@@ -411,27 +403,39 @@ class GateLevelExecutor(ReferenceExecutor):
     VRs and added into the accumulator by NOR-synthesised ripple adds
     (:meth:`~repro.core.injection_unit.InstructionInjectionUnit.inject_reduction`),
     and the sum is read back from the accumulator: nothing of the reduction
-    is modelled.  Every single-vector call is a batch of one on
-    :data:`GATE_LEVEL`; it is not in :data:`BACKENDS`.
+    is modelled.  The stream it executed must be the one the plan's cost
+    model prices -- ``partials_per_vector`` ADDs per vector, each of
+    ``add_uops_per_bit`` µops per bit -- or the call raises
+    :class:`~repro.errors.ExecutionError` before it commits a timeline.
+    Every single-vector call is a batch of one on :data:`GATE_LEVEL`; it is
+    not in :data:`BACKENDS`.
     """
 
     name = "gate_level"
 
-    @staticmethod
-    def _inject(iiu, pipeline, shifted_values, accumulator_vr, staging, shifts):
-        width = shifted_values[0].shape[1]
-        rows, n_adds, add_uops, slots_saved = [], 0, 12.0, 0
-        for vector in range(shifted_values[0].shape[0]):
-            costs, saved = iiu.inject_reduction(
-                pipeline, [values[vector] for values in shifted_values],
-                accumulator_vr, staging, shifts,
+    def _reduce_in_dce(self, tile, plan: MvmPlan, execution: BatchMvmExecution):
+        batch = execution.batch
+        result = np.zeros((batch, plan.handle.shape[1]), dtype=np.int64)
+        slots_saved, adds = 0, []
+        for red, pipeline, shifted_values, shifts in _column_streams(tile, plan, execution):
+            columns = slice(red.col_offset, red.col_offset + red.width)
+            for vector in range(batch):
+                costs, saved = tile.iiu.inject_reduction(
+                    pipeline, [values[vector] for values in shifted_values],
+                    plan.accumulator_vr, plan.staging_vrs, shifts,
+                )
+                adds += [cost.uops_per_bit for cost in costs if cost.name == "add"]
+                slots_saved += saved
+                accumulator = pipeline.read_vr(plan.accumulator_vr, signed=True)
+                result[vector, columns] = accumulator[: red.width]
+        cost = plan.cost
+        if adds != [cost.add_uops_per_bit] * (batch * cost.partials_per_vector):
+            raise ExecutionError(
+                f"the reduction executed {len(adds)} ADDs of µops per bit "
+                f"{sorted(set(adds))}; the plan prices {batch * cost.partials_per_vector} "
+                f"of {cost.add_uops_per_bit}"
             )
-            adds = [cost for cost in costs if cost.name == "add"]
-            n_adds += len(adds)
-            add_uops = adds[0].uops_per_bit if adds else add_uops
-            slots_saved += saved
-            rows.append(pipeline.read_vr(accumulator_vr, signed=True)[:width])
-        return np.stack(rows), n_adds, add_uops, slots_saved
+        return result, slots_saved
 
 
 #: The interpreter of every single-vector call.

@@ -39,7 +39,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..analog.bitslicing import ShiftAddPlan
-from ..analog.kernels import analog_step_costs
 from ..metrics import CostLedger, Pending, Tally, tally, units
 
 __all__ = [
@@ -180,10 +179,13 @@ class ReductionStep:
 class PlanCostModel:
     """Analytic latency model of the two Figure 10 schedules.
 
-    All parameters are fixed at plan-build time from the allocation's
-    geometry and periphery; the model is *closed-form in the batch size*,
-    which is what lets one plan serve every batch shape with zero
-    re-planning on the serving hot path.
+    The one place a batch's timeline is computed: the planner's
+    :class:`BatchReceipt`, the step-walking reference and gate-level
+    interpreters, the device, pool and server oracles and the cluster's
+    :class:`PlanHandle` all read :meth:`predict`.  All parameters are fixed
+    at plan-build time from the allocation's geometry and periphery; the
+    model is *closed-form in the batch size*, which is what lets one plan
+    serve every batch shape with zero re-planning on the serving hot path.
     """
 
     #: Analog production latency of one macro-step (DAC drive + crossbar
@@ -200,40 +202,26 @@ class PlanCostModel:
     max_shift: int
     #: Analog macro-steps per input vector.
     steps_per_vector: int
+    #: Partial products per input vector the reduction adds, over every
+    #: column tile: one pipelined ADD each.
+    partials_per_vector: int
     #: µops one ripple-carry ADD executes per bit position on this tile's
-    #: DCE (captured at plan-build time so the model can *predict* a batch
-    #: timeline without executing the reduction that normally supplies it).
+    #: DCE.  With :attr:`partials_per_vector` it is the ADD stream the
+    #: gate-level interpreter executes and checks against.
     add_uops_per_bit: float = 12.0
 
-    def predict(
-        self, batch: int, partials_per_vector: int, optimized: bool = True
-    ) -> Tuple[float, Dict[str, float]]:
-        """Predicted timeline of a ``batch``-vector MVM, no execution needed.
+    def predict(self, batch: int, optimized: bool = True) -> Tuple[float, Dict[str, float]]:
+        """Wall-clock cycles of a ``batch``-vector MVM under one Figure 10
+        schedule, and its breakdown; no execution needed.
 
-        Reconstructs the pipelined ADD-stream shape the backends derive
-        while reducing (``n_adds = batch * partials_per_vector`` with the
-        tile's captured ``add_uops_per_bit``), so for a digital-reduction
-        tile the prediction equals the ``optimized_cycles`` a real dispatch
-        would report -- this is the closed-form oracle cost-aware
+        The pipelined ADD stream is ``batch * partials_per_vector`` ADDs of
+        ``add_uops_per_bit`` µops per bit.  What a dispatch with digital
+        post-processing commits, and the closed-form oracle cost-aware
         scheduling queries per candidate batch size.
         """
-        n_adds = batch * partials_per_vector
-        return self.timeline(batch, n_adds, self.add_uops_per_bit, optimized)
-
-    def timeline(
-        self,
-        batch: int,
-        n_adds: int,
-        add_uops_per_bit: float,
-        optimized: bool,
-    ) -> Tuple[float, Dict[str, float]]:
-        """Wall-clock latency of an MVM batch under one Figure 10 schedule.
-
-        ``n_adds``/``add_uops_per_bit`` describe the pipelined ADD stream
-        (the backends derive them from the reduction they performed, so the
-        reference and analytic accountings stay value-identical).
-        """
         steps = self.steps_per_vector * batch
+        n_adds = self.partials_per_vector * batch
+        add_uops_per_bit = self.add_uops_per_bit
         breakdown: Dict[str, float] = {}
         if optimized:
             # Figure 10b: shifts happen in flight; ADC production, network
@@ -276,9 +264,10 @@ class BatchReceipt:
     (:meth:`~repro.plan.planner.Planner.receipt_for`) and memoises it on the
     plan: the ledger side as per-category totals on the ledger grid
     (:func:`~repro.metrics.checked_runs`, every cost checked and converted
-    once, here), the counter side as totals.  The backends replay both
-    against the tile's live ledger and counters
-    (``repro.plan.backends._replay``); the step-walking reference
+    once, here), the counter side as totals, and both schedules' cycles
+    and the 10b breakdown as :meth:`PlanCostModel.predict` gives them.  The
+    backends replay all of it against the tile's live ledger, counters and
+    arbiter (``repro.plan.backends._replay``); the step-walking reference
     backend never builds one and is the oracle the replay is tested
     against.
     """
@@ -298,7 +287,8 @@ class BatchReceipt:
     injections: int
     n_adds: int
     slots_saved: int
-    #: Figure 10b / 10a wall-clock cycles and the 10b breakdown.
+    #: Figure 10b / 10a wall-clock cycles and the 10b breakdown
+    #: (:meth:`PlanCostModel.predict`).
     optimized_cycles: float
     unoptimized_cycles: float
     breakdown: Mapping[str, float]
@@ -424,17 +414,11 @@ class MvmPlan:
         """Partial products one input vector produces."""
         return len(self.steps)
 
-    @property
-    def partials_per_vector(self) -> int:
-        """Partial products per input vector the digital reduction consumes."""
-        return sum(red.partials_per_vector for red in self.reduction)
-
     def predicted_cycles(self, batch: int, optimized: bool = True) -> float:
-        """Predicted wall-clock cycles of a ``batch``-vector MVM (no execution).
+        """Wall-clock cycles of a ``batch``-vector MVM (no execution).
 
-        Closed-form in the batch size through :meth:`PlanCostModel.predict`;
-        for a tile with digital post-processing the value equals the
-        ``optimized_cycles`` a real dispatch of the same batch reports, so
+        :meth:`PlanCostModel.predict`'s total: with digital post-processing
+        on, what a dispatch of the same batch commits on any backend, so
         cost-aware scheduling and placement can price work before running it.
 
         >>> import numpy as np
@@ -446,24 +430,8 @@ class MvmPlan:
         >>> plan.predicted_cycles(8) > plan.predicted_cycles(1)
         True
         """
-        total, _ = self.cost.predict(batch, self.partials_per_vector, optimized)
+        total, _ = self.cost.predict(batch, optimized)
         return total
-
-    def predicted_energy_pj(self, batch: int) -> float:
-        """Predicted analog-phase energy of a ``batch``-vector MVM, in pJ.
-
-        Sums the per-shard step energy the analytic backends charge for the
-        analog phase (:func:`~repro.analog.kernels.analog_step_costs`: DAC
-        drive, row periphery, sample-and-hold, ADC conversion, once per
-        input bit and weight slice) -- but *without* executing or charging
-        anything.  Digital
-        reduction energy is excluded; the analog phase dominates, which is
-        all a dispatch-now-vs-wait comparison needs.  First use builds the
-        allocation's shard kernel lazily (shared with the vectorized
-        backend's cache).
-        """
-        per_tile = sum(energy_pj for _, energy_pj in analog_step_costs(self.kernel, 1))
-        return self.input_bits * self.handle.num_slices * batch * per_tile
 
     def describe(self, max_steps: int = 12) -> str:
         """Human-readable rendering of the compiled schedule.
@@ -633,14 +601,13 @@ class PlanHandle:
     identity that only means anything inside the owning process.  Sharing
     scheduling information across a process boundary (the cluster gateway
     routing work to device-worker processes) needs none of that -- only
-    the closed-form cost surface.  ``PlanHandle`` captures the two samples
-    that pin the (affine in batch) predicted-cycle model plus the
-    predicted per-vector energy, and round-trips through ``to_bytes`` /
+    the closed-form cost surface.  ``PlanHandle`` carries cycles only: the
+    two samples of :meth:`PlanCostModel.predict` that pin the (affine in
+    batch) predicted-cycle model, round-tripped through ``to_bytes`` /
     ``from_bytes`` with no pickling.
 
     >>> handle = PlanHandle(shape=(8, 8), input_bits=4,
-    ...                     base_cycles=100.0, cycles_per_vector=25.0,
-    ...                     energy_per_vector_pj=3.5)
+    ...                     base_cycles=100.0, cycles_per_vector=25.0)
     >>> PlanHandle.from_bytes(handle.to_bytes()) == handle
     True
     >>> handle.predicted_cycles(4)
@@ -655,11 +622,9 @@ class PlanHandle:
     base_cycles: float
     #: Marginal cycles of each additional vector in the batch.
     cycles_per_vector: float
-    #: Predicted analog-phase energy per vector, in pJ.
-    energy_per_vector_pj: float
 
     #: Struct layout of the serialized form (see ``to_bytes``).
-    _STRUCT = struct.Struct("<IIIddd")
+    _STRUCT = struct.Struct("<IIIdd")
 
     def predicted_cycles(self, batch: int) -> float:
         """Predicted cycles of one ``batch``-vector dispatch."""
@@ -672,7 +637,6 @@ class PlanHandle:
         input_bits: int,
         cycles_at_1: float,
         cycles_at_17: float,
-        energy_per_vector_pj: float,
     ) -> "PlanHandle":
         """Fit the affine cycle model from two predicted-cycle samples.
 
@@ -687,30 +651,22 @@ class PlanHandle:
             input_bits=int(input_bits),
             base_cycles=base,
             cycles_per_vector=slope,
-            energy_per_vector_pj=float(energy_per_vector_pj),
         )
 
     def to_bytes(self) -> bytes:
         """Fixed-width binary form, safe to cross a process boundary."""
-        return self._STRUCT.pack(
-            self.shape[0], self.shape[1], self.input_bits,
-            self.base_cycles, self.cycles_per_vector,
-            self.energy_per_vector_pj,
-        )
+        return self._STRUCT.pack(self.shape[0], self.shape[1], self.input_bits,
+                                 self.base_cycles, self.cycles_per_vector)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "PlanHandle":
         """Inverse of :meth:`to_bytes`."""
         try:
-            rows, cols, input_bits, base, slope, energy = cls._STRUCT.unpack(
-                payload
-            )
+            rows, cols, input_bits, base, slope = cls._STRUCT.unpack(payload)
         except struct.error as exc:
             raise ValueError(f"malformed PlanHandle payload: {exc}") from exc
-        return cls(
-            shape=(rows, cols), input_bits=input_bits, base_cycles=base,
-            cycles_per_vector=slope, energy_per_vector_pj=energy,
-        )
+        return cls(shape=(rows, cols), input_bits=input_bits, base_cycles=base,
+                   cycles_per_vector=slope)
 
 
 @dataclass(frozen=True)

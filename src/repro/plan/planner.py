@@ -111,25 +111,23 @@ class Planner:
         tile = self.tile
         analog = analog_runs(plan.kernel, plan.input_bits, batch, active_adc_bits)
         reduction = []
-        n_adds = slots_saved = 0
-        add_uops = 12.0
+        slots_saved = 0
         for red in plan.reduction:
-            adds, add_uops, saved, write_pj, boolean_pj = tile.iiu.reduction_batch_costs(
+            saved, write_pj, boolean_pj = tile.iiu.reduction_batch_costs(
                 tile.dce.pipeline(plan.output_base + red.col_tile),
                 red.partials_per_vector, batch, red.width,
             )
             reduction += [("dce.write", 1, 0.0, write_pj), ("dce.boolean", 1, 0.0, boolean_pj)]
-            n_adds += adds
             slots_saved += saved
-        optimized_cycles, breakdown = plan.cost.timeline(batch, n_adds, add_uops, True)
-        unoptimized_cycles, _ = plan.cost.timeline(batch, n_adds, add_uops, False)
+        optimized_cycles, breakdown = plan.cost.predict(batch, True)
+        unoptimized_cycles, _ = plan.cost.predict(batch, False)
         return BatchReceipt(
             analog=checked_runs(analog),
             digital=tuple(checked_runs(analog + (*reduction, ("hct.mvm_batch", 1, charged, 0.0)))
                           for charged in (optimized_cycles, unoptimized_cycles)),
             mvm_steps=plan.input_bits * batch,
             injections=len(plan.reduction),
-            n_adds=n_adds,
+            n_adds=batch * plan.cost.partials_per_vector,
             slots_saved=slots_saved,
             optimized_cycles=optimized_cycles,
             unoptimized_cycles=unoptimized_cycles,
@@ -173,9 +171,11 @@ class Planner:
             write=float(tile.config.dce.rows),
             depth=tile.config.dce.pipeline_depth,
             max_shift=shift_add.max_shift,
-            steps_per_vector=shift_add.num_partial_products * handle.row_tiles,
-            # Captured now so PlanCostModel.predict matches the add stream
-            # the backends will derive when they actually reduce.
+            steps_per_vector=partials_per_col_tile,
+            # The ADD stream the reduction issues: one ADD per partial
+            # product of every column tile, at the output pipeline's µops
+            # per bit (the gate-level interpreter checks both).
+            partials_per_vector=partials_per_col_tile * handle.col_tiles,
             add_uops_per_bit=float(tile.dce.pipeline(output_base).add_uops_per_bit),
         )
 

@@ -499,39 +499,23 @@ class DevicePool:
             )
         return max(per_device.values())
 
-    def predicted_batch_energy_pj(
-        self, allocation: PooledAllocation, batch: int, input_bits: int = 8
-    ) -> float:
-        """Predicted analog-phase energy (pJ) of one ``batch`` dispatch.
-
-        Energy adds across devices (unlike the cycle critical path), so
-        this is the plain sum over the allocation's primary shards.
-        """
-        return sum(
-            self.devices[task.device_index].predicted_mvm_energy_pj(
-                task.device_allocation, batch, input_bits=input_bits
-            )
-            for task in allocation.tasks
-        )
-
     def plan_handle(
         self, allocation: PooledAllocation, input_bits: int = 8
     ) -> PlanHandle:
         """Process-portable cost surrogate of one pooled allocation.
 
-        The cycle model is the fan-out critical path (max over devices,
-        like :meth:`predicted_batch_cycles`), sampled at two batch sizes;
-        energy is the per-vector sum over primary shards.  Cheap (pure
-        cost-model evaluation) and safe to ship across a process
-        boundary -- the cluster tier's registration ack carries it so the
-        gateway can route by predicted finish time without ever
+        Cycles only: the fan-out critical path (max over devices, like
+        :meth:`predicted_batch_cycles`) sampled at two batch sizes from the
+        tile plans' :meth:`~repro.plan.ir.PlanCostModel.predict`.  Cheap (no
+        execution, and no shard kernel is built) and safe to ship across a
+        process boundary -- the cluster tier's registration ack carries it
+        so the gateway can route by predicted finish time without ever
         serializing a live plan.
         """
         return PlanHandle.from_cost_samples(
             allocation.shape, input_bits,
             self.predicted_batch_cycles(allocation, 1, input_bits=input_bits),
             self.predicted_batch_cycles(allocation, 17, input_bits=input_bits),
-            self.predicted_batch_energy_pj(allocation, 1, input_bits=input_bits),
         )
 
     # ------------------------------------------------------------------ #

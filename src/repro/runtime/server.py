@@ -747,10 +747,11 @@ class PumServer:
     def plan_handle(self, name: str, input_bits: int = 8) -> PlanHandle:
         """Process-portable cost surrogate of the matrix under ``name``.
 
-        Evaluates the pool's cached cost models into a
-        :class:`~repro.plan.ir.PlanHandle` -- what a cluster worker ships
-        back to the gateway at registration so cross-process routing can
-        price dispatches without serializing live plans.
+        The pool's cycle samples of its tile plans'
+        :meth:`~repro.plan.ir.PlanCostModel.predict` in a
+        :class:`~repro.plan.ir.PlanHandle` (cycles only) -- what a cluster
+        worker ships back to the gateway at registration so cross-process
+        routing can price dispatches without serializing live plans.
         """
         return self.pool.plan_handle(self.allocation_for(name), input_bits)
 

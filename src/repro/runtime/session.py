@@ -310,15 +310,6 @@ class DarthPumDevice:
             total += hct.planner.plan_for(handle, input_bits).predicted_cycles(batch)
         return total
 
-    def predicted_mvm_energy_pj(
-        self, allocation: MatrixAllocation, batch: int, input_bits: int = 8
-    ) -> float:
-        """Predicted analog-phase energy (pJ) of one ``batch`` MVM."""
-        total = 0.0
-        for _, hct, handle in self._tiles(allocation):
-            total += hct.planner.plan_for(handle, input_bits).predicted_energy_pj(batch)
-        return total
-
     def update_matrix(self, allocation: MatrixAllocation, matrix: np.ndarray) -> None:
         """setMatrix() again, in place: ``matrix``, of the allocation's
         shape, is programmed where the old one was.

@@ -12,6 +12,7 @@ processes.
 """
 
 import asyncio
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -174,14 +175,37 @@ def test_unregistered_name_is_rejected():
 
 
 def test_plan_handle_crosses_the_wire():
+    """The REGISTERED ack carries cycles only, and they price a batch as
+    the worker's own server does."""
+    server = local_server()
+    server.register_matrix("w", MATRIX)
+    local = server.plan_handle("w")
+    server.pool.close()
+
     async def scenario():
         async with gateway(num_workers=1) as gw:
             await gw.register_matrix("w", MATRIX)
             handle = gw.plan_handle("w")
+            assert handle == local
             assert handle.shape == MATRIX.shape
             assert handle.predicted_cycles(8) > handle.predicted_cycles(1) > 0
+            assert [field.name for field in dataclasses.fields(handle)] \
+                == ["shape", "input_bits", "base_cycles", "cycles_per_vector"]
+            assert len(handle.to_bytes()) == 28
 
     run(scenario())
+
+
+def test_plan_handle_builds_no_shard_kernel():
+    """A worker answers REGISTER with its plan handle; pricing it reads the
+    tile plans' cost models and builds no shard kernel."""
+    server = build_worker_server({"chip": "small", "num_hcts": 8})
+    matrix = derive_rng("plan-handle-kernels").integers(-8, 8, size=(64, 16))
+    server.register_matrix("w", matrix, element_size=4, input_bits=4)
+    assert server.plan_handle("w", input_bits=4).predicted_cycles(1) > 0
+    pool = server.pool
+    assert sum(t.ace.cached_kernels for d in pool.devices for t in d.chip._tiles) == 0
+    pool.close()
 
 
 # --------------------------------------------------------------------- #
@@ -996,7 +1020,10 @@ class TestWorkerReplyPin:
     ``worker._answer``: RESULTS columns, error texts, REGISTERED handles and
     the K_DRAIN ACK's stats.  ``EXPECTED`` was computed at ``d743f96``, the
     commit whose worker still queued each SUBMIT on its own ``PumServer``
-    and ticked it idle.
+    and ticked it idle.  The three ``register`` entries were re-derived at
+    ``319605f`` when ``PlanHandle`` lost its unread energy slot: each is
+    that commit's REGISTERED frame with the handle's last 8 bytes removed,
+    so its cycle samples are the same bytes.
     """
 
     #: Worker A: ``StaticBatchingPolicy(16, 4)``, room for 4096 rows.
@@ -1009,7 +1036,7 @@ class TestWorkerReplyPin:
         "C": {"chip": "small", "num_hcts": 3, "noise": "paper_default"},
     }
     EXPECTED = {
-        "A: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "A: register": "41712d37b07a0156e42f7f9915eebfe4eb0fed246ac55bc11f3c5c0c1261c4d5",
         "A: 16 rows": "382e1a82930cbba2212ca58144465a2d23f32495a1028b533edcc37caecb6128",
         "A: ragged tail": "28cee28fd7b514f5e355da5bc6429a53047cd2796a525b2c1c974f1cfe54d3cc",
         "A: empty": "dd73eeb38004304b4f52360410ae82d15d52cb75895aecb3068daddcafe3a3e7",
@@ -1019,11 +1046,11 @@ class TestWorkerReplyPin:
         "A: duplicate": "382e1a82930cbba2212ca58144465a2d23f32495a1028b533edcc37caecb6128",
         "A: after it": "7972a8627c68a37ff4289bd64de0e1c537169fe162371ef6415c265cd402f240",
         "A: drain": "a2eca5e330702f1bf3469dbc980cf3b40c5b6b00bed39ecaf81332d9b8316ad8",
-        "B: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "B: register": "41712d37b07a0156e42f7f9915eebfe4eb0fed246ac55bc11f3c5c0c1261c4d5",
         "B: past capacity": "f89b885c907fde0bfa32333ff73df4a1d261dbf1b3defb8468ba72024c432c5a",
         "B: at capacity": "83044a1e0e309195450c9dc4cf0c469cc90ac251ef776bf34c682d0104987634",
         "B: drain": "f80344a3dde8b8c55b0b0254e230f4631c34bfcdc4a0ecb3192b9fa5cf8d90bf",
-        "C: register": "4a073f0a69b58bc17de12aae610eaf59d415a5ec499ba751cacbc083d1f31aee",
+        "C: register": "41712d37b07a0156e42f7f9915eebfe4eb0fed246ac55bc11f3c5c0c1261c4d5",
         "C: first wave": "fdc3ba089073f294ba684ddda1892d8538edbf5285df4e734156db022978f9ca",
         "C: second wave": "1638c9de98c1a73094981dc41e1aa8739ac3d8b43e33da2bec42835cbb80a2ac",
         "C: drain": "d03c293914f9cf62e41e66e991ebf6d2a58b0f9f7242830983fa8ac7b8d28972",

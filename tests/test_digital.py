@@ -391,19 +391,20 @@ class TestWordOpCosts:
     # The Figure 10 ADD stream is priced in one place, the plan cost model.
     # Every other term is zero, so the breakdown is the stream alone.
     STREAM = PlanCostModel(per_step_analog=0.0, transfer=0.0, write=0.0,
-                           depth=16, max_shift=0, steps_per_vector=1)
+                           depth=16, max_shift=0, steps_per_vector=1,
+                           partials_per_vector=1)
 
     def test_stream_cycles_pipelined_vs_not(self):
         # Figure 10b: the first ADD pays the full 12 µops x 16 bits, each
         # later one enters the bit pipeline 12 µops behind it.
-        _, pipelined = self.STREAM.timeline(4, 4, 12.0, optimized=True)
+        _, pipelined = self.STREAM.predict(4, optimized=True)
         assert pipelined["pipelined_adds"] == 12 * 16 + 3 * 12
         # Figure 10a: every serialized step carries the full ADD.
-        _, serial = self.STREAM.timeline(4, 4, 12.0, optimized=False)
+        _, serial = self.STREAM.predict(4, optimized=False)
         assert serial["serialized_steps"] == 4 * 12 * 16
 
     def test_stream_cycles_empty(self):
-        _, breakdown = self.STREAM.timeline(0, 0, 12.0, optimized=True)
+        _, breakdown = self.STREAM.predict(0, optimized=True)
         assert breakdown["pipelined_adds"] == 0
 
 

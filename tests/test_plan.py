@@ -9,20 +9,34 @@ The tentpole invariants of the ExecutionPlan IR:
   ``register_matrix`` time only, asserted via ``planner_builds()``;
 * the cost-only ``"estimate"`` backend reproduces the real engines' ledgers
   and timelines without computing values;
+* every batch timeline is ``PlanCostModel.predict``'s, and the gate-level
+  interpreter refuses to commit one for a stream the model does not price;
 * a backend instance works wherever a name does, and the ``REPRO_BACKEND``
   environment variable flips the default for the whole stack.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from repro.testing import derive_rng
 
-from repro import ChipConfig, DevicePool, HctConfig, PumServer, StaticBatchingPolicy
+from repro import (
+    ChipConfig,
+    DarthPumDevice,
+    DevicePool,
+    HctConfig,
+    PumServer,
+    StaticBatchingPolicy,
+)
 from repro.core.hct import HybridComputeTile
+from repro.errors import ExecutionError
 from repro.plan import (
     BACKENDS,
+    GATE_LEVEL,
     ExecutionBackend,
     ReferenceExecutor,
     VectorizedExecutor,
@@ -175,6 +189,63 @@ class TestServingHotPathDoesNotPlan:
         assert pool.planner_builds() == builds  # compiled ahead of the call
         pool.release(allocation)
         assert allocation not in pool.allocations
+
+
+class TestOneTimeline:
+    """``PlanCostModel.predict`` is the one code that computes a batch's
+    Figure 10 timeline: the receipt the replaying backends commit holds its
+    values, the step-walking interpreters commit it, and the gate-level one
+    checks the stream it executed against what it prices."""
+
+    #: (rows, cols, value_bits, bits_per_cell): one array, several row
+    #: tiles, several column tiles, both, multi-bit cells.
+    SHAPES = [(16, 16, 4, 1), (40, 12, 4, 1), (12, 40, 4, 1), (20, 20, 6, 2), (24, 20, 8, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_every_interpreter_reports_predict(self, shape, batch):
+        rows, cols, value_bits, bits_per_cell = shape
+        rng = derive_rng("one-timeline", *shape, batch)
+        matrix = rng.integers(-(1 << value_bits - 1), 1 << value_bits - 1, size=(rows, cols))
+        vectors = rng.integers(0, 8, size=(batch, rows))
+        for backend in ("reference", "vectorized", "estimate", GATE_LEVEL):
+            tile = HybridComputeTile(HctConfig.small())
+            handle = tile.set_matrix(matrix, value_bits=value_bits, bits_per_cell=bits_per_cell)
+            plan = tile.planner.plan_for(handle, 3)
+            optimized, breakdown = plan.cost.predict(batch, True)
+            unoptimized, _ = plan.cost.predict(batch, False)
+            result = tile.execute_mvm_batch(handle, vectors, input_bits=3, backend=backend)
+            assert (result.optimized_cycles, result.unoptimized_cycles, result.breakdown) \
+                == (optimized, unoptimized, breakdown), backend
+            assert tile.ledger.cycle_breakdown["hct.mvm_batch"] == optimized, backend
+            assert plan.predicted_cycles(batch) == optimized
+        receipt = tile.planner.receipt_for(plan, batch)
+        assert (receipt.optimized_cycles, receipt.unoptimized_cycles, dict(receipt.breakdown),
+                receipt.n_adds) == (optimized, unoptimized, breakdown,
+                                    batch * plan.cost.partials_per_vector)
+
+    @pytest.mark.parametrize("captured", [{"partials_per_vector": 1},
+                                          {"add_uops_per_bit": 1.0}])
+    def test_gate_level_refuses_a_stream_the_model_does_not_price(self, monkeypatch,
+                                                                   captured):
+        """A plan whose captured ADD count or µops per bit is off by one
+        makes a single ``exec_mvm`` raise before it commits a timeline."""
+        device = DarthPumDevice(config=ChipConfig(hct=HctConfig.small(), num_hcts=4))
+        matrix = derive_rng("gate-level-check").integers(-8, 8, size=(20, 20))
+        allocation = device.set_matrix(matrix, element_size=4)
+        tiles = [hct for _, hct, _ in device._tiles(allocation)]
+        for _, hct, handle in device._tiles(allocation):
+            plan = hct.planner.plan_for(handle, 4)
+            changed = {name: getattr(plan.cost, name) + step for name, step in captured.items()}
+            monkeypatch.setattr(plan, "cost", replace(plan.cost, **changed))
+        clocks = [hct.arbiter.now for hct in tiles]
+        with pytest.raises(ExecutionError, match="the plan prices"):
+            device.exec_mvm(allocation, np.arange(20) % 16, input_bits=4)
+        assert [hct.arbiter.now for hct in tiles] == clocks
+        assert not any("hct.mvm_batch" in hct.ledger.cycle_breakdown for hct in tiles)
+        monkeypatch.undo()
+        assert np.array_equal(device.exec_mvm(allocation, np.arange(20) % 16, input_bits=4),
+                              (np.arange(20) % 16) @ matrix)
 
 
 class TestCostModelBackend:

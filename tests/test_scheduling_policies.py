@@ -131,13 +131,6 @@ class TestCostOracle:
         assert again > 0
         assert evaluated[1:] == [replaced.allocation_id]
 
-    def test_energy_prediction_positive_and_monotonic(self):
-        server = make_server()
-        allocation = server.allocation_for("proj")
-        e1 = server.pool.predicted_batch_energy_pj(allocation, 1, input_bits=3)
-        e4 = server.pool.predicted_batch_energy_pj(allocation, 4, input_bits=3)
-        assert 0 < e1 < e4
-
     def test_batch_monotonicity(self):
         server = make_server()
         c1 = server.predicted_batch_cycles("proj", 3, 1)

@@ -22,6 +22,7 @@ from repro.testing import derive_rng
 from repro import (
     ChipConfig,
     CostAwarePolicy,
+    DarthPumDevice,
     DevicePool,
     HctConfig,
     PumServer,
@@ -31,6 +32,7 @@ from repro import (
 from repro.errors import AdmissionError, QuantizationError, SchedulerError
 from repro.metrics import percentile
 from repro.plan.backends import resolve_backend
+from repro.plan.ir import MvmPlan, PlanCostModel, PlanHandle
 from repro.runtime import (
     IntegrityChecker,
     serve_aes_mixcolumns,
@@ -1057,8 +1059,15 @@ class TestPublicSurface:
                              (scheduling.SchedulingPolicy, "victim_order"),
                              (queueing.IndexedRequestQueue, "victim"),
                              (queueing.IndexedRequestQueue, "discard"),
-                             (PumServer, "predicted_batch_energy_pj")):
+                             (PumServer, "predicted_batch_energy_pj"),
+                             (DevicePool, "predicted_batch_energy_pj"),
+                             (DarthPumDevice, "predicted_mvm_energy_pj"),
+                             (MvmPlan, "predicted_energy_pj"),
+                             (PlanCostModel, "timeline")):
             assert not hasattr(module, name), name
+        assert "energy_per_vector_pj" not in inspect.signature(PlanHandle).parameters
+        assert "energy_per_vector_pj" not in inspect.signature(
+            PlanHandle.from_cost_samples).parameters
         assert "admission" not in inspect.signature(PumServer).parameters
         assert list(inspect.signature(CostAwarePolicy).parameters) \
             == ["max_batch", "max_wait_ticks"]
