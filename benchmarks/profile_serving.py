@@ -111,15 +111,16 @@ DEVICE_CALL_BATCH = 32
 #: its ledger: the accumulator register stores (``store_words``, which skips
 #: a register still holding the entry's words; ``set_vr_words`` keeps the
 #: words, their unpack into bit planes is paid only when a register is read:
-#: ``flush_us``, timed apart), the arbiter reservations (``reserve`` and its
-#: ``acquire`` per output pipeline) and the replay's counter updates
+#: ``flush_us``, timed apart) and the replay's counter updates
 #: (``_replay``'s own time: one count on the program, or on an older
-#: ``src/`` a walk over every crossbar and counter).  ``ledger_us`` is the
+#: ``src/`` a walk over every crossbar and counter, and the arbiter
+#: reservations: ``reserve`` and its ``acquire`` per output pipeline).  ``ledger_us`` is the
 #: runtime charge (``charge_streams``, one frame; on an older ``src/`` the
 #: same frame also added every tile ledger's per-category totals;
 #: ``charge_stream``, which calls it, is not on the exact path).  What the
 #: call counted and did not charge is folded by the first read after it:
-#: ``settle_us``, timed apart over 1 000 calls.  An older ``src/`` replays per tile through
+#: ``settle_us``, timed apart over 1 000 calls (``arbiter_settle_us``: the
+#: arbiters alone, over 10 000).  An older ``src/`` replays per tile through
 #: ``_replay_receipt``, stores with ``set_vr_words``, ``set_vr_planes`` or
 #: ``set_vr_bits``, reserves through ``acquire``, commits through
 #: ``_commit_schedule`` (its ledger charge lands in ``ledger_us``) and
@@ -345,22 +346,28 @@ def register_flush_us(call, device, allocation, input_bits: int,
     return total / loops * 1e6
 
 
-def settle_us(call, device, allocation, calls: int = 1000, repeats: int = 5) -> float:
+def settle_us(call, device, allocation, calls: int = 1000, repeats: int = 5,
+              arbiters_only: bool = False) -> float:
     """Best-of-``repeats`` stopwatch microseconds of one read of every
-    target a call counts on -- each tile's ledger, IIU and transpose unit
-    and each crossbar of the allocation -- after ``calls`` steady calls:
-    what folding ``calls`` pending calls costs (on an older ``src/``, which
-    charged them during the calls, the read alone)."""
+    target a call counts on -- each tile's ledger, IIU, transpose unit and
+    arbiter and each crossbar of the allocation, or with ``arbiters_only``
+    each tile's arbiter clock -- after ``calls`` steady calls: what folding
+    ``calls`` pending calls costs (on an older ``src/``, which charged them
+    during the calls, the read alone)."""
     blocks = [(hct, handle) for _, hct, handle in device._tiles(allocation)]
-    crossbars = [hct.ace.crossbar(array_id) for hct, handle in blocks
-                 for array_id in handle.array_ids]
+    crossbars = [] if arbiters_only else [hct.ace.crossbar(array_id) for hct, handle in blocks
+                                          for array_id in handle.array_ids]
     best = float("inf")
     for _ in range(repeats):
         for _ in range(calls):
             call()
         start = time.perf_counter()
         for hct, _ in blocks:
-            hct.ledger.cycle_units, hct.iiu.injections, hct.transpose_unit.vector_count
+            if arbiters_only:
+                hct.arbiter.now
+            else:
+                (hct.ledger.cycle_units, hct.iiu.injections, hct.transpose_unit.vector_count,
+                 hct.arbiter.now)
         for crossbar in crossbars:
             crossbar.mvm_count
         best = min(best, time.perf_counter() - start)
@@ -373,13 +380,14 @@ def device_call_breakdown(loops: int = 2000) -> None:
           f"{DEVICE_CALL_BATCH}: us per call.  total/estimate/matmul are untraced "
           "best-of-9;\n# sync/validate/ledger are cProfile times of the same call "
           "(inflated by the probe, compare them with each other); settle is the\n"
-          "# stopwatch time of one read of every tile ledger and counter after 1000 "
-          "calls, folding what they counted; flush is the\n"
-          "# stopwatch time to read the accumulator registers back after a call "
+          "# stopwatch time of one read of every tile ledger, counter and arbiter after "
+          "1000 calls, folding what they counted (arbiter_settle: the arbiters alone\n"
+          "# after 10 000 calls); flush is the stopwatch time to read the accumulator "
+          "registers back after a call "
           "(not part of the call)")
     header = ["shape", "tiles", "total_us", "us_per_tile", "estimate_us",
               "matmul_us", "py_calls", "calls_per_tile", "c_calls"]
-    header += list(DEVICE_CALL_PARTS) + ["settle_us", "flush_us"]
+    header += list(DEVICE_CALL_PARTS) + ["settle_us", "arbiter_settle_us", "flush_us"]
     print("  ".join(f"{column:>18}" for column in header))
     for label in DEVICE_CALL_SHAPES:
         call, device, allocation = device_call_at(label)
@@ -415,6 +423,9 @@ def device_call_breakdown(loops: int = 2000) -> None:
                f"{python_calls / tiles:.1f}", str(c_calls)]
         row += [f"{part:.1f}" for part in parts]
         row.append(f"{settle_us(call, device, allocation):.1f}")
+        arbiters_us = settle_us(call, device, allocation, calls=10_000, repeats=3,
+                                arbiters_only=True)
+        row.append(f"{arbiters_us:.1f}")
         flush_us = register_flush_us(call, device, allocation,
                                      DEVICE_CALL_SHAPES[label][2], loops)
         row.append(f"{flush_us:.1f}")

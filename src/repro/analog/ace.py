@@ -35,8 +35,37 @@ __all__ = [
     "BatchMvmExecution",
     "BatchPartialProduct",
     "MatrixHandle",
+    "ModeSwitch",
     "integer_matrix",
 ]
+
+
+class ModeSwitch:
+    """A tile switch that can take its tile off the exact device path
+    (``ace.enabled``, ``hct.analog_enabled``, ``hct.digital_post_processing``).
+
+    Read, it is a plain instance attribute: the descriptor has no
+    ``__get__``, so a read finds the value in the instance ``__dict__``
+    without a call.  Every write, through a method or as a plain
+    attribute, stores the value and moves :attr:`epoch` on, so a device
+    plan that saw all its tiles on at one epoch needs to look again only
+    once it has moved (``repro.plan.backends.execute_device_plan``).  The
+    epoch is one per process: a write on any tile makes every plan look at
+    its blocks once more, which costs one walk and changes no answer, and
+    no tile needs to know its chip.
+    """
+
+    #: The last epoch handed out; only ever grows.
+    epoch = 0
+    _epochs = itertools.count(1)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __set__(self, target, value) -> None:
+        target.__dict__[self.name] = value
+        ModeSwitch.epoch = next(ModeSwitch._epochs)
+
 
 #: The signed-number encodings a matrix can be programmed with, by name.
 _ENCODERS = {"differential": DifferentialPairs, "offset": OffsetSubtraction}
@@ -151,6 +180,9 @@ class BatchMvmExecution:
 
 class AnalogComputeElement:
     """64 analog crossbars plus the shared periphery of one HCT."""
+
+    #: Whether the ACE serves MVMs (``disable_analog_mode`` clears it).
+    enabled = ModeSwitch()
 
     def __init__(
         self,

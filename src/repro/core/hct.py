@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..analog.ace import AnalogComputeElement, MatrixHandle
+from ..analog.ace import AnalogComputeElement, MatrixHandle, ModeSwitch
 from ..analog.bitslicing import single_vector
 from ..analog.compensation import ParasiticCompensation
 from ..digital.dce import DigitalComputeElement
@@ -47,7 +47,7 @@ from ..plan.backends import GATE_LEVEL, ExecutionBackend, resolve_backend
 from ..plan.ir import HctBatchMvmResult, MvmPlan
 from ..plan.planner import Planner
 from ..reram import DeviceParameters, NoiseConfig, ParasiticModel
-from .arbiter import AnalogDigitalArbiter, reserve
+from .arbiter import AnalogDigitalArbiter
 from .config import HctConfig
 from .injection_unit import InstructionInjectionUnit
 from .shift_unit import ShiftUnit
@@ -59,6 +59,11 @@ __all__ = ["HybridComputeTile", "HctBatchMvmResult"]
 
 class HybridComputeTile:
     """One DARTH-PUM hybrid compute tile."""
+
+    #: Whether the tile runs MVMs on its ACE (``disable_analog_mode`` clears it).
+    analog_enabled = ModeSwitch()
+    #: Whether the DCE reduces MVM outputs (``disable_digital_mode`` clears it).
+    digital_post_processing = ModeSwitch()
 
     def __init__(
         self,
@@ -256,14 +261,14 @@ class HybridComputeTile:
 
         The arbiter locks the output pipelines for the analog domain for
         the duration of the MVM, serialising younger digital work.  The
-        reference and gate-level interpreters commit through here; a
-        receipt replay (``repro.plan.backends._replay``) makes the same
-        reservations and clock advance through the same
-        :func:`~repro.core.arbiter.reserve` from its bound program, whose
-        tally carries this ledger charge, and ``tests/test_kernels.py``
-        holds the two equal.
+        reference and gate-level interpreters commit through here, at once
+        (:meth:`~repro.core.arbiter.AnalogDigitalArbiter.reserve`); a
+        receipt replay (``repro.plan.backends._replay``) counts the same
+        reservation and clock advance on its bound program, whose tally
+        carries this ledger charge, and the arbiter folds them when read;
+        ``tests/test_kernels.py`` holds the two equal.
         """
-        reserve(((self.arbiter, plan.output_resources, optimized_cycles, charged),))
+        self.arbiter.reserve(plan.output_resources, optimized_cycles, charged)
         self.ledger.charge("hct.mvm_batch", cycles=charged)
 
     # ------------------------------------------------------------------ #

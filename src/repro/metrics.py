@@ -23,8 +23,9 @@ breakdowns, :meth:`CostLedger.snapshot`) convert back to cycles and pJ.
 A replay program (``repro.plan.backends._replay``) charges a steady call
 lazily: it counts the call on its :class:`Pending` record, and each target
 -- a ledger, a crossbar's ``mvm_count``, a tile's IIU and transpose-unit
-counters -- folds ``calls x tally`` into its :class:`Settled` fields the
-first time one of them is read or written (:func:`settle`).  A target holds
+counters, a tile's arbiter -- folds ``calls x tally`` (an arbiter: the
+reservation ``calls`` times) into its :class:`Settled` fields the first
+time one of them is read or written (:func:`settle`).  A target holds
 at most one pending program (:func:`claim`), so what it reads is what
 charging every call at once would have left, to the unit and in category
 order.

@@ -41,10 +41,9 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..analog.ace import BatchMvmExecution, BatchPartialProduct
+from ..analog.ace import BatchMvmExecution, BatchPartialProduct, ModeSwitch
 from ..analog.bitslicing import integer_vectors, slice_inputs
 from ..analog.kernels import ace_forward_vectorized, dot_bound, validate_input_range
-from ..core.arbiter import reserve
 from ..digital.pipeline import BitPipeline
 from ..errors import AllocationError, ConfigurationError, ExecutionError, QuantizationError
 from ..metrics import UNITS, charge_streams, claim
@@ -130,33 +129,33 @@ def _replay(program) -> None:
     ``program`` is :meth:`~repro.plan.ir.BatchReceipt.bind`'s (one tile) or
     a :class:`~repro.plan.ir.DevicePlan` entry's (every block of the
     allocation, the device's runtime charge and the accumulator stores).
-    Replays the reference interpreter's accounting exactly.  The additive
-    effects -- the tile ledgers' per-category totals, the crossbars'
-    ``mvm_count``, the IIU and transpose-unit counters -- cost one count
-    on the program's :class:`~repro.metrics.Pending` record: each target
-    folds ``calls x tally`` when it is next read or written
-    (:func:`~repro.metrics.settle`).  The first call, and the first after
-    another program (another batch size, the per-tile path) claimed one of
-    them, charges at once and claims them all back, folding what they held
-    first (:func:`~repro.metrics.claim`).  The rest stays eager: the runtime
-    ledger's charge (:func:`~repro.metrics.charge_streams`; the pool reads
-    it once per served batch), the schedule commits' arbiter reservations
-    and clock advances (:func:`~repro.core.arbiter.reserve`) and the
-    accumulator stores (:meth:`~repro.digital.pipeline.BitPipeline.store_words`),
-    which are state, not sums.  The one replay body of the per-tile
-    backends (:func:`_account_batch`) and of the whole-allocation
-    contraction (:func:`execute_device_plan`), whose programs are both
-    bound once, so the two cannot drift.
+    Replays the reference interpreter's accounting exactly.  The effects
+    -- the tile ledgers' per-category totals, the crossbars'
+    ``mvm_count``, the IIU and transpose-unit counters, the arbiters'
+    reservations and clock advances -- cost one count on the program's
+    :class:`~repro.metrics.Pending` record: each target folds the calls
+    when it is next read or written (:func:`~repro.metrics.settle`; an
+    arbiter repeats the reservation per call,
+    :meth:`~repro.core.arbiter.AnalogDigitalArbiter._fold`).  The first
+    call, and the first after another program (another batch size, the
+    per-tile path) claimed one of them, charges at once and claims them all
+    back, folding what they held first (:func:`~repro.metrics.claim`).  The
+    rest stays eager: the runtime ledger's charge
+    (:func:`~repro.metrics.charge_streams`; the pool reads it once per
+    served batch) and the accumulator stores
+    (:meth:`~repro.digital.pipeline.BitPipeline.store_words`), which are
+    state, not sums.  The one replay body of the per-tile backends
+    (:func:`_account_batch`) and of the whole-allocation contraction
+    (:func:`execute_device_plan`), whose programs are both bound once, so
+    the two cannot drift.
     """
-    pending, effects, charges, reservations, registers = program
+    pending, effects, charges, registers = program
     if pending.claimed:
         pending.calls += 1
     else:
         claim(pending, effects)
     if charges:
         charge_streams(charges)
-    if reservations:
-        reserve(reservations)
     if registers:
         BitPipeline.store_words(registers)
 
@@ -252,11 +251,17 @@ def execute_device_plan(plan: DevicePlan, vectors: np.ndarray) -> Optional[np.nd
 
     Returns ``None``, having touched nothing, when a block has left the
     exact path since the plan was compiled (digital or analog mode
-    switched off): the caller walks the tiles instead.
+    switched off): the caller walks the tiles instead.  The blocks' mode
+    switches are looked at only when one of any tile's has been written
+    since they were last seen all on (:class:`~repro.analog.ace.ModeSwitch`),
+    so the check costs the same at any tile count.
     """
-    for hct, _, _, _ in plan.tiles:
-        if not (hct.digital_post_processing and hct.analog_enabled and hct.ace.enabled):
-            return None
+    if plan.mode_epoch != ModeSwitch.epoch:
+        epoch = ModeSwitch.epoch
+        for hct, _, _, _ in plan.tiles:
+            if not (hct.digital_post_processing and hct.analog_enabled and hct.ace.enabled):
+                return None
+        plan.mode_epoch = epoch
     validate_input_range(vectors, plan.input_bits)
     batch = vectors.shape[0]
     block, operand, weights, spread, last, product, answer, accumulators, registers, program = (

@@ -299,36 +299,37 @@ class BatchReceipt:
         """This batch's side effects on ``tile``, as a one-tile replay program.
 
         A program is what ``repro.plan.backends._replay`` runs: ``(pending,
-        effects, charges, reservations, registers)``.  ``effects`` are the
-        additive ones, counted per call on ``pending``
-        (:class:`~repro.metrics.Pending`) and folded by their targets when
-        read: ``(ledger, tally)``, ``(crossbar, steps)`` per crossbar, and
-        with digital post-processing on ``(iiu, (injections, slots
-        saved))`` and ``(transpose unit, n_adds)``.  The rest run every
-        call: ``(ledger, tally)`` per eager charge, ``(arbiter, output
-        resources, optimized cycles, charged cycles)`` per tile with digital
-        post-processing on, ``(pipeline, vr, words)`` per accumulator
-        store.  With digital post-processing on, the tally is the
-        schedule's :attr:`digital` entry; in raw analog mode it is
-        :attr:`analog`, and there are no counters or reservations.  A tile
-        charges nothing eagerly and stores its own registers, so those are
-        empty here; a :class:`DevicePlan` entry concatenates the effects
-        and reservations of all its tiles and adds its runtime charge and
-        stores.  A receipt belongs to one plan, so to one tile: each
-        program is bound once and kept in :attr:`programs`.
+        effects, charges, registers)``.  ``effects`` are the ones a steady
+        call only counts on ``pending`` (:class:`~repro.metrics.Pending`)
+        and its targets fold when read: ``(ledger, tally)``, ``(crossbar,
+        steps)`` per crossbar, and with digital post-processing on ``(iiu,
+        (injections, slots saved))``, ``(transpose unit, n_adds)`` and
+        ``(arbiter, (output resources, optimized cycles, charged
+        cycles))``, the schedule commit's reservation and clock advance.
+        The rest run every call: ``(ledger, tally)`` per eager charge,
+        ``(pipeline, vr, words)`` per accumulator store.  With digital
+        post-processing on, the tally is the schedule's :attr:`digital`
+        entry; in raw analog mode it is :attr:`analog`, and there are no
+        counters or reservations.  A tile charges nothing eagerly and
+        stores its own registers, so those are empty here; a
+        :class:`DevicePlan` entry concatenates the effects of all its
+        tiles and adds its runtime charge and stores.  A receipt belongs
+        to one plan, so to one tile: each program is bound once and kept
+        in :attr:`programs`.
         """
         program = self.programs.get((digital, optimized))
         if program is None:
             steps = tuple((crossbar, self.mvm_steps) for crossbar in plan.crossbars)
             if not digital:
-                program = Pending(), ((tile.ledger, self.analog), *steps), (), (), ()
+                program = Pending(), ((tile.ledger, self.analog), *steps), (), ()
             else:
                 charged = self.optimized_cycles if optimized else self.unoptimized_cycles
                 program = (Pending(), ((tile.ledger, self.digital[not optimized]), *steps,
                                        (tile.iiu, (self.injections, self.slots_saved)),
-                                       (tile.transpose_unit, self.n_adds)), (),
-                           ((tile.arbiter, plan.output_resources, self.optimized_cycles,
-                             charged),), ())
+                                       (tile.transpose_unit, self.n_adds),
+                                       (tile.arbiter, (plan.output_resources,
+                                                       self.optimized_cycles, charged))),
+                           (), ())
             self.programs[digital, optimized] = program
         return program
 
@@ -529,6 +530,9 @@ class DevicePlan:
     ledger: CostLedger
     #: Per batch size, oldest first, what :meth:`operands` returns.
     scratch: Dict[int, Tuple] = field(default_factory=dict, repr=False)
+    #: The :attr:`~repro.analog.ace.ModeSwitch.epoch` at which every block
+    #: was last seen in exact mode (-1: not yet looked at).
+    mode_epoch: int = field(default=-1, repr=False, compare=False)
 
     def operands(self, batch: int) -> Tuple:
         """Everything a ``batch``-row call uses besides the vectors (built once).
@@ -550,14 +554,14 @@ class DevicePlan:
         ``None``).  ``accumulators`` is the product's last ``row_bands``
         rows, and ``registers`` the int64 ``(row_bands, cols)`` block they
         are stored into.  ``program`` has its own
-        :class:`~repro.metrics.Pending` record and the effects and
-        reservations of every block's :meth:`BatchReceipt.bind` program,
+        :class:`~repro.metrics.Pending` record and the effects of every
+        block's :meth:`BatchReceipt.bind` program,
         one eager charge, the runtime ledger's (per block,
         ``runtime.mvm_batch`` with its optimized cycles and the energy its
         receipt charges), and per output pipeline ``(pipeline, vr,
         words)``, ``words`` a view of ``registers``.  The receipts are
         looked up here, so a steady call looks up nothing and adds nothing
-        up; its tile ledgers and counters fold ``calls x tally`` when read.
+        up; its tile ledgers, counters and arbiters fold its calls when read.
         Each block has a tile of its own, so no target appears twice.
         """
         entry = self.scratch.get(batch)
@@ -576,9 +580,8 @@ class DevicePlan:
                            for pipeline, offset, width in outputs]
                 runtime.append(("runtime.mvm_batch", units(receipt.optimized_cycles),
                                 receipt.digital[0][1]))
-            effects, reservations = (sum((bound[i] for bound in programs), ()) for i in (1, 3))
-            program = (Pending(), effects, ((self.ledger, tally(runtime)),), reservations,
-                       tuple(stores))
+            program = (Pending(), sum((bound[1] for bound in programs), ()),
+                       ((self.ledger, tally(runtime)),), tuple(stores))
             spread = last = None
             if extra:  # band b's slice of the last row, into extra row b
                 spread = as_strided(operand[batch:], (row_bands, band_rows), (

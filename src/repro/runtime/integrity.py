@@ -198,13 +198,19 @@ class IntegrityChecker:
         full-width contribution.  Returns ``True``/``False`` for a
         registered band, ``None`` when the band has no checksum (nothing
         to verify -- e.g. an allocation created before the checker).
+
+        An exact allocation costs one int64 dot against the check vector,
+        one reduction over the partial and one comparison, on the arrays
+        as given: the pool hands the int64 blocks it admitted and its
+        devices answered.  One scalar per vector either way: a batch
+        reduces row by row, a single vector to a 0-d value.
         """
         checksums = self._bands.get(allocation_id)
         if checksums is None or position >= len(checksums):
             return None
         band = checksums[position]
-        # One scalar per vector either way: a batch reduces row by row, a
-        # single vector to a 0-d value.
+        if self._exact[allocation_id]:
+            return bool((np.add.reduce(partial, axis=-1) == np.dot(vectors, band.check)).all())
         vectors = np.asarray(vectors, dtype=np.int64)
         expected = vectors @ band.check
         got = np.asarray(partial, dtype=np.int64).sum(axis=-1)

@@ -582,8 +582,10 @@ class TestThreadedReadsLoseNoCharge:
         """The main thread reads ``pool.total_ledger()`` over and over while a
         ``ThreadedServerDriver`` serves waves at 4- and 3-bit inputs in turn,
         each in batches of 16, 16 and 5 (each batch size and precision takes
-        the targets of the one before, so calls both count and claim): the
-        ledger and counters end where an identical unread run's do."""
+        the targets of the one before, so calls both count and claim), and
+        reads every tile's arbiter: the ledger, counters and arbiters end
+        where an identical unread run's do -- no reservation lost or
+        doubled."""
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
         rng = derive_rng("threaded-reads")
         matrix = rng.integers(-8, 8, size=(32, 16))
@@ -594,6 +596,7 @@ class TestThreadedReadsLoseNoCharge:
             server = PumServer(pool=DevicePool(num_devices=2, config=small_chip(8)),
                                scheduling=StaticBatchingPolicy(16, 1), queue_capacity=1024)
             server.register_matrix("proj", matrix, element_size=4, input_bits=4)
+            tiles = [tile for device in server.pool.devices for tile in device.chip._tiles]
             futures, reads, deadline = [], 0, time.monotonic() + 30
             with ThreadedServerDriver(server, tick_interval=0) as driver:
                 for bits, wave in waves:  # one at a time: batches of 16, 16, 5
@@ -602,13 +605,14 @@ class TestThreadedReadsLoseNoCharge:
                            and time.monotonic() < deadline):
                         if read:
                             server.pool.total_ledger()
+                            for tile in tiles:
+                                tile.arbiter.now
                             reads += 1
             for wave, (_, vectors) in zip(futures, waves):
                 assert np.array_equal(wave.columns()[1], vectors @ matrix)
-            tiles = [tile for device in server.pool.devices for tile in device.chip._tiles]
             state = (repr(server.pool.total_ledger()),
                      [(tile.iiu.injections, tile.iiu.front_end_slots_saved,
-                       tile.transpose_unit.vector_count) for tile in tiles])
+                       tile.transpose_unit.vector_count, repr(tile.arbiter)) for tile in tiles])
             server.pool.close()
             return state, reads
 

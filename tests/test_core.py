@@ -61,6 +61,27 @@ class TestArbiter:
         assert start == 100
         assert arbiter.stall_events == 1
 
+    @pytest.mark.parametrize("reservation", [
+        (("pipeline:0", "pipeline:1"), 3.0, 3.0),
+        (("pipeline:0", "pipeline:1"), 0.1, 0.3),  # k additions are not k times 0.3
+        (("pipeline:0", "pipeline:1"), 7.3, 2.1),  # every hold outlasts the next start
+        (("pipeline:2",), 7.3, 2.1),  # the same, from a first call that does not stall
+        (("pipeline:0", "pipeline:0"), 1.5, 4.0),  # a resource held twice per call
+        (("pipeline:2", "pipeline:2"), 0.0, 4.0),  # ... for no cycles: no stall
+    ], ids=["integral", "fraction", "stalling", "stalling_later", "repeated",
+            "repeated_empty"])
+    def test_k_folded_reservations_are_k_reserves(self, reservation):
+        """What a replay program leaves pending: ``k`` reservations folded at
+        once read, to the bit, as ``k`` :meth:`reserve` calls -- after a
+        digital hold that stalls the first of them."""
+        eager, folded = AnalogDigitalArbiter(), AnalogDigitalArbiter()
+        for arbiter in (eager, folded):
+            arbiter.acquire("pipeline:0", Domain.DIGITAL, now=0.0, duration=1.25)
+        for _ in range(40):
+            eager.reserve(*reservation)
+        folded._fold(reservation, 40)
+        assert repr(folded) == repr(eager)
+
 
 class TestInjectionUnit:
     def test_table_configuration_and_counter(self):

@@ -45,26 +45,28 @@ from repro.reram import ConductanceMapper, DeviceParameters, NoiseConfig, NoiseS
 from repro.testing import DEVICE_CALL_SHAPES, derive_rng, profiled_calls, server_round
 
 BATCH = 32
-#: Python-level calls of one steady-state call: a fixed part plus the
-#: per-tile side effects, bound once per batch size into one replay program
-#: (measured 18 / 20 / 25 at 1 / 3 / 8 tiles: per tile one ``acquire`` per
-#: output pipeline, 1 here, budget 1 + 10 %; 17 / 25 / 45 while the program
-#: was one record per tile -- per tile the replay, its one
+#: Python-level calls of one steady-state call: a fixed part, and nothing
+#: per tile -- the per-tile side effects are bound once per batch size into
+#: one replay program, counted on it and folded when read, the arbiter's
+#: reservations too, and the blocks' mode switches are looked at only after
+#: one was written (measured 15 at 1, 3 and 8 tiles; 18 / 20 / 25 while the
+#: replay reserved one ``acquire`` per output pipeline, budget 1 + 10 % per
+#: tile, re-measured 17 / 19 / 24 just before it went; 17 / 25 / 45 while
+#: the program was one record per tile -- per tile the replay, its one
 #: ``charge_stream``, the arbiter reservation and the register store: 4; 8
 #: per tile, 22 / 38 / 78 in all, while every call looked its receipt up,
 #: committed the schedule through its own frame and charged the runtime
 #: ledger per tile; 26 / 52 / 117 while the replay re-walked the receipt
 #: through six ``charge`` / ``charge_run`` calls per tile, and the per-tile
-#: loop before that took 35 / 89 / 224).  The fixed part measures 17 (budget
-#: + 10 %, rounded down to whole frames): the test's own closure, the front
-#: door with its dtype check, the body past admission, reading
-#: ``REPRO_BACKEND`` (6: a direct device call resolves ``backend=None`` each
-#: time), the plan lookup, the device-plan call with its range check, and
-#: the replay with its one ledger update, one arbiter commit and one
-#: register store (which skips every register still holding its words);
-#: under a pool, which admitted the block and resolved its backend when it
-#: was built, 9 of them remain.
-MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 18, 1.1
+#: loop before that took 35 / 89 / 224).  The 15 (budget + 10 %, rounded
+#: down to whole frames): the test's own closure, the front door with its
+#: dtype check, the body past admission, reading ``REPRO_BACKEND`` (6: a
+#: direct device call resolves ``backend=None`` each time), the plan
+#: lookup, the device-plan call with its range check, and the replay with
+#: its one ledger update and one register store (which skips every register
+#: still holding its words); under a pool, which admitted the block and
+#: resolved its backend when it was built, 8 of them remain.
+MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 16, 0
 #: Ledger updates of one call, whatever its tile count: one
 #: ``charge_streams``, the device runtime ledger's.  The tile ledgers and
 #: counters are not charged at all: the call is counted on its replay
@@ -77,15 +79,16 @@ MAX_CALLS_FIXED, MAX_CALLS_PER_TILE = 18, 1.1
 #: separate calls.)
 MAX_CHARGES = 1
 #: Python-level calls of one steady-state single-band pooled call, and how
-#: many of them are the pool's own frames (measured 15 and 5: the front door
+#: many of them are the pool's own frames (measured 13 and 5: the front door
 #: and its dtype check, the band loop, the copy selection and the post-call
-#: check; the device call past admission is the other 10; budget 15 + 10 %,
-#: rounded down to whole frames; 17 and 6 while the device call was a lambda
+#: check; the device call past admission is the other 8; budget 13 + 10 %,
+#: rounded down to whole frames; 15 and 5 while the device call reserved
+#: through the arbiter per output pipeline; 17 and 6 while the device call was a lambda
 #: around the device's front door, which checked the block again, and replayed
 #: per tile; 22 and 6 while the device call looked its receipt up and charged
 #: per tile, 25 and 5 while every device call read ``REPRO_BACKEND`` and had
 #: no dtype check, 39 and 14 while a request list sat under the loop).
-MAX_POOL_CALLS, MAX_POOL_FRAMES = 16, 5
+MAX_POOL_CALLS, MAX_POOL_FRAMES = 14, 5
 #: Python-level calls per request of one server round, submit + drain
 #: (measured 0.22 + 2.14 = 2.36 at one tenant and 0.17 + 1.91 at 32; 2.53
 #: and 2.21 while a batch read its energy from every tile ledger and
@@ -351,8 +354,9 @@ class TestPoolCall:
     def test_sharded_verified_call_stays_within_budget(self, monkeypatch):
         """The layerbench ``pool_sharded`` layout -- 256x16 over 2 bands x 2
         replicas of small tiles, ``verify="full"`` -- at ``make hotpath``'s
-        probe: each band's device call pays the fixed part once and one
-        ``acquire`` per block (measured 34 device frames, 17 per band; 78
+        probe: each band's device call pays the fixed part once and nothing
+        per block (measured 16 device frames, 8 per band; 34 while the replay
+        took one ``acquire`` per block, 78
         while a block's replay took four frames of its own, 144 while each
         block looked its receipt up and committed and charged the runtime
         ledger in frames of its own, 232 while a block's replay took

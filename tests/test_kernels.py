@@ -39,6 +39,7 @@ from repro.digital.dce import DceConfig
 from repro.errors import AllocationError, ConfigurationError, QuantizationError
 from repro.metrics import merge_ledgers
 from repro.plan import BACKENDS, DEFAULT_BACKEND, ReferenceExecutor, resolve_backend
+from repro.plan.ir import PlanCostModel
 from repro.reram import NoiseConfig, ParasiticModel
 from repro.runtime.apps import (
     serve_aes_mixcolumns,
@@ -646,8 +647,15 @@ DEVICE_READS = {
     "counters": lambda device, tiles, _: [
         (tile.iiu.injections, tile.iiu.front_end_slots_saved, tile.transpose_unit.vector_count)
         for tile in tiles],
+    # The arbiters, to the bit: ``repr`` of a float round-trips exactly.
+    "arbiter_now": lambda device, tiles, _: [repr(tile.arbiter.now) for tile in tiles],
+    "arbiter_owners": lambda device, tiles, _: [repr(dict(tile.arbiter._owners))
+                                                for tile in tiles],
+    "arbiter_stalls": lambda device, tiles, _: [
+        (tile.arbiter.stall_events, repr(tile.arbiter.stall_cycles)) for tile in tiles],
 }
 DEVICE_READ_FORMS = sorted(DEVICE_READS)
+ARBITER_READ_FORMS = [form for form in DEVICE_READ_FORMS if form.startswith("arbiter")]
 
 
 class TestLazySettle:
@@ -761,6 +769,139 @@ class TestLazySettle:
                 self._call(twins, 32, rng, check=step != "disable_digital_mode")
         lazy, eager = self._reads(twins)
         assert lazy == eager
+
+    @staticmethod
+    def _arbiters_pending(tiles):
+        """Whether every tile's arbiter holds calls it has not folded yet."""
+        return all(tile.arbiter._claim is not None
+                   and tile.arbiter._claim[0].calls != tile.arbiter._claim[2]
+                   for tile in tiles)
+
+    @pytest.mark.parametrize("step", ["per_tile", "tile_call", "batch_16", "update_matrix"])
+    def test_arbiters_read_as_eager_around_other_commits(self, step):
+        """A steady call leaves its reservations and clock advance pending
+        on every tile's arbiter.  Around another commit -- a device call on
+        the per-tile loop, a direct ``HybridComputeTile.execute_mvm_batch``,
+        another batch size -- or an in-place ``update_matrix``, which
+        settles no arbiter, the arbiters read as the eager twin's: clock,
+        holds and stalls, to the bit."""
+        twins = self._twins()
+        rng = derive_rng("kernels-lazy-settle-arbiter", step)
+        input_bits = DEVICE_PLAN_CASES[self.CASE][2]
+        for _ in range(3):
+            self._call(twins, 32, rng)
+        rows = twins["lazy"][2].shape[0]
+        vectors = rng.integers(0, 1 << input_bits, size=(5, rows))
+        for name, (device, allocation, matrix, tiles, _) in twins.items():
+            lazy = name == "lazy"
+            if step == "per_tile":  # "estimate" walks the tiles, replaying receipts
+                device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                      backend="estimate" if lazy else "reference")
+            elif step == "tile_call":
+                first = allocation.placement.tiles[0]
+                tiles[0].execute_mvm_batch(
+                    allocation.handles[first.hct_slot],
+                    vectors[:, first.row_start: first.row_end], input_bits=input_bits,
+                    backend="vectorized" if lazy else "reference")
+            elif step == "update_matrix":
+                matrix[...] = ~matrix  # -m - 1 stays in range
+                device.update_matrix(allocation, matrix)
+                assert self._arbiters_pending(tiles) or not lazy
+        if step == "batch_16":
+            self._call(twins, 16, rng)
+        for _ in range(2):
+            self._call(twins, 32, rng)
+        assert self._arbiters_pending(twins["lazy"][3])
+        lazy, eager = self._reads(twins)
+        assert lazy == eager
+
+    def test_a_non_integral_advance_folds_as_k_additions(self, monkeypatch):
+        """Every schedule a tenth of a cycle longer: the clock advance is
+        not integral, and ``k`` additions of it are not ``k`` times it.
+        The arbiters still read as ``k`` eager calls, to the bit."""
+        predict = PlanCostModel.predict
+
+        def longer(model, batch, optimized=True):
+            total, breakdown = predict(model, batch, optimized)
+            return total + 0.1, breakdown
+
+        monkeypatch.setattr(PlanCostModel, "predict", longer)
+        twins = self._twins()
+        rng = derive_rng("kernels-lazy-settle-fraction")
+        calls = 12
+        for _ in range(calls):
+            self._call(twins, 32, rng)
+        tiles = twins["lazy"][3]
+        assert self._arbiters_pending(tiles)
+        _, cycles, advance = tiles[0].arbiter._claim[1]
+        assert not float(advance).is_integer() and cycles <= advance
+        added = 0.0
+        for _ in range(calls):
+            added += advance
+        assert added != calls * advance
+        lazy, eager = self._reads(twins)
+        assert lazy == eager
+        assert twins["eager"][3][0].arbiter.now == added
+
+
+class TestModeSwitch:
+    """The device plan looks at its blocks' mode switches only when one of
+    them has been written.  After a steady run on the plan, each switch --
+    through the device's methods, or set as a plain attribute of the last
+    block's tile -- takes the next call off the plan: to the per-tile
+    loop, or to the ``AllocationError`` the loop raises for a disabled ACE.
+    Switched back on, the next call is on the plan again."""
+
+    CASE = "row_band_8_tiles"
+    #: switch -> (off, on again or ``None``, whether the loop raises).
+    SWITCHES = {
+        "disable_analog_mode": (
+            lambda device, allocation, tile: device.disable_analog_mode(allocation),
+            None, True),
+        "disable_digital_mode": (
+            lambda device, allocation, tile: device.disable_digital_mode(
+                allocation.hct_indices[-1]),
+            lambda device, allocation, tile: tile.enable_digital_mode(), False),
+        "ace.enabled": (
+            lambda device, allocation, tile: setattr(tile.ace, "enabled", False),
+            lambda device, allocation, tile: setattr(tile.ace, "enabled", True), True),
+        "analog_enabled": (
+            lambda device, allocation, tile: setattr(tile, "analog_enabled", False),
+            lambda device, allocation, tile: setattr(tile, "analog_enabled", True), True),
+        "digital_post_processing": (
+            lambda device, allocation, tile: setattr(tile, "digital_post_processing", False),
+            lambda device, allocation, tile: setattr(tile, "digital_post_processing", True),
+            False),
+    }
+
+    @pytest.mark.parametrize("switch", sorted(SWITCHES))
+    def test_a_switch_takes_the_next_call_off_the_plan(self, switch):
+        off, on, raises = self.SWITCHES[switch]
+        device, allocation, matrix = programmed_device(self.CASE)
+        input_bits = DEVICE_PLAN_CASES[self.CASE][2]
+        vectors = derive_rng("kernels-mode-switch", switch).integers(
+            0, 1 << input_bits, size=(32, matrix.shape[0]))
+        plan = device.device_plan(allocation, input_bits)
+        def call():
+            return device.exec_mvm_batch(allocation, vectors, input_bits=input_bits,
+                                         backend="vectorized")
+
+        for _ in range(3):
+            assert np.array_equal(call(), vectors @ matrix)
+        pending = plan.scratch[32][-1][0]
+        assert pending.calls == 3
+        tile = device.chip.hct(allocation.hct_indices[-1])
+        off(device, allocation, tile)
+        if raises:
+            with pytest.raises(AllocationError, match="has been disabled"):
+                call()
+        else:
+            call()
+        assert pending.calls == 3  # off the plan
+        if on is not None:
+            on(device, allocation, tile)
+            assert np.array_equal(call(), vectors @ matrix)
+            assert pending.calls == 4
 
 
 #: label -> (pipeline depth, element size, input bits) of a 40x20 matrix on

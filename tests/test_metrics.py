@@ -303,7 +303,7 @@ STREAM_B = checked_runs((("dce.boolean", 1, 0.0, 0.7), ("ace.mvm", 2, 0.5, 0.05)
 
 def _program(ledger, stream):
     """A one-ledger replay program, as ``BatchReceipt.bind`` shapes one."""
-    return Pending(), ((ledger, stream),), (), (), ()
+    return Pending(), ((ledger, stream),), (), ()
 
 
 def _parts(ledger):
