@@ -85,11 +85,14 @@ class AnalogDigitalArbiter:
         """Commit one MVM at once: every resource is acquired for the
         analog domain at the clock for ``cycles``, then the clock moves on
         by ``advance``.  The schedule commit of the reference and gate-level
-        interpreters reserves through here; a replayed call folds the same
-        reservation later (:meth:`_fold`)."""
+        interpreters reserves through here, one :meth:`acquire` per
+        resource; a replayed call folds the same reservation later
+        (:meth:`_fold`), and the tests hold the two equal."""
         with _SETTLING:
-            settle(self)
-            self._fold((resources, cycles, advance), 1)
+            now = self.now
+            for resource in resources:
+                self.acquire(resource, Domain.ANALOG, now, cycles)
+            self.now = now + advance
 
     def _fold(self, reservation: Tuple[Sequence[str], float, float], calls: int) -> None:
         """``calls`` reservations ``(resources, cycles, advance)``, in order.
